@@ -101,7 +101,7 @@ type Pending struct {
 	lastArrival time.Time
 
 	// Alltoallv state.
-	self      []byte // copy of the caller's own part, available immediately
+	self      []byte // the caller's own part (IAlltoallv: a copy; Post: the buffer itself)
 	results   [][]byte
 	drained   []bool
 	remaining int
@@ -168,8 +168,12 @@ func (g *Group) IAlltoallvStaged() *Pending {
 }
 
 // Post hands group member idx's outgoing part to a staged exchange,
-// sending it immediately (eager, never blocks). The self part is copied,
-// like IAlltoallv's. Each member must be posted exactly once; Post must be
+// sending it immediately (eager, never blocks). Post TAKES OWNERSHIP of
+// part, which must come from Comm.Alloc: a remote part is given to the
+// transport without a copy, the self part is kept by reference and comes
+// back out of PollAny/PollRecv/Wait — either way the caller may not touch
+// part afterwards, and whoever drains it may Release it. Billing is that of
+// a copying send. Each member must be posted exactly once; Post must be
 // called from the PE goroutine that owns the Comm (encoder tasks signal a
 // completion channel and the PE posts, keeping all accounting confined).
 func (pd *Pending) Post(idx int, part []byte) {
@@ -185,10 +189,13 @@ func (pd *Pending) Post(idx int, part []byte) {
 	pd.postedIdx[idx] = true
 	pd.toPost--
 	if idx == pd.g.myIdx {
-		pd.self = append([]byte(nil), part...)
+		pd.self = part
 		return
 	}
-	pd.sendIdx(idx, part)
+	// sendTag's billing, without its copy.
+	c, dst := pd.g.c, pd.g.ranks[idx]
+	c.accountSendAs(pd.phase, dst, len(part))
+	c.t.Give(dst, pd.tag, part)
 }
 
 // PollAny blocks until some undrained member's payload is available, marks

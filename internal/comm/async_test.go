@@ -381,3 +381,60 @@ func TestSplitPhaseBarrierEagerSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStagedPostTakesOwnership pins the staged exchange against the copying
+// IAlltoallv: parts allocated with Comm.Alloc and handed over by Post, in
+// any order, arrive byte-identical and bill bit-identical counters (to the
+// phase captured at post time), and the self part comes back by reference —
+// the very buffer that was posted, not a copy of it.
+func TestStagedPostTakesOwnership(t *testing.T) {
+	for _, p := range ps {
+		run := func(staged bool) ([][][]byte, [][stats.NumPhases]stats.PhaseCounters) {
+			m := New(p)
+			got := make([][][]byte, p)
+			err := m.Run(func(c *Comm) error {
+				c.SetPhase(stats.PhaseExchange)
+				g := c.World()
+				parts := alltoallParts(c.Rank(), p)
+				if !staged {
+					got[c.Rank()] = g.IAlltoallv(parts).Wait()
+					return nil
+				}
+				pd := g.IAlltoallvStaged()
+				var self []byte
+				for i := p - 1; i >= 0; i-- { // reverse order: posting order is free
+					dst := (i + c.Rank()) % p
+					buf := append(c.Alloc(len(parts[dst]))[:0], parts[dst]...)
+					if dst == c.Rank() {
+						self = buf
+					}
+					pd.Post(dst, buf)
+				}
+				c.SetPhase(stats.PhaseMerge) // drained in a later phase, billed to the posting one
+				out := pd.Wait()
+				if len(self) > 0 && &out[c.Rank()][0] != &self[0] {
+					return fmt.Errorf("rank %d: self part was copied, not kept by reference", c.Rank())
+				}
+				got[c.Rank()] = out
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got, phaseCounters(m)
+		}
+		copyOut, copyStats := run(false)
+		giveOut, giveStats := run(true)
+		for rank := 0; rank < p; rank++ {
+			for src := 0; src < p; src++ {
+				if !bytes.Equal(copyOut[rank][src], giveOut[rank][src]) {
+					t.Fatalf("p=%d rank=%d src=%d: payloads differ", p, rank, src)
+				}
+			}
+			if copyStats[rank] != giveStats[rank] {
+				t.Fatalf("p=%d rank=%d: counters differ:\ncopying: %+v\nstaged:  %+v",
+					p, rank, copyStats[rank], giveStats[rank])
+			}
+		}
+	}
+}

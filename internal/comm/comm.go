@@ -412,6 +412,11 @@ func (c *Comm) ForEachSpan(label string, n int, fn func(i int)) int64 {
 	return c.pool.ForEachObs(n, fn, c.WorkerObserver(label))
 }
 
+// Alloc returns a buffer of length n from the transport's pool, to be
+// filled and handed over with Pending.Post (which takes ownership) or
+// returned with Release.
+func (c *Comm) Alloc(n int) []byte { return c.t.Alloc(n) }
+
 // Release returns payload buffers (typically obtained from Recv or a
 // collective) to the transport's buffer pool for reuse. Call it only when
 // the payload — including every sub-slice handed out by a decoder — is no

@@ -127,26 +127,31 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 
 // exchangeEncoded executes the Step-3 all-to-all seam shared by all four
 // algorithms, with both sides of the exchange spread over the PE's work
-// pool: the p bucket encoders run concurrently into disjoint regions of
-// one exactly pre-sized arena (sizes[dst] bytes each), and every received
-// part is handed to decode exactly once — concurrently too — with its
-// buffer released afterwards (all decoders copy their results out). The
-// accounting phase is left at next.
+// pool: the p bucket encoders run concurrently, each into exactly
+// sizes[dst] bytes, and every received part is handed to decode exactly
+// once — concurrently too — with its buffer released afterwards (all
+// decoders copy their results out). The accounting phase is left at next.
 //
-// Split-phase mode (blocking=false, the default): the exchange is posted
-// STAGED — each bucket is posted the moment its encoder task finishes,
-// signaled through a completion channel so the send and its accounting
-// stay on the PE goroutine — and each incoming run is dispatched to a
-// decode task as soon as its frames land, in ARRIVAL order. Stragglers'
-// communication thus hides under both the faster buckets' sends and the
-// decode work. Received bytes stay billed to the posting phase and the
-// encoded bytes are schedule-independent, so model time and bytes/string
-// are bit-identical to the sequential blocking seam; only wall-clock
-// improves, measured as stats.PE.Overlap and the CPU channel.
+// Split-phase mode (blocking=false, the default): every bucket is encoded
+// straight into its own transport buffer (comm.Alloc) and the exchange is
+// posted STAGED — each bucket is posted the moment its encoder task
+// finishes, signaled through a completion channel so the send and its
+// accounting stay on the PE goroutine. Post takes the buffer over, so an
+// encoded byte is allocated once on this PE and never copied again before
+// it leaves (the local transport delivers that very buffer, tcp writes the
+// socket from it); the self bucket comes back from the drain by reference.
+// Each incoming run is dispatched to a decode task as soon as its frames
+// land, in ARRIVAL order, and the decode task's Release returns received
+// and self buffers alike to the pool. Stragglers' communication thus hides
+// under both the faster buckets' sends and the decode work. Received bytes
+// stay billed to the posting phase and the encoded bytes are
+// schedule-independent, so model time and bytes/string are bit-identical
+// to the sequential blocking seam; only wall-clock improves, measured as
+// stats.PE.Overlap and the CPU channel.
 //
 // Blocking mode reproduces the bulk-synchronous seam: encode all (in
-// parallel), one Alltoallv, decode all (in parallel), then the phase
-// switch.
+// parallel, into one arena — encodeParts), one copying Alltoallv, decode
+// all (in parallel), then the phase switch.
 func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	enc func(dst int, buf []byte) []byte, blocking bool, next stats.Phase,
 	decode func(src int, msg []byte)) {
@@ -170,9 +175,10 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	// bucket index on completion, and the PE goroutine posts each part as
 	// the signal arrives — at width 1 the tasks run inline, the channel
 	// fills in destination order, and the seam is exactly sequential.
-	offs := partOffsets(sizes)
-	arena := make([]byte, offs[len(sizes)])
 	parts := make([][]byte, len(sizes))
+	for dst, n := range sizes {
+		parts[dst] = c.Alloc(n)[:0]
+	}
 	pd := g.IAlltoallvStaged()
 	egrp := pool.Group()
 	done := make(chan int, len(sizes))
@@ -182,9 +188,8 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 			// Signal via defer so a panicking encoder still unblocks the
 			// posting loop below; the panic itself re-raises at egrp.Wait.
 			defer func() { done <- dst }()
-			lo, hi := offs[dst], offs[dst+1]
-			buf := enc(dst, arena[lo:lo:hi])
-			if len(buf) != hi-lo {
+			buf := enc(dst, parts[dst])
+			if len(buf) != sizes[dst] {
 				panic("core: bucket encoder size mismatch")
 			}
 			parts[dst] = buf

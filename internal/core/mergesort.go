@@ -166,10 +166,10 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		off = partition.Buckets(local, splitters)
 	}
 
-	// Step 3: all-to-all bucket exchange. All p outgoing parts are encoded
-	// into one exactly pre-sized arena (Send copies payloads, so the parts
-	// may share backing storage): O(1) buffer allocations per PE instead of
-	// one per destination, with zero growth reallocations. The LCP run of a
+	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
+	// first and encoded into exactly that many bytes — its own transport
+	// buffer on the eager split-phase seam, a region of one arena on the
+	// copying seams — so there are zero growth reallocations. The LCP run of a
 	// bucket is passed as a direct sub-slice of the local LCP array — the
 	// encoders ignore the boundary entry lcps[lo], which belongs to a
 	// string that stays on this PE.

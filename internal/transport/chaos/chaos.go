@@ -132,7 +132,7 @@ type netStats interface {
 }
 
 // Endpoint decorates one transport endpoint with the fault schedule. All
-// fault decisions are drawn on the caller's Send path (one PE goroutine),
+// fault decisions are drawn on the caller's Give path (one PE goroutine),
 // which is what makes the schedule a pure function of the seed and the
 // send sequence; the delivery of delayed frames happens on the endpoint's
 // single executor goroutine, which also serializes them per release order.
@@ -143,7 +143,6 @@ type Endpoint struct {
 	rng     *rand.Rand
 	poller  transport.AnyPoller   // inner's, if present
 	dropper transport.ConnDropper // inner's, if present
-	pool    transport.Pool
 
 	// Send-path state (PE goroutine only).
 	sent      int // remote frames scheduled so far
@@ -188,8 +187,8 @@ func (h delayHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(frame)) }
+func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *delayHeap) Push(x any)   { *h = append(*h, x.(frame)) }
 func (h *delayHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -228,13 +227,20 @@ func (e *Endpoint) Rank() int { return e.inner.Rank() }
 // P returns the fabric size.
 func (e *Endpoint) P() int { return e.inner.P() }
 
-// Send draws this frame's faults from the schedule and routes the frame
+// Alloc delegates to the wrapped transport, so a given buffer can travel
+// all the way down without a copy.
+func (e *Endpoint) Alloc(n int) []byte { return e.inner.Alloc(n) }
+
+// Send gives a copy of data to dst.
+func (e *Endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
+
+// Give draws this frame's faults from the schedule and routes the frame
 // through the delay queue (self-sends bypass chaos entirely: there is no
-// wire to disturb). The payload is copied before Send returns, per the
-// transport contract.
-func (e *Endpoint) Send(dst, tag int, data []byte) {
+// wire to disturb). The queue holds the given buffer itself until the
+// executor gives it on to the wrapped transport.
+func (e *Endpoint) Give(dst, tag int, data []byte) {
 	if dst == e.rank {
-		e.inner.Send(dst, tag, data)
+		e.inner.Give(dst, tag, data)
 		return
 	}
 
@@ -270,10 +276,9 @@ func (e *Endpoint) Send(dst, tag int, data []byte) {
 		e.lastAll = releaseAt
 	}
 
-	cp := e.pool.Get(len(data))
-	copy(cp, data)
+	transport.NoteGive(data)
 	e.seq++
-	f := frame{dst: dst, tag: tag, data: cp, releaseAt: releaseAt, seq: e.seq, drop: dr}
+	f := frame{dst: dst, tag: tag, data: data, releaseAt: releaseAt, seq: e.seq, drop: dr}
 
 	e.mu.Lock()
 	heap.Push(&e.queue, f)
@@ -318,8 +323,8 @@ func (e *Endpoint) run() {
 			if f.drop != nil && e.dropper != nil {
 				e.dropper.DropConn(f.dst, f.drop.afterBytes)
 			}
-			e.inner.Send(f.dst, f.tag, f.data)
-			e.pool.Put(f.data)
+			transport.NoteHandoff(f.data)
+			e.inner.Give(f.dst, f.tag, f.data)
 		}
 		if closing && empty {
 			return

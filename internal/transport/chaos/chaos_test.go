@@ -48,17 +48,45 @@ func TestConformanceUnderChaos(t *testing.T) {
 	}
 }
 
+// killLog sits between the chaos decorator and the tcp endpoint and records
+// what the schedule decided: before which frame each connection kill was
+// armed, against which peer, and after how many bytes. Both methods run on
+// the decorator's executor goroutine; the test reads the log after Drain.
+type killLog struct {
+	transport.Transport
+	gives int
+	kills []kill
+}
+
+type kill struct{ frame, peer, afterBytes int }
+
+func (k *killLog) Give(dst, tag int, buf []byte) {
+	k.gives++
+	k.Transport.Give(dst, tag, buf)
+}
+
+func (k *killLog) DropConn(peer, afterBytes int) bool {
+	k.kills = append(k.kills, kill{k.gives, peer, afterBytes})
+	return k.Transport.(transport.ConnDropper).DropConn(peer, afterBytes)
+}
+
 // TestScheduleDeterminism pins the decorator's core promise: the fault
 // schedule is a pure function of (seed, rank, send sequence). Two
 // endpoints wrapped with the same seed over identical send sequences must
-// inject the drops at the same frame indices — observed here through the
-// wrapped tcp endpoint's reconnect counters.
+// arm the same kills — same frame, same peer, same cut offset — and every
+// kill must cost exactly one reconnect. How many frames each reconnect
+// replays is NOT part of the schedule (it depends on which acks had landed
+// when the connection was cut) and is not asserted. The receiver confirms
+// every frame before the next is sent, so each armed kill has fired and
+// been repaired before the schedule can arm another one on top of it.
 func TestScheduleDeterminism(t *testing.T) {
-	run := func(seed uint64) (reconnects, resent int64) {
+	const frames = 120
+	run := func(seed uint64) (kills []kill, reconnects int64) {
 		f, err := tcp.NewLoopback(2)
 		if err != nil {
 			t.Fatalf("loopback fabric: %v", err)
 		}
+		defer f.Close()
 		cfg, err := chaos.Parse("drop")
 		if err != nil {
 			t.Fatalf("Parse(drop): %v", err)
@@ -66,41 +94,53 @@ func TestScheduleDeterminism(t *testing.T) {
 		cfg.Seed = seed
 		cfg.MaxDelay = 0
 		cfg.DelayProb = 0 // timing out of the picture: drops only
-		cf := chaos.WrapFabric(f, cfg)
-		a, b := cf.Endpoint(0), cf.Endpoint(1)
-		done := make(chan struct{})
+		log := &killLog{Transport: f.Endpoint(0)}
+		a, b := chaos.Wrap(log, cfg), f.Endpoint(1)
+		done := make(chan error, 1)
 		go func() {
-			defer close(done)
-			for i := 0; i < 120; i++ {
+			for i := 0; i < frames; i++ {
 				buf := b.Recv(0, 3)
 				if len(buf) != 32 || buf[0] != byte(i) {
-					panic(fmt.Sprintf("frame %d corrupted: % x", i, buf[:2]))
+					done <- fmt.Errorf("frame %d corrupted: % x", i, buf[:2])
+					return
 				}
 				b.Release(buf)
+				b.Send(0, 4, nil)
 			}
+			done <- nil
 		}()
 		payload := make([]byte, 32)
-		for i := 0; i < 120; i++ {
+		for i := 0; i < frames; i++ {
 			payload[0] = byte(i)
 			a.Send(1, 3, payload)
+			a.Release(a.Recv(1, 4))
 		}
-		<-done
-		rc, rf, _ := a.(interface {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		a.Drain()
+		reconnects, _, _ = log.Transport.(interface {
 			NetStats() (int64, int64, int64)
 		}).NetStats()
-		if err := cf.Close(); err != nil {
+		if err := f.Close(); err != nil {
 			t.Fatalf("Close after recovered drops: %v", err)
 		}
-		return rc, rf
+		return log.kills, reconnects
 	}
 
-	r1, f1 := run(42)
-	r2, f2 := run(42)
-	if r1 < 1 {
-		t.Fatalf("drop schedule injected no drops over 120 frames (reconnects = %d)", r1)
+	k1, r1 := run(42)
+	k2, r2 := run(42)
+	if len(k1) != 3 {
+		t.Fatalf("drop schedule armed %d kills over %d frames, want MaxDrops = 3: %v", len(k1), frames, k1)
 	}
-	if r1 != r2 || f1 != f2 {
-		t.Fatalf("same seed, different schedule: (%d reconnects, %d resent) vs (%d, %d)", r1, f1, r2, f2)
+	if fmt.Sprint(k1) != fmt.Sprint(k2) {
+		t.Fatalf("same seed, different kill points: %v vs %v", k1, k2)
+	}
+	if r1 != int64(len(k1)) || r2 != int64(len(k2)) {
+		t.Fatalf("%d kills armed, but %d and %d reconnects", len(k1), r1, r2)
+	}
+	if k3, _ := run(43); fmt.Sprint(k3) == fmt.Sprint(k1) {
+		t.Fatalf("seeds 42 and 43 armed identical kill points: %v", k1)
 	}
 }
 

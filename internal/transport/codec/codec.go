@@ -29,7 +29,7 @@
 // payload isolation, per-pair non-overtaking order, tag-selective and
 // any-source receives with the original arrival stamps. Decoding happens
 // on the receiving PE's goroutine into pooled buffers (Release feeds them
-// back), so a steady-state exchange stays allocation-free.
+// back), so steady-state traffic of pooled sizes allocates nothing.
 package codec
 
 import (

@@ -103,45 +103,53 @@ func (e *Endpoint) Rank() int { return e.inner.Rank() }
 // P returns the fabric size.
 func (e *Endpoint) P() int { return e.inner.P() }
 
-// Send encodes data into a frame and ships it through the wrapped
-// endpoint. Self-sends bypass the codec entirely: no bytes leave the PE,
-// matching the raw accounting rule.
-func (e *Endpoint) Send(dst, tag int, data []byte) {
+// Alloc draws a raw-payload buffer from the decorator's own pool: Give
+// consumes it here (it is encoded, not forwarded), so it never needs to be
+// one of the wrapped endpoint's.
+func (e *Endpoint) Alloc(n int) []byte { return e.pool.Get(n) }
+
+// Send gives a copy of data to dst.
+func (e *Endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
+
+// Give encodes buf into a frame allocated from the wrapped endpoint, gives
+// that frame away and releases buf. Self-sends bypass the codec entirely —
+// no bytes leave the PE, matching the raw accounting rule — and give buf
+// straight through.
+func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	if dst == e.rank {
-		e.inner.Send(dst, tag, data)
+		e.inner.Give(dst, tag, buf)
 		return
 	}
-	frame := e.encodeFrame(data)
-	e.inner.Send(dst, tag, frame)
+	frame := e.encodeFrame(buf)
+	n := len(frame)
+	e.inner.Give(dst, tag, frame)
+	e.pool.Put(buf)
 	if e.pe != nil {
-		e.pe.Wire[e.ph].Sent += int64(len(frame))
+		e.pe.Wire[e.ph].Sent += int64(n)
 	}
-	e.tr.Instant(trace.TrackControl, "wire-send", int64(len(frame)), int64(dst))
+	e.tr.Instant(trace.TrackControl, "wire-send", int64(n), int64(dst))
 	if trace.LiveOn() {
-		trace.Live.WireSent.Add(int64(len(frame)))
+		trace.Live.WireSent.Add(int64(n))
 	}
-	// The inner Send has fully copied (or written out) the frame, so the
-	// scratch goes straight back to the pool: steady-state encoding is
-	// allocation-free.
-	e.pool.Put(frame)
 }
 
-// encodeFrame builds the self-describing wire frame for one payload.
+// encodeFrame builds the self-describing wire frame for one payload in a
+// buffer of the wrapped endpoint, ready to be given to it.
 func (e *Endpoint) encodeFrame(data []byte) []byte {
 	if e.codec != nil && len(data) >= e.min {
-		buf := e.pool.Get(len(data) + 1 + binary.MaxVarintLen32)[:0]
+		buf := e.inner.Alloc(len(data) + 1 + binary.MaxVarintLen32)[:0]
 		buf = append(buf, e.codec.ID())
 		buf = binary.AppendUvarint(buf, uint64(len(data)))
 		if enc, ok := e.codec.Encode(buf, data); ok {
 			if len(enc) < 1+len(data) {
 				return enc
 			}
-			e.pool.Put(enc) // encoding lost to the raw form: ship raw
+			e.inner.Release(enc) // encoding lost to the raw form: ship raw
 		} else {
-			e.pool.Put(buf)
+			e.inner.Release(buf)
 		}
 	}
-	frame := e.pool.Get(1 + len(data))
+	frame := e.inner.Alloc(1 + len(data))
 	frame[0] = idRaw
 	copy(frame[1:], data)
 	return frame
@@ -229,7 +237,7 @@ func (e *Endpoint) decodeFrame(src int, frame []byte) []byte {
 			e.rank, dec.Name(), src, rawLen, err))
 	}
 	// The compressed frame is fully consumed; recycle it for the wrapped
-	// endpoint's own buffers (receive frames, send copies).
+	// endpoint's own buffers (receive frames, encoded frames).
 	e.inner.Release(frame)
 	return out
 }

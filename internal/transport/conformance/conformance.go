@@ -1,7 +1,8 @@
 // Package conformance is a backend-independent test suite for the
 // transport contract. Every backend must deliver MPI-like point-to-point
-// semantics — payload isolation, per-pair non-overtaking order,
-// tag-selective receives, deadlock-free eager sends — and the comm layer's
+// semantics — payload isolation, ownership transfer of given buffers,
+// per-pair non-overtaking order, tag-selective receives, deadlock-free
+// eager sends — and the comm layer's
 // collectives and byte accounting silently depend on all of them. Backend
 // test files call Run with a fabric factory; the suite itself never imports
 // a backend.
@@ -44,6 +45,11 @@ func Run(t *testing.T, newFabric Factory) {
 		{"RecvAnyTagSelective", 2, testRecvAnyTagSelective},
 		{"TryRecvAnyNonBlocking", 3, testTryRecvAny},
 		{"ConcurrentStress", 5, testConcurrentStress},
+		{"GiveDeliversByteExact", 2, testGiveExact},
+		{"GiveAndSendNonOvertaking", 2, testGiveSendOrder},
+		{"SelfGive", 1, testSelfGive},
+		{"ZeroLengthGive", 2, testZeroLengthGive},
+		{"GiveSurvivesConnectionKill", 2, testGiveSurvivesKill},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -453,6 +459,145 @@ func testConcurrentStress(t *testing.T, f transport.Fabric) {
 				}
 			}
 		}
+		return nil
+	})
+}
+
+// pattern fills b with bytes that depend on every coordinate of a message,
+// so a misrouted, truncated or recycled buffer never compares equal.
+func pattern(b []byte, src, dst, k int) []byte {
+	for i := range b {
+		b[i] = byte(src*131 + dst*31 + k*7 + i*i>>3 + i)
+	}
+	return b
+}
+
+// testGiveExact checks the ownership-transferring path end to end: Alloc
+// returns the requested length, and a given buffer arrives byte-exact at
+// sizes on both sides of the pool's class/exact-size boundary and of the
+// TCP reader's probe chunk.
+func testGiveExact(t *testing.T, f transport.Fabric) {
+	sizes := []int{1, 100, 4096, 64<<10 + 3, 1 << 20, 3<<20 + 5}
+	runPEs(t, f, func(tr transport.Transport) error {
+		partner := 1 - tr.Rank()
+		for k, n := range sizes {
+			buf := tr.Alloc(n)
+			if len(buf) != n {
+				return fmt.Errorf("Alloc(%d) returned %d bytes", n, len(buf))
+			}
+			tr.Give(partner, 1, pattern(buf, tr.Rank(), partner, k))
+		}
+		for k, n := range sizes {
+			got := tr.Recv(partner, 1)
+			if !bytes.Equal(got, pattern(make([]byte, n), partner, tr.Rank(), k)) {
+				return fmt.Errorf("given buffer %d (%d bytes) arrived corrupted (%d bytes)", k, n, len(got))
+			}
+			tr.Release(got)
+		}
+		return nil
+	})
+}
+
+// testGiveSendOrder interleaves the copying and the ownership-transferring
+// call on one (pair, tag) stream: they share one delivery path, so the
+// stream stays non-overtaking.
+func testGiveSendOrder(t *testing.T, f transport.Fabric) {
+	const k = 200
+	runPEs(t, f, func(tr transport.Transport) error {
+		if tr.Rank() == 0 {
+			for i := 0; i < k; i++ {
+				if i%3 == 0 {
+					tr.Send(1, 3, []byte{byte(i), 's'})
+				} else {
+					buf := tr.Alloc(2)
+					buf[0], buf[1] = byte(i), 'g'
+					tr.Give(1, 3, buf)
+				}
+			}
+			return nil
+		}
+		for i := 0; i < k; i++ {
+			got := tr.Recv(0, 3)
+			if len(got) != 2 || got[0] != byte(i) {
+				return fmt.Errorf("message %d out of order: %v", i, got)
+			}
+			tr.Release(got)
+		}
+		return nil
+	})
+}
+
+func testSelfGive(t *testing.T, f transport.Fabric) {
+	runPEs(t, f, func(tr transport.Transport) error {
+		tr.Give(0, 1, pattern(tr.Alloc(1000), 0, 0, 0))
+		got := tr.Recv(0, 1)
+		if !bytes.Equal(got, pattern(make([]byte, 1000), 0, 0, 0)) {
+			return fmt.Errorf("self-given buffer corrupted (%d bytes)", len(got))
+		}
+		tr.Release(got)
+		return nil
+	})
+}
+
+// testZeroLengthGive gives both shapes of an empty message: Alloc(0), and
+// an allocated buffer cut to zero length the way an encoder with nothing
+// to write leaves it.
+func testZeroLengthGive(t *testing.T, f transport.Fabric) {
+	runPEs(t, f, func(tr transport.Transport) error {
+		partner := 1 - tr.Rank()
+		tr.Give(partner, 1, tr.Alloc(0))
+		tr.Give(partner, 1, tr.Alloc(64)[:0])
+		tr.Give(partner, 2, append(tr.Alloc(3)[:0], "end"...))
+		for i := 0; i < 2; i++ {
+			got := tr.Recv(partner, 1)
+			if len(got) != 0 {
+				return fmt.Errorf("empty message %d carries %d bytes", i, len(got))
+			}
+			tr.Release(got)
+		}
+		if got := tr.Recv(partner, 2); string(got) != "end" {
+			return fmt.Errorf("trailer = %q", got)
+		}
+		return nil
+	})
+}
+
+// testGiveSurvivesKill gives a stream of buffers while the connection is
+// cut in the middle of a frame (directly through transport.ConnDropper
+// where the endpoint has it, by the chaos schedule where a decorator hides
+// it — forty frames outlast the drop level's first kill; backends without
+// connections just deliver). The resend ring holds the given buffers
+// themselves, so the replay after the reconnect must reproduce every one
+// byte-exact and in order.
+func testGiveSurvivesKill(t *testing.T, f transport.Fabric) {
+	const frames, size = 40, 8 << 10
+	runPEs(t, f, func(tr transport.Transport) error {
+		if tr.Rank() == 0 {
+			dropper, _ := tr.(transport.ConnDropper)
+			for k := 0; k < frames; k++ {
+				if dropper != nil && k%16 == 1 {
+					dropper.DropConn(1, 28+size/3) // frame header plus a third of the payload
+				}
+				tr.Give(1, 5, pattern(tr.Alloc(size), 0, 1, k))
+			}
+			tr.Release(tr.Recv(1, 6)) // receipt: everything arrived, so every cut has been repaired
+			if ns, ok := tr.(interface {
+				NetStats() (reconnects, resentFrames, resentBytes int64)
+			}); ok && dropper != nil {
+				if rc, _, _ := ns.NetStats(); rc < 1 {
+					return fmt.Errorf("armed connection kills caused no reconnect")
+				}
+			}
+			return nil
+		}
+		for k := 0; k < frames; k++ {
+			got := tr.Recv(0, 5)
+			if !bytes.Equal(got, pattern(make([]byte, size), 0, 1, k)) {
+				return fmt.Errorf("frame %d corrupted after replay (%d bytes)", k, len(got))
+			}
+			tr.Release(got)
+		}
+		tr.Send(0, 6, nil)
 		return nil
 	})
 }

@@ -1,10 +1,12 @@
 // Package local implements the in-process transport backend: each PE is a
 // goroutine and messages travel through per-(sender, receiver) mailboxes.
 // This is the substrate the reproduction originally hard-wired into the
-// comm package, moved behind the transport interface with zero behavior
-// change: Send copies its payload from a per-PE buffer pool (so a PE can
-// never observe another PE's memory), sends never block, and messages
+// comm package, moved behind the transport interface: Give pushes the
+// caller's buffer itself into the receiver's mailbox — zero copies end to
+// end, the buffer just changes owner — sends never block, and messages
 // between a fixed pair are non-overtaking with tag-selective receives.
+// Send is transport.SendCopy: one copy into a buffer of the sender's pool,
+// which is then given.
 package local
 
 import (
@@ -69,15 +71,20 @@ func (e *endpoint) Rank() int { return e.rank }
 // P returns the fabric size.
 func (e *endpoint) P() int { return e.m.p }
 
-// Send copies data into a pooled buffer and enqueues it at dst.
-func (e *endpoint) Send(dst, tag int, data []byte) {
+// Alloc draws a buffer from this PE's pool.
+func (e *endpoint) Alloc(n int) []byte { return e.m.pools[e.rank].Get(n) }
+
+// Give enqueues buf itself at dst; the receiver's Recv returns it.
+func (e *endpoint) Give(dst, tag int, buf []byte) {
 	if dst < 0 || dst >= e.m.p {
 		panic(fmt.Sprintf("transport/local: send to invalid rank %d (P=%d)", dst, e.m.p))
 	}
-	cp := e.m.pools[e.rank].Get(len(data))
-	copy(cp, data)
-	e.m.boxes[dst][e.rank].Push(tag, cp)
+	transport.NoteGive(buf)
+	e.m.boxes[dst][e.rank].Push(tag, buf)
 }
+
+// Send gives a copy of data to dst.
+func (e *endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
 
 // Recv blocks until a message with the given tag arrives from src.
 func (e *endpoint) Recv(src, tag int) []byte {
@@ -134,7 +141,7 @@ func (e *endpoint) TryRecvAny(srcs []int, tag int) (int, []byte, time.Time, bool
 }
 
 // Release returns payload buffers to this PE's pool for reuse by future
-// Sends.
+// Allocs.
 func (e *endpoint) Release(bufs ...[]byte) {
 	for _, b := range bufs {
 		e.m.pools[e.rank].Put(b)

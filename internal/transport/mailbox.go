@@ -18,7 +18,7 @@ type envelope struct {
 // Mailbox queues messages from one fixed sender to one fixed receiver.
 // Senders never block (the queue is unbounded); receivers block until a
 // message with a matching tag arrives. Both backends build their delivery
-// on Mailboxes: the local backend pushes directly from Send, the TCP
+// on Mailboxes: the local backend pushes the given buffer itself, the TCP
 // backend pushes from the per-connection reader goroutine.
 //
 // Beyond the blocking Pop, a Mailbox supports the readiness protocol the
@@ -77,12 +77,14 @@ func (m *Mailbox) Pop(tag int) (data []byte, ok bool) {
 	}
 }
 
-// popLocked removes and returns the earliest matching message.
+// popLocked removes and returns the earliest matching message; its buffer
+// is the receiver's from here on.
 func (m *Mailbox) popLocked(tag int) (env envelope, ok bool) {
 	for i := range m.q {
 		if m.q[i].tag == tag {
 			env = m.q[i]
 			m.q = append(m.q[:i], m.q[i+1:]...)
+			NoteHandoff(env.data)
 			return env, true
 		}
 	}

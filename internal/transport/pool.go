@@ -5,11 +5,15 @@ import (
 	"sync"
 )
 
-// Pool recycles message payload buffers in power-of-two size classes. The
-// local backend draws Send's mandatory payload copy from here; the TCP
-// backend draws receive buffers for incoming frames. Receivers that have
-// fully consumed a payload hand it back through Transport.Release, making a
-// steady-state exchange allocation-free. Returning buffers is optional: an
+// Pool is the source of every message buffer: Transport.Alloc draws the
+// buffers that Give hands over, and the TCP backend draws receive buffers
+// for incoming frames. Small buffers (up to 1 MiB) come in power-of-two size
+// classes and recycle — receivers that have fully consumed a payload hand it
+// back through Transport.Release, so control traffic and chunked frames
+// allocate nothing in steady state. Larger requests are allocated at exactly
+// the requested size and are never parked: a Step-3 bucket is used once per
+// exchange, and rounding a 37.5 MB bucket up to a 64 MB class costs more
+// than recycling it could ever save. Returning buffers is optional: an
 // unreleased buffer is simply collected by the GC.
 //
 // The free lists are plain mutex-guarded stacks rather than sync.Pool:
@@ -26,28 +30,31 @@ type Pool struct {
 	classes [numBufClasses][][]byte
 }
 
-// numBufClasses covers pooled payloads up to 128 MiB; larger ones fall
-// back to plain allocation. maxPerClass bounds the memory parked per size
-// class.
+// maxPooled is the largest capacity the pool hands out in a size class and
+// the largest it parks — the top class. maxPerClass bounds the memory
+// parked per size class.
 const (
-	numBufClasses = 28
+	numBufClasses = 21
+	maxPooled     = 1 << (numBufClasses - 1) // 1 MiB
 	maxPerClass   = 256
 )
 
-// Get returns a buffer of length n with capacity of the containing size
-// class. Contents are unspecified; callers overwrite the full length.
+// Get returns a buffer of length n: with the capacity of the containing
+// size class up to maxPooled, of exactly n bytes above. Contents are
+// unspecified; callers overwrite the full length.
 func (p *Pool) Get(n int) []byte {
 	if n == 0 {
 		return []byte{}
 	}
-	c := bits.Len(uint(n - 1)) // smallest c with n ≤ 1<<c
-	if c >= numBufClasses {
+	if n > maxPooled {
 		return make([]byte, n)
 	}
+	c := bits.Len(uint(n - 1)) // smallest c with n ≤ 1<<c
 	p.mu.Lock()
 	if l := len(p.classes[c]); l > 0 {
 		b := p.classes[c][l-1]
 		p.classes[c] = p.classes[c][:l-1]
+		poisonTaken(b)
 		p.mu.Unlock()
 		return b[:n]
 	}
@@ -56,19 +63,24 @@ func (p *Pool) Get(n int) []byte {
 }
 
 // Put returns a buffer to the pool, classed by its capacity so that a
-// future Get never receives a buffer that is too small.
+// future Get never receives a buffer that is too small; a buffer larger
+// than maxPooled is left to the GC. The caller must no longer reference b:
+// under the dsspoison build tag the buffer is overwritten, and releasing a
+// buffer that is in flight or already pooled panics (see poison_on.go).
 func (p *Pool) Put(b []byte) {
 	n := cap(b)
 	if n == 0 {
 		return
 	}
-	c := bits.Len(uint(n)) - 1 // largest c with 1<<c ≤ cap
-	if c >= numBufClasses {
+	poisonReleased(b)
+	if n > maxPooled {
 		return
 	}
+	c := bits.Len(uint(n)) - 1 // largest c with 1<<c ≤ cap
 	p.mu.Lock()
 	if len(p.classes[c]) < maxPerClass {
 		p.classes[c] = append(p.classes[c], b[:0])
+		poisonPooled(b)
 	}
 	p.mu.Unlock()
 }

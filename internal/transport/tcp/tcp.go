@@ -24,11 +24,13 @@
 // with data frames.
 //
 // Surviving connection loss. Each direction keeps a bounded ring of sent
-// but unacknowledged frames. When an established connection dies — a
-// broken write, a read error, a frame that fails validation — the endpoint
-// does not kill the run: the original dialer of the pair redials (reusing
-// the rendezvous dial backoff) with a reconnect handshake that carries its
-// delivered sequence, the acceptor's persistent listener adopts the
+// but unacknowledged frames — the very buffers the senders gave away
+// (transport.Transport.Give), not copies of them. When an established
+// connection dies — a broken write, a read error, a frame that fails
+// validation — the endpoint does not kill the run: the original dialer of
+// the pair redials (reusing the rendezvous dial backoff) with a reconnect
+// handshake that carries its delivered sequence, the acceptor's
+// persistent listener adopts the
 // replacement connection and replies with its own delivered sequence, and
 // both sides resend exactly the suffix of the ring the peer has not
 // delivered. Receivers enforce contiguous sequences, so a replayed
@@ -195,19 +197,19 @@ type peerConn struct {
 	dialer bool   // this side redials after a drop (peer < own rank)
 	addr   string // peer's listen address, for redials
 
-	mu         sync.Mutex
-	cond       *sync.Cond // wakes senders: ring drained, or pair failed
-	condW      *sync.Cond // wakes the writer: work pending, conn adopted, or failed
-	c          net.Conn   // nil while disconnected
-	w          *bufio.Writer
-	gen        int  // bumped per adopted connection; stale errors are ignored
-	connecting bool // a reconnect attempt is under way
+	mu          sync.Mutex
+	cond        *sync.Cond // wakes senders: ring drained, or pair failed
+	condW       *sync.Cond // wakes the writer: work pending, conn adopted, or failed
+	c           net.Conn   // nil while disconnected
+	w           *bufio.Writer
+	gen         int  // bumped per adopted connection; stale errors are ignored
+	connecting  bool // a reconnect attempt is under way
 	failed      bool
-	flushing    bool // Close's flush phase is waiting for this pair to quiesce
-	goodbyeSent bool // our goodbye control frame made it onto the wire
-	departed    bool // peer announced a clean staged shutdown (goodbye received)
-	budget     int           // remaining reconnects
-	waitRedial chan struct{} // closed by adopt; arms the acceptor-side timeout
+	flushing    bool          // Close's flush phase is waiting for this pair to quiesce
+	goodbyeSent bool          // our goodbye control frame made it onto the wire
+	departed    bool          // peer announced a clean staged shutdown (goodbye received)
+	budget      int           // remaining reconnects
+	waitRedial  chan struct{} // closed by adopt; arms the acceptor-side timeout
 
 	// Outgoing direction (guarded by mu). The ring holds every frame from
 	// ackedSeq+1 to nextSeq-1 in order; sendCursor is the next frame the
@@ -693,6 +695,7 @@ func (pc *peerConn) trimRingLocked(ack uint64) {
 	for i := 0; i < drop; i++ {
 		f := pc.ring[i]
 		pc.ringBytes -= len(f.data)
+		transport.NoteHandoff(f.data)
 		if f.seq == pc.inFlightSeq {
 			pc.orphan = f.data
 		} else {
@@ -1092,28 +1095,32 @@ func (e *Endpoint) lastErr() string {
 	return "endpoint closed"
 }
 
-// Send appends one frame to dst's resend ring and writes it to the live
-// connection (or short-circuits self-sends through the local mailbox). The
-// payload is copied before Send returns, so the caller retains ownership
-// of data; the copy stays in the ring until the peer acknowledges
-// delivery. A full ring blocks until acks drain it; a disconnected pair
-// parks the frame in the ring for the reconnect to replay.
-func (e *Endpoint) Send(dst, tag int, data []byte) {
+// Alloc draws a buffer from the endpoint's pool.
+func (e *Endpoint) Alloc(n int) []byte { return e.pool.Get(n) }
+
+// Give appends one frame to dst's resend ring for the pair's writer to put
+// on the live connection (or short-circuits self-sends through the local
+// mailbox). The ring parks buf itself — the writer writes the socket from
+// it, a reconnect replays from it — until the peer acknowledges delivery,
+// and then returns it to this endpoint's pool; that is why the caller may
+// not touch buf after Give. A full ring blocks until acks drain it; a
+// disconnected pair parks the frame in the ring for the reconnect to
+// replay.
+func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	if dst < 0 || dst >= e.p {
 		panic(fmt.Sprintf("transport/tcp: send to invalid rank %d (P=%d)", dst, e.p))
 	}
-	if len(data) > maxPayload {
-		panic(fmt.Sprintf("transport/tcp: payload of %d bytes exceeds frame limit", len(data)))
+	if len(buf) > maxPayload {
+		panic(fmt.Sprintf("transport/tcp: payload of %d bytes exceeds frame limit", len(buf)))
 	}
+	transport.NoteGive(buf)
 	if dst == e.rank {
-		cp := e.pool.Get(len(data))
-		copy(cp, data)
-		e.boxes[dst].Push(tag, cp)
+		e.boxes[dst].Push(tag, buf)
 		return
 	}
 	pc := e.conns[dst]
 	pc.mu.Lock()
-	for pc.ringFullLocked(len(data)) && !pc.failed && !pc.departed {
+	for pc.ringFullLocked(len(buf)) && !pc.failed && !pc.departed {
 		pc.cond.Wait()
 	}
 	if pc.failed || pc.departed {
@@ -1128,15 +1135,16 @@ func (e *Endpoint) Send(dst, tag int, data []byte) {
 		}
 		panic(fmt.Sprintf("transport/tcp: rank %d: send to %d failed: %s", e.rank, dst, e.lastErr()))
 	}
-	cp := e.pool.Get(len(data))
-	copy(cp, data)
 	seq := pc.nextSeq
 	pc.nextSeq++
-	pc.ring = append(pc.ring, ringFrame{seq: seq, tag: tag, data: cp})
-	pc.ringBytes += len(cp)
+	pc.ring = append(pc.ring, ringFrame{seq: seq, tag: tag, data: buf})
+	pc.ringBytes += len(buf)
 	pc.condW.Signal()
 	pc.mu.Unlock()
 }
+
+// Send gives a copy of data to dst.
+func (e *Endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
 
 // ringFullLocked reports whether admitting a frame of n payload bytes
 // would overflow the resend ring. A lone oversized frame is admitted when

@@ -8,9 +8,14 @@
 // A Transport is one processing element's endpoint. Its semantics follow
 // MPI point-to-point messaging:
 //
-//   - Send copies (or fully serializes) its payload before returning, so
-//     the caller retains ownership of the slice and a PE can never observe
-//     another PE's memory.
+//   - Every message travels in exactly one buffer that changes OWNER, never
+//     in a chain of copies: Give hands a buffer obtained from Alloc to the
+//     transport, which delivers that buffer (local), or parks it in the
+//     resend ring and writes the socket from it (tcp). After Give the
+//     sender may not read, write, re-Give or Release the buffer; the
+//     receiver owns what Recv returns. Send is the copying convenience on
+//     top — Alloc, copy, Give — for callers that keep their slice. Either
+//     way two PEs never hold the same memory at the same time.
 //   - Sends never block waiting for a matching receive (eager/buffered
 //     delivery with unbounded queues), which the comm layer's collectives
 //     rely on for deadlock freedom.
@@ -32,10 +37,21 @@ type Transport interface {
 	Rank() int
 	// P returns the number of PEs of the fabric this endpoint belongs to.
 	P() int
-	// Send transmits data to dst with the given tag. The payload is copied
-	// (or written out) before Send returns; the caller retains ownership of
-	// data. Send never blocks waiting for the receiver. Delivery failures
-	// are programming or infrastructure errors and panic.
+	// Alloc returns a buffer of length n from the endpoint's pool, to be
+	// filled and handed to Give (or returned with Release). Contents are
+	// unspecified.
+	Alloc(n int) []byte
+	// Give transmits buf to dst with the given tag and takes ownership of
+	// it: buf must come from Alloc (any length up to its capacity), and the
+	// caller must not touch it — or any slice of it — afterwards. It is the
+	// only delivery path a backend implements. Give never blocks waiting
+	// for the receiver. Delivery failures are programming or infrastructure
+	// errors and panic.
+	Give(dst, tag int, buf []byte)
+	// Send transmits a copy of data: the caller retains ownership of data
+	// and may reuse it as soon as Send returns. Every backend implements it
+	// as SendCopy, so Send and Give share one delivery path and one
+	// non-overtaking order per (pair, tag).
 	Send(dst, tag int, data []byte)
 	// Recv blocks until a message with the given tag arrives from src and
 	// returns its payload. The returned slice is owned by the caller. Recv
@@ -61,6 +77,14 @@ type Transport interface {
 	// Close tears the endpoint down. Blocked and future Recvs panic. Close
 	// is idempotent.
 	Close() error
+}
+
+// SendCopy is Transport.Send for every backend: the payload is copied once,
+// into a buffer of the endpoint's own pool, and that buffer is given away.
+func SendCopy(t Transport, dst, tag int, data []byte) {
+	buf := t.Alloc(len(data))
+	copy(buf, data)
+	t.Give(dst, tag, buf)
 }
 
 // AnyPoller is an optional capability of a Transport: a non-blocking
