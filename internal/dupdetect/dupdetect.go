@@ -213,13 +213,32 @@ func uniqueRound(g *comm.Group, p int, reqs []req, ro roundOpts) map[int32]bool 
 	// Short rounds count by the upper 32 bits (well-mixed by the
 	// finalizer); routing must use the same value so all copies of a
 	// fingerprint meet at the same PE.
-	perDest := make([][]req, p)
-	for _, r := range reqs {
-		fp := r.fp
+	route := func(r req) (fp uint64, d int) {
+		fp = r.fp
 		if ro.short {
 			fp >>= 32
 		}
-		d := int(fp % uint64(p))
+		return fp, int(fp % uint64(p))
+	}
+	// Count per destination first, then fill exact-size regions of one
+	// backing array in request order: no growth reallocation.
+	offs := make([]int, p+1)
+	for _, r := range reqs {
+		_, d := route(r)
+		offs[d+1]++
+	}
+	largest := 0
+	for d := 0; d < p; d++ {
+		largest = max(largest, offs[d+1])
+		offs[d+1] += offs[d]
+	}
+	routed := make([]req, len(reqs))
+	perDest := make([][]req, p)
+	for d := range perDest {
+		perDest[d] = routed[offs[d]:offs[d]:offs[d+1]]
+	}
+	for _, r := range reqs {
+		fp, d := route(r)
 		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
 	}
 
@@ -231,17 +250,17 @@ func uniqueRound(g *comm.Group, p int, reqs []req, ro roundOpts) map[int32]bool 
 	}
 
 	parts := make([][]byte, p)
+	scratch := make([]uint64, largest) // the encoders copy out of it
 	for d := 0; d < p; d++ {
-		fps := make([]uint64, len(perDest[d]))
+		if ro.golomb {
+			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
+		}
+		fps := scratch[:len(perDest[d])]
 		for j, r := range perDest[d] {
 			fps[j] = r.fp
 		}
 		switch {
 		case ro.golomb:
-			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
-			for j, r := range perDest[d] {
-				fps[j] = r.fp
-			}
 			parts[d] = golomb.EncodeSorted(fps)
 		case ro.short:
 			parts[d] = wire.EncodeUint32sFixed(fps)
