@@ -229,8 +229,10 @@ type peerConn struct {
 	inFlightSeq uint64
 	orphan      []byte
 
-	// Incoming direction. delivered is written by the reader goroutine and
-	// read by the writer for ack piggybacking and by reconnect handshakes.
+	// Incoming direction. delivered is advanced by the reader goroutines
+	// (under recvMu, see deliver) and read by the writer for ack
+	// piggybacking and by reconnect handshakes.
+	recvMu    sync.Mutex
 	delivered atomic.Uint64
 
 	drop atomic.Pointer[dropTrap] // armed fault injection (transport.ConnDropper)
@@ -1000,13 +1002,41 @@ func (e *Endpoint) readFrames(src int, pc *peerConn, br *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
-		e.boxes[src].Push(tag, buf)
-		pc.delivered.Store(seq)
+		if err := pc.deliver(e.boxes[src], seq, tag, buf); err != nil {
+			return err
+		}
 		// Wake the writer so the delivery is acknowledged even when no
 		// reverse-direction data frame is around to piggyback on; the
 		// writer coalesces bursts into one cumulative ack.
 		pc.noteDelivered()
 	}
+}
+
+// deliver hands one frame to the mailbox if it is the next in sequence.
+// The check and the delivery are one step under recvMu because two readers
+// can be at work on one pair: the reader of a superseded connection keeps
+// draining the frames it had already buffered while the replacement's
+// reader starts on the replayed suffix, which overlaps them. Checked
+// separately, both would deliver the same frame, and the slower one would
+// then move delivered backwards and make the next frame look like a gap.
+func (pc *peerConn) deliver(box *transport.Mailbox, seq uint64, tag int, buf []byte) error {
+	pc.recvMu.Lock()
+	defer pc.recvMu.Unlock()
+	delivered := pc.delivered.Load()
+	if seq <= delivered {
+		pc.e.pool.Put(buf) // the other reader got there first
+		return nil
+	}
+	if seq != delivered+1 {
+		return fmt.Errorf("sequence gap: frame %d after delivered %d", seq, delivered)
+	}
+	// Count the frame as delivered before the application can see it: a PE
+	// that receives its last message and closes at once must already owe
+	// the ack, or its goodbye would leave the peer with an unacknowledged
+	// frame.
+	pc.delivered.Store(seq)
+	box.Push(tag, buf)
+	return nil
 }
 
 // noteDelivered wakes the pair's writer to acknowledge newly delivered
