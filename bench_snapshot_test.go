@@ -108,19 +108,15 @@ func snapshotInputs(name string) (inputs [][][]byte, algo stringsort.Algorithm, 
 }
 
 // TestBenchSnapshotModelInvariance replays every Fig4/Fig5 cell of the
-// committed snapshot under every wire codec, under the streaming merge
-// seam, at intra-PE pool width 4, under a 32 KiB out-of-core memory
-// budget AND with the trace recorder enabled, and requires the
-// deterministic model metrics — model-ms and
+// committed snapshot under every wire codec, at intra-PE pool width 4,
+// under a 32 KiB out-of-core memory budget AND with the trace recorder
+// enabled, and requires the deterministic model metrics — model-ms and
 // bytes/str, rounded at the snapshot's print precision — to match
-// bit-for-bit: neither the codec layer, nor the streaming Step-3→Step-4
-// seam, nor the parallel work pool, nor spilling runs to disk may be
-// visible to the paper's accounting. On the Fig4 cells it
-// additionally requires the compressing codecs to put strictly fewer
-// bytes per string on the wire than the raw model volume (the codec
-// subsystem's reason to exist), and — see
-// TestBenchSnapshotStreamingOverlapNoRegression — the streaming seam to
-// hide at least as much communication as the eager split-phase seam.
+// bit-for-bit: neither the codec layer, nor the parallel work pool, nor
+// the budget seam spilling runs to disk may be visible to the paper's
+// accounting. On the Fig4 cells it additionally requires the compressing
+// codecs to put strictly fewer bytes per string on the wire than the raw
+// model volume (the codec subsystem's reason to exist).
 func TestBenchSnapshotModelInvariance(t *testing.T) {
 	raw, err := os.ReadFile(benchSnapshot)
 	if err != nil {
@@ -141,22 +137,20 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 			t.Fatalf("%s: %v", row.Name, err)
 		}
 		for _, mode := range []struct {
-			label     string
-			codec     string
-			streaming bool
-			cores     int
-			budget    int64
-			trace     bool
+			label  string
+			codec  string
+			cores  int
+			budget int64
+			trace  bool
 		}{
-			{"codec=none", "none", false, 0, 0, false},
-			{"codec=flate", "flate", false, 0, 0, false},
-			{"codec=lcp", "lcp", false, 0, 0, false},
-			{"merge=streaming", "none", true, 0, 0, false},
-			{"cores=4", "none", false, 4, 0, false},
-			{"mem-budget=32k", "none", false, 0, 32 << 10, false},
+			{"codec=none", "none", 0, 0, false},
+			{"codec=flate", "flate", 0, 0, false},
+			{"codec=lcp", "lcp", 0, 0, false},
+			{"cores=4", "none", 4, 0, false},
+			{"mem-budget=32k", "none", 0, 32 << 10, false},
 			// Tracing on: the recorder hooks in every layer must be invisible
 			// to the paper's accounting — same bit-identity bar as the codecs.
-			{"trace=on", "none", true, 0, 0, true},
+			{"trace=on", "none", 0, 0, true},
 		} {
 			var tracePath string
 			if mode.trace {
@@ -164,7 +158,7 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 			}
 			res, err := stringsort.Sort(inputs, stringsort.Config{
 				Algorithm: algo, Seed: benchSeed, Codec: mode.codec,
-				StreamingMerge: mode.streaming, Cores: mode.cores,
+				Cores:     mode.cores,
 				MemBudget: mode.budget, SpillDir: t.TempDir(),
 				Trace: tracePath,
 			})
@@ -203,60 +197,5 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 	if spilled == 0 {
 		t.Errorf("the 32 KiB budget mode never wrote a spill byte: the out-of-core path did not engage")
 	}
-	t.Logf("%d/%d snapshot cells bit-identical under all codecs, the streaming merge, cores=4, a 32 KiB budget and tracing (%d spill bytes)", matched, len(snap.Results), spilled)
-}
-
-// TestBenchSnapshotStreamingOverlapNoRegression asserts the streaming
-// seam's reason to exist on the Fig4 cells: summed over the whole figure,
-// the streaming merge must hide at least as much communication under
-// compute (overlap-ms) as the eager split-phase seam — the loser tree
-// running during the exchange can only shrink the blocked time the
-// overlap credit subtracts. Overlap is a wall-clock measurement, so the
-// comparison is aggregated over all 30 cells and retried a few times
-// before failing: a single pathological scheduling of one run must not
-// flip the verdict.
-func TestBenchSnapshotStreamingOverlapNoRegression(t *testing.T) {
-	raw, err := os.ReadFile(benchSnapshot)
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("parse %s: %v", benchSnapshot, err)
-	}
-	sums := func() (eager, streaming float64) {
-		for _, row := range snap.Results {
-			if !strings.HasPrefix(row.Name, "BenchmarkFig4") {
-				continue
-			}
-			inputs, algo, err := snapshotInputs(row.Name)
-			if err != nil {
-				t.Fatalf("%s: %v", row.Name, err)
-			}
-			for _, stream := range []bool{false, true} {
-				res, err := stringsort.Sort(inputs, stringsort.Config{
-					Algorithm: algo, Seed: benchSeed, StreamingMerge: stream,
-				})
-				if err != nil {
-					t.Fatalf("%s streaming=%v: %v", row.Name, stream, err)
-				}
-				if stream {
-					streaming += res.Stats.OverlapMS
-				} else {
-					eager += res.Stats.OverlapMS
-				}
-			}
-		}
-		return eager, streaming
-	}
-	var eager, streaming float64
-	for attempt := 0; attempt < 3; attempt++ {
-		eager, streaming = sums()
-		if streaming >= eager {
-			t.Logf("Fig4 overlap-ms: streaming %.3f >= eager %.3f (attempt %d)", streaming, eager, attempt+1)
-			return
-		}
-	}
-	t.Fatalf("streaming seam hid less communication than the eager split-phase seam "+
-		"on every attempt: %.3f vs %.3f overlap-ms summed over Fig4", streaming, eager)
+	t.Logf("%d/%d snapshot cells bit-identical under all codecs, cores=4, a 32 KiB budget and tracing (%d spill bytes)", matched, len(snap.Results), spilled)
 }

@@ -29,12 +29,6 @@ const benchSeed = 1
 // selected codec put on the fabric.
 var benchCodec = os.Getenv("DSS_BENCH_CODEC")
 
-// benchStreaming selects the streaming Step-4 front-end for every
-// benchmark (DSS_BENCH_MERGE=streaming). Like the codec axis, the model
-// columns are merge-invariant (pinned by the same snapshot test); the
-// overlap-ms column records what the seam actually hid.
-var benchStreaming = os.Getenv("DSS_BENCH_MERGE") == "streaming"
-
 // benchCores sets the intra-PE work pool width for every benchmark
 // (DSS_BENCH_CORES=N, default 0 = GOMAXPROCS). One more model-invariant
 // axis: the cores and speedup-x columns record the pool's measured effect
@@ -47,7 +41,7 @@ var benchCores = func() int {
 
 // benchMemBudget switches every benchmark to the bounded-memory
 // out-of-core pipeline (DSS_BENCH_MEMBUDGET=64k|1m|..., default empty =
-// unbounded in-RAM). The fourth model-invariant axis: model-ms and
+// unbounded in-RAM). The third model-invariant axis: model-ms and
 // bytes/str stay pinned by the snapshot test under a budget too, while
 // peak-mem-bytes and spill-bytes record what the budget actually cost.
 var benchMemBudget = func() int64 {
@@ -62,9 +56,6 @@ func runBench(b *testing.B, inputs [][][]byte, cfg stringsort.Config) {
 	b.Helper()
 	if cfg.Codec == "" {
 		cfg.Codec = benchCodec
-	}
-	if benchStreaming {
-		cfg.StreamingMerge = true
 	}
 	if cfg.Cores == 0 {
 		cfg.Cores = benchCores

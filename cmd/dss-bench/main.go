@@ -84,12 +84,6 @@ type options struct {
 	total  int
 	seed   int64
 	codec  string
-	// streaming selects the streaming Step-4 front-end (-merge). The model
-	// panels are merge-invariant by construction — the axis exists so
-	// wall-clock and overlap behavior can be compared between the seams on
-	// the full figure workloads. Like -codec it applies to the series-based
-	// figures.
-	streaming bool
 }
 
 func main() {
@@ -106,14 +100,8 @@ func main() {
 	flag.StringVar(&benchTraceDir, "trace", "", "write one Chrome trace-event JSON timeline per benchmark cell into this directory (created if missing; model panels are trace-invariant)")
 	flag.StringVar(&benchChaos, "chaos", "", "fault-injection level for every cell: delay, reorder, drop (empty = off; model panels are chaos-invariant)")
 	flag.Uint64Var(&benchChaosSeed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
-	mergeMode := flag.String("merge", "eager", "Step-4 front-end: eager or streaming (model panels are merge-invariant)")
 	profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	var err error
-	if opt.streaming, err = stringsort.ParseMergeMode(*mergeMode); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
 	if benchTraceDir != "" {
 		if err := os.MkdirAll(benchTraceDir, 0o777); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -173,17 +161,16 @@ func main() {
 }
 
 // runOne sorts the given distributed input and returns its statistics.
-func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampling bool, codec string, streaming bool) stringsort.Stats {
+func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampling bool, codec string) stringsort.Stats {
 	res, err := stringsort.Sort(inputs, stringsort.Config{
-		Algorithm:      algo,
-		Seed:           seed,
-		Cores:          benchCores,
-		CharSampling:   charSampling,
-		Codec:          codec,
-		StreamingMerge: streaming,
-		Trace:          benchTracePath(algo, len(inputs)),
-		Chaos:          benchChaos,
-		ChaosSeed:      benchChaosSeed,
+		Algorithm:    algo,
+		Seed:         seed,
+		Cores:        benchCores,
+		CharSampling: charSampling,
+		Codec:        codec,
+		Trace:        benchTracePath(algo, len(inputs)),
+		Chaos:        benchChaos,
+		ChaosSeed:    benchChaosSeed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v failed: %v\n", algo, err)
@@ -200,7 +187,7 @@ func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampl
 // merge over the merge wall ms: a ratio above 1 proves the partitioned
 // merge ran in parallel; ≈1 on single-CPU hosts or below the par-merge
 // threshold).
-func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, algos []stringsort.Algorithm, codec string, streaming bool) {
+func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, algos []stringsort.Algorithm, codec string) {
 	fmt.Printf("\n=== %s ===\n", title)
 	times := make(map[stringsort.Algorithm][]float64)
 	vols := make(map[stringsort.Algorithm][]float64)
@@ -213,7 +200,7 @@ func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, 
 			inputs[pe] = gen(pe, p)
 		}
 		for _, algo := range algos {
-			st := runOne(inputs, algo, seed, false, codec, streaming)
+			st := runOne(inputs, algo, seed, false, codec)
 			times[algo] = append(times[algo], st.ModelTime)
 			vols[algo] = append(vols[algo], st.BytesPerString)
 			wires[algo] = append(wires[algo], st.WireBytesPerString)
@@ -264,7 +251,7 @@ func figure4(opt options) {
 			r, opt.nPerPE, opt.length)
 		series(title, opt.pes, func(pe, p int) [][]byte {
 			return input.DN(cfg, pe, p)
-		}, uint64(opt.seed), stringsort.Algorithms, opt.codec, opt.streaming)
+		}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
 	}
 }
 
@@ -277,7 +264,7 @@ func figure5CC(opt options) {
 		return input.CommonCrawlLike(input.CCConfig{
 			LinesPerPE: opt.total / p, Seed: opt.seed,
 		}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec, opt.streaming)
+	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
 }
 
 // figure5DNA reproduces the DNAREADS strong scaling experiment.
@@ -287,7 +274,7 @@ func figure5DNA(opt options) {
 		return input.DNAReads(input.DNAConfig{
 			ReadsPerPE: opt.total / p, Seed: opt.seed,
 		}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec, opt.streaming)
+	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
 }
 
 // suffixExperiment reproduces the Section VII-E suffix instance: all
@@ -303,7 +290,7 @@ func suffixExperiment(opt options) {
 	fmt.Printf("\n(suffix instance D/N = %.5f)\n", dn)
 	series(title, opt.pes, func(pe, p int) [][]byte {
 		return input.SuffixInstance(input.SuffixConfig{TextLen: textLen, Seed: opt.seed}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec, opt.streaming)
+	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
 }
 
 // skewExperiment reproduces the Section VII-E skewed D/N instance,

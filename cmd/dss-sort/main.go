@@ -13,15 +13,9 @@
 // identical — accounting happens above the transport); -peers pins the
 // bind addresses and sets p. For one PE per OS process, see dss-worker.
 //
-// The Step-3 string exchange is split-phase by default: each PE decodes
-// incoming runs as they arrive, overlapping communication with compute
-// (reported as the overlap statistic). -exchange blocking restores the
-// bulk-synchronous seam; the deterministic statistics are identical in
-// both modes. -merge streaming goes further: buckets ship as chunked
-// frames feeding incremental run readers and the Step-4 loser tree
-// starts on partially decoded runs, so merging begins before the last
-// frame arrives (the "merge lead" line); output and deterministic
-// statistics stay bit-identical to the eager merge.
+// The Step-3 string exchange is split-phase: each PE posts its buckets as
+// they are encoded and decodes incoming runs as they arrive, overlapping
+// communication with compute (reported as the overlap statistic).
 //
 // -codec decorates the transport with a wire codec (flate, or the
 // LCP-front-coding-aware lcp codec) that compresses frames above
@@ -29,8 +23,8 @@
 // (model time, bytes sent) are billed on the raw payloads and stay
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
-// -oversampling, -charsample, -eps, -tiebreak, -randomsample, -exchange,
-// -merge, -merge-chunk, -codec, -codec-min, -validate, -mem-budget,
+// -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
+// -codec-min, -validate, -cores, -par-merge-min, -mem-budget,
 // -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
 // -net-timeout) are shared verbatim with dss-worker.
 //
@@ -53,10 +47,11 @@
 // spills Step-3 runs to page files once its metered arenas exceed the
 // budget and streams its merged fragment to a sorted-run file, which
 // dss-sort then copies to the output line by line (PDMS prefixes are
-// resolved to full strings through their recorded origins). The sorted
-// output bytes are identical to an unbudgeted run; the stderr summary
-// gains a "spill:" line with the bytes written/read back and the peak
-// metered footprint.
+// resolved to full strings through their recorded origins). The merge
+// starts on partially arrived runs there, so it can begin before the last
+// exchange frame lands (the "merge lead" line). The sorted output bytes
+// are identical to an unbudgeted run; the stderr summary gains a "spill:"
+// line with the bytes written/read back and the peak metered footprint.
 package main
 
 import (

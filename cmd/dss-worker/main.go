@@ -22,8 +22,8 @@
 // filesystem.
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
-// -oversampling, -charsample, -eps, -tiebreak, -randomsample, -exchange,
-// -merge, -merge-chunk, -codec, -codec-min, -validate, -mem-budget,
+// -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
+// -codec-min, -validate, -cores, -par-merge-min, -mem-budget,
 // -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
 // -net-timeout) is accepted here with identical semantics — both binaries
 // register the same stringsort.RegisterTuningFlags set. -net-retries and

@@ -11,7 +11,7 @@ import (
 // deterministic counters, the wall span, overlap and worker-CPU
 // measurements of the overlap and intra-PE parallelism models, and the two
 // wire-byte counters of the codec layer, per phase — plus the two per-PE
-// milestone timestamps of the streaming merge seam, the pool width, the
+// milestone timestamps of the budget seam, the pool width, the
 // three spill gauges of the out-of-core pipeline, and the three
 // failure-recovery gauges of the transport (reconnects, resent frames,
 // resent bytes).

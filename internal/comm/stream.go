@@ -1,8 +1,9 @@
-// Chunked split-phase alltoallv: the transport seam of the streaming
-// merge. IAlltoallvChunked ships every outgoing bucket as a SEQUENCE of
-// bounded frames instead of one message, so the receiver can feed each
-// arriving fragment into an incremental run reader and start merging after
-// the first head of every run is decodable — before the last frame lands.
+// Chunked split-phase alltoallv: the transport side of the budget seam.
+// IAlltoallvChunked ships every outgoing bucket as a SEQUENCE of bounded
+// frames instead of one message, so the receiver never holds more than one
+// frame of a bucket it has no room for: each arriving fragment is fed to an
+// incremental run reader or diverted to a page file, and the sink merge
+// starts once the first head of every run is decodable.
 //
 // Accounting model. Chunking is transport-level pipelining of ONE logical
 // message, like TCP segmentation below MPI: the α-β model (and the
@@ -19,7 +20,7 @@
 // blocked time exactly like Pending: time the PE spent decoding and
 // merging between frame arrivals is communication hidden under compute.
 // Completion additionally stamps stats.PE.ExchangeDoneNS so the merge-start
-// milestone (stats.PE.MergeStartNS, stamped by the streaming merge's first
+// milestone (stats.PE.MergeStartNS, stamped by the sink merge's first
 // output) can be compared against the last arrival.
 package comm
 
@@ -30,7 +31,6 @@ import (
 
 	"dss/internal/stats"
 	"dss/internal/trace"
-	"dss/internal/transport"
 )
 
 // DefaultStreamChunk is the frame payload bound of the chunked exchange
@@ -169,40 +169,6 @@ func (pd *ChunkPending) RecvChunk() (idx int, chunk, frame []byte, last, ok bool
 	}
 	return pd.deliverFrame(src, frame)
 }
-
-// TryRecvChunk is the non-blocking variant of RecvChunk: it returns the
-// next frame only if one is already receivable, reporting ok=false (with
-// no other effect) when nothing is queued right now or the underlying
-// transport does not expose the transport.AnyPoller capability. The self
-// part, accounting, completion bookkeeping and the aliasing/Release
-// contract are exactly RecvChunk's; no blocked time accrues since the call
-// never waits. Mixing TryRecvChunk and RecvChunk on one exchange is fine —
-// an early opportunistic drain shifts WHEN fragments are consumed, never
-// how they are billed.
-func (pd *ChunkPending) TryRecvChunk() (idx int, chunk, frame []byte, last, ok bool) {
-	if pd.remaining == 0 {
-		return -1, nil, nil, false, false
-	}
-	if !pd.done[pd.g.myIdx] {
-		pd.finishMember(pd.g.myIdx)
-		return pd.g.myIdx, pd.self, pd.self, true, true
-	}
-	poller, can := pd.g.c.t.(transport.AnyPoller)
-	if !can {
-		return -1, nil, nil, false, false
-	}
-	src, frame, arrived, got := poller.TryRecvAny(pd.undrained(), pd.tag)
-	if !got {
-		return -1, nil, nil, false, false
-	}
-	if !pd.noOverlap && arrived.After(pd.lastArrival) {
-		pd.lastArrival = arrived
-	}
-	return pd.deliverFrame(src, frame)
-}
-
-// Drained reports that every member's bucket has been fully delivered.
-func (pd *ChunkPending) Drained() bool { return pd.remaining == 0 }
 
 // undrained returns the ranks whose buckets are still incomplete.
 func (pd *ChunkPending) undrained() []int {

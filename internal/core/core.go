@@ -18,19 +18,28 @@
 // output (PE i's strings ≤ PE i+1's strings, each fragment locally sorted).
 // Input slices are not modified; the spine is copied internally.
 //
-// The Step-3→Step-4 seam of every algorithm is split-phase by default:
-// all outgoing buckets are posted first (comm.IAlltoallv), and each
-// incoming run is decoded the moment its frames land, so the exchange
-// overlaps the decode work instead of ending at a global barrier. The
-// deterministic statistics are unaffected — received bytes are billed to
-// the phase the exchange was posted in — and the pre-split bulk-synchronous
-// seam remains selectable through the BlockingExchange options for
-// differential testing.
+// Steps 3 and 4 of the merge-based sorters go through one function,
+// exchangeMerge, which has two seams. The eager seam (exchangeEncoded) is
+// split-phase: every bucket is posted as its encoder finishes and each
+// incoming run is decoded whole the moment it lands, so the exchange
+// overlaps the encode and decode work instead of ending at a global
+// barrier; the resident runs are then merged on the PE's pool. The budget
+// seam (outofcore.go) ships the buckets in bounded frames, keeps or spills
+// each arriving piece against a memory budget, and drains the same loser
+// tree into a sorted-run file. The deterministic statistics are identical
+// on both — received bytes are billed to the phase the exchange was posted
+// in — and identical to the bulk-synchronous exchange that both seams keep
+// as their reference implementation (SeamOptions.BlockingExchange, set by
+// the differential tests only).
 package core
 
 import (
 	"dss/internal/comm"
+	"dss/internal/merge"
+	"dss/internal/spill"
 	"dss/internal/stats"
+	"dss/internal/trace"
+	"dss/internal/wire"
 )
 
 // Origin identifies where an output string came from: the PE it was
@@ -107,8 +116,9 @@ func partOffsets(sizes []int) []int {
 // disjoint by construction, so the p encoders run concurrently without
 // synchronization, and the encoded bytes are identical at every pool
 // width (each encoder is a pure function of its bucket). Worker busy time
-// is credited to the current phase's CPU channel. Used directly by the
-// streaming seam, which hands the parts to the chunked exchange.
+// is credited to the current phase's CPU channel. Used by the blocking
+// reference and by the budget seam, which hands the parts to the chunked
+// exchange.
 func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte) [][]byte {
 	offs := partOffsets(sizes)
 	arena := make([]byte, offs[len(sizes)])
@@ -213,4 +223,93 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 		})
 	}
 	c.AddCPU(dgrp.Wait())
+}
+
+// SeamOptions are the Step-3→Step-4 settings the merge-based sorters
+// share (MergeSort, PDMS, FKMerge embed them).
+type SeamOptions struct {
+	// BlockingExchange selects the bulk-synchronous reference of the seam
+	// in use — one copying Alltoallv, then decode (eager seam), or every
+	// frame drained before the merge starts (budget seam). Deterministic
+	// statistics are identical either way; only the differential tests set
+	// it.
+	BlockingExchange bool
+	// ParMergeMin gates the partitioned parallel Step-4 merge by received
+	// strings: 0 = merge.DefaultParMin, negative = always sequential.
+	// Output and deterministic stats are pool-width-independent either way.
+	ParMergeMin int
+	// Spill, if non-nil, runs the bounded-memory budget seam: Step 3 ships
+	// in bounded frames, incoming runs spill to page files once the pool's
+	// budget is exceeded, and the Step-4 sink merge drains into Out
+	// (required non-nil with Spill) instead of an output arena. The
+	// deterministic statistics are untouched — they are seam-invariant and
+	// the spill decision only moves measured gauges — and the result holds
+	// Drained instead of Strings.
+	Spill *spill.Pool
+	// Out receives the merged run in budget mode (nil otherwise).
+	Out *spill.RunWriter
+}
+
+// bucketCodec is one algorithm's Step-3 wire format: the exact encoded
+// size of every outgoing bucket, the encoder that fills exactly that many
+// bytes, and the decoders of a received run — one-shot for the eager seam,
+// and the incremental layout for the budget seam (origins marks PDMS's
+// composite bucket: a RunStringsLCP blob trailed by an origin column).
+type bucketCodec struct {
+	sizes   []int
+	enc     func(dst int, buf []byte) []byte
+	decode  func(msg []byte) (merge.Sequence, error)
+	format  wire.RunFormat
+	origins bool
+}
+
+// exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
+// buckets over g and multiway-merge the p received runs, LCP-aware if lcp.
+// Without a spill pool the runs are decoded whole on arrival and merged on
+// the PE's pool into the returned Sequence; with one they stream through
+// the budget seam into opt.Out and only the item count comes back. Merge
+// work and worker busy time are billed to the merge phase, and the
+// accounting phase is left at PhaseOther.
+func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
+	var work, busy int64
+	if opt.Spill != nil {
+		parts := encodeParts(c, cd.sizes, cd.enc)
+		st := spillRuns(c, g, parts, cd.format, cd.origins, opt.BlockingExchange, opt.Spill)
+		drained, work = st.sinkMerge(lcp, opt.Out)
+	} else {
+		runs := make([]merge.Sequence, len(cd.sizes))
+		exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
+			run, err := cd.decode(msg)
+			if err != nil {
+				panic("core: corrupt exchanged run: " + err.Error())
+			}
+			runs[src] = run
+		})
+		out, work, busy = merge.Merge(c.Pool(), runs, merge.Options{
+			LCP: lcp, ParMin: opt.ParMergeMin, Hooks: mergeHooks(c),
+		})
+	}
+	c.AddWork(work)
+	c.AddCPU(busy)
+	c.SetPhase(stats.PhaseOther)
+	return out, drained
+}
+
+// mergeHooks builds the merge layer's trace hooks from the PE's recorder:
+// worker spans labeled "merge" plus one "merge-seam" instant per
+// partition boundary (Arg = output index, Arg2 = partition). Zero hooks —
+// costing nothing — when tracing is off.
+func mergeHooks(c *comm.Comm) merge.Hooks {
+	tr := c.Trace()
+	if tr == nil {
+		return merge.Hooks{}
+	}
+	return merge.Hooks{
+		Obs: c.WorkerObserver("merge"),
+		OnPartition: func(bounds []int) {
+			for j := 1; j < len(bounds); j++ {
+				tr.Instant(trace.TrackControl, "merge-seam", int64(bounds[j]), int64(j-1))
+			}
+		},
+	}
 }

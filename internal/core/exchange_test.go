@@ -28,17 +28,17 @@ func TestExchangeSeamsIdentical(t *testing.T) {
 	families := map[string]func(blocking bool) func(c *comm.Comm, ss [][]byte) Result{
 		"MS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
 			return func(c *comm.Comm, ss [][]byte) Result {
-				return MergeSort(c, ss, MSOptions{LCPCompression: true, LCPMerge: true, Seed: 5, BlockingExchange: blocking})
+				return MergeSort(c, ss, MSOptions{LCPCompression: true, LCPMerge: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 		"PDMS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
 			return func(c *comm.Comm, ss [][]byte) Result {
-				return PDMS(c, ss, PDMSOptions{Golomb: true, Seed: 5, BlockingExchange: blocking})
+				return PDMS(c, ss, PDMSOptions{Golomb: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 		"FKMerge": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
 			return func(c *comm.Comm, ss [][]byte) Result {
-				return FKMerge(c, ss, FKOptions{BlockingExchange: blocking})
+				return FKMerge(c, ss, FKOptions{SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 		"HQuick": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {

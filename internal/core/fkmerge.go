@@ -5,7 +5,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
@@ -15,22 +14,8 @@ import (
 type FKOptions struct {
 	// GroupID is the base communicator namespace.
 	GroupID int
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// instead of the default split-phase decode-on-arrival one (see
-	// MSOptions.BlockingExchange).
-	BlockingExchange bool
-	// StreamingMerge starts the Step-4 loser tree on partially decoded
-	// runs over a chunked exchange (see MSOptions.StreamingMerge).
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload (0 = default).
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge (see
-	// MSOptions.ParMergeMin).
-	ParMergeMin int
-	// Spill runs the bounded-memory out-of-core pipeline (see
-	// MSOptions.Spill); Out receives the merged run.
-	Spill *spill.Pool
-	Out   *spill.RunWriter
+	// SeamOptions configure Steps 3→4 (see MSOptions).
+	SeamOptions
 }
 
 // FKMerge is the distributed multiway string mergesort of Fischer and
@@ -69,8 +54,9 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	})
 	off := partition.Buckets(local, splitters)
 
-	// Step 3: uncompressed all-to-all exchange, all parts encoded on the
-	// work pool into one exactly pre-sized arena (see MergeSort Step 3).
+	// Step 3: uncompressed all-to-all exchange, every part sized first and
+	// encoded on the work pool into exactly that many bytes (see MergeSort
+	// Step 3).
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
 	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
@@ -80,41 +66,14 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	enc := func(dst int, buf []byte) []byte {
 		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
-	// Step 4: ordinary loser tree merge — streaming (the tree pulls heads
-	// off partially decoded runs) or eager (decode each run whole on
-	// arrival; DecodeStrings copies into its own backing).
-	var out merge.Sequence
-	var mwork, mbusy int64
-	if opt.Spill != nil {
-		// Bounded-memory pipeline (see MergeSort's budget branch).
-		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, wire.RunStrings, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
-		n, mw := sinkMerge(c, st, false, false, opt.Out)
-		c.AddWork(mw)
-		c.SetPhase(stats.PhaseOther)
-		return Result{Drained: n}
+	decode := func(msg []byte) (merge.Sequence, error) {
+		rs, err := wire.DecodeStrings(msg)
+		return merge.Sequence{Strings: rs}, err
 	}
-	if opt.StreamingMerge {
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, wire.RunStrings, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			OnFirstOutput: markMergeStart(c),
-			Pool:          c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(false),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			rs, err := wire.DecodeStrings(msg)
-			if err != nil {
-				panic("fkmerge: corrupt run: " + err.Error())
-			}
-			runs[src] = merge.Sequence{Strings: rs}
-		})
-		out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-	}
-	c.AddWork(mwork)
-	c.AddCPU(mbusy)
-	c.SetPhase(stats.PhaseOther)
-	return Result{Strings: out.Strings}
+
+	// Step 4: ordinary loser tree merge.
+	out, drained := exchangeMerge(c, g, bucketCodec{
+		sizes: sizes, enc: enc, decode: decode, format: wire.RunStrings,
+	}, false, opt.SeamOptions)
+	return Result{Strings: out.Strings, Drained: drained}
 }

@@ -29,18 +29,10 @@ type HQOptions struct {
 	// PivotSamples is the number of random local candidates contributed to
 	// each pivot reduction (default 3).
 	PivotSamples int
-	// BlockingExchange selects the pre-split bulk-synchronous seam for the
-	// initial random-placement all-to-all instead of the default
-	// split-phase decode-on-arrival one (see MSOptions.BlockingExchange).
+	// BlockingExchange selects the bulk-synchronous reference exchange for
+	// the initial random-placement all-to-all instead of the split-phase
+	// decode-on-arrival one (see SeamOptions.BlockingExchange).
 	BlockingExchange bool
-	// StreamingMerge routes the random-placement all-to-all through the
-	// chunked exchange and incremental readers: each (string, tag) pair
-	// decodes the moment its bytes land instead of when its whole payload
-	// has (hQuick has no Step-4 merge, so this is the streaming seam's
-	// reach here). Results and statistics are bit-identical.
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload (0 = default).
-	StreamChunk int
 	// Spill selects budget mode: the sorted fragment streams into Out
 	// (strings, LCPs and origin satellites) instead of materializing a
 	// result arena. hQuick is not an out-of-core algorithm — every string
@@ -113,33 +105,24 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		if opt.TrackPhases {
 			next = stats.PhaseMerge
 		}
-		if opt.StreamingMerge {
-			// Chunked transfer into incremental readers: pairs decode as
-			// their bytes arrive, and the rank-ordered pull keeps the
-			// concatenation independent of arrival timing.
-			parts := encodeParts(c, sizes, enc)
-			rs := streamRuns(c, world, parts, wire.RunTagged, opt.BlockingExchange, opt.StreamChunk, next)
-			strings, uids = rs.drainTagged()
-		} else {
-			// Encode each part on the pool (posting it as its encoder
-			// finishes) and decode each part as it arrives, into
-			// per-source slots: the concatenation below stays in rank
-			// order, so the string sequence feeding the pivot recursion is
-			// independent of arrival timing.
-			perS := make([][][]byte, p)
-			perU := make([][]uint64, p)
-			exchangeEncoded(c, world, sizes, enc, opt.BlockingExchange, next, func(src int, msg []byte) {
-				s, u, err := decodeTagged(msg)
-				if err != nil {
-					panic("hquick: corrupt redistribution payload")
-				}
-				perS[src], perU[src] = s, u
-			})
-			strings, uids = nil, nil
-			for src := 0; src < p; src++ {
-				strings = append(strings, perS[src]...)
-				uids = append(uids, perU[src]...)
+		// Encode each part on the pool (posting it as its encoder
+		// finishes) and decode each part as it arrives, into per-source
+		// slots: the concatenation below stays in rank order, so the string
+		// sequence feeding the pivot recursion is independent of arrival
+		// timing.
+		perS := make([][][]byte, p)
+		perU := make([][]uint64, p)
+		exchangeEncoded(c, world, sizes, enc, opt.BlockingExchange, next, func(src int, msg []byte) {
+			s, u, err := decodeTagged(msg)
+			if err != nil {
+				panic("hquick: corrupt redistribution payload")
 			}
+			perS[src], perU[src] = s, u
+		})
+		strings, uids = nil, nil
+		for src := 0; src < p; src++ {
+			strings = append(strings, perS[src]...)
+			uids = append(uids, perU[src]...)
 		}
 	}
 

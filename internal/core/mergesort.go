@@ -7,7 +7,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
@@ -43,40 +42,8 @@ type MSOptions struct {
 	GroupID int
 	// Seed drives hQuick's randomness during sample sorting.
 	Seed uint64
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// (Alltoallv, then decode) instead of the default split-phase one that
-	// decodes each run on arrival. Deterministic statistics are identical
-	// either way; blocking mode exists for differential testing.
-	BlockingExchange bool
-	// StreamingMerge goes beyond the split-phase seam: Step 3 ships each
-	// bucket as a chunked transfer and Step 4's loser tree starts on
-	// partially decoded runs, pulling heads on demand — merging begins
-	// before the last frame lands. Output and deterministic statistics are
-	// bit-identical to the eager seams. Combined with BlockingExchange the
-	// chunked machinery runs but every fragment is drained before merging
-	// (the differential reference cell). The one configuration without a
-	// streaming wire format — LCPMerge without LCPCompression, which no
-	// public configuration produces — falls back to the eager seam.
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload in bytes (0 = the
-	// comm default). Small values force many frames; tests use them to
-	// exercise resume-mid-frame paths.
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge by received
-	// strings: 0 = merge.DefaultParMin, negative = always sequential.
-	// Output and deterministic stats are pool-width-independent either way.
-	ParMergeMin int
-	// Spill, if non-nil, runs the bounded-memory out-of-core pipeline:
-	// Step 3 ships through the chunked machinery regardless of
-	// StreamingMerge, incoming runs spill to page files once the pool's
-	// budget is exceeded, and the Step-4 sink merge drains into Out
-	// (required non-nil with Spill) instead of an output arena. The
-	// deterministic statistics are untouched — they are seam-invariant and
-	// the spill decision only moves measured gauges — and the result holds
-	// Drained instead of Strings.
-	Spill *spill.Pool
-	// Out receives the merged run in budget mode (nil otherwise).
-	Out *spill.RunWriter
+	// SeamOptions configure Steps 3→4 (budget mode, parallel merge gate).
+	SeamOptions
 }
 
 // DefaultMS returns the full Algorithm MS configuration: LCP compression,
@@ -148,13 +115,9 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		GroupID:        opt.GroupID + 1,
 	}
 	if !opt.CentralSampleSort {
-		seed := opt.Seed
-		blocking := opt.BlockingExchange
-		streaming, chunk := opt.StreamingMerge, opt.StreamChunk
 		popt.DistSort = func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: seed, BlockingExchange: blocking,
-				StreamingMerge: streaming, StreamChunk: chunk,
+				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
 			}).Strings
 		}
 	}
@@ -206,87 +169,35 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 			return wire.AppendStrings(buf, local[lo:hi])
 		}
 	}
-	// Streaming seam: ship the buckets chunked and let the Step-4 loser
-	// tree pull heads off partially decoded runs — merging starts before
-	// the last frame lands. The composite LCPMerge-without-compression
-	// layout has no streaming reader; that configuration (unreachable from
-	// the public API) keeps the eager seam.
-	var out merge.Sequence
-	var mwork, mbusy int64
-	if opt.Spill != nil {
-		// Bounded-memory pipeline: the chunked exchange with spillable run
-		// sources and the sink-mode merge draining straight into the
-		// sorted-run writer.
-		format := wire.RunStrings
-		if opt.LCPCompression {
-			format = wire.RunStringsLCP
-		} else if opt.LCPMerge {
-			// LCPMerge without LCPCompression has no streaming wire format
-			// (unreachable from the public API).
-			panic("mergesort: the budget pipeline needs a streaming wire format")
+	cd := bucketCodec{sizes: sizes, enc: enc}
+	switch {
+	case opt.LCPCompression:
+		cd.format = wire.RunStringsLCP
+		cd.decode = func(msg []byte) (merge.Sequence, error) {
+			rs, rl, err := wire.DecodeStringsLCP(msg)
+			return merge.Sequence{Strings: rs, LCPs: rl}, err
 		}
-		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, format, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
-		n, mw := sinkMerge(c, st, opt.LCPMerge, false, opt.Out)
-		c.AddWork(mw)
-		c.SetPhase(stats.PhaseOther)
-		return Result{Drained: n}
+	case opt.LCPMerge:
+		if opt.Spill != nil {
+			// Full strings plus a trailing LCP column has no incremental
+			// reader (and no public configuration produces it).
+			panic("mergesort: the budget seam needs an incrementally decodable wire format")
+		}
+		cd.decode = func(msg []byte) (merge.Sequence, error) {
+			rs, rl, err := decodeStringsWithLCPs(msg)
+			return merge.Sequence{Strings: rs, LCPs: rl}, err
+		}
+	default:
+		cd.format = wire.RunStrings
+		cd.decode = func(msg []byte) (merge.Sequence, error) {
+			rs, err := wire.DecodeStrings(msg)
+			return merge.Sequence{Strings: rs}, err
+		}
 	}
-	if opt.StreamingMerge && !(opt.LCPMerge && !opt.LCPCompression) {
-		format := wire.RunStrings
-		if opt.LCPCompression {
-			format = wire.RunStringsLCP
-		}
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, format, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			LCP: opt.LCPMerge, OnFirstOutput: markMergeStart(c),
-			Pool: c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(false),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		// Eager seam: encode each bucket on the pool, posting it as its
-		// encoder finishes, then decode each incoming run as soon as it
-		// lands WHOLE (the arena decoders copy everything out of the
-		// message); the phase switches to merging while the stragglers are
-		// still in flight.
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			switch {
-			case opt.LCPCompression:
-				rs, rl, err := wire.DecodeStringsLCP(msg)
-				if err != nil {
-					panic("mergesort: corrupt compressed run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-			case opt.LCPMerge:
-				rs, rl, err := decodeStringsWithLCPs(msg)
-				if err != nil {
-					panic("mergesort: corrupt run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-			default:
-				rs, err := wire.DecodeStrings(msg)
-				if err != nil {
-					panic("mergesort: corrupt run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs}
-			}
-		})
 
-		// Step 4: multiway merge of the fully decoded runs, partitioned
-		// across the pool by multisequence selection (width-independent
-		// output and work by the deterministic merge-back contract).
-		if opt.LCPMerge {
-			out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-		} else {
-			out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-		}
-	}
-	c.AddWork(mwork)
-	c.AddCPU(mbusy)
-	c.SetPhase(stats.PhaseOther)
-	return Result{Strings: out.Strings, LCPs: out.LCPs}
+	// Step 4: multiway merge of the received runs.
+	out, drained := exchangeMerge(c, g, cd, opt.LCPMerge, opt.SeamOptions)
+	return Result{Strings: out.Strings, LCPs: out.LCPs, Drained: drained}
 }
 
 // lcpSub is the allocation-free view of a bucket's LCP run: the boundary

@@ -1,46 +1,49 @@
-// The bounded-memory Step-3→Step-4 seam: streamRuns' out-of-core
-// counterpart. The chunked exchange and the incremental run readers are
-// the same machinery, but every arriving fragment may be diverted to a
-// per-run page file when the decoded arenas exceed the spill pool's
-// budget, the sink-mode loser tree drains straight into a sorted-run
-// writer instead of an output arena, and each run's consumed arena prefix
-// is recycled as the merge passes it. Feeding order equals arrival order
-// whether bytes take the resident or the spilled route, so the decoded
-// runs — and with them the merged output and every deterministic
-// statistic — are byte-identical to the in-RAM seams. Only where bytes
-// wait (RAM vs page file) and where the output lands (arena vs run file)
-// differ, and those differences live on the measured channels:
+// The budget seam: the bounded-memory counterpart of exchangeEncoded. The
+// buckets travel as a chunked exchange (comm.IAlltoallvChunked) whose
+// frames feed one incremental run reader per source, but every arriving
+// piece may be diverted to a per-run page file when the decoded arenas
+// exceed the spill pool's budget, the loser tree drains straight into a
+// sorted-run writer instead of an output arena, and each run's consumed
+// arena prefix is recycled as the merge passes it. Feeding order equals
+// arrival order whether bytes take the resident or the spilled route, so
+// the decoded runs — and with them the merged output and every
+// deterministic statistic — are byte-identical to the eager seam. Only
+// where bytes wait (RAM vs page file) and where the output lands (arena vs
+// run file) differ, and those differences live on the measured channels:
 // SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU share.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/spill"
 	"dss/internal/stats"
+	"dss/internal/trace"
 	"dss/internal/wire"
 )
 
 // spillStream couples a chunked exchange in flight with one budgeted run
-// per source. It is confined to the PE goroutine, like runStream; only
-// the page writes run concurrently (spill.File's write-behind chain).
+// per source. It is confined to the PE goroutine, like the Comm; only the
+// page writes run concurrently (spill.File's write-behind chain).
 type spillStream struct {
 	c     *comm.Comm
 	pd    *comm.ChunkPending
 	pool  *spill.Pool
 	runs  []*spillRun
-	force bool // spill every run from its first chunk (composite format)
+	force bool // spill every run from its first byte (composite buckets)
 }
 
-// spillRun is one incoming run's state: resident (file == nil, fragments
-// feed the reader directly) or spilled (every further fragment appends to
-// the page file and is paged back in sequentially ahead of the merge
-// cursor). A run switches to spilled at most once — reverting would
-// reorder its bytes — so the file, once created, receives every later
-// fragment even if the pool drops back under budget.
+// spillRun is one incoming run's state: resident (file == nil, pieces
+// feed the reader directly) or spilled (every further piece appends to the
+// page file and is paged back in sequentially ahead of the merge cursor).
+// A run switches to spilled at most once — reverting would reorder its
+// bytes — so the file, once created, receives every later piece even if
+// the pool drops back under budget. The reader decodes the whole run, or,
+// for a composite bucket, the prefix blob inside it (compositeSource).
 type spillRun struct {
 	r        *wire.RunReader
 	file     *spill.File
@@ -50,58 +53,81 @@ type spillRun struct {
 	finished bool  // reader.Finish called
 }
 
-// spillRuns posts the outgoing buckets as chunked transfers (exactly like
-// streamRuns — the deterministic accounting is shared) and returns the
-// budgeted pull views. Blocking mode drains every fragment before the
-// phase switch, spilling past-budget bytes as it goes: the bulk-
-// synchronous out-of-core reference.
-func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, format wire.RunFormat, blocking bool, chunk int, next stats.Phase, pool *spill.Pool) *spillStream {
-	// The composite PDMS layout trails the origin column behind the whole
-	// prefix blob, so no item can emit before its bucket is complete —
-	// feeding a reader on arrival would grow the resident arenas to the
-	// full received volume. Those runs go to their page files from the
-	// first chunk and are merged from a two-cursor file view instead
-	// (sinkMergeComposite).
-	st := &spillStream{c: c, pool: pool, runs: make([]*spillRun, len(parts)),
-		force: format == wire.RunPrefixOrigins}
+// spillFrameBound is the frame payload bound of the budget seam's chunked
+// exchange: the comm default, capped at one spill page so that a frame is
+// never more than the pool's unit of decision.
+func spillFrameBound(pool *spill.Pool) int {
+	return min(comm.DefaultStreamChunk, pool.PageSize())
+}
+
+// spillRuns posts the outgoing buckets as chunked transfers — billed
+// bucket for bucket like the eager exchange — and returns the budgeted
+// runs. origins marks PDMS's composite layout, which trails the origin
+// column behind the whole prefix blob: no item can emit before its bucket
+// is complete, so feeding a reader on arrival would grow the resident
+// arenas to the full received volume. Those runs go to their page files
+// from the first byte and are merged from a two-cursor file view instead
+// (compositeSource). The accounting phase is left at PhaseMerge. Blocking
+// mode drains every fragment before the phase switch, spilling past-budget
+// bytes as it goes: the bulk-synchronous out-of-core reference.
+func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, format wire.RunFormat, origins, blocking bool, pool *spill.Pool) *spillStream {
+	st := &spillStream{c: c, pool: pool, runs: make([]*spillRun, len(parts)), force: origins}
 	for i := range st.runs {
 		st.runs[i] = &spillRun{r: wire.NewRunReader(format)}
 	}
-	st.pd = g.IAlltoallvChunked(parts, chunk)
+	st.pd = g.IAlltoallvChunked(parts, spillFrameBound(pool))
 	if blocking {
+		// The bulk-synchronous reference hides no communication and must
+		// report the same zero overlap (and no merge lead) as the eager
+		// blocking exchange.
 		st.pd.NoOverlapCredit()
 		for st.drainOne() {
 		}
 	}
-	c.SetPhase(next)
+	c.SetPhase(stats.PhaseMerge)
 	return st
 }
 
-// drainOne receives the next fragment of the exchange and routes it: to
-// its run's reader while the pool has budget, to the run's page file once
-// it does not. The spill decision is a pure scheduling choice — it can
-// differ run to run and transport to transport — and therefore only ever
-// moves measured gauges, never a deterministic counter.
+// drainOne receives the next fragment of the exchange and routes it to its
+// run. false reports that every bucket has been fully delivered.
 func (st *spillStream) drainOne() bool {
 	idx, chunk, frame, last, ok := st.pd.RecvChunk()
 	if !ok {
 		return false
 	}
-	run := st.runs[idx]
-	if run.file == nil && (st.force || st.pool.Over()) {
-		f, err := st.pool.CreateFile(fmt.Sprintf("run%d", idx))
-		if err != nil {
-			panic("core: spill: " + err.Error())
-		}
-		run.file = f
-	}
-	if run.file != nil {
-		run.file.Append(chunk)
-	} else {
-		run.r.Feed(chunk)
-		st.meter(run)
-	}
+	st.route(idx, chunk, last)
 	st.c.Release(frame)
+	return true
+}
+
+// route hands one received fragment to its run, a page at a time: to the
+// run's reader while the pool has budget, to the run's page file once it
+// does not. Frames are at most a page, but the PE's own bucket arrives as
+// ONE fragment of the whole bucket; deciding per page keeps a resident run
+// from overshooting the budget by more than a page and a spilled one from
+// queueing a single bucket-sized write behind the meter. The spill
+// decision is a pure scheduling choice — it can differ run to run and
+// transport to transport — and therefore only ever moves measured gauges,
+// never a deterministic counter.
+func (st *spillStream) route(idx int, chunk []byte, last bool) {
+	run := st.runs[idx]
+	for page := st.pool.PageSize(); len(chunk) > 0; {
+		piece := chunk[:min(len(chunk), page)]
+		chunk = chunk[len(piece):]
+		if run.file == nil && (st.force || st.pool.Over()) {
+			f, err := st.pool.CreateFile(fmt.Sprintf("run%d", idx))
+			if err != nil {
+				panic("core: spill: " + err.Error())
+			}
+			run.file = f
+		}
+		if run.file != nil {
+			run.file.Append(piece)
+		} else {
+			run.r.Feed(piece)
+			st.meter(run)
+		}
+	}
 	if last {
 		run.arrived = true
 		if run.file == nil {
@@ -109,7 +135,6 @@ func (st *spillStream) drainOne() bool {
 			run.r.Finish()
 		}
 	}
-	return true
 }
 
 // meter reserves the run reader's arena growth against the budget.
@@ -120,9 +145,9 @@ func (st *spillStream) meter(run *spillRun) {
 	}
 }
 
-// recycle returns the run's consumed arena to the budget. Only legal in
-// sink mode: every emitted string has been copied out by the run writer
-// before its source advanced, so no live pointer reaches the freed block.
+// recycle returns the run's consumed arena to the budget. Legal because
+// the merge sinks every string (the run writer copies it) before it pulls
+// the string's source again, so no live pointer reaches the freed block.
 // (The reader's LCP rematerialization still pins one stale block via its
 // prev buffer — part of the documented fixed overhead.)
 func (st *spillStream) recycle(run *spillRun) {
@@ -132,6 +157,15 @@ func (st *spillStream) recycle(run *spillRun) {
 	}
 }
 
+// readSpan pages up to max bytes of the run's file in, starting at off.
+func (run *spillRun) readSpan(off int64, max int) []byte {
+	b, err := run.file.ReadSpan(off, max)
+	if err != nil {
+		panic("core: spill: " + err.Error())
+	}
+	return b
+}
+
 // feedMore makes progress for a stalled reader: recycle what the merge
 // has consumed, page spilled bytes back in, finish the reader when every
 // byte has been fed, or drain the next exchange fragment (which may
@@ -139,10 +173,7 @@ func (st *spillStream) recycle(run *spillRun) {
 func (st *spillStream) feedMore(run *spillRun) {
 	st.recycle(run)
 	if run.file != nil && run.fed < run.file.Size() {
-		b, err := run.file.ReadSpan(run.fed, st.pool.PageSize())
-		if err != nil {
-			panic("core: spill: " + err.Error())
-		}
+		b := run.readSpan(run.fed, st.pool.PageSize())
 		run.fed += int64(len(b))
 		run.r.Feed(b)
 		st.meter(run)
@@ -159,150 +190,109 @@ func (st *spillStream) feedMore(run *spillRun) {
 	}
 }
 
-// sources returns the budgeted pull views of all runs, in group rank
-// order.
-func (st *spillStream) sources() []merge.Source {
-	out := make([]merge.Source, len(st.runs))
+// sinkMerge drains the budgeted runs through the loser tree into the run
+// writer, stamps the merge-start milestone at the first merged item (the
+// overlap reporting compares it against the exchange-done stamp to show
+// merging began while frames were in flight), then completes the
+// write-behind chains, bills their busy time to the measured CPU channel,
+// releases the metered arenas and closes the page descriptors (the pool's
+// Close unlinks the files themselves). The item sequence and the returned
+// work are bit-identical to the eager seam's merge — it is the same tree —
+// only where the output lands differs.
+func (st *spillStream) sinkMerge(lcp bool, out *spill.RunWriter) (n, work int64) {
+	srcs := make([]merge.Source, len(st.runs))
 	for i, run := range st.runs {
-		out[i] = &spillSource{st: st, run: run}
+		if st.force {
+			srcs[i] = &compositeSource{st: st, run: run}
+		} else {
+			srcs[i] = &spillSource{st: st, run: run}
+		}
 	}
-	return out
-}
-
-// finish completes the write-behind chains, bills their busy time to the
-// measured CPU channel, releases the metered arenas and closes the page
-// descriptors (the pool's Close unlinks the files themselves). Called
-// after the sink merge has drained every source.
-func (st *spillStream) finish() {
+	started := false
+	n, work, err := merge.MergeSink(srcs, lcp, func(s []byte, l int32, sat uint64) error {
+		if !started {
+			started = true
+			st.c.StatsPE().MergeStartNS = time.Now().UnixNano()
+			st.c.Trace().Instant(trace.TrackControl, "merge-start", 0, 0)
+		}
+		return out.Add(s, l, sat)
+	})
 	var busy int64
 	for _, run := range st.runs {
 		if run.file != nil {
-			b, err := run.file.Finish()
+			b, ferr := run.file.Finish()
 			busy += b
-			if err != nil {
-				panic("core: spill write: " + err.Error())
+			if ferr != nil {
+				panic("core: spill write: " + ferr.Error())
 			}
 			run.file.Close()
 		}
 		st.recycle(run)
-		if run.metered > 0 {
-			st.pool.Release(run.metered)
-			run.metered = 0
-		}
+		st.pool.Release(run.metered)
+		run.metered = 0
 	}
 	st.c.AddCPU(busy)
-}
-
-// spillSource adapts one budgeted run to merge.Source. Unlike
-// streamSource, a head is only valid until its source advances past it —
-// the arena behind consumed heads is recycled — which is exactly the
-// guarantee the sink-mode merge needs and no more.
-type spillSource struct {
-	st  *spillStream
-	run *spillRun
-	cur wire.Item
-	has bool
-	eof bool
-}
-
-// Head returns the run's current head, paging and draining until it is
-// decodable; ok=false reports the run exhausted.
-func (s *spillSource) Head() ([]byte, bool) {
-	for !s.has && !s.eof {
-		it, ok, err := s.run.r.Next()
-		switch {
-		case err != nil:
-			panic("core: corrupt spilled run: " + err.Error())
-		case ok:
-			s.cur, s.has = it, true
-		case s.run.r.Done():
-			s.eof = true
-		default:
-			s.st.feedMore(s.run)
-		}
-	}
-	if s.eof {
-		return nil, false
-	}
-	return s.cur.S, true
-}
-
-// HeadLCP returns the current head's LCP with the run's previous string.
-func (s *spillSource) HeadLCP() int32 { return s.cur.LCP }
-
-// HeadSat returns the current head's satellite word (PDMS origin).
-func (s *spillSource) HeadSat() uint64 { return s.cur.Sat }
-
-// Advance consumes the current head.
-func (s *spillSource) Advance() { s.has = false }
-
-// sinkMerge drains the budgeted sources through the sequential sink-mode
-// loser tree into the run writer. The item sequence and the returned work
-// are bit-identical to the in-RAM merges — merge.MergeStreamSink shares
-// the streaming tree and its comparators — only where the output lands
-// differs.
-func sinkMerge(c *comm.Comm, st *spillStream, lcp, sats bool, out *spill.RunWriter) (n, work int64) {
-	n, work, err := merge.MergeStreamSink(st.sources(), merge.StreamOptions{
-		LCP: lcp, Sats: sats, OnFirstOutput: markMergeStart(c),
-	}, out.Add)
-	st.finish()
 	if err != nil {
 		panic("core: run writer: " + err.Error())
 	}
 	return n, work
 }
 
-// compositeSource is the budgeted pull view of one RunPrefixOrigins run.
-// The whole bucket lives in the run's page file (spillStream.force); two
-// cursors page it back in independently — a RunStringsLCP reader over the
-// prefix-blob section and a varint scanner over the trailing origin
-// section — so the resident footprint is a page or two per run even
-// though no (prefix, origin) pair exists before the bucket's last byte.
+// spillSource is the merge's pull view of one budgeted run. A string it
+// returns is only valid until the source is pulled again — the arena
+// behind consumed strings is recycled — which is exactly the guarantee
+// merge.MergeSink needs and no more.
+type spillSource struct {
+	st  *spillStream
+	run *spillRun
+}
+
+// Next returns the run's next string, paging and draining until it is
+// decodable; ok=false reports the run exhausted.
+func (s *spillSource) Next() ([]byte, int32, uint64, bool) {
+	for {
+		it, ok, err := s.run.r.Next()
+		switch {
+		case err != nil:
+			panic("core: corrupt spilled run: " + err.Error())
+		case ok:
+			return it.S, it.LCP, 0, true
+		case s.run.r.Done():
+			return nil, 0, 0, false
+		}
+		s.st.feedMore(s.run)
+	}
+}
+
+// compositeSource is the merge's pull view of one PDMS bucket: a
+// length-prefixed RunStringsLCP blob of prefixes followed by a
+// length-prefixed origin column (count, then one varint per prefix). The
+// whole bucket lives in the run's page file (spillStream.force); two
+// cursors page it back in independently — the run's reader over the blob
+// section and a varint scanner over the trailing origin section — so the
+// resident footprint is a page or two per run even though no (prefix,
+// origin) pair exists before the bucket's last byte.
 type compositeSource struct {
 	st  *spillStream
 	run *spillRun
 
-	sr    *wire.RunReader // RunStringsLCP view of the blob section
-	srMet int64           // sr arena bytes reserved in the pool
-	fed   int64           // next blob byte (absolute file offset) to feed sr
-	end   int64           // absolute end of the blob section
-	hdr   bool            // blob-length header parsed
+	end int64 // absolute end of the blob section (run.fed is its cursor)
+	hdr bool  // blob-length header parsed
 
 	obuf []byte // buffered origin-section bytes
 	oMet int64  // obuf bytes reserved in the pool
 	opos int    // consumed prefix of obuf
 	oabs int64  // next origin byte (absolute file offset) to page in
 	ohdr int    // 0 = before oSize varint, 1 = before count, 2 = origins
-
-	cur wire.Item
-	has bool
-	eof bool
 }
 
-// Head returns the run's current (prefix, origin) head, draining the
-// exchange and paging the bucket as needed; ok=false reports exhaustion.
-func (s *compositeSource) Head() ([]byte, bool) {
-	for !s.has && !s.eof {
-		s.pull()
-	}
-	if s.eof {
-		return nil, false
-	}
-	return s.cur.S, true
-}
+// maxSpillSection mirrors the transports' frame limit: a declared blob
+// length beyond it cannot belong to a real bucket.
+const maxSpillSection = 1<<31 - 1
 
-// HeadLCP returns the current head's LCP with the run's previous prefix.
-func (s *compositeSource) HeadLCP() int32 { return s.cur.LCP }
-
-// HeadSat returns the current head's origin word.
-func (s *compositeSource) HeadSat() uint64 { return s.cur.Sat }
-
-// Advance consumes the current head.
-func (s *compositeSource) Advance() { s.has = false }
-
-// pull makes one step of progress: complete the bucket, parse the header,
-// decode the next prefix or page in more of a section.
-func (s *compositeSource) pull() {
+// Next returns the run's next (prefix, origin) pair, draining the exchange
+// and paging the bucket as needed; ok=false reports exhaustion.
+func (s *compositeSource) Next() ([]byte, int32, uint64, bool) {
 	run := s.run
 	for !run.arrived {
 		if !s.st.drainOne() {
@@ -314,65 +304,50 @@ func (s *compositeSource) pull() {
 	if run.file == nil {
 		// No bytes ever arrived for this run; a PDMS bucket is never empty
 		// on the wire, so nothing can be decoded from it.
-		s.eof = true
-		return
+		return nil, 0, 0, false
 	}
 	if !s.hdr {
-		b, err := run.file.ReadSpan(0, 16)
-		if err != nil {
-			panic("core: spill: " + err.Error())
-		}
-		v, n := binary.Uvarint(b)
-		if n <= 0 || v > uint64(maxSpillSection) {
+		v, n := binary.Uvarint(run.readSpan(0, binary.MaxVarintLen64))
+		if n <= 0 || v > maxSpillSection {
 			panic("core: corrupt spilled run: bad composite header")
 		}
-		s.fed = int64(n)
+		run.fed = int64(n)
 		s.end = int64(n) + int64(v)
 		s.oabs = s.end
 		s.hdr = true
 	}
-	it, ok, err := s.sr.Next()
-	switch {
-	case err != nil:
-		panic("core: corrupt spilled run: " + err.Error())
-	case ok:
-		it.Sat = s.nextOrigin()
-		s.cur, s.has = it, true
-	case s.sr.Done():
-		s.eof = true
-	default:
+	for {
+		it, ok, err := run.r.Next()
+		switch {
+		case err != nil:
+			panic("core: corrupt spilled run: " + err.Error())
+		case ok:
+			return it.S, it.LCP, s.nextOrigin(), true
+		case run.r.Done():
+			s.obuf = nil
+			s.meterO()
+			return nil, 0, 0, false
+		}
 		s.feedBlob()
 	}
 }
 
 // feedBlob recycles the consumed prefix arena and pages the next span of
-// the blob section into the string reader.
+// the blob section into the run's reader.
 func (s *compositeSource) feedBlob() {
-	if freed := int64(s.sr.Recycle()); freed > 0 {
-		s.st.pool.Release(freed)
-		s.srMet -= freed
-	}
-	if s.fed >= s.end {
-		s.sr.Finish() // surfaces truncation through the next Next
+	run := s.run
+	s.st.recycle(run)
+	if run.fed >= s.end {
+		run.r.Finish() // surfaces truncation through the next Next
 		return
 	}
-	max := s.st.pool.PageSize()
-	if rem := s.end - s.fed; int64(max) > rem {
-		max = int(rem)
-	}
-	b, err := s.run.file.ReadSpan(s.fed, max)
-	if err != nil {
-		panic("core: spill: " + err.Error())
-	}
+	b := run.readSpan(run.fed, int(min(int64(s.st.pool.PageSize()), s.end-run.fed)))
 	if len(b) == 0 {
 		panic("core: corrupt spilled run: composite blob truncated")
 	}
-	s.fed += int64(len(b))
-	s.sr.Feed(b)
-	if a := int64(s.sr.ArenaBytes()); a > s.srMet {
-		s.st.pool.Reserve(a - s.srMet)
-		s.srMet = a
-	}
+	run.fed += int64(len(b))
+	run.r.Feed(b)
+	s.st.meter(run)
 }
 
 // nextOrigin returns the next origin varint of the trailing section,
@@ -381,88 +356,39 @@ func (s *compositeSource) nextOrigin() uint64 {
 	for {
 		if v, n := binary.Uvarint(s.obuf[s.opos:]); n > 0 {
 			s.opos += n
-			switch s.ohdr {
-			case 0:
-				s.ohdr = 1 // section length; the count below bounds the scan
-			case 1:
-				s.ohdr = 2 // origin count; a mismatch with the string count
-				// surfaces as a truncation panic when the origins run out
-			default:
+			if s.ohdr == 2 {
 				return v
 			}
+			// Section length, then origin count: the count is not checked
+			// here — a mismatch with the string count surfaces as a
+			// truncation panic when the origins run out.
+			s.ohdr++
 			continue
 		} else if n < 0 {
 			panic("core: corrupt spilled run: bad origin varint")
 		}
-		s.pageOrigins()
-	}
-}
-
-// pageOrigins compacts the consumed origin bytes and pages in the next
-// span of the origin section.
-func (s *compositeSource) pageOrigins() {
-	if s.opos > 0 {
+		// Compact the consumed origin bytes and page in the next span.
 		s.obuf = append(s.obuf[:0], s.obuf[s.opos:]...)
 		s.opos = 0
+		b := s.run.readSpan(s.oabs, s.st.pool.PageSize())
+		if len(b) == 0 {
+			panic("core: corrupt spilled run: composite origins truncated")
+		}
+		s.oabs += int64(len(b))
+		s.obuf = append(s.obuf, b...)
 		s.meterO()
 	}
-	b, err := s.run.file.ReadSpan(s.oabs, s.st.pool.PageSize())
-	if err != nil {
-		panic("core: spill: " + err.Error())
-	}
-	if len(b) == 0 {
-		panic("core: corrupt spilled run: composite origins truncated")
-	}
-	s.oabs += int64(len(b))
-	s.obuf = append(s.obuf, b...)
-	s.meterO()
 }
 
 // meterO reconciles the origin buffer's pool reservation with its size.
 func (s *compositeSource) meterO() {
-	if d := int64(len(s.obuf)) - s.oMet; d > 0 {
+	d := int64(len(s.obuf)) - s.oMet
+	if d > 0 {
 		s.st.pool.Reserve(d)
-		s.oMet += d
-	} else if d < 0 {
+	} else {
 		s.st.pool.Release(-d)
-		s.oMet += d
 	}
-}
-
-// release returns the source's metered bytes to the budget.
-func (s *compositeSource) release() {
-	s.st.pool.Release(s.srMet + s.oMet)
-	s.srMet, s.oMet = 0, 0
-	s.obuf = nil
-}
-
-// maxSpillSection mirrors the wire package's section bound: a declared
-// blob length beyond it cannot belong to a real bucket.
-const maxSpillSection = 1<<31 - 1
-
-// sinkMergeComposite drains budgeted RunPrefixOrigins runs through the
-// sink-mode loser tree into the run writer, pairing each prefix with its
-// origin from the bucket's trailing section. Item sequence and work are
-// bit-identical to the in-RAM PDMS merges.
-func sinkMergeComposite(c *comm.Comm, st *spillStream, out *spill.RunWriter) (n, work int64) {
-	srcs := make([]merge.Source, len(st.runs))
-	comps := make([]*compositeSource, len(st.runs))
-	for i, run := range st.runs {
-		cs := &compositeSource{st: st, run: run, sr: wire.NewRunReader(wire.RunStringsLCP)}
-		comps[i] = cs
-		srcs[i] = cs
-	}
-	n, work, err := merge.MergeStreamSink(srcs, merge.StreamOptions{
-		LCP: true, Sats: true, OnFirstOutput: markMergeStart(c),
-	}, out.Add)
-	for _, cs := range comps {
-		cs.release()
-	}
-	st.finish()
-	if err != nil {
-		panic("core: run writer: " + err.Error())
-	}
-	return n, work
+	s.oMet += d
 }
 
 // drainSorted streams an already materialized sorted fragment into the

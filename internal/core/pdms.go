@@ -8,7 +8,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
@@ -46,29 +45,12 @@ type PDMSOptions struct {
 	GroupID int
 	// Seed drives fingerprinting and hQuick randomness.
 	Seed uint64
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// instead of the default split-phase decode-on-arrival one (see
-	// MSOptions.BlockingExchange).
-	BlockingExchange bool
-	// StreamingMerge starts the Step-4 loser tree on partially decoded
-	// prefix runs over a chunked exchange (see MSOptions.StreamingMerge).
-	// A PDMS head becomes available once its origin has decoded too — the
-	// origins trail the prefixes within one bucket, so streaming's win here
-	// is bounded by the composite layout, but output and statistics stay
-	// bit-identical.
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload (0 = default).
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge (see
-	// MSOptions.ParMergeMin).
-	ParMergeMin int
-	// Spill runs the bounded-memory out-of-core pipeline (see
-	// MSOptions.Spill). Out receives the merged prefix run with its origin
-	// satellites in the run file's satellite column — budget-mode callers
-	// reconstruct full strings by origin lookup instead of core.Reconstruct
-	// (which needs the materialized result).
-	Spill *spill.Pool
-	Out   *spill.RunWriter
+	// SeamOptions configure Steps 3→4 (see MSOptions). In budget mode Out
+	// receives the merged prefix run with its origin satellites in the run
+	// file's satellite column — budget-mode callers reconstruct full
+	// strings by origin lookup instead of core.Reconstruct (which needs the
+	// materialized result).
+	SeamOptions
 }
 
 // DefaultPDMS returns the evaluation configuration of algorithm PDMS:
@@ -175,7 +157,6 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	} else if opt.Sampling == partition.StringSampling {
 		sampling = opt.Sampling
 	}
-	seed := opt.Seed
 	popt := partition.Options{
 		V:         opt.V,
 		Sampling:  sampling,
@@ -184,8 +165,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		GroupID:   opt.GroupID + 5,
 		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: seed, BlockingExchange: opt.BlockingExchange,
-				StreamingMerge: opt.StreamingMerge, StreamChunk: opt.StreamChunk,
+				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
 			}).Strings
 		},
 	}
@@ -197,10 +177,10 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	off := partition.Buckets(prefixes, splitters)
 
 	// Step 3: LCP-compressed all-to-all exchange of the prefixes plus
-	// their origins. As in MergeSort, all outgoing parts are encoded into
-	// one exactly pre-sized arena — O(1) buffer allocations per PE — and
-	// the per-bucket LCP runs are direct sub-slices of the prefix LCP
-	// array (the encoder ignores the boundary entry).
+	// their origins. As in MergeSort, every outgoing part is sized first
+	// and encoded into exactly that many bytes, and the per-bucket LCP runs
+	// are direct sub-slices of the prefix LCP array (the encoder ignores
+	// the boundary entry).
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
 	blobSizes := make([]int, p)
@@ -228,58 +208,39 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		}
 		return buf
 	}
-	// Step 4: LCP-aware multiway merge of the prefix runs — streaming (the
-	// tree pulls (prefix, origin) heads off partially decoded runs) or
-	// eager (decode each run whole on arrival; the decoders copy
-	// everything out).
-	var out merge.Sequence
-	var mwork, mbusy int64
+	decode := func(msg []byte) (merge.Sequence, error) {
+		r := wire.NewReader(msg)
+		blob, err := r.BytesPrefixed()
+		if err != nil {
+			return merge.Sequence{}, err
+		}
+		oblob, err := r.BytesPrefixed()
+		if err != nil {
+			return merge.Sequence{}, err
+		}
+		rs, rl, err := wire.DecodeStringsLCP(blob)
+		if err != nil {
+			return merge.Sequence{}, err
+		}
+		ro, err := wire.DecodeUint64s(oblob)
+		if err == nil && len(ro) != len(rs) {
+			err = wire.ErrCorrupt
+		}
+		return merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}, err
+	}
+
+	// Step 4: LCP-aware multiway merge of the prefix runs; in budget mode
+	// the origins travel as the run file's satellite column.
+	out, drained := exchangeMerge(c, g, bucketCodec{
+		sizes: sizes, enc: enc, decode: decode, format: wire.RunStringsLCP, origins: true,
+	}, true, opt.SeamOptions)
 	if opt.Spill != nil {
-		// Bounded-memory pipeline (see MergeSort's budget branch): the
-		// origins travel as the run file's satellite column.
-		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, wire.RunPrefixOrigins, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
-		n, mw := sinkMergeComposite(c, st, opt.Out)
-		c.AddWork(mw)
-		c.SetPhase(stats.PhaseOther)
-		return Result{Drained: n, PrefixOnly: true}
+		return Result{Drained: drained, PrefixOnly: true}
 	}
-	if opt.StreamingMerge {
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, wire.RunPrefixOrigins, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			LCP: true, Sats: true, OnFirstOutput: markMergeStart(c),
-			Pool: c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(true),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			r := wire.NewReader(msg)
-			blob, err1 := r.BytesPrefixed()
-			oblob, err2 := r.BytesPrefixed()
-			if err1 != nil || err2 != nil {
-				panic("pdms: corrupt exchange message")
-			}
-			rs, rl, err := wire.DecodeStringsLCP(blob)
-			if err != nil {
-				panic("pdms: corrupt prefix run: " + err.Error())
-			}
-			ro, err := wire.DecodeUint64s(oblob)
-			if err != nil || len(ro) != len(rs) {
-				panic("pdms: corrupt origin run")
-			}
-			runs[src] = merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}
-		})
-		out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-	}
-	c.AddWork(mwork)
-	c.AddCPU(mbusy)
 	origins := make([]Origin, len(out.Sats))
 	for i, u := range out.Sats {
 		origins[i] = satOrigin(u)
 	}
-	c.SetPhase(stats.PhaseOther)
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Origins: origins, PrefixOnly: true}
 }
 

@@ -26,58 +26,59 @@ type Sequence struct {
 // Len returns the number of strings in the sequence.
 func (s Sequence) Len() int { return len(s.Strings) }
 
-// Merge performs a K-way merge with a plain (non-LCP) loser tree, the
-// merging strategy of FKmerge and MS-simple. Input LCP arrays are ignored;
-// the output has no LCP array. Returns the merged run and the number of
-// characters inspected.
-func Merge(seqs []Sequence) (Sequence, int64) {
-	out, work, _ := MergePar(nil, seqs, -1)
-	return out, work
-}
-
-// MergeLCP performs a K-way merge with the LCP loser tree: it consumes the
-// runs' LCP arrays, inspects each character at most once, and produces the
-// LCP array of the output.
+// MergeLCP performs a sequential K-way merge with the LCP loser tree: it
+// consumes the runs' LCP arrays, inspects each character at most once, and
+// produces the LCP array of the output. Returns the merged run and the
+// number of characters inspected.
 func MergeLCP(seqs []Sequence) (Sequence, int64) {
-	out, work, _ := MergeLCPPar(nil, seqs, -1)
+	out, work, _ := Merge(nil, seqs, Options{LCP: true})
 	return out, work
 }
 
-// tree is the array-based loser tree over K streams (K padded to a power
-// of two with exhausted sentinel streams). Internal nodes 1..k-1 store the
-// loser stream of the comparison at that node; leaves are implicit. The
-// backing arrays come from the size-classed package pool (pool.go).
+// tree is the array-based loser tree over K pull-based streams (K padded
+// to a power of two with exhausted sentinel streams) — the one tree behind
+// every merge of the package. Internal nodes 1..k-1 store the loser stream
+// of the comparison at that node; leaves are implicit. Each stream's
+// current head is cached beside its satellite word and its LCP with the
+// last output, so a comparison never calls into a Source. The backing
+// arrays come from the size-classed package pool (pool.go).
 type tree struct {
 	k      int   // number of leaves, power of two
 	loser  []int // loser[node] for node in [1,k)
-	pos    []int // per-stream read position
-	seqs   []Sequence
-	curH   []int32 // per-stream LCP of current head with the last output
+	srcs   []Source
+	heads  [][]byte // per-stream current head; nil = exhausted (+∞ sentinel)
+	sats   []uint64 // per-stream satellite word of the current head
+	curH   []int32  // per-stream LCP of the current head with the last output
 	useLCP bool
 	work   int64
 	winner int // current overall winner (valid after init/reseed)
 	state  *treeState
 }
 
-// newTree builds a tree over the sequences with pooled, zeroed state.
-// Callers position it with copy(t.pos, ...) if they start mid-run, then
-// call init (billed) or reseed (unbilled) before emit.
-func newTree(seqs []Sequence, useLCP bool) *tree {
+// newTree builds a tree over the sources with pooled state and pulls every
+// stream's first head (blocking until each run can produce one). Callers
+// then call init (billed) or reseed (unbilled) before emit.
+func newTree(srcs []Source, useLCP bool) *tree {
 	k := 1
-	for k < len(seqs) {
+	for k < len(srcs) {
 		k <<= 1
 	}
 	st := getTreeState(k)
 	t := &tree{
 		k:      k,
 		loser:  st.loser[:k],
-		pos:    st.pos[:len(seqs)],
-		seqs:   seqs,
-		curH:   st.curH[:len(seqs)],
+		srcs:   srcs,
+		heads:  st.heads[:k],
+		sats:   st.sats[:k],
+		curH:   st.curH[:k],
 		useLCP: useLCP,
 		state:  st,
 	}
-	clear(t.pos)
+	for s := range srcs {
+		t.pull(s) // padding streams keep the pool's nil heads
+	}
+	// No output yet: every stream starts at LCP 0, whatever LCP entry its
+	// first string carries (a partition's cut lands mid-run).
 	clear(t.curH)
 	return t
 }
@@ -89,17 +90,23 @@ func (t *tree) release() {
 	t.state = nil
 }
 
-func (t *tree) head(s int) []byte {
-	if s >= len(t.seqs) || t.pos[s] >= t.seqs[s].Len() {
-		return nil // exhausted: +∞ sentinel
+// pull advances stream s to its next string and caches it. The new head's
+// LCP with the last output is exactly the stream's own LCP entry, because
+// pull is only called on the stream whose previous head WAS the last
+// output.
+func (t *tree) pull(s int) {
+	h, lcp, sat, ok := t.srcs[s].Next()
+	if !ok {
+		h, lcp, sat = nil, 0, 0
 	}
-	return t.seqs[s].Strings[t.pos[s]]
+	t.heads[s], t.sats[s] = h, sat
+	if t.useLCP {
+		t.curH[s] = lcp
+	}
 }
 
 // lessHeadsPlain compares stream heads with full comparisons; nil is +∞
-// and ties break toward the lower stream index. Shared verbatim between
-// the eager and streaming trees so the comparison sequences — and with
-// them the work counts — cannot drift apart.
+// and ties break toward the lower stream index.
 func lessHeadsPlain(sa, sb []byte, a, b int, work *int64) bool {
 	switch {
 	case sa == nil && sb == nil:
@@ -123,7 +130,7 @@ func lessHeadsPlain(sa, sb []byte, a, b int, work *int64) bool {
 // without looking at a single character. On equality it compares from the
 // shared prefix and updates the loser's curH to LCP(a, b) so the invariant
 // (curH of a node's loser = LCP with the winner that passed the node) is
-// maintained. Shared between the eager and streaming trees.
+// maintained.
 func lessHeadsLCP(sa, sb []byte, a, b int, curH []int32, work *int64) bool {
 	switch {
 	case sa == nil && sb == nil:
@@ -155,9 +162,9 @@ func lessHeadsLCP(sa, sb []byte, a, b int, curH []int32, work *int64) bool {
 
 func (t *tree) less(a, b int) bool {
 	if t.useLCP {
-		return lessHeadsLCP(t.head(a), t.head(b), a, b, t.curH, &t.work)
+		return lessHeadsLCP(t.heads[a], t.heads[b], a, b, t.curH, &t.work)
 	}
-	return lessHeadsPlain(t.head(a), t.head(b), a, b, &t.work)
+	return lessHeadsPlain(t.heads[a], t.heads[b], a, b, &t.work)
 }
 
 // initNode plays the initial tournament of the subtree rooted at node and
@@ -183,7 +190,7 @@ func (t *tree) init() {
 }
 
 // reseed rebuilds the tree state a sequential merge would have at the
-// current positions, WITHOUT billing any work — the entry point of
+// sources' current positions, WITHOUT billing any work — the entry point of
 // partitions j ≥ 1 of the parallel merge. wPrev is the output element
 // immediately preceding this partition's range (the maximal last-selected
 // element under the merge's (string, run) tie order).
@@ -202,12 +209,8 @@ func (t *tree) init() {
 // total.
 func (t *tree) reseed(wPrev []byte) {
 	if t.useLCP {
-		for s := range t.seqs {
-			if h := t.head(s); h != nil {
-				t.curH[s] = int32(strutil.LCP(h, wPrev))
-			} else {
-				t.curH[s] = 0
-			}
+		for s, h := range t.heads {
+			t.curH[s] = int32(strutil.LCP(h, wPrev)) // 0 for exhausted streams
 		}
 	}
 	// Play the tournament with the work counter parked: the comparisons
@@ -219,52 +222,29 @@ func (t *tree) reseed(wPrev []byte) {
 	t.work = saved
 }
 
-// emit produces the next n merged outputs with indexed writes into the
-// caller's (sub)slices: strings must have length ≥ n; lcps and sats may be
-// nil when the caller wants no LCP/satellite output.
-func (t *tree) emit(n int, strings [][]byte, lcps []int32, sats []uint64) {
+// emit pushes the next n merged items into sink, in order (n < 0: until
+// every stream is exhausted), and returns how many it delivered. A sink
+// error aborts the merge and is returned; the streams are left mid-run.
+func (t *tree) emit(n int, sink Sink) (int, error) {
 	w := t.winner
-	for i := 0; i < n; i++ {
-		strings[i] = t.head(w)
-		if lcps != nil {
-			lcps[i] = t.curH[w]
+	i := 0
+	for ; i != n; i++ {
+		h := t.heads[w]
+		if h == nil {
+			break
 		}
-		if sats != nil {
-			var v uint64
-			if t.seqs[w].Sats != nil {
-				v = t.seqs[w].Sats[t.pos[w]]
-			}
-			sats[i] = v
+		if err := sink(h, t.curH[w], t.sats[w]); err != nil {
+			t.winner = w
+			return i, err
 		}
-		// Advance the winner's stream: the new head's LCP with the last
-		// output is exactly the stream's own LCP entry, because the last
-		// output was the previous element of that stream.
-		t.pos[w]++
-		if t.useLCP {
-			if t.pos[w] < t.seqs[w].Len() {
-				t.curH[w] = t.seqs[w].LCPs[t.pos[w]]
-			} else {
-				t.curH[w] = 0
-			}
-		}
+		t.pull(w)
 		// Replay the path from the winner's leaf to the root.
-		node := (w + t.k) / 2
-		for node >= 1 {
+		for node := (w + t.k) / 2; node >= 1; node /= 2 {
 			if t.less(t.loser[node], w) {
 				t.loser[node], w = w, t.loser[node]
 			}
-			node /= 2
 		}
 	}
 	t.winner = w
-}
-
-func appendSats(dst []uint64, s Sequence, n int) []uint64 {
-	if s.Sats != nil {
-		return append(dst, s.Sats[:n]...)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
+	return i, nil
 }

@@ -36,6 +36,12 @@ func makeRuns(rng *rand.Rand, k, total, maxLen, sigma int) ([]Sequence, [][]byte
 	return seqs, ref
 }
 
+// mergePlain is the sequential merge on the plain (non-LCP) loser tree.
+func mergePlain(seqs []Sequence) (Sequence, int64) {
+	out, work, _ := Merge(nil, seqs, Options{})
+	return out, work
+}
+
 func TestMergeLCPRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 60; trial++ {
@@ -62,7 +68,7 @@ func TestMergePlainRandom(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		k := 1 + rng.Intn(6)
 		seqs, ref := makeRuns(rng, k, rng.Intn(400), 10, 3)
-		out, _ := Merge(seqs)
+		out, _ := mergePlain(seqs)
 		for i := range ref {
 			if !bytes.Equal(out.Strings[i], ref[i]) {
 				t.Fatalf("trial %d: position %d mismatch", trial, i)
@@ -186,7 +192,7 @@ func TestMergeLCPWorkBound(t *testing.T) {
 	}
 	// And it must be far below the naive full-comparison cost when LCPs
 	// are long.
-	_, plainWork := Merge(seqs)
+	_, plainWork := mergePlain(seqs)
 	if work > plainWork {
 		t.Fatalf("LCP merge (%d) did more character work than plain merge (%d)", work, plainWork)
 	}
@@ -220,6 +226,6 @@ func BenchmarkMergePlain8Runs(b *testing.B) {
 	seqs, _ := makeRuns(rng, 8, 100000, 30, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Merge(seqs)
+		mergePlain(seqs)
 	}
 }

@@ -21,7 +21,7 @@ func resolveParMin(parMin int) int {
 	return parMin
 }
 
-// Hooks are optional trace callbacks of the partitioned merges, threaded
+// Hooks are optional trace callbacks of the partitioned merge, threaded
 // down from the comm layer's recorder. The zero value is fully disabled
 // and costs nothing; the callbacks never influence what is merged.
 type Hooks struct {
@@ -34,41 +34,35 @@ type Hooks struct {
 	OnPartition func(bounds []int)
 }
 
-// MergePar is Merge on a work pool: the runs are split into disjoint,
-// globally ordered subranges by multisequence selection and each subrange
-// is merged by an independent plain loser tree. Output and the work count
-// are byte-identical to the sequential merge at every pool width (a nil or
-// width-1 pool, or fewer than parMin strings, IS the sequential path).
-// Returns the merged sequence, the character work, and the pool busy-ns.
-func MergePar(pool *par.Pool, seqs []Sequence, parMin int) (Sequence, int64, int64) {
-	return mergeSeqs(pool, seqs, false, parMin, Hooks{})
+// Options configure Merge.
+type Options struct {
+	// LCP selects the LCP-aware loser tree: the runs' LCP arrays are
+	// consumed and the output carries one. Without it the plain tree of
+	// FKmerge and MS-simple runs, input LCP arrays are ignored and the
+	// output has none.
+	LCP bool
+	// ParMin gates the partitioned merge by total strings: 0 means
+	// DefaultParMin, negative always merges sequentially.
+	ParMin int
+	// Hooks report worker spans and partition seams to the timeline trace.
+	Hooks Hooks
 }
 
-// MergeLCPPar is MergeLCP on a work pool; see MergePar. Seam LCPs at
-// partition boundaries are recomputed against the predecessor element, so
-// the output LCP array matches the sequential merge exactly.
-func MergeLCPPar(pool *par.Pool, seqs []Sequence, parMin int) (Sequence, int64, int64) {
-	return mergeSeqs(pool, seqs, true, parMin, Hooks{})
-}
-
-// MergeParHooked / MergeLCPParHooked are the traced variants: identical
-// merges with the hooks reporting worker spans and partition seams.
-func MergeParHooked(pool *par.Pool, seqs []Sequence, parMin int, h Hooks) (Sequence, int64, int64) {
-	return mergeSeqs(pool, seqs, false, parMin, h)
-}
-
-// MergeLCPParHooked is MergeLCPPar with trace hooks; see MergeParHooked.
-func MergeLCPParHooked(pool *par.Pool, seqs []Sequence, parMin int, h Hooks) (Sequence, int64, int64) {
-	return mergeSeqs(pool, seqs, true, parMin, h)
-}
-
-func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks) (Sequence, int64, int64) {
+// Merge performs a K-way merge of resident runs on a work pool: the runs
+// are split into disjoint, globally ordered subranges by multisequence
+// selection and each subrange is merged by an independent loser tree over
+// slice sources positioned at its cut, sinking into its own slot of the
+// pre-sized output. Output and the work count are byte-identical to the
+// sequential merge at every pool width (a nil or width-1 pool, or fewer
+// than ParMin strings, IS the sequential path); seam LCPs at partition
+// boundaries come out of reseeding against the predecessor element.
+// Returns the merged sequence, the characters inspected, and the pool
+// busy-ns.
+func Merge(pool *par.Pool, seqs []Sequence, opt Options) (Sequence, int64, int64) {
 	total := 0
-	streams := 0
-	last := -1
 	anySats := false
-	for i, s := range seqs {
-		if useLCP && s.Len() > 0 && len(s.LCPs) != s.Len() {
+	for _, s := range seqs {
+		if opt.LCP && s.Len() > 0 && len(s.LCPs) != s.Len() {
 			panic("merge: sequence missing LCP array")
 		}
 		if s.Sats != nil {
@@ -78,32 +72,14 @@ func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks
 			anySats = true
 		}
 		total += s.Len()
-		if s.Len() > 0 {
-			streams++
-			last = i
-		}
 	}
 
 	var out Sequence
 	if total == 0 {
 		return out, 0, 0
 	}
-	if streams == 1 {
-		// Single non-empty run: pass through (the sequential fast path).
-		s := seqs[last]
-		out.Strings = append(out.Strings, s.Strings...)
-		if useLCP {
-			out.LCPs = append(out.LCPs, s.LCPs...)
-			out.LCPs[0] = 0
-		}
-		if anySats {
-			out.Sats = appendSats(out.Sats, s, s.Len())
-		}
-		return out, 0, 0
-	}
-
 	out.Strings = make([][]byte, total)
-	if useLCP {
+	if opt.LCP {
 		out.LCPs = make([]int32, total)
 	}
 	if anySats {
@@ -112,76 +88,75 @@ func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks
 
 	parts := 1
 	if pool != nil && !pool.Sequential() {
-		if min := resolveParMin(parMin); min >= 0 && total >= min {
-			if parts = pool.Cores(); parts > total {
-				parts = total
+		if parMin := resolveParMin(opt.ParMin); parMin >= 0 && total >= parMin {
+			parts = min(pool.Cores(), total)
+		}
+	}
+	// Partition: exact global boundaries over the runs (unbilled — the
+	// sequential merge never performs these comparisons). One partition is
+	// the whole output from the runs' starts.
+	cuts := [][]int{make([]int, len(seqs))}
+	bounds := []int{0, total}
+	if parts > 1 {
+		runs := make([][][]byte, len(seqs))
+		for i, s := range seqs {
+			runs[i] = s.Strings
+		}
+		cuts = partition.SplitPoints(runs, nil, parts)
+		bounds = make([]int, parts+1)
+		for j := 1; j <= parts; j++ {
+			for q := range runs {
+				bounds[j] += cuts[j][q]
 			}
 		}
-	}
-
-	if parts <= 1 {
-		t := newTree(seqs, useLCP)
-		t.init()
-		t.emit(total, out.Strings, out.LCPs, out.Sats)
-		work := t.work
-		t.release()
-		if useLCP {
-			out.LCPs[0] = 0
+		if opt.Hooks.OnPartition != nil {
+			opt.Hooks.OnPartition(bounds)
 		}
-		return out, work, 0
-	}
-
-	// Partition: exact global boundaries over the runs (unbilled — the
-	// sequential merge never performs these comparisons).
-	runs := make([][][]byte, len(seqs))
-	for i, s := range seqs {
-		runs[i] = s.Strings
-	}
-	cuts := partition.SplitPoints(runs, nil, parts)
-	bounds := make([]int, parts+1)
-	for j := 1; j <= parts; j++ {
-		n := 0
-		for q := range runs {
-			n += cuts[j][q]
-		}
-		bounds[j] = n
-	}
-	if h.OnPartition != nil {
-		h.OnPartition(bounds)
 	}
 
 	works := make([]int64, parts)
-	busy := pool.ForEachObs(parts, func(j int) {
+	mergePart := func(j int) {
 		lo, hi := bounds[j], bounds[j+1]
 		if lo == hi {
 			return
 		}
-		var lcps []int32
-		if useLCP {
-			lcps = out.LCPs[lo:hi]
+		slices := make([]sliceSource, len(seqs))
+		srcs := make([]Source, len(seqs))
+		for q, s := range seqs {
+			slices[q] = sliceSource{seq: s, pos: cuts[j][q]}
+			srcs[q] = &slices[q]
 		}
-		var sats []uint64
-		if anySats {
-			sats = out.Sats[lo:hi]
-		}
-		t := newTree(seqs, useLCP)
-		copy(t.pos, cuts[j])
+		t := newTree(srcs, opt.LCP)
 		if j == 0 {
 			t.init() // billed: this IS the sequential merge's tree build
 		} else {
 			t.reseed(predecessor(seqs, cuts[j]))
 		}
-		t.emit(hi-lo, out.Strings[lo:hi], lcps, sats)
+		i := lo
+		t.emit(hi-lo, func(s []byte, lcp int32, sat uint64) error {
+			out.Strings[i] = s
+			if out.LCPs != nil {
+				out.LCPs[i] = lcp
+			}
+			if out.Sats != nil {
+				out.Sats[i] = sat
+			}
+			i++
+			return nil
+		})
 		works[j] = t.work
 		t.release()
-	}, h.Obs)
+	}
+	var busy int64
+	if parts > 1 {
+		busy = pool.ForEachObs(parts, mergePart, opt.Hooks.Obs)
+	} else {
+		mergePart(0)
+	}
 
 	var work int64
 	for _, w := range works {
 		work += w
-	}
-	if useLCP {
-		out.LCPs[0] = 0
 	}
 	return out, work, busy
 }

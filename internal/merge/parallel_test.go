@@ -87,32 +87,19 @@ func requireEqualMerge(t *testing.T, label string, want, got Sequence, wantWork,
 
 // TestMergeParMatchesSequential pins the tentpole contract: at every pool
 // width the partitioned merge reproduces the sequential merge's strings,
-// LCP array, satellites and character work exactly. parMin=1 forces the
+// LCP array, satellites and character work exactly. ParMin=1 forces the
 // partitioned path even on tiny inputs.
 func TestMergeParMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	widths := []int{1, 2, 3, 8}
+	widths := []int{1, 2, 3, 4, 8}
 	for trial := 0; trial < 50; trial++ {
 		k := 1 + rng.Intn(9)
 		sats := trial%3 == 0
 		seqs := genSeqs(rng, k, 40, sats)
 		for _, useLCP := range []bool{false, true} {
-			var want Sequence
-			var wantWork int64
-			if useLCP {
-				want, wantWork = MergeLCP(seqs)
-			} else {
-				want, wantWork = Merge(seqs)
-			}
+			want, wantWork, _ := Merge(nil, seqs, Options{LCP: useLCP})
 			for _, width := range widths {
-				pool := par.New(width)
-				var got Sequence
-				var gotWork int64
-				if useLCP {
-					got, gotWork, _ = MergeLCPPar(pool, seqs, 1)
-				} else {
-					got, gotWork, _ = MergePar(pool, seqs, 1)
-				}
+				got, gotWork, _ := Merge(par.New(width), seqs, Options{LCP: useLCP, ParMin: 1})
 				label := fmt.Sprintf("trial=%d k=%d lcp=%v sats=%v width=%d", trial, k, useLCP, sats, width)
 				requireEqualMerge(t, label, want, got, wantWork, gotWork)
 			}
@@ -120,7 +107,7 @@ func TestMergeParMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeParDisabled checks the threshold gates: negative parMin always
+// TestMergeParDisabled checks the threshold gates: negative ParMin always
 // runs sequentially, and inputs below the threshold do too (result still
 // identical, busy = 0 because the pool is never engaged).
 func TestMergeParDisabled(t *testing.T) {
@@ -129,108 +116,23 @@ func TestMergeParDisabled(t *testing.T) {
 	want, wantWork := MergeLCP(seqs)
 	pool := par.New(4)
 
-	got, work, busy := MergeLCPPar(pool, seqs, -1)
-	requireEqualMerge(t, "parMin<0", want, got, wantWork, work)
+	got, work, busy := Merge(pool, seqs, Options{LCP: true, ParMin: -1})
+	requireEqualMerge(t, "ParMin<0", want, got, wantWork, work)
 	if busy != 0 {
-		t.Fatalf("parMin<0: busy = %d, want 0", busy)
+		t.Fatalf("ParMin<0: busy = %d, want 0", busy)
 	}
 
-	got, work, busy = MergeLCPPar(pool, seqs, 1<<20)
+	got, work, busy = Merge(pool, seqs, Options{LCP: true, ParMin: 1 << 20})
 	requireEqualMerge(t, "below threshold", want, got, wantWork, work)
 	if busy != 0 {
 		t.Fatalf("below threshold: busy = %d, want 0", busy)
 	}
 }
 
-// TestMergeStreamParHandoff drives the streaming merge over SliceSources
-// with a Snapshot that starts succeeding after a countdown of polls, and
-// checks the handed-off partitioned finish is byte-identical to the fully
-// sequential streaming merge — including the work count — at several pool
-// widths and handoff points.
-func TestMergeStreamParHandoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	widths := []int{2, 3, 8}
-	countdowns := []int{0, 1, 3}
-	for trial := 0; trial < 30; trial++ {
-		k := 1 + rng.Intn(6)
-		sats := trial%2 == 0
-		seqs := genSeqs(rng, k, 120, sats)
-		for _, useLCP := range []bool{false, true} {
-			opt := StreamOptions{LCP: useLCP, Sats: sats}
-			want, wantWork := MergeStream(slices(seqs), opt)
-			for _, width := range widths {
-				for _, countdown := range countdowns {
-					srcs := slices(seqs)
-					polls := 0
-					popt := opt
-					popt.Pool = par.New(width)
-					popt.ParMin = 1
-					popt.Snapshot = func() ([]Sequence, bool) {
-						if polls < countdown {
-							polls++
-							return nil, false
-						}
-						return remainders(srcs, seqs, sats), true
-					}
-					got, work, _ := MergeStreamPar(srcs, popt)
-					label := fmt.Sprintf("trial=%d k=%d lcp=%v sats=%v width=%d countdown=%d",
-						trial, k, useLCP, sats, width, countdown)
-					requireEqualMerge(t, label, want, got, wantWork, work)
-				}
-			}
-		}
-	}
-}
-
-// TestMergeStreamParNoSnapshot pins the graceful fallback: a Snapshot that
-// never reports ready leaves the merge fully sequential and identical.
-func TestMergeStreamParNoSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	seqs := genSeqs(rng, 4, 200, true)
-	opt := StreamOptions{LCP: true, Sats: true}
-	want, wantWork := MergeStream(slices(seqs), opt)
-
-	popt := opt
-	popt.Pool = par.New(4)
-	popt.ParMin = 1
-	popt.Snapshot = func() ([]Sequence, bool) { return nil, false }
-	got, work, busy := MergeStreamPar(slices(seqs), popt)
-	requireEqualMerge(t, "never-ready snapshot", want, got, wantWork, work)
-	if busy != 0 {
-		t.Fatalf("never-ready snapshot: busy = %d, want 0", busy)
-	}
-}
-
-// slices wraps the sequences in fresh SliceSources.
-func slices(seqs []Sequence) []Source {
-	srcs := make([]Source, len(seqs))
-	for i := range seqs {
-		srcs[i] = &SliceSource{Seq: seqs[i]}
-	}
-	return srcs
-}
-
-// remainders materializes what is left of every source, entry 0 being the
-// current un-advanced head — the shape core's snapshot produces.
-func remainders(srcs []Source, seqs []Sequence, sats bool) []Sequence {
-	rem := make([]Sequence, len(srcs))
-	for i, s := range srcs {
-		ss := s.(*SliceSource)
-		rem[i] = Sequence{
-			Strings: seqs[i].Strings[ss.pos:],
-			LCPs:    seqs[i].LCPs[ss.pos:],
-		}
-		if sats {
-			rem[i].Sats = seqs[i].Sats[ss.pos:]
-		}
-	}
-	return rem
-}
-
-// FuzzMergeParallelEquivalence feeds arbitrary byte soup through both the
-// sequential and partitioned merges (eager and streaming-handoff) at
-// widths 1/2/3/8 and requires identical strings, LCPs, satellites and
-// work at every width.
+// FuzzMergeParallelEquivalence feeds arbitrary byte soup through the
+// sequential merge, the partitioned merge at widths 1/2/3/8 and the sink
+// merge, and requires identical strings, LCPs, satellites and work from
+// all of them.
 func FuzzMergeParallelEquivalence(f *testing.F) {
 	f.Add([]byte("ab\x00abc\x01b\x02"), uint8(3))
 	f.Add([]byte("\x00\x00\x01aaaa\x02aaab"), uint8(5))
@@ -249,38 +151,18 @@ func FuzzMergeParallelEquivalence(f *testing.F) {
 			seqs[q] = seqFromStrings(runs[q], true, uint64(q))
 		}
 		for _, useLCP := range []bool{false, true} {
-			var want Sequence
-			var wantWork int64
-			if useLCP {
-				want, wantWork = MergeLCP(seqs)
-			} else {
-				want, wantWork = Merge(seqs)
-			}
+			want, wantWork, _ := Merge(nil, seqs, Options{LCP: useLCP})
 			for _, width := range []int{1, 2, 3, 8} {
-				pool := par.New(width)
-				var got Sequence
-				var gotWork int64
-				if useLCP {
-					got, gotWork, _ = MergeLCPPar(pool, seqs, 1)
-				} else {
-					got, gotWork, _ = MergePar(pool, seqs, 1)
-				}
-				label := fmt.Sprintf("eager lcp=%v width=%d", useLCP, width)
+				got, gotWork, _ := Merge(par.New(width), seqs, Options{LCP: useLCP, ParMin: 1})
+				label := fmt.Sprintf("pool lcp=%v width=%d", useLCP, width)
 				requireEqualMerge(t, label, want, got, wantWork, gotWork)
 			}
-			// Streaming with an immediate snapshot at width 3.
-			srcs := slices(seqs)
-			got, gotWork, _ := MergeStreamPar(srcs, StreamOptions{
-				LCP:    useLCP,
-				Sats:   true,
-				Pool:   par.New(3),
-				ParMin: 1,
-				Snapshot: func() ([]Sequence, bool) {
-					return remainders(srcs, seqs, true), true
-				},
-			})
-			swant, swork := MergeStream(slices(seqs), StreamOptions{LCP: useLCP, Sats: true})
-			requireEqualMerge(t, fmt.Sprintf("stream lcp=%v", useLCP), swant, got, swork, gotWork)
+			var got Sequence
+			_, gotWork, err := MergeSink(sliceSources(seqs), useLCP, collectSink(&got, useLCP, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualMerge(t, fmt.Sprintf("sink lcp=%v", useLCP), want, got, wantWork, gotWork)
 		}
 	})
 }

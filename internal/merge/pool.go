@@ -5,15 +5,13 @@ import (
 	"sync"
 )
 
-// treeState is the pooled backing store shared by the eager tree and the
-// streaming tree: all arrays have capacity ≥ the padded leaf count of the
-// tree that borrowed them. heads/fetched are only used by streamTree.
+// treeState is the pooled backing store of a tree: all arrays have
+// capacity ≥ the padded leaf count of the tree that borrowed them.
 type treeState struct {
-	loser   []int
-	pos     []int
-	curH    []int32
-	heads   [][]byte
-	fetched []bool
+	loser []int
+	curH  []int32
+	heads [][]byte
+	sats  []uint64
 }
 
 // treePools holds one sync.Pool per power-of-two size class, mirroring
@@ -28,11 +26,10 @@ func getTreeState(k int) *treeState {
 		return st
 	}
 	return &treeState{
-		loser:   make([]int, k),
-		pos:     make([]int, k),
-		curH:    make([]int32, k),
-		heads:   make([][]byte, k),
-		fetched: make([]bool, k),
+		loser: make([]int, k),
+		curH:  make([]int32, k),
+		heads: make([][]byte, k),
+		sats:  make([]uint64, k),
 	}
 }
 
@@ -42,6 +39,5 @@ func putTreeState(st *treeState) {
 	}
 	// Drop string references so pooled state never pins input arenas.
 	clear(st.heads[:cap(st.heads)])
-	clear(st.fetched[:cap(st.fetched)])
 	treePools[stateClass(cap(st.loser))].Put(st)
 }

@@ -1,428 +1,84 @@
-// Streaming K-way merge: the same loser trees as merge.go, pulled over
-// Sources that may still be arriving. MergeStream is the Step-4 front-end
-// of the streaming exchange seam — the tree starts as soon as every run
-// can produce its FIRST head and from then on blocks only when the one
-// head it needs next has not been decoded yet (the blocking Head call is
-// where the caller drains more frames into its run readers).
+// The two ends of the loser tree: a Source is where a run comes from, a
+// Sink is where the merged items go. A resident run is a positioned slice
+// (sliceSource); the budget seam's runs are incremental readers over
+// frames and page files that may still be arriving (core's spill sources).
+// The pool merge sinks into pre-sized output slices (parallel.go); the
+// budget pipeline sinks into a sorted-run file writer through MergeSink, so
+// the merged run never accumulates in memory.
 //
 // Work-count identity: the comparison sequence of a loser tree is a pure
 // function of the head sequences, the per-head LCP values and the stream
-// count. MergeStream presents exactly the strings and LCPs the eager path
-// presents, pads to the same power-of-two tree and replays the same paths,
-// so the character work it reports is bit-identical to Merge/MergeLCP on
-// the same runs — asserted by the differential tests in stream_test.go.
-//
-// Parallel handoff: with a pool and a Snapshot callback, the streaming
-// tree periodically asks the caller whether the exchange has fully
-// arrived. Once it has, the live tree state is transplanted onto an eager
-// tree over the materialized remainders (same heads, same curH, same
-// losers — a pure continuation) and the rest of the merge runs through
-// the partitioned parallel path of parallel.go, preserving both the
-// early-start MergeLeadMS semantics and the byte-identical output/work
-// contract at every pool width.
+// count. Every merge of the package runs the same tree over the same
+// strings and LCPs, padded to the same power of two, so the character work
+// is bit-identical whether the runs are resident or paged and whether the
+// output is an arena or a file — asserted by sink_test.go and
+// parallel_test.go.
 package merge
 
-import (
-	"dss/internal/par"
-	"dss/internal/partition"
-)
-
-// Source is a pull-based sorted string run. Implementations are typically
-// backed by an incremental run reader over a partially received exchange
-// payload (see core's streaming seam); SliceSource adapts a materialized
-// Sequence.
+// Source is a pull-based sorted string run.
 //
-// Aliasing contract: the slice returned by Head must remain valid and
-// byte-identical until the caller is done with the merged output — the
-// loser tree caches heads across comparisons and the output Sequence
-// aliases them, exactly like the eager merge aliases its input runs. In
-// particular a Source must never hand out sub-slices of transport buffers
-// that are recycled afterwards; decode into stable, append-only storage
-// (wire.RunReader's arenas obey this). Violations corrupt the merge output
-// silently, which is why the contract is pinned by dedicated tests on both
-// the reader and the merge side.
+// Aliasing contract: a string returned by Next must stay valid and
+// byte-identical at least until the NEXT call to Next on the same source —
+// the tree caches it as the stream's head and hands it to the sink before
+// pulling again. Sources feeding the pool merge must keep their strings
+// valid for good (the output Sequence aliases them); sources feeding
+// MergeSink may recycle a string's storage once they are pulled past it. A
+// Source must never hand out sub-slices of transport buffers that are
+// recycled behind its back: decode into reader-owned storage
+// (wire.RunReader's arenas obey this).
 type Source interface {
-	// Head returns the run's current head, blocking until it is available;
-	// ok=false reports the run exhausted. Repeated calls without Advance
-	// return the same head. A live head must be NON-NIL — an empty string
-	// is an empty non-nil slice, as the wire decoders produce — because
-	// nil is the loser tree's +∞ exhausted sentinel: a nil head with
-	// ok=true would silently drop the rest of the run.
-	Head() (s []byte, ok bool)
-	// HeadLCP returns the LCP of the current head with the run's previous
-	// string (0 at the first string). Only called after a successful Head.
-	HeadLCP() int32
-	// HeadSat returns the current head's satellite word. Only called after
-	// a successful Head, and only when the merge runs with Sats.
-	HeadSat() uint64
-	// Advance consumes the current head.
-	Advance()
+	// Next consumes and returns the run's next string, blocking until it
+	// is available, together with its LCP with the run's previous string
+	// (ignored for the run's first string and by non-LCP merges) and its
+	// satellite word (0 without satellites). ok=false reports the run
+	// exhausted. A returned string must be NON-NIL — an empty string is an
+	// empty non-nil slice, as the wire decoders produce — because nil is
+	// the loser tree's +∞ exhausted sentinel: a nil string with ok=true
+	// would silently drop the rest of the run.
+	Next() (s []byte, lcp int32, sat uint64, ok bool)
 }
 
-// StreamOptions configure MergeStream.
-type StreamOptions struct {
-	// LCP selects the LCP-aware loser tree (and LCP output), like MergeLCP
-	// versus Merge.
-	LCP bool
-	// Sats carries one satellite word per string through the merge. Unlike
-	// the eager path, which sniffs Sats from the input runs, streaming
-	// callers declare it up front (the runs may not have arrived yet).
-	Sats bool
-	// OnFirstOutput, if set, is invoked exactly once, immediately before
-	// the tree emits its first merged string — the merge-start milestone
-	// the overlap accounting records. Not invoked for an empty merge.
-	OnFirstOutput func()
-	// Pool, if non-nil and wider than one, enables the parallel handoff:
-	// once Snapshot reports the exchange drained, the remainder of the
-	// merge is partitioned across the pool. With a nil/width-1 pool or a
-	// nil Snapshot the merge is fully sequential (the exact legacy path).
-	Pool *par.Pool
-	// ParMin gates the handoff's partitioned finish by remaining strings:
-	// 0 means DefaultParMin, negative disables partitioning (the handoff
-	// then continues on the single live tree).
-	ParMin int
-	// Snapshot, if set, is polled between outputs. It returns the fully
-	// materialized remainders of all sources (aligned with the sources
-	// slice, each remainder's entry 0 being the current un-advanced head)
-	// and ok=true when — and only when — every source can be drained
-	// without blocking. The merge commits to the snapshot as soon as it is
-	// offered: implementations may treat the materializing call as
-	// destructive (the sources are not pulled again afterwards).
-	Snapshot func() ([]Sequence, bool)
-	// Hooks report worker spans and partition seams of the partitioned
-	// finish to the timeline trace; zero value = disabled.
-	Hooks Hooks
-}
-
-// handoffPollEvery is how many outputs the streaming tree emits between
-// Snapshot polls. Polling is O(sources) per call; 64 keeps it invisible
-// while bounding the post-arrival sequential tail.
-const handoffPollEvery = 64
-
-// MergeStream merges the sources with a loser tree, pulling heads on
-// demand, and returns the merged run and the number of characters
-// inspected. The output is identical (strings, LCPs, satellites, work) to
-// Merge/MergeLCP over the fully materialized runs.
-func MergeStream(sources []Source, opt StreamOptions) (Sequence, int64) {
-	out, work, _ := MergeStreamPar(sources, opt)
-	return out, work
-}
-
-// MergeStreamPar is MergeStream with the parallel handoff enabled (see
-// StreamOptions.Pool/Snapshot); it additionally returns the pool busy-ns
-// accumulated by the partitioned finish.
-func MergeStreamPar(sources []Source, opt StreamOptions) (Sequence, int64, int64) {
-	k := 1
-	for k < len(sources) {
-		k <<= 1
-	}
-	st := getTreeState(k)
-	t := &streamTree{
-		k:       k,
-		loser:   st.loser[:k],
-		srcs:    sources,
-		heads:   st.heads[:len(sources)],
-		fetched: st.fetched[:len(sources)],
-		curH:    st.curH[:len(sources)],
-		useLCP:  opt.LCP,
-		state:   st,
-	}
-	clear(t.fetched)
-	clear(t.curH)
-	out := Sequence{Strings: make([][]byte, 0)}
-	if opt.LCP {
-		out.LCPs = make([]int32, 0)
-	}
-	if opt.Sats {
-		out.Sats = make([]uint64, 0)
-	}
-	handoff := opt.Snapshot != nil && opt.Pool != nil && !opt.Pool.Sequential()
-	winner := t.initNode(1)
-	first := true
-	for {
-		w := t.head(winner)
-		if w == nil {
-			break
-		}
-		if first {
-			first = false
-			if opt.OnFirstOutput != nil {
-				opt.OnFirstOutput()
-			}
-		}
-		out.Strings = append(out.Strings, w)
-		if opt.LCP {
-			out.LCPs = append(out.LCPs, t.curH[winner])
-		}
-		if opt.Sats {
-			out.Sats = append(out.Sats, t.srcs[winner].HeadSat())
-		}
-		// Advance the winner's stream; the new head's LCP with the last
-		// output is the stream's own LCP entry (see emit in merge.go).
-		t.srcs[winner].Advance()
-		t.fetched[winner] = false
-		if t.useLCP {
-			if t.head(winner) != nil {
-				t.curH[winner] = t.srcs[winner].HeadLCP()
-			} else {
-				t.curH[winner] = 0
-			}
-		}
-		// Replay the path from the winner's leaf to the root.
-		node := (winner + t.k) / 2
-		for node >= 1 {
-			if t.less(t.loser[node], winner) {
-				t.loser[node], winner = winner, t.loser[node]
-			}
-			node /= 2
-		}
-		// The tree is at a clean boundary (output emitted, stream advanced,
-		// path replayed): the right moment to hand the rest to the pool.
-		if handoff && len(out.Strings)%handoffPollEvery == 0 {
-			if rem, ok := opt.Snapshot(); ok {
-				t.winner = winner
-				return finishPartitioned(t, rem, out, opt)
-			}
-		}
-	}
-	if opt.LCP && len(out.LCPs) > 0 {
-		out.LCPs[0] = 0
-	}
-	work := t.work
-	t.release()
-	return out, work, 0
-}
-
-// finishPartitioned completes a streaming merge whose exchange has fully
-// arrived: the live streamTree state is transplanted onto an eager tree
-// over the materialized remainders (partition 0 — the sequential
-// continuation), and further partitions are cut by multisequence selection
-// and reseeded from their predecessor element exactly like MergePar. The
-// returned work (prefix + all partitions), output strings, LCPs and
-// satellites are byte-identical to the fully sequential streaming merge.
-// Releases t's pooled state.
-func finishPartitioned(t *streamTree, rem []Sequence, prefix Sequence, opt StreamOptions) (Sequence, int64, int64) {
-	total := 0
-	for _, s := range rem {
-		total += s.Len()
-	}
-	if total == 0 {
-		// The remainder is empty: the next head pull would have ended the
-		// loop anyway.
-		if opt.LCP && len(prefix.LCPs) > 0 {
-			prefix.LCPs[0] = 0
-		}
-		work := t.work
-		t.release()
-		return prefix, work, 0
-	}
-
-	done := prefix.Len()
-	out := Sequence{Strings: make([][]byte, done+total)}
-	copy(out.Strings, prefix.Strings)
-	if opt.LCP {
-		out.LCPs = make([]int32, done+total)
-		copy(out.LCPs, prefix.LCPs)
-	}
-	if opt.Sats {
-		out.Sats = make([]uint64, done+total)
-		copy(out.Sats, prefix.Sats)
-	}
-
-	// Transplant the live tree: rem[s].Strings[0] is the same arena slice
-	// as the cached head of stream s, so an eager tree at pos=0 with the
-	// streaming tree's losers, curH and winner is the exact continuation.
-	et := newTree(rem, opt.LCP)
-	if et.k != t.k {
-		panic("merge: handoff tree size mismatch")
-	}
-	copy(et.loser, t.loser)
-	copy(et.curH, t.curH)
-	et.winner = t.winner
-	et.work = t.work
-	t.release()
-
-	pool := opt.Pool
-	parts := 1
-	if min := resolveParMin(opt.ParMin); min >= 0 && total >= min {
-		if parts = pool.Cores(); parts > total {
-			parts = total
-		}
-	}
-
-	if parts <= 1 {
-		// Too little left to partition: finish on the transplanted tree.
-		var lcps []int32
-		if opt.LCP {
-			lcps = out.LCPs[done:]
-		}
-		var sats []uint64
-		if opt.Sats {
-			sats = out.Sats[done:]
-		}
-		et.emit(total, out.Strings[done:], lcps, sats)
-		work := et.work
-		et.release()
-		if opt.LCP {
-			out.LCPs[0] = 0
-		}
-		return out, work, 0
-	}
-
-	runs := make([][][]byte, len(rem))
-	for i, s := range rem {
-		runs[i] = s.Strings
-	}
-	cuts := partition.SplitPoints(runs, nil, parts)
-	bounds := make([]int, parts+1)
-	for j := 1; j <= parts; j++ {
-		n := 0
-		for q := range runs {
-			n += cuts[j][q]
-		}
-		bounds[j] = n
-	}
-	if opt.Hooks.OnPartition != nil {
-		opt.Hooks.OnPartition(bounds)
-	}
-
-	works := make([]int64, parts)
-	busy := pool.ForEachObs(parts, func(j int) {
-		lo, hi := bounds[j], bounds[j+1]
-		if lo == hi {
-			// Unreachable (parts ≤ total makes every bound strictly
-			// increasing), but partition 0's prefix work must never be lost.
-			if j == 0 {
-				works[j] = et.work
-				et.release()
-			}
-			return
-		}
-		var lcps []int32
-		if opt.LCP {
-			lcps = out.LCPs[done+lo : done+hi]
-		}
-		var sats []uint64
-		if opt.Sats {
-			sats = out.Sats[done+lo : done+hi]
-		}
-		pt := et // partition 0 continues the transplanted tree
-		if j > 0 {
-			pt = newTree(rem, opt.LCP)
-			copy(pt.pos, cuts[j])
-			pt.reseed(predecessor(rem, cuts[j]))
-		}
-		pt.emit(hi-lo, out.Strings[done+lo:done+hi], lcps, sats)
-		works[j] = pt.work
-		pt.release()
-	}, opt.Hooks.Obs)
-
-	var work int64
-	for _, w := range works {
-		work += w
-	}
-	if opt.LCP {
-		out.LCPs[0] = 0
-	}
-	return out, work, busy
-}
-
-// streamTree is the loser tree of merge.go with the head cache pulled from
-// Sources instead of indexed slices. The comparison logic is shared with
-// the eager tree through the lessHeads helpers so the two cannot drift,
-// and the backing arrays come from the same size-classed pool.
-type streamTree struct {
-	k       int
-	loser   []int
-	srcs    []Source
-	heads   [][]byte // cached current heads; valid where fetched
-	fetched []bool
-	curH    []int32
-	useLCP  bool
-	work    int64
-	winner  int // stashed at handoff time for the transplant
-	state   *treeState
-}
-
-// release returns the tree's backing arrays to the package pool.
-func (t *streamTree) release() {
-	putTreeState(t.state)
-	t.state = nil
-}
-
-// head returns the cached head of stream s, pulling (and possibly
-// blocking on) the source the first time after an Advance. nil is the +∞
-// sentinel of an exhausted or padding stream.
-func (t *streamTree) head(s int) []byte {
-	if s >= len(t.srcs) {
-		return nil
-	}
-	if !t.fetched[s] {
-		h, ok := t.srcs[s].Head()
-		if !ok {
-			h = nil
-		}
-		t.heads[s] = h
-		t.fetched[s] = true
-	}
-	return t.heads[s]
-}
-
-func (t *streamTree) less(a, b int) bool {
-	if t.useLCP {
-		return lessHeadsLCP(t.head(a), t.head(b), a, b, t.curH, &t.work)
-	}
-	return lessHeadsPlain(t.head(a), t.head(b), a, b, &t.work)
-}
-
-// initNode plays the initial tournament of the subtree rooted at node and
-// returns its winner stream (identical to tree.initNode).
-func (t *streamTree) initNode(node int) int {
-	if node >= t.k {
-		return node - t.k
-	}
-	l := t.initNode(2 * node)
-	r := t.initNode(2*node + 1)
-	if t.less(l, r) {
-		t.loser[node] = r
-		return l
-	}
-	t.loser[node] = l
-	return r
-}
-
-// SliceSource adapts a fully materialized Sequence to the Source
-// interface: the eager inputs replayed through the streaming front-end,
-// used by the differential tests and by callers that mix ready and
-// arriving runs.
-type SliceSource struct {
-	Seq Sequence
+// sliceSource is a resident run: a Sequence and a read position.
+type sliceSource struct {
+	seq Sequence
 	pos int
 }
 
-// Head returns the current head of the sequence.
-func (s *SliceSource) Head() ([]byte, bool) {
-	if s.pos >= s.Seq.Len() {
-		return nil, false
+func (s *sliceSource) Next() ([]byte, int32, uint64, bool) {
+	i := s.pos
+	if i >= len(s.seq.Strings) {
+		return nil, 0, 0, false
 	}
-	return s.Seq.Strings[s.pos], true
+	s.pos = i + 1
+	var lcp int32
+	if s.seq.LCPs != nil {
+		lcp = s.seq.LCPs[i]
+	}
+	var sat uint64
+	if s.seq.Sats != nil {
+		sat = s.seq.Sats[i]
+	}
+	return s.seq.Strings[i], lcp, sat, true
 }
 
-// HeadLCP returns the current head's LCP entry.
-func (s *SliceSource) HeadLCP() int32 {
-	if s.Seq.LCPs == nil {
-		return 0
-	}
-	return s.Seq.LCPs[s.pos]
-}
+// Sink receives one merged item: the string, its LCP with the previous
+// output (0 for the first; 0 throughout for non-LCP merges) and its
+// satellite word (0 without satellites). The string is only guaranteed
+// valid for the duration of the call — sources may recycle their storage
+// once they are pulled past it — so a sink that keeps it must copy.
+type Sink func(s []byte, lcp int32, sat uint64) error
 
-// HeadSat returns the current head's satellite word.
-func (s *SliceSource) HeadSat() uint64 {
-	if s.Seq.Sats == nil {
-		return 0
-	}
-	return s.Seq.Sats[s.pos]
+// MergeSink merges the sources through the loser tree (LCP-aware if lcp)
+// and pushes every output item into sink, in order. The item sequence and
+// the returned character work are bit-identical to Merge over the same
+// runs. The merge is sequential — an incrementally written output has no
+// partition boundaries to hand off to. A sink error aborts the merge and
+// is returned with the count of items sunk before it; sources are left
+// mid-run (the caller's cleanup owns them).
+func MergeSink(sources []Source, lcp bool, sink Sink) (n int64, work int64, err error) {
+	t := newTree(sources, lcp)
+	defer t.release()
+	t.init()
+	m, err := t.emit(-1, sink)
+	return int64(m), t.work, err
 }
-
-// Advance consumes the current head.
-func (s *SliceSource) Advance() { s.pos++ }

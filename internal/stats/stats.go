@@ -119,11 +119,11 @@ type PE struct {
 	Cores int64
 	CPU   [NumPhases]int64
 	// MergeStartNS and ExchangeDoneNS are wall-clock milestones of the
-	// streaming merge seam, in UnixNano (0 = not recorded). MergeStartNS is
-	// stamped when the Step-4 loser tree emits its first merged string;
+	// budget seam, in UnixNano (0 = not recorded). MergeStartNS is stamped
+	// when the Step-4 sink merge emits its first merged string;
 	// ExchangeDoneNS when the LAST Step-3 payload of the chunked exchange
-	// arrived. MergeStartNS < ExchangeDoneNS is the streaming seam's
-	// headline: merging began while exchange frames were still in flight.
+	// arrived. MergeStartNS < ExchangeDoneNS means merging began while
+	// exchange frames were still in flight.
 	// Like Wall and Overlap these are measurements, never model inputs.
 	MergeStartNS   int64
 	ExchangeDoneNS int64
@@ -414,7 +414,7 @@ func (r *Report) TotalOverlapNS() int64 {
 	return o
 }
 
-// MaxMergeLeadNS returns the streaming seam's merge lead: the maximum over
+// MaxMergeLeadNS returns the budget seam's merge lead: the maximum over
 // PEs of how long before its last Step-3 arrival the PE's loser tree
 // emitted the first merged string. Positive means merging demonstrably
 // began while exchange frames were still in flight; 0 means the milestone

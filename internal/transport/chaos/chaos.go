@@ -141,7 +141,6 @@ type Endpoint struct {
 	cfg     Config
 	rank    int
 	rng     *rand.Rand
-	poller  transport.AnyPoller   // inner's, if present
 	dropper transport.ConnDropper // inner's, if present
 
 	// Send-path state (PE goroutine only).
@@ -212,7 +211,6 @@ func Wrap(t transport.Transport, cfg Config) *Endpoint {
 	// splitmix-style rank mixing: endpoints of one run share the seed but
 	// draw independent sequences.
 	e.rng = rand.New(rand.NewSource(int64(cfg.Seed ^ (uint64(t.Rank())+1)*0x9E3779B97F4A7C15)))
-	e.poller, _ = t.(transport.AnyPoller)
 	e.dropper, _ = t.(transport.ConnDropper)
 	if cfg.DropEvery > 0 {
 		e.nextDrop = 1 + e.rng.Intn(cfg.DropEvery)
@@ -361,15 +359,6 @@ func (e *Endpoint) Recv(src, tag int) []byte { return e.inner.Recv(src, tag) }
 // RecvAny delegates to the wrapped transport.
 func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	return e.inner.RecvAny(srcs, tag)
-}
-
-// TryRecvAny delegates the transport.AnyPoller capability when the wrapped
-// transport provides it.
-func (e *Endpoint) TryRecvAny(srcs []int, tag int) (int, []byte, time.Time, bool) {
-	if e.poller == nil {
-		panic(fmt.Sprintf("chaos: wrapped transport %T does not implement transport.AnyPoller", e.inner))
-	}
-	return e.poller.TryRecvAny(srcs, tag)
 }
 
 // Release delegates buffer recycling to the wrapped transport.

@@ -176,29 +176,6 @@ func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	return src, e.decodeFrame(src, data), arrived
 }
 
-// TryRecvAny is the non-blocking variant of RecvAny: available exactly when
-// the wrapped transport implements transport.AnyPoller, in which case the
-// frame is decoded at pickup like RecvAny. With an inner transport that
-// lacks the capability it reports not-ready forever, which consumers treat
-// as "capability absent" (they must type-assert the decorated endpoint
-// anyway — this method only exists when the assertion on the decorator
-// succeeds, and the decorator always defines it, so it degrades by
-// delegation instead).
-func (e *Endpoint) TryRecvAny(srcs []int, tag int) (int, []byte, time.Time, bool) {
-	p, ok := e.inner.(transport.AnyPoller)
-	if !ok {
-		return -1, nil, time.Time{}, false
-	}
-	src, data, arrived, got := p.TryRecvAny(srcs, tag)
-	if !got {
-		return -1, nil, time.Time{}, false
-	}
-	if src == e.rank {
-		return src, data, arrived, true
-	}
-	return src, e.decodeFrame(src, data), arrived, true
-}
-
 // decodeFrame meters the wire bytes and restores the raw payload. Corrupt
 // frames are infrastructure errors and panic, like every transport
 // delivery failure.

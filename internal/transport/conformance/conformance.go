@@ -43,7 +43,6 @@ func Run(t *testing.T, newFabric Factory) {
 		{"EagerSendsNoDeadlock", 4, testEagerSends},
 		{"RecvAnyDrainsAllSources", 5, testRecvAnyDrains},
 		{"RecvAnyTagSelective", 2, testRecvAnyTagSelective},
-		{"TryRecvAnyNonBlocking", 3, testTryRecvAny},
 		{"ConcurrentStress", 5, testConcurrentStress},
 		{"GiveDeliversByteExact", 2, testGiveExact},
 		{"GiveAndSendNonOvertaking", 2, testGiveSendOrder},
@@ -341,67 +340,6 @@ func testRecvAnyTagSelective(t *testing.T, f transport.Fabric) {
 		}
 		if got := tr.Recv(0, 10); string(got) != "decoy" {
 			return fmt.Errorf("tag 10 after RecvAny: got %q", got)
-		}
-		return nil
-	})
-}
-
-// testTryRecvAny checks the optional transport.AnyPoller capability, which
-// both built-in backends provide: an empty queue reports not-ready without
-// blocking, queued messages are handed out earliest-arrival-first and
-// tag-selectively, and the primitive interoperates with targeted Recv.
-func testTryRecvAny(t *testing.T, f transport.Fabric) {
-	runPEs(t, f, func(tr transport.Transport) error {
-		poller, ok := tr.(transport.AnyPoller)
-		if !ok {
-			return fmt.Errorf("endpoint %T does not implement transport.AnyPoller", tr)
-		}
-		srcs := []int{0, 1, 2}
-		if tr.Rank() != 0 {
-			// Rendezvous: wait for go-ahead, then send one message.
-			tr.Recv(0, 1)
-			tr.Send(0, 9, []byte{byte(tr.Rank())})
-			return nil
-		}
-		// Nothing has been sent yet: must report not-ready, not block.
-		if _, _, _, got := poller.TryRecvAny(srcs, 9); got {
-			return fmt.Errorf("TryRecvAny reported a message on an empty queue")
-		}
-		tr.Send(1, 1, nil)
-		tr.Send(2, 1, nil)
-		tr.Send(0, 8, []byte("decoy")) // wrong tag: must stay invisible
-		tr.Send(0, 9, []byte{0})       // self-send is a valid source
-		seen := make([]bool, 3)
-		var prev time.Time
-		for n := 0; n < 3; {
-			src, data, arrived, got := poller.TryRecvAny(srcs, 9)
-			if !got {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			if len(data) != 1 || int(data[0]) != src {
-				return fmt.Errorf("TryRecvAny: payload %v from %d", data, src)
-			}
-			if seen[src] {
-				return fmt.Errorf("TryRecvAny returned source %d twice", src)
-			}
-			if arrived.IsZero() || arrived.After(time.Now()) {
-				return fmt.Errorf("TryRecvAny: implausible arrival stamp %v", arrived)
-			}
-			if arrived.Before(prev.Add(-time.Millisecond)) {
-				return fmt.Errorf("TryRecvAny out of arrival order: %v from %d after %v", arrived, src, prev)
-			}
-			prev = arrived
-			seen[src] = true
-			tr.Release(data)
-			n++
-		}
-		// The queue is drained again; the decoy is still there for Recv.
-		if _, _, _, got := poller.TryRecvAny(srcs, 9); got {
-			return fmt.Errorf("TryRecvAny found a message after draining")
-		}
-		if got := tr.Recv(0, 8); string(got) != "decoy" {
-			return fmt.Errorf("decoy after TryRecvAny drain: %q", got)
 		}
 		return nil
 	})

@@ -119,27 +119,6 @@ func (e *endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	return srcs[i], data, arrived
 }
 
-// TryRecvAny is the non-blocking variant of RecvAny (the transport.AnyPoller
-// capability): it returns a queued matching message if one is already
-// receivable, ok=false otherwise, and never blocks.
-func (e *endpoint) TryRecvAny(srcs []int, tag int) (int, []byte, time.Time, bool) {
-	if len(srcs) == 0 {
-		panic("transport/local: TryRecvAny needs at least one source")
-	}
-	boxes := make([]*transport.Mailbox, len(srcs))
-	for i, src := range srcs {
-		if src < 0 || src >= e.m.p {
-			panic(fmt.Sprintf("transport/local: recv from invalid rank %d (P=%d)", src, e.m.p))
-		}
-		boxes[i] = e.m.boxes[e.rank][src]
-	}
-	i, data, arrived, ok := transport.TryPopAny(boxes, tag)
-	if !ok {
-		return -1, nil, time.Time{}, false
-	}
-	return srcs[i], data, arrived, true
-}
-
 // Release returns payload buffers to this PE's pool for reuse by future
 // Allocs.
 func (e *endpoint) Release(bufs ...[]byte) {

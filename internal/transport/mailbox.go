@@ -155,35 +155,6 @@ func signal(ch chan<- struct{}) {
 // the channel until a Push signals it. Registering before the scan makes
 // lost wakeups impossible: a Push either precedes the scan (the scan finds
 // the message) or follows the registration (the channel is signalled).
-// TryPopAny is the non-blocking variant of PopAny: one scan over the boxes,
-// popping the earliest-arrived match if any is already queued. ok=false
-// means nothing was receivable at scan time (including the all-closed
-// case — TryPopAny cannot distinguish "not yet" from "never", that is the
-// blocking call's job). The same single-receiver contract applies.
-func TryPopAny(boxes []*Mailbox, tag int) (idx int, data []byte, arrived time.Time, ok bool) {
-	best := -1
-	var bestAt time.Time
-	for i, b := range boxes {
-		b.mu.Lock()
-		env, got := b.peekLocked(tag)
-		b.mu.Unlock()
-		if got && (best < 0 || env.at.Before(bestAt)) {
-			best, bestAt = i, env.at
-		}
-	}
-	if best < 0 {
-		return -1, nil, time.Time{}, false
-	}
-	b := boxes[best]
-	b.mu.Lock()
-	env, got := b.popLocked(tag)
-	b.mu.Unlock()
-	if !got {
-		panic("transport: TryPopAny mailbox drained concurrently (receiver not single-goroutine)")
-	}
-	return best, env.data, env.at, true
-}
-
 func PopAny(boxes []*Mailbox, tag int) (idx int, data []byte, arrived time.Time, ok bool) {
 	var ch chan struct{}
 	for {

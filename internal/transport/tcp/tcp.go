@@ -1221,27 +1221,6 @@ func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	return srcs[i], data, arrived
 }
 
-// TryRecvAny is the non-blocking variant of RecvAny (the transport.AnyPoller
-// capability): it returns a queued matching frame if one is already
-// receivable, ok=false otherwise, and never blocks.
-func (e *Endpoint) TryRecvAny(srcs []int, tag int) (int, []byte, time.Time, bool) {
-	if len(srcs) == 0 {
-		panic("transport/tcp: TryRecvAny needs at least one source")
-	}
-	boxes := make([]*transport.Mailbox, len(srcs))
-	for i, src := range srcs {
-		if src < 0 || src >= e.p {
-			panic(fmt.Sprintf("transport/tcp: recv from invalid rank %d (P=%d)", src, e.p))
-		}
-		boxes[i] = e.boxes[src]
-	}
-	i, data, arrived, ok := transport.TryPopAny(boxes, tag)
-	if !ok {
-		return -1, nil, time.Time{}, false
-	}
-	return srcs[i], data, arrived, true
-}
-
 // Release returns payload buffers to the endpoint's pool; future incoming
 // frames reuse them.
 func (e *Endpoint) Release(bufs ...[]byte) {

@@ -87,18 +87,6 @@ func SendCopy(t Transport, dst, tag int, data []byte) {
 	t.Give(dst, tag, buf)
 }
 
-// AnyPoller is an optional capability of a Transport: a non-blocking
-// variant of RecvAny. TryRecvAny returns the earliest-arrived pending
-// message with the given tag among the listed sources, or ok=false when
-// nothing is currently receivable — it never blocks and never panics on a
-// merely-empty queue. Both built-in backends (and the codec decorator over
-// them) implement it; consumers must type-assert and degrade gracefully
-// when the capability is absent, since Transport implementations outside
-// this module are not required to provide it.
-type AnyPoller interface {
-	TryRecvAny(srcs []int, tag int) (src int, data []byte, arrived time.Time, ok bool)
-}
-
 // ConnDropper is an optional capability of a Transport: fault injection
 // for backends with real connections. DropConn arms a one-shot trap on the
 // connection to peer — the next write to that peer is truncated after

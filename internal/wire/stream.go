@@ -1,10 +1,10 @@
-// Incremental run decoding for the streaming merge: a RunReader consumes an
+// Incremental run decoding for the budget seam: a RunReader consumes an
 // encoded Step-3 run chunk by chunk — sliced at ARBITRARY byte boundaries,
-// as the chunked exchange delivers it — and yields decoded strings on
-// demand, resumable mid-frame. The decoded output is identical, string for
-// string and LCP for LCP, to the corresponding one-shot decoder
-// (DecodeStrings / DecodeStringsLCP / their composite layouts): the
-// streaming seam must not change a single byte of what the merge sees.
+// as the chunked exchange and the spill page files deliver it — and yields
+// decoded strings on demand, resumable mid-frame. The decoded output is
+// identical, string for string and LCP for LCP, to the corresponding
+// one-shot decoder (DecodeStrings / DecodeStringsLCP): the budget seam must
+// not change a single byte of what the merge sees.
 //
 // Aliasing contract: decoded strings NEVER alias the fed chunks. Every
 // character is copied into reader-owned arenas, so callers may recycle (or
@@ -12,8 +12,8 @@
 // chunks come from the transport's buffer pool and are released
 // immediately. Arenas are append-only and never overwritten, so a string
 // handed out by Next stays valid and immutable for the lifetime of the
-// reader's output (the loser tree caches heads and the merged Sequence
-// aliases them; see merge.Source for the consuming side of the contract).
+// reader's output, or until the caller takes their lifetime over with
+// Recycle (see merge.Source for the consuming side of the contract).
 package wire
 
 import "encoding/binary"
@@ -28,35 +28,17 @@ const (
 	// strings (MS-simple and FKmerge).
 	RunStrings RunFormat = iota
 	// RunStringsLCP is the EncodeStringsLCP layout: count, then per string
-	// the LCP with the predecessor and the remaining suffix (MS).
+	// the LCP with the predecessor and the remaining suffix (MS, and the
+	// prefix blob of a PDMS bucket).
 	RunStringsLCP
-	// RunTagged is the (string, uint64) pair layout of hQuick's
-	// redistribution payloads: count, then per item a length-prefixed
-	// string followed by a varint tag.
-	RunTagged
-	// RunPrefixOrigins is PDMS's composite layout: a length-prefixed
-	// RunStringsLCP blob followed by a length-prefixed origin blob (count,
-	// then one varint origin per string). Strings become available only
-	// when their origin has also been decoded — the merge outputs
-	// (prefix, origin) pairs, never one without the other.
-	RunPrefixOrigins
 )
 
-// Item is one decoded string of a run: the string itself, its LCP with the
-// run's previous string (0 for the first, and always 0 for non-LCP
-// formats), and its satellite word (tag or origin; 0 for plain formats).
+// Item is one decoded string of a run: the string itself and its LCP with
+// the run's previous string (0 for the first, and always 0 for RunStrings).
 type Item struct {
 	S   []byte
 	LCP int32
-	Sat uint64
 }
-
-// maxSectionLen bounds a declared section length of the composite format;
-// it mirrors the transports' frame limit. A length varint beyond it cannot
-// belong to a real message (and would overflow the int section budget), so
-// it is rejected as corruption instead of waiting for 2 GiB that will
-// never arrive.
-const maxSectionLen = 1<<31 - 1
 
 // parse status of one pump step.
 type status int
@@ -67,19 +49,12 @@ const (
 	stFail
 )
 
-// state machine positions. Plain formats use stCount→stItem→stDone; the
-// composite RunPrefixOrigins walks all of them.
+// state machine positions: the count varint, the string records, the end.
 type rrState int
 
 const (
-	rrBlobLen rrState = iota
-	rrCount
+	rrCount rrState = iota
 	rrItem
-	rrSkipBlob
-	rrOblobLen
-	rrOCount
-	rrOrigin
-	rrSkipOblob
 	rrDone
 )
 
@@ -96,27 +71,21 @@ type RunReader struct {
 
 	st  rrState
 	cnt uint64 // declared string count (valid from state > rrCount)
-	sec int    // remaining bytes of the current bounded section; -1 = unbounded
 
 	arena   []byte // decoded characters; items' strings are sub-slices
 	prev    []byte // previously decoded string, for LCP rematerialization
 	items   []Item // decoded items awaiting emission (minus the recycled prefix)
 	base    int    // items dropped from the front of items by Recycle
-	norigin int    // origins attached so far, run-total (RunPrefixOrigins)
 	emitted int    // items handed out by Next, run-total
 }
 
 // NewRunReader returns a reader for one run in the given format.
 func NewRunReader(format RunFormat) *RunReader {
-	st := rrCount
-	if format == RunPrefixOrigins {
-		st = rrBlobLen
-	}
 	// The arena starts non-nil so that every decoded string — including an
 	// empty string at the very start of the run — is a non-nil slice, like
 	// the one-shot decoders produce. A nil head would read as the loser
 	// tree's +∞ exhausted sentinel and silently drop the rest of the run.
-	return &RunReader{format: format, st: st, sec: -1, arena: []byte{}}
+	return &RunReader{format: format, arena: []byte{}}
 }
 
 // Feed appends the next chunk of the encoded run. The chunk is copied; the
@@ -152,9 +121,6 @@ func (r *RunReader) Done() bool {
 	return r.err == nil && r.st == rrDone && r.emitted == int(r.cnt)
 }
 
-// Err returns the first decoding error, if any.
-func (r *RunReader) Err() error { return r.err }
-
 // Next returns the next decoded string of the run. ok=false with a nil
 // error means no string is available yet: more chunks are needed, or —
 // when Done reports true — the run is complete. The returned Item's string
@@ -163,7 +129,7 @@ func (r *RunReader) Next() (Item, bool, error) {
 	if r.err != nil {
 		return Item{}, false, r.err
 	}
-	if r.emitted < r.available() {
+	if r.emitted < r.decoded() {
 		it := r.items[r.emitted-r.base]
 		r.items[r.emitted-r.base] = Item{} // drop the reader's alias early
 		r.emitted++
@@ -176,16 +142,6 @@ func (r *RunReader) Next() (Item, bool, error) {
 		return Item{}, false, r.err
 	}
 	return Item{}, false, nil
-}
-
-// available counts the items ready for emission (as a run-total, comparable
-// to emitted): decoded strings, capped by decoded origins for the composite
-// format.
-func (r *RunReader) available() int {
-	if r.format == RunPrefixOrigins {
-		return r.norigin
-	}
-	return r.base + len(r.items)
 }
 
 // decoded returns the run-total number of strings decoded so far.
@@ -228,81 +184,22 @@ func (r *RunReader) Recycle() int {
 func (r *RunReader) pump() {
 	for r.err == nil {
 		switch r.st {
-		case rrBlobLen:
-			v, s := r.uvarint()
-			if s != stOK {
-				return
-			}
-			if v > maxSectionLen {
-				r.err = ErrCorrupt
-				return
-			}
-			r.sec = int(v)
-			r.st = rrCount
 		case rrCount:
 			v, s := r.uvarint()
 			if s != stOK {
 				return
 			}
 			r.cnt = v
-			if v == 0 {
-				r.st = r.afterItems()
-				continue
-			}
 			r.st = rrItem
+			if v == 0 {
+				r.st = rrDone
+			}
 		case rrItem:
 			if s := r.item(); s != stOK {
 				return
 			}
 			if uint64(r.decoded()) == r.cnt {
-				r.st = r.afterItems()
-			}
-		case rrSkipBlob, rrSkipOblob:
-			if s := r.skipSection(); s != stOK {
-				return
-			}
-			if r.st == rrSkipBlob {
-				r.sec = -1
-				r.st = rrOblobLen
-			} else {
 				r.st = rrDone
-			}
-		case rrOblobLen:
-			v, s := r.uvarint()
-			if s != stOK {
-				return
-			}
-			if v > maxSectionLen {
-				r.err = ErrCorrupt
-				return
-			}
-			r.sec = int(v)
-			r.st = rrOCount
-		case rrOCount:
-			v, s := r.uvarint()
-			if s != stOK {
-				return
-			}
-			if v != r.cnt {
-				// The one-shot path rejects origin/string count mismatches;
-				// so does the streaming one.
-				r.err = ErrCorrupt
-				return
-			}
-			if v == 0 {
-				r.st = rrSkipOblob
-				continue
-			}
-			r.st = rrOrigin
-		case rrOrigin:
-			v, s := r.uvarint()
-			if s != stOK {
-				return
-			}
-			r.items[r.norigin-r.base].Sat = v
-			r.norigin++
-			if uint64(r.norigin) == r.cnt {
-				r.st = rrSkipOblob
 			}
 		case rrDone:
 			return
@@ -310,41 +207,11 @@ func (r *RunReader) pump() {
 	}
 }
 
-// afterItems returns the state following the last decoded string. For the
-// composite format the remaining blob bytes (if any) are skipped, like the
-// one-shot decoder ignores a blob tail.
-func (r *RunReader) afterItems() rrState {
-	if r.format == RunPrefixOrigins {
-		return rrSkipBlob
-	}
-	return rrDone
-}
-
-// window returns the parseable bytes: the buffered tail, capped at the
-// current section budget. capped reports that the cap (not the buffer end)
-// bounds the window — running out of a capped window is corruption-grade
-// truncation, not a need for more chunks.
-func (r *RunReader) window() (win []byte, capped bool) {
-	win = r.pending[r.off:]
-	if r.sec >= 0 && r.sec < len(win) {
-		return win[:r.sec], true
-	}
-	return win, false
-}
-
-// consume commits n parsed bytes.
-func (r *RunReader) consume(n int) {
-	r.off += n
-	if r.sec >= 0 {
-		r.sec -= n
-	}
-}
-
-// short classifies an incomplete parse: within an exhausted section or
-// after Finish the bytes can never arrive (ErrTruncated, matching the
-// one-shot decoders); otherwise more chunks are simply needed.
-func (r *RunReader) short(capped bool) status {
-	if capped || r.finished {
+// short classifies an incomplete parse: after Finish the bytes can never
+// arrive (ErrTruncated, matching the one-shot decoders); otherwise more
+// chunks are simply needed.
+func (r *RunReader) short() status {
+	if r.finished {
 		r.err = ErrTruncated
 		return stFail
 	}
@@ -353,23 +220,22 @@ func (r *RunReader) short(capped bool) status {
 
 // uvarint parses one varint at the read position.
 func (r *RunReader) uvarint() (uint64, status) {
-	win, capped := r.window()
-	v, n := binary.Uvarint(win)
+	v, n := binary.Uvarint(r.pending[r.off:])
 	if n > 0 {
-		r.consume(n)
+		r.off += n
 		return v, stOK
 	}
 	if n < 0 {
 		r.err = ErrCorrupt
 		return 0, stFail
 	}
-	return 0, r.short(capped)
+	return 0, r.short()
 }
 
 // item transactionally parses one string record: nothing is consumed
 // unless the whole record is available.
 func (r *RunReader) item() status {
-	win, capped := r.window()
+	win := r.pending[r.off:]
 	pos := 0
 	next := func() (uint64, status) {
 		v, n := binary.Uvarint(win[pos:])
@@ -381,37 +247,26 @@ func (r *RunReader) item() status {
 			r.err = ErrCorrupt
 			return 0, stFail
 		}
-		return 0, r.short(capped)
+		return 0, r.short()
 	}
 
-	var h, length, sat uint64
+	var h, length uint64
 	var s status
-	switch r.format {
-	case RunStringsLCP, RunPrefixOrigins:
+	if r.format == RunStringsLCP {
 		if h, s = next(); s != stOK {
 			return s
 		}
-		if length, s = next(); s != stOK {
-			return s
-		}
-	default: // RunStrings, RunTagged
-		if length, s = next(); s != stOK {
-			return s
-		}
+	}
+	if length, s = next(); s != stOK {
+		return s
 	}
 	if length > uint64(len(win)-pos) {
-		return r.short(capped)
+		return r.short()
 	}
 	body := win[pos : pos+int(length)]
 	pos += int(length)
-	if r.format == RunTagged {
-		if sat, s = next(); s != stOK {
-			return s
-		}
-	}
 
-	switch r.format {
-	case RunStringsLCP, RunPrefixOrigins:
+	if r.format == RunStringsLCP {
 		// Mirror the one-shot validation: the first string carries no
 		// prefix, and no prefix may exceed the predecessor's length.
 		if (r.decoded() == 0 && h != 0) || h > uint64(len(r.prev)) {
@@ -425,31 +280,12 @@ func (r *RunReader) item() status {
 		str := r.arena[off:end:end]
 		r.prev = str
 		r.items = append(r.items, Item{S: str, LCP: int32(h)})
-	default:
+	} else {
 		off := len(r.arena)
 		r.arena = append(r.arena, body...)
 		end := len(r.arena)
-		r.items = append(r.items, Item{S: r.arena[off:end:end], Sat: sat})
+		r.items = append(r.items, Item{S: r.arena[off:end:end]})
 	}
-	r.consume(pos)
+	r.off += pos
 	return stOK
-}
-
-// skipSection discards the remainder of the current bounded section.
-func (r *RunReader) skipSection() status {
-	avail := len(r.pending) - r.off
-	n := r.sec
-	if n > avail {
-		n = avail
-	}
-	r.off += n
-	r.sec -= n
-	if r.sec == 0 {
-		return stOK
-	}
-	if r.finished {
-		r.err = ErrTruncated
-		return stFail
-	}
-	return stNeedMore
 }

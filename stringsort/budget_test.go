@@ -63,7 +63,7 @@ func budgetInvariant(st Stats) Stats {
 const (
 	testBudget   = 4 << 10
 	testPage     = 512
-	testChunk    = 512
+	testChunk    = testPage // the budget seam's frame bound: min(8 KiB, page)
 	testPEs      = 4
 	testPerPE    = 4000
 	testOverhead = testPEs*testChunk + 16*testPage // arrival overshoot + write-behind/pinned slack
@@ -86,7 +86,7 @@ func TestBudgetDifferential(t *testing.T) {
 	inputs := genInputs(rng, testPEs, testPerPE)
 	for _, algo := range []Algorithm{FKMerge, MSSimple, MS, PDMS, PDMSGolomb, HQuick} {
 		t.Run(algo.String(), func(t *testing.T) {
-			base := Config{Algorithm: algo, Seed: 21, Validate: true, StreamChunk: testChunk}
+			base := Config{Algorithm: algo, Seed: 21, Validate: true}
 			ram, err := Sort(inputs, base)
 			if err != nil {
 				t.Fatalf("in-RAM sort: %v", err)
@@ -160,23 +160,22 @@ func TestBudgetDifferential(t *testing.T) {
 }
 
 // TestBudgetAcrossSeamsAndTransports pins the spilling run's output and
-// deterministic statistics across the exchange seams (split vs blocking),
-// the merge front-ends (eager vs streaming flag — budget mode runs the
-// chunked machinery either way) and the transports (local vs TCP).
+// deterministic statistics across the exchange disciplines (split vs
+// blocking) and the transports (local vs TCP).
 func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 	rng := rand.New(rand.NewSource(809))
 	inputs := genInputs(rng, testPEs, testPerPE)
-	base := Config{Algorithm: MS, Seed: 33, Validate: true, StreamChunk: testChunk}
+	base := Config{Algorithm: MS, Seed: 33, Validate: true}
 
 	type variant struct {
 		name string
 		mut  func(*Config)
 	}
 	variants := []variant{
-		{"eager-local", func(c *Config) {}},
-		{"streaming-local", func(c *Config) { c.StreamingMerge = true }},
-		{"blocking-local", func(c *Config) { c.BlockingExchange = true }},
-		{"eager-tcp", func(c *Config) { c.Transport = TransportTCP }},
+		{"split-local", func(c *Config) {}},
+		{"blocking-local", func(c *Config) { c.blockingExchange = true }},
+		{"split-tcp", func(c *Config) { c.Transport = TransportTCP }},
+		{"blocking-tcp", func(c *Config) { c.Transport = TransportTCP; c.blockingExchange = true }},
 	}
 	var refOut [][][]byte
 	var refStats Stats
@@ -247,7 +246,7 @@ func TestBudgetSpillLifecycle(t *testing.T) {
 	}
 	defer func() { newSpillPool = orig }()
 
-	res, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5, StreamChunk: testChunk}, dir))
+	res, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5}, dir))
 	if err != nil {
 		t.Fatalf("budget sort: %v", err)
 	}
@@ -301,7 +300,7 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 	}
 	defer func() { newSpillPool = orig }()
 
-	_, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5, StreamChunk: testChunk}, dir))
+	_, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5}, dir))
 	if err == nil || !strings.Contains(err.Error(), "injected create failure") {
 		t.Fatalf("expected the injected failure to surface, got %v", err)
 	}
@@ -325,7 +324,7 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 func TestBudgetRunPE(t *testing.T) {
 	rng := rand.New(rand.NewSource(812))
 	inputs := genInputs(rng, testPEs, testPerPE/4)
-	base := Config{Algorithm: PDMS, Seed: 9, Validate: true, StreamChunk: testChunk}
+	base := Config{Algorithm: PDMS, Seed: 9, Validate: true}
 	cfg := budgetConfig(base, t.TempDir())
 	cfg.MemBudget = 1 << 10 // quarter-size input, quarter-size budget
 

@@ -8,7 +8,8 @@ import (
 // TestChaosIdentityAcrossSeams is the differential fault-injection pin:
 // PDMS and MS run over real loopback TCP under the harshest chaos level —
 // which kills established connections mid-exchange with partial final
-// writes — across both Step-3 seams and both Step-4 front-ends, and every
+// writes — on the eager seam under both exchange disciplines (split-phase
+// and the bulk-synchronous reference), and every
 // cell must produce byte-identical output and bit-identical deterministic
 // statistics compared to the undisturbed run of the same configuration.
 // Each chaos cell must also actually have recovered from at least one
@@ -21,22 +22,18 @@ func TestChaosIdentityAcrossSeams(t *testing.T) {
 	inputs := genInputs(rng, 4, 120)
 	for _, algo := range []Algorithm{MS, PDMS} {
 		for _, blocking := range []bool{false, true} {
-			for _, streaming := range []bool{false, true} {
-				name := algo.String() + "/" + map[bool]string{false: "split", true: "blocking"}[blocking] +
-					"/" + map[bool]string{false: "eager", true: "streaming"}[streaming]
-				t.Run(name, func(t *testing.T) {
-					base := Config{
-						Algorithm:        algo,
-						Seed:             31,
-						Transport:        TransportTCP,
-						BlockingExchange: blocking,
-						StreamingMerge:   streaming,
-						Validate:         true,
-						Reconstruct:      true,
-					}
-					runChaosCell(t, inputs, base)
-				})
-			}
+			name := algo.String() + "/" + map[bool]string{false: "split", true: "blocking"}[blocking] + "/eager"
+			t.Run(name, func(t *testing.T) {
+				base := Config{
+					Algorithm:        algo,
+					Seed:             31,
+					Transport:        TransportTCP,
+					blockingExchange: blocking,
+					Validate:         true,
+					Reconstruct:      true,
+				}
+				runChaosCell(t, inputs, base)
+			})
 		}
 	}
 }

@@ -106,8 +106,8 @@ func TestCodecIdenticalAcrossTransportsAndSeams(t *testing.T) {
 			mut   func(*Config)
 		}{
 			{"tcp/split", func(c *Config) { c.Transport = TransportTCP }},
-			{"local/blocking", func(c *Config) { c.BlockingExchange = true }},
-			{"tcp/blocking", func(c *Config) { c.Transport = TransportTCP; c.BlockingExchange = true }},
+			{"local/blocking", func(c *Config) { c.blockingExchange = true }},
+			{"tcp/blocking", func(c *Config) { c.Transport = TransportTCP; c.blockingExchange = true }},
 		} {
 			cfg := base
 			cell.mut(&cfg)

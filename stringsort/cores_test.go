@@ -53,10 +53,9 @@ func equalFragments(t *testing.T, label string, a, b *Result) {
 }
 
 // TestCoresDeterminism is the intra-PE parallelism determinism suite: every
-// algorithm, under both merge front-ends, must produce byte-identical
-// fragments (strings, LCPs, origins) and bit-identical deterministic
-// statistics — model time, bytes sent, messages, work — at pool widths 1,
-// 2 and N. Width 1 is the exact sequential path; any divergence at a wider
+// algorithm must produce byte-identical fragments (strings, LCPs, origins)
+// and bit-identical deterministic statistics — model time, bytes sent,
+// messages, work — at pool widths 1, 2 and N. Width 1 is the exact sequential path; any divergence at a wider
 // pool means the parallel decomposition changed the algorithm, not just
 // the schedule.
 func TestCoresDeterminism(t *testing.T) {
@@ -64,41 +63,39 @@ func TestCoresDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	inputs := genInputs(rng, 4, 200)
 	for _, algo := range Algorithms {
-		for _, streaming := range []bool{false, true} {
-			base := Config{Algorithm: algo, Seed: 17, StreamingMerge: streaming}
-			base.Cores = 1
-			want, err := Sort(inputs, base)
+		base := Config{Algorithm: algo, Seed: 17}
+		base.Cores = 1
+		want, err := Sort(inputs, base)
+		if err != nil {
+			t.Fatalf("%v cores=1: %v", algo, err)
+		}
+		if want.Stats.Cores != 1 {
+			t.Fatalf("%v: Stats.Cores = %d at width 1", algo, want.Stats.Cores)
+		}
+		for _, w := range widths[1:] {
+			label := fmt.Sprintf("%v cores=%d", algo, w)
+			cfg := base
+			cfg.Cores = w
+			got, err := Sort(inputs, cfg)
 			if err != nil {
-				t.Fatalf("%v cores=1: %v", algo, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if want.Stats.Cores != 1 {
-				t.Fatalf("%v: Stats.Cores = %d at width 1", algo, want.Stats.Cores)
+			if got.Stats.Cores != w {
+				t.Fatalf("%s: Stats.Cores = %d", label, got.Stats.Cores)
 			}
-			for _, w := range widths[1:] {
-				label := fmt.Sprintf("%v streaming=%v cores=%d", algo, streaming, w)
-				cfg := base
-				cfg.Cores = w
-				got, err := Sort(inputs, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got.Stats.Cores != w {
-					t.Fatalf("%s: Stats.Cores = %d", label, got.Stats.Cores)
-				}
-				equalFragments(t, label, want, got)
-				if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-					t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
-						label, want.Stats, w, got.Stats)
-				}
+			equalFragments(t, label, want, got)
+			if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
+				t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
+					label, want.Stats, w, got.Stats)
 			}
 		}
 	}
 }
 
 // TestCoresDeterminismParMerge forces the partitioned Step-4 merge on
-// every algorithm and both merge front-ends with ParMergeMin=1 (the small
-// inputs here are far below the default threshold, so without the override
-// the parallel merge would never engage). Fragments, LCPs, origins and
+// every algorithm with ParMergeMin=1 (the small inputs here are far below
+// the default threshold, so without the override the parallel merge would
+// never engage). Fragments, LCPs, origins and
 // every deterministic statistic — including the character/LCP work count
 // the merge bills — must match width 1 bit for bit at widths 2 and N: the
 // deterministic merge-back contract of the multisequence-selection
@@ -108,50 +105,14 @@ func TestCoresDeterminismParMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	inputs := genInputs(rng, 4, 200)
 	for _, algo := range Algorithms {
-		for _, streaming := range []bool{false, true} {
-			base := Config{Algorithm: algo, Seed: 23, StreamingMerge: streaming, ParMergeMin: 1}
-			base.Cores = 1
-			want, err := Sort(inputs, base)
-			if err != nil {
-				t.Fatalf("%v cores=1: %v", algo, err)
-			}
-			for _, w := range widths[1:] {
-				label := fmt.Sprintf("%v streaming=%v parmerge cores=%d", algo, streaming, w)
-				cfg := base
-				cfg.Cores = w
-				got, err := Sort(inputs, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				equalFragments(t, label, want, got)
-				if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-					t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
-						label, want.Stats, w, got.Stats)
-				}
-			}
-		}
-	}
-}
-
-// TestCoresDeterminismParMergeLarge crosses the DEFAULT parallel-merge
-// threshold (no override: each PE receives well over merge.DefaultParMin
-// strings) under both merge front-ends, so the production configuration of
-// the partitioned merge — selection, reseeded partitions, streaming
-// handoff — is exercised end to end with width-invariant results.
-func TestCoresDeterminismParMergeLarge(t *testing.T) {
-	const p, nPerPE = 4, 5000
-	inputs := make([][][]byte, p)
-	for pe := range inputs {
-		inputs[pe] = input.Random(nPerPE, 24, 2, pe, p, int64(800+pe))
-	}
-	for _, streaming := range []bool{false, true} {
-		base := Config{Algorithm: MS, Seed: 37, Cores: 1, StreamingMerge: streaming}
+		base := Config{Algorithm: algo, Seed: 23, ParMergeMin: 1}
+		base.Cores = 1
 		want, err := Sort(inputs, base)
 		if err != nil {
-			t.Fatalf("streaming=%v cores=1: %v", streaming, err)
+			t.Fatalf("%v cores=1: %v", algo, err)
 		}
-		for _, w := range []int{2, 8} {
-			label := fmt.Sprintf("MS large streaming=%v cores=%d", streaming, w)
+		for _, w := range widths[1:] {
+			label := fmt.Sprintf("%v parmerge cores=%d", algo, w)
 			cfg := base
 			cfg.Cores = w
 			got, err := Sort(inputs, cfg)
@@ -160,9 +121,41 @@ func TestCoresDeterminismParMergeLarge(t *testing.T) {
 			}
 			equalFragments(t, label, want, got)
 			if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-				t.Fatalf("%s: statistics differ:\ncores=1: %+v\ncores=%d: %+v",
+				t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
 					label, want.Stats, w, got.Stats)
 			}
+		}
+	}
+}
+
+// TestCoresDeterminismParMergeLarge crosses the DEFAULT parallel-merge
+// threshold (no override: each PE receives well over merge.DefaultParMin
+// strings), so the production configuration of the partitioned merge —
+// selection and reseeded partitions — is exercised end to end with
+// width-invariant results.
+func TestCoresDeterminismParMergeLarge(t *testing.T) {
+	const p, nPerPE = 4, 5000
+	inputs := make([][][]byte, p)
+	for pe := range inputs {
+		inputs[pe] = input.Random(nPerPE, 24, 2, pe, p, int64(800+pe))
+	}
+	base := Config{Algorithm: MS, Seed: 37, Cores: 1}
+	want, err := Sort(inputs, base)
+	if err != nil {
+		t.Fatalf("cores=1: %v", err)
+	}
+	for _, w := range []int{2, 8} {
+		label := fmt.Sprintf("MS large cores=%d", w)
+		cfg := base
+		cfg.Cores = w
+		got, err := Sort(inputs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		equalFragments(t, label, want, got)
+		if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
+			t.Fatalf("%s: statistics differ:\ncores=1: %+v\ncores=%d: %+v",
+				label, want.Stats, w, got.Stats)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // TuningFlags bundles the algorithm-tuning command-line flags shared by
 // cmd/dss-sort and cmd/dss-worker. Both binaries register the identical
 // set through RegisterTuningFlags, so they cannot drift apart: every knob
-// that shapes the sort itself (algorithm, sampling, exchange seam,
+// that shapes the sort itself (algorithm, sampling, memory budget,
 // validation, seed) is accepted by both. Only the flags that describe HOW
 // the machine is assembled differ between them — dss-sort owns -p,
 // -transport and -peers (it builds the whole machine in one process),
@@ -29,9 +29,6 @@ type TuningFlags struct {
 	Eps          *float64
 	TieBreak     *bool
 	RandomSample *bool
-	Exchange     *string
-	Merge        *string
-	MergeChunk   *int
 	Codec        *string
 	CodecMin     *int
 	Validate     *bool
@@ -59,9 +56,6 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		Eps:          fs.Float64("eps", 0, "PDMS prefix growth factor (0 = default doubling)"),
 		TieBreak:     fs.Bool("tiebreak", false, "partition by (string, origin) pairs to spread duplicates"),
 		RandomSample: fs.Bool("randomsample", false, "random instead of regular splitter samples"),
-		Exchange:     fs.String("exchange", "split", "Step-3 seam: split (overlap exchange with merge decode) or blocking (bulk-synchronous)"),
-		Merge:        fs.String("merge", "eager", "Step-4 front-end: eager (merge fully decoded runs) or streaming (loser tree starts on partially decoded runs)"),
-		MergeChunk:   fs.Int("merge-chunk", 0, "streaming frame payload bound in bytes (0 = default 8 KiB; only with -merge=streaming)"),
 		Codec:        fs.String("codec", "none", "wire codec decorating the transport: "+codec.Names()+" (model stats unaffected)"),
 		CodecMin:     fs.Int("codec-min", codec.DefaultMinSize, "frames smaller than this many bytes ship uncompressed"),
 		Validate:     fs.Bool("validate", false, "run the distributed verifier after sorting"),
@@ -79,17 +73,9 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 }
 
 // Apply resolves the parsed flag values into cfg. It returns an error for
-// an unknown algorithm or exchange mode.
+// an unknown algorithm, codec or chaos level, or a malformed budget.
 func (tf *TuningFlags) Apply(cfg *Config) error {
 	algo, err := ParseAlgorithm(*tf.Algo)
-	if err != nil {
-		return err
-	}
-	blocking, err := ParseExchangeMode(*tf.Exchange)
-	if err != nil {
-		return err
-	}
-	streaming, err := ParseMergeMode(*tf.Merge)
 	if err != nil {
 		return err
 	}
@@ -111,9 +97,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	cfg.Eps = *tf.Eps
 	cfg.TieBreak = *tf.TieBreak
 	cfg.RandomSampling = *tf.RandomSample
-	cfg.BlockingExchange = blocking
-	cfg.StreamingMerge = streaming
-	cfg.StreamChunk = *tf.MergeChunk
 	cfg.Validate = *tf.Validate
 	cfg.Cores = *tf.Cores
 	cfg.ParMergeMin = *tf.ParMergeMin
@@ -154,32 +137,4 @@ func ParseMemBudget(s string) (int64, error) {
 		return 0, fmt.Errorf("stringsort: bad memory budget %q (want e.g. 65536, 64m, 1g)", orig)
 	}
 	return n * mult, nil
-}
-
-// ParseMergeMode resolves the -merge flag value: "eager" (merge fully
-// decoded runs, the default) or "streaming" (start the loser tree on
-// partially decoded runs), reported as Config.StreamingMerge.
-func ParseMergeMode(name string) (streaming bool, err error) {
-	switch name {
-	case "eager":
-		return false, nil
-	case "streaming", "stream":
-		return true, nil
-	default:
-		return false, fmt.Errorf("stringsort: unknown merge mode %q (have eager, streaming)", name)
-	}
-}
-
-// ParseExchangeMode resolves the -exchange flag value: "split" (the
-// default overlapped seam) or "blocking" (bulk-synchronous), reported as
-// Config.BlockingExchange.
-func ParseExchangeMode(name string) (blocking bool, err error) {
-	switch name {
-	case "split", "overlap":
-		return false, nil
-	case "blocking":
-		return true, nil
-	default:
-		return false, fmt.Errorf("stringsort: unknown exchange mode %q (have split, blocking)", name)
-	}
 }

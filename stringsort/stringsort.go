@@ -202,32 +202,13 @@ type Config struct {
 	// host:port per PE (len must equal P). Empty means automatic loopback
 	// ports. Ignored by the local transport.
 	TCPPeers []string
-	// BlockingExchange selects the bulk-synchronous Step-3 seam (exchange
-	// completes before any run is decoded) instead of the default
-	// split-phase one that decodes each incoming run on arrival. The
-	// deterministic statistics (model time, bytes/string) are identical
-	// either way; blocking mode exists for differential testing and as the
-	// reference point of the overlap measurements.
-	BlockingExchange bool
-	// StreamingMerge selects the streaming Step-3→Step-4 seam: buckets
-	// ship as chunked transfers feeding incremental run readers, and the
-	// Step-4 loser tree starts on partially decoded runs — merging begins
-	// before the last exchange frame arrives (reported as
-	// Stats.MergeLeadMS). Sorted output and the deterministic statistics
-	// are bit-identical to the eager seam under every transport, codec and
-	// exchange mode; combining with BlockingExchange runs the chunked
-	// machinery bulk-synchronously (the differential reference).
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload in bytes (0 = the
-	// default, 8 KiB). Only meaningful with StreamingMerge.
-	StreamChunk int
 	// Codec names the wire codec decorating the transport ("", "none",
 	// "flate", "lcp"): frames are compressed before they cross the fabric
 	// and restored on receive. The paper's statistics are unaffected —
 	// model time and bytes/string are billed on the raw payloads and stay
 	// bit-identical under every codec — while Stats.WireBytes reports what
 	// actually crossed the wire. Works identically over the local and TCP
-	// substrates and under both exchange seams.
+	// substrates and on both Step-3→4 seams.
 	Codec string
 	// CodecMinSize is the compression threshold in bytes: frames smaller
 	// than this ship uncompressed (0 means the codec default, 64).
@@ -268,7 +249,7 @@ type Config struct {
 	SpillPageSize int
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
 	// the run to this file: per-PE phase spans, per-frame transport events,
-	// worker-goroutine busy spans, merge handoff/seam instants and spill
+	// worker-goroutine busy spans, merge start/seam instants and spill
 	// counter samples, loadable in Perfetto (ui.perfetto.dev) or
 	// chrome://tracing. Tracing never touches the deterministic statistics
 	// — model time and bytes/string stay bit-identical with tracing on or
@@ -300,6 +281,13 @@ type Config struct {
 	// on the dialing side, replacement-arrival wait on the accepting
 	// side). 0 means the transport default (10 s).
 	NetTimeout time.Duration
+
+	// blockingExchange selects the bulk-synchronous reference of the
+	// Step-3 exchange (it completes before any run is decoded or merged)
+	// instead of the split-phase one. Output and deterministic statistics
+	// are identical either way; it is the reference point of the package's
+	// differential and overlap tests, which is why only they can set it.
+	blockingExchange bool
 }
 
 // PEOutput is one PE's fragment of the sorted result.
@@ -322,10 +310,10 @@ type PEOutput struct {
 
 // Stats summarizes one run's cost, the two metrics of Figures 4 and 5.
 // All fields except OverlapMS, MaxOverlapMS, WallMS and WallTable are
-// deterministic: bit-identical across transports, seam modes (blocking vs
-// split-phase) and runs. Those four wall-clock fields are measurements of
-// the overlap model and vary run to run; comparisons across backends must
-// ignore them (zero the fields before ==, as the package tests do).
+// deterministic: bit-identical across transports, seams and runs. Those
+// four wall-clock fields are measurements of the overlap model and vary run
+// to run; comparisons across backends must ignore them (zero the fields
+// before ==, as the package tests do).
 type Stats struct {
 	ModelTime      float64 // α-β model running time in seconds
 	BytesSent      int64   // total payload bytes sent between PEs
@@ -351,7 +339,7 @@ type Stats struct {
 	// wall clock) the split-phase Step-3 exchange hid under Step-4 decode
 	// work — time a bulk-synchronous seam would have spent waiting. As a
 	// sum over PEs it can exceed WallMS; compare MaxOverlapMS to wall
-	// spans instead. Zero with BlockingExchange.
+	// spans instead.
 	OverlapMS float64
 	// MaxOverlapMS is the bottleneck overlap: the largest per-PE hidden
 	// communication time in ms, directly comparable to WallMS.
@@ -359,11 +347,11 @@ type Stats struct {
 	// WallMS is the slowest PE's total wall-clock time in ms (measured, not
 	// modeled).
 	WallMS float64
-	// MergeLeadMS is the streaming seam's merge lead: the largest per-PE
-	// span between the loser tree's first merged output and that PE's LAST
+	// MergeLeadMS is the budget seam's merge lead: the largest per-PE span
+	// between the loser tree's first merged output and that PE's LAST
 	// Step-3 frame arrival, in ms. Positive means merging demonstrably
-	// began while exchange frames were still in flight; 0 under the eager
-	// seams (the milestone is not recorded there). Measured, not modeled.
+	// began while exchange frames were still in flight; 0 on the eager seam
+	// (which merges fully decoded runs). Measured, not modeled.
 	MergeLeadMS float64
 	// WallTable is the human-readable per-phase breakdown of the measured
 	// wall spans and overlap (nondeterministic, like OverlapMS/WallMS).
@@ -431,7 +419,7 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 	fmt.Fprintf(w, "wall time:        %.3f ms (slowest PE)\n", st.WallMS)
 	fmt.Fprintf(w, "overlap:          %.3f ms max per PE, %.3f PE-ms summed (comm hidden under compute)\n",
 		st.MaxOverlapMS, st.OverlapMS)
-	fmt.Fprintf(w, "merge lead:       %.3f ms (first merged string ahead of the last Step-3 frame; 0 = eager seam)\n",
+	fmt.Fprintf(w, "merge lead:       %.3f ms (first merged string ahead of the last Step-3 frame; budget seam only)\n",
 		st.MergeLeadMS)
 	fmt.Fprintf(w, "merge par:        %.3f PE-ms merge CPU over %.3f ms merge wall (CPU > wall = partitioned merge engaged)\n",
 		st.MergeCPUMS, st.MergeWallMS)
@@ -729,21 +717,18 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 	if cfg.CharSampling {
 		sampling = partition.CharSampling
 	}
+	seam := core.SeamOptions{
+		BlockingExchange: cfg.blockingExchange, ParMergeMin: cfg.ParMergeMin,
+		Spill: sp, Out: out,
+	}
 	switch cfg.Algorithm {
 	case HQuick:
 		return core.HQuick(c, ss, core.HQOptions{
 			GroupID: 1, Seed: cfg.Seed, TrackPhases: true,
-			BlockingExchange: cfg.BlockingExchange,
-			StreamingMerge:   cfg.StreamingMerge, StreamChunk: cfg.StreamChunk,
-			Spill: sp, Out: out,
+			BlockingExchange: cfg.blockingExchange, Spill: sp, Out: out,
 		})
 	case FKMerge:
-		return core.FKMerge(c, ss, core.FKOptions{
-			GroupID: 1, BlockingExchange: cfg.BlockingExchange,
-			StreamingMerge: cfg.StreamingMerge, StreamChunk: cfg.StreamChunk,
-			ParMergeMin: cfg.ParMergeMin,
-			Spill:       sp, Out: out,
-		})
+		return core.FKMerge(c, ss, core.FKOptions{GroupID: 1, SeamOptions: seam})
 	case MSSimple:
 		o := core.MSSimple()
 		o.GroupID = 1
@@ -752,12 +737,7 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		o.Sampling = sampling
 		o.TieBreak = cfg.TieBreak
 		o.RandomSampling = cfg.RandomSampling
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
+		o.SeamOptions = seam
 		return core.MergeSort(c, ss, o)
 	case MS:
 		o := core.DefaultMS()
@@ -767,12 +747,7 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		o.Sampling = sampling
 		o.TieBreak = cfg.TieBreak
 		o.RandomSampling = cfg.RandomSampling
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
+		o.SeamOptions = seam
 		return core.MergeSort(c, ss, o)
 	case PDMS, PDMSGolomb:
 		o := core.DefaultPDMS()
@@ -786,12 +761,7 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		if cfg.CharSampling {
 			o.StringSamplingOverride = false
 		}
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
+		o.SeamOptions = seam
 		return core.PDMS(c, ss, o)
 	default:
 		panic(fmt.Sprintf("stringsort: unknown algorithm %v", cfg.Algorithm))

@@ -75,20 +75,19 @@ func countEvents(doc traceDoc, name, ph string) int {
 // TestSortTraceTimeline runs an in-process PDMS sort with tracing and
 // checks the exported timeline end to end: valid JSON, one process track
 // per PE with all five phase spans, per-frame transport events from the
-// streaming exchange, the merge milestones, and balanced begin/end pairs.
+// budget seam's chunked exchange, the merge milestones, and balanced
+// begin/end pairs.
 func TestSortTraceTimeline(t *testing.T) {
 	const p = 4
 	inputs := testInputs(p, 300)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	res, err := Sort(inputs, Config{
-		Algorithm:      PDMS,
-		StreamingMerge: true,
-		Trace:          path,
-	})
+	cfg := Config{Algorithm: PDMS, MemBudget: 8 << 10, SpillDir: t.TempDir()}
+	untraced, err := Sort(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	untraced, err := Sort(inputs, Config{Algorithm: PDMS, StreamingMerge: true})
+	cfg.Trace = path
+	res, err := Sort(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +231,8 @@ func TestRunPETraceAggregation(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			_, errs[rank] = RunPE(fab.Endpoint(rank), inputs[rank], Config{
-				Algorithm:      PDMS,
-				StreamingMerge: true,
-				Trace:          path,
+				Algorithm: PDMS,
+				Trace:     path,
 			})
 		}(rank)
 	}
