@@ -113,7 +113,7 @@ func snapshotInputs(name string) (inputs [][][]byte, algo stringsort.Algorithm, 
 // enabled, and requires the deterministic model metrics — model-ms and
 // bytes/str, rounded at the snapshot's print precision — to match
 // bit-for-bit: neither the codec layer, nor the parallel work pool, nor
-// the budget seam spilling runs to disk may be visible to the paper's
+// the memory budget spilling runs to disk may be visible to the paper's
 // accounting. On the Fig4 cells it additionally requires the compressing
 // codecs to put strictly fewer bytes per string on the wire than the raw
 // model volume (the codec subsystem's reason to exist).

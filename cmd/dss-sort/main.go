@@ -47,9 +47,9 @@
 // spills Step-3 runs to page files once its metered arenas exceed the
 // budget and streams its merged fragment to a sorted-run file, which
 // dss-sort then copies to the output line by line (PDMS prefixes are
-// resolved to full strings through their recorded origins). The merge
-// starts on partially arrived runs there, so it can begin before the last
-// exchange frame lands (the "merge lead" line). The sorted output bytes
+// resolved to full strings through their recorded origins). The buckets
+// travel exactly as in an unbudgeted run; only where the received bytes
+// wait and where the merge's output lands differ. The sorted output bytes
 // are identical to an unbudgeted run; the stderr summary gains a "spill:"
 // line with the bytes written/read back and the peak metered footprint.
 package main

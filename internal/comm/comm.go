@@ -345,10 +345,9 @@ func (c *Comm) Recv(src, tag int) []byte {
 
 // accountSendAs / accountRecvAs are the single home of the deterministic
 // volume accounting, parameterized by the phase to bill: the blocking
-// operations bill the current phase, split-phase Pendings bill the phase
-// captured at post time, and the chunked exchange bills each bucket here
-// as ONE logical message before shipping its frames itself. Keeping one
-// copy is what guarantees all forms stay bit-identical.
+// operations bill the current phase, split-phase Pendings (copying sends
+// and ownership-transferring Posts alike) bill the phase captured at post
+// time. Keeping one copy is what guarantees all forms stay bit-identical.
 func (c *Comm) accountSendAs(ph stats.Phase, dst, n int) {
 	if dst != c.t.Rank() {
 		pc := &c.st.Phases[ph]

@@ -10,12 +10,11 @@ import (
 // countersPerPE is the flattened size of one PE's phase counters: the four
 // deterministic counters, the wall span, overlap and worker-CPU
 // measurements of the overlap and intra-PE parallelism models, and the two
-// wire-byte counters of the codec layer, per phase — plus the two per-PE
-// milestone timestamps of the budget seam, the pool width, the
-// three spill gauges of the out-of-core pipeline, and the three
+// wire-byte counters of the codec layer, per phase — plus the pool width,
+// the three spill gauges of the out-of-core pipeline, and the three
 // failure-recovery gauges of the transport (reconnects, resent frames,
 // resent bytes).
-const countersPerPE = int(stats.NumPhases)*9 + 9
+const countersPerPE = int(stats.NumPhases)*9 + 7
 
 // AllgatherReport exchanges every PE's accounting snapshot and returns a
 // machine-wide report, identical on every member — the SPMD counterpart of
@@ -41,15 +40,13 @@ func AllgatherReport(c *Comm, model stats.CostModel, gid int) *stats.Report {
 		vals[int(ph)*9+7] = uint64(snap.Wire[ph].Recv)
 		vals[int(ph)*9+8] = uint64(snap.CPU[ph])
 	}
-	vals[int(stats.NumPhases)*9+0] = uint64(snap.MergeStartNS)
-	vals[int(stats.NumPhases)*9+1] = uint64(snap.ExchangeDoneNS)
-	vals[int(stats.NumPhases)*9+2] = uint64(snap.Cores)
-	vals[int(stats.NumPhases)*9+3] = uint64(snap.SpillBytesWritten)
-	vals[int(stats.NumPhases)*9+4] = uint64(snap.SpillBytesRead)
-	vals[int(stats.NumPhases)*9+5] = uint64(snap.PeakLiveBytes)
-	vals[int(stats.NumPhases)*9+6] = uint64(snap.Reconnects)
-	vals[int(stats.NumPhases)*9+7] = uint64(snap.ResentFrames)
-	vals[int(stats.NumPhases)*9+8] = uint64(snap.ResentBytes)
+	vals[int(stats.NumPhases)*9+0] = uint64(snap.Cores)
+	vals[int(stats.NumPhases)*9+1] = uint64(snap.SpillBytesWritten)
+	vals[int(stats.NumPhases)*9+2] = uint64(snap.SpillBytesRead)
+	vals[int(stats.NumPhases)*9+3] = uint64(snap.PeakLiveBytes)
+	vals[int(stats.NumPhases)*9+4] = uint64(snap.Reconnects)
+	vals[int(stats.NumPhases)*9+5] = uint64(snap.ResentFrames)
+	vals[int(stats.NumPhases)*9+6] = uint64(snap.ResentBytes)
 	g := NewGroup(c, WorldRanks(c.P()), gid)
 	parts := g.Allgatherv(wire.EncodeUint64s(vals))
 	pes := make([]*stats.PE, len(parts))
@@ -74,15 +71,13 @@ func AllgatherReport(c *Comm, model stats.CostModel, gid int) *stats.Report {
 			}
 			pe.CPU[ph] = int64(vs[int(ph)*9+8])
 		}
-		pe.MergeStartNS = int64(vs[int(stats.NumPhases)*9+0])
-		pe.ExchangeDoneNS = int64(vs[int(stats.NumPhases)*9+1])
-		pe.Cores = int64(vs[int(stats.NumPhases)*9+2])
-		pe.SpillBytesWritten = int64(vs[int(stats.NumPhases)*9+3])
-		pe.SpillBytesRead = int64(vs[int(stats.NumPhases)*9+4])
-		pe.PeakLiveBytes = int64(vs[int(stats.NumPhases)*9+5])
-		pe.Reconnects = int64(vs[int(stats.NumPhases)*9+6])
-		pe.ResentFrames = int64(vs[int(stats.NumPhases)*9+7])
-		pe.ResentBytes = int64(vs[int(stats.NumPhases)*9+8])
+		pe.Cores = int64(vs[int(stats.NumPhases)*9+0])
+		pe.SpillBytesWritten = int64(vs[int(stats.NumPhases)*9+1])
+		pe.SpillBytesRead = int64(vs[int(stats.NumPhases)*9+2])
+		pe.PeakLiveBytes = int64(vs[int(stats.NumPhases)*9+3])
+		pe.Reconnects = int64(vs[int(stats.NumPhases)*9+4])
+		pe.ResentFrames = int64(vs[int(stats.NumPhases)*9+5])
+		pe.ResentBytes = int64(vs[int(stats.NumPhases)*9+6])
 		pes[i] = pe
 	}
 	c.Release(parts...)

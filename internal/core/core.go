@@ -19,18 +19,20 @@
 // Input slices are not modified; the spine is copied internally.
 //
 // Steps 3 and 4 of the merge-based sorters go through one function,
-// exchangeMerge, which has two seams. The eager seam (exchangeEncoded) is
-// split-phase: every bucket is posted as its encoder finishes and each
-// incoming run is decoded whole the moment it lands, so the exchange
-// overlaps the encode and decode work instead of ending at a global
-// barrier; the resident runs are then merged on the PE's pool. The budget
-// seam (outofcore.go) ships the buckets in bounded frames, keeps or spills
-// each arriving piece against a memory budget, and drains the same loser
-// tree into a sorted-run file. The deterministic statistics are identical
-// on both — received bytes are billed to the phase the exchange was posted
-// in — and identical to the bulk-synchronous exchange that both seams keep
-// as their reference implementation (SeamOptions.BlockingExchange, set by
-// the differential tests only).
+// exchangeMerge, and Step 3 is one exchange (exchangeEncoded, shared with
+// hQuick): every bucket is encoded into a transport buffer and posted as its
+// encoder finishes, and the received buckets come back whole, in arrival
+// order. A received bucket lands in one of two ways. Without a memory budget
+// it is decoded whole on the PE's pool the moment it arrives — so the
+// exchange overlaps the encode and decode work instead of ending at a
+// global barrier — and the resident runs are merged on the pool into an
+// output arena. With a budget (outofcore.go) it is routed piece by piece to
+// an incremental run reader or, past the budget, to a page file, and the
+// same loser tree drains into a sorted-run file. The deterministic
+// statistics are identical on both — received bytes are billed to the phase
+// the exchange was posted in — and identical to the bulk-synchronous
+// exchange kept as the reference implementation
+// (SeamOptions.BlockingExchange, set by the differential tests only).
 package core
 
 import (
@@ -117,8 +119,7 @@ func partOffsets(sizes []int) []int {
 // synchronization, and the encoded bytes are identical at every pool
 // width (each encoder is a pure function of its bucket). Worker busy time
 // is credited to the current phase's CPU channel. Used by the blocking
-// reference and by the budget seam, which hands the parts to the chunked
-// exchange.
+// reference only.
 func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte) [][]byte {
 	offs := partOffsets(sizes)
 	arena := make([]byte, offs[len(sizes)])
@@ -135,12 +136,15 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 	return parts
 }
 
-// exchangeEncoded executes the Step-3 all-to-all seam shared by all four
-// algorithms, with both sides of the exchange spread over the PE's work
-// pool: the p bucket encoders run concurrently, each into exactly
-// sizes[dst] bytes, and every received part is handed to decode exactly
-// once — concurrently too — with its buffer released afterwards (all
-// decoders copy their results out). The accounting phase is left at next.
+// exchangeEncoded is the Step-3 exchange of all four algorithms, with or
+// without a memory budget: the p bucket encoders run concurrently on the
+// PE's work pool, each into exactly sizes[dst] bytes, the buckets are sent,
+// the accounting phase is switched to next, and the receive side is handed
+// back — recv yields every member's bucket exactly once, whole, with its
+// group index, and ok=false after the last. The caller owns what recv
+// yields and releases it (c.Release) once it has copied its contents out:
+// decodeOnPool for the in-RAM landing, spillStream.route for the budgeted
+// one.
 //
 // Split-phase mode (blocking=false, the default): every bucket is encoded
 // straight into its own transport buffer (comm.Alloc) and the exchange is
@@ -149,36 +153,31 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 // accounting stay on the PE goroutine. Post takes the buffer over, so an
 // encoded byte is allocated once on this PE and never copied again before
 // it leaves (the local transport delivers that very buffer, tcp writes the
-// socket from it); the self bucket comes back from the drain by reference.
-// Each incoming run is dispatched to a decode task as soon as its frames
-// land, in ARRIVAL order, and the decode task's Release returns received
-// and self buffers alike to the pool. Stragglers' communication thus hides
-// under both the faster buckets' sends and the decode work. Received bytes
-// stay billed to the posting phase and the encoded bytes are
+// socket from it). recv is the exchange's PollAny: the self bucket comes
+// back first, by reference, then the others in ARRIVAL order, so
+// stragglers' communication hides under both the faster buckets' sends and
+// whatever the caller does with the early arrivals. Received bytes stay
+// billed to the posting phase and the encoded bytes are
 // schedule-independent, so model time and bytes/string are bit-identical
-// to the sequential blocking seam; only wall-clock improves, measured as
+// to the blocking mode; only wall-clock improves, measured as
 // stats.PE.Overlap and the CPU channel.
 //
-// Blocking mode reproduces the bulk-synchronous seam: encode all (in
-// parallel, into one arena — encodeParts), one copying Alltoallv, decode
-// all (in parallel), then the phase switch.
+// Blocking mode reproduces the bulk-synchronous exchange: encode all (in
+// parallel, into one arena — encodeParts), one copying Alltoallv, and recv
+// walks its result in rank order.
 func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	enc func(dst int, buf []byte) []byte, blocking bool, next stats.Phase,
-	decode func(src int, msg []byte)) {
-	pool := c.Pool()
+) (recv func() (src int, msg []byte, ok bool)) {
 	if blocking {
-		parts := encodeParts(c, sizes, enc)
-		recvd := g.Alltoallv(parts)
-		dgrp := pool.Group()
-		for src, msg := range recvd {
-			dgrp.Go(func() {
-				decode(src, msg)
-				c.Release(msg)
-			})
-		}
-		c.AddCPU(dgrp.Wait())
+		recvd := g.Alltoallv(encodeParts(c, sizes, enc))
 		c.SetPhase(next)
-		return
+		src := -1
+		return func() (int, []byte, bool) {
+			if src++; src >= len(recvd) {
+				return -1, nil, false
+			}
+			return src, recvd[src], true
+		}
 	}
 	// Staged posting: the Pending is created first (it captures the
 	// accounting phase and the overlap clock), encoder tasks signal their
@@ -190,7 +189,7 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 		parts[dst] = c.Alloc(n)[:0]
 	}
 	pd := g.IAlltoallvStaged()
-	egrp := pool.Group()
+	egrp := c.Pool().Group()
 	done := make(chan int, len(sizes))
 	for dst := 0; dst < len(sizes); dst++ {
 		dst := dst
@@ -211,9 +210,18 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	}
 	c.AddCPU(egrp.Wait())
 	c.SetPhase(next)
-	dgrp := pool.Group()
+	return pd.PollAny
+}
+
+// decodeOnPool is the in-RAM landing of an exchange: every bucket recv
+// yields is handed to decode exactly once, as a task on the PE's work pool
+// dispatched the moment the bucket arrives, and released afterwards (all
+// decoders copy their results out). Worker busy time is credited to the
+// current phase's CPU channel.
+func decodeOnPool(c *comm.Comm, recv func() (int, []byte, bool), decode func(src int, msg []byte)) {
+	dgrp := c.Pool().Group()
 	for {
-		src, msg, ok := pd.PollAny()
+		src, msg, ok := recv()
 		if !ok {
 			break
 		}
@@ -228,9 +236,8 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 // SeamOptions are the Step-3→Step-4 settings the merge-based sorters
 // share (MergeSort, PDMS, FKMerge embed them).
 type SeamOptions struct {
-	// BlockingExchange selects the bulk-synchronous reference of the seam
-	// in use — one copying Alltoallv, then decode (eager seam), or every
-	// frame drained before the merge starts (budget seam). Deterministic
+	// BlockingExchange selects the bulk-synchronous reference of the
+	// exchange: one encode arena and one copying Alltoallv. Deterministic
 	// statistics are identical either way; only the differential tests set
 	// it.
 	BlockingExchange bool
@@ -238,9 +245,9 @@ type SeamOptions struct {
 	// strings: 0 = merge.DefaultParMin, negative = always sequential.
 	// Output and deterministic stats are pool-width-independent either way.
 	ParMergeMin int
-	// Spill, if non-nil, runs the bounded-memory budget seam: Step 3 ships
-	// in bounded frames, incoming runs spill to page files once the pool's
-	// budget is exceeded, and the Step-4 sink merge drains into Out
+	// Spill, if non-nil, runs the bounded-memory landing: received buckets
+	// are routed piece by piece, to page files once the pool's budget is
+	// exceeded, and the Step-4 sink merge drains into Out
 	// (required non-nil with Spill) instead of an output arena. The
 	// deterministic statistics are untouched — they are seam-invariant and
 	// the spill decision only moves measured gauges — and the result holds
@@ -252,9 +259,9 @@ type SeamOptions struct {
 
 // bucketCodec is one algorithm's Step-3 wire format: the exact encoded
 // size of every outgoing bucket, the encoder that fills exactly that many
-// bytes, and the decoders of a received run — one-shot for the eager seam,
-// and the incremental layout for the budget seam (origins marks PDMS's
-// composite bucket: a RunStringsLCP blob trailed by an origin column).
+// bytes, and the decoders of a received run — one-shot for the in-RAM
+// landing, and the incremental layout for the budgeted one (origins marks
+// PDMS's composite bucket: a RunStringsLCP blob trailed by an origin column).
 type bucketCodec struct {
 	sizes   []int
 	enc     func(dst int, buf []byte) []byte
@@ -266,19 +273,19 @@ type bucketCodec struct {
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
 // buckets over g and multiway-merge the p received runs, LCP-aware if lcp.
 // Without a spill pool the runs are decoded whole on arrival and merged on
-// the PE's pool into the returned Sequence; with one they stream through
-// the budget seam into opt.Out and only the item count comes back. Merge
-// work and worker busy time are billed to the merge phase, and the
-// accounting phase is left at PhaseOther.
+// the PE's pool into the returned Sequence; with one they are routed to
+// budgeted runs, the merge sinks into opt.Out and only the item count comes
+// back. Merge work and worker busy time are billed to the merge phase, and
+// the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
 	var work, busy int64
+	recv := exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
 	if opt.Spill != nil {
-		parts := encodeParts(c, cd.sizes, cd.enc)
-		st := spillRuns(c, g, parts, cd.format, cd.origins, opt.BlockingExchange, opt.Spill)
+		st := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
 		drained, work = st.sinkMerge(lcp, opt.Out)
 	} else {
 		runs := make([]merge.Sequence, len(cd.sizes))
-		exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
+		decodeOnPool(c, recv, func(src int, msg []byte) {
 			run, err := cd.decode(msg)
 			if err != nil {
 				panic("core: corrupt exchanged run: " + err.Error())

@@ -99,7 +99,8 @@ func runExchange(tb testing.TB, m *comm.Machine, bucket int) (out, recvd int64) 
 			}
 			return buf
 		}
-		exchangeEncoded(c, c.World(), sizes, enc, false, stats.PhaseMerge, func(src int, msg []byte) {
+		recv := exchangeEncoded(c, c.World(), sizes, enc, false, stats.PhaseMerge)
+		decodeOnPool(c, recv, func(src int, msg []byte) {
 			if len(msg) != bucket {
 				bad.Add(1)
 				return

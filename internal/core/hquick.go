@@ -99,8 +99,8 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		// The placement drain and decode are hQuick's merge-equivalent: in
 		// tracked runs their busy and wall time bill to the merge channel so
 		// the bench panel's merge columns stay honest. Only measured gauges
-		// move — the sends are posted and the received bytes billed before
-		// the seam switches phases.
+		// move — the sends are posted before the exchange switches phases
+		// and the received bytes are billed to the posting phase.
 		next := c.Phase()
 		if opt.TrackPhases {
 			next = stats.PhaseMerge
@@ -112,7 +112,8 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		// timing.
 		perS := make([][][]byte, p)
 		perU := make([][]uint64, p)
-		exchangeEncoded(c, world, sizes, enc, opt.BlockingExchange, next, func(src int, msg []byte) {
+		recv := exchangeEncoded(c, world, sizes, enc, opt.BlockingExchange, next)
+		decodeOnPool(c, recv, func(src int, msg []byte) {
 			s, u, err := decodeTagged(msg)
 			if err != nil {
 				panic("hquick: corrupt redistribution payload")
@@ -310,6 +311,9 @@ func decodeTagged(msg []byte) ([][]byte, []uint64, error) {
 	cnt, err := r.Uvarint()
 	if err != nil {
 		return nil, nil, err
+	}
+	if cnt > uint64(r.Remaining()) { // every item takes at least two bytes
+		return nil, nil, wire.ErrCorrupt
 	}
 	ss := make([][]byte, 0, cnt)
 	us := make([]uint64, 0, cnt)

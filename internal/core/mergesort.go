@@ -131,8 +131,8 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 
 	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
 	// first and encoded into exactly that many bytes — its own transport
-	// buffer on the eager split-phase seam, a region of one arena on the
-	// copying seams — so there are zero growth reallocations. The LCP run of a
+	// buffer on the split-phase exchange, a region of one arena on the
+	// blocking reference — so there are zero growth reallocations. The LCP run of a
 	// bucket is passed as a direct sub-slice of the local LCP array — the
 	// encoders ignore the boundary entry lcps[lo], which belongs to a
 	// string that stays on this PE.
@@ -181,7 +181,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		if opt.Spill != nil {
 			// Full strings plus a trailing LCP column has no incremental
 			// reader (and no public configuration produces it).
-			panic("mergesort: the budget seam needs an incrementally decodable wire format")
+			panic("mergesort: a memory budget needs an incrementally decodable wire format")
 		}
 		cd.decode = func(msg []byte) (merge.Sequence, error) {
 			rs, rl, err := decodeStringsWithLCPs(msg)

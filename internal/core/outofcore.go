@@ -1,139 +1,115 @@
-// The budget seam: the bounded-memory counterpart of exchangeEncoded. The
-// buckets travel as a chunked exchange (comm.IAlltoallvChunked) whose
-// frames feed one incremental run reader per source, but every arriving
-// piece may be diverted to a per-run page file when the decoded arenas
-// exceed the spill pool's budget, the loser tree drains straight into a
-// sorted-run writer instead of an output arena, and each run's consumed
-// arena prefix is recycled as the merge passes it. Feeding order equals
-// arrival order whether bytes take the resident or the spilled route, so
-// the decoded runs — and with them the merged output and every
-// deterministic statistic — are byte-identical to the eager seam. Only
-// where bytes wait (RAM vs page file) and where the output lands (arena vs
-// run file) differ, and those differences live on the measured channels:
-// SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU share.
+// The budgeted landing of the Step-3 exchange: the bounded-memory
+// counterpart of decodeOnPool. The buckets travel through exchangeEncoded
+// like every other run's; what differs is where the received bytes wait
+// and where the merge's output goes. Each received bucket is routed on the
+// PE goroutine, piece by piece, into one incremental run reader per source —
+// or, once the decoded arenas exceed the spill pool's budget, into a
+// per-run page file that is paged back in ahead of the merge cursor — and
+// its transport buffer is released. The loser tree then drains straight
+// into a sorted-run writer instead of an output arena, and each run's
+// consumed arena prefix is recycled as the merge passes it. A run's bytes
+// reach its reader in bucket order whether they take the resident or the
+// spilled route, so the decoded runs — and with them the merged output and
+// every deterministic statistic — are byte-identical to the in-RAM run.
+// Only where bytes wait (RAM vs page file) and where the output lands
+// (arena vs run file) differ, and those differences live on the measured
+// channels: SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU
+// share. Received buckets are unmetered until they are routed, exactly as
+// they are until decoded in the in-RAM run.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/spill"
-	"dss/internal/stats"
-	"dss/internal/trace"
 	"dss/internal/wire"
 )
 
-// spillStream couples a chunked exchange in flight with one budgeted run
-// per source. It is confined to the PE goroutine, like the Comm; only the
-// page writes run concurrently (spill.File's write-behind chain).
+// routePiece bounds the unit of the resident-or-spill decision: a received
+// bucket is decided in pieces of at most this many bytes, and never more
+// than one spill page.
+const routePiece = 8 << 10
+
+// spillStream holds one budgeted run per source. It is confined to the PE
+// goroutine, like the Comm; only the page writes run concurrently
+// (spill.File's write-behind chain).
 type spillStream struct {
 	c     *comm.Comm
-	pd    *comm.ChunkPending
 	pool  *spill.Pool
 	runs  []*spillRun
 	force bool // spill every run from its first byte (composite buckets)
 }
 
-// spillRun is one incoming run's state: resident (file == nil, pieces
-// feed the reader directly) or spilled (every further piece appends to the
-// page file and is paged back in sequentially ahead of the merge cursor).
-// A run switches to spilled at most once — reverting would reorder its
-// bytes — so the file, once created, receives every later piece even if
-// the pool drops back under budget. The reader decodes the whole run, or,
+// spillRun is one incoming run's state: resident (file == nil, the whole
+// bucket fed the reader directly) or spilled (the rest of the bucket went to
+// the page file and is paged back in sequentially ahead of the merge
+// cursor). A run switches to spilled at most once — reverting would reorder
+// its bytes — so the file, once created, receives all that is left of the
+// bucket even if the pool drops back under budget. The reader decodes the whole run, or,
 // for a composite bucket, the prefix blob inside it (compositeSource).
 type spillRun struct {
-	r        *wire.RunReader
-	file     *spill.File
-	fed      int64 // page-file bytes fed back to the reader so far
-	metered  int64 // reader arena bytes currently reserved in the pool
-	arrived  bool  // last exchange fragment received
-	finished bool  // reader.Finish called
+	r       *wire.RunReader
+	file    *spill.File
+	fed     int64 // page-file bytes fed back to the reader so far
+	metered int64 // reader arena bytes currently reserved in the pool
 }
 
-// spillFrameBound is the frame payload bound of the budget seam's chunked
-// exchange: the comm default, capped at one spill page so that a frame is
-// never more than the pool's unit of decision.
-func spillFrameBound(pool *spill.Pool) int {
-	return min(comm.DefaultStreamChunk, pool.PageSize())
-}
-
-// spillRuns posts the outgoing buckets as chunked transfers — billed
-// bucket for bucket like the eager exchange — and returns the budgeted
-// runs. origins marks PDMS's composite layout, which trails the origin
-// column behind the whole prefix blob: no item can emit before its bucket
-// is complete, so feeding a reader on arrival would grow the resident
-// arenas to the full received volume. Those runs go to their page files
-// from the first byte and are merged from a two-cursor file view instead
-// (compositeSource). The accounting phase is left at PhaseMerge. Blocking
-// mode drains every fragment before the phase switch, spilling past-budget
-// bytes as it goes: the bulk-synchronous out-of-core reference.
-func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, format wire.RunFormat, origins, blocking bool, pool *spill.Pool) *spillStream {
-	st := &spillStream{c: c, pool: pool, runs: make([]*spillRun, len(parts)), force: origins}
+// routeRuns receives the n buckets of a posted exchange and routes each,
+// whole, to its budgeted run, releasing its buffer. origins marks PDMS's
+// composite layout, which trails the origin column behind the whole prefix
+// blob: no item can be decoded with its origin before the blob's end, so
+// feeding a reader on arrival would grow the resident arenas to the full
+// received volume. Those runs go to their page files from the first byte
+// and are merged from a two-cursor file view instead (compositeSource).
+func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, pool *spill.Pool) *spillStream {
+	st := &spillStream{c: c, pool: pool, runs: make([]*spillRun, n), force: origins}
 	for i := range st.runs {
 		st.runs[i] = &spillRun{r: wire.NewRunReader(format)}
 	}
-	st.pd = g.IAlltoallvChunked(parts, spillFrameBound(pool))
-	if blocking {
-		// The bulk-synchronous reference hides no communication and must
-		// report the same zero overlap (and no merge lead) as the eager
-		// blocking exchange.
-		st.pd.NoOverlapCredit()
-		for st.drainOne() {
+	for {
+		src, msg, ok := recv()
+		if !ok {
+			return st
 		}
+		st.route(src, msg)
+		c.Release(msg)
 	}
-	c.SetPhase(stats.PhaseMerge)
-	return st
 }
 
-// drainOne receives the next fragment of the exchange and routes it to its
-// run. false reports that every bucket has been fully delivered.
-func (st *spillStream) drainOne() bool {
-	idx, chunk, frame, last, ok := st.pd.RecvChunk()
-	if !ok {
-		return false
-	}
-	st.route(idx, chunk, last)
-	st.c.Release(frame)
-	return true
-}
-
-// route hands one received fragment to its run, a page at a time: to the
-// run's reader while the pool has budget, to the run's page file once it
-// does not. Frames are at most a page, but the PE's own bucket arrives as
-// ONE fragment of the whole bucket; deciding per page keeps a resident run
-// from overshooting the budget by more than a page and a spilled one from
-// queueing a single bucket-sized write behind the meter. The spill
-// decision is a pure scheduling choice — it can differ run to run and
-// transport to transport — and therefore only ever moves measured gauges,
-// never a deterministic counter.
-func (st *spillStream) route(idx int, chunk []byte, last bool) {
+// route hands one whole received bucket to its run: a resident prefix,
+// fed to the run's reader piece by piece while the pool has budget, and a
+// spilled rest, appended to the run's page file. Deciding per piece keeps a
+// resident run from overshooting the budget by more than a piece;
+// appending whole pages allocates the file's pending buffer once per page
+// and keeps a single bucket-sized write from queueing behind the meter.
+// The spill decision is a pure scheduling choice — it can differ run to run
+// and transport to transport — and therefore only ever moves measured
+// gauges, never a deterministic counter.
+func (st *spillStream) route(idx int, bucket []byte) {
 	run := st.runs[idx]
-	for page := st.pool.PageSize(); len(chunk) > 0; {
-		piece := chunk[:min(len(chunk), page)]
-		chunk = chunk[len(piece):]
-		if run.file == nil && (st.force || st.pool.Over()) {
-			f, err := st.pool.CreateFile(fmt.Sprintf("run%d", idx))
-			if err != nil {
-				panic("core: spill: " + err.Error())
-			}
-			run.file = f
-		}
-		if run.file != nil {
-			run.file.Append(piece)
-		} else {
-			run.r.Feed(piece)
-			st.meter(run)
-		}
+	page := st.pool.PageSize()
+	for len(bucket) > 0 && !st.force && !st.pool.Over() {
+		piece := bucket[:min(len(bucket), routePiece, page)]
+		bucket = bucket[len(piece):]
+		run.r.Feed(piece)
+		st.meter(run)
 	}
-	if last {
-		run.arrived = true
-		if run.file == nil {
-			run.finished = true
-			run.r.Finish()
-		}
+	if len(bucket) == 0 {
+		run.r.Finish()
+		return
+	}
+	f, err := st.pool.CreateFile(fmt.Sprintf("run%d", idx))
+	if err != nil {
+		panic("core: spill: " + err.Error())
+	}
+	run.file = f
+	for len(bucket) > 0 {
+		piece := bucket[:min(len(bucket), page)]
+		bucket = bucket[len(piece):]
+		f.Append(piece)
 	}
 }
 
@@ -167,38 +143,27 @@ func (run *spillRun) readSpan(off int64, max int) []byte {
 }
 
 // feedMore makes progress for a stalled reader: recycle what the merge
-// has consumed, page spilled bytes back in, finish the reader when every
-// byte has been fed, or drain the next exchange fragment (which may
-// belong to any run).
+// has consumed, then page the next span of spilled bytes back in, or —
+// every byte of the run having been fed — finish the reader so it reports
+// completion, or truncation, on the next pull.
 func (st *spillStream) feedMore(run *spillRun) {
 	st.recycle(run)
-	if run.file != nil && run.fed < run.file.Size() {
-		b := run.readSpan(run.fed, st.pool.PageSize())
-		run.fed += int64(len(b))
-		run.r.Feed(b)
-		st.meter(run)
+	if run.file == nil || run.fed >= run.file.Size() {
+		run.r.Finish()
 		return
 	}
-	if run.arrived || !st.drainOne() {
-		// Every byte of the run has been fed (resident runs finished at
-		// arrival) or the exchange is unexpectedly dry: finish so the
-		// reader reports completion — or truncation — on the next pull.
-		if !run.finished {
-			run.finished = true
-			run.r.Finish()
-		}
-	}
+	b := run.readSpan(run.fed, st.pool.PageSize())
+	run.fed += int64(len(b))
+	run.r.Feed(b)
+	st.meter(run)
 }
 
 // sinkMerge drains the budgeted runs through the loser tree into the run
-// writer, stamps the merge-start milestone at the first merged item (the
-// overlap reporting compares it against the exchange-done stamp to show
-// merging began while frames were in flight), then completes the
-// write-behind chains, bills their busy time to the measured CPU channel,
-// releases the metered arenas and closes the page descriptors (the pool's
-// Close unlinks the files themselves). The item sequence and the returned
-// work are bit-identical to the eager seam's merge — it is the same tree —
-// only where the output lands differs.
+// writer, then completes the write-behind chains, bills their busy time to
+// the measured CPU channel, releases the metered arenas and closes the page
+// descriptors (the pool's Close unlinks the files themselves). The item
+// sequence and the returned work are bit-identical to the in-RAM merge — it
+// is the same tree — only where the output lands differs.
 func (st *spillStream) sinkMerge(lcp bool, out *spill.RunWriter) (n, work int64) {
 	srcs := make([]merge.Source, len(st.runs))
 	for i, run := range st.runs {
@@ -208,15 +173,7 @@ func (st *spillStream) sinkMerge(lcp bool, out *spill.RunWriter) (n, work int64)
 			srcs[i] = &spillSource{st: st, run: run}
 		}
 	}
-	started := false
-	n, work, err := merge.MergeSink(srcs, lcp, func(s []byte, l int32, sat uint64) error {
-		if !started {
-			started = true
-			st.c.StatsPE().MergeStartNS = time.Now().UnixNano()
-			st.c.Trace().Instant(trace.TrackControl, "merge-start", 0, 0)
-		}
-		return out.Add(s, l, sat)
-	})
+	n, work, err := merge.MergeSink(srcs, lcp, out.Add)
 	var busy int64
 	for _, run := range st.runs {
 		if run.file != nil {
@@ -247,8 +204,8 @@ type spillSource struct {
 	run *spillRun
 }
 
-// Next returns the run's next string, paging and draining until it is
-// decodable; ok=false reports the run exhausted.
+// Next returns the run's next string, paging until it is decodable;
+// ok=false reports the run exhausted.
 func (s *spillSource) Next() ([]byte, int32, uint64, bool) {
 	for {
 		it, ok, err := s.run.r.Next()
@@ -290,17 +247,10 @@ type compositeSource struct {
 // length beyond it cannot belong to a real bucket.
 const maxSpillSection = 1<<31 - 1
 
-// Next returns the run's next (prefix, origin) pair, draining the exchange
-// and paging the bucket as needed; ok=false reports exhaustion.
+// Next returns the run's next (prefix, origin) pair, paging the bucket as
+// needed; ok=false reports exhaustion.
 func (s *compositeSource) Next() ([]byte, int32, uint64, bool) {
 	run := s.run
-	for !run.arrived {
-		if !s.st.drainOne() {
-			// RecvChunk reports completion only when every transfer is done,
-			// so a dry exchange with an incomplete run cannot happen.
-			panic("core: spill: exchange ended before a composite run arrived")
-		}
-	}
 	if run.file == nil {
 		// No bytes ever arrived for this run; a PDMS bucket is never empty
 		// on the wire, so nothing can be decoded from it.

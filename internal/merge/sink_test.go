@@ -115,7 +115,7 @@ func TestMergeSinkEmpty(t *testing.T) {
 	}
 }
 
-// recyclingSource simulates the budget seam's run sources: every string
+// recyclingSource simulates core's budgeted run sources: every string
 // lives in its own buffer, and being pulled PAST a string scribbles over
 // its storage — the strictest reading of the Source aliasing contract (a
 // string is valid until the next Next on its source, not a moment longer).

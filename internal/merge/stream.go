@@ -1,7 +1,7 @@
 // The two ends of the loser tree: a Source is where a run comes from, a
 // Sink is where the merged items go. A resident run is a positioned slice
-// (sliceSource); the budget seam's runs are incremental readers over
-// frames and page files that may still be arriving (core's spill sources).
+// (sliceSource); a budgeted run is an incremental reader over routed
+// bucket pieces and page files (core's spill sources).
 // The pool merge sinks into pre-sized output slices (parallel.go); the
 // budget pipeline sinks into a sorted-run file writer through MergeSink, so
 // the merged run never accumulates in memory.

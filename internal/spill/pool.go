@@ -11,9 +11,10 @@
 // must go to its page file. Peak() records the high-water mark — the
 // "peak live arena bytes" channel of the run statistics. The budget covers
 // the metered arenas only; the fixed overhead on top (the local input
-// fragment, one encode arena during Step 3, one transport frame, and the
-// stale arena block each RunReader pins after a recycle) is documented in
-// the README's out-of-core section.
+// fragment and the stale arena block each RunReader pins after a recycle)
+// and what is unmetered (the exchange's buckets while the transport holds
+// them: outgoing until sent, received until routed) are documented in the
+// README's out-of-core section.
 //
 // Lifecycle. Every Pool owns a private temporary directory; page files
 // live only there, and Close — idempotent, safe under defer on error and

@@ -118,15 +118,6 @@ type PE struct {
 	// model inputs, never part of deterministic cross-run comparisons.
 	Cores int64
 	CPU   [NumPhases]int64
-	// MergeStartNS and ExchangeDoneNS are wall-clock milestones of the
-	// budget seam, in UnixNano (0 = not recorded). MergeStartNS is stamped
-	// when the Step-4 sink merge emits its first merged string;
-	// ExchangeDoneNS when the LAST Step-3 payload of the chunked exchange
-	// arrived. MergeStartNS < ExchangeDoneNS means merging began while
-	// exchange frames were still in flight.
-	// Like Wall and Overlap these are measurements, never model inputs.
-	MergeStartNS   int64
-	ExchangeDoneNS int64
 	// SpillBytesWritten, SpillBytesRead and PeakLiveBytes are the gauges of
 	// the out-of-core pipeline: bytes the PE's spill pool wrote to page
 	// files, bytes it paged back in ahead of the merge cursor, and the
@@ -412,24 +403,6 @@ func (r *Report) TotalOverlapNS() int64 {
 		}
 	}
 	return o
-}
-
-// MaxMergeLeadNS returns the budget seam's merge lead: the maximum over
-// PEs of how long before its last Step-3 arrival the PE's loser tree
-// emitted the first merged string. Positive means merging demonstrably
-// began while exchange frames were still in flight; 0 means the milestone
-// pair was not recorded (eager seam) or no PE got ahead of its exchange.
-func (r *Report) MaxMergeLeadNS() int64 {
-	var m int64
-	for _, pe := range r.PEs {
-		if pe.MergeStartNS == 0 || pe.ExchangeDoneNS == 0 {
-			continue
-		}
-		if lead := pe.ExchangeDoneNS - pe.MergeStartNS; lead > m {
-			m = lead
-		}
-	}
-	return m
 }
 
 // MaxCores returns the largest intra-PE pool width of the run (1 when

@@ -133,25 +133,3 @@ func TestDefaultModelPlausible(t *testing.T) {
 		t.Fatalf("α/β ratio implausible: %+v", m)
 	}
 }
-
-func TestMaxMergeLeadNS(t *testing.T) {
-	mk := func(start, done int64) *PE {
-		return &PE{MergeStartNS: start, ExchangeDoneNS: done}
-	}
-	// No milestones recorded (eager seams) → 0.
-	r := NewReport([]*PE{mk(0, 0), mk(0, 0)}, DefaultModel())
-	if r.MaxMergeLeadNS() != 0 {
-		t.Fatalf("unrecorded milestones: lead %d, want 0", r.MaxMergeLeadNS())
-	}
-	// Half-recorded pairs must not contribute.
-	r = NewReport([]*PE{mk(100, 0), mk(0, 100)}, DefaultModel())
-	if r.MaxMergeLeadNS() != 0 {
-		t.Fatalf("half-recorded milestones: lead %d, want 0", r.MaxMergeLeadNS())
-	}
-	// Merge after the last arrival (negative lead) reports 0, and the
-	// bottleneck is the max positive lead over PEs.
-	r = NewReport([]*PE{mk(900, 500), mk(400, 700), mk(650, 700)}, DefaultModel())
-	if got := r.MaxMergeLeadNS(); got != 300 {
-		t.Fatalf("lead %d, want 300", got)
-	}
-}

@@ -288,3 +288,20 @@ func BenchmarkSortLCPCommonPrefix(b *testing.B) {
 		SortLCP(in, nil)
 	}
 }
+
+func BenchmarkRadixSortHeavyDuplicates(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	vals := randStrings(rng, 20, 30, 26)
+	ss := make([][]byte, 100000)
+	for i := range ss {
+		ss[i] = vals[rng.Intn(len(vals))]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		in := make([][]byte, len(ss))
+		copy(in, ss)
+		b.StartTimer()
+		SortLCP(in, nil)
+	}
+}

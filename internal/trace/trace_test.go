@@ -143,7 +143,7 @@ func TestRingWraparoundSpansConsistent(t *testing.T) {
 func TestSerializeRoundtrip(t *testing.T) {
 	r := New(2, 0)
 	r.Begin(TrackControl, "exchange")
-	r.Instant(TrackControl, "frame-send", 4096, 3)
+	r.Instant(TrackControl, "send", 4096, 3)
 	r.Counter("spill_written", 1<<20)
 	r.End(TrackControl, "exchange")
 	b := r.Snapshot()

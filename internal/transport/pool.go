@@ -9,8 +9,8 @@ import (
 // buffers that Give hands over, and the TCP backend draws receive buffers
 // for incoming frames. Small buffers (up to 1 MiB) come in power-of-two size
 // classes and recycle — receivers that have fully consumed a payload hand it
-// back through Transport.Release, so control traffic and chunked frames
-// allocate nothing in steady state. Larger requests are allocated at exactly
+// back through Transport.Release, so control traffic allocates nothing in
+// steady state. Larger requests are allocated at exactly
 // the requested size and are never parked: a Step-3 bucket is used once per
 // exchange, and rounding a 37.5 MB bucket up to a 64 MB class costs more
 // than recycling it could ever save. Returning buffers is optional: an

@@ -1,10 +1,10 @@
-// Incremental run decoding for the budget seam: a RunReader consumes an
-// encoded Step-3 run chunk by chunk — sliced at ARBITRARY byte boundaries,
-// as the chunked exchange and the spill page files deliver it — and yields
-// decoded strings on demand, resumable mid-frame. The decoded output is
-// identical, string for string and LCP for LCP, to the corresponding
-// one-shot decoder (DecodeStrings / DecodeStringsLCP): the budget seam must
-// not change a single byte of what the merge sees.
+// Incremental run decoding for the budgeted Step-4 merge: a RunReader
+// consumes an encoded Step-3 run chunk by chunk — sliced at ARBITRARY byte
+// boundaries, as core's bucket routing and the spill page files deliver it —
+// and yields decoded strings on demand, resumable mid-item. The decoded
+// output is identical, string for string and LCP for LCP, to the
+// corresponding one-shot decoder (DecodeStrings / DecodeStringsLCP): a
+// memory budget must not change a single byte of what the merge sees.
 //
 // Aliasing contract: decoded strings NEVER alias the fed chunks. Every
 // character is copied into reader-owned arenas, so callers may recycle (or
@@ -149,7 +149,7 @@ func (r *RunReader) decoded() int { return r.base + len(r.items) }
 
 // ArenaBytes returns the live size of the reader's character arena: the
 // decoded-but-not-recycled characters a budget accountant should meter.
-// The buffered undecoded chunk bytes (bounded by the exchange frame size)
+// The buffered undecoded chunk bytes (bounded by the fed chunk's size)
 // and the one stale arena block pinned by prev after a Recycle are the
 // documented fixed overhead on top of this figure.
 func (r *RunReader) ArenaBytes() int { return len(r.arena) }

@@ -402,7 +402,7 @@ func DecodeUint64sFixed(msg []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cnt*8 > uint64(len(msg))+8 {
+	if cnt > uint64(len(msg))/8 { // compare counts: cnt*8 wraps
 		return nil, ErrCorrupt
 	}
 	out := make([]uint64, 0, cnt)
@@ -438,7 +438,7 @@ func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cnt*4 > uint64(len(msg))+4 {
+	if cnt > uint64(len(msg))/4 {
 		return nil, ErrCorrupt
 	}
 	out := make([]uint64, 0, cnt)

@@ -56,7 +56,7 @@ func runBudget(c *comm.Comm, local [][]byte, cfg Config, path string) (core.Resu
 	sp, err := newSpillPool(spill.Config{
 		Budget:   cfg.MemBudget,
 		Dir:      cfg.SpillDir,
-		PageSize: cfg.SpillPageSize,
+		PageSize: cfg.spillPageSize,
 	}, c.Pool())
 	if err != nil {
 		return core.Result{}, err
@@ -68,7 +68,7 @@ func runBudget(c *comm.Comm, local [][]byte, cfg Config, path string) (core.Resu
 		return core.Result{}, fmt.Errorf("stringsort: run file: %w", err)
 	}
 	defer f.Close()
-	out, err := spill.NewRunWriter(f, runOpts(cfg.Algorithm), sp, cfg.SpillPageSize)
+	out, err := spill.NewRunWriter(f, runOpts(cfg.Algorithm), sp, cfg.spillPageSize)
 	if err != nil {
 		return core.Result{}, err
 	}

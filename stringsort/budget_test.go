@@ -63,7 +63,7 @@ func budgetInvariant(st Stats) Stats {
 const (
 	testBudget   = 4 << 10
 	testPage     = 512
-	testChunk    = testPage // the budget seam's frame bound: min(8 KiB, page)
+	testChunk    = testPage // the routing granularity: min(8 KiB, page)
 	testPEs      = 4
 	testPerPE    = 4000
 	testOverhead = testPEs*testChunk + 16*testPage // arrival overshoot + write-behind/pinned slack
@@ -71,7 +71,7 @@ const (
 
 func budgetConfig(base Config, dir string) Config {
 	base.MemBudget = testBudget
-	base.SpillPageSize = testPage
+	base.spillPageSize = testPage
 	base.SpillDir = dir
 	return base
 }

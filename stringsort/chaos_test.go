@@ -8,8 +8,8 @@ import (
 // TestChaosIdentityAcrossSeams is the differential fault-injection pin:
 // PDMS and MS run over real loopback TCP under the harshest chaos level —
 // which kills established connections mid-exchange with partial final
-// writes — on the eager seam under both exchange disciplines (split-phase
-// and the bulk-synchronous reference), and every
+// writes — under both exchange disciplines (split-phase and the
+// bulk-synchronous reference), and every
 // cell must produce byte-identical output and bit-identical deterministic
 // statistics compared to the undisturbed run of the same configuration.
 // Each chaos cell must also actually have recovered from at least one

@@ -208,7 +208,7 @@ type Config struct {
 	// model time and bytes/string are billed on the raw payloads and stay
 	// bit-identical under every codec — while Stats.WireBytes reports what
 	// actually crossed the wire. Works identically over the local and TCP
-	// substrates and on both Step-3→4 seams.
+	// substrates, with and without a memory budget.
 	Codec string
 	// CodecMinSize is the compression threshold in bytes: frames smaller
 	// than this ship uncompressed (0 means the codec default, 64).
@@ -244,12 +244,9 @@ type Config struct {
 	// means the OS temp dir). Page files are removed when the run ends,
 	// on success and failure alike.
 	SpillDir string
-	// SpillPageSize bounds the spill page and run-writer buffer size in
-	// bytes (0 = the default, 256 KiB). Only meaningful with MemBudget.
-	SpillPageSize int
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
-	// the run to this file: per-PE phase spans, per-frame transport events,
-	// worker-goroutine busy spans, merge start/seam instants and spill
+	// the run to this file: per-PE phase spans, per-message transport
+	// events, worker-goroutine busy spans, merge seam instants and spill
 	// counter samples, loadable in Perfetto (ui.perfetto.dev) or
 	// chrome://tracing. Tracing never touches the deterministic statistics
 	// — model time and bytes/string stay bit-identical with tracing on or
@@ -288,6 +285,10 @@ type Config struct {
 	// are identical either way; it is the reference point of the package's
 	// differential and overlap tests, which is why only they can set it.
 	blockingExchange bool
+	// spillPageSize pins the spill page and run-writer buffer size in bytes
+	// (0 = the default, 256 KiB capped at a sixteenth of MemBudget). The
+	// budget tests set it to spill at kilobyte scale.
+	spillPageSize int
 }
 
 // PEOutput is one PE's fragment of the sorted result.
@@ -347,12 +348,6 @@ type Stats struct {
 	// WallMS is the slowest PE's total wall-clock time in ms (measured, not
 	// modeled).
 	WallMS float64
-	// MergeLeadMS is the budget seam's merge lead: the largest per-PE span
-	// between the loser tree's first merged output and that PE's LAST
-	// Step-3 frame arrival, in ms. Positive means merging demonstrably
-	// began while exchange frames were still in flight; 0 on the eager seam
-	// (which merges fully decoded runs). Measured, not modeled.
-	MergeLeadMS float64
 	// WallTable is the human-readable per-phase breakdown of the measured
 	// wall spans and overlap (nondeterministic, like OverlapMS/WallMS).
 	WallTable string
@@ -419,8 +414,6 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 	fmt.Fprintf(w, "wall time:        %.3f ms (slowest PE)\n", st.WallMS)
 	fmt.Fprintf(w, "overlap:          %.3f ms max per PE, %.3f PE-ms summed (comm hidden under compute)\n",
 		st.MaxOverlapMS, st.OverlapMS)
-	fmt.Fprintf(w, "merge lead:       %.3f ms (first merged string ahead of the last Step-3 frame; budget seam only)\n",
-		st.MergeLeadMS)
 	fmt.Fprintf(w, "merge par:        %.3f PE-ms merge CPU over %.3f ms merge wall (CPU > wall = partitioned merge engaged)\n",
 		st.MergeCPUMS, st.MergeWallMS)
 	fmt.Fprintf(w, "spill:            %d bytes written, %d read back, %d peak live (0 = everything stayed in memory)\n",
@@ -450,7 +443,6 @@ func statsFromReport(rep *stats.Report, n int64) Stats {
 		OverlapMS:          float64(rep.TotalOverlapNS()) / 1e6,
 		MaxOverlapMS:       float64(rep.MaxOverlapNS()) / 1e6,
 		WallMS:             float64(rep.MaxWallNS()) / 1e6,
-		MergeLeadMS:        float64(rep.MaxMergeLeadNS()) / 1e6,
 		WallTable:          rep.WallTable(),
 		Cores:              int(rep.MaxCores()),
 		CPUMS:              float64(rep.TotalCPUNS()) / 1e6,

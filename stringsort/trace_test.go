@@ -74,14 +74,15 @@ func countEvents(doc traceDoc, name, ph string) int {
 
 // TestSortTraceTimeline runs an in-process PDMS sort with tracing and
 // checks the exported timeline end to end: valid JSON, one process track
-// per PE with all five phase spans, per-frame transport events from the
-// budget seam's chunked exchange, the merge milestones, and balanced
+// per PE with all five phase spans, the Step-3 exchange's post/done and
+// billing instants, the page traffic of the budgeted landing (512-byte
+// pages, so every PDMS bucket is flushed and paged back in), and balanced
 // begin/end pairs.
 func TestSortTraceTimeline(t *testing.T) {
 	const p = 4
-	inputs := testInputs(p, 300)
+	inputs := testInputs(p, 2000)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	cfg := Config{Algorithm: PDMS, MemBudget: 8 << 10, SpillDir: t.TempDir()}
+	cfg := Config{Algorithm: PDMS, MemBudget: 8 << 10, SpillDir: t.TempDir(), spillPageSize: 512}
 	untraced, err := Sort(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +110,11 @@ func TestSortTraceTimeline(t *testing.T) {
 		}
 	}
 	for _, want := range []struct{ name, ph string }{
-		{"frame-send", "i"},  // chunked exchange frames out
-		{"frame-recv", "i"},  // ... and in
-		{"send", "i"},        // raw billing instants
-		{"merge-start", "i"}, // first merged output milestone
-		{"IAlltoallvChunked post", "i"},
+		{"IAlltoallv post", "i"}, // the Step-3 exchange (and the collectives before it)
+		{"IAlltoallv done", "i"},
+		{"send", "i"},         // raw billing instants
+		{"spill-flush", "i"},  // a routed page written behind the PE's back
+		{"spill-pagein", "i"}, // ... and paged back in ahead of the merge cursor
 	} {
 		if countEvents(doc, want.name, want.ph) == 0 {
 			t.Errorf("no %q (%s) events in the trace", want.name, want.ph)

@@ -39,7 +39,6 @@ func deterministic(st Stats) Stats {
 	st.OverlapMS = 0
 	st.MaxOverlapMS = 0
 	st.WallMS = 0
-	st.MergeLeadMS = 0
 	st.WallTable = ""
 	st.CPUMS = 0
 	st.MergeWallMS = 0
