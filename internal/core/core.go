@@ -143,8 +143,7 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 // back — recv yields every member's bucket exactly once, whole, with its
 // group index, and ok=false after the last. The caller owns what recv
 // yields and releases it (c.Release) once it has copied its contents out:
-// decodeOnPool for the in-RAM landing, spillStream.route for the budgeted
-// one.
+// decodeOnPool for the in-RAM landing, routeRuns for the budgeted one.
 //
 // Split-phase mode (blocking=false, the default): every bucket is encoded
 // straight into its own transport buffer (comm.Alloc) and the exchange is
@@ -246,8 +245,8 @@ type SeamOptions struct {
 	// Output and deterministic stats are pool-width-independent either way.
 	ParMergeMin int
 	// Spill, if non-nil, runs the bounded-memory landing: received buckets
-	// are routed piece by piece, to page files once the pool's budget is
-	// exceeded, and the Step-4 sink merge drains into Out
+	// wait encoded, in page files for what the pool's budget has no room
+	// for, and the Step-4 sink merge drains into Out
 	// (required non-nil with Spill) instead of an output arena. The
 	// deterministic statistics are untouched — they are seam-invariant and
 	// the spill decision only moves measured gauges — and the result holds
@@ -260,7 +259,7 @@ type SeamOptions struct {
 // bucketCodec is one algorithm's Step-3 wire format: the exact encoded
 // size of every outgoing bucket, the encoder that fills exactly that many
 // bytes, and the decoders of a received run — one-shot for the in-RAM
-// landing, and the incremental layout for the budgeted one (origins marks
+// landing, and the layout a cursor pulls for the budgeted one (origins marks
 // PDMS's composite bucket: a RunStringsLCP blob trailed by an origin column).
 type bucketCodec struct {
 	sizes   []int
@@ -281,8 +280,8 @@ func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt Se
 	var work, busy int64
 	recv := exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
 	if opt.Spill != nil {
-		st := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
-		drained, work = st.sinkMerge(lcp, opt.Out)
+		runs := routeRuns(c, recv, len(cd.sizes), cd.origins, opt.Spill)
+		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)
 	} else {
 		runs := make([]merge.Sequence, len(cd.sizes))
 		decodeOnPool(c, recv, func(src int, msg []byte) {

@@ -208,31 +208,10 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		}
 		return buf
 	}
-	decode := func(msg []byte) (merge.Sequence, error) {
-		r := wire.NewReader(msg)
-		blob, err := r.BytesPrefixed()
-		if err != nil {
-			return merge.Sequence{}, err
-		}
-		oblob, err := r.BytesPrefixed()
-		if err != nil {
-			return merge.Sequence{}, err
-		}
-		rs, rl, err := wire.DecodeStringsLCP(blob)
-		if err != nil {
-			return merge.Sequence{}, err
-		}
-		ro, err := wire.DecodeUint64s(oblob)
-		if err == nil && len(ro) != len(rs) {
-			err = wire.ErrCorrupt
-		}
-		return merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}, err
-	}
-
 	// Step 4: LCP-aware multiway merge of the prefix runs; in budget mode
 	// the origins travel as the run file's satellite column.
 	out, drained := exchangeMerge(c, g, bucketCodec{
-		sizes: sizes, enc: enc, decode: decode, format: wire.RunStringsLCP, origins: true,
+		sizes: sizes, enc: enc, decode: decodePrefixBucket, format: wire.RunStringsLCP, origins: true,
 	}, true, opt.SeamOptions)
 	if opt.Spill != nil {
 		return Result{Drained: drained, PrefixOnly: true}
@@ -242,6 +221,30 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		origins[i] = satOrigin(u)
 	}
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Origins: origins, PrefixOnly: true}
+}
+
+// decodePrefixBucket is the in-RAM decoder of one PDMS bucket: a
+// length-prefixed LCP-compressed blob of prefixes, then a length-prefixed
+// origin column that must declare as many values as the blob has strings.
+func decodePrefixBucket(msg []byte) (merge.Sequence, error) {
+	r := wire.NewReader(msg)
+	blob, err := r.BytesPrefixed()
+	if err != nil {
+		return merge.Sequence{}, err
+	}
+	oblob, err := r.BytesPrefixed()
+	if err != nil {
+		return merge.Sequence{}, err
+	}
+	rs, rl, err := wire.DecodeStringsLCP(blob)
+	if err != nil {
+		return merge.Sequence{}, err
+	}
+	ro, err := wire.DecodeUint64s(oblob)
+	if err == nil && len(ro) != len(rs) {
+		err = wire.ErrCorrupt
+	}
+	return merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}, err
 }
 
 // Reconstruct materializes the full strings behind a PDMS result: every PE

@@ -1,7 +1,7 @@
 // The two ends of the loser tree: a Source is where a run comes from, a
 // Sink is where the merged items go. A resident run is a positioned slice
-// (sliceSource); a budgeted run is an incremental reader over routed
-// bucket pieces and page files (core's spill sources).
+// (sliceSource); a budgeted run is a cursor over its still-encoded bytes,
+// resident and in a page file (core's spill sources).
 // The pool merge sinks into pre-sized output slices (parallel.go); the
 // budget pipeline sinks into a sorted-run file writer through MergeSink, so
 // the merged run never accumulates in memory.
@@ -22,10 +22,9 @@ package merge
 // the tree caches it as the stream's head and hands it to the sink before
 // pulling again. Sources feeding the pool merge must keep their strings
 // valid for good (the output Sequence aliases them); sources feeding
-// MergeSink may recycle a string's storage once they are pulled past it. A
+// MergeSink may reuse a string's storage once they are pulled past it. A
 // Source must never hand out sub-slices of transport buffers that are
-// recycled behind its back: decode into reader-owned storage
-// (wire.RunReader's arenas obey this).
+// recycled behind its back.
 type Source interface {
 	// Next consumes and returns the run's next string, blocking until it
 	// is available, together with its LCP with the run's previous string

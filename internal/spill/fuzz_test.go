@@ -35,7 +35,7 @@ func fuzzItems(data []byte) (ss [][]byte, lcps []int32, sats []uint64) {
 // RunScanner at fuzz-chosen page sizes and flag combinations and demands an
 // exact round-trip: same strings, same satellites, LCPs consistent with the
 // strings themselves, clean terminator. This is the spill-page analogue of
-// the wire package's FuzzRunReader.
+// the wire package's FuzzRunCursor.
 func FuzzRunFileRoundTrip(f *testing.F) {
 	f.Add([]byte("3abc3abd3xyz"), uint8(3), uint16(64))
 	f.Add([]byte{}, uint8(0), uint16(1))

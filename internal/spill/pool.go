@@ -1,19 +1,20 @@
 // Package spill gives the out-of-core pipeline its bounded-memory
-// machinery: a Pool that meters every live arena byte of one PE against a
+// machinery: a Pool that meters the live run bytes of one PE against a
 // configured budget, page files that absorb run bytes the budget cannot
 // hold (written behind the PE's back on the intra-PE work pool and paged
 // back in sequentially ahead of the merge cursor), and the sorted-run file
 // format the Step-4 drain writes instead of accumulating a result arena.
 //
 // Accounting model. The Pool counts bytes, it never blocks: callers
-// Reserve what they decode or buffer, Release what they recycle, and ask
-// Over() when deciding whether the next run chunk may stay resident or
-// must go to its page file. Peak() records the high-water mark — the
-// "peak live arena bytes" channel of the run statistics. The budget covers
-// the metered arenas only; the fixed overhead on top (the local input
-// fragment and the stale arena block each RunReader pins after a recycle)
-// and what is unmetered (the exchange's buckets while the transport holds
-// them: outgoing until sent, received until routed) are documented in the
+// Reserve what they keep or buffer and Release what they are through with,
+// and a routed bucket stays resident only as far as Room() reaches. Peak()
+// records the high-water mark — the "peak live bytes" channel of the run
+// statistics. What is metered: the resident (still encoded) prefixes of
+// the incoming runs, the one span each run window has paged back in, the
+// pages pending or in flight on a write-behind chain and the run writer's
+// page. What is not: the local input fragment, the one string each run
+// cursor decodes into, and the exchange's buckets while the transport
+// holds them (outgoing until sent, received until routed) — see the
 // README's out-of-core section.
 //
 // Lifecycle. Every Pool owns a private temporary directory; page files
@@ -24,6 +25,7 @@ package spill
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -63,7 +65,7 @@ func defaultPageSizeFor(budget int64) int {
 // Config parameterizes a Pool.
 type Config struct {
 	// Budget is the live-byte budget in bytes. 0 means unlimited: the pool
-	// still meters (Peak stays meaningful) but Over never reports true.
+	// still meters (Peak stays meaningful) but Room never runs out.
 	Budget int64
 	// Dir is the parent directory for the pool's private page directory
 	// (default: the OS temp dir).
@@ -76,7 +78,7 @@ type Config struct {
 	Create func(name string) (*os.File, error)
 }
 
-// Pool meters one PE's live arena bytes against the budget and owns the
+// Pool meters one PE's live run bytes against the budget and owns the
 // PE's spill page files. The counters are atomic: the PE goroutine and the
 // write-behind helpers update them concurrently.
 type Pool struct {
@@ -147,9 +149,13 @@ func (p *Pool) Release(n int64) {
 	}
 }
 
-// Over reports that the live bytes exceed a configured budget.
-func (p *Pool) Over() bool {
-	return p.cfg.Budget > 0 && p.live.Load() > p.cfg.Budget
+// Room returns how many more live bytes fit under the budget: 0 at or past
+// it, and more than any bucket holds without one.
+func (p *Pool) Room() int64 {
+	if p.cfg.Budget <= 0 {
+		return math.MaxInt64
+	}
+	return max(0, p.cfg.Budget-p.live.Load())
 }
 
 // Live returns the currently metered live bytes.

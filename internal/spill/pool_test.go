@@ -2,14 +2,19 @@ package spill
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"dss/internal/input"
 	"dss/internal/par"
+	"dss/internal/strsort"
 )
 
 func newTestPool(t *testing.T, cfg Config) *Pool {
@@ -25,35 +30,35 @@ func newTestPool(t *testing.T, cfg Config) *Pool {
 	return p
 }
 
-// TestPoolAccounting pins the Reserve/Release/Peak/Over arithmetic.
+// TestPoolAccounting pins the Reserve/Release/Peak/Room arithmetic.
 func TestPoolAccounting(t *testing.T) {
 	p := newTestPool(t, Config{Budget: 100})
-	if p.Over() || p.Live() != 0 || p.Peak() != 0 {
-		t.Fatalf("fresh pool not zeroed: live=%d peak=%d over=%v", p.Live(), p.Peak(), p.Over())
+	if p.Room() != 100 || p.Live() != 0 || p.Peak() != 0 {
+		t.Fatalf("fresh pool not zeroed: live=%d peak=%d room=%d", p.Live(), p.Peak(), p.Room())
 	}
 	p.Reserve(60)
-	if p.Over() {
-		t.Fatal("over budget at 60/100")
+	if p.Room() != 40 {
+		t.Fatalf("room %d at 60/100", p.Room())
 	}
 	p.Reserve(50)
-	if !p.Over() {
-		t.Fatal("not over budget at 110/100")
+	if p.Room() != 0 {
+		t.Fatalf("room %d at 110/100", p.Room())
 	}
 	if p.Live() != 110 || p.Peak() != 110 {
 		t.Fatalf("live=%d peak=%d, want 110/110", p.Live(), p.Peak())
 	}
 	p.Release(80)
-	if p.Over() {
-		t.Fatal("over budget at 30/100")
+	if p.Room() != 70 {
+		t.Fatalf("room %d at 30/100", p.Room())
 	}
 	if p.Live() != 30 || p.Peak() != 110 {
 		t.Fatalf("live=%d peak=%d, want 30/110 (peak is a high-water mark)", p.Live(), p.Peak())
 	}
-	// Budget 0 = unlimited: meters but never reports over.
+	// Budget 0 = unlimited: meters but never runs out of room.
 	u := newTestPool(t, Config{})
 	u.Reserve(1 << 40)
-	if u.Over() {
-		t.Fatal("unlimited pool reported over")
+	if u.Room() != math.MaxInt64 {
+		t.Fatalf("unlimited pool has room %d", u.Room())
 	}
 	if u.Peak() != 1<<40 {
 		t.Fatalf("unlimited pool peak=%d", u.Peak())
@@ -374,6 +379,88 @@ func TestRunScannerTruncated(t *testing.T) {
 		}
 		if !ok {
 			t.Fatal("truncated run ended cleanly")
+		}
+	}
+}
+
+// TestRunScannerHugeDeclaredLength is the regression test of the 2 GiB
+// allocation: a 16-byte file whose one item declares a suffix of 2³¹−1
+// bytes (the most maxSectionLen lets through) and then ends. The scanner
+// used to size its buffer from the declared length before reading a byte
+// of it; it must fail with an error having allocated next to nothing, in
+// every column layout.
+func TestRunScannerHugeDeclaredLength(t *testing.T) {
+	for flags := byte(0); flags < 4; flags++ {
+		file := append(append([]byte(nil), runMagic[:]...), flags, 1) // one page of one item
+		if flags&runFlagLCP != 0 {
+			file = append(file, 0)
+		}
+		if flags&runFlagSat != 0 {
+			file = append(file, 0)
+		}
+		file = append(binary.AppendUvarint(file, maxSectionLen), 'x')
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc, err := NewRunScanner(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, ok, err := sc.Next()
+		runtime.ReadMemStats(&after)
+		if ok || err == nil {
+			t.Fatalf("flags %02b: a %d-byte file yielded an item (ok=%v, err=%v)", flags, len(file), ok, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("flags %02b: scanning a %d-byte file allocated %d bytes", flags, len(file), grew)
+		}
+	}
+}
+
+// benchSink keeps the scanned strings observable.
+var benchSink int
+
+// BenchmarkRunScanner times the sorted-run scanner over one PE's share of
+// the benchmark text (cc_ms_*) written as a DSSRUN1 file with the LCP
+// column — the same strings wire's BenchmarkRunCursor decodes.
+func BenchmarkRunScanner(b *testing.B) {
+	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
+	lcps, _ := strsort.SortLCP(ss, nil)
+	var file bytes.Buffer
+	w, err := NewRunWriter(&file, RunWriterOpts{LCP: true}, nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, s := range ss {
+		if err := w.Add(s, lcps[i], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := NewRunScanner(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		got := 0
+		for {
+			s, _, _, ok, err := sc.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			benchSink += len(s)
+			got++
+		}
+		if got != len(ss) {
+			b.Fatalf("scanned %d items, want %d", got, len(ss))
 		}
 	}
 }

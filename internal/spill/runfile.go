@@ -23,11 +23,12 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+
+	"dss/internal/wire"
 )
 
 var runMagic = [8]byte{'D', 'S', 'S', 'R', 'U', 'N', '1', '\n'}
@@ -164,9 +165,11 @@ func (rw *RunWriter) Close() error {
 	return rw.err
 }
 
-// RunScanner streams a sorted-run file back item by item.
+// RunScanner streams a sorted-run file back item by item, through the
+// same span window the budgeted merge decodes its runs with.
 type RunScanner struct {
-	br     *bufio.Reader
+	w      *wire.Window
+	rerr   error // the reader's own failure, as opposed to a short file
 	hasLCP bool
 	hasSat bool
 	left   int // items remaining in the current page
@@ -177,19 +180,47 @@ type RunScanner struct {
 
 // NewRunScanner opens a sorted-run stream, validating the header.
 func NewRunScanner(r io.Reader) (*RunScanner, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var hdr [9]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("spill: run header: %w", err)
+	sc := &RunScanner{}
+	buf := make([]byte, 64<<10)
+	sc.w = wire.NewWindow(func() []byte {
+		for {
+			n, err := r.Read(buf)
+			if n > 0 {
+				return buf[:n]
+			}
+			if err != nil {
+				if err != io.EOF {
+					sc.rerr = err
+				}
+				return nil
+			}
+		}
+	})
+	hdr, err := sc.w.Append(make([]byte, 0, 9), 9)
+	if err != nil {
+		return nil, sc.short("header", err)
 	}
 	if [8]byte(hdr[:8]) != runMagic {
 		return nil, ErrRunCorrupt
 	}
-	return &RunScanner{
-		br:     br,
-		hasLCP: hdr[8]&runFlagLCP != 0,
-		hasSat: hdr[8]&runFlagSat != 0,
-	}, nil
+	sc.hasLCP = hdr[8]&runFlagLCP != 0
+	sc.hasSat = hdr[8]&runFlagSat != 0
+	return sc, nil
+}
+
+// short reports that part of the file (what) could not be read; a failed
+// Read takes precedence over the short file it caused.
+func (sc *RunScanner) short(what string, err error) error {
+	if sc.rerr != nil {
+		err = sc.rerr
+	}
+	return fmt.Errorf("spill: run %s: %w", what, err)
+}
+
+// fail ends the scan with err.
+func (sc *RunScanner) fail(err error) ([]byte, int32, uint64, bool, error) {
+	sc.err = err
+	return nil, 0, 0, false, err
 }
 
 // HasLCP reports whether items carry the LCP column.
@@ -207,60 +238,45 @@ func (sc *RunScanner) Next() (s []byte, lcp int32, sat uint64, ok bool, err erro
 		return nil, 0, 0, false, sc.err
 	}
 	if sc.left == 0 {
-		n, err := binary.ReadUvarint(sc.br)
+		n, err := sc.w.Uvarint()
 		if err != nil {
-			sc.err = fmt.Errorf("spill: run page count: %w", err)
-			return nil, 0, 0, false, sc.err
+			return sc.fail(sc.short("page count", err))
 		}
 		if n == 0 {
 			sc.done = true
 			return nil, 0, 0, false, nil
 		}
 		if n > maxRunPageItems {
-			sc.err = ErrRunCorrupt
-			return nil, 0, 0, false, sc.err
+			return sc.fail(ErrRunCorrupt)
 		}
 		sc.left = int(n)
 	}
 	sc.left--
 	var h uint64
 	if sc.hasLCP {
-		if h, err = binary.ReadUvarint(sc.br); err != nil {
-			sc.err = fmt.Errorf("spill: run item: %w", err)
-			return nil, 0, 0, false, sc.err
+		if h, err = sc.w.Uvarint(); err != nil {
+			return sc.fail(sc.short("item", err))
 		}
 		if h > uint64(len(sc.prev)) {
-			sc.err = ErrRunCorrupt
-			return nil, 0, 0, false, sc.err
+			return sc.fail(ErrRunCorrupt)
 		}
 	}
 	if sc.hasSat {
-		if sat, err = binary.ReadUvarint(sc.br); err != nil {
-			sc.err = fmt.Errorf("spill: run item: %w", err)
-			return nil, 0, 0, false, sc.err
+		if sat, err = sc.w.Uvarint(); err != nil {
+			return sc.fail(sc.short("item", err))
 		}
 	}
-	slen, err := binary.ReadUvarint(sc.br)
+	slen, err := sc.w.Uvarint()
 	if err != nil {
-		sc.err = fmt.Errorf("spill: run item: %w", err)
-		return nil, 0, 0, false, sc.err
+		return sc.fail(sc.short("item", err))
 	}
 	if slen > maxSectionLen {
-		sc.err = ErrRunCorrupt
-		return nil, 0, 0, false, sc.err
+		return sc.fail(ErrRunCorrupt)
 	}
-	sc.prev = sc.prev[:h]
-	need := int(h) + int(slen)
-	if cap(sc.prev) < need {
-		grown := make([]byte, int(h), need)
-		copy(grown, sc.prev)
-		sc.prev = grown
-	}
-	tail := sc.prev[h:need]
-	sc.prev = sc.prev[:need]
-	if _, err := io.ReadFull(sc.br, tail); err != nil {
-		sc.err = fmt.Errorf("spill: run item: %w", err)
-		return nil, 0, 0, false, sc.err
+	// prev grows by the suffix bytes that arrive, never to the declared
+	// length up front: a corrupt length must not buy an allocation.
+	if sc.prev, err = sc.w.Append(sc.prev[:h], slen); err != nil {
+		return sc.fail(sc.short("item", err))
 	}
 	return sc.prev, int32(h), sat, true, nil
 }

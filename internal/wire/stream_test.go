@@ -4,64 +4,90 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"dss/internal/input"
+	"dss/internal/strsort"
 )
+
+// item is one decoded string of a run with its LCP.
+type item struct {
+	S   []byte
+	LCP int32
+}
 
 // oneShot is the reference decoder of a format: the exact non-streaming
 // path each RunFormat mirrors (DecodeStrings / DecodeStringsLCP).
-func oneShot(format RunFormat, msg []byte) ([]Item, error) {
+func oneShot(format RunFormat, msg []byte) ([]item, error) {
+	var ss [][]byte
+	var lcps []int32
+	var err error
 	switch format {
 	case RunStrings:
-		ss, err := DecodeStrings(msg)
-		if err != nil {
-			return nil, err
-		}
-		items := make([]Item, len(ss))
-		for i, s := range ss {
-			items[i] = Item{S: s}
-		}
-		return items, nil
+		ss, err = DecodeStrings(msg)
+		lcps = make([]int32, len(ss))
 	case RunStringsLCP:
-		ss, lcps, err := DecodeStringsLCP(msg)
-		if err != nil {
-			return nil, err
-		}
-		items := make([]Item, len(ss))
-		for i, s := range ss {
-			items[i] = Item{S: s, LCP: lcps[i]}
-		}
-		return items, nil
+		ss, lcps, err = DecodeStringsLCP(msg)
+	default:
+		panic("unknown format")
 	}
-	panic("unknown format")
+	if err != nil {
+		return nil, err
+	}
+	items := make([]item, len(ss))
+	for i, s := range ss {
+		items[i] = item{S: s, LCP: lcps[i]}
+	}
+	return items, nil
 }
 
-// streamDecode runs a RunReader over msg cut at the given boundaries
-// (ascending offsets into msg) and collects every item.
-func streamDecode(format RunFormat, msg []byte, cuts []int) ([]Item, error) {
-	r := NewRunReader(format)
+// spanFill cuts msg at the given boundaries (ascending offsets into msg)
+// and returns the fill function every test drives its cursor with: each
+// span is handed over in a buffer of its own, and that buffer is scribbled
+// over the moment the next span is asked for — the shortest life a span may
+// have. Neither a returned string nor the window itself may depend on a
+// span beyond that point. (Cuts that would make an empty span are skipped:
+// an empty span ends the sequence.)
+func spanFill(msg []byte, cuts []int) func() []byte {
+	var last []byte
 	prev := 0
-	for _, c := range cuts {
-		r.Feed(msg[prev:c])
-		prev = c
+	cuts = append(append([]int(nil), cuts...), len(msg))
+	return func() []byte {
+		for i := range last {
+			last[i] = 0xee
+		}
+		last = nil
+		for len(cuts) > 0 && last == nil {
+			if end := cuts[0]; end > prev {
+				last = append([]byte(nil), msg[prev:end]...)
+				prev = end
+			}
+			cuts = cuts[1:]
+		}
+		return last
 	}
-	r.Feed(msg[prev:])
-	r.Finish()
-	var items []Item
+}
+
+// streamDecode runs a RunCursor over msg cut at the given boundaries and
+// collects every item (copied: the cursor reuses its buffer).
+func streamDecode(format RunFormat, msg []byte, cuts []int) ([]item, error) {
+	c := NewRunCursor(format, spanFill(msg, cuts))
+	var items []item
 	for {
-		it, ok, err := r.Next()
-		if err != nil {
+		s, lcp, ok, err := c.Next()
+		if err != nil || !ok {
+			if n, _ := c.Count(); err == nil && n != uint64(len(items)) {
+				err = fmt.Errorf("cursor ended after %d of %d declared items", len(items), n)
+			}
 			return items, err
 		}
-		if !ok {
-			if !r.Done() {
-				return items, fmt.Errorf("reader stalled: not done, no error")
-			}
-			return items, nil
+		if s == nil {
+			return items, fmt.Errorf("item %d decoded to a nil slice", len(items))
 		}
-		items = append(items, it)
+		items = append(items, item{S: append([]byte{}, s...), LCP: lcp})
 	}
 }
 
-func itemsEqual(a, b []Item) bool {
+func itemsEqual(a, b []item) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -113,11 +139,11 @@ func testRuns() [][][]byte {
 	}
 }
 
-// TestRunReaderEverySplitPoint feeds every test run, in every format,
-// sliced at EVERY single byte boundary (two chunks) and additionally in
-// uniform chunks of 1..5 bytes, and requires the decoded items to be
+// TestRunCursorEverySplitPoint feeds every test run, in every format,
+// cut at EVERY single byte boundary (two spans) and additionally into
+// uniform spans of 1..5 bytes, and requires the decoded items to be
 // identical to the one-shot decoder's.
-func TestRunReaderEverySplitPoint(t *testing.T) {
+func TestRunCursorEverySplitPoint(t *testing.T) {
 	for _, format := range runFormats {
 		for ri, ss := range testRuns() {
 			msg := encodeRun(format, ss)
@@ -125,7 +151,7 @@ func TestRunReaderEverySplitPoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("format %d run %d: reference decode failed: %v", format, ri, err)
 			}
-			// Two chunks, split at every boundary (0 and len included).
+			// Two spans, cut at every boundary (0 and len included).
 			for cut := 0; cut <= len(msg); cut++ {
 				got, err := streamDecode(format, msg, []int{cut})
 				if err != nil {
@@ -135,7 +161,7 @@ func TestRunReaderEverySplitPoint(t *testing.T) {
 					t.Fatalf("format %d run %d cut %d: items differ", format, ri, cut)
 				}
 			}
-			// Uniform tiny chunks: every reader state resumes repeatedly.
+			// Uniform tiny spans: every varint and suffix straddles repeatedly.
 			for width := 1; width <= 5; width++ {
 				var cuts []int
 				for c := width; c < len(msg); c += width {
@@ -153,12 +179,12 @@ func TestRunReaderEverySplitPoint(t *testing.T) {
 	}
 }
 
-// TestRunReaderGarbageTailsAndTruncations pins the failure-mode parity
+// TestRunCursorGarbageTailsAndTruncations pins the failure-mode parity
 // with the one-shot decoders: garbage appended after a complete run is
 // ignored (exactly like the one-shot decoders ignore trailing bytes), and
 // every strict prefix of an encoding either errors cleanly or — never —
 // fabricates a complete run.
-func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
+func TestRunCursorGarbageTailsAndTruncations(t *testing.T) {
 	ss := [][]byte{[]byte("aa"), []byte("aab"), []byte("abc"), []byte("b")}
 	for _, format := range runFormats {
 		msg := encodeRun(format, ss)
@@ -166,7 +192,7 @@ func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("format %d: reference decode failed: %v", format, err)
 		}
-		// Garbage tails, fed both within the final chunk and as extra ones.
+		// Garbage tails, both within the final span and as extra ones.
 		for _, tail := range [][]byte{{0x00}, {0xff, 0xff, 0xff}, bytes.Repeat([]byte{0xab}, 64)} {
 			dirty := append(append([]byte(nil), msg...), tail...)
 			if wantDirty, err := oneShot(format, dirty); err != nil || !itemsEqual(want, wantDirty) {
@@ -183,7 +209,7 @@ func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
 			}
 		}
 		// Truncations: the one-shot decoder fails on every strict prefix of
-		// this encoding; the streaming reader must fail too (possibly after
+		// this encoding; the cursor must fail too (possibly after
 		// emitting the items that were already complete), never stall or
 		// panic.
 		for cut := 0; cut < len(msg); cut++ {
@@ -197,72 +223,16 @@ func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
 	}
 }
 
-// TestRunReaderDoesNotAliasChunks enforces the reader half of the merge
-// aliasing contract: decoded strings must never reference the fed chunk
-// storage. Every chunk is fed through ONE reused buffer that is scribbled
-// over immediately after Feed returns — exactly what the transport's
-// buffer pool does — and the decoded items must still match the one-shot
-// reference at the end.
-func TestRunReaderDoesNotAliasChunks(t *testing.T) {
-	ss := [][]byte{[]byte("alpha"), []byte("alphabet"), []byte("alphabetical"), []byte("beta")}
-	for _, format := range runFormats {
-		msg := encodeRun(format, ss)
-		want, _ := oneShot(format, msg)
-		r := NewRunReader(format)
-		scratch := make([]byte, 3)
-		var got []Item
-		for off := 0; off < len(msg); off += len(scratch) {
-			end := off + len(scratch)
-			if end > len(msg) {
-				end = len(msg)
-			}
-			chunk := scratch[:end-off]
-			copy(chunk, msg[off:end])
-			r.Feed(chunk)
-			for i := range chunk {
-				chunk[i] = 0xee // recycle the buffer: decoded data must survive
-			}
-			for {
-				it, ok, err := r.Next()
-				if err != nil {
-					t.Fatalf("format %d: %v", format, err)
-				}
-				if !ok {
-					break
-				}
-				got = append(got, it)
-			}
-		}
-		r.Finish()
-		for {
-			it, ok, err := r.Next()
-			if err != nil {
-				t.Fatalf("format %d: %v", format, err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, it)
-		}
-		if !r.Done() {
-			t.Fatalf("format %d: reader not done", format)
-		}
-		if !itemsEqual(want, got) {
-			t.Fatalf("format %d: decoded items corrupted by chunk-buffer reuse", format)
-		}
-	}
-}
-
-// FuzzRunReader compares the streaming reader against the one-shot
-// decoder on arbitrary bytes and arbitrary chunkings: when the one-shot
-// path accepts the message the reader must produce the identical item
-// sequence; when it rejects, the reader must report a clean error (items
-// it emitted before hitting the corruption are fine — a streaming decoder
-// cannot see the tail first). Never a panic, a stall, or an over-read.
-func FuzzRunReader(f *testing.F) {
+// FuzzRunCursor compares the cursor against the one-shot decoder on
+// arbitrary bytes cut into arbitrary spans: when the one-shot path accepts
+// the message the cursor must produce the identical item sequence; when it
+// rejects, the cursor must report a clean error (items it emitted before
+// hitting the corruption are fine — a streaming decoder cannot see the tail
+// first). Never a panic, a stall, or an over-read.
+func FuzzRunCursor(f *testing.F) {
 	for _, format := range runFormats {
 		for _, ss := range testRuns() {
-			for _, width := range []uint8{0, 3} { // 1- and 4-byte chunks
+			for _, width := range []uint8{0, 3} { // 1- and 4-byte spans
 				f.Add(uint8(format), width, encodeRun(format, ss))
 			}
 		}
@@ -292,12 +262,12 @@ func FuzzRunReader(f *testing.F) {
 	})
 }
 
-// TestRunReaderEmptyFirstStringIsNonNil is the regression test of the nil
+// TestRunCursorEmptyFirstStringIsNonNil is the regression test of the nil
 // head bug: a run BEGINNING with empty strings must decode them as empty
 // NON-NIL slices, exactly like the one-shot arena decoders do — a nil
 // string reads as the loser tree's exhausted sentinel and would silently
 // drop the rest of the run (see merge.Source's Head contract).
-func TestRunReaderEmptyFirstStringIsNonNil(t *testing.T) {
+func TestRunCursorEmptyFirstStringIsNonNil(t *testing.T) {
 	ss := [][]byte{{}, {}, []byte("b")}
 	for _, format := range runFormats {
 		msg := encodeRun(format, ss)
@@ -310,14 +280,72 @@ func TestRunReaderEmptyFirstStringIsNonNil(t *testing.T) {
 			if err != nil {
 				t.Fatalf("format %d width %d: %v", format, width, err)
 			}
+			// (streamDecode has failed by now had any string come back nil.)
 			if len(items) != len(ss) {
 				t.Fatalf("format %d width %d: %d items, want %d", format, width, len(items), len(ss))
 			}
-			for i, it := range items {
-				if it.S == nil {
-					t.Fatalf("format %d width %d: item %d decoded to a nil slice", format, width, i)
+		}
+	}
+}
+
+// benchRun is one PE's share of the benchmark text (cc_ms_*), sorted and
+// front-coded the way Step 3 ships it.
+func benchRun() (msg []byte, n int) {
+	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
+	lcps, _ := strsort.SortLCP(ss, nil)
+	return AppendStringsLCP(nil, ss, lcps), len(ss)
+}
+
+// benchSink keeps the decoded strings observable.
+var benchSink int
+
+// BenchmarkRunCursor times the pull decoder of the budgeted merge over
+// spans of a routing piece's and of a spill page's size.
+func BenchmarkRunCursor(b *testing.B) {
+	msg, n := benchRun()
+	for _, span := range []int{8 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("span=%dKiB", span>>10), func(b *testing.B) {
+			b.SetBytes(int64(len(msg)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rest := msg
+				c := NewRunCursor(RunStringsLCP, func() []byte {
+					s := rest[:min(span, len(rest))]
+					rest = rest[len(s):]
+					return s
+				})
+				got := 0
+				for {
+					s, _, ok, err := c.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					benchSink += len(s)
+					got++
+				}
+				if got != n {
+					b.Fatalf("decoded %d strings, want %d", got, n)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDecodeStringsLCP times the one-shot decoder of the in-RAM
+// landing over the same bytes.
+func BenchmarkDecodeStringsLCP(b *testing.B) {
+	msg, n := benchRun()
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss, _, err := DecodeStringsLCP(msg)
+		if err != nil || len(ss) != n {
+			b.Fatalf("decoded %d strings (%v), want %d", len(ss), err, n)
 		}
+		benchSink += len(ss[n-1])
 	}
 }

@@ -61,12 +61,15 @@ func budgetInvariant(st Stats) Stats {
 // families must go through at least two spill generations (multiple page
 // flushes and page-ins) to finish at all.
 const (
-	testBudget   = 4 << 10
-	testPage     = 512
-	testChunk    = testPage // the routing granularity: min(8 KiB, page)
-	testPEs      = 4
-	testPerPE    = 4000
-	testOverhead = testPEs*testChunk + 16*testPage // arrival overshoot + write-behind/pinned slack
+	testBudget = 4 << 10
+	testPage   = 512
+	testPEs    = 4
+	testPerPE  = 4000
+	// What the metered peak may exceed the budget by: one paged-in span per
+	// window (two windows per PDMS run), each page file's pending tail,
+	// the write-behind pages in flight while a bucket is routed and the
+	// run writer's page — 20 pages leave slack over the 2·4+4 of a merge.
+	testOverhead = 20 * testPage
 )
 
 func budgetConfig(base Config, dir string) Config {
@@ -79,8 +82,9 @@ func budgetConfig(base Config, dir string) Config {
 // TestBudgetDifferential sorts the same input with and without a memory
 // budget for every algorithm family and requires byte-identical output
 // (strings, LCP columns, origins), bit-identical deterministic statistics,
-// real spill traffic for the merge families, and a metered peak within
-// budget + the documented fixed overhead.
+// real spill traffic for the merge families — for PDMS, too, less than the
+// PEs received — and a metered peak within budget + the documented fixed
+// overhead.
 func TestBudgetDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	inputs := genInputs(rng, testPEs, testPerPE)
@@ -154,6 +158,22 @@ func TestBudgetDifferential(t *testing.T) {
 			}
 			if bu.Stats.PeakMemBytes > testBudget+testOverhead {
 				t.Fatalf("peak %d exceeds budget %d + overhead %d", bu.Stats.PeakMemBytes, testBudget, testOverhead)
+			}
+			if algo == PDMS || algo == PDMSGolomb {
+				// The composite bucket is not forced to disk: what the budget
+				// has room for stays resident. A budget with no room at all
+				// (the run writer's page alone exceeds it) writes every byte
+				// the PEs received, so the real budget must write fewer.
+				cfg := budgetConfig(base, t.TempDir())
+				cfg.MemBudget = 1
+				all, err := Sort(inputs, cfg)
+				if err != nil {
+					t.Fatalf("no-room budget sort: %v", err)
+				}
+				if bu.Stats.SpillBytesWritten >= all.Stats.SpillBytesWritten {
+					t.Fatalf("spilled %d bytes of the %d received: nothing stayed resident under the budget",
+						bu.Stats.SpillBytesWritten, all.Stats.SpillBytesWritten)
+				}
 			}
 		})
 	}

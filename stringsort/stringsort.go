@@ -370,7 +370,7 @@ type Stats struct {
 	// Nondeterministic, like CPUMS.
 	MergeCPUMS float64
 	// PeakMemBytes is the bottleneck peak of metered live bytes over PEs
-	// in budget mode (run arenas + spill buffers); 0 without a budget.
+	// in budget mode (resident run bytes + spill buffers); 0 without a budget.
 	// Measured, not modeled: the exact peak depends on arrival order, so
 	// zero the field before cross-backend comparisons like the other
 	// wall-clock fields.
