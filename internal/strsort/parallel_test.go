@@ -3,9 +3,11 @@ package strsort
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dss/internal/par"
+	"dss/internal/strutil"
 )
 
 // randomStrings builds an input mix that exercises every kernel layer:
@@ -41,6 +43,25 @@ func cloneInput(ss [][]byte) ([][]byte, []uint64) {
 	return cp, sat
 }
 
+// checkOracle compares a sorter's output with an oracle that shares no code
+// with it: sort.SliceStable under bytes.Compare for the order,
+// strutil.ComputeLCPArray for the LCPs.
+func checkOracle(t *testing.T, in, got [][]byte, gotLCP []int32) {
+	t.Helper()
+	want := make([][]byte, len(in))
+	copy(want, in)
+	sort.SliceStable(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
+	wantLCP := strutil.ComputeLCPArray(want)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("position %d: got %q, oracle %q", i, got[i], want[i])
+		}
+		if gotLCP != nil && gotLCP[i] != wantLCP[i] {
+			t.Fatalf("lcp[%d] = %d, oracle %d", i, gotLCP[i], wantLCP[i])
+		}
+	}
+}
+
 // checkEquivalent asserts the full parallel ≡ sequential contract on one
 // input: same permutation (via the satellite original-index channel, which
 // distinguishes duplicate strings), same LCP array, same work total.
@@ -53,6 +74,7 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 	parSS, parSat := cloneInput(ss)
 	parLCP, parWork, _ := ParallelSortLCP(pool, parSS, parSat, nil)
 
+	checkOracle(t, ss, parSS, parLCP)
 	if parWork != seqWork {
 		t.Fatalf("cores=%d: work %d, sequential %d", cores, parWork, seqWork)
 	}
@@ -73,6 +95,7 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 	mkWork := Sort(mkSS, mkSat)
 	pmSS, pmSat := cloneInput(ss)
 	pmWork, _ := ParallelSort(pool, pmSS, pmSat)
+	checkOracle(t, ss, pmSS, nil)
 	if pmWork != mkWork {
 		t.Fatalf("cores=%d: ParallelSort work %d, Sort %d", cores, pmWork, mkWork)
 	}
@@ -147,6 +170,7 @@ func FuzzParallelSortEquivalence(f *testing.F) {
 		seqLCP, seqWork := SortLCP(seqSS, seqSat)
 		parSS, parSat := cloneInput(ss)
 		parLCP, parWork, _ := ParallelSortLCP(par.New(cores), parSS, parSat, nil)
+		checkOracle(t, ss, parSS, parLCP)
 		if parWork != seqWork {
 			t.Fatalf("cores=%d n=%d: work %d, sequential %d", cores, n, parWork, seqWork)
 		}

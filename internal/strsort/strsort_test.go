@@ -2,11 +2,17 @@ package strsort
 
 import (
 	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"dss/internal/input"
+	"dss/internal/par"
 	"dss/internal/strutil"
 )
 
@@ -303,5 +309,236 @@ func BenchmarkRadixSortHeavyDuplicates(b *testing.B) {
 		copy(in, ss)
 		b.StartTimer()
 		SortLCP(in, nil)
+	}
+}
+
+// ---- Golden constants: the kernel's observable behaviour, pinned ----------
+//
+// For a fixed list of generated inputs the work total and an FNV-1a hash of
+// (permuted satellites, LCP array) are recorded as constants, taken from the
+// header-moving kernel this package started with. Any kernel must reproduce
+// every one of them through all four entry points and at every pool width:
+// that is what makes a kernel swap an implementation change rather than a
+// re-baseline of the model statistics. Regenerate (only for an announced
+// re-baseline) with: go test ./internal/strsort -run TestGolden -print-golden
+
+var printGolden = flag.Bool("print-golden", false, "print the golden table instead of checking it")
+
+type goldenCase struct {
+	name     string
+	gen      func() [][]byte
+	lcpWork  int64  // SortLCP / ParallelSortLCP characters inspected
+	lcpHash  uint64 // FNV-1a of (permuted satellites, LCP array)
+	sortWork int64  // Sort / ParallelSort characters inspected
+	sortHash uint64 // FNV-1a of the permuted satellites
+}
+
+// lengthsBetween draws n strings over a 3-letter alphabet (plus 0x00 and
+// 0xFF) with lengths in [lo, hi]: straddling the kernel's cached window.
+func lengthsBetween(seed int64, n, lo, hi int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	alphabet := []byte{0x00, 'a', 'b', 'c', 0xFF}
+	ss := make([][]byte, n)
+	for i := range ss {
+		s := make([]byte, lo+rng.Intn(hi-lo+1))
+		for j := range s {
+			s[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		ss[i] = s
+	}
+	return ss
+}
+
+var goldenCases = []goldenCase{
+	{name: "cc50k", gen: func() [][]byte {
+		return input.CommonCrawlLike(input.CCConfig{LinesPerPE: 50000, Seed: 1}, 0, 1)
+	}, lcpWork: 2123314, lcpHash: 0xf7b838c86ce8a4c5, sortWork: 1727631, sortHash: 0x8491ea2c35a7bdd},
+	{name: "dn-ratio0", gen: func() [][]byte {
+		return shuffled(11, input.DN(input.DNConfig{StringsPerPE: 20000, Length: 100, Ratio: 0}, 0, 1))
+	}, lcpWork: 169259, lcpHash: 0x154dc713710c7ad5, sortWork: 283417, sortHash: 0xf1f5149ea4dd76d5},
+	{name: "dn-ratio0.25", gen: func() [][]byte {
+		return shuffled(12, input.DN(input.DNConfig{StringsPerPE: 20000, Length: 100, Ratio: 0.25}, 0, 1))
+	}, lcpWork: 648522, lcpHash: 0x7d235870dad2617d, sortWork: 779279, sortHash: 0x32cf17fcad8cf2c5},
+	{name: "dn-ratio1", gen: func() [][]byte {
+		return shuffled(13, input.DN(input.DNConfig{StringsPerPE: 20000, Length: 100, Ratio: 1}, 0, 1))
+	}, lcpWork: 2089100, lcpHash: 0x2ac233ff690d879d, sortWork: 2202696, sortHash: 0xcf5240991195ea7d},
+	{name: "dnareads", gen: func() [][]byte {
+		return input.DNAReads(input.DNAConfig{ReadsPerPE: 20000, Seed: 1}, 0, 1)
+	}, lcpWork: 965831, lcpHash: 0xe3d92aa860052036, sortWork: 657615, sortHash: 0xfaa65502288665a5},
+	{name: "all-equal", gen: func() [][]byte {
+		ss := make([][]byte, 10000)
+		for i := range ss {
+			ss[i] = []byte("duplicate-line")
+		}
+		return ss
+	}, lcpWork: 150000, lcpHash: 0x9a0ce5cc84cd564b, sortWork: 150000, sortHash: 0x6b2550cdd2d22645},
+	{name: "prefix-chain", gen: func() [][]byte {
+		ss := make([][]byte, 5000)
+		for i := range ss {
+			ss[i] = bytes.Repeat([]byte("a"), i/2) // every length twice
+		}
+		return shuffled(14, ss)
+	}, lcpWork: 6256632, lcpHash: 0xd97973b1fe201e29, sortWork: 6255158, sortHash: 0xc0daff3128679c05},
+	{name: "mostly-empty", gen: func() [][]byte {
+		ss := lengthsBetween(15, 10000, 0, 3)
+		for i := range ss {
+			if i%3 != 0 {
+				ss[i] = nil
+			}
+		}
+		return ss
+	}, lcpWork: 19374, lcpHash: 0x7e8b97507f323993, sortWork: 32169, sortHash: 0x32236dd78085e3fd},
+	{name: "nul-and-ff", gen: func() [][]byte { return lengthsBetween(16, 20000, 0, 24) },
+		lcpWork: 213099, lcpHash: 0xc1702e22308c5cef, sortWork: 276830, sortHash: 0xb866aabeca971075},
+	{name: "len6-9", gen: func() [][]byte { return lengthsBetween(17, 20000, 6, 9) },
+		lcpWork: 250589, lcpHash: 0xbe7a527d755f0ccf, sortWork: 317149, sortHash: 0x2fbf9bf1f41c4f65},
+	{name: "len14-17", gen: func() [][]byte { return lengthsBetween(18, 20000, 14, 17) },
+		lcpWork: 253291, lcpHash: 0x6d5cdb179ddc564e, sortWork: 310983, sortHash: 0x874a881a73da6a05},
+}
+
+func shuffled(seed int64, ss [][]byte) [][]byte {
+	rand.New(rand.NewSource(seed)).Shuffle(len(ss), func(i, j int) { ss[i], ss[j] = ss[j], ss[i] })
+	return ss
+}
+
+// sorted is the result of one entry point on one input.
+type sorted struct {
+	ss   [][]byte
+	sat  []uint64
+	lcp  []int32
+	work int64
+}
+
+// runEntry sorts a copy of in through one of the four entry points:
+// sequential when cores is 0, on a pool of that width otherwise.
+func runEntry(in [][]byte, withSat, withLCP bool, cores int) sorted {
+	r := sorted{ss: make([][]byte, len(in))}
+	copy(r.ss, in)
+	if withSat {
+		r.sat = make([]uint64, len(in))
+		for i := range r.sat {
+			r.sat[i] = uint64(i)
+		}
+	}
+	switch {
+	case cores == 0 && withLCP:
+		r.lcp, r.work = SortLCP(r.ss, r.sat)
+	case cores == 0:
+		r.work = Sort(r.ss, r.sat)
+	case withLCP:
+		r.lcp, r.work, _ = ParallelSortLCP(par.New(cores), r.ss, r.sat, nil)
+	default:
+		r.work, _ = ParallelSort(par.New(cores), r.ss, r.sat)
+	}
+	return r
+}
+
+func (r sorted) hash() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, u := range r.sat {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	for _, v := range r.lcp {
+		binary.LittleEndian.PutUint32(b[:4], uint32(v))
+		h.Write(b[:4])
+	}
+	return h.Sum64()
+}
+
+func TestGoldenKernelBehaviour(t *testing.T) {
+	for _, gc := range goldenCases {
+		in := gc.gen()
+		if *printGolden {
+			l, s := runEntry(in, true, true, 0), runEntry(in, true, false, 0)
+			fmt.Printf("%s: lcpWork: %d, lcpHash: %#x, sortWork: %d, sortHash: %#x},\n",
+				gc.name, l.work, l.hash(), s.work, s.hash())
+			continue
+		}
+		for _, withLCP := range []bool{true, false} {
+			wantWork, wantHash := gc.sortWork, gc.sortHash
+			if withLCP {
+				wantWork, wantHash = gc.lcpWork, gc.lcpHash
+			}
+			var ref sorted // the sequential run with satellites
+			for _, cores := range []int{0, 1, 2, 4} {
+				for _, withSat := range []bool{true, false} {
+					label := fmt.Sprintf("%s lcp=%v cores=%d sat=%v", gc.name, withLCP, cores, withSat)
+					r := runEntry(in, withSat, withLCP, cores)
+					if r.work != wantWork {
+						t.Errorf("%s: work %d, golden %d", label, r.work, wantWork)
+					}
+					if withSat {
+						if got := r.hash(); got != wantHash {
+							t.Errorf("%s: hash %#x, golden %#x", label, got, wantHash)
+						}
+						for i, u := range r.sat {
+							if !bytes.Equal(r.ss[i], in[u]) {
+								t.Fatalf("%s: satellite %d does not belong to output string %d", label, u, i)
+							}
+						}
+						if ref.ss == nil {
+							ref = r
+						}
+						continue
+					}
+					// Without satellites the permutation shows only in the
+					// strings: they and the LCPs must match the pinned run.
+					for i := range r.ss {
+						if !bytes.Equal(r.ss[i], ref.ss[i]) || (withLCP && r.lcp[i] != ref.lcp[i]) {
+							t.Fatalf("%s: diverges from the satellite run at %d", label, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sink keeps the benchmarked calls' results alive.
+var sink int64
+
+// BenchmarkSortLCP is the package's rung on the repository benchmark's own
+// inputs: one PE's share (p = 4) of each workload, in shuffled file order,
+// sequentially and on the width-2 pool the benchmark host gives a PE.
+// Mchars/s is billed work per second, the unit of the harness's
+// strsort.mchars_per_s.
+func BenchmarkSortLCP(b *testing.B) {
+	inputs := []struct {
+		name string
+		gen  func() [][]byte
+	}{
+		{"cc500k", func() [][]byte {
+			return input.CommonCrawlLike(input.CCConfig{LinesPerPE: 500000, Seed: 1}, 0, 4)
+		}},
+		{"dn125kx200r025", func() [][]byte {
+			return input.DN(input.DNConfig{StringsPerPE: 125000, Length: 200, Ratio: 0.25}, 0, 4)
+		}},
+		{"dn75kx500r0", func() [][]byte {
+			return input.DN(input.DNConfig{StringsPerPE: 75000, Length: 500, Ratio: 0}, 0, 4)
+		}},
+	}
+	for _, in := range inputs {
+		ss := shuffled(1, in.gen())
+		work := make([][]byte, len(ss))
+		for _, cores := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/cores=%d", in.name, cores), func(b *testing.B) {
+				pool := par.New(cores)
+				b.ReportAllocs()
+				b.SetBytes(strutil.TotalLen(ss))
+				var chars int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(work, ss)
+					b.StartTimer()
+					_, w, _ := ParallelSortLCP(pool, work, nil, nil)
+					chars += w
+				}
+				sink += chars
+				b.ReportMetric(float64(chars)/b.Elapsed().Seconds()/1e6, "Mchars/s")
+			})
+		}
 	}
 }
