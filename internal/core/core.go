@@ -93,14 +93,6 @@ func allRanks(p int) []int {
 	return r
 }
 
-// cloneSpine copies the slice headers (not the character data) so the
-// caller's array survives in-place sorting.
-func cloneSpine(ss [][]byte) [][]byte {
-	out := make([][]byte, len(ss))
-	copy(out, ss)
-	return out
-}
-
 // partOffsets prefix-sums per-destination encoded sizes into arena
 // offsets: bucket dst occupies [offs[dst], offs[dst+1]).
 func partOffsets(sizes []int) []int {

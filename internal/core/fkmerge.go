@@ -27,12 +27,11 @@ type FKOptions struct {
 // exactly the bottlenecks the paper's evaluation exposes beyond ~320 cores.
 func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	p := c.P()
-	local := cloneSpine(ss)
 
 	// Step 1: local sort on the PE's work pool (no LCP output needed:
-	// FKmerge never uses LCPs).
+	// FKmerge never uses LCPs), into a fresh spine.
 	c.SetPhase(stats.PhaseLocalSort)
-	work, busy := strsort.ParallelSort(c.Pool(), local, nil)
+	local, _, work, busy := strsort.ParallelSort(c.Pool(), ss, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
 	if p == 1 {

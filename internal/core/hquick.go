@@ -71,7 +71,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 	}
 
 	// Tag every string with a unique (PE, index) id for tie breaking.
-	strings := cloneSpine(ss)
+	strings := ss // read, never permuted: the placement below replaces it
 	uids := make([]uint64, len(strings))
 	for i := range uids {
 		uids[i] = originSat(c.Rank(), i)
@@ -175,7 +175,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 
 	// Final local sort with LCP output, spread over the PE's work pool.
 	setPhase(stats.PhaseLocalSort)
-	lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), strings, uids, nil)
+	strings, uids, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), strings, uids, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
 

@@ -81,19 +81,19 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 			opt.V = 15
 		}
 	}
-	local := cloneSpine(ss)
 
 	// Step 1: local sort with LCP array, spread over the PE's work pool
 	// (permutation, LCPs and work total are pool-width-independent; see
-	// strsort's parallel front-ends). Radix scratch is drawn from the
-	// size-classed package pools.
+	// strsort's parallel front-ends). The sorter leaves the caller's array
+	// untouched and gathers the sorted spine into a fresh one.
 	c.SetPhase(stats.PhaseLocalSort)
+	var local [][]byte
 	var lcp []int32
 	var work, busy int64
 	if opt.LCPMerge || opt.LCPCompression {
-		lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), local, nil, nil)
+		local, _, lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), ss, nil, nil)
 	} else {
-		work, busy = strsort.ParallelSort(c.Pool(), local, nil)
+		local, _, work, busy = strsort.ParallelSort(c.Pool(), ss, nil)
 	}
 	c.AddWork(work)
 	c.AddCPU(busy)

@@ -90,17 +90,16 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	if opt.Eps <= 0 {
 		opt.Eps = 1
 	}
-	local := cloneSpine(ss)
-	sats := make([]uint64, len(local))
-	for i := range sats {
-		sats[i] = originSat(c.Rank(), i)
+	unsorted := make([]uint64, len(ss))
+	for i := range unsorted {
+		unsorted[i] = originSat(c.Rank(), i)
 	}
 
 	// Step 1: local sort with LCP array, carrying origins, spread over the
-	// PE's work pool. Radix scratch comes from the size-classed sorter
-	// pools.
+	// PE's work pool; the sorted spine and origins come back in fresh
+	// arrays.
 	c.SetPhase(stats.PhaseLocalSort)
-	lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), local, sats, nil)
+	local, sats, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), ss, unsorted, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
 

@@ -38,7 +38,7 @@ import (
 )
 
 // Parallel decomposition thresholds. Subproblems below parSortMin strings
-// are handed to the sequential kernels whole (fork/join overhead would
+// are handed to the sequential kernel whole (fork/join overhead would
 // dominate); counting/distribution chunks never shrink below parChunkMin
 // strings.
 const (
@@ -47,228 +47,184 @@ const (
 )
 
 // parSorter carries the shared state of one parallel sorting run: the
-// pool, the spawned-task group of the bucket recursion, and the
-// order-independent work / busy-time accumulators. busy is the single
-// source of truth for CPU time: ForEach passes, sequential leaves and
-// partition loops each bill their own span, and no timed span ever
-// encloses a spawn site — so the group's own busy meter (which would
-// double-count nested spans) is deliberately discarded at Wait.
+// pool, the spawned-task group of the bucket recursion, the strings the
+// proxies index, and the order-independent work / busy-time accumulators.
+// busy is the single source of truth for CPU time: ForEach passes,
+// sequential leaves and partition loops each bill their own span, and no
+// timed span ever encloses a spawn site — so the group's own busy meter
+// (which would double-count nested spans) is deliberately discarded at
+// Wait.
 type parSorter struct {
 	pool *par.Pool
 	grp  *par.Group
+	ss   [][]byte
 	work atomic.Int64
 	busy atomic.Int64
 }
 
-// ParallelSortLCP sorts ss in place with its LCP array, permuting sat
-// alongside if non-nil, spreading the work over the pool. It returns the
-// LCP array (lcp reused if non-nil, like Sorter.SortLCPInto), the
-// characters-inspected work total — bit-identical to SortLCP's at every
-// pool width — and the summed busy nanoseconds of all workers (the
-// CPU-seconds measurement; NOT a model input).
-func ParallelSortLCP(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([]int32, int64, int64) {
-	if sat != nil && len(sat) != len(ss) {
-		panic("strsort: satellite length mismatch")
-	}
+// ParallelSortLCP sorts ss with its LCP array, spreading the work over the
+// pool, and returns the sorted strings and satellites (nil if sat is) in
+// fresh arrays — ss and sat are left untouched —, the LCP array (lcp
+// reused if non-nil), the characters-inspected work total — bit-identical
+// to SortLCP's at every pool width — and the summed busy nanoseconds of
+// all workers (the CPU-seconds measurement; NOT a model input). This is
+// the Step 1 sorter of Algorithms MS and PDMS.
+func ParallelSortLCP(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]byte, []uint64, []int32, int64, int64) {
 	if lcp == nil {
 		lcp = make([]int32, len(ss))
 	} else if len(lcp) != len(ss) {
 		panic("strsort: lcp length mismatch")
 	}
-	if pool.Sequential() || len(ss) < parSortMin {
-		t0 := time.Now()
-		st := GetSized(len(ss))
-		if len(ss) > 1 {
-			st.msdRadix(ss, sat, lcp, 0)
-		}
-		work := st.work
-		Put(st)
-		return lcp, work, time.Since(t0).Nanoseconds()
-	}
-	ps := &parSorter{pool: pool, grp: pool.Group()}
-	ps.radix(ss, sat, lcp, 0)
-	ps.grp.Wait() // join + panic propagation; busy is tracked by ps.busy
-	return lcp, ps.work.Load(), ps.busy.Load()
+	sorted, sortedSat, work, busy := sortProxies(pool, ss, sat, lcp)
+	return sorted, sortedSat, lcp, work, busy
 }
 
-// ParallelSort sorts ss in place without LCP output (the Sort / MS-simple
-// / FKmerge path), returning the work total — bit-identical to Sort's —
-// and the summed worker busy nanoseconds.
-func ParallelSort(pool *par.Pool, ss [][]byte, sat []uint64) (int64, int64) {
-	if pool.Sequential() || len(ss) < parSortMin {
-		t0 := time.Now()
-		st := GetSized(len(ss))
-		st.Sort(ss, sat)
-		work := st.work
-		Put(st)
-		return work, time.Since(t0).Nanoseconds()
-	}
-	ps := &parSorter{pool: pool, grp: pool.Group()}
-	ps.mkq(ss, sat, 0)
-	ps.grp.Wait() // join + panic propagation; busy is tracked by ps.busy
-	return ps.work.Load(), ps.busy.Load()
+// ParallelSort is ParallelSortLCP without LCP output (the MS-simple /
+// FKmerge path); its work total is bit-identical to Sort's.
+func ParallelSort(pool *par.Pool, ss [][]byte, sat []uint64) ([][]byte, []uint64, int64, int64) {
+	return sortProxies(pool, ss, sat, nil)
 }
 
-// seqLeaf runs one subproblem on the unmodified sequential radix kernel.
-func (ps *parSorter) seqLeaf(ss [][]byte, sat []uint64, lcp []int32, depth int) {
-	t0 := time.Now()
-	st := GetSized(len(ss))
-	if len(ss) > 1 {
-		st.msdRadix(ss, sat, lcp, depth)
-	}
-	ps.work.Add(st.work)
-	Put(st)
-	ps.busy.Add(time.Since(t0).Nanoseconds())
+// chunks is the number of pieces a pass over n proxies is cut into: the
+// pool width, unless that makes them shorter than parChunkMin.
+func (ps *parSorter) chunks(n int) int {
+	return max(1, min(ps.pool.Cores(), n/parChunkMin))
 }
 
-// radix is the parallel form of Sorter.msdRadix: one counting pass billed
-// exactly like the sequential one (n characters), a stable chunk-parallel
-// distribution producing the sequential permutation, the sequential LCP
-// boundary assignment, and the bucket recursions spawned on the group.
-func (ps *parSorter) radix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
-	n := len(ss)
+// chunk returns the bounds of the k-th of w pieces of n proxies.
+func chunk(k, w, n int) (lo, hi int) { return k * n / w, (k + 1) * n / w }
+
+// pass runs fn(0..w-1) on the pool and bills the workers' busy time.
+func (ps *parSorter) pass(w int, fn func(k int)) { ps.busy.Add(ps.pool.ForEach(w, fn)) }
+
+// load is the chunk-parallel form of the kernel's load.
+func (ps *parSorter) load(px []proxy, depth int) {
+	w := ps.chunks(len(px))
+	ps.pass(w, func(k int) {
+		lo, hi := chunk(k, w, len(px))
+		load(ps.ss, px[lo:hi], depth)
+	})
+}
+
+// radix is the parallel form of kernel.radix: per level one counting pass
+// billed exactly like the sequential one (n characters), a stable
+// chunk-parallel distribution producing the sequential permutation, the
+// sequential LCP boundary assignment, and the bucket recursions spawned on
+// the group, each on its own aligned part of px, tmp and lcp.
+func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
+	n := len(px)
 	if n < parSortMin {
-		ps.seqLeaf(ss, sat, lcp, depth)
+		t0 := time.Now()
+		k := kernel{ss: ps.ss}
+		k.radix(px, tmp, lcp, depth)
+		ps.work.Add(k.work)
+		ps.busy.Add(time.Since(t0).Nanoseconds())
 		return
 	}
 
 	// Chunk-parallel counting pass over the (depth+1)-st character: worker
-	// w histograms chunk [lo(w), lo(w+1)). One character inspection per
-	// string, billed once for the whole pass — identical to sequential.
-	w := ps.pool.Cores()
-	if max := n / parChunkMin; w > max {
-		w = max
-	}
-	chunkLo := func(k int) int { return k * n / w }
+	// k histograms its chunk, reloading the windows first when depth has
+	// reached the next one. One character inspection per string, billed
+	// once for the whole pass — identical to sequential — and, as there, a
+	// level that puts every string into one bucket needs no distribution
+	// and continues right here.
+	w := ps.chunks(n)
 	counts := make([][257]int, w)
-	ps.busy.Add(ps.pool.ForEach(w, func(k int) {
-		c := &counts[k]
-		for _, s := range ss[chunkLo(k):chunkLo(k+1)] {
-			c[bucketOf(s, depth)]++
-		}
-	}))
-	ps.work.Add(int64(n))
-
-	// Global bucket starts, then per-worker write cursors: worker w's slot
-	// in bucket b begins after all earlier chunks' strings of that bucket,
-	// so the chunk-major distribution below reproduces the sequential
-	// encounter order exactly (stability).
-	var start [258]int
-	next := make([][257]int, w)
-	{
-		run := 0
-		for b := 0; b < 257; b++ {
-			start[b] = run
-			for k := 0; k < w; k++ {
-				next[k][b] = run
-				run += counts[k][b]
+	var count [257]int
+	for ; ; depth++ {
+		d, off := depth, uint(depth%keyChars) // per level, so that the closure copies them
+		ps.pass(w, func(k int) {
+			lo, hi := chunk(k, w, n)
+			if off == 0 {
+				load(ps.ss, px[lo:hi], d)
 			}
-		}
-		start[257] = run
-	}
-
-	// Stable out-of-place distribution into pooled scratch, then a
-	// chunk-parallel copy back. Each tmp index is written by exactly one
-	// worker (disjoint cursor ranges); the ForEach barrier orders the
-	// scatter before the copy.
-	scratch := GetSized(n)
-	if cap(scratch.tmpStrings) < n {
-		scratch.tmpStrings = make([][]byte, n)
-	}
-	tmp := scratch.tmpStrings[:n]
-	var tmpSat []uint64
-	if sat != nil {
-		if cap(scratch.tmpSat) < n {
-			scratch.tmpSat = make([]uint64, n)
-		}
-		tmpSat = scratch.tmpSat[:n]
-	}
-	ps.busy.Add(ps.pool.ForEach(w, func(k int) {
-		nx := &next[k]
-		for i := chunkLo(k); i < chunkLo(k+1); i++ {
-			b := bucketOf(ss[i], depth)
-			tmp[nx[b]] = ss[i]
-			if sat != nil {
-				tmpSat[nx[b]] = sat[i]
+			c := &counts[k]
+			*c = [257]int{}
+			for i := lo; i < hi; i++ {
+				c[px[i].bucket(off)]++
 			}
-			nx[b]++
-		}
-	}))
-	ps.busy.Add(ps.pool.ForEach(w, func(k int) {
-		lo, hi := chunkLo(k), chunkLo(k+1)
-		copy(ss[lo:hi], tmp[lo:hi])
-		if sat != nil {
-			copy(sat[lo:hi], tmpSat[lo:hi])
-		}
-	}))
-	Put(scratch)
-
-	// LCP boundaries, exactly as in the sequential pass: depth between
-	// equal strings of the end bucket and at every bucket's first string.
-	count0 := start[1] - start[0]
-	for i := 1; i < count0; i++ {
-		lcp[i] = int32(depth)
-	}
-	for b := 1; b <= 256; b++ {
-		lo, hi := start[b], start[b+1]
-		if lo < hi && lo > 0 {
-			lcp[lo] = int32(depth)
-		}
-		if hi-lo > 1 {
-			lo, hi := lo, hi
-			ps.grp.Go(func() {
-				ps.radix(ss[lo:hi], satSlice(sat, lo, hi), lcp[lo:hi], depth+1)
-			})
-		}
-	}
-}
-
-// mkq is the parallel form of Sorter.mkqsort: the ternary partition at
-// each node is the sequential code verbatim (identical swaps, identical
-// n-character billing); the <, > parts become group tasks and the = part
-// is the sequential tail-iteration one character deeper.
-func (ps *parSorter) mkq(ss [][]byte, sat []uint64, depth int) {
-	for len(ss) >= parSortMin {
-		n := len(ss)
-		t0 := time.Now()
-		p := medianOf3Char(ss, depth)
-		lt, i, gt := 0, 0, n-1
-		for i <= gt {
-			c := charAt(ss[i], depth)
-			switch {
-			case c < p:
-				swap(ss, sat, lt, i)
-				lt++
-				i++
-			case c > p:
-				swap(ss, sat, i, gt)
-				gt--
-			default:
-				i++
-			}
-		}
+		})
 		ps.work.Add(int64(n))
-		ps.busy.Add(time.Since(t0).Nanoseconds())
-		// Capture depth by value: the tail-iteration below mutates the
-		// variable before the spawned tasks may run.
-		low, lowSat, d := ss[:lt], satSlice(sat, 0, lt), depth
-		high, highSat := ss[gt+1:], satSlice(sat, gt+1, n)
-		ps.grp.Go(func() { ps.mkq(low, lowSat, d) })
-		ps.grp.Go(func() { ps.mkq(high, highSat, d) })
-		if p < 0 {
-			// Strings ending at depth: fully equal, nothing left to sort.
+		count = [257]int{}
+		for k := range counts {
+			for b, c := range counts[k] {
+				count[b] += c
+			}
+		}
+		b := px[0].bucket(off)
+		if count[b] < n {
+			break
+		}
+		if b == 0 {
+			fillDepth(lcp[1:], depth)
 			return
 		}
-		ss = ss[lt : gt+1]
-		sat = satSlice(sat, lt, gt+1)
-		depth++
+	}
+	d, off := depth, uint(depth%keyChars)
+
+	// Per-worker write cursors: worker k's slot in bucket b begins after
+	// all earlier chunks' strings of that bucket, so the chunk-major
+	// distribution below reproduces the sequential encounter order exactly
+	// (stability).
+	var end [257]int
+	run := 0
+	for b := range end {
+		for k := range counts {
+			c := counts[k][b]
+			counts[k][b] = run
+			run += c
+		}
+		end[b] = run
+	}
+
+	// Stable out-of-place distribution, then a chunk-parallel copy back.
+	// Each tmp index is written by exactly one worker (disjoint cursor
+	// ranges); the ForEach barrier orders the scatter before the copy.
+	ps.pass(w, func(k int) {
+		lo, hi := chunk(k, w, n)
+		next := &counts[k]
+		for i := lo; i < hi; i++ {
+			b := px[i].bucket(off)
+			tmp[next[b]] = px[i]
+			next[b]++
+		}
+	})
+	ps.pass(w, func(k int) {
+		lo, hi := chunk(k, w, n)
+		copy(px[lo:hi], tmp[lo:hi])
+	})
+
+	buckets(&count, &end, lcp, d, func(lo, hi int) {
+		ps.grp.Go(func() { ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1) })
+	})
+}
+
+// mkq is the parallel form of kernel.mkqsort: the ternary partition at
+// each node is the sequential code (identical swaps, identical n-character
+// billing); the <, > parts become group tasks and the = part is the
+// sequential tail-iteration one character deeper.
+func (ps *parSorter) mkq(px []proxy, depth int) {
+	for len(px) >= parSortMin {
+		t0 := time.Now()
+		lt, gt, atEnd := partition(px, uint(depth%keyChars))
+		ps.work.Add(int64(len(px)))
+		ps.busy.Add(time.Since(t0).Nanoseconds())
+		// Closures get copies: the tail-iteration below mutates px and
+		// depth before the spawned tasks may run.
+		low, high, eq, d := px[:lt], px[gt+1:], px[lt:gt+1], depth
+		ps.grp.Go(func() { ps.mkq(low, d) })
+		ps.grp.Go(func() { ps.mkq(high, d) })
+		if atEnd {
+			return // fully equal strings: nothing left to sort
+		}
+		if (d+1)%keyChars == 0 {
+			ps.load(eq, d+1)
+		}
+		px, depth = eq, d+1
 	}
 	t0 := time.Now()
-	st := GetSized(len(ss))
-	if len(ss) > 1 {
-		st.mkqsort(ss, sat, depth)
-	}
-	ps.work.Add(st.work)
-	Put(st)
+	k := kernel{ss: ps.ss}
+	k.mkqsort(px, depth)
+	ps.work.Add(k.work)
 	ps.busy.Add(time.Since(t0).Nanoseconds())
 }

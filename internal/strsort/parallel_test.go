@@ -72,7 +72,7 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 
 	pool := par.New(cores)
 	parSS, parSat := cloneInput(ss)
-	parLCP, parWork, _ := ParallelSortLCP(pool, parSS, parSat, nil)
+	parSS, parSat, parLCP, parWork, _ := ParallelSortLCP(pool, parSS, parSat, nil)
 
 	checkOracle(t, ss, parSS, parLCP)
 	if parWork != seqWork {
@@ -94,7 +94,7 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 	mkSS, mkSat := cloneInput(ss)
 	mkWork := Sort(mkSS, mkSat)
 	pmSS, pmSat := cloneInput(ss)
-	pmWork, _ := ParallelSort(pool, pmSS, pmSat)
+	pmSS, pmSat, pmWork, _ := ParallelSort(pool, pmSS, pmSat)
 	checkOracle(t, ss, pmSS, nil)
 	if pmWork != mkWork {
 		t.Fatalf("cores=%d: ParallelSort work %d, Sort %d", cores, pmWork, mkWork)
@@ -121,7 +121,7 @@ func TestParallelSortEquivalence(t *testing.T) {
 func TestParallelSortLCPReusesProvidedSlice(t *testing.T) {
 	ss := randomStrings(rand.New(rand.NewSource(3)), 2*parSortMin)
 	lcp := make([]int32, len(ss))
-	got, _, _ := ParallelSortLCP(par.New(4), ss, nil, lcp)
+	_, _, got, _, _ := ParallelSortLCP(par.New(4), ss, nil, lcp)
 	if &got[0] != &lcp[0] {
 		t.Fatal("provided lcp slice was not reused")
 	}
@@ -133,7 +133,7 @@ func TestParallelSortNilSatellites(t *testing.T) {
 	seq := make([][]byte, len(ss))
 	copy(seq, ss)
 	wantLCP, wantWork := SortLCP(seq, nil)
-	gotLCP, gotWork, _ := ParallelSortLCP(par.New(4), ss, nil, nil)
+	ss, _, gotLCP, gotWork, _ := ParallelSortLCP(par.New(4), ss, nil, nil)
 	if gotWork != wantWork {
 		t.Fatalf("work %d, want %d", gotWork, wantWork)
 	}
@@ -169,7 +169,7 @@ func FuzzParallelSortEquivalence(f *testing.F) {
 		seqSS, seqSat := cloneInput(ss)
 		seqLCP, seqWork := SortLCP(seqSS, seqSat)
 		parSS, parSat := cloneInput(ss)
-		parLCP, parWork, _ := ParallelSortLCP(par.New(cores), parSS, parSat, nil)
+		parSS, parSat, parLCP, parWork, _ := ParallelSortLCP(par.New(cores), parSS, parSat, nil)
 		checkOracle(t, ss, parSS, parLCP)
 		if parWork != seqWork {
 			t.Fatalf("cores=%d n=%d: work %d, sequential %d", cores, n, parWork, seqWork)

@@ -1,20 +1,46 @@
-// Package strsort implements the sequential string sorting stack used as
-// the base case of all distributed algorithms (Section II-A of the paper):
-// MSD string radix sort down to small subproblems, multikey quicksort
+// Package strsort implements the string sorting stack used as the base case
+// of all distributed algorithms (Section II-A of the paper): MSD string
+// radix sort down to small subproblems, multikey quicksort
 // (Bentley-Sedgewick) below that, and LCP-aware insertion sort for constant
 // size inputs. The sorters produce the LCP array as part of the output at
 // no additional asymptotic cost and report the number of characters
 // inspected, the work measure the cost model is based on.
 //
+// What the sorters move is not the strings' slice headers but one
+// pointer-free 12-byte proxy per string: the index of the string in the
+// caller's array and a cached word holding its next keyChars characters
+// and how many of them exist (which tells "the string ends here" from a
+// real 0x00). Radix passes and quicksort partitions read the character at
+// the current depth out of the cached word — registers and sequential
+// memory instead of one cache miss per string per level — and string
+// memory is touched only when a subproblem crosses into the next window
+// (one reload per keyChars levels), when insertion sort or the final LCP
+// pass compares two strings, and once at the end, when the sorted strings
+// and satellites are gathered through the indices. This is the caching of
+// Bingmann–Eberle–Sanders' caching multikey quicksort and of
+// Kärkkäinen–Rantala's radix sorts. The model statistics do not see it:
+// work is billed by depth advanced, never by loads — every radix level
+// and every partition bills one character per string, every comparison
+// LCP − depth + 1 — so the totals are those of the same algorithm run
+// directly on the strings.
+//
 // All sorters optionally carry one word of satellite data per string
 // (original index, origin id) through the permutation, which the
 // distributed algorithms use to report where each output string came from.
+//
+// One sort handles at most 2^32 strings (the proxy's index width); a longer
+// array panics at the entry point instead of being truncated.
 package strsort
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sync"
+	"time"
 
+	"dss/internal/par"
 	"dss/internal/strutil"
 )
 
@@ -26,188 +52,166 @@ const (
 	insertionThreshold = 16
 )
 
-// Sorter carries the scratch state of one sorting run; it exists so that
-// repeated sorts can reuse allocations.
-type Sorter struct {
-	work int64
-	// scratch buffers for the radix passes
-	tmpStrings [][]byte
-	tmpSat     []uint64
+// keyChars is the number of characters a proxy caches: seven in the high
+// bytes of its word, most significant first, above a count byte.
+const keyChars = 7
+
+// maxStrings is the largest array one sort accepts. It is a variable only
+// so that a test can trip the check without building 2^32 strings.
+var maxStrings int64 = 1 << 32
+
+// proxy stands for one string while it is being sorted. The cached word is
+// kept as two halves so that a proxy is 12 bytes, not 16: with the scatter
+// scratch that is the 24 bytes per string a slice header alone would take.
+// All proxies of one subproblem at depth d cache the window starting at
+// d − d%keyChars.
+type proxy struct {
+	lo, hi uint32 // the cached word: characters, then how many are real
+	idx    uint32 // position of the string in the caller's array
 }
 
-// sorterPools recycle Sorter scratch space across sorting runs, bucketed
-// by the power-of-two size class of the radix distribution buffer. One
-// undifferentiated pool was fine while each PE ran one sort at a time; the
-// parallel Step-1 sorter checks out many Sorters concurrently — one per
-// bucket subproblem — and a single class would hand a scratch buffer grown
-// for the whole input to a 200-string bucket (pinning memory) or a tiny
-// one to a large bucket (forcing a reallocation). sync.Pool itself is
-// per-P, so concurrent workers mostly hit thread-local free lists and
-// never share a scratch buffer: a pooled Sorter is owned exclusively
-// between Get and Put.
-var sorterPools [bits.UintSize + 1]sync.Pool
+func (p *proxy) key() uint64 { return uint64(p.lo) | uint64(p.hi)<<32 }
 
-// sizeClass buckets a scratch capacity: class k holds buffers with
-// cap in [2^(k-1), 2^k).
+// bucket returns the radix bucket of the character at window offset off:
+// 0 if the string ends there, c+1 for a character c. Multikey quicksort
+// orders by the same value (end-of-string sorts before every character).
+func (p *proxy) bucket(off uint) int {
+	k := p.key()
+	if uint(uint8(k)) == off {
+		return 0
+	}
+	return int(uint8(k>>((56-8*off)&63))) + 1
+}
+
+// load caches, in every proxy of px, the window of its string that starts
+// at depth. This is the kernel's only random access into string memory
+// outside comparisons.
+func load(ss [][]byte, px []proxy, depth int) {
+	for i := range px {
+		t := ss[px[i].idx][depth:]
+		var k uint64
+		if len(t) > keyChars {
+			k = binary.BigEndian.Uint64(t)&^0xff | keyChars
+		} else {
+			for j, c := range t {
+				k |= uint64(c) << (56 - 8*j)
+			}
+			k |= uint64(len(t))
+		}
+		px[i].lo, px[i].hi = uint32(k), uint32(k>>32)
+	}
+}
+
+// gather writes the sorted strings and satellites: position i receives the
+// string px[i] stands for. The only time a slice header or a satellite
+// word moves.
+func gather(out [][]byte, outSat []uint64, ss [][]byte, sat []uint64, px []proxy) {
+	for i := range px {
+		out[i] = ss[px[i].idx]
+	}
+	if sat != nil {
+		for i := range px {
+			outSat[i] = sat[px[i].idx]
+		}
+	}
+}
+
+// scratch is a pooled proxy array. The pools are bucketed by the
+// power-of-two size class of the array, so that a PE sorting a few sample
+// strings neither pins nor is handed the scratch of a whole local input;
+// proxies hold no pointers, so parked scratch costs the collector nothing
+// and pins no character data.
+type scratch struct{ px []proxy }
+
+var scratchPools [bits.UintSize + 1]sync.Pool
+
+// sizeClass buckets a scratch capacity: class k holds arrays with cap in
+// [2^(k-1), 2^k).
 func sizeClass(n int) int { return bits.Len(uint(n)) }
 
-// Get returns a Sorter with recycled scratch space and a zeroed work
-// counter. Return it with Put when the sort is done.
-func Get() *Sorter { return GetSized(0) }
-
-// GetSized returns a Sorter whose recycled scratch space, if any, comes
-// from the size class of an n-string subproblem — the right checkout for
-// the parallel sorter's per-worker bucket sorts.
-func GetSized(n int) *Sorter {
-	st, _ := sorterPools[sizeClass(n)].Get().(*Sorter)
-	if st == nil {
-		st = new(Sorter)
+func getScratch(n int) *scratch {
+	sc, _ := scratchPools[sizeClass(n)].Get().(*scratch)
+	if sc == nil || cap(sc.px) < n {
+		sc = &scratch{px: make([]proxy, n)}
 	}
-	st.work = 0
-	return st
+	return sc
 }
 
-// Put returns a Sorter to the scratch pool of its size class. The string
-// scratch is cleared so pooled Sorters do not pin the last run's character
-// data.
-func Put(st *Sorter) {
-	clear(st.tmpStrings[:cap(st.tmpStrings)])
-	sorterPools[sizeClass(cap(st.tmpStrings))].Put(st)
-}
-
-// Work returns the characters-inspected counter accumulated so far.
-func (st *Sorter) Work() int64 { return st.work }
+func putScratch(sc *scratch) { scratchPools[sizeClass(cap(sc.px))].Put(sc) }
 
 // SortLCP sorts ss in place lexicographically, computes its LCP array
 // (lcp[0] == 0, lcp[i] == LCP(ss[i-1], ss[i])), permutes sat alongside if
-// non-nil, and returns the number of characters inspected. This is the
-// Step 1 sorter of Algorithms MS and PDMS. Scratch space is drawn from the
-// package pool.
+// non-nil, and returns the number of characters inspected.
 func SortLCP(ss [][]byte, sat []uint64) (lcp []int32, work int64) {
-	st := Get()
-	lcp = st.SortLCPInto(ss, sat, nil)
-	work = st.work
-	Put(st)
+	sorted, sortedSat, lcp, work, _ := ParallelSortLCP(nil, ss, sat, nil)
+	copy(ss, sorted)
+	copy(sat, sortedSat)
 	return lcp, work
 }
 
-// Sort sorts ss in place without producing an LCP array and returns the
-// number of characters inspected. Scratch space is drawn from the package
-// pool.
+// Sort sorts ss in place without producing an LCP array, permuting sat
+// alongside if non-nil, and returns the number of characters inspected.
 func Sort(ss [][]byte, sat []uint64) (work int64) {
-	st := Get()
-	if len(ss) > 1 {
-		st.mkqsort(ss, sat, 0)
-	}
-	work = st.work
-	Put(st)
+	sorted, sortedSat, work, _ := ParallelSort(nil, ss, sat)
+	copy(ss, sorted)
+	copy(sat, sortedSat)
 	return work
 }
 
-// Sort sorts ss in place without producing an LCP array, reusing the
-// Sorter's scratch space and accumulating into its work counter.
-func (st *Sorter) Sort(ss [][]byte, sat []uint64) {
-	if len(ss) > 1 {
-		st.mkqsort(ss, sat, 0)
-	}
-}
-
-// SortLCPInto is like SortLCP but reuses the Sorter's scratch space and an
-// optional caller-provided LCP slice (must have len(ss) if non-nil).
-func (st *Sorter) SortLCPInto(ss [][]byte, sat []uint64, lcp []int32) []int32 {
-	if sat != nil && len(sat) != len(ss) {
+// sortProxies is the one path behind all four entry points: build the
+// proxies, sort them — by MSD radix sort with LCP output if lcp is
+// non-nil, by multikey quicksort otherwise —, and gather the result into
+// fresh arrays, leaving ss and sat untouched.
+func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) (sorted [][]byte, sortedSat []uint64, work, busy int64) {
+	n := len(ss)
+	if sat != nil && len(sat) != n {
 		panic("strsort: satellite length mismatch")
 	}
-	if lcp == nil {
-		lcp = make([]int32, len(ss))
-	} else if len(lcp) != len(ss) {
-		panic("strsort: lcp length mismatch")
+	if int64(n) > maxStrings {
+		panic(fmt.Sprintf("strsort: %d strings in one sort, the limit is %d", n, maxStrings))
 	}
-	if len(ss) > 1 {
-		st.msdRadix(ss, sat, lcp, 0)
-	}
-	return lcp
-}
-
-// msdRadix sorts one subproblem whose strings all share a common prefix of
-// length depth, assigning lcp[1:] within the subproblem (lcp[0] belongs to
-// the caller: it is the boundary with whatever precedes the subproblem).
-func (st *Sorter) msdRadix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
-	n := len(ss)
-	if n < 2 {
-		return
-	}
-	if n < radixThreshold {
-		st.mkqsort(ss, sat, depth)
-		st.fillLCP(ss, lcp, depth)
-		return
-	}
-
-	// Counting pass over the (depth+1)-st character. Bucket 0 holds strings
-	// that end exactly at depth; bucket c+1 holds strings with s[depth]==c.
-	var count [257]int
-	for _, s := range ss {
-		count[bucketOf(s, depth)]++
-	}
-	st.work += int64(n)
-
-	// Bucket start offsets.
-	var start [258]int
-	for i := 0; i < 257; i++ {
-		start[i+1] = start[i] + count[i]
-	}
-
-	// Out-of-place stable distribution, then copy back.
-	if cap(st.tmpStrings) < n {
-		st.tmpStrings = make([][]byte, n)
-	}
-	tmp := st.tmpStrings[:n]
-	var tmpSat []uint64
+	out := make([][]byte, n)
+	var outSat []uint64
 	if sat != nil {
-		if cap(st.tmpSat) < n {
-			st.tmpSat = make([]uint64, n)
-		}
-		tmpSat = st.tmpSat[:n]
+		outSat = make([]uint64, n)
 	}
-	next := start
-	for i, s := range ss {
-		b := bucketOf(s, depth)
-		tmp[next[b]] = s
-		if sat != nil {
-			tmpSat[next[b]] = sat[i]
-		}
-		next[b]++
+	m := n
+	if lcp != nil {
+		m = 2 * n // the radix passes distribute out of place
 	}
-	copy(ss, tmp)
-	if sat != nil {
-		copy(sat, tmpSat)
+	sc := getScratch(m)
+	defer putScratch(sc)
+	px, tmp := sc.px[:n], sc.px[n:m]
+	for i := range px {
+		px[i].idx = uint32(i)
 	}
 
-	// LCP values: the boundary between two buckets, and between equal
-	// strings in the end bucket, is exactly depth. The end bucket occupies
-	// [0, count[0]); index 0 is the subproblem boundary owned by the caller.
-	for i := 1; i < count[0]; i++ {
-		lcp[i] = int32(depth)
-	}
-	for b := 1; b <= 256; b++ {
-		lo, hi := start[b], start[b]+count[b]
-		if lo < hi && lo > 0 {
-			lcp[lo] = int32(depth)
+	if pool.Sequential() || n < parSortMin {
+		t0 := time.Now()
+		k := kernel{ss: ss}
+		if n > 1 && lcp != nil {
+			k.radix(px, tmp, lcp, 0)
+		} else if n > 1 {
+			load(ss, px, 0)
+			k.mkqsort(px, 0)
 		}
-		if count[b] > 1 {
-			st.msdRadix(ss[lo:hi], satSlice(sat, lo, hi), lcp[lo:hi], depth+1)
-		}
+		gather(out, outSat, ss, sat, px)
+		return out, outSat, k.work, time.Since(t0).Nanoseconds()
 	}
-	// Fix the end bucket's first entry if the subproblem starts with it:
-	// lcp[0] is owned by the caller, nothing to do (the loop above skipped
-	// i == 0 already).
-}
-
-func bucketOf(s []byte, depth int) int {
-	if len(s) == depth {
-		return 0
+	ps := &parSorter{pool: pool, grp: pool.Group(), ss: ss}
+	if lcp != nil {
+		ps.radix(px, tmp, lcp, 0)
+	} else {
+		ps.load(px, 0)
+		ps.mkq(px, 0)
 	}
-	return int(s[depth]) + 1
+	ps.grp.Wait() // join + panic propagation; busy is tracked by ps.busy
+	w := ps.chunks(n)
+	ps.pass(w, func(k int) {
+		lo, hi := chunk(k, w, n)
+		gather(out[lo:hi], satSlice(outSat, lo, hi), ss, sat, px[lo:hi])
+	})
+	return out, outSat, ps.work.Load(), ps.busy.Load()
 }
 
 func satSlice(sat []uint64, lo, hi int) []uint64 {
@@ -217,119 +221,203 @@ func satSlice(sat []uint64, lo, hi int) []uint64 {
 	return sat[lo:hi]
 }
 
-// mkqsort is multikey quicksort: ternary partition on the character at
-// position depth, recursing into <, =, > parts [Bentley & Sedgewick 1997].
-// Characters before depth are known to be equal across the subproblem and
-// are never inspected again.
-func (st *Sorter) mkqsort(ss [][]byte, sat []uint64, depth int) {
-	for len(ss) > insertionThreshold {
-		n := len(ss)
-		p := medianOf3Char(ss, depth)
-		// Ternary partition by charAt(s, depth) compared to p.
-		// Invariant: [0,lt) < p, [lt,i) == p, (gt,n-1] > p.
-		lt, i, gt := 0, 0, n-1
-		for i <= gt {
-			c := charAt(ss[i], depth)
-			switch {
-			case c < p:
-				swap(ss, sat, lt, i)
-				lt++
-				i++
-			case c > p:
-				swap(ss, sat, i, gt)
-				gt--
-			default:
-				i++
-			}
+// kernel is the sequential sorter of one subproblem: the strings the
+// proxies index and the characters-inspected counter.
+type kernel struct {
+	ss   [][]byte
+	work int64
+}
+
+// radix sorts one subproblem of at least two strings that all share a
+// prefix of length depth, assigning lcp[1:] within the subproblem (lcp[0]
+// belongs to the caller: it is the boundary with whatever precedes the
+// subproblem). Like its parallel form it is entered once per subproblem
+// and depth, which makes it the place where the windows are reloaded when
+// depth reaches the next one.
+func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
+	n := len(px)
+	var count [257]int
+	for {
+		off := uint(depth % keyChars)
+		if off == 0 {
+			load(k.ss, px, depth)
 		}
-		st.work += int64(n)
-		st.mkqsort(ss[:lt], satSlice(sat, 0, lt), depth)
-		st.mkqsort(ss[gt+1:], satSlice(sat, gt+1, n), depth)
-		if p < 0 {
-			// The equal part consists of strings ending at depth: they are
-			// fully equal, nothing left to sort.
+		if n < radixThreshold {
+			k.mkqsort(px, depth)
+			k.fillLCP(px, lcp, depth)
 			return
 		}
-		// Tail-call into the equal part one character deeper.
-		ss = ss[lt : gt+1]
-		sat = satSlice(sat, lt, gt+1)
+		// Counting pass over the (depth+1)-st character. Bucket 0 holds
+		// strings that end exactly at depth; bucket c+1 those with
+		// s[depth]==c.
+		count = [257]int{}
+		for i := range px {
+			count[px[i].bucket(off)]++
+		}
+		k.work += int64(n)
+		b := px[0].bucket(off)
+		if count[b] < n {
+			break
+		}
+		// All strings fall into one bucket, so the stable distribution is
+		// the identity: no scatter, and the level below runs right here.
+		if b == 0 {
+			fillDepth(lcp[1:], depth) // n equal strings
+			return
+		}
 		depth++
 	}
-	st.insertionSort(ss, sat, depth)
+
+	// Out-of-place stable distribution, then copy back; next[b] ends up at
+	// the end of bucket b.
+	off := uint(depth % keyChars)
+	var next [257]int
+	sum := 0
+	for b, c := range count {
+		next[b] = sum
+		sum += c
+	}
+	for i := range px {
+		b := px[i].bucket(off)
+		tmp[next[b]] = px[i]
+		next[b]++
+	}
+	copy(px, tmp)
+	buckets(&count, &next, lcp, depth, func(lo, hi int) {
+		k.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], depth+1)
+	})
 }
 
-// charAt returns the character at position depth, or -1 if the string ends
-// there (end-of-string sorts before every character).
-func charAt(s []byte, depth int) int {
-	if len(s) == depth {
-		return -1
+func fillDepth(lcp []int32, depth int) {
+	for i := range lcp {
+		lcp[i] = int32(depth)
 	}
-	return int(s[depth])
 }
 
-func medianOf3Char(ss [][]byte, depth int) int {
-	n := len(ss)
-	a, b, c := charAt(ss[0], depth), charAt(ss[n/2], depth), charAt(ss[n-1], depth)
-	if a > b {
-		a, b = b, a
+// buckets finishes one radix level after the distribution: it assigns the
+// LCP values the level decides — the boundary between two buckets, and
+// between equal strings in the end bucket, is exactly depth; index 0 is
+// the subproblem boundary owned by the caller — and calls recurse for
+// every character bucket [lo, hi) that still has something to sort.
+func buckets(count, end *[257]int, lcp []int32, depth int, recurse func(lo, hi int)) {
+	if count[0] > 1 {
+		fillDepth(lcp[1:count[0]], depth)
 	}
-	if b > c {
-		b = c
-		if a > b {
-			b = a
+	for b := 1; b <= 256; b++ {
+		hi := end[b]
+		lo := hi - count[b]
+		if lo < hi && lo > 0 {
+			lcp[lo] = int32(depth)
+		}
+		if count[b] > 1 {
+			recurse(lo, hi)
 		}
 	}
-	return b
 }
 
-func swap(ss [][]byte, sat []uint64, i, j int) {
-	ss[i], ss[j] = ss[j], ss[i]
-	if sat != nil {
-		sat[i], sat[j] = sat[j], sat[i]
+// partition is the ternary split of multikey quicksort on the character at
+// window offset off, around the median of three [Bentley & Sedgewick
+// 1997]: afterwards [0,lt) < pivot, [lt,gt] == pivot, (gt,n) > pivot.
+// atEnd reports that the pivot is end-of-string, i.e. that the equal part
+// holds fully equal strings.
+func partition(px []proxy, off uint) (lt, gt int, atEnd bool) {
+	n := len(px)
+	a, p, c := px[0].bucket(off), px[n/2].bucket(off), px[n-1].bucket(off)
+	if a > p {
+		a, p = p, a
+	}
+	if p > c {
+		p = c
+		if a > p {
+			p = a
+		}
+	}
+	lt, i, gt := 0, 0, n-1
+	for i <= gt {
+		c := px[i].bucket(off)
+		switch {
+		case c < p:
+			px[lt], px[i] = px[i], px[lt]
+			lt++
+			i++
+		case c > p:
+			px[i], px[gt] = px[gt], px[i]
+			gt--
+		default:
+			i++
+		}
+	}
+	return lt, gt, p == 0
+}
+
+// mkqsort is multikey quicksort: ternary partition on the character at
+// position depth, recursing into <, =, > parts. Characters before depth
+// are known to be equal across the subproblem and are never inspected
+// again. The window of depth must be cached, and stays so for every part
+// down to the insertion sort.
+func (k *kernel) mkqsort(px []proxy, depth int) {
+	for len(px) > insertionThreshold {
+		lt, gt, atEnd := partition(px, uint(depth%keyChars))
+		k.work += int64(len(px))
+		k.mkqsort(px[:lt], depth)
+		k.mkqsort(px[gt+1:], depth)
+		if atEnd {
+			return // fully equal strings: nothing left to sort
+		}
+		// Tail-call into the equal part one character deeper.
+		px = px[lt : gt+1]
+		depth++
+		if depth%keyChars == 0 && len(px) > 1 {
+			load(k.ss, px, depth)
+		}
+	}
+	k.insertionSort(px, depth)
+}
+
+// compare returns what strutil.CompareLCP(a's string, b's string, depth)
+// returns, for two proxies of one subproblem that have depth's window
+// cached. The windows decide when they differ or a string ends inside
+// them; only strings that agree through the whole window are read.
+func (k *kernel) compare(a, b *proxy, depth int) (order, lcp int) {
+	ka, kb := a.key(), b.key()
+	base := depth - depth%keyChars
+	same := bits.LeadingZeros64((ka^kb)|0xff) / 8 // equal cached bytes, 0..keyChars
+	ra, rb := int(uint8(ka)), int(uint8(kb))
+	switch m := min(ra, rb); {
+	case same < m: // both strings have a character there, and it differs
+		return cmp.Compare(ka, kb), base + same
+	case m == keyChars:
+		return strutil.CompareLCP(k.ss[a.idx], k.ss[b.idx], base+keyChars)
+	default: // the shorter string ends inside the window, a prefix of the other
+		return cmp.Compare(ra, rb), base + m
 	}
 }
 
 // insertionSort sorts a small subproblem whose strings share a prefix of
 // length depth, comparing only from depth onwards.
-func (st *Sorter) insertionSort(ss [][]byte, sat []uint64, depth int) {
-	for i := 1; i < len(ss); i++ {
-		s := ss[i]
-		var u uint64
-		if sat != nil {
-			u = sat[i]
-		}
+func (k *kernel) insertionSort(px []proxy, depth int) {
+	for i := 1; i < len(px); i++ {
+		p := px[i]
 		j := i
 		for j > 0 {
-			cmp, lcp := compareLCPFrom(ss[j-1], s, depth)
-			st.work += int64(lcp - depth + 1)
-			if cmp <= 0 {
+			order, lcp := k.compare(&px[j-1], &p, depth)
+			k.work += int64(lcp - depth + 1)
+			if order <= 0 {
 				break
 			}
-			ss[j] = ss[j-1]
-			if sat != nil {
-				sat[j] = sat[j-1]
-			}
+			px[j] = px[j-1]
 			j--
 		}
-		ss[j] = s
-		if sat != nil {
-			sat[j] = u
-		}
+		px[j] = p
 	}
 }
 
 // fillLCP computes lcp[1:] of a sorted subproblem whose strings share a
 // prefix of length depth. Characters before depth are not inspected.
-func (st *Sorter) fillLCP(ss [][]byte, lcp []int32, depth int) {
-	for i := 1; i < len(ss); i++ {
-		_, h := compareLCPFrom(ss[i-1], ss[i], depth)
-		st.work += int64(h - depth + 1)
+func (k *kernel) fillLCP(px []proxy, lcp []int32, depth int) {
+	for i := 1; i < len(px); i++ {
+		_, h := strutil.CompareLCP(k.ss[px[i-1].idx], k.ss[px[i].idx], depth)
+		k.work += int64(h - depth + 1)
 		lcp[i] = int32(h)
 	}
-}
-
-// compareLCPFrom compares a and b skipping the first `from` characters,
-// returning the comparison and the full LCP (word-wise via strutil).
-func compareLCPFrom(a, b []byte, from int) (cmp, lcp int) {
-	return strutil.CompareLCP(a, b, from)
 }

@@ -251,17 +251,25 @@ func TestWorkIsLinearishInD(t *testing.T) {
 	}
 }
 
+// TestSorterReuse sorts inputs of one scratch size class back to back, so
+// that later sorts run on a recycled proxy array still holding the previous
+// input's indices and windows.
 func TestSorterReuse(t *testing.T) {
-	st := &Sorter{}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5; i++ {
-		ss := randStrings(rng, 400, 15, 2)
+	var total int64
+	for _, n := range []int{511, 400, 300, 511, 257} {
+		ss := randStrings(rng, n, 15, 2)
 		h := strutil.MultisetHash(ss)
-		lcp := st.SortLCPInto(ss, nil, nil)
+		lcp, work := SortLCP(ss, nil)
 		checkSorted(t, ss, lcp, h, "reuse")
+		h = strutil.MultisetHash(ss)
+		rng.Shuffle(n, func(i, j int) { ss[i], ss[j] = ss[j], ss[i] })
+		work += Sort(ss, nil)
+		checkSorted(t, ss, nil, h, "reuse, no LCP")
+		total += work
 	}
-	if st.Work() == 0 {
-		t.Fatal("no work accumulated across reuses")
+	if total == 0 {
+		t.Fatal("no work reported across reuses")
 	}
 }
 
@@ -426,9 +434,9 @@ func runEntry(in [][]byte, withSat, withLCP bool, cores int) sorted {
 	case cores == 0:
 		r.work = Sort(r.ss, r.sat)
 	case withLCP:
-		r.lcp, r.work, _ = ParallelSortLCP(par.New(cores), r.ss, r.sat, nil)
+		r.ss, r.sat, r.lcp, r.work, _ = ParallelSortLCP(par.New(cores), r.ss, r.sat, nil)
 	default:
-		r.work, _ = ParallelSort(par.New(cores), r.ss, r.sat)
+		r.ss, r.sat, r.work, _ = ParallelSort(par.New(cores), r.ss, r.sat)
 	}
 	return r
 }
@@ -521,7 +529,6 @@ func BenchmarkSortLCP(b *testing.B) {
 	}
 	for _, in := range inputs {
 		ss := shuffled(1, in.gen())
-		work := make([][]byte, len(ss))
 		for _, cores := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/cores=%d", in.name, cores), func(b *testing.B) {
 				pool := par.New(cores)
@@ -530,10 +537,7 @@ func BenchmarkSortLCP(b *testing.B) {
 				var chars int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					copy(work, ss)
-					b.StartTimer()
-					_, w, _ := ParallelSortLCP(pool, work, nil, nil)
+					_, _, _, w, _ := ParallelSortLCP(pool, ss, nil, nil)
 					chars += w
 				}
 				sink += chars
