@@ -15,7 +15,7 @@ type treeState struct {
 }
 
 // treePools holds one sync.Pool per power-of-two size class, mirroring
-// strsort.GetSized/Put: merges of similar K reuse each other's arrays, and
+// strsort's scratch pools: merges of similar K reuse each other's arrays, and
 // the padded sentinel state stops being a per-merge allocation.
 var treePools [bits.UintSize + 1]sync.Pool
 

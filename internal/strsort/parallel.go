@@ -1,33 +1,35 @@
-// Parallel Step-1 sorting: multi-core front-ends for SortLCP and Sort that
-// are EQUIVALENT to the sequential sorters — same permutation, same LCP
-// array, same characters-inspected work total — at every pool width.
+// Parallel Step-1 sorting: the pool front-ends ParallelSortLCP and
+// ParallelSort are EQUIVALENT to SortLCP and Sort — same permutation, same
+// LCP array, same characters-inspected work total — at every pool width.
 //
 // Why not a splitter-based parallel sample sort (pS5-style)? Classifying
 // strings against sampled splitters inspects characters the sequential
 // sorter never looks at, so the work counter — the input of the paper's
 // α-β model time — would change with the core count and the model
-// statistics would stop being comparable across machines. Instead, the
-// parallel decomposition follows the sequential algorithm's own structure:
+// statistics would stop being comparable across machines. What IS taken
+// from that lineage is the cached word beside each string (see the package
+// comment): it changes which memory a character is read from, not which
+// characters are read, and billing follows the depth advanced, so the
+// model stays exact. The decomposition itself follows the sequential
+// algorithm's own structure:
 //
-//   - ParallelSortLCP parallelizes the MSD radix pass itself. The 257-way
-//     character histogram IS the classification step (computed from the
-//     same single character inspection per string the sequential counting
-//     pass bills), chunk-parallel counting plus per-worker prefix-summed
-//     offsets make the distribution both parallel and stable, and the 257
-//     bucket recursions — disjoint subarrays — run as pool tasks, bottoming
-//     out in the unmodified sequential kernels (msdRadix → mkqsort →
-//     insertion sort).
-//   - ParallelSort parallelizes multikey quicksort by running the ternary
-//     partition sequentially at each node (identical swaps, identical
-//     work billing) and recursing into the disjoint <, =, > parts as pool
-//     tasks, again bottoming out in the sequential kernel.
+//   - ParallelSortLCP parallelizes the MSD radix pass. The 257-way
+//     character histogram IS the classification step (the one character
+//     inspection per string the sequential counting pass bills),
+//     chunk-parallel counting plus per-worker prefix-summed offsets make
+//     the distribution both parallel and stable, and the bucket recursions
+//     — disjoint ranges of the proxy, scratch and LCP arrays — run as pool
+//     tasks, bottoming out in the sequential kernel.
+//   - ParallelSort runs multikey quicksort's ternary partition sequentially
+//     at each node (identical swaps, identical billing) and recurses into
+//     the disjoint <, =, > parts as pool tasks.
 //
-// Equivalence argument (pinned by FuzzParallelSortEquivalence and the
-// stringsort determinism suite): chunk-major distribution order equals the
-// sequential encounter order, so the permutation entering every bucket is
-// identical; each sub-sort runs the exact sequential code on an identical
-// subarray; and the work total is a sum of per-task int64 counters whose
-// addition commutes, so no schedule can change it.
+// Equivalence argument (pinned by the golden constants,
+// FuzzParallelSortEquivalence and the stringsort determinism suite):
+// chunk-major distribution order equals the sequential encounter order, so
+// the permutation entering every bucket is identical; each sub-sort runs
+// the sequential code on an identical range; and the work total is a sum of
+// per-task int64 counters whose addition commutes.
 package strsort
 
 import (
@@ -46,14 +48,13 @@ const (
 	parChunkMin = 1024
 )
 
-// parSorter carries the shared state of one parallel sorting run: the
-// pool, the spawned-task group of the bucket recursion, the strings the
-// proxies index, and the order-independent work / busy-time accumulators.
-// busy is the single source of truth for CPU time: ForEach passes,
-// sequential leaves and partition loops each bill their own span, and no
-// timed span ever encloses a spawn site — so the group's own busy meter
-// (which would double-count nested spans) is deliberately discarded at
-// Wait.
+// parSorter carries the shared state of one sorting run: the pool, the
+// task group of the bucket recursion, the strings the proxies index, and
+// the order-independent work / busy-time accumulators. busy is the single
+// source of truth for CPU time: passes, sequential leaves and partition
+// loops each bill their own span, and no timed span encloses a spawn site
+// — so the group's own busy meter (which would double-count nested spans)
+// is deliberately discarded at Wait.
 type parSorter struct {
 	pool *par.Pool
 	grp  *par.Group
@@ -124,10 +125,9 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 
 	// Chunk-parallel counting pass over the (depth+1)-st character: worker
 	// k histograms its chunk, reloading the windows first when depth has
-	// reached the next one. One character inspection per string, billed
-	// once for the whole pass — identical to sequential — and, as there, a
-	// level that puts every string into one bucket needs no distribution
-	// and continues right here.
+	// reached the next one. Billed once for the whole pass, as sequential;
+	// and, as there, a level that puts every string into one bucket needs
+	// no distribution and continues right here.
 	w := ps.chunks(n)
 	counts := make([][257]int, w)
 	var count [257]int

@@ -6,30 +6,25 @@
 // no additional asymptotic cost and report the number of characters
 // inspected, the work measure the cost model is based on.
 //
-// What the sorters move is not the strings' slice headers but one
-// pointer-free 12-byte proxy per string: the index of the string in the
-// caller's array and a cached word holding its next keyChars characters
-// and how many of them exist (which tells "the string ends here" from a
-// real 0x00). Radix passes and quicksort partitions read the character at
-// the current depth out of the cached word — registers and sequential
-// memory instead of one cache miss per string per level — and string
-// memory is touched only when a subproblem crosses into the next window
-// (one reload per keyChars levels), when insertion sort or the final LCP
-// pass compares two strings, and once at the end, when the sorted strings
-// and satellites are gathered through the indices. This is the caching of
-// Bingmann–Eberle–Sanders' caching multikey quicksort and of
-// Kärkkäinen–Rantala's radix sorts. The model statistics do not see it:
-// work is billed by depth advanced, never by loads — every radix level
-// and every partition bills one character per string, every comparison
-// LCP − depth + 1 — so the totals are those of the same algorithm run
-// directly on the strings.
+// The sorters move no slice headers but one pointer-free 12-byte proxy per
+// string: its index in the caller's array and a cached word holding its
+// next keyChars characters and how many of them exist (which tells "the
+// string ends here" from a real 0x00) — the caching of
+// Bingmann-Eberle-Sanders' multikey quicksort and Kärkkäinen-Rantala's
+// radix sorts. Radix passes and partitions read the character at the
+// current depth out of that word instead of taking a cache miss per string
+// and level; string memory is touched only when a subproblem crosses into
+// the next window, when two strings are compared beyond their windows, and
+// once at the end, when the sorted strings and satellites (one optional
+// word per string: original index, origin id) are gathered through the
+// indices. The model statistics do not see any of it: work is billed by
+// depth advanced, never by loads — every radix level and every partition
+// one character per string, every comparison LCP − depth + 1 — so the
+// totals are those of the same algorithms run directly on the strings.
 //
-// All sorters optionally carry one word of satellite data per string
-// (original index, origin id) through the permutation, which the
-// distributed algorithms use to report where each output string came from.
-//
-// One sort handles at most 2^32 strings (the proxy's index width); a longer
-// array panics at the entry point instead of being truncated.
+// One sort takes at most 2^32 strings (the proxy's index width); a longer
+// array panics at the entry point instead of being sorted through
+// truncated indices.
 package strsort
 
 import (
@@ -38,7 +33,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 
 	"dss/internal/par"
 	"dss/internal/strutil"
@@ -61,10 +55,9 @@ const keyChars = 7
 var maxStrings int64 = 1 << 32
 
 // proxy stands for one string while it is being sorted. The cached word is
-// kept as two halves so that a proxy is 12 bytes, not 16: with the scatter
-// scratch that is the 24 bytes per string a slice header alone would take.
-// All proxies of one subproblem at depth d cache the window starting at
-// d − d%keyChars.
+// kept in halves so that a proxy is 12 bytes, not 16: with the scatter
+// scratch that is the 24 bytes per string of the header array it replaces.
+// All proxies of a subproblem at depth d cache the window d − d%keyChars.
 type proxy struct {
 	lo, hi uint32 // the cached word: characters, then how many are real
 	idx    uint32 // position of the string in the caller's array
@@ -102,42 +95,35 @@ func load(ss [][]byte, px []proxy, depth int) {
 	}
 }
 
-// gather writes the sorted strings and satellites: position i receives the
-// string px[i] stands for. The only time a slice header or a satellite
-// word moves.
-func gather(out [][]byte, outSat []uint64, ss [][]byte, sat []uint64, px []proxy) {
-	for i := range px {
+// gather writes positions [lo, hi) of the sorted strings and satellites:
+// position i receives the string px[i] stands for. The only time a slice
+// header or a satellite word moves.
+func gather(out [][]byte, outSat []uint64, ss [][]byte, sat []uint64, px []proxy, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		out[i] = ss[px[i].idx]
-	}
-	if sat != nil {
-		for i := range px {
+		if sat != nil {
 			outSat[i] = sat[px[i].idx]
 		}
 	}
 }
 
-// scratch is a pooled proxy array. The pools are bucketed by the
-// power-of-two size class of the array, so that a PE sorting a few sample
-// strings neither pins nor is handed the scratch of a whole local input;
-// proxies hold no pointers, so parked scratch costs the collector nothing
-// and pins no character data.
+// scratch is a pooled proxy array. Pool k holds arrays with cap in
+// [2^(k-1), 2^k), so that sorting a few sample strings neither pins nor is
+// handed the scratch of a whole local input; proxies hold no pointers, so
+// parked scratch is never scanned and pins no character data.
 type scratch struct{ px []proxy }
 
 var scratchPools [bits.UintSize + 1]sync.Pool
 
-// sizeClass buckets a scratch capacity: class k holds arrays with cap in
-// [2^(k-1), 2^k).
-func sizeClass(n int) int { return bits.Len(uint(n)) }
-
 func getScratch(n int) *scratch {
-	sc, _ := scratchPools[sizeClass(n)].Get().(*scratch)
+	sc, _ := scratchPools[bits.Len(uint(n))].Get().(*scratch)
 	if sc == nil || cap(sc.px) < n {
 		sc = &scratch{px: make([]proxy, n)}
 	}
 	return sc
 }
 
-func putScratch(sc *scratch) { scratchPools[sizeClass(cap(sc.px))].Put(sc) }
+func putScratch(sc *scratch) { scratchPools[bits.Len(uint(cap(sc.px)))].Put(sc) }
 
 // SortLCP sorts ss in place lexicographically, computes its LCP array
 // (lcp[0] == 0, lcp[i] == LCP(ss[i-1], ss[i])), permutes sat alongside if
@@ -161,8 +147,9 @@ func Sort(ss [][]byte, sat []uint64) (work int64) {
 // sortProxies is the one path behind all four entry points: build the
 // proxies, sort them — by MSD radix sort with LCP output if lcp is
 // non-nil, by multikey quicksort otherwise —, and gather the result into
-// fresh arrays, leaving ss and sat untouched.
-func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) (sorted [][]byte, sortedSat []uint64, work, busy int64) {
+// fresh arrays, leaving ss and sat untouched. On a sequential pool every
+// pass and task below runs inline on the caller.
+func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]byte, []uint64, int64, int64) {
 	n := len(ss)
 	if sat != nil && len(sat) != n {
 		panic("strsort: satellite length mismatch")
@@ -186,22 +173,10 @@ func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) (sorted
 		px[i].idx = uint32(i)
 	}
 
-	if pool.Sequential() || n < parSortMin {
-		t0 := time.Now()
-		k := kernel{ss: ss}
-		if n > 1 && lcp != nil {
-			k.radix(px, tmp, lcp, 0)
-		} else if n > 1 {
-			load(ss, px, 0)
-			k.mkqsort(px, 0)
-		}
-		gather(out, outSat, ss, sat, px)
-		return out, outSat, k.work, time.Since(t0).Nanoseconds()
-	}
 	ps := &parSorter{pool: pool, grp: pool.Group(), ss: ss}
-	if lcp != nil {
+	if n > 1 && lcp != nil {
 		ps.radix(px, tmp, lcp, 0)
-	} else {
+	} else if n > 1 {
 		ps.load(px, 0)
 		ps.mkq(px, 0)
 	}
@@ -209,16 +184,9 @@ func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) (sorted
 	w := ps.chunks(n)
 	ps.pass(w, func(k int) {
 		lo, hi := chunk(k, w, n)
-		gather(out[lo:hi], satSlice(outSat, lo, hi), ss, sat, px[lo:hi])
+		gather(out, outSat, ss, sat, px, lo, hi)
 	})
 	return out, outSat, ps.work.Load(), ps.busy.Load()
-}
-
-func satSlice(sat []uint64, lo, hi int) []uint64 {
-	if sat == nil {
-		return nil
-	}
-	return sat[lo:hi]
 }
 
 // kernel is the sequential sorter of one subproblem: the strings the
@@ -228,12 +196,11 @@ type kernel struct {
 	work int64
 }
 
-// radix sorts one subproblem of at least two strings that all share a
-// prefix of length depth, assigning lcp[1:] within the subproblem (lcp[0]
-// belongs to the caller: it is the boundary with whatever precedes the
-// subproblem). Like its parallel form it is entered once per subproblem
-// and depth, which makes it the place where the windows are reloaded when
-// depth reaches the next one.
+// radix sorts one subproblem whose strings all share a prefix of length
+// depth, assigning lcp[1:] within it (lcp[0], the boundary with whatever
+// precedes the subproblem, belongs to the caller). Like its parallel form
+// it is entered once per subproblem and depth, which makes it the place
+// where the windows are reloaded when depth reaches the next one.
 func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 	n := len(px)
 	var count [257]int
@@ -247,9 +214,7 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 			k.fillLCP(px, lcp, depth)
 			return
 		}
-		// Counting pass over the (depth+1)-st character. Bucket 0 holds
-		// strings that end exactly at depth; bucket c+1 those with
-		// s[depth]==c.
+		// Counting pass over the (depth+1)-st character.
 		count = [257]int{}
 		for i := range px {
 			count[px[i].bucket(off)]++
@@ -273,9 +238,9 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 	off := uint(depth % keyChars)
 	var next [257]int
 	sum := 0
-	for b, c := range count {
+	for b := range count {
 		next[b] = sum
-		sum += c
+		sum += count[b]
 	}
 	for i := range px {
 		b := px[i].bucket(off)
@@ -295,10 +260,9 @@ func fillDepth(lcp []int32, depth int) {
 }
 
 // buckets finishes one radix level after the distribution: it assigns the
-// LCP values the level decides — the boundary between two buckets, and
-// between equal strings in the end bucket, is exactly depth; index 0 is
-// the subproblem boundary owned by the caller — and calls recurse for
-// every character bucket [lo, hi) that still has something to sort.
+// LCP values the level decides — depth at the boundary between two buckets
+// and between the equal strings of the end bucket; index 0 is the caller's
+// — and calls recurse for every bucket [lo, hi) with something left to sort.
 func buckets(count, end *[257]int, lcp []int32, depth int, recurse func(lo, hi int)) {
 	if count[0] > 1 {
 		fillDepth(lcp[1:count[0]], depth)
@@ -322,16 +286,8 @@ func buckets(count, end *[257]int, lcp []int32, depth int, recurse func(lo, hi i
 // holds fully equal strings.
 func partition(px []proxy, off uint) (lt, gt int, atEnd bool) {
 	n := len(px)
-	a, p, c := px[0].bucket(off), px[n/2].bucket(off), px[n-1].bucket(off)
-	if a > p {
-		a, p = p, a
-	}
-	if p > c {
-		p = c
-		if a > p {
-			p = a
-		}
-	}
+	a, b, c := px[0].bucket(off), px[n/2].bucket(off), px[n-1].bucket(off)
+	p := max(min(a, b), min(max(a, b), c))
 	lt, i, gt := 0, 0, n-1
 	for i <= gt {
 		c := px[i].bucket(off)
@@ -351,10 +307,9 @@ func partition(px []proxy, off uint) (lt, gt int, atEnd bool) {
 }
 
 // mkqsort is multikey quicksort: ternary partition on the character at
-// position depth, recursing into <, =, > parts. Characters before depth
-// are known to be equal across the subproblem and are never inspected
-// again. The window of depth must be cached, and stays so for every part
-// down to the insertion sort.
+// position depth, recursing into <, =, > parts; characters before depth
+// are equal across the subproblem and never inspected again. The window of
+// depth must be cached, and stays so for every part down to insertion sort.
 func (k *kernel) mkqsort(px []proxy, depth int) {
 	for len(px) > insertionThreshold {
 		lt, gt, atEnd := partition(px, uint(depth%keyChars))

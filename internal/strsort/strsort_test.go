@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -544,5 +545,38 @@ func BenchmarkSortLCP(b *testing.B) {
 				b.ReportMetric(float64(chars)/b.Elapsed().Seconds()/1e6, "Mchars/s")
 			})
 		}
+	}
+}
+
+// TestStringCountLimit lowers the proxy index limit and checks that every
+// entry point refuses a longer array by name and number, rather than
+// sorting it through truncated indices.
+func TestStringCountLimit(t *testing.T) {
+	defer func(old int64) { maxStrings = old }(maxStrings)
+	maxStrings = 3
+	ss := [][]byte{[]byte("d"), []byte("c"), []byte("b"), []byte("a")}
+	entries := map[string]func(){
+		"SortLCP":         func() { SortLCP(ss, nil) },
+		"Sort":            func() { Sort(ss, nil) },
+		"ParallelSortLCP": func() { ParallelSortLCP(par.New(2), ss, nil, nil) },
+		"ParallelSort":    func() { ParallelSort(par.New(2), ss, nil) },
+	}
+	for name, call := range entries {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "strsort: 4 strings") || !strings.Contains(msg, "limit is 3") {
+					t.Errorf("%s: got %q, want the string-count limit panic", name, msg)
+				}
+			}()
+			call()
+		}()
+		if string(ss[0]) != "d" {
+			t.Fatalf("%s: refused input was modified", name)
+		}
+	}
+	Sort(ss[:3], nil) // at the limit is fine
+	if string(ss[0]) != "b" {
+		t.Fatalf("sorting exactly maxStrings strings: got %q first", ss[0])
 	}
 }
