@@ -1,9 +1,13 @@
 // Command dss-bench regenerates the paper's evaluation (Section VII):
 // every figure's running-time and bytes-per-string series, plus the
-// Section VII-E summary experiments and the ablations called out in
-// DESIGN.md. Running times are α-β model times (the machine is simulated;
-// see DESIGN.md for the substitution argument); communication volumes are
-// exact byte counts.
+// Section VII-E summary experiments and the ablations listed under Usage.
+// Running times are α-β model times, not measurements: the machine is
+// simulated (one goroutine per PE), so in place of the paper's wall clock
+// on 1280 cores each run reports the cost the paper's own model assigns to
+// it — billed character work plus α per message and β per byte on the
+// bottleneck PE, all exact counts (README, "Intra-PE parallelism", last
+// paragraph, says why that number never moves with the host). Communication
+// volumes are exact byte counts.
 //
 // Usage:
 //
