@@ -90,16 +90,16 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	if opt.Eps <= 0 {
 		opt.Eps = 1
 	}
-	unsorted := make([]uint64, len(ss))
-	for i := range unsorted {
-		unsorted[i] = originSat(c.Rank(), i)
+	unsortedSats := make([]uint64, len(ss))
+	for i := range unsortedSats {
+		unsortedSats[i] = originSat(c.Rank(), i)
 	}
 
 	// Step 1: local sort with LCP array, carrying origins, spread over the
 	// PE's work pool; the sorted spine and origins come back in fresh
 	// arrays.
 	c.SetPhase(stats.PhaseLocalSort)
-	local, sats, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), ss, unsorted, nil)
+	local, sats, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), ss, unsortedSats, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
 

@@ -145,7 +145,6 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 			}
 		})
 		ps.work.Add(int64(n))
-		count = [257]int{}
 		for k := range counts {
 			for b, c := range counts[k] {
 				count[b] += c
@@ -159,6 +158,7 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 			fillDepth(lcp[1:], depth)
 			return
 		}
+		count[b] = 0
 	}
 	d, off := depth, uint(depth%keyChars)
 

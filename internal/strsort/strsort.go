@@ -215,7 +215,6 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 			return
 		}
 		// Counting pass over the (depth+1)-st character.
-		count = [257]int{}
 		for i := range px {
 			count[px[i].bucket(off)]++
 		}
@@ -231,6 +230,7 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 			return
 		}
 		depth++
+		count[b] = 0
 	}
 
 	// Out-of-place stable distribution, then copy back; next[b] ends up at
