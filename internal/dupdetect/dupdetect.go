@@ -16,10 +16,36 @@
 // Strings shorter than ℓ are resolved with bound |s|: transmitting the
 // whole string (whose end acts as a terminator) always suffices to order
 // it against any other string, duplicates included.
+//
+// One round, in memory. A detector owns every array of the loop for the
+// length of one ApproxDist call and reslices them per round; inside the
+// loop only the messages handed to the all-to-all are allocated. The
+// sender side is sized by the local string count: the requests {candidate,
+// fingerprint} in candidate order, the same requests grouped by destination
+// PE fp mod p (each group sorted by fingerprint when the round is Golomb
+// coded — an LSD radix sort through one scratch array that skips every
+// digit the whole group shares), and the group's bare fingerprints for the
+// encoder. The receiver side grows to the largest round seen: one decoded
+// list per source and one flat verdict array over their concatenation.
+// Golomb lists arrive sorted, so multiplicities are counted by a p-way
+// merge; raw 64- and 32-bit lists arrive in request order and are counted
+// by sorting a position-tagged copy with the same radix sort. Verdicts come
+// back as one bit per request and land in a []bool indexed by candidate.
+//
+// Hashing is blocked. The first touch of a string's next characters is a
+// cache and TLB miss (the strings of one PE are hundreds of bytes apart and
+// visited in sorted order, not memory order), and the polynomial's
+// multiply chain cannot start before it lands. So the loop first reads one
+// byte at each end of the next extension for a block of candidates —
+// independent loads whose misses are in flight together — and only then
+// runs Extend over lines that are resident. The hash itself is miss-bound,
+// not multiply-bound: a bit-identical form absorbing 8 bytes per step
+// measured 0 % on the benchmark input, which is why Extend is unchanged.
 package dupdetect
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"dss/internal/comm"
 	"dss/internal/fingerprint"
@@ -90,91 +116,57 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	prevPhase := c.SetPhase(stats.PhaseDupDetect)
 	defer c.SetPhase(prevPhase)
 
-	p := c.P()
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
-	hasher := fingerprint.New(opt.Seed)
-
 	n := len(ss)
+	if n > math.MaxInt32 {
+		panic("dupdetect: more than 2^31-1 local strings")
+	}
+	d := newDetector(c, ss, opt)
 	res := Result{Dist: make([]int32, n)}
-	states := make([]fingerprint.State, n)
-	candidates := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		candidates = append(candidates, int32(i))
+	candidates := make([]int32, n)
+	for i := range candidates {
+		candidates[i] = int32(i)
+	}
+	long := raw64
+	if opt.Golomb {
+		long = golombCoded
 	}
 
 	ell := opt.InitialLen
 	for {
 		// Global termination check.
-		remaining := g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
+		remaining := d.g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
 		if remaining == 0 {
 			break
 		}
 		res.Iterations++
 
-		// Fingerprint the length-ℓ prefixes, extending incrementally.
-		// A string shorter than ℓ participates one final time with a
-		// *terminated* fingerprint — it must keep blocking longer strings
-		// that have it as a proper prefix (in the paper's model the
-		// 0-terminator is a real character) — and then resolves with bound
-		// |s| regardless of the verdict: transmitting the whole string is
-		// always sufficient, duplicates included.
-		lengthResolve := make(map[int32]bool)
-		allReqs := make([]req, 0, len(candidates))
-		for _, ci := range candidates {
-			// Strictly shorter than ℓ: the guess has grown past the end of
-			// the string, so the "prefix" includes the terminator. At
-			// exactly ℓ == |s| the prefix is the whole string WITHOUT the
-			// terminator and must collide with equal-length prefixes of
-			// longer strings.
-			var fp uint64
-			if n := len(ss[ci]); n < ell {
-				prevPos := states[ci].Pos()
-				states[ci] = hasher.Extend(states[ci], ss[ci], n)
-				c.AddWork(int64(n - prevPos))
-				fp = hasher.FinalizeTerminated(states[ci])
-				lengthResolve[ci] = true
-			} else {
-				prevPos := states[ci].Pos()
-				states[ci] = hasher.Extend(states[ci], ss[ci], ell)
-				c.AddWork(int64(ell - prevPos)) // only fresh characters are hashed
-				fp = hasher.Finalize(states[ci])
-			}
-			allReqs = append(allReqs, req{cand: ci, fp: fp})
-		}
-
 		// Uniqueness check, optionally in two fingerprint resolutions:
-		// a cheap 32-bit round first, then a full 64-bit round for the
+		// a cheap 32-bit round first, then a full-width round for the
 		// candidates whose short fingerprint collided.
-		var uniqueCands map[int32]bool
+		reqs := d.fingerprints(candidates, ell)
 		if opt.TwoLevel {
-			shortUnique := uniqueRound(g, p, allReqs, roundOpts{short: true, hyper: opt.Hypercube})
-			var recheck []req
-			uniqueCands = make(map[int32]bool, len(shortUnique))
-			for _, r := range allReqs {
-				if shortUnique[r.cand] {
-					uniqueCands[r.cand] = true
-				} else {
+			d.uniqueRound(reqs, short32)
+			recheck := reqs[:0]
+			for _, r := range reqs {
+				if !d.unique[r.cand] {
 					recheck = append(recheck, r)
 				}
 			}
-			longUnique := uniqueRound(g, p, recheck, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
-			for cand := range longUnique {
-				uniqueCands[cand] = true
-			}
-		} else {
-			uniqueCands = uniqueRound(g, p, allReqs, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+			reqs = recheck
 		}
+		d.uniqueRound(reqs, long)
 
-		// Resolve candidates: unique fingerprints prove distinguishing
-		// prefixes; strings shorter than ℓ resolve with their full length
-		// after their terminated blocking round.
+		// Resolve candidates: strings shorter than ℓ resolve with their
+		// full length after their terminated blocking round (see
+		// fingerprints), whatever the verdict; unique fingerprints prove
+		// distinguishing prefixes.
 		live := candidates[:0]
 		for _, ci := range candidates {
 			switch {
-			case lengthResolve[ci]:
+			case len(ss[ci]) < ell:
 				res.Dist[ci] = int32(len(ss[ci]))
 				res.ResolvedLength++
-			case uniqueCands[ci]:
+			case d.unique[ci]:
 				res.Dist[ci] = int32(ell)
 				res.ResolvedUnique++
 			default:
@@ -199,122 +191,356 @@ type req struct {
 	fp   uint64
 }
 
-// roundOpts select the wire format and routing of one uniqueness round.
-type roundOpts struct {
-	short  bool // 32-bit fingerprints (first level of TwoLevel)
-	golomb bool // Golomb-code the (sorted) fingerprints
-	hyper  bool // hypercube-route the all-to-alls (power-of-two p only)
+// wireFormat is how one uniqueness round ships its fingerprints.
+type wireFormat int
+
+const (
+	raw64       wireFormat = iota // 8 bytes each, request order
+	short32                       // upper 32 bits, 4 bytes each (first level of TwoLevel)
+	golombCoded                   // sorted and Golomb coded
+)
+
+const (
+	// hashBlock is how many candidates have their next characters touched
+	// before any of them is hashed: enough independent misses to fill the
+	// core's line-fill buffers, few enough that the lines are still in L1
+	// when Extend reads them.
+	hashBlock = 16
+	// radixMin is the group size below which eight counting passes cost
+	// more than an insertion sort.
+	radixMin = 64
+)
+
+// detector holds the state of one ApproxDist call: the hash states of the
+// local strings and every array the round loop reuses (see the package
+// comment for who is sized by what).
+type detector struct {
+	c      *comm.Comm
+	g      *comm.Group
+	p      int
+	hyper  bool // hypercube-route the all-to-alls
+	ss     [][]byte
+	hasher fingerprint.Hasher
+	states []fingerprint.State
+	unique []bool // by candidate; set once, a unique candidate never returns
+	touch  byte   // keeps the block touch's loads alive
+
+	// Sender side, len(ss) each.
+	reqs    []req    // this round's requests, candidate order
+	routed  []req    // the same grouped by destination: routed[offs[d]:offs[d+1]] goes to PE d
+	scratch []req    // the radix sort's other half
+	fps     []uint64 // one group's fingerprints, for the encoders
+	offs    []int
+	parts   [][]byte
+	bits    []bool // one destination's decoded verdicts
+
+	// Receiver side, grown to the largest round.
+	lists   [][]uint64 // decoded fingerprints per source
+	voffs   []int      // verdict[voffs[src]:voffs[src+1]] answers lists[src]
+	verdict []bool
+	tagged  []req   // raw rounds: every received fingerprint with its verdict index
+	heap    []int32 // Golomb rounds: sources ordered by their list's head
+	heads   []int   // Golomb rounds: next unread position per source
+}
+
+func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
+	p, n := c.P(), len(ss)
+	return &detector{
+		c:       c,
+		g:       comm.NewGroup(c, allRanks(p), opt.GroupID),
+		p:       p,
+		hyper:   opt.Hypercube && p&(p-1) == 0,
+		ss:      ss,
+		hasher:  fingerprint.New(opt.Seed),
+		states:  make([]fingerprint.State, n),
+		unique:  make([]bool, n),
+		reqs:    make([]req, n),
+		routed:  make([]req, n),
+		scratch: make([]req, n),
+		fps:     make([]uint64, n),
+		offs:    make([]int, p+1),
+		parts:   make([][]byte, p),
+		bits:    make([]bool, 0, n),
+		lists:   make([][]uint64, p),
+		voffs:   make([]int, p+1),
+		heap:    make([]int32, 0, p),
+		heads:   make([]int, p),
+	}
+}
+
+// fingerprints extends every candidate's hash state to its length-ℓ prefix
+// and returns the round's requests. Only fresh characters are hashed and
+// billed. A string shorter than ℓ participates one final time with a
+// *terminated* fingerprint — it must keep blocking longer strings that
+// have it as a proper prefix (in the paper's model the 0-terminator is a
+// real character). Strictly shorter: at exactly ℓ == |s| the prefix is the
+// whole string WITHOUT the terminator and must collide with equal-length
+// prefixes of longer strings.
+func (d *detector) fingerprints(candidates []int32, ell int) []req {
+	reqs := d.reqs[:len(candidates)]
+	var work int64
+	for lo := 0; lo < len(candidates); lo += hashBlock {
+		hi := min(lo+hashBlock, len(candidates))
+		touch := d.touch
+		for _, ci := range candidates[lo:hi] {
+			s := d.ss[ci]
+			if from, upto := d.states[ci].Pos(), min(len(s), ell); from < upto {
+				touch += s[from] + s[upto-1]
+			}
+		}
+		d.touch = touch
+		for i, ci := range candidates[lo:hi] {
+			s, st := d.ss[ci], d.states[ci]
+			upto := min(len(s), ell)
+			work += int64(upto - st.Pos())
+			st = d.hasher.Extend(st, s, upto)
+			d.states[ci] = st
+			if len(s) < ell {
+				reqs[lo+i] = req{cand: ci, fp: d.hasher.FinalizeTerminated(st)}
+			} else {
+				reqs[lo+i] = req{cand: ci, fp: d.hasher.Finalize(st)}
+			}
+		}
+	}
+	d.c.AddWork(work)
+	return reqs
+}
+
+// exchange is the round's all-to-all, direct or hypercube routed.
+func (d *detector) exchange(parts [][]byte) [][]byte {
+	if d.hyper {
+		return d.g.AlltoallvHypercube(parts)
+	}
+	return d.g.Alltoallv(parts)
 }
 
 // uniqueRound routes each request's fingerprint to PE (fp mod p), counts
-// global multiplicities there, and returns the set of candidates whose
+// global multiplicities there, and sets d.unique for every candidate whose
 // fingerprint is globally unique. One collective call per PE.
-func uniqueRound(g *comm.Group, p int, reqs []req, ro roundOpts) map[int32]bool {
+func (d *detector) uniqueRound(reqs []req, format wireFormat) {
+	p := uint64(d.p)
 	// Short rounds count by the upper 32 bits (well-mixed by the
 	// finalizer); routing must use the same value so all copies of a
 	// fingerprint meet at the same PE.
-	route := func(r req) (fp uint64, d int) {
-		fp = r.fp
-		if ro.short {
-			fp >>= 32
-		}
-		return fp, int(fp % uint64(p))
+	var shift uint
+	if format == short32 {
+		shift = 32
 	}
-	// Count per destination first, then fill exact-size regions of one
-	// backing array in request order: no growth reallocation.
-	offs := make([]int, p+1)
+	// Count per destination, then fill exact-size regions in request order.
+	offs := d.offs
+	clear(offs)
 	for _, r := range reqs {
-		_, d := route(r)
-		offs[d+1]++
+		offs[(r.fp>>shift)%p+1]++
 	}
-	largest := 0
-	for d := 0; d < p; d++ {
-		largest = max(largest, offs[d+1])
-		offs[d+1] += offs[d]
+	for dst := 0; dst < d.p; dst++ {
+		offs[dst+1] += offs[dst]
 	}
-	routed := make([]req, len(reqs))
-	perDest := make([][]req, p)
-	for d := range perDest {
-		perDest[d] = routed[offs[d]:offs[d]:offs[d+1]]
-	}
+	routed := d.routed[:len(reqs)]
 	for _, r := range reqs {
-		fp, d := route(r)
-		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
+		fp := r.fp >> shift
+		dst := fp % p
+		routed[offs[dst]] = req{cand: r.cand, fp: fp}
+		offs[dst]++
 	}
+	copy(offs[1:], offs[:d.p]) // the fill advanced each start to its end
+	offs[0] = 0
 
-	exchange := func(parts [][]byte) [][]byte {
-		if ro.hyper && p&(p-1) == 0 {
-			return g.AlltoallvHypercube(parts)
+	for dst := range d.parts {
+		group := routed[offs[dst]:offs[dst+1]]
+		if format == golombCoded {
+			sortByFP(group, d.scratch)
 		}
-		return g.Alltoallv(parts)
-	}
-
-	parts := make([][]byte, p)
-	scratch := make([]uint64, largest) // the encoders copy out of it
-	for d := 0; d < p; d++ {
-		if ro.golomb {
-			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
-		}
-		fps := scratch[:len(perDest[d])]
-		for j, r := range perDest[d] {
+		fps := d.fps[:len(group)]
+		for j, r := range group {
 			fps[j] = r.fp
 		}
-		switch {
-		case ro.golomb:
-			parts[d] = golomb.EncodeSorted(fps)
-		case ro.short:
-			parts[d] = wire.EncodeUint32sFixed(fps)
+		switch format {
+		case golombCoded:
+			d.parts[dst] = golomb.EncodeSorted(fps)
+		case short32:
+			d.parts[dst] = wire.EncodeUint32sFixed(fps)
 		default:
-			parts[d] = wire.EncodeUint64sFixed(fps)
+			d.parts[dst] = wire.EncodeUint64sFixed(fps)
 		}
 	}
-	recvd := exchange(parts)
+	recvd := d.exchange(d.parts)
 
-	counts := make(map[uint64]int)
-	decoded := make([][]uint64, p)
-	for src := 0; src < p; src++ {
-		var fps []uint64
+	for src, msg := range recvd {
 		var err error
-		switch {
-		case ro.golomb:
-			fps, err = golomb.DecodeSorted(recvd[src])
-		case ro.short:
-			fps, err = wire.DecodeUint32sFixed(recvd[src])
+		switch format {
+		case golombCoded:
+			d.lists[src], err = golomb.AppendDecodeSorted(d.lists[src][:0], msg)
+		case short32:
+			d.lists[src], err = wire.AppendDecodeUint32sFixed(d.lists[src][:0], msg)
 		default:
-			fps, err = wire.DecodeUint64sFixed(recvd[src])
+			d.lists[src], err = wire.AppendDecodeUint64sFixed(d.lists[src][:0], msg)
 		}
 		if err != nil {
 			panic("dupdetect: corrupt fingerprint message: " + err.Error())
 		}
-		decoded[src] = fps
-		for _, fp := range fps {
-			counts[fp]++
-		}
+		d.voffs[src+1] = d.voffs[src] + len(d.lists[src])
+	}
+	d.c.Release(recvd...) // the decoders copied the values out
+	total := d.voffs[d.p]
+	d.verdict = slices.Grow(d.verdict[:0], total)[:total]
+	clear(d.verdict)
+	if format == golombCoded {
+		d.countMerging()
+	} else {
+		d.countSorting()
 	}
 
-	replies := make([][]byte, p)
-	for src := 0; src < p; src++ {
-		bits := make([]bool, len(decoded[src]))
-		for j, fp := range decoded[src] {
-			bits[j] = counts[fp] == 1
-		}
-		replies[src] = wire.EncodeBitset(bits)
+	for src := range d.parts {
+		d.parts[src] = wire.EncodeBitset(d.verdict[d.voffs[src]:d.voffs[src+1]])
 	}
-	verdicts := exchange(replies)
+	verdicts := d.exchange(d.parts)
 
-	unique := make(map[int32]bool)
-	for d := 0; d < p; d++ {
-		bits, err := wire.DecodeBitset(verdicts[d])
-		if err != nil || len(bits) != len(perDest[d]) {
+	for dst, msg := range verdicts {
+		group := routed[offs[dst]:offs[dst+1]]
+		bits, err := wire.AppendDecodeBitset(d.bits[:0], msg)
+		if err != nil || len(bits) != len(group) {
 			panic("dupdetect: corrupt verdict message")
 		}
-		for j, r := range perDest[d] {
+		for j, r := range group {
 			if bits[j] {
-				unique[r.cand] = true
+				d.unique[r.cand] = true
+			}
+		}
+		d.bits = bits
+	}
+	d.c.Release(verdicts...)
+}
+
+// countMerging marks the verdict of every fingerprint that occurs once in
+// the union of the p decoded lists, each of which is ascending (Golomb
+// rounds; golomb.AppendDecodeSorted accepts nothing else). A binary heap
+// of sources keyed by their list's head yields the values in ascending
+// order; all runs of one value are consumed before its count is judged.
+func (d *detector) countMerging() {
+	lists, heads := d.lists, d.heads
+	less := func(a, b int32) bool { return lists[a][heads[a]] < lists[b][heads[b]] }
+	h := d.heap[:0]
+	for src := range lists {
+		heads[src] = 0
+		if len(lists[src]) > 0 {
+			h = append(h, int32(src))
+			for i := len(h) - 1; i > 0 && less(h[i], h[(i-1)/2]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
 			}
 		}
 	}
-	return unique
+	for len(h) > 0 {
+		v := lists[h[0]][heads[h[0]]]
+		count, first := 0, 0
+		for len(h) > 0 && lists[h[0]][heads[h[0]]] == v {
+			src := h[0]
+			l, j := lists[src], heads[src]
+			first = d.voffs[src] + j
+			for j < len(l) && l[j] == v {
+				j++
+				count++
+			}
+			heads[src] = j
+			if j == len(l) {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			for i := 0; ; { // sift the changed root down
+				m := i
+				if c := 2*i + 1; c < len(h) && less(h[c], h[m]) {
+					m = c
+				}
+				if c := 2*i + 2; c < len(h) && less(h[c], h[m]) {
+					m = c
+				}
+				if m == i {
+					break
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
+			}
+		}
+		if count == 1 {
+			d.verdict[first] = true
+		}
+	}
+}
+
+// countSorting marks the verdict of every fingerprint that occurs once
+// among the p decoded lists when they arrive in request order (raw 64- and
+// 32-bit rounds): tag each value with its verdict index, sort the copy,
+// and judge the runs.
+func (d *detector) countSorting() {
+	total := len(d.verdict)
+	if total > math.MaxInt32 {
+		panic("dupdetect: more than 2^31-1 fingerprints received in one round")
+	}
+	d.tagged = slices.Grow(d.tagged[:0], 2*total)[:2*total] // the copy and the sort's other half
+	tagged := d.tagged[:total]
+	k := 0
+	for _, l := range d.lists {
+		for _, fp := range l {
+			tagged[k] = req{cand: int32(k), fp: fp}
+			k++
+		}
+	}
+	sortByFP(tagged, d.tagged[total:])
+	for i := 0; i < total; {
+		j := i + 1
+		for j < total && tagged[j].fp == tagged[i].fp {
+			j++
+		}
+		if j == i+1 {
+			d.verdict[tagged[i].cand] = true
+		}
+		i = j
+	}
+}
+
+// sortByFP sorts a by fingerprint, stably, using tmp (at least as long) as
+// the other half of an LSD radix sort on the eight bytes of fp. One read
+// of a fills all eight histograms; a byte every key shares — the high
+// bytes of short fingerprints, all eight when every candidate still shares
+// its prefix — costs no pass.
+func sortByFP(a, tmp []req) {
+	n := len(a)
+	if n < radixMin {
+		for i := 1; i < n; i++ {
+			r := a[i]
+			j := i
+			for ; j > 0 && a[j-1].fp > r.fp; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = r
+		}
+		return
+	}
+	var count [8][256]int32
+	for _, r := range a {
+		for b := range count {
+			count[b][byte(r.fp>>(8*b))]++
+		}
+	}
+	src, dst := a, tmp[:n]
+	for b := range count {
+		cnt := &count[b]
+		if int(cnt[byte(src[0].fp>>(8*b))]) == n {
+			continue
+		}
+		sum := int32(0)
+		for i, c := range cnt {
+			cnt[i], sum = sum, sum+c
+		}
+		for _, r := range src {
+			digit := byte(r.fp >> (8 * b))
+			dst[cnt[digit]] = r
+			cnt[digit]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 func allRanks(p int) []int {

@@ -4,10 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/fingerprint"
+	"dss/internal/golomb"
+	"dss/internal/input"
+	"dss/internal/stats"
 	"dss/internal/strutil"
+	"dss/internal/wire"
 )
 
 // runApprox distributes the global string set over p PEs round-robin, runs
@@ -15,29 +24,47 @@ import (
 // plus the machine for volume inspection.
 func runApprox(t *testing.T, global [][]byte, p int, opt Options) ([]int32, *comm.Machine) {
 	t.Helper()
-	m := comm.New(p)
+	locals := deal(global, p, 0)
+	results, m := runOnMachine(t, locals, opt, ApproxDist)
 	dist := make([]int32, len(global))
-	locals := make([][][]byte, p)
-	idxs := make([][]int, p)
-	for i, s := range global {
-		pe := i % p
-		locals[pe] = append(locals[pe], s)
-		idxs[pe] = append(idxs[pe], i)
-	}
-	err := m.Run(func(c *comm.Comm) error {
-		res := ApproxDist(c, locals[c.Rank()], opt)
-		if len(res.Dist) != len(locals[c.Rank()]) {
-			return fmt.Errorf("got %d bounds for %d strings", len(res.Dist), len(locals[c.Rank()]))
+	for pe, res := range results {
+		if len(res.Dist) != len(locals[pe]) {
+			t.Fatalf("PE %d: got %d bounds for %d strings", pe, len(res.Dist), len(locals[pe]))
 		}
 		for j, d := range res.Dist {
-			dist[idxs[c.Rank()][j]] = d
+			dist[pe+j*p] = d
 		}
+	}
+	return dist, m
+}
+
+// runOnMachine runs approx collectively on a fresh machine, PE i on
+// locals[i], and returns every PE's result and the machine.
+func runOnMachine(t testing.TB, locals [][][]byte, opt Options,
+	approx func(*comm.Comm, [][]byte, Options) Result) ([]Result, *comm.Machine) {
+	t.Helper()
+	m := comm.New(len(locals))
+	results := make([]Result, len(locals))
+	err := m.Run(func(c *comm.Comm) error {
+		results[c.Rank()] = approx(c, locals[c.Rank()], opt)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dist, m
+	return results, m
+}
+
+// deal distributes global round-robin over the PEs first..p-1 (first > 0
+// leaves PEs empty).
+func deal(global [][]byte, p, first int) [][][]byte {
+	locals := make([][][]byte, p)
+	first = min(first, p-1)
+	for i, s := range global {
+		pe := first + i%(p-first)
+		locals[pe] = append(locals[pe], s)
+	}
+	return locals
 }
 
 // checkSound verifies the two soundness properties of the approximation:
@@ -303,4 +330,426 @@ func TestVolumePerStringLogarithmic(t *testing.T) {
 	if perString > 40 {
 		t.Fatalf("duplicate detection sends %.1f bytes/string; want ≤ 40", perString)
 	}
+}
+
+// differentialInputs are the shapes the flat round loop must get right:
+// each stresses one of the arrays or cut-offs named in its comment.
+func differentialInputs(rng *rand.Rand) map[string][][]byte {
+	in := map[string][][]byte{
+		"none":   nil,
+		"random": genStrings(rng, 6000, 24, 2), // groups on both sides of radixMin at every p
+		"chain":  nil,                          // proper prefixes: terminated fingerprints
+		"empty strings": append(genStrings(rng, 40, 3, 2),
+			nil, []byte{}, nil, []byte{}),
+	}
+	for k := 0; k <= 70; k++ {
+		in["chain"] = append(in["chain"], bytes.Repeat([]byte("a"), k))
+	}
+	// One 40-character prefix: for two rounds every fingerprint is equal,
+	// goes to one PE and Golomb-codes to gaps of 0. Counts straddle
+	// hashBlock and (per destination group) radixMin.
+	for _, n := range []int{1, hashBlock - 1, hashBlock, hashBlock + 1, radixMin - 1, radixMin, radixMin + 1, 700} {
+		var ss [][]byte
+		for i := 0; i < n; i++ {
+			s := append(bytes.Repeat([]byte("p"), 40), fmt.Sprintf("%07d", rng.Intn(5*n))...)
+			ss = append(ss, s)
+		}
+		in[fmt.Sprintf("shared prefix x%d", n)] = ss
+	}
+	// Exact duplicates, within a PE (adjacent multiples of p apart) and
+	// across PEs (neighbours), between unique strings.
+	dups := genStrings(rng, 300, 30, 3)
+	for i := 0; i < 300; i += 7 {
+		dups = append(dups, dups[i], dups[i+1])
+	}
+	for i := 0; i < 64; i++ {
+		dups = append(dups, []byte("the-same-string-on-every-PE"))
+	}
+	in["duplicates"] = dups
+	return in
+}
+
+// TestDifferentialAgainstReference is the guard of the flat round loop and
+// of any later rewrite: ApproxDist must agree with the map-based
+// implementation it replaced on every output and on every PE's byte,
+// message and work counters, in every wire format and routing.
+func TestDifferentialAgainstReference(t *testing.T) {
+	inputs := differentialInputs(rand.New(rand.NewSource(60)))
+	names := make([]string, 0, len(inputs))
+	for name := range inputs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		for mode := 0; mode < 8; mode++ {
+			opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, TwoLevel: mode&2 != 0, Hypercube: mode&4 != 0}
+			for _, name := range names {
+				for _, first := range []int{0, 2} { // 2: PEs 0 and 1 hold nothing
+					if first > 0 && (p < 3 || name == "random") {
+						continue
+					}
+					locals := deal(inputs[name], p, first)
+					got, gotM := runOnMachine(t, locals, opt, ApproxDist)
+					want, wantM := runOnMachine(t, locals, opt, referenceApproxDist)
+					label := fmt.Sprintf("p=%d %+v %q first=%d", p, opt, name, first)
+					for pe := range locals {
+						if !reflect.DeepEqual(got[pe], want[pe]) {
+							t.Fatalf("%s PE %d: result\n got %+v\nwant %+v", label, pe, got[pe], want[pe])
+						}
+						if g, w := gotM.Report().PEs[pe].Phases, wantM.Report().PEs[pe].Phases; g != w {
+							t.Fatalf("%s PE %d: counters\n got %+v\nwant %+v", label, pe, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortByFP checks the radix sort against the library sort around its
+// cut-off, including keys that share most of their bytes.
+func TestSortByFP(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 1000} {
+		for _, mask := range []uint64{^uint64(0), 0xFFFFFFFF, 0xFF00, 0} {
+			a := make([]req, n)
+			for i := range a {
+				a[i] = req{cand: int32(i), fp: rng.Uint64() & mask}
+			}
+			want := slices.Clone(a)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].fp < want[j].fp })
+			sortByFP(a, make([]req, n))
+			if !slices.Equal(a, want) {
+				t.Fatalf("n=%d mask=%x: not the stable order", n, mask)
+			}
+		}
+	}
+}
+
+// sink keeps the benchmarked calls' results alive.
+var sink int
+
+// shuffled returns ss in the order of the benchmark harness's input file.
+func shuffled(seed int64, ss [][]byte) [][]byte {
+	rand.New(rand.NewSource(seed)).Shuffle(len(ss), func(i, j int) { ss[i], ss[j] = ss[j], ss[i] })
+	return ss
+}
+
+// BenchmarkApproxDist is the package's rung on the repository benchmark's
+// PDMS-Golomb input (500 000 x 200 D/N strings, ratio 0.25, on p = 4 PEs)
+// and on a COMMONCRAWL-like share. allocs/op must not follow n: inside the
+// round loop only the messages are allocated, so the quarter-size run of
+// each input may allocate at most a few more objects per op than the full
+// one saves — the benchmark fails otherwise.
+func BenchmarkApproxDist(b *testing.B) {
+	inputs := []struct {
+		name string
+		gen  func(pe, scale int) [][]byte
+	}{
+		{"dn125kx200r025", func(pe, scale int) [][]byte {
+			return input.DN(input.DNConfig{StringsPerPE: 125000 / scale, Length: 200, Ratio: 0.25}, pe, 4)
+		}},
+		{"cc125k", func(pe, scale int) [][]byte {
+			return input.CommonCrawlLike(input.CCConfig{LinesPerPE: 125000 / scale, Seed: 1}, pe, 4)
+		}},
+	}
+	for _, in := range inputs {
+		var allocs [2]float64
+		for k, scale := range []int{1, 4} {
+			var global [][]byte
+			for pe := 0; pe < 4; pe++ {
+				global = append(global, in.gen(pe, scale)...)
+			}
+			locals := deal(shuffled(1, global), 4, 0)
+			opt := Options{GroupID: 1, Golomb: true, Seed: 1}
+			b.Run(fmt.Sprintf("%s/n=%d", in.name, len(global)), func(b *testing.B) {
+				var rounds int
+				b.ReportAllocs()
+				b.SetBytes(strutil.TotalLen(global))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, _ := runOnMachine(b, locals, opt, ApproxDist)
+					rounds = res[0].Iterations
+					sink += rounds
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				allocs[k] = float64(after.Mallocs-before.Mallocs) / float64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(global)), "ns/str")
+				b.ReportMetric(float64(rounds), "rounds")
+			})
+		}
+		if allocs[1] > 0 && allocs[0] > 1.25*allocs[1]+64 { // both sizes ran
+			b.Errorf("%s: %.0f allocs/op at full size, %.0f at a quarter: allocation follows n", in.name, allocs[0], allocs[1])
+		}
+	}
+}
+
+// BenchmarkExtendCold is the number behind the blocked hashing: one PE's
+// 100 MB of strings visited in shuffled order, each extended once by 8 to
+// 64 bytes from a cold line — plainly, and with the block touch of
+// detector.fingerprints in front.
+func BenchmarkExtendCold(b *testing.B) {
+	ss := shuffled(1, input.DN(input.DNConfig{StringsPerPE: 500000, Length: 200, Ratio: 0.25}, 0, 1))
+	h := fingerprint.New(1)
+	upto := make([]int, len(ss))
+	rng := rand.New(rand.NewSource(2))
+	var hashed int64
+	for i := range upto {
+		upto[i] = 8 << rng.Intn(4)
+		hashed += int64(upto[i])
+	}
+	run := func(b *testing.B, block int) {
+		b.SetBytes(hashed)
+		for i := 0; i < b.N; i++ {
+			var acc uint64
+			var touch byte
+			for lo := 0; lo < len(ss); lo += block {
+				hi := min(lo+block, len(ss))
+				if block > 1 {
+					for j := lo; j < hi; j++ {
+						touch += ss[j][0] + ss[j][upto[j]-1]
+					}
+				}
+				for j := lo; j < hi; j++ {
+					acc += h.Finalize(h.Extend(fingerprint.State{}, ss[j], upto[j]))
+				}
+			}
+			sink += int(acc) + int(touch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ss)), "ns/str")
+	}
+	b.Run("plain", func(b *testing.B) { run(b, 1) })
+	b.Run(fmt.Sprintf("block=%d", hashBlock), func(b *testing.B) { run(b, hashBlock) })
+}
+
+// referenceApproxDist is the map-based implementation ApproxDist replaced,
+// kept as the oracle of TestDifferentialAgainstReference: same fingerprints,
+// same routing, same messages, same billing, one map per question.
+func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
+	opt.setDefaults()
+	prevPhase := c.SetPhase(stats.PhaseDupDetect)
+	defer c.SetPhase(prevPhase)
+
+	p := c.P()
+	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
+	hasher := fingerprint.New(opt.Seed)
+
+	n := len(ss)
+	res := Result{Dist: make([]int32, n)}
+	states := make([]fingerprint.State, n)
+	candidates := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		candidates = append(candidates, int32(i))
+	}
+
+	ell := opt.InitialLen
+	for {
+		// Global termination check.
+		remaining := g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
+		if remaining == 0 {
+			break
+		}
+		res.Iterations++
+
+		// Fingerprint the length-ℓ prefixes, extending incrementally.
+		// A string shorter than ℓ participates one final time with a
+		// *terminated* fingerprint — it must keep blocking longer strings
+		// that have it as a proper prefix (in the paper's model the
+		// 0-terminator is a real character) — and then resolves with bound
+		// |s| regardless of the verdict: transmitting the whole string is
+		// always sufficient, duplicates included.
+		lengthResolve := make(map[int32]bool)
+		allReqs := make([]req, 0, len(candidates))
+		for _, ci := range candidates {
+			// Strictly shorter than ℓ: the guess has grown past the end of
+			// the string, so the "prefix" includes the terminator. At
+			// exactly ℓ == |s| the prefix is the whole string WITHOUT the
+			// terminator and must collide with equal-length prefixes of
+			// longer strings.
+			var fp uint64
+			if n := len(ss[ci]); n < ell {
+				prevPos := states[ci].Pos()
+				states[ci] = hasher.Extend(states[ci], ss[ci], n)
+				c.AddWork(int64(n - prevPos))
+				fp = hasher.FinalizeTerminated(states[ci])
+				lengthResolve[ci] = true
+			} else {
+				prevPos := states[ci].Pos()
+				states[ci] = hasher.Extend(states[ci], ss[ci], ell)
+				c.AddWork(int64(ell - prevPos)) // only fresh characters are hashed
+				fp = hasher.Finalize(states[ci])
+			}
+			allReqs = append(allReqs, req{cand: ci, fp: fp})
+		}
+
+		// Uniqueness check, optionally in two fingerprint resolutions:
+		// a cheap 32-bit round first, then a full 64-bit round for the
+		// candidates whose short fingerprint collided.
+		var uniqueCands map[int32]bool
+		if opt.TwoLevel {
+			shortUnique := referenceUniqueRound(g, p, allReqs, refRoundOpts{short: true, hyper: opt.Hypercube})
+			var recheck []req
+			uniqueCands = make(map[int32]bool, len(shortUnique))
+			for _, r := range allReqs {
+				if shortUnique[r.cand] {
+					uniqueCands[r.cand] = true
+				} else {
+					recheck = append(recheck, r)
+				}
+			}
+			longUnique := referenceUniqueRound(g, p, recheck, refRoundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+			for cand := range longUnique {
+				uniqueCands[cand] = true
+			}
+		} else {
+			uniqueCands = referenceUniqueRound(g, p, allReqs, refRoundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+		}
+
+		// Resolve candidates: unique fingerprints prove distinguishing
+		// prefixes; strings shorter than ℓ resolve with their full length
+		// after their terminated blocking round.
+		live := candidates[:0]
+		for _, ci := range candidates {
+			switch {
+			case lengthResolve[ci]:
+				res.Dist[ci] = int32(len(ss[ci]))
+				res.ResolvedLength++
+			case uniqueCands[ci]:
+				res.Dist[ci] = int32(ell)
+				res.ResolvedUnique++
+			default:
+				live = append(live, ci)
+			}
+		}
+		candidates = live
+
+		// Grow the guess geometrically.
+		next := int(float64(ell) * (1 + opt.Eps))
+		if next <= ell {
+			next = ell + 1
+		}
+		ell = next
+	}
+	return res
+}
+
+// refRoundOpts select the wire format and routing of one reference round.
+type refRoundOpts struct {
+	short  bool // 32-bit fingerprints (first level of TwoLevel)
+	golomb bool // Golomb-code the (sorted) fingerprints
+	hyper  bool // hypercube-route the all-to-alls (power-of-two p only)
+}
+
+// referenceUniqueRound routes each request's fingerprint to PE (fp mod p), counts
+// global multiplicities there, and returns the set of candidates whose
+// fingerprint is globally unique. One collective call per PE.
+func referenceUniqueRound(g *comm.Group, p int, reqs []req, ro refRoundOpts) map[int32]bool {
+	// Short rounds count by the upper 32 bits (well-mixed by the
+	// finalizer); routing must use the same value so all copies of a
+	// fingerprint meet at the same PE.
+	route := func(r req) (fp uint64, d int) {
+		fp = r.fp
+		if ro.short {
+			fp >>= 32
+		}
+		return fp, int(fp % uint64(p))
+	}
+	// Count per destination first, then fill exact-size regions of one
+	// backing array in request order: no growth reallocation.
+	offs := make([]int, p+1)
+	for _, r := range reqs {
+		_, d := route(r)
+		offs[d+1]++
+	}
+	largest := 0
+	for d := 0; d < p; d++ {
+		largest = max(largest, offs[d+1])
+		offs[d+1] += offs[d]
+	}
+	routed := make([]req, len(reqs))
+	perDest := make([][]req, p)
+	for d := range perDest {
+		perDest[d] = routed[offs[d]:offs[d]:offs[d+1]]
+	}
+	for _, r := range reqs {
+		fp, d := route(r)
+		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
+	}
+
+	exchange := func(parts [][]byte) [][]byte {
+		if ro.hyper && p&(p-1) == 0 {
+			return g.AlltoallvHypercube(parts)
+		}
+		return g.Alltoallv(parts)
+	}
+
+	parts := make([][]byte, p)
+	scratch := make([]uint64, largest) // the encoders copy out of it
+	for d := 0; d < p; d++ {
+		if ro.golomb {
+			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
+		}
+		fps := scratch[:len(perDest[d])]
+		for j, r := range perDest[d] {
+			fps[j] = r.fp
+		}
+		switch {
+		case ro.golomb:
+			parts[d] = golomb.EncodeSorted(fps)
+		case ro.short:
+			parts[d] = wire.EncodeUint32sFixed(fps)
+		default:
+			parts[d] = wire.EncodeUint64sFixed(fps)
+		}
+	}
+	recvd := exchange(parts)
+
+	counts := make(map[uint64]int)
+	decoded := make([][]uint64, p)
+	for src := 0; src < p; src++ {
+		var fps []uint64
+		var err error
+		switch {
+		case ro.golomb:
+			fps, err = golomb.DecodeSorted(recvd[src])
+		case ro.short:
+			fps, err = wire.DecodeUint32sFixed(recvd[src])
+		default:
+			fps, err = wire.DecodeUint64sFixed(recvd[src])
+		}
+		if err != nil {
+			panic("dupdetect: corrupt fingerprint message: " + err.Error())
+		}
+		decoded[src] = fps
+		for _, fp := range fps {
+			counts[fp]++
+		}
+	}
+
+	replies := make([][]byte, p)
+	for src := 0; src < p; src++ {
+		bits := make([]bool, len(decoded[src]))
+		for j, fp := range decoded[src] {
+			bits[j] = counts[fp] == 1
+		}
+		replies[src] = wire.EncodeBitset(bits)
+	}
+	verdicts := exchange(replies)
+
+	unique := make(map[int32]bool)
+	for d := 0; d < p; d++ {
+		bits, err := wire.DecodeBitset(verdicts[d])
+		if err != nil || len(bits) != len(perDest[d]) {
+			panic("dupdetect: corrupt verdict message")
+		}
+		for j, r := range perDest[d] {
+			if bits[j] {
+				unique[r.cand] = true
+			}
+		}
+	}
+	return unique
 }

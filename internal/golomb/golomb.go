@@ -7,13 +7,16 @@
 package golomb
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 
 	"dss/internal/wire"
 )
 
-// ErrCorrupt is returned when a decode reads past the end of the stream.
+// ErrCorrupt is returned when a decode reads past the end of the stream or
+// a decoded value does not fit 64 bits.
 var ErrCorrupt = errors.New("golomb: corrupt stream")
 
 // BitWriter appends single bits and fixed-width bit fields to a byte slice,
@@ -215,7 +218,8 @@ func encodeValue(w *BitWriter, v, m uint64) {
 	}
 }
 
-// decodeValue reads one Golomb-coded value with parameter m.
+// decodeValue reads one Golomb-coded value with parameter m. A quotient
+// whose product with m leaves 64 bits is ErrCorrupt: no encoder wrote it.
 func decodeValue(r *BitReader, m uint64) (uint64, error) {
 	q, err := r.ReadUnary()
 	if err != nil {
@@ -238,7 +242,12 @@ func decodeValue(r *BitReader, m uint64) (uint64, error) {
 		rem = rem<<1 | uint64(bit)
 		rem -= cutoff
 	}
-	return q*m + rem, nil
+	hi, lo := bits.Mul64(q, m)
+	v, carry := bits.Add64(lo, rem, 0)
+	if hi|carry != 0 {
+		return 0, ErrCorrupt
+	}
+	return v, nil
 }
 
 // ChooseM returns the Golomb parameter for n values spread over the range
@@ -259,41 +268,52 @@ func ChooseM(span uint64, n int) uint64 {
 // sequence: header (count, M, first value), then delta-coded gaps. The
 // caller must pass a sorted slice; duplicates are allowed (gap 0).
 func EncodeSorted(vals []uint64) []byte {
-	hdr := wire.NewBuffer(16)
-	hdr.Uvarint(uint64(len(vals)))
 	if len(vals) == 0 {
-		return hdr.Bytes()
+		return []byte{0}
 	}
 	span := vals[len(vals)-1] - vals[0]
 	m := ChooseM(span, len(vals))
-	hdr.Uvarint(m)
-	hdr.Uvarint(vals[0])
-	// Estimated code length: the quotients sum to span/m ≈ n/ln 2 bits of
-	// unary, plus one terminator and one ⌈log2 m⌉-bit remainder per value.
+	// Upper bound on the code length: the quotients sum to at most span/m
+	// ≈ n/ln 2 bits of unary, plus one terminator and one ⌈log2 m⌉-bit
+	// remainder per value. Header and bit stream share the one buffer.
 	remBits := uint64(bits.Len64(m-1)) + 1
 	estBits := span/m + uint64(len(vals)-1)*remBits
-	w := NewBitWriter(int(estBits/8) + 1)
+	w := BitWriter{buf: make([]byte, 0, 3*binary.MaxVarintLen64+int(estBits/8)+1)}
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(vals)))
+	w.buf = binary.AppendUvarint(w.buf, m)
+	w.buf = binary.AppendUvarint(w.buf, vals[0])
 	prev := vals[0]
 	for _, v := range vals[1:] {
 		if v < prev {
 			panic("golomb: EncodeSorted input not sorted")
 		}
-		encodeValue(w, v-prev, m)
+		encodeValue(&w, v-prev, m)
 		prev = v
 	}
-	out := hdr.Bytes()
-	return append(out, w.Bytes()...)
+	if w.n > 0 {
+		w.buf = append(w.buf, byte(w.acc>>56)) // zero-padded last byte
+	}
+	return w.buf
 }
 
 // DecodeSorted reverses EncodeSorted.
 func DecodeSorted(msg []byte) ([]uint64, error) {
+	return AppendDecodeSorted(nil, msg)
+}
+
+// AppendDecodeSorted decodes an EncodeSorted message onto the end of dst and
+// returns the extended slice (dst itself when the message holds no values).
+// Every accepted message yields an ascending sequence: a gap that would
+// carry the running value past 64 bits is ErrCorrupt, so a receiver may
+// merge decoded lists without re-checking their order.
+func AppendDecodeSorted(dst []uint64, msg []byte) ([]uint64, error) {
 	r := wire.NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
 		return nil, ErrCorrupt
 	}
 	if cnt == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if cnt > uint64(len(msg))*9 { // each value needs ≥ 1 bit
 		return nil, ErrCorrupt
@@ -310,17 +330,19 @@ func DecodeSorted(msg []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, ErrCorrupt
 	}
-	out := make([]uint64, 0, cnt)
-	out = append(out, first)
-	br := NewBitReader(rest)
+	dst = append(slices.Grow(dst, int(cnt)), first)
+	br := BitReader{buf: rest}
 	prev := first
 	for i := uint64(1); i < cnt; i++ {
-		gap, err := decodeValue(br, m)
+		gap, err := decodeValue(&br, m)
 		if err != nil {
 			return nil, err
 		}
-		prev += gap
-		out = append(out, prev)
+		var carry uint64
+		if prev, carry = bits.Add64(prev, gap, 0); carry != 0 {
+			return nil, ErrCorrupt
+		}
+		dst = append(dst, prev)
 	}
-	return out, nil
+	return dst, nil
 }

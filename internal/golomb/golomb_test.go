@@ -1,7 +1,9 @@
 package golomb
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,4 +178,131 @@ func TestEncodeSortedPanicsOnUnsorted(t *testing.T) {
 		}
 	}()
 	EncodeSorted([]uint64{5, 3})
+}
+
+// wrapMessage hand-assembles an EncodeSorted-format message of two values
+// with parameter M = 2⁶³: first, then one gap of quotient q and remainder
+// rem (63 bits wide at this M).
+func wrapMessage(first, q, rem uint64) []byte {
+	const m = 1 << 63
+	hdr := binary.AppendUvarint(nil, 2)
+	hdr = binary.AppendUvarint(hdr, m)
+	hdr = binary.AppendUvarint(hdr, first)
+	w := &BitWriter{}
+	w.WriteUnary(q)
+	w.WriteBits(rem, 63) // ⌈log2 M⌉ = 63 and no short codewords at a power of two
+	return append(hdr, w.Bytes()...)
+}
+
+// TestDecodeSortedRejectsWrap: a gap that carries the running value past
+// 64 bits, or a quotient whose product with M does, used to decode to a
+// non-monotone (or silently wrong) sequence with a nil error. A receiver
+// that merges decoded lists relies on every accepted output ascending.
+func TestDecodeSortedRejectsWrap(t *testing.T) {
+	cases := map[string][]byte{
+		"prev+gap wraps: 2^63 + 2^63":    wrapMessage(1<<63, 1, 0),
+		"q*m wraps: 2 * 2^63":            wrapMessage(5, 2, 0),
+		"q*m wraps to a gap: 3 * 2^63":   wrapMessage(5, 3, 0),
+		"q*m+rem wraps: 2^63 + 2^63 - 1": wrapMessage(1<<63, 1, 1<<63-1),
+	}
+	for name, msg := range cases {
+		if got, err := DecodeSorted(msg); err != ErrCorrupt {
+			t.Errorf("%s: decoded to %v, err %v; want ErrCorrupt", name, got, err)
+		}
+	}
+	// The largest gap that still fits is accepted.
+	got, err := DecodeSorted(wrapMessage(1<<63-1, 1, 0))
+	if err != nil || len(got) != 2 || got[1] != 1<<64-1 {
+		t.Fatalf("2^63-1 + 2^63 = %v, %v; want the maximum value", got, err)
+	}
+}
+
+func TestAppendDecodeSortedExtends(t *testing.T) {
+	dst := []uint64{7, 7}
+	dst, err := AppendDecodeSorted(dst, EncodeSorted([]uint64{1, 5, 5}))
+	if err != nil || !slices.Equal(dst, []uint64{7, 7, 1, 5, 5}) {
+		t.Fatalf("got %v, %v", dst, err)
+	}
+	if dst, err = AppendDecodeSorted(dst, EncodeSorted(nil)); err != nil || len(dst) != 5 {
+		t.Fatalf("empty message changed dst: %v, %v", dst, err)
+	}
+}
+
+// FuzzDecodeSorted feeds arbitrary bytes to the decoder: it must either
+// fail or return an ascending slice of the declared length whose
+// re-encoding decodes to itself.
+func FuzzDecodeSorted(f *testing.F) {
+	f.Add(EncodeSorted([]uint64{1, 1, 2, 1 << 40, 1 << 62}))
+	f.Add(EncodeSorted([]uint64{42}))
+	f.Add(EncodeSorted(nil))
+	f.Add(wrapMessage(1<<63, 1, 0))
+	f.Add(wrapMessage(5, 3, 0))
+	f.Add([]byte{0xff, 0xff, 0x03, 0x01, 0x00, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		got, err := DecodeSorted(msg)
+		if err != nil {
+			return
+		}
+		declared, _ := binary.Uvarint(msg)
+		if uint64(len(got)) != declared {
+			t.Fatalf("%d values, header declares %d", len(got), declared)
+		}
+		if !slices.IsSorted(got) {
+			t.Fatalf("accepted a non-monotone sequence: %v", got)
+		}
+		again, err := DecodeSorted(EncodeSorted(got))
+		if err != nil || !slices.Equal(again, got) {
+			t.Fatalf("re-encoding decodes to %v (%v), want %v", again, err, got)
+		}
+	})
+}
+
+// sink keeps the benchmarked calls' results alive.
+var sink int
+
+// benchLists are the two shapes PDMS-Golomb ships: sorted uniform 64-bit
+// fingerprints, and the list of one fingerprint repeated (every candidate
+// shares its prefix, every gap is 0).
+func benchLists() map[string][]uint64 {
+	const n = 125000
+	rng := rand.New(rand.NewSource(1))
+	uniform, equal := make([]uint64, n), make([]uint64, n)
+	for i := range uniform {
+		uniform[i] = rng.Uint64()
+		equal[i] = 0x9e3779b97f4a7c15
+	}
+	slices.Sort(uniform)
+	return map[string][]uint64{"uniform": uniform, "equal": equal}
+}
+
+func BenchmarkEncodeSorted(b *testing.B) {
+	for name, vals := range benchLists() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(vals)))
+			for i := 0; i < b.N; i++ {
+				sink += len(EncodeSorted(vals))
+			}
+			b.ReportMetric(float64(b.N)*float64(len(vals))/b.Elapsed().Seconds()/1e6, "Mvals/s")
+		})
+	}
+}
+
+func BenchmarkDecodeSorted(b *testing.B) {
+	for name, vals := range benchLists() {
+		b.Run(name, func(b *testing.B) {
+			msg := EncodeSorted(vals)
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(vals)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := DecodeSorted(msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += len(got)
+			}
+			b.ReportMetric(float64(b.N)*float64(len(vals))/b.Elapsed().Seconds()/1e6, "Mvals/s")
+		})
+	}
 }

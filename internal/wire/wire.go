@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Errors returned by the decoders.
@@ -397,6 +398,12 @@ func EncodeUint64sFixed(vs []uint64) []byte {
 
 // DecodeUint64sFixed reverses EncodeUint64sFixed.
 func DecodeUint64sFixed(msg []byte) ([]uint64, error) {
+	return AppendDecodeUint64sFixed(nil, msg)
+}
+
+// AppendDecodeUint64sFixed decodes an EncodeUint64sFixed message onto the
+// end of dst, so a receiver can reuse one array across messages.
+func AppendDecodeUint64sFixed(dst []uint64, msg []byte) ([]uint64, error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
@@ -405,15 +412,15 @@ func DecodeUint64sFixed(msg []byte) ([]uint64, error) {
 	if cnt > uint64(len(msg))/8 { // compare counts: cnt*8 wraps
 		return nil, ErrCorrupt
 	}
-	out := make([]uint64, 0, cnt)
+	dst = slices.Grow(dst, int(cnt))
 	for i := uint64(0); i < cnt; i++ {
 		v, err := r.Uint64()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EncodeUint32sFixed serializes values (each < 2^32) with fixed 4-byte
@@ -433,6 +440,12 @@ func EncodeUint32sFixed(vs []uint64) []byte {
 
 // DecodeUint32sFixed reverses EncodeUint32sFixed.
 func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
+	return AppendDecodeUint32sFixed(nil, msg)
+}
+
+// AppendDecodeUint32sFixed decodes an EncodeUint32sFixed message onto the
+// end of dst.
+func AppendDecodeUint32sFixed(dst []uint64, msg []byte) ([]uint64, error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
@@ -441,15 +454,15 @@ func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
 	if cnt > uint64(len(msg))/4 {
 		return nil, ErrCorrupt
 	}
-	out := make([]uint64, 0, cnt)
+	dst = slices.Grow(dst, int(cnt))
 	for i := uint64(0); i < cnt; i++ {
 		raw, err := r.Raw(4)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, uint64(raw[0])|uint64(raw[1])<<8|uint64(raw[2])<<16|uint64(raw[3])<<24)
+		dst = append(dst, uint64(binary.LittleEndian.Uint32(raw)))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EncodeBitset packs booleans into a bitset message.
@@ -476,19 +489,26 @@ func EncodeBitset(bs []bool) []byte {
 
 // DecodeBitset reverses EncodeBitset.
 func DecodeBitset(msg []byte) ([]bool, error) {
+	return AppendDecodeBitset(nil, msg)
+}
+
+// AppendDecodeBitset decodes an EncodeBitset message onto the end of dst.
+func AppendDecodeBitset(dst []bool, msg []byte) ([]bool, error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	nbytes := int((cnt + 7) / 8)
-	raw, err := r.Raw(nbytes)
+	if cnt > uint64(len(msg))*8 { // compare counts: cnt+7 wraps
+		return nil, ErrCorrupt
+	}
+	raw, err := r.Raw(int((cnt + 7) / 8))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, cnt)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<uint(i%8)) != 0
+	dst = slices.Grow(dst, int(cnt))
+	for i := 0; i < int(cnt); i++ {
+		dst = append(dst, raw[i/8]&(1<<uint(i%8)) != 0)
 	}
-	return out, nil
+	return dst, nil
 }

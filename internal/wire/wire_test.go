@@ -277,3 +277,28 @@ func TestBitsetRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// The AppendDecode forms extend the caller's slice and keep what it held;
+// there is no 32-bit roundtrip test elsewhere, so that format is checked
+// here too.
+func TestAppendDecodeFixedAndBitset(t *testing.T) {
+	vs := []uint64{0, 1, 0xFFFFFFFF, 12345}
+	got64, err := AppendDecodeUint64sFixed([]uint64{9}, EncodeUint64sFixed(vs))
+	if err != nil || !reflect.DeepEqual(got64, append([]uint64{9}, vs...)) {
+		t.Fatalf("64-bit: %v, %v", got64, err)
+	}
+	got32, err := AppendDecodeUint32sFixed(got64[:1], EncodeUint32sFixed(vs))
+	if err != nil || !reflect.DeepEqual(got32, append([]uint64{9}, vs...)) {
+		t.Fatalf("32-bit: %v, %v", got32, err)
+	}
+	bs := []bool{true, false, false, true, true, false, true, false, true}
+	gotB, err := AppendDecodeBitset([]bool{true}, EncodeBitset(bs))
+	if err != nil || !reflect.DeepEqual(gotB, append([]bool{true}, bs...)) {
+		t.Fatalf("bitset: %v, %v", gotB, err)
+	}
+	// A count no message of this size can hold is refused, not allocated.
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, err := AppendDecodeBitset(nil, huge); err == nil {
+		t.Fatal("bitset with a 2^64-1 count accepted")
+	}
+}
