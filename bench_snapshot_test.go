@@ -22,7 +22,7 @@ import (
 
 // benchSnapshot is the snapshot this tree's figures are pinned against
 // (written by scripts/bench.sh at the previous PR).
-const benchSnapshot = "BENCH_2026-08-07b.json"
+const benchSnapshot = "BENCH_2026-10-03.json"
 
 type snapshotFile struct {
 	Results []struct {

@@ -196,7 +196,8 @@ func (g *Group) Alltoallv(parts [][]byte) [][]byte {
 // store-and-forward routing along a hypercube, the low-latency variant of
 // Section II: O(log n) message rounds at the price of each payload being
 // forwarded up to log n times (communication volume grows by that factor).
-// The group size must be a power of two.
+// The group size must be a power of two. Like Alltoallv it copies what it
+// is given: no result aliases a part.
 func (g *Group) AlltoallvHypercube(parts [][]byte) [][]byte {
 	n := len(g.ranks)
 	if n&(n-1) != 0 {
@@ -216,6 +217,9 @@ func (g *Group) AlltoallvHypercube(parts [][]byte) [][]byte {
 	}
 	pending := make([][]routed, n)
 	for dst, p := range parts {
+		if dst == g.myIdx {
+			p = append([]byte(nil), p...) // the self part is returned, not sent
+		}
 		pending[dst] = append(pending[dst], routed{origin: g.myIdx, payload: p})
 	}
 	for bit := 1; bit < n; bit <<= 1 {

@@ -511,21 +511,20 @@ func TestInputSlicesNotModified(t *testing.T) {
 	}
 }
 
-func TestPDMSTwoLevelAndHypercubeVariants(t *testing.T) {
+func TestPDMSHypercubeVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	global := genRandom(rng, 900, 24, 4)
 	for _, p := range []int{4, 8} {
 		locals := scatter(global, p)
 		opt := DefaultPDMS()
 		opt.GroupID = 1
-		opt.TwoLevelFingerprints = true
 		opt.HypercubeRouting = true
 		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
 			return PDMS(c, ss, opt)
 		})
 		full := reconstructPDMS(t, locals, results)
 		if !strutil.IsSorted(full) {
-			t.Fatalf("p=%d: two-level/hypercube PDMS output not sorted", p)
+			t.Fatalf("p=%d: hypercube PDMS output not sorted", p)
 		}
 		if strutil.MultisetHash(full) != strutil.MultisetHash(global) {
 			t.Fatalf("p=%d: not a permutation", p)

@@ -9,19 +9,20 @@ import (
 	"dss/internal/wire"
 )
 
-// TestDecodersRejectHugeCounts feeds the three count-prefixed decoders of
+// TestDecodersRejectHugeCounts feeds the count-prefixed decoders of
 // network input a 10-byte message whose declared count no message that
 // short can hold. Counts whose byte size wraps uint64 (2^61 × 8, 2^62 × 4)
 // used to pass the size check and die in make; decodeTagged did not check
 // at all. Each must return an error — and must not panic or allocate by
-// the declared count.
+// the declared count. (The fixed-width decoder is one function now; its
+// 8- and 4-byte cases keep the labels they had as two.)
 func TestDecodersRejectHugeCounts(t *testing.T) {
 	decoders := []struct {
 		name   string
 		decode func(msg []byte) error
 	}{
-		{"DecodeUint64sFixed", func(msg []byte) error { _, err := wire.DecodeUint64sFixed(msg); return err }},
-		{"DecodeUint32sFixed", func(msg []byte) error { _, err := wire.DecodeUint32sFixed(msg); return err }},
+		{"DecodeUint64sFixed", func(msg []byte) error { _, err := wire.AppendDecodeUintsFixed(nil, msg, 8); return err }},
+		{"DecodeUint32sFixed", func(msg []byte) error { _, err := wire.AppendDecodeUintsFixed(nil, msg, 4); return err }},
 		{"decodeTagged", func(msg []byte) error { _, _, err := decodeTagged(msg); return err }},
 	}
 	for _, cnt := range []uint64{1 << 36, 1 << 61, 1<<61 + 1, 1 << 62, math.MaxUint64} {

@@ -23,9 +23,6 @@ type PDMSOptions struct {
 	Golomb bool
 	// InitialLen is the first prefix guess ℓ₀ (default 8).
 	InitialLen int
-	// TwoLevelFingerprints enables the two-round (32-bit, then 64-bit)
-	// fingerprint exchange of [Sanders-Schlag-Müller] in Step 1+ε.
-	TwoLevelFingerprints bool
 	// HypercubeRouting routes the Step 1+ε fingerprint all-to-alls along a
 	// hypercube: α·log p latency per round instead of α·p, at a log p
 	// volume factor (Theorem 6's latency variant).
@@ -103,12 +100,13 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	c.AddWork(work)
 	c.AddCPU(busy)
 
-	// Step 1+ε: approximate distinguishing prefix lengths.
+	// Step 1+ε: approximate distinguishing prefix lengths. The LCP array
+	// lets a locally repeated prefix be fingerprinted and sent once.
 	dd := dupdetect.ApproxDist(c, local, dupdetect.Options{
 		Eps:        opt.Eps,
 		InitialLen: opt.InitialLen,
 		Golomb:     opt.Golomb,
-		TwoLevel:   opt.TwoLevelFingerprints,
+		LCP:        lcp,
 		Hypercube:  opt.HypercubeRouting,
 		Seed:       opt.Seed,
 		GroupID:    opt.GroupID + 2,

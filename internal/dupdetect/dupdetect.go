@@ -6,31 +6,63 @@
 // For every local string the algorithm computes an upper bound on its
 // distinguishing prefix length DIST(s): starting from an initial guess ℓ,
 // each iteration fingerprints the length-ℓ prefix of every unresolved
-// string, routes the fingerprints to PE (fp mod p), counts global
-// multiplicities, and reports back which fingerprints are globally unique.
-// A unique fingerprint proves the prefix has no duplicate anywhere, so the
-// prefix is distinguishing and the string is resolved with bound ℓ. Errors
-// are one-sided: a hash collision can only make a distinct prefix look
-// duplicated, which grows the bound (safe), never shrinks it.
+// string, maps the fingerprint into the round's hash range, routes it to
+// the PE that owns that part of the range, counts global multiplicities,
+// and reports back which values are globally unique. A unique value proves
+// the prefix has no duplicate anywhere, so the prefix is distinguishing and
+// the string is resolved with bound ℓ. Errors are one-sided: a hash
+// collision can only make a distinct prefix look duplicated, which grows
+// the bound (safe), never shrinks it.
 //
 // Strings shorter than ℓ are resolved with bound |s|: transmitting the
 // whole string (whose end acts as a terminator) always suffices to order
 // it against any other string, duplicates included.
 //
+// Two rules keep the volume at what the scheme promises.
+//
+// The hash range follows the candidate count. A round with r unresolved
+// strings machine-wide (the termination allreduce) hashes into
+// [0, R), R = r·2^fpBits: v = ⌊fp·R/2^64⌋. PE d owns
+// [d·⌈R/p⌉, (d+1)·⌈R/p⌉) and is sent v minus its base, so a sorted list of
+// about r/p² values spread over R/p Golomb-codes to fpBits + log₂p + 1.5
+// bits per value, and without Golomb coding a value takes the fewest whole
+// bytes that hold ⌈R/p⌉ − 1. Equal prefixes still get equal values, so the
+// only new event is two different prefixes sharing one — for a given
+// string with probability below 2^−fpBits per round — and that is the
+// one-sided error above: the string looks duplicated, stays a candidate
+// and is resolved one round later.
+//
+// Local repeats are sent once. With Options.LCP (Step 1's LCP array of the
+// sorted local strings) a candidate i with LCP[i] ≥ ℓ shares its length-ℓ
+// prefix with candidate i−1, so it cannot be unique: it is neither hashed
+// nor sent and stays a candidate. (i−1 is a candidate too: in every
+// earlier round the two shared the shorter prefix and neither was shorter
+// than it.) The first string of such a run — LCP[i] < ℓ ≤ LCP[i+1] — is
+// sent, so the prefix keeps blocking equal prefixes on other PEs, and its
+// verdict is forced to "not unique", which is what the copies it stands
+// for would have made it. Every other verdict is the one the full exchange
+// gives: a value counted once without the skipped copies but more often
+// with them would have to be the run's head. So bounds, rounds and
+// resolution counts are those of the run without LCP, at any hash range. A
+// skipped string's hash state catches up through Extend in the round that
+// first sends it, so each string is still billed its resolved length once.
+//
 // One round, in memory. A detector owns every array of the loop for the
-// length of one ApproxDist call and reslices them per round; inside the
-// loop only the messages handed to the all-to-all are allocated. The
-// sender side is sized by the local string count: the requests {candidate,
-// fingerprint} in candidate order, the same requests grouped by destination
-// PE fp mod p (each group sorted by fingerprint when the round is Golomb
-// coded — an LSD radix sort through one scratch array that skips every
-// digit the whole group shares), and the group's bare fingerprints for the
-// encoder. The receiver side grows to the largest round seen: one decoded
-// list per source and one flat verdict array over their concatenation.
-// Golomb lists arrive sorted, so multiplicities are counted by a p-way
-// merge; raw 64- and 32-bit lists arrive in request order and are counted
-// by sorting a position-tagged copy with the same radix sort. Verdicts come
-// back as one bit per request and land in a []bool indexed by candidate.
+// length of one ApproxDist call and reslices them per round; the loop
+// itself allocates nothing — the outgoing messages of an exchange are
+// packed into one buffer the all-to-all copies from. The sender side is
+// sized by the local string count: the requests {candidate, value} in
+// candidate order, the same requests grouped by destination PE (each group
+// sorted by value when the round is Golomb coded — an LSD radix sort
+// through one scratch array that skips every digit the whole group shares,
+// which the bytes above the range always are), and the group's bare values
+// for the encoder. The receiver side grows to the largest round seen: one
+// decoded list per source and one flat verdict array over their
+// concatenation. Golomb lists arrive sorted, so multiplicities are counted
+// by a p-way merge; fixed-width lists arrive in request order and are
+// counted by sorting a position-tagged copy with the same radix sort.
+// Verdicts come back as one bit per request and land in a []bool indexed
+// by candidate.
 //
 // Hashing is blocked. The first touch of a string's next characters is a
 // cache and TLB miss (the strings of one PE are hundreds of bytes apart and
@@ -44,7 +76,10 @@
 package dupdetect
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dss/internal/comm"
@@ -64,16 +99,14 @@ type Options struct {
 	// Θ(⌈log p / log σ⌉)). Default 8.
 	InitialLen int
 	// Golomb enables Golomb coding of the sorted fingerprint messages
-	// (algorithm PDMS-Golomb). Without it fingerprints travel as raw
-	// 8-byte values.
+	// (algorithm PDMS-Golomb). Without it the values travel in the fewest
+	// whole bytes that hold the round's range.
 	Golomb bool
-	// TwoLevel enables the two-round fingerprinting of [Sanders, Schlag,
-	// Müller 2013]: each iteration first exchanges short 32-bit
-	// fingerprints; only the (few) candidates whose short fingerprint
-	// collides are re-checked with full 64-bit fingerprints in a second
-	// exchange. Cuts fingerprint volume roughly in half when most prefixes
-	// are unique. Errors remain one-sided.
-	TwoLevel bool
+	// LCP is the LCP array of ss when ss is sorted (LCP[0] = 0, LCP[i] the
+	// common prefix length of ss[i-1] and ss[i]): locally repeated
+	// prefixes are then sent once per round (see the package comment).
+	// nil means the order of ss is unknown and every candidate is sent.
+	LCP []int32
 	// Hypercube routes the fingerprint all-to-alls indirectly along a
 	// hypercube: latency drops from αp to α·log p per iteration at the
 	// price of a log p factor in fingerprint volume (the Theorem 6 latency
@@ -84,6 +117,10 @@ type Options struct {
 	Seed uint64
 	// GroupID is the communicator tag namespace to use.
 	GroupID int
+
+	// fixedRange, when nonzero, replaces every round's hash range (tests:
+	// a tiny range forces collisions, MaxUint64 is the full-width run).
+	fixedRange uint64
 }
 
 func (o *Options) setDefaults() {
@@ -120,54 +157,48 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	if n > math.MaxInt32 {
 		panic("dupdetect: more than 2^31-1 local strings")
 	}
+	if opt.LCP != nil && len(opt.LCP) != n {
+		panic("dupdetect: LCP array and string set differ in length")
+	}
 	d := newDetector(c, ss, opt)
 	res := Result{Dist: make([]int32, n)}
 	candidates := make([]int32, n)
 	for i := range candidates {
 		candidates[i] = int32(i)
 	}
-	long := raw64
-	if opt.Golomb {
-		long = golombCoded
-	}
 
-	ell := opt.InitialLen
+	d.ell = opt.InitialLen
 	for {
-		// Global termination check.
+		// Global termination check; the count also sizes the hash range.
 		remaining := d.g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
 		if remaining == 0 {
 			break
 		}
 		res.Iterations++
-
-		// Uniqueness check, optionally in two fingerprint resolutions:
-		// a cheap 32-bit round first, then a full-width round for the
-		// candidates whose short fingerprint collided.
-		reqs := d.fingerprints(candidates, ell)
-		if opt.TwoLevel {
-			d.uniqueRound(reqs, short32)
-			recheck := reqs[:0]
-			for _, r := range reqs {
-				if !d.unique[r.cand] {
-					recheck = append(recheck, r)
-				}
-			}
-			reqs = recheck
+		d.round, d.remaining = res.Iterations, remaining
+		d.hashRange = remaining << fpBits
+		if remaining > math.MaxUint64>>fpBits {
+			d.hashRange = math.MaxUint64
 		}
-		d.uniqueRound(reqs, long)
+		if opt.fixedRange != 0 {
+			d.hashRange = opt.fixedRange
+		}
+		d.bucket = (d.hashRange-1)/uint64(d.p) + 1
+
+		d.uniqueRound(d.fingerprints(candidates))
 
 		// Resolve candidates: strings shorter than ℓ resolve with their
 		// full length after their terminated blocking round (see
-		// fingerprints), whatever the verdict; unique fingerprints prove
+		// fingerprints), whatever the verdict; unique values prove
 		// distinguishing prefixes.
 		live := candidates[:0]
 		for _, ci := range candidates {
 			switch {
-			case len(ss[ci]) < ell:
+			case len(ss[ci]) < d.ell:
 				res.Dist[ci] = int32(len(ss[ci]))
 				res.ResolvedLength++
 			case d.unique[ci]:
-				res.Dist[ci] = int32(ell)
+				res.Dist[ci] = int32(d.ell)
 				res.ResolvedUnique++
 			default:
 				live = append(live, ci)
@@ -176,31 +207,28 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		candidates = live
 
 		// Grow the guess geometrically.
-		next := int(float64(ell) * (1 + opt.Eps))
-		if next <= ell {
-			next = ell + 1
+		next := int(float64(d.ell) * (1 + opt.Eps))
+		if next <= d.ell {
+			next = d.ell + 1
 		}
-		ell = next
+		d.ell = next
 	}
 	return res
 }
 
-// req is one candidate's fingerprint submission.
+// req is one candidate's submission: its fingerprint mapped into the
+// round's hash range, then (routed) relative to the destination's base.
 type req struct {
 	cand int32
 	fp   uint64
 }
 
-// wireFormat is how one uniqueness round ships its fingerprints.
-type wireFormat int
-
 const (
-	raw64       wireFormat = iota // 8 bytes each, request order
-	short32                       // upper 32 bits, 4 bytes each (first level of TwoLevel)
-	golombCoded                   // sorted and Golomb coded
-)
-
-const (
+	// fpBits sets the hash range of a round to 2^fpBits values per
+	// unresolved string: a string with a globally unique prefix is held
+	// back one round with probability below 2^-fpBits, and a Golomb-coded
+	// value costs about fpBits + log₂p + 1.5 bits.
+	fpBits = 12
 	// hashBlock is how many candidates have their next characters touched
 	// before any of them is hashed: enough independent misses to fill the
 	// core's line-fill buffers, few enough that the lines are still in L1
@@ -218,27 +246,42 @@ type detector struct {
 	c      *comm.Comm
 	g      *comm.Group
 	p      int
+	golomb bool // Golomb-code the requests; fixed-width otherwise
 	hyper  bool // hypercube-route the all-to-alls
 	ss     [][]byte
+	lcp    []int32 // Options.LCP; nil: nothing is skipped
 	hasher fingerprint.Hasher
 	states []fingerprint.State
 	unique []bool // by candidate; set once, a unique candidate never returns
 	touch  byte   // keeps the block touch's loads alive
 
+	// This round.
+	round     int    // 1-based, for the corrupt-message panics
+	ell       int    // prefix length guess ℓ
+	remaining uint64 // unresolved strings machine-wide
+	hashRange uint64 // values are in [0, hashRange)
+	bucket    uint64 // ⌈hashRange/p⌉: PE d owns [d·bucket, (d+1)·bucket)
+
 	// Sender side, len(ss) each.
 	reqs    []req    // this round's requests, candidate order
 	routed  []req    // the same grouped by destination: routed[offs[d]:offs[d+1]] goes to PE d
 	scratch []req    // the radix sort's other half
-	fps     []uint64 // one group's fingerprints, for the encoders
+	fps     []uint64 // one group's values, for the encoders
 	offs    []int
-	parts   [][]byte
 	bits    []bool // one destination's decoded verdicts
 
+	// Outgoing messages of one exchange: parts[i] = msgs[ends[i-1]:ends[i]].
+	// The all-to-alls copy what they send, so one buffer serves every
+	// exchange of the call.
+	msgs  []byte
+	ends  []int
+	parts [][]byte
+
 	// Receiver side, grown to the largest round.
-	lists   [][]uint64 // decoded fingerprints per source
+	lists   [][]uint64 // decoded values per source
 	voffs   []int      // verdict[voffs[src]:voffs[src+1]] answers lists[src]
 	verdict []bool
-	tagged  []req   // raw rounds: every received fingerprint with its verdict index
+	tagged  []req   // fixed-width rounds: every received value with its verdict index
 	heap    []int32 // Golomb rounds: sources ordered by their list's head
 	heads   []int   // Golomb rounds: next unread position per source
 }
@@ -249,8 +292,10 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 		c:       c,
 		g:       comm.NewGroup(c, allRanks(p), opt.GroupID),
 		p:       p,
+		golomb:  opt.Golomb,
 		hyper:   opt.Hypercube && p&(p-1) == 0,
 		ss:      ss,
+		lcp:     opt.LCP,
 		hasher:  fingerprint.New(opt.Seed),
 		states:  make([]fingerprint.State, n),
 		unique:  make([]bool, n),
@@ -259,8 +304,10 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 		scratch: make([]req, n),
 		fps:     make([]uint64, n),
 		offs:    make([]int, p+1),
-		parts:   make([][]byte, p),
 		bits:    make([]bool, 0, n),
+		msgs:    make([]byte, 0, 8*n+2*binary.MaxVarintLen64*p), // n fixed-width values of 8 bytes
+		ends:    make([]int, p),
+		parts:   make([][]byte, p),
 		lists:   make([][]uint64, p),
 		voffs:   make([]int, p+1),
 		heap:    make([]int32, 0, p),
@@ -268,115 +315,121 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 	}
 }
 
-// fingerprints extends every candidate's hash state to its length-ℓ prefix
-// and returns the round's requests. Only fresh characters are hashed and
-// billed. A string shorter than ℓ participates one final time with a
-// *terminated* fingerprint — it must keep blocking longer strings that
-// have it as a proper prefix (in the paper's model the 0-terminator is a
-// real character). Strictly shorter: at exactly ℓ == |s| the prefix is the
+// fingerprints returns the round's requests: every candidate whose length-ℓ
+// prefix is not known to repeat the previous local string's (LCP < ℓ) has
+// its hash state extended to that prefix and its fingerprint mapped into
+// the hash range. Only fresh characters are hashed and billed. A string
+// shorter than ℓ participates one final time with a *terminated*
+// fingerprint — it must keep blocking longer strings that have it as a
+// proper prefix (in the paper's model the 0-terminator is a real
+// character). Strictly shorter: at exactly ℓ == |s| the prefix is the
 // whole string WITHOUT the terminator and must collide with equal-length
 // prefixes of longer strings.
-func (d *detector) fingerprints(candidates []int32, ell int) []req {
-	reqs := d.reqs[:len(candidates)]
+func (d *detector) fingerprints(candidates []int32) []req {
+	ell := d.ell
+	reqs := d.reqs[:0]
+	for _, ci := range candidates {
+		if d.lcp == nil || int(d.lcp[ci]) < ell {
+			reqs = append(reqs, req{cand: ci})
+		}
+	}
 	var work int64
-	for lo := 0; lo < len(candidates); lo += hashBlock {
-		hi := min(lo+hashBlock, len(candidates))
+	for lo := 0; lo < len(reqs); lo += hashBlock {
+		block := reqs[lo:min(lo+hashBlock, len(reqs))]
 		touch := d.touch
-		for _, ci := range candidates[lo:hi] {
-			s := d.ss[ci]
-			if from, upto := d.states[ci].Pos(), min(len(s), ell); from < upto {
+		for _, r := range block {
+			s := d.ss[r.cand]
+			if from, upto := d.states[r.cand].Pos(), min(len(s), ell); from < upto {
 				touch += s[from] + s[upto-1]
 			}
 		}
 		d.touch = touch
-		for i, ci := range candidates[lo:hi] {
-			s, st := d.ss[ci], d.states[ci]
+		for i, r := range block {
+			s, st := d.ss[r.cand], d.states[r.cand]
 			upto := min(len(s), ell)
 			work += int64(upto - st.Pos())
 			st = d.hasher.Extend(st, s, upto)
-			d.states[ci] = st
+			d.states[r.cand] = st
+			var fp uint64
 			if len(s) < ell {
-				reqs[lo+i] = req{cand: ci, fp: d.hasher.FinalizeTerminated(st)}
+				fp = d.hasher.FinalizeTerminated(st)
 			} else {
-				reqs[lo+i] = req{cand: ci, fp: d.hasher.Finalize(st)}
+				fp = d.hasher.Finalize(st)
 			}
+			block[i].fp, _ = bits.Mul64(fp, d.hashRange) // ⌊fp·R/2^64⌋
 		}
 	}
 	d.c.AddWork(work)
 	return reqs
 }
 
-// exchange is the round's all-to-all, direct or hypercube routed.
-func (d *detector) exchange(parts [][]byte) [][]byte {
-	if d.hyper {
-		return d.g.AlltoallvHypercube(parts)
-	}
-	return d.g.Alltoallv(parts)
+// headsRun reports whether candidate ci stands for skipped local copies of
+// its length-ℓ prefix this round (it was sent, so its own LCP is below ℓ).
+func (d *detector) headsRun(ci int32) bool {
+	return int(ci)+1 < len(d.lcp) && int(d.lcp[ci+1]) >= d.ell
 }
 
-// uniqueRound routes each request's fingerprint to PE (fp mod p), counts
-// global multiplicities there, and sets d.unique for every candidate whose
-// fingerprint is globally unique. One collective call per PE.
-func (d *detector) uniqueRound(reqs []req, format wireFormat) {
-	p := uint64(d.p)
-	// Short rounds count by the upper 32 bits (well-mixed by the
-	// finalizer); routing must use the same value so all copies of a
-	// fingerprint meet at the same PE.
-	var shift uint
-	if format == short32 {
-		shift = 32
+// exchange is the round's all-to-all, direct or hypercube routed, of the p
+// messages packed into d.msgs (message i ends at d.ends[i]).
+func (d *detector) exchange() [][]byte {
+	start := 0
+	for i, end := range d.ends {
+		d.parts[i] = d.msgs[start:end]
+		start = end
 	}
+	if d.hyper {
+		return d.g.AlltoallvHypercube(d.parts)
+	}
+	return d.g.Alltoallv(d.parts)
+}
+
+// uniqueRound routes each request to the PE that owns its value, counts
+// global multiplicities there, and sets d.unique for every candidate whose
+// value is globally unique and who heads no run of skipped copies. One
+// collective call per PE.
+func (d *detector) uniqueRound(reqs []req) {
 	// Count per destination, then fill exact-size regions in request order.
 	offs := d.offs
 	clear(offs)
 	for _, r := range reqs {
-		offs[(r.fp>>shift)%p+1]++
+		offs[r.fp/d.bucket+1]++
 	}
 	for dst := 0; dst < d.p; dst++ {
 		offs[dst+1] += offs[dst]
 	}
 	routed := d.routed[:len(reqs)]
 	for _, r := range reqs {
-		fp := r.fp >> shift
-		dst := fp % p
-		routed[offs[dst]] = req{cand: r.cand, fp: fp}
+		dst := r.fp / d.bucket
+		routed[offs[dst]] = req{cand: r.cand, fp: r.fp - dst*d.bucket}
 		offs[dst]++
 	}
 	copy(offs[1:], offs[:d.p]) // the fill advanced each start to its end
 	offs[0] = 0
 
-	for dst := range d.parts {
+	// Fixed-width rounds: the fewest whole bytes that hold bucket-1.
+	width := max(1, (bits.Len64(d.bucket-1)+7)/8)
+	d.msgs = d.msgs[:0]
+	for dst := range d.ends {
 		group := routed[offs[dst]:offs[dst+1]]
-		if format == golombCoded {
+		if d.golomb {
 			sortByFP(group, d.scratch)
 		}
 		fps := d.fps[:len(group)]
 		for j, r := range group {
 			fps[j] = r.fp
 		}
-		switch format {
-		case golombCoded:
-			d.parts[dst] = golomb.EncodeSorted(fps)
-		case short32:
-			d.parts[dst] = wire.EncodeUint32sFixed(fps)
-		default:
-			d.parts[dst] = wire.EncodeUint64sFixed(fps)
+		if d.golomb {
+			d.msgs = golomb.AppendEncodeSorted(d.msgs, fps)
+		} else {
+			d.msgs = wire.AppendUintsFixed(d.msgs, fps, width)
 		}
+		d.ends[dst] = len(d.msgs)
 	}
-	recvd := d.exchange(d.parts)
+	recvd := d.exchange()
 
 	for src, msg := range recvd {
-		var err error
-		switch format {
-		case golombCoded:
-			d.lists[src], err = golomb.AppendDecodeSorted(d.lists[src][:0], msg)
-		case short32:
-			d.lists[src], err = wire.AppendDecodeUint32sFixed(d.lists[src][:0], msg)
-		default:
-			d.lists[src], err = wire.AppendDecodeUint64sFixed(d.lists[src][:0], msg)
-		}
-		if err != nil {
-			panic("dupdetect: corrupt fingerprint message: " + err.Error())
+		if err := d.decodeRequests(src, msg, width); err != nil {
+			panic(fmt.Sprintf("dupdetect: corrupt fingerprint message from PE %d in round %d: %v", src, d.round, err))
 		}
 		d.voffs[src+1] = d.voffs[src] + len(d.lists[src])
 	}
@@ -384,31 +437,63 @@ func (d *detector) uniqueRound(reqs []req, format wireFormat) {
 	total := d.voffs[d.p]
 	d.verdict = slices.Grow(d.verdict[:0], total)[:total]
 	clear(d.verdict)
-	if format == golombCoded {
+	if d.golomb {
 		d.countMerging()
 	} else {
 		d.countSorting()
 	}
 
-	for src := range d.parts {
-		d.parts[src] = wire.EncodeBitset(d.verdict[d.voffs[src]:d.voffs[src+1]])
+	d.msgs = d.msgs[:0]
+	for src := range d.ends {
+		d.msgs = wire.AppendBitset(d.msgs, d.verdict[d.voffs[src]:d.voffs[src+1]])
+		d.ends[src] = len(d.msgs)
 	}
-	verdicts := d.exchange(d.parts)
+	verdicts := d.exchange()
 
 	for dst, msg := range verdicts {
 		group := routed[offs[dst]:offs[dst+1]]
-		bits, err := wire.AppendDecodeBitset(d.bits[:0], msg)
-		if err != nil || len(bits) != len(group) {
-			panic("dupdetect: corrupt verdict message")
+		uniq, err := wire.AppendDecodeBitset(d.bits[:0], msg)
+		if err == nil && len(uniq) != len(group) {
+			err = fmt.Errorf("%d verdicts for %d requests", len(uniq), len(group))
+		}
+		if err != nil {
+			panic(fmt.Sprintf("dupdetect: corrupt verdict message from PE %d in round %d: %v", dst, d.round, err))
 		}
 		for j, r := range group {
-			if bits[j] {
+			if uniq[j] && !d.headsRun(r.cand) {
 				d.unique[r.cand] = true
 			}
 		}
-		d.bits = bits
+		d.bits = uniq
 	}
 	d.c.Release(verdicts...)
+}
+
+// decodeRequests decodes PE src's request message into d.lists[src] and
+// checks what the round lets the receiver check: no PE can hold more
+// candidates than the machine, and every value is relative to this PE's
+// base, so below the bucket width.
+func (d *detector) decodeRequests(src int, msg []byte, width int) error {
+	var err error
+	list := d.lists[src][:0]
+	if d.golomb {
+		list, err = golomb.AppendDecodeSorted(list, msg)
+	} else {
+		list, err = wire.AppendDecodeUintsFixed(list, msg, width)
+	}
+	if err != nil {
+		return err
+	}
+	d.lists[src] = list
+	if uint64(len(list)) > d.remaining {
+		return fmt.Errorf("%d values in a round of %d candidates", len(list), d.remaining)
+	}
+	for _, v := range list {
+		if v >= d.bucket {
+			return fmt.Errorf("value %d outside the bucket width %d", v, d.bucket)
+		}
+	}
+	return nil
 }
 
 // countMerging marks the verdict of every fingerprint that occurs once in
@@ -467,9 +552,9 @@ func (d *detector) countMerging() {
 }
 
 // countSorting marks the verdict of every fingerprint that occurs once
-// among the p decoded lists when they arrive in request order (raw 64- and
-// 32-bit rounds): tag each value with its verdict index, sort the copy,
-// and judge the runs.
+// among the p decoded lists when they arrive in request order (fixed-width
+// rounds): tag each value with its verdict index, sort the copy, and judge
+// the runs.
 func (d *detector) countSorting() {
 	total := len(d.verdict)
 	if total > math.MaxInt32 {
@@ -499,8 +584,8 @@ func (d *detector) countSorting() {
 
 // sortByFP sorts a by fingerprint, stably, using tmp (at least as long) as
 // the other half of an LSD radix sort on the eight bytes of fp. One read
-// of a fills all eight histograms; a byte every key shares — the high
-// bytes of short fingerprints, all eight when every candidate still shares
+// of a fills all eight histograms; a byte every key shares — the bytes
+// above the round's hash range, all eight when every candidate still shares
 // its prefix — costs no pass.
 func sortByFP(a, tmp []req) {
 	n := len(a)

@@ -3,11 +3,14 @@ package dupdetect
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"dss/internal/comm"
@@ -15,6 +18,7 @@ import (
 	"dss/internal/golomb"
 	"dss/internal/input"
 	"dss/internal/stats"
+	"dss/internal/strsort"
 	"dss/internal/strutil"
 	"dss/internal/wire"
 )
@@ -67,36 +71,31 @@ func deal(global [][]byte, p, first int) [][][]byte {
 	return locals
 }
 
-// checkSound verifies the two soundness properties of the approximation:
-// bounds never exceed string lengths, and transmitting Dist[i] characters
-// preserves the pairwise order of all distinct strings.
+// sortLocals sorts every PE's strings (the spines are fresh, the strings
+// shared) and returns them with their LCP arrays: what core.PDMS hands
+// ApproxDist after Step 1.
+func sortLocals(locals [][][]byte) (sorted [][][]byte, lcps [][]int32) {
+	sorted, lcps = make([][][]byte, len(locals)), make([][]int32, len(locals))
+	for pe, ss := range locals {
+		sorted[pe] = slices.Clone(ss)
+		lcps[pe], _ = strsort.SortLCP(sorted[pe], nil)
+	}
+	return sorted, lcps
+}
+
+// withLCP is ApproxDist given each PE's LCP array, as core.PDMS calls it.
+func withLCP(lcps [][]int32) func(*comm.Comm, [][]byte, Options) Result {
+	return func(c *comm.Comm, ss [][]byte, opt Options) Result {
+		opt.LCP = lcps[c.Rank()]
+		return ApproxDist(c, ss, opt)
+	}
+}
+
+// checkSound fails the test unless the bounds are sound (see orderPreserved).
 func checkSound(t *testing.T, global [][]byte, dist []int32) {
 	t.Helper()
-	for i, s := range global {
-		if int(dist[i]) > len(s) {
-			t.Fatalf("bound %d exceeds length of %q", dist[i], s)
-		}
-	}
-	for i := range global {
-		for j := range global {
-			if i == j {
-				continue
-			}
-			a, b := global[i], global[j]
-			pa, pb := a[:dist[i]], b[:dist[j]]
-			cmpFull := bytes.Compare(a, b)
-			cmpPref := bytes.Compare(pa, pb)
-			if cmpFull != 0 && cmpPref != 0 && cmpFull != cmpPref {
-				t.Fatalf("prefixes invert order: %q(%d) vs %q(%d)", a, dist[i], b, dist[j])
-			}
-			if cmpFull != 0 && cmpPref == 0 && !bytes.Equal(a, b) {
-				// Distinct strings may only tie if one prefix pair is a
-				// cut-short representation — which must not happen when
-				// fingerprints are collision-free: a unique prefix cannot
-				// equal another string's transmitted prefix of equal length.
-				t.Fatalf("distinct strings %q, %q tie under prefixes %q, %q", a, b, pa, pb)
-			}
-		}
+	if err := orderPreserved(global, dist); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -252,32 +251,6 @@ func TestGolombVariantAgreesAndSavesVolume(t *testing.T) {
 	}
 }
 
-func TestTwoLevelFingerprintsSoundAndCheaper(t *testing.T) {
-	// Two-level fingerprinting pays when most prefixes per round are
-	// unique (its design assumption in [10]): a moderately large alphabet
-	// makes first-round prefixes mostly distinct.
-	rng := rand.New(rand.NewSource(57))
-	global := genStrings(rng, 6000, 30, 8)
-	plain, mPlain := runApprox(t, global, 8, Options{GroupID: 1})
-	two, mTwo := runApprox(t, global, 8, Options{GroupID: 1, TwoLevel: true})
-	checkSound(t, global[:80], two[:80]) // spot-check soundness (O(n²) check)
-	// Two-level bounds may differ (32-bit collisions delay some strings by
-	// one doubling), but must stay sound upper bounds of the plain bounds'
-	// guarantees: never smaller than the true DIST.
-	trueDist := strutil.DistinguishingPrefixes(global)
-	for i := range two {
-		if two[i] < trueDist[i] {
-			t.Fatalf("two-level bound %d below true DIST %d", two[i], trueDist[i])
-		}
-	}
-	_ = plain
-	vPlain := mPlain.Report().TotalBytesSent()
-	vTwo := mTwo.Report().TotalBytesSent()
-	if vTwo >= vPlain {
-		t.Fatalf("two-level fingerprints did not save volume: %d vs %d", vTwo, vPlain)
-	}
-}
-
 func TestHypercubeRoutingTradesLatencyForVolume(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	global := genStrings(rng, 4000, 25, 2)
@@ -317,8 +290,10 @@ func TestEpsilonGrowthFactors(t *testing.T) {
 
 func TestVolumePerStringLogarithmic(t *testing.T) {
 	// Theorem 6: the duplicate detection sends O(log p) bits per string.
-	// With 64-bit fingerprints our constant is 8 bytes + verdict bit per
-	// round; with few rounds volume per string must stay small.
+	// Without Golomb coding a round costs the whole bytes that hold
+	// fpBits + log₂(n/p) bits (3 here) plus the verdict bit, and nearly
+	// every string resolves in the first: less than the 8 bytes of one
+	// full-width fingerprint.
 	rng := rand.New(rand.NewSource(56))
 	n := 8000
 	global := make([][]byte, n)
@@ -327,27 +302,28 @@ func TestVolumePerStringLogarithmic(t *testing.T) {
 	}
 	_, m := runApprox(t, global, 8, Options{GroupID: 1})
 	perString := float64(m.Report().TotalBytesSent()) / float64(n)
-	if perString > 40 {
-		t.Fatalf("duplicate detection sends %.1f bytes/string; want ≤ 40", perString)
+	if perString > 8 {
+		t.Fatalf("duplicate detection sends %.1f bytes/string; want ≤ 8", perString)
 	}
 }
 
-// differentialInputs are the shapes the flat round loop must get right:
-// each stresses one of the arrays or cut-offs named in its comment.
+// differentialInputs are the shapes the round loop must get right: each
+// stresses one of the arrays, cut-offs or rules named in its comment.
 func differentialInputs(rng *rand.Rand) map[string][][]byte {
 	in := map[string][][]byte{
 		"none":   nil,
 		"random": genStrings(rng, 6000, 24, 2), // groups on both sides of radixMin at every p
 		"chain":  nil,                          // proper prefixes: terminated fingerprints
-		"empty strings": append(genStrings(rng, 40, 3, 2),
+		"shorter than the first guess": append(genStrings(rng, 40, 3, 2),
 			nil, []byte{}, nil, []byte{}),
 	}
 	for k := 0; k <= 70; k++ {
 		in["chain"] = append(in["chain"], bytes.Repeat([]byte("a"), k))
 	}
 	// One 40-character prefix: for two rounds every fingerprint is equal,
-	// goes to one PE and Golomb-codes to gaps of 0. Counts straddle
-	// hashBlock and (per destination group) radixMin.
+	// goes to one PE and Golomb-codes to gaps of 0 — or, with the LCP
+	// array, is sent once per PE. Counts straddle hashBlock and (per
+	// destination group) radixMin.
 	for _, n := range []int{1, hashBlock - 1, hashBlock, hashBlock + 1, radixMin - 1, radixMin, radixMin + 1, 700} {
 		var ss [][]byte
 		for i := 0; i < n; i++ {
@@ -366,13 +342,23 @@ func differentialInputs(rng *rand.Rand) map[string][][]byte {
 		dups = append(dups, []byte("the-same-string-on-every-PE"))
 	}
 	in["duplicates"] = dups
+	// Duplicate-heavy: 40 distinct strings, 50 copies each, so after the
+	// local sort nearly every candidate repeats its neighbour's prefix in
+	// every round and runs of skipped copies end at every length.
+	distinct := genStrings(rng, 40, 40, 2)
+	for i := 0; i < 2000; i++ {
+		in["duplicate-heavy"] = append(in["duplicate-heavy"], distinct[rng.Intn(len(distinct))])
+	}
 	return in
 }
 
-// TestDifferentialAgainstReference is the guard of the flat round loop and
-// of any later rewrite: ApproxDist must agree with the map-based
-// implementation it replaced on every output and on every PE's byte,
-// message and work counters, in every wire format and routing.
+// TestDifferentialAgainstReference is the guard of the round loop and of
+// any later rewrite. On locally sorted strings, in both wire formats and
+// routings and at the default, a tiny and the full-width hash range:
+// without the LCP array ApproxDist must agree with the map-based oracle
+// (same range mapping, every candidate sent) on every output and on every
+// PE's byte, message and work counters; with it, on every output, message
+// count and billed character, sending no more bytes.
 func TestDifferentialAgainstReference(t *testing.T) {
 	inputs := differentialInputs(rand.New(rand.NewSource(60)))
 	names := make([]string, 0, len(inputs))
@@ -381,29 +367,237 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, p := range []int{1, 2, 3, 4, 5, 8} {
-		for mode := 0; mode < 8; mode++ {
-			opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, TwoLevel: mode&2 != 0, Hypercube: mode&4 != 0}
-			for _, name := range names {
-				for _, first := range []int{0, 2} { // 2: PEs 0 and 1 hold nothing
-					if first > 0 && (p < 3 || name == "random") {
-						continue
-					}
-					locals := deal(inputs[name], p, first)
-					got, gotM := runOnMachine(t, locals, opt, ApproxDist)
-					want, wantM := runOnMachine(t, locals, opt, referenceApproxDist)
-					label := fmt.Sprintf("p=%d %+v %q first=%d", p, opt, name, first)
-					for pe := range locals {
-						if !reflect.DeepEqual(got[pe], want[pe]) {
-							t.Fatalf("%s PE %d: result\n got %+v\nwant %+v", label, pe, got[pe], want[pe])
+		for mode := 0; mode < 4; mode++ {
+			for _, fixed := range []uint64{0, 61, math.MaxUint64} {
+				opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, Hypercube: mode&2 != 0, fixedRange: fixed}
+				for _, name := range names {
+					for _, first := range []int{0, 2} { // 2: PEs 0 and 1 hold nothing
+						if first > 0 && (p < 3 || name == "random") {
+							continue
 						}
-						if g, w := gotM.Report().PEs[pe].Phases, wantM.Report().PEs[pe].Phases; g != w {
-							t.Fatalf("%s PE %d: counters\n got %+v\nwant %+v", label, pe, g, w)
+						locals, lcps := sortLocals(deal(inputs[name], p, first))
+						want, wantM := runOnMachine(t, locals, opt, referenceApproxDist)
+						all, allM := runOnMachine(t, locals, opt, ApproxDist)
+						once, onceM := runOnMachine(t, locals, opt, withLCP(lcps))
+						label := fmt.Sprintf("p=%d %+v %q first=%d", p, opt, name, first)
+						var bytesAll, bytesOnce int64
+						for pe := range locals {
+							if !reflect.DeepEqual(all[pe], want[pe]) {
+								t.Fatalf("%s PE %d: result\n got %+v\nwant %+v", label, pe, all[pe], want[pe])
+							}
+							if !reflect.DeepEqual(once[pe], want[pe]) {
+								t.Fatalf("%s PE %d: result with LCP\n got %+v\nwant %+v", label, pe, once[pe], want[pe])
+							}
+							w := wantM.Report().PEs[pe].Phases
+							if g := allM.Report().PEs[pe].Phases; g != w {
+								t.Fatalf("%s PE %d: counters\n got %+v\nwant %+v", label, pe, g, w)
+							}
+							g, w1 := onceM.Report().PEs[pe].Phases[stats.PhaseDupDetect], w[stats.PhaseDupDetect]
+							if g.Work != w1.Work || g.Messages != w1.Messages {
+								t.Fatalf("%s PE %d: with LCP work %d messages %d, want %d and %d",
+									label, pe, g.Work, g.Messages, w1.Work, w1.Messages)
+							}
+							bytesAll += w1.BytesSent
+							bytesOnce += g.BytesSent
+						}
+						if bytesOnce > bytesAll {
+							t.Fatalf("%s: %d bytes with LCP, %d without", label, bytesOnce, bytesAll)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// orderPreserved checks the two soundness properties of the approximation:
+// no bound exceeds its string's length, and sorting the transmitted
+// prefixes global[i][:dist[i]] sorts the strings — in prefix order the full
+// strings ascend, and prefixes tie only for equal strings.
+func orderPreserved(global [][]byte, dist []int32) error {
+	idx := make([]int, len(global))
+	for i := range idx {
+		idx[i] = i
+		if int(dist[i]) > len(global[i]) {
+			return fmt.Errorf("bound %d exceeds length of %q", dist[i], global[i])
+		}
+	}
+	prefix := func(i int) []byte { return global[i][:dist[i]] }
+	sort.SliceStable(idx, func(a, b int) bool { return bytes.Compare(prefix(idx[a]), prefix(idx[b])) < 0 })
+	for k := 1; k < len(idx); k++ {
+		a, b := idx[k-1], idx[k]
+		switch cmp := bytes.Compare(global[a], global[b]); {
+		case cmp > 0:
+			return fmt.Errorf("prefixes invert order: %q(%d) before %q(%d)", global[a], dist[a], global[b], dist[b])
+		case cmp < 0 && bytes.Equal(prefix(a), prefix(b)):
+			return fmt.Errorf("distinct strings %q, %q tie under prefix %q", global[a], global[b], prefix(a))
+		}
+	}
+	return nil
+}
+
+// runSorted deals global over p PEs, sorts locally and runs ApproxDist
+// with or without the LCP arrays; it returns the strings and bounds PE by
+// PE in one flat order, and the machine.
+func runSorted(t testing.TB, global [][]byte, p int, opt Options, useLCP bool) ([][]byte, []int32, *comm.Machine) {
+	t.Helper()
+	locals, lcps := sortLocals(deal(global, p, 0))
+	approx := ApproxDist
+	if useLCP {
+		approx = withLCP(lcps)
+	}
+	results, m := runOnMachine(t, locals, opt, approx)
+	var flat [][]byte
+	var dist []int32
+	for pe, res := range results {
+		flat = append(flat, locals[pe]...)
+		dist = append(dist, res.Dist...)
+	}
+	return flat, dist, m
+}
+
+// TestTinyRangeStaysSound forces hash ranges of a few values, so most
+// rounds are decided by collisions: bounds only grow, and the transmitted
+// prefixes still sort the strings.
+func TestTinyRangeStaysSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	inputs := differentialInputs(rng)
+	for _, p := range []int{1, 3, 4, 8} {
+		for name, global := range inputs {
+			_, exact, _ := runSorted(t, global, p, Options{GroupID: 1, Seed: 9, fixedRange: math.MaxUint64}, true)
+			for _, fixed := range []uint64{1, 2, 7, 300} {
+				opt := Options{GroupID: 1, Seed: 9, Golomb: fixed%2 == 1, fixedRange: fixed}
+				for _, useLCP := range []bool{false, true} {
+					flat, dist, _ := runSorted(t, global, p, opt, useLCP)
+					if err := orderPreserved(flat, dist); err != nil {
+						t.Fatalf("p=%d range=%d %q lcp=%v: %v", p, fixed, name, useLCP, err)
+					}
+					for i := range dist {
+						if dist[i] < exact[i] {
+							t.Fatalf("p=%d range=%d %q lcp=%v: bound %d of %q below the full-width bound %d",
+								p, fixed, name, useLCP, dist[i], flat[i], exact[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangeSizedFingerprintsCostUnderOnePercent is the price of rule (2)
+// on the benchmark's kind of input: against the full-width run the mean
+// bound grows by less than 1 %, while the exchange ships under half the
+// bytes.
+func TestRangeSizedFingerprintsCostUnderOnePercent(t *testing.T) {
+	const p = 4
+	var global [][]byte
+	for pe := 0; pe < p; pe++ {
+		global = append(global, input.DN(input.DNConfig{StringsPerPE: 5000, Length: 100, Ratio: 0.25}, pe, p)...)
+	}
+	global = shuffled(1, global)
+	sum := func(fixed uint64) (total, sent int64) {
+		flat, dist, m := runSorted(t, global, p, Options{GroupID: 1, Golomb: true, Seed: 1, fixedRange: fixed}, true)
+		if err := orderPreserved(flat, dist); err != nil {
+			t.Fatalf("range %d: %v", fixed, err)
+		}
+		for _, d := range dist {
+			total += int64(d)
+		}
+		return total, m.Report().TotalBytesSent()
+	}
+	full, fullBytes := sum(math.MaxUint64)
+	sized, sizedBytes := sum(0)
+	if sized < full || float64(sized) >= 1.01*float64(full) {
+		t.Fatalf("bounds sum to %d with range-sized fingerprints, %d at full width", sized, full)
+	}
+	if 2*sizedBytes >= fullBytes {
+		t.Fatalf("range-sized fingerprints ship %d bytes, full-width ones %d", sizedBytes, fullBytes)
+	}
+}
+
+// fakePeer plays PE 1 of a two-PE round by hand — the termination
+// allreduce announcing no candidates, then the request exchange sending
+// requests to PE 0, then (unless verdict is nil) the verdict exchange —
+// while PE 0 runs ApproxDist on ss. It returns PE 0's failure.
+func fakePeer(t *testing.T, ss [][]byte, opt Options, requests, verdict []byte) string {
+	t.Helper()
+	opt.GroupID = 1
+	err := comm.New(2).Run(func(c *comm.Comm) error {
+		if c.Rank() == 0 {
+			ApproxDist(c, ss, opt)
+			return nil
+		}
+		g := comm.NewGroup(c, allRanks(2), opt.GroupID)
+		g.AllreduceUint64([]uint64{0}, comm.Sum)
+		g.Alltoallv([][]byte{requests, {0}})
+		if verdict != nil {
+			g.Alltoallv([][]byte{verdict, {0}})
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("PE 0 accepted the damaged message")
+	}
+	return err.Error()
+}
+
+// TestDamagedMessagesAreRejected hands PE 0 messages no correct peer sends
+// in that round: each must stop it with a panic that names the sender and
+// the round.
+func TestDamagedMessagesAreRejected(t *testing.T) {
+	ss := genStrings(rand.New(rand.NewSource(63)), 10, 20, 2)
+	// 10 + 0 candidates: the range is 10<<fpBits, a bucket half of it.
+	bucket := uint64(10<<fpBits) / 2
+	width := (bits.Len64(bucket-1) + 7) / 8
+	for _, tc := range []struct {
+		name             string
+		opt              Options
+		requests, answer []byte
+		want             string
+	}{
+		{"fixed-width value at the bucket width", Options{},
+			wire.AppendUintsFixed(nil, []uint64{3, bucket}, width), nil, "outside the bucket width"},
+		{"Golomb value at the bucket width", Options{Golomb: true},
+			golomb.EncodeSorted([]uint64{3, bucket}), nil, "outside the bucket width"},
+		{"fixed-width list longer than the round", Options{},
+			wire.AppendUintsFixed(nil, make([]uint64, 11), width), nil, "11 values in a round of 10"},
+		{"Golomb list longer than the round", Options{Golomb: true},
+			golomb.EncodeSorted(make([]uint64, 11)), nil, "11 values in a round of 10"},
+		{"fixed-width list cut short", Options{},
+			wire.AppendUintsFixed(nil, []uint64{1, 2, 3}, width)[:4], nil, "fingerprint message"},
+		{"verdicts for requests never made", Options{},
+			[]byte{0}, wire.AppendBitset(nil, make([]bool, 1000)), "verdict message"},
+	} {
+		got := fakePeer(t, ss, tc.opt, tc.requests, tc.answer)
+		if !strings.Contains(got, "corrupt") || !strings.Contains(got, "from PE 1 in round 1") || !strings.Contains(got, tc.want) {
+			t.Errorf("%s: PE 0 failed with\n%s\nwant a corrupt-message panic naming PE 1, round 1 and %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// FuzzApproxDistSound: on any small string set, machine size and (tiny)
+// hash range, the run with the LCP arrays gives the bounds of the run
+// without them, and the transmitted prefixes sort the strings.
+func FuzzApproxDistSound(f *testing.F) {
+	f.Add([]byte("a,a,ab,abc,abc,abd,,b,ba,ba"), uint8(3), uint8(2), false)
+	f.Add([]byte("prefix-one,prefix-one,prefix-two,prefix-two-and-more,p"), uint8(2), uint8(0), true)
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa,aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaab,aaaaaaaaaaaaaaaa"), uint8(4), uint8(17), true)
+	f.Fuzz(func(t *testing.T, data []byte, pes, span uint8, gol bool) {
+		global := bytes.Split(data, []byte{','})
+		if len(global) > 200 {
+			global = global[:200]
+		}
+		p := 1 + int(pes)%8
+		opt := Options{GroupID: 1, Seed: uint64(span), Golomb: gol, InitialLen: 1 + int(span)%4, fixedRange: 1 + uint64(span)%64}
+		flat, dist, _ := runSorted(t, global, p, opt, true)
+		_, without, _ := runSorted(t, global, p, opt, false)
+		if !slices.Equal(dist, without) {
+			t.Fatalf("bounds with LCP %v, without %v", dist, without)
+		}
+		if err := orderPreserved(flat, dist); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSortByFP checks the radix sort against the library sort around its
@@ -437,10 +631,12 @@ func shuffled(seed int64, ss [][]byte) [][]byte {
 
 // BenchmarkApproxDist is the package's rung on the repository benchmark's
 // PDMS-Golomb input (500 000 x 200 D/N strings, ratio 0.25, on p = 4 PEs)
-// and on a COMMONCRAWL-like share. allocs/op must not follow n: inside the
-// round loop only the messages are allocated, so the quarter-size run of
-// each input may allocate at most a few more objects per op than the full
-// one saves — the benchmark fails otherwise.
+// and on a COMMONCRAWL-like share, locally sorted and with the LCP arrays
+// as core.PDMS calls it; the nolcp case is the call the benchmark's
+// dupdetect probe makes. allocs/op must not follow n: inside the round loop
+// only the messages are allocated, so the quarter-size run of each input
+// may allocate at most a few more objects per op than the full one saves —
+// the benchmark fails otherwise.
 func BenchmarkApproxDist(b *testing.B) {
 	inputs := []struct {
 		name string
@@ -460,26 +656,34 @@ func BenchmarkApproxDist(b *testing.B) {
 			for pe := 0; pe < 4; pe++ {
 				global = append(global, in.gen(pe, scale)...)
 			}
-			locals := deal(shuffled(1, global), 4, 0)
+			locals, lcps := sortLocals(deal(shuffled(1, global), 4, 0))
 			opt := Options{GroupID: 1, Golomb: true, Seed: 1}
-			b.Run(fmt.Sprintf("%s/n=%d", in.name, len(global)), func(b *testing.B) {
-				var rounds int
-				b.ReportAllocs()
-				b.SetBytes(strutil.TotalLen(global))
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, _ := runOnMachine(b, locals, opt, ApproxDist)
-					rounds = res[0].Iterations
-					sink += rounds
+			run := func(approx func(*comm.Comm, [][]byte, Options) Result, allocs *float64) func(b *testing.B) {
+				return func(b *testing.B) {
+					var rounds int
+					var sent int64
+					b.ReportAllocs()
+					b.SetBytes(strutil.TotalLen(global))
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, m := runOnMachine(b, locals, opt, approx)
+						rounds, sent = res[0].Iterations, m.Report().TotalBytesSent()
+						sink += rounds
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					*allocs = float64(after.Mallocs-before.Mallocs) / float64(b.N)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(global)), "ns/str")
+					b.ReportMetric(float64(sent)/float64(len(global)), "B/str")
+					b.ReportMetric(float64(rounds), "rounds")
 				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				allocs[k] = float64(after.Mallocs-before.Mallocs) / float64(b.N)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(global)), "ns/str")
-				b.ReportMetric(float64(rounds), "rounds")
-			})
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", in.name, len(global)), run(withLCP(lcps), &allocs[k]))
+			if scale == 1 {
+				b.Run(fmt.Sprintf("%s/n=%d/nolcp", in.name, len(global)), run(ApproxDist, new(float64)))
+			}
 		}
 		if allocs[1] > 0 && allocs[0] > 1.25*allocs[1]+64 { // both sizes ran
 			b.Errorf("%s: %.0f allocs/op at full size, %.0f at a quarter: allocation follows n", in.name, allocs[0], allocs[1])
@@ -525,9 +729,11 @@ func BenchmarkExtendCold(b *testing.B) {
 	b.Run(fmt.Sprintf("block=%d", hashBlock), func(b *testing.B) { run(b, hashBlock) })
 }
 
-// referenceApproxDist is the map-based implementation ApproxDist replaced,
-// kept as the oracle of TestDifferentialAgainstReference: same fingerprints,
-// same routing, same messages, same billing, one map per question.
+// referenceApproxDist is the map-based round loop ApproxDist's flat one
+// replaced, kept as the oracle of TestDifferentialAgainstReference: the same
+// fingerprints, range mapping, routing, messages and billing, one map per
+// question — and no use of Options.LCP: every candidate is hashed and sent
+// in every round.
 func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	opt.setDefaults()
 	prevPhase := c.SetPhase(stats.PhaseDupDetect)
@@ -553,6 +759,13 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 			break
 		}
 		res.Iterations++
+		hashRange := remaining << fpBits
+		if hashRange>>fpBits != remaining {
+			hashRange = math.MaxUint64
+		}
+		if opt.fixedRange != 0 {
+			hashRange = opt.fixedRange
+		}
 
 		// Fingerprint the length-ℓ prefixes, extending incrementally.
 		// A string shorter than ℓ participates one final time with a
@@ -582,31 +795,11 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 				c.AddWork(int64(ell - prevPos)) // only fresh characters are hashed
 				fp = hasher.Finalize(states[ci])
 			}
-			allReqs = append(allReqs, req{cand: ci, fp: fp})
+			v, _ := bits.Mul64(fp, hashRange)
+			allReqs = append(allReqs, req{cand: ci, fp: v})
 		}
 
-		// Uniqueness check, optionally in two fingerprint resolutions:
-		// a cheap 32-bit round first, then a full 64-bit round for the
-		// candidates whose short fingerprint collided.
-		var uniqueCands map[int32]bool
-		if opt.TwoLevel {
-			shortUnique := referenceUniqueRound(g, p, allReqs, refRoundOpts{short: true, hyper: opt.Hypercube})
-			var recheck []req
-			uniqueCands = make(map[int32]bool, len(shortUnique))
-			for _, r := range allReqs {
-				if shortUnique[r.cand] {
-					uniqueCands[r.cand] = true
-				} else {
-					recheck = append(recheck, r)
-				}
-			}
-			longUnique := referenceUniqueRound(g, p, recheck, refRoundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
-			for cand := range longUnique {
-				uniqueCands[cand] = true
-			}
-		} else {
-			uniqueCands = referenceUniqueRound(g, p, allReqs, refRoundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
-		}
+		uniqueCands := referenceUniqueRound(g, p, allReqs, hashRange, opt.Golomb, opt.Hypercube)
 
 		// Resolve candidates: unique fingerprints prove distinguishing
 		// prefixes; strings shorter than ℓ resolve with their full length
@@ -636,73 +829,47 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	return res
 }
 
-// refRoundOpts select the wire format and routing of one reference round.
-type refRoundOpts struct {
-	short  bool // 32-bit fingerprints (first level of TwoLevel)
-	golomb bool // Golomb-code the (sorted) fingerprints
-	hyper  bool // hypercube-route the all-to-alls (power-of-two p only)
-}
-
-// referenceUniqueRound routes each request's fingerprint to PE (fp mod p), counts
-// global multiplicities there, and returns the set of candidates whose
-// fingerprint is globally unique. One collective call per PE.
-func referenceUniqueRound(g *comm.Group, p int, reqs []req, ro refRoundOpts) map[int32]bool {
-	// Short rounds count by the upper 32 bits (well-mixed by the
-	// finalizer); routing must use the same value so all copies of a
-	// fingerprint meet at the same PE.
-	route := func(r req) (fp uint64, d int) {
-		fp = r.fp
-		if ro.short {
-			fp >>= 32
-		}
-		return fp, int(fp % uint64(p))
+// referenceUniqueRound routes each request's value in [0, hashRange) to the
+// PE owning that part of the range, counts global multiplicities there,
+// and returns the set of candidates whose value is globally unique. One
+// collective call per PE.
+func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, useGolomb, hyper bool) map[int32]bool {
+	// PE d owns [d·bucket, (d+1)·bucket) and is sent values minus its base,
+	// in the fewest whole bytes that hold bucket-1 when not Golomb coded.
+	bucket := hashRange / uint64(p)
+	if hashRange%uint64(p) != 0 {
+		bucket++
 	}
-	// Count per destination first, then fill exact-size regions of one
-	// backing array in request order: no growth reallocation.
-	offs := make([]int, p+1)
-	for _, r := range reqs {
-		_, d := route(r)
-		offs[d+1]++
+	width := 1
+	for width < 8 && (bucket-1)>>(8*width) != 0 {
+		width++
 	}
-	largest := 0
-	for d := 0; d < p; d++ {
-		largest = max(largest, offs[d+1])
-		offs[d+1] += offs[d]
-	}
-	routed := make([]req, len(reqs))
 	perDest := make([][]req, p)
-	for d := range perDest {
-		perDest[d] = routed[offs[d]:offs[d]:offs[d+1]]
-	}
 	for _, r := range reqs {
-		fp, d := route(r)
-		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
+		d := r.fp / bucket
+		perDest[d] = append(perDest[d], req{cand: r.cand, fp: r.fp % bucket})
 	}
 
 	exchange := func(parts [][]byte) [][]byte {
-		if ro.hyper && p&(p-1) == 0 {
+		if hyper && p&(p-1) == 0 {
 			return g.AlltoallvHypercube(parts)
 		}
 		return g.Alltoallv(parts)
 	}
 
 	parts := make([][]byte, p)
-	scratch := make([]uint64, largest) // the encoders copy out of it
 	for d := 0; d < p; d++ {
-		if ro.golomb {
-			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
+		if useGolomb {
+			sort.SliceStable(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
 		}
-		fps := scratch[:len(perDest[d])]
+		fps := make([]uint64, len(perDest[d]))
 		for j, r := range perDest[d] {
 			fps[j] = r.fp
 		}
-		switch {
-		case ro.golomb:
+		if useGolomb {
 			parts[d] = golomb.EncodeSorted(fps)
-		case ro.short:
-			parts[d] = wire.EncodeUint32sFixed(fps)
-		default:
-			parts[d] = wire.EncodeUint64sFixed(fps)
+		} else {
+			parts[d] = wire.AppendUintsFixed(nil, fps, width)
 		}
 	}
 	recvd := exchange(parts)
@@ -710,21 +877,16 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, ro refRoundOpts) map
 	counts := make(map[uint64]int)
 	decoded := make([][]uint64, p)
 	for src := 0; src < p; src++ {
-		var fps []uint64
 		var err error
-		switch {
-		case ro.golomb:
-			fps, err = golomb.DecodeSorted(recvd[src])
-		case ro.short:
-			fps, err = wire.DecodeUint32sFixed(recvd[src])
-		default:
-			fps, err = wire.DecodeUint64sFixed(recvd[src])
+		if useGolomb {
+			decoded[src], err = golomb.DecodeSorted(recvd[src])
+		} else {
+			decoded[src], err = wire.AppendDecodeUintsFixed(nil, recvd[src], width)
 		}
 		if err != nil {
 			panic("dupdetect: corrupt fingerprint message: " + err.Error())
 		}
-		decoded[src] = fps
-		for _, fp := range fps {
+		for _, fp := range decoded[src] {
 			counts[fp]++
 		}
 	}
@@ -735,7 +897,7 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, ro refRoundOpts) map
 		for j, fp := range decoded[src] {
 			bits[j] = counts[fp] == 1
 		}
-		replies[src] = wire.EncodeBitset(bits)
+		replies[src] = wire.AppendBitset(nil, bits)
 	}
 	verdicts := exchange(replies)
 

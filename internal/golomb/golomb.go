@@ -268,8 +268,14 @@ func ChooseM(span uint64, n int) uint64 {
 // sequence: header (count, M, first value), then delta-coded gaps. The
 // caller must pass a sorted slice; duplicates are allowed (gap 0).
 func EncodeSorted(vals []uint64) []byte {
+	return AppendEncodeSorted(nil, vals)
+}
+
+// AppendEncodeSorted appends the EncodeSorted message of vals to dst, so a
+// sender can pack several lists into one buffer.
+func AppendEncodeSorted(dst []byte, vals []uint64) []byte {
 	if len(vals) == 0 {
-		return []byte{0}
+		return append(dst, 0)
 	}
 	span := vals[len(vals)-1] - vals[0]
 	m := ChooseM(span, len(vals))
@@ -278,7 +284,7 @@ func EncodeSorted(vals []uint64) []byte {
 	// remainder per value. Header and bit stream share the one buffer.
 	remBits := uint64(bits.Len64(m-1)) + 1
 	estBits := span/m + uint64(len(vals)-1)*remBits
-	w := BitWriter{buf: make([]byte, 0, 3*binary.MaxVarintLen64+int(estBits/8)+1)}
+	w := BitWriter{buf: slices.Grow(dst, 3*binary.MaxVarintLen64+int(estBits/8)+1)}
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(vals)))
 	w.buf = binary.AppendUvarint(w.buf, m)
 	w.buf = binary.AppendUvarint(w.buf, vals[0])

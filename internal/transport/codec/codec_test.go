@@ -185,7 +185,7 @@ func TestLCPCodecTargetsStringRuns(t *testing.T) {
 
 	// A fixed-width fingerprint message is not a string run; it must take
 	// the deflate fallback and still round-trip byte-identically.
-	fp := wire.EncodeUint64sFixed(make([]uint64, 300))
+	fp := wire.AppendUintsFixed(nil, make([]uint64, 300), 8)
 	encFP, ok := c.Encode(nil, fp)
 	if !ok {
 		t.Fatal("fingerprint frame rejected by dual-mode lcp codec")

@@ -385,90 +385,54 @@ func DecodeUint64s(msg []byte) ([]uint64, error) {
 	return out, nil
 }
 
-// EncodeUint64sFixed serializes a uint64 slice with fixed 8-byte values,
-// the uncompressed fingerprint exchange format (PDMS without Golomb coding).
-func EncodeUint64sFixed(vs []uint64) []byte {
-	w := NewBuffer(len(vs)*8 + 8)
-	w.Uvarint(uint64(len(vs)))
+// AppendUintsFixed appends values as a uvarint count followed by width
+// little-endian bytes each (1 ≤ width ≤ 8; every value must fit) — the
+// fingerprint exchange format of PDMS without Golomb coding. The width is
+// not in the message: both sides derive it from the round's hash range.
+func AppendUintsFixed(dst []byte, vs []uint64, width int) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(vs)*width)
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	var le [8]byte
 	for _, v := range vs {
-		w.Uint64(v)
+		if width < 8 && v>>(8*width) != 0 {
+			panic("wire: value exceeds the fixed width")
+		}
+		binary.LittleEndian.PutUint64(le[:], v)
+		dst = append(dst, le[:width]...)
 	}
-	return w.Bytes()
+	return dst
 }
 
-// DecodeUint64sFixed reverses EncodeUint64sFixed.
-func DecodeUint64sFixed(msg []byte) ([]uint64, error) {
-	return AppendDecodeUint64sFixed(nil, msg)
-}
-
-// AppendDecodeUint64sFixed decodes an EncodeUint64sFixed message onto the
-// end of dst, so a receiver can reuse one array across messages.
-func AppendDecodeUint64sFixed(dst []uint64, msg []byte) ([]uint64, error) {
+// AppendDecodeUintsFixed decodes an AppendUintsFixed message of the given
+// width onto the end of dst, so a receiver can reuse one array across
+// messages. Bytes after the declared values are ignored.
+func AppendDecodeUintsFixed(dst []uint64, msg []byte, width int) ([]uint64, error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if cnt > uint64(len(msg))/8 { // compare counts: cnt*8 wraps
+	if cnt > uint64(len(msg))/uint64(width) { // compare counts: cnt*width wraps
 		return nil, ErrCorrupt
 	}
-	dst = slices.Grow(dst, int(cnt))
-	for i := uint64(0); i < cnt; i++ {
-		v, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// EncodeUint32sFixed serializes values (each < 2^32) with fixed 4-byte
-// little-endian encoding — the short-fingerprint exchange format of the
-// two-level duplicate detection.
-func EncodeUint32sFixed(vs []uint64) []byte {
-	w := NewBuffer(len(vs)*4 + 8)
-	w.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		if v > 0xFFFFFFFF {
-			panic("wire: value exceeds 32 bits")
-		}
-		w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return w.Bytes()
-}
-
-// DecodeUint32sFixed reverses EncodeUint32sFixed.
-func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
-	return AppendDecodeUint32sFixed(nil, msg)
-}
-
-// AppendDecodeUint32sFixed decodes an EncodeUint32sFixed message onto the
-// end of dst.
-func AppendDecodeUint32sFixed(dst []uint64, msg []byte) ([]uint64, error) {
-	r := NewReader(msg)
-	cnt, err := r.Uvarint()
+	raw, err := r.Raw(int(cnt) * width)
 	if err != nil {
 		return nil, err
 	}
-	if cnt > uint64(len(msg))/4 {
-		return nil, ErrCorrupt
-	}
 	dst = slices.Grow(dst, int(cnt))
-	for i := uint64(0); i < cnt; i++ {
-		raw, err := r.Raw(4)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, uint64(binary.LittleEndian.Uint32(raw)))
+	var le [8]byte
+	for ; len(raw) > 0; raw = raw[width:] {
+		copy(le[:], raw[:width])
+		dst = append(dst, binary.LittleEndian.Uint64(le[:]))
 	}
 	return dst, nil
 }
 
-// EncodeBitset packs booleans into a bitset message.
-func EncodeBitset(bs []bool) []byte {
-	w := NewBuffer(len(bs)/8 + 10)
-	w.Uvarint(uint64(len(bs)))
+// AppendBitset appends booleans packed into a bitset message: a uvarint
+// count, then the bits, the first in the lowest bit of the first byte.
+func AppendBitset(dst []byte, bs []bool) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+(len(bs)+7)/8)
+	dst = binary.AppendUvarint(dst, uint64(len(bs)))
 	var cur byte
 	nbits := 0
 	for _, b := range bs {
@@ -477,22 +441,22 @@ func EncodeBitset(bs []bool) []byte {
 		}
 		nbits++
 		if nbits == 8 {
-			w.Raw([]byte{cur})
+			dst = append(dst, cur)
 			cur, nbits = 0, 0
 		}
 	}
 	if nbits > 0 {
-		w.Raw([]byte{cur})
+		dst = append(dst, cur)
 	}
-	return w.Bytes()
+	return dst
 }
 
-// DecodeBitset reverses EncodeBitset.
+// DecodeBitset reverses AppendBitset.
 func DecodeBitset(msg []byte) ([]bool, error) {
 	return AppendDecodeBitset(nil, msg)
 }
 
-// AppendDecodeBitset decodes an EncodeBitset message onto the end of dst.
+// AppendDecodeBitset decodes an AppendBitset message onto the end of dst.
 func AppendDecodeBitset(dst []bool, msg []byte) ([]bool, error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()

@@ -229,7 +229,7 @@ func TestUint64sRoundtrip(t *testing.T) {
 				return false
 			}
 		}
-		gotF, err := DecodeUint64sFixed(EncodeUint64sFixed(vs))
+		gotF, err := AppendDecodeUintsFixed(nil, AppendUintsFixed(nil, vs, 8), 8)
 		if err != nil || len(gotF) != len(vs) {
 			return false
 		}
@@ -247,7 +247,7 @@ func TestUint64sRoundtrip(t *testing.T) {
 
 func TestBitsetRoundtrip(t *testing.T) {
 	f := func(bs []bool) bool {
-		got, err := DecodeBitset(EncodeBitset(bs))
+		got, err := DecodeBitset(AppendBitset(nil, bs))
 		if err != nil || len(got) != len(bs) {
 			return false
 		}
@@ -266,7 +266,7 @@ func TestBitsetRoundtrip(t *testing.T) {
 		for i := range bs {
 			bs[i] = i%3 == 0
 		}
-		got, err := DecodeBitset(EncodeBitset(bs))
+		got, err := DecodeBitset(AppendBitset(nil, bs))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -278,21 +278,38 @@ func TestBitsetRoundtrip(t *testing.T) {
 	}
 }
 
-// The AppendDecode forms extend the caller's slice and keep what it held;
-// there is no 32-bit roundtrip test elsewhere, so that format is checked
-// here too.
+// The AppendDecode forms extend the caller's slice and keep what it held.
+// The fixed-width format is checked at every width with the largest value
+// the width holds; one more byte of value must be refused by the encoder,
+// one byte short of the declared count by the decoder.
 func TestAppendDecodeFixedAndBitset(t *testing.T) {
-	vs := []uint64{0, 1, 0xFFFFFFFF, 12345}
-	got64, err := AppendDecodeUint64sFixed([]uint64{9}, EncodeUint64sFixed(vs))
-	if err != nil || !reflect.DeepEqual(got64, append([]uint64{9}, vs...)) {
-		t.Fatalf("64-bit: %v, %v", got64, err)
-	}
-	got32, err := AppendDecodeUint32sFixed(got64[:1], EncodeUint32sFixed(vs))
-	if err != nil || !reflect.DeepEqual(got32, append([]uint64{9}, vs...)) {
-		t.Fatalf("32-bit: %v, %v", got32, err)
+	for width := 1; width <= 8; width++ {
+		top := ^uint64(0) >> (64 - 8*width)
+		vs := []uint64{0, 1, top, top / 3}
+		msg := AppendUintsFixed(nil, vs, width)
+		if len(msg) != 1+len(vs)*width {
+			t.Fatalf("width %d: %d values take %d bytes", width, len(vs), len(msg))
+		}
+		got, err := AppendDecodeUintsFixed([]uint64{9}, msg, width)
+		if err != nil || !reflect.DeepEqual(got, append([]uint64{9}, vs...)) {
+			t.Fatalf("width %d: %v, %v", width, got, err)
+		}
+		if _, err := AppendDecodeUintsFixed(nil, msg[:len(msg)-1], width); err == nil {
+			t.Fatalf("width %d: truncated message accepted", width)
+		}
+		if width < 8 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("width %d: value %#x encoded", width, top+1)
+					}
+				}()
+				AppendUintsFixed(nil, []uint64{top + 1}, width)
+			}()
+		}
 	}
 	bs := []bool{true, false, false, true, true, false, true, false, true}
-	gotB, err := AppendDecodeBitset([]bool{true}, EncodeBitset(bs))
+	gotB, err := AppendDecodeBitset([]bool{true}, AppendBitset(nil, bs))
 	if err != nil || !reflect.DeepEqual(gotB, append([]bool{true}, bs...)) {
 		t.Fatalf("bitset: %v, %v", gotB, err)
 	}
