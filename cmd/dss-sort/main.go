@@ -8,6 +8,14 @@
 //	dss-sort -algo MS -p 16 -in big.txt -out sorted.txt
 //	dss-sort -algo PDMS -p 4 -transport tcp < input.txt > sorted.txt
 //
+// The input is read in 1 MiB chunks that are split into lines in place,
+// and the lines are dealt round-robin (line i to PE i mod p) into per-PE
+// arrays of exactly their size; the sort works on the lines where they
+// lie. PDMS sorts distinguishing prefixes: each is resolved to its full
+// input line by looking up its origin, with no communication, in RAM and
+// under -mem-budget alike. The sorted lines go out through a 1 MiB
+// buffered writer.
+//
 // With -transport tcp the PEs exchange messages over real loopback TCP
 // sockets instead of in-process mailboxes (output and statistics are
 // identical — accounting happens above the transport); -peers pins the
@@ -134,10 +142,10 @@ func main() {
 		out = f
 	}
 
-	// Distribute lines round-robin over the PEs, like the paper's inputs.
-	// The chunked reader bounds the temporary read buffer and backs each
-	// chunk's lines with one arena instead of one allocation per line.
-	inputs := make([][][]byte, *p)
+	// Read every chunk first, so the line count is known, then deal the
+	// lines round-robin over the PEs, like the paper's inputs, into arrays
+	// of exactly their size. The lines stay in their chunks' arenas.
+	var chunks [][][]byte
 	lr := input.NewLineReader(in, 0)
 	n := 0
 	for {
@@ -149,10 +157,20 @@ func main() {
 		if chunk == nil {
 			break
 		}
+		chunks = append(chunks, chunk)
+		n += len(chunk)
+	}
+	inputs := make([][][]byte, *p)
+	for pe := range inputs {
+		inputs[pe] = make([][]byte, 0, (n-pe+*p-1) / *p)
+	}
+	i := 0
+	for k, chunk := range chunks {
 		for _, line := range chunk {
-			inputs[n%*p] = append(inputs[n%*p], line)
-			n++
+			inputs[i%*p] = append(inputs[i%*p], line)
+			i++
 		}
+		chunks[k] = nil
 	}
 
 	cfg.Transport = tr
@@ -163,15 +181,14 @@ func main() {
 		profiling.Exit(1)
 	}
 
-	w := bufio.NewWriter(out)
-	defer w.Flush()
+	w := bufio.NewWriterSize(out, 1<<20)
 	for _, pe := range res.PEs {
 		if pe.RunFile != "" {
 			// Budget mode: the fragment lives in a sorted-run file; stream
 			// it to the output. PDMS run files hold distinguishing prefixes
 			// with origins — resolve each to its full input string, exactly
-			// like Reconstruct does for in-RAM runs (so -lcp is moot there,
-			// as prefix LCPs do not apply to full strings).
+			// like Sort does for in-RAM runs (so -lcp is moot there, as
+			// prefix LCPs do not apply to full strings).
 			if err := writeRunFile(w, pe.RunFile, res.PrefixOnly, inputs, *printLCP); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				profiling.Exit(1)
@@ -188,6 +205,10 @@ func main() {
 	}
 	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
 		os.RemoveAll(filepath.Dir(res.PEs[0].RunFile))
+	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		profiling.Exit(1)
 	}
 
 	res.Stats.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)

@@ -151,7 +151,7 @@ func main() {
 		outFile = f
 		out = f
 	}
-	w := bufio.NewWriter(out)
+	w := bufio.NewWriterSize(out, 1<<20)
 	if res.Output.RunFile != "" {
 		// Budget mode: stream the sorted-run file to the output, then
 		// remove the run directory this rank created.

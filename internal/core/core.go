@@ -67,7 +67,8 @@ type Result struct {
 	Origins []Origin
 	// PrefixOnly marks PDMS results: Strings hold only the approximated
 	// distinguishing prefixes. The permutation they define is the correct
-	// sorted order of the underlying full strings; use Reconstruct to
+	// sorted order of the underlying full strings; look the Origins up in
+	// the input fragments, or use Reconstruct across processes, to
 	// materialize them.
 	PrefixOnly bool
 	// Drained counts the items streamed to the budget pipeline's run

@@ -74,8 +74,9 @@ func DefaultPDMSGolomb() PDMSOptions {
 //
 // PDMS does not materialize the sorted full strings: the result holds the
 // sorted distinguishing prefixes plus the origin (PE, index) of each, which
-// is sufficient for search trees, pattern lookups and suffix sorting. Use
-// Reconstruct to fetch the full strings when needed.
+// is sufficient for search trees, pattern lookups and suffix sorting. An
+// origin indexes the input fragments; Reconstruct fetches the full strings
+// when the fragments live in other processes.
 func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	p := c.P()
 	if opt.V <= 0 {
@@ -252,6 +253,10 @@ func decodePrefixBucket(msg []byte) (merge.Sequence, error) {
 // queried for the suffix and associated information" of an output string;
 // the query cost is excluded from the sorting volume only if the caller
 // resets statistics, which the benchmarks do.
+//
+// It is for PEs in separate address spaces (stringsort.RunPE), where each
+// holds only its own input fragment. A caller that holds every fragment
+// resolves an origin by lookup, inputs[o.PE][o.Index], with no communication.
 func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
 	p := c.P()
 	g := comm.NewGroup(c, allRanks(p), gid)
@@ -271,24 +276,32 @@ func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
 		parts[pe] = w.Bytes()
 	}
 	queries := g.Alltoallv(parts)
-	// Answer with the requested strings.
+	// Answer with the requested strings. Each answer is sized first and
+	// encoded into exactly that many bytes, as Step 3 does with its parts.
 	answers := make([][]byte, p)
+	var idxs []uint64
 	for src := 0; src < p; src++ {
 		r := wire.NewReader(queries[src])
 		cnt, err := r.Uvarint()
 		if err != nil {
 			panic("pdms: corrupt reconstruction query")
 		}
-		resp := wire.NewBuffer(64)
-		resp.Uvarint(cnt)
+		idxs = idxs[:0]
+		size := wire.UvarintLen(cnt)
 		for k := uint64(0); k < cnt; k++ {
 			idx, err := r.Uvarint()
 			if err != nil || idx >= uint64(len(input)) {
 				panic("pdms: reconstruction query out of range")
 			}
-			resp.BytesPrefixed(input[idx])
+			idxs = append(idxs, idx)
+			size += wire.UvarintLen(uint64(len(input[idx]))) + len(input[idx])
 		}
-		answers[src] = resp.Bytes()
+		resp := binary.AppendUvarint(make([]byte, 0, size), cnt)
+		for _, idx := range idxs {
+			resp = binary.AppendUvarint(resp, uint64(len(input[idx])))
+			resp = append(resp, input[idx]...)
+		}
+		answers[src] = resp
 		c.Release(queries[src])
 	}
 	got := g.Alltoallv(answers)

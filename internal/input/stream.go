@@ -1,7 +1,6 @@
 package input
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 )
@@ -15,16 +14,19 @@ const DefaultChunkBytes = 1 << 20
 // chunkBytes, backed by a single allocation instead of one per line. It is
 // the chunked-input half of the out-of-core pipeline — the caller's peak
 // temporary footprint per call is one chunk, not the whole file — and also
-// the fast path for in-RAM runs (far fewer allocations than a
-// line-at-a-time scanner).
+// the fast path for in-RAM runs.
+//
+// Next reads straight into the chunk's arena and splits the lines in place,
+// so every input byte is copied once, by the read itself; only the partial
+// line at the arena's end is copied again, into the next arena.
 //
 // A line longer than chunkBytes is returned alone in an oversized chunk;
 // lines are never split. The final line may lack a trailing newline.
 type LineReader struct {
-	br      *bufio.Reader
-	chunk   int
-	pending []byte // one read-ahead line that overflowed the previous chunk
-	eof     bool
+	r     io.Reader
+	chunk int
+	carry []byte // bytes read past the previous chunk's last line
+	err   error  // the first error r returned (io.EOF at the end of input)
 }
 
 // NewLineReader returns a LineReader over r with the given per-chunk byte
@@ -33,65 +35,73 @@ func NewLineReader(r io.Reader, chunkBytes int) *LineReader {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	buf := chunkBytes
-	if buf > 1<<20 {
-		buf = 1 << 20
-	}
-	if buf < 64 {
-		buf = 64
-	}
-	return &LineReader{br: bufio.NewReaderSize(r, buf), chunk: chunkBytes}
+	return &LineReader{r: r, chunk: chunkBytes}
 }
 
 // Next returns the next chunk of lines, or (nil, nil) after the last line.
 // The returned slices share one arena owned by the caller; the reader keeps
-// no reference to them.
+// no reference to them. A read error other than io.EOF is returned as is,
+// by this and every later call.
 func (lr *LineReader) Next() ([][]byte, error) {
-	var lines [][]byte
-	used := 0
-	arena := make([]byte, 0, lr.chunk)
-	if lr.pending != nil {
-		// The line that overflowed the previous chunk opens this one (its
-		// own allocation; it may exceed the chunk bound on its own, in
-		// which case it ships alone).
-		lines = append(lines, lr.pending)
-		used = len(lr.pending)
-		lr.pending = nil
-		if used >= lr.chunk {
-			return lines, nil
-		}
+	if lr.err != nil && lr.err != io.EOF {
+		return nil, lr.err
 	}
-	for !lr.eof && used < lr.chunk {
-		line, err := lr.br.ReadBytes('\n')
-		if err == io.EOF {
-			lr.eof = true
-		} else if err != nil {
-			return nil, err
-		}
-		line = bytes.TrimSuffix(line, []byte("\n"))
-		if len(line) == 0 && lr.eof {
-			break
-		}
-		if used+len(line) > lr.chunk {
-			if len(lines) == 0 {
-				// The line alone exceeds the bound: ship it as its own
-				// oversized chunk rather than splitting it.
-				return [][]byte{append([]byte(nil), line...)}, nil
-			}
-			// Doesn't fit: hold it for the next chunk instead of growing
-			// this arena past the bound.
-			lr.pending = append([]byte(nil), line...)
-			break
-		}
-		off := len(arena)
-		arena = append(arena, line...)
-		lines = append(lines, arena[off:len(arena):len(arena)])
-		used += len(line)
-	}
-	if len(lines) == 0 && lr.eof && lr.pending == nil {
+	if lr.err == io.EOF && len(lr.carry) == 0 {
 		return nil, nil
 	}
+	buf := make([]byte, max(lr.chunk, len(lr.carry)))
+	n := lr.fill(buf, copy(buf, lr.carry))
+	lr.carry = nil
+	// A full arena without a newline holds the start of an oversized line:
+	// double it until the line ends, then the line ships alone.
+	for scanned := 0; n == len(buf) && lr.err == nil && bytes.IndexByte(buf[scanned:], '\n') < 0; {
+		scanned = n
+		grown := make([]byte, 2*len(buf))
+		copy(grown, buf)
+		buf = grown
+		n = lr.fill(buf, n)
+	}
+	if lr.err != nil && lr.err != io.EOF {
+		return nil, lr.err
+	}
+	lines := make([][]byte, 0, bytes.Count(buf[:n], []byte{'\n'})+1)
+	used, start := 0, 0
+	for start < n {
+		end := bytes.IndexByte(buf[start:n], '\n')
+		next := start + end + 1
+		if end < 0 {
+			if lr.err == nil {
+				break // a partial line: it opens the next arena
+			}
+			end, next = n-start, n // the final line, without a newline
+		}
+		if len(lines) > 0 && used+end > lr.chunk {
+			break
+		}
+		lines = append(lines, buf[start:start+end:start+end])
+		used += end
+		start = next
+	}
+	if start < n {
+		lr.carry = buf[start:n]
+	}
 	return lines, nil
+}
+
+// fill reads from r into buf[n:] until buf is full or r fails, records the
+// error, and returns the new fill level.
+func (lr *LineReader) fill(buf []byte, n int) int {
+	for empty := 0; n < len(buf) && lr.err == nil; {
+		m, err := lr.r.Read(buf[n:])
+		n += m
+		lr.err = err
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty == 100 && err == nil {
+			lr.err = io.ErrNoProgress
+		}
+	}
+	return n
 }
 
 // ReadAllLines drains the reader into one flat slice (convenience for

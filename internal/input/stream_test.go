@@ -2,16 +2,18 @@ package input
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-// TestLineReaderMatchesSplit feeds files of varying shapes through the
-// chunked reader at several chunk sizes and checks the line sequence is
-// exactly the newline split, with every chunk arena within bound (except a
-// single oversized line, which is allowed to travel alone).
-func TestLineReaderMatchesSplit(t *testing.T) {
+// splitFiles are the file shapes the reader is checked on, and the seed
+// corpus of FuzzLineReader.
+func splitFiles() []string {
 	rng := rand.New(rand.NewSource(7))
 	files := []string{
 		"",
@@ -19,7 +21,7 @@ func TestLineReaderMatchesSplit(t *testing.T) {
 		"a",
 		"a\n",
 		"a\nbb\nccc\n",
-		"a\n\nb\n", // empty interior line survives
+		"a\n\nb\n",                              // empty interior line survives
 		strings.Repeat("x", 5000) + "\nshort\n", // line larger than any chunk
 	}
 	// A bigger random file: lines of length 0..80.
@@ -30,51 +32,160 @@ func TestLineReaderMatchesSplit(t *testing.T) {
 		}
 		big.WriteByte('\n')
 	}
-	files = append(files, big.String())
+	return append(files, big.String())
+}
 
-	for fi, file := range files {
-		want := strings.Split(file, "\n")
-		if len(want) > 0 && want[len(want)-1] == "" && file != "" {
-			want = want[:len(want)-1] // trailing newline is a terminator, not an empty line
+// wantLines is the newline split of file: a trailing newline terminates the
+// last line instead of opening an empty one.
+func wantLines(file string) []string {
+	if file == "" {
+		return nil
+	}
+	want := strings.Split(file, "\n")
+	if want[len(want)-1] == "" {
+		want = want[:len(want)-1]
+	}
+	return want
+}
+
+// readers wraps the file in readers that return full, half and one-byte
+// reads, so lines cross every kind of read boundary.
+var readers = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"plain", func(r io.Reader) io.Reader { return r }},
+	{"half", iotest.HalfReader},
+	{"onebyte", iotest.OneByteReader},
+}
+
+// checkLineReader drains file through a LineReader and checks that the line
+// sequence is exactly the newline split, with every chunk's lines within the
+// bound (except a single oversized line, which is allowed to travel alone).
+func checkLineReader(t *testing.T, file string, chunk int, r io.Reader) {
+	t.Helper()
+	lr := NewLineReader(r, chunk)
+	var got []string
+	for {
+		lines, err := lr.Next()
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
 		}
-		if file == "" {
-			want = nil
+		if lines == nil {
+			break
 		}
+		total := 0
+		oversize := false
+		for _, l := range lines {
+			got = append(got, string(l))
+			total += len(l)
+			if len(l) > chunk {
+				oversize = true
+			}
+		}
+		if total > chunk && !(oversize && len(lines) == 1) {
+			t.Fatalf("chunk %d: arena %d bytes over bound with %d lines", chunk, total, len(lines))
+		}
+	}
+	want := wantLines(file)
+	if len(got) != len(want) {
+		t.Fatalf("chunk %d: got %d lines, want %d", chunk, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("chunk %d line %d: got %q want %q", chunk, i, got[i], want[i])
+		}
+	}
+}
+
+// TestLineReaderMatchesSplit feeds files of varying shapes through the
+// chunked reader at several chunk sizes and read granularities.
+func TestLineReaderMatchesSplit(t *testing.T) {
+	for fi, file := range splitFiles() {
 		for _, chunk := range []int{1, 7, 64, 1024, 1 << 20} {
-			lr := NewLineReader(strings.NewReader(file), chunk)
-			var got []string
-			for {
-				lines, err := lr.Next()
-				if err != nil {
-					t.Fatalf("file %d chunk %d: %v", fi, chunk, err)
-				}
-				if lines == nil {
-					break
-				}
-				total := 0
-				oversize := false
-				for _, l := range lines {
-					got = append(got, string(l))
-					total += len(l)
-					if len(l) > chunk {
-						oversize = true
-					}
-				}
-				if total > chunk && !(oversize && len(lines) == 1) {
-					t.Fatalf("file %d chunk %d: arena %d bytes over bound with %d lines",
-						fi, chunk, total, len(lines))
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("file %d chunk %d: got %d lines, want %d", fi, chunk, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("file %d chunk %d line %d: got %q want %q", fi, chunk, i, got[i], want[i])
-				}
+			for _, rd := range readers {
+				t.Run(fmt.Sprintf("file%d/%d/%s", fi, chunk, rd.name), func(t *testing.T) {
+					checkLineReader(t, file, chunk, rd.wrap(strings.NewReader(file)))
+				})
 			}
 		}
 	}
+}
+
+// TestLineReaderBlockEdges places a line end exactly on the arena's edge:
+// a newline as the arena's last byte, a final unterminated line that crosses
+// the edge, and a line of exactly chunk bytes.
+func TestLineReaderBlockEdges(t *testing.T) {
+	for _, chunk := range []int{1, 2, 7, 64, 1024} {
+		x := func(c byte, n int) string { return strings.Repeat(string(c), n) }
+		files := map[string]string{
+			"newline-last":      x('a', chunk-1) + "\n" + x('b', chunk-1) + "\n" + "c\n",
+			"final-crosses":     "a\n" + x('q', chunk+3),
+			"final-crosses-2":   x('a', chunk-1) + "\n" + x('q', 2*chunk+1),
+			"exactly-chunk":     x('c', chunk) + "\n" + "d\n",
+			"exactly-chunk-end": "d\n" + x('c', chunk),
+			"two-exact":         x('c', chunk) + "\n" + x('e', chunk) + "\n",
+		}
+		for name, file := range files {
+			for _, rd := range readers {
+				t.Run(fmt.Sprintf("%d/%s/%s", chunk, name, rd.name), func(t *testing.T) {
+					checkLineReader(t, file, chunk, rd.wrap(strings.NewReader(file)))
+				})
+			}
+		}
+	}
+}
+
+// TestLineReaderReadError checks that a read error ends the stream with that
+// error, on that and every later call, after only lines the file holds.
+func TestLineReaderReadError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	file := "one\ntwo\nthree\nfour\n"
+	for _, chunk := range []int{1, 4, 1 << 20} {
+		lr := NewLineReader(io.MultiReader(strings.NewReader(file), iotest.ErrReader(boom)), chunk)
+		var got []string
+		var err error
+		for i := 0; i < 100 && err == nil; i++ {
+			var lines [][]byte
+			lines, err = lr.Next()
+			if err == nil && lines == nil {
+				t.Fatalf("chunk %d: clean end of stream, want %v", chunk, boom)
+			}
+			for _, l := range lines {
+				got = append(got, string(l))
+			}
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("chunk %d: got %v, want %v", chunk, err, boom)
+		}
+		if _, again := lr.Next(); !errors.Is(again, boom) {
+			t.Fatalf("chunk %d: second call returned %v, want %v", chunk, again, boom)
+		}
+		want := wantLines(file)
+		if len(got) > len(want) {
+			t.Fatalf("chunk %d: %d lines before the error, the file has %d", chunk, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d line %d: got %q want %q", chunk, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzLineReader checks arbitrary file bytes at arbitrary small chunk sizes
+// against strings.Split, through whole and one-byte reads.
+func FuzzLineReader(f *testing.F) {
+	for _, file := range splitFiles() {
+		for _, chunk := range []uint16{1, 7, 64} {
+			f.Add([]byte(file), chunk)
+		}
+	}
+	f.Fuzz(func(t *testing.T, file []byte, chunk uint16) {
+		c := 1 + int(chunk%512)
+		checkLineReader(t, string(file), c, bytes.NewReader(file))
+		checkLineReader(t, string(file), c, iotest.OneByteReader(bytes.NewReader(file)))
+	})
 }
 
 // TestLineReaderReadAll checks the drain helper against a direct split.
@@ -143,5 +254,55 @@ func TestBatchesStridedEquivalence(t *testing.T) {
 	// genuinely differ in emission order.
 	if bytes.Equal(streamed[1], mono[1]) && bytes.Equal(streamed[2], mono[2]) {
 		t.Fatalf("streamed order unexpectedly identical to monolithic order")
+	}
+}
+
+// sink keeps the benchmarked reads from being optimised away.
+var sink int
+
+// benchFile joins lines into one newline-terminated file image.
+func benchFile(lines [][]byte) []byte {
+	var b bytes.Buffer
+	for _, l := range lines {
+		b.Write(l)
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// BenchmarkLineReader drains a whole file through the reader at the default
+// chunk size, the way dss-sort reads its input: 200 000 COMMONCRAWL-like
+// lines (~40 bytes each) and 200 000 D/N lines of 200 characters.
+func BenchmarkLineReader(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		gen  func() [][]byte
+	}{
+		{"cc", func() [][]byte { return CommonCrawlLike(CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 1) }},
+		{"dn200", func() [][]byte {
+			return DN(DNConfig{StringsPerPE: 200_000, Length: 200, Ratio: 0.25, Seed: 1}, 0, 1)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			file := benchFile(bc.gen())
+			b.SetBytes(int64(len(file)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lr := NewLineReader(bytes.NewReader(file), 0)
+				n := 0
+				for {
+					chunk, err := lr.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if chunk == nil {
+						break
+					}
+					n += len(chunk)
+				}
+				sink = n
+			}
+		})
 	}
 }

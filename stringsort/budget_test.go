@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,56 @@ func TestBudgetDifferential(t *testing.T) {
 					t.Fatalf("spilled %d bytes of the %d received: nothing stayed resident under the budget",
 						bu.Stats.SpillBytesWritten, all.Stats.SpillBytesWritten)
 				}
+			}
+		})
+	}
+}
+
+// TestBudgetSortStrings checks that SortStrings under a budget small enough
+// to spill returns the full strings, not PDMS's distinguishing prefixes, and
+// leaves no run files behind.
+func TestBudgetSortStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(809))
+	var words []string
+	for _, in := range genInputs(rng, testPEs, testPerPE) {
+		for _, s := range in {
+			words = append(words, string(s))
+		}
+	}
+	want := append([]string(nil), words...)
+	sort.Strings(want)
+	// SortStrings deals the strings round-robin; the same deal through Sort
+	// shows that the budget spills.
+	dealt := make([][][]byte, testPEs)
+	for i, w := range words {
+		dealt[i%testPEs] = append(dealt[i%testPEs], []byte(w))
+	}
+	for _, algo := range []Algorithm{MS, PDMS, PDMSGolomb} {
+		t.Run(algo.String(), func(t *testing.T) {
+			cfg := budgetConfig(Config{P: testPEs, Algorithm: algo, Seed: 22}, t.TempDir())
+			res, err := Sort(dealt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			os.RemoveAll(runDirOf(res.PEs[0].RunFile))
+			if res.Stats.SpillBytesWritten == 0 {
+				t.Fatal("the budget did not spill")
+			}
+			dir := t.TempDir()
+			got, err := SortStrings(words, budgetConfig(Config{P: testPEs, Algorithm: algo, Seed: 22}, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d strings, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("position %d: %q, want %q", i, got[i], want[i])
+				}
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("%d entries left in the spill dir", len(left))
 			}
 		})
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // Reserved tag namespaces of the run's coordination collectives. The
-// algorithms use GroupID 1 (and neighbors); reconstruction/validation use
-// 900–902 as in Sort; the stats exchange stays clear of both.
+// algorithms use GroupID 1 (and neighbors); reconstruction uses 900 and
+// validation 901–902 as in Sort; the stats exchange stays clear of both.
 const (
 	statsGID  = 980
 	extentGID = 981
@@ -125,6 +125,8 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 	st := statsFromReport(rep, int64(n))
 
 	prefixOnly := res.PrefixOnly
+	// This rank holds only its own fragment, so origins on other ranks are
+	// resolved by the collective query, not by the lookup Sort does.
 	if prefixOnly && cfg.Reconstruct && cfg.MemBudget == 0 {
 		res.Strings = core.Reconstruct(c, res, local, 900)
 		res.LCPs = nil // prefix LCPs do not apply to full strings

@@ -193,8 +193,11 @@ type Config struct {
 	// run on any violation (sorting statistics unaffected; validation
 	// volume is excluded).
 	Validate bool
-	// Reconstruct materializes full strings for PDMS results (extra
-	// communication excluded from the reported statistics).
+	// Reconstruct materializes full strings for PDMS results. Sort resolves
+	// each output prefix's origin by lookup in inputs, with no
+	// communication, so the strings alias the caller's input bytes. RunPE,
+	// where each rank holds only its own fragment, queries the origin PEs
+	// with core.Reconstruct instead (traffic excluded from the statistics).
 	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
@@ -542,7 +545,7 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	}
 
 	// Snapshot the sorting statistics before any post-processing
-	// communication (validation, reconstruction).
+	// communication (validation).
 	rep := machine.Report()
 	var n int64
 	for pe := 0; pe < p; pe++ {
@@ -551,18 +554,22 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	st := statsFromReport(rep, n)
 
 	prefixOnly := results[0].PrefixOnly
-	// Reconstruction needs the materialized prefixes; in budget mode the
-	// fragments live in run files carrying each prefix's origin instead.
+	// Every PE's input is in this address space, so an origin resolves by
+	// lookup, with no communication. In budget mode the fragments live in
+	// run files carrying each prefix's origin instead.
 	if prefixOnly && cfg.Reconstruct && cfg.MemBudget == 0 {
-		err := machine.Run(func(c *comm.Comm) error {
-			full := core.Reconstruct(c, results[c.Rank()], local(c.Rank()), 900)
-			results[c.Rank()].Strings = full
-			results[c.Rank()].LCPs = nil // prefix LCPs do not apply to full strings
-			results[c.Rank()].PrefixOnly = false
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for pe := range results {
+			full := make([][]byte, len(results[pe].Origins))
+			for i, o := range results[pe].Origins {
+				s, err := lookupOrigin(inputs, int(o.PE), int(o.Index))
+				if err != nil {
+					return fail(err)
+				}
+				full[i] = s
+			}
+			results[pe].Strings = full
+			results[pe].LCPs = nil // prefix LCPs do not apply to full strings
+			results[pe].PrefixOnly = false
 		}
 		prefixOnly = false
 	}
@@ -596,7 +603,7 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	}
 
 	// The timeline is written after every post-processing step so the
-	// validation/reconstruction rounds appear on it too; the deterministic
+	// validation rounds appear on it too; the deterministic
 	// statistics were snapshotted long before and are unaffected.
 	if cfg.Trace != "" {
 		if err := trace.WriteFile(cfg.Trace, machine.TraceBuffers()); err != nil {
@@ -625,6 +632,14 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 		out.PEs[pe] = peOut
 	}
 	return out, nil
+}
+
+// lookupOrigin returns the input string a PDMS origin names: inputs[pe][index].
+func lookupOrigin(inputs [][][]byte, pe, index int) ([]byte, error) {
+	if pe < 0 || pe >= len(inputs) || index < 0 || index >= len(inputs[pe]) {
+		return nil, fmt.Errorf("stringsort: origin (PE %d, index %d) names no input string", pe, index)
+	}
+	return inputs[pe][index], nil
 }
 
 // newMachine builds the comm machine for the configured transport,
@@ -823,7 +838,7 @@ func EstimateDN(inputs [][][]byte, sampleSize int, seed uint64) (Estimate, error
 // SortStrings is a convenience wrapper for single-node callers: it
 // distributes the strings round-robin over cfg.P PEs, sorts, and returns
 // the concatenated sorted strings. PDMS results are reconstructed to full
-// strings automatically.
+// strings automatically, in RAM and under a memory budget alike.
 func SortStrings(ss []string, cfg Config) ([]string, error) {
 	if cfg.P <= 0 {
 		cfg.P = 4
@@ -839,9 +854,14 @@ func SortStrings(ss []string, cfg Config) ([]string, error) {
 		return nil, err
 	}
 	out := make([]string, 0, len(ss))
+	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
+		defer os.RemoveAll(runDirOf(res.PEs[0].RunFile))
+	}
 	for _, pe := range res.PEs {
 		if pe.RunFile != "" {
-			// Budget mode: the fragment lives in a sorted-run file.
+			// Budget mode: the fragment lives in a sorted-run file. PDMS run
+			// files hold distinguishing prefixes; each origin names the full
+			// string in inputs.
 			err := func() error {
 				rf, err := OpenRun(pe.RunFile)
 				if err != nil {
@@ -849,12 +869,17 @@ func SortStrings(ss []string, cfg Config) ([]string, error) {
 				}
 				defer rf.Close()
 				for {
-					s, _, _, ok, err := rf.Next()
+					s, _, o, ok, err := rf.Next()
 					if err != nil {
 						return err
 					}
 					if !ok {
 						return nil
+					}
+					if res.PrefixOnly && rf.HasOrigins() {
+						if s, err = lookupOrigin(inputs, o.PE, o.Index); err != nil {
+							return err
+						}
 					}
 					out = append(out, string(s))
 				}
@@ -867,9 +892,6 @@ func SortStrings(ss []string, cfg Config) ([]string, error) {
 		for _, s := range pe.Strings {
 			out = append(out, string(s))
 		}
-	}
-	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
-		os.RemoveAll(runDirOf(res.PEs[0].RunFile))
 	}
 	return out, nil
 }
