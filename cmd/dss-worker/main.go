@@ -5,7 +5,13 @@
 // the r-th fragment of the globally sorted sequence, so concatenating the
 // fragments in rank order yields exactly what `dss-sort` produces in a
 // single process on the same input and seed (identical statistics too —
-// byte accounting happens above the transport).
+// byte accounting happens above the transport). Each worker calls
+// stringsort.RunPE, the per-rank routine dss-sort's stringsort.Sort runs on
+// every rank of its in-process machine: sort, statistics exchange,
+// validation and trace gather are one code path in both binaries. The one
+// difference is PDMS with full strings: a worker holds only its own lines,
+// so it queries the origin ranks for them (core.Reconstruct) where
+// dss-sort looks them up.
 //
 // Localhost example (4 workers, PDMS):
 //

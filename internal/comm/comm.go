@@ -41,22 +41,20 @@ import (
 // Machine is a distributed-memory machine with P processing elements over
 // an in-process fabric. Create one with New (goroutine mailboxes) or
 // NewOver (any fabric, e.g. loopback TCP), then execute an SPMD program
-// with Run. A Machine can be reused for several consecutive Run calls;
-// statistics accumulate until ResetStats is called. Call Close when done to
-// release fabric resources (a no-op for the local backend).
+// with Run. A Machine can be reused for several consecutive successful Run
+// calls; statistics accumulate until ResetStats is called. A failed Run
+// closes every endpoint, so the machine is spent after it. Call Close when
+// done to release fabric resources (a no-op for the local backend).
 //
 // SPMD multi-process programs do not use a Machine at all: each process
 // wraps its own endpoint with NewComm instead.
 type Machine struct {
 	fabric transport.Fabric
 	pes    []*stats.PE
-	model  stats.CostModel
 	pool   *par.Pool
-	recs   []*trace.Recorder // per-PE timeline recorders; nil = tracing off
 }
 
-// New creates a machine with p PEs over the in-process mailbox transport
-// and the default cost model.
+// New creates a machine with p PEs over the in-process mailbox transport.
 func New(p int) *Machine {
 	if p <= 0 {
 		panic("comm: machine needs at least one PE")
@@ -66,23 +64,13 @@ func New(p int) *Machine {
 
 // NewOver creates a machine over an existing connected fabric.
 func NewOver(f transport.Fabric) *Machine {
-	p := f.P()
-	m := &Machine{
-		fabric: f,
-		pes:    make([]*stats.PE, p),
-		model:  stats.DefaultModel(),
-	}
-	for rank := 0; rank < p; rank++ {
-		m.pes[rank] = &stats.PE{Rank: rank}
-	}
+	m := &Machine{fabric: f, pes: make([]*stats.PE, f.P())}
+	m.ResetStats()
 	return m
 }
 
 // P returns the number of PEs.
 func (m *Machine) P() int { return m.fabric.P() }
-
-// SetModel replaces the cost model used for reports.
-func (m *Machine) SetModel(model stats.CostModel) { m.model = model }
 
 // SetPool installs an intra-PE work pool shared by all PEs of the machine
 // (nil reverts to sequential). Sharing one pool machine-wide is the right
@@ -90,35 +78,10 @@ func (m *Machine) SetModel(model stats.CostModel) { m.model = model }
 // cores, and the pool's token count caps the extra helpers.
 func (m *Machine) SetPool(p *par.Pool) { m.pool = p }
 
-// EnableTrace creates one timeline recorder per PE (capacity <= 0 selects
-// the default ring size) so subsequent Run calls record phase spans,
-// collective posts, transport frame instants and worker spans. The
-// recorders only observe — the deterministic statistics are bit-identical
-// with tracing on or off.
-func (m *Machine) EnableTrace(capacity int) {
-	m.recs = make([]*trace.Recorder, m.P())
-	for rank := range m.recs {
-		m.recs[rank] = trace.New(rank, capacity)
-	}
-}
-
-// TraceBuffers snapshots the per-PE recorders created by EnableTrace; nil
-// when tracing was never enabled. In-process PEs share one clock, so the
-// buffers carry zero clock offsets.
-func (m *Machine) TraceBuffers() []*trace.Buffer {
-	if m.recs == nil {
-		return nil
-	}
-	bufs := make([]*trace.Buffer, len(m.recs))
-	for i, r := range m.recs {
-		bufs[i] = r.Snapshot()
-	}
-	return bufs
-}
-
-// Report returns the accounting report accumulated so far.
+// Report returns the accounting report accumulated so far, under the
+// default cost model.
 func (m *Machine) Report() *stats.Report {
-	return stats.NewReport(m.pes, m.model)
+	return stats.NewReport(m.pes, stats.DefaultModel())
 }
 
 // ResetStats clears all accumulated counters.
@@ -133,14 +96,28 @@ func (m *Machine) ResetStats() {
 func (m *Machine) Close() error { return m.fabric.Close() }
 
 // Run executes f once per PE, concurrently, and waits for all PEs to
-// finish. Each invocation receives a Comm bound to its rank. If any PE
-// returns an error or panics, Run returns an error describing the first
-// failure (all PEs are still waited for; a panicking PE may leave peers
-// blocked in Recv, which Run detects only through the test timeout, so
-// algorithm code must not panic in normal operation).
+// finish. Each invocation receives a Comm bound to its rank. The first PE
+// to return an error or panic aborts the run: Run closes every rank's
+// endpoint, which wakes peers blocked in Recv with a panic, and returns
+// that first failure — not the peers' secondary closed-endpoint errors.
 func (m *Machine) Run(f func(c *Comm) error) error {
 	p := m.fabric.P()
-	errs := make([]error, p)
+	eps := make([]transport.Transport, p)
+	for rank := range eps {
+		eps[rank] = m.fabric.Endpoint(rank)
+	}
+	var (
+		abort sync.Once
+		first error
+	)
+	fail := func(err error) {
+		abort.Do(func() {
+			first = err
+			for _, ep := range eps {
+				ep.Close()
+			}
+		})
+	}
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for rank := 0; rank < p; rank++ {
@@ -148,29 +125,19 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					errs[rank] = fmt.Errorf("PE %d panicked: %v\n%s", rank, r, debug.Stack())
-					// Unblock every peer that might be waiting on us by
-					// flooding poison messages is not safe in general; we
-					// rely on the panic being a programming error surfaced
-					// in tests. Mark and return.
+					fail(fmt.Errorf("PE %d panicked: %v\n%s", rank, r, debug.Stack()))
 				}
 			}()
-			c := newComm(m.fabric.Endpoint(rank), m.pes[rank])
+			c := newComm(eps[rank], m.pes[rank])
 			c.SetPool(m.pool)
-			if m.recs != nil {
-				c.SetTrace(m.recs[rank])
+			if err := f(c); err != nil {
+				fail(err)
 			}
-			errs[rank] = f(c)
 			c.flushWall()
 		}(rank)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }
 
 // Comm is one PE's endpoint of the machine: its transport endpoint and its

@@ -3,9 +3,15 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"dss/internal/stats"
+	"dss/internal/transport"
+	"dss/internal/transport/local"
+	"dss/internal/transport/tcp"
 	"dss/internal/wire"
 )
 
@@ -154,6 +160,101 @@ func TestRunPropagatesError(t *testing.T) {
 	})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// TestRunAbortsOnPanic lets one PE panic while every peer blocks in Recv
+// from it: Run must close the endpoints, wake the peers, and return the
+// panic itself within seconds — not hang, and not a peer's secondary
+// closed-endpoint failure.
+func TestRunAbortsOnPanic(t *testing.T) {
+	tcpFabric, err := tcp.NewLoopback(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []transport.Fabric{local.New(4), tcpFabric} {
+		m := NewOver(f)
+		done := make(chan error, 1)
+		go func() {
+			done <- m.Run(func(c *Comm) error {
+				if c.Rank() == 2 {
+					time.Sleep(10 * time.Millisecond) // most likely the peers block first; either order must pass
+					panic("rank 2 gives up")
+				}
+				c.Recv(2, 5)
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "PE 2 panicked: rank 2 gives up") {
+				t.Fatalf("%T: err = %v, want rank 2's panic", f, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%T: Run did not return after a PE panicked", f)
+		}
+		m.Close()
+	}
+}
+
+// TestAllgatherReportRoundTrip gives every counter of every PE a distinct
+// value and requires the gathered report to reproduce all of them on every
+// rank — the wall spans grow only by the span the gather closes — and the
+// string counts to arrive summed.
+func TestAllgatherReportRoundTrip(t *testing.T) {
+	const p = 3
+	want := make([]stats.PE, p)
+	for rank := range want {
+		want[rank].Rank = rank
+		k := int64(1000 * (rank + 1))
+		eachCounter(&want[rank], func(v *int64) { k++; *v = k })
+	}
+	counters := func(pe *stats.PE) (vs []int64) {
+		eachCounter(pe, func(v *int64) { vs = append(vs, *v) })
+		return vs
+	}
+	// Every int64 of stats.PE must travel: count them independently.
+	var leaves func(v reflect.Value) int
+	leaves = func(v reflect.Value) (n int) {
+		switch v.Kind() {
+		case reflect.Int64:
+			return 1
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				n += leaves(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				n += leaves(v.Field(i))
+			}
+		}
+		return n
+	}
+	if got, all := len(counters(&stats.PE{})), leaves(reflect.ValueOf(stats.PE{})); got != all {
+		t.Fatalf("the snapshot carries %d of stats.PE's %d counters", got, all)
+	}
+	err := New(p).Run(func(c *Comm) error {
+		*c.st = want[c.Rank()]
+		rep, total := AllgatherReport(c, stats.DefaultModel(), 9, int64(10*c.Rank()+1))
+		if total != 1+11+21 {
+			return fmt.Errorf("PE %d: total %d, want 33", c.Rank(), total)
+		}
+		for i, got := range rep.PEs {
+			g := *got
+			for ph := range g.Wall {
+				if g.Wall[ph] < want[i].Wall[ph] {
+					return fmt.Errorf("PE %d: PE %d wall[%d] shrank", c.Rank(), i, ph)
+				}
+			}
+			g.Wall = want[i].Wall
+			if g.Rank != i || fmt.Sprint(counters(&g)) != fmt.Sprint(counters(&want[i])) {
+				return fmt.Errorf("PE %d: PE %d counters %v, want %v", c.Rank(), i, counters(&g), counters(&want[i]))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

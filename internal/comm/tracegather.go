@@ -1,7 +1,8 @@
-// Cross-process trace aggregation: after a multi-process run, every rank
-// ships its serialized trace buffer to every other rank through the same
-// report machinery the statistics use, with a clock-offset estimation
-// round first so the per-host timestamps line up in one merged timeline.
+// Trace aggregation: after a run — one process per rank or all ranks in
+// one process alike — every rank ships its serialized trace buffer to
+// every other rank through the same report machinery the statistics use,
+// with a clock-offset estimation round first so the per-host timestamps
+// line up in one merged timeline.
 //
 // Clock model. OS processes — possibly on different hosts — stamp events
 // with their own wall clocks. GatherTrace estimates each rank's offset to

@@ -127,7 +127,6 @@ func TestMergeSortAllConfigs(t *testing.T) {
 		"MS-merge-only": {
 			LCPMerge: true,
 		},
-		"MS-central": {LCPCompression: true, LCPMerge: true, CentralSampleSort: true},
 	}
 	for name, opt := range configs {
 		for _, p := range testPs {
@@ -507,27 +506,6 @@ func TestInputSlicesNotModified(t *testing.T) {
 			if !bytes.Equal(locals[pe][i], snapshots[pe][i]) {
 				t.Fatalf("PE %d: input string %d mutated", pe, i)
 			}
-		}
-	}
-}
-
-func TestPDMSHypercubeVariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	global := genRandom(rng, 900, 24, 4)
-	for _, p := range []int{4, 8} {
-		locals := scatter(global, p)
-		opt := DefaultPDMS()
-		opt.GroupID = 1
-		opt.HypercubeRouting = true
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			return PDMS(c, ss, opt)
-		})
-		full := reconstructPDMS(t, locals, results)
-		if !strutil.IsSorted(full) {
-			t.Fatalf("p=%d: hypercube PDMS output not sorted", p)
-		}
-		if strutil.MultisetHash(full) != strutil.MultisetHash(global) {
-			t.Fatalf("p=%d: not a permutation", p)
 		}
 	}
 }

@@ -27,9 +27,6 @@ type MSOptions struct {
 	// V is the oversampling factor (samples per PE); default 2p−1 (v = Θ(p),
 	// aligned with the bucket quantiles).
 	V int
-	// CentralSampleSort sorts the splitter sample on PE 0 instead of with
-	// distributed hQuick.
-	CentralSampleSort bool
 	// TieBreak partitions by (string, origin) pairs so duplicated strings
 	// spread evenly over the PEs instead of piling onto one bucket — the
 	// Section VIII extension for duplicate-heavy inputs.
@@ -113,13 +110,11 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		RandomSampling: opt.RandomSampling,
 		Seed:           opt.Seed,
 		GroupID:        opt.GroupID + 1,
-	}
-	if !opt.CentralSampleSort {
-		popt.DistSort = func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
+		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
 				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
 			}).Strings
-		}
+		},
 	}
 	splitters := partition.SelectSplitters(c, local, popt)
 	var off []int

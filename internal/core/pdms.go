@@ -23,10 +23,6 @@ type PDMSOptions struct {
 	Golomb bool
 	// InitialLen is the first prefix guess ℓ₀ (default 8).
 	InitialLen int
-	// HypercubeRouting routes the Step 1+ε fingerprint all-to-alls along a
-	// hypercube: α·log p latency per round instead of α·p, at a log p
-	// volume factor (Theorem 6's latency variant).
-	HypercubeRouting bool
 	// V is the oversampling factor; default 2p−1 (see MergeSort).
 	V int
 	// Sampling defaults to character-based sampling weighted by the
@@ -108,7 +104,6 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		InitialLen: opt.InitialLen,
 		Golomb:     opt.Golomb,
 		LCP:        lcp,
-		Hypercube:  opt.HypercubeRouting,
 		Seed:       opt.Seed,
 		GroupID:    opt.GroupID + 2,
 	})

@@ -107,12 +107,6 @@ type Options struct {
 	// prefixes are then sent once per round (see the package comment).
 	// nil means the order of ss is unknown and every candidate is sent.
 	LCP []int32
-	// Hypercube routes the fingerprint all-to-alls indirectly along a
-	// hypercube: latency drops from αp to α·log p per iteration at the
-	// price of a log p factor in fingerprint volume (the Theorem 6 latency
-	// variant). Requires a power-of-two machine; otherwise direct delivery
-	// is used.
-	Hypercube bool
 	// Seed selects the fingerprint hash function.
 	Seed uint64
 	// GroupID is the communicator tag namespace to use.
@@ -121,6 +115,12 @@ type Options struct {
 	// fixedRange, when nonzero, replaces every round's hash range (tests:
 	// a tiny range forces collisions, MaxUint64 is the full-width run).
 	fixedRange uint64
+	// hypercube routes the fingerprint all-to-alls indirectly along a
+	// hypercube: latency drops from αp to α·log p per iteration at the
+	// price of a log p factor in fingerprint volume (the Theorem 6 latency
+	// variant). Requires a power-of-two machine; otherwise direct delivery
+	// is used. Tests only: no algorithm selects it.
+	hypercube bool
 }
 
 func (o *Options) setDefaults() {
@@ -293,7 +293,7 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 		g:       comm.NewGroup(c, allRanks(p), opt.GroupID),
 		p:       p,
 		golomb:  opt.Golomb,
-		hyper:   opt.Hypercube && p&(p-1) == 0,
+		hyper:   opt.hypercube && p&(p-1) == 0,
 		ss:      ss,
 		lcp:     opt.LCP,
 		hasher:  fingerprint.New(opt.Seed),

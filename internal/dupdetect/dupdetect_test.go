@@ -255,7 +255,7 @@ func TestHypercubeRoutingTradesLatencyForVolume(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	global := genStrings(rng, 4000, 25, 2)
 	direct, mDirect := runApprox(t, global, 8, Options{GroupID: 1})
-	hyper, mHyper := runApprox(t, global, 8, Options{GroupID: 1, Hypercube: true})
+	hyper, mHyper := runApprox(t, global, 8, Options{GroupID: 1, hypercube: true})
 	for i := range direct {
 		if direct[i] != hyper[i] {
 			t.Fatalf("hypercube routing changed bound %d: %d vs %d", i, hyper[i], direct[i])
@@ -275,7 +275,7 @@ func TestHypercubeRoutingTradesLatencyForVolume(t *testing.T) {
 func TestHypercubeFallbackNonPowerOfTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	global := genStrings(rng, 500, 15, 2)
-	dist, _ := runApprox(t, global, 5, Options{GroupID: 1, Hypercube: true})
+	dist, _ := runApprox(t, global, 5, Options{GroupID: 1, hypercube: true})
 	checkSound(t, global, dist)
 }
 
@@ -369,7 +369,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 8} {
 		for mode := 0; mode < 4; mode++ {
 			for _, fixed := range []uint64{0, 61, math.MaxUint64} {
-				opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, Hypercube: mode&2 != 0, fixedRange: fixed}
+				opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, hypercube: mode&2 != 0, fixedRange: fixed}
 				for _, name := range names {
 					for _, first := range []int{0, 2} { // 2: PEs 0 and 1 hold nothing
 						if first > 0 && (p < 3 || name == "random") {
@@ -799,7 +799,7 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 			allReqs = append(allReqs, req{cand: ci, fp: v})
 		}
 
-		uniqueCands := referenceUniqueRound(g, p, allReqs, hashRange, opt.Golomb, opt.Hypercube)
+		uniqueCands := referenceUniqueRound(g, p, allReqs, hashRange, opt.Golomb, opt.hypercube)
 
 		// Resolve candidates: unique fingerprints prove distinguishing
 		// prefixes; strings shorter than ℓ resolve with their full length

@@ -158,6 +158,7 @@ type Endpoint struct {
 	wake    chan struct{} // capacity 1; kicks the executor
 	done    chan struct{}
 	drained chan struct{} // executor exited (queue flushed)
+	lost    error         // first refused frame; executor-written, read after drained
 }
 
 type streamKey struct {
@@ -322,7 +323,7 @@ func (e *Endpoint) run() {
 				e.dropper.DropConn(f.dst, f.drop.afterBytes)
 			}
 			transport.NoteHandoff(f.data)
-			e.inner.Give(f.dst, f.tag, f.data)
+			e.give(f)
 		}
 		if closing && empty {
 			return
@@ -350,6 +351,19 @@ func (e *Endpoint) run() {
 			}
 		}
 	}
+}
+
+// give hands one frame to the wrapped transport. A Give that panics — the
+// wrapped endpoint or its peer is already closed because the run is being
+// torn down — must not crash the process from the executor goroutine: the
+// frame is dropped and the first such failure is kept for Close to report.
+func (e *Endpoint) give(f frame) {
+	defer func() {
+		if r := recover(); r != nil && e.lost == nil {
+			e.lost = fmt.Errorf("transport/chaos: rank %d: frame to %d lost: %v", e.rank, f.dst, r)
+		}
+	}()
+	e.inner.Give(f.dst, f.tag, f.data)
 }
 
 // Recv delegates to the wrapped transport: chaos disturbs the send path
@@ -396,10 +410,15 @@ func (e *Endpoint) Drain() {
 	<-e.drained
 }
 
-// Close drains the delay queue, then closes the wrapped transport.
+// Close drains the delay queue, then closes the wrapped transport. It
+// reports the wrapped transport's failure, or else the first frame the
+// executor could not deliver.
 func (e *Endpoint) Close() error {
 	e.Drain()
-	return e.inner.Close()
+	if err := e.inner.Close(); err != nil {
+		return err
+	}
+	return e.lost
 }
 
 // fabric decorates every endpoint of a wrapped fabric.

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dss/internal/par"
@@ -18,6 +19,19 @@ import (
 // runPEOverTCP executes one RunPE per rank over a loopback TCP fabric and
 // fails the test on any rank error.
 func runPEOverTCP(t *testing.T, inputs [][][]byte, cfg Config) []*PERun {
+	t.Helper()
+	runs, errs := runPEsOverTCP(t, inputs, cfg)
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	return runs
+}
+
+// runPEsOverTCP executes one RunPE per rank over a loopback TCP fabric and
+// returns every rank's result and error.
+func runPEsOverTCP(t *testing.T, inputs [][][]byte, cfg Config) ([]*PERun, []error) {
 	t.Helper()
 	p := len(inputs)
 	f, err := tcp.NewLoopback(p)
@@ -36,12 +50,7 @@ func runPEOverTCP(t *testing.T, inputs [][][]byte, cfg Config) []*PERun {
 		}(rank)
 	}
 	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	return runs
+	return runs, errs
 }
 
 // budgetInvariant zeroes the measured fields of a Stats — the wall-clock
@@ -386,6 +395,78 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Fatalf("artifact %q survived the failed run", e.Name())
+	}
+}
+
+// TestSpillFailureOnOneRankAborts fails page-file creation on exactly one
+// PE's spill pool — the first one created — while its peers are healthy.
+// The failing PE panics mid-exchange; Sort must abort the others instead
+// of stranding them in a collective, return the injected failure rather
+// than a peer's closed-endpoint error, and leave no file behind — over
+// both transports, and with chaos frames still queued when the endpoints
+// close.
+func TestSpillFailureOnOneRankAborts(t *testing.T) {
+	rng := rand.New(rand.NewSource(813))
+	inputs := genInputs(rng, testPEs, testPerPE)
+	for _, base := range []Config{
+		{Transport: TransportLocal},
+		{Transport: TransportTCP},
+		{Transport: TransportTCP, Chaos: "drop", ChaosSeed: 3},
+	} {
+		dir := t.TempDir()
+		var pools atomic.Int32
+		orig := newSpillPool
+		newSpillPool = func(cfg spill.Config, workers *par.Pool) (*spill.Pool, error) {
+			if pools.Add(1) == 1 {
+				cfg.Create = func(name string) (*os.File, error) {
+					return nil, fmt.Errorf("injected create failure for %s", name)
+				}
+			}
+			return orig(cfg, workers)
+		}
+		base.Algorithm, base.Seed, base.Validate = MS, 5, true
+		_, err := Sort(inputs, budgetConfig(base, dir))
+		newSpillPool = orig
+		if err == nil || !strings.Contains(err.Error(), "injected create failure") {
+			t.Fatalf("%v chaos=%q: expected the injected failure to surface, got %v", base.Transport, base.Chaos, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("read spill dir: %v", err)
+		}
+		for _, e := range entries {
+			t.Fatalf("%v chaos=%q: artifact %q survived the failed run", base.Transport, base.Chaos, e.Name())
+		}
+	}
+}
+
+// TestBudgetRunPETraceFailureCleanup makes rank 0's trace export fail (the
+// trace path's directory does not exist) under a budget: rank 0 must
+// report the failure and remove its run directory like every other error
+// path does; the other ranks succeed and their run files are the caller's.
+func TestBudgetRunPETraceFailureCleanup(t *testing.T) {
+	rng := rand.New(rand.NewSource(814))
+	inputs := genInputs(rng, testPEs, testPerPE/4)
+	dir := t.TempDir()
+	cfg := budgetConfig(Config{Algorithm: MS, Seed: 9}, dir)
+	cfg.Trace = filepath.Join(dir, "missing", "trace.json")
+
+	runs, errs := runPEsOverTCP(t, inputs, cfg)
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "trace") {
+		t.Fatalf("rank 0: expected the trace export to fail, got %v", errs[0])
+	}
+	for rank := 1; rank < testPEs; rank++ {
+		if errs[rank] != nil {
+			t.Fatalf("rank %d: %v", rank, errs[rank])
+		}
+		os.RemoveAll(runDirOf(runs[rank].Output.RunFile))
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "dss-runs-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("run directories left behind: %v", left)
 	}
 }
 

@@ -17,13 +17,12 @@ import (
 
 // Reserved tag namespaces of the run's coordination collectives. The
 // algorithms use GroupID 1 (and neighbors); reconstruction uses 900 and
-// validation 901–902 as in Sort; the stats exchange stays clear of both.
+// validation 901–902; the stats exchange stays clear of all of them.
 const (
-	statsGID  = 980
-	extentGID = 981
-	// traceGID gathers the per-process trace buffers AFTER the stats
-	// exchange, so its traffic never reaches the reported deterministic
-	// counters (AllgatherReport snapshots on entry).
+	statsGID = 980
+	// traceGID gathers the trace buffers AFTER the stats exchange, so its
+	// traffic never reaches the reported deterministic counters
+	// (AllgatherReport snapshots on entry).
 	traceGID = 982
 )
 
@@ -44,9 +43,11 @@ type PERun struct {
 // RunPE executes one PE's share of a distributed sort in SPMD style: every
 // rank of the fabric calls RunPE with the same Config and its local input
 // fragment, typically from its own OS process over a TCP endpoint
-// (transport/tcp.Connect; see cmd/dss-worker). It is the multi-process
-// counterpart of Sort — Sort(inputs, cfg) is equivalent to RunPE on every
-// rank of an in-process fabric with local = inputs[rank].
+// (transport/tcp.Connect; see cmd/dss-worker). Sort(inputs, cfg) runs the
+// same per-rank routine on every rank of an in-process machine, with
+// local = inputs[rank]; the two differ only where a rank holding just its
+// own fragment must: PDMS origins are resolved with core.Reconstruct, one
+// query all-to-all each way, instead of by lookup.
 //
 // The caller keeps ownership of the endpoint: RunPE does not close it, so
 // several runs can reuse one fabric. Config.P must be zero or equal the
@@ -55,17 +56,18 @@ type PERun struct {
 // decorates the endpoint with the wire codec exactly like Sort decorates
 // its fabric, so every rank of an SPMD job must be launched with the same
 // codec (the frames are self-describing, but mixed configs would compress
-// only part of the traffic).
+// only part of the traffic). Under a memory budget each rank makes its own
+// run directory under Config.SpillDir; it is removed on every error path.
 func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 	if cfg.P != 0 && cfg.P != t.P() {
 		return nil, fmt.Errorf("stringsort: Config.P=%d but fabric has %d PEs", cfg.P, t.P())
 	}
 	// Chaos sits directly on the backend, under the codec, so injected
-	// faults hit the exact post-codec wire frames — the same stacking order
-	// Sort builds via wrapChaos/wrapCodec. RunPE owns the decorator (the
-	// caller owns only the inner endpoint), so it must be drained on every
-	// return path: a delayed frame still queued when the caller closes the
-	// endpoint would be delivered into a closed transport.
+	// faults hit the exact post-codec wire frames — the stacking order Sort
+	// builds with decorate. RunPE owns the decorator (the caller owns only
+	// the inner endpoint), so it must be drained on every return path: a
+	// delayed frame still queued when the caller closes the endpoint would
+	// be delivered into a closed transport.
 	if cfg.Chaos != "" {
 		ccfg, err := chaos.Parse(cfg.Chaos)
 		if err != nil {
@@ -87,24 +89,36 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 	}
 	c := comm.NewComm(t)
 	c.SetPool(par.New(cfg.Cores))
-	if cfg.Trace != "" || trace.LiveOn() {
-		c.SetTrace(trace.New(c.Rank(), cfg.TraceCapacity))
-	}
-	// Budget mode: this rank streams its merged fragment to a sorted-run
-	// file in a fresh directory under cfg.SpillDir (each worker process
-	// makes its own). The directory survives on success for the caller to
-	// read; every error path below tears it down.
-	var res core.Result
-	var runDir string
+	var path string
 	if cfg.MemBudget > 0 {
-		var err error
-		runDir, err = os.MkdirTemp(cfg.SpillDir, "dss-runs-")
+		runDir, err := os.MkdirTemp(cfg.SpillDir, "dss-runs-")
 		if err != nil {
 			return nil, fmt.Errorf("stringsort: run dir: %w", err)
 		}
-		res, err = runBudget(c, local, cfg, runPath(runDir, c.Rank()))
-		if err != nil {
-			os.RemoveAll(runDir)
+		path = runPath(runDir, c.Rank())
+	}
+	run, err := runRank(c, local, cfg, path, nil)
+	if err != nil && path != "" {
+		os.RemoveAll(runDirOf(path))
+	}
+	return run, err
+}
+
+// runRank is the per-rank routine of Sort and RunPE. Every rank runs it
+// collectively with its local input: sort (streaming the fragment to the
+// run file at path under a budget, path "" otherwise), snapshot and
+// exchange the statistics, resolve PDMS origins when cfg.Reconstruct asks
+// for it, validate, and gather the trace, which rank 0 writes. inputs is
+// every PE's input when all of them live in this address space — origins
+// then resolve by lookup — and nil when this rank holds only its own.
+func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][]byte) (*PERun, error) {
+	if cfg.Trace != "" || trace.LiveOn() {
+		c.SetTrace(trace.New(c.Rank(), cfg.TraceCapacity))
+	}
+	var res core.Result
+	if path != "" {
+		var err error
+		if res, err = runBudget(c, local, cfg, path); err != nil {
 			return nil, err
 		}
 	} else {
@@ -112,51 +126,52 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 	}
 
 	// Snapshot and exchange the sorting statistics before any
-	// post-processing communication (validation, reconstruction), exactly
-	// like Sort. AllgatherReport snapshots each PE's counters on entry, so
-	// its own traffic is excluded.
+	// post-processing communication (reconstruction, validation, trace).
+	// AllgatherReport snapshots each PE's counters on entry, so its own
+	// traffic is excluded.
 	model := stats.DefaultModel()
 	if cfg.Model != nil {
 		model = *cfg.Model
 	}
-	rep := comm.AllgatherReport(c, model, statsGID)
-	g := comm.NewGroup(c, comm.WorldRanks(t.P()), extentGID)
-	_, n := g.ExscanUint64(uint64(len(local)))
-	st := statsFromReport(rep, int64(n))
+	rep, n := comm.AllgatherReport(c, model, statsGID, int64(len(local)))
+	run := &PERun{PrefixOnly: res.PrefixOnly}
+	// Every rank holds the same report. In one address space (Sort, inputs
+	// non-nil) rank 0's flattened copy serves them all.
+	if inputs == nil || c.Rank() == 0 {
+		run.Stats = statsFromReport(rep, n)
+	}
 
-	prefixOnly := res.PrefixOnly
-	// This rank holds only its own fragment, so origins on other ranks are
-	// resolved by the collective query, not by the lookup Sort does.
-	if prefixOnly && cfg.Reconstruct && cfg.MemBudget == 0 {
-		res.Strings = core.Reconstruct(c, res, local, 900)
+	// Under a budget the fragment lives in the run file, whose items carry
+	// each prefix's origin for the caller to resolve.
+	if res.PrefixOnly && cfg.Reconstruct && path == "" {
+		if inputs == nil {
+			res.Strings = core.Reconstruct(c, res, local, 900)
+		} else {
+			full := make([][]byte, len(res.Origins))
+			for i, o := range res.Origins {
+				s, err := lookupOrigin(inputs, int(o.PE), int(o.Index))
+				if err != nil {
+					return nil, err
+				}
+				full[i] = s
+			}
+			res.Strings = full
+		}
 		res.LCPs = nil // prefix LCPs do not apply to full strings
-		res.PrefixOnly = false
-		prefixOnly = false
+		run.PrefixOnly = false
 	}
 
 	if cfg.Validate {
-		if cfg.MemBudget > 0 {
-			if err := validateRun(c, runPath(runDir, c.Rank()), local, prefixOnly); err != nil {
-				os.RemoveAll(runDir)
-				return nil, err
-			}
-		} else {
-			if err := verify.SortednessLCP(c, res.Strings, res.LCPs, 901); err != nil {
-				return nil, err
-			}
-			if !prefixOnly {
-				if err := verify.Multiset(c, local, res.Strings, 902); err != nil {
-					return nil, err
-				}
-			}
+		if err := validate(c, res, local, path, run.PrefixOnly); err != nil {
+			return nil, err
 		}
 	}
 
 	// Gather and export the timeline last: strictly after AllgatherReport
 	// (so the gather's traffic never reaches the reported deterministic
-	// counters) and after validation/reconstruction so those rounds appear
-	// on it. Collective — every rank participates, rank 0 writes the file
-	// with all buffers aligned to its clock.
+	// counters) and after reconstruction and validation so those rounds
+	// appear on it. Collective — every rank participates, rank 0 writes
+	// the file with all buffers aligned to its clock.
 	if cfg.Trace != "" {
 		bufs := comm.GatherTrace(c, c.Trace(), traceGID)
 		if c.Rank() == 0 {
@@ -166,17 +181,38 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 		}
 	}
 
-	out := &PERun{Stats: st, PrefixOnly: prefixOnly}
-	out.Output = PEOutput{Strings: res.Strings, LCPs: res.LCPs}
+	run.Output = PEOutput{Strings: res.Strings, LCPs: res.LCPs, RunFile: path, RunCount: res.Drained}
 	if res.Origins != nil {
-		out.Output.Origins = make([]Origin, len(res.Origins))
+		run.Output.Origins = make([]Origin, len(res.Origins))
 		for i, o := range res.Origins {
-			out.Output.Origins[i] = Origin{PE: int(o.PE), Index: int(o.Index)}
+			run.Output.Origins[i] = Origin{PE: int(o.PE), Index: int(o.Index)}
 		}
 	}
-	if cfg.MemBudget > 0 {
-		out.Output.RunFile = runPath(runDir, c.Rank())
-		out.Output.RunCount = res.Drained
+	return run, nil
+}
+
+// validate runs the distributed verifier over the rank's fragment: local
+// order and the LCP array in one fused pass (algorithms without LCP output
+// get the plain order check), then multiset preservation unless the
+// fragment holds prefixes. A budgeted fragment streams from its run file
+// with the same collective schedule.
+func validate(c *comm.Comm, res core.Result, local [][]byte, path string, prefixOnly bool) error {
+	if path != "" {
+		return validateRun(c, path, local, prefixOnly)
 	}
-	return out, nil
+	if err := verify.SortednessLCP(c, res.Strings, res.LCPs, 901); err != nil {
+		return err
+	}
+	if prefixOnly {
+		return nil
+	}
+	return verify.Multiset(c, local, res.Strings, 902)
+}
+
+// lookupOrigin returns the input string a PDMS origin names: inputs[pe][index].
+func lookupOrigin(inputs [][][]byte, pe, index int) ([]byte, error) {
+	if pe < 0 || pe >= len(inputs) || index < 0 || index >= len(inputs[pe]) {
+		return nil, fmt.Errorf("stringsort: origin (PE %d, index %d) names no input string", pe, index)
+	}
+	return inputs[pe][index], nil
 }

@@ -31,13 +31,11 @@ import (
 	"dss/internal/partition"
 	"dss/internal/spill"
 	"dss/internal/stats"
-	"dss/internal/trace"
 	"dss/internal/transport"
 	"dss/internal/transport/chaos"
 	"dss/internal/transport/codec"
 	"dss/internal/transport/local"
 	"dss/internal/transport/tcp"
-	"dss/internal/verify"
 )
 
 // Algorithm selects one of the paper's six evaluated sorting algorithms.
@@ -193,11 +191,13 @@ type Config struct {
 	// run on any violation (sorting statistics unaffected; validation
 	// volume is excluded).
 	Validate bool
-	// Reconstruct materializes full strings for PDMS results. Sort resolves
-	// each output prefix's origin by lookup in inputs, with no
-	// communication, so the strings alias the caller's input bytes. RunPE,
-	// where each rank holds only its own fragment, queries the origin PEs
-	// with core.Reconstruct instead (traffic excluded from the statistics).
+	// Reconstruct materializes full strings for PDMS results, after the
+	// statistics snapshot, so it never reaches them. Sort resolves each
+	// output prefix's origin by lookup in inputs, with no communication, so
+	// the strings alias the caller's input bytes. RunPE, where each rank
+	// holds only its own fragment, queries the origin PEs with
+	// core.Reconstruct instead. Ignored under a memory budget (see
+	// MemBudget).
 	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
@@ -253,8 +253,9 @@ type Config struct {
 	// counter samples, loadable in Perfetto (ui.perfetto.dev) or
 	// chrome://tracing. Tracing never touches the deterministic statistics
 	// — model time and bytes/string stay bit-identical with tracing on or
-	// off. Under RunPE the per-process buffers are gathered to rank 0
-	// (clock-aligned) and only rank 0 writes the file.
+	// off. Under Sort and RunPE alike every PE's buffer is gathered to
+	// rank 0 after the run (clock-aligned, after validation, so its rounds
+	// show too) and only rank 0 writes the file.
 	Trace string
 	// TraceCapacity bounds each PE's trace ring in events (0 = the default,
 	// 32768). The ring keeps the newest events; the export repairs span
@@ -469,7 +470,12 @@ type Result struct {
 
 // Sort sorts the distributed string set inputs (inputs[pe] = PE pe's local
 // strings) with the configured algorithm and returns the per-PE fragments
-// and run statistics. Input arrays are not modified.
+// and run statistics. Input arrays are not modified. Sort runs RunPE's
+// per-rank routine on every rank of an in-process machine over the
+// configured transport; holding every fragment, it resolves PDMS origins
+// by lookup instead of by query. When one rank fails, the machine closes
+// every endpoint so the others stop too, and Sort returns the first
+// failure.
 func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	p := cfg.P
 	if p == 0 {
@@ -481,171 +487,57 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	if len(inputs) > p {
 		return nil, fmt.Errorf("stringsort: %d input fragments for %d PEs", len(inputs), p)
 	}
-	// Oversampling 0 lets the algorithms pick v = Θ(p) (Theorems 2–4).
 	machine, err := newMachine(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The machine is closed explicitly on the success path so
-	// transport-level failures the algorithms never blocked on — a reader
-	// that hit a decode error, an exhausted reconnect budget — surface in
-	// the run's result instead of vanishing with a deferred Close.
-	closed := false
-	defer func() {
-		if !closed {
-			machine.Close()
-		}
-	}()
-	if cfg.Model != nil {
-		machine.SetModel(*cfg.Model)
-	}
 	machine.SetPool(par.New(cfg.Cores))
-	if cfg.Trace != "" || trace.LiveOn() {
-		machine.EnableTrace(cfg.TraceCapacity)
-	}
-
-	local := func(pe int) [][]byte {
-		if pe < len(inputs) {
-			return inputs[pe]
-		}
-		return nil
-	}
-	results := make([]core.Result, p)
 	// Budget mode: the PEs stream their merged fragments into sorted-run
 	// files inside one fresh directory under cfg.SpillDir. The directory
 	// outlives Sort on success (the caller reads the run files and removes
 	// it) but is torn down on every error path.
 	var runDir string
 	if cfg.MemBudget > 0 {
-		runDir, err = os.MkdirTemp(cfg.SpillDir, "dss-runs-")
-		if err != nil {
+		if runDir, err = os.MkdirTemp(cfg.SpillDir, "dss-runs-"); err != nil {
+			machine.Close()
 			return nil, fmt.Errorf("stringsort: run dir: %w", err)
 		}
 	}
-	fail := func(err error) (*Result, error) {
+	runs := make([]*PERun, p)
+	err = machine.Run(func(c *comm.Comm) error {
+		var local [][]byte
+		if c.Rank() < len(inputs) {
+			local = inputs[c.Rank()]
+		}
+		var path string
+		if runDir != "" {
+			path = runPath(runDir, c.Rank())
+		}
+		run, err := runRank(c, local, cfg, path, inputs)
+		runs[c.Rank()] = run
+		return err
+	})
+	// The machine is closed explicitly so transport-level failures the
+	// algorithms never blocked on — a reader that hit a decode error, an
+	// exhausted reconnect budget — surface in the run's result.
+	if cerr := machine.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("stringsort: transport: %w", cerr)
+	}
+	if err != nil {
 		if runDir != "" {
 			os.RemoveAll(runDir)
 		}
 		return nil, err
 	}
-	err = machine.Run(func(c *comm.Comm) error {
-		if cfg.MemBudget > 0 {
-			res, err := runBudget(c, local(c.Rank()), cfg, runPath(runDir, c.Rank()))
-			if err != nil {
-				return err
-			}
-			results[c.Rank()] = res
-			return nil
-		}
-		results[c.Rank()] = dispatch(c, local(c.Rank()), cfg, nil, nil)
-		return nil
-	})
-	if err != nil {
-		return fail(err)
-	}
-
-	// Snapshot the sorting statistics before any post-processing
-	// communication (validation).
-	rep := machine.Report()
-	var n int64
-	for pe := 0; pe < p; pe++ {
-		n += int64(len(local(pe)))
-	}
-	st := statsFromReport(rep, n)
-
-	prefixOnly := results[0].PrefixOnly
-	// Every PE's input is in this address space, so an origin resolves by
-	// lookup, with no communication. In budget mode the fragments live in
-	// run files carrying each prefix's origin instead.
-	if prefixOnly && cfg.Reconstruct && cfg.MemBudget == 0 {
-		for pe := range results {
-			full := make([][]byte, len(results[pe].Origins))
-			for i, o := range results[pe].Origins {
-				s, err := lookupOrigin(inputs, int(o.PE), int(o.Index))
-				if err != nil {
-					return fail(err)
-				}
-				full[i] = s
-			}
-			results[pe].Strings = full
-			results[pe].LCPs = nil // prefix LCPs do not apply to full strings
-			results[pe].PrefixOnly = false
-		}
-		prefixOnly = false
-	}
-
-	if cfg.Validate {
-		err := machine.Run(func(c *comm.Comm) error {
-			if cfg.MemBudget > 0 {
-				// Stream the run file through the verifier — same collective
-				// schedule as the in-RAM checks, no materialized fragment.
-				return validateRun(c, runPath(runDir, c.Rank()), local(c.Rank()), prefixOnly)
-			}
-			res := results[c.Rank()]
-			// One fused pass validates local order and the LCP array
-			// together (the sorters already produced the LCPs; recomputing
-			// them separately from an IsSorted scan would inspect every
-			// character twice). Algorithms without LCP output fall back to
-			// the plain order check.
-			if err := verify.SortednessLCP(c, res.Strings, res.LCPs, 901); err != nil {
-				return err
-			}
-			if !prefixOnly {
-				if err := verify.Multiset(c, local(c.Rank()), res.Strings, 902); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fail(err)
-		}
-	}
-
-	// The timeline is written after every post-processing step so the
-	// validation rounds appear on it too; the deterministic
-	// statistics were snapshotted long before and are unaffected.
-	if cfg.Trace != "" {
-		if err := trace.WriteFile(cfg.Trace, machine.TraceBuffers()); err != nil {
-			return fail(fmt.Errorf("stringsort: trace: %w", err))
-		}
-	}
-
-	closed = true
-	if err := machine.Close(); err != nil {
-		return fail(fmt.Errorf("stringsort: transport: %w", err))
-	}
-
-	out := &Result{PEs: make([]PEOutput, p), Stats: st, PrefixOnly: prefixOnly}
-	for pe := 0; pe < p; pe++ {
-		peOut := PEOutput{Strings: results[pe].Strings, LCPs: results[pe].LCPs}
-		if results[pe].Origins != nil {
-			peOut.Origins = make([]Origin, len(results[pe].Origins))
-			for i, o := range results[pe].Origins {
-				peOut.Origins[i] = Origin{PE: int(o.PE), Index: int(o.Index)}
-			}
-		}
-		if cfg.MemBudget > 0 {
-			peOut.RunFile = runPath(runDir, pe)
-			peOut.RunCount = results[pe].Drained
-		}
-		out.PEs[pe] = peOut
+	out := &Result{PEs: make([]PEOutput, p), Stats: runs[0].Stats, PrefixOnly: runs[0].PrefixOnly}
+	for pe, run := range runs {
+		out.PEs[pe] = run.Output
 	}
 	return out, nil
 }
 
-// lookupOrigin returns the input string a PDMS origin names: inputs[pe][index].
-func lookupOrigin(inputs [][][]byte, pe, index int) ([]byte, error) {
-	if pe < 0 || pe >= len(inputs) || index < 0 || index >= len(inputs[pe]) {
-		return nil, fmt.Errorf("stringsort: origin (PE %d, index %d) names no input string", pe, index)
-	}
-	return inputs[pe][index], nil
-}
-
-// newMachine builds the comm machine for the configured transport,
-// decorating the fabric with the chaos fault injector (innermost, so
-// faults hit the post-codec wire frames) and the wire codec when either
-// is selected.
+// newMachine builds the comm machine for the configured transport and
+// decorations.
 func newMachine(p int, cfg Config) (*comm.Machine, error) {
 	var f transport.Fabric
 	switch cfg.Transport {
@@ -671,44 +563,33 @@ func newMachine(p int, cfg Config) (*comm.Machine, error) {
 	default:
 		return nil, fmt.Errorf("stringsort: unknown transport %v", cfg.Transport)
 	}
-	f, err := wrapChaos(f, cfg)
+	d, err := decorate(f, cfg)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	f, err = wrapCodec(f, cfg)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return comm.NewOver(f), nil
+	return comm.NewOver(d), nil
 }
 
-// wrapChaos decorates the fabric with the configured fault-injection
-// schedule ("" disables chaos, the production default). Chaos wraps the
-// raw backend directly — the codec decorator goes on top — so injected
-// delays, reorders and connection drops disturb the frames actually on
-// the wire.
-func wrapChaos(f transport.Fabric, cfg Config) (transport.Fabric, error) {
-	if cfg.Chaos == "" {
-		return f, nil
-	}
-	ccfg, err := chaos.Parse(cfg.Chaos)
-	if err != nil {
-		return f, fmt.Errorf("stringsort: %w", err)
-	}
-	ccfg.Seed = cfg.ChaosSeed
-	return chaos.WrapFabric(f, ccfg), nil
-}
-
-// wrapCodec decorates the fabric with the configured wire codec. The
-// default ("" / "none") leaves the fabric untouched — the raw hot path
-// stays exactly as before, and the comm layer mirrors raw volume into the
-// wire counters so Stats.WireBytes is meaningful either way.
-func wrapCodec(f transport.Fabric, cfg Config) (transport.Fabric, error) {
+// decorate wraps the fabric in the selected decorators: the chaos fault
+// injector innermost, so injected delays, reorders and connection drops
+// disturb the post-codec frames actually on the wire, and the wire codec
+// on top. Both names are parsed before anything is wrapped. "" disables
+// chaos and "" or "none" the codec, leaving the raw hot path untouched;
+// the comm layer then mirrors raw volume into the wire counters, so
+// Stats.WireBytes is meaningful either way.
+func decorate(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	name, err := codec.Parse(cfg.Codec)
 	if err != nil {
-		return f, err
+		return nil, err
+	}
+	if cfg.Chaos != "" {
+		ccfg, err := chaos.Parse(cfg.Chaos)
+		if err != nil {
+			return nil, fmt.Errorf("stringsort: %w", err)
+		}
+		ccfg.Seed = cfg.ChaosSeed
+		f = chaos.WrapFabric(f, ccfg)
 	}
 	if name == "none" {
 		return f, nil
@@ -802,15 +683,12 @@ func EstimateDN(inputs [][][]byte, sampleSize int, seed uint64) (Estimate, error
 	machine := comm.New(p)
 	results := make([]dupdetect.EstimateResult, p)
 	var avgLen float64
-	var total int64
+	var total, n int64
 	for _, in := range inputs {
+		n += int64(len(in))
 		for _, s := range in {
 			total += int64(len(s))
 		}
-	}
-	var n int64
-	for _, in := range inputs {
-		n += int64(len(in))
 	}
 	if n > 0 {
 		avgLen = float64(total) / float64(n)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -86,50 +88,68 @@ func TestTCPBackendMatchesLocal(t *testing.T) {
 // TestRunPEMatchesSort runs the SPMD entry point — one RunPE call per rank
 // over a real TCP mesh, the exact shape cmd/dss-worker executes — and
 // requires fragment-identical output and bit-identical statistics compared
-// to the in-process Sort of the same input and seed.
+// to the in-process Sort of the same input and seed, under every decoration
+// of the shared per-rank routine: MS, PDMS and PDMS-Golomb, in RAM (where PDMS
+// origins resolve by lookup in Sort and by query in RunPE) and under a
+// budget (run files compared byte for byte), with and without a trace.
 func TestRunPEMatchesSort(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(405))
 	inputs := genInputs(rng, p, 150)
-	cfg := Config{Algorithm: PDMS, Seed: 23, Validate: true, Reconstruct: true}
+	for _, algo := range []Algorithm{PDMS, PDMSGolomb, MS} {
+		for _, budget := range []bool{false, true} {
+			for _, traced := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/budget=%v/trace=%v", algo, budget, traced), func(t *testing.T) {
+					cfg := Config{Algorithm: algo, Seed: 23, Validate: true, Reconstruct: true}
+					if budget {
+						cfg = budgetConfig(cfg, t.TempDir())
+					}
+					if traced {
+						cfg.Trace = filepath.Join(t.TempDir(), "trace.json")
+					}
+					want, err := Sort(inputs, cfg)
+					if err != nil {
+						t.Fatalf("in-process sort: %v", err)
+					}
+					runs := runPEOverTCP(t, inputs, cfg)
+					for rank := 0; rank < p; rank++ {
+						if budget {
+							if !sameFile(t, want.PEs[rank].RunFile, runs[rank].Output.RunFile) {
+								t.Fatalf("rank %d: SPMD run file differs from Sort run file", rank)
+							}
+							os.RemoveAll(runDirOf(runs[rank].Output.RunFile))
+						} else if !equalOutputs(want.PEs[rank].Strings, runs[rank].Output.Strings) {
+							t.Fatalf("rank %d: SPMD fragment differs from Sort fragment", rank)
+						}
+						if budgetInvariant(runs[rank].Stats) != budgetInvariant(want.Stats) {
+							t.Fatalf("rank %d: SPMD statistics differ from Sort:\nsort:  %+v\nspmd:  %+v",
+								rank, want.Stats, runs[rank].Stats)
+						}
+					}
+					if budget {
+						os.RemoveAll(runDirOf(want.PEs[0].RunFile))
+					}
+					if traced {
+						loadTrace(t, cfg.Trace)
+					}
+				})
+			}
+		}
+	}
+}
 
-	want, err := Sort(inputs, cfg)
+// sameFile reports whether two files hold the same bytes.
+func sameFile(t *testing.T, a, b string) bool {
+	t.Helper()
+	ab, err := os.ReadFile(a)
 	if err != nil {
-		t.Fatalf("in-process sort: %v", err)
+		t.Fatal(err)
 	}
-
-	f, err := tcp.NewLoopback(p)
+	bb, err := os.ReadFile(b)
 	if err != nil {
-		t.Fatalf("loopback fabric: %v", err)
+		t.Fatal(err)
 	}
-	defer f.Close()
-
-	runs := make([]*PERun, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for rank := 0; rank < p; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			runs[rank], errs[rank] = RunPE(f.Endpoint(rank), inputs[rank], cfg)
-		}(rank)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-
-	for rank := 0; rank < p; rank++ {
-		if !equalOutputs(want.PEs[rank].Strings, runs[rank].Output.Strings) {
-			t.Fatalf("rank %d: SPMD fragment differs from Sort fragment", rank)
-		}
-		if deterministic(runs[rank].Stats) != deterministic(want.Stats) {
-			t.Fatalf("rank %d: SPMD statistics differ from Sort:\nsort:  %+v\nspmd:  %+v",
-				rank, want.Stats, runs[rank].Stats)
-		}
-	}
+	return bytes.Equal(ab, bb)
 }
 
 // TestRunPERejectsMismatchedP pins the Config.P validation.
