@@ -89,9 +89,8 @@ func runBench(b *testing.B, inputs [][][]byte, cfg stringsort.Config) {
 	// deterministic metrics above).
 	b.ReportMetric(st.OverlapMS, "overlap-ms")
 	// The Step-4 merge channel: measured PE-summed CPU milliseconds spent
-	// inside the merge phase. merge-cpu-ms exceeding the merge wall time
-	// proves the partitioned merge itself ran in parallel (the two are ≈
-	// equal on single-CPU hosts or below the par-merge threshold).
+	// inside the merge phase — the landing's bucket walks and the loser
+	// tree (see Stats.MergeCPUMS).
 	b.ReportMetric(st.MergeCPUMS, "merge-cpu-ms")
 	// The intra-PE pool channel: the pool width the run executed with and
 	// the measured wall-clock speedups — whole sort and merge phase alone —
@@ -112,8 +111,8 @@ func runBench(b *testing.B, inputs [][][]byte, cfg stringsort.Config) {
 
 // benchSpeedup measures the intra-PE pool's wall-clock speedup: the same
 // sort forced to Cores=1 divided by the benchmarked run's wall time, for
-// the whole sort and for the Step-4 merge phase alone (the partitioned
-// merge's contribution, isolated). Only meaningful (and only paid for —
+// the whole sort and for the Step-4 merge phase alone (where only the
+// landing's bucket walks run on the pool). Only meaningful (and only paid for —
 // one sequential rerun covers both ratios) when the run used a wider pool.
 func benchSpeedup(b *testing.B, inputs [][][]byte, cfg stringsort.Config, st stringsort.Stats) (overall, merge float64) {
 	b.Helper()

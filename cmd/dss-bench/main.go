@@ -186,18 +186,13 @@ func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampl
 // series runs all algorithms over the PE axis and prints the two panels of
 // the figure — plus, when a wire codec is selected, the wire-bytes and
 // compression-ratio panels (what actually crossed the fabric; the model
-// panels are codec-invariant), and, unless the pool is forced sequential,
-// the measured merge-parallelism panel (PE-summed CPU ms inside the Step-4
-// merge over the merge wall ms: a ratio above 1 proves the partitioned
-// merge ran in parallel; ≈1 on single-CPU hosts or below the par-merge
-// threshold).
+// panels are codec-invariant).
 func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, algos []stringsort.Algorithm, codec string) {
 	fmt.Printf("\n=== %s ===\n", title)
 	times := make(map[stringsort.Algorithm][]float64)
 	vols := make(map[stringsort.Algorithm][]float64)
 	wires := make(map[stringsort.Algorithm][]float64)
 	ratios := make(map[stringsort.Algorithm][]float64)
-	mergePar := make(map[stringsort.Algorithm][]float64)
 	for _, p := range pes {
 		inputs := make([][][]byte, p)
 		for pe := 0; pe < p; pe++ {
@@ -209,11 +204,6 @@ func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, 
 			vols[algo] = append(vols[algo], st.BytesPerString)
 			wires[algo] = append(wires[algo], st.WireBytesPerString)
 			ratios[algo] = append(ratios[algo], st.CompressionRatio)
-			par := 1.0
-			if st.MergeWallMS > 0 {
-				par = st.MergeCPUMS / st.MergeWallMS
-			}
-			mergePar[algo] = append(mergePar[algo], par)
 		}
 	}
 	printPanel("model time (s)", pes, algos, times, "%9.4f")
@@ -221,10 +211,6 @@ func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, 
 	if codec != "" && codec != "none" {
 		printPanel(fmt.Sprintf("wire bytes per string (codec=%s)", codec), pes, algos, wires, "%9.1f")
 		printPanel(fmt.Sprintf("compression ratio, wire/raw (codec=%s)", codec), pes, algos, ratios, "%9.3f")
-	}
-	if benchCores != 1 {
-		printPanel("merge CPU / merge wall (measured; >1 = partitioned Step-4 merge engaged)",
-			pes, algos, mergePar, "%9.3f")
 	}
 }
 

@@ -32,7 +32,7 @@
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -codec-min, -validate, -cores, -par-merge-min, -mem-budget,
+// -codec-min, -validate, -cores, -mem-budget,
 // -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
 // -net-timeout) are shared verbatim with dss-worker.
 //

@@ -1,8 +1,7 @@
 // Trace aggregation: after a run — one process per rank or all ranks in
-// one process alike — every rank ships its serialized trace buffer to
-// every other rank through the same report machinery the statistics use,
-// with a clock-offset estimation round first so the per-host timestamps
-// line up in one merged timeline.
+// one process alike — every rank ships its serialized trace buffer to rank
+// 0, which writes the merged timeline, with a clock-offset estimation
+// round first so the per-host timestamps line up in it.
 //
 // Clock model. OS processes — possibly on different hosts — stamp events
 // with their own wall clocks. GatherTrace estimates each rank's offset to
@@ -72,12 +71,13 @@ func estimateClockOffset(c *Comm, tag int) int64 {
 	return best
 }
 
-// GatherTrace exchanges every rank's trace buffer and returns all of
-// them, rank-ordered and identical on every member, with each buffer's
-// OffsetNS set to the estimated correction onto rank 0's clock. All ranks
-// of the world must call it collectively (rec may differ in capacity but
-// must be non-nil everywhere). gid selects the tag namespace and must be
-// unused by concurrently live groups.
+// GatherTrace collects every rank's trace buffer on rank 0, the one rank
+// that writes the timeline, and returns them there, rank-ordered, with each
+// buffer's OffsetNS set to the estimated correction onto rank 0's clock;
+// every other rank gets nil. All ranks of the world must call it
+// collectively (rec may differ in capacity but must be non-nil
+// everywhere). gid selects the tag namespace and must be unused by
+// concurrently live groups.
 func GatherTrace(c *Comm, rec *trace.Recorder, gid int) []*trace.Buffer {
 	g := NewGroup(c, WorldRanks(c.P()), gid)
 	// offset is rank0Clock − localClock, so TS + OffsetNS lands each local
@@ -85,7 +85,10 @@ func GatherTrace(c *Comm, rec *trace.Recorder, gid int) []*trace.Buffer {
 	offset := estimateClockOffset(c, g.nextTag())
 	buf := rec.Snapshot()
 	buf.OffsetNS = offset
-	parts := g.Allgatherv(buf.Marshal())
+	parts := g.Gatherv(0, buf.Marshal())
+	if parts == nil {
+		return nil
+	}
 	bufs := make([]*trace.Buffer, len(parts))
 	for i, part := range parts {
 		b, err := trace.UnmarshalBuffer(part)
@@ -94,6 +97,5 @@ func GatherTrace(c *Comm, rec *trace.Recorder, gid int) []*trace.Buffer {
 		}
 		bufs[i] = b
 	}
-	c.Release(parts...)
 	return bufs
 }

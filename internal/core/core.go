@@ -22,17 +22,20 @@
 // exchangeMerge, and Step 3 is one exchange (exchangeEncoded, shared with
 // hQuick): every bucket is encoded into a transport buffer and posted as its
 // encoder finishes, and the received buckets come back whole, in arrival
-// order. A received bucket lands in one of two ways. Without a memory budget
-// it is decoded whole on the PE's pool the moment it arrives — so the
-// exchange overlaps the encode and decode work instead of ending at a
-// global barrier — and the resident runs are merged on the pool into an
-// output arena. With a budget (outofcore.go) it is routed piece by piece to
-// an incremental run reader or, past the budget, to a page file, and the
-// same loser tree drains into a sorted-run file. The deterministic
-// statistics are identical on both — received bytes are billed to the phase
-// the exchange was posted in — and identical to the bulk-synchronous
-// exchange kept as the reference implementation
-// (SeamOptions.BlockingExchange, set by the differential tests only).
+// order. They land the same way with or without a memory budget
+// (outofcore.go): each received bucket stays ENCODED as one run, and the
+// Step-4 loser tree pulls every run through a wire.RunCursor that decodes
+// one string per pull. Without a budget a run is the transport buffer it
+// arrived in, validated and sized on the PE's pool the moment it arrives —
+// so the exchange overlaps that walk instead of ending at a global barrier
+// — and the merge drains into one output arena sized exactly by the walks.
+// With a budget the run's bytes wait resident as far as the spill pool has
+// room and in a page file beyond, and the same tree drains into a
+// sorted-run file. The deterministic statistics are identical on both —
+// received bytes are billed to the phase the exchange was posted in — and
+// identical to the bulk-synchronous exchange kept as the reference
+// implementation (SeamOptions.BlockingExchange, set by the differential
+// tests only).
 package core
 
 import (
@@ -40,7 +43,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/spill"
 	"dss/internal/stats"
-	"dss/internal/trace"
 	"dss/internal/wire"
 )
 
@@ -205,11 +207,11 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	return pd.PollAny
 }
 
-// decodeOnPool is the in-RAM landing of an exchange: every bucket recv
-// yields is handed to decode exactly once, as a task on the PE's work pool
-// dispatched the moment the bucket arrives, and released afterwards (all
-// decoders copy their results out). Worker busy time is credited to the
-// current phase's CPU channel.
+// decodeOnPool is hQuick's landing of its placement exchange: every
+// bucket recv yields is handed to decode exactly once, as a task on the
+// PE's work pool dispatched the moment the bucket arrives, and released
+// afterwards (decode copies its results out). Worker busy time is credited
+// to the current phase's CPU channel.
 func decodeOnPool(c *comm.Comm, recv func() (int, []byte, bool), decode func(src int, msg []byte)) {
 	dgrp := c.Pool().Group()
 	for {
@@ -233,10 +235,6 @@ type SeamOptions struct {
 	// statistics are identical either way; only the differential tests set
 	// it.
 	BlockingExchange bool
-	// ParMergeMin gates the partitioned parallel Step-4 merge by received
-	// strings: 0 = merge.DefaultParMin, negative = always sequential.
-	// Output and deterministic stats are pool-width-independent either way.
-	ParMergeMin int
 	// Spill, if non-nil, runs the bounded-memory landing: received buckets
 	// wait encoded, in page files for what the pool's budget has no room
 	// for, and the Step-4 sink merge drains into Out
@@ -251,64 +249,32 @@ type SeamOptions struct {
 
 // bucketCodec is one algorithm's Step-3 wire format: the exact encoded
 // size of every outgoing bucket, the encoder that fills exactly that many
-// bytes, and the decoders of a received run — one-shot for the in-RAM
-// landing, and the layout a cursor pulls for the budgeted one (origins marks
-// PDMS's composite bucket: a RunStringsLCP blob trailed by an origin column).
+// bytes, and the layout a cursor pulls on the receiving side (origins marks
+// PDMS's composite bucket: a RunStringsLCP blob trailed by an origin
+// column).
 type bucketCodec struct {
 	sizes   []int
 	enc     func(dst int, buf []byte) []byte
-	decode  func(msg []byte) (merge.Sequence, error)
 	format  wire.RunFormat
 	origins bool
 }
 
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
 // buckets over g and multiway-merge the p received runs, LCP-aware if lcp.
-// Without a spill pool the runs are decoded whole on arrival and merged on
-// the PE's pool into the returned Sequence; with one they are routed to
-// budgeted runs, the merge sinks into opt.Out and only the item count comes
-// back. Merge work and worker busy time are billed to the merge phase, and
-// the accounting phase is left at PhaseOther.
+// Without a spill pool the merge drains into the returned Sequence, one
+// exactly sized arena; with one it sinks into opt.Out and only the item
+// count comes back. Merge work and worker busy time are billed to the merge
+// phase, and the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
-	var work, busy int64
 	recv := exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
+	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
+	var work int64
 	if opt.Spill != nil {
-		runs := routeRuns(c, recv, len(cd.sizes), cd.origins, opt.Spill)
 		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)
 	} else {
-		runs := make([]merge.Sequence, len(cd.sizes))
-		decodeOnPool(c, recv, func(src int, msg []byte) {
-			run, err := cd.decode(msg)
-			if err != nil {
-				panic("core: corrupt exchanged run: " + err.Error())
-			}
-			runs[src] = run
-		})
-		out, work, busy = merge.Merge(c.Pool(), runs, merge.Options{
-			LCP: lcp, ParMin: opt.ParMergeMin, Hooks: mergeHooks(c),
-		})
+		out, work = arenaMerge(c, runs, cd.format, cd.origins, lcp)
 	}
 	c.AddWork(work)
-	c.AddCPU(busy)
 	c.SetPhase(stats.PhaseOther)
 	return out, drained
-}
-
-// mergeHooks builds the merge layer's trace hooks from the PE's recorder:
-// worker spans labeled "merge" plus one "merge-seam" instant per
-// partition boundary (Arg = output index, Arg2 = partition). Zero hooks —
-// costing nothing — when tracing is off.
-func mergeHooks(c *comm.Comm) merge.Hooks {
-	tr := c.Trace()
-	if tr == nil {
-		return merge.Hooks{}
-	}
-	return merge.Hooks{
-		Obs: c.WorkerObserver("merge"),
-		OnPartition: func(bounds []int) {
-			for j := 1; j < len(bounds); j++ {
-				tr.Instant(trace.TrackControl, "merge-seam", int64(bounds[j]), int64(j-1))
-			}
-		},
-	}
 }

@@ -121,12 +121,8 @@ var testPs = []int{1, 2, 3, 4, 7, 8}
 func TestMergeSortAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	configs := map[string]MSOptions{
-		"MS-simple":    MSSimple(),
-		"MS":           DefaultMS(),
-		"MS-comp-only": {LCPCompression: true},
-		"MS-merge-only": {
-			LCPMerge: true,
-		},
+		"MS-simple": MSSimple(),
+		"MS":        DefaultMS(),
 	}
 	for name, opt := range configs {
 		for _, p := range testPs {
@@ -138,7 +134,7 @@ func TestMergeSortAllConfigs(t *testing.T) {
 				return MergeSort(c, ss, o)
 			})
 			checkGlobalOrder(t, global, results, true)
-			if o.LCPMerge {
+			if o.LCP {
 				for pe, res := range results {
 					if res.LCPs == nil && len(res.Strings) > 0 {
 						t.Fatalf("%s p=%d PE %d: missing LCP output", name, p, pe)

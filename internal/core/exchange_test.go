@@ -28,7 +28,7 @@ func TestExchangeSeamsIdentical(t *testing.T) {
 	families := map[string]func(blocking bool) func(c *comm.Comm, ss [][]byte) Result{
 		"MS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
 			return func(c *comm.Comm, ss [][]byte) Result {
-				return MergeSort(c, ss, MSOptions{LCPCompression: true, LCPMerge: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
+				return MergeSort(c, ss, MSOptions{LCP: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 		"PDMS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {

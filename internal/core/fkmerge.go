@@ -2,7 +2,6 @@ package core
 
 import (
 	"dss/internal/comm"
-	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
 	"dss/internal/stats"
@@ -65,14 +64,10 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	enc := func(dst int, buf []byte) []byte {
 		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
-	decode := func(msg []byte) (merge.Sequence, error) {
-		rs, err := wire.DecodeStrings(msg)
-		return merge.Sequence{Strings: rs}, err
-	}
 
 	// Step 4: ordinary loser tree merge.
 	out, drained := exchangeMerge(c, g, bucketCodec{
-		sizes: sizes, enc: enc, decode: decode, format: wire.RunStrings,
+		sizes: sizes, enc: enc, format: wire.RunStrings,
 	}, false, opt.SeamOptions)
 	return Result{Strings: out.Strings, Drained: drained}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"dss/internal/comm"
-	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
 	"dss/internal/stats"
@@ -15,13 +12,12 @@ import (
 // MSOptions configure Algorithm MS (Section V). The zero value is the
 // MS-simple configuration; DefaultMS() enables all LCP optimizations.
 type MSOptions struct {
-	// LCPCompression enables the Step 3 exchange format that sends, per
-	// string, only the suffix beyond the LCP with the previous string.
-	LCPCompression bool
-	// LCPMerge selects the LCP-aware loser tree for Step 4 (and makes the
-	// algorithm produce the output LCP array). Without it a plain loser
-	// tree is used and no LCP data is communicated.
-	LCPMerge bool
+	// LCP enables every LCP optimization: Step 1 produces the local LCP
+	// array, Step 3 sends, per string, only the suffix beyond the LCP with
+	// the previous string, and Step 4 merges with the LCP-aware loser tree
+	// (and makes the algorithm produce the output LCP array). Without it
+	// full strings travel and a plain loser tree merges them.
+	LCP bool
 	// Sampling selects string- or character-based splitter sampling.
 	Sampling partition.Sampling
 	// V is the oversampling factor (samples per PE); default 2p−1 (v = Θ(p),
@@ -39,7 +35,7 @@ type MSOptions struct {
 	GroupID int
 	// Seed drives hQuick's randomness during sample sorting.
 	Seed uint64
-	// SeamOptions configure Steps 3→4 (budget mode, parallel merge gate).
+	// SeamOptions configure Steps 3→4 (blocking reference, budget mode).
 	SeamOptions
 }
 
@@ -47,7 +43,7 @@ type MSOptions struct {
 // LCP-aware merging, string-based sampling (the configuration the paper
 // benchmarks as "MS"), distributed sample sorting with hQuick.
 func DefaultMS() MSOptions {
-	return MSOptions{LCPCompression: true, LCPMerge: true}
+	return MSOptions{LCP: true}
 }
 
 // MSSimple returns the MS-simple configuration: the same mergesort scheme
@@ -87,7 +83,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	var local [][]byte
 	var lcp []int32
 	var work, busy int64
-	if opt.LCPMerge || opt.LCPCompression {
+	if opt.LCP {
 		local, _, lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), ss, nil, nil)
 	} else {
 		local, _, work, busy = strsort.ParallelSort(c.Pool(), ss, nil)
@@ -127,71 +123,34 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
 	// first and encoded into exactly that many bytes — its own transport
 	// buffer on the split-phase exchange, a region of one arena on the
-	// blocking reference — so there are zero growth reallocations. The LCP run of a
-	// bucket is passed as a direct sub-slice of the local LCP array — the
-	// encoders ignore the boundary entry lcps[lo], which belongs to a
-	// string that stays on this PE.
+	// blocking reference — so there are zero growth reallocations. The LCP
+	// run of a bucket is passed as a direct sub-slice of the local LCP
+	// array — the encoder ignores the boundary entry lcps[lo], which belongs
+	// to a string that stays on this PE.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
-	var wsizes [][2]int // per-dst (blob, lblob) sizes of the LCPMerge format
-	if opt.LCPMerge && !opt.LCPCompression {
-		wsizes = make([][2]int, p)
-	}
 	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]
-		switch {
-		case opt.LCPCompression:
+		if opt.LCP {
 			return wire.StringsLCPSize(local[lo:hi], lcpSub(lcp, lo, hi))
-		case opt.LCPMerge:
-			blob := wire.StringsSize(local[lo:hi])
-			lblob := wire.Int32sRunSize(lcpSub(lcp, lo, hi))
-			wsizes[dst] = [2]int{blob, lblob}
-			return wire.UvarintLen(uint64(blob)) + blob +
-				wire.UvarintLen(uint64(lblob)) + lblob
-		default:
-			return wire.StringsSize(local[lo:hi])
 		}
+		return wire.StringsSize(local[lo:hi])
 	})
 	c.AddCPU(sbusy)
-	enc := func(dst int, buf []byte) []byte {
-		lo, hi := off[dst], off[dst+1]
-		switch {
-		case opt.LCPCompression:
-			return wire.AppendStringsLCP(buf, local[lo:hi], lcpSub(lcp, lo, hi))
-		case opt.LCPMerge:
-			return appendStringsWithLCPs(buf, local[lo:hi], lcpSub(lcp, lo, hi), wsizes[dst])
-		default:
-			return wire.AppendStrings(buf, local[lo:hi])
-		}
+	cd := bucketCodec{sizes: sizes, format: wire.RunStrings}
+	cd.enc = func(dst int, buf []byte) []byte {
+		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
-	cd := bucketCodec{sizes: sizes, enc: enc}
-	switch {
-	case opt.LCPCompression:
+	if opt.LCP {
 		cd.format = wire.RunStringsLCP
-		cd.decode = func(msg []byte) (merge.Sequence, error) {
-			rs, rl, err := wire.DecodeStringsLCP(msg)
-			return merge.Sequence{Strings: rs, LCPs: rl}, err
-		}
-	case opt.LCPMerge:
-		if opt.Spill != nil {
-			// Full strings plus a trailing LCP column has no incremental
-			// reader (and no public configuration produces it).
-			panic("mergesort: a memory budget needs an incrementally decodable wire format")
-		}
-		cd.decode = func(msg []byte) (merge.Sequence, error) {
-			rs, rl, err := decodeStringsWithLCPs(msg)
-			return merge.Sequence{Strings: rs, LCPs: rl}, err
-		}
-	default:
-		cd.format = wire.RunStrings
-		cd.decode = func(msg []byte) (merge.Sequence, error) {
-			rs, err := wire.DecodeStrings(msg)
-			return merge.Sequence{Strings: rs}, err
+		cd.enc = func(dst int, buf []byte) []byte {
+			lo, hi := off[dst], off[dst+1]
+			return wire.AppendStringsLCP(buf, local[lo:hi], lcpSub(lcp, lo, hi))
 		}
 	}
 
 	// Step 4: multiway merge of the received runs.
-	out, drained := exchangeMerge(c, g, cd, opt.LCPMerge, opt.SeamOptions)
+	out, drained := exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Drained: drained}
 }
 
@@ -204,43 +163,4 @@ func lcpSub(lcp []int32, lo, hi int) []int32 {
 		return nil
 	}
 	return lcp[lo:hi]
-}
-
-// appendStringsWithLCPs appends the no-compression, LCP-merging exchange
-// format: full strings plus the raw LCP array (the LCP values still enable
-// the cheaper merge even though the strings travel uncompressed). The
-// first LCP entry is transmitted as zero — it is the boundary with a
-// string that stays on the sender. sizes carries the (blob, lblob) byte
-// sizes the caller already computed for the arena, so the bucket is not
-// traversed a second time.
-func appendStringsWithLCPs(dst []byte, ss [][]byte, lcps []int32, sizes [2]int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(sizes[0]))
-	dst = wire.AppendStrings(dst, ss)
-	dst = binary.AppendUvarint(dst, uint64(sizes[1]))
-	dst = wire.AppendInt32sRun(dst, lcps)
-	return dst
-}
-
-func decodeStringsWithLCPs(msg []byte) ([][]byte, []int32, error) {
-	r := wire.NewReader(msg)
-	blob, err := r.BytesPrefixed()
-	if err != nil {
-		return nil, nil, err
-	}
-	lblob, err := r.BytesPrefixed()
-	if err != nil {
-		return nil, nil, err
-	}
-	ss, err := wire.DecodeStrings(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	lcps, err := wire.DecodeInt32s(lblob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(lcps) != len(ss) {
-		return nil, nil, wire.ErrCorrupt
-	}
-	return ss, lcps, nil
 }

@@ -1,23 +1,31 @@
-// The budgeted landing of the Step-3 exchange: the bounded-memory
-// counterpart of decodeOnPool. The buckets travel through exchangeEncoded
-// like every other run's; what differs is where the received bytes wait
-// and where the merge's output goes. Each received bucket is routed on the
-// PE goroutine into one budgeted run — its encoded bytes, as many of them
-// resident as the spill pool's budget has room for and the rest in a
-// per-run page file — and its transport buffer is released. A run stays
-// ENCODED until the merge pulls it: the loser tree reads every run through
-// a wire.RunCursor that decodes one string per pull into one reused
-// buffer, paging the spilled part back in a span at a time, and drains
-// straight into a sorted-run writer instead of an output arena. A run's
-// bytes reach its cursor in bucket order whether they waited in RAM or in
-// the page file, so the decoded runs — and with them the merged output and
-// every deterministic statistic — are byte-identical to the in-RAM run.
-// Only where bytes wait (RAM vs page file) and where the output lands
-// (arena vs run file) differ, and those differences live on the measured
-// channels: SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU
-// share. What the pool meters here is the resident prefixes and one
-// paged-in span per window. Received buckets are unmetered until they are
-// routed, exactly as they are until decoded in the in-RAM run.
+// The landing of the Step-3 exchange, in RAM and under a memory budget. The
+// buckets travel through exchangeEncoded like every other run's; each
+// received bucket becomes ONE run that stays encoded until the Step-4 loser
+// tree pulls it: the tree reads every run through a wire.RunCursor that
+// decodes one string per pull into one reused buffer (plus, for PDMS, a
+// second window over the bucket's origin column). The two landings differ
+// only in where a run's bytes wait and where the merge's output goes.
+//
+// In RAM, a run is the transport buffer it arrived in. A validating walk
+// over its varints runs on the PE's pool as the bucket arrives and yields
+// its string count and character total, so a corrupt bucket fails before
+// any output exists and the merge drains into one exactly sized arena: the
+// output strings are sub-slices of one byte array, the LCP and satellite
+// columns exact arrays. The transport buffers are released once the merge
+// is done.
+//
+// Under a budget, each bucket is routed on the PE goroutine into its run:
+// as many of its bytes resident as the spill pool's budget has room for and
+// the rest in a per-run page file; its transport buffer is released at
+// once. The cursors page the spilled part back in a span at a time, and the
+// tree drains straight into a sorted-run writer. A run's bytes reach its
+// cursor in bucket order whether they waited in RAM or in the page file, so
+// the decoded runs — and with them the merged output and every
+// deterministic statistic — are byte-identical to the in-RAM run. Where
+// bytes wait and where the output lands live on the measured channels
+// only: SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU
+// share. What the pool meters is the resident prefixes and one paged-in
+// span per window. Received buckets are unmetered until they are routed.
 package core
 
 import (
@@ -29,61 +37,111 @@ import (
 	"dss/internal/wire"
 )
 
-// spillRun is one incoming run, still encoded, read as ONE byte sequence:
-// the resident prefix of the bucket followed by the page file's bytes
-// (file == nil: the whole bucket is resident). A run switches to its file
-// at most once — reverting would reorder its bytes — so the file, once
+// encodedRun is one incoming run, still encoded, read as ONE byte
+// sequence: the resident bytes of the bucket followed by the page file's
+// bytes (file == nil: the whole bucket is resident). A run switches to its
+// file at most once — reverting would reorder its bytes — so the file, once
 // created, receives all that is left of the bucket. It is confined to the
-// PE goroutine, like the Comm; only the page writes run concurrently
-// (spill.File's write-behind chain).
-type spillRun struct {
+// PE goroutine, like the Comm; only the in-RAM walk and the page writes
+// run concurrently.
+type encodedRun struct {
 	resident []byte
 	file     *spill.File
 	// sect are the byte ranges the run's windows read: the run itself, or
 	// for PDMS's composite bucket the prefix blob and the origin column.
 	sect    [2][2]int64
 	metered int64 // resident and paged-in bytes reserved in the pool
+	// n and chars are the in-RAM walk's string count and character total.
+	n, chars int
 }
 
-// routeRuns receives the n buckets of a posted exchange and routes each,
-// whole, to its budgeted run, releasing its buffer. origins marks PDMS's
-// composite layout: a length-prefixed RunStringsLCP blob of prefixes
-// trailed by a length-prefixed origin column (count, then one varint per
-// prefix).
-func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, origins bool, pool *spill.Pool) []spillRun {
-	runs := make([]spillRun, n)
+// routeRuns receives the n buckets of a posted exchange and lands each,
+// whole, as its run: held in RAM (pool == nil) or routed to its budgeted
+// run and released. origins marks PDMS's composite layout: a
+// length-prefixed RunStringsLCP blob of prefixes trailed by a
+// length-prefixed origin column (count, then one varint per prefix).
+func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, pool *spill.Pool) []encodedRun {
+	runs := make([]encodedRun, n)
+	if pool != nil {
+		for {
+			src, msg, ok := recv()
+			if !ok {
+				return runs
+			}
+			runs[src].route(pool, src, msg, origins)
+			c.Release(msg)
+		}
+	}
+	wgrp := c.Pool().Group()
 	for {
 		src, msg, ok := recv()
 		if !ok {
-			return runs
+			break
 		}
-		runs[src].route(pool, src, msg, origins)
-		c.Release(msg)
+		wgrp.Go(func() { runs[src].hold(msg, format, origins) })
 	}
+	c.AddCPU(wgrp.Wait())
+	return runs
 }
 
-// route hands one whole received bucket to its run: the prefix the budget
-// still has room for stays resident, copied out of the transport buffer as
-// it is, and the rest is appended to the run's page file. Appending whole
-// pages allocates the file's pending buffer once per page and keeps a
-// single bucket-sized write from queueing behind the meter. The spill
-// decision is a pure scheduling choice — it can differ run to run and
-// transport to transport — and therefore only ever moves measured gauges,
-// never a deterministic counter.
-func (run *spillRun) route(pool *spill.Pool, idx int, bucket []byte, origins bool) {
-	run.sect[0] = [2]int64{0, int64(len(bucket))}
+// sections returns the byte ranges of a bucket's windows: the whole bucket,
+// or the prefix blob and the origin column of a composite one.
+func sections(bucket []byte, origins bool) (sect [2][2]int64) {
+	sect[0] = [2]int64{0, int64(len(bucket))}
 	if origins {
-		// The same two length prefixes the in-RAM decode strips.
 		r := wire.NewReader(bucket)
-		for i := range run.sect {
+		for i := range sect {
 			sec, err := r.BytesPrefixed()
 			if err != nil {
 				panic("core: corrupt exchanged run: " + err.Error())
 			}
 			end := int64(len(bucket) - r.Remaining())
-			run.sect[i] = [2]int64{end - int64(len(sec)), end}
+			sect[i] = [2]int64{end - int64(len(sec)), end}
 		}
 	}
+	return sect
+}
+
+// hold keeps a received bucket as its run's resident bytes — the transport
+// buffer itself — after validating all of it: the strings as the one-shot
+// decoders would (wire.RunExtent) and, for a composite bucket, an origin
+// column of exactly one value per prefix. A corrupt bucket panics here,
+// before any output exists.
+func (run *encodedRun) hold(bucket []byte, format wire.RunFormat, origins bool) {
+	run.resident = bucket
+	run.sect = sections(bucket, origins)
+	n, chars, err := wire.RunExtent(format, run.span(0))
+	if err == nil && origins {
+		col := wire.NewReader(run.span(1))
+		var cnt uint64
+		if cnt, err = col.Uvarint(); err == nil && cnt != uint64(n) {
+			err = wire.ErrCorrupt
+		}
+		for i := 0; err == nil && i < n; i++ {
+			_, err = col.Uvarint()
+		}
+	}
+	if err != nil {
+		panic("core: corrupt exchanged run: " + err.Error())
+	}
+	run.n, run.chars = n, chars
+}
+
+// span returns section i of a wholly resident run.
+func (run *encodedRun) span(i int) []byte {
+	return run.resident[run.sect[i][0]:run.sect[i][1]]
+}
+
+// route hands one whole received bucket to its budgeted run: the prefix the
+// budget still has room for stays resident, copied out of the transport
+// buffer as it is, and the rest is appended to the run's page file.
+// Appending whole pages allocates the file's pending buffer once per page
+// and keeps a single bucket-sized write from queueing behind the meter. The
+// spill decision is a pure scheduling choice — it can differ run to run and
+// transport to transport — and therefore only ever moves measured gauges,
+// never a deterministic counter.
+func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, origins bool) {
+	run.sect = sections(bucket, origins)
 	keep := int(min(int64(len(bucket)), pool.Room()))
 	run.resident = append([]byte(nil), bucket[:keep]...)
 	run.metered = int64(keep)
@@ -104,11 +162,20 @@ func (run *spillRun) route(pool *spill.Pool, idx int, bucket []byte, origins boo
 }
 
 // pager returns the fill function of one window over the bytes [off, end)
-// of the run: the resident part as one span, then the page file a page at a
-// time. Only the latest paged-in span is metered — the window is through
-// with a span when it asks for the next — and a span served from the
-// file's still-pending tail is metered a second time, the safe direction.
-func (run *spillRun) pager(pool *spill.Pool, off, end int64) func() []byte {
+// of the run: a wholly resident run's section as one span; otherwise the
+// resident part as one span, then the page file a page at a time. Only the
+// latest paged-in span is metered — the window is through with a span when
+// it asks for the next — and a span served from the file's still-pending
+// tail is metered a second time, the safe direction.
+func (run *encodedRun) pager(pool *spill.Pool, off, end int64) func() []byte {
+	if run.file == nil {
+		span := run.resident[off:end]
+		return func() []byte {
+			s := span
+			span = nil
+			return s
+		}
+	}
 	var held int64
 	return func() []byte {
 		pool.Release(held)
@@ -135,20 +202,20 @@ func (run *spillRun) pager(pool *spill.Pool, off, end int64) func() []byte {
 	}
 }
 
-// spillSource is the merge's pull view of one budgeted run: a cursor over
-// the run's strings and, for PDMS, a second window over the origin column
-// of the same byte sequence. A string it returns is the cursor's reused
-// buffer, valid only until the source is pulled again — which is exactly
-// the guarantee merge.MergeSink needs and no more.
-type spillSource struct {
+// runSource is the merge's pull view of one run: a cursor over the run's
+// strings and, for PDMS, a second window over the origin column of the same
+// byte sequence. A string it returns is the cursor's reused buffer, valid
+// only until the source is pulled again — which is exactly the guarantee
+// merge.MergeSink needs and no more.
+type runSource struct {
 	cur     *wire.RunCursor
 	origins *wire.Window // nil without an origin column
 }
 
-// source opens the run's windows. The in-RAM decode rejects a bucket whose
-// two declared counts differ; both are at hand here, so this one does too.
-func (run *spillRun) source(pool *spill.Pool, format wire.RunFormat, origins bool) *spillSource {
-	s := &spillSource{cur: wire.NewRunCursor(format, run.pager(pool, run.sect[0][0], run.sect[0][1]))}
+// source opens the run's windows (pool may be nil for a wholly resident
+// run). It rejects a composite bucket whose two declared counts differ.
+func (run *encodedRun) source(pool *spill.Pool, format wire.RunFormat, origins bool) *runSource {
+	s := &runSource{cur: wire.NewRunCursor(format, run.pager(pool, run.sect[0][0], run.sect[0][1]))}
 	if origins {
 		s.origins = wire.NewWindow(run.pager(pool, run.sect[1][0], run.sect[1][1]))
 		want, err := s.cur.Count()
@@ -160,7 +227,7 @@ func (run *spillRun) source(pool *spill.Pool, format wire.RunFormat, origins boo
 			err = wire.ErrCorrupt
 		}
 		if err != nil {
-			panic("core: corrupt spilled run: " + err.Error())
+			panic("core: corrupt exchanged run: " + err.Error())
 		}
 	}
 	return s
@@ -168,15 +235,71 @@ func (run *spillRun) source(pool *spill.Pool, format wire.RunFormat, origins boo
 
 // Next returns the run's next string, paging until it is decodable;
 // ok=false reports the run exhausted.
-func (s *spillSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
+func (s *runSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
 	str, lcp, ok, err := s.cur.Next()
 	if ok && s.origins != nil {
 		sat, err = s.origins.Uvarint()
 	}
 	if err != nil {
-		panic("core: corrupt spilled run: " + err.Error())
+		panic("core: corrupt exchanged run: " + err.Error())
 	}
 	return str, lcp, sat, ok
+}
+
+// mergeRuns is the Step-4 tree call of both landings: it drains the runs
+// through the loser tree (LCP-aware if lcp) into sink, as a one-task fork
+// of the PE's pool, so the merge's span lands on worker 0's trace track and
+// its busy time on the merge phase's CPU channel.
+func mergeRuns(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, sink merge.Sink) (n, work int64, err error) {
+	srcs := make([]merge.Source, len(runs))
+	for i := range runs {
+		srcs[i] = runs[i].source(pool, format, origins)
+	}
+	c.AddCPU(c.ForEachSpan("merge", 1, func(int) {
+		n, work, err = merge.MergeSink(srcs, lcp, sink)
+	}))
+	return n, work, err
+}
+
+// arenaMerge merges the held runs into one output sized exactly by their
+// walks — the strings are sub-slices of one arena, the LCP and satellite
+// columns exact arrays, so nothing grows by reallocation — and then
+// releases the runs' transport buffers. An empty merge returns the zero
+// Sequence.
+func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins, lcp bool) (out merge.Sequence, work int64) {
+	n, chars := 0, 0
+	for i := range runs {
+		n += runs[i].n
+		chars += runs[i].chars
+	}
+	if n > 0 {
+		out.Strings = make([][]byte, n)
+		if lcp {
+			out.LCPs = make([]int32, n)
+		}
+		if origins {
+			out.Sats = make([]uint64, n)
+		}
+	}
+	arena := make([]byte, 0, chars)
+	i := 0
+	_, work, _ = mergeRuns(c, nil, runs, format, origins, lcp, func(s []byte, h int32, sat uint64) error {
+		off := len(arena)
+		arena = append(arena, s...)
+		out.Strings[i] = arena[off:len(arena):len(arena)]
+		if out.LCPs != nil {
+			out.LCPs[i] = h
+		}
+		if out.Sats != nil {
+			out.Sats[i] = sat
+		}
+		i++
+		return nil
+	})
+	for i := range runs {
+		c.Release(runs[i].resident)
+	}
+	return out, work
 }
 
 // sinkMerge drains the budgeted runs through the loser tree into the run
@@ -186,12 +309,8 @@ func (s *spillSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
 // themselves). The item sequence and the returned work are bit-identical
 // to the in-RAM merge — it is the same tree — only where the output lands
 // differs.
-func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []spillRun, format wire.RunFormat, origins, lcp bool, out *spill.RunWriter) (n, work int64) {
-	srcs := make([]merge.Source, len(runs))
-	for i := range runs {
-		srcs[i] = runs[i].source(pool, format, origins)
-	}
-	n, work, err := merge.MergeSink(srcs, lcp, out.Add)
+func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *spill.RunWriter) (n, work int64) {
+	n, work, err := mergeRuns(c, pool, runs, format, origins, lcp, out.Add)
 	var busy int64
 	for i := range runs {
 		run := &runs[i]

@@ -26,13 +26,57 @@ type Sequence struct {
 // Len returns the number of strings in the sequence.
 func (s Sequence) Len() int { return len(s.Strings) }
 
-// MergeLCP performs a sequential K-way merge with the LCP loser tree: it
-// consumes the runs' LCP arrays, inspects each character at most once, and
-// produces the LCP array of the output. Returns the merged run and the
-// number of characters inspected.
-func MergeLCP(seqs []Sequence) (Sequence, int64) {
-	out, work, _ := Merge(nil, seqs, Options{LCP: true})
+// Merge performs a K-way merge of resident runs with the loser tree,
+// LCP-aware if lcp: the runs' LCP arrays are consumed and the output
+// carries one. Without lcp the plain tree of FKmerge and MS-simple runs,
+// input LCP arrays are ignored and the output has none. Satellites are
+// carried if any run has them. Returns the merged run, whose strings alias
+// the inputs', and the number of characters inspected.
+func Merge(seqs []Sequence, lcp bool) (Sequence, int64) {
+	total := 0
+	anySats := false
+	srcs := make([]Source, len(seqs))
+	for i, s := range seqs {
+		if lcp && s.Len() > 0 && len(s.LCPs) != s.Len() {
+			panic("merge: sequence missing LCP array")
+		}
+		if s.Sats != nil {
+			if len(s.Sats) != s.Len() {
+				panic("merge: satellite array length mismatch")
+			}
+			anySats = true
+		}
+		total += s.Len()
+		srcs[i] = &sliceSource{seq: s}
+	}
+	var out Sequence
+	if total == 0 {
+		return out, 0
+	}
+	out.Strings = make([][]byte, 0, total)
+	if lcp {
+		out.LCPs = make([]int32, 0, total)
+	}
+	if anySats {
+		out.Sats = make([]uint64, 0, total)
+	}
+	_, work, _ := MergeSink(srcs, lcp, func(s []byte, h int32, sat uint64) error {
+		out.Strings = append(out.Strings, s)
+		if lcp {
+			out.LCPs = append(out.LCPs, h)
+		}
+		if anySats {
+			out.Sats = append(out.Sats, sat)
+		}
+		return nil
+	})
 	return out, work
+}
+
+// MergeLCP is Merge with the LCP loser tree: it inspects each character at
+// most once and produces the LCP array of the output.
+func MergeLCP(seqs []Sequence) (Sequence, int64) {
+	return Merge(seqs, true)
 }
 
 // tree is the array-based loser tree over K pull-based streams (K padded
@@ -51,13 +95,13 @@ type tree struct {
 	curH   []int32  // per-stream LCP of the current head with the last output
 	useLCP bool
 	work   int64
-	winner int // current overall winner (valid after init/reseed)
+	winner int // current overall winner (valid after init)
 	state  *treeState
 }
 
 // newTree builds a tree over the sources with pooled state and pulls every
 // stream's first head (blocking until each run can produce one). Callers
-// then call init (billed) or reseed (unbilled) before emit.
+// then call init before emit.
 func newTree(srcs []Source, useLCP bool) *tree {
 	k := 1
 	for k < len(srcs) {
@@ -78,7 +122,7 @@ func newTree(srcs []Source, useLCP bool) *tree {
 		t.pull(s) // padding streams keep the pool's nil heads
 	}
 	// No output yet: every stream starts at LCP 0, whatever LCP entry its
-	// first string carries (a partition's cut lands mid-run).
+	// first string carries.
 	clear(t.curH)
 	return t
 }
@@ -184,51 +228,18 @@ func (t *tree) initNode(node int) int {
 }
 
 // init plays the initial tournament, billing its comparisons to the work
-// counter — the sequential merge's (and partition 0's) tree build.
+// counter.
 func (t *tree) init() {
 	t.winner = t.initNode(1)
 }
 
-// reseed rebuilds the tree state a sequential merge would have at the
-// sources' current positions, WITHOUT billing any work — the entry point of
-// partitions j ≥ 1 of the parallel merge. wPrev is the output element
-// immediately preceding this partition's range (the maximal last-selected
-// element under the merge's (string, run) tie order).
-//
-// Why this reproduces the sequential state exactly: a loser tree over a
-// strict total order is a pure function of the current heads — at every
-// node the passed-up winner is the subtree minimum and loser[node] is the
-// other sub-winner, regardless of the insertion history. For the LCP tree
-// the canonical curH values are LCP(head, w) for every stream whose head
-// a comparison has not yet demoted, and LCP(loser, winner-at-its-node) for
-// the demoted ones; seeding curH[s] = LCP(head(s), wPrev) and replaying
-// the tournament restores precisely that (lessHeadsLCP's side effects
-// install the losers' values). With identical state, the subsequent emit
-// replays the sequential merge's comparison sequence character for
-// character, so the BILLED work of all partitions sums to the sequential
-// total.
-func (t *tree) reseed(wPrev []byte) {
-	if t.useLCP {
-		for s, h := range t.heads {
-			t.curH[s] = int32(strutil.LCP(h, wPrev)) // 0 for exhausted streams
-		}
-	}
-	// Play the tournament with the work counter parked: the comparisons
-	// (and their curH side effects) happen, the characters they inspect are
-	// bookkeeping of the partitioned schedule, not merge work — the
-	// sequential merge never performs them.
-	saved := t.work
-	t.winner = t.initNode(1)
-	t.work = saved
-}
-
-// emit pushes the next n merged items into sink, in order (n < 0: until
-// every stream is exhausted), and returns how many it delivered. A sink
-// error aborts the merge and is returned; the streams are left mid-run.
-func (t *tree) emit(n int, sink Sink) (int, error) {
+// emit pushes the merged items into sink, in order, until every stream is
+// exhausted, and returns how many it delivered. A sink error aborts the
+// merge and is returned; the streams are left mid-run.
+func (t *tree) emit(sink Sink) (int, error) {
 	w := t.winner
 	i := 0
-	for ; i != n; i++ {
+	for ; ; i++ {
 		h := t.heads[w]
 		if h == nil {
 			break

@@ -38,8 +38,7 @@ func makeRuns(rng *rand.Rand, k, total, maxLen, sigma int) ([]Sequence, [][]byte
 
 // mergePlain is the sequential merge on the plain (non-LCP) loser tree.
 func mergePlain(seqs []Sequence) (Sequence, int64) {
-	out, work, _ := Merge(nil, seqs, Options{})
-	return out, work
+	return Merge(seqs, false)
 }
 
 func TestMergeLCPRandom(t *testing.T) {

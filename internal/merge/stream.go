@@ -1,18 +1,16 @@
 // The two ends of the loser tree: a Source is where a run comes from, a
 // Sink is where the merged items go. A resident run is a positioned slice
-// (sliceSource); a budgeted run is a cursor over its still-encoded bytes,
-// resident and in a page file (core's spill sources).
-// The pool merge sinks into pre-sized output slices (parallel.go); the
-// budget pipeline sinks into a sorted-run file writer through MergeSink, so
-// the merged run never accumulates in memory.
+// (sliceSource); an exchanged run is a cursor over its still-encoded bytes,
+// in RAM or in a page file (core's run sources). Merge sinks into pre-sized
+// output slices; the Step-4 landings sink through MergeSink into an exact
+// output arena or a sorted-run file writer.
 //
 // Work-count identity: the comparison sequence of a loser tree is a pure
 // function of the head sequences, the per-head LCP values and the stream
 // count. Every merge of the package runs the same tree over the same
 // strings and LCPs, padded to the same power of two, so the character work
-// is bit-identical whether the runs are resident or paged and whether the
-// output is an arena or a file — asserted by sink_test.go and
-// parallel_test.go.
+// is bit-identical whether the runs are resident or encoded and whether
+// the output is an arena or a file — asserted by sink_test.go.
 package merge
 
 // Source is a pull-based sorted string run.
@@ -20,9 +18,9 @@ package merge
 // Aliasing contract: a string returned by Next must stay valid and
 // byte-identical at least until the NEXT call to Next on the same source —
 // the tree caches it as the stream's head and hands it to the sink before
-// pulling again. Sources feeding the pool merge must keep their strings
-// valid for good (the output Sequence aliases them); sources feeding
-// MergeSink may reuse a string's storage once they are pulled past it. A
+// pulling again. Sources feeding Merge must keep their strings valid for
+// good (the output Sequence aliases them); sources feeding MergeSink may
+// reuse a string's storage once they are pulled past it. A
 // Source must never hand out sub-slices of transport buffers that are
 // recycled behind its back.
 type Source interface {
@@ -70,14 +68,13 @@ type Sink func(s []byte, lcp int32, sat uint64) error
 // MergeSink merges the sources through the loser tree (LCP-aware if lcp)
 // and pushes every output item into sink, in order. The item sequence and
 // the returned character work are bit-identical to Merge over the same
-// runs. The merge is sequential — an incrementally written output has no
-// partition boundaries to hand off to. A sink error aborts the merge and
-// is returned with the count of items sunk before it; sources are left
-// mid-run (the caller's cleanup owns them).
+// runs. A sink error aborts the merge and is returned with the count of
+// items sunk before it; sources are left mid-run (the caller's cleanup owns
+// them).
 func MergeSink(sources []Source, lcp bool, sink Sink) (n int64, work int64, err error) {
 	t := newTree(sources, lcp)
 	defer t.release()
 	t.init()
-	m, err := t.emit(-1, sink)
+	m, err := t.emit(sink)
 	return int64(m), t.work, err
 }

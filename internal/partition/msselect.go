@@ -1,11 +1,9 @@
-// Multisequence selection: exact rank-based splitting of K sorted runs
-// into globally ordered parts, the partitioning step of the parallel
-// Step-4 merge. Where the rest of this package picks APPROXIMATE splitters
-// by sampling (Step 2 decides which PE a string belongs to, and imbalance
-// there only costs load), the parallel merge needs EXACT boundaries: every
-// worker must merge a contiguous subrange of the final output, so the
-// boundaries are the j·total/parts order statistics of the union of the
-// runs — computed here without merging, by binary-searching ranks.
+// Multisequence selection: exact rank-based splitting of K sorted runs.
+// Where the rest of this package picks APPROXIMATE splitters by sampling
+// (Step 2 decides which PE a string belongs to, and imbalance there only
+// costs load), MultiSelect finds the EXACT boundary of a given global rank
+// in the union of the runs — without merging, by binary-searching ranks.
+// The repository benchmark's layer walk times it on a PE's received runs.
 //
 // Total order. Elements are ordered by (string, run index, position):
 // ties between equal strings break toward the lower run, and within one
@@ -15,8 +13,7 @@
 // per-run counts always sum to the requested target, with no tie
 // fix-up pass.
 //
-// These functions are pure (no communicator, no accounting): the parallel
-// merge calls them as unbilled bookkeeping, off the work-count channel.
+// These functions are pure (no communicator, no accounting).
 package partition
 
 import (
@@ -73,36 +70,6 @@ func rankOf(runs [][][]byte, starts []int, q, i int) int {
 		}
 	}
 	return rank
-}
-
-// SplitPoints cuts the remaining elements of the runs into `parts` globally
-// ordered, contiguous-in-every-run subranges of near-equal size: the
-// returned cuts have parts+1 rows, cuts[0] = starts (zeros when nil),
-// cuts[parts] = run lengths, and row j holds the per-run absolute
-// boundaries of the j·total/parts order statistic. Rows are monotone in j
-// for every run, so [cuts[j][q], cuts[j+1][q]) are disjoint and cover each
-// run's remainder.
-func SplitPoints(runs [][][]byte, starts []int, parts int) [][]int {
-	k := len(runs)
-	total := 0
-	for q := 0; q < k; q++ {
-		total += len(runs[q]) - startOf(starts, q)
-	}
-	cuts := make([][]int, parts+1)
-	first := make([]int, k)
-	for q := 0; q < k; q++ {
-		first[q] = startOf(starts, q)
-	}
-	cuts[0] = first
-	for j := 1; j < parts; j++ {
-		cuts[j] = MultiSelect(runs, starts, total*j/parts)
-	}
-	last := make([]int, k)
-	for q := 0; q < k; q++ {
-		last[q] = len(runs[q])
-	}
-	cuts[parts] = last
-	return cuts
 }
 
 // startOf reads starts[q] with nil meaning zero.

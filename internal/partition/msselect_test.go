@@ -2,7 +2,6 @@ package partition
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -176,62 +175,6 @@ func TestMultiSelectRandom(t *testing.T) {
 		total := totalOf(runs, useStarts)
 		for _, target := range []int{0, total / 3, total / 2, total} {
 			checkSelect(t, runs, useStarts, target)
-		}
-	}
-}
-
-func TestSplitPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		k := 1 + rng.Intn(6)
-		runs := make([][][]byte, k)
-		for q := range runs {
-			n := rng.Intn(15)
-			strs := make([]string, n)
-			for i := range strs {
-				strs[i] = fmt.Sprintf("s%02d", rng.Intn(10))
-			}
-			runs[q] = sortedRun(strs...)
-		}
-		total := totalOf(runs, nil)
-		for _, parts := range []int{1, 2, 3, 5, 8} {
-			cuts := SplitPoints(runs, nil, parts)
-			if len(cuts) != parts+1 {
-				t.Fatalf("parts=%d: %d rows", parts, len(cuts))
-			}
-			for q := range runs {
-				if cuts[0][q] != 0 || cuts[parts][q] != len(runs[q]) {
-					t.Fatalf("parts=%d run=%d: endpoints %d..%d, want 0..%d",
-						parts, q, cuts[0][q], cuts[parts][q], len(runs[q]))
-				}
-			}
-			// Rows monotone per run; per-row sizes match the target schedule.
-			for j := 1; j <= parts; j++ {
-				size := 0
-				for q := range runs {
-					if cuts[j][q] < cuts[j-1][q] {
-						t.Fatalf("parts=%d run=%d: row %d (%d) < row %d (%d)",
-							parts, q, j, cuts[j][q], j-1, cuts[j-1][q])
-					}
-					size += cuts[j][q] - cuts[0][q]
-				}
-				want := total * j / parts
-				if j == parts {
-					want = total
-				}
-				if size != want {
-					t.Fatalf("parts=%d row=%d: cumulative size %d, want %d", parts, j, size, want)
-				}
-			}
-			// Every row is an exact selection boundary.
-			for j := 1; j < parts; j++ {
-				want := refSelect(runs, nil, total*j/parts)
-				for q := range runs {
-					if cuts[j][q] != want[q] {
-						t.Fatalf("parts=%d row=%d: cuts %v, want %v", parts, j, cuts[j], want)
-					}
-				}
-			}
 		}
 	}
 }

@@ -288,11 +288,17 @@ func TestRunCursorEmptyFirstStringIsNonNil(t *testing.T) {
 	}
 }
 
-// benchRun is one PE's share of the benchmark text (cc_ms_*), sorted and
-// front-coded the way Step 3 ships it.
-func benchRun() (msg []byte, n int) {
+// benchInput is one PE's share of the benchmark text (cc_ms_*), sorted,
+// with its LCP array.
+func benchInput() ([][]byte, []int32) {
 	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
 	lcps, _ := strsort.SortLCP(ss, nil)
+	return ss, lcps
+}
+
+// benchRun is benchInput front-coded the way Step 3 ships it.
+func benchRun() (msg []byte, n int) {
+	ss, lcps := benchInput()
 	return AppendStringsLCP(nil, ss, lcps), len(ss)
 }
 
@@ -347,5 +353,22 @@ func BenchmarkDecodeStringsLCP(b *testing.B) {
 			b.Fatalf("decoded %d strings (%v), want %d", len(ss), err, n)
 		}
 		benchSink += len(ss[n-1])
+	}
+}
+
+// BenchmarkAppendStringsLCP times the Step-3 encoder over the same run as
+// Step 3 drives it: the exact size first, then the encoding into a buffer
+// of exactly that size. Bytes are the encoded bytes, as in the decoder
+// rungs above.
+func BenchmarkAppendStringsLCP(b *testing.B) {
+	ss, lcps := benchInput()
+	buf := make([]byte, 0, StringsLCPSize(ss, lcps))
+	b.SetBytes(int64(cap(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size := StringsLCPSize(ss, lcps)
+		msg := AppendStringsLCP(buf[:0:size], ss, lcps)
+		benchSink += len(msg)
 	}
 }

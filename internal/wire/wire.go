@@ -146,29 +146,62 @@ func AppendStrings(dst []byte, ss [][]byte) []byte {
 }
 
 // DecodeStrings reverses EncodeStrings. The returned strings are copies and
-// do not alias the message buffer beyond a single backing array.
+// do not alias the message buffer beyond a single backing array. The whole
+// message is validated and sized (RunExtent) before anything is allocated,
+// so a peer's lying count costs nothing.
 func DecodeStrings(msg []byte) ([][]byte, error) {
-	r := NewReader(msg)
-	cnt, err := r.Uvarint()
+	n, chars, err := RunExtent(RunStrings, msg)
 	if err != nil {
 		return nil, err
 	}
-	if cnt > uint64(len(msg)) {
-		return nil, ErrCorrupt
-	}
-	out := make([][]byte, 0, cnt)
+	r := NewReader(msg)
+	r.Uvarint()
+	out := make([][]byte, n)
 	// Single backing array for cache friendliness.
-	backing := make([]byte, 0, r.Remaining())
-	for i := uint64(0); i < cnt; i++ {
-		s, err := r.BytesPrefixed()
-		if err != nil {
-			return nil, err
-		}
+	backing := make([]byte, 0, chars)
+	for i := range out {
+		s, _ := r.BytesPrefixed()
 		off := len(backing)
 		backing = append(backing, s...)
-		out = append(out, backing[off:off+len(s):off+len(s)])
+		out[i] = backing[off:len(backing):len(backing)]
 	}
 	return out, nil
+}
+
+// RunExtent walks an encoded run's varints without materializing a string
+// and returns its string count and the total length of its decoded strings
+// — what a decoder needs to size its output exactly. It rejects what the
+// decoders reject: a count no message this short can hold, a truncated
+// string, and in RunStringsLCP a first LCP other than 0 or an LCP longer
+// than the predecessor. Bytes after the run's last string are ignored.
+func RunExtent(format RunFormat, msg []byte) (n, chars int, err error) {
+	r := NewReader(msg)
+	cnt, err := r.Uvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	if cnt > uint64(len(msg)) { // every string takes at least one byte
+		return 0, 0, ErrCorrupt
+	}
+	prevLen := 0
+	for i := uint64(0); i < cnt; i++ {
+		var h uint64
+		if format == RunStringsLCP {
+			if h, err = r.Uvarint(); err != nil {
+				return 0, 0, err
+			}
+			if (i == 0 && h != 0) || h > uint64(prevLen) {
+				return 0, 0, ErrCorrupt
+			}
+		}
+		s, err := r.BytesPrefixed()
+		if err != nil {
+			return 0, 0, err
+		}
+		prevLen = int(h) + len(s)
+		chars += prevLen
+	}
+	return int(cnt), chars, nil
 }
 
 // EncodeStringsLCP serializes a sorted run of strings with LCP compression:
@@ -222,49 +255,22 @@ func AppendStringsLCP(dst []byte, ss [][]byte, lcps []int32) []byte {
 // by copying the shared prefix from the previously decoded string. It
 // returns the strings and the LCP array of the run (lcps[0] == 0).
 //
-// The decode is flat-arena: a first pass over the varints computes the
-// exact total character count, then all strings are materialized as
+// The decode is flat-arena: RunExtent validates the message and computes
+// the exact total character count, then all strings are materialized as
 // sub-slices of one contiguous backing buffer — three allocations per
-// message instead of one per string, and the merged runs stay contiguous
-// in memory for the Step 4 merge.
+// message instead of one per string.
 func DecodeStringsLCP(msg []byte) ([][]byte, []int32, error) {
-	r := NewReader(msg)
-	cnt, err := r.Uvarint()
+	cnt, total, err := RunExtent(RunStringsLCP, msg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cnt > uint64(len(msg))+1 {
-		return nil, nil, ErrCorrupt
-	}
-	// Pass 1: validate the structure and size the arena.
-	sizing := *r
-	total := 0
-	prevLen := 0
-	for i := uint64(0); i < cnt; i++ {
-		h64, err := sizing.Uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		n64, err := sizing.Uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := sizing.Raw(int(n64)); err != nil {
-			return nil, nil, err
-		}
-		h := int(h64)
-		if (i == 0 && h != 0) || h > prevLen {
-			return nil, nil, ErrCorrupt
-		}
-		prevLen = h + int(n64)
-		total += prevLen
-	}
-	// Pass 2: materialize into the arena.
+	r := NewReader(msg)
+	r.Uvarint()
 	ss := make([][]byte, 0, cnt)
 	lcps := make([]int32, 0, cnt)
 	arena := make([]byte, 0, total)
 	var prev []byte
-	for i := uint64(0); i < cnt; i++ {
+	for i := 0; i < cnt; i++ {
 		h64, _ := r.Uvarint()
 		h := int(h64)
 		suffix, _ := r.BytesPrefixed()

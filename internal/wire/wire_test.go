@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -317,5 +319,29 @@ func TestAppendDecodeFixedAndBitset(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 	if _, err := AppendDecodeBitset(nil, huge); err == nil {
 		t.Fatal("bitset with a 2^64-1 count accepted")
+	}
+}
+
+// TestDecodeStringsValidatesBeforeAllocating is the regression test of a
+// peer's lying count: DecodeStrings sized its spine by the declared count
+// as soon as the count fit the message length, so a 1 MiB message
+// declaring 10⁶ strings and then cut short cost 24 MB before its first
+// string was looked at. It must fail having allocated less than the
+// message itself.
+func TestDecodeStringsValidatesBeforeAllocating(t *testing.T) {
+	msg := binary.AppendUvarint(make([]byte, 0, 1<<20), 1_000_000)
+	for len(msg) < 1<<20 {
+		msg = append(msg, 1, 'x') // half a million one-byte strings fit
+	}
+	msg = msg[:1<<20]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ss, err := DecodeStrings(msg)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a truncated message decoded to %d strings", len(ss))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("rejecting the message allocated %d bytes", got)
 	}
 }

@@ -55,108 +55,55 @@ func equalFragments(t *testing.T, label string, a, b *Result) {
 // TestCoresDeterminism is the intra-PE parallelism determinism suite: every
 // algorithm must produce byte-identical fragments (strings, LCPs, origins)
 // and bit-identical deterministic statistics — model time, bytes sent,
-// messages, work — at pool widths 1, 2 and N. Width 1 is the exact sequential path; any divergence at a wider
-// pool means the parallel decomposition changed the algorithm, not just
-// the schedule.
+// messages, work — at pool widths 1, 2 and N. Width 1 is the exact
+// sequential path; any divergence at a wider pool means the parallel
+// decomposition changed the algorithm, not just the schedule. The second
+// case gives every PE more than 2 048 received strings per merge.
 func TestCoresDeterminism(t *testing.T) {
 	widths := []int{1, 2, runtime.GOMAXPROCS(0) + 3}
-	rng := rand.New(rand.NewSource(606))
-	inputs := genInputs(rng, 4, 200)
-	for _, algo := range Algorithms {
-		base := Config{Algorithm: algo, Seed: 17}
-		base.Cores = 1
-		want, err := Sort(inputs, base)
-		if err != nil {
-			t.Fatalf("%v cores=1: %v", algo, err)
-		}
-		if want.Stats.Cores != 1 {
-			t.Fatalf("%v: Stats.Cores = %d at width 1", algo, want.Stats.Cores)
-		}
-		for _, w := range widths[1:] {
-			label := fmt.Sprintf("%v cores=%d", algo, w)
-			cfg := base
-			cfg.Cores = w
-			got, err := Sort(inputs, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if got.Stats.Cores != w {
-				t.Fatalf("%s: Stats.Cores = %d", label, got.Stats.Cores)
-			}
-			equalFragments(t, label, want, got)
-			if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-				t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
-					label, want.Stats, w, got.Stats)
-			}
-		}
+	large := make([][][]byte, 4)
+	for pe := range large {
+		large[pe] = input.Random(5000, 24, 2, pe, len(large), int64(800+pe))
 	}
-}
-
-// TestCoresDeterminismParMerge forces the partitioned Step-4 merge on
-// every algorithm with ParMergeMin=1 (the small inputs here are far below
-// the default threshold, so without the override the parallel merge would
-// never engage). Fragments, LCPs, origins and
-// every deterministic statistic — including the character/LCP work count
-// the merge bills — must match width 1 bit for bit at widths 2 and N: the
-// deterministic merge-back contract of the multisequence-selection
-// partitioned loser trees.
-func TestCoresDeterminismParMerge(t *testing.T) {
-	widths := []int{1, 2, runtime.GOMAXPROCS(0) + 3}
-	rng := rand.New(rand.NewSource(707))
-	inputs := genInputs(rng, 4, 200)
-	for _, algo := range Algorithms {
-		base := Config{Algorithm: algo, Seed: 23, ParMergeMin: 1}
-		base.Cores = 1
-		want, err := Sort(inputs, base)
-		if err != nil {
-			t.Fatalf("%v cores=1: %v", algo, err)
-		}
-		for _, w := range widths[1:] {
-			label := fmt.Sprintf("%v parmerge cores=%d", algo, w)
-			cfg := base
-			cfg.Cores = w
-			got, err := Sort(inputs, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+	cases := []struct {
+		name   string
+		inputs [][][]byte
+		algos  []Algorithm
+		seed   uint64
+	}{
+		{"4x200", genInputs(rand.New(rand.NewSource(606)), 4, 200), Algorithms, 17},
+		{"4x5000", large, []Algorithm{MS}, 37},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, algo := range tc.algos {
+				base := Config{Algorithm: algo, Seed: tc.seed, Cores: 1}
+				want, err := Sort(tc.inputs, base)
+				if err != nil {
+					t.Fatalf("%v cores=1: %v", algo, err)
+				}
+				if want.Stats.Cores != 1 {
+					t.Fatalf("%v: Stats.Cores = %d at width 1", algo, want.Stats.Cores)
+				}
+				for _, w := range widths[1:] {
+					label := fmt.Sprintf("%v cores=%d", algo, w)
+					cfg := base
+					cfg.Cores = w
+					got, err := Sort(tc.inputs, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.Stats.Cores != w {
+						t.Fatalf("%s: Stats.Cores = %d", label, got.Stats.Cores)
+					}
+					equalFragments(t, label, want, got)
+					if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
+						t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
+							label, want.Stats, w, got.Stats)
+					}
+				}
 			}
-			equalFragments(t, label, want, got)
-			if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-				t.Fatalf("%s: statistics differ from sequential:\ncores=1: %+v\ncores=%d: %+v",
-					label, want.Stats, w, got.Stats)
-			}
-		}
-	}
-}
-
-// TestCoresDeterminismParMergeLarge crosses the DEFAULT parallel-merge
-// threshold (no override: each PE receives well over merge.DefaultParMin
-// strings), so the production configuration of the partitioned merge —
-// selection and reseeded partitions — is exercised end to end with
-// width-invariant results.
-func TestCoresDeterminismParMergeLarge(t *testing.T) {
-	const p, nPerPE = 4, 5000
-	inputs := make([][][]byte, p)
-	for pe := range inputs {
-		inputs[pe] = input.Random(nPerPE, 24, 2, pe, p, int64(800+pe))
-	}
-	base := Config{Algorithm: MS, Seed: 37, Cores: 1}
-	want, err := Sort(inputs, base)
-	if err != nil {
-		t.Fatalf("cores=1: %v", err)
-	}
-	for _, w := range []int{2, 8} {
-		label := fmt.Sprintf("MS large cores=%d", w)
-		cfg := base
-		cfg.Cores = w
-		got, err := Sort(inputs, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		equalFragments(t, label, want, got)
-		if coreInvariant(want.Stats) != coreInvariant(got.Stats) {
-			t.Fatalf("%s: statistics differ:\ncores=1: %+v\ncores=%d: %+v",
-				label, want.Stats, w, got.Stats)
-		}
+		})
 	}
 }
 

@@ -33,7 +33,6 @@ type TuningFlags struct {
 	CodecMin     *int
 	Validate     *bool
 	Cores        *int
-	ParMergeMin  *int
 	MemBudget    *string
 	SpillDir     *string
 	Trace        *string
@@ -60,7 +59,6 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		CodecMin:     fs.Int("codec-min", codec.DefaultMinSize, "frames smaller than this many bytes ship uncompressed"),
 		Validate:     fs.Bool("validate", false, "run the distributed verifier after sorting"),
 		Cores:        fs.Int("cores", 0, "intra-PE work pool width (0 = GOMAXPROCS, 1 = sequential; output and model stats identical at any width)"),
-		ParMergeMin:  fs.Int("par-merge-min", 0, "minimum received strings before the Step-4 merge is partitioned across the pool (0 = default 2048, negative = always sequential)"),
 		MemBudget:    fs.String("mem-budget", "", "per-PE memory budget for the out-of-core pipeline, e.g. 64m or 1g (empty = unbounded in-RAM run; output streamed to sorted-run files when set)"),
 		SpillDir:     fs.String("spill-dir", "", "directory for spill page files and sorted-run output (empty = OS temp dir; only with -mem-budget)"),
 		Trace:        fs.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in ui.perfetto.dev; under dss-worker, rank 0 writes the merged cross-process trace)"),
@@ -99,7 +97,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	cfg.RandomSampling = *tf.RandomSample
 	cfg.Validate = *tf.Validate
 	cfg.Cores = *tf.Cores
-	cfg.ParMergeMin = *tf.ParMergeMin
 	budget, err := ParseMemBudget(*tf.MemBudget)
 	if err != nil {
 		return err

@@ -223,13 +223,6 @@ type Config struct {
 	// work units, model time, bytes/string — are bit-identical at every
 	// width; only wall clock (and the measured CPU channel) changes.
 	Cores int
-	// ParMergeMin gates the partitioned parallel Step-4 merge by received
-	// strings per PE: below the threshold the merge runs sequentially even
-	// on a wide pool. 0 selects the default (2048); negative disables the
-	// parallel merge entirely. Output and every deterministic statistic are
-	// identical at any value — the partitioned merge reproduces the
-	// sequential merge byte for byte (strings, LCPs, origins, work).
-	ParMergeMin int
 	// MemBudget > 0 switches the run to the bounded-memory out-of-core
 	// pipeline: each PE meters the Step-3 run arenas against this per-PE
 	// byte budget, spills whole runs to page files once over budget, and
@@ -369,8 +362,10 @@ type Stats struct {
 	// Nondeterministic, like WallMS.
 	MergeWallMS float64
 	// MergeCPUMS is the merge phase's summed worker-busy time in
-	// PE-milliseconds. MergeCPUMS exceeding MergeWallMS proves the Step-4
-	// merge itself ran in parallel (the partitioned loser trees).
+	// PE-milliseconds: the landing's validating walks over the received
+	// buckets and the Step-4 loser tree (hQuick: the placement decode), plus
+	// the page writes under a memory budget. Its gap to MergeWallMS is the
+	// time the merge phase spent waiting for buckets to arrive.
 	// Nondeterministic, like CPUMS.
 	MergeCPUMS float64
 	// PeakMemBytes is the bottleneck peak of metered live bytes over PEs
@@ -418,7 +413,7 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 	fmt.Fprintf(w, "wall time:        %.3f ms (slowest PE)\n", st.WallMS)
 	fmt.Fprintf(w, "overlap:          %.3f ms max per PE, %.3f PE-ms summed (comm hidden under compute)\n",
 		st.MaxOverlapMS, st.OverlapMS)
-	fmt.Fprintf(w, "merge par:        %.3f PE-ms merge CPU over %.3f ms merge wall (CPU > wall = partitioned merge engaged)\n",
+	fmt.Fprintf(w, "merge:            %.3f PE-ms worker CPU summed, %.3f ms wall (slowest PE)\n",
 		st.MergeCPUMS, st.MergeWallMS)
 	fmt.Fprintf(w, "spill:            %d bytes written, %d read back, %d peak live (0 = everything stayed in memory)\n",
 		st.SpillBytesWritten, st.SpillBytesRead, st.PeakMemBytes)
@@ -606,8 +601,7 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		sampling = partition.CharSampling
 	}
 	seam := core.SeamOptions{
-		BlockingExchange: cfg.blockingExchange, ParMergeMin: cfg.ParMergeMin,
-		Spill: sp, Out: out,
+		BlockingExchange: cfg.blockingExchange, Spill: sp, Out: out,
 	}
 	switch cfg.Algorithm {
 	case HQuick:

@@ -143,17 +143,15 @@ func TestSortTraceTimeline(t *testing.T) {
 }
 
 // TestSortTraceWorkerTracks asserts the par-layer attribution: with a
-// wide pool the trace carries named worker tracks with busy spans
-// ("local-sort", "encode", "merge", ...).
+// wide pool the trace carries named worker tracks with busy spans (the
+// Step-4 merge, a one-task fork, on worker 0's track).
 func TestSortTraceWorkerTracks(t *testing.T) {
 	inputs := testInputs(4, 400)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if _, err := Sort(inputs, Config{
 		Algorithm: MS,
 		Cores:     4,
-		// Partition even these small runs so the merge worker spans appear.
-		ParMergeMin: 1,
-		Trace:       path,
+		Trace:     path,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +173,6 @@ func TestSortTraceWorkerTracks(t *testing.T) {
 	}
 	if !workerTracks["worker 0"] {
 		t.Errorf("no 'worker 0' thread_name metadata; tracks: %v", workerTracks)
-	}
-	if countEvents(doc, "merge-seam", "i") == 0 {
-		t.Errorf("no merge-seam partition instants at par-merge-min=1")
 	}
 }
 
