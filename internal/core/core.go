@@ -20,27 +20,29 @@
 //
 // Steps 3 and 4 of the merge-based sorters go through one function,
 // exchangeMerge, and Step 3 is one exchange (exchangeEncoded, shared with
-// hQuick): every bucket is encoded into a transport buffer and posted as its
-// encoder finishes, and the received buckets come back whole, in arrival
-// order. They land the same way with or without a memory budget
-// (outofcore.go): each received bucket stays ENCODED as one run, and the
-// Step-4 loser tree pulls every run through a wire.RunCursor that decodes
-// one string per pull. Without a budget a run is the transport buffer it
-// arrived in, validated and sized on the PE's pool the moment it arrives —
-// so the exchange overlaps that walk instead of ending at a global barrier
-// — and the merge drains into one output arena sized exactly by the walks.
-// With a budget the run's bytes wait resident as far as the spill pool has
-// room and in a page file beyond, and the same tree drains into a
-// sorted-run file. The deterministic statistics are identical on both —
-// received bytes are billed to the phase the exchange was posted in — and
-// identical to the bulk-synchronous exchange kept as the reference
-// implementation (SeamOptions.BlockingExchange, set by the differential
-// tests only).
+// hQuick): every bucket bound for another PE is encoded into a transport
+// buffer and posted as its encoder finishes, and the received buckets come
+// back whole, in arrival order; the PE's own bucket stays home, merged from
+// the sorted local array. The received buckets land the same way with or
+// without a memory budget (outofcore.go): each stays ENCODED as one run, and
+// the Step-4 loser tree pulls every run through a wire.RunCursor that
+// decodes one string per pull. Without a budget a run is the transport
+// buffer it arrived in, validated and sized on the PE's pool the moment it
+// arrives — so the exchange overlaps that walk instead of ending at a global
+// barrier — and the merge copies the received strings into one output arena
+// sized exactly by the walks. With a budget the run's bytes wait resident as
+// far as the spill pool has room and in a page file beyond, and the same
+// tree drains into a sorted-run file. The deterministic statistics are
+// identical on both — received bytes are billed to the phase the exchange
+// was posted in — and identical to the bulk-synchronous exchange kept as the
+// reference implementation (SeamOptions.BlockingExchange, set by the
+// differential tests only).
 package core
 
 import (
 	"dss/internal/comm"
 	"dss/internal/merge"
+	"dss/internal/par"
 	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/wire"
@@ -59,7 +61,8 @@ type Origin struct {
 type Result struct {
 	// Strings is the locally sorted fragment; globally, fragments are
 	// ordered by PE rank. For PDMS these are distinguishing prefixes, not
-	// full strings (see PrefixOnly).
+	// full strings (see PrefixOnly). Strings that never left the PE alias the
+	// caller's input strings.
 	Strings [][]byte
 	// LCPs is the LCP array of Strings (LCPs[0] = 0). It is nil for
 	// algorithms that do not produce LCP output (MS-simple, FKMerge).
@@ -106,20 +109,35 @@ func partOffsets(sizes []int) []int {
 	return offs
 }
 
+// sizeBuckets sizes the Step-3 buckets but own's on the work pool.
+func sizeBuckets(c *comm.Comm, own int, size func(dst int) int) []int {
+	sizes, busy := par.MapOrdered(c.Pool(), c.P(), func(dst int) int {
+		if dst == own {
+			return 0
+		}
+		return size(dst)
+	})
+	c.AddCPU(busy)
+	return sizes
+}
+
 // encodeParts runs the Step-3 bucket encoders on the PE's work pool: each
 // enc(dst, buf) receives a zero-length slice whose capacity is exactly
 // sizes[dst] — a disjoint region of ONE pre-sized arena — appends its
 // bucket's encoding, and returns the filled slice. The regions are
 // disjoint by construction, so the p encoders run concurrently without
 // synchronization, and the encoded bytes are identical at every pool
-// width (each encoder is a pure function of its bucket). Worker busy time
-// is credited to the current phase's CPU channel. Used by the blocking
-// reference only.
-func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte) [][]byte {
+// width (each encoder is a pure function of its bucket). The own bucket is
+// not encoded; its part stays empty. Worker busy time is credited to the
+// current phase's CPU channel. Used by the blocking reference only.
+func encodeParts(c *comm.Comm, sizes []int, own int, enc func(dst int, buf []byte) []byte) [][]byte {
 	offs := partOffsets(sizes)
 	arena := make([]byte, offs[len(sizes)])
 	parts := make([][]byte, len(sizes))
 	busy := c.ForEachSpan("encode", len(sizes), func(dst int) {
+		if dst == own {
+			return
+		}
 		lo, hi := offs[dst], offs[dst+1]
 		buf := enc(dst, arena[lo:lo:hi])
 		if len(buf) != hi-lo {
@@ -135,10 +153,13 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 // without a memory budget: the p bucket encoders run concurrently on the
 // PE's work pool, each into exactly sizes[dst] bytes, the buckets are sent,
 // the accounting phase is switched to next, and the receive side is handed
-// back — recv yields every member's bucket exactly once, whole, with its
-// group index, and ok=false after the last. The caller owns what recv
+// back — recv yields every other member's bucket exactly once, whole, with
+// its group index, and ok=false after the last. The caller owns what recv
 // yields and releases it (c.Release) once it has copied its contents out:
-// decodeOnPool for the in-RAM landing, routeRuns for the budgeted one.
+// decodeOnPool for hQuick, the Step-4 landing for the merge-based sorters.
+// The caller's own bucket (group index own; own < 0: none) never enters the
+// exchange: it is not sized, allocated, encoded, sent or yielded — and as
+// the exchange never billed it, no deterministic statistic moves.
 //
 // Split-phase mode (blocking=false, the default): every bucket is encoded
 // straight into its own transport buffer (comm.Alloc) and the exchange is
@@ -147,27 +168,29 @@ func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte
 // accounting stay on the PE goroutine. Post takes the buffer over, so an
 // encoded byte is allocated once on this PE and never copied again before
 // it leaves (the local transport delivers that very buffer, tcp writes the
-// socket from it). recv is the exchange's PollAny: the self bucket comes
-// back first, by reference, then the others in ARRIVAL order, so
-// stragglers' communication hides under both the faster buckets' sends and
-// whatever the caller does with the early arrivals. Received bytes stay
-// billed to the posting phase and the encoded bytes are
-// schedule-independent, so model time and bytes/string are bit-identical
-// to the blocking mode; only wall-clock improves, measured as
-// stats.PE.Overlap and the CPU channel.
+// socket from it). recv is the exchange's PollAny: the buckets come back in
+// ARRIVAL order, so stragglers' communication hides under both the faster
+// buckets' sends and whatever the caller does with the early arrivals.
+// Received bytes stay billed to the posting phase and the encoded bytes
+// are schedule-independent, so model time and bytes/string are
+// bit-identical to the blocking mode; only wall-clock improves, measured
+// as stats.PE.Overlap and the CPU channel.
 //
 // Blocking mode reproduces the bulk-synchronous exchange: encode all (in
 // parallel, into one arena — encodeParts), one copying Alltoallv, and recv
 // walks its result in rank order.
-func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
+func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int, own int,
 	enc func(dst int, buf []byte) []byte, blocking bool, next stats.Phase,
 ) (recv func() (src int, msg []byte, ok bool)) {
 	if blocking {
-		recvd := g.Alltoallv(encodeParts(c, sizes, enc))
+		recvd := g.Alltoallv(encodeParts(c, sizes, own, enc))
 		c.SetPhase(next)
 		src := -1
 		return func() (int, []byte, bool) {
-			if src++; src >= len(recvd) {
+			if src++; src == own {
+				src++
+			}
+			if src >= len(recvd) {
 				return -1, nil, false
 			}
 			return src, recvd[src], true
@@ -179,14 +202,16 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	// the signal arrives — at width 1 the tasks run inline, the channel
 	// fills in destination order, and the seam is exactly sequential.
 	parts := make([][]byte, len(sizes))
-	for dst, n := range sizes {
-		parts[dst] = c.Alloc(n)[:0]
-	}
 	pd := g.IAlltoallvStaged()
 	egrp := c.Pool().Group()
 	done := make(chan int, len(sizes))
 	for dst := 0; dst < len(sizes); dst++ {
+		if dst == own {
+			done <- own // posted empty: a staged exchange wants every member
+			continue
+		}
 		dst := dst
+		parts[dst] = c.Alloc(sizes[dst])[:0]
 		egrp.Go(func() {
 			// Signal via defer so a panicking encoder still unblocks the
 			// posting loop below; the panic itself re-raises at egrp.Wait.
@@ -204,6 +229,9 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 	}
 	c.AddCPU(egrp.Wait())
 	c.SetPhase(next)
+	if own >= 0 {
+		pd.PollRecv(own) // drain the empty own part: recv never yields it
+	}
 	return pd.PollAny
 }
 
@@ -257,6 +285,9 @@ type bucketCodec struct {
 	enc     func(dst int, buf []byte) []byte
 	format  wire.RunFormat
 	origins bool
+	// own, if non-nil, is the caller's bucket as its slice of the sorted
+	// local array, which stays home (nil: every bucket is exchanged).
+	own *merge.Sequence
 }
 
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
@@ -266,8 +297,15 @@ type bucketCodec struct {
 // count comes back. Merge work and worker busy time are billed to the merge
 // phase, and the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
-	recv := exchangeEncoded(c, g, cd.sizes, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
+	own := -1
+	if cd.own != nil {
+		own = g.Idx()
+	}
+	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
 	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
+	if own >= 0 {
+		runs[own] = encodedRun{home: cd.own, n: cd.own.Len()}
+	}
 	var work int64
 	if opt.Spill != nil {
 		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)

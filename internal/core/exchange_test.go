@@ -99,7 +99,7 @@ func runExchange(tb testing.TB, m *comm.Machine, bucket int) (out, recvd int64) 
 			}
 			return buf
 		}
-		recv := exchangeEncoded(c, c.World(), sizes, enc, false, stats.PhaseMerge)
+		recv := exchangeEncoded(c, c.World(), sizes, -1, enc, false, stats.PhaseMerge)
 		decodeOnPool(c, recv, func(src int, msg []byte) {
 			if len(msg) != bucket {
 				bad.Add(1)

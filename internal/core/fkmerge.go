@@ -2,7 +2,7 @@ package core
 
 import (
 	"dss/internal/comm"
-	"dss/internal/par"
+	"dss/internal/merge"
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
@@ -57,17 +57,18 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	// Step 3).
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
-	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
+	me := g.Idx()
+	sizes := sizeBuckets(c, me, func(dst int) int {
 		return wire.StringsSize(local[off[dst]:off[dst+1]])
 	})
-	c.AddCPU(sbusy)
 	enc := func(dst int, buf []byte) []byte {
 		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
 
-	// Step 4: ordinary loser tree merge.
+	// Step 4: ordinary loser tree merge; the own bucket stays home.
 	out, drained := exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStrings,
+		own: &merge.Sequence{Strings: local[off[me]:off[me+1]]},
 	}, false, opt.SeamOptions)
 	return Result{Strings: out.Strings, Drained: drained}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dss/internal/comm"
-	"dss/internal/par"
 	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
@@ -89,10 +88,10 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 			dst := rng.Intn(q)
 			perDest[dst] = append(perDest[dst], i)
 		}
-		sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
+		me := world.Idx()
+		sizes := sizeBuckets(c, me, func(dst int) int {
 			return taggedSize(strings, uids, perDest[dst])
 		})
-		c.AddCPU(sbusy)
 		enc := func(dst int, buf []byte) []byte {
 			return appendTagged(buf, strings, uids, perDest[dst])
 		}
@@ -109,10 +108,11 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		// finishes) and decode each part as it arrives, into per-source
 		// slots: the concatenation below stays in rank order, so the string
 		// sequence feeding the pivot recursion is independent of arrival
-		// timing.
+		// timing. The own part stays home, as it is.
 		perS := make([][][]byte, p)
 		perU := make([][]uint64, p)
-		recv := exchangeEncoded(c, world, sizes, enc, opt.BlockingExchange, next)
+		perS[me], perU[me] = filterTagged(strings, uids, perDest[me])
+		recv := exchangeEncoded(c, world, sizes, me, enc, opt.BlockingExchange, next)
 		decodeOnPool(c, recv, func(src int, msg []byte) {
 			s, u, err := decodeTagged(msg)
 			if err != nil {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"dss/internal/comm"
-	"dss/internal/par"
+	"dss/internal/merge"
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
@@ -129,19 +129,21 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// to a string that stays on this PE.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
-	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
+	me := g.Idx()
+	sizes := sizeBuckets(c, me, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]
 		if opt.LCP {
 			return wire.StringsLCPSize(local[lo:hi], lcpSub(lcp, lo, hi))
 		}
 		return wire.StringsSize(local[lo:hi])
 	})
-	c.AddCPU(sbusy)
-	cd := bucketCodec{sizes: sizes, format: wire.RunStrings}
+	own := &merge.Sequence{Strings: local[off[me]:off[me+1]]}
+	cd := bucketCodec{sizes: sizes, format: wire.RunStrings, own: own}
 	cd.enc = func(dst int, buf []byte) []byte {
 		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
 	if opt.LCP {
+		own.LCPs = lcpSub(lcp, off[me], off[me+1])
 		cd.format = wire.RunStringsLCP
 		cd.enc = func(dst int, buf []byte) []byte {
 			lo, hi := off[dst], off[dst+1]
@@ -149,7 +151,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		}
 	}
 
-	// Step 4: multiway merge of the received runs.
+	// Step 4: multiway merge of the received runs and the own bucket.
 	out, drained := exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Drained: drained}
 }

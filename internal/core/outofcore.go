@@ -6,13 +6,17 @@
 // second window over the bucket's origin column). The two landings differ
 // only in where a run's bytes wait and where the merge's output goes.
 //
-// In RAM, a run is the transport buffer it arrived in. A validating walk
-// over its varints runs on the PE's pool as the bucket arrives and yields
-// its string count and character total, so a corrupt bucket fails before
-// any output exists and the merge drains into one exactly sized arena: the
-// output strings are sub-slices of one byte array, the LCP and satellite
-// columns exact arrays. The transport buffers are released once the merge
-// is done.
+// The PE's own bucket never arrives: it is its slice of the sorted local
+// array, merged at the PE's own index (so ties and billed work are those of
+// the all-encoded landing), output as it is and never metered or paged.
+//
+// In RAM, a received run is the transport buffer it arrived in. A
+// validating walk over its varints runs on the PE's pool as the bucket
+// arrives and yields its string count and character total, so a corrupt
+// bucket fails before any output exists and the merge copies the received
+// strings into one exactly sized arena, sub-slices of one byte array; the
+// LCP and satellite columns are exact arrays. The transport buffers are
+// released once the merge is done.
 //
 // Under a budget, each bucket is routed on the PE goroutine into its run:
 // as many of its bytes resident as the spill pool's budget has room for and
@@ -45,6 +49,7 @@ import (
 // PE goroutine, like the Comm; only the in-RAM walk and the page writes
 // run concurrently.
 type encodedRun struct {
+	home     *merge.Sequence // non-nil: the own bucket, resident, never encoded
 	resident []byte
 	file     *spill.File
 	// sect are the byte ranges the run's windows read: the run itself, or
@@ -213,8 +218,11 @@ type runSource struct {
 }
 
 // source opens the run's windows (pool may be nil for a wholly resident
-// run). It rejects a composite bucket whose two declared counts differ.
-func (run *encodedRun) source(pool *spill.Pool, format wire.RunFormat, origins bool) *runSource {
+// run), or the home run's slice; it rejects mismatched composite counts.
+func (run *encodedRun) source(pool *spill.Pool, format wire.RunFormat, origins bool) merge.Source {
+	if run.home != nil {
+		return run.home.Source()
+	}
 	s := &runSource{cur: wire.NewRunCursor(format, run.pager(pool, run.sect[0][0], run.sect[0][1]))}
 	if origins {
 		s.origins = wire.NewWindow(run.pager(pool, run.sect[1][0], run.sect[1][1]))
@@ -261,11 +269,11 @@ func mergeRuns(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 	return n, work, err
 }
 
-// arenaMerge merges the held runs into one output sized exactly by their
-// walks — the strings are sub-slices of one arena, the LCP and satellite
-// columns exact arrays, so nothing grows by reallocation — and then
-// releases the runs' transport buffers. An empty merge returns the zero
-// Sequence.
+// arenaMerge merges the runs into one output whose strings are the home
+// run's own strings and, for the received runs, sub-slices of one arena
+// sized exactly by their walks — the LCP and satellite columns are exact
+// arrays, so nothing grows by reallocation — and then releases the runs'
+// transport buffers. An empty merge returns the zero Sequence.
 func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins, lcp bool) (out merge.Sequence, work int64) {
 	n, chars := 0, 0
 	for i := range runs {
@@ -283,10 +291,13 @@ func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins,
 	}
 	arena := make([]byte, 0, chars)
 	i := 0
-	_, work, _ = mergeRuns(c, nil, runs, format, origins, lcp, func(s []byte, h int32, sat uint64) error {
-		off := len(arena)
-		arena = append(arena, s...)
-		out.Strings[i] = arena[off:len(arena):len(arena)]
+	_, work, _ = mergeRuns(c, nil, runs, format, origins, lcp, func(run int, s []byte, h int32, sat uint64) error {
+		if runs[run].home == nil {
+			off := len(arena)
+			arena = append(arena, s...)
+			s = arena[off:len(arena):len(arena)]
+		}
+		out.Strings[i] = s
 		if out.LCPs != nil {
 			out.LCPs[i] = h
 		}
@@ -310,7 +321,8 @@ func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins,
 // to the in-RAM merge — it is the same tree — only where the output lands
 // differs.
 func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *spill.RunWriter) (n, work int64) {
-	n, work, err := mergeRuns(c, pool, runs, format, origins, lcp, out.Add)
+	n, work, err := mergeRuns(c, pool, runs, format, origins, lcp,
+		func(_ int, s []byte, lcp int32, sat uint64) error { return out.Add(s, lcp, sat) })
 	var busy int64
 	for i := range runs {
 		run := &runs[i]

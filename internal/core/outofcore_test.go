@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dss/internal/comm"
 	"dss/internal/input"
@@ -20,15 +21,21 @@ import (
 )
 
 // arrivals returns a receive side that yields copies of the buckets — the
-// landing releases what it is handed — in order, one per source.
+// landing releases what it is handed — in order, one per source; a nil
+// bucket is the own one, which never arrives.
 func arrivals(c *comm.Comm, buckets [][]byte) func() (int, []byte, bool) {
 	msgs := make([][]byte, len(buckets))
 	for i, b := range buckets {
-		msgs[i] = c.Alloc(len(b))
-		copy(msgs[i], b)
+		if b != nil {
+			msgs[i] = c.Alloc(len(b))
+			copy(msgs[i], b)
+		}
 	}
 	next := 0
 	return func() (int, []byte, bool) {
+		for next < len(msgs) && msgs[next] == nil {
+			next++
+		}
 		if next == len(msgs) {
 			return -1, nil, false
 		}
@@ -96,9 +103,9 @@ func oneShot(format wire.RunFormat, origins bool, bucket []byte) (seq merge.Sequ
 }
 
 // TestSpillRoutesOversizeFragmentByPage is the regression test of the
-// budget overshoot: every bucket — the PE's own and, since the exchange
-// hands them over whole, every remote one — reaches the budgeted landing as
-// ONE piece of the whole bucket, and keeping it in one piece either held a
+// budget overshoot: every received bucket — the exchange hands them over
+// whole — reaches the budgeted landing as ONE piece, and keeping it in one
+// piece either held a
 // run far past the budget or queued one bucket-sized "page" behind the
 // meter until its write landed. A bucket of 16 pages must stay resident
 // only as far as the budget has room and go to its page file page by page —
@@ -106,9 +113,9 @@ func oneShot(format wire.RunFormat, origins bool, bucket []byte) (seq merge.Sequ
 // being written; the write-behind depth is the worker pool's width,
 // sequential here) whether the pool starts empty (the run is resident up
 // to the budget, then spilled) or already at its budget (every byte goes
-// to the page file) — and the run must read back intact. The self case
-// calls route as such; the remote case goes through routeRuns with the
-// bucket arriving second of two.
+// to the page file) — and the run must read back intact. One case calls
+// route as such, the other goes through routeRuns with the bucket arriving
+// second of two.
 func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 	const budget, page, pages = 4096, 512, 16
 	var ss [][]byte
@@ -316,70 +323,318 @@ func landingRun(rng *rand.Rand, shape int) [][]byte {
 	return ss
 }
 
+// landingCases are the bucket contents of TestLandingMatchesOneShot:
+// run(rng, p, src, dst) is the sorted run PE src sends PE dst.
+var landingCases = []struct {
+	name string
+	run  func(rng *rand.Rand, p, src, dst int) [][]byte
+}{
+	{"mixed", func(rng *rand.Rand, p, src, dst int) [][]byte {
+		return landingRun(rng, (src+2*dst+p)%5)
+	}},
+	{"own empty", func(rng *rand.Rand, p, src, dst int) [][]byte {
+		if src == dst {
+			return nil
+		}
+		return landingRun(rng, 1+(src+2*dst+p)%4)
+	}},
+	{"own only", func(rng *rand.Rand, p, src, dst int) [][]byte {
+		if src != dst {
+			return nil
+		}
+		return landingRun(rng, 3+src%2)
+	}},
+	{"empty strings", func(rng *rand.Rand, p, src, dst int) [][]byte {
+		ss := make([][]byte, rng.Intn(6))
+		for i := range ss {
+			if i%2 == 1 {
+				ss[i] = []byte{} // and nil for the even ones
+			}
+		}
+		return ss
+	}},
+}
+
 // TestLandingMatchesOneShot is the differential of the one Step-4 landing:
 // p PEs exchange buckets of every run shape through exchangeMerge in RAM,
 // and every PE's output — strings, LCPs, satellites — and the merge work it
-// billed must equal what the one-shot decoders and merge.Merge make of the
-// buckets it received, in every bucket layout, at every p of testPs.
+// billed must equal what the one-shot decoders and merge.Merge make of all
+// p buckets encoded, in every bucket layout, at every p of testPs. The
+// parent test lands every bucket encoded (a codec without an own run); its
+// home subtests keep each PE's own bucket resident, as the sorters do.
 func TestLandingMatchesOneShot(t *testing.T) {
 	for _, l := range landingLayouts {
 		for _, p := range testPs {
 			t.Run(fmt.Sprintf("%s/p=%d", l.name, p), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(100 + p)))
-				buckets := make([][][]byte, p) // buckets[src][dst]
-				for src := range buckets {
-					buckets[src] = make([][]byte, p)
-					for dst := range buckets[src] {
-						buckets[src][dst] = encodeBucket(l.format, l.origins, landingRun(rng, (src+2*dst+p)%5), src)
-					}
-				}
-				lcp := l.format == wire.RunStringsLCP
-				outs := make([]merge.Sequence, p)
-				m := comm.New(p)
-				if err := m.Run(func(c *comm.Comm) error {
-					me := c.Rank()
-					sizes := make([]int, p)
-					for dst := range sizes {
-						sizes[dst] = len(buckets[me][dst])
-					}
-					enc := func(dst int, buf []byte) []byte { return append(buf, buckets[me][dst]...) }
-					outs[me], _ = exchangeMerge(c, c.World(), bucketCodec{
-						sizes: sizes, enc: enc, format: l.format, origins: l.origins,
-					}, lcp, SeamOptions{})
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for dst, got := range outs {
-					seqs := make([]merge.Sequence, p)
-					for src := range seqs {
-						var err error
-						if seqs[src], err = oneShot(l.format, l.origins, buckets[src][dst]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					want, work := merge.Merge(seqs, lcp)
-					label := fmt.Sprintf("PE %d", dst)
-					if len(got.Strings) != len(want.Strings) || (got.Strings == nil) != (want.Strings == nil) {
-						t.Fatalf("%s: %d strings, want %d", label, len(got.Strings), len(want.Strings))
-					}
-					for i := range want.Strings {
-						if !bytes.Equal(got.Strings[i], want.Strings[i]) {
-							t.Fatalf("%s: string %d = %q, want %q", label, i, got.Strings[i], want.Strings[i])
-						}
-					}
-					if fmt.Sprint(got.LCPs) != fmt.Sprint(want.LCPs) || (got.LCPs == nil) != (want.LCPs == nil) {
-						t.Fatalf("%s: LCPs %v, want %v", label, got.LCPs, want.LCPs)
-					}
-					if fmt.Sprint(got.Sats) != fmt.Sprint(want.Sats) || (got.Sats == nil) != (want.Sats == nil) {
-						t.Fatalf("%s: satellites %v, want %v", label, got.Sats, want.Sats)
-					}
-					if billed := m.Report().PEs[dst].Phases[stats.PhaseMerge].Work; billed != work {
-						t.Fatalf("%s: billed merge work %d, want %d", label, billed, work)
-					}
+				checkLanding(t, l.format, l.origins, p, landingCases[0].run, false)
+				for _, lc := range landingCases {
+					t.Run("home/"+lc.name, func(t *testing.T) {
+						checkLanding(t, l.format, l.origins, p, lc.run, true)
+					})
 				}
 			})
 		}
+	}
+}
+
+// homeRun is the resident form of PE src's run: the strings with their
+// LCP array — its first entry nonzero, like the boundary entry lcpSub
+// leaves in place — and origins, as a sorter hands its own bucket to
+// exchangeMerge.
+func homeRun(format wire.RunFormat, origins bool, ss [][]byte, src int) *merge.Sequence {
+	own := &merge.Sequence{Strings: ss}
+	if format == wire.RunStringsLCP {
+		own.LCPs = make([]int32, len(ss))
+		for i := 1; i < len(ss); i++ {
+			own.LCPs[i] = int32(strutil.LCP(ss[i-1], ss[i]))
+		}
+		if len(ss) > 0 {
+			own.LCPs[0] = 7
+		}
+	}
+	if origins {
+		own.Sats = make([]uint64, len(ss))
+		for i := range own.Sats {
+			own.Sats[i] = originSat(src, i*977)
+		}
+	}
+	return own
+}
+
+func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
+	run func(rng *rand.Rand, p, src, dst int) [][]byte, home bool) {
+	rng := rand.New(rand.NewSource(int64(100 + p)))
+	runs := make([][][][]byte, p)  // runs[src][dst]
+	buckets := make([][][]byte, p) // buckets[src][dst], encoded
+	for src := range buckets {
+		runs[src] = make([][][]byte, p)
+		buckets[src] = make([][]byte, p)
+		for dst := range buckets[src] {
+			runs[src][dst] = run(rng, p, src, dst)
+			buckets[src][dst] = encodeBucket(format, origins, runs[src][dst], src)
+		}
+	}
+	lcp := format == wire.RunStringsLCP
+	outs := make([]merge.Sequence, p)
+	m := comm.New(p)
+	if err := m.Run(func(c *comm.Comm) error {
+		me := c.Rank()
+		sizes := make([]int, p)
+		for dst := range sizes {
+			sizes[dst] = len(buckets[me][dst])
+		}
+		enc := func(dst int, buf []byte) []byte {
+			if home && dst == me {
+				panic("the own bucket was encoded")
+			}
+			return append(buf, buckets[me][dst]...)
+		}
+		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins}
+		if home {
+			cd.own = homeRun(format, origins, runs[me][me], me)
+		}
+		outs[me], _ = exchangeMerge(c, c.World(), cd, lcp, SeamOptions{})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for dst, got := range outs {
+		seqs := make([]merge.Sequence, p)
+		for src := range seqs {
+			var err error
+			if seqs[src], err = oneShot(format, origins, buckets[src][dst]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, work := merge.Merge(seqs, lcp)
+		label := fmt.Sprintf("PE %d", dst)
+		if len(got.Strings) != len(want.Strings) || (got.Strings == nil) != (want.Strings == nil) {
+			t.Fatalf("%s: %d strings, want %d", label, len(got.Strings), len(want.Strings))
+		}
+		for i := range want.Strings {
+			if !bytes.Equal(got.Strings[i], want.Strings[i]) || got.Strings[i] == nil {
+				t.Fatalf("%s: string %d = %q (nil: %v), want %q", label, i, got.Strings[i], got.Strings[i] == nil, want.Strings[i])
+			}
+		}
+		if fmt.Sprint(got.LCPs) != fmt.Sprint(want.LCPs) || (got.LCPs == nil) != (want.LCPs == nil) {
+			t.Fatalf("%s: LCPs %v, want %v", label, got.LCPs, want.LCPs)
+		}
+		if fmt.Sprint(got.Sats) != fmt.Sprint(want.Sats) || (got.Sats == nil) != (want.Sats == nil) {
+			t.Fatalf("%s: satellites %v, want %v", label, got.Sats, want.Sats)
+		}
+		if billed := m.Report().PEs[dst].Phases[stats.PhaseMerge].Work; billed != work {
+			t.Fatalf("%s: billed merge work %d, want %d", label, billed, work)
+		}
+	}
+}
+
+// TestHomeRunAliasesInput pins where an in-RAM sort's output strings live,
+// for every merge-based sorter at p = 4: an output string of the PE's own
+// bucket IS one of its input strings (PDMS: a prefix of one, and exactly
+// the items whose origin is this PE), and the received ones lie back to
+// back, in output order, in one arena as long as their characters.
+func TestHomeRunAliasesInput(t *testing.T) {
+	const p = 4
+	rng := rand.New(rand.NewSource(77))
+	global := make([][]byte, 4000)
+	for i := range global {
+		global[i] = make([]byte, 1+rng.Intn(30)) // non-empty: one backing array each
+		for j := range global[i] {
+			global[i][j] = byte('a' + rng.Intn(4))
+		}
+	}
+	locals := scatter(global, p)
+	for _, a := range []struct {
+		name string
+		run  func(c *comm.Comm, ss [][]byte) Result
+	}{
+		{"MS", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, DefaultMS()) }},
+		{"MS-simple", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSSimple()) }},
+		{"FKmerge", func(c *comm.Comm, ss [][]byte) Result { return FKMerge(c, ss, FKOptions{}) }},
+		{"PDMS", func(c *comm.Comm, ss [][]byte) Result { return PDMS(c, ss, DefaultPDMS()) }},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			results, _ := runDistributed(t, locals, a.run)
+			for pe, res := range results {
+				input := make(map[*byte][]byte, len(locals[pe]))
+				for _, s := range locals[pe] {
+					input[unsafe.SliceData(s)] = s
+				}
+				var base *byte
+				own, remote := 0, 0
+				for k, s := range res.Strings {
+					in, home := input[unsafe.SliceData(s)]
+					if res.Origins != nil && home != (res.Origins[k].PE == int32(pe)) {
+						t.Fatalf("PE %d: item %d from PE %d aliases an input string: %v", pe, k, res.Origins[k].PE, home)
+					}
+					if home {
+						if !bytes.HasPrefix(in, s) {
+							t.Fatalf("PE %d: item %d %q is not its input string %q", pe, k, s, in)
+						}
+						own++
+						continue
+					}
+					if base == nil {
+						base = unsafe.SliceData(s)
+					}
+					if unsafe.SliceData(s) != (*byte)(unsafe.Add(unsafe.Pointer(base), remote)) {
+						t.Fatalf("PE %d: received item %d is not next in the arena", pe, k)
+					}
+					remote += len(s)
+				}
+				if own == 0 || own == len(res.Strings) {
+					t.Fatalf("PE %d: %d of %d items are its own: no mix to check", pe, own, len(res.Strings))
+				}
+			}
+		})
+	}
+}
+
+// landHome lands the buckets — slot home is the own run, which stays
+// resident as own and never arrives — in RAM (pool == nil) or under the
+// budget, and merges them: into the output arena, or into a sorted-run
+// file that is read back.
+func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins bool, home int, own *merge.Sequence, buckets ...[]byte) (runs []encodedRun, out merge.Sequence) {
+	t.Helper()
+	lcp := format == wire.RunStringsLCP
+	sent := append([][]byte(nil), buckets...)
+	sent[home] = nil
+	if err := comm.New(1).Run(func(c *comm.Comm) error {
+		runs = routeRuns(c, arrivals(c, sent), len(sent), format, origins, pool)
+		runs[home] = encodedRun{home: own, n: own.Len()}
+		if pool == nil {
+			out, _ = arenaMerge(c, runs, format, origins, lcp)
+			return nil
+		}
+		var file bytes.Buffer
+		w, err := spill.NewRunWriter(&file, spill.RunWriterOpts{LCP: lcp, Sats: origins}, nil, 0)
+		if err != nil {
+			return err
+		}
+		sinkMerge(c, pool, runs, format, origins, lcp, w)
+		if err := w.Close(); err != nil {
+			return err
+		}
+		out.Strings, out.LCPs, out.Sats, err = spill.ReadRunFile(&file)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return runs, out
+}
+
+// TestHomeRunStaysHome lands three PDMS-layout buckets, the middle one the
+// PE's own, whose strings are four times the budget: in RAM the arena is
+// sized by the two received runs' walks alone, and under the budget no own
+// byte is metered or written to a page file — the pool holds exactly the
+// received buckets, which fit. Both outputs equal the one-shot merge of
+// all three buckets encoded, and the same landing with the own bucket
+// encoded too spills.
+func TestHomeRunStaysHome(t *testing.T) {
+	const budget, page, home = 16 << 10, 512, 1
+	gen := func(src, n int) [][]byte {
+		ss := make([][]byte, n)
+		for i := range ss {
+			ss[i] = []byte(fmt.Sprintf("%s%06d/%d", strings.Repeat("k", i%5), i*7, src))
+		}
+		sort.Slice(ss, func(i, j int) bool { return bytes.Compare(ss[i], ss[j]) < 0 })
+		return ss
+	}
+	runs := [][][]byte{gen(0, 200), gen(1, 4*budget/12), gen(2, 300)}
+	buckets := make([][]byte, len(runs))
+	remoteBytes, remoteChars := 0, 0
+	for src, ss := range runs {
+		buckets[src] = encodeBucket(wire.RunStringsLCP, true, ss, src)
+		if src != home {
+			remoteBytes += len(buckets[src])
+			for _, s := range ss {
+				remoteChars += len(s)
+			}
+		}
+	}
+	seqs := make([]merge.Sequence, len(buckets))
+	for src, b := range buckets {
+		var err error
+		if seqs[src], err = oneShot(wire.RunStringsLCP, true, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := merge.Merge(seqs, true)
+	check := func(label string, got merge.Sequence) {
+		t.Helper()
+		if fmt.Sprint(got.Strings) != fmt.Sprint(want.Strings) || fmt.Sprint(got.LCPs) != fmt.Sprint(want.LCPs) ||
+			fmt.Sprint(got.Sats) != fmt.Sprint(want.Sats) {
+			t.Fatalf("%s: output differs from the one-shot merge", label)
+		}
+	}
+	own := homeRun(wire.RunStringsLCP, true, runs[home], home)
+
+	landed, got := landHome(t, nil, wire.RunStringsLCP, true, home, own, buckets...)
+	check("in RAM", got)
+	if chars := landed[0].chars + landed[1].chars + landed[2].chars; chars != remoteChars {
+		t.Fatalf("in RAM: the arena is sized for %d characters, the received runs hold %d", chars, remoteChars)
+	}
+
+	newPool := func() *spill.Pool {
+		pool, err := spill.NewPool(spill.Config{Budget: budget, PageSize: page, Dir: t.TempDir()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pool.Close() })
+		return pool
+	}
+	pool := newPool()
+	_, got = landHome(t, pool, wire.RunStringsLCP, true, home, own, buckets...)
+	check("budget", got)
+	if pool.BytesWritten() != 0 || pool.Peak() != int64(remoteBytes) || pool.Live() != 0 {
+		t.Fatalf("budget: %d bytes spilled, peak %d, %d live; want 0, the %d received bytes, 0",
+			pool.BytesWritten(), pool.Peak(), pool.Live(), remoteBytes)
+	}
+
+	pool = newPool()
+	routeArrivals(t, pool, true, buckets...)
+	if pool.BytesWritten() == 0 {
+		t.Fatal("the own bucket, encoded and routed, did not spill: the budget proves nothing")
 	}
 }
 
@@ -422,13 +677,14 @@ func TestLandingRejectsCorruptBuckets(t *testing.T) {
 	}
 }
 
-// BenchmarkLanding is the rung of Step 4 in RAM: one PE's p = 4 received
-// buckets — each a quarter of a COMMONCRAWL-like input (the cc_ms_*
-// workloads' generator) or of a 500-character D/N input (dnlong_ms_tcp's
-// shape), sorted and front-coded as Step 3 ships them — landed and merged
-// into the output arena, against the one-shot pair it replaced (decode
-// every bucket whole, then merge.MergeLCP). Bytes are the output
-// characters.
+// BenchmarkLanding is the rung of Step 4 in RAM: one PE's p = 4 buckets —
+// each a quarter of a COMMONCRAWL-like input (the cc_ms_* workloads'
+// generator) or of a 500-character D/N input (dnlong_ms_tcp's shape),
+// sorted and front-coded as Step 3 ships them — landed and merged into the
+// output: all four received and encoded (landing), the PE's own bucket
+// resident and three received (home, what the sorters run), and the
+// one-shot pair the landing replaced (decode every bucket whole, then
+// merge.MergeLCP). Bytes are the output characters.
 func BenchmarkLanding(b *testing.B) {
 	const p = 4
 	inputs := []struct {
@@ -444,32 +700,47 @@ func BenchmarkLanding(b *testing.B) {
 	}
 	for _, in := range inputs {
 		buckets := make([][]byte, p)
+		var own merge.Sequence
 		chars := 0
 		for src := range buckets {
 			ss := in.gen(src)
 			lcps, _ := strsort.SortLCP(ss, nil)
 			buckets[src] = wire.EncodeStringsLCP(ss, lcps)
+			if src == 0 {
+				own = merge.Sequence{Strings: ss, LCPs: lcps}
+			}
 			for _, s := range ss {
 				chars += len(s)
 			}
 		}
-		b.Run(in.name+"/landing", func(b *testing.B) {
-			b.SetBytes(int64(chars))
-			b.ReportAllocs()
-			if err := comm.New(1).Run(func(c *comm.Comm) error {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					recv := arrivals(c, buckets) // the transport's buffers
-					b.StartTimer()
-					runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil)
-					out, _ := arenaMerge(c, runs, wire.RunStringsLCP, false, true)
-					sink += int64(len(out.Strings))
+		landing := func(home *merge.Sequence) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.SetBytes(int64(chars))
+				b.ReportAllocs()
+				sent := append([][]byte(nil), buckets...)
+				if home != nil {
+					sent[0] = nil
 				}
-				return nil
-			}); err != nil {
-				b.Fatal(err)
+				if err := comm.New(1).Run(func(c *comm.Comm) error {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						recv := arrivals(c, sent) // the transport's buffers
+						b.StartTimer()
+						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil)
+						if home != nil {
+							runs[0] = encodedRun{home: home, n: home.Len()}
+						}
+						out, _ := arenaMerge(c, runs, wire.RunStringsLCP, false, true)
+						sink += int64(len(out.Strings))
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		})
+		}
+		b.Run(in.name+"/landing", landing(nil))
+		b.Run(in.name+"/home", landing(&own))
 		b.Run(in.name+"/oneshot", func(b *testing.B) {
 			b.SetBytes(int64(chars))
 			b.ReportAllocs()

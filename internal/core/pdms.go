@@ -5,7 +5,7 @@ import (
 
 	"dss/internal/comm"
 	"dss/internal/dupdetect"
-	"dss/internal/par"
+	"dss/internal/merge"
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
@@ -177,7 +177,8 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
 	blobSizes := make([]int, p)
 	oSizes := make([]int, p)
-	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
+	me := g.Idx()
+	sizes := sizeBuckets(c, me, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]
 		blobSizes[dst] = wire.StringsLCPSize(prefixes[lo:hi], lcpSub(plcp, lo, hi))
 		oSize := wire.UvarintLen(uint64(hi - lo))
@@ -188,7 +189,6 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		return wire.UvarintLen(uint64(blobSizes[dst])) + blobSizes[dst] +
 			wire.UvarintLen(uint64(oSize)) + oSize
 	})
-	c.AddCPU(sbusy)
 	enc := func(dst int, buf []byte) []byte {
 		lo, hi := off[dst], off[dst+1]
 		buf = binary.AppendUvarint(buf, uint64(blobSizes[dst]))
@@ -200,10 +200,12 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		}
 		return buf
 	}
-	// Step 4: LCP-aware multiway merge of the prefix runs; in budget mode
-	// the origins travel as the run file's satellite column.
+	// Step 4: LCP-aware multiway merge of the prefix runs (the own one is
+	// the prefix view); origins ride in budget mode's satellite column.
+	lo, hi := off[me], off[me+1]
 	out, drained := exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStringsLCP, origins: true,
+		own: &merge.Sequence{Strings: prefixes[lo:hi], LCPs: lcpSub(plcp, lo, hi), Sats: sats[lo:hi]},
 	}, true, opt.SeamOptions)
 	if opt.Spill != nil {
 		return Result{Drained: drained, PrefixOnly: true}

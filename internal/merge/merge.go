@@ -47,7 +47,7 @@ func Merge(seqs []Sequence, lcp bool) (Sequence, int64) {
 			anySats = true
 		}
 		total += s.Len()
-		srcs[i] = &sliceSource{seq: s}
+		srcs[i] = s.Source()
 	}
 	var out Sequence
 	if total == 0 {
@@ -60,7 +60,7 @@ func Merge(seqs []Sequence, lcp bool) (Sequence, int64) {
 	if anySats {
 		out.Sats = make([]uint64, 0, total)
 	}
-	_, work, _ := MergeSink(srcs, lcp, func(s []byte, h int32, sat uint64) error {
+	_, work, _ := MergeSink(srcs, lcp, func(_ int, s []byte, h int32, sat uint64) error {
 		out.Strings = append(out.Strings, s)
 		if lcp {
 			out.LCPs = append(out.LCPs, h)
@@ -244,7 +244,7 @@ func (t *tree) emit(sink Sink) (int, error) {
 		if h == nil {
 			break
 		}
-		if err := sink(h, t.curH[w], t.sats[w]); err != nil {
+		if err := sink(w, h, t.curH[w], t.sats[w]); err != nil {
 			t.winner = w
 			return i, err
 		}

@@ -14,9 +14,9 @@ type treeState struct {
 	sats  []uint64
 }
 
-// treePools holds one sync.Pool per power-of-two size class, mirroring
-// strsort's scratch pools: merges of similar K reuse each other's arrays, and
-// the padded sentinel state stops being a per-merge allocation.
+// treePools holds one sync.Pool per power-of-two size class: merges of
+// similar K reuse each other's arrays, and the padded sentinel state stops
+// being a per-merge allocation.
 var treePools [bits.UintSize + 1]sync.Pool
 
 func stateClass(k int) int { return bits.Len(uint(k)) }

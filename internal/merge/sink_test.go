@@ -88,15 +88,20 @@ func requireEqualMerge(t *testing.T, label string, want, got Sequence, wantWork,
 func sliceSources(seqs []Sequence) []Source {
 	out := make([]Source, len(seqs))
 	for i := range seqs {
-		out[i] = &sliceSource{seq: seqs[i]}
+		out[i] = seqs[i].Source()
 	}
 	return out
 }
 
 // collectSink returns a sink that copies every item into got, with the
-// LCP and satellite columns the reference merge would produce.
+// LCP and satellite columns the reference merge would produce. With
+// satellites, whose high word the generators set to the run index, it also
+// checks the run index the tree reports.
 func collectSink(got *Sequence, lcp, sats bool) Sink {
-	return func(s []byte, l int32, sat uint64) error {
+	return func(run int, s []byte, l int32, sat uint64) error {
+		if sats && sat>>32 != uint64(run) {
+			return fmt.Errorf("item %q with satellite %#x reported from run %d", s, sat, run)
+		}
 		got.Strings = append(got.Strings, append([]byte(nil), s...))
 		if lcp {
 			got.LCPs = append(got.LCPs, l)
@@ -159,7 +164,7 @@ func TestMergeSinkErrorAborts(t *testing.T) {
 	boom := errors.New("sink full")
 	calls := 0
 	n, _, err := MergeSink(sliceSources(seqs), true,
-		func(s []byte, lcp int32, sat uint64) error {
+		func(int, []byte, int32, uint64) error {
 			calls++
 			if calls == 5 {
 				return boom
@@ -179,7 +184,7 @@ func TestMergeSinkErrorAborts(t *testing.T) {
 func TestMergeSinkEmpty(t *testing.T) {
 	calls := 0
 	n, work, err := MergeSink(sliceSources([]Sequence{{}, {}, {}}), false,
-		func(s []byte, lcp int32, sat uint64) error { calls++; return nil })
+		func(int, []byte, int32, uint64) error { calls++; return nil })
 	if err != nil || n != 0 || work != 0 || calls != 0 {
 		t.Fatalf("empty merge: n=%d work=%d calls=%d err=%v, want all zero", n, work, calls, err)
 	}

@@ -35,18 +35,37 @@ type Source interface {
 	Next() (s []byte, lcp int32, sat uint64, ok bool)
 }
 
+// Source returns a pull view of the resident run, whose strings stay valid
+// for good (a nil one comes out empty, non-nil).
+func (s Sequence) Source() Source { return &sliceSource{seq: s} }
+
 // sliceSource is a resident run: a Sequence and a read position.
 type sliceSource struct {
-	seq Sequence
-	pos int
+	seq     Sequence
+	pos     int
+	touched byte
 }
 
+const touchAhead = 32 // strings a resident run reads ahead of the tree
+
 func (s *sliceSource) Next() ([]byte, int32, uint64, bool) {
-	i := s.pos
-	if i >= len(s.seq.Strings) {
+	i, n := s.pos, len(s.seq.Strings)
+	if i >= n {
 		return nil, 0, 0, false
 	}
 	s.pos = i + 1
+	if i%touchAhead == 0 {
+		// The strings may lie anywhere (a caller's input) and the tree
+		// compares each head on its critical path: touching the next batch
+		// in one loop of independent loads lets their cache misses overlap.
+		var x byte
+		for _, t := range s.seq.Strings[min(i+touchAhead, n):min(i+2*touchAhead, n)] {
+			if len(t) > 0 {
+				x += t[0]
+			}
+		}
+		s.touched += x
+	}
 	var lcp int32
 	if s.seq.LCPs != nil {
 		lcp = s.seq.LCPs[i]
@@ -55,15 +74,20 @@ func (s *sliceSource) Next() ([]byte, int32, uint64, bool) {
 	if s.seq.Sats != nil {
 		sat = s.seq.Sats[i]
 	}
-	return s.seq.Strings[i], lcp, sat, true
+	str := s.seq.Strings[i]
+	if str == nil {
+		str = []byte{} // nil is the tree's exhausted sentinel
+	}
+	return str, lcp, sat, true
 }
 
-// Sink receives one merged item: the string, its LCP with the previous
-// output (0 for the first; 0 throughout for non-LCP merges) and its
-// satellite word (0 without satellites). The string is only guaranteed
-// valid for the duration of the call — sources may recycle their storage
-// once they are pulled past it — so a sink that keeps it must copy.
-type Sink func(s []byte, lcp int32, sat uint64) error
+// Sink receives one merged item: the index of the source it came from,
+// the string, its LCP with the previous output (0 for the first; 0
+// throughout for non-LCP merges) and its satellite word (0 without
+// satellites). The string is only guaranteed valid for the duration of the
+// call — sources may recycle their storage once they are pulled past it —
+// so a sink that keeps it must copy, unless its source promises more.
+type Sink func(run int, s []byte, lcp int32, sat uint64) error
 
 // MergeSink merges the sources through the loser tree (LCP-aware if lcp)
 // and pushes every output item into sink, in order. The item sequence and

@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"dss/internal/par"
 	"dss/internal/strutil"
@@ -107,24 +106,6 @@ func gather(out [][]byte, outSat []uint64, ss [][]byte, sat []uint64, px []proxy
 	}
 }
 
-// scratch is a pooled proxy array. Pool k holds arrays with cap in
-// [2^(k-1), 2^k), so that sorting a few sample strings neither pins nor is
-// handed the scratch of a whole local input; proxies hold no pointers, so
-// parked scratch is never scanned and pins no character data.
-type scratch struct{ px []proxy }
-
-var scratchPools [bits.UintSize + 1]sync.Pool
-
-func getScratch(n int) *scratch {
-	sc, _ := scratchPools[bits.Len(uint(n))].Get().(*scratch)
-	if sc == nil || cap(sc.px) < n {
-		sc = &scratch{px: make([]proxy, n)}
-	}
-	return sc
-}
-
-func putScratch(sc *scratch) { scratchPools[bits.Len(uint(cap(sc.px)))].Put(sc) }
-
 // SortLCP sorts ss in place lexicographically, computes its LCP array
 // (lcp[0] == 0, lcp[i] == LCP(ss[i-1], ss[i])), permutes sat alongside if
 // non-nil, and returns the number of characters inspected.
@@ -166,9 +147,8 @@ func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]by
 	if lcp != nil {
 		m = 2 * n // the radix passes distribute out of place
 	}
-	sc := getScratch(m)
-	defer putScratch(sc)
-	px, tmp := sc.px[:n], sc.px[n:m]
+	scratch := make([]proxy, m)
+	px, tmp := scratch[:n], scratch[n:]
 	for i := range px {
 		px[i].idx = uint32(i)
 	}

@@ -252,9 +252,9 @@ func TestWorkIsLinearishInD(t *testing.T) {
 	}
 }
 
-// TestSorterReuse sorts inputs of one scratch size class back to back, so
-// that later sorts run on a recycled proxy array still holding the previous
-// input's indices and windows.
+// TestSorterReuse sorts inputs of similar sizes back to back, with and
+// without LCP output, so that no state a sort leaves behind can leak into
+// the next one.
 func TestSorterReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var total int64

@@ -292,6 +292,7 @@ type Config struct {
 type PEOutput struct {
 	// Strings is the locally sorted fragment (globally ordered by PE).
 	// For PDMS runs without Reconstruct these are distinguishing prefixes.
+	// Strings that never left their PE alias the caller's input strings.
 	Strings [][]byte
 	// LCPs is the fragment's LCP array (nil for MS-simple and FKmerge).
 	LCPs []int32
