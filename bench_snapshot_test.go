@@ -1,14 +1,13 @@
-// Snapshot regression: the committed BENCH_<date>.json files record the
-// paper-figure metrics PR over PR. The deterministic columns — model_ms
-// and bytes_per_str — must not drift unless a PR deliberately changes the
-// algorithms' communication behavior, and in particular must be invariant
-// under every wire codec: compression happens below the accounting
-// boundary, so the paper's numbers cannot move.
+// Snapshot regression: the committed BENCH_<date>.json records the paper's
+// two metrics, model_ms and bytes_per_str, for every cell of figureCells.
+// They must not drift unless a change deliberately alters the algorithms'
+// communication behavior, and in particular must be invariant under every
+// wire codec, pool width, memory budget and trace: all of those act below
+// the accounting boundary, so the paper's numbers cannot move.
 package dss_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,20 +15,21 @@ import (
 	"strings"
 	"testing"
 
-	"dss/internal/input"
 	"dss/stringsort"
 )
 
 // benchSnapshot is the snapshot this tree's figures are pinned against
-// (written by scripts/bench.sh at the previous PR).
+// (written by scripts/bench.sh).
 const benchSnapshot = "BENCH_2026-10-03.json"
 
 type snapshotFile struct {
-	Results []struct {
-		Name        string  `json:"name"`
-		ModelMS     float64 `json:"model_ms"`
-		BytesPerStr float64 `json:"bytes_per_str"`
-	} `json:"results"`
+	Results []snapshotRow `json:"results"`
+}
+
+type snapshotRow struct {
+	Name        string  `json:"name"`
+	ModelMS     float64 `json:"model_ms"`
+	BytesPerStr float64 `json:"bytes_per_str"`
 }
 
 // benchRound rounds x exactly as the testing package prints benchmark
@@ -59,64 +59,18 @@ func benchRound(x float64) float64 {
 	return v
 }
 
-// snapshotInputs rebuilds the workload of one Fig4/Fig5 benchmark from its
-// snapshot name, mirroring the constants in bench_test.go.
-func snapshotInputs(name string) (inputs [][][]byte, algo stringsort.Algorithm, err error) {
-	parts := strings.Split(name, "/")
-	if len(parts) != 3 {
-		return nil, 0, fmt.Errorf("unrecognized benchmark name %q", name)
-	}
-	algo, err = stringsort.ParseAlgorithm(parts[2])
-	if err != nil {
-		return nil, 0, err
-	}
-	switch parts[0] {
-	case "BenchmarkFig4":
-		const p, nPerPE, length = 8, 1000, 100
-		ratio, perr := strconv.ParseFloat(strings.TrimPrefix(parts[1], "DN="), 64)
-		if perr != nil {
-			return nil, 0, perr
-		}
-		inputs = make([][][]byte, p)
-		for pe := 0; pe < p; pe++ {
-			inputs[pe] = input.DN(input.DNConfig{
-				StringsPerPE: nPerPE, Length: length, Ratio: ratio, Seed: benchSeed,
-			}, pe, p)
-		}
-	case "BenchmarkFig5CommonCrawl", "BenchmarkFig5DNA":
-		const total = 16000
-		p, perr := strconv.Atoi(strings.TrimPrefix(parts[1], "p="))
-		if perr != nil {
-			return nil, 0, perr
-		}
-		inputs = make([][][]byte, p)
-		for pe := 0; pe < p; pe++ {
-			if parts[0] == "BenchmarkFig5CommonCrawl" {
-				inputs[pe] = input.CommonCrawlLike(input.CCConfig{
-					LinesPerPE: total / p, Seed: benchSeed,
-				}, pe, p)
-			} else {
-				inputs[pe] = input.DNAReads(input.DNAConfig{
-					ReadsPerPE: total / p, Seed: benchSeed,
-				}, pe, p)
-			}
-		}
-	default:
-		return nil, 0, fmt.Errorf("unrecognized benchmark family %q", parts[0])
-	}
-	return inputs, algo, nil
-}
-
-// TestBenchSnapshotModelInvariance replays every Fig4/Fig5 cell of the
-// committed snapshot under every wire codec, at intra-PE pool width 4,
-// under a 32 KiB out-of-core memory budget AND with the trace recorder
-// enabled, and requires the deterministic model metrics — model-ms and
-// bytes/str, rounded at the snapshot's print precision — to match
-// bit-for-bit: neither the codec layer, nor the parallel work pool, nor
+// TestBenchSnapshotModelInvariance replays every cell of figureCells
+// against its row of the committed snapshot under every wire codec, at
+// intra-PE pool width 4, under a 32 KiB out-of-core memory budget AND with
+// the trace recorder enabled, and requires the deterministic model metrics
+// — model-ms and bytes/str, rounded at the snapshot's print precision — to
+// match bit-for-bit: neither the codec layer, nor the parallel work pool, nor
 // the memory budget spilling runs to disk may be visible to the paper's
 // accounting. On the Fig4 cells it additionally requires the compressing
 // codecs to put strictly fewer bytes per string on the wire than the raw
-// model volume (the codec subsystem's reason to exist).
+// model volume (the codec subsystem's reason to exist). The table and the
+// snapshot must name the same cells: a cell without a row, or a row
+// without a cell, fails the test.
 func TestBenchSnapshotModelInvariance(t *testing.T) {
 	raw, err := os.ReadFile(benchSnapshot)
 	if err != nil {
@@ -129,13 +83,30 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 	if len(snap.Results) != 54 {
 		t.Fatalf("snapshot has %d Fig4/Fig5 cells, want 54", len(snap.Results))
 	}
+	rows := make(map[string]snapshotRow, len(snap.Results))
+	for _, row := range snap.Results {
+		rows[row.Name] = row
+	}
+	cells := figureCells()
+	inTable := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		inTable[c.name] = true
+		if _, ok := rows[c.name]; !ok {
+			t.Errorf("cell %s has no snapshot row", c.name)
+		}
+	}
+	for _, row := range snap.Results {
+		if !inTable[row.Name] {
+			t.Errorf("snapshot row %s names no cell of the table", row.Name)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
 	matched := 0
 	var spilled int64
-	for _, row := range snap.Results {
-		inputs, algo, err := snapshotInputs(row.Name)
-		if err != nil {
-			t.Fatalf("%s: %v", row.Name, err)
-		}
+	for _, c := range cells {
+		row, inputs, algo := rows[c.name], c.inputs, c.algo
 		for _, mode := range []struct {
 			label  string
 			codec  string

@@ -18,67 +18,29 @@
 //	dss-bench -fig skew         # Section VII-E skewed D/N instance
 //	dss-bench -fig ablation-v   # oversampling factor sweep
 //	dss-bench -fig ablation-eps # prefix growth factor sweep
-//	dss-bench -fig ablation-a2a # all-to-all routing tradeoff
 //	dss-bench -fig ablation-tie # duplicate tie-breaking extension
 //	dss-bench -fig all          # everything
 //
 // Scale knobs: -pes, -n (strings per PE, weak scaling), -len, -total
-// (strings, strong scaling), -seed. -codec decorates the transport with a
-// wire codec and adds the wire-bytes-per-string panel to every figure
-// series (the model panels are codec-invariant by construction).
+// (strings, strong scaling), -seed. Every cell runs with the default
+// configuration otherwise: the model panels do not move with the wire
+// codec, the pool width, a trace or injected faults, and
+// TestBenchSnapshotModelInvariance checks that on the Fig. 4/5 cells.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"dss/internal/comm"
 	"dss/internal/input"
 	"dss/internal/profiling"
 	"dss/internal/strutil"
 	"dss/stringsort"
 )
-
-// benchCores is the -cores value: the intra-PE work pool width every
-// sort of the harness runs with. The model panels are width-invariant by
-// construction; the flag exists so wall-clock behavior can be compared
-// across widths on the full figure workloads.
-var benchCores int
-
-// benchTraceDir is the -trace value: when set, every sort of the harness
-// writes its own Chrome trace-event timeline into this directory. The
-// model panels are trace-invariant by construction.
-var benchTraceDir string
-
-// benchTraceSeq numbers the trace files in run order (the harness runs
-// its cells sequentially), so one -fig all sweep yields a browsable,
-// ordered directory of timelines.
-var benchTraceSeq int
-
-// benchChaos/benchChaosSeed are the -chaos/-chaos-seed values: every sort
-// of the harness runs under the named fault-injection level. The model
-// panels are chaos-invariant by construction — the knob exists to confirm
-// exactly that on the full figure workloads (and to measure the wall-time
-// cost of recovery).
-var (
-	benchChaos     string
-	benchChaosSeed uint64
-)
-
-// benchTracePath names the next cell's trace file ("" when -trace is
-// unset): NNN-algo-pP.json, e.g. 017-PDMS-p32.json.
-func benchTracePath(algo stringsort.Algorithm, p int) string {
-	if benchTraceDir == "" {
-		return ""
-	}
-	benchTraceSeq++
-	return filepath.Join(benchTraceDir, fmt.Sprintf("%03d-%s-p%d.json", benchTraceSeq, algo, p))
-}
 
 type options struct {
 	fig    string
@@ -87,31 +49,19 @@ type options struct {
 	length int
 	total  int
 	seed   int64
-	codec  string
 }
 
 func main() {
 	var opt options
 	var pesFlag string
-	flag.StringVar(&opt.fig, "fig", "all", "experiment to run: 4, 5cc, 5dna, suffix, skew, ablation-v, ablation-eps, ablation-a2a, ablation-tie, all")
+	flag.StringVar(&opt.fig, "fig", "all", "experiment to run: 4, 5cc, 5dna, suffix, skew, ablation-v, ablation-eps, ablation-tie, all")
 	flag.StringVar(&pesFlag, "pes", "2,4,8,16,32,64", "comma-separated PE counts")
 	flag.IntVar(&opt.nPerPE, "n", 1000, "strings per PE (weak scaling)")
 	flag.IntVar(&opt.length, "len", 100, "string length for D/N instances")
 	flag.IntVar(&opt.total, "total", 30000, "total strings (strong scaling)")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
-	flag.StringVar(&opt.codec, "codec", "none", "wire codec decorating the transport (none, flate, lcp); adds a wire-bytes panel")
-	flag.IntVar(&benchCores, "cores", 0, "intra-PE work pool width per PE (0 = GOMAXPROCS, 1 = sequential; model panels are width-invariant)")
-	flag.StringVar(&benchTraceDir, "trace", "", "write one Chrome trace-event JSON timeline per benchmark cell into this directory (created if missing; model panels are trace-invariant)")
-	flag.StringVar(&benchChaos, "chaos", "", "fault-injection level for every cell: delay, reorder, drop (empty = off; model panels are chaos-invariant)")
-	flag.Uint64Var(&benchChaosSeed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
 	profiling.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if benchTraceDir != "" {
-		if err := os.MkdirAll(benchTraceDir, 0o777); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(2)
-		}
-	}
 	if err := profiling.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(1)
@@ -143,8 +93,6 @@ func main() {
 		ablationOversampling(opt)
 	case "ablation-eps":
 		ablationEps(opt)
-	case "ablation-a2a":
-		ablationAlltoall(opt)
 	case "ablation-tie":
 		ablationTieBreak(opt)
 	case "all":
@@ -155,7 +103,6 @@ func main() {
 		skewExperiment(opt)
 		ablationOversampling(opt)
 		ablationEps(opt)
-		ablationAlltoall(opt)
 		ablationTieBreak(opt)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", opt.fig)
@@ -164,54 +111,41 @@ func main() {
 	fmt.Printf("\n(total harness wall time: %v)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runOne sorts the given distributed input and returns its statistics.
-func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampling bool, codec string) stringsort.Stats {
-	res, err := stringsort.Sort(inputs, stringsort.Config{
-		Algorithm:    algo,
-		Seed:         seed,
-		Cores:        benchCores,
-		CharSampling: charSampling,
-		Codec:        codec,
-		Trace:        benchTracePath(algo, len(inputs)),
-		Chaos:        benchChaos,
-		ChaosSeed:    benchChaosSeed,
-	})
+// sortCell sorts one cell's distributed input under cfg, exiting on error.
+func sortCell(inputs [][][]byte, cfg stringsort.Config) *stringsort.Result {
+	res, err := stringsort.Sort(inputs, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v failed: %v\n", algo, err)
+		fmt.Fprintf(os.Stderr, "%v failed: %v\n", cfg.Algorithm, err)
 		profiling.Exit(1)
 	}
-	return res.Stats
+	return res
+}
+
+// deal builds a p-PE distributed input from a per-PE generator.
+func deal(p int, gen func(pe, p int) [][]byte) [][][]byte {
+	inputs := make([][][]byte, p)
+	for pe := range inputs {
+		inputs[pe] = gen(pe, p)
+	}
+	return inputs
 }
 
 // series runs all algorithms over the PE axis and prints the two panels of
-// the figure — plus, when a wire codec is selected, the wire-bytes and
-// compression-ratio panels (what actually crossed the fabric; the model
-// panels are codec-invariant).
-func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, algos []stringsort.Algorithm, codec string) {
+// the figure.
+func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, algos []stringsort.Algorithm) {
 	fmt.Printf("\n=== %s ===\n", title)
 	times := make(map[stringsort.Algorithm][]float64)
 	vols := make(map[stringsort.Algorithm][]float64)
-	wires := make(map[stringsort.Algorithm][]float64)
-	ratios := make(map[stringsort.Algorithm][]float64)
 	for _, p := range pes {
-		inputs := make([][][]byte, p)
-		for pe := 0; pe < p; pe++ {
-			inputs[pe] = gen(pe, p)
-		}
+		inputs := deal(p, gen)
 		for _, algo := range algos {
-			st := runOne(inputs, algo, seed, false, codec)
+			st := sortCell(inputs, stringsort.Config{Algorithm: algo, Seed: seed}).Stats
 			times[algo] = append(times[algo], st.ModelTime)
 			vols[algo] = append(vols[algo], st.BytesPerString)
-			wires[algo] = append(wires[algo], st.WireBytesPerString)
-			ratios[algo] = append(ratios[algo], st.CompressionRatio)
 		}
 	}
 	printPanel("model time (s)", pes, algos, times, "%9.4f")
 	printPanel("bytes sent per string", pes, algos, vols, "%9.1f")
-	if codec != "" && codec != "none" {
-		printPanel(fmt.Sprintf("wire bytes per string (codec=%s)", codec), pes, algos, wires, "%9.1f")
-		printPanel(fmt.Sprintf("compression ratio, wire/raw (codec=%s)", codec), pes, algos, ratios, "%9.3f")
-	}
 }
 
 func printPanel(label string, pes []int, algos []stringsort.Algorithm, data map[stringsort.Algorithm][]float64, cellFmt string) {
@@ -241,7 +175,7 @@ func figure4(opt options) {
 			r, opt.nPerPE, opt.length)
 		series(title, opt.pes, func(pe, p int) [][]byte {
 			return input.DN(cfg, pe, p)
-		}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
+		}, uint64(opt.seed), stringsort.Algorithms)
 	}
 }
 
@@ -254,7 +188,7 @@ func figure5CC(opt options) {
 		return input.CommonCrawlLike(input.CCConfig{
 			LinesPerPE: opt.total / p, Seed: opt.seed,
 		}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
+	}, uint64(opt.seed), stringsort.Algorithms)
 }
 
 // figure5DNA reproduces the DNAREADS strong scaling experiment.
@@ -264,7 +198,7 @@ func figure5DNA(opt options) {
 		return input.DNAReads(input.DNAConfig{
 			ReadsPerPE: opt.total / p, Seed: opt.seed,
 		}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
+	}, uint64(opt.seed), stringsort.Algorithms)
 }
 
 // suffixExperiment reproduces the Section VII-E suffix instance: all
@@ -280,7 +214,7 @@ func suffixExperiment(opt options) {
 	fmt.Printf("\n(suffix instance D/N = %.5f)\n", dn)
 	series(title, opt.pes, func(pe, p int) [][]byte {
 		return input.SuffixInstance(input.SuffixConfig{TextLen: textLen, Seed: opt.seed}, pe, p)
-	}, uint64(opt.seed), stringsort.Algorithms, opt.codec)
+	}, uint64(opt.seed), stringsort.Algorithms)
 }
 
 // skewExperiment reproduces the Section VII-E skewed D/N instance,
@@ -293,25 +227,12 @@ func skewExperiment(opt options) {
 	fmt.Printf("%-6s %14s %14s %18s %18s\n", "p",
 		"MS-str time", "MS-char time", "MS-str recv-imbal", "MS-char recv-imbal")
 	for _, p := range opt.pes {
-		inputs := make([][][]byte, p)
-		for pe := 0; pe < p; pe++ {
-			inputs[pe] = input.DNSkewed(cfg, pe, p)
-		}
+		inputs := deal(p, func(pe, p int) [][]byte { return input.DNSkewed(cfg, pe, p) })
 		row := make([]float64, 0, 4)
 		for _, char := range []bool{false, true} {
-			res, err := stringsort.Sort(inputs, stringsort.Config{
-				Algorithm:    stringsort.MS,
-				Seed:         uint64(opt.seed),
-				CharSampling: char,
-				Cores:        benchCores,
-				Trace:        benchTracePath(stringsort.MS, p),
-				Chaos:        benchChaos,
-				ChaosSeed:    benchChaosSeed,
+			res := sortCell(inputs, stringsort.Config{
+				Algorithm: stringsort.MS, Seed: uint64(opt.seed), CharSampling: char,
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
-			}
 			recvImbal := 1.0
 			if res.Stats.MeanBytesRecv > 0 {
 				recvImbal = float64(res.Stats.MaxBytesRecv) / res.Stats.MeanBytesRecv
@@ -327,25 +248,12 @@ func ablationOversampling(opt options) {
 	fmt.Printf("\n=== Ablation: oversampling factor v (MS, D/N = 0.5) ===\n")
 	p := opt.pes[len(opt.pes)-1]
 	cfg := input.DNConfig{StringsPerPE: opt.nPerPE, Length: opt.length, Ratio: 0.5, Seed: opt.seed}
-	inputs := make([][][]byte, p)
-	for pe := 0; pe < p; pe++ {
-		inputs[pe] = input.DN(cfg, pe, p)
-	}
+	inputs := deal(p, func(pe, p int) [][]byte { return input.DN(cfg, pe, p) })
 	fmt.Printf("%-6s %14s %14s %12s\n", "v", "model time", "bytes/string", "imbalance")
 	for _, v := range []int{2, 4, 8, 16, 32, 64} {
-		res, err := stringsort.Sort(inputs, stringsort.Config{
-			Algorithm:    stringsort.MS,
-			Seed:         uint64(opt.seed),
-			Oversampling: v,
-			Cores:        benchCores,
-			Trace:        benchTracePath(stringsort.MS, p),
-			Chaos:        benchChaos,
-			ChaosSeed:    benchChaosSeed,
+		res := sortCell(inputs, stringsort.Config{
+			Algorithm: stringsort.MS, Seed: uint64(opt.seed), Oversampling: v,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
 		fmt.Printf("%-6d %14.4f %14.1f %12.3f\n", v, res.Stats.ModelTime,
 			res.Stats.BytesPerString, res.Stats.Imbalance)
 	}
@@ -356,25 +264,12 @@ func ablationEps(opt options) {
 	fmt.Printf("\n=== Ablation: prefix growth factor 1+ε (PDMS, D/N = 0.25) ===\n")
 	p := opt.pes[len(opt.pes)-1]
 	cfg := input.DNConfig{StringsPerPE: opt.nPerPE, Length: opt.length, Ratio: 0.25, Seed: opt.seed}
-	inputs := make([][][]byte, p)
-	for pe := 0; pe < p; pe++ {
-		inputs[pe] = input.DN(cfg, pe, p)
-	}
+	inputs := deal(p, func(pe, p int) [][]byte { return input.DN(cfg, pe, p) })
 	fmt.Printf("%-6s %14s %14s\n", "eps", "model time", "bytes/string")
 	for _, eps := range []float64{0.5, 1, 2, 3} {
-		res, err := stringsort.Sort(inputs, stringsort.Config{
-			Algorithm: stringsort.PDMS,
-			Seed:      uint64(opt.seed),
-			Eps:       eps,
-			Cores:     benchCores,
-			Trace:     benchTracePath(stringsort.PDMS, p),
-			Chaos:     benchChaos,
-			ChaosSeed: benchChaosSeed,
+		res := sortCell(inputs, stringsort.Config{
+			Algorithm: stringsort.PDMS, Seed: uint64(opt.seed), Eps: eps,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
 		fmt.Printf("%-6.1f %14.4f %14.1f\n", eps, res.Stats.ModelTime, res.Stats.BytesPerString)
 	}
 }
@@ -404,19 +299,9 @@ func ablationTieBreak(opt options) {
 		}
 		row := make([]float64, 0, 4)
 		for _, tie := range []bool{false, true} {
-			res, err := stringsort.Sort(inputs, stringsort.Config{
-				Algorithm: stringsort.MS,
-				Seed:      uint64(opt.seed),
-				TieBreak:  tie,
-				Cores:     benchCores,
-				Trace:     benchTracePath(stringsort.MS, p),
-				Chaos:     benchChaos,
-				ChaosSeed: benchChaosSeed,
+			res := sortCell(inputs, stringsort.Config{
+				Algorithm: stringsort.MS, Seed: uint64(opt.seed), TieBreak: tie,
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
-			}
 			// Fragment-size imbalance: duplicates are nearly free to
 			// *transmit* under LCP compression, but they still pile onto
 			// one PE's output (and its merge) without tie breaking.
@@ -431,44 +316,5 @@ func ablationTieBreak(opt options) {
 			row = append(row, imbal, res.Stats.ModelTime)
 		}
 		fmt.Printf("%-6d %18.3f %18.3f %14.4f %14.4f\n", p, row[0], row[2], row[1], row[3])
-	}
-}
-
-// ablationAlltoall compares the direct and hypercube all-to-all primitives
-// on equal payloads: the volume/latency tradeoff of Section II.
-func ablationAlltoall(opt options) {
-	fmt.Printf("\n=== Ablation: all-to-all routing (direct vs hypercube) ===\n")
-	fmt.Printf("%-6s %16s %16s %16s %16s\n", "p",
-		"direct msgs/PE", "hcube msgs/PE", "direct bytes", "hcube bytes")
-	for _, p := range opt.pes {
-		if p&(p-1) != 0 {
-			continue // hypercube variant needs powers of two
-		}
-		const payload = 2048
-		run := func(hyper bool) (int64, int64) {
-			m := comm.New(p)
-			err := m.Run(func(c *comm.Comm) error {
-				g := c.World()
-				parts := make([][]byte, p)
-				for i := range parts {
-					parts[i] = make([]byte, payload)
-				}
-				if hyper {
-					g.AlltoallvHypercube(parts)
-				} else {
-					g.Alltoallv(parts)
-				}
-				return nil
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
-			}
-			rep := m.Report()
-			return rep.PEs[0].Total().Messages, rep.TotalBytesSent()
-		}
-		dm, db := run(false)
-		hm, hb := run(true)
-		fmt.Printf("%-6d %16d %16d %16d %16d\n", p, dm, hm, db, hb)
 	}
 }

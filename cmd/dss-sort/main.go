@@ -26,15 +26,15 @@
 // communication with compute (reported as the overlap statistic).
 //
 // -codec decorates the transport with a wire codec (flate, or the
-// LCP-front-coding-aware lcp codec) that compresses frames above
-// -codec-min bytes before they cross the fabric. The model statistics
+// LCP-front-coding-aware lcp codec) that compresses frames of 64 bytes
+// and more before they cross the fabric. The model statistics
 // (model time, bytes sent) are billed on the raw payloads and stay
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -codec-min, -validate, -cores, -mem-budget,
-// -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
-// -net-timeout) are shared verbatim with dss-worker.
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -trace-cap, -chaos,
+// -chaos-seed, -net-retries, -net-timeout) are shared verbatim with
+// dss-worker.
 //
 // -chaos LEVEL injects deterministic faults (frame delays, reordering
 // within delivery bounds, and at the "drop" level mid-run connection

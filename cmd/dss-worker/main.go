@@ -29,10 +29,10 @@
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -codec-min, -validate, -cores, -mem-budget,
-// -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
-// -net-timeout) is accepted here with identical semantics — both binaries
-// register the same stringsort.RegisterTuningFlags set. -net-retries and
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -trace-cap, -chaos,
+// -chaos-seed, -net-retries, -net-timeout) is accepted here with identical
+// semantics — both binaries register the same
+// stringsort.RegisterTuningFlags set. -net-retries and
 // -net-timeout shape the worker's reconnect-with-resend behavior when an
 // established peer connection drops mid-run; the run's stats report the
 // recovery volume on the `net:` line.

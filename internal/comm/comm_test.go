@@ -412,69 +412,6 @@ func TestAlltoallv(t *testing.T) {
 	}
 }
 
-func TestAlltoallvHypercube(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8, 16} {
-		m := New(p)
-		err := m.Run(func(c *Comm) error {
-			g := c.World()
-			parts := make([][]byte, p)
-			for dst := 0; dst < p; dst++ {
-				parts[dst] = []byte(fmt.Sprintf("%d=>%d", c.Rank(), dst))
-			}
-			got := g.AlltoallvHypercube(parts)
-			for _, part := range parts {
-				clear(part) // the caller may reuse its buffers: no result aliases a part
-			}
-			for src := 0; src < p; src++ {
-				want := fmt.Sprintf("%d=>%d", src, c.Rank())
-				if string(got[src]) != want {
-					return fmt.Errorf("from %d: got %q, want %q", src, got[src], want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
-func TestHypercubeTradesVolumeForLatency(t *testing.T) {
-	// The hypercube all-to-all must use fewer message rounds but more
-	// volume than the direct variant (Section II tradeoff).
-	const p = 16
-	const sz = 1000
-	run := func(hyper bool) (msgs, bytes int64) {
-		m := New(p)
-		err := m.Run(func(c *Comm) error {
-			g := c.World()
-			parts := make([][]byte, p)
-			for dst := 0; dst < p; dst++ {
-				parts[dst] = make([]byte, sz)
-			}
-			if hyper {
-				g.AlltoallvHypercube(parts)
-			} else {
-				g.Alltoallv(parts)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := m.Report()
-		return r.PEs[0].Total().Messages, r.TotalBytesSent()
-	}
-	dMsgs, dBytes := run(false)
-	hMsgs, hBytes := run(true)
-	if hMsgs >= dMsgs {
-		t.Fatalf("hypercube sends %d msgs/PE, direct %d; want fewer", hMsgs, dMsgs)
-	}
-	if hBytes <= dBytes {
-		t.Fatalf("hypercube volume %d <= direct %d; store-and-forward must cost more", hBytes, dBytes)
-	}
-}
-
 func TestReduceUint64(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
@@ -509,7 +446,7 @@ func TestAllreduceMaxMin(t *testing.T) {
 			if got[0] != uint64(p+4) {
 				return fmt.Errorf("max = %d, want %d", got[0], p+4)
 			}
-			got = g.AllreduceUint64([]uint64{uint64(c.Rank() + 5)}, Min)
+			got = g.AllreduceUint64([]uint64{uint64(c.Rank() + 5)}, func(a, b uint64) uint64 { return min(a, b) })
 			if got[0] != 5 {
 				return fmt.Errorf("min = %d, want 5", got[0])
 			}
@@ -554,6 +491,9 @@ func TestSubgroupCollectives(t *testing.T) {
 			gid = 2
 		}
 		g := NewGroup(c, ranks, gid)
+		if g.N() != 4 || g.Idx() != c.Rank()/2 {
+			return fmt.Errorf("rank %d: N = %d, Idx = %d; want 4 and %d", c.Rank(), g.N(), g.Idx(), c.Rank()/2)
+		}
 		got := g.AllreduceUint64([]uint64{uint64(c.Rank())}, Sum)
 		want := uint64(0 + 2 + 4 + 6)
 		if c.Rank()%2 == 1 {
@@ -620,38 +560,6 @@ func TestMachineReuseAndReset(t *testing.T) {
 	m.ResetStats()
 	if got := m.Report().TotalBytesSent(); got != 0 {
 		t.Fatalf("volume after reset = %d", got)
-	}
-}
-
-func TestGroupGlobalRankTranslation(t *testing.T) {
-	m := New(6)
-	err := m.Run(func(c *Comm) error {
-		if c.Rank() != 2 && c.Rank() != 5 {
-			return nil
-		}
-		g := NewGroup(c, []int{2, 5}, 9)
-		if g.N() != 2 {
-			return fmt.Errorf("N = %d", g.N())
-		}
-		if g.GlobalRank(0) != 2 || g.GlobalRank(1) != 5 {
-			return fmt.Errorf("translation wrong")
-		}
-		wantIdx := 0
-		if c.Rank() == 5 {
-			wantIdx = 1
-		}
-		if g.Idx() != wantIdx {
-			return fmt.Errorf("Idx = %d, want %d", g.Idx(), wantIdx)
-		}
-		// Exchange through the group.
-		got := g.AllreduceUint64([]uint64{uint64(c.Rank())}, Sum)
-		if got[0] != 7 {
-			return fmt.Errorf("sum = %d", got[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

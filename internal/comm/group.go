@@ -47,9 +47,6 @@ func (g *Group) N() int { return len(g.ranks) }
 // Idx returns the calling PE's index within the group.
 func (g *Group) Idx() int { return g.myIdx }
 
-// GlobalRank translates a group index to a machine rank.
-func (g *Group) GlobalRank(idx int) int { return g.ranks[idx] }
-
 // Comm returns the underlying per-PE endpoint.
 func (g *Group) Comm() *Comm { return g.c }
 
@@ -192,89 +189,6 @@ func (g *Group) Alltoallv(parts [][]byte) [][]byte {
 	return pd.Wait()
 }
 
-// AlltoallvHypercube performs personalized all-to-all communication by
-// store-and-forward routing along a hypercube, the low-latency variant of
-// Section II: O(log n) message rounds at the price of each payload being
-// forwarded up to log n times (communication volume grows by that factor).
-// The group size must be a power of two. Like Alltoallv it copies what it
-// is given: no result aliases a part.
-func (g *Group) AlltoallvHypercube(parts [][]byte) [][]byte {
-	n := len(g.ranks)
-	if n&(n-1) != 0 {
-		panic("comm: hypercube alltoall requires power-of-two group size")
-	}
-	if len(parts) != n {
-		panic(fmt.Sprintf("comm: alltoallv needs %d parts, got %d", n, len(parts)))
-	}
-	tag := g.nextTag()
-	// pending[dst] accumulates payload chunks destined for dst; chunks for
-	// the same destination are concatenated in (origin-sorted) bundles, so
-	// the caller must be able to concatenate payload fragments. To keep
-	// arbitrary payloads intact we carry (origin, payload) pairs.
-	type routed struct {
-		origin  int
-		payload []byte
-	}
-	pending := make([][]routed, n)
-	for dst, p := range parts {
-		if dst == g.myIdx {
-			p = append([]byte(nil), p...) // the self part is returned, not sent
-		}
-		pending[dst] = append(pending[dst], routed{origin: g.myIdx, payload: p})
-	}
-	for bit := 1; bit < n; bit <<= 1 {
-		partner := g.myIdx ^ bit
-		// Bundle everything whose destination differs from me in this bit.
-		w := wire.NewBuffer(64)
-		var count uint64
-		for dst := 0; dst < n; dst++ {
-			if dst&bit != g.myIdx&bit {
-				count += uint64(len(pending[dst]))
-			}
-		}
-		w.Uvarint(count)
-		for dst := 0; dst < n; dst++ {
-			if dst&bit != g.myIdx&bit {
-				for _, rt := range pending[dst] {
-					w.Uvarint(uint64(dst))
-					w.Uvarint(uint64(rt.origin))
-					w.BytesPrefixed(rt.payload)
-				}
-				pending[dst] = nil
-			}
-		}
-		g.send(partner, tag+0, w.Bytes())
-		msg := g.recv(partner, tag+0)
-		r := wire.NewReader(msg)
-		cnt, err := r.Uvarint()
-		if err != nil {
-			panic("comm: corrupt hypercube bundle")
-		}
-		for i := uint64(0); i < cnt; i++ {
-			dst64, err1 := r.Uvarint()
-			origin64, err2 := r.Uvarint()
-			payload, err3 := r.BytesPrefixed()
-			if err1 != nil || err2 != nil || err3 != nil {
-				panic("comm: corrupt hypercube bundle")
-			}
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			pending[dst64] = append(pending[dst64], routed{origin: int(origin64), payload: cp})
-		}
-		g.c.Release(msg) // payload chunks were copied out above
-	}
-	out := make([][]byte, n)
-	for _, rt := range pending[g.myIdx] {
-		out[rt.origin] = rt.payload
-	}
-	for i := range out {
-		if out[i] == nil {
-			out[i] = []byte{}
-		}
-	}
-	return out
-}
-
 // ReduceBytes folds every member's payload into one value at root using a
 // binomial tree. combine must be associative over the payloads in group
 // index order: combine(a, b) where a's members all have lower group indices
@@ -344,20 +258,12 @@ func (g *Group) AllreduceUint64(vals []uint64, op func(a, b uint64) uint64) []ui
 	return out
 }
 
-// Sum, Max and Min are reduction operators for ReduceUint64/AllreduceUint64.
+// Sum and Max are reduction operators for ReduceUint64/AllreduceUint64.
 func Sum(a, b uint64) uint64 { return a + b }
 
 // Max returns the larger operand.
 func Max(a, b uint64) uint64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the smaller operand.
-func Min(a, b uint64) uint64 {
-	if a < b {
 		return a
 	}
 	return b

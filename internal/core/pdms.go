@@ -52,13 +52,6 @@ func DefaultPDMS() PDMSOptions {
 	return PDMSOptions{Eps: 1, StringSamplingOverride: true}
 }
 
-// DefaultPDMSGolomb returns the PDMS-Golomb configuration.
-func DefaultPDMSGolomb() PDMSOptions {
-	o := DefaultPDMS()
-	o.Golomb = true
-	return o
-}
-
 // PDMS runs Distributed Prefix-Doubling String Merge Sort (Section VI):
 // Algorithm MS with an additional Step 1+ε that approximates each string's
 // distinguishing prefix length by distributed duplicate detection over

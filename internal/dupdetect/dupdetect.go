@@ -115,12 +115,6 @@ type Options struct {
 	// fixedRange, when nonzero, replaces every round's hash range (tests:
 	// a tiny range forces collisions, MaxUint64 is the full-width run).
 	fixedRange uint64
-	// hypercube routes the fingerprint all-to-alls indirectly along a
-	// hypercube: latency drops from αp to α·log p per iteration at the
-	// price of a log p factor in fingerprint volume (the Theorem 6 latency
-	// variant). Requires a power-of-two machine; otherwise direct delivery
-	// is used. Tests only: no algorithm selects it.
-	hypercube bool
 }
 
 func (o *Options) setDefaults() {
@@ -247,7 +241,6 @@ type detector struct {
 	g      *comm.Group
 	p      int
 	golomb bool // Golomb-code the requests; fixed-width otherwise
-	hyper  bool // hypercube-route the all-to-alls
 	ss     [][]byte
 	lcp    []int32 // Options.LCP; nil: nothing is skipped
 	hasher fingerprint.Hasher
@@ -293,7 +286,6 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 		g:       comm.NewGroup(c, allRanks(p), opt.GroupID),
 		p:       p,
 		golomb:  opt.Golomb,
-		hyper:   opt.hypercube && p&(p-1) == 0,
 		ss:      ss,
 		lcp:     opt.LCP,
 		hasher:  fingerprint.New(opt.Seed),
@@ -369,16 +361,13 @@ func (d *detector) headsRun(ci int32) bool {
 	return int(ci)+1 < len(d.lcp) && int(d.lcp[ci+1]) >= d.ell
 }
 
-// exchange is the round's all-to-all, direct or hypercube routed, of the p
-// messages packed into d.msgs (message i ends at d.ends[i]).
+// exchange is the round's all-to-all of the p messages packed into d.msgs
+// (message i ends at d.ends[i]).
 func (d *detector) exchange() [][]byte {
 	start := 0
 	for i, end := range d.ends {
 		d.parts[i] = d.msgs[start:end]
 		start = end
-	}
-	if d.hyper {
-		return d.g.AlltoallvHypercube(d.parts)
 	}
 	return d.g.Alltoallv(d.parts)
 }

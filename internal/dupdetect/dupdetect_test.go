@@ -251,34 +251,6 @@ func TestGolombVariantAgreesAndSavesVolume(t *testing.T) {
 	}
 }
 
-func TestHypercubeRoutingTradesLatencyForVolume(t *testing.T) {
-	rng := rand.New(rand.NewSource(58))
-	global := genStrings(rng, 4000, 25, 2)
-	direct, mDirect := runApprox(t, global, 8, Options{GroupID: 1})
-	hyper, mHyper := runApprox(t, global, 8, Options{GroupID: 1, hypercube: true})
-	for i := range direct {
-		if direct[i] != hyper[i] {
-			t.Fatalf("hypercube routing changed bound %d: %d vs %d", i, hyper[i], direct[i])
-		}
-	}
-	// Fewer messages per PE, more volume (store-and-forward).
-	msgsD := mDirect.Report().PEs[0].Total().Messages
-	msgsH := mHyper.Report().PEs[0].Total().Messages
-	if msgsH >= msgsD {
-		t.Fatalf("hypercube routing sent %d msgs/PE, direct %d", msgsH, msgsD)
-	}
-	if mHyper.Report().TotalBytesSent() <= mDirect.Report().TotalBytesSent() {
-		t.Fatal("hypercube routing should cost volume")
-	}
-}
-
-func TestHypercubeFallbackNonPowerOfTwo(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	global := genStrings(rng, 500, 15, 2)
-	dist, _ := runApprox(t, global, 5, Options{GroupID: 1, hypercube: true})
-	checkSound(t, global, dist)
-}
-
 func TestEpsilonGrowthFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	global := genStrings(rng, 300, 50, 2)
@@ -354,8 +326,8 @@ func differentialInputs(rng *rand.Rand) map[string][][]byte {
 
 // TestDifferentialAgainstReference is the guard of the round loop and of
 // any later rewrite. On locally sorted strings, in both wire formats and
-// routings and at the default, a tiny and the full-width hash range:
-// without the LCP array ApproxDist must agree with the map-based oracle
+// at the default, a tiny and the full-width hash range: without the LCP
+// array ApproxDist must agree with the map-based oracle
 // (same range mapping, every candidate sent) on every output and on every
 // PE's byte, message and work counters; with it, on every output, message
 // count and billed character, sending no more bytes.
@@ -367,9 +339,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, p := range []int{1, 2, 3, 4, 5, 8} {
-		for mode := 0; mode < 4; mode++ {
+		for _, golomb := range []bool{false, true} {
 			for _, fixed := range []uint64{0, 61, math.MaxUint64} {
-				opt := Options{GroupID: 1, Seed: uint64(p), Golomb: mode&1 != 0, hypercube: mode&2 != 0, fixedRange: fixed}
+				opt := Options{GroupID: 1, Seed: uint64(p), Golomb: golomb, fixedRange: fixed}
 				for _, name := range names {
 					for _, first := range []int{0, 2} { // 2: PEs 0 and 1 hold nothing
 						if first > 0 && (p < 3 || name == "random") {
@@ -799,7 +771,7 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 			allReqs = append(allReqs, req{cand: ci, fp: v})
 		}
 
-		uniqueCands := referenceUniqueRound(g, p, allReqs, hashRange, opt.Golomb, opt.hypercube)
+		uniqueCands := referenceUniqueRound(g, p, allReqs, hashRange, opt.Golomb)
 
 		// Resolve candidates: unique fingerprints prove distinguishing
 		// prefixes; strings shorter than ℓ resolve with their full length
@@ -833,7 +805,7 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 // PE owning that part of the range, counts global multiplicities there,
 // and returns the set of candidates whose value is globally unique. One
 // collective call per PE.
-func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, useGolomb, hyper bool) map[int32]bool {
+func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, useGolomb bool) map[int32]bool {
 	// PE d owns [d·bucket, (d+1)·bucket) and is sent values minus its base,
 	// in the fewest whole bytes that hold bucket-1 when not Golomb coded.
 	bucket := hashRange / uint64(p)
@@ -848,13 +820,6 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, us
 	for _, r := range reqs {
 		d := r.fp / bucket
 		perDest[d] = append(perDest[d], req{cand: r.cand, fp: r.fp % bucket})
-	}
-
-	exchange := func(parts [][]byte) [][]byte {
-		if hyper && p&(p-1) == 0 {
-			return g.AlltoallvHypercube(parts)
-		}
-		return g.Alltoallv(parts)
 	}
 
 	parts := make([][]byte, p)
@@ -872,7 +837,7 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, us
 			parts[d] = wire.AppendUintsFixed(nil, fps, width)
 		}
 	}
-	recvd := exchange(parts)
+	recvd := g.Alltoallv(parts)
 
 	counts := make(map[uint64]int)
 	decoded := make([][]uint64, p)
@@ -899,7 +864,7 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, us
 		}
 		replies[src] = wire.AppendBitset(nil, bits)
 	}
-	verdicts := exchange(replies)
+	verdicts := g.Alltoallv(replies)
 
 	unique := make(map[int32]bool)
 	for d := 0; d < p; d++ {

@@ -331,33 +331,6 @@ func Buckets(ss [][]byte, splitters [][]byte) []int {
 	return off
 }
 
-// BucketStats summarizes the global bucket balance for testing and for the
-// skew experiments: the maximum number of strings and characters any PE
-// receives.
-func BucketStats(c *comm.Comm, ss [][]byte, off []int, gid int) (maxStrings, maxChars uint64) {
-	p := c.P()
-	g := comm.NewGroup(c, allRanks(p), gid)
-	counts := make([]uint64, 2*p)
-	for i := 0; i < p; i++ {
-		counts[2*i] = uint64(off[i+1] - off[i])
-		var chars uint64
-		for _, s := range ss[off[i]:off[i+1]] {
-			chars += uint64(len(s))
-		}
-		counts[2*i+1] = chars
-	}
-	sums := g.AllreduceUint64(counts, comm.Sum)
-	for i := 0; i < p; i++ {
-		if sums[2*i] > maxStrings {
-			maxStrings = sums[2*i]
-		}
-		if sums[2*i+1] > maxChars {
-			maxChars = sums[2*i+1]
-		}
-	}
-	return maxStrings, maxChars
-}
-
 func allRanks(p int) []int {
 	r := make([]int, p)
 	for i := range r {

@@ -141,6 +141,3 @@ func BucketsTie(ss [][]byte, rank int, splitters [][]byte) []int {
 func tieTag(rank, k int) uint64 {
 	return uint64(uint32(rank))<<32 | uint64(uint32(k))
 }
-
-// TieTag is the exported tag constructor (rank, sorted position).
-func TieTag(rank, k int) uint64 { return tieTag(rank, k) }

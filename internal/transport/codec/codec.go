@@ -17,7 +17,7 @@
 //
 // Frame format. Every remote frame is self-describing: one codec-id byte,
 // then — for a compressed frame — the uvarint raw payload length and the
-// codec's encoding. Frames smaller than the configured threshold, frames a
+// codec's encoding. Frames smaller than the threshold (minSize), frames a
 // codec cannot represent, and frames whose encoding fails to beat the raw
 // form ship as id 0 (raw) with the payload verbatim after the id byte, so
 // the decoder never needs out-of-band configuration and an incompressible
@@ -52,11 +52,11 @@ const (
 	numIDs = 3
 )
 
-// DefaultMinSize is the default compression threshold: frames smaller than
-// this many bytes ship raw. Tiny control messages (barrier signals,
+// minSize is the compression threshold: frames smaller than this many
+// bytes ship raw. Tiny control messages (barrier signals,
 // splitter counts) cost more to deflate than they save, and the threshold
 // keeps their latency overhead at the one header byte.
-const DefaultMinSize = 64
+const minSize = 64
 
 // Codec turns raw payloads into wire encodings and back. Implementations
 // are stateful scratch holders (reused flate streams, suffix arenas) and
@@ -119,27 +119,19 @@ func Names() string {
 type Config struct {
 	// Name is a codec name accepted by Parse ("" means none).
 	Name string
-	// MinSize is the compression threshold in bytes; frames smaller than
-	// this ship raw. Zero or negative means DefaultMinSize.
-	MinSize int
 }
 
-// instance resolves the config into a codec instance (nil for none) and
-// the effective threshold.
-func (cfg Config) instance() (Codec, int, error) {
+// instance resolves the config into a codec instance (nil for none).
+func (cfg Config) instance() (Codec, error) {
 	name, err := Parse(cfg.Name)
 	if err != nil {
-		return nil, 0, err
-	}
-	min := cfg.MinSize
-	if min <= 0 {
-		min = DefaultMinSize
+		return nil, err
 	}
 	var c Codec
 	if f := factories[name]; f != nil {
 		c = f()
 	}
-	return c, min, nil
+	return c, nil
 }
 
 // flateCodec is the general-purpose LZ codec over compress/flate. One

@@ -61,9 +61,9 @@ func TestConformanceDecoratedTCP(t *testing.T) {
 
 // frameEndpoint builds a decorated endpoint suitable for white-box frame
 // tests (the inner endpoint is only touched by decodeFrame's Release).
-func frameEndpoint(t testing.TB, name string, min int) *Endpoint {
+func frameEndpoint(t testing.TB, name string) *Endpoint {
 	t.Helper()
-	e, err := Wrap(local.New(2).Endpoint(0), Config{Name: name, MinSize: min})
+	e, err := Wrap(local.New(2).Endpoint(0), Config{Name: name})
 	if err != nil {
 		t.Fatalf("wrap: %v", err)
 	}
@@ -91,11 +91,11 @@ func lcpRunFrame(n int) []byte {
 }
 
 // TestFramePassthroughBelowThreshold pins the size threshold: frames
-// smaller than MinSize ship raw behind the 1-byte header, bit-identical to
+// smaller than minSize ship raw behind the 1-byte header, bit-identical to
 // the payload.
 func TestFramePassthroughBelowThreshold(t *testing.T) {
 	for _, name := range []string{"flate", "lcp"} {
-		e := frameEndpoint(t, name, 64)
+		e := frameEndpoint(t, name)
 		data := []byte("short control message")
 		frame := e.encodeFrame(data)
 		if frame[0] != idRaw {
@@ -119,7 +119,7 @@ func TestFrameCompressesRedundantPayload(t *testing.T) {
 		"lcp":   lcpRunFrame(200),
 	}
 	for name, data := range payloads {
-		e := frameEndpoint(t, name, 64)
+		e := frameEndpoint(t, name)
 		frame := e.encodeFrame(data)
 		if frame[0] == idRaw {
 			t.Fatalf("%s: redundant %d-byte payload shipped raw", name, len(data))
@@ -141,7 +141,7 @@ func TestFrameFallsBackOnIncompressibleData(t *testing.T) {
 	data := make([]byte, 4096)
 	rng.Read(data)
 	for _, name := range []string{"flate", "lcp"} {
-		e := frameEndpoint(t, name, 64)
+		e := frameEndpoint(t, name)
 		frame := e.encodeFrame(data)
 		if frame[0] != idRaw {
 			t.Fatalf("%s: incompressible payload shipped compressed and necessarily larger", name)
@@ -232,7 +232,7 @@ func TestLCPDecodeRejectsWrappingSuffixLengths(t *testing.T) {
 // frames bill their true wire size to the bound PE's current phase,
 // self-sends bill nothing (no bytes leave the PE).
 func TestWireMetering(t *testing.T) {
-	f, err := WrapFabric(local.New(2), Config{Name: "flate", MinSize: 64})
+	f, err := WrapFabric(local.New(2), Config{Name: "flate"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ type Endpoint struct {
 	inner transport.Transport
 	rank  int
 	codec Codec // nil for "none": frame, but never compress
-	min   int   // compression threshold in raw bytes
 	decs  [numIDs]Codec
 	pool  transport.Pool
 
@@ -37,15 +36,15 @@ type Endpoint struct {
 // Wrap decorates a single endpoint. This is the SPMD entry point: wrap
 // the tcp.Connect endpoint before handing it to the algorithm layer.
 func Wrap(t transport.Transport, cfg Config) (*Endpoint, error) {
-	c, min, err := cfg.instance()
+	c, err := cfg.instance()
 	if err != nil {
 		return nil, err
 	}
-	return newEndpoint(t, c, min), nil
+	return newEndpoint(t, c), nil
 }
 
-func newEndpoint(t transport.Transport, c Codec, min int) *Endpoint {
-	e := &Endpoint{inner: t, rank: t.Rank(), codec: c, min: min}
+func newEndpoint(t transport.Transport, c Codec) *Endpoint {
+	e := &Endpoint{inner: t, rank: t.Rank(), codec: c}
 	// Decoders for every known id: frames are self-describing, and a
 	// peer's encoder may fall back per frame (or, in principle, run a
 	// different codec than ours).
@@ -136,7 +135,7 @@ func (e *Endpoint) Give(dst, tag int, buf []byte) {
 // encodeFrame builds the self-describing wire frame for one payload in a
 // buffer of the wrapped endpoint, ready to be given to it.
 func (e *Endpoint) encodeFrame(data []byte) []byte {
-	if e.codec != nil && len(data) >= e.min {
+	if e.codec != nil && len(data) >= minSize {
 		buf := e.inner.Alloc(len(data) + 1 + binary.MaxVarintLen32)[:0]
 		buf = append(buf, e.codec.ID())
 		buf = binary.AppendUvarint(buf, uint64(len(data)))
@@ -246,11 +245,11 @@ func WrapFabric(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	p := f.P()
 	w := &fabric{inner: f, eps: make([]*Endpoint, p)}
 	for rank := 0; rank < p; rank++ {
-		c, min, err := cfg.instance()
+		c, err := cfg.instance()
 		if err != nil {
 			return nil, err
 		}
-		w.eps[rank] = newEndpoint(f.Endpoint(rank), c, min)
+		w.eps[rank] = newEndpoint(f.Endpoint(rank), c)
 	}
 	return w, nil
 }

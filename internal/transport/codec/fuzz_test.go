@@ -56,14 +56,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func FuzzFrameRoundTrip(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const min = 64
 		for _, name := range codecNames {
-			e, err := Wrap(local.New(2).Endpoint(0), Config{Name: name, MinSize: min})
+			e, err := Wrap(local.New(2).Endpoint(0), Config{Name: name})
 			if err != nil {
 				t.Fatal(err)
 			}
 			frame := e.encodeFrame(data)
-			if len(data) < min && (frame[0] != idRaw || !bytes.Equal(frame[1:], data)) {
+			if len(data) < minSize && (frame[0] != idRaw || !bytes.Equal(frame[1:], data)) {
 				t.Fatalf("%s: sub-threshold frame not a verbatim passthrough", name)
 			}
 			if len(frame) > len(data)+1 {

@@ -1380,14 +1380,9 @@ func NewLoopbackConfig(p int, cfg Config) (transport.Fabric, error) {
 	return NewFabricConfig(addrs, cfg)
 }
 
-// NewFabric binds one endpoint per address in the calling process and
-// connects them into a full mesh. Addresses should carry an explicit host;
-// port 0 picks an ephemeral port.
-func NewFabric(addrs []string) (transport.Fabric, error) {
-	return NewFabricConfig(addrs, Config{})
-}
-
-// NewFabricConfig is NewFabric with explicit tuning.
+// NewFabricConfig binds one endpoint per address in the calling process
+// and connects them into a full mesh. Addresses should carry an explicit
+// host; port 0 picks an ephemeral port.
 func NewFabricConfig(addrs []string, cfg Config) (transport.Fabric, error) {
 	p := len(addrs)
 	if p == 0 {

@@ -312,33 +312,6 @@ func AppendInt32s(dst []byte, vs []int32) []byte {
 	return dst
 }
 
-// AppendInt32sRun and Int32sRunSize are the EncodeInt32s format with the
-// first value transmitted as zero: the run-boundary convention of the LCP
-// exchange (see AppendStringsLCP), kept here so the encoding and
-// DecodeInt32s live in one package.
-func AppendInt32sRun(dst []byte, vs []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for i, v := range vs {
-		if i == 0 {
-			v = 0
-		}
-		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-	}
-	return dst
-}
-
-// Int32sRunSize returns the exact encoded size of AppendInt32sRun(nil, vs).
-func Int32sRunSize(vs []int32) int {
-	n := UvarintLen(uint64(len(vs)))
-	for i, v := range vs {
-		if i == 0 {
-			v = 0
-		}
-		n += UvarintLen(uint64(uint32(v)))
-	}
-	return n
-}
-
 // DecodeInt32s reverses EncodeInt32s.
 func DecodeInt32s(msg []byte) ([]int32, error) {
 	r := NewReader(msg)

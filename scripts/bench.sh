@@ -1,142 +1,44 @@
 #!/usr/bin/env bash
-# bench.sh — run the paper-figure benchmarks and snapshot the results.
+# bench.sh — regenerate the model snapshot of the paper's figure cells.
 #
-# Runs BenchmarkFig4/BenchmarkFig5* (and optionally any extra -bench
-# pattern) with -benchmem, then converts the output into a JSON snapshot
-# BENCH_<date>.json at the repository root, so the performance trajectory
-# of the repo is recorded PR over PR.
+# Runs the 54 Fig. 4/5 cells of bench_test.go once each and writes their
+# model_ms and bytes_per_str, the two metrics the paper plots, to
+# BENCH_<date>.json at the repository root:
 #
-# Every b.ReportMetric unit becomes a JSON column automatically (unit name
-# sanitized: "model-ms" -> model_ms, "bytes/str" -> bytes_per_str,
-# "wire-bytes/str" -> wire_bytes_per_str, "compression-x" ->
-# compression_x, "overlap-ms" -> overlap_ms). model_ms and bytes_per_str
-# are deterministic and codec-invariant; wire_bytes_per_str and
-# compression_x record what the selected wire codec actually put on the
-# fabric (equal to bytes_per_str / 1.0 without one); overlap_ms is the
-# measured wall-clock communication time the split-phase Step-3 exchange
-# hid under Step-4 decoding; merge_cpu_ms is the PE-summed CPU time inside
-# the Step-4 merge (exceeding the merge wall time proves the partitioned
-# merge ran in parallel) and merge_speedup_x the merge phase's wall-clock
-# speedup over the same run forced to cores=1; peak_mem_bytes is the
-# bottleneck PE's peak metered live arena bytes and spill_bytes the
-# machine-wide out-of-core traffic (page-file writes + read-backs, 0
-# without a budget) — both measured, like overlap_ms.
+#   {"date": ..., "results": [{"name", "model_ms", "bytes_per_str"}, ...]}
 #
-# BENCH_CODEC decorates the benchmark transports with a wire codec
-# (none/flate/lcp). BENCH_CORES sets the intra-PE work pool width (0 =
-# GOMAXPROCS); the snapshot metadata records the requested width alongside
-# gomaxprocs and host_cpus so a speedup_x column can always be read in
-# context. BENCH_MEMBUDGET runs every benchmark through the bounded-memory
-# out-of-core pipeline (e.g. 64k, 1m; empty = unbounded in-RAM) — the
-# model columns are budget-invariant, while peak_mem_bytes and spill_bytes
-# record what the budget cost. BENCH_BASELINE compares the fresh
-# snapshot's model columns against an earlier BENCH_*.json and fails on
-# any drift — run it with a codec, a pool width or a budget to prove the
-# paper's numbers don't move:
-#
-#   BENCH_CODEC=flate BENCH_BASELINE=BENCH_2026-07-30.json scripts/bench.sh
-#   BENCH_CORES=4 BENCH_BASELINE=BENCH_2026-07-30.json BENCH_OUT=/tmp/b.json scripts/bench.sh
-#   BENCH_MEMBUDGET=64k BENCH_BASELINE=BENCH_2026-07-30.json BENCH_OUT=/tmp/b.json scripts/bench.sh
+# Both metrics are exact counts, so one iteration is the value. The values
+# are the benchmark's printed figures, which TestBenchSnapshotModelInvariance
+# replays against the committed snapshot (the file named by benchSnapshot).
 #
 # Usage:
-#   scripts/bench.sh                 # Fig4 + Fig5, benchtime 3x
-#   BENCHTIME=10x scripts/bench.sh   # more iterations
-#   BENCH_PATTERN='BenchmarkFig4' scripts/bench.sh
-#   BENCH_OUT=BENCH_custom.json scripts/bench.sh
+#   scripts/bench.sh                          # writes BENCH_<today>.json
+#   BENCH_OUT=/tmp/snap.json scripts/bench.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkFig4|BenchmarkFig5}"
-BENCHTIME="${BENCHTIME:-3x}"
-CODEC="${BENCH_CODEC:-none}"
-CORES="${BENCH_CORES:-0}"
-MEMBUDGET="${BENCH_MEMBUDGET:-}"
-BASELINE="${BENCH_BASELINE:-}"
-HOST_CPUS="$(getconf _NPROCESSORS_ONLN)"
 DATE="$(date +%Y-%m-%d)"
 OUT="${BENCH_OUT:-BENCH_${DATE}.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-# Refuse to clobber the baseline we are about to compare against (easy to
-# hit: the default OUT is BENCH_<today>.json, which IS the baseline when
-# rechecking a snapshot taken the same day — the comparison would then
-# vacuously pass against itself).
-if [ -n "$BASELINE" ] && [ "$(readlink -f "$OUT" 2>/dev/null || echo "$OUT")" = "$(readlink -f "$BASELINE" 2>/dev/null || echo "$BASELINE")" ]; then
-    echo "BENCH_BASELINE ($BASELINE) and the output snapshot ($OUT) are the same file; set BENCH_OUT elsewhere" >&2
-    exit 1
-fi
+go test -run '^$' -bench 'BenchmarkFig' -benchtime 1x . | tee "$RAW" >&2
 
-echo "running: DSS_BENCH_CODEC=$CODEC DSS_BENCH_CORES=$CORES DSS_BENCH_MEMBUDGET=$MEMBUDGET go test -run '^$' -bench '$PATTERN' -benchmem -benchtime $BENCHTIME ." >&2
-DSS_BENCH_CODEC="$CODEC" DSS_BENCH_CORES="$CORES" DSS_BENCH_MEMBUDGET="$MEMBUDGET" go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" . | tee "$RAW" >&2
-
-# The execution-shape metadata makes the measured columns (speedup_x,
-# overlap_ms) readable in context: cores is the requested intra-PE pool
-# width (0 = GOMAXPROCS), gomaxprocs is the test binary's actual value
-# (parsed from the -N benchmark name suffix), host_cpus the machine size.
-awk -v date="$DATE" -v benchtime="$BENCHTIME" -v codec="$CODEC" \
-    -v cores="$CORES" -v hostcpus="$HOST_CPUS" -v membudget="$MEMBUDGET" '
-BEGIN {
-    printf "{\n  \"date\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"codec\": \"%s\",\n", date, benchtime, codec
-    gomaxprocs = 1  # the -N name suffix is omitted when GOMAXPROCS is 1
-}
-/^goos:/   { goos = $2 }
-/^goarch:/ { goarch = $2 }
-/^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
+awk -v date="$DATE" '
 /^Benchmark/ {
     name = $1
-    if (match(name, /-[0-9]+$/))  # the -GOMAXPROCS suffix
-        gomaxprocs = substr(name, RSTART + 1, RLENGTH - 1) + 0
-    sub(/-[0-9]+$/, "", name)
-    iters = $2
-    line = ""
+    sub(/-[0-9]+$/, "", name)  # the -GOMAXPROCS suffix
     for (i = 3; i + 1 <= NF; i += 2) {
-        val = $i; unit = $(i + 1)
-        key = unit
-        gsub(/\//, "_per_", key)
-        gsub(/[^A-Za-z0-9_]/, "_", key)
-        line = line sprintf(", \"%s\": %s", key, val)
+        if ($(i + 1) == "model-ms")  ms = $i
+        if ($(i + 1) == "bytes/str") bps = $i
     }
-    results[++n] = sprintf("    {\"name\": \"%s\", \"iters\": %s%s}", name, iters, line)
+    rows[++n] = sprintf("    {\"name\": \"%s\", \"model_ms\": %s, \"bytes_per_str\": %s}", name, ms, bps)
 }
 END {
-    printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"cpu\": \"%s\",\n", goos, goarch, cpu
-    printf "  \"cores\": %d,\n  \"gomaxprocs\": %d,\n  \"host_cpus\": %d,\n", cores, gomaxprocs, hostcpus
-    printf "  \"mem_budget\": \"%s\",\n", membudget
-    printf "  \"results\": [\n"
-    for (i = 1; i <= n; i++) printf "%s%s\n", results[i], (i < n ? "," : "")
+    printf "{\n  \"date\": \"%s\",\n  \"results\": [\n", date
+    for (i = 1; i <= n; i++) printf "%s%s\n", rows[i], (i < n ? "," : "")
     printf "  ]\n}\n"
 }' "$RAW" > "$OUT"
 
-echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)" >&2
-
-# Baseline comparison: the deterministic model columns (model_ms,
-# bytes_per_str) must be bit-identical per benchmark to the baseline
-# snapshot — they are codec-invariant by construction, so any drift is an
-# algorithmic change, not wire compression.
-if [ -n "$BASELINE" ]; then
-    awk '
-    function key(line) {
-        match(line, /"name": "[^"]*"/)
-        return substr(line, RSTART + 9, RLENGTH - 10)
-    }
-    function model(line,    m) {
-        m = ""
-        if (match(line, /"model_ms": [^,}]*/))      m = m "|" substr(line, RSTART + 12, RLENGTH - 12)
-        if (match(line, /"bytes_per_str": [^,}]*/)) m = m "|" substr(line, RSTART + 17, RLENGTH - 17)
-        return m
-    }
-    /"name"/ {
-        if (NR == FNR) { base[key($0)] = model($0); next }
-        total++
-        k = key($0)
-        if (!(k in base))            { bad++; printf "MISSING in baseline: %s\n", k; next }
-        if (base[k] != model($0))    { bad++; printf "DRIFT %s: %s -> %s\n", k, base[k], model($0); next }
-        ok++
-    }
-    END {
-        printf "%d/%d model metrics bit-identical to baseline\n", ok, total
-        exit (bad > 0 || total == 0)
-    }' "$BASELINE" "$OUT" >&2
-fi
+echo "wrote $OUT ($(grep -c '"name"' "$OUT") cells)" >&2

@@ -516,6 +516,12 @@ func TestParseMemBudget(t *testing.T) {
 		{"64q", 0, true},
 		{"m", 0, true},
 		{"", 0, false},
+		{"8589934591g", 8589934591 << 30, false},
+		// n * mult overflows int64: each wrapped to a negative budget,
+		// which a run takes for "no budget".
+		{"9999999999g", 0, true},
+		{"8589934592g", 0, true},
+		{"9223372036854775807k", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseMemBudget(c.in)

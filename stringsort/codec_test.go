@@ -22,8 +22,8 @@ func deterministicNoWire(st Stats) Stats {
 	return st
 }
 
-// fig4Inputs builds the Figure-4 weak-scaling instance exactly as
-// bench_test.go does.
+// fig4Inputs builds the Figure-4 weak-scaling instance exactly as the
+// repository's figure table (figureCells in bench_test.go) does.
 func fig4Inputs(p, nPerPE, length int, ratio float64) [][][]byte {
 	inputs := make([][][]byte, p)
 	for pe := 0; pe < p; pe++ {

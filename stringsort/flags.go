@@ -3,6 +3,7 @@ package stringsort
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -30,7 +31,6 @@ type TuningFlags struct {
 	TieBreak     *bool
 	RandomSample *bool
 	Codec        *string
-	CodecMin     *int
 	Validate     *bool
 	Cores        *int
 	MemBudget    *string
@@ -56,7 +56,6 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		TieBreak:     fs.Bool("tiebreak", false, "partition by (string, origin) pairs to spread duplicates"),
 		RandomSample: fs.Bool("randomsample", false, "random instead of regular splitter samples"),
 		Codec:        fs.String("codec", "none", "wire codec decorating the transport: "+codec.Names()+" (model stats unaffected)"),
-		CodecMin:     fs.Int("codec-min", codec.DefaultMinSize, "frames smaller than this many bytes ship uncompressed"),
 		Validate:     fs.Bool("validate", false, "run the distributed verifier after sorting"),
 		Cores:        fs.Int("cores", 0, "intra-PE work pool width (0 = GOMAXPROCS, 1 = sequential; output and model stats identical at any width)"),
 		MemBudget:    fs.String("mem-budget", "", "per-PE memory budget for the out-of-core pipeline, e.g. 64m or 1g (empty = unbounded in-RAM run; output streamed to sorted-run files when set)"),
@@ -88,7 +87,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	}
 	cfg.Algorithm = algo
 	cfg.Codec = codecName
-	cfg.CodecMinSize = *tf.CodecMin
 	cfg.Seed = *tf.Seed
 	cfg.Oversampling = *tf.Oversampling
 	cfg.CharSampling = *tf.CharSample
@@ -114,7 +112,8 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 
 // ParseMemBudget resolves a -mem-budget value: a byte count with an
 // optional binary suffix k, m or g (case-insensitive), e.g. "64m" = 64
-// MiB. Empty means 0 (no budget, in-RAM run).
+// MiB. Empty means 0 (no budget, in-RAM run). A budget that does not fit
+// an int64 is an error.
 func ParseMemBudget(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
@@ -130,7 +129,7 @@ func ParseMemBudget(s string) (int64, error) {
 		mult, s = 1<<30, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("stringsort: bad memory budget %q (want e.g. 65536, 64m, 1g)", orig)
 	}
 	return n * mult, nil

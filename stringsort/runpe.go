@@ -81,7 +81,7 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 	if name, err := codec.Parse(cfg.Codec); err != nil {
 		return nil, err
 	} else if name != "none" {
-		wrapped, err := codec.Wrap(t, codec.Config{Name: name, MinSize: cfg.CodecMinSize})
+		wrapped, err := codec.Wrap(t, codec.Config{Name: name})
 		if err != nil {
 			return nil, err
 		}

@@ -213,9 +213,6 @@ type Config struct {
 	// actually crossed the wire. Works identically over the local and TCP
 	// substrates, with and without a memory budget.
 	Codec string
-	// CodecMinSize is the compression threshold in bytes: frames smaller
-	// than this ship uncompressed (0 means the codec default, 64).
-	CodecMinSize int
 	// Cores bounds the intra-PE work pool: each PE spreads its Step-1
 	// local sort, Step-3 bucket encode and run decode over up to Cores
 	// workers. 0 selects runtime.GOMAXPROCS(0); 1 forces the exact
@@ -590,7 +587,7 @@ func decorate(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	if name == "none" {
 		return f, nil
 	}
-	return codec.WrapFabric(f, codec.Config{Name: name, MinSize: cfg.CodecMinSize})
+	return codec.WrapFabric(f, codec.Config{Name: name})
 }
 
 // dispatch runs the configured algorithm on one PE. sp and out are nil in
