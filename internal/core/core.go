@@ -16,14 +16,17 @@
 // All algorithms are SPMD: every PE calls the function collectively with
 // its local string array and receives its fragment of the globally sorted
 // output (PE i's strings ≤ PE i+1's strings, each fragment locally sorted).
-// Input slices are not modified; the spine is copied internally.
+// Input slices are not modified: Step 1 returns a permutation, and the
+// merge-based sorters read a PE's sorted strings through it from the
+// caller's array (strutil.Set) — for splitter selection, the Step-3
+// encoders and the own bucket — without building a sorted copy of them.
 //
 // Steps 3 and 4 of the merge-based sorters go through one function,
 // exchangeMerge, and Step 3 is one exchange (exchangeEncoded, shared with
 // hQuick): every bucket bound for another PE is encoded into a transport
 // buffer and posted as its encoder finishes, and the received buckets come
 // back whole, in arrival order; the PE's own bucket stays home, merged from
-// the sorted local array. The received buckets land the same way with or
+// the caller's array through Step 1's order. The received buckets land the same way with or
 // without a memory budget (outofcore.go): each stays ENCODED as one run, and
 // the Step-4 loser tree pulls every run through a wire.RunCursor that
 // decodes one string per pull. Without a budget a run is the transport
@@ -61,8 +64,10 @@ type Origin struct {
 type Result struct {
 	// Strings is the locally sorted fragment; globally, fragments are
 	// ordered by PE rank. For PDMS these are distinguishing prefixes, not
-	// full strings (see PrefixOnly). Strings that never left the PE alias the
-	// caller's input strings.
+	// full strings (see PrefixOnly). The array is always fresh, but the
+	// strings of the PE's own share — those that never left it — alias the
+	// caller's input strings (PDMS: prefixes of them); received ones are
+	// copies.
 	Strings [][]byte
 	// LCPs is the LCP array of Strings (LCPs[0] = 0). It is nil for
 	// algorithms that do not produce LCP output (MS-simple, FKMerge).
@@ -285,8 +290,8 @@ type bucketCodec struct {
 	enc     func(dst int, buf []byte) []byte
 	format  wire.RunFormat
 	origins bool
-	// own, if non-nil, is the caller's bucket as its slice of the sorted
-	// local array, which stays home (nil: every bucket is exchanged).
+	// own, if non-nil, is the caller's bucket, read through its slice of
+	// Step 1's order, which stays home (nil: every bucket is exchanged).
 	own *merge.Sequence
 }
 

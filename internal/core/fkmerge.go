@@ -6,6 +6,7 @@ import (
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -28,29 +29,31 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	p := c.P()
 
 	// Step 1: local sort on the PE's work pool (no LCP output needed:
-	// FKmerge never uses LCPs), into a fresh spine.
+	// FKmerge never uses LCPs); the sorted strings are read through its
+	// order.
 	c.SetPhase(stats.PhaseLocalSort)
-	local, _, work, busy := strsort.ParallelSort(c.Pool(), ss, nil)
+	order, work, busy := strsort.ParallelSort(c.Pool(), ss)
 	c.AddWork(work)
 	c.AddCPU(busy)
+	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
 		if opt.Spill != nil {
 			return Result{Drained: drainSorted(opt.Out, local, nil, nil)}
 		}
-		return Result{Strings: local}
+		return Result{Strings: local.Gather()}
 	}
 
 	// Step 2: deterministic sampling, v = p−1 samples per PE, gathered and
 	// sorted on PE 0 (the paper notes this needs samples of quadratic
 	// size, costing a factor p in the minimal efficient input size).
-	splitters := partition.SelectSplitters(c, local, partition.Options{
+	splitters := partition.SelectSplittersSet(c, local, partition.Options{
 		V:        p - 1,
 		Sampling: partition.StringSampling,
 		GroupID:  opt.GroupID + 1,
 		// DistSort nil → centralized sort on PE 0.
 	})
-	off := partition.Buckets(local, splitters)
+	off := partition.BucketsSet(local, splitters)
 
 	// Step 3: uncompressed all-to-all exchange, every part sized first and
 	// encoded on the work pool into exactly that many bytes (see MergeSort
@@ -59,16 +62,16 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
 	me := g.Idx()
 	sizes := sizeBuckets(c, me, func(dst int) int {
-		return wire.StringsSize(local[off[dst]:off[dst+1]])
+		return wire.SetSize(local.Slice(off[dst], off[dst+1]))
 	})
 	enc := func(dst int, buf []byte) []byte {
-		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
+		return wire.AppendSet(buf, local.Slice(off[dst], off[dst+1]))
 	}
 
 	// Step 4: ordinary loser tree merge; the own bucket stays home.
 	out, drained := exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStrings,
-		own: &merge.Sequence{Strings: local[off[me]:off[me+1]]},
+		own: &merge.Sequence{Strings: ss, Order: order[off[me]:off[me+1]]},
 	}, false, opt.SeamOptions)
 	return Result{Strings: out.Strings, Drained: drained}
 }

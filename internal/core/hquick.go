@@ -9,6 +9,7 @@ import (
 	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -173,20 +174,26 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		strings, uids = nil, nil
 	}
 
-	// Final local sort with LCP output, spread over the PE's work pool.
+	// Final local sort with LCP output, spread over the PE's work pool; the
+	// uids follow its order.
 	setPhase(stats.PhaseLocalSort)
-	strings, uids, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), strings, uids, nil)
+	order, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), strings, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
+	sorted := strutil.Set{Strings: strings, Order: order}
+	sortedUids := make([]uint64, len(order))
+	for i, k := range order {
+		sortedUids[i] = uids[k]
+	}
 
 	if opt.Spill != nil {
-		return Result{Drained: drainSorted(opt.Out, strings, lcp, uids)}
+		return Result{Drained: drainSorted(opt.Out, sorted, lcp, sortedUids)}
 	}
-	origins := make([]Origin, len(uids))
-	for i, u := range uids {
+	origins := make([]Origin, len(order))
+	for i, u := range sortedUids {
 		origins[i] = satOrigin(u)
 	}
-	return Result{Strings: strings, LCPs: lcp, Origins: origins}
+	return Result{Strings: sorted.Gather(), LCPs: lcp, Origins: origins}
 }
 
 // selectPivot approximates the subcube median: every PE contributes up to

@@ -6,6 +6,7 @@ import (
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -78,24 +79,26 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// Step 1: local sort with LCP array, spread over the PE's work pool
 	// (permutation, LCPs and work total are pool-width-independent; see
 	// strsort's parallel front-ends). The sorter leaves the caller's array
-	// untouched and gathers the sorted spine into a fresh one.
+	// untouched and returns its order: the PE's sorted strings are read
+	// through it from here on, and no sorted copy of them is built.
 	c.SetPhase(stats.PhaseLocalSort)
-	var local [][]byte
+	var order []uint32
 	var lcp []int32
 	var work, busy int64
 	if opt.LCP {
-		local, _, lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), ss, nil, nil)
+		order, lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), ss, nil)
 	} else {
-		local, _, work, busy = strsort.ParallelSort(c.Pool(), ss, nil)
+		order, work, busy = strsort.ParallelSort(c.Pool(), ss)
 	}
 	c.AddWork(work)
 	c.AddCPU(busy)
+	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
 		if opt.Spill != nil {
 			return Result{Drained: drainSorted(opt.Out, local, lcp, nil)}
 		}
-		return Result{Strings: local, LCPs: lcp}
+		return Result{Strings: local.Gather(), LCPs: lcp}
 	}
 
 	// Step 2: splitter selection.
@@ -112,12 +115,12 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 			}).Strings
 		},
 	}
-	splitters := partition.SelectSplitters(c, local, popt)
+	splitters := partition.SelectSplittersSet(c, local, popt)
 	var off []int
 	if opt.TieBreak {
 		off = partition.BucketsTie(local, c.Rank(), splitters)
 	} else {
-		off = partition.Buckets(local, splitters)
+		off = partition.BucketsSet(local, splitters)
 	}
 
 	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
@@ -133,21 +136,21 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	sizes := sizeBuckets(c, me, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]
 		if opt.LCP {
-			return wire.StringsLCPSize(local[lo:hi], lcpSub(lcp, lo, hi))
+			return wire.SetLCPSize(local.Slice(lo, hi), lcpSub(lcp, lo, hi))
 		}
-		return wire.StringsSize(local[lo:hi])
+		return wire.SetSize(local.Slice(lo, hi))
 	})
-	own := &merge.Sequence{Strings: local[off[me]:off[me+1]]}
+	own := &merge.Sequence{Strings: ss, Order: order[off[me]:off[me+1]]}
 	cd := bucketCodec{sizes: sizes, format: wire.RunStrings, own: own}
 	cd.enc = func(dst int, buf []byte) []byte {
-		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
+		return wire.AppendSet(buf, local.Slice(off[dst], off[dst+1]))
 	}
 	if opt.LCP {
 		own.LCPs = lcpSub(lcp, off[me], off[me+1])
 		cd.format = wire.RunStringsLCP
 		cd.enc = func(dst int, buf []byte) []byte {
 			lo, hi := off[dst], off[dst+1]
-			return wire.AppendStringsLCP(buf, local[lo:hi], lcpSub(lcp, lo, hi))
+			return wire.AppendSetLCP(buf, local.Slice(lo, hi), lcpSub(lcp, lo, hi))
 		}
 	}
 

@@ -6,8 +6,9 @@
 // second window over the bucket's origin column). The two landings differ
 // only in where a run's bytes wait and where the merge's output goes.
 //
-// The PE's own bucket never arrives: it is its slice of the sorted local
-// array, merged at the PE's own index (so ties and billed work are those of
+// The PE's own bucket never arrives: it is its slice of the PE's sorted
+// strings (the caller's array read through Step 1's order; PDMS's prefix
+// array), merged at the PE's own index (so ties and billed work are those of
 // the all-encoded landing), output as it is and never metered or paged.
 //
 // In RAM, a received run is the transport buffer it arrived in. A
@@ -38,6 +39,7 @@ import (
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/spill"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -344,11 +346,12 @@ func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 	return n, work
 }
 
-// drainSorted streams an already materialized sorted fragment into the
-// budget pipeline's run writer — the hQuick path and the p == 1 fast
-// paths, which have no Step-4 merge to sink.
-func drainSorted(out *spill.RunWriter, ss [][]byte, lcps []int32, sats []uint64) int64 {
-	for i, s := range ss {
+// drainSorted streams an already sorted fragment into the budget
+// pipeline's run writer — the hQuick path and the p == 1 fast paths, which
+// have no Step-4 merge to sink.
+func drainSorted(out *spill.RunWriter, set strutil.Set, lcps []int32, sats []uint64) int64 {
+	n := set.Len()
+	for i := 0; i < n; i++ {
 		var lcp int32
 		if lcps != nil && i > 0 {
 			lcp = lcps[i]
@@ -357,9 +360,9 @@ func drainSorted(out *spill.RunWriter, ss [][]byte, lcps []int32, sats []uint64)
 		if sats != nil {
 			sat = sats[i]
 		}
-		if err := out.Add(s, lcp, sat); err != nil {
+		if err := out.Add(set.At(i), lcp, sat); err != nil {
 			panic("core: run writer: " + err.Error())
 		}
 	}
-	return int64(len(ss))
+	return int64(n)
 }

@@ -9,6 +9,7 @@ import (
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -76,18 +77,23 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	if opt.Eps <= 0 {
 		opt.Eps = 1
 	}
-	unsortedSats := make([]uint64, len(ss))
-	for i := range unsortedSats {
-		unsortedSats[i] = originSat(c.Rank(), i)
-	}
-
-	// Step 1: local sort with LCP array, carrying origins, spread over the
-	// PE's work pool; the sorted spine and origins come back in fresh
-	// arrays.
+	// Step 1: local sort with LCP array, spread over the PE's work pool.
+	// Duplicate detection takes the sorted strings as one array, so PDMS
+	// gathers them through the order, and its origins with them, in one
+	// chunk-parallel pass.
 	c.SetPhase(stats.PhaseLocalSort)
-	local, sats, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), ss, unsortedSats, nil)
+	order, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), ss, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
+	n, w, rank := len(order), c.Pool().Cores(), c.Rank()
+	local := make([][]byte, n)
+	sats := make([]uint64, n)
+	c.AddCPU(c.Pool().ForEach(w, func(k int) {
+		for i := k * n / w; i < (k+1)*n/w; i++ {
+			local[i] = ss[order[i]]
+			sats[i] = originSat(rank, int(order[i]))
+		}
+	}))
 
 	// Step 1+ε: approximate distinguishing prefix lengths. The LCP array
 	// lets a locally repeated prefix be fingerprinted and sent once.
@@ -101,10 +107,11 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	})
 	dist := dd.Dist
 
-	// Materialize the prefix view: transmitted string i is local[i][:dist[i]],
+	// Materialize the prefix view in the gathered array, which nothing
+	// reads in full afterwards: transmitted string i is local[i][:dist[i]],
 	// and the prefix LCP array is the full LCP capped by both prefix
 	// lengths.
-	prefixes := make([][]byte, len(local))
+	prefixes := local
 	plcp := make([]int32, len(local))
 	for i := range local {
 		prefixes[i] = local[i][:dist[i]]
@@ -123,7 +130,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
 		if opt.Spill != nil {
-			return Result{Drained: drainSorted(opt.Out, prefixes, plcp, sats), PrefixOnly: true}
+			return Result{Drained: drainSorted(opt.Out, strutil.Set{Strings: prefixes}, plcp, sats), PrefixOnly: true}
 		}
 		origins := make([]Origin, len(sats))
 		for i, u := range sats {
@@ -143,18 +150,17 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		sampling = opt.Sampling
 	}
 	popt := partition.Options{
-		V:         opt.V,
-		Sampling:  sampling,
-		Weights:   dist,
-		Transform: func(i int) []byte { return prefixes[i] },
-		GroupID:   opt.GroupID + 5,
+		V:        opt.V,
+		Sampling: sampling,
+		Weights:  dist,
+		GroupID:  opt.GroupID + 5,
 		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
 				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
 			}).Strings
 		},
 	}
-	splitters := partition.SelectSplitters(c, local, popt)
+	splitters := partition.SelectSplitters(c, prefixes, popt)
 	// Buckets are computed over the prefixes: the transmitted prefixes
 	// preserve the order of the underlying strings (distinct strings never
 	// tie; see dupdetect), so bucketing prefixes against prefix splitters

@@ -868,7 +868,7 @@ func referenceUniqueRound(g *comm.Group, p int, reqs []req, hashRange uint64, us
 
 	unique := make(map[int32]bool)
 	for d := 0; d < p; d++ {
-		bits, err := wire.DecodeBitset(verdicts[d])
+		bits, err := wire.AppendDecodeBitset(nil, verdicts[d])
 		if err != nil || len(bits) != len(perDest[d]) {
 			panic("dupdetect: corrupt verdict message")
 		}

@@ -16,15 +16,22 @@ import (
 	"dss/internal/strutil"
 )
 
-// Sequence is one sorted input run and the merged output format.
+// Sequence is one sorted input run and the merged output format. Its i-th
+// string is Strings[i], or Strings[Order[i]] when Order is non-nil: a PE's
+// own bucket is read through Step 1's order from the caller's unsorted
+// array. LCPs and Sats are indexed by run position either way.
 type Sequence struct {
 	Strings [][]byte
-	LCPs    []int32  // LCPs[i] = LCP(Strings[i-1], Strings[i]); LCPs[0] = 0
-	Sats    []uint64 // optional satellite data, parallel to Strings
+	Order   []uint32 // optional read order into Strings (nil: the identity)
+	LCPs    []int32  // LCPs[i] = LCP(string i-1, string i); LCPs[0] = 0
+	Sats    []uint64 // optional satellite data, one word per string
 }
 
 // Len returns the number of strings in the sequence.
-func (s Sequence) Len() int { return len(s.Strings) }
+func (s Sequence) Len() int { return s.set().Len() }
+
+// set is the sequence's strings in run order.
+func (s Sequence) set() strutil.Set { return strutil.Set{Strings: s.Strings, Order: s.Order} }
 
 // Merge performs a K-way merge of resident runs with the loser tree,
 // LCP-aware if lcp: the runs' LCP arrays are consumed and the output

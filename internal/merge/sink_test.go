@@ -289,3 +289,61 @@ func FuzzMergeMatchesStableSort(f *testing.F) {
 		}
 	})
 }
+
+// TestSequenceThroughOrder is the differential of a run read through an
+// order against its gathered form: the same Source items (strings, LCPs,
+// satellites, an empty non-nil string for a nil one) and the same merge,
+// item for item and in billed work. Each run's strings are scattered over
+// an unsorted array, as a PE's own bucket lies in the caller's input.
+func TestSequenceThroughOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 60; trial++ {
+		k := 1 + rng.Intn(6)
+		useLCP, sats := trial%2 == 0, trial%3 == 0
+		gathered := genSeqs(rng, k, 40, sats)
+		ordered := make([]Sequence, k)
+		for q, g := range gathered {
+			for i, s := range g.Strings {
+				if len(s) == 0 && rng.Intn(2) == 0 {
+					g.Strings[i] = nil
+				}
+			}
+			// Scatter the run over a larger array: position perm[i] holds
+			// string i, so the order's i-th entry is perm[i].
+			pool := make([][]byte, g.Len()+rng.Intn(5))
+			for i := range pool {
+				pool[i] = []byte("filler")
+			}
+			perm := rng.Perm(len(pool))[:g.Len()]
+			order := make([]uint32, g.Len())
+			for i, s := range g.Strings {
+				pool[perm[i]] = s
+				order[i] = uint32(perm[i])
+			}
+			ordered[q] = Sequence{Strings: pool, Order: order, LCPs: g.LCPs, Sats: g.Sats}
+			if ordered[q].Len() != g.Len() {
+				t.Fatalf("trial %d run %d: Len %d, gathered %d", trial, q, ordered[q].Len(), g.Len())
+			}
+		}
+		label := fmt.Sprintf("trial=%d k=%d lcp=%v sats=%v", trial, k, useLCP, sats)
+
+		for q := range gathered {
+			want, got := gathered[q].Source(), ordered[q].Source()
+			for i := 0; ; i++ {
+				ws, wl, wsat, wok := want.Next()
+				gs, gl, gsat, gok := got.Next()
+				if wok != gok || !bytes.Equal(ws, gs) || (gs == nil) != (ws == nil) || wl != gl || wsat != gsat {
+					t.Fatalf("%s run %d item %d: got (%q %d %d %v), gathered (%q %d %d %v)",
+						label, q, i, gs, gl, gsat, gok, ws, wl, wsat, wok)
+				}
+				if !wok {
+					break
+				}
+			}
+		}
+
+		want, wantWork := Merge(gathered, useLCP)
+		got, gotWork := Merge(ordered, useLCP)
+		requireEqualMerge(t, label, want, got, wantWork, gotWork)
+	}
+}

@@ -13,6 +13,8 @@
 // the output is an arena or a file — asserted by sink_test.go.
 package merge
 
+import "dss/internal/strutil"
+
 // Source is a pull-based sorted string run.
 //
 // Aliasing contract: a string returned by Next must stay valid and
@@ -37,11 +39,15 @@ type Source interface {
 
 // Source returns a pull view of the resident run, whose strings stay valid
 // for good (a nil one comes out empty, non-nil).
-func (s Sequence) Source() Source { return &sliceSource{seq: s} }
+func (s Sequence) Source() Source {
+	return &sliceSource{set: s.set(), lcps: s.LCPs, sats: s.Sats}
+}
 
-// sliceSource is a resident run: a Sequence and a read position.
+// sliceSource is a resident run: a Sequence's columns and a read position.
 type sliceSource struct {
-	seq     Sequence
+	set     strutil.Set
+	lcps    []int32
+	sats    []uint64
 	pos     int
 	touched byte
 }
@@ -49,17 +55,19 @@ type sliceSource struct {
 const touchAhead = 32 // strings a resident run reads ahead of the tree
 
 func (s *sliceSource) Next() ([]byte, int32, uint64, bool) {
-	i, n := s.pos, len(s.seq.Strings)
+	i, n := s.pos, s.set.Len()
 	if i >= n {
 		return nil, 0, 0, false
 	}
 	s.pos = i + 1
 	if i%touchAhead == 0 {
-		// The strings may lie anywhere (a caller's input) and the tree
-		// compares each head on its critical path: touching the next batch
-		// in one loop of independent loads lets their cache misses overlap.
+		// The strings may lie anywhere (a caller's input, read through an
+		// order) and the tree compares each head on its critical path:
+		// touching the next batch in one loop of independent loads lets
+		// their cache misses overlap.
+		var blk [touchAhead][]byte
 		var x byte
-		for _, t := range s.seq.Strings[min(i+touchAhead, n):min(i+2*touchAhead, n)] {
+		for _, t := range s.set.Load(blk[:], min(i+touchAhead, n)) {
 			if len(t) > 0 {
 				x += t[0]
 			}
@@ -67,14 +75,14 @@ func (s *sliceSource) Next() ([]byte, int32, uint64, bool) {
 		s.touched += x
 	}
 	var lcp int32
-	if s.seq.LCPs != nil {
-		lcp = s.seq.LCPs[i]
+	if s.lcps != nil {
+		lcp = s.lcps[i]
 	}
 	var sat uint64
-	if s.seq.Sats != nil {
-		sat = s.seq.Sats[i]
+	if s.sats != nil {
+		sat = s.sats[i]
 	}
-	str := s.seq.Strings[i]
+	str := s.set.At(i)
 	if str == nil {
 		str = []byte{} // nil is the tree's exhausted sentinel
 	}

@@ -23,6 +23,7 @@ import (
 	"dss/internal/comm"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -94,6 +95,14 @@ func (o *Options) setDefaults() {
 // string array ss (one collective call per PE). Every PE returns the same
 // splitter array, sorted ascending. Accounting goes to stats.PhasePartition.
 func SelectSplitters(c *comm.Comm, ss [][]byte, opt Options) [][]byte {
+	return SelectSplittersSet(c, strutil.Set{Strings: ss}, opt)
+}
+
+// SelectSplittersSet is SelectSplitters over a sorted set read through its
+// order (Step 1's permutation of the caller's array). Local indices — of
+// Options.Weights and Transform and of the tie-break tags — are positions
+// in set order.
+func SelectSplittersSet(c *comm.Comm, set strutil.Set, opt Options) [][]byte {
 	opt.setDefaults()
 	prev := c.SetPhase(stats.PhasePartition)
 	defer c.SetPhase(prev)
@@ -107,14 +116,14 @@ func SelectSplitters(c *comm.Comm, ss [][]byte, opt Options) [][]byte {
 	if opt.TieBreak {
 		base := opt.Transform
 		if base == nil {
-			base = func(i int) []byte { return ss[i] }
+			base = set.At
 		}
 		rank := c.Rank()
 		opt.Transform = func(i int) []byte {
 			return TieKey(base(i), tieTag(rank, i))
 		}
 	}
-	samples := drawSamples(ss, opt)
+	samples := drawSamples(set, opt)
 
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
 	var splitters [][]byte
@@ -127,13 +136,14 @@ func SelectSplitters(c *comm.Comm, ss [][]byte, opt Options) [][]byte {
 }
 
 // drawSamples picks the local samples per the configured strategy.
-func drawSamples(ss [][]byte, opt Options) [][]byte {
+func drawSamples(set strutil.Set, opt Options) [][]byte {
 	v := opt.V
+	n := set.Len()
 	transform := opt.Transform
 	if transform == nil {
-		transform = func(i int) []byte { return ss[i] }
+		transform = set.At
 	}
-	if len(ss) == 0 {
+	if n == 0 {
 		return nil
 	}
 	out := make([][]byte, 0, v)
@@ -142,7 +152,7 @@ func drawSamples(ss [][]byte, opt Options) [][]byte {
 		// the random variant of Section VIII balances in expectation.
 		rng := rand.New(rand.NewSource(int64(opt.Seed)))
 		for j := 0; j < v; j++ {
-			out = append(out, transform(rng.Intn(len(ss))))
+			out = append(out, transform(rng.Intn(n)))
 		}
 		return out
 	}
@@ -150,9 +160,9 @@ func drawSamples(ss [][]byte, opt Options) [][]byte {
 	case StringSampling:
 		// ω = |S|/(v+1); samples at ranks ω·j for j = 1..v.
 		for j := 1; j <= v; j++ {
-			idx := j * len(ss) / (v + 1)
-			if idx >= len(ss) {
-				idx = len(ss) - 1
+			idx := j * n / (v + 1)
+			if idx >= n {
+				idx = n - 1
 			}
 			out = append(out, transform(idx))
 		}
@@ -161,18 +171,18 @@ func drawSamples(ss [][]byte, opt Options) [][]byte {
 			if opt.Weights != nil {
 				return int64(opt.Weights[i])
 			}
-			return int64(len(ss[i]))
+			return int64(len(set.At(i)))
 		}
 		var total int64
-		for i := range ss {
+		for i := 0; i < n; i++ {
 			total += weight(i)
 		}
 		if total == 0 {
 			// Degenerate: all-empty strings; fall back to string sampling.
 			for j := 1; j <= v; j++ {
-				idx := j * len(ss) / (v + 1)
-				if idx >= len(ss) {
-					idx = len(ss) - 1
+				idx := j * n / (v + 1)
+				if idx >= n {
+					idx = n - 1
 				}
 				out = append(out, transform(idx))
 			}
@@ -181,7 +191,7 @@ func drawSamples(ss [][]byte, opt Options) [][]byte {
 		// ω' = total/(v+1); pick the string at or following each rank j·ω'.
 		var cum int64
 		j := 1
-		for i := range ss {
+		for i := 0; i < n; i++ {
 			cum += weight(i)
 			for j <= v && cum > total*int64(j)/int64(v+1) {
 				out = append(out, transform(i))
@@ -189,7 +199,7 @@ func drawSamples(ss [][]byte, opt Options) [][]byte {
 			}
 		}
 		for ; j <= v; j++ { // rounding leftovers: repeat the last string
-			out = append(out, transform(len(ss)-1))
+			out = append(out, transform(n-1))
 		}
 	}
 	return out
@@ -310,19 +320,29 @@ func distributedSelect(c *comm.Comm, g *comm.Group, samples [][]byte, p int, opt
 // off[0] = 0 and off[p] = len(ss); bucket i is ss[off[i]:off[i+1]].
 // Binary search costs O(p·log n̂·ℓ̂) like in the paper's analysis.
 func Buckets(ss [][]byte, splitters [][]byte) []int {
+	return BucketsSet(strutil.Set{Strings: ss}, splitters)
+}
+
+// BucketsSet is Buckets over a sorted set read through its order; the
+// offsets are positions in set order.
+func BucketsSet(set strutil.Set, splitters [][]byte) []int {
+	return bucketOffsets(set.Len(), splitters, func(k int, f []byte) bool {
+		return bytes.Compare(set.At(k), f) > 0
+	})
+}
+
+// bucketOffsets finds, for every splitter f, the first of n sorted
+// positions k with above(k, f) — the strings equal to a splitter stay in
+// the lower bucket: f_i < s ≤ f_{i+1} —, and checks that the offsets are
+// monotone, which sorted splitters guarantee.
+func bucketOffsets(n int, splitters [][]byte, above func(k int, f []byte) bool) []int {
 	p := len(splitters) + 1
 	off := make([]int, p+1)
-	off[p] = len(ss)
+	off[p] = n
 	for i := 1; i < p; i++ {
 		f := splitters[i-1]
-		// First index with ss[idx] > f (strings equal to the splitter stay
-		// in the lower bucket: f_i < s ≤ f_{i+1}).
-		off[i] = sort.Search(len(ss), func(k int) bool {
-			return bytes.Compare(ss[k], f) > 0
-		})
+		off[i] = sort.Search(n, func(k int) bool { return above(k, f) })
 	}
-	// Monotonicity despite equal/unsorted splitters is guaranteed because
-	// splitters are sorted; assert cheaply in debug fashion.
 	for i := 1; i <= p; i++ {
 		if off[i] < off[i-1] {
 			panic("partition: non-monotone bucket offsets (unsorted splitters?)")

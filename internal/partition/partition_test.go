@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/input"
 	"dss/internal/strsort"
 	"dss/internal/strutil"
 )
@@ -336,4 +337,101 @@ func decodeStrings(b []byte) [][]byte {
 		pos += l
 	}
 	return out
+}
+
+// TestSetMatchesGathered is the differential of Step 2 read through Step
+// 1's order against the same strings gathered into sorted order: equal
+// splitters from every sampling strategy, tie-breaking included, and equal
+// bucket offsets.
+func TestSetMatchesGathered(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const p = 4
+	locals := make([][][]byte, p)
+	for pe := range locals {
+		locals[pe] = genStrings(rng, 300, 0, 10, 3)
+		for i := range locals[pe] {
+			if i%17 == 0 {
+				locals[pe][i] = nil
+			}
+		}
+	}
+	orders := make([][]uint32, p)
+	gathered := make([][][]byte, p)
+	for pe, ss := range locals {
+		orders[pe], _, _ = strsort.ParallelSort(nil, ss)
+		gathered[pe] = strutil.Set{Strings: ss, Order: orders[pe]}.Gather()
+	}
+	for _, opt := range []Options{
+		{Sampling: StringSampling},
+		{Sampling: CharSampling},
+		{Sampling: StringSampling, TieBreak: true},
+		{Sampling: CharSampling, TieBreak: true},
+		{RandomSampling: true, Seed: 5},
+	} {
+		m := comm.New(p)
+		err := m.Run(func(c *comm.Comm) error {
+			pe := c.Rank()
+			set := strutil.Set{Strings: locals[pe], Order: orders[pe]}
+			want := SelectSplitters(c, gathered[pe], opt)
+			got := SelectSplittersSet(c, set, opt)
+			if len(got) != len(want) {
+				t.Errorf("%+v PE %d: %d splitters, gathered %d", opt, pe, len(got), len(want))
+				return nil
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%+v PE %d: splitter %d = %q, gathered %q", opt, pe, i, got[i], want[i])
+				}
+			}
+			var wantOff, gotOff []int
+			if opt.TieBreak {
+				wantOff = BucketsTie(strutil.Set{Strings: gathered[pe]}, pe, want)
+				gotOff = BucketsTie(set, pe, want)
+			} else {
+				wantOff, gotOff = Buckets(gathered[pe], want), BucketsSet(set, want)
+			}
+			for i := range wantOff {
+				if gotOff[i] != wantOff[i] {
+					t.Errorf("%+v PE %d: offset %d = %d, gathered %d", opt, pe, i, gotOff[i], wantOff[i])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sink keeps the benchmarked results alive.
+var sink int
+
+// BenchmarkBuckets is the package's rung on one PE's share (p = 4) of the
+// cc_ms_local input, read through Step 1's order as MS reads it, or
+// gathered into sorted order: the PE-local part of Step 2 — draw the v = 15
+// local samples (string- or character-based), take p − 1 = 3 of them as
+// splitters, and cut the set into p buckets. Bytes are the share's
+// characters.
+func BenchmarkBuckets(b *testing.B) {
+	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 500_000, Seed: 1}, 0, 4)
+	order, _, _ := strsort.ParallelSort(nil, ss)
+	sorted := strutil.Set{Strings: ss, Order: order}
+	for _, layout := range []struct {
+		name string
+		set  strutil.Set
+	}{{"order", sorted}, {"gathered", strutil.Set{Strings: sorted.Gather()}}} {
+		for _, sampling := range []Sampling{StringSampling, CharSampling} {
+			b.Run(layout.name+"/"+sampling.String(), func(b *testing.B) {
+				opt := Options{V: 15, Sampling: sampling}
+				b.SetBytes(strutil.TotalLen(ss))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					samples := drawSamples(layout.set, opt)
+					splitters := [][]byte{samples[3], samples[7], samples[11]}
+					off := BucketsSet(layout.set, splitters)
+					sink += off[2]
+				}
+			})
+		}
+	}
 }

@@ -2,7 +2,8 @@ package partition
 
 import (
 	"encoding/binary"
-	"sort"
+
+	"dss/internal/strutil"
 )
 
 // Tie breaking (Section VIII, "one could remove load balancing problems
@@ -88,53 +89,15 @@ func CompareTie(s []byte, tag uint64, key []byte) int {
 	}
 }
 
-// DecodeTieKey recovers (s, tag) from an encoded key (testing helper).
-func DecodeTieKey(key []byte) ([]byte, uint64, bool) {
-	var s []byte
-	i := 0
-	for i < len(key) {
-		b := key[i]
-		if b == 0x00 {
-			if i+9 != len(key) {
-				return nil, 0, false
-			}
-			return s, binary.BigEndian.Uint64(key[i+1:]), true
-		}
-		if b == 0x01 {
-			if i+1 >= len(key) {
-				return nil, 0, false
-			}
-			s = append(s, key[i+1])
-			i += 2
-			continue
-		}
-		s = append(s, b)
-		i++
-	}
-	return nil, 0, false
-}
-
 // BucketsTie computes bucket boundaries like Buckets, but against
-// tie-key splitters: string k is compared as the pair
-// (ss[k], tag(rank, k)). ss must be locally sorted; equal strings are
-// ordered by their position, which makes the pair order globally
-// consistent.
-func BucketsTie(ss [][]byte, rank int, splitters [][]byte) []int {
-	p := len(splitters) + 1
-	off := make([]int, p+1)
-	off[p] = len(ss)
-	for i := 1; i < p; i++ {
-		f := splitters[i-1]
-		off[i] = sort.Search(len(ss), func(k int) bool {
-			return CompareTie(ss[k], tieTag(rank, k), f) > 0
-		})
-	}
-	for i := 1; i <= p; i++ {
-		if off[i] < off[i-1] {
-			panic("partition: non-monotone tie-break offsets")
-		}
-	}
-	return off
+// tie-key splitters: the string at sorted position k is compared as the
+// pair (set.At(k), tag(rank, k)). set must be locally sorted; equal
+// strings are ordered by their position, which makes the pair order
+// globally consistent.
+func BucketsTie(set strutil.Set, rank int, splitters [][]byte) []int {
+	return bucketOffsets(set.Len(), splitters, func(k int, f []byte) bool {
+		return CompareTie(set.At(k), tieTag(rank, k), f) > 0
+	})
 }
 
 // tieTag builds the unique tag of the k-th sorted string of a PE.

@@ -2,10 +2,13 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dss/internal/strutil"
 )
 
 func TestTieKeyOrderMatchesPairOrder(t *testing.T) {
@@ -48,7 +51,7 @@ func TestTieKeyEscapeBytes(t *testing.T) {
 		{0x00, 0xff}, {0x01, 0x01, 0x01},
 	}
 	for _, a := range cases {
-		s, tag, ok := DecodeTieKey(TieKey(a, 42))
+		s, tag, ok := decodeTieKey(TieKey(a, 42))
 		if !ok || tag != 42 || !bytes.Equal(s, a) {
 			t.Fatalf("roundtrip failed for %v: %v %d %v", a, s, tag, ok)
 		}
@@ -83,7 +86,7 @@ func TestBucketsTieSplitsDuplicates(t *testing.T) {
 		TieKey([]byte("dup"), tieTag(rank, 49)),
 		TieKey([]byte("dup"), tieTag(rank, 74)),
 	}
-	off := BucketsTie(ss, rank, splitters)
+	off := BucketsTie(strutil.Set{Strings: ss}, rank, splitters)
 	want := []int{0, 25, 50, 75, 100}
 	for i := range want {
 		if off[i] != want[i] {
@@ -110,7 +113,7 @@ func TestSelectSplittersTieBreakBalancesDuplicates(t *testing.T) {
 		for pe := range locals {
 			var off []int
 			if tie {
-				off = BucketsTie(locals[pe], pe, splitters)
+				off = BucketsTie(strutil.Set{Strings: locals[pe]}, pe, splitters)
 			} else {
 				off = Buckets(locals[pe], splitters)
 			}
@@ -184,7 +187,7 @@ func TestTieKeySortStability(t *testing.T) {
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	var tags []uint64
 	for _, k := range keys {
-		_, tag, ok := DecodeTieKey(k)
+		_, tag, ok := decodeTieKey(k)
 		if !ok {
 			t.Fatal("decode failed")
 		}
@@ -193,4 +196,30 @@ func TestTieKeySortStability(t *testing.T) {
 	if tags[0] != 10 || tags[1] != 20 || tags[2] != 30 {
 		t.Fatalf("tags = %v", tags)
 	}
+}
+
+// decodeTieKey recovers (s, tag) from an encoded key.
+func decodeTieKey(key []byte) ([]byte, uint64, bool) {
+	var s []byte
+	i := 0
+	for i < len(key) {
+		b := key[i]
+		if b == 0x00 {
+			if i+9 != len(key) {
+				return nil, 0, false
+			}
+			return s, binary.BigEndian.Uint64(key[i+1:]), true
+		}
+		if b == 0x01 {
+			if i+1 >= len(key) {
+				return nil, 0, false
+			}
+			s = append(s, key[i+1])
+			i += 2
+			continue
+		}
+		s = append(s, b)
+		i++
+	}
+	return nil, 0, false
 }

@@ -64,26 +64,26 @@ type parSorter struct {
 }
 
 // ParallelSortLCP sorts ss with its LCP array, spreading the work over the
-// pool, and returns the sorted strings and satellites (nil if sat is) in
-// fresh arrays — ss and sat are left untouched —, the LCP array (lcp
-// reused if non-nil), the characters-inspected work total — bit-identical
-// to SortLCP's at every pool width — and the summed busy nanoseconds of
-// all workers (the CPU-seconds measurement; NOT a model input). This is
-// the Step 1 sorter of Algorithms MS and PDMS.
-func ParallelSortLCP(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]byte, []uint64, []int32, int64, int64) {
+// pool, and returns the order (order[i] indexes the i-th smallest string
+// of ss, which is left untouched), the LCP array in that order (lcp reused
+// if non-nil), the characters-inspected work total — bit-identical to
+// SortLCP's at every pool width — and the summed busy nanoseconds of all
+// workers (the CPU-seconds measurement; NOT a model input). This is the
+// Step 1 sorter of Algorithms MS and PDMS.
+func ParallelSortLCP(pool *par.Pool, ss [][]byte, lcp []int32) ([]uint32, []int32, int64, int64) {
 	if lcp == nil {
 		lcp = make([]int32, len(ss))
 	} else if len(lcp) != len(ss) {
 		panic("strsort: lcp length mismatch")
 	}
-	sorted, sortedSat, work, busy := sortProxies(pool, ss, sat, lcp)
-	return sorted, sortedSat, lcp, work, busy
+	order, work, busy := sortProxies(pool, ss, lcp)
+	return order, lcp, work, busy
 }
 
 // ParallelSort is ParallelSortLCP without LCP output (the MS-simple /
 // FKmerge path); its work total is bit-identical to Sort's.
-func ParallelSort(pool *par.Pool, ss [][]byte, sat []uint64) ([][]byte, []uint64, int64, int64) {
-	return sortProxies(pool, ss, sat, nil)
+func ParallelSort(pool *par.Pool, ss [][]byte) ([]uint32, int64, int64) {
+	return sortProxies(pool, ss, nil)
 }
 
 // chunks is the number of pieces a pass over n proxies is cut into: the
@@ -194,9 +194,41 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 		copy(px[lo:hi], tmp[lo:hi])
 	})
 
+	// A bucket of parSortMin strings or more is a task of its own; runs of
+	// smaller ones, which the sequential kernel sorts, share a task of about
+	// parSortMin strings, so that a level with hundreds of small buckets
+	// spawns tens of tasks, not hundreds. The batches are consecutive
+	// windows of one array of bucket bounds (lo, hi, lo, hi, ...).
+	small := 0
+	for b := 1; b <= 256; b++ {
+		if c := count[b]; c > 1 && c < parSortMin {
+			small++
+		}
+	}
+	bounds := make([]int, 0, 2*small)
+	first, size := 0, 0
+	flush := func() {
+		if b := bounds[first:]; len(b) > 0 {
+			ps.grp.Go(func() {
+				for i := 0; i < len(b); i += 2 {
+					lo, hi := b[i], b[i+1]
+					ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1)
+				}
+			})
+		}
+		first, size = len(bounds), 0
+	}
 	buckets(&count, &end, lcp, d, func(lo, hi int) {
-		ps.grp.Go(func() { ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1) })
+		if hi-lo >= parSortMin {
+			ps.grp.Go(func() { ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1) })
+			return
+		}
+		bounds = append(bounds, lo, hi)
+		if size += hi - lo; size >= parSortMin {
+			flush()
+		}
 	})
+	flush()
 }
 
 // mkq is the parallel form of kernel.mkqsort: the ternary partition at

@@ -3,9 +3,11 @@ package strsort
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"dss/internal/input"
 	"dss/internal/par"
 	"dss/internal/strutil"
 )
@@ -71,8 +73,8 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 	seqLCP, seqWork := SortLCP(seqSS, seqSat)
 
 	pool := par.New(cores)
-	parSS, parSat := cloneInput(ss)
-	parSS, parSat, parLCP, parWork, _ := ParallelSortLCP(pool, parSS, parSat, nil)
+	parOrder, parLCP, parWork, _ := ParallelSortLCP(pool, ss, nil)
+	parSS := strutil.Set{Strings: ss, Order: parOrder}.Gather()
 
 	checkOracle(t, ss, parSS, parLCP)
 	if parWork != seqWork {
@@ -82,8 +84,8 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 		if !bytes.Equal(parSS[i], seqSS[i]) {
 			t.Fatalf("cores=%d: string %d differs: %q vs %q", cores, i, parSS[i], seqSS[i])
 		}
-		if parSat[i] != seqSat[i] {
-			t.Fatalf("cores=%d: permutation differs at %d: sat %d vs %d", cores, i, parSat[i], seqSat[i])
+		if uint64(parOrder[i]) != seqSat[i] {
+			t.Fatalf("cores=%d: permutation differs at %d: order %d vs sat %d", cores, i, parOrder[i], seqSat[i])
 		}
 		if parLCP[i] != seqLCP[i] {
 			t.Fatalf("cores=%d: lcp[%d] = %d, sequential %d", cores, i, parLCP[i], seqLCP[i])
@@ -93,14 +95,14 @@ func checkEquivalent(t *testing.T, ss [][]byte, cores int) {
 	// The no-LCP path (Sort / ParallelSort) against the same baseline.
 	mkSS, mkSat := cloneInput(ss)
 	mkWork := Sort(mkSS, mkSat)
-	pmSS, pmSat := cloneInput(ss)
-	pmSS, pmSat, pmWork, _ := ParallelSort(pool, pmSS, pmSat)
+	pmOrder, pmWork, _ := ParallelSort(pool, ss)
+	pmSS := strutil.Set{Strings: ss, Order: pmOrder}.Gather()
 	checkOracle(t, ss, pmSS, nil)
 	if pmWork != mkWork {
 		t.Fatalf("cores=%d: ParallelSort work %d, Sort %d", cores, pmWork, mkWork)
 	}
 	for i := range mkSS {
-		if !bytes.Equal(pmSS[i], mkSS[i]) || pmSat[i] != mkSat[i] {
+		if !bytes.Equal(pmSS[i], mkSS[i]) || uint64(pmOrder[i]) != mkSat[i] {
 			t.Fatalf("cores=%d: ParallelSort diverges from Sort at %d", cores, i)
 		}
 	}
@@ -121,7 +123,7 @@ func TestParallelSortEquivalence(t *testing.T) {
 func TestParallelSortLCPReusesProvidedSlice(t *testing.T) {
 	ss := randomStrings(rand.New(rand.NewSource(3)), 2*parSortMin)
 	lcp := make([]int32, len(ss))
-	_, _, got, _, _ := ParallelSortLCP(par.New(4), ss, nil, lcp)
+	_, got, _, _ := ParallelSortLCP(par.New(4), ss, lcp)
 	if &got[0] != &lcp[0] {
 		t.Fatal("provided lcp slice was not reused")
 	}
@@ -133,12 +135,12 @@ func TestParallelSortNilSatellites(t *testing.T) {
 	seq := make([][]byte, len(ss))
 	copy(seq, ss)
 	wantLCP, wantWork := SortLCP(seq, nil)
-	ss, _, gotLCP, gotWork, _ := ParallelSortLCP(par.New(4), ss, nil, nil)
+	order, gotLCP, gotWork, _ := ParallelSortLCP(par.New(4), ss, nil)
 	if gotWork != wantWork {
 		t.Fatalf("work %d, want %d", gotWork, wantWork)
 	}
 	for i := range seq {
-		if !bytes.Equal(ss[i], seq[i]) || gotLCP[i] != wantLCP[i] {
+		if !bytes.Equal(ss[order[i]], seq[i]) || gotLCP[i] != wantLCP[i] {
 			t.Fatalf("diverged at %d", i)
 		}
 	}
@@ -168,16 +170,49 @@ func FuzzParallelSortEquivalence(f *testing.F) {
 
 		seqSS, seqSat := cloneInput(ss)
 		seqLCP, seqWork := SortLCP(seqSS, seqSat)
-		parSS, parSat := cloneInput(ss)
-		parSS, parSat, parLCP, parWork, _ := ParallelSortLCP(par.New(cores), parSS, parSat, nil)
+		parOrder, parLCP, parWork, _ := ParallelSortLCP(par.New(cores), ss, nil)
+		parSS := strutil.Set{Strings: ss, Order: parOrder}.Gather()
 		checkOracle(t, ss, parSS, parLCP)
 		if parWork != seqWork {
 			t.Fatalf("cores=%d n=%d: work %d, sequential %d", cores, n, parWork, seqWork)
 		}
 		for i := range seqSS {
-			if !bytes.Equal(parSS[i], seqSS[i]) || parSat[i] != seqSat[i] || parLCP[i] != seqLCP[i] {
+			if !bytes.Equal(parSS[i], seqSS[i]) || uint64(parOrder[i]) != seqSat[i] || parLCP[i] != seqLCP[i] {
 				t.Fatalf("cores=%d n=%d: diverged at %d", cores, n, i)
 			}
 		}
 	})
+}
+
+// TestStepOneAllocation pins what Step 1 allocates per string on one PE's
+// share of a text input: the proxies (twice for the radix passes' scratch),
+// the 4-byte order and, with LCPs, the 4-byte LCP array — and no sorted
+// array of 24-byte slice headers, which the callers read through the order
+// instead.
+func TestStepOneAllocation(t *testing.T) {
+	const n = 100000
+	ss := shuffled(1, input.CommonCrawlLike(input.CCConfig{LinesPerPE: n, Seed: 1}, 0, 1))
+	pool := par.New(2)
+	for _, c := range []struct {
+		name  string
+		limit float64 // bytes per string
+		sort  func()
+	}{
+		{"ParallelSortLCP", 33, func() { ParallelSortLCP(pool, ss, nil) }}, // 24 + 4 + 4
+		{"ParallelSort", 17, func() { ParallelSort(pool, ss) }},            // 12 + 4
+	} {
+		c.sort() // warm the pool
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.sort()
+		}
+		runtime.ReadMemStats(&after)
+		perStr := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(ss))
+		if perStr > c.limit {
+			t.Errorf("%s allocates %.1f B/str, limit %.0f", c.name, perStr, c.limit)
+		}
+		t.Logf("%s: %.1f B/str", c.name, perStr)
+	}
 }

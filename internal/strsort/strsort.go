@@ -14,13 +14,19 @@
 // radix sorts. Radix passes and partitions read the character at the
 // current depth out of that word instead of taking a cache miss per string
 // and level; string memory is touched only when a subproblem crosses into
-// the next window, when two strings are compared beyond their windows, and
-// once at the end, when the sorted strings and satellites (one optional
-// word per string: original index, origin id) are gathered through the
-// indices. The model statistics do not see any of it: work is billed by
-// depth advanced, never by loads — every radix level and every partition
-// one character per string, every comparison LCP − depth + 1 — so the
-// totals are those of the same algorithms run directly on the strings.
+// the next window and when two strings are compared beyond their windows.
+// The model statistics do not see any of it: work is billed by depth
+// advanced, never by loads — every radix level and every partition one
+// character per string, every comparison LCP − depth + 1 — so the totals
+// are those of the same algorithms run directly on the strings.
+//
+// The output of a sort is its permutation, the proxies' index column:
+// order[i] is the position in the caller's array of the i-th smallest
+// string. There is no final gather of the sorted strings; a caller reads
+// them through the order (strutil.Set), as tlx's StringSet does, and the
+// caller's array is never permuted. Only the in-place front-ends SortLCP
+// and Sort apply the order to the array (and to an optional satellite
+// array beside it).
 //
 // One sort takes at most 2^32 strings (the proxy's index width); a longer
 // array panics at the entry point instead of being sorted through
@@ -94,54 +100,47 @@ func load(ss [][]byte, px []proxy, depth int) {
 	}
 }
 
-// gather writes positions [lo, hi) of the sorted strings and satellites:
-// position i receives the string px[i] stands for. The only time a slice
-// header or a satellite word moves.
-func gather(out [][]byte, outSat []uint64, ss [][]byte, sat []uint64, px []proxy, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = ss[px[i].idx]
-		if sat != nil {
-			outSat[i] = sat[px[i].idx]
-		}
-	}
-}
-
 // SortLCP sorts ss in place lexicographically, computes its LCP array
 // (lcp[0] == 0, lcp[i] == LCP(ss[i-1], ss[i])), permutes sat alongside if
 // non-nil, and returns the number of characters inspected.
 func SortLCP(ss [][]byte, sat []uint64) (lcp []int32, work int64) {
-	sorted, sortedSat, lcp, work, _ := ParallelSortLCP(nil, ss, sat, nil)
-	copy(ss, sorted)
-	copy(sat, sortedSat)
+	order, lcp, work, _ := ParallelSortLCP(nil, ss, nil)
+	permute(ss, sat, order)
 	return lcp, work
 }
 
 // Sort sorts ss in place without producing an LCP array, permuting sat
 // alongside if non-nil, and returns the number of characters inspected.
 func Sort(ss [][]byte, sat []uint64) (work int64) {
-	sorted, sortedSat, work, _ := ParallelSort(nil, ss, sat)
-	copy(ss, sorted)
-	copy(sat, sortedSat)
+	order, work, _ := ParallelSort(nil, ss)
+	permute(ss, sat, order)
 	return work
+}
+
+// permute applies a sort's order to ss and, if non-nil, sat.
+func permute(ss [][]byte, sat []uint64, order []uint32) {
+	if sat != nil && len(sat) != len(ss) {
+		panic("strsort: satellite length mismatch")
+	}
+	copy(ss, strutil.Set{Strings: ss, Order: order}.Gather())
+	if sat != nil {
+		sorted := make([]uint64, len(sat))
+		for i, k := range order {
+			sorted[i] = sat[k]
+		}
+		copy(sat, sorted)
+	}
 }
 
 // sortProxies is the one path behind all four entry points: build the
 // proxies, sort them — by MSD radix sort with LCP output if lcp is
-// non-nil, by multikey quicksort otherwise —, and gather the result into
-// fresh arrays, leaving ss and sat untouched. On a sequential pool every
+// non-nil, by multikey quicksort otherwise —, and return their index
+// column as the order, leaving ss untouched. On a sequential pool every
 // pass and task below runs inline on the caller.
-func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]byte, []uint64, int64, int64) {
+func sortProxies(pool *par.Pool, ss [][]byte, lcp []int32) (order []uint32, work, busy int64) {
 	n := len(ss)
-	if sat != nil && len(sat) != n {
-		panic("strsort: satellite length mismatch")
-	}
 	if int64(n) > maxStrings {
 		panic(fmt.Sprintf("strsort: %d strings in one sort, the limit is %d", n, maxStrings))
-	}
-	out := make([][]byte, n)
-	var outSat []uint64
-	if sat != nil {
-		outSat = make([]uint64, n)
 	}
 	m := n
 	if lcp != nil {
@@ -161,12 +160,15 @@ func sortProxies(pool *par.Pool, ss [][]byte, sat []uint64, lcp []int32) ([][]by
 		ps.mkq(px, 0)
 	}
 	ps.grp.Wait() // join + panic propagation; busy is tracked by ps.busy
+	order = make([]uint32, n)
 	w := ps.chunks(n)
 	ps.pass(w, func(k int) {
 		lo, hi := chunk(k, w, n)
-		gather(out, outSat, ss, sat, px, lo, hi)
+		for i := lo; i < hi; i++ {
+			order[i] = px[i].idx
+		}
 	})
-	return out, outSat, ps.work.Load(), ps.busy.Load()
+	return order, ps.work.Load(), ps.busy.Load()
 }
 
 // kernel is the sequential sorter of one subproblem: the strings the

@@ -418,9 +418,29 @@ type sorted struct {
 	work int64
 }
 
-// runEntry sorts a copy of in through one of the four entry points:
-// sequential when cores is 0, on a pool of that width otherwise.
+// runEntry sorts in through one of the four entry points: a copy in place
+// when cores is 0, on a pool of that width otherwise. A pool entry point
+// returns the order, the permutation the satellites carry: with withSat
+// the result's sat column is that order, and its strings are gathered
+// through it either way.
 func runEntry(in [][]byte, withSat, withLCP bool, cores int) sorted {
+	if cores > 0 {
+		var order []uint32
+		var r sorted
+		if withLCP {
+			order, r.lcp, r.work, _ = ParallelSortLCP(par.New(cores), in, nil)
+		} else {
+			order, r.work, _ = ParallelSort(par.New(cores), in)
+		}
+		r.ss = strutil.Set{Strings: in, Order: order}.Gather()
+		if withSat {
+			r.sat = make([]uint64, len(order))
+			for i, k := range order {
+				r.sat[i] = uint64(k)
+			}
+		}
+		return r
+	}
 	r := sorted{ss: make([][]byte, len(in))}
 	copy(r.ss, in)
 	if withSat {
@@ -429,15 +449,10 @@ func runEntry(in [][]byte, withSat, withLCP bool, cores int) sorted {
 			r.sat[i] = uint64(i)
 		}
 	}
-	switch {
-	case cores == 0 && withLCP:
+	if withLCP {
 		r.lcp, r.work = SortLCP(r.ss, r.sat)
-	case cores == 0:
+	} else {
 		r.work = Sort(r.ss, r.sat)
-	case withLCP:
-		r.ss, r.sat, r.lcp, r.work, _ = ParallelSortLCP(par.New(cores), r.ss, r.sat, nil)
-	default:
-		r.ss, r.sat, r.work, _ = ParallelSort(par.New(cores), r.ss, r.sat)
 	}
 	return r
 }
@@ -538,7 +553,7 @@ func BenchmarkSortLCP(b *testing.B) {
 				var chars int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, _, _, w, _ := ParallelSortLCP(pool, ss, nil, nil)
+					_, _, w, _ := ParallelSortLCP(pool, ss, nil)
 					chars += w
 				}
 				sink += chars
@@ -558,8 +573,8 @@ func TestStringCountLimit(t *testing.T) {
 	entries := map[string]func(){
 		"SortLCP":         func() { SortLCP(ss, nil) },
 		"Sort":            func() { Sort(ss, nil) },
-		"ParallelSortLCP": func() { ParallelSortLCP(par.New(2), ss, nil, nil) },
-		"ParallelSort":    func() { ParallelSort(par.New(2), ss, nil) },
+		"ParallelSortLCP": func() { ParallelSortLCP(par.New(2), ss, nil) },
+		"ParallelSort":    func() { ParallelSort(par.New(2), ss) },
 	}
 	for name, call := range entries {
 		func() {

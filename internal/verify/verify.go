@@ -22,28 +22,17 @@ var (
 	ErrMultiset    = errors.New("verify: output is not a permutation of the input")
 )
 
-// Sortedness checks that every PE's fragment is locally sorted and that
+// SortednessLCP checks that every PE's fragment is locally sorted and that
 // the fragments are globally ordered by rank (PE i's last string ≤ PE
-// i+1's first string, skipping empty PEs). Collective call: every PE must
-// enter it, and every PE participates in the exchange even if its own
-// fragment is already known to be out of order (an early return on one PE
-// would deadlock the others inside the collective).
-func Sortedness(c *comm.Comm, ss [][]byte, gid int) error {
-	return sortedness(c, ss, nil, gid)
-}
-
-// SortednessLCP is Sortedness fused with LCP array validation: when lcps
-// is non-nil, local order and LCP correctness are checked in ONE
-// CompareLCP pass per adjacent pair instead of the two character scans of
-// Sortedness + LCPs — the sorters already produced the LCP array, so
-// validating it subsumes the order check. With nil lcps it degrades to
-// plain Sortedness. Collective call with the same message schedule either
-// way, so mixed use across PEs is not allowed.
+// i+1's first string, skipping empty PEs). When lcps is non-nil it also
+// validates the LCP array, in the same pass: ONE CompareLCP per adjacent
+// pair checks order and LCP value at once — the sorters already produced
+// the LCP array, so validating it subsumes the order check. Collective
+// call: every PE must enter it, and every PE participates in the exchange
+// even if its own fragment is already known to be out of order (an early
+// return on one PE would deadlock the others inside the collective). The
+// message schedule is the same with and without lcps.
 func SortednessLCP(c *comm.Comm, ss [][]byte, lcps []int32, gid int) error {
-	return sortedness(c, ss, lcps, gid)
-}
-
-func sortedness(c *comm.Comm, ss [][]byte, lcps []int32, gid int) error {
 	var localErr error
 	if lcps != nil {
 		if i := strutil.ValidateSortedLCP(ss, lcps); i >= 0 {
@@ -125,7 +114,7 @@ func boundaryCheck(c *comm.Comm, localErr error, nonEmpty bool, first, last []by
 // whose fragment lives in a sorted-run file streams it through Add in
 // output order — no materialized array needed, memory use is two string
 // buffers — and Finish runs the same collective boundary exchange as
-// Sortedness. Add validates local order and, for runs carrying an LCP
+// SortednessLCP. Add validates local order and, for runs carrying an LCP
 // column, that each stored LCP is exactly the true LCP with the previous
 // item.
 type StreamChecker struct {
@@ -155,7 +144,7 @@ func (sc *StreamChecker) Add(s []byte, lcp int32, hasLCP bool) {
 }
 
 // Finish completes the check across PE boundaries. Collective call with
-// the same message schedule as Sortedness/SortednessLCP.
+// the same message schedule as SortednessLCP.
 func (sc *StreamChecker) Finish(c *comm.Comm, gid int) error {
 	return boundaryCheck(c, sc.localErr, sc.started, sc.first, sc.prev, gid)
 }
@@ -171,17 +160,6 @@ func matchLen(a, b []byte) int {
 		i++
 	}
 	return i
-}
-
-// LCPs checks a fragment's LCP array against direct recomputation.
-func LCPs(ss [][]byte, lcps []int32) error {
-	if lcps == nil {
-		return nil
-	}
-	if i := strutil.ValidateLCPArray(ss, lcps); i >= 0 {
-		return fmt.Errorf("%w at index %d", ErrLCP, i)
-	}
-	return nil
 }
 
 // Multiset checks that the global output multiset equals the global input

@@ -20,7 +20,7 @@ func TestSortednessAccepts(t *testing.T) {
 		{[]byte("cc")},
 	}
 	err := run(4, func(c *comm.Comm) error {
-		return Sortedness(c, frags[c.Rank()], 1)
+		return SortednessLCP(c, frags[c.Rank()], nil, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSortednessRejectsLocalDisorder(t *testing.T) {
 		{[]byte("c")},
 	}
 	err := run(2, func(c *comm.Comm) error {
-		return Sortedness(c, frags[c.Rank()], 1)
+		return SortednessLCP(c, frags[c.Rank()], nil, 1)
 	})
 	if !errors.Is(err, ErrLocalOrder) {
 		t.Fatalf("err = %v, want ErrLocalOrder", err)
@@ -46,7 +46,7 @@ func TestSortednessRejectsBoundaryDisorder(t *testing.T) {
 		{[]byte("a")}, // smaller than PE 0's last string
 	}
 	err := run(2, func(c *comm.Comm) error {
-		return Sortedness(c, frags[c.Rank()], 1)
+		return SortednessLCP(c, frags[c.Rank()], nil, 1)
 	})
 	if !errors.Is(err, ErrGlobalOrder) {
 		t.Fatalf("err = %v, want ErrGlobalOrder", err)
@@ -59,7 +59,7 @@ func TestSortednessSkipsEmptyBoundaries(t *testing.T) {
 		{[]byte("a")}, {}, {}, {[]byte("b")},
 	}
 	err := run(4, func(c *comm.Comm) error {
-		return Sortedness(c, frags[c.Rank()], 1)
+		return SortednessLCP(c, frags[c.Rank()], nil, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,13 +68,16 @@ func TestSortednessSkipsEmptyBoundaries(t *testing.T) {
 
 func TestLCPsValidation(t *testing.T) {
 	ss := [][]byte{[]byte("ab"), []byte("abc"), []byte("b")}
-	if err := LCPs(ss, []int32{0, 2, 0}); err != nil {
+	check := func(lcps []int32) error {
+		return run(1, func(c *comm.Comm) error { return SortednessLCP(c, ss, lcps, 1) })
+	}
+	if err := check([]int32{0, 2, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := LCPs(ss, []int32{0, 1, 0}); !errors.Is(err, ErrLCP) {
+	if err := check([]int32{0, 1, 0}); !errors.Is(err, ErrLCP) {
 		t.Fatalf("err = %v, want ErrLCP", err)
 	}
-	if err := LCPs(ss, nil); err != nil {
+	if err := check(nil); err != nil {
 		t.Fatal("nil LCP array must be accepted (algorithms without LCP output)")
 	}
 }
@@ -116,7 +119,7 @@ func TestMultisetRejectsLossAndDuplication(t *testing.T) {
 
 func TestSingplePEVerify(t *testing.T) {
 	err := run(1, func(c *comm.Comm) error {
-		if err := Sortedness(c, [][]byte{[]byte("a"), []byte("b")}, 1); err != nil {
+		if err := SortednessLCP(c, [][]byte{[]byte("a"), []byte("b")}, nil, 1); err != nil {
 			return err
 		}
 		return Multiset(c, [][]byte{[]byte("a")}, [][]byte{[]byte("a")}, 2)

@@ -7,6 +7,7 @@ import (
 
 	"dss/internal/input"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 )
 
 // item is one decoded string of a run with its LCP.
@@ -358,17 +359,27 @@ func BenchmarkDecodeStringsLCP(b *testing.B) {
 
 // BenchmarkAppendStringsLCP times the Step-3 encoder over the same run as
 // Step 3 drives it: the exact size first, then the encoding into a buffer
-// of exactly that size. Bytes are the encoded bytes, as in the decoder
-// rungs above.
+// of exactly that size. The strings are read through Step 1's order from
+// the unsorted input, as Step 3 reads them, or from the same strings
+// gathered into sorted order. Bytes are the encoded bytes, as in the
+// decoder rungs above.
 func BenchmarkAppendStringsLCP(b *testing.B) {
-	ss, lcps := benchInput()
-	buf := make([]byte, 0, StringsLCPSize(ss, lcps))
-	b.SetBytes(int64(cap(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		size := StringsLCPSize(ss, lcps)
-		msg := AppendStringsLCP(buf[:0:size], ss, lcps)
-		benchSink += len(msg)
+	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
+	order, lcps, _, _ := strsort.ParallelSortLCP(nil, ss, nil)
+	sorted := strutil.Set{Strings: ss, Order: order}
+	for _, c := range []struct {
+		name string
+		set  strutil.Set
+	}{{"order", sorted}, {"gathered", strutil.Set{Strings: sorted.Gather()}}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, SetLCPSize(c.set, lcps))
+			b.SetBytes(int64(cap(buf)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				size := SetLCPSize(c.set, lcps)
+				msg := AppendSetLCP(buf[:0:size], c.set, lcps)
+				benchSink += len(msg)
+			}
+		})
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"dss/internal/strutil"
 )
 
 // Errors returned by the decoders.
@@ -118,10 +120,23 @@ func UvarintLen(v uint64) int {
 }
 
 // StringsSize returns the exact encoded size of EncodeStrings(ss).
-func StringsSize(ss [][]byte) int {
-	total := UvarintLen(uint64(len(ss)))
-	for _, s := range ss {
-		total += UvarintLen(uint64(len(s))) + len(s)
+func StringsSize(ss [][]byte) int { return SetSize(strutil.Set{Strings: ss}) }
+
+// setBlock is how many strings the set encoders load at a time
+// (strutil.Set.Load): the headers of a bucket read through Step 1's order
+// lie anywhere in the caller's array, and loading a block of them in one
+// loop overlaps their cache misses. A block is 1.5 KiB of stack.
+const setBlock = 64
+
+// SetSize returns the exact encoded size of AppendSet(nil, set).
+func SetSize(set strutil.Set) int {
+	n := set.Len()
+	total := UvarintLen(uint64(n))
+	var blk [setBlock][]byte
+	for base := 0; base < n; base += setBlock {
+		for _, s := range set.Load(blk[:], base) {
+			total += UvarintLen(uint64(len(s))) + len(s)
+		}
 	}
 	return total
 }
@@ -137,10 +152,20 @@ func EncodeStrings(ss [][]byte) []byte {
 // returns the extended slice, letting callers serialize many runs into one
 // pre-sized arena with O(1) allocations.
 func AppendStrings(dst []byte, ss [][]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	return AppendSet(dst, strutil.Set{Strings: ss})
+}
+
+// AppendSet is AppendStrings over the strings of set, in set order: the
+// Step-3 encoder of a bucket read through Step 1's order.
+func AppendSet(dst []byte, set strutil.Set) []byte {
+	n := set.Len()
+	dst = binary.AppendUvarint(dst, uint64(n))
+	var blk [setBlock][]byte
+	for base := 0; base < n; base += setBlock {
+		for _, s := range set.Load(blk[:], base) {
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		}
 	}
 	return dst
 }
@@ -216,13 +241,22 @@ func EncodeStringsLCP(ss [][]byte, lcps []int32) []byte {
 
 // StringsLCPSize returns the exact encoded size of EncodeStringsLCP.
 func StringsLCPSize(ss [][]byte, lcps []int32) int {
-	total := UvarintLen(uint64(len(ss)))
-	for i, s := range ss {
-		h := 0
-		if i > 0 {
-			h = int(lcps[i])
+	return SetLCPSize(strutil.Set{Strings: ss}, lcps)
+}
+
+// SetLCPSize returns the exact encoded size of AppendSetLCP(nil, set, lcps).
+func SetLCPSize(set strutil.Set, lcps []int32) int {
+	n := set.Len()
+	total := UvarintLen(uint64(n))
+	var blk [setBlock][]byte
+	for base := 0; base < n; base += setBlock {
+		for j, s := range set.Load(blk[:], base) {
+			h := 0
+			if base+j > 0 {
+				h = int(lcps[base+j])
+			}
+			total += UvarintLen(uint64(h)) + UvarintLen(uint64(len(s)-h)) + len(s) - h
 		}
-		total += UvarintLen(uint64(h)) + UvarintLen(uint64(len(s)-h)) + len(s) - h
 	}
 	return total
 }
@@ -232,21 +266,32 @@ func StringsLCPSize(ss [][]byte, lcps []int32) int {
 // first string of a run always travels in full, so callers can pass a
 // sub-slice of a larger LCP array without zeroing its boundary entry.
 func AppendStringsLCP(dst []byte, ss [][]byte, lcps []int32) []byte {
-	if len(ss) != len(lcps) && len(ss) > 0 {
-		panic(fmt.Sprintf("wire: %d strings but %d lcps", len(ss), len(lcps)))
+	return AppendSetLCP(dst, strutil.Set{Strings: ss}, lcps)
+}
+
+// AppendSetLCP is AppendStringsLCP over the strings of set, in set order,
+// with lcps in that order too: the Step-3 encoder of a bucket read through
+// Step 1's order.
+func AppendSetLCP(dst []byte, set strutil.Set, lcps []int32) []byte {
+	n := set.Len()
+	if n != len(lcps) && n > 0 {
+		panic(fmt.Sprintf("wire: %d strings but %d lcps", n, len(lcps)))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
-	for i, s := range ss {
-		h := 0
-		if i > 0 {
-			h = int(lcps[i])
-			if h > len(s) {
-				panic(fmt.Sprintf("wire: lcp %d exceeds string length %d", h, len(s)))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	var blk [setBlock][]byte
+	for base := 0; base < n; base += setBlock {
+		for j, s := range set.Load(blk[:], base) {
+			h := 0
+			if base+j > 0 {
+				h = int(lcps[base+j])
+				if h > len(s) {
+					panic(fmt.Sprintf("wire: lcp %d exceeds string length %d", h, len(s)))
+				}
 			}
+			dst = binary.AppendUvarint(dst, uint64(h))
+			dst = binary.AppendUvarint(dst, uint64(len(s)-h))
+			dst = append(dst, s[h:]...)
 		}
-		dst = binary.AppendUvarint(dst, uint64(h))
-		dst = binary.AppendUvarint(dst, uint64(len(s)-h))
-		dst = append(dst, s[h:]...)
 	}
 	return dst
 }
@@ -287,50 +332,6 @@ func DecodeStringsLCP(msg []byte) ([][]byte, []int32, error) {
 		lcps[0] = 0
 	}
 	return ss, lcps, nil
-}
-
-// EncodeInt32s serializes an int32 slice as varints (values must be >= 0).
-func EncodeInt32s(vs []int32) []byte {
-	return AppendInt32s(make([]byte, 0, Int32sSize(vs)), vs)
-}
-
-// Int32sSize returns the exact encoded size of EncodeInt32s(vs).
-func Int32sSize(vs []int32) int {
-	n := UvarintLen(uint64(len(vs)))
-	for _, v := range vs {
-		n += UvarintLen(uint64(uint32(v)))
-	}
-	return n
-}
-
-// AppendInt32s appends the EncodeInt32s encoding of vs to dst.
-func AppendInt32s(dst []byte, vs []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-	}
-	return dst
-}
-
-// DecodeInt32s reverses EncodeInt32s.
-func DecodeInt32s(msg []byte) ([]int32, error) {
-	r := NewReader(msg)
-	cnt, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if cnt > uint64(len(msg))+1 {
-		return nil, ErrCorrupt
-	}
-	out := make([]int32, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, int32(uint32(v)))
-	}
-	return out, nil
 }
 
 // EncodeUint64s serializes a uint64 slice as varints.
@@ -428,11 +429,6 @@ func AppendBitset(dst []byte, bs []bool) []byte {
 		dst = append(dst, cur)
 	}
 	return dst
-}
-
-// DecodeBitset reverses AppendBitset.
-func DecodeBitset(msg []byte) ([]bool, error) {
-	return AppendDecodeBitset(nil, msg)
 }
 
 // AppendDecodeBitset decodes an AppendBitset message onto the end of dst.

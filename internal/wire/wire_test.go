@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"dss/internal/strutil"
 )
 
 func TestBufferRoundtripPrimitives(t *testing.T) {
@@ -198,28 +201,6 @@ func TestDecodeStringsLCPCorrupt(t *testing.T) {
 	}
 }
 
-func TestInt32sRoundtrip(t *testing.T) {
-	f := func(vs []int32) bool {
-		for i := range vs {
-			if vs[i] < 0 {
-				vs[i] = -vs[i]
-			}
-		}
-		got, err := DecodeInt32s(EncodeInt32s(vs))
-		return err == nil && reflect.DeepEqual(normalize32(got), normalize32(vs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func normalize32(v []int32) []int32 {
-	if len(v) == 0 {
-		return nil
-	}
-	return v
-}
-
 func TestUint64sRoundtrip(t *testing.T) {
 	f := func(vs []uint64) bool {
 		got, err := DecodeUint64s(EncodeUint64s(vs))
@@ -249,7 +230,7 @@ func TestUint64sRoundtrip(t *testing.T) {
 
 func TestBitsetRoundtrip(t *testing.T) {
 	f := func(bs []bool) bool {
-		got, err := DecodeBitset(AppendBitset(nil, bs))
+		got, err := AppendDecodeBitset(nil, AppendBitset(nil, bs))
 		if err != nil || len(got) != len(bs) {
 			return false
 		}
@@ -268,7 +249,7 @@ func TestBitsetRoundtrip(t *testing.T) {
 		for i := range bs {
 			bs[i] = i%3 == 0
 		}
-		got, err := DecodeBitset(AppendBitset(nil, bs))
+		got, err := AppendDecodeBitset(nil, AppendBitset(nil, bs))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -343,5 +324,66 @@ func TestDecodeStringsValidatesBeforeAllocating(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
 		t.Fatalf("rejecting the message allocated %d bytes", got)
+	}
+}
+
+// TestSetEncodersMatchGathered is the differential of the order-reading
+// Step-3 encoders against the gathered path: a sorted set read through its
+// order must size and encode to exactly the bytes of the same strings
+// gathered into one array, in both formats, over every bucket cut — and
+// decode back to those strings. Empty and nil strings included.
+func TestSetEncodersMatchGathered(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60)
+		ss := make([][]byte, n)
+		for i := range ss {
+			switch rng.Intn(6) {
+			case 0: // nil
+			case 1:
+				ss[i] = []byte{}
+			default:
+				ss[i] = make([]byte, rng.Intn(12))
+				for j := range ss[i] {
+					ss[i][j] = "aab\x00"[rng.Intn(4)]
+				}
+			}
+		}
+		order := make([]uint32, n)
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		sort.SliceStable(order, func(a, b int) bool { return bytes.Compare(ss[order[a]], ss[order[b]]) < 0 })
+		set := strutil.Set{Strings: ss, Order: order}
+		spine := set.Gather()
+		lcps := strutil.ComputeLCPArray(spine)
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		bucket, bspine, blcps := set.Slice(lo, hi), spine[lo:hi], lcps[lo:hi]
+
+		want := AppendStringsLCP(nil, bspine, blcps)
+		if got := AppendSetLCP(nil, bucket, blcps); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: LCP encoding through the order differs from the gathered one", trial)
+		}
+		if size := SetLCPSize(bucket, blcps); size != len(want) || size != StringsLCPSize(bspine, blcps) {
+			t.Fatalf("trial %d: LCP size %d, encoded %d", trial, size, len(want))
+		}
+		dec, _, err := DecodeStringsLCP(want)
+		if err != nil || len(dec) != len(bspine) {
+			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		for i := range dec {
+			if !bytes.Equal(dec[i], bspine[i]) {
+				t.Fatalf("trial %d: decoded string %d differs", trial, i)
+			}
+		}
+
+		want = AppendStrings(nil, bspine)
+		if got := AppendSet(nil, bucket); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: plain encoding through the order differs from the gathered one", trial)
+		}
+		if size := SetSize(bucket); size != len(want) || size != StringsSize(bspine) {
+			t.Fatalf("trial %d: plain size %d, encoded %d", trial, size, len(want))
+		}
 	}
 }

@@ -289,7 +289,9 @@ type Config struct {
 type PEOutput struct {
 	// Strings is the locally sorted fragment (globally ordered by PE).
 	// For PDMS runs without Reconstruct these are distinguishing prefixes.
-	// Strings that never left their PE alias the caller's input strings.
+	// The array is fresh, but the strings of the PE's own share — those
+	// that never left it — alias the caller's input strings; received
+	// ones are copies.
 	Strings [][]byte
 	// LCPs is the fragment's LCP array (nil for MS-simple and FKmerge).
 	LCPs []int32
