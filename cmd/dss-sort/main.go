@@ -32,7 +32,7 @@
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -validate, -cores, -mem-budget, -spill-dir, -trace, -trace-cap, -chaos,
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
 // -chaos-seed, -net-retries, -net-timeout) are shared verbatim with
 // dss-worker.
 //

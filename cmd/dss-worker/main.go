@@ -29,7 +29,7 @@
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -validate, -cores, -mem-budget, -spill-dir, -trace, -trace-cap, -chaos,
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
 // -chaos-seed, -net-retries, -net-timeout) is accepted here with identical
 // semantics — both binaries register the same
 // stringsort.RegisterTuningFlags set. -net-retries and

@@ -1,15 +1,15 @@
-// Split-phase (non-blocking) collectives. Each I* operation posts whatever
-// traffic it can immediately — eager sends never block — and returns a
-// Pending handle; the caller overlaps local compute with the in-flight
+// Split-phase (non-blocking) personalized all-to-all. IAlltoallv posts
+// every outgoing part immediately — eager sends never block — and returns
+// a Pending handle; the caller overlaps local compute with the in-flight
 // communication and drains the results incrementally (PollRecv / PollAny)
-// or all at once (Wait). The blocking collectives of group.go are thin
-// veneers (I* immediately followed by Wait), so the two forms are
+// or all at once (Wait). The blocking Alltoallv of group.go is a thin
+// veneer (IAlltoallv immediately followed by Wait), so the two forms are
 // interchangeable and their accounting is bit-identical.
 //
-// Accounting model. ALL traffic of a split-phase collective — the sends
-// posted up front, the sends issued while completing inside Wait, and every
-// receive — is attributed to the accounting phase that was current when the
-// collective was POSTED, no matter which phase the PE is in when it drains.
+// Accounting model. ALL traffic of a split-phase exchange — the sends
+// posted up front and every receive — is attributed to the accounting
+// phase that was current when the exchange was POSTED, no matter which
+// phase the PE is in when it drains.
 // This is what keeps the deterministic statistics (model time, bytes per
 // string) independent of how much overlap the caller achieves: an exchange
 // posted in the exchange phase bills to the exchange phase even when its
@@ -35,60 +35,19 @@ import (
 	"dss/internal/trace"
 )
 
-// pendingOp distinguishes the collective kinds behind a Pending.
-type pendingOp int
-
+// The trace labels of the exchange's lifecycle instants.
 const (
-	opAlltoallv pendingOp = iota
-	opBarrier
-	opAllgatherv
+	postName = "IAlltoallv post"
+	doneName = "IAlltoallv done"
 )
 
-func (op pendingOp) String() string {
-	switch op {
-	case opAlltoallv:
-		return "IAlltoallv"
-	case opBarrier:
-		return "IBarrier"
-	case opAllgatherv:
-		return "IAllgatherv"
-	default:
-		return fmt.Sprintf("pendingOp(%d)", int(op))
-	}
-}
-
-// postName / doneName are the interned trace labels of the collective
-// lifecycle instants, precomputed so the hot path never concatenates.
-func (op pendingOp) postName() string {
-	switch op {
-	case opAlltoallv:
-		return "IAlltoallv post"
-	case opBarrier:
-		return "IBarrier post"
-	default:
-		return "IAllgatherv post"
-	}
-}
-
-func (op pendingOp) doneName() string {
-	switch op {
-	case opAlltoallv:
-		return "IAlltoallv done"
-	case opBarrier:
-		return "IBarrier done"
-	default:
-		return "IAllgatherv done"
-	}
-}
-
-// Pending is a split-phase collective in flight. It is confined to the PE
-// goroutine that posted it, like the Comm itself. Exactly one of the
+// Pending is a split-phase all-to-all exchange in flight. It is confined to
+// the PE goroutine that posted it, like the Comm itself. Exactly one of the
 // draining methods consumes each payload: a payload handed out by PollRecv
 // or PollAny is owned by the caller (and releasable via Comm.Release) and
 // will NOT be returned again by Wait.
 type Pending struct {
 	g      *Group
-	op     pendingOp
 	tag    int
 	phase  stats.Phase // accounting phase captured at post time
 	posted time.Time
@@ -100,7 +59,6 @@ type Pending struct {
 	// after everything has arrived hides nothing.
 	lastArrival time.Time
 
-	// Alltoallv state.
 	self      []byte // the caller's own part (IAlltoallv: a copy; Post: the buffer itself)
 	results   [][]byte
 	drained   []bool
@@ -111,12 +69,10 @@ type Pending struct {
 	toPost    int
 	postedIdx []bool
 
-	// Barrier/Allgatherv completion, run by Wait.
-	finish     func() [][]byte
 	waitCalled bool
-	// noOverlap suppresses the overlap credit: set by the blocking veneers
-	// (I* immediately followed by Wait), which by definition hide no
-	// communication — otherwise every blocking collective would credit the
+	// noOverlap suppresses the overlap credit: set by the blocking veneer
+	// (IAlltoallv immediately followed by Wait), which by definition hides
+	// no communication — otherwise every blocking exchange would credit the
 	// few nanoseconds between posting and draining as "overlap" noise.
 	noOverlap bool
 }
@@ -132,7 +88,7 @@ func (g *Group) IAlltoallv(parts [][]byte) *Pending {
 	if len(parts) != n {
 		panic(fmt.Sprintf("comm: alltoallv needs %d parts, got %d", n, len(parts)))
 	}
-	pd := g.newPending(opAlltoallv)
+	pd := g.newPending()
 	pd.results = make([][]byte, n)
 	pd.drained = make([]bool, n)
 	pd.remaining = n
@@ -158,7 +114,7 @@ func (g *Group) IAlltoallv(parts [][]byte) *Pending {
 // every member's part has been posted.
 func (g *Group) IAlltoallvStaged() *Pending {
 	n := len(g.ranks)
-	pd := g.newPending(opAlltoallv)
+	pd := g.newPending()
 	pd.results = make([][]byte, n)
 	pd.drained = make([]bool, n)
 	pd.remaining = n
@@ -178,7 +134,7 @@ func (g *Group) IAlltoallvStaged() *Pending {
 // completion channel and the PE posts, keeping all accounting confined).
 func (pd *Pending) Post(idx int, part []byte) {
 	if pd.postedIdx == nil {
-		panic(fmt.Sprintf("comm: Post on a non-staged %v", pd.op))
+		panic("comm: Post on a non-staged alltoallv")
 	}
 	if idx < 0 || idx >= len(pd.postedIdx) {
 		panic(fmt.Sprintf("comm: Post index %d out of range (n=%d)", idx, len(pd.postedIdx)))
@@ -243,27 +199,27 @@ func (pd *Pending) PollRecv(idx int) []byte {
 		return pd.take(idx, pd.self)
 	}
 	src := pd.g.ranks[idx]
-	data := pd.timedRecv(src, pd.tag)
+	data := pd.timedRecv(src)
 	pd.accountRecv(src, len(data))
 	return pd.take(idx, data)
 }
 
 // timedRecv / recvAny perform a transport receive, accumulating the
 // blocked time and the last-arrival stamp for the overlap measurement. The
-// clock calls are skipped entirely for the blocking veneers (noOverlap),
-// which never read either — the blocking collectives stay as cheap as
+// clock calls are skipped entirely for the blocking veneer (noOverlap),
+// which never reads either — the blocking Alltoallv stays as cheap as
 // before the split-phase layer.
 //
 // For a targeted Recv no delivery stamp is available, so the return time
 // serves as the arrival estimate: exact when the receive actually blocked
 // (the return IS the arrival), and within the pickup latency when the
 // payload was already queued.
-func (pd *Pending) timedRecv(src, tag int) []byte {
+func (pd *Pending) timedRecv(src int) []byte {
 	if pd.noOverlap {
-		return pd.g.c.t.Recv(src, tag)
+		return pd.g.c.t.Recv(src, pd.tag)
 	}
 	t0 := time.Now()
-	data := pd.g.c.t.Recv(src, tag)
+	data := pd.g.c.t.Recv(src, pd.tag)
 	now := time.Now()
 	pd.waited += now.Sub(t0)
 	pd.lastArrival = now
@@ -292,23 +248,16 @@ func (pd *Pending) recvAny(srcs []int) (int, []byte) {
 	return src, data
 }
 
-// Wait completes the collective. For IAlltoallv it drains every remaining
-// member and returns the payloads indexed by group index, with entries
-// already handed out by PollRecv/PollAny left nil (their ownership was
-// transferred when they were drained) — calling it on a fully drained
-// exchange is legal and returns the all-nil slice. For IBarrier it returns
-// nil once every member has entered; for IAllgatherv it returns every
-// member's payload. Wait may be called at most once.
+// Wait completes the exchange: it drains every remaining member and
+// returns the payloads indexed by group index, with entries already handed
+// out by PollRecv/PollAny left nil (their ownership was transferred when
+// they were drained) — calling it on a fully drained exchange is legal and
+// returns the all-nil slice. Wait may be called at most once.
 func (pd *Pending) Wait() [][]byte {
 	if pd.waitCalled {
-		panic(fmt.Sprintf("comm: Wait called twice on %v", pd.op))
+		panic("comm: Wait called twice on an alltoallv")
 	}
 	pd.waitCalled = true
-	if pd.finish != nil {
-		out := pd.finish()
-		pd.complete()
-		return out
-	}
 	for pd.remaining > 0 {
 		idx, data, _ := pd.PollAny()
 		pd.results[idx] = data
@@ -316,111 +265,14 @@ func (pd *Pending) Wait() [][]byte {
 	return pd.results
 }
 
-// IBarrier posts this PE's entry into a dissemination barrier: the first
-// round's signal goes out immediately, the remaining ⌈log n⌉−1 rounds run
-// inside Wait. The message pattern (and therefore the accounting) is
-// identical to the blocking Barrier, which is IBarrier().Wait().
-func (g *Group) IBarrier() *Pending {
-	pd := g.newPending(opBarrier)
-	n := len(g.ranks)
-	if n > 1 {
-		pd.sendIdx((g.myIdx+1)%n, nil)
-	}
-	pd.finish = func() [][]byte {
-		for k := 1; k < n; k <<= 1 {
-			if k > 1 {
-				pd.sendIdx((g.myIdx+k)%n, nil)
-			}
-			pd.recvIdx((g.myIdx - k + n) % n)
-		}
-		return nil
-	}
-	return pd
-}
-
-// IAllgatherv posts this PE's contribution to an allgather: leaves of the
-// binomial gather tree (odd group indices) send immediately, everything
-// else — the inner gather rounds and the broadcast of the packed bundle —
-// runs inside Wait. Message pattern and bytes are identical to the blocking
-// Allgatherv, which is IAllgatherv(data).Wait().
-func (g *Group) IAllgatherv(data []byte) *Pending {
-	pd := g.newPending(opAllgatherv)
-	gatherTag := pd.tag
-	bcastTag := g.nextTag()
-	n := len(g.ranks)
-	sentEagerly := n > 1 && g.myIdx&1 != 0
-	if !sentEagerly {
-		// The contribution leaves this PE only inside Wait, so snapshot it
-		// now: like IAlltoallv's self copy, the caller keeps ownership of
-		// data and may reuse it during the overlap window.
-		data = append([]byte(nil), data...)
-	}
-	collected := map[int][]byte{g.myIdx: data}
-	if sentEagerly {
-		// A leaf's whole gather contribution is known (and serialized) at
-		// post time.
-		pd.sendTag(g.myIdx-1, gatherTag, packGather(collected))
-	}
-	pd.finish = func() [][]byte {
-		// Binomial gather to member 0 (replicates Gatherv with root 0).
-		forwarded := sentEagerly
-		for mask := 1; mask < n && !forwarded; mask <<= 1 {
-			if g.myIdx&mask != 0 {
-				pd.sendTag(g.myIdx-mask, gatherTag, packGather(collected))
-				forwarded = true
-				break
-			}
-			if src := g.myIdx + mask; src < n {
-				bundle := pd.recvTag(src, gatherTag)
-				if err := unpackGather(bundle, collected); err != nil {
-					panic(fmt.Sprintf("comm: corrupt gather bundle: %v", err))
-				}
-				pd.g.c.Release(bundle) // unpackGather copied the payloads out
-			}
-		}
-		// Member 0 packs the full set; binomial broadcast of the bundle.
-		var packed []byte
-		if g.myIdx == 0 {
-			packed = packGather(collected)
-		}
-		mask := 1
-		for mask < n {
-			if g.myIdx&mask != 0 {
-				packed = pd.recvTag(g.myIdx-mask, bcastTag)
-				break
-			}
-			mask <<= 1
-		}
-		mask >>= 1
-		for mask > 0 {
-			if g.myIdx+mask < n {
-				pd.sendTag(g.myIdx+mask, bcastTag, packed)
-			}
-			mask >>= 1
-		}
-		m := make(map[int][]byte)
-		if err := unpackGather(packed, m); err != nil {
-			panic(fmt.Sprintf("comm: corrupt allgather bundle: %v", err))
-		}
-		pd.g.c.Release(packed)
-		out := make([][]byte, n)
-		for idx, payload := range m {
-			out[idx] = payload
-		}
-		return out
-	}
-	return pd
-}
-
-// newPending captures the posting context shared by every split-phase
-// collective: a fresh tag, the current accounting phase, and the wall clock
-// for the overlap measurement.
-func (g *Group) newPending(op pendingOp) *Pending {
-	g.c.tr.Instant(trace.TrackControl, op.postName(), 0, 0)
+// newPending captures the posting context of a split-phase exchange: a
+// fresh tag, the current accounting phase, and the wall clock for the
+// overlap measurement.
+func (g *Group) newPending() *Pending {
+	g.c.tr.Instant(trace.TrackControl, postName, 0, 0)
 	now := time.Now()
 	return &Pending{
 		g:      g,
-		op:     op,
 		tag:    g.nextTag(),
 		phase:  g.c.phase,
 		posted: now,
@@ -441,13 +293,10 @@ func (pd *Pending) take(idx int, data []byte) []byte {
 	return data
 }
 
-// checkDrainable rejects incremental draining on collectives that complete
-// only as a whole. A fully drained IAlltoallv is fine: PollAny reports it
-// with ok=false and PollRecv rejects per member.
+// checkDrainable rejects draining a staged exchange before every part has
+// been posted. A fully drained exchange is fine: PollAny reports it with
+// ok=false and PollRecv rejects per member.
 func (pd *Pending) checkDrainable() {
-	if pd.op != opAlltoallv {
-		panic(fmt.Sprintf("comm: %v supports only Wait, not incremental draining", pd.op))
-	}
 	if pd.toPost > 0 {
 		panic(fmt.Sprintf("comm: draining a staged alltoallv with %d parts unposted", pd.toPost))
 	}
@@ -476,27 +325,16 @@ func (pd *Pending) complete() {
 	if ovNS < 0 {
 		ovNS = 0
 	}
-	pd.g.c.tr.Instant(trace.TrackControl, pd.op.doneName(), ovNS, 0)
+	pd.g.c.tr.Instant(trace.TrackControl, doneName, ovNS, 0)
 }
 
-// sendIdx / sendTag / recvIdx / recvTag move one message of the collective,
-// attributing volume and message counts — through the same Comm accounting
-// helpers the blocking operations use — to the phase captured at post time
-// (NOT the PE's current phase), so that draining during a later phase
-// leaves the deterministic statistics untouched.
-func (pd *Pending) sendIdx(idx int, data []byte) { pd.sendTag(idx, pd.tag, data) }
-
-func (pd *Pending) sendTag(idx, tag int, data []byte) {
-	pd.g.c.sendAs(pd.phase, pd.g.ranks[idx], tag, data)
-}
-
-func (pd *Pending) recvIdx(idx int) []byte { return pd.recvTag(idx, pd.tag) }
-
-func (pd *Pending) recvTag(idx, tag int) []byte {
-	src := pd.g.ranks[idx]
-	data := pd.timedRecv(src, tag)
-	pd.accountRecv(src, len(data))
-	return data
+// sendIdx sends one part of the exchange, attributing volume and message
+// count — through the same Comm accounting helper the blocking operations
+// use — to the phase captured at post time (NOT the PE's current phase),
+// so that draining during a later phase leaves the deterministic
+// statistics untouched.
+func (pd *Pending) sendIdx(idx int, data []byte) {
+	pd.g.c.sendAs(pd.phase, pd.g.ranks[idx], pd.tag, data)
 }
 
 // accountRecv attributes received bytes to the posting phase.

@@ -156,83 +156,6 @@ func TestPollRecvTargetedDrain(t *testing.T) {
 	}
 }
 
-// TestIBarrierMatchesBarrier checks that IBarrier+Wait synchronizes and
-// produces the message counts of the dissemination barrier.
-func TestIBarrierMatchesBarrier(t *testing.T) {
-	for _, p := range ps {
-		run := func(split bool) [][stats.NumPhases]stats.PhaseCounters {
-			m := New(p)
-			counter := make([]int32, p)
-			err := m.Run(func(c *Comm) error {
-				g := c.World()
-				counter[c.Rank()] = 1
-				if split {
-					g.IBarrier().Wait()
-				} else {
-					g.Barrier()
-				}
-				for i := 0; i < p; i++ {
-					if counter[i] != 1 {
-						return fmt.Errorf("PE %d passed before PE %d arrived", c.Rank(), i)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return phaseCounters(m)
-		}
-		a, b := run(false), run(true)
-		for rank := range a {
-			if a[rank] != b[rank] {
-				t.Fatalf("p=%d rank=%d: barrier counters differ", p, rank)
-			}
-		}
-	}
-}
-
-// TestIAllgathervMatchesAllgatherv checks results and counters of the
-// split-phase allgather against the blocking one.
-func TestIAllgathervMatchesAllgatherv(t *testing.T) {
-	for _, p := range ps {
-		run := func(split bool) ([][][]byte, [][stats.NumPhases]stats.PhaseCounters) {
-			m := New(p)
-			got := make([][][]byte, p)
-			err := m.Run(func(c *Comm) error {
-				c.SetPhase(stats.PhasePartition)
-				g := c.World()
-				mine := []byte(fmt.Sprintf("data-%d", c.Rank()*c.Rank()))
-				if split {
-					pd := g.IAllgatherv(mine)
-					got[c.Rank()] = pd.Wait()
-				} else {
-					got[c.Rank()] = g.Allgatherv(mine)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got, phaseCounters(m)
-		}
-		blockOut, blockStats := run(false)
-		splitOut, splitStats := run(true)
-		for rank := 0; rank < p; rank++ {
-			for i := 0; i < p; i++ {
-				want := fmt.Sprintf("data-%d", i*i)
-				if string(blockOut[rank][i]) != want || string(splitOut[rank][i]) != want {
-					t.Fatalf("p=%d rank=%d member %d: got %q / %q, want %q",
-						p, rank, i, blockOut[rank][i], splitOut[rank][i], want)
-				}
-			}
-			if blockStats[rank] != splitStats[rank] {
-				t.Fatalf("p=%d rank=%d: allgather counters differ", p, rank)
-			}
-		}
-	}
-}
-
 // TestWaitAfterPartialDrainLeavesHandedOutNil pins the ownership contract:
 // payloads already handed out by PollRecv/PollAny do not reappear in Wait's
 // result, so no buffer can be double-released.
@@ -264,34 +187,6 @@ func TestWaitAfterPartialDrainLeavesHandedOutNil(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestIAllgathervCallerKeepsOwnership pins the buffer-ownership contract
-// of the split-phase allgather: the caller may mutate (or reuse) its
-// contribution buffer between posting and Wait — the overlap-compute
-// window the API exists for — and every member must still receive the
-// bytes as they were at post time, on leaves and inner tree nodes alike.
-func TestIAllgathervCallerKeepsOwnership(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		m := New(p)
-		err := m.Run(func(c *Comm) error {
-			g := c.World()
-			buf := []byte(fmt.Sprintf("orig-%d", c.Rank()))
-			pd := g.IAllgatherv(buf)
-			copy(buf, "MUTATED!!") // caller reuses its buffer mid-flight
-			parts := pd.Wait()
-			for i, part := range parts {
-				want := fmt.Sprintf("orig-%d", i)
-				if string(part) != want {
-					return fmt.Errorf("member %d: got %q, want %q", i, part, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
 	}
 }
 
@@ -361,24 +256,6 @@ func TestOverlapCreditedForHiddenComm(t *testing.T) {
 		if got := time.Duration(overlap[rank]); got > stragglerDelay+stragglerDelay/2 {
 			t.Errorf("rank %d: overlap %v exceeds any plausible in-flight span", rank, got)
 		}
-	}
-}
-
-// TestSplitPhaseBarrierEagerSignal checks that the eagerly posted round-0
-// signal of IBarrier lets a peer make progress before Wait is called: PE 1
-// can observe PE 0's barrier entry while PE 0 is still computing.
-func TestSplitPhaseBarrierEagerSignal(t *testing.T) {
-	m := New(2)
-	err := m.Run(func(c *Comm) error {
-		g := c.World()
-		pd := g.IBarrier()
-		// Both PEs have posted their round-0 signal; Wait can now complete
-		// without further sends on either side for n=2.
-		pd.Wait()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -280,6 +281,32 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
+// TestIBarrierMatchesBarrier pins the message pattern Barrier shares with
+// the split-phase IBarrier whose dissemination loop it now runs inline:
+// exactly ⌈log₂ p⌉ empty messages per PE, billed to the current phase.
+func TestIBarrierMatchesBarrier(t *testing.T) {
+	for _, p := range ps {
+		m := New(p)
+		err := m.Run(func(c *Comm) error {
+			c.SetPhase(stats.PhasePartition)
+			c.World().Barrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := int64(bits.Len(uint(p - 1)))
+		for rank, pe := range m.pes {
+			var want [stats.NumPhases]stats.PhaseCounters
+			want[stats.PhasePartition].Messages = rounds
+			if pe.Phases != want {
+				t.Fatalf("p=%d rank=%d: counters %+v, want %d empty messages in the partition phase",
+					p, rank, pe.Phases, rounds)
+			}
+		}
+	}
+}
+
 func TestBcast(t *testing.T) {
 	for _, p := range ps {
 		for root := 0; root < p; root += max(1, p/3) {
@@ -375,6 +402,66 @@ func TestAllgatherv(t *testing.T) {
 				want := fmt.Sprintf("data-%d", i*i)
 				if string(part) != want {
 					return fmt.Errorf("part %d = %q, want %q", i, part, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestIAllgathervMatchesAllgatherv pins the traffic Allgatherv shares with
+// the split-phase IAllgatherv whose gather and broadcast loops it now runs
+// inline: 2(p−1) messages machine-wide (one gather and one broadcast
+// message per member but the root) of a pinned byte volume, all billed to
+// the current phase and received in full.
+func TestIAllgathervMatchesAllgatherv(t *testing.T) {
+	wantBytes := map[int]int64{1: 0, 2: 26, 3: 68, 4: 134, 5: 213, 7: 443, 8: 594, 13: 1617, 16: 2521}
+	for _, p := range ps {
+		m := New(p)
+		err := m.Run(func(c *Comm) error {
+			c.SetPhase(stats.PhasePartition)
+			c.World().Allgatherv([]byte(fmt.Sprintf("data-%d", c.Rank()*c.Rank())))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		var sum stats.PhaseCounters
+		for rank, pe := range m.pes {
+			for ph, c := range pe.Phases {
+				if ph != int(stats.PhasePartition) && c != (stats.PhaseCounters{}) {
+					t.Fatalf("p=%d rank=%d: %+v billed to phase %v", p, rank, c, stats.Phase(ph))
+				}
+			}
+			sum.BytesSent += pe.Phases[stats.PhasePartition].BytesSent
+			sum.BytesRecv += pe.Phases[stats.PhasePartition].BytesRecv
+			sum.Messages += pe.Phases[stats.PhasePartition].Messages
+		}
+		if sum.Messages != int64(2*(p-1)) || sum.BytesRecv != sum.BytesSent || sum.BytesSent != wantBytes[p] {
+			t.Errorf("p=%d: machine-wide %+v, want %d messages and %d bytes sent and received",
+				p, sum, 2*(p-1), wantBytes[p])
+		}
+	}
+}
+
+// TestIAllgathervCallerKeepsOwnership pins the buffer-ownership contract
+// Allgatherv kept from the split-phase IAllgatherv: no result aliases the
+// caller's contribution, so the caller may mutate or reuse its buffer once
+// the call returns, on leaves and inner tree nodes alike.
+func TestIAllgathervCallerKeepsOwnership(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 5} {
+		m := New(p)
+		err := m.Run(func(c *Comm) error {
+			buf := []byte(fmt.Sprintf("orig-%d", c.Rank()))
+			parts := c.World().Allgatherv(buf)
+			copy(buf, "MUTATED!!") // the caller reuses its buffer
+			for i, part := range parts {
+				want := fmt.Sprintf("orig-%d", i)
+				if string(part) != want {
+					return fmt.Errorf("member %d: got %q, want %q", i, part, want)
 				}
 			}
 			return nil

@@ -62,12 +62,15 @@ func (g *Group) send(idx, tag int, data []byte) { g.c.Send(g.ranks[idx], tag, da
 func (g *Group) recv(idx, tag int) []byte       { return g.c.Recv(g.ranks[idx], tag) }
 
 // Barrier blocks until every group member has entered it. It uses the
-// dissemination algorithm: ⌈log n⌉ rounds of pairwise signalling. The
-// blocking form is the split-phase IBarrier completed immediately.
+// dissemination algorithm: ⌈log n⌉ rounds of pairwise signalling, in round
+// k an empty message to member idx+k and one from member idx−k.
 func (g *Group) Barrier() {
-	pd := g.IBarrier()
-	pd.noOverlap = true
-	pd.Wait()
+	tag := g.nextTag()
+	n := len(g.ranks)
+	for k := 1; k < n; k <<= 1 {
+		g.send((g.myIdx+k)%n, tag, nil)
+		g.recv((g.myIdx-k+n)%n, tag)
+	}
 }
 
 // Bcast distributes root's data to all members along a binomial tree
@@ -170,12 +173,54 @@ func (g *Group) Gatherv(root int, data []byte) [][]byte {
 }
 
 // Allgatherv collects every member's payload on every member: a binomial
-// gather to member 0 followed by a broadcast of the packed bundle. The
-// blocking form is the split-phase IAllgatherv completed immediately.
+// gather to member 0 (Gatherv with root 0) followed by a binomial
+// broadcast of the packed bundle. The returned payloads are copies; the
+// caller keeps ownership of data.
 func (g *Group) Allgatherv(data []byte) [][]byte {
-	pd := g.IAllgatherv(data)
-	pd.noOverlap = true
-	return pd.Wait()
+	gatherTag, bcastTag := g.nextTag(), g.nextTag()
+	n := len(g.ranks)
+	collected := map[int][]byte{g.myIdx: data}
+	for mask := 1; mask < n; mask <<= 1 {
+		if g.myIdx&mask != 0 {
+			g.send(g.myIdx-mask, gatherTag, packGather(collected))
+			break
+		}
+		if src := g.myIdx + mask; src < n {
+			bundle := g.recv(src, gatherTag)
+			if err := unpackGather(bundle, collected); err != nil {
+				panic(fmt.Sprintf("comm: corrupt gather bundle: %v", err))
+			}
+			g.c.Release(bundle) // unpackGather copied the payloads out
+		}
+	}
+	// Member 0 packs the full set; binomial broadcast of the bundle.
+	var packed []byte
+	if g.myIdx == 0 {
+		packed = packGather(collected)
+	}
+	mask := 1
+	for mask < n {
+		if g.myIdx&mask != 0 {
+			packed = g.recv(g.myIdx-mask, bcastTag)
+			break
+		}
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if g.myIdx+mask < n {
+			g.send(g.myIdx+mask, bcastTag, packed)
+		}
+	}
+	m := make(map[int][]byte)
+	if err := unpackGather(packed, m); err != nil {
+		panic(fmt.Sprintf("comm: corrupt allgather bundle: %v", err))
+	}
+	g.c.Release(packed)
+	out := make([][]byte, n)
+	for idx, payload := range m {
+		out[idx] = payload
+	}
+	return out
 }
 
 // Alltoallv performs personalized all-to-all communication: parts[i] is the

@@ -19,7 +19,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -193,16 +192,18 @@ func DefaultModel() CostModel {
 	}
 }
 
-// Report aggregates the accounting of all PEs of one algorithm run.
+// Report aggregates the accounting of all PEs of one algorithm run. Its
+// methods compute the α-β model time, the machine-wide volume figures and
+// the two per-phase tables; the rest of the per-PE counters are folded
+// into the public statistics by their one consumer, stringsort.
 type Report struct {
-	P     int
 	PEs   []*PE
 	Model CostModel
 }
 
 // NewReport creates a report over the given PEs.
 func NewReport(pes []*PE, model CostModel) *Report {
-	return &Report{P: len(pes), PEs: pes, Model: model}
+	return &Report{PEs: pes, Model: model}
 }
 
 // phaseMax returns, for one phase, the maxima over all PEs of the individual
@@ -211,18 +212,10 @@ func (r *Report) phaseMax(ph Phase) PhaseCounters {
 	var m PhaseCounters
 	for _, pe := range r.PEs {
 		c := pe.Phases[ph]
-		if c.BytesSent > m.BytesSent {
-			m.BytesSent = c.BytesSent
-		}
-		if c.BytesRecv > m.BytesRecv {
-			m.BytesRecv = c.BytesRecv
-		}
-		if c.Messages > m.Messages {
-			m.Messages = c.Messages
-		}
-		if c.Work > m.Work {
-			m.Work = c.Work
-		}
+		m.BytesSent = max(m.BytesSent, c.BytesSent)
+		m.BytesRecv = max(m.BytesRecv, c.BytesRecv)
+		m.Messages = max(m.Messages, c.Messages)
+		m.Work = max(m.Work, c.Work)
 	}
 	return m
 }
@@ -231,13 +224,9 @@ func (r *Report) phaseMax(ph Phase) PhaseCounters {
 // work plus the α-β cost of the bottleneck communication.
 func (r *Report) PhaseTime(ph Phase) float64 {
 	m := r.phaseMax(ph)
-	bytes := m.BytesSent
-	if m.BytesRecv > bytes {
-		bytes = m.BytesRecv
-	}
 	return float64(m.Work)/r.Model.Rate +
 		r.Model.Alpha*float64(m.Messages) +
-		r.Model.Beta*float64(bytes)
+		r.Model.Beta*float64(max(m.BytesSent, m.BytesRecv))
 }
 
 // ModelTime returns the total model running time: the sum of the per-phase
@@ -269,90 +258,6 @@ func (r *Report) TotalMessages() int64 {
 	return m
 }
 
-// TotalWork returns the sum over all PEs of local work units.
-func (r *Report) TotalWork() int64 {
-	var w int64
-	for _, pe := range r.PEs {
-		w += pe.Total().Work
-	}
-	return w
-}
-
-// TotalWireBytesSent returns the sum over all PEs of post-codec bytes that
-// actually crossed the fabric. Equal to TotalBytesSent when no codec
-// decorates the transport (the comm layer mirrors raw volume into the wire
-// counters then); strictly smaller when a compressing codec pays off.
-func (r *Report) TotalWireBytesSent() int64 {
-	var b int64
-	for _, pe := range r.PEs {
-		b += pe.TotalWire().Sent
-	}
-	return b
-}
-
-// WireBytesPerString returns the average post-codec communication volume
-// per input string — the wire-side counterpart of BytesPerString.
-func (r *Report) WireBytesPerString(n int64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(r.TotalWireBytesSent()) / float64(n)
-}
-
-// CompressionRatio returns wire bytes over raw bytes (1.0 means every
-// frame shipped verbatim; below 1.0 the codec shrank the traffic). With no
-// raw traffic at all the ratio is defined as 1.
-func (r *Report) CompressionRatio() float64 {
-	raw := r.TotalBytesSent()
-	if raw == 0 {
-		return 1
-	}
-	return float64(r.TotalWireBytesSent()) / float64(raw)
-}
-
-// MaxBytesSent returns the bottleneck send volume: the maximum over PEs.
-func (r *Report) MaxBytesSent() int64 {
-	var b int64
-	for _, pe := range r.PEs {
-		if s := pe.Total().BytesSent; s > b {
-			b = s
-		}
-	}
-	return b
-}
-
-// MaxBytesRecv returns the bottleneck receive volume: the maximum over PEs
-// of bytes received. This is the load-balancing metric of the skew
-// experiment — a PE that receives a disproportionate share of characters
-// is the straggler of the exchange and merge phases.
-func (r *Report) MaxBytesRecv() int64 {
-	var b int64
-	for _, pe := range r.PEs {
-		var recv int64
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			recv += pe.Phases[ph].BytesRecv
-		}
-		if recv > b {
-			b = recv
-		}
-	}
-	return b
-}
-
-// MeanBytesRecv returns the average per-PE receive volume.
-func (r *Report) MeanBytesRecv() float64 {
-	if len(r.PEs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, pe := range r.PEs {
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			sum += pe.Phases[ph].BytesRecv
-		}
-	}
-	return float64(sum) / float64(len(r.PEs))
-}
-
 // BytesPerString returns the average communication volume per input string,
 // the metric of the lower panels of Figures 4 and 5 of the paper.
 func (r *Report) BytesPerString(n int64) float64 {
@@ -362,261 +267,86 @@ func (r *Report) BytesPerString(n int64) float64 {
 	return float64(r.TotalBytesSent()) / float64(n)
 }
 
-// PhaseWallNS returns the bottleneck wall-clock span of a phase: the
-// maximum over PEs of the time spent with that accounting phase active.
-// Wall spans are measurements, not model values — they vary run to run.
-func (r *Report) PhaseWallNS(ph Phase) int64 {
-	var m int64
+// CompressionRatio returns the post-codec bytes that crossed the fabric
+// over the raw bytes sent (1.0 means every frame shipped verbatim; below
+// 1.0 the codec shrank the traffic). With no raw traffic at all the ratio
+// is defined as 1.
+func (r *Report) CompressionRatio() float64 {
+	raw := r.TotalBytesSent()
+	if raw == 0 {
+		return 1
+	}
+	var wire int64
 	for _, pe := range r.PEs {
-		if pe.Wall[ph] > m {
-			m = pe.Wall[ph]
-		}
+		wire += pe.TotalWire().Sent
 	}
-	return m
+	return float64(wire) / float64(raw)
 }
 
-// MaxWallNS returns the largest per-PE total wall span — roughly the
-// elapsed time of the run as seen by its slowest PE.
-func (r *Report) MaxWallNS() int64 {
-	var m int64
-	for _, pe := range r.PEs {
-		var w int64
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			w += pe.Wall[ph]
-		}
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// TotalOverlapNS returns the total communication time hidden under compute
-// by split-phase collectives, summed over all PEs and phases. This is the
-// machine-wide "overlap-ms" headline of the overlapped exchange/merge
-// pipeline: wall time the bulk-synchronous seam would have spent waiting.
-func (r *Report) TotalOverlapNS() int64 {
-	var o int64
-	for _, pe := range r.PEs {
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			o += pe.Overlap[ph]
-		}
-	}
-	return o
-}
-
-// MaxCores returns the largest intra-PE pool width of the run (1 when
-// every PE ran sequentially).
-func (r *Report) MaxCores() int64 {
-	var m int64 = 1
-	for _, pe := range r.PEs {
-		if pe.Cores > m {
-			m = pe.Cores
-		}
-	}
-	return m
-}
-
-// TotalCPUNS returns the summed busy nanoseconds of all intra-PE pool
-// workers over all PEs and phases — the CPU-seconds actually burned inside
-// parallel regions, comparable against MaxWallNS for a machine-wide
-// parallel-efficiency read.
-func (r *Report) TotalCPUNS() int64 {
-	var t int64
-	for _, pe := range r.PEs {
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			t += pe.CPU[ph]
-		}
-	}
-	return t
-}
-
-// PhaseCPUNS returns the summed worker busy nanoseconds of one phase over
-// all PEs.
-func (r *Report) PhaseCPUNS(ph Phase) int64 {
-	var t int64
-	for _, pe := range r.PEs {
-		t += pe.CPU[ph]
-	}
-	return t
-}
-
-// TotalSpillBytesWritten returns the machine-wide bytes spilled to page
-// files. Positive proves the out-of-core path actually paged (the smoke
-// matrix asserts this under a tiny budget); 0 means everything stayed
-// resident.
-func (r *Report) TotalSpillBytesWritten() int64 {
-	var b int64
-	for _, pe := range r.PEs {
-		b += pe.SpillBytesWritten
-	}
-	return b
-}
-
-// TotalSpillBytesRead returns the machine-wide bytes paged back in from
-// spill files.
-func (r *Report) TotalSpillBytesRead() int64 {
-	var b int64
-	for _, pe := range r.PEs {
-		b += pe.SpillBytesRead
-	}
-	return b
-}
-
-// TotalReconnects returns the machine-wide count of connections
-// re-established after a drop. Positive proves the run actually survived
-// connection loss (the chaos differential tests assert this); 0 means the
-// fabric stayed up end to end.
-func (r *Report) TotalReconnects() int64 {
-	var n int64
-	for _, pe := range r.PEs {
-		n += pe.Reconnects
-	}
-	return n
-}
-
-// TotalResentFrames returns the machine-wide count of frames replayed from
-// resend rings during reconnects.
-func (r *Report) TotalResentFrames() int64 {
-	var n int64
-	for _, pe := range r.PEs {
-		n += pe.ResentFrames
-	}
-	return n
-}
-
-// TotalResentBytes returns the machine-wide payload bytes replayed during
-// reconnects. Resends live below the accounting boundary: they appear
-// here and nowhere in the deterministic counters.
-func (r *Report) TotalResentBytes() int64 {
-	var n int64
-	for _, pe := range r.PEs {
-		n += pe.ResentBytes
-	}
-	return n
-}
-
-// MaxPeakLiveBytes returns the bottleneck peak of metered live arena
-// bytes: the largest per-PE high-water mark. Under a budget of B every PE
-// must stay at B plus the documented fixed overhead allowance — the
-// out-of-core differential tests assert exactly that on this accessor.
-func (r *Report) MaxPeakLiveBytes() int64 {
-	var m int64
-	for _, pe := range r.PEs {
-		if pe.PeakLiveBytes > m {
-			m = pe.PeakLiveBytes
-		}
-	}
-	return m
-}
-
-// MaxOverlapNS returns the bottleneck overlap: the maximum over PEs of
-// their total hidden communication time. Unlike TotalOverlapNS (a sum of
-// per-PE values), this is directly comparable to wall spans.
-func (r *Report) MaxOverlapNS() int64 {
-	var m int64
-	for _, pe := range r.PEs {
-		var o int64
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			o += pe.Overlap[ph]
-		}
-		if o > m {
-			m = o
-		}
-	}
-	return m
-}
-
-// WallTable formats the measured per-phase wall spans and overlap as an
-// aligned text table. Unlike Table, these columns are wall-clock
-// measurements and differ run to run; they are reported separately so the
-// deterministic table stays comparable across transports. The column
-// labels carry the aggregation: wall spans are bottleneck values (max over
-// PEs), overlap is summed PE-milliseconds — the two are deliberately not
-// comparable, which is why both say so.
-func (r *Report) WallTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %14s %16s %14s\n",
-		"phase", "wall_ms (max)", "overlap_ms (sum)", "cpu_ms (sum)")
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		wall := r.PhaseWallNS(ph)
-		var overlap int64
-		for _, pe := range r.PEs {
-			overlap += pe.Overlap[ph]
-		}
-		cpu := r.PhaseCPUNS(ph)
-		if wall == 0 && overlap == 0 && cpu == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-12s %14.3f %16.3f %14.3f\n",
-			ph, float64(wall)/1e6, float64(overlap)/1e6, float64(cpu)/1e6)
-	}
-	fmt.Fprintf(&b, "%-12s %14.3f %16.3f %14.3f\n",
-		"total", float64(r.MaxWallNS())/1e6, float64(r.TotalOverlapNS())/1e6,
-		float64(r.TotalCPUNS())/1e6)
-	return b.String()
-}
-
-// Table formats a per-phase breakdown as an aligned text table.
+// Table formats a per-phase breakdown as an aligned text table: the sums
+// over PEs of every phase's counters and the phase's model time. Phases
+// with no activity are omitted.
 func (r *Report) Table() string {
+	var sums [NumPhases]PhaseCounters
+	for _, pe := range r.PEs {
+		for ph, c := range pe.Phases {
+			sums[ph].BytesSent += c.BytesSent
+			sums[ph].BytesRecv += c.BytesRecv
+			sums[ph].Messages += c.Messages
+			sums[ph].Work += c.Work
+		}
+	}
 	var b strings.Builder
+	var total PhaseCounters
 	fmt.Fprintf(&b, "%-12s %14s %14s %10s %14s %10s\n",
 		"phase", "bytes_sent", "bytes_recv", "messages", "work", "time_s")
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		var sent, recv, msgs, work int64
-		for _, pe := range r.PEs {
-			c := pe.Phases[ph]
-			sent += c.BytesSent
-			recv += c.BytesRecv
-			msgs += c.Messages
-			work += c.Work
+	for ph, c := range sums {
+		total.BytesSent += c.BytesSent
+		total.Messages += c.Messages
+		total.Work += c.Work
+		if c != (PhaseCounters{}) {
+			fmt.Fprintf(&b, "%-12s %14d %14d %10d %14d %10.4f\n", Phase(ph),
+				c.BytesSent, c.BytesRecv, c.Messages, c.Work, r.PhaseTime(Phase(ph)))
 		}
-		if sent == 0 && recv == 0 && msgs == 0 && work == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-12s %14d %14d %10d %14d %10.4f\n",
-			ph, sent, recv, msgs, work, r.PhaseTime(ph))
 	}
 	fmt.Fprintf(&b, "%-12s %14d %14s %10d %14d %10.4f\n",
-		"total", r.TotalBytesSent(), "", r.TotalMessages(), r.TotalWork(), r.ModelTime())
+		"total", total.BytesSent, "", total.Messages, total.Work, r.ModelTime())
 	return b.String()
 }
 
-// Imbalance returns the ratio of the maximum to the mean per-PE total work,
-// a load balancing quality indicator (1.0 is perfect).
-func (r *Report) Imbalance() float64 {
-	if len(r.PEs) == 0 {
-		return 1
-	}
-	var sum, max int64
+// WallTable formats the measured per-phase wall spans, overlap and worker
+// CPU time as an aligned text table. Unlike Table, these columns are
+// wall-clock measurements and differ run to run; they are reported
+// separately so the deterministic table stays comparable across
+// transports. The column labels carry the aggregation: wall spans are
+// bottleneck values (max over PEs, the total row the largest per-PE sum),
+// overlap and CPU summed PE-milliseconds.
+func (r *Report) WallTable() string {
+	var wall, overlap, cpu [NumPhases]int64
+	var maxWall int64
 	for _, pe := range r.PEs {
-		w := pe.Total().Work
-		sum += w
-		if w > max {
-			max = w
+		var peWall int64
+		for ph := range wall {
+			wall[ph] = max(wall[ph], pe.Wall[ph])
+			overlap[ph] += pe.Overlap[ph]
+			cpu[ph] += pe.CPU[ph]
+			peWall += pe.Wall[ph]
+		}
+		maxWall = max(maxWall, peWall)
+	}
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	var b strings.Builder
+	var totOverlap, totCPU int64
+	fmt.Fprintf(&b, "%-12s %14s %16s %14s\n",
+		"phase", "wall_ms (max)", "overlap_ms (sum)", "cpu_ms (sum)")
+	for ph := range wall {
+		totOverlap += overlap[ph]
+		totCPU += cpu[ph]
+		if wall[ph] != 0 || overlap[ph] != 0 || cpu[ph] != 0 {
+			fmt.Fprintf(&b, "%-12s %14.3f %16.3f %14.3f\n",
+				Phase(ph), ms(wall[ph]), ms(overlap[ph]), ms(cpu[ph]))
 		}
 	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(r.PEs))
-	return float64(max) / mean
-}
-
-// WorkQuantiles returns the given quantiles (in [0,1]) of per-PE total work.
-func (r *Report) WorkQuantiles(qs ...float64) []int64 {
-	ws := make([]int64, len(r.PEs))
-	for i, pe := range r.PEs {
-		ws[i] = pe.Total().Work
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	out := make([]int64, len(qs))
-	for i, q := range qs {
-		if len(ws) == 0 {
-			continue
-		}
-		idx := int(q * float64(len(ws)-1))
-		out[i] = ws[idx]
-	}
-	return out
+	fmt.Fprintf(&b, "%-12s %14.3f %16.3f %14.3f\n", "total", ms(maxWall), ms(totOverlap), ms(totCPU))
+	return b.String()
 }

@@ -70,41 +70,14 @@ func TestAggregates(t *testing.T) {
 	if r.TotalBytesSent() != 4000 {
 		t.Fatalf("TotalBytesSent = %d", r.TotalBytesSent())
 	}
-	if r.MaxBytesSent() != 3000 {
-		t.Fatalf("MaxBytesSent = %d", r.MaxBytesSent())
-	}
 	if r.TotalMessages() != 15 {
 		t.Fatalf("TotalMessages = %d", r.TotalMessages())
-	}
-	if r.TotalWork() != 10_000_600 {
-		t.Fatalf("TotalWork = %d", r.TotalWork())
 	}
 	if bps := r.BytesPerString(400); bps != 10 {
 		t.Fatalf("BytesPerString = %g", bps)
 	}
 	if bps := r.BytesPerString(0); bps != 0 {
 		t.Fatalf("BytesPerString(0) = %g", bps)
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	r := buildReport()
-	// Work: 500, 100, 10M → max/mean ≈ 3.
-	imb := r.Imbalance()
-	if imb < 2.5 || imb > 3.1 {
-		t.Fatalf("Imbalance = %g", imb)
-	}
-	empty := NewReport(nil, DefaultModel())
-	if empty.Imbalance() != 1 {
-		t.Fatal("empty report imbalance != 1")
-	}
-}
-
-func TestWorkQuantiles(t *testing.T) {
-	r := buildReport()
-	qs := r.WorkQuantiles(0, 0.5, 1)
-	if qs[0] != 100 || qs[1] != 500 || qs[2] != 10_000_000 {
-		t.Fatalf("quantiles = %v", qs)
 	}
 }
 

@@ -36,7 +36,6 @@ type TuningFlags struct {
 	MemBudget    *string
 	SpillDir     *string
 	Trace        *string
-	TraceCap     *int
 	Chaos        *string
 	ChaosSeed    *uint64
 	NetRetries   *int
@@ -61,7 +60,6 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		MemBudget:    fs.String("mem-budget", "", "per-PE memory budget for the out-of-core pipeline, e.g. 64m or 1g (empty = unbounded in-RAM run; output streamed to sorted-run files when set)"),
 		SpillDir:     fs.String("spill-dir", "", "directory for spill page files and sorted-run output (empty = OS temp dir; only with -mem-budget)"),
 		Trace:        fs.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in ui.perfetto.dev; under dss-worker, rank 0 writes the merged cross-process trace)"),
-		TraceCap:     fs.Int("trace-cap", 0, "per-PE trace ring capacity in events (0 = default 32768; the ring keeps the newest events)"),
 		Chaos:        fs.String("chaos", "", "fault-injection level wrapped under the codec: "+strings.Join(chaos.Names(), ", ")+" (empty = off; output and model stats must be unaffected)"),
 		ChaosSeed:    fs.Uint64("chaos-seed", 1, "seed of the deterministic chaos schedule (same seed = same faults)"),
 		NetRetries:   fs.Int("net-retries", 0, "TCP reconnect budget per peer connection (0 = default 8, negative = never reconnect)"),
@@ -102,7 +100,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	cfg.MemBudget = budget
 	cfg.SpillDir = *tf.SpillDir
 	cfg.Trace = *tf.Trace
-	cfg.TraceCapacity = *tf.TraceCap
 	cfg.Chaos = *tf.Chaos
 	cfg.ChaosSeed = *tf.ChaosSeed
 	cfg.NetRetries = *tf.NetRetries

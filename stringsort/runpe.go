@@ -113,7 +113,7 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 // then resolve by lookup — and nil when this rank holds only its own.
 func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][]byte) (*PERun, error) {
 	if cfg.Trace != "" || trace.LiveOn() {
-		c.SetTrace(trace.New(c.Rank(), cfg.TraceCapacity))
+		c.SetTrace(trace.New(c.Rank(), 0))
 	}
 	var res core.Result
 	if path != "" {

@@ -247,10 +247,6 @@ type Config struct {
 	// rank 0 after the run (clock-aligned, after validation, so its rounds
 	// show too) and only rank 0 writes the file.
 	Trace string
-	// TraceCapacity bounds each PE's trace ring in events (0 = the default,
-	// 32768). The ring keeps the newest events; the export repairs span
-	// pairs broken by wraparound and reports the dropped count.
-	TraceCapacity int
 	// Chaos names a fault-injection severity level ("delay", "reorder",
 	// "drop"; see transport/chaos) decorating the transport UNDER the wire
 	// codec: frames are delayed, reordered across independent streams,
@@ -307,11 +303,14 @@ type PEOutput struct {
 }
 
 // Stats summarizes one run's cost, the two metrics of Figures 4 and 5.
-// All fields except OverlapMS, MaxOverlapMS, WallMS and WallTable are
-// deterministic: bit-identical across transports, seams and runs. Those
-// four wall-clock fields are measurements of the overlap model and vary run
-// to run; comparisons across backends must ignore them (zero the fields
-// before ==, as the package tests do).
+// Thirteen fields are measurements that vary run to run: the wall-clock
+// fields OverlapMS, MaxOverlapMS, WallMS, WallTable, CPUMS, MergeWallMS and
+// MergeCPUMS; the transport's recovery gauges Reconnects, ResentFrames and
+// ResentBytes; and the budget-mode gauges PeakMemBytes, SpillBytesWritten
+// and SpillBytesRead. Every other field is deterministic: bit-identical
+// across transports, seams and runs. Comparisons across backends must
+// ignore the measured fields (zero them before ==, as the package tests
+// do).
 type Stats struct {
 	ModelTime      float64 // α-β model running time in seconds
 	BytesSent      int64   // total payload bytes sent between PEs
@@ -423,37 +422,69 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 	fmt.Fprintf(w, "%s", st.WallTable)
 }
 
-// statsFromReport flattens a machine-wide report into the public Stats.
+// statsFromReport folds a machine-wide report into the public Stats in one
+// pass over the PEs, each PE's phases folded once. Every field's reduction
+// over PEs is written here and nowhere else: the volumes, counts and gauges
+// are sums, the bottleneck fields maxima of per-PE totals, and the merge
+// phase's wall span the maximum of that one phase. The two tables come
+// from the report.
 func statsFromReport(rep *stats.Report, n int64) Stats {
-	return Stats{
-		ModelTime:          rep.ModelTime(),
-		BytesSent:          rep.TotalBytesSent(),
-		BytesPerString:     rep.BytesPerString(n),
-		MaxBytesSent:       rep.MaxBytesSent(),
-		MaxBytesRecv:       rep.MaxBytesRecv(),
-		MeanBytesRecv:      rep.MeanBytesRecv(),
-		Messages:           rep.TotalMessages(),
-		Work:               rep.TotalWork(),
-		Imbalance:          rep.Imbalance(),
-		PhaseTable:         rep.Table(),
-		WireBytes:          rep.TotalWireBytesSent(),
-		WireBytesPerString: rep.WireBytesPerString(n),
-		CompressionRatio:   rep.CompressionRatio(),
-		OverlapMS:          float64(rep.TotalOverlapNS()) / 1e6,
-		MaxOverlapMS:       float64(rep.MaxOverlapNS()) / 1e6,
-		WallMS:             float64(rep.MaxWallNS()) / 1e6,
-		WallTable:          rep.WallTable(),
-		Cores:              int(rep.MaxCores()),
-		CPUMS:              float64(rep.TotalCPUNS()) / 1e6,
-		MergeWallMS:        float64(rep.PhaseWallNS(stats.PhaseMerge)) / 1e6,
-		MergeCPUMS:         float64(rep.PhaseCPUNS(stats.PhaseMerge)) / 1e6,
-		PeakMemBytes:       rep.MaxPeakLiveBytes(),
-		SpillBytesWritten:  rep.TotalSpillBytesWritten(),
-		SpillBytesRead:     rep.TotalSpillBytesRead(),
-		Reconnects:         rep.TotalReconnects(),
-		ResentFrames:       rep.TotalResentFrames(),
-		ResentBytes:        rep.TotalResentBytes(),
+	st := Stats{
+		ModelTime:        rep.ModelTime(),
+		BytesPerString:   rep.BytesPerString(n),
+		PhaseTable:       rep.Table(),
+		CompressionRatio: rep.CompressionRatio(),
+		WallTable:        rep.WallTable(),
+		Cores:            1,
+		Imbalance:        1,
 	}
+	var recv, maxWork, wallNS, overlapNS, maxOverlapNS, cpuNS, mergeWallNS, mergeCPUNS int64
+	for _, pe := range rep.PEs {
+		var tot stats.PhaseCounters
+		var peWall, peOverlap int64
+		for ph, c := range pe.Phases {
+			tot.BytesSent += c.BytesSent
+			tot.BytesRecv += c.BytesRecv
+			tot.Messages += c.Messages
+			tot.Work += c.Work
+			st.WireBytes += pe.Wire[ph].Sent
+			peWall += pe.Wall[ph]
+			peOverlap += pe.Overlap[ph]
+			cpuNS += pe.CPU[ph]
+		}
+		st.BytesSent += tot.BytesSent
+		st.MaxBytesSent = max(st.MaxBytesSent, tot.BytesSent)
+		recv += tot.BytesRecv
+		st.MaxBytesRecv = max(st.MaxBytesRecv, tot.BytesRecv)
+		st.Messages += tot.Messages
+		st.Work += tot.Work
+		maxWork = max(maxWork, tot.Work)
+		wallNS = max(wallNS, peWall)
+		overlapNS += peOverlap
+		maxOverlapNS = max(maxOverlapNS, peOverlap)
+		mergeWallNS = max(mergeWallNS, pe.Wall[stats.PhaseMerge])
+		mergeCPUNS += pe.CPU[stats.PhaseMerge]
+		st.Cores = max(st.Cores, int(pe.Cores))
+		st.PeakMemBytes = max(st.PeakMemBytes, pe.PeakLiveBytes)
+		st.SpillBytesWritten += pe.SpillBytesWritten
+		st.SpillBytesRead += pe.SpillBytesRead
+		st.Reconnects += pe.Reconnects
+		st.ResentFrames += pe.ResentFrames
+		st.ResentBytes += pe.ResentBytes
+	}
+	if pes := float64(len(rep.PEs)); pes > 0 {
+		st.MeanBytesRecv = float64(recv) / pes
+		if st.Work > 0 {
+			st.Imbalance = float64(maxWork) / (float64(st.Work) / pes)
+		}
+	}
+	if n > 0 {
+		st.WireBytesPerString = float64(st.WireBytes) / float64(n)
+	}
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	st.OverlapMS, st.MaxOverlapMS, st.WallMS, st.CPUMS = ms(overlapNS), ms(maxOverlapNS), ms(wallNS), ms(cpuNS)
+	st.MergeWallMS, st.MergeCPUMS = ms(mergeWallNS), ms(mergeCPUNS)
+	return st
 }
 
 // Result is the outcome of a distributed sorting run.
