@@ -33,8 +33,9 @@
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
 // -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
-// -chaos-seed, -net-retries, -net-timeout) are shared verbatim with
-// dss-worker.
+// -chaos-seed, -net-timeout) are shared verbatim with dss-worker: each
+// is bound to one stringsort.Config field by
+// stringsort.RegisterTuningFlags.
 //
 // -chaos LEVEL injects deterministic faults (frame delays, reordering
 // within delivery bounds, and at the "drop" level mid-run connection
@@ -43,7 +44,7 @@
 // backend's reconnect-with-resend path; output and model statistics must
 // be — and are pinned by tests to be — bit-identical to an undisturbed
 // run, and the stderr summary's "net:" line reports the reconnect and
-// resend volume. -net-retries and -net-timeout bound the recovery.
+// resend volume. -net-timeout bounds each reconnect attempt.
 //
 // Observability: -trace FILE writes a Chrome trace-event timeline of the
 // run (load in ui.perfetto.dev), -debug-addr HOST:PORT serves pprof,
@@ -77,7 +78,8 @@ import (
 )
 
 func main() {
-	tuning := stringsort.RegisterTuningFlags(flag.CommandLine)
+	cfg := stringsort.Config{Reconstruct: true}
+	stringsort.RegisterTuningFlags(flag.CommandLine, &cfg)
 	profiling.RegisterFlags(flag.CommandLine)
 	p := flag.Int("p", 4, "number of simulated PEs")
 	inPath := flag.String("in", "", "input file (default stdin)")
@@ -88,11 +90,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar run gauges and live trace snapshots on this host:port (port 0 picks one; the bound address is printed)")
 	flag.Parse()
 
-	cfg := stringsort.Config{Reconstruct: true}
-	if err := tuning.Apply(&cfg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
 	tr, err := stringsort.ParseTransport(*transportName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -30,12 +30,12 @@
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
 // -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
-// -chaos-seed, -net-retries, -net-timeout) is accepted here with identical
-// semantics — both binaries register the same
-// stringsort.RegisterTuningFlags set. -net-retries and
-// -net-timeout shape the worker's reconnect-with-resend behavior when an
-// established peer connection drops mid-run; the run's stats report the
-// recovery volume on the `net:` line.
+// -chaos-seed, -net-timeout) is accepted here with identical semantics —
+// both binaries bind the same stringsort.RegisterTuningFlags set into
+// their Config. -net-timeout bounds each reconnect attempt of the
+// worker's reconnect-with-resend recovery when an established peer
+// connection drops mid-run; the run's stats report the recovery volume
+// on the `net:` line.
 // With -mem-budget the worker runs the bounded-memory out-of-core
 // pipeline: it spills Step-3 runs to page files under -spill-dir and
 // streams its sorted fragment from a run file to -out instead of
@@ -78,7 +78,8 @@ import (
 )
 
 func main() {
-	tuning := stringsort.RegisterTuningFlags(flag.CommandLine)
+	cfg := stringsort.Config{Reconstruct: true}
+	stringsort.RegisterTuningFlags(flag.CommandLine, &cfg)
 	profiling.RegisterFlags(flag.CommandLine)
 	rank := flag.Int("rank", -1, "this worker's rank in [0, p)")
 	peersFlag := flag.String("peers", "", "comma-separated host:port peer table, one entry per rank (identical on all workers; its length is the PE count)")
@@ -90,10 +91,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar run gauges and live trace snapshots on this host:port (port 0 picks one; the bound address is printed at startup)")
 	flag.Parse()
 
-	cfg := stringsort.Config{Reconstruct: true}
-	if err := tuning.Apply(&cfg); err != nil {
-		fatal(err)
-	}
 	peers := stringsort.ParsePeers(*peersFlag)
 	if len(peers) == 0 {
 		fatal(fmt.Errorf("missing -peers"))
@@ -126,7 +123,6 @@ func main() {
 	ep, err := tcp.ConnectConfig(*rank, peers, tcp.Config{
 		RendezvousTimeout: *rendezvous,
 		ReconnectTimeout:  cfg.NetTimeout,
-		MaxReconnects:     cfg.NetRetries,
 	})
 	if err != nil {
 		fatal(err)

@@ -69,10 +69,7 @@ func walkthroughPDMS() {
 
 	res, err := stringsort.Sort(inputs, stringsort.Config{
 		Algorithm: stringsort.PDMS,
-		// Start the doubling at 2 characters so the example shows several
-		// rounds like the figure (depth 1, 2, 4, 8).
-		Eps:      1,
-		Validate: true,
+		Validate:  true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +78,6 @@ func walkthroughPDMS() {
 	// Reconstruct the full strings to show what PDMS did NOT transmit.
 	full, err := stringsort.Sort(inputs, stringsort.Config{
 		Algorithm:   stringsort.PDMS,
-		Eps:         1,
 		Reconstruct: true,
 	})
 	if err != nil {

@@ -182,7 +182,7 @@ type netStats interface {
 }
 
 // NewComm wraps a single connected transport endpoint for SPMD runs where
-// each OS process is one PE (see transport/tcp.Connect and cmd/dss-worker).
+// each OS process is one PE (see transport/tcp.ConnectConfig and cmd/dss-worker).
 // The Comm starts with fresh accounting state; the caller keeps ownership
 // of the endpoint and is responsible for closing it.
 func NewComm(t transport.Transport) *Comm {

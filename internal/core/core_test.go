@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/partition"
 	"dss/internal/strutil"
 )
 
@@ -121,8 +122,8 @@ var testPs = []int{1, 2, 3, 4, 7, 8}
 func TestMergeSortAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	configs := map[string]MSOptions{
-		"MS-simple": MSSimple(),
-		"MS":        DefaultMS(),
+		"MS-simple": MSOptions{},
+		"MS":        MSOptions{LCP: true},
 	}
 	for name, opt := range configs {
 		for _, p := range testPs {
@@ -234,7 +235,7 @@ func TestPDMSVariants(t *testing.T) {
 		for _, p := range testPs {
 			global := genRandom(rng, 300+p*11, 20, 3)
 			locals := scatter(global, p)
-			opt := DefaultPDMS()
+			opt := PDMSOptions{}
 			opt.Golomb = golomb
 			opt.GroupID = 1
 			opt.Seed = 99
@@ -268,7 +269,7 @@ func TestPDMSDuplicatesAndPrefixChains(t *testing.T) {
 	}
 	for _, p := range []int{1, 3, 4} {
 		locals := scatter(global, p)
-		opt := DefaultPDMS()
+		opt := PDMSOptions{}
 		opt.GroupID = 1
 		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
 			return PDMS(c, ss, opt)
@@ -287,7 +288,7 @@ func TestPDMSCharSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	global := genRandom(rng, 600, 25, 2)
 	locals := scatter(global, 4)
-	opt := PDMSOptions{Eps: 1, GroupID: 1} // char-based by default
+	opt := PDMSOptions{Sampling: partition.CharSampling, GroupID: 1}
 	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
 		return PDMS(c, ss, opt)
 	})
@@ -306,7 +307,7 @@ func TestReconstructCollective(t *testing.T) {
 	results := make([]Result, p)
 	fulls := make([][][]byte, p)
 	err := m.Run(func(c *comm.Comm) error {
-		opt := DefaultPDMS()
+		opt := PDMSOptions{}
 		opt.GroupID = 1
 		res := PDMS(c, locals[c.Rank()], opt)
 		results[c.Rank()] = res
@@ -346,12 +347,12 @@ func TestLCPCompressionReducesVolume(t *testing.T) {
 	p := 8
 	locals := scatter(global, p)
 	_, mPlain := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := MSSimple()
+		o := MSOptions{}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})
 	_, mLCP := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := DefaultMS()
+		o := MSOptions{LCP: true}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})
@@ -368,12 +369,12 @@ func TestPDMSSavesVolumeWhenDSmall(t *testing.T) {
 	p := 8
 	locals := scatter(global, p)
 	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := DefaultMS()
+		o := MSOptions{LCP: true}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})
 	_, mPD := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := DefaultPDMS()
+		o := PDMSOptions{}
 		o.GroupID = 1
 		return PDMS(c, ss, o)
 	})
@@ -393,7 +394,7 @@ func TestHQuickMovesMoreDataThanMergeSort(t *testing.T) {
 		return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 3, TrackPhases: true})
 	})
 	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := MSSimple()
+		o := MSOptions{}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})
@@ -410,7 +411,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 			locals := scatter(global, p)
 			algos := map[string]func(c *comm.Comm, ss [][]byte) Result{
 				"MS": func(c *comm.Comm, ss [][]byte) Result {
-					o := DefaultMS()
+					o := MSOptions{LCP: true}
 					o.GroupID = 1
 					return MergeSort(c, ss, o)
 				},
@@ -427,7 +428,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 				_ = name
 			}
 			// PDMS via reconstruction.
-			opt := DefaultPDMS()
+			opt := PDMSOptions{}
 			opt.GroupID = 1
 			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
 				return PDMS(c, ss, opt)
@@ -456,7 +457,7 @@ func TestAllAlgorithmsAgreeOnReferenceOrder(t *testing.T) {
 		return out
 	}
 	msRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := DefaultMS()
+		o := MSOptions{LCP: true}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})
@@ -490,7 +491,7 @@ func TestInputSlicesNotModified(t *testing.T) {
 		snapshots[pe] = append([][]byte{}, locals[pe]...)
 	}
 	runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := DefaultMS()
+		o := MSOptions{LCP: true}
 		o.GroupID = 1
 		return MergeSort(c, ss, o)
 	})

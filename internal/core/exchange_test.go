@@ -43,7 +43,7 @@ func TestExchangeSeamsIdentical(t *testing.T) {
 		},
 		"HQuick": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
 			return func(c *comm.Comm, ss [][]byte) Result {
-				return HQuick(c, ss, HQOptions{Seed: 5, BlockingExchange: blocking})
+				return HQuick(c, ss, HQOptions{Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dss/internal/comm"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/strutil"
@@ -26,22 +25,16 @@ type HQOptions struct {
 	// MS/PDMS this stays false so everything is billed to the caller's
 	// phase.
 	TrackPhases bool
-	// PivotSamples is the number of random local candidates contributed to
-	// each pivot reduction (default 3).
-	PivotSamples int
-	// BlockingExchange selects the bulk-synchronous reference exchange for
-	// the initial random-placement all-to-all instead of the split-phase
-	// decode-on-arrival one (see SeamOptions.BlockingExchange).
-	BlockingExchange bool
-	// Spill selects budget mode: the sorted fragment streams into Out
-	// (strings, LCPs and origin satellites) instead of materializing a
-	// result arena. hQuick is not an out-of-core algorithm — every string
-	// moves O(log p) times and the recursion keeps the working set
-	// resident — so unlike the merge families the budget bounds only the
-	// output accumulation, not the working set (documented in the README's
-	// out-of-core section).
-	Spill *spill.Pool
-	Out   *spill.RunWriter
+	// SeamOptions configure the initial random-placement all-to-all: the
+	// bulk-synchronous reference instead of the split-phase
+	// decode-on-arrival exchange, and budget mode. Under a budget the sorted
+	// fragment streams into Out (strings, LCPs and origin satellites)
+	// instead of materializing a result arena. hQuick is not an out-of-core
+	// algorithm — every string moves O(log p) times and the recursion keeps
+	// the working set resident — so unlike the merge families the budget
+	// bounds only the output accumulation, not the working set (documented
+	// in the README's out-of-core section).
+	SeamOptions
 }
 
 // HQuick sorts the distributed string array with hypercube quicksort
@@ -53,9 +46,6 @@ type HQOptions struct {
 // splitter samples of MS and PDMS — but every string is moved O(log p)
 // times, so it is not communication-efficient on large data.
 func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
-	if opt.PivotSamples <= 0 {
-		opt.PivotSamples = 3
-	}
 	p := c.P()
 	d := 0
 	for 1<<(d+1) <= p {
@@ -140,7 +130,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 			g := comm.NewGroup(c, members, opt.GroupID+1+(d-1-k))
 
 			setPhase(stats.PhasePartition)
-			pivotS, pivotU, ok := selectPivot(c, g, strings, uids, rng, opt.PivotSamples)
+			pivotS, pivotU, ok := selectPivot(c, g, strings, uids, rng)
 
 			setPhase(stats.PhaseExchange)
 			partner := c.Rank() ^ (1 << k)
@@ -196,17 +186,21 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 	return Result{Strings: sorted.Gather(), LCPs: lcp, Origins: origins}
 }
 
+// pivotSamples is the number of random local candidates every PE
+// contributes to each pivot reduction.
+const pivotSamples = 3
+
 // selectPivot approximates the subcube median: every PE contributes up to
-// `samples` random local (string, uid) candidates; a binomial reduction
-// merges candidate lists, downsampling to `samples` evenly spaced elements
-// per step (so each reduction message carries at most samples·ℓ̂
-// characters, matching the ℓ̂·log²p volume term of Theorem 1); the group
-// root picks the middle candidate and broadcasts it. Returns ok=false when
-// the whole subcube is empty.
-func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, rng *rand.Rand, samples int) ([]byte, uint64, bool) {
-	idxs := make([]int, 0, samples)
+// pivotSamples random local (string, uid) candidates; a binomial reduction
+// merges candidate lists, downsampling to pivotSamples evenly spaced
+// elements per step (so each reduction message carries at most
+// pivotSamples·ℓ̂ characters, matching the ℓ̂·log²p volume term of Theorem
+// 1); the group root picks the middle candidate and broadcasts it. Returns
+// ok=false when the whole subcube is empty.
+func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, rng *rand.Rand) ([]byte, uint64, bool) {
+	idxs := make([]int, 0, pivotSamples)
 	if len(strings) > 0 {
-		for i := 0; i < samples; i++ {
+		for i := 0; i < pivotSamples; i++ {
 			idxs = append(idxs, rng.Intn(len(strings)))
 		}
 		sortTaggedIdx(strings, uids, idxs)
@@ -219,12 +213,12 @@ func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, r
 			panic("hquick: corrupt pivot candidates")
 		}
 		ms, mu := mergeTagged(ls, lu, hs, hu)
-		// Downsample to at most `samples` evenly spaced candidates.
-		if len(ms) > samples {
-			ds := make([][]byte, 0, samples)
-			du := make([]uint64, 0, samples)
-			for i := 0; i < samples; i++ {
-				j := (2*i + 1) * len(ms) / (2 * samples)
+		// Downsample to at most pivotSamples evenly spaced candidates.
+		if len(ms) > pivotSamples {
+			ds := make([][]byte, 0, pivotSamples)
+			du := make([]uint64, 0, pivotSamples)
+			for i := 0; i < pivotSamples; i++ {
+				j := (2*i + 1) * len(ms) / (2 * pivotSamples)
 				ds = append(ds, ms[j])
 				du = append(du, mu[j])
 			}
@@ -273,20 +267,14 @@ func lessEqTagged(s []byte, u uint64, ps []byte, pu uint64) bool {
 	}
 }
 
-// encodeTagged serializes the selected (string, uid) pairs.
+// encodeTagged serializes the selected (string, uid) pairs into a buffer of
+// exactly their encoded size.
 func encodeTagged(strings [][]byte, uids []uint64, idxs []int) []byte {
-	w := wire.NewBuffer(16 + len(idxs)*16)
-	w.Uvarint(uint64(len(idxs)))
-	for _, i := range idxs {
-		w.BytesPrefixed(strings[i])
-		w.Uvarint(uids[i])
-	}
-	return w.Bytes()
+	return appendTagged(make([]byte, 0, taggedSize(strings, uids, idxs)), strings, uids, idxs)
 }
 
-// taggedSize returns the exact encoded size of encodeTagged's output for
-// the same selection — the pre-computed arena share of one redistribution
-// bucket.
+// taggedSize returns the exact encoded size of appendTagged's output for
+// the same selection.
 func taggedSize(strings [][]byte, uids []uint64, idxs []int) int {
 	total := wire.UvarintLen(uint64(len(idxs)))
 	for _, i := range idxs {
@@ -296,9 +284,8 @@ func taggedSize(strings [][]byte, uids []uint64, idxs []int) int {
 	return total
 }
 
-// appendTagged appends encodeTagged's encoding, byte for byte, into a
-// caller-provided buffer (a disjoint arena slice in the parallel Step-3
-// encode).
+// appendTagged appends the selected (string, uid) pairs to dst: their
+// count, then each string length-prefixed and followed by its uid.
 func appendTagged(dst []byte, strings [][]byte, uids []uint64, idxs []int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(idxs)))
 	for _, i := range idxs {

@@ -11,7 +11,9 @@ import (
 )
 
 // MSOptions configure Algorithm MS (Section V). The zero value is the
-// MS-simple configuration; DefaultMS() enables all LCP optimizations.
+// MS-simple configuration, the same mergesort scheme with no LCP-related
+// optimizations; MSOptions{LCP: true} is the configuration the paper
+// benchmarks as "MS".
 type MSOptions struct {
 	// LCP enables every LCP optimization: Step 1 produces the local LCP
 	// array, Step 3 sends, per string, only the suffix beyond the LCP with
@@ -21,8 +23,8 @@ type MSOptions struct {
 	LCP bool
 	// Sampling selects string- or character-based splitter sampling.
 	Sampling partition.Sampling
-	// V is the oversampling factor (samples per PE); default 2p−1 (v = Θ(p),
-	// aligned with the bucket quantiles).
+	// V is the oversampling factor (samples per PE); 0 selects partition's
+	// default.
 	V int
 	// TieBreak partitions by (string, origin) pairs so duplicated strings
 	// spread evenly over the PEs instead of piling onto one bucket — the
@@ -40,19 +42,6 @@ type MSOptions struct {
 	SeamOptions
 }
 
-// DefaultMS returns the full Algorithm MS configuration: LCP compression,
-// LCP-aware merging, string-based sampling (the configuration the paper
-// benchmarks as "MS"), distributed sample sorting with hQuick.
-func DefaultMS() MSOptions {
-	return MSOptions{LCP: true}
-}
-
-// MSSimple returns the MS-simple configuration: the same mergesort scheme
-// with no LCP-related optimizations at all.
-func MSSimple() MSOptions {
-	return MSOptions{}
-}
-
 // MergeSort runs distributed string merge sort (Algorithm MS, Figure 1):
 //
 //  1. sort locally, producing the local LCP array;
@@ -65,16 +54,6 @@ func MSSimple() MSOptions {
 // the i-th fragment of the global sorted order.
 func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	p := c.P()
-	if opt.V <= 0 {
-		// Theory (Theorems 2–4) wants v = Θ(p). Choosing v ≡ −1 (mod p)
-		// aligns the local sample quantiles j/(v+1) with the bucket
-		// boundaries i/p, which brings the bucket bound of Theorem 2 from
-		// 1+p/v down to ~1.0 on evenly distributed inputs.
-		opt.V = 2*p - 1
-		if opt.V < 15 {
-			opt.V = 15
-		}
-	}
 
 	// Step 1: local sort with LCP array, spread over the PE's work pool
 	// (permutation, LCPs and work total are pool-width-independent; see
@@ -109,11 +88,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		RandomSampling: opt.RandomSampling,
 		Seed:           opt.Seed,
 		GroupID:        opt.GroupID + 1,
-		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
-			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
-			}).Strings
-		},
+		DistSort:       sampleSorter(opt.Seed, opt.BlockingExchange),
 	}
 	splitters := partition.SelectSplittersSet(c, local, popt)
 	var off []int
@@ -157,6 +132,16 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// Step 4: multiway merge of the received runs and the own bucket.
 	out, drained := exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Drained: drained}
+}
+
+// sampleSorter is the distributed sample sorter of Step 2 in MS and PDMS:
+// hQuick, billed to the caller's phase.
+func sampleSorter(seed uint64, blocking bool) partition.DistSorter {
+	return func(c *comm.Comm, samples [][]byte, gid int) [][]byte {
+		return HQuick(c, samples, HQOptions{
+			GroupID: gid, Seed: seed, SeamOptions: SeamOptions{BlockingExchange: blocking},
+		}).Strings
+	}
 }
 
 // lcpSub is the allocation-free view of a bucket's LCP run: the boundary

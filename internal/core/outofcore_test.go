@@ -488,10 +488,10 @@ func TestHomeRunAliasesInput(t *testing.T) {
 		name string
 		run  func(c *comm.Comm, ss [][]byte) Result
 	}{
-		{"MS", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, DefaultMS()) }},
-		{"MS-simple", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSSimple()) }},
+		{"MS", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSOptions{LCP: true}) }},
+		{"MS-simple", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSOptions{}) }},
 		{"FKmerge", func(c *comm.Comm, ss [][]byte) Result { return FKMerge(c, ss, FKOptions{}) }},
-		{"PDMS", func(c *comm.Comm, ss [][]byte) Result { return PDMS(c, ss, DefaultPDMS()) }},
+		{"PDMS", func(c *comm.Comm, ss [][]byte) Result { return PDMS(c, ss, PDMSOptions{}) }},
 	} {
 		t.Run(a.name, func(t *testing.T) {
 			results, _ := runDistributed(t, locals, a.run)

@@ -13,26 +13,23 @@ import (
 	"dss/internal/wire"
 )
 
-// PDMSOptions configure Algorithm PDMS (Section VI).
+// PDMSOptions configure Algorithm PDMS (Section VI). The zero value is the
+// configuration the paper benchmarks as "PDMS": prefix doubling, no Golomb
+// coding, string-based sampling over the distinguishing prefixes.
 type PDMSOptions struct {
-	// Eps is the geometric prefix growth factor of Step 1+ε; the default 1
-	// gives prefix doubling.
+	// Eps is the geometric prefix growth factor of Step 1+ε; 0 selects
+	// dupdetect's default, 1 (prefix doubling).
 	Eps float64
 	// Golomb enables Golomb coding of the duplicate detection fingerprints
 	// (the PDMS-Golomb variant of the evaluation).
 	Golomb bool
-	// InitialLen is the first prefix guess ℓ₀ (default 8).
-	InitialLen int
-	// V is the oversampling factor; default 2p−1 (see MergeSort).
+	// V is the oversampling factor; 0 selects partition's default.
 	V int
-	// Sampling defaults to character-based sampling weighted by the
-	// approximated distinguishing prefix lengths, which balances the
-	// actual communication and merge work (Section VI).
+	// Sampling selects string- or character-based splitter sampling. The
+	// character-based one is weighted by the approximated distinguishing
+	// prefix lengths, which balances the communication and merge work that
+	// is actually done (Section VI; the skew experiment of Section VII-E).
 	Sampling partition.Sampling
-	// StringSamplingOverride forces string-based sampling (the paper's
-	// benchmarked configuration uses string-based sampling for all
-	// algorithms; the skew experiment uses character-based).
-	StringSamplingOverride bool
 	// GroupID is the base communicator namespace (the call consumes
 	// [GroupID, GroupID+16)).
 	GroupID int
@@ -44,13 +41,6 @@ type PDMSOptions struct {
 	// strings by origin lookup instead of core.Reconstruct (which needs the
 	// materialized result).
 	SeamOptions
-}
-
-// DefaultPDMS returns the evaluation configuration of algorithm PDMS:
-// prefix doubling (ε=1), no Golomb coding, string-based sampling over
-// distinguishing prefixes.
-func DefaultPDMS() PDMSOptions {
-	return PDMSOptions{Eps: 1, StringSamplingOverride: true}
 }
 
 // PDMS runs Distributed Prefix-Doubling String Merge Sort (Section VI):
@@ -68,15 +58,6 @@ func DefaultPDMS() PDMSOptions {
 // when the fragments live in other processes.
 func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	p := c.P()
-	if opt.V <= 0 {
-		opt.V = 2*p - 1 // v = Θ(p), aligned: see MergeSort's default
-		if opt.V < 15 {
-			opt.V = 15
-		}
-	}
-	if opt.Eps <= 0 {
-		opt.Eps = 1
-	}
 	// Step 1: local sort with LCP array, spread over the PE's work pool.
 	// Duplicate detection takes the sorted strings as one array, so PDMS
 	// gathers them through the order, and its origins with them, in one
@@ -98,12 +79,11 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	// Step 1+ε: approximate distinguishing prefix lengths. The LCP array
 	// lets a locally repeated prefix be fingerprinted and sent once.
 	dd := dupdetect.ApproxDist(c, local, dupdetect.Options{
-		Eps:        opt.Eps,
-		InitialLen: opt.InitialLen,
-		Golomb:     opt.Golomb,
-		LCP:        lcp,
-		Seed:       opt.Seed,
-		GroupID:    opt.GroupID + 2,
+		Eps:     opt.Eps,
+		Golomb:  opt.Golomb,
+		LCP:     lcp,
+		Seed:    opt.Seed,
+		GroupID: opt.GroupID + 2,
 	})
 	dist := dd.Dist
 
@@ -143,24 +123,13 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	// splitters have length at most d̂, and character-based sampling uses
 	// the approximated prefix lengths as weights, balancing the work that
 	// is actually done (Theorem 5 analysis).
-	sampling := partition.CharSampling
-	if opt.StringSamplingOverride {
-		sampling = partition.StringSampling
-	} else if opt.Sampling == partition.StringSampling {
-		sampling = opt.Sampling
-	}
-	popt := partition.Options{
+	splitters := partition.SelectSplitters(c, prefixes, partition.Options{
 		V:        opt.V,
-		Sampling: sampling,
+		Sampling: opt.Sampling,
 		Weights:  dist,
 		GroupID:  opt.GroupID + 5,
-		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
-			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: opt.Seed, BlockingExchange: opt.BlockingExchange,
-			}).Strings
-		},
-	}
-	splitters := partition.SelectSplitters(c, prefixes, popt)
+		DistSort: sampleSorter(opt.Seed, opt.BlockingExchange),
+	})
 	// Buckets are computed over the prefixes: the transmitted prefixes
 	// preserve the order of the underlying strings (distinct strings never
 	// tie; see dupdetect), so bucketing prefixes against prefix splitters

@@ -24,7 +24,7 @@ func TestMergeSortTieBreakCorrectOnDuplicates(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		locals := scatter(global, p)
 		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			o := DefaultMS()
+			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.TieBreak = true
 			return MergeSort(c, ss, o)
@@ -48,7 +48,7 @@ func TestMergeSortTieBreakBalancesAllEqualInput(t *testing.T) {
 	}
 	maxFrag := func(tie bool) int {
 		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			o := DefaultMS()
+			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.TieBreak = tie
 			return MergeSort(c, ss, o)
@@ -78,7 +78,7 @@ func TestMergeSortRandomSampling(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		locals := scatter(global, p)
 		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			o := DefaultMS()
+			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.RandomSampling = true
 			o.Seed = 77
@@ -96,7 +96,7 @@ func TestTieBreakWithMSSimple(t *testing.T) {
 	}
 	locals := scatter(global, 4)
 	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		o := MSSimple()
+		o := MSOptions{}
 		o.GroupID = 1
 		o.TieBreak = true
 		return MergeSort(c, ss, o)

@@ -52,8 +52,7 @@ type DistSorter func(c *comm.Comm, samples [][]byte, gid int) [][]byte
 // Options configure splitter selection.
 type Options struct {
 	// V is the oversampling factor: samples per PE. The splitter count is
-	// always P-1. The paper uses v = Θ(p) for the theory (Theorems 2-4);
-	// fallback default is 16 when the caller does not choose.
+	// always P-1. 0 selects v = max(2p−1, 15) (see setDefaults).
 	V int
 	// Sampling selects string- or character-based sampling.
 	Sampling Sampling
@@ -61,11 +60,6 @@ type Options struct {
 	// the character mass of the i-th local string (PDMS passes the
 	// approximated distinguishing prefix lengths). nil means |s|.
 	Weights []int32
-	// Transform optionally replaces the sampled string: given a local
-	// index it returns the sample representative (PDMS returns the
-	// distinguishing prefix, bounding splitter length by d̂). nil means the
-	// full string.
-	Transform func(i int) []byte
 	// DistSort, if non-nil, sorts the sample distributedly; otherwise the
 	// samples are gathered and sorted on PE 0 (FKmerge-style).
 	DistSort DistSorter
@@ -85,9 +79,13 @@ type Options struct {
 	GroupID int
 }
 
-func (o *Options) setDefaults() {
+// setDefaults fills in the oversampling factor. Theory (Theorems 2–4)
+// wants v = Θ(p). Choosing v ≡ −1 (mod p) aligns the local sample quantiles
+// j/(v+1) with the bucket boundaries i/p, which brings the bucket bound of
+// Theorem 2 from 1+p/v down to ~1.0 on evenly distributed inputs.
+func (o *Options) setDefaults(p int) {
 	if o.V <= 0 {
-		o.V = 16
+		o.V = max(2*p-1, 15)
 	}
 }
 
@@ -100,30 +98,24 @@ func SelectSplitters(c *comm.Comm, ss [][]byte, opt Options) [][]byte {
 
 // SelectSplittersSet is SelectSplitters over a sorted set read through its
 // order (Step 1's permutation of the caller's array). Local indices — of
-// Options.Weights and Transform and of the tie-break tags — are positions
-// in set order.
+// Options.Weights and of the tie-break tags — are positions in set order.
 func SelectSplittersSet(c *comm.Comm, set strutil.Set, opt Options) [][]byte {
-	opt.setDefaults()
+	p := c.P()
+	opt.setDefaults(p)
 	prev := c.SetPhase(stats.PhasePartition)
 	defer c.SetPhase(prev)
 
-	p := c.P()
 	if p == 1 {
 		return nil
 	}
 	// Decorrelate the per-PE random sampling streams.
 	opt.Seed ^= uint64(c.Rank()+1) * 0x2545f4914f6cdd1d
+	sample := set.At
 	if opt.TieBreak {
-		base := opt.Transform
-		if base == nil {
-			base = set.At
-		}
 		rank := c.Rank()
-		opt.Transform = func(i int) []byte {
-			return TieKey(base(i), tieTag(rank, i))
-		}
+		sample = func(i int) []byte { return TieKey(set.At(i), tieTag(rank, i)) }
 	}
-	samples := drawSamples(set, opt)
+	samples := drawSamples(set, sample, opt)
 
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
 	var splitters [][]byte
@@ -135,14 +127,12 @@ func SelectSplittersSet(c *comm.Comm, set strutil.Set, opt Options) [][]byte {
 	return splitters
 }
 
-// drawSamples picks the local samples per the configured strategy.
-func drawSamples(set strutil.Set, opt Options) [][]byte {
+// drawSamples picks the local samples per the configured strategy;
+// sample(i) is the representative of the i-th string (the string itself,
+// or its tie key).
+func drawSamples(set strutil.Set, sample func(i int) []byte, opt Options) [][]byte {
 	v := opt.V
 	n := set.Len()
-	transform := opt.Transform
-	if transform == nil {
-		transform = set.At
-	}
 	if n == 0 {
 		return nil
 	}
@@ -152,21 +142,11 @@ func drawSamples(set strutil.Set, opt Options) [][]byte {
 		// the random variant of Section VIII balances in expectation.
 		rng := rand.New(rand.NewSource(int64(opt.Seed)))
 		for j := 0; j < v; j++ {
-			out = append(out, transform(rng.Intn(n)))
+			out = append(out, sample(rng.Intn(n)))
 		}
 		return out
 	}
-	switch opt.Sampling {
-	case StringSampling:
-		// ω = |S|/(v+1); samples at ranks ω·j for j = 1..v.
-		for j := 1; j <= v; j++ {
-			idx := j * n / (v + 1)
-			if idx >= n {
-				idx = n - 1
-			}
-			out = append(out, transform(idx))
-		}
-	case CharSampling:
+	if opt.Sampling == CharSampling {
 		weight := func(i int) int64 {
 			if opt.Weights != nil {
 				return int64(opt.Weights[i])
@@ -177,30 +157,27 @@ func drawSamples(set strutil.Set, opt Options) [][]byte {
 		for i := 0; i < n; i++ {
 			total += weight(i)
 		}
-		if total == 0 {
-			// Degenerate: all-empty strings; fall back to string sampling.
-			for j := 1; j <= v; j++ {
-				idx := j * n / (v + 1)
-				if idx >= n {
-					idx = n - 1
+		// Degenerate all-empty strings fall through to string sampling.
+		if total > 0 {
+			// ω' = total/(v+1); pick the string at or following each rank j·ω'.
+			var cum int64
+			j := 1
+			for i := 0; i < n; i++ {
+				cum += weight(i)
+				for j <= v && cum > total*int64(j)/int64(v+1) {
+					out = append(out, sample(i))
+					j++
 				}
-				out = append(out, transform(idx))
+			}
+			for ; j <= v; j++ { // rounding leftovers: repeat the last string
+				out = append(out, sample(n-1))
 			}
 			return out
 		}
-		// ω' = total/(v+1); pick the string at or following each rank j·ω'.
-		var cum int64
-		j := 1
-		for i := 0; i < n; i++ {
-			cum += weight(i)
-			for j <= v && cum > total*int64(j)/int64(v+1) {
-				out = append(out, transform(i))
-				j++
-			}
-		}
-		for ; j <= v; j++ { // rounding leftovers: repeat the last string
-			out = append(out, transform(n-1))
-		}
+	}
+	// ω = |S|/(v+1); samples at ranks ω·j for j = 1..v.
+	for j := 1; j <= v; j++ {
+		out = append(out, sample(min(j*n/(v+1), n-1)))
 	}
 	return out
 }

@@ -248,26 +248,23 @@ func TestSelectSplittersEmptyPEs(t *testing.T) {
 	})
 }
 
-func TestTransformTruncatesSplitters(t *testing.T) {
-	// PDMS samples distinguishing prefixes: splitters must be prefixes.
+func TestPrefixSamplesTruncateSplitters(t *testing.T) {
+	// PDMS samples its distinguishing prefixes, weighted by their lengths:
+	// splitters must be prefixes.
 	rng := rand.New(rand.NewSource(66))
 	global := genStrings(rng, 400, 20, 30, 3)
 	p := 4
 	locals := distribute(global, p)
+	prefixes := make([][][]byte, p)
 	dists := make([][]int32, p)
 	for pe := range locals {
 		dists[pe] = strutil.DistinguishingPrefixes(locals[pe])
-	}
-	splitters := runSelect(t, locals, func(pe int) Options {
-		return Options{
-			V:        8,
-			Sampling: CharSampling,
-			Weights:  dists[pe],
-			Transform: func(i int) []byte {
-				return locals[pe][i][:dists[pe][i]]
-			},
-			GroupID: 1,
+		for i, s := range locals[pe] {
+			prefixes[pe] = append(prefixes[pe], s[:dists[pe][i]])
 		}
+	}
+	splitters := runSelect(t, prefixes, func(pe int) Options {
+		return Options{V: 8, Sampling: CharSampling, Weights: dists[pe], GroupID: 1}
 	})
 	maxSplit := 0
 	for _, f := range splitters {
@@ -426,7 +423,7 @@ func BenchmarkBuckets(b *testing.B) {
 				b.SetBytes(strutil.TotalLen(ss))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					samples := drawSamples(layout.set, opt)
+					samples := drawSamples(layout.set, layout.set.At, opt)
 					splitters := [][]byte{samples[3], samples[7], samples[11]}
 					off := BucketsSet(layout.set, splitters)
 					sink += off[2]

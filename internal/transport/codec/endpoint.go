@@ -34,7 +34,7 @@ type Endpoint struct {
 }
 
 // Wrap decorates a single endpoint. This is the SPMD entry point: wrap
-// the tcp.Connect endpoint before handing it to the algorithm layer.
+// the tcp.ConnectConfig endpoint before handing it to the algorithm layer.
 func Wrap(t transport.Transport, cfg Config) (*Endpoint, error) {
 	c, err := cfg.instance()
 	if err != nil {

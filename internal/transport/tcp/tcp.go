@@ -112,7 +112,7 @@ const (
 
 // Config tunes connection establishment and failure recovery.
 type Config struct {
-	// RendezvousTimeout bounds how long Connect waits for all peers to
+	// RendezvousTimeout bounds how long ConnectConfig waits for all peers to
 	// appear (workers of an SPMD job may start seconds apart). Zero means
 	// 30 s.
 	RendezvousTimeout time.Duration
@@ -293,16 +293,11 @@ func (tw trapWriter) Write(p []byte) (int, error) {
 	return tw.c.Write(p)
 }
 
-// Connect joins the fabric described by peers as the given rank: it binds a
-// listener on peers[rank], establishes the pairwise mesh, and returns when
-// every connection is up. peers must be identical (including order) on
-// every rank; its length is the fabric size. This is the SPMD entry point —
-// one call per OS process.
-func Connect(rank int, peers []string) (*Endpoint, error) {
-	return ConnectConfig(rank, peers, Config{})
-}
-
-// ConnectConfig is Connect with explicit tuning.
+// ConnectConfig joins the fabric described by peers as the given rank: it
+// binds a listener on peers[rank], establishes the pairwise mesh, and
+// returns when every connection is up. peers must be identical (including
+// order) on every rank; its length is the fabric size. This is the SPMD
+// entry point — one call per OS process.
 func ConnectConfig(rank int, peers []string, cfg Config) (*Endpoint, error) {
 	if len(peers) == 0 {
 		return nil, errors.New("transport/tcp: empty peer table")

@@ -135,10 +135,10 @@ func TestDialBackoffSurvivesLateListener(t *testing.T) {
 }
 
 func TestConnectRejectsBadRank(t *testing.T) {
-	if _, err := tcp.Connect(3, []string{"127.0.0.1:0", "127.0.0.1:0"}); err == nil {
+	if _, err := tcp.ConnectConfig(3, []string{"127.0.0.1:0", "127.0.0.1:0"}, tcp.Config{}); err == nil {
 		t.Fatal("rank out of range accepted")
 	}
-	if _, err := tcp.Connect(0, nil); err == nil {
+	if _, err := tcp.ConnectConfig(0, nil, tcp.Config{}); err == nil {
 		t.Fatal("empty peer table accepted")
 	}
 }

@@ -103,7 +103,7 @@ type ConnDropper interface {
 // Fabric is a connected set of P endpoints, one per rank. In-process runs
 // (the local backend, or the TCP backend bound to loopback ports) hold all
 // endpoints of the fabric in one process; SPMD multi-process runs construct
-// a single endpoint per process instead (see tcp.Connect) and never see a
+// a single endpoint per process instead (see tcp.ConnectConfig) and never see a
 // Fabric.
 type Fabric interface {
 	// P returns the number of endpoints.

@@ -43,7 +43,7 @@ type PERun struct {
 // RunPE executes one PE's share of a distributed sort in SPMD style: every
 // rank of the fabric calls RunPE with the same Config and its local input
 // fragment, typically from its own OS process over a TCP endpoint
-// (transport/tcp.Connect; see cmd/dss-worker). Sort(inputs, cfg) runs the
+// (transport/tcp.ConnectConfig; see cmd/dss-worker). Sort(inputs, cfg) runs the
 // same per-rank routine on every rank of an in-process machine, with
 // local = inputs[rank]; the two differ only where a rank holding just its
 // own fragment must: PDMS origins are resolved with core.Reconstruct, one
@@ -129,11 +129,7 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 	// post-processing communication (reconstruction, validation, trace).
 	// AllgatherReport snapshots each PE's counters on entry, so its own
 	// traffic is excluded.
-	model := stats.DefaultModel()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-	rep, n := comm.AllgatherReport(c, model, statsGID, int64(len(local)))
+	rep, n := comm.AllgatherReport(c, stats.DefaultModel(), statsGID, int64(len(local)))
 	run := &PERun{PrefixOnly: res.PrefixOnly}
 	// Every rank holds the same report. In one address space (Sort, inputs
 	// non-nil) rank 0's flattened copy serves them all.

@@ -14,7 +14,8 @@
 // where inputs[pe] is PE pe's local string array. The result contains each
 // PE's fragment of the globally sorted sequence, the per-fragment LCP
 // arrays, and the communication/work statistics the paper's evaluation is
-// based on. See the examples/ directory for complete programs.
+// based on. examples/quickstart and examples/paperwalkthrough are
+// complete programs.
 package stringsort
 
 import (
@@ -168,25 +169,29 @@ type Origin struct {
 type Config struct {
 	// P is the number of processing elements (default: len(inputs)).
 	P int
-	// Algorithm selects the sorter (default MS).
+	// Algorithm selects the sorter. The zero value is HQuick; the CLIs
+	// default to MS through RegisterTuningFlags.
 	Algorithm Algorithm
-	// Oversampling is the per-PE sample count v of Step 2; 0 lets the
-	// algorithm pick v = 2p−1 (Θ(p), quantile-aligned).
+	// Oversampling is the per-PE sample count v of Step 2 in MS-simple, MS,
+	// PDMS and PDMS-Golomb; 0 picks v = max(2p−1, 15) (Θ(p),
+	// quantile-aligned). FKmerge always draws p−1 samples.
 	Oversampling int
-	// CharSampling switches to character-based splitter sampling
-	// (Theorem 3 load balancing; the skew experiment of Section VII-E).
+	// CharSampling switches MS-simple, MS, PDMS and PDMS-Golomb to
+	// character-based splitter sampling (Theorem 3 load balancing; the skew
+	// experiment of Section VII-E). PDMS weighs each string by its
+	// approximated distinguishing prefix length.
 	CharSampling bool
-	// Eps is PDMS's prefix growth factor (default 1 = doubling).
+	// Eps is the prefix growth factor of PDMS and PDMS-Golomb; 0 means 1
+	// (doubling).
 	Eps float64
-	// TieBreak partitions by (string, origin) pairs in the MS family,
+	// TieBreak partitions by (string, origin) pairs in MS-simple and MS,
 	// spreading duplicated strings evenly over PEs (Section VIII).
 	TieBreak bool
-	// RandomSampling draws random instead of regular samples (Section VIII).
+	// RandomSampling draws random instead of regular samples in MS-simple
+	// and MS (Section VIII).
 	RandomSampling bool
 	// Seed drives all randomized components.
 	Seed uint64
-	// Model overrides the α-β cost model used for the model time.
-	Model *stats.CostModel
 	// Validate runs the distributed verifier after sorting and fails the
 	// run on any violation (sorting statistics unaffected; validation
 	// volume is excluded).
@@ -259,11 +264,6 @@ type Config struct {
 	// ChaosSeed selects the deterministic fault schedule (frame delays and
 	// drop points are a pure function of seed, rank and send sequence).
 	ChaosSeed uint64
-	// NetRetries bounds how many times each TCP pairwise connection may be
-	// re-established after a drop before the run fails. 0 means the
-	// transport default (8); negative disables reconnection — the first
-	// drop kills the run. Ignored by the local transport.
-	NetRetries int
 	// NetTimeout bounds each TCP reconnect attempt (redial backoff window
 	// on the dialing side, replacement-arrival wait on the accepting
 	// side). 0 means the transport default (10 s).
@@ -571,10 +571,7 @@ func newMachine(p int, cfg Config) (*comm.Machine, error) {
 		f = local.New(p)
 	case TransportTCP:
 		var err error
-		tcfg := tcp.Config{
-			ReconnectTimeout: cfg.NetTimeout,
-			MaxReconnects:    cfg.NetRetries,
-		}
+		tcfg := tcp.Config{ReconnectTimeout: cfg.NetTimeout}
 		if len(cfg.TCPPeers) > 0 {
 			if len(cfg.TCPPeers) != p {
 				return nil, fmt.Errorf("stringsort: %d TCP peer addresses for %d PEs", len(cfg.TCPPeers), p)
@@ -636,46 +633,20 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 	}
 	switch cfg.Algorithm {
 	case HQuick:
-		return core.HQuick(c, ss, core.HQOptions{
-			GroupID: 1, Seed: cfg.Seed, TrackPhases: true,
-			BlockingExchange: cfg.blockingExchange, Spill: sp, Out: out,
-		})
+		return core.HQuick(c, ss, core.HQOptions{GroupID: 1, Seed: cfg.Seed, TrackPhases: true, SeamOptions: seam})
 	case FKMerge:
 		return core.FKMerge(c, ss, core.FKOptions{GroupID: 1, SeamOptions: seam})
-	case MSSimple:
-		o := core.MSSimple()
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		o.Sampling = sampling
-		o.TieBreak = cfg.TieBreak
-		o.RandomSampling = cfg.RandomSampling
-		o.SeamOptions = seam
-		return core.MergeSort(c, ss, o)
-	case MS:
-		o := core.DefaultMS()
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		o.Sampling = sampling
-		o.TieBreak = cfg.TieBreak
-		o.RandomSampling = cfg.RandomSampling
-		o.SeamOptions = seam
-		return core.MergeSort(c, ss, o)
+	case MSSimple, MS:
+		return core.MergeSort(c, ss, core.MSOptions{
+			LCP: cfg.Algorithm == MS, V: cfg.Oversampling, Sampling: sampling,
+			TieBreak: cfg.TieBreak, RandomSampling: cfg.RandomSampling,
+			GroupID: 1, Seed: cfg.Seed, SeamOptions: seam,
+		})
 	case PDMS, PDMSGolomb:
-		o := core.DefaultPDMS()
-		o.Golomb = cfg.Algorithm == PDMSGolomb
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		if cfg.Eps > 0 {
-			o.Eps = cfg.Eps
-		}
-		if cfg.CharSampling {
-			o.StringSamplingOverride = false
-		}
-		o.SeamOptions = seam
-		return core.PDMS(c, ss, o)
+		return core.PDMS(c, ss, core.PDMSOptions{
+			Eps: cfg.Eps, Golomb: cfg.Algorithm == PDMSGolomb, V: cfg.Oversampling, Sampling: sampling,
+			GroupID: 1, Seed: cfg.Seed, SeamOptions: seam,
+		})
 	default:
 		panic(fmt.Sprintf("stringsort: unknown algorithm %v", cfg.Algorithm))
 	}

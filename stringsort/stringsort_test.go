@@ -138,6 +138,12 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := Sort(make([][][]byte, 4), Config{P: 2}); err == nil {
 		t.Fatal("more fragments than PEs accepted")
 	}
+	// The zero Config runs hQuick, not MS: origins come back, and only the
+	// first 2^⌊log₂ 3⌋ = 2 of 3 PEs hold output.
+	three := [][][]byte{{[]byte("c"), []byte("d")}, {[]byte("a")}, {[]byte("b")}}
+	if res, err := Sort(three, Config{}); err != nil || res.PEs[0].Origins == nil || len(res.PEs[2].Strings) != 0 {
+		t.Fatalf("zero Config is not hQuick: %+v, %v", res, err)
+	}
 }
 
 func TestTieBreakBalancesDuplicatesEndToEnd(t *testing.T) {
