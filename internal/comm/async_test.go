@@ -25,64 +25,49 @@ func phaseCounters(m *Machine) [][stats.NumPhases]stats.PhaseCounters {
 func alltoallParts(rank, p int) [][]byte {
 	parts := make([][]byte, p)
 	for dst := 0; dst < p; dst++ {
-		parts[dst] = bytes.Repeat([]byte{byte(rank*31 + dst)}, (rank+dst*7)%97)
+		parts[dst] = alltoallPart(rank, dst)
 	}
 	return parts
 }
 
-// TestIAlltoallvWaitMatchesBlocking is the differential test of the
-// acceptance criteria: the blocking Alltoallv and IAlltoallv+Wait must
-// produce byte-identical outputs and bit-identical deterministic counters
-// (hence identical model-ms and bytes-str), on every PE count.
-func TestIAlltoallvWaitMatchesBlocking(t *testing.T) {
-	for _, p := range ps {
-		run := func(split bool) ([][][]byte, [][stats.NumPhases]stats.PhaseCounters) {
-			m := New(p)
-			got := make([][][]byte, p)
-			err := m.Run(func(c *Comm) error {
-				c.SetPhase(stats.PhaseExchange)
-				g := c.World()
-				parts := alltoallParts(c.Rank(), p)
-				if split {
-					got[c.Rank()] = g.IAlltoallv(parts).Wait()
-				} else {
-					got[c.Rank()] = g.Alltoallv(parts)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got, phaseCounters(m)
-		}
-		blockOut, blockStats := run(false)
-		splitOut, splitStats := run(true)
-		for rank := 0; rank < p; rank++ {
-			for src := 0; src < p; src++ {
-				if !bytes.Equal(blockOut[rank][src], splitOut[rank][src]) {
-					t.Fatalf("p=%d rank=%d src=%d: payloads differ", p, rank, src)
-				}
-			}
-			if blockStats[rank] != splitStats[rank] {
-				t.Fatalf("p=%d rank=%d: counters differ:\nblocking: %+v\nsplit:    %+v",
-					p, rank, blockStats[rank], splitStats[rank])
-			}
-		}
-	}
+// alltoallPart is the payload member src sends to member dst.
+func alltoallPart(src, dst int) []byte {
+	return bytes.Repeat([]byte{byte(src*31 + dst)}, (src+dst*7)%97)
 }
 
-// TestIAlltoallvPollAnyDrain drains with PollAny (arrival order) and checks
-// that every payload arrives exactly once, intact, with the same
-// deterministic counters as the blocking collective, and that releasing
-// each payload exactly once is pool-safe (the -race CI job runs this).
+// postStaged opens a staged exchange and posts every other member's part,
+// copied into a transport buffer, in reverse order (posting order is free).
+// Each buffer is stored in posted[dst] before it is posted.
+func postStaged(c *Comm, parts, posted [][]byte) *Pending {
+	p := len(parts)
+	pd := c.World().IAlltoallvStaged()
+	for i := p - 1; i >= 1; i-- {
+		dst := (i + c.Rank()) % p
+		posted[dst] = append(c.Alloc(len(parts[dst]))[:0], parts[dst]...)
+		pd.Post(dst, posted[dst])
+	}
+	return pd
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestIAlltoallvPollAnyDrain drains a staged exchange with PollAny (arrival
+// order) in a later phase than the one it was opened in, and checks that
+// every other member's payload arrives exactly once, intact, that the own
+// index is never yielded, that the counters equal the blocking Alltoallv's
+// (everything billed to the opening phase), and that releasing each payload
+// exactly once is pool-safe (the -race CI job runs this).
 func TestIAlltoallvPollAnyDrain(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhaseExchange)
-			g := c.World()
-			parts := alltoallParts(c.Rank(), p)
-			pd := g.IAlltoallv(parts)
+			pd := postStaged(c, alltoallParts(c.Rank(), p), make([][]byte, p))
 			c.SetPhase(stats.PhaseMerge) // drain in a later phase, like the sorters
 			seen := make([]bool, p)
 			for {
@@ -90,29 +75,31 @@ func TestIAlltoallvPollAnyDrain(t *testing.T) {
 				if !ok {
 					break
 				}
+				if src == c.Rank() {
+					return fmt.Errorf("own index %d yielded", src)
+				}
 				if seen[src] {
 					return fmt.Errorf("source %d drained twice", src)
 				}
 				seen[src] = true
-				want := bytes.Repeat([]byte{byte(src*31 + c.Rank())}, (src+c.Rank()*7)%97)
-				if !bytes.Equal(data, want) {
+				if !bytes.Equal(data, alltoallPart(src, c.Rank())) {
 					return fmt.Errorf("payload from %d corrupted", src)
 				}
 				c.Release(data)
 			}
 			for src, s := range seen {
-				if !s {
+				if !s && src != c.Rank() {
 					return fmt.Errorf("source %d never drained", src)
 				}
+			}
+			if _, _, ok := pd.PollAny(); ok {
+				return fmt.Errorf("PollAny yielded after the last member")
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		// The exchange was posted in PhaseExchange and drained in
-		// PhaseMerge; all its bytes must still be billed to the posting
-		// phase, so the counters match a fully blocking exchange.
 		blocking := New(p)
 		err = blocking.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhaseExchange)
@@ -126,97 +113,16 @@ func TestIAlltoallvPollAnyDrain(t *testing.T) {
 		a, b := phaseCounters(m), phaseCounters(blocking)
 		for rank := range a {
 			if a[rank] != b[rank] {
-				t.Fatalf("p=%d rank=%d: split-phase drain moved counters between phases:\nsplit:    %+v\nblocking: %+v",
+				t.Fatalf("p=%d rank=%d: staged drain moved counters between phases:\nstaged:   %+v\nblocking: %+v",
 					p, rank, a[rank], b[rank])
 			}
 		}
 	}
 }
 
-// TestPollRecvTargetedDrain drains members in reverse rank order with
-// PollRecv and checks payload integrity.
-func TestPollRecvTargetedDrain(t *testing.T) {
-	const p = 5
-	m := New(p)
-	err := m.Run(func(c *Comm) error {
-		g := c.World()
-		pd := g.IAlltoallv(alltoallParts(c.Rank(), p))
-		for idx := p - 1; idx >= 0; idx-- {
-			data := pd.PollRecv(idx)
-			want := bytes.Repeat([]byte{byte(idx*31 + c.Rank())}, (idx+c.Rank()*7)%97)
-			if !bytes.Equal(data, want) {
-				return fmt.Errorf("payload from %d corrupted", idx)
-			}
-			c.Release(data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWaitAfterPartialDrainLeavesHandedOutNil pins the ownership contract:
-// payloads already handed out by PollRecv/PollAny do not reappear in Wait's
-// result, so no buffer can be double-released.
-func TestWaitAfterPartialDrainLeavesHandedOutNil(t *testing.T) {
-	const p = 4
-	m := New(p)
-	err := m.Run(func(c *Comm) error {
-		g := c.World()
-		pd := g.IAlltoallv(alltoallParts(c.Rank(), p))
-		first, firstData, ok := pd.PollAny()
-		if !ok {
-			return fmt.Errorf("PollAny returned no payload")
-		}
-		c.Release(firstData)
-		rest := pd.Wait()
-		if rest[first] != nil {
-			return fmt.Errorf("member %d handed out by PollAny reappeared in Wait", first)
-		}
-		for idx, data := range rest {
-			if idx == first {
-				continue
-			}
-			if data == nil {
-				return fmt.Errorf("member %d missing from Wait result", idx)
-			}
-			c.Release(data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWaitAfterFullDrainReturnsAllNil pins the edge of the mixed-drain
-// contract: when every member was already drained incrementally, Wait is
-// still legal and returns the all-nil slice instead of panicking.
-func TestWaitAfterFullDrainReturnsAllNil(t *testing.T) {
-	const p = 3
-	m := New(p)
-	err := m.Run(func(c *Comm) error {
-		g := c.World()
-		pd := g.IAlltoallv(alltoallParts(c.Rank(), p))
-		for i := 0; i < p; i++ {
-			c.Release(pd.PollRecv(i))
-		}
-		for idx, data := range pd.Wait() {
-			if data != nil {
-				return fmt.Errorf("member %d reappeared after full incremental drain", idx)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOverlapCreditedForHiddenComm is the deterministic, scheduler-proof
 // anchor of the overlap model (the acceptance assertion "overlap-ms > 0"):
-// one PE delays its post by a fixed 20 ms, the others spend ~1 ms of
+// one PE delays its posts by a fixed 20 ms, the others spend ~1 ms of
 // "decode" per drained run, so every non-straggler PE provably executes
 // compute while the straggler's payload is still in flight. The credited
 // overlap must be positive and bounded by the straggler's delay; the
@@ -230,11 +136,10 @@ func TestOverlapCreditedForHiddenComm(t *testing.T) {
 	overlap := make([]int64, p)
 	err := m.Run(func(c *Comm) error {
 		c.SetPhase(stats.PhaseExchange)
-		g := c.World()
 		if c.Rank() == p-1 {
 			time.Sleep(stragglerDelay)
 		}
-		pd := g.IAlltoallv(alltoallParts(c.Rank(), p))
+		pd := postStaged(c, alltoallParts(c.Rank(), p), make([][]byte, p))
 		for {
 			_, data, ok := pd.PollAny()
 			if !ok {
@@ -259,59 +164,64 @@ func TestOverlapCreditedForHiddenComm(t *testing.T) {
 	}
 }
 
-// TestStagedPostTakesOwnership pins the staged exchange against the copying
-// IAlltoallv: parts allocated with Comm.Alloc and handed over by Post, in
-// any order, arrive byte-identical and bill bit-identical counters (to the
-// phase captured at post time), and the self part comes back by reference —
-// the very buffer that was posted, not a copy of it.
+// TestStagedPostTakesOwnership pins Post's hand-over on the local
+// transport: the receiver gets the very buffer the sender posted, not a
+// copy of it, with the bytes Alltoallv delivers.
 func TestStagedPostTakesOwnership(t *testing.T) {
 	for _, p := range ps {
-		run := func(staged bool) ([][][]byte, [][stats.NumPhases]stats.PhaseCounters) {
-			m := New(p)
-			got := make([][][]byte, p)
-			err := m.Run(func(c *Comm) error {
-				c.SetPhase(stats.PhaseExchange)
-				g := c.World()
-				parts := alltoallParts(c.Rank(), p)
-				if !staged {
-					got[c.Rank()] = g.IAlltoallv(parts).Wait()
+		m := New(p)
+		posted := make([][][]byte, p) // posted[src][dst], written before the Post
+		for src := range posted {
+			posted[src] = make([][]byte, p)
+		}
+		err := m.Run(func(c *Comm) error {
+			pd := postStaged(c, alltoallParts(c.Rank(), p), posted[c.Rank()])
+			for {
+				src, data, ok := pd.PollAny()
+				if !ok {
 					return nil
 				}
-				pd := g.IAlltoallvStaged()
-				var self []byte
-				for i := p - 1; i >= 0; i-- { // reverse order: posting order is free
-					dst := (i + c.Rank()) % p
-					buf := append(c.Alloc(len(parts[dst]))[:0], parts[dst]...)
-					if dst == c.Rank() {
-						self = buf
-					}
-					pd.Post(dst, buf)
+				if !bytes.Equal(data, alltoallPart(src, c.Rank())) {
+					return fmt.Errorf("rank %d: payload from %d corrupted", c.Rank(), src)
 				}
-				c.SetPhase(stats.PhaseMerge) // drained in a later phase, billed to the posting one
-				out := pd.Wait()
-				if len(self) > 0 && &out[c.Rank()][0] != &self[0] {
-					return fmt.Errorf("rank %d: self part was copied, not kept by reference", c.Rank())
+				if sent := posted[src][c.Rank()]; len(sent) > 0 && &data[0] != &sent[0] {
+					return fmt.Errorf("rank %d: part from %d was copied, not handed over", c.Rank(), src)
 				}
-				got[c.Rank()] = out
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
-			return got, phaseCounters(m)
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		copyOut, copyStats := run(false)
-		giveOut, giveStats := run(true)
-		for rank := 0; rank < p; rank++ {
-			for src := 0; src < p; src++ {
-				if !bytes.Equal(copyOut[rank][src], giveOut[rank][src]) {
-					t.Fatalf("p=%d rank=%d src=%d: payloads differ", p, rank, src)
+	}
+}
+
+// TestStagedOwnIndexRejected pins the caller's own index as outside the
+// exchange: Post of the own index panics, draining before the last of the
+// n-1 Posts panics, and after it the exchange drains.
+func TestStagedOwnIndexRejected(t *testing.T) {
+	for _, p := range ps {
+		m := New(p)
+		err := m.Run(func(c *Comm) error {
+			g, me := c.World(), c.Rank()
+			pd := g.IAlltoallvStaged()
+			if !panics(func() { pd.Post(me, c.Alloc(0)) }) {
+				return fmt.Errorf("rank %d: Post of the own index accepted", me)
+			}
+			for i := 1; i < p; i++ {
+				if !panics(func() { pd.PollAny() }) {
+					return fmt.Errorf("rank %d: drained after %d of %d posts", me, i-1, p-1)
 				}
+				dst := (me + i) % p
+				part := alltoallPart(me, dst)
+				pd.Post(dst, append(c.Alloc(len(part))[:0], part...))
 			}
-			if copyStats[rank] != giveStats[rank] {
-				t.Fatalf("p=%d rank=%d: counters differ:\ncopying: %+v\nstaged:  %+v",
-					p, rank, copyStats[rank], giveStats[rank])
+			for _, data, ok := pd.PollAny(); ok; _, data, ok = pd.PollAny() {
+				c.Release(data)
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
 }

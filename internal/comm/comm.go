@@ -299,7 +299,8 @@ func (c *Comm) StatsPE() *stats.PE { return c.st }
 // (no bytes leave the PE). The volume and message count are attributed here,
 // at the comm boundary, identically for every backend.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	c.sendAs(c.phase, dst, tag, data)
+	c.accountSendAs(c.phase, dst, len(data))
+	c.t.Send(dst, tag, data)
 }
 
 // Recv blocks until a message with the given tag arrives from src and
@@ -312,9 +313,10 @@ func (c *Comm) Recv(src, tag int) []byte {
 
 // accountSendAs / accountRecvAs are the single home of the deterministic
 // volume accounting, parameterized by the phase to bill: the blocking
-// operations bill the current phase, split-phase Pendings (copying sends
-// and ownership-transferring Posts alike) bill the phase captured at post
-// time. Keeping one copy is what guarantees all forms stay bit-identical.
+// operations bill the current phase, a staged Pending (its
+// ownership-transferring Posts and its receives) bills the phase captured
+// when it opened. Keeping one copy is what guarantees both forms stay
+// bit-identical.
 func (c *Comm) accountSendAs(ph stats.Phase, dst, n int) {
 	if dst != c.t.Rank() {
 		pc := &c.st.Phases[ph]
@@ -333,11 +335,6 @@ func (c *Comm) accountSendAs(ph stats.Phase, dst, n int) {
 			}
 		}
 	}
-}
-
-func (c *Comm) sendAs(ph stats.Phase, dst, tag int, data []byte) {
-	c.accountSendAs(ph, dst, len(data))
-	c.t.Send(dst, tag, data)
 }
 
 func (c *Comm) accountRecvAs(ph stats.Phase, src, n int) {

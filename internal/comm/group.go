@@ -225,13 +225,28 @@ func (g *Group) Allgatherv(data []byte) [][]byte {
 
 // Alltoallv performs personalized all-to-all communication: parts[i] is the
 // payload for group member i, and the result's i-th entry is the payload
-// received from member i. Direct delivery: n-1 pairwise rounds, which is
-// the low-volume (cost O(αp + βh)) variant discussed in Section II. The
-// blocking form is the split-phase IAlltoallv completed immediately.
+// received from member i (the own entry is a copy of the own part). Direct
+// delivery: n-1 pairwise rounds, which is the low-volume (cost O(αp + βh))
+// variant discussed in Section II. It sends to members me+1, me+2, ... and
+// then receives from each peer; sends are eager, so no round waits on
+// another.
 func (g *Group) Alltoallv(parts [][]byte) [][]byte {
-	pd := g.IAlltoallv(parts)
-	pd.noOverlap = true
-	return pd.Wait()
+	n := len(g.ranks)
+	if len(parts) != n {
+		panic(fmt.Sprintf("comm: alltoallv needs %d parts, got %d", n, len(parts)))
+	}
+	tag := g.nextTag()
+	for i := 1; i < n; i++ {
+		dst := (g.myIdx + i) % n
+		g.send(dst, tag, parts[dst])
+	}
+	out := make([][]byte, n)
+	out[g.myIdx] = append(make([]byte, 0, len(parts[g.myIdx])), parts[g.myIdx]...)
+	for i := 1; i < n; i++ {
+		src := (g.myIdx - i + n) % n
+		out[src] = g.recv(src, tag)
+	}
+	return out
 }
 
 // ReduceBytes folds every member's payload into one value at root using a

@@ -51,15 +51,6 @@ import (
 	"dss/internal/wire"
 )
 
-// Origin identifies where an output string came from: the PE it was
-// submitted on and its index in that PE's input array. PDMS reports origins
-// so that applications (and the verifier) can fetch the full string behind
-// a transmitted prefix.
-type Origin struct {
-	PE    int32
-	Index int32
-}
-
 // Result is one PE's fragment of the sorted output.
 type Result struct {
 	// Strings is the locally sorted fragment; globally, fragments are
@@ -72,12 +63,15 @@ type Result struct {
 	// LCPs is the LCP array of Strings (LCPs[0] = 0). It is nil for
 	// algorithms that do not produce LCP output (MS-simple, FKMerge).
 	LCPs []int32
-	// Origins, if non-nil, gives the provenance of each output string
-	// (PDMS always fills it).
-	Origins []Origin
+	// Sats, if non-nil, gives the provenance of each output string: the PE
+	// it was submitted on and its index in that PE's input array, packed by
+	// originSat (PE in the high 32 bits). PDMS and hQuick fill it, so that
+	// applications (and the verifier) can fetch the full string behind a
+	// transmitted prefix.
+	Sats []uint64
 	// PrefixOnly marks PDMS results: Strings hold only the approximated
 	// distinguishing prefixes. The permutation they define is the correct
-	// sorted order of the underlying full strings; look the Origins up in
+	// sorted order of the underlying full strings; look the origins up in
 	// the input fragments, or use Reconstruct across processes, to
 	// materialize them.
 	PrefixOnly bool
@@ -87,21 +81,9 @@ type Result struct {
 	Drained int64
 }
 
-// originSat packs an Origin into a merge satellite word.
+// originSat packs an origin (PE, input index) into a merge satellite word.
 func originSat(pe, idx int) uint64 {
 	return uint64(uint32(pe))<<32 | uint64(uint32(idx))
-}
-
-func satOrigin(u uint64) Origin {
-	return Origin{PE: int32(u >> 32), Index: int32(uint32(u))}
-}
-
-func allRanks(p int) []int {
-	r := make([]int, p)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }
 
 // partOffsets prefix-sums per-destination encoded sizes into arena
@@ -155,21 +137,21 @@ func encodeParts(c *comm.Comm, sizes []int, own int, enc func(dst int, buf []byt
 }
 
 // exchangeEncoded is the Step-3 exchange of all four algorithms, with or
-// without a memory budget: the p bucket encoders run concurrently on the
-// PE's work pool, each into exactly sizes[dst] bytes, the buckets are sent,
-// the accounting phase is switched to next, and the receive side is handed
-// back — recv yields every other member's bucket exactly once, whole, with
-// its group index, and ok=false after the last. The caller owns what recv
+// without a memory budget: the bucket encoders run concurrently on the PE's
+// work pool, each into exactly sizes[dst] bytes, the buckets are sent, the
+// accounting phase is switched to next, and the receive side is handed back
+// — recv yields every other member's bucket exactly once, whole, with its
+// group index, and ok=false after the last. The caller owns what recv
 // yields and releases it (c.Release) once it has copied its contents out:
 // decodeOnPool for hQuick, the Step-4 landing for the merge-based sorters.
-// The caller's own bucket (group index own; own < 0: none) never enters the
-// exchange: it is not sized, allocated, encoded, sent or yielded — and as
-// the exchange never billed it, no deterministic statistic moves.
+// The caller's own bucket (group index own) never enters the exchange: it
+// is not sized, allocated, encoded, sent or yielded — and as the exchange
+// never billed it, no deterministic statistic moves.
 //
 // Split-phase mode (blocking=false, the default): every bucket is encoded
 // straight into its own transport buffer (comm.Alloc) and the exchange is
-// posted STAGED — each bucket is posted the moment its encoder task
-// finishes, signaled through a completion channel so the send and its
+// posted STAGED — each of the p−1 buckets is posted the moment its encoder
+// task finishes, signaled through a completion channel so the send and its
 // accounting stay on the PE goroutine. Post takes the buffer over, so an
 // encoded byte is allocated once on this PE and never copied again before
 // it leaves (the local transport delivers that very buffer, tcp writes the
@@ -210,12 +192,10 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int, own int,
 	pd := g.IAlltoallvStaged()
 	egrp := c.Pool().Group()
 	done := make(chan int, len(sizes))
-	for dst := 0; dst < len(sizes); dst++ {
+	for dst := range sizes {
 		if dst == own {
-			done <- own // posted empty: a staged exchange wants every member
 			continue
 		}
-		dst := dst
 		parts[dst] = c.Alloc(sizes[dst])[:0]
 		egrp.Go(func() {
 			// Signal via defer so a panicking encoder still unblocks the
@@ -228,15 +208,12 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int, own int,
 			parts[dst] = buf
 		})
 	}
-	for range sizes {
+	for i := 1; i < len(sizes); i++ {
 		dst := <-done
 		pd.Post(dst, parts[dst])
 	}
 	c.AddCPU(egrp.Wait())
 	c.SetPhase(next)
-	if own >= 0 {
-		pd.PollRecv(own) // drain the empty own part: recv never yields it
-	}
 	return pd.PollAny
 }
 
@@ -290,8 +267,8 @@ type bucketCodec struct {
 	enc     func(dst int, buf []byte) []byte
 	format  wire.RunFormat
 	origins bool
-	// own, if non-nil, is the caller's bucket, read through its slice of
-	// Step 1's order, which stays home (nil: every bucket is exchanged).
+	// own is the caller's bucket, read through its slice of Step 1's order,
+	// which stays home.
 	own *merge.Sequence
 }
 
@@ -302,15 +279,10 @@ type bucketCodec struct {
 // count comes back. Merge work and worker busy time are billed to the merge
 // phase, and the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
-	own := -1
-	if cd.own != nil {
-		own = g.Idx()
-	}
+	own := g.Idx()
 	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
 	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
-	if own >= 0 {
-		runs[own] = encodedRun{home: cd.own, n: cd.own.Len()}
-	}
+	runs[own] = encodedRun{home: cd.own, n: cd.own.Len()}
 	var work int64
 	if opt.Spill != nil {
 		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)

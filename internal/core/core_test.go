@@ -74,11 +74,11 @@ func reconstructPDMS(t *testing.T, locals [][][]byte, results []Result) [][]byte
 		if !res.PrefixOnly {
 			t.Fatalf("PE %d: PDMS result not marked PrefixOnly", pe)
 		}
-		if len(res.Origins) != len(res.Strings) {
-			t.Fatalf("PE %d: %d origins for %d strings", pe, len(res.Origins), len(res.Strings))
+		if len(res.Sats) != len(res.Strings) {
+			t.Fatalf("PE %d: %d origins for %d strings", pe, len(res.Sats), len(res.Strings))
 		}
-		for i, o := range res.Origins {
-			full := locals[o.PE][o.Index]
+		for i, u := range res.Sats {
+			full := locals[u>>32][uint32(u)]
 			if !bytes.HasPrefix(full, res.Strings[i]) {
 				t.Fatalf("PE %d: output prefix %q is not a prefix of origin string %q",
 					pe, res.Strings[i], full)

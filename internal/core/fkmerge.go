@@ -59,7 +59,7 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	// encoded on the work pool into exactly that many bytes (see MergeSort
 	// Step 3).
 	c.SetPhase(stats.PhaseExchange)
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
+	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
 	me := g.Idx()
 	sizes := sizeBuckets(c, me, func(dst int) int {
 		return wire.SetSize(local.Slice(off[dst], off[dst+1]))

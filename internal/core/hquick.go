@@ -72,7 +72,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 	// pivot-based recursion behave like randomized quicksort.
 	setPhase(stats.PhaseExchange)
 	rng := rand.New(rand.NewSource(int64(opt.Seed) ^ int64(c.Rank()+1)*0x9e3779b9))
-	world := comm.NewGroup(c, allRanks(p), opt.GroupID)
+	world := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID)
 	{
 		perDest := make([][]int, p)
 		for i := range strings {
@@ -179,11 +179,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 	if opt.Spill != nil {
 		return Result{Drained: drainSorted(opt.Out, sorted, lcp, sortedUids)}
 	}
-	origins := make([]Origin, len(order))
-	for i, u := range sortedUids {
-		origins[i] = satOrigin(u)
-	}
-	return Result{Strings: sorted.Gather(), LCPs: lcp, Origins: origins}
+	return Result{Strings: sorted.Gather(), LCPs: lcp, Sats: sortedUids}
 }
 
 // pivotSamples is the number of random local candidates every PE

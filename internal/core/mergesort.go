@@ -106,7 +106,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// array — the encoder ignores the boundary entry lcps[lo], which belongs
 	// to a string that stays on this PE.
 	c.SetPhase(stats.PhaseExchange)
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
+	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
 	me := g.Idx()
 	sizes := sizeBuckets(c, me, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]

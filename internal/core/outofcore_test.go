@@ -359,17 +359,15 @@ var landingCases = []struct {
 // p PEs exchange buckets of every run shape through exchangeMerge in RAM,
 // and every PE's output — strings, LCPs, satellites — and the merge work it
 // billed must equal what the one-shot decoders and merge.Merge make of all
-// p buckets encoded, in every bucket layout, at every p of testPs. The
-// parent test lands every bucket encoded (a codec without an own run); its
-// home subtests keep each PE's own bucket resident, as the sorters do.
+// p buckets encoded, in every bucket layout, at every p of testPs. Each PE's
+// own bucket stays resident, as the sorters keep it.
 func TestLandingMatchesOneShot(t *testing.T) {
 	for _, l := range landingLayouts {
 		for _, p := range testPs {
 			t.Run(fmt.Sprintf("%s/p=%d", l.name, p), func(t *testing.T) {
-				checkLanding(t, l.format, l.origins, p, landingCases[0].run, false)
 				for _, lc := range landingCases {
 					t.Run("home/"+lc.name, func(t *testing.T) {
-						checkLanding(t, l.format, l.origins, p, lc.run, true)
+						checkLanding(t, l.format, l.origins, p, lc.run)
 					})
 				}
 			})
@@ -402,7 +400,7 @@ func homeRun(format wire.RunFormat, origins bool, ss [][]byte, src int) *merge.S
 }
 
 func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
-	run func(rng *rand.Rand, p, src, dst int) [][]byte, home bool) {
+	run func(rng *rand.Rand, p, src, dst int) [][]byte) {
 	rng := rand.New(rand.NewSource(int64(100 + p)))
 	runs := make([][][][]byte, p)  // runs[src][dst]
 	buckets := make([][][]byte, p) // buckets[src][dst], encoded
@@ -424,15 +422,13 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 			sizes[dst] = len(buckets[me][dst])
 		}
 		enc := func(dst int, buf []byte) []byte {
-			if home && dst == me {
+			if dst == me {
 				panic("the own bucket was encoded")
 			}
 			return append(buf, buckets[me][dst]...)
 		}
-		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins}
-		if home {
-			cd.own = homeRun(format, origins, runs[me][me], me)
-		}
+		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins,
+			own: homeRun(format, origins, runs[me][me], me)}
 		outs[me], _ = exchangeMerge(c, c.World(), cd, lcp, SeamOptions{})
 		return nil
 	}); err != nil {
@@ -504,8 +500,8 @@ func TestHomeRunAliasesInput(t *testing.T) {
 				own, remote := 0, 0
 				for k, s := range res.Strings {
 					in, home := input[unsafe.SliceData(s)]
-					if res.Origins != nil && home != (res.Origins[k].PE == int32(pe)) {
-						t.Fatalf("PE %d: item %d from PE %d aliases an input string: %v", pe, k, res.Origins[k].PE, home)
+					if res.Sats != nil && home != (res.Sats[k]>>32 == uint64(pe)) {
+						t.Fatalf("PE %d: item %d from PE %d aliases an input string: %v", pe, k, res.Sats[k]>>32, home)
 					}
 					if home {
 						if !bytes.HasPrefix(in, s) {

@@ -112,11 +112,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		if opt.Spill != nil {
 			return Result{Drained: drainSorted(opt.Out, strutil.Set{Strings: prefixes}, plcp, sats), PrefixOnly: true}
 		}
-		origins := make([]Origin, len(sats))
-		for i, u := range sats {
-			origins[i] = satOrigin(u)
-		}
-		return Result{Strings: prefixes, LCPs: plcp, Origins: origins, PrefixOnly: true}
+		return Result{Strings: prefixes, LCPs: plcp, Sats: sats, PrefixOnly: true}
 	}
 
 	// Step 2: splitters over the distinguishing prefixes — samples and
@@ -142,7 +138,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	// are direct sub-slices of the prefix LCP array (the encoder ignores
 	// the boundary entry).
 	c.SetPhase(stats.PhaseExchange)
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
+	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
 	blobSizes := make([]int, p)
 	oSizes := make([]int, p)
 	me := g.Idx()
@@ -169,7 +165,8 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		return buf
 	}
 	// Step 4: LCP-aware multiway merge of the prefix runs (the own one is
-	// the prefix view); origins ride in budget mode's satellite column.
+	// the prefix view); origins ride in the satellite column, which is the
+	// result's Sats (or the run file's in budget mode).
 	lo, hi := off[me], off[me+1]
 	out, drained := exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStringsLCP, origins: true,
@@ -178,11 +175,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	if opt.Spill != nil {
 		return Result{Drained: drained, PrefixOnly: true}
 	}
-	origins := make([]Origin, len(out.Sats))
-	for i, u := range out.Sats {
-		origins[i] = satOrigin(u)
-	}
-	return Result{Strings: out.Strings, LCPs: out.LCPs, Origins: origins, PrefixOnly: true}
+	return Result{Strings: out.Strings, LCPs: out.LCPs, Sats: out.Sats, PrefixOnly: true}
 }
 
 // Reconstruct materializes the full strings behind a PDMS result: every PE
@@ -196,15 +189,16 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 //
 // It is for PEs in separate address spaces (stringsort.RunPE), where each
 // holds only its own input fragment. A caller that holds every fragment
-// resolves an origin by lookup, inputs[o.PE][o.Index], with no communication.
+// resolves an origin by lookup, inputs[sat>>32][uint32(sat)], with no
+// communication.
 func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
 	p := c.P()
-	g := comm.NewGroup(c, allRanks(p), gid)
+	g := comm.NewGroup(c, comm.WorldRanks(p), gid)
 	// Queries: per origin PE, the list of (my position, origin index).
 	type q struct{ pos, idx int }
 	perPE := make([][]q, p)
-	for pos, o := range res.Origins {
-		perPE[o.PE] = append(perPE[o.PE], q{pos: pos, idx: int(o.Index)})
+	for pos, u := range res.Sats {
+		perPE[u>>32] = append(perPE[u>>32], q{pos: pos, idx: int(uint32(u))})
 	}
 	parts := make([][]byte, p)
 	for pe := 0; pe < p; pe++ {
@@ -245,7 +239,7 @@ func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
 		c.Release(queries[src])
 	}
 	got := g.Alltoallv(answers)
-	out := make([][]byte, len(res.Origins))
+	out := make([][]byte, len(res.Sats))
 	for pe := 0; pe < p; pe++ {
 		r := wire.NewReader(got[pe])
 		cnt, err := r.Uvarint()

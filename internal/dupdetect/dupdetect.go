@@ -95,9 +95,6 @@ type Options struct {
 	// 1+Eps each iteration. The default 1 gives prefix doubling (the "PD"
 	// in PDMS).
 	Eps float64
-	// InitialLen is the first prefix length guess ℓ₀ (paper:
-	// Θ(⌈log p / log σ⌉)). Default 8.
-	InitialLen int
 	// Golomb enables Golomb coding of the sorted fingerprint messages
 	// (algorithm PDMS-Golomb). Without it the values travel in the fewest
 	// whole bytes that hold the round's range.
@@ -112,6 +109,9 @@ type Options struct {
 	// GroupID is the communicator tag namespace to use.
 	GroupID int
 
+	// initialLen, when positive, replaces the first prefix length guess
+	// ℓ₀ = 8 (paper: Θ(⌈log p / log σ⌉)); tests vary it.
+	initialLen int
 	// fixedRange, when nonzero, replaces every round's hash range (tests:
 	// a tiny range forces collisions, MaxUint64 is the full-width run).
 	fixedRange uint64
@@ -121,8 +121,8 @@ func (o *Options) setDefaults() {
 	if o.Eps <= 0 {
 		o.Eps = 1
 	}
-	if o.InitialLen <= 0 {
-		o.InitialLen = 8
+	if o.initialLen <= 0 {
+		o.initialLen = 8
 	}
 }
 
@@ -161,7 +161,7 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		candidates[i] = int32(i)
 	}
 
-	d.ell = opt.InitialLen
+	d.ell = opt.initialLen
 	for {
 		// Global termination check; the count also sizes the hash range.
 		remaining := d.g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
@@ -283,7 +283,7 @@ func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
 	p, n := c.P(), len(ss)
 	return &detector{
 		c:       c,
-		g:       comm.NewGroup(c, allRanks(p), opt.GroupID),
+		g:       comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID),
 		p:       p,
 		golomb:  opt.Golomb,
 		ss:      ss,
@@ -615,12 +615,4 @@ func sortByFP(a, tmp []req) {
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
-}
-
-func allRanks(p int) []int {
-	r := make([]int, p)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }

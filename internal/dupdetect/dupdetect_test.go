@@ -145,7 +145,7 @@ func TestApproxDistTightForUniquePrefixes(t *testing.T) {
 		s := append([]byte{byte('A' + i/8), byte('a' + i%8)}, bytes.Repeat([]byte("tail"), 16)...)
 		global = append(global, s)
 	}
-	dist, _ := runApprox(t, global, 4, Options{GroupID: 1, InitialLen: 8})
+	dist, _ := runApprox(t, global, 4, Options{GroupID: 1, initialLen: 8})
 	for i, d := range dist {
 		if d != 8 {
 			t.Fatalf("string %d: bound %d, want 8 (first-round resolution)", i, d)
@@ -225,7 +225,7 @@ func TestApproxDistDoublingBoundedOvershoot(t *testing.T) {
 		_ = rng
 	}
 	trueDist := strutil.DistinguishingPrefixes(global)
-	dist, _ := runApprox(t, global, 4, Options{GroupID: 1, InitialLen: 8})
+	dist, _ := runApprox(t, global, 4, Options{GroupID: 1, initialLen: 8})
 	for i := range global {
 		if int(dist[i]) > 2*int(trueDist[i])+8 && int(dist[i]) != len(global[i]) {
 			t.Fatalf("string %d: bound %d overshoots true DIST %d by more than 2×",
@@ -499,7 +499,7 @@ func fakePeer(t *testing.T, ss [][]byte, opt Options, requests, verdict []byte) 
 			ApproxDist(c, ss, opt)
 			return nil
 		}
-		g := comm.NewGroup(c, allRanks(2), opt.GroupID)
+		g := comm.NewGroup(c, comm.WorldRanks(2), opt.GroupID)
 		g.AllreduceUint64([]uint64{0}, comm.Sum)
 		g.Alltoallv([][]byte{requests, {0}})
 		if verdict != nil {
@@ -560,7 +560,7 @@ func FuzzApproxDistSound(f *testing.F) {
 			global = global[:200]
 		}
 		p := 1 + int(pes)%8
-		opt := Options{GroupID: 1, Seed: uint64(span), Golomb: gol, InitialLen: 1 + int(span)%4, fixedRange: 1 + uint64(span)%64}
+		opt := Options{GroupID: 1, Seed: uint64(span), Golomb: gol, initialLen: 1 + int(span)%4, fixedRange: 1 + uint64(span)%64}
 		flat, dist, _ := runSorted(t, global, p, opt, true)
 		_, without, _ := runSorted(t, global, p, opt, false)
 		if !slices.Equal(dist, without) {
@@ -712,7 +712,7 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	defer c.SetPhase(prevPhase)
 
 	p := c.P()
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
+	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID)
 	hasher := fingerprint.New(opt.Seed)
 
 	n := len(ss)
@@ -723,7 +723,7 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		candidates = append(candidates, int32(i))
 	}
 
-	ell := opt.InitialLen
+	ell := opt.initialLen
 	for {
 		// Global termination check.
 		remaining := g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]

@@ -46,7 +46,7 @@ func EstimateD(c *comm.Comm, ss [][]byte, sampleSize int, seed uint64, gid int) 
 	prevPhase := c.SetPhase(stats.PhaseDupDetect)
 	defer c.SetPhase(prevPhase)
 	p := c.P()
-	g := comm.NewGroup(c, allRanks(p), gid)
+	g := comm.NewGroup(c, comm.WorldRanks(p), gid)
 
 	// Bernoulli sample: expected sampleSize/p strings per PE.
 	rng := rand.New(rand.NewSource(int64(seed) ^ int64(c.Rank()+1)*0x5851f42d4c957f2d))

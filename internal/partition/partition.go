@@ -117,7 +117,7 @@ func SelectSplittersSet(c *comm.Comm, set strutil.Set, opt Options) [][]byte {
 	}
 	samples := drawSamples(set, sample, opt)
 
-	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
+	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID)
 	var splitters [][]byte
 	if opt.DistSort == nil {
 		splitters = centralSelect(g, samples, p, c)
@@ -326,12 +326,4 @@ func bucketOffsets(n int, splitters [][]byte, above func(k int, f []byte) bool) 
 		}
 	}
 	return off
-}
-
-func allRanks(p int) []int {
-	r := make([]int, p)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }

@@ -61,7 +61,7 @@ func SortednessLCP(c *comm.Comm, ss [][]byte, lcps []int32, gid int) error {
 // the streaming front-ends share it, so their message schedules are
 // identical and mixed use across PEs is allowed.
 func boundaryCheck(c *comm.Comm, localErr error, nonEmpty bool, first, last []byte, gid int) error {
-	g := comm.NewGroup(c, ranks(c.P()), gid)
+	g := comm.NewGroup(c, comm.WorldRanks(c.P()), gid)
 	w := wire.NewBuffer(32)
 	if localErr == nil {
 		w.Uvarint(1)
@@ -175,7 +175,7 @@ func Multiset(c *comm.Comm, input, output [][]byte, gid int) error {
 // Collective call with the same message schedule as Multiset, so budgeted
 // and in-RAM PEs may mix.
 func MultisetStream(c *comm.Comm, input [][]byte, outHash uint64, outCount int64, gid int) error {
-	g := comm.NewGroup(c, ranks(c.P()), gid)
+	g := comm.NewGroup(c, comm.WorldRanks(c.P()), gid)
 	sums := g.AllreduceUint64([]uint64{
 		strutil.MultisetHash(input), uint64(len(input)),
 		outHash, uint64(outCount),
@@ -184,12 +184,4 @@ func MultisetStream(c *comm.Comm, input [][]byte, outHash uint64, outCount int64
 		return fmt.Errorf("%w (count %d → %d)", ErrMultiset, sums[1], sums[3])
 	}
 	return nil
-}
-
-func ranks(p int) []int {
-	r := make([]int, p)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }

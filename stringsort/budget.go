@@ -153,7 +153,7 @@ func (r *RunFile) HasOrigins() bool { return r.sc.HasSats() }
 func (r *RunFile) Next() (s []byte, lcp int32, origin Origin, ok bool, err error) {
 	s, lcp, sat, ok, err := r.sc.Next()
 	if ok && r.sc.HasSats() {
-		origin = Origin{PE: int(sat >> 32), Index: int(uint32(sat))}
+		origin = satOrigin(sat)
 	}
 	return s, lcp, origin, ok, err
 }

@@ -137,15 +137,22 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 		run.Stats = statsFromReport(rep, n)
 	}
 
+	var origins []Origin
+	if res.Sats != nil {
+		origins = make([]Origin, len(res.Sats))
+		for i, sat := range res.Sats {
+			origins[i] = satOrigin(sat)
+		}
+	}
 	// Under a budget the fragment lives in the run file, whose items carry
 	// each prefix's origin for the caller to resolve.
 	if res.PrefixOnly && cfg.Reconstruct && path == "" {
 		if inputs == nil {
 			res.Strings = core.Reconstruct(c, res, local, 900)
 		} else {
-			full := make([][]byte, len(res.Origins))
-			for i, o := range res.Origins {
-				s, err := lookupOrigin(inputs, int(o.PE), int(o.Index))
+			full := make([][]byte, len(origins))
+			for i, o := range origins {
+				s, err := lookupOrigin(inputs, o.PE, o.Index)
 				if err != nil {
 					return nil, err
 				}
@@ -177,13 +184,7 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 		}
 	}
 
-	run.Output = PEOutput{Strings: res.Strings, LCPs: res.LCPs, RunFile: path, RunCount: res.Drained}
-	if res.Origins != nil {
-		run.Output.Origins = make([]Origin, len(res.Origins))
-		for i, o := range res.Origins {
-			run.Output.Origins[i] = Origin{PE: int(o.PE), Index: int(o.Index)}
-		}
-	}
+	run.Output = PEOutput{Strings: res.Strings, LCPs: res.LCPs, Origins: origins, RunFile: path, RunCount: res.Drained}
 	return run, nil
 }
 
@@ -204,6 +205,9 @@ func validate(c *comm.Comm, res core.Result, local [][]byte, path string, prefix
 	}
 	return verify.Multiset(c, local, res.Strings, 902)
 }
+
+// satOrigin unpacks a merge satellite word, PE in its high 32 bits.
+func satOrigin(sat uint64) Origin { return Origin{PE: int(sat >> 32), Index: int(uint32(sat))} }
 
 // lookupOrigin returns the input string a PDMS origin names: inputs[pe][index].
 func lookupOrigin(inputs [][][]byte, pe, index int) ([]byte, error) {

@@ -291,7 +291,7 @@ type PEOutput struct {
 	Strings [][]byte
 	// LCPs is the fragment's LCP array (nil for MS-simple and FKmerge).
 	LCPs []int32
-	// Origins is the provenance of each string (PDMS only).
+	// Origins is the provenance of each string (PDMS and hQuick).
 	Origins []Origin
 	// RunFile is the PE's sorted-run output file in budget mode
 	// (Config.MemBudget > 0); Strings/LCPs/Origins are nil then. Stream it

@@ -110,7 +110,7 @@ func TestSortTraceTimeline(t *testing.T) {
 		}
 	}
 	for _, want := range []struct{ name, ph string }{
-		{"IAlltoallv post", "i"}, // the Step-3 exchange (and the collectives before it)
+		{"IAlltoallv post", "i"}, // the staged Step-3 exchange
 		{"IAlltoallv done", "i"},
 		{"send", "i"},         // raw billing instants
 		{"spill-flush", "i"},  // a routed page written behind the PE's back
