@@ -178,6 +178,22 @@ func main() {
 		profiling.Exit(1)
 	}
 
+	// The run directory of a budgeted sort is removed whether or not the
+	// output could be written.
+	err = writeOutput(out, res, inputs, *printLCP)
+	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
+		os.RemoveAll(filepath.Dir(res.PEs[0].RunFile))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		profiling.Exit(1)
+	}
+
+	res.Stats.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)
+}
+
+// writeOutput writes every PE's sorted fragment to out, in PE order.
+func writeOutput(out io.Writer, res *stringsort.Result, inputs [][][]byte, printLCP bool) error {
 	w := bufio.NewWriterSize(out, 1<<20)
 	for _, pe := range res.PEs {
 		if pe.RunFile != "" {
@@ -186,29 +202,20 @@ func main() {
 			// with origins — resolve each to its full input string, exactly
 			// like Sort does for in-RAM runs (so -lcp is moot there, as
 			// prefix LCPs do not apply to full strings).
-			if err := writeRunFile(w, pe.RunFile, res.PrefixOnly, inputs, *printLCP); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
+			if err := writeRunFile(w, pe.RunFile, res.PrefixOnly, inputs, printLCP); err != nil {
+				return err
 			}
 			continue
 		}
 		for i, s := range pe.Strings {
-			if *printLCP && pe.LCPs != nil {
+			if printLCP && pe.LCPs != nil {
 				fmt.Fprintf(w, "%d\t", pe.LCPs[i])
 			}
 			w.Write(s)
 			w.WriteByte('\n')
 		}
 	}
-	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
-		os.RemoveAll(filepath.Dir(res.PEs[0].RunFile))
-	}
-	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(1)
-	}
-
-	res.Stats.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)
+	return w.Flush()
 }
 
 // writeRunFile streams one PE's sorted-run file to the output. With

@@ -136,52 +136,63 @@ func main() {
 	// A transport failure swallowed mid-run (reader goroutine death, an
 	// exhausted reconnect budget racing teardown) surfaces here: a worker
 	// whose connections died must not exit 0 on a complete-looking output.
-	if err := ep.Close(); err != nil {
-		fatal(fmt.Errorf("rank %d: transport: %w", *rank, err))
+	if err = ep.Close(); err != nil {
+		err = fmt.Errorf("transport: %w", err)
+	} else {
+		err = writeOutput(res.Output, *outPath, *printLCP)
 	}
-
-	// A truncated fragment must not exit 0: the whole point of the worker
-	// is that concatenating the per-rank files yields the sorted sequence,
-	// so write errors are checked explicitly rather than deferred away.
-	var out io.Writer = os.Stdout
-	var outFile *os.File
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		outFile = f
-		out = f
-	}
-	w := bufio.NewWriterSize(out, 1<<20)
+	// The run directory this rank created goes on every path.
 	if res.Output.RunFile != "" {
-		// Budget mode: stream the sorted-run file to the output, then
-		// remove the run directory this rank created.
-		if err := writeRunFile(w, res.Output.RunFile, *printLCP); err != nil {
-			fatal(fmt.Errorf("rank %d: %w", *rank, err))
-		}
 		os.RemoveAll(filepath.Dir(res.Output.RunFile))
 	}
-	for i, s := range res.Output.Strings {
-		if *printLCP && res.Output.LCPs != nil {
-			fmt.Fprintf(w, "%d\t", res.Output.LCPs[i])
-		}
-		w.Write(s)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		fatal(fmt.Errorf("rank %d: writing output: %w", *rank, err))
-	}
-	if outFile != nil {
-		if err := outFile.Close(); err != nil {
-			fatal(fmt.Errorf("rank %d: closing %s: %w", *rank, *outPath, err))
-		}
+	if err != nil {
+		fatal(fmt.Errorf("rank %d: %w", *rank, err))
 	}
 
 	if *rank == 0 || *statsAll {
 		res.Stats.WriteSummary(os.Stderr, cfg.Algorithm,
 			fmt.Sprintf("%d worker processes", len(peers)), total)
 	}
+}
+
+// writeOutput writes this rank's sorted fragment to outPath (stdout when
+// empty). A truncated fragment must not exit 0: the whole point of the
+// worker is that concatenating the per-rank files yields the sorted
+// sequence, so write and close errors are returned, not deferred away.
+func writeOutput(out stringsort.PEOutput, outPath string, printLCP bool) error {
+	var dst io.Writer = os.Stdout
+	var f *os.File
+	if outPath != "" {
+		var err error
+		if f, err = os.Create(outPath); err != nil {
+			return err
+		}
+		defer f.Close()
+		dst = f
+	}
+	w := bufio.NewWriterSize(dst, 1<<20)
+	if out.RunFile != "" {
+		// Budget mode: stream the sorted-run file to the output.
+		if err := writeRunFile(w, out.RunFile, printLCP); err != nil {
+			return err
+		}
+	}
+	for i, s := range out.Strings {
+		if printLCP && out.LCPs != nil {
+			fmt.Fprintf(w, "%d\t", out.LCPs[i])
+		}
+		w.Write(s)
+		w.WriteByte('\n')
+	}
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("writing output: %w", err)
+	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("closing %s: %w", outPath, err)
+		}
+	}
+	return nil
 }
 
 // readFragment reads the shared input in bounded chunks and keeps the

@@ -40,7 +40,7 @@ func alltoallPart(src, dst int) []byte {
 // Each buffer is stored in posted[dst] before it is posted.
 func postStaged(c *Comm, parts, posted [][]byte) *Pending {
 	p := len(parts)
-	pd := c.World().IAlltoallvStaged()
+	pd := world(c).IAlltoallvStaged()
 	for i := p - 1; i >= 1; i-- {
 		dst := (i + c.Rank()) % p
 		posted[dst] = append(c.Alloc(len(parts[dst]))[:0], parts[dst]...)
@@ -103,7 +103,7 @@ func TestIAlltoallvPollAnyDrain(t *testing.T) {
 		blocking := New(p)
 		err = blocking.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhaseExchange)
-			out := c.World().Alltoallv(alltoallParts(c.Rank(), p))
+			out := world(c).Alltoallv(alltoallParts(c.Rank(), p))
 			c.Release(out...)
 			return nil
 		})
@@ -202,7 +202,7 @@ func TestStagedOwnIndexRejected(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g, me := c.World(), c.Rank()
+			g, me := world(c), c.Rank()
 			pd := g.IAlltoallvStaged()
 			if !panics(func() { pd.Post(me, c.Alloc(0)) }) {
 				return fmt.Errorf("rank %d: Post of the own index accepted", me)

@@ -407,9 +407,3 @@ func WorldRanks(p int) []int {
 	}
 	return ranks
 }
-
-// World returns the group of all PEs, on which the collective operations
-// are defined.
-func (c *Comm) World() *Group {
-	return &Group{c: c, ranks: WorldRanks(c.t.P()), myIdx: c.t.Rank(), gid: 0}
-}

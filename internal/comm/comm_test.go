@@ -20,6 +20,9 @@ import (
 // non-powers of two and the degenerate single-PE machine.
 var ps = []int{1, 2, 3, 4, 5, 7, 8, 13, 16}
 
+// world is the group of all PEs in tag namespace 0.
+func world(c *Comm) *Group { return NewGroup(c, WorldRanks(c.P()), 0) }
+
 func TestSendRecvBasic(t *testing.T) {
 	m := New(2)
 	err := m.Run(func(c *Comm) error {
@@ -264,7 +267,7 @@ func TestBarrier(t *testing.T) {
 		m := New(p)
 		counter := make([]int32, p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			counter[c.Rank()] = 1
 			g.Barrier()
 			// After the barrier every PE must see every counter set.
@@ -289,7 +292,7 @@ func TestIBarrierMatchesBarrier(t *testing.T) {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhasePartition)
-			c.World().Barrier()
+			world(c).Barrier()
 			return nil
 		})
 		if err != nil {
@@ -313,7 +316,7 @@ func TestBcast(t *testing.T) {
 			m := New(p)
 			payload := []byte(fmt.Sprintf("hello from %d", root))
 			err := m.Run(func(c *Comm) error {
-				g := c.World()
+				g := world(c)
 				var data []byte
 				if c.Rank() == root {
 					data = payload
@@ -335,7 +338,7 @@ func TestBcastLogarithmicMessages(t *testing.T) {
 	const p = 16
 	m := New(p)
 	err := m.Run(func(c *Comm) error {
-		g := c.World()
+		g := world(c)
 		var data []byte
 		if c.Rank() == 0 {
 			data = make([]byte, 100)
@@ -362,7 +365,7 @@ func TestGatherv(t *testing.T) {
 		for root := 0; root < p; root += max(1, p/2) {
 			m := New(p)
 			err := m.Run(func(c *Comm) error {
-				g := c.World()
+				g := world(c)
 				mine := []byte(fmt.Sprintf("pe%d", c.Rank()))
 				parts := g.Gatherv(root, mine)
 				if c.Rank() != root {
@@ -392,7 +395,7 @@ func TestAllgatherv(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			mine := []byte(fmt.Sprintf("data-%d", c.Rank()*c.Rank()))
 			parts := g.Allgatherv(mine)
 			if len(parts) != p {
@@ -423,7 +426,7 @@ func TestIAllgathervMatchesAllgatherv(t *testing.T) {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhasePartition)
-			c.World().Allgatherv([]byte(fmt.Sprintf("data-%d", c.Rank()*c.Rank())))
+			world(c).Allgatherv([]byte(fmt.Sprintf("data-%d", c.Rank()*c.Rank())))
 			return nil
 		})
 		if err != nil {
@@ -456,7 +459,7 @@ func TestIAllgathervCallerKeepsOwnership(t *testing.T) {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
 			buf := []byte(fmt.Sprintf("orig-%d", c.Rank()))
-			parts := c.World().Allgatherv(buf)
+			parts := world(c).Allgatherv(buf)
 			copy(buf, "MUTATED!!") // the caller reuses its buffer
 			for i, part := range parts {
 				want := fmt.Sprintf("orig-%d", i)
@@ -476,7 +479,7 @@ func TestAlltoallv(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			parts := make([][]byte, p)
 			for dst := 0; dst < p; dst++ {
 				parts[dst] = []byte(fmt.Sprintf("%d->%d", c.Rank(), dst))
@@ -503,7 +506,7 @@ func TestReduceUint64(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			vals := []uint64{uint64(c.Rank()), 1, uint64(c.Rank() * 10)}
 			res := g.ReduceUint64(0, vals, Sum)
 			if c.Rank() != 0 {
@@ -528,7 +531,7 @@ func TestAllreduceMaxMin(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			got := g.AllreduceUint64([]uint64{uint64(c.Rank() + 5)}, Max)
 			if got[0] != uint64(p+4) {
 				return fmt.Errorf("max = %d, want %d", got[0], p+4)
@@ -549,7 +552,7 @@ func TestExscan(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			prefix, total := g.ExscanUint64(uint64(c.Rank() + 1))
 			wantPrefix := uint64(c.Rank() * (c.Rank() + 1) / 2)
 			wantTotal := uint64(p * (p + 1) / 2)
@@ -578,8 +581,8 @@ func TestSubgroupCollectives(t *testing.T) {
 			gid = 2
 		}
 		g := NewGroup(c, ranks, gid)
-		if g.N() != 4 || g.Idx() != c.Rank()/2 {
-			return fmt.Errorf("rank %d: N = %d, Idx = %d; want 4 and %d", c.Rank(), g.N(), g.Idx(), c.Rank()/2)
+		if len(g.ranks) != 4 || g.Idx() != c.Rank()/2 {
+			return fmt.Errorf("rank %d: %d members, Idx = %d; want 4 and %d", c.Rank(), len(g.ranks), g.Idx(), c.Rank()/2)
 		}
 		got := g.AllreduceUint64([]uint64{uint64(c.Rank())}, Sum)
 		want := uint64(0 + 2 + 4 + 6)
@@ -602,7 +605,7 @@ func TestReduceBytesOrdered(t *testing.T) {
 	for _, p := range ps {
 		m := New(p)
 		err := m.Run(func(c *Comm) error {
-			g := c.World()
+			g := world(c)
 			mine := []byte{byte('a' + c.Rank())}
 			res := g.ReduceBytes(0, mine, func(lo, hi []byte) []byte {
 				return append(append([]byte{}, lo...), hi...)
@@ -655,7 +658,7 @@ func TestModelTimeMonotoneInVolume(t *testing.T) {
 		m := New(4)
 		err := m.Run(func(c *Comm) error {
 			c.SetPhase(stats.PhaseExchange)
-			g := c.World()
+			g := world(c)
 			parts := make([][]byte, 4)
 			for i := range parts {
 				parts[i] = make([]byte, size)

@@ -41,14 +41,8 @@ func NewGroup(c *Comm, ranks []int, gid int) *Group {
 	return &Group{c: c, ranks: ranks, myIdx: myIdx, gid: gid}
 }
 
-// N returns the group size.
-func (g *Group) N() int { return len(g.ranks) }
-
 // Idx returns the calling PE's index within the group.
 func (g *Group) Idx() int { return g.myIdx }
-
-// Comm returns the underlying per-PE endpoint.
-func (g *Group) Comm() *Comm { return g.c }
 
 // nextTag reserves a fresh tag for one collective operation. Members stay
 // in lockstep because they execute the same sequence of collectives.

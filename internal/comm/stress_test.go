@@ -92,7 +92,7 @@ func TestConcurrentCollectiveSequences(t *testing.T) {
 	const p = 5
 	m := New(p)
 	err := m.Run(func(c *Comm) error {
-		g := c.World()
+		g := world(c)
 		for round := 0; round < 50; round++ {
 			sum := g.AllreduceUint64([]uint64{uint64(c.Rank() + round)}, Sum)[0]
 			want := uint64(p*round + p*(p-1)/2)
@@ -128,7 +128,7 @@ func TestLargePayloads(t *testing.T) {
 		big[i] = byte(i * 2654435761)
 	}
 	err := m.Run(func(c *Comm) error {
-		g := c.World()
+		g := world(c)
 		var data []byte
 		if c.Rank() == 2 {
 			data = big
@@ -159,7 +159,7 @@ func TestManyPEs(t *testing.T) {
 	const p = 100
 	m := New(p)
 	err := m.Run(func(c *Comm) error {
-		g := c.World()
+		g := world(c)
 		sum := g.AllreduceUint64([]uint64{1}, Sum)[0]
 		if sum != p {
 			return fmt.Errorf("sum = %d", sum)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -444,7 +445,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 func TestAllAlgorithmsAgreeOnReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	global := genRandom(rng, 1200, 15, 3)
-	ref := strutil.Clone(global)
+	ref := slices.Clone(global)
 	sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i], ref[j]) < 0 })
 	p := 4
 	locals := scatter(global, p)

@@ -99,7 +99,7 @@ func runExchange(tb testing.TB, m *comm.Machine, bucket int) (out int64) {
 			}
 			return buf
 		}
-		recv := exchangeEncoded(c, c.World(), sizes, me, enc, false, stats.PhaseMerge)
+		recv := exchangeEncoded(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), sizes, me, enc, false, stats.PhaseMerge)
 		decodeOnPool(c, recv, func(src int, msg []byte) {
 			if len(msg) != bucket {
 				bad.Add(1)

@@ -429,7 +429,7 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 		}
 		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins,
 			own: homeRun(format, origins, runs[me][me], me)}
-		outs[me], _ = exchangeMerge(c, c.World(), cd, lcp, SeamOptions{})
+		outs[me], _ = exchangeMerge(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), cd, lcp, SeamOptions{})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -622,9 +622,9 @@ func TestHomeRunStaysHome(t *testing.T) {
 	pool := newPool()
 	_, got = landHome(t, pool, wire.RunStringsLCP, true, home, own, buckets...)
 	check("budget", got)
-	if pool.BytesWritten() != 0 || pool.Peak() != int64(remoteBytes) || pool.Live() != 0 {
+	if pool.BytesWritten() != 0 || pool.Peak() != int64(remoteBytes) || pool.Room() != budget {
 		t.Fatalf("budget: %d bytes spilled, peak %d, %d live; want 0, the %d received bytes, 0",
-			pool.BytesWritten(), pool.Peak(), pool.Live(), remoteBytes)
+			pool.BytesWritten(), pool.Peak(), budget-pool.Room(), remoteBytes)
 	}
 
 	pool = newPool()

@@ -53,14 +53,13 @@
 // packed into one buffer the all-to-all copies from. The sender side is
 // sized by the local string count: the requests {candidate, value} in
 // candidate order, the same requests grouped by destination PE (each group
-// sorted by value when the round is Golomb coded — an LSD radix sort
-// through one scratch array that skips every digit the whole group shares,
-// which the bytes above the range always are), and the group's bare values
-// for the encoder. The receiver side grows to the largest round seen: one
-// decoded list per source and one flat verdict array over their
-// concatenation. Golomb lists arrive sorted, so multiplicities are counted
-// by a p-way merge; fixed-width lists arrive in request order and are
-// counted by sorting a position-tagged copy with the same radix sort.
+// sorted by value — an LSD radix sort through one scratch array that skips
+// every digit the whole group shares, which the bytes above the range
+// always are), and the group's bare values for the encoder. The receiver
+// side grows to the largest round seen: one decoded list per source and
+// one flat verdict array over their concatenation. Every list arrives
+// sorted, Golomb coded or fixed-width alike (a fixed-width message has the
+// same size in any order), so multiplicities are counted by a p-way merge.
 // Verdicts come back as one bit per request and land in a []bool indexed
 // by candidate.
 //
@@ -274,9 +273,8 @@ type detector struct {
 	lists   [][]uint64 // decoded values per source
 	voffs   []int      // verdict[voffs[src]:voffs[src+1]] answers lists[src]
 	verdict []bool
-	tagged  []req   // fixed-width rounds: every received value with its verdict index
-	heap    []int32 // Golomb rounds: sources ordered by their list's head
-	heads   []int   // Golomb rounds: next unread position per source
+	heap    []int32 // sources ordered by their list's head
+	heads   []int   // next unread position per source
 }
 
 func newDetector(c *comm.Comm, ss [][]byte, opt Options) *detector {
@@ -400,9 +398,7 @@ func (d *detector) uniqueRound(reqs []req) {
 	d.msgs = d.msgs[:0]
 	for dst := range d.ends {
 		group := routed[offs[dst]:offs[dst+1]]
-		if d.golomb {
-			sortByFP(group, d.scratch)
-		}
+		sortByFP(group, d.scratch)
 		fps := d.fps[:len(group)]
 		for j, r := range group {
 			fps[j] = r.fp
@@ -426,11 +422,7 @@ func (d *detector) uniqueRound(reqs []req) {
 	total := d.voffs[d.p]
 	d.verdict = slices.Grow(d.verdict[:0], total)[:total]
 	clear(d.verdict)
-	if d.golomb {
-		d.countMerging()
-	} else {
-		d.countSorting()
-	}
+	d.countMerging()
 
 	d.msgs = d.msgs[:0]
 	for src := range d.ends {
@@ -460,8 +452,9 @@ func (d *detector) uniqueRound(reqs []req) {
 
 // decodeRequests decodes PE src's request message into d.lists[src] and
 // checks what the round lets the receiver check: no PE can hold more
-// candidates than the machine, and every value is relative to this PE's
-// base, so below the bucket width.
+// candidates than the machine, every value is relative to this PE's base,
+// so below the bucket width, and the sender sorted the list, so it
+// ascends (the Golomb decoder yields nothing else).
 func (d *detector) decodeRequests(src int, msg []byte, width int) error {
 	var err error
 	list := d.lists[src][:0]
@@ -477,19 +470,22 @@ func (d *detector) decodeRequests(src int, msg []byte, width int) error {
 	if uint64(len(list)) > d.remaining {
 		return fmt.Errorf("%d values in a round of %d candidates", len(list), d.remaining)
 	}
-	for _, v := range list {
+	for i, v := range list {
 		if v >= d.bucket {
 			return fmt.Errorf("value %d outside the bucket width %d", v, d.bucket)
+		}
+		if i > 0 && v < list[i-1] {
+			return fmt.Errorf("value %d after %d: the list does not ascend", v, list[i-1])
 		}
 	}
 	return nil
 }
 
 // countMerging marks the verdict of every fingerprint that occurs once in
-// the union of the p decoded lists, each of which is ascending (Golomb
-// rounds; golomb.AppendDecodeSorted accepts nothing else). A binary heap
-// of sources keyed by their list's head yields the values in ascending
-// order; all runs of one value are consumed before its count is judged.
+// the union of the p decoded lists, each of which is ascending
+// (decodeRequests accepts nothing else). A binary heap of sources keyed by
+// their list's head yields the values in ascending order; all runs of one
+// value are consumed before its count is judged.
 func (d *detector) countMerging() {
 	lists, heads := d.lists, d.heads
 	less := func(a, b int32) bool { return lists[a][heads[a]] < lists[b][heads[b]] }
@@ -537,37 +533,6 @@ func (d *detector) countMerging() {
 		if count == 1 {
 			d.verdict[first] = true
 		}
-	}
-}
-
-// countSorting marks the verdict of every fingerprint that occurs once
-// among the p decoded lists when they arrive in request order (fixed-width
-// rounds): tag each value with its verdict index, sort the copy, and judge
-// the runs.
-func (d *detector) countSorting() {
-	total := len(d.verdict)
-	if total > math.MaxInt32 {
-		panic("dupdetect: more than 2^31-1 fingerprints received in one round")
-	}
-	d.tagged = slices.Grow(d.tagged[:0], 2*total)[:2*total] // the copy and the sort's other half
-	tagged := d.tagged[:total]
-	k := 0
-	for _, l := range d.lists {
-		for _, fp := range l {
-			tagged[k] = req{cand: int32(k), fp: fp}
-			k++
-		}
-	}
-	sortByFP(tagged, d.tagged[total:])
-	for i := 0; i < total; {
-		j := i + 1
-		for j < total && tagged[j].fp == tagged[i].fp {
-			j++
-		}
-		if j == i+1 {
-			d.verdict[tagged[i].cand] = true
-		}
-		i = j
 	}
 }
 

@@ -535,6 +535,8 @@ func TestDamagedMessagesAreRejected(t *testing.T) {
 			wire.AppendUintsFixed(nil, make([]uint64, 11), width), nil, "11 values in a round of 10"},
 		{"Golomb list longer than the round", Options{Golomb: true},
 			golomb.EncodeSorted(make([]uint64, 11)), nil, "11 values in a round of 10"},
+		{"fixed-width list out of order", Options{},
+			wire.AppendUintsFixed(nil, []uint64{3, 2}, width), nil, "does not ascend"},
 		{"fixed-width list cut short", Options{},
 			wire.AppendUintsFixed(nil, []uint64{1, 2, 3}, width)[:4], nil, "fingerprint message"},
 		{"verdicts for requests never made", Options{},

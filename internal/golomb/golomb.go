@@ -50,11 +50,6 @@ func (w *BitWriter) flush() {
 	}
 }
 
-// WriteBit appends one bit.
-func (w *BitWriter) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
 // WriteBits appends the low n bits of v, most significant first (n ≤ 64).
 func (w *BitWriter) WriteBits(v uint64, n uint) {
 	if n == 0 {
@@ -95,11 +90,6 @@ func (w *BitWriter) Bytes() []byte {
 		return w.buf
 	}
 	return append(w.buf[:len(w.buf):len(w.buf)], byte(w.acc>>56))
-}
-
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int {
-	return len(w.buf)*8 + int(w.n)
 }
 
 // BitReader consumes a stream produced by BitWriter. It keeps up to 64

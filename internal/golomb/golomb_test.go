@@ -11,8 +11,8 @@ import (
 
 func TestBitWriterReaderRoundtrip(t *testing.T) {
 	w := &BitWriter{}
-	w.WriteBit(1)
-	w.WriteBit(0)
+	w.WriteBits(1, 1)
+	w.WriteBits(0, 1)
 	w.WriteBits(0b10110, 5)
 	w.WriteUnary(7)
 	w.WriteBits(0xdead, 16)

@@ -102,8 +102,8 @@ func runScript(t *testing.T, ops []bitOp) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("streams differ:\n buffered %x\n scalar   %x\nops: %+v", got, want, ops)
 	}
-	if wantLen := len(ref.buf)*8 - int((8-ref.nbit)&7); w.BitLen() != wantLen {
-		t.Fatalf("BitLen = %d, scalar %d", w.BitLen(), wantLen)
+	if gotLen, wantLen := len(w.buf)*8+int(w.n), len(ref.buf)*8-int((8-ref.nbit)&7); gotLen != wantLen {
+		t.Fatalf("bit length = %d, scalar %d", gotLen, wantLen)
 	}
 	// Both readers must decode the shared stream identically.
 	r := NewBitReader(got)

@@ -2,6 +2,7 @@ package input
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dss/internal/strutil"
@@ -12,7 +13,7 @@ func dnRatioOf(ss [][]byte) float64 {
 }
 
 func avgLCPShare(ss [][]byte) float64 {
-	sorted := strutil.Clone(ss)
+	sorted := slices.Clone(ss)
 	// cheap insertion-free sort via strutil reference path
 	lcps := strutil.ComputeLCPArray(sortBytes(sorted))
 	var lcpSum, lenSum int64

@@ -104,23 +104,6 @@ func (lr *LineReader) fill(buf []byte, n int) int {
 	return n
 }
 
-// ReadAllLines drains the reader into one flat slice (convenience for
-// callers that keep everything resident anyway, with chunked allocation
-// behavior underneath).
-func (lr *LineReader) ReadAllLines() ([][]byte, error) {
-	var all [][]byte
-	for {
-		chunk, err := lr.Next()
-		if err != nil {
-			return nil, err
-		}
-		if chunk == nil {
-			return all, nil
-		}
-		all = append(all, chunk...)
-	}
-}
-
 // A Generator produces PE pe's fragment of a deterministic instance over p
 // PEs (all package generators fit after currying their config).
 type Generator func(pe, p int) [][]byte

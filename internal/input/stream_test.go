@@ -188,12 +188,21 @@ func FuzzLineReader(f *testing.F) {
 	})
 }
 
-// TestLineReaderReadAll checks the drain helper against a direct split.
+// TestLineReaderReadAll drains a reader chunk by chunk and checks the
+// concatenated lines against a direct split.
 func TestLineReaderReadAll(t *testing.T) {
 	file := "one\ntwo\nthree"
-	all, err := NewLineReader(strings.NewReader(file), 4).ReadAllLines()
-	if err != nil {
-		t.Fatal(err)
+	lr := NewLineReader(strings.NewReader(file), 4)
+	var all [][]byte
+	for {
+		chunk, err := lr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunk == nil {
+			break
+		}
+		all = append(all, chunk...)
 	}
 	want := []string{"one", "two", "three"}
 	if len(all) != len(want) {

@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,7 +32,7 @@ func makeRuns(rng *rand.Rand, k, total, maxLen, sigma int) ([]Sequence, [][]byte
 		lcp, _ := strsort.SortLCP(seqs[r].Strings, nil)
 		seqs[r].LCPs = lcp
 	}
-	ref := strutil.Clone(all)
+	ref := slices.Clone(all)
 	sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i], ref[j]) < 0 })
 	return seqs, ref
 }

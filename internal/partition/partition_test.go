@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -280,7 +281,7 @@ func TestPrefixSamplesTruncateSplitters(t *testing.T) {
 // Helpers.
 
 func bucketSizesGlobal(global [][]byte, splitters [][]byte) []int {
-	sorted := strutil.Clone(global)
+	sorted := slices.Clone(global)
 	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
 	off := Buckets(sorted, splitters)
 	sizes := make([]int, len(off)-1)
@@ -291,7 +292,7 @@ func bucketSizesGlobal(global [][]byte, splitters [][]byte) []int {
 }
 
 func bucketCharsGlobal(global [][]byte, splitters [][]byte) []int {
-	sorted := strutil.Clone(global)
+	sorted := slices.Clone(global)
 	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
 	off := Buckets(sorted, splitters)
 	chars := make([]int, len(off)-1)

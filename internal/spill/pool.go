@@ -115,12 +115,6 @@ func NewPool(cfg Config, workers *par.Pool) (*Pool, error) {
 // write-behind helpers record through it safely.
 func (p *Pool) SetTrace(tr *trace.Recorder) { p.tr = tr }
 
-// Dir returns the pool's private page directory.
-func (p *Pool) Dir() string { return p.dir }
-
-// Budget returns the configured live-byte budget (0 = unlimited).
-func (p *Pool) Budget() int64 { return p.cfg.Budget }
-
 // PageSize returns the spill I/O granularity.
 func (p *Pool) PageSize() int { return p.cfg.PageSize }
 
@@ -157,9 +151,6 @@ func (p *Pool) Room() int64 {
 	}
 	return max(0, p.cfg.Budget-p.live.Load())
 }
-
-// Live returns the currently metered live bytes.
-func (p *Pool) Live() int64 { return p.live.Load() }
 
 // Peak returns the high-water mark of metered live bytes.
 func (p *Pool) Peak() int64 { return p.peak.Load() }

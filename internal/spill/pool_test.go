@@ -33,8 +33,8 @@ func newTestPool(t *testing.T, cfg Config) *Pool {
 // TestPoolAccounting pins the Reserve/Release/Peak/Room arithmetic.
 func TestPoolAccounting(t *testing.T) {
 	p := newTestPool(t, Config{Budget: 100})
-	if p.Room() != 100 || p.Live() != 0 || p.Peak() != 0 {
-		t.Fatalf("fresh pool not zeroed: live=%d peak=%d room=%d", p.Live(), p.Peak(), p.Room())
+	if p.Room() != 100 || p.live.Load() != 0 || p.Peak() != 0 {
+		t.Fatalf("fresh pool not zeroed: live=%d peak=%d room=%d", p.live.Load(), p.Peak(), p.Room())
 	}
 	p.Reserve(60)
 	if p.Room() != 40 {
@@ -44,15 +44,15 @@ func TestPoolAccounting(t *testing.T) {
 	if p.Room() != 0 {
 		t.Fatalf("room %d at 110/100", p.Room())
 	}
-	if p.Live() != 110 || p.Peak() != 110 {
-		t.Fatalf("live=%d peak=%d, want 110/110", p.Live(), p.Peak())
+	if p.live.Load() != 110 || p.Peak() != 110 {
+		t.Fatalf("live=%d peak=%d, want 110/110", p.live.Load(), p.Peak())
 	}
 	p.Release(80)
 	if p.Room() != 70 {
 		t.Fatalf("room %d at 30/100", p.Room())
 	}
-	if p.Live() != 30 || p.Peak() != 110 {
-		t.Fatalf("live=%d peak=%d, want 30/110 (peak is a high-water mark)", p.Live(), p.Peak())
+	if p.live.Load() != 30 || p.Peak() != 110 {
+		t.Fatalf("live=%d peak=%d, want 30/110 (peak is a high-water mark)", p.live.Load(), p.Peak())
 	}
 	// Budget 0 = unlimited: meters but never runs out of room.
 	u := newTestPool(t, Config{})
@@ -177,8 +177,8 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("BytesWritten=%d, want full file %d", p.BytesWritten(), f.Size())
 	}
 	// Every pending byte was released once its page write completed.
-	if p.Live() != 0 {
-		t.Fatalf("live=%d after Finish, want 0", p.Live())
+	if p.live.Load() != 0 {
+		t.Fatalf("live=%d after Finish, want 0", p.live.Load())
 	}
 }
 
@@ -213,8 +213,8 @@ func TestPoolClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Dir(p.Dir()) != parent {
-		t.Fatalf("pool dir %q not under %q", p.Dir(), parent)
+	if filepath.Dir(p.dir) != parent {
+		t.Fatalf("pool dir %q not under %q", p.dir, parent)
 	}
 	f, err := p.CreateFile("a")
 	if err != nil {
@@ -231,7 +231,7 @@ func TestPoolClose(t *testing.T) {
 	if err := p.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(p.Dir()); !os.IsNotExist(err) {
+	if _, err := os.Stat(p.dir); !os.IsNotExist(err) {
 		t.Fatalf("pool dir still present after Close: %v", err)
 	}
 }
@@ -319,8 +319,8 @@ func TestRunFileRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if w.Count() != int64(n) {
-			t.Fatalf("Count=%d, want %d", w.Count(), n)
+		if w.count != int64(n) {
+			t.Fatalf("Count=%d, want %d", w.count, n)
 		}
 
 		sc, err := NewRunScanner(bytes.NewReader(buf.Bytes()))

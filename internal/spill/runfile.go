@@ -144,9 +144,6 @@ func (rw *RunWriter) flushPage() {
 	rw.page = rw.page[:0]
 }
 
-// Count returns the items written so far.
-func (rw *RunWriter) Count() int64 { return rw.count }
-
 // Close flushes the tail page and writes the terminator. It does not close
 // the underlying writer. Idempotent.
 func (rw *RunWriter) Close() error {

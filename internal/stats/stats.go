@@ -150,15 +150,6 @@ func (pe *PE) TotalWire() WireCounters {
 	return t
 }
 
-// Add accumulates the counters of a phase.
-func (pe *PE) Add(ph Phase, c PhaseCounters) {
-	p := &pe.Phases[ph]
-	p.BytesSent += c.BytesSent
-	p.BytesRecv += c.BytesRecv
-	p.Messages += c.Messages
-	p.Work += c.Work
-}
-
 // Total returns the sum of all phase counters of the PE.
 func (pe *PE) Total() PhaseCounters {
 	var t PhaseCounters

@@ -21,11 +21,10 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-func TestPEAddAndTotal(t *testing.T) {
+func TestPETotal(t *testing.T) {
 	pe := &PE{Rank: 3}
-	pe.Add(PhaseExchange, PhaseCounters{BytesSent: 100, Messages: 2})
-	pe.Add(PhaseExchange, PhaseCounters{BytesSent: 50, BytesRecv: 70})
-	pe.Add(PhaseMerge, PhaseCounters{Work: 1000})
+	pe.Phases[PhaseExchange] = PhaseCounters{BytesSent: 150, BytesRecv: 70, Messages: 2}
+	pe.Phases[PhaseMerge] = PhaseCounters{Work: 1000}
 	tot := pe.Total()
 	if tot.BytesSent != 150 || tot.BytesRecv != 70 || tot.Messages != 2 || tot.Work != 1000 {
 		t.Fatalf("total = %+v", tot)
@@ -34,9 +33,9 @@ func TestPEAddAndTotal(t *testing.T) {
 
 func buildReport() *Report {
 	pes := []*PE{{Rank: 0}, {Rank: 1}, {Rank: 2}}
-	pes[0].Add(PhaseExchange, PhaseCounters{BytesSent: 1000, Messages: 10, Work: 500})
-	pes[1].Add(PhaseExchange, PhaseCounters{BytesSent: 3000, Messages: 5, Work: 100})
-	pes[2].Add(PhaseMerge, PhaseCounters{Work: 10_000_000})
+	pes[0].Phases[PhaseExchange] = PhaseCounters{BytesSent: 1000, Messages: 10, Work: 500}
+	pes[1].Phases[PhaseExchange] = PhaseCounters{BytesSent: 3000, Messages: 5, Work: 100}
+	pes[2].Phases[PhaseMerge] = PhaseCounters{Work: 10_000_000}
 	return NewReport(pes, CostModel{Alpha: 1e-6, Beta: 1e-9, Rate: 1e8})
 }
 

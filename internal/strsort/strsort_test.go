@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -67,7 +68,7 @@ func TestSortLCPSmallCases(t *testing.T) {
 		{[]byte("aaa"), []byte("aab"), []byte("aa"), []byte("aaaa")},
 	}
 	for _, in := range cases {
-		ss := strutil.Clone(in)
+		ss := slices.Clone(in)
 		h := strutil.MultisetHash(ss)
 		lcp, work := SortLCP(ss, nil)
 		checkSorted(t, ss, lcp, h, "small")
@@ -115,7 +116,7 @@ func TestSortLCPRandomAgainstReference(t *testing.T) {
 		sigma := 1 + rng.Intn(4)
 		maxLen := rng.Intn(30)
 		ss := randStrings(rng, n, maxLen, sigma)
-		ref := strutil.Clone(ss)
+		ref := slices.Clone(ss)
 		sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i], ref[j]) < 0 })
 		h := strutil.MultisetHash(ss)
 		lcp, _ := SortLCP(ss, nil)
@@ -150,7 +151,7 @@ func TestSortSatellitePermutation(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(500)
 		ss := randStrings(rng, n, 12, 2)
-		orig := strutil.Clone(ss)
+		orig := slices.Clone(ss)
 		sat := make([]uint64, n)
 		for i := range sat {
 			sat[i] = uint64(i)
@@ -183,7 +184,7 @@ func TestSortNoLCP(t *testing.T) {
 
 func TestSortQuickProperty(t *testing.T) {
 	f := func(raw [][]byte) bool {
-		ss := strutil.Clone(raw)
+		ss := slices.Clone(raw)
 		h := strutil.MultisetHash(ss)
 		lcp, _ := SortLCP(ss, nil)
 		return strutil.IsSorted(ss) &&

@@ -254,20 +254,3 @@ func MultisetHash(ss [][]byte) uint64 {
 func MultisetAdd(h uint64, s []byte) uint64 {
 	return h + fnv1a64(s)
 }
-
-// Clone deep-copies a string array (strings and the spine).
-func Clone(ss [][]byte) [][]byte {
-	out := make([][]byte, len(ss))
-	for i, s := range ss {
-		out[i] = append([]byte(nil), s...)
-	}
-	return out
-}
-
-// Prefix returns s truncated to at most n characters (no copy).
-func Prefix(s []byte, n int) []byte {
-	if n >= len(s) {
-		return s
-	}
-	return s[:n]
-}

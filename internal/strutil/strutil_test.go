@@ -3,6 +3,7 @@ package strutil
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -172,8 +173,8 @@ func TestTotalDAtMostN(t *testing.T) {
 
 func TestMultisetHashPermutationInvariant(t *testing.T) {
 	f := func(raw [][]byte, seed int64) bool {
-		a := Clone(raw)
-		b := Clone(raw)
+		a := slices.Clone(raw)
+		b := slices.Clone(raw)
 		rand.New(rand.NewSource(seed)).Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
 		return MultisetHash(a) == MultisetHash(b)
 	}
@@ -216,16 +217,6 @@ func TestIsSortedAndMaxLen(t *testing.T) {
 	}
 }
 
-func TestPrefix(t *testing.T) {
-	s := []byte("hello")
-	if got := Prefix(s, 3); string(got) != "hel" {
-		t.Fatalf("Prefix = %q", got)
-	}
-	if got := Prefix(s, 99); string(got) != "hello" {
-		t.Fatalf("Prefix over length = %q", got)
-	}
-}
-
 func TestDistinguishingPrefixesMatchSortedNeighborComputation(t *testing.T) {
 	// DIST must be computable from sorted neighbors only; this guards the
 	// implementation shortcut against the O(n²) definition.
@@ -240,7 +231,7 @@ func TestDistinguishingPrefixesMatchSortedNeighborComputation(t *testing.T) {
 		ss[i] = s
 	}
 	got := DistinguishingPrefixes(ss)
-	sorted := Clone(ss)
+	sorted := slices.Clone(ss)
 	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
 	var d int64
 	for _, v := range got {

@@ -119,14 +119,6 @@ func New(rank, capacity int) *Recorder {
 	return r
 }
 
-// Rank returns the PE rank the recorder was created for.
-func (r *Recorder) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
-}
-
 // intern returns the index of name in the table, adding it on first use.
 // Callers hold r.mu.
 func (r *Recorder) intern(name string) int32 {

@@ -105,9 +105,6 @@ func TestNilRecorder(t *testing.T) {
 	if b := r.Snapshot(); b != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", b)
 	}
-	if r.Rank() != -1 {
-		t.Fatalf("nil recorder rank = %d, want -1", r.Rank())
-	}
 }
 
 // TestRingWraparoundSpansConsistent is the satellite test: overflow a

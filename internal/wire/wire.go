@@ -36,17 +36,9 @@ func NewBuffer(capacity int) *Buffer {
 // buffer's storage.
 func (w *Buffer) Bytes() []byte { return w.b }
 
-// Len returns the current encoded length in bytes.
-func (w *Buffer) Len() int { return len(w.b) }
-
 // Uvarint appends an unsigned varint.
 func (w *Buffer) Uvarint(v uint64) {
 	w.b = binary.AppendUvarint(w.b, v)
-}
-
-// Uint64 appends a fixed-width little-endian 64-bit value.
-func (w *Buffer) Uint64(v uint64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
 }
 
 // Raw appends raw bytes without a length prefix.
@@ -79,16 +71,6 @@ func (r *Reader) Uvarint() (uint64, error) {
 		return 0, ErrTruncated
 	}
 	r.pos += n
-	return v, nil
-}
-
-// Uint64 decodes a fixed-width little-endian 64-bit value.
-func (r *Reader) Uint64() (uint64, error) {
-	if r.Remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
 	return v, nil
 }
 

@@ -18,7 +18,6 @@ func TestBufferRoundtripPrimitives(t *testing.T) {
 	w.Uvarint(0)
 	w.Uvarint(1)
 	w.Uvarint(1<<63 + 5)
-	w.Uint64(0xdeadbeefcafebabe)
 	w.BytesPrefixed([]byte("hello"))
 	w.BytesPrefixed(nil)
 	w.Raw([]byte{1, 2, 3})
@@ -29,9 +28,6 @@ func TestBufferRoundtripPrimitives(t *testing.T) {
 		if err != nil || got != want {
 			t.Fatalf("Uvarint = %d, %v; want %d", got, err, want)
 		}
-	}
-	if got, err := r.Uint64(); err != nil || got != 0xdeadbeefcafebabe {
-		t.Fatalf("Uint64 = %x, %v", got, err)
 	}
 	if got, err := r.BytesPrefixed(); err != nil || string(got) != "hello" {
 		t.Fatalf("BytesPrefixed = %q, %v", got, err)
@@ -51,10 +47,6 @@ func TestReaderTruncation(t *testing.T) {
 	r := NewReader([]byte{0x80}) // incomplete varint
 	if _, err := r.Uvarint(); err != ErrTruncated {
 		t.Fatalf("Uvarint on truncated input: err = %v, want ErrTruncated", err)
-	}
-	r = NewReader([]byte{1, 2})
-	if _, err := r.Uint64(); err != ErrTruncated {
-		t.Fatalf("Uint64 on short input: err = %v", err)
 	}
 	r = NewReader([]byte{5, 'a'})
 	if _, err := r.BytesPrefixed(); err != ErrTruncated {

@@ -303,7 +303,6 @@ func TestBudgetSpillLifecycle(t *testing.T) {
 
 	var mu sync.Mutex
 	var created []string
-	var poolDirs []string
 	orig := newSpillPool
 	newSpillPool = func(cfg spill.Config, workers *par.Pool) (*spill.Pool, error) {
 		inner := cfg.Create
@@ -316,13 +315,7 @@ func TestBudgetSpillLifecycle(t *testing.T) {
 			mu.Unlock()
 			return inner(name)
 		}
-		p, err := orig(cfg, workers)
-		if p != nil {
-			mu.Lock()
-			poolDirs = append(poolDirs, p.Dir())
-			mu.Unlock()
-		}
-		return p, err
+		return orig(cfg, workers)
 	}
 	defer func() { newSpillPool = orig }()
 
@@ -341,18 +334,23 @@ func TestBudgetSpillLifecycle(t *testing.T) {
 			t.Fatalf("page file %q survived the run", name)
 		}
 	}
-	for _, d := range poolDirs {
-		if _, err := os.Stat(d); !os.IsNotExist(err) {
-			t.Fatalf("spill dir %q survived the run", d)
-		}
-	}
-	// The sorted-run files themselves are the caller's to remove.
+	// The sorted-run files themselves are the caller's to remove; once
+	// they are, nothing of the run is left, so no spill dir survived.
 	for pe, p := range res.PEs {
 		if _, err := os.Stat(p.RunFile); err != nil {
 			t.Fatalf("PE %d run file missing: %v", pe, err)
 		}
 	}
-	os.RemoveAll(runDirOf(res.PEs[0].RunFile))
+	if err := os.RemoveAll(runDirOf(res.PEs[0].RunFile)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("read spill dir: %v", err)
+	}
+	for _, e := range entries {
+		t.Fatalf("artifact %q survived the run", e.Name())
+	}
 }
 
 // TestBudgetSpillFailureCleanup injects a page-file creation failure and
@@ -363,31 +361,18 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 	inputs := genInputs(rng, testPEs, testPerPE)
 	dir := t.TempDir()
 
-	var mu sync.Mutex
-	var poolDirs []string
 	orig := newSpillPool
 	newSpillPool = func(cfg spill.Config, workers *par.Pool) (*spill.Pool, error) {
 		cfg.Create = func(name string) (*os.File, error) {
 			return nil, fmt.Errorf("injected create failure for %s", name)
 		}
-		p, err := orig(cfg, workers)
-		if p != nil {
-			mu.Lock()
-			poolDirs = append(poolDirs, p.Dir())
-			mu.Unlock()
-		}
-		return p, err
+		return orig(cfg, workers)
 	}
 	defer func() { newSpillPool = orig }()
 
 	_, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5}, dir))
 	if err == nil || !strings.Contains(err.Error(), "injected create failure") {
 		t.Fatalf("expected the injected failure to surface, got %v", err)
-	}
-	for _, d := range poolDirs {
-		if _, err := os.Stat(d); !os.IsNotExist(err) {
-			t.Fatalf("spill dir %q survived the failed run", d)
-		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
