@@ -4,17 +4,23 @@
 //
 // Usage:
 //
-//	dss-sort -algo PDMS -p 8 [-lcp] [-validate] < input.txt > sorted.txt
+//	dss-sort -algo PDMS -p 8 [-validate] < input.txt > sorted.txt
 //	dss-sort -algo MS -p 16 -in big.txt -out sorted.txt
 //	dss-sort -algo PDMS -p 4 -transport tcp < input.txt > sorted.txt
 //
 // The input is read in 1 MiB chunks that are split into lines in place,
 // and the lines are dealt round-robin (line i to PE i mod p) into per-PE
 // arrays of exactly their size; the sort works on the lines where they
-// lie. PDMS sorts distinguishing prefixes: each is resolved to its full
-// input line by looking up its origin, with no communication, in RAM and
-// under -mem-budget alike. The sorted lines go out through a 1 MiB
-// buffered writer.
+// lie. The output is written by the sort itself (stringsort.SortToFile):
+// each PE's Step-4 merge writes its lines straight into its own region of
+// the output file with positioned writes, all PEs at once, so no sorted
+// copy of the data is built. PDMS sorts distinguishing prefixes: the merge
+// writes the full input line each prefix's origin names, found by lookup
+// with no communication, in RAM and under -mem-budget alike. An output that
+// takes no positioned writes (a pipe, a terminal) gets the same bytes
+// through an unlinked temporary file. The stderr summary ends with an
+// "envelope:" line that splits the process's wall time into reading and
+// parsing the input, dealing it, and sorting and writing the output.
 //
 // With -transport tcp the PEs exchange messages over real loopback TCP
 // sockets instead of in-process mailboxes (output and statistics are
@@ -54,22 +60,19 @@
 //
 // -mem-budget engages the bounded-memory out-of-core pipeline: each PE
 // spills Step-3 runs to page files once its metered arenas exceed the
-// budget and streams its merged fragment to a sorted-run file, which
-// dss-sort then copies to the output line by line (PDMS prefixes are
-// resolved to full strings through their recorded origins). The buckets
-// travel exactly as in an unbudgeted run; only where the received bytes
-// wait and where the merge's output lands differ. The sorted output bytes
-// are identical to an unbudgeted run; the stderr summary gains a "spill:"
-// line with the bytes written/read back and the peak metered footprint.
+// budget, and its merge writes the output through one metered spill page.
+// The buckets travel exactly as in an unbudgeted run; only where the
+// received bytes wait differs. The sorted output bytes are identical to an
+// unbudgeted run; the "spill:" line of the stderr summary reports the bytes
+// written/read back and the peak metered footprint.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"time"
 
 	"dss/internal/debugserve"
 	"dss/internal/input"
@@ -78,13 +81,13 @@ import (
 )
 
 func main() {
-	cfg := stringsort.Config{Reconstruct: true}
+	start := time.Now()
+	var cfg stringsort.Config
 	stringsort.RegisterTuningFlags(flag.CommandLine, &cfg)
 	profiling.RegisterFlags(flag.CommandLine)
 	p := flag.Int("p", 4, "number of simulated PEs")
 	inPath := flag.String("in", "", "input file (default stdin)")
 	outPath := flag.String("out", "", "output file (default stdout)")
-	printLCP := flag.Bool("lcp", false, "prefix each output line with its LCP value")
 	transportName := flag.String("transport", "local", "message substrate: local (in-process mailboxes) or tcp (real sockets)")
 	peersFlag := flag.String("peers", "", "comma-separated host:port bind addresses for the tcp transport, one per PE (sets p; default automatic loopback ports)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar run gauges and live trace snapshots on this host:port (port 0 picks one; the bound address is printed)")
@@ -128,7 +131,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	var out io.Writer = os.Stdout
+	out := os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
@@ -157,6 +160,8 @@ func main() {
 		chunks = append(chunks, chunk)
 		n += len(chunk)
 	}
+
+	read := time.Now()
 	inputs := make([][][]byte, *p)
 	for pe := range inputs {
 		inputs[pe] = make([][]byte, 0, (n-pe+*p-1) / *p)
@@ -169,83 +174,19 @@ func main() {
 		}
 		chunks[k] = nil
 	}
+	dealt := time.Now()
 
 	cfg.Transport = tr
 	cfg.TCPPeers = peers
-	res, err := stringsort.Sort(inputs, cfg)
+	st, err := stringsort.SortToFile(inputs, cfg, out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(1)
 	}
+	sorted := time.Now()
 
-	// The run directory of a budgeted sort is removed whether or not the
-	// output could be written.
-	err = writeOutput(out, res, inputs, *printLCP)
-	if len(res.PEs) > 0 && res.PEs[0].RunFile != "" {
-		os.RemoveAll(filepath.Dir(res.PEs[0].RunFile))
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(1)
-	}
-
-	res.Stats.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)
-}
-
-// writeOutput writes every PE's sorted fragment to out, in PE order.
-func writeOutput(out io.Writer, res *stringsort.Result, inputs [][][]byte, printLCP bool) error {
-	w := bufio.NewWriterSize(out, 1<<20)
-	for _, pe := range res.PEs {
-		if pe.RunFile != "" {
-			// Budget mode: the fragment lives in a sorted-run file; stream
-			// it to the output. PDMS run files hold distinguishing prefixes
-			// with origins — resolve each to its full input string, exactly
-			// like Sort does for in-RAM runs (so -lcp is moot there, as
-			// prefix LCPs do not apply to full strings).
-			if err := writeRunFile(w, pe.RunFile, res.PrefixOnly, inputs, printLCP); err != nil {
-				return err
-			}
-			continue
-		}
-		for i, s := range pe.Strings {
-			if printLCP && pe.LCPs != nil {
-				fmt.Fprintf(w, "%d\t", pe.LCPs[i])
-			}
-			w.Write(s)
-			w.WriteByte('\n')
-		}
-	}
-	return w.Flush()
-}
-
-// writeRunFile streams one PE's sorted-run file to the output. With
-// prefixOnly (PDMS under a budget) each item is a distinguishing prefix
-// carrying its origin, which indexes the still-resident input fragments;
-// the full string is written instead of the prefix.
-func writeRunFile(w *bufio.Writer, path string, prefixOnly bool, inputs [][][]byte, printLCP bool) error {
-	rf, err := stringsort.OpenRun(path)
-	if err != nil {
-		return err
-	}
-	defer rf.Close()
-	for {
-		s, lcp, origin, ok, err := rf.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if prefixOnly && rf.HasOrigins() {
-			s = inputs[origin.PE][origin.Index]
-		} else if printLCP && rf.HasLCP() {
-			fmt.Fprintf(w, "%d\t", lcp)
-		}
-		if _, err := w.Write(s); err != nil {
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
+	st.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)
+	sec := func(from, to time.Time) float64 { return to.Sub(from).Seconds() }
+	fmt.Fprintf(os.Stderr, "envelope:         %.3f s read+parse, %.3f s deal, %.3f s sort+write, %.3f s total (process wall from main)\n",
+		sec(start, read), sec(read, dealt), sec(dealt, sorted), sec(start, time.Now()))
 }

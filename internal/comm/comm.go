@@ -98,8 +98,12 @@ func (m *Machine) Close() error { return m.fabric.Close() }
 // Run executes f once per PE, concurrently, and waits for all PEs to
 // finish. Each invocation receives a Comm bound to its rank. The first PE
 // to return an error or panic aborts the run: Run closes every rank's
-// endpoint, which wakes peers blocked in Recv with a panic, and returns
-// that first failure — not the peers' secondary closed-endpoint errors.
+// endpoint, which wakes peers blocked in Recv with a panic, closes the
+// Comms' Aborted channel, and returns that first failure — not the peers'
+// secondary closed-endpoint errors. A PE that returns without error
+// departs: on a fabric whose endpoints support it (transport/local), what
+// it sent stays receivable, and a peer's receive that only it could still
+// satisfy fails naming it instead of waiting forever.
 func (m *Machine) Run(f func(c *Comm) error) error {
 	p := m.fabric.P()
 	eps := make([]transport.Transport, p)
@@ -107,8 +111,9 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 		eps[rank] = m.fabric.Endpoint(rank)
 	}
 	var (
-		abort sync.Once
-		first error
+		abort   sync.Once
+		first   error
+		aborted = make(chan struct{})
 	)
 	fail := func(err error) {
 		abort.Do(func() {
@@ -116,6 +121,7 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 			for _, ep := range eps {
 				ep.Close()
 			}
+			close(aborted)
 		})
 	}
 	var wg sync.WaitGroup
@@ -123,6 +129,11 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 	for rank := 0; rank < p; rank++ {
 		go func(rank int) {
 			defer wg.Done()
+			// Departing after the failure is recorded keeps a peer's
+			// departure error from overtaking this PE's own.
+			if d, ok := eps[rank].(departer); ok {
+				defer d.Depart()
+			}
 			defer func() {
 				if r := recover(); r != nil {
 					fail(fmt.Errorf("PE %d panicked: %v\n%s", rank, r, debug.Stack()))
@@ -130,6 +141,7 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 			}()
 			c := newComm(eps[rank], m.pes[rank])
 			c.SetPool(m.pool)
+			c.aborted = aborted
 			if err := f(c); err != nil {
 				fail(err)
 			}
@@ -139,6 +151,18 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 	wg.Wait()
 	return first
 }
+
+// departer is the optional endpoint interface of fabrics that can tell a
+// rank's peers it has returned from the run (transport/local).
+type departer interface {
+	Depart()
+}
+
+// Aborted returns a channel that is closed once the machine running this
+// PE has recorded a failure and is aborting the run — for a PE that waits
+// on something other than a message. It is nil, never ready, for a Comm
+// made with NewComm.
+func (c *Comm) Aborted() <-chan struct{} { return c.aborted }
 
 // Comm is one PE's endpoint of the machine: its transport endpoint and its
 // accounting state. A Comm is confined to the goroutine running the PE.
@@ -150,7 +174,8 @@ type Comm struct {
 	tr         *trace.Recorder // timeline recorder; nil = tracing off
 	pool       *par.Pool       // intra-PE work pool; nil = sequential
 	phase      stats.Phase
-	phaseStart time.Time // start of the current phase's wall span
+	phaseStart time.Time     // start of the current phase's wall span
+	aborted    chan struct{} // closed when the machine aborts the run (Aborted)
 }
 
 // wireMeter is the optional transport interface of the wire-compression

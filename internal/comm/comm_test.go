@@ -201,6 +201,60 @@ func TestRunAbortsOnPanic(t *testing.T) {
 	}
 }
 
+// TestRunFailsOnDepartedPeer: a rank that returns without error departs.
+// What it sent before leaving stays receivable, the next run on the same
+// fabric starts with every rank present again, and a peer that waits for a
+// message only the departed rank could send fails the run naming it — at
+// the parent of this test Run waited forever.
+func TestRunFailsOnDepartedPeer(t *testing.T) {
+	m := New(2)
+	run := func(body func(c *Comm) error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- m.Run(body) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("Run did not return after a PE departed")
+			return nil
+		}
+	}
+	late := func(from, to int) func(c *Comm) error {
+		return func(c *Comm) error {
+			if c.Rank() == from {
+				if from == 0 {
+					time.Sleep(10 * time.Millisecond) // the receiver most likely waits first
+				}
+				c.Send(to, 5, []byte("hi"))
+				return nil
+			}
+			if from == 1 {
+				time.Sleep(10 * time.Millisecond) // the sender most likely departed first
+			}
+			if got := c.Recv(from, 5); string(got) != "hi" {
+				return fmt.Errorf("rank %d received %q from rank %d", to, got, from)
+			}
+			return nil
+		}
+	}
+	if err := run(late(1, 0)); err != nil {
+		t.Fatalf("a message sent before departing: %v", err)
+	}
+	if err := run(late(0, 1)); err != nil {
+		t.Fatalf("the run after a departure: %v", err)
+	}
+	err := run(func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Recv(1, 5)
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 returned from the run") {
+		t.Fatalf("err = %v, want a failure naming rank 1", err)
+	}
+}
+
 // TestAllgatherReportRoundTrip gives every counter of every PE a distinct
 // value and requires the gathered report to reproduce all of them on every
 // rank — the wall spans grow only by the span the gather closes — and the

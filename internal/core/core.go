@@ -32,10 +32,13 @@
 // decodes one string per pull. Without a budget a run is the transport
 // buffer it arrived in, validated and sized on the PE's pool the moment it
 // arrives — so the exchange overlaps that walk instead of ending at a global
-// barrier — and the merge copies the received strings into one output arena
-// sized exactly by the walks. With a budget the run's bytes wait resident as
-// far as the spill pool has room and in a page file beyond, and the same
-// tree drains into a sorted-run file. The deterministic statistics are
+// barrier. With a budget the run's bytes wait resident as far as the spill
+// pool has room and in a page file beyond. Where the merged fragment goes
+// is the caller's choice in both landings: into one output arena sized
+// exactly by the walks (the Result of Sort and RunPE), or into a sink the
+// caller opens once per PE with the fragment's exact item count and
+// character total (SeamOptions.Out: a sorted-run file, or a region of one
+// output file). The deterministic statistics are
 // identical on both — received bytes are billed to the phase the exchange
 // was posted in — and identical to the bulk-synchronous exchange kept as the
 // reference implementation (SeamOptions.BlockingExchange, set by the
@@ -48,6 +51,7 @@ import (
 	"dss/internal/par"
 	"dss/internal/spill"
 	"dss/internal/stats"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -75,9 +79,8 @@ type Result struct {
 	// the input fragments, or use Reconstruct across processes, to
 	// materialize them.
 	PrefixOnly bool
-	// Drained counts the items streamed to the budget pipeline's run
-	// writer. Budget-mode results hold no Strings — the sorted fragment
-	// lives in the caller's sorted-run file.
+	// Drained counts the items streamed into SeamOptions.Out. Such results
+	// hold no Strings — the sorted fragment went to the caller's sink.
 	Drained int64
 }
 
@@ -247,14 +250,45 @@ type SeamOptions struct {
 	BlockingExchange bool
 	// Spill, if non-nil, runs the bounded-memory landing: received buckets
 	// wait encoded, in page files for what the pool's budget has no room
-	// for, and the Step-4 sink merge drains into Out
-	// (required non-nil with Spill) instead of an output arena. The
-	// deterministic statistics are untouched — they are seam-invariant and
-	// the spill decision only moves measured gauges — and the result holds
-	// Drained instead of Strings.
+	// for. It requires Out. The deterministic statistics are untouched —
+	// they are seam-invariant and the spill decision only moves measured
+	// gauges.
 	Spill *spill.Pool
-	// Out receives the merged run in budget mode (nil otherwise).
-	Out *spill.RunWriter
+	// Out, if non-nil, receives the PE's sorted fragment instead of the
+	// Result's arrays; the result holds Drained instead of Strings.
+	Out *Output
+}
+
+// Output is where a PE's sorted fragment goes when the caller streams it
+// instead of taking it as a Result.
+type Output struct {
+	// Open is called exactly once per PE, before the fragment's first item
+	// reaches the sink it returns, with the fragment's item count n and the
+	// total characters of its items: their strings' lengths or, with Line
+	// set, the lengths of the lines their origins name. Both are exact, so
+	// a caller can place the fragment before it exists. An error fails the
+	// PE.
+	Open func(n, chars int64) (merge.Sink, error)
+	// Line, if non-nil, measures an item by its satellite word instead of
+	// its string: the length of the input line a PDMS origin names, for a
+	// sink that writes that line in place of the prefix.
+	Line func(sat uint64) int
+}
+
+// size returns the characters the sink receives for seq's items, as Open
+// counts them.
+func (o *Output) size(seq merge.Sequence) (chars int64) {
+	if o.Line != nil {
+		for _, sat := range seq.Sats {
+			chars += int64(o.Line(sat))
+		}
+		return chars
+	}
+	set := strutil.Set{Strings: seq.Strings, Order: seq.Order}
+	for i := 0; i < set.Len(); i++ {
+		chars += int64(len(set.At(i)))
+	}
+	return chars
 }
 
 // bucketCodec is one algorithm's Step-3 wire format: the exact encoded
@@ -274,17 +308,22 @@ type bucketCodec struct {
 
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
 // buckets over g and multiway-merge the p received runs, LCP-aware if lcp.
-// Without a spill pool the merge drains into the returned Sequence, one
-// exactly sized arena; with one it sinks into opt.Out and only the item
-// count comes back. Merge work and worker busy time are billed to the merge
+// Without opt.Out the merge drains into the returned Sequence, one exactly
+// sized arena; with it the merge sinks into opt.Out and only the item count
+// comes back. Merge work and worker busy time are billed to the merge
 // phase, and the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
 	own := g.Idx()
 	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
-	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
+	var line func(uint64) int
+	if opt.Out != nil {
+		line = opt.Out.Line
+	}
+	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, line, opt.Spill)
 	runs[own] = encodedRun{home: cd.own, n: cd.own.Len()}
 	var work int64
-	if opt.Spill != nil {
+	if opt.Out != nil {
+		runs[own].chars = int(opt.Out.size(*cd.own))
 		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)
 	} else {
 		out, work = arenaMerge(c, runs, cd.format, cd.origins, lcp)

@@ -38,8 +38,8 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Spill != nil {
-			return Result{Drained: drainSorted(opt.Out, local, nil, nil)}
+		if opt.Out != nil {
+			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: ss, Order: order})}
 		}
 		return Result{Strings: local.Gather()}
 	}

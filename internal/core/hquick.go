@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"dss/internal/comm"
+	"dss/internal/merge"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/strutil"
@@ -27,13 +28,13 @@ type HQOptions struct {
 	TrackPhases bool
 	// SeamOptions configure the initial random-placement all-to-all: the
 	// bulk-synchronous reference instead of the split-phase
-	// decode-on-arrival exchange, and budget mode. Under a budget the sorted
-	// fragment streams into Out (strings, LCPs and origin satellites)
-	// instead of materializing a result arena. hQuick is not an out-of-core
-	// algorithm — every string moves O(log p) times and the recursion keeps
-	// the working set resident — so unlike the merge families the budget
-	// bounds only the output accumulation, not the working set (documented
-	// in the README's out-of-core section).
+	// decode-on-arrival exchange. With Out set the sorted fragment streams
+	// into Out's sink (strings, LCPs and origin satellites) instead of
+	// materializing a result arena. hQuick is not an out-of-core algorithm —
+	// every string moves O(log p) times and the recursion keeps the working
+	// set resident — so unlike the merge families a budget bounds only the
+	// output accumulation, not the working set (documented in the README's
+	// out-of-core section).
 	SeamOptions
 }
 
@@ -176,8 +177,8 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 		sortedUids[i] = uids[k]
 	}
 
-	if opt.Spill != nil {
-		return Result{Drained: drainSorted(opt.Out, sorted, lcp, sortedUids)}
+	if opt.Out != nil {
+		return Result{Drained: drain(opt.Out, merge.Sequence{Strings: strings, Order: order, LCPs: lcp, Sats: sortedUids})}
 	}
 	return Result{Strings: sorted.Gather(), LCPs: lcp, Sats: sortedUids}
 }

@@ -38,7 +38,8 @@ type MSOptions struct {
 	GroupID int
 	// Seed drives hQuick's randomness during sample sorting.
 	Seed uint64
-	// SeamOptions configure Steps 3→4 (blocking reference, budget mode).
+	// SeamOptions configure Steps 3→4 (blocking reference, budget mode,
+	// output sink).
 	SeamOptions
 }
 
@@ -74,8 +75,8 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Spill != nil {
-			return Result{Drained: drainSorted(opt.Out, local, lcp, nil)}
+		if opt.Out != nil {
+			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: ss, Order: order, LCPs: lcp})}
 		}
 		return Result{Strings: local.Gather(), LCPs: lcp}
 	}

@@ -4,33 +4,39 @@
 // tree pulls it: the tree reads every run through a wire.RunCursor that
 // decodes one string per pull into one reused buffer (plus, for PDMS, a
 // second window over the bucket's origin column). The two landings differ
-// only in where a run's bytes wait and where the merge's output goes.
+// only in where a run's bytes wait; where the merge's output goes is the
+// caller's choice (SeamOptions.Out).
 //
 // The PE's own bucket never arrives: it is its slice of the PE's sorted
 // strings (the caller's array read through Step 1's order; PDMS's prefix
 // array), merged at the PE's own index (so ties and billed work are those of
 // the all-encoded landing), output as it is and never metered or paged.
 //
-// In RAM, a received run is the transport buffer it arrived in. A
-// validating walk over its varints runs on the PE's pool as the bucket
-// arrives and yields its string count and character total, so a corrupt
-// bucket fails before any output exists and the merge copies the received
-// strings into one exactly sized arena, sub-slices of one byte array; the
-// LCP and satellite columns are exact arrays. The transport buffers are
-// released once the merge is done.
+// Every received bucket is walked whole as it lands: the strings as the
+// one-shot decoders would read them (wire.RunExtent) and, for PDMS, one
+// varint per origin. The walk yields the run's string count and character
+// total, so a corrupt bucket fails before any output exists and the PE's
+// output size is known before its merge starts.
 //
-// Under a budget, each bucket is routed on the PE goroutine into its run:
-// as many of its bytes resident as the spill pool's budget has room for and
-// the rest in a per-run page file; its transport buffer is released at
-// once. The cursors page the spilled part back in a span at a time, and the
-// tree drains straight into a sorted-run writer. A run's bytes reach its
-// cursor in bucket order whether they waited in RAM or in the page file, so
-// the decoded runs — and with them the merged output and every
-// deterministic statistic — are byte-identical to the in-RAM run. Where
-// bytes wait and where the output lands live on the measured channels
-// only: SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU
-// share. What the pool meters is the resident prefixes and one paged-in
-// span per window. Received buckets are unmetered until they are routed.
+// In RAM, a received run is the transport buffer it arrived in, walked on
+// the PE's pool as it arrives. Without an Out the merge copies the received
+// strings into one exactly sized arena, sub-slices of one byte array; the
+// LCP and satellite columns are exact arrays (the Result of Sort and
+// RunPE). The transport buffers are released once the merge is done.
+//
+// Under a budget, each bucket is walked and routed on the PE goroutine into
+// its run: wholly resident as its transport buffer when the spill pool's
+// budget has room for all of it, otherwise as many of its bytes resident as
+// there is room for, copied out, and the rest in a per-run page file, the
+// transport buffer released at once. The cursors page the spilled part back
+// in a span at a time. A run's bytes reach its cursor in bucket order
+// whether they waited in RAM or in the page file, so the decoded runs — and
+// with them the merged output and every deterministic statistic — are
+// byte-identical to the in-RAM run. Where bytes wait lives on the measured
+// channels only: SpillBytesWritten/Read, PeakLiveBytes and the
+// write-behind CPU share. What the pool meters is the resident bytes and
+// one paged-in span per window. Received buckets are unmetered until they
+// are routed.
 package core
 
 import (
@@ -39,7 +45,6 @@ import (
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/spill"
-	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -53,21 +58,25 @@ import (
 type encodedRun struct {
 	home     *merge.Sequence // non-nil: the own bucket, resident, never encoded
 	resident []byte
+	held     bool // resident is the transport buffer, released after the merge
 	file     *spill.File
 	// sect are the byte ranges the run's windows read: the run itself, or
 	// for PDMS's composite bucket the prefix blob and the origin column.
 	sect    [2][2]int64
 	metered int64 // resident and paged-in bytes reserved in the pool
-	// n and chars are the in-RAM walk's string count and character total.
+	// n is the run's string count and chars the characters its items take
+	// in the output: the strings' own, or with a line measure the lengths
+	// of the lines their origins name.
 	n, chars int
 }
 
 // routeRuns receives the n buckets of a posted exchange and lands each,
 // whole, as its run: held in RAM (pool == nil) or routed to its budgeted
-// run and released. origins marks PDMS's composite layout: a
-// length-prefixed RunStringsLCP blob of prefixes trailed by a
-// length-prefixed origin column (count, then one varint per prefix).
-func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, pool *spill.Pool) []encodedRun {
+// run. origins marks PDMS's composite layout: a length-prefixed
+// RunStringsLCP blob of prefixes trailed by a length-prefixed origin column
+// (count, then one varint per prefix). line, if non-nil, measures an item
+// by its origin (Output.Line).
+func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, line func(uint64) int, pool *spill.Pool) []encodedRun {
 	runs := make([]encodedRun, n)
 	if pool != nil {
 		for {
@@ -75,8 +84,9 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 			if !ok {
 				return runs
 			}
-			runs[src].route(pool, src, msg, origins)
-			c.Release(msg)
+			if !runs[src].route(pool, src, msg, format, origins, line) {
+				c.Release(msg)
+			}
 		}
 	}
 	wgrp := c.Pool().Group()
@@ -85,7 +95,11 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 		if !ok {
 			break
 		}
-		wgrp.Go(func() { runs[src].hold(msg, format, origins) })
+		wgrp.Go(func() {
+			run := &runs[src]
+			run.walk(msg, format, origins, line)
+			run.resident, run.held = msg, true
+		})
 	}
 	c.AddCPU(wgrp.Wait())
 	return runs
@@ -109,23 +123,30 @@ func sections(bucket []byte, origins bool) (sect [2][2]int64) {
 	return sect
 }
 
-// hold keeps a received bucket as its run's resident bytes — the transport
-// buffer itself — after validating all of it: the strings as the one-shot
+// walk validates a whole received bucket — the strings as the one-shot
 // decoders would (wire.RunExtent) and, for a composite bucket, an origin
-// column of exactly one value per prefix. A corrupt bucket panics here,
-// before any output exists.
-func (run *encodedRun) hold(bucket []byte, format wire.RunFormat, origins bool) {
-	run.resident = bucket
+// column of exactly one value per prefix — and records its sections, its
+// string count and its output characters (measured by line over the
+// origins when line is non-nil). A corrupt bucket panics here, before any
+// output exists.
+func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool, line func(uint64) int) {
 	run.sect = sections(bucket, origins)
-	n, chars, err := wire.RunExtent(format, run.span(0))
+	sec := func(i int) []byte { return bucket[run.sect[i][0]:run.sect[i][1]] }
+	n, chars, err := wire.RunExtent(format, sec(0))
 	if err == nil && origins {
-		col := wire.NewReader(run.span(1))
+		col := wire.NewReader(sec(1))
 		var cnt uint64
 		if cnt, err = col.Uvarint(); err == nil && cnt != uint64(n) {
 			err = wire.ErrCorrupt
 		}
+		if line != nil {
+			chars = 0
+		}
 		for i := 0; err == nil && i < n; i++ {
-			_, err = col.Uvarint()
+			var sat uint64
+			if sat, err = col.Uvarint(); err == nil && line != nil {
+				chars += line(sat)
+			}
 		}
 	}
 	if err != nil {
@@ -134,28 +155,28 @@ func (run *encodedRun) hold(bucket []byte, format wire.RunFormat, origins bool) 
 	run.n, run.chars = n, chars
 }
 
-// span returns section i of a wholly resident run.
-func (run *encodedRun) span(i int) []byte {
-	return run.resident[run.sect[i][0]:run.sect[i][1]]
-}
-
-// route hands one whole received bucket to its budgeted run: the prefix the
-// budget still has room for stays resident, copied out of the transport
-// buffer as it is, and the rest is appended to the run's page file.
-// Appending whole pages allocates the file's pending buffer once per page
-// and keeps a single bucket-sized write from queueing behind the meter. The
-// spill decision is a pure scheduling choice — it can differ run to run and
-// transport to transport — and therefore only ever moves measured gauges,
-// never a deterministic counter.
-func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, origins bool) {
-	run.sect = sections(bucket, origins)
+// route walks one whole received bucket and hands it to its budgeted run.
+// When the budget has room for all of it, the run holds the transport
+// buffer itself, metered at its length, and route reports true: the buffer
+// is the run's until the merge is done. Otherwise the prefix the budget
+// still has room for stays resident, copied out of the transport buffer as
+// it is, the rest is appended to the run's page file, and the caller
+// releases the buffer. Appending whole pages allocates the file's pending
+// buffer once per page and keeps a single bucket-sized write from queueing
+// behind the meter. The spill decision is a pure scheduling choice — it can
+// differ run to run and transport to transport — and therefore only ever
+// moves measured gauges, never a deterministic counter.
+func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wire.RunFormat, origins bool, line func(uint64) int) (held bool) {
+	run.walk(bucket, format, origins, line)
 	keep := int(min(int64(len(bucket)), pool.Room()))
-	run.resident = append([]byte(nil), bucket[:keep]...)
 	run.metered = int64(keep)
 	pool.Reserve(run.metered)
-	if bucket = bucket[keep:]; len(bucket) == 0 {
-		return
+	if keep == len(bucket) {
+		run.resident, run.held = bucket, true
+		return true
 	}
+	run.resident = append([]byte(nil), bucket[:keep]...)
+	bucket = bucket[keep:]
 	f, err := pool.CreateFile(fmt.Sprintf("run%d", idx))
 	if err != nil {
 		panic("core: spill: " + err.Error())
@@ -166,6 +187,7 @@ func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, origins b
 		bucket = bucket[len(piece):]
 		f.Append(piece)
 	}
+	return false
 }
 
 // pager returns the fill function of one window over the bytes [off, end)
@@ -275,7 +297,8 @@ func mergeRuns(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 // run's own strings and, for the received runs, sub-slices of one arena
 // sized exactly by their walks — the LCP and satellite columns are exact
 // arrays, so nothing grows by reallocation — and then releases the runs'
-// transport buffers. An empty merge returns the zero Sequence.
+// transport buffers. An empty merge returns the zero Sequence. It is the
+// sink through which Sort and RunPE build their Result.
 func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins, lcp bool) (out merge.Sequence, work int64) {
 	n, chars := 0, 0
 	for i := range runs {
@@ -315,16 +338,25 @@ func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins,
 	return out, work
 }
 
-// sinkMerge drains the budgeted runs through the loser tree into the run
-// writer, then completes the write-behind chains, bills their busy time to
-// the measured CPU channel, releases what the runs still have metered and
-// closes the page descriptors (the pool's Close unlinks the files
-// themselves). The item sequence and the returned work are bit-identical
-// to the in-RAM merge — it is the same tree — only where the output lands
-// differs.
-func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *spill.RunWriter) (n, work int64) {
-	n, work, err := mergeRuns(c, pool, runs, format, origins, lcp,
-		func(_ int, s []byte, lcp int32, sat uint64) error { return out.Add(s, lcp, sat) })
+// sinkMerge opens out with the runs' item count and output characters,
+// drains the runs through the loser tree into the sink it returns, then
+// completes the write-behind chains of a budgeted landing (pool non-nil),
+// bills their busy time to the measured CPU channel, releases what the runs
+// still have metered and the transport buffers they hold, and closes the
+// page descriptors (the pool's Close unlinks the files themselves). The
+// item sequence and the returned work are bit-identical to the arena merge
+// — it is the same tree — only where the output lands differs. A failing
+// open or sink panics, after the cleanup.
+func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *Output) (n, work int64) {
+	var items, chars int64
+	for i := range runs {
+		items += int64(runs[i].n)
+		chars += int64(runs[i].chars)
+	}
+	sink, err := out.Open(items, chars)
+	if err == nil {
+		n, work, err = mergeRuns(c, pool, runs, format, origins, lcp, sink)
+	}
 	var busy int64
 	for i := range runs {
 		run := &runs[i]
@@ -336,33 +368,31 @@ func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 			}
 			run.file.Close()
 		}
-		pool.Release(run.metered)
-		run.metered = 0
+		if run.held {
+			c.Release(run.resident)
+		}
+		if run.metered != 0 {
+			pool.Release(run.metered)
+			run.metered = 0
+		}
 	}
 	c.AddCPU(busy)
 	if err != nil {
-		panic("core: run writer: " + err.Error())
+		panic("core: output: " + err.Error())
 	}
 	return n, work
 }
 
-// drainSorted streams an already sorted fragment into the budget
-// pipeline's run writer — the hQuick path and the p == 1 fast paths, which
-// have no Step-4 merge to sink.
-func drainSorted(out *spill.RunWriter, set strutil.Set, lcps []int32, sats []uint64) int64 {
-	n := set.Len()
-	for i := 0; i < n; i++ {
-		var lcp int32
-		if lcps != nil && i > 0 {
-			lcp = lcps[i]
+// drain streams an already sorted fragment into out — the hQuick path and
+// the p == 1 fast paths, which have no Step-4 merge to sink.
+func drain(out *Output, seq merge.Sequence) int64 {
+	sink, err := out.Open(int64(seq.Len()), out.size(seq))
+	for src := seq.Source(); err == nil; {
+		s, lcp, sat, ok := src.Next()
+		if !ok {
+			return int64(seq.Len())
 		}
-		var sat uint64
-		if sats != nil {
-			sat = sats[i]
-		}
-		if err := out.Add(set.At(i), lcp, sat); err != nil {
-			panic("core: run writer: " + err.Error())
-		}
+		err = sink(0, s, lcp, sat)
 	}
-	return int64(n)
+	panic("core: output: " + err.Error())
 }

@@ -50,7 +50,7 @@ func arrivals(c *comm.Comm, buckets [][]byte) func() (int, []byte, bool) {
 // which then merges them. A failing rank's panic comes back as the error.
 func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]byte) (runs []encodedRun, out merge.Sequence, err error) {
 	err = comm.New(1).Run(func(c *comm.Comm) error {
-		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, pool)
+		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, nil, pool)
 		if pool == nil {
 			out, _ = arenaMerge(c, runs, format, origins, format == wire.RunStringsLCP)
 		}
@@ -139,7 +139,7 @@ func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 				runs := routeArrivals(t, pool, false, wire.EncodeStrings(nil), msg)
 				run = &runs[len(runs)-1]
 			} else {
-				run.route(pool, 0, msg, false)
+				run.route(pool, 0, msg, wire.RunStrings, false, nil)
 			}
 			if run.file == nil {
 				t.Fatalf("%s: a %d-byte bucket stayed resident under a %d-byte budget", label, len(msg), budget)
@@ -185,7 +185,8 @@ func prefixBucket(ss [][]byte, lcps []int32, sats []uint64) (bucket []byte, blob
 // resident), and requires the two-window source to read back what the
 // in-RAM decoder makes of the same bytes; then checks that a bucket whose
 // origin column declares one value more or less than the blob has strings
-// is rejected by both landings alike.
+// is rejected by both landings alike: under the budget too, the walk fails
+// the bucket as it is routed, before any of it is paged.
 func TestSpillCompositeBucket(t *testing.T) {
 	const budget, page = 1 << 20, 64
 	var ss [][]byte
@@ -247,16 +248,9 @@ func TestSpillCompositeBucket(t *testing.T) {
 		if _, err := oneShot(wire.RunStringsLCP, true, bad); err != wire.ErrCorrupt {
 			t.Fatalf("%+d origins: in-RAM decode returned %v, want %v", d, err, wire.ErrCorrupt)
 		}
-		pool := newPool(blobEnd)
-		run := &routeArrivals(t, pool, true, bad)[0]
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), wire.ErrCorrupt.Error()) {
-					t.Fatalf("%+d origins: opening the source gave %v, want a panic carrying %q", d, r, wire.ErrCorrupt)
-				}
-			}()
-			run.source(pool, wire.RunStringsLCP, true)
-		}()
+		if _, _, err := land(newPool(blobEnd), wire.RunStringsLCP, true, bad); err == nil || !strings.Contains(err.Error(), wire.ErrCorrupt.Error()) {
+			t.Fatalf("%+d origins: routing the bucket gave %v, want an error carrying %q", d, err, wire.ErrCorrupt)
+		}
 	}
 }
 
@@ -536,7 +530,7 @@ func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins boo
 	sent := append([][]byte(nil), buckets...)
 	sent[home] = nil
 	if err := comm.New(1).Run(func(c *comm.Comm) error {
-		runs = routeRuns(c, arrivals(c, sent), len(sent), format, origins, pool)
+		runs = routeRuns(c, arrivals(c, sent), len(sent), format, origins, nil, pool)
 		runs[home] = encodedRun{home: own, n: own.Len()}
 		if pool == nil {
 			out, _ = arenaMerge(c, runs, format, origins, lcp)
@@ -547,7 +541,9 @@ func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins boo
 		if err != nil {
 			return err
 		}
-		sinkMerge(c, pool, runs, format, origins, lcp, w)
+		sinkMerge(c, pool, runs, format, origins, lcp, &Output{Open: func(int64, int64) (merge.Sink, error) {
+			return func(_ int, s []byte, lcp int32, sat uint64) error { return w.Add(s, lcp, sat) }, nil
+		}})
 		if err := w.Close(); err != nil {
 			return err
 		}
@@ -722,7 +718,7 @@ func BenchmarkLanding(b *testing.B) {
 						b.StopTimer()
 						recv := arrivals(c, sent) // the transport's buffers
 						b.StartTimer()
-						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil)
+						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil, nil)
 						if home != nil {
 							runs[0] = encodedRun{home: home, n: home.Len()}
 						}

@@ -9,7 +9,6 @@ import (
 	"dss/internal/partition"
 	"dss/internal/stats"
 	"dss/internal/strsort"
-	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -35,11 +34,9 @@ type PDMSOptions struct {
 	GroupID int
 	// Seed drives fingerprinting and hQuick randomness.
 	Seed uint64
-	// SeamOptions configure Steps 3→4 (see MSOptions). In budget mode Out
-	// receives the merged prefix run with its origin satellites in the run
-	// file's satellite column — budget-mode callers reconstruct full
-	// strings by origin lookup instead of core.Reconstruct (which needs the
-	// materialized result).
+	// SeamOptions configure Steps 3→4 (see MSOptions). Out receives the
+	// merged prefixes with their origins as satellite words; with Out.Line
+	// set its sink can write the full input line each origin names.
 	SeamOptions
 }
 
@@ -109,8 +106,8 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Spill != nil {
-			return Result{Drained: drainSorted(opt.Out, strutil.Set{Strings: prefixes}, plcp, sats), PrefixOnly: true}
+		if opt.Out != nil {
+			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: prefixes, LCPs: plcp, Sats: sats}), PrefixOnly: true}
 		}
 		return Result{Strings: prefixes, LCPs: plcp, Sats: sats, PrefixOnly: true}
 	}
@@ -166,13 +163,13 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	}
 	// Step 4: LCP-aware multiway merge of the prefix runs (the own one is
 	// the prefix view); origins ride in the satellite column, which is the
-	// result's Sats (or the run file's in budget mode).
+	// result's Sats (or the satellite words Out's sink receives).
 	lo, hi := off[me], off[me+1]
 	out, drained := exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStringsLCP, origins: true,
 		own: &merge.Sequence{Strings: prefixes[lo:hi], LCPs: lcpSub(plcp, lo, hi), Sats: sats[lo:hi]},
 	}, true, opt.SeamOptions)
-	if opt.Spill != nil {
+	if opt.Out != nil {
 		return Result{Drained: drained, PrefixOnly: true}
 	}
 	return Result{Strings: out.Strings, LCPs: out.LCPs, Sats: out.Sats, PrefixOnly: true}

@@ -18,7 +18,9 @@ import (
 
 // Machine is the in-process fabric: P mailbox-connected endpoints sharing
 // one address space. Create one with New; it needs no teardown (Close is a
-// no-op) and can be reused for several consecutive runs.
+// no-op) and can be reused for several consecutive runs. A rank that
+// departs (Depart) stays departed until its endpoint is taken again with
+// Endpoint, which is how each run starts.
 type Machine struct {
 	p     int
 	boxes [][]*transport.Mailbox // boxes[dst][src]
@@ -47,11 +49,15 @@ func New(p int) *Machine {
 // P returns the number of endpoints.
 func (m *Machine) P() int { return m.p }
 
-// Endpoint returns the endpoint of the given rank. Like the rest of the
-// substrate it is confined to the goroutine running the PE.
+// Endpoint returns the endpoint of the given rank and clears its departure
+// from an earlier run. Like the rest of the substrate it is confined to the
+// goroutine running the PE.
 func (m *Machine) Endpoint(rank int) transport.Transport {
 	if rank < 0 || rank >= m.p {
 		panic(fmt.Sprintf("transport/local: invalid rank %d (P=%d)", rank, m.p))
+	}
+	for dst := range m.boxes {
+		m.boxes[dst][rank].SetDeparted(false)
 	}
 	return &endpoint{rank: rank, m: m}
 }
@@ -93,7 +99,7 @@ func (e *endpoint) Recv(src, tag int) []byte {
 	}
 	data, ok := e.m.boxes[e.rank][src].Pop(tag)
 	if !ok {
-		panic(fmt.Sprintf("transport/local: recv from %d on closed endpoint %d", src, e.rank))
+		panic(e.lost(src))
 	}
 	return data
 }
@@ -114,9 +120,26 @@ func (e *endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	}
 	i, data, arrived, ok := transport.PopAny(boxes, tag)
 	if !ok {
-		panic(fmt.Sprintf("transport/local: recv from %d on closed endpoint %d", srcs[i], e.rank))
+		panic(e.lost(srcs[i]))
 	}
 	return srcs[i], data, arrived
+}
+
+// lost describes a receive from src that can never be satisfied.
+func (e *endpoint) lost(src int) string {
+	if e.m.boxes[e.rank][src].Departed() {
+		return fmt.Sprintf("transport/local: rank %d returned from the run without sending what rank %d waits for", src, e.rank)
+	}
+	return fmt.Sprintf("transport/local: recv from %d on closed endpoint %d", src, e.rank)
+}
+
+// Depart marks this rank as gone for the rest of the run: what it sent
+// stays receivable, and a peer's receive that finds nothing from it fails
+// naming it.
+func (e *endpoint) Depart() {
+	for dst := range e.m.boxes {
+		e.m.boxes[dst][e.rank].SetDeparted(true)
+	}
 }
 
 // Release returns payload buffers to this PE's pool for reuse by future

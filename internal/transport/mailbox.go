@@ -32,7 +32,10 @@ type Mailbox struct {
 	cond   *sync.Cond
 	q      []envelope
 	closed bool
-	notify chan<- struct{} // signalled (non-blocking) on Push/Close while set
+	// departed marks a sender that has left: receives that find no match
+	// fail as on a closed mailbox, but nothing queued is dropped.
+	departed bool
+	notify   chan<- struct{} // signalled (non-blocking) on Push/Close/SetDeparted while set
 }
 
 // NewMailbox returns an empty open mailbox.
@@ -60,9 +63,9 @@ func (m *Mailbox) Push(tag int, data []byte) {
 }
 
 // Pop removes and returns the earliest message with the given tag, blocking
-// until one is available. It returns ok=false if the mailbox is closed and
-// no matching message is queued (pending messages remain receivable after
-// Close).
+// until one is available. It returns ok=false if the mailbox is closed or
+// its sender departed and no matching message is queued (pending messages
+// remain receivable after Close and SetDeparted).
 func (m *Mailbox) Pop(tag int) (data []byte, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -70,7 +73,7 @@ func (m *Mailbox) Pop(tag int) (data []byte, ok bool) {
 		if env, ok := m.popLocked(tag); ok {
 			return env.data, true
 		}
-		if m.closed {
+		if m.closed || m.departed {
 			return nil, false
 		}
 		m.cond.Wait()
@@ -124,6 +127,26 @@ func (m *Mailbox) Close() {
 	signal(n)
 }
 
+// SetDeparted marks the sender as gone (or, with false, back for a new
+// run) and wakes blocked receivers: while it is marked, a receive that
+// finds no matching message fails as on a closed mailbox instead of
+// waiting for a push that cannot come. Unlike Close it drops nothing.
+func (m *Mailbox) SetDeparted(gone bool) {
+	m.mu.Lock()
+	m.departed = gone
+	n := m.notify
+	m.mu.Unlock()
+	m.cond.Broadcast()
+	signal(n)
+}
+
+// Departed reports whether the sender is marked as gone.
+func (m *Mailbox) Departed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.departed
+}
+
 // signal delivers a non-blocking wakeup.
 func signal(ch chan<- struct{}) {
 	if ch == nil {
@@ -145,8 +168,8 @@ func signal(ch chan<- struct{}) {
 // idx is the position within boxes the message came from; arrived is the
 // moment the message was pushed (it may predate the call when the payload
 // sat queued). ok=false means no message was ready and some mailbox
-// (reported by idx) is closed with no matching message pending — the
-// message can never arrive. All boxes must belong to the same single
+// (reported by idx) is closed, or its sender departed, with no matching
+// message pending — the message can never arrive. All boxes must belong to the same single
 // receiver goroutine (which is also what makes the peek-then-pop below
 // pop-safe: nobody else drains these boxes).
 //
@@ -163,7 +186,7 @@ func PopAny(boxes []*Mailbox, tag int) (idx int, data []byte, arrived time.Time,
 		for i, b := range boxes {
 			b.mu.Lock()
 			env, got := b.peekLocked(tag)
-			closed := b.closed
+			closed := b.closed || b.departed
 			b.mu.Unlock()
 			if got && (best < 0 || env.at.Before(bestAt)) {
 				best, bestAt = i, env.at

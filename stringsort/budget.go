@@ -1,10 +1,11 @@
-// Budget-mode plumbing: the per-PE glue between the public Config and the
-// out-of-core pipeline in internal/core and internal/spill. With
-// Config.MemBudget set, each PE gets its own spill pool (page files under
-// a private temp dir, removed on success, error and panic paths alike)
-// and streams its merged fragment into a sorted-run file instead of
-// materializing an output arena; the public result carries the file path
-// and the readers below.
+// Streamed-fragment plumbing: the per-PE glue between the public entry
+// points and a core.Output sink. With Config.MemBudget set, each PE gets its
+// own spill pool (page files under a private temp dir, removed on success,
+// error and panic paths alike). Sort and RunPE under a budget stream each
+// merged fragment into a sorted-run file instead of materializing it — the
+// public result carries the file path and the readers below — and
+// SortToFile streams it, in RAM and under a budget, into the PE's region of
+// one output file (tofile.go).
 package stringsort
 
 import (
@@ -14,6 +15,7 @@ import (
 
 	"dss/internal/comm"
 	"dss/internal/core"
+	"dss/internal/merge"
 	"dss/internal/spill"
 	"dss/internal/strutil"
 	"dss/internal/verify"
@@ -46,76 +48,105 @@ func runPath(dir string, rank int) string {
 // runDirOf recovers the run directory from a PEOutput.RunFile path.
 func runDirOf(runFile string) string { return filepath.Dir(runFile) }
 
-// runBudget executes one PE's budget-mode sort: it creates the PE's spill
-// pool and sorted-run writer, dispatches the algorithm with the budget
-// options set, closes the writer, and stamps the spill gauges into the
-// PE's stats record (measured channel — the values vary run to run and
-// must be stamped before the report is gathered). The pool's Close is
-// deferred, so the page files are removed even when the sort panics.
-func runBudget(c *comm.Comm, local [][]byte, cfg Config, path string) (core.Result, error) {
-	sp, err := newSpillPool(spill.Config{
-		Budget:   cfg.MemBudget,
-		Dir:      cfg.SpillDir,
-		PageSize: cfg.spillPageSize,
-	}, c.Pool())
-	if err != nil {
-		return core.Result{}, err
+// runStreamed executes one PE's sort into a sink: the sorted-run file at
+// path (Sort and RunPE under a budget) or the PE's region of lines
+// (SortToFile). Under a budget it creates the PE's spill pool — its Close is
+// deferred, so the page files are removed even when the sort panics — and
+// stamps the spill gauges into the PE's stats record (measured channel: the
+// values vary run to run and must be stamped before the report is
+// gathered). With cfg.Validate the returned check has seen every item
+// exactly as the sink wrote it; it is nil otherwise.
+func runStreamed(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile) (core.Result, *streamCheck, error) {
+	var sp *spill.Pool
+	if cfg.MemBudget > 0 {
+		var err error
+		if sp, err = newSpillPool(spill.Config{
+			Budget:   cfg.MemBudget,
+			Dir:      cfg.SpillDir,
+			PageSize: cfg.spillPageSize,
+		}, c.Pool()); err != nil {
+			return core.Result{}, nil, err
+		}
+		defer sp.Close()
+		sp.SetTrace(c.Trace())
 	}
-	defer sp.Close()
-	sp.SetTrace(c.Trace())
-	f, err := os.Create(path)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("stringsort: run file: %w", err)
+	opts := runOpts(cfg.Algorithm)
+	// PDMS's items are prefixes: a run file keeps them, with their origins;
+	// a line sink writes the input line each origin names instead, whose
+	// LCPs the merge does not know.
+	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
+	var chk *streamCheck
+	if cfg.Validate {
+		chk = &streamCheck{hasLCP: opts.LCP && !(prefixes && lines != nil), multiset: !prefixes || lines != nil}
 	}
-	defer f.Close()
-	out, err := spill.NewRunWriter(f, runOpts(cfg.Algorithm), sp, cfg.spillPageSize)
-	if err != nil {
-		return core.Result{}, err
+	var out *core.Output
+	var finish func() error
+	if lines != nil {
+		out, finish = lines.output(c, sp, prefixes, chk)
+	} else {
+		f, err := os.Create(path)
+		if err != nil {
+			return core.Result{}, nil, fmt.Errorf("stringsort: run file: %w", err)
+		}
+		defer f.Close()
+		rw, err := spill.NewRunWriter(f, opts, sp, cfg.spillPageSize)
+		if err != nil {
+			return core.Result{}, nil, err
+		}
+		out = &core.Output{Open: func(int64, int64) (merge.Sink, error) {
+			return func(_ int, s []byte, lcp int32, sat uint64) error {
+				chk.add(s, lcp)
+				return rw.Add(s, lcp, sat)
+			}, nil
+		}}
+		finish = rw.Close
 	}
 	res := dispatch(c, local, cfg, sp, out)
-	if err := out.Close(); err != nil {
-		return core.Result{}, fmt.Errorf("stringsort: run file: %w", err)
+	if err := finish(); err != nil {
+		return core.Result{}, nil, fmt.Errorf("stringsort: output: %w", err)
 	}
-	pe := c.StatsPE()
-	pe.SpillBytesWritten = sp.BytesWritten()
-	pe.SpillBytesRead = sp.BytesRead()
-	pe.PeakLiveBytes = sp.Peak()
-	return res, nil
+	if sp != nil {
+		pe := c.StatsPE()
+		pe.SpillBytesWritten = sp.BytesWritten()
+		pe.SpillBytesRead = sp.BytesRead()
+		pe.PeakLiveBytes = sp.Peak()
+	}
+	return res, chk, nil
 }
 
-// validateRun streams the PE's sorted-run file through the distributed
-// verifier: local order, stored-LCP correctness and cross-PE boundaries
-// in one pass, plus multiset preservation for full-string outputs —
-// without materializing the fragment. Collective call, message-schedule
-// compatible with the in-RAM Validate path.
-func validateRun(c *comm.Comm, path string, input [][]byte, prefixOnly bool) error {
-	rf, err := OpenRun(path)
-	if err != nil {
+// streamCheck is the distributed verifier's view of a streamed fragment:
+// the sink feeds it every item as it writes it — local order, stored-LCP
+// correctness and the cross-PE boundaries in one pass, plus the multiset
+// hash of full-string outputs — and finish runs the collective checks with
+// the message schedule of the in-RAM validation. A nil check ignores what
+// it is fed.
+type streamCheck struct {
+	chk      verify.StreamChecker
+	hasLCP   bool // the items carry their LCP with the previous item
+	multiset bool // the items are full input strings, not prefixes
+	hash     uint64
+	count    int64
+}
+
+// add feeds the next item of the fragment.
+func (v *streamCheck) add(s []byte, lcp int32) {
+	if v == nil {
+		return
+	}
+	v.chk.Add(s, lcp, v.hasLCP)
+	if v.multiset {
+		v.hash = strutil.MultisetAdd(v.hash, s)
+	}
+	v.count++
+}
+
+// finish completes the check across the PEs. Collective call.
+func (v *streamCheck) finish(c *comm.Comm, input [][]byte) error {
+	if err := v.chk.Finish(c, 901); err != nil {
 		return err
 	}
-	defer rf.Close()
-	var chk verify.StreamChecker
-	var outHash uint64
-	var outCount int64
-	for {
-		s, lcp, _, ok, err := rf.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		chk.Add(s, lcp, rf.HasLCP())
-		if !prefixOnly {
-			outHash = strutil.MultisetAdd(outHash, s)
-		}
-		outCount++
-	}
-	if err := chk.Finish(c, 901); err != nil {
-		return err
-	}
-	if !prefixOnly {
-		return verify.MultisetStream(c, input, outHash, outCount, 902)
+	if v.multiset {
+		return verify.MultisetStream(c, input, v.hash, v.count, 902)
 	}
 	return nil
 }

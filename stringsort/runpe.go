@@ -97,28 +97,32 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 		}
 		path = runPath(runDir, c.Rank())
 	}
-	run, err := runRank(c, local, cfg, path, nil)
+	run, err := runRank(c, local, cfg, path, nil, nil)
 	if err != nil && path != "" {
 		os.RemoveAll(runDirOf(path))
 	}
 	return run, err
 }
 
-// runRank is the per-rank routine of Sort and RunPE. Every rank runs it
-// collectively with its local input: sort (streaming the fragment to the
-// run file at path under a budget, path "" otherwise), snapshot and
-// exchange the statistics, resolve PDMS origins when cfg.Reconstruct asks
-// for it, validate, and gather the trace, which rank 0 writes. inputs is
-// every PE's input when all of them live in this address space — origins
-// then resolve by lookup — and nil when this rank holds only its own.
-func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][]byte) (*PERun, error) {
+// runRank is the per-rank routine of Sort, RunPE and SortToFile. Every rank
+// runs it collectively with its local input: sort — streaming the fragment
+// to the run file at path (Sort and RunPE under a budget) or into the
+// rank's region of lines (SortToFile), building the Result's arrays when
+// both are empty —, snapshot and exchange the statistics, resolve PDMS
+// origins when cfg.Reconstruct asks for it, validate, and gather the trace,
+// which rank 0 writes. inputs is every PE's input when all of them live in
+// this address space — origins then resolve by lookup — and nil when this
+// rank holds only its own.
+func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, inputs [][][]byte) (*PERun, error) {
 	if cfg.Trace != "" || trace.LiveOn() {
 		c.SetTrace(trace.New(c.Rank(), 0))
 	}
 	var res core.Result
-	if path != "" {
+	var chk *streamCheck
+	streamed := path != "" || lines != nil
+	if streamed {
 		var err error
-		if res, err = runBudget(c, local, cfg, path); err != nil {
+		if res, chk, err = runStreamed(c, local, cfg, path, lines); err != nil {
 			return nil, err
 		}
 	} else {
@@ -130,7 +134,8 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 	// AllgatherReport snapshots each PE's counters on entry, so its own
 	// traffic is excluded.
 	rep, n := comm.AllgatherReport(c, stats.DefaultModel(), statsGID, int64(len(local)))
-	run := &PERun{PrefixOnly: res.PrefixOnly}
+	// A line sink wrote the input line behind each PDMS prefix.
+	run := &PERun{PrefixOnly: res.PrefixOnly && lines == nil}
 	// Every rank holds the same report. In one address space (Sort, inputs
 	// non-nil) rank 0's flattened copy serves them all.
 	if inputs == nil || c.Rank() == 0 {
@@ -144,9 +149,9 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 			origins[i] = satOrigin(sat)
 		}
 	}
-	// Under a budget the fragment lives in the run file, whose items carry
-	// each prefix's origin for the caller to resolve.
-	if res.PrefixOnly && cfg.Reconstruct && path == "" {
+	// A run file's items carry each prefix's origin for the caller to
+	// resolve.
+	if res.PrefixOnly && cfg.Reconstruct && !streamed {
 		if inputs == nil {
 			res.Strings = core.Reconstruct(c, res, local, 900)
 		} else {
@@ -165,7 +170,13 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 	}
 
 	if cfg.Validate {
-		if err := validate(c, res, local, path, run.PrefixOnly); err != nil {
+		var err error
+		if streamed {
+			err = chk.finish(c, local)
+		} else {
+			err = validate(c, res, local, run.PrefixOnly)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -191,12 +202,9 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, inputs [][][
 // validate runs the distributed verifier over the rank's fragment: local
 // order and the LCP array in one fused pass (algorithms without LCP output
 // get the plain order check), then multiset preservation unless the
-// fragment holds prefixes. A budgeted fragment streams from its run file
-// with the same collective schedule.
-func validate(c *comm.Comm, res core.Result, local [][]byte, path string, prefixOnly bool) error {
-	if path != "" {
-		return validateRun(c, path, local, prefixOnly)
-	}
+// fragment holds prefixes. A streamed fragment is checked by its
+// streamCheck with the same collective schedule.
+func validate(c *comm.Comm, res core.Result, local [][]byte, prefixOnly bool) error {
 	if err := verify.SortednessLCP(c, res.Strings, res.LCPs, 901); err != nil {
 		return err
 	}

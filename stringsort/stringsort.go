@@ -202,7 +202,7 @@ type Config struct {
 	// the strings alias the caller's input bytes. RunPE, where each rank
 	// holds only its own fragment, queries the origin PEs with
 	// core.Reconstruct instead. Ignored under a memory budget (see
-	// MemBudget).
+	// MemBudget) and by SortToFile, which always writes full lines.
 	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
@@ -229,7 +229,8 @@ type Config struct {
 	// pipeline: each PE meters the Step-3 run arenas against this per-PE
 	// byte budget, spills whole runs to page files once over budget, and
 	// streams its merged fragment to a sorted-run file instead of
-	// materializing it (PEOutput.RunFile; Strings/LCPs/Origins stay nil).
+	// materializing it (PEOutput.RunFile; Strings/LCPs/Origins stay nil;
+	// SortToFile streams it into the output file instead).
 	// Sorted output bytes and the deterministic statistics are identical to
 	// the unbudgeted run; peak metered memory stays within the budget plus
 	// a fixed per-PE overhead (see README, "Out-of-core pipeline"). The
@@ -238,9 +239,10 @@ type Config struct {
 	// its output accumulation (its doubling working set is inherently
 	// resident).
 	MemBudget int64
-	// SpillDir is where budget-mode page files and run files live (""
-	// means the OS temp dir). Page files are removed when the run ends,
-	// on success and failure alike.
+	// SpillDir is where budget-mode page files and run files live, and
+	// SortToFile's temporary file for an output that takes no positioned
+	// writes ("" means the OS temp dir). Page files are removed when the
+	// run ends, on success and failure alike.
 	SpillDir string
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
 	// the run to this file: per-PE phase spans, per-message transport
@@ -503,21 +505,10 @@ type Result struct {
 // every endpoint so the others stop too, and Sort returns the first
 // failure.
 func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
-	p := cfg.P
-	if p == 0 {
-		p = len(inputs)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("stringsort: need at least one PE")
-	}
-	if len(inputs) > p {
-		return nil, fmt.Errorf("stringsort: %d input fragments for %d PEs", len(inputs), p)
-	}
-	machine, err := newMachine(p, cfg)
+	p, err := machineSize(inputs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	machine.SetPool(par.New(cfg.Cores))
 	// Budget mode: the PEs stream their merged fragments into sorted-run
 	// files inside one fresh directory under cfg.SpillDir. The directory
 	// outlives Sort on success (the caller reads the run files and removes
@@ -525,30 +516,16 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	var runDir string
 	if cfg.MemBudget > 0 {
 		if runDir, err = os.MkdirTemp(cfg.SpillDir, "dss-runs-"); err != nil {
-			machine.Close()
 			return nil, fmt.Errorf("stringsort: run dir: %w", err)
 		}
 	}
-	runs := make([]*PERun, p)
-	err = machine.Run(func(c *comm.Comm) error {
-		var local [][]byte
-		if c.Rank() < len(inputs) {
-			local = inputs[c.Rank()]
-		}
+	runs, err := runMachine(inputs, cfg, p, func(c *comm.Comm, local [][]byte) (*PERun, error) {
 		var path string
 		if runDir != "" {
 			path = runPath(runDir, c.Rank())
 		}
-		run, err := runRank(c, local, cfg, path, inputs)
-		runs[c.Rank()] = run
-		return err
+		return runRank(c, local, cfg, path, nil, inputs)
 	})
-	// The machine is closed explicitly so transport-level failures the
-	// algorithms never blocked on — a reader that hit a decode error, an
-	// exhausted reconnect budget — surface in the run's result.
-	if cerr := machine.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("stringsort: transport: %w", cerr)
-	}
 	if err != nil {
 		if runDir != "" {
 			os.RemoveAll(runDir)
@@ -560,6 +537,50 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 		out.PEs[pe] = run.Output
 	}
 	return out, nil
+}
+
+// machineSize returns the PE count of a run of cfg on inputs.
+func machineSize(inputs [][][]byte, cfg Config) (int, error) {
+	p := cfg.P
+	if p == 0 {
+		p = len(inputs)
+	}
+	if p <= 0 {
+		return 0, fmt.Errorf("stringsort: need at least one PE")
+	}
+	if len(inputs) > p {
+		return 0, fmt.Errorf("stringsort: %d input fragments for %d PEs", len(inputs), p)
+	}
+	return p, nil
+}
+
+// runMachine runs rank on every PE of an in-process machine of p PEs built
+// for cfg, each with its fragment of inputs, and returns the ranks' runs.
+// When one rank fails, the machine closes every endpoint so the others stop
+// too, and runMachine returns the first failure.
+func runMachine(inputs [][][]byte, cfg Config, p int, rank func(c *comm.Comm, local [][]byte) (*PERun, error)) ([]*PERun, error) {
+	machine, err := newMachine(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	machine.SetPool(par.New(cfg.Cores))
+	runs := make([]*PERun, p)
+	err = machine.Run(func(c *comm.Comm) error {
+		var local [][]byte
+		if c.Rank() < len(inputs) {
+			local = inputs[c.Rank()]
+		}
+		run, err := rank(c, local)
+		runs[c.Rank()] = run
+		return err
+	})
+	// The machine is closed explicitly so transport-level failures the
+	// algorithms never blocked on — a reader that hit a decode error, an
+	// exhausted reconnect budget — surface in the run's result.
+	if cerr := machine.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("stringsort: transport: %w", cerr)
+	}
+	return runs, err
 }
 
 // newMachine builds the comm machine for the configured transport and
@@ -620,10 +641,11 @@ func decorate(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	return codec.WrapFabric(f, codec.Config{Name: name})
 }
 
-// dispatch runs the configured algorithm on one PE. sp and out are nil in
-// the default in-RAM mode; budget mode (runBudget) passes the PE's spill
-// pool and sorted-run writer through to the algorithm's budget options.
-func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.RunWriter) core.Result {
+// dispatch runs the configured algorithm on one PE. sp and out are nil when
+// the Result's arrays are built; runStreamed passes the PE's spill pool
+// (under a budget) and its output sink through to the algorithm's seam
+// options.
+func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *core.Output) core.Result {
 	sampling := partition.StringSampling
 	if cfg.CharSampling {
 		sampling = partition.CharSampling
