@@ -43,14 +43,13 @@
 // is bound to one stringsort.Config field by
 // stringsort.RegisterTuningFlags.
 //
-// -chaos LEVEL injects deterministic faults (frame delays, reordering
-// within delivery bounds, and at the "drop" level mid-run connection
-// kills with partial final writes) under the codec, seeded by
-// -chaos-seed. With -transport tcp the dropped connections exercise the
-// backend's reconnect-with-resend path; output and model statistics must
-// be — and are pinned by tests to be — bit-identical to an undisturbed
-// run, and the stderr summary's "net:" line reports the reconnect and
-// resend volume. -net-timeout bounds each reconnect attempt.
+// -chaos LEVEL injects deterministic faults (frame delays, and at the
+// "reorder" level reordering across independent streams within delivery
+// bounds) under the codec, seeded by -chaos-seed; output and model
+// statistics must be — and are pinned by tests to be — bit-identical to
+// an undisturbed run. The TCP transport is fail-stop: a lost connection
+// fails the run. -net-timeout bounds its staged shutdown at the end of a
+// run (the wait for every peer's goodbye).
 //
 // Observability: -trace FILE writes a Chrome trace-event timeline of the
 // run (load in ui.perfetto.dev), -debug-addr HOST:PORT serves pprof,

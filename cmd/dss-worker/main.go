@@ -32,10 +32,12 @@
 // -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
 // -chaos-seed, -net-timeout) is accepted here with identical semantics —
 // both binaries bind the same stringsort.RegisterTuningFlags set into
-// their Config. -net-timeout bounds each reconnect attempt of the
-// worker's reconnect-with-resend recovery when an established peer
-// connection drops mid-run; the run's stats report the recovery volume
-// on the `net:` line.
+// their Config. The transport is fail-stop, like an MPI job: when a
+// peer's connection drops or its process dies mid-run, every worker's run
+// fails within moments and the worker exits non-zero. -net-timeout bounds
+// the staged shutdown at the end of a run: how long a worker waits for its
+// last frames to be written and for every peer's goodbye before it closes
+// its sockets.
 // With -mem-budget the worker runs the bounded-memory out-of-core
 // pipeline: it spills Step-3 runs to page files under -spill-dir and
 // streams its sorted fragment from a run file to -out instead of
@@ -122,7 +124,7 @@ func main() {
 
 	ep, err := tcp.ConnectConfig(*rank, peers, tcp.Config{
 		RendezvousTimeout: *rendezvous,
-		ReconnectTimeout:  cfg.NetTimeout,
+		ShutdownTimeout:   cfg.NetTimeout,
 	})
 	if err != nil {
 		fatal(err)
@@ -133,9 +135,10 @@ func main() {
 		ep.Close()
 		fatal(fmt.Errorf("rank %d: %w", *rank, err))
 	}
-	// A transport failure swallowed mid-run (reader goroutine death, an
-	// exhausted reconnect budget racing teardown) surfaces here: a worker
-	// whose connections died must not exit 0 on a complete-looking output.
+	// A transport failure the run never blocked on (a connection lost
+	// after the last receive, a peer whose goodbye never came) surfaces
+	// here: a worker whose connections died must not exit 0 on a
+	// complete-looking output.
 	if err = ep.Close(); err != nil {
 		err = fmt.Errorf("transport: %w", err)
 	} else {

@@ -115,12 +115,20 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 		first   error
 		aborted = make(chan struct{})
 	)
+	// The endpoints close all at once: a socket-backed endpoint's Close
+	// waits for its peers' goodbyes, which they send from their own Close.
 	fail := func(err error) {
 		abort.Do(func() {
 			first = err
+			var closing sync.WaitGroup
 			for _, ep := range eps {
-				ep.Close()
+				closing.Add(1)
+				go func() {
+					defer closing.Done()
+					ep.Close()
+				}()
 			}
+			closing.Wait()
 			close(aborted)
 		})
 	}
@@ -170,7 +178,6 @@ type Comm struct {
 	t          transport.Transport
 	st         *stats.PE
 	wm         wireMeter       // non-nil when the transport meters wire bytes itself
-	ns         netStats        // non-nil when the transport reports reconnect counters
 	tr         *trace.Recorder // timeline recorder; nil = tracing off
 	pool       *par.Pool       // intra-PE work pool; nil = sequential
 	phase      stats.Phase
@@ -196,16 +203,6 @@ type traceBinder interface {
 	BindTrace(*trace.Recorder)
 }
 
-// netStats is the optional transport interface of backends that survive
-// connection loss (transport/tcp, seen through the decorators): cumulative
-// counts of reconnects and of frames/bytes replayed from resend rings.
-// comm snapshots them into the PE's measured-channel stats alongside wall
-// time — recovery happens below the accounting boundary and never touches
-// the deterministic counters.
-type netStats interface {
-	NetStats() (reconnects, resentFrames, resentBytes int64)
-}
-
 // NewComm wraps a single connected transport endpoint for SPMD runs where
 // each OS process is one PE (see transport/tcp.ConnectConfig and cmd/dss-worker).
 // The Comm starts with fresh accounting state; the caller keeps ownership
@@ -222,9 +219,6 @@ func newComm(t transport.Transport, pe *stats.PE) *Comm {
 		wm.BindWireStats(pe)
 		wm.SetWirePhase(c.phase)
 		c.wm = wm
-	}
-	if ns, ok := t.(netStats); ok {
-		c.ns = ns
 	}
 	return c
 }
@@ -275,12 +269,6 @@ func (c *Comm) Trace() *trace.Recorder { return c.tr }
 // flushWall folds the elapsed wall time of the current phase span into the
 // PE's Wall counters and restarts the span.
 func (c *Comm) flushWall() {
-	// Snapshot the transport's cumulative failure-recovery counters while
-	// we are at an accounting boundary anyway (overwrite, not add — the
-	// transport's counters are already cumulative).
-	if c.ns != nil {
-		c.st.Reconnects, c.st.ResentFrames, c.st.ResentBytes = c.ns.NetStats()
-	}
 	now := time.Now()
 	if !c.phaseStart.IsZero() {
 		c.st.Wall[c.phase] += now.Sub(c.phaseStart).Nanoseconds()

@@ -11,6 +11,8 @@ import (
 
 	"dss/internal/stats"
 	"dss/internal/transport"
+	"dss/internal/transport/chaos"
+	"dss/internal/transport/codec"
 	"dss/internal/transport/local"
 	"dss/internal/transport/tcp"
 	"dss/internal/wire"
@@ -204,54 +206,82 @@ func TestRunAbortsOnPanic(t *testing.T) {
 // TestRunFailsOnDepartedPeer: a rank that returns without error departs.
 // What it sent before leaving stays receivable, the next run on the same
 // fabric starts with every rank present again, and a peer that waits for a
-// message only the departed rank could send fails the run naming it — at
-// the parent of this test Run waited forever.
+// message only the departed rank could send fails the run naming it. It
+// runs on the local fabric bare and under the two decorators, which must
+// forward the departure (chaos after handing on the frames it still
+// delays) and, caching their endpoints, still clear it for the next run.
+// Run waited forever here before departures existed, and under the
+// decorators before they forwarded them.
 func TestRunFailsOnDepartedPeer(t *testing.T) {
-	m := New(2)
-	run := func(body func(c *Comm) error) error {
-		t.Helper()
-		done := make(chan error, 1)
-		go func() { done <- m.Run(body) }()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(5 * time.Second):
-			t.Fatal("Run did not return after a PE departed")
-			return nil
-		}
+	reorder, err := chaos.Parse("reorder")
+	if err != nil {
+		t.Fatal(err)
 	}
-	late := func(from, to int) func(c *Comm) error {
-		return func(c *Comm) error {
-			if c.Rank() == from {
-				if from == 0 {
-					time.Sleep(10 * time.Millisecond) // the receiver most likely waits first
+	reorder.Seed = 11
+	fabrics := []struct {
+		name string
+		make func() transport.Fabric
+	}{
+		{"local", func() transport.Fabric { return local.New(2) }},
+		{"local+flate", func() transport.Fabric {
+			f, err := codec.WrapFabric(local.New(2), codec.Config{Name: "flate"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+		{"local+chaos-reorder", func() transport.Fabric { return chaos.WrapFabric(local.New(2), reorder) }},
+	}
+	for _, fab := range fabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			m := NewOver(fab.make())
+			defer m.Close()
+			run := func(body func(c *Comm) error) error {
+				t.Helper()
+				done := make(chan error, 1)
+				go func() { done <- m.Run(body) }()
+				select {
+				case err := <-done:
+					return err
+				case <-time.After(5 * time.Second):
+					t.Fatal("Run did not return after a PE departed")
+					return nil
 				}
-				c.Send(to, 5, []byte("hi"))
+			}
+			late := func(from, to int) func(c *Comm) error {
+				return func(c *Comm) error {
+					if c.Rank() == from {
+						if from == 0 {
+							time.Sleep(10 * time.Millisecond) // the receiver most likely waits first
+						}
+						c.Send(to, 5, bytes.Repeat([]byte("hi"), 64)) // long enough for the codec to encode
+						return nil
+					}
+					if from == 1 {
+						time.Sleep(10 * time.Millisecond) // the sender most likely departed first
+					}
+					if got := c.Recv(from, 5); !bytes.Equal(got, bytes.Repeat([]byte("hi"), 64)) {
+						return fmt.Errorf("rank %d received %q from rank %d", to, got, from)
+					}
+					return nil
+				}
+			}
+			if err := run(late(1, 0)); err != nil {
+				t.Fatalf("a message sent before departing: %v", err)
+			}
+			if err := run(late(0, 1)); err != nil {
+				t.Fatalf("the run after a departure: %v", err)
+			}
+			err := run(func(c *Comm) error {
+				if c.Rank() == 0 {
+					c.Recv(1, 5)
+				}
 				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), "rank 1 returned from the run") {
+				t.Fatalf("err = %v, want a failure naming rank 1", err)
 			}
-			if from == 1 {
-				time.Sleep(10 * time.Millisecond) // the sender most likely departed first
-			}
-			if got := c.Recv(from, 5); string(got) != "hi" {
-				return fmt.Errorf("rank %d received %q from rank %d", to, got, from)
-			}
-			return nil
-		}
-	}
-	if err := run(late(1, 0)); err != nil {
-		t.Fatalf("a message sent before departing: %v", err)
-	}
-	if err := run(late(0, 1)); err != nil {
-		t.Fatalf("the run after a departure: %v", err)
-	}
-	err := run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Recv(1, 5)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "rank 1 returned from the run") {
-		t.Fatalf("err = %v, want a failure naming rank 1", err)
+		})
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // order: per phase the four deterministic counters, the wall span, overlap
 // and worker-CPU measurements of the overlap and intra-PE parallelism
 // models and the two wire-byte counters of the codec layer — then the
-// pool width, the three spill gauges of the out-of-core pipeline and the
-// three failure-recovery gauges of the transport (reconnects, resent
-// frames, resent bytes). Encoder and decoder both walk this one list.
+// pool width and the three spill gauges of the out-of-core pipeline.
+// Encoder and decoder both walk this one list.
 func eachCounter(pe *stats.PE, f func(*int64)) {
 	for ph := range pe.Phases {
 		c := &pe.Phases[ph]
@@ -22,8 +21,7 @@ func eachCounter(pe *stats.PE, f func(*int64)) {
 			f(v)
 		}
 	}
-	for _, v := range [...]*int64{&pe.Cores, &pe.SpillBytesWritten, &pe.SpillBytesRead,
-		&pe.PeakLiveBytes, &pe.Reconnects, &pe.ResentFrames, &pe.ResentBytes} {
+	for _, v := range [...]*int64{&pe.Cores, &pe.SpillBytesWritten, &pe.SpillBytesRead, &pe.PeakLiveBytes} {
 		f(v)
 	}
 }

@@ -128,16 +128,6 @@ type PE struct {
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	PeakLiveBytes     int64
-	// Reconnects, ResentFrames and ResentBytes are the transport's
-	// failure-recovery gauges: connections re-established after a drop,
-	// and the frames/bytes replayed from the resend ring to resume them
-	// (tcp only; zero on the local backend and on undisturbed runs). They
-	// live on the measured channel with Wall and Overlap: recovery happens
-	// below the accounting boundary, so the deterministic model statistics
-	// are bit-identical whether or not connections died mid-run.
-	Reconnects   int64
-	ResentFrames int64
-	ResentBytes  int64
 }
 
 // TotalWire returns the sum of the PE's wire counters over all phases.

@@ -1,23 +1,21 @@
 // Package chaos is a fault-injecting transport decorator: it wraps any
 // Transport (or whole Fabric) the same way the codec decorator does and
 // disturbs the frame stream according to a deterministic seeded schedule —
-// random frame delays, reorders across independent streams, and (on
-// backends that expose the transport.ConnDropper capability, i.e. tcp)
-// connection drops with optional partial writes that tear a frame on the
-// wire. It exists so the test suite can prove the substrate's guarantees
-// hold on a hostile network, not just on a quiet loopback: the conformance
-// suite runs every backend under chaos, and the differential suite pins
-// the sorted output and the deterministic model statistics bit-identical
-// to an undisturbed run while connections are being killed mid-exchange.
+// random frame delays and reorders across independent streams. It exists
+// so the test suite can prove the substrate's ordering guarantees hold on
+// a hostile network, not just on a quiet loopback: the conformance suite
+// runs every backend under chaos, and the differential suite pins the
+// sorted output and the deterministic model statistics bit-identical to an
+// undisturbed run. Connection loss is not among the faults: the tcp
+// backend is fail-stop, so a lost connection ends the run.
 //
-// Determinism. Every decision — delay or not, how long, when to schedule a
-// connection drop, where to cut the frame — is drawn from a per-endpoint
-// PRNG seeded with Config.Seed mixed with the endpoint's rank. Replaying a
-// run with the same seed, fabric size and send sequence reproduces the
-// exact same fault schedule; the delivery *timing* still depends on the
-// scheduler and the network, which is precisely what the differential
-// tests need (same faults, nondeterministic interleaving, identical
-// output).
+// Determinism. Every decision — delay or not, and how long — is drawn
+// from a per-endpoint PRNG seeded with Config.Seed mixed with the
+// endpoint's rank. Replaying a run with the same seed, fabric size and
+// send sequence reproduces the exact same fault schedule; the delivery
+// *timing* still depends on the scheduler and the network, which is
+// precisely what the differential tests need (same faults,
+// nondeterministic interleaving, identical output).
 //
 // Ordering. The transport contract promises per-(pair, tag) FIFO, nothing
 // more. Chaos exploits exactly that freedom: a delayed frame may overtake
@@ -28,9 +26,8 @@
 //
 // Stacking. The chaos layer wraps the raw backend and sits UNDER the codec
 // decorator (comm → codec → chaos → tcp): faults hit post-codec wire
-// frames, the way a real network would corrupt or delay the bytes actually
-// in flight, and the codec's wire accounting stays untouched by replays
-// because resends happen below the comm boundary.
+// frames, the way a real network would delay the bytes actually in
+// flight.
 package chaos
 
 import (
@@ -42,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"dss/internal/trace"
 	"dss/internal/transport"
 )
 
@@ -62,18 +58,6 @@ type Config struct {
 	// (destination, tag) streams. Off, delays shift arrivals but preserve
 	// the endpoint's global send order.
 	Reorder bool
-	// DropEvery schedules a connection drop on (roughly) every n-th remote
-	// frame, jittered by the PRNG; 0 never drops. Drops require the
-	// wrapped transport to implement transport.ConnDropper (tcp does, the
-	// local backend does not) and are silently skipped otherwise.
-	DropEvery int
-	// MaxDrops caps the injected drops per endpoint, so a bounded
-	// reconnect budget is never exhausted by the schedule itself.
-	MaxDrops int
-	// PartialWrite tears the dropped frame mid-write (the connection dies
-	// after a random prefix of the frame's bytes); off, the cut lands
-	// cleanly before the frame.
-	PartialWrite bool
 }
 
 // Levels are the named severity presets the test suite and the -chaos
@@ -89,17 +73,9 @@ var levels = map[string]Config{
 		MaxDelay:  800 * time.Microsecond,
 		Reorder:   true,
 	},
-	"drop": {
-		DelayProb:    0.4,
-		MaxDelay:     800 * time.Microsecond,
-		Reorder:      true,
-		DropEvery:    25,
-		MaxDrops:     3,
-		PartialWrite: true,
-	},
 }
 
-// Parse resolves a severity level name ("delay", "reorder", "drop") to its
+// Parse resolves a severity level name ("delay", "reorder") to its
 // preset Config. The seed is zero; callers overlay their own.
 func Parse(name string) (Config, error) {
 	cfg, ok := levels[name]
@@ -119,16 +95,10 @@ func Names() []string {
 	return names
 }
 
-// traceBinder is the capability (implemented by tcp, forwarded by codec
-// and by this decorator) of routing a timeline recorder down the stack.
-type traceBinder interface {
-	BindTrace(tr *trace.Recorder)
-}
-
-// netStats is the failure-recovery counter capability of the wrapped
-// transport, forwarded so the stats plumbing sees through the decorator.
-type netStats interface {
-	NetStats() (reconnects, resentFrames, resentBytes int64)
+// departer is the optional capability of endpoints whose fabric can tell
+// a rank's peers that it has left the run (transport/local).
+type departer interface {
+	Depart()
 }
 
 // Endpoint decorates one transport endpoint with the fault schedule. All
@@ -137,20 +107,15 @@ type netStats interface {
 // send sequence; the delivery of delayed frames happens on the endpoint's
 // single executor goroutine, which also serializes them per release order.
 type Endpoint struct {
-	inner   transport.Transport
-	cfg     Config
-	rank    int
-	rng     *rand.Rand
-	dropper transport.ConnDropper // inner's, if present
+	inner transport.Transport
+	cfg   Config
+	rank  int
+	rng   *rand.Rand
 
 	// Send-path state (PE goroutine only).
-	sent      int // remote frames scheduled so far
-	drops     int // drops injected so far
-	nextDrop  int // frame index of the next scheduled drop
 	lastKey   map[streamKey]time.Time
 	lastAll   time.Time
 	seq       uint64 // FIFO tiebreak for equal release times
-	pendDrop  *drop  // armed for the next scheduled frame
 	closeOnce sync.Once
 
 	mu      sync.Mutex
@@ -158,15 +123,16 @@ type Endpoint struct {
 	wake    chan struct{} // capacity 1; kicks the executor
 	done    chan struct{}
 	drained chan struct{} // executor exited (queue flushed)
-	lost    error         // first refused frame; executor-written, read after drained
+
+	// giveMu is held from taking frames off the queue until they are given
+	// to the wrapped transport, by the executor and by Depart alike, so
+	// the two never interleave their frames out of release order.
+	giveMu sync.Mutex
+	lost   error // first refused frame (under giveMu)
 }
 
 type streamKey struct {
 	dst, tag int
-}
-
-type drop struct {
-	afterBytes int
 }
 
 // frame is one scheduled remote send.
@@ -175,7 +141,6 @@ type frame struct {
 	data      []byte
 	releaseAt time.Time
 	seq       uint64
-	drop      *drop
 }
 
 type delayHeap []frame
@@ -212,10 +177,6 @@ func Wrap(t transport.Transport, cfg Config) *Endpoint {
 	// splitmix-style rank mixing: endpoints of one run share the seed but
 	// draw independent sequences.
 	e.rng = rand.New(rand.NewSource(int64(cfg.Seed ^ (uint64(t.Rank())+1)*0x9E3779B97F4A7C15)))
-	e.dropper, _ = t.(transport.ConnDropper)
-	if cfg.DropEvery > 0 {
-		e.nextDrop = 1 + e.rng.Intn(cfg.DropEvery)
-	}
 	go e.run()
 	return e
 }
@@ -233,7 +194,7 @@ func (e *Endpoint) Alloc(n int) []byte { return e.inner.Alloc(n) }
 // Send gives a copy of data to dst.
 func (e *Endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
 
-// Give draws this frame's faults from the schedule and routes the frame
+// Give draws this frame's delay from the schedule and routes the frame
 // through the delay queue (self-sends bypass chaos entirely: there is no
 // wire to disturb). The queue holds the given buffer itself until the
 // executor gives it on to the wrapped transport.
@@ -241,19 +202,6 @@ func (e *Endpoint) Give(dst, tag int, data []byte) {
 	if dst == e.rank {
 		e.inner.Give(dst, tag, data)
 		return
-	}
-
-	e.sent++
-	var dr *drop
-	if e.cfg.DropEvery > 0 && e.drops < e.cfg.MaxDrops && e.sent >= e.nextDrop && e.dropper != nil {
-		e.drops++
-		e.nextDrop = e.sent + 1 + e.rng.Intn(e.cfg.DropEvery)
-		after := 0
-		if e.cfg.PartialWrite {
-			// Tear the frame itself: somewhere inside header+payload.
-			after = e.rng.Intn(28 + len(data) + 1)
-		}
-		dr = &drop{afterBytes: after}
 	}
 
 	now := time.Now()
@@ -277,7 +225,7 @@ func (e *Endpoint) Give(dst, tag int, data []byte) {
 
 	transport.NoteGive(data)
 	e.seq++
-	f := frame{dst: dst, tag: tag, data: data, releaseAt: releaseAt, seq: e.seq, drop: dr}
+	f := frame{dst: dst, tag: tag, data: data, releaseAt: releaseAt, seq: e.seq}
 
 	e.mu.Lock()
 	heap.Push(&e.queue, f)
@@ -289,27 +237,26 @@ func (e *Endpoint) Give(dst, tag int, data []byte) {
 }
 
 // run is the executor: it delivers queued frames to the wrapped transport
-// in release order, arming the scheduled connection drop immediately
-// before the frame whose write it is meant to tear. On Close the queue is
-// flushed promptly (remaining delays are cut short, order preserved) so no
-// message is ever lost to the decorator.
+// in release order. On Close the queue is flushed promptly (remaining
+// delays are cut short, order preserved) so no message is ever lost to the
+// decorator.
 func (e *Endpoint) run() {
 	defer close(e.drained)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		e.mu.Lock()
 		closing := false
 		select {
 		case <-e.done:
 			closing = true
 		default:
 		}
+		e.giveMu.Lock()
+		e.mu.Lock()
 		var wait time.Duration = -1
 		var deliver []frame
 		for len(e.queue) > 0 {
-			now := time.Now()
-			if d := e.queue[0].releaseAt.Sub(now); d > 0 && !closing {
+			if d := e.queue[0].releaseAt.Sub(time.Now()); d > 0 && !closing {
 				wait = d
 				break
 			}
@@ -317,14 +264,9 @@ func (e *Endpoint) run() {
 		}
 		empty := len(e.queue) == 0
 		e.mu.Unlock()
+		e.giveAll(deliver)
+		e.giveMu.Unlock()
 
-		for _, f := range deliver {
-			if f.drop != nil && e.dropper != nil {
-				e.dropper.DropConn(f.dst, f.drop.afterBytes)
-			}
-			transport.NoteHandoff(f.data)
-			e.give(f)
-		}
 		if closing && empty {
 			return
 		}
@@ -353,17 +295,23 @@ func (e *Endpoint) run() {
 	}
 }
 
-// give hands one frame to the wrapped transport. A Give that panics — the
-// wrapped endpoint or its peer is already closed because the run is being
-// torn down — must not crash the process from the executor goroutine: the
-// frame is dropped and the first such failure is kept for Close to report.
-func (e *Endpoint) give(f frame) {
-	defer func() {
-		if r := recover(); r != nil && e.lost == nil {
-			e.lost = fmt.Errorf("transport/chaos: rank %d: frame to %d lost: %v", e.rank, f.dst, r)
-		}
-	}()
-	e.inner.Give(f.dst, f.tag, f.data)
+// giveAll hands frames to the wrapped transport, with giveMu held. A Give
+// that panics — the wrapped endpoint or its peer is already closed because
+// the run is being torn down — must not crash the process from the
+// executor goroutine: the frame is dropped and the first such failure is
+// kept for Close to report.
+func (e *Endpoint) giveAll(frames []frame) {
+	for _, f := range frames {
+		transport.NoteHandoff(f.data)
+		func() {
+			defer func() {
+				if r := recover(); r != nil && e.lost == nil {
+					e.lost = fmt.Errorf("transport/chaos: rank %d: frame to %d lost: %v", e.rank, f.dst, r)
+				}
+			}()
+			e.inner.Give(f.dst, f.tag, f.data)
+		}()
+	}
 }
 
 // Recv delegates to the wrapped transport: chaos disturbs the send path
@@ -378,22 +326,24 @@ func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 // Release delegates buffer recycling to the wrapped transport.
 func (e *Endpoint) Release(bufs ...[]byte) { e.inner.Release(bufs...) }
 
-// BindTrace forwards the timeline recorder to the wrapped transport, so
-// net-drop/net-reconnect instants reach the run's trace through the
-// decorator stack.
-func (e *Endpoint) BindTrace(tr *trace.Recorder) {
-	if tb, ok := e.inner.(traceBinder); ok {
-		tb.BindTrace(tr)
+// Depart hands every frame still in the delay queue to the wrapped
+// transport, in release order, and then departs the wrapped endpoint if
+// it can: what this rank sent before it left stays receivable, and a
+// peer's receive that only this rank could satisfy fails naming it. The
+// executor keeps running for the next run on the fabric.
+func (e *Endpoint) Depart() {
+	e.giveMu.Lock()
+	e.mu.Lock()
+	rest := make([]frame, 0, len(e.queue))
+	for len(e.queue) > 0 {
+		rest = append(rest, heap.Pop(&e.queue).(frame))
 	}
-}
-
-// NetStats forwards the wrapped transport's failure-recovery counters
-// (zero when the backend has none — the local backend never reconnects).
-func (e *Endpoint) NetStats() (reconnects, resentFrames, resentBytes int64) {
-	if ns, ok := e.inner.(netStats); ok {
-		return ns.NetStats()
+	e.mu.Unlock()
+	e.giveAll(rest)
+	e.giveMu.Unlock()
+	if d, ok := e.inner.(departer); ok {
+		d.Depart()
 	}
-	return 0, 0, 0
 }
 
 // Drain flushes the delay queue — every already-sent frame still reaches
@@ -418,6 +368,13 @@ func (e *Endpoint) Close() error {
 	if err := e.inner.Close(); err != nil {
 		return err
 	}
+	return e.lostErr()
+}
+
+// lostErr returns the first frame the wrapped transport refused.
+func (e *Endpoint) lostErr() error {
+	e.giveMu.Lock()
+	defer e.giveMu.Unlock()
 	return e.lost
 }
 
@@ -440,25 +397,34 @@ func WrapFabric(f transport.Fabric, cfg Config) transport.Fabric {
 // P returns the number of endpoints.
 func (f *fabric) P() int { return len(f.eps) }
 
-// Endpoint returns the decorated endpoint of the given rank.
-func (f *fabric) Endpoint(rank int) transport.Transport { return f.eps[rank] }
+// Endpoint returns the decorated endpoint of the given rank. It takes the
+// wrapped fabric's endpoint again first, as comm.Machine.Run does at the
+// start of every run, so a fabric that marks departed ranks
+// (transport/local) clears the mark left by the previous run; the
+// decorator keeps the endpoint it wrapped, which is equivalent.
+func (f *fabric) Endpoint(rank int) transport.Transport {
+	f.inner.Endpoint(rank)
+	return f.eps[rank]
+}
 
-// Close flushes and closes every decorated endpoint. The wrapped fabric's
-// endpoints are closed through the decorators, not directly, so queued
-// frames drain first; the wrapped fabric's own Close then reaps whatever
-// fabric-level state remains.
+// Close drains every decorated endpoint, all executors at once, and then
+// closes the wrapped fabric, so queued frames reach it first. It reports
+// the wrapped fabric's failure, or else the first frame an executor could
+// not deliver.
 func (f *fabric) Close() error {
 	for _, ep := range f.eps {
 		ep.closeOnce.Do(func() { close(ep.done) })
 	}
-	var err error
 	for _, ep := range f.eps {
-		if cerr := ep.Close(); cerr != nil && err == nil {
-			err = cerr
+		ep.Drain()
+	}
+	if err := f.inner.Close(); err != nil {
+		return err
+	}
+	for _, ep := range f.eps {
+		if err := ep.lostErr(); err != nil {
+			return err
 		}
 	}
-	if cerr := f.inner.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
+	return nil
 }

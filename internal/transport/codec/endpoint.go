@@ -64,36 +64,22 @@ func (e *Endpoint) SetWirePhase(ph stats.Phase) { e.ph = ph }
 
 // BindTrace installs the PE's timeline recorder so post-codec frame sizes
 // appear as wire-send/wire-recv instants next to the raw-volume events the
-// comm layer records, and forwards it down the decorator stack (the tcp
-// backend records net-drop/net-reconnect instants on the same timeline).
-// Bound by comm.SetTrace; nil keeps tracing off.
-func (e *Endpoint) BindTrace(tr *trace.Recorder) {
-	e.tr = tr
-	if tb, ok := e.inner.(traceBinder); ok {
-		tb.BindTrace(tr)
+// comm layer records. Bound by comm.SetTrace; nil keeps tracing off.
+func (e *Endpoint) BindTrace(tr *trace.Recorder) { e.tr = tr }
+
+// departer is the optional capability of endpoints whose fabric can tell
+// a rank's peers that it has left the run (transport/local, seen through
+// the chaos decorator).
+type departer interface {
+	Depart()
+}
+
+// Depart departs the wrapped endpoint, if it can: the codec holds no
+// frames of its own, so everything this rank sent is already below it.
+func (e *Endpoint) Depart() {
+	if d, ok := e.inner.(departer); ok {
+		d.Depart()
 	}
-}
-
-// traceBinder mirrors the capability this endpoint itself implements, for
-// forwarding the recorder to the wrapped transport.
-type traceBinder interface {
-	BindTrace(tr *trace.Recorder)
-}
-
-// NetStats forwards the wrapped transport's failure-recovery counters
-// (reconnects and resend volume; zero for backends without connections),
-// so the comm layer's stats plumbing sees through the codec decorator.
-func (e *Endpoint) NetStats() (reconnects, resentFrames, resentBytes int64) {
-	if ns, ok := e.inner.(netStats); ok {
-		return ns.NetStats()
-	}
-	return 0, 0, 0
-}
-
-// netStats is the failure-recovery counter capability of the wrapped
-// transport (implemented by tcp, forwarded by the chaos decorator).
-type netStats interface {
-	NetStats() (reconnects, resentFrames, resentBytes int64)
 }
 
 // Rank returns the wrapped endpoint's rank.
@@ -257,8 +243,15 @@ func WrapFabric(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 // P returns the number of endpoints.
 func (f *fabric) P() int { return f.inner.P() }
 
-// Endpoint returns the decorated endpoint of the given rank.
-func (f *fabric) Endpoint(rank int) transport.Transport { return f.eps[rank] }
+// Endpoint returns the decorated endpoint of the given rank. It takes the
+// wrapped fabric's endpoint again first, as comm.Machine.Run does at the
+// start of every run, so a fabric that marks departed ranks
+// (transport/local) clears the mark left by the previous run; the
+// decorator keeps the endpoint it wrapped, which is equivalent.
+func (f *fabric) Endpoint(rank int) transport.Transport {
+	f.inner.Endpoint(rank)
+	return f.eps[rank]
+}
 
 // Close tears down the wrapped fabric.
 func (f *fabric) Close() error { return f.inner.Close() }

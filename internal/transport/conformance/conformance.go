@@ -48,7 +48,6 @@ func Run(t *testing.T, newFabric Factory) {
 		{"GiveAndSendNonOvertaking", 2, testGiveSendOrder},
 		{"SelfGive", 1, testSelfGive},
 		{"ZeroLengthGive", 2, testZeroLengthGive},
-		{"GiveSurvivesConnectionKill", 2, testGiveSurvivesKill},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -496,46 +495,6 @@ func testZeroLengthGive(t *testing.T, f transport.Fabric) {
 		if got := tr.Recv(partner, 2); string(got) != "end" {
 			return fmt.Errorf("trailer = %q", got)
 		}
-		return nil
-	})
-}
-
-// testGiveSurvivesKill gives a stream of buffers while the connection is
-// cut in the middle of a frame (directly through transport.ConnDropper
-// where the endpoint has it, by the chaos schedule where a decorator hides
-// it — forty frames outlast the drop level's first kill; backends without
-// connections just deliver). The resend ring holds the given buffers
-// themselves, so the replay after the reconnect must reproduce every one
-// byte-exact and in order.
-func testGiveSurvivesKill(t *testing.T, f transport.Fabric) {
-	const frames, size = 40, 8 << 10
-	runPEs(t, f, func(tr transport.Transport) error {
-		if tr.Rank() == 0 {
-			dropper, _ := tr.(transport.ConnDropper)
-			for k := 0; k < frames; k++ {
-				if dropper != nil && k%16 == 1 {
-					dropper.DropConn(1, 28+size/3) // frame header plus a third of the payload
-				}
-				tr.Give(1, 5, pattern(tr.Alloc(size), 0, 1, k))
-			}
-			tr.Release(tr.Recv(1, 6)) // receipt: everything arrived, so every cut has been repaired
-			if ns, ok := tr.(interface {
-				NetStats() (reconnects, resentFrames, resentBytes int64)
-			}); ok && dropper != nil {
-				if rc, _, _ := ns.NetStats(); rc < 1 {
-					return fmt.Errorf("armed connection kills caused no reconnect")
-				}
-			}
-			return nil
-		}
-		for k := 0; k < frames; k++ {
-			got := tr.Recv(0, 5)
-			if !bytes.Equal(got, pattern(make([]byte, size), 0, 1, k)) {
-				return fmt.Errorf("frame %d corrupted after replay (%d bytes)", k, len(got))
-			}
-			tr.Release(got)
-		}
-		tr.Send(0, 6, nil)
 		return nil
 	})
 }

@@ -9,8 +9,8 @@ package transport
 func NoteGive(buf []byte) {}
 
 // NoteHandoff is called when a given buffer leaves the transport's custody:
-// popped by its receiver, trimmed from a resend ring, or passed on to the
-// wrapped transport by a decorator.
+// popped by its receiver, written to the socket by the tcp writer, or
+// passed on to the wrapped transport by a decorator.
 func NoteHandoff(buf []byte) {}
 
 func poisonReleased(b []byte) {}

@@ -7,49 +7,43 @@
 // Exactly one connection exists per unordered PE pair: rank i dials every
 // rank j < i (transient connect failures retry with bounded exponential
 // backoff until the peer's listener is up, capped by the rendezvous
-// timeout) and accepts from every rank j > i. A 22-byte handshake in each
-// direction (magic, protocol version, flags, rank, fabric size, delivered
-// sequence) maps connections to ranks and rejects strangers; accepted
-// handshakes run concurrently under the rendezvous deadline, so one
-// stalled stranger cannot delay the whole mesh. The listener stays open
-// after the rendezvous: it is the rendezvous point for reconnects.
+// timeout) and accepts from every rank j > i. A 13-byte handshake in each
+// direction (magic, protocol version, rank, fabric size) maps connections
+// to ranks and rejects strangers; accepted handshakes run concurrently
+// under the rendezvous deadline, so one stalled stranger cannot delay the
+// whole mesh. The listener closes once the mesh is complete.
 //
-// Wire format. One frame per message: an 8-byte little-endian sequence
-// number, an 8-byte cumulative acknowledgement, an 8-byte tag, a 4-byte
-// payload length, then the payload. Data frames carry per-direction
-// monotone sequence numbers starting at 1; a frame with sequence 0 is a
-// pure acknowledgement and carries no payload. Every frame — data or ack —
-// piggybacks the sender's cumulative delivered sequence for the reverse
-// direction. The connection is the (src, dst) pair, so ranks never travel
-// with data frames.
+// Wire format. One frame per message: an 8-byte little-endian tag, a
+// 4-byte payload length, then the payload. The connection is the (src,
+// dst) pair, so ranks never travel with frames. The length 0xFFFFFFFF,
+// above the payload limit, marks the goodbye: the last frame a side sends
+// on a connection.
 //
-// Surviving connection loss. Each direction keeps a bounded ring of sent
-// but unacknowledged frames — the very buffers the senders gave away
-// (transport.Transport.Give), not copies of them. When an established
-// connection dies — a broken write, a read error, a frame that fails
-// validation — the endpoint does not kill the run: the original dialer of
-// the pair redials (reusing the rendezvous dial backoff) with a reconnect
-// handshake that carries its delivered sequence, the acceptor's
-// persistent listener adopts the
-// replacement connection and replies with its own delivered sequence, and
-// both sides resend exactly the suffix of the ring the peer has not
-// delivered. Receivers enforce contiguous sequences, so a replayed
-// duplicate is dropped idempotently and a gap is a connection error that
-// the next reconnect repairs. Config.MaxReconnects and
-// Config.ReconnectTimeout bound the patience; when they are exhausted the
-// endpoint fails permanently: mailboxes close (blocked receivers panic
-// with the cause), senders unblock, and Close reports the first error so
-// the run's exit status reflects the failure instead of hanging.
+// Fail-stop. Like an MPI job, a fabric does not outlive a lost peer. A
+// connection error, a malformed frame or an EOF before the peer's goodbye
+// fails the endpoint: the first error is recorded, every socket and
+// mailbox closes, and blocked receives panic with that error, which names
+// the peer. Closing the other sockets makes every other rank read an EOF
+// without a goodbye, so the failure reaches the whole fabric at once, with
+// no timeout involved. Close reports it.
 //
-// Delivery. A reader goroutine per connection drains frames into per-source
-// mailboxes (shared with the local backend), which yields the substrate
-// contract: sends never block indefinitely (the remote reader always
-// drains, queues are unbounded, acknowledgements flow regardless of the
-// application's receive pattern), per-pair same-tag messages are
-// non-overtaking (sequence numbers make this hold across reconnects), and
-// receives are tag-selective. Self-sends short-circuit through an
-// in-memory mailbox without touching a socket — consistent with the
-// accounting rule that no bytes leave the PE.
+// Delivery. A reader goroutine per connection drains frames into
+// per-source mailboxes (shared with the local backend), and a writer
+// goroutine per connection drains an unbounded outbound queue, so Give
+// posts and returns: sends never block, per-pair same-tag messages are
+// non-overtaking (one queue, one socket), and receives are tag-selective.
+// A given buffer goes back to the pool as soon as the writer has written
+// it. Self-sends short-circuit through an in-memory mailbox without
+// touching a socket — consistent with the accounting rule that no bytes
+// leave the PE.
+//
+// Shutdown. Close drains every outbound queue and writes a goodbye on each
+// connection, then keeps reading until it has the peer's goodbye too (or
+// the endpoint failed), bounded by Config.ShutdownTimeout, and only then
+// closes the sockets: closing a socket with unread incoming bytes sends an
+// RST, and an RST can destroy frames the peer has not read yet. A goodbye
+// marks its sender departed, so a receive from a peer that has closed,
+// with nothing queued from it, fails naming that peer instead of waiting.
 package tcp
 
 import (
@@ -63,42 +57,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dss/internal/trace"
 	"dss/internal/transport"
 )
 
 const (
 	handshakeMagic    = 0x31535344 // "DSS1", little-endian
-	protocolVersion   = 2
-	handshakeLen      = 22 // magic u32 | version u8 | flags u8 | rank u32 | p u32 | delivered u64
-	headerLen         = 28 // seq u64 | ack u64 | tag u64 | payload length u32
+	protocolVersion   = 3
+	handshakeLen      = 13 // magic u32 | version u8 | rank u32 | p u32
+	headerLen         = 12 // tag u64 | payload length u32
 	maxPayload        = 1<<31 - 1
+	lenGoodbye        = ^uint32(0) // the length field of a goodbye frame
 	defaultRendezvous = 30 * time.Second
-
-	// flagReconnect marks a handshake that re-establishes a previously
-	// connected pair; the delivered field then selects the resend suffix.
-	flagReconnect = 1 << 0
-
-	// seqGoodbye marks a control frame announcing a deliberate staged
-	// shutdown: the sender has flushed — everything it sent is
-	// acknowledged, everything it delivered is acked back — and will
-	// close the connection next. The receiver parks the pair instead of
-	// treating the following EOF as a fault. A bare EOF without a
-	// goodbye is NEVER trusted as a shutdown: a connection cut exactly at
-	// a frame boundary is indistinguishable from one, and must take the
-	// reconnect path. (Data frames count from 1 and can never reach this
-	// value; seq 0 is the pure ack.)
-	seqGoodbye = ^uint64(0)
-
-	// The resend ring bounds the frames parked per direction awaiting
-	// acknowledgement. A full ring blocks Send until acks drain it — never
-	// a deadlock, because the peer's reader drains and acknowledges
-	// independently of its application's receive pattern.
-	maxRingFrames = 1024
-	maxRingBytes  = 32 << 20
-
-	defaultReconnectTimeout = 10 * time.Second
-	defaultMaxReconnects    = 8
+	defaultShutdown   = 10 * time.Second
 
 	// Dial retries back off exponentially between these bounds. The first
 	// retries come fast (workers of one job usually start within
@@ -110,46 +80,29 @@ const (
 	dialBackoffMax = 250 * time.Millisecond
 )
 
-// Config tunes connection establishment and failure recovery.
+// Config tunes connection establishment and shutdown.
 type Config struct {
 	// RendezvousTimeout bounds how long ConnectConfig waits for all peers to
 	// appear (workers of an SPMD job may start seconds apart). Zero means
 	// 30 s.
 	RendezvousTimeout time.Duration
-	// ReconnectTimeout bounds each reconnect attempt after an established
-	// connection dies: the redialing side retries with the dial backoff
-	// until this deadline, the accepting side waits this long for the
-	// replacement to arrive. Zero means 10 s.
-	ReconnectTimeout time.Duration
-	// MaxReconnects bounds how many times each pairwise connection may be
-	// re-established before the endpoint fails permanently. Zero means the
-	// default (8); negative disables reconnection entirely — the first
-	// drop of an established connection fails the endpoint, the pre-v2
-	// behavior.
-	MaxReconnects int
+	// ShutdownTimeout bounds Close's staged shutdown: draining the outbound
+	// queues and reading every peer's goodbye. A peer whose goodbye has not
+	// arrived by then fails the endpoint. Zero means 10 s.
+	ShutdownTimeout time.Duration
 }
 
-func (cfg Config) reconnectTimeout() time.Duration {
-	if cfg.ReconnectTimeout == 0 {
-		return defaultReconnectTimeout
+func (cfg Config) shutdownTimeout() time.Duration {
+	if cfg.ShutdownTimeout == 0 {
+		return defaultShutdown
 	}
-	return cfg.ReconnectTimeout
-}
-
-func (cfg Config) maxReconnects() int {
-	switch {
-	case cfg.MaxReconnects == 0:
-		return defaultMaxReconnects
-	case cfg.MaxReconnects < 0:
-		return 0
-	}
-	return cfg.MaxReconnects
+	return cfg.ShutdownTimeout
 }
 
 // Endpoint is one PE's endpoint of a TCP fabric. It implements
 // transport.Transport. Send/Recv are confined to the PE's goroutine like
-// every transport; the internal reader, acker and reconnect goroutines are
-// managed by the endpoint itself.
+// every transport; the reader and writer goroutines of its connections
+// are managed by the endpoint itself.
 type Endpoint struct {
 	rank  int
 	p     int
@@ -157,140 +110,38 @@ type Endpoint struct {
 	conns []*peerConn          // conns[r], nil at own rank
 	boxes []*transport.Mailbox // boxes[src]
 	pool  transport.Pool
-	ln    net.Listener  // kept open after rendezvous for reconnects
-	done  chan struct{} // closed on teardown; unblocks internal goroutines
 
-	rendezvoused atomic.Bool
-	closing      atomic.Bool
-	spawnMu      sync.Mutex // serializes goroutine spawn against teardown
-	workers      sync.WaitGroup
-	tdOnce       sync.Once
-	closeOnce    sync.Once
+	closing   atomic.Bool   // teardown has begun: socket errors are expected
+	failed    chan struct{} // closed when the endpoint fails
+	failOnce  sync.Once
+	tdOnce    sync.Once
+	closeOnce sync.Once
+	workers   sync.WaitGroup
 
 	errMu    sync.Mutex
 	firstErr error
-
-	// Measured failure-recovery counters, exposed through NetStats. They
-	// are observations like wall clock, never model inputs: the
-	// deterministic statistics are bit-identical with or without drops.
-	reconnects   atomic.Int64
-	resentFrames atomic.Int64
-	resentBytes  atomic.Int64
-
-	tr atomic.Pointer[trace.Recorder] // timeline recorder; nil = off
 }
 
-// peerConn is one persistent pairwise connection: the live socket (nil
-// while disconnected), the outgoing resend ring, and the incoming
-// delivered sequence. It survives reconnects — only c/w/gen change.
-//
-// Nothing ever blocks on the socket while holding mu: all socket writes —
-// data, standalone acks, reconnect replay — happen in the pair's single
-// writer goroutine (writerLoop) with the lock released. Holding mu across
-// a blocking write deadlocks head-to-head exchanges: each side's writer
-// would stall on a full send buffer while its reader needs the same lock
-// to fold the peer's acks (which is what would drain the peer's send
-// buffer).
+// peerConn is the connection to one peer: the socket, the outbound queue
+// its writer drains, and the two halves of the staged shutdown.
 type peerConn struct {
-	e      *Endpoint
-	peer   int
-	dialer bool   // this side redials after a drop (peer < own rank)
-	addr   string // peer's listen address, for redials
+	e    *Endpoint
+	peer int
 
-	mu          sync.Mutex
-	cond        *sync.Cond // wakes senders: ring drained, or pair failed
-	condW       *sync.Cond // wakes the writer: work pending, conn adopted, or failed
-	c           net.Conn   // nil while disconnected
-	w           *bufio.Writer
-	gen         int  // bumped per adopted connection; stale errors are ignored
-	connecting  bool // a reconnect attempt is under way
-	failed      bool
-	flushing    bool          // Close's flush phase is waiting for this pair to quiesce
-	goodbyeSent bool          // our goodbye control frame made it onto the wire
-	departed    bool          // peer announced a clean staged shutdown (goodbye received)
-	budget      int           // remaining reconnects
-	waitRedial  chan struct{} // closed by adopt; arms the acceptor-side timeout
+	mu      sync.Mutex
+	cond    *sync.Cond // wakes the writer
+	c       net.Conn
+	q       []outFrame
+	bye     bool // Close asked for a goodbye once the queue is drained
+	stopped bool // torn down: the writer exits and Give panics
 
-	// Outgoing direction (guarded by mu). The ring holds every frame from
-	// ackedSeq+1 to nextSeq-1 in order; sendCursor is the next frame the
-	// writer will put on the current connection (adopt rewinds it to
-	// ackedSeq+1, which is what replays the unacknowledged suffix).
-	nextSeq    uint64 // sequence of the next data frame (first frame = 1)
-	ackedSeq   uint64 // highest sequence cumulatively acked by the peer
-	sendCursor uint64 // next sequence the writer puts on the wire
-	ring       []ringFrame
-	ringBytes  int
-	ackedOut   uint64 // delivered value most recently written to the peer
-
-	// inFlightSeq marks the frame the writer is currently putting on the
-	// wire with mu released. If an ack trims that frame meanwhile, its
-	// buffer is parked in orphan instead of returned to the pool — the
-	// writer is still reading it — and the writer releases it afterwards.
-	inFlightSeq uint64
-	orphan      []byte
-
-	// Incoming direction. delivered is advanced by the reader goroutines
-	// (under recvMu, see deliver) and read by the writer for ack
-	// piggybacking and by reconnect handshakes.
-	recvMu    sync.Mutex
-	delivered atomic.Uint64
-
-	drop atomic.Pointer[dropTrap] // armed fault injection (transport.ConnDropper)
+	wrote chan struct{} // closed once our goodbye is on the wire
+	heard chan struct{} // closed once the peer's goodbye has been read
 }
 
-type ringFrame struct {
-	seq  uint64
+type outFrame struct {
 	tag  int
 	data []byte
-}
-
-// dropTrap is an armed ConnDropper fault: the connection is cut after the
-// next remaining bytes written to this peer.
-type dropTrap struct {
-	remaining int64
-}
-
-func newPeerConn(e *Endpoint, peer int, addr string) *peerConn {
-	pc := &peerConn{
-		e:      e,
-		peer:   peer,
-		dialer: peer < e.rank,
-		addr:   addr,
-		budget: e.cfg.maxReconnects(),
-		// Data frames are numbered from 1; sequence 0 is the pure-ack frame.
-		nextSeq:    1,
-		sendCursor: 1,
-	}
-	pc.cond = sync.NewCond(&pc.mu)
-	pc.condW = sync.NewCond(&pc.mu)
-	return pc
-}
-
-// trapWriter sits between the framed bufio.Writer and the socket and
-// fires an armed dropTrap: it truncates the write after the trap's
-// remaining bytes, closes the connection, and returns an error — the same
-// observable failure as a network cut mid-frame. Writes are serialized by
-// the pair's single writer goroutine, so the trap needs no further
-// locking beyond the atomic pointer.
-type trapWriter struct {
-	pc *peerConn
-	c  net.Conn
-}
-
-func (tw trapWriter) Write(p []byte) (int, error) {
-	if t := tw.pc.drop.Load(); t != nil {
-		if int64(len(p)) >= t.remaining {
-			tw.pc.drop.Store(nil)
-			n := int(t.remaining)
-			if n > 0 {
-				tw.c.Write(p[:n])
-			}
-			tw.c.Close()
-			return n, errors.New("transport/tcp: injected connection drop")
-		}
-		t.remaining -= int64(len(p))
-	}
-	return tw.c.Write(p)
 }
 
 // ConnectConfig joins the fabric described by peers as the given rank: it
@@ -318,7 +169,8 @@ type identified struct {
 	conn net.Conn
 }
 
-// connect establishes the mesh over an already-bound listener.
+// connect establishes the mesh over an already-bound listener and closes
+// the listener when the mesh is complete or has failed.
 func connect(ln net.Listener, rank int, peers []string, cfg Config) (*Endpoint, error) {
 	p := len(peers)
 	timeout := cfg.RendezvousTimeout
@@ -331,160 +183,113 @@ func connect(ln net.Listener, rank int, peers []string, cfg Config) (*Endpoint, 
 	}
 
 	e := &Endpoint{
-		rank:  rank,
-		p:     p,
-		cfg:   cfg,
-		conns: make([]*peerConn, p),
-		boxes: make([]*transport.Mailbox, p),
-		ln:    ln,
-		done:  make(chan struct{}),
+		rank:   rank,
+		p:      p,
+		cfg:    cfg,
+		conns:  make([]*peerConn, p),
+		boxes:  make([]*transport.Mailbox, p),
+		failed: make(chan struct{}),
 	}
 	for i := range e.boxes {
 		e.boxes[i] = transport.NewMailbox()
 		if i != rank {
-			e.conns[i] = newPeerConn(e, i, peers[i])
+			pc := &peerConn{e: e, peer: i, wrote: make(chan struct{}), heard: make(chan struct{})}
+			pc.cond = sync.NewCond(&pc.mu)
+			e.conns[i] = pc
 		}
 	}
 
-	// The accept loop runs for the endpoint's whole lifetime: during the
-	// rendezvous it funnels identified initial handshakes to the collector
-	// below; afterwards it adopts reconnect handshakes.
 	idCh := make(chan identified)
 	acceptErrCh := make(chan error, 1)
-	e.workers.Add(1)
-	go e.acceptLoop(ln, deadline, idCh, acceptErrCh)
-
-	var acceptErr error
-	accepted := make(chan struct{})     // closed when the accept side is done
-	acceptFailed := make(chan struct{}) // closed only on accept failure; aborts dial retries
+	stop := make(chan struct{}) // closed when the rendezvous is over
+	accepting := make(chan struct{})
 	go func() {
-		defer close(accepted)
-		acceptErr = e.collectPeers(idCh, acceptErrCh)
-		if acceptErr != nil {
-			close(acceptFailed)
+		defer close(accepting)
+		e.acceptLoop(ln, deadline, idCh, acceptErrCh, stop)
+	}()
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		if err := e.collectPeers(idCh, acceptErrCh); err != nil {
+			e.fail(err)
 		}
 	}()
-	dialErr := e.dialPeers(peers, deadline, acceptFailed)
-	if dialErr != nil {
-		ln.Close() // abort a blocked Accept
+	if err := e.dialPeers(peers, deadline); err != nil {
+		e.fail(err)
 	}
-	<-accepted
-	if dialErr != nil || acceptErr != nil {
-		e.Close()
-		// Surface the root cause: whichever side failed first made the
-		// other side fail by aborting it.
-		if dialErr != nil && !errors.Is(dialErr, errRendezvousAborted) {
-			return nil, dialErr
-		}
-		if acceptErr != nil {
-			return nil, acceptErr
-		}
-		return nil, dialErr
-	}
-	e.rendezvoused.Store(true)
-	// The listener outlives the rendezvous — it is where peers reconnect —
-	// so the rendezvous deadline must come off it.
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Time{})
+	<-collected
+	close(stop)
+	ln.Close()
+	<-accepting
+	// Whichever side failed first recorded the root cause; the other side
+	// was aborted by it.
+	if err := e.err(); err != nil {
+		e.teardown()
+		e.workers.Wait()
+		return nil, err
 	}
 	for _, pc := range e.conns {
 		if pc != nil {
-			pc := pc
-			e.spawn(pc.writerLoop)
+			e.start(pc.writeLoop)
 		}
 	}
 	return e, nil
 }
 
-// spawn starts a worker goroutine tracked by the endpoint's WaitGroup,
-// unless teardown has begun. The mutex serializes the closing check with
-// the Add so Close's Wait cannot race a late spawn.
-func (e *Endpoint) spawn(f func()) bool {
-	e.spawnMu.Lock()
-	defer e.spawnMu.Unlock()
-	if e.closing.Load() {
-		return false
-	}
+// start runs f as one of the endpoint's tracked goroutines.
+func (e *Endpoint) start(f func()) {
 	e.workers.Add(1)
 	go func() {
 		defer e.workers.Done()
 		f()
 	}()
-	return true
 }
 
-// acceptLoop accepts connections for the endpoint's lifetime. Handshakes
+// acceptLoop accepts connections until the rendezvous is over. Handshakes
 // run concurrently, one goroutine per accepted connection, so a stranger
-// that connects and then stalls mid-handshake cannot delay the rendezvous
-// or a reconnect: the loop keeps accepting while the stalled handshake
-// waits out its deadline in the background.
-func (e *Endpoint) acceptLoop(ln net.Listener, rendezvousDeadline time.Time, idCh chan<- identified, acceptErrCh chan<- error) {
-	defer e.workers.Done()
+// that connects and then stalls mid-handshake cannot delay the rendezvous:
+// the loop keeps accepting while the stalled handshake waits out its
+// deadline in the background.
+func (e *Endpoint) acceptLoop(ln net.Listener, deadline time.Time, idCh chan<- identified, acceptErrCh chan<- error, stop <-chan struct{}) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if !e.rendezvoused.Load() && !e.closing.Load() {
-				select {
-				case acceptErrCh <- err:
-				default:
-				}
+			select {
+			case acceptErrCh <- err:
+			default:
 			}
 			return
 		}
-		go e.handleAccept(conn, rendezvousDeadline, idCh)
+		go e.handshake(conn, deadline, idCh, stop)
 	}
 }
 
-// handleAccept performs the acceptor side of one handshake: read the
-// dialer's hello, reply with ours, then either funnel the identified
-// connection to the rendezvous collector or adopt it as a reconnect.
-// Strangers and stale probes are dropped silently without consuming a peer
-// slot.
-func (e *Endpoint) handleAccept(conn net.Conn, rendezvousDeadline time.Time, idCh chan<- identified) {
-	deadline := rendezvousDeadline
-	if e.rendezvoused.Load() {
-		deadline = time.Now().Add(e.cfg.reconnectTimeout())
-	}
+// handshake performs the acceptor side of one handshake: read the dialer's
+// hello, reply with ours, and funnel the identified connection to the
+// collector. Strangers are dropped silently without consuming a peer slot.
+func (e *Endpoint) handshake(conn net.Conn, deadline time.Time, idCh chan<- identified, stop <-chan struct{}) {
 	conn.SetDeadline(deadline)
-	h, err := readHello(conn, e.p)
-	if err != nil || h.rank <= e.rank || h.rank >= e.p {
-		conn.Close()
-		return
-	}
-	// The reply carries OUR delivered sequence for that peer, which on a
-	// reconnect tells the dialer which ring suffix to resend. A
-	// misconfigured dialer (wrong fabric size, wrong protocol) also sees
-	// the mismatch in this reply and fails fast on its side.
-	if err := writeHello(conn, e.rank, e.p, h.flags&flagReconnect, e.conns[h.rank].delivered.Load()); err != nil {
+	r, err := readHello(conn, e.p)
+	// A misconfigured dialer (wrong fabric size, wrong protocol) sees the
+	// mismatch in our reply and fails fast on its side.
+	if err != nil || r <= e.rank || r >= e.p || writeHello(conn, e.rank, e.p) != nil {
 		conn.Close()
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	if h.flags&flagReconnect != 0 {
-		if !e.rendezvoused.Load() {
-			conn.Close() // reconnect before the mesh exists: stale probe
-			return
-		}
-		e.conns[h.rank].adopt(conn, h.delivered, true)
-		return
-	}
-	if e.rendezvoused.Load() {
-		conn.Close() // fresh initial handshake after the rendezvous: stranger
-		return
-	}
 	select {
-	case idCh <- identified{rank: h.rank, conn: conn}:
-	case <-e.done:
+	case idCh <- identified{rank: r, conn: conn}:
+	case <-stop:
 		conn.Close()
 	}
 }
 
-// collectPeers waits for one identified initial connection from every
-// higher rank, funneled in by the accept loop.
+// collectPeers waits for one identified connection from every higher rank,
+// funneled in by the accept loop. An accept error matters only while a
+// higher rank is still missing.
 func (e *Endpoint) collectPeers(idCh <-chan identified, acceptErrCh <-chan error) error {
-	remaining := e.p - 1 - e.rank
 	got := make([]bool, e.p)
-	for remaining > 0 {
+	for remaining := e.p - 1 - e.rank; remaining > 0; remaining-- {
 		select {
 		case id := <-idCh:
 			if got[id.rank] {
@@ -492,25 +297,26 @@ func (e *Endpoint) collectPeers(idCh <-chan identified, acceptErrCh <-chan error
 				return fmt.Errorf("transport/tcp: rank %d: duplicate handshake from rank %d", e.rank, id.rank)
 			}
 			got[id.rank] = true
-			e.conns[id.rank].adopt(id.conn, 0, false)
-			remaining--
+			e.conns[id.rank].adopt(id.conn)
 		case err := <-acceptErrCh:
 			return fmt.Errorf("transport/tcp: rank %d: accept: %w", e.rank, err)
+		case <-e.failed:
+			return nil
 		}
 	}
 	return nil
 }
 
 // dialPeers connects to every lower rank, retrying until the peer's
-// listener is reachable, the rendezvous deadline expires, or the accept
-// side fails (abort closes).
-func (e *Endpoint) dialPeers(peers []string, deadline time.Time, abort <-chan struct{}) error {
+// listener is reachable, the rendezvous deadline expires, or the endpoint
+// fails.
+func (e *Endpoint) dialPeers(peers []string, deadline time.Time) error {
 	for r := 0; r < e.rank; r++ {
-		conn, peerDelivered, err := e.dialPeer(r, peers[r], deadline, abort, 0)
+		conn, err := e.dialPeer(r, peers[r], deadline)
 		if err != nil {
 			return err
 		}
-		e.conns[r].adopt(conn, peerDelivered, false)
+		e.conns[r].adopt(conn)
 	}
 	return nil
 }
@@ -519,40 +325,34 @@ func (e *Endpoint) dialPeers(peers []string, deadline time.Time, abort <-chan st
 // failures (connection refused, host momentarily unreachable, a listener
 // backlog overflow) as "not up yet" and retrying with bounded exponential
 // backoff until the deadline. Only handshake mismatches that redialing
-// cannot cure (errFatalHandshake) and an abort from the accept side fail
-// immediately. flags selects the initial vs reconnect handshake; the
-// peer's delivered sequence from its reply hello is returned alongside the
-// connection.
-func (e *Endpoint) dialPeer(r int, addr string, deadline time.Time, abort <-chan struct{}, flags byte) (net.Conn, uint64, error) {
+// cannot cure (errFatalHandshake) and a failure of the endpoint fail
+// immediately.
+func (e *Endpoint) dialPeer(r int, addr string, deadline time.Time) (net.Conn, error) {
 	var lastErr error
 	backoff := dialBackoffMin
-	var delivered uint64
-	if flags&flagReconnect != 0 {
-		delivered = e.conns[r].delivered.Load()
-	}
 	for time.Now().Before(deadline) {
 		d := net.Dialer{Deadline: deadline}
 		conn, err := d.Dial("tcp", addr)
 		if err == nil {
 			conn.SetDeadline(deadline)
-			err = writeHello(conn, e.rank, e.p, flags, delivered)
-			var h hello
+			err = writeHello(conn, e.rank, e.p)
+			var got int
 			if err == nil {
-				h, err = readHello(conn, e.p)
+				got, err = readHello(conn, e.p)
 			}
 			if err == nil {
-				if h.rank != r {
+				if got != r {
 					conn.Close()
-					return nil, 0, fmt.Errorf("transport/tcp: rank %d: peer at %s identifies as rank %d, want %d",
-						e.rank, addr, h.rank, r)
+					return nil, fmt.Errorf("transport/tcp: rank %d: peer at %s identifies as rank %d, want %d",
+						e.rank, addr, got, r)
 				}
 				conn.SetDeadline(time.Time{})
-				return conn, h.delivered, nil
+				return conn, nil
 			}
 			conn.Close()
 			// Redialing cannot cure a protocol or peer-table mismatch.
 			if errors.Is(err, errFatalHandshake) {
-				return nil, 0, fmt.Errorf("transport/tcp: rank %d: handshake with rank %d at %s: %w",
+				return nil, fmt.Errorf("transport/tcp: rank %d: handshake with rank %d at %s: %w",
 					e.rank, r, addr, err)
 			}
 			// A connection that handshook partially (e.g. the peer died
@@ -562,489 +362,175 @@ func (e *Endpoint) dialPeer(r int, addr string, deadline time.Time, abort <-chan
 		}
 		lastErr = err
 		select {
-		case <-abort:
-			return nil, 0, fmt.Errorf("transport/tcp: rank %d: %w", e.rank, errRendezvousAborted)
+		case <-e.failed:
+			return nil, fmt.Errorf("transport/tcp: rank %d: rendezvous aborted", e.rank)
 		case <-time.After(backoff):
 		}
 		if backoff *= 2; backoff > dialBackoffMax {
 			backoff = dialBackoffMax
 		}
 	}
-	return nil, 0, fmt.Errorf("transport/tcp: rank %d: rendezvous with rank %d at %s timed out: %w",
+	return nil, fmt.Errorf("transport/tcp: rank %d: rendezvous with rank %d at %s timed out: %w",
 		e.rank, r, addr, lastErr)
 }
 
-// hello is one parsed handshake message.
-type hello struct {
-	rank      int
-	flags     byte
-	delivered uint64
-}
-
-func writeHello(c net.Conn, rank, p int, flags byte, delivered uint64) error {
+func writeHello(c net.Conn, rank, p int) error {
 	var b [handshakeLen]byte
 	binary.LittleEndian.PutUint32(b[0:4], handshakeMagic)
 	b[4] = protocolVersion
-	b[5] = flags
-	binary.LittleEndian.PutUint32(b[6:10], uint32(rank))
-	binary.LittleEndian.PutUint32(b[10:14], uint32(p))
-	binary.LittleEndian.PutUint64(b[14:22], delivered)
+	binary.LittleEndian.PutUint32(b[5:9], uint32(rank))
+	binary.LittleEndian.PutUint32(b[9:13], uint32(p))
 	_, err := c.Write(b[:])
 	return err
 }
-
-// errRendezvousAborted marks a dial loop stopped because the accept side
-// failed first; the accept error is the root cause then.
-var errRendezvousAborted = errors.New("rendezvous aborted")
 
 // errFatalHandshake marks handshake failures that redialing cannot cure
 // (protocol or configuration mismatches, as opposed to a peer that is not
 // up yet); the dial retry loop fails fast on them.
 var errFatalHandshake = errors.New("fatal handshake mismatch")
 
-func readHello(c net.Conn, wantP int) (hello, error) {
+// readHello reads one handshake message and returns the sender's rank.
+func readHello(c net.Conn, wantP int) (int, error) {
 	var b [handshakeLen]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return hello{}, err
+		return 0, err
 	}
 	if binary.LittleEndian.Uint32(b[0:4]) != handshakeMagic {
-		return hello{}, fmt.Errorf("%w: bad magic", errFatalHandshake)
+		return 0, fmt.Errorf("%w: bad magic", errFatalHandshake)
 	}
 	if b[4] != protocolVersion {
-		return hello{}, fmt.Errorf("%w: protocol version %d, want %d", errFatalHandshake, b[4], protocolVersion)
+		return 0, fmt.Errorf("%w: protocol version %d, want %d", errFatalHandshake, b[4], protocolVersion)
 	}
-	if p := int(binary.LittleEndian.Uint32(b[10:14])); p != wantP {
-		return hello{}, fmt.Errorf("%w: peer believes P=%d, want %d", errFatalHandshake, p, wantP)
+	if p := int(binary.LittleEndian.Uint32(b[9:13])); p != wantP {
+		return 0, fmt.Errorf("%w: peer believes P=%d, want %d", errFatalHandshake, p, wantP)
 	}
-	return hello{
-		rank:      int(binary.LittleEndian.Uint32(b[6:10])),
-		flags:     b[5],
-		delivered: binary.LittleEndian.Uint64(b[14:22]),
-	}, nil
+	return int(binary.LittleEndian.Uint32(b[5:9])), nil
 }
 
-// adopt installs a (re)established connection on the pair: trim the resend
-// ring by the peer's delivered sequence, rewind the writer's cursor so it
-// replays the rest in order, wake blocked senders and the writer, and
-// start a fresh reader. Both sides of a reconnect run adopt — each
-// direction replays its own unacknowledged suffix.
-func (pc *peerConn) adopt(conn net.Conn, peerDelivered uint64, isReconnect bool) {
-	e := pc.e
+// adopt installs the pair's connection and starts its reader. A pair torn
+// down by a failed rendezvous refuses it.
+func (pc *peerConn) adopt(conn net.Conn) {
 	pc.mu.Lock()
-	if pc.failed || e.closing.Load() {
-		pc.mu.Unlock()
+	defer pc.mu.Unlock()
+	if pc.stopped {
 		conn.Close()
 		return
 	}
-	if pc.c != nil {
-		// A replacement raced the old connection's death detection on this
-		// side; the peer has already abandoned the old one, so trust the
-		// newcomer and let the old reader's error fall into the stale-gen
-		// path below.
-		pc.c.Close()
-	}
 	pc.c = conn
-	pc.w = bufio.NewWriterSize(trapWriter{pc: pc, c: conn}, 64<<10)
-	pc.gen++
-	gen := pc.gen
-	pc.connecting = false
-	if pc.waitRedial != nil {
-		close(pc.waitRedial)
-		pc.waitRedial = nil
-	}
-	pc.trimRingLocked(peerDelivered)
-	// Everything still in the ring is unacknowledged: replay it all on the
-	// fresh connection (the receiver discards what did survive the old
-	// one). The suffix length IS the resend volume — counted here, whether
-	// or not an individual frame ever fully made it onto the old socket.
-	pc.sendCursor = pc.ackedSeq + 1
-	resent := int64(len(pc.ring))
-	resentBytes := int64(pc.ringBytes)
-	pc.cond.Broadcast()
-	pc.condW.Broadcast()
-	pc.mu.Unlock()
-	if isReconnect {
-		e.reconnects.Add(1)
-		e.resentFrames.Add(resent)
-		e.resentBytes.Add(resentBytes)
-		e.tr.Load().Instant(trace.TrackControl, "net-reconnect", int64(pc.peer), resent)
-	}
-	e.spawn(func() { e.readLoop(pc.peer, pc, conn, gen) })
+	pc.e.start(pc.readLoop)
 }
 
-// trimRingLocked drops ring frames the peer has cumulatively acknowledged
-// and wakes senders blocked on a full ring. Acks beyond what was ever sent
-// (a corrupt header) are clamped — robustness, not trust. A frame the
-// writer is putting on the wire right now is parked for the writer to
-// release instead of returned to the pool, so the pool can never hand its
-// bytes to a new owner mid-write.
-func (pc *peerConn) trimRingLocked(ack uint64) {
-	if ack >= pc.nextSeq {
-		ack = pc.nextSeq - 1
-	}
-	if ack <= pc.ackedSeq {
-		return
-	}
-	drop := int(ack - pc.ackedSeq)
-	if drop > len(pc.ring) {
-		drop = len(pc.ring)
-	}
-	for i := 0; i < drop; i++ {
-		f := pc.ring[i]
-		pc.ringBytes -= len(f.data)
-		transport.NoteHandoff(f.data)
-		if f.seq == pc.inFlightSeq {
-			pc.orphan = f.data
-		} else {
-			pc.e.pool.Put(f.data)
-		}
-		pc.ring[i].data = nil
-	}
-	pc.ring = append(pc.ring[:0], pc.ring[drop:]...)
-	pc.ackedSeq = ack
-	if pc.sendCursor <= ack {
-		pc.sendCursor = ack + 1
-	}
-	pc.cond.Broadcast()
-	if pc.flushing {
-		// The ack that empties the ring is what makes the goodbye due:
-		// wake the writer so the flush phase can finish.
-		pc.condW.Signal()
-	}
-}
-
-// writeFrame puts one frame — seq 0 is a pure ack — on the wire. Called
-// only from the pair's writer goroutine, with mu released: a blocking
-// socket write must never hold the pair's lock.
-func writeFrame(w *bufio.Writer, seq, ack uint64, tag int, data []byte) error {
+// writeFrame puts one frame header and its payload into w.
+func writeFrame(w *bufio.Writer, tag int, length uint32, data []byte) error {
 	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], seq)
-	binary.LittleEndian.PutUint64(hdr[8:16], ack)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(int64(tag)))
-	binary.LittleEndian.PutUint32(hdr[24:28], uint32(len(data)))
-	_, err := w.Write(hdr[:])
-	if err == nil && len(data) > 0 {
-		_, err = w.Write(data)
+	binary.LittleEndian.PutUint64(hdr[0:8], uint64(int64(tag)))
+	binary.LittleEndian.PutUint32(hdr[8:12], length)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	if err == nil {
-		err = w.Flush()
-	}
+	_, err := w.Write(data)
 	return err
 }
 
-// connError reports a dead connection from a goroutine that does not hold
-// the pair's lock.
-func (pc *peerConn) connError(gen int, err error) {
-	pc.mu.Lock()
-	pc.connErrorLocked(gen, err)
-	pc.mu.Unlock()
-}
-
-// connErrorLocked handles a connection failure: ignore it if it concerns a
-// superseded connection or a reconnect is already under way, otherwise tear
-// the socket down and start recovery — the original dialer redials, the
-// acceptor arms a timeout and waits for the peer's redial. An exhausted
-// reconnect budget fails the endpoint permanently.
-func (pc *peerConn) connErrorLocked(gen int, err error) {
+// writeLoop is the pair's single socket writer. It takes the whole queue
+// at once, writes it with one flush, and returns each buffer to the pool
+// once it is written; Give only appends to the queue, so a PE never blocks
+// on a socket. When Close has asked for it and the queue is empty, it
+// writes the goodbye and exits.
+func (pc *peerConn) writeLoop() {
 	e := pc.e
-	if pc.failed || e.closing.Load() || gen != pc.gen {
-		return
-	}
-	if pc.c != nil {
-		pc.c.Close()
-		pc.c = nil
-		pc.w = nil
-	}
-	if pc.connecting {
-		return
-	}
-	// The peer announced a staged shutdown with a goodbye frame before
-	// this connection died: the death IS the shutdown, not a fault. Park
-	// the pair quietly — no reconnect, no budget spent, no error. An EOF
-	// without a preceding goodbye takes the recovery path like any other
-	// failure (a cut exactly at a frame boundary looks identical).
-	if pc.departed {
-		return
-	}
-	e.tr.Load().Instant(trace.TrackControl, "net-drop", int64(pc.peer), 0)
-	if pc.budget <= 0 {
-		pc.failLocked(fmt.Errorf("transport/tcp: rank %d: connection to rank %d lost and reconnect budget exhausted: %w",
-			e.rank, pc.peer, err))
-		return
-	}
-	pc.budget--
-	pc.connecting = true
-	if pc.dialer {
-		e.spawn(pc.redial)
-	} else {
-		waitCh := make(chan struct{})
-		pc.waitRedial = waitCh
-		e.spawn(func() { pc.awaitRedial(waitCh) })
-	}
-}
-
-// failLocked marks the pair dead, records the endpoint's first error, and
-// schedules the endpoint-wide teardown (asynchronously — teardown takes
-// every pair's lock, including the one held here).
-func (pc *peerConn) failLocked(err error) {
-	pc.failed = true
-	pc.cond.Broadcast()
-	pc.condW.Broadcast()
-	e := pc.e
-	e.errMu.Lock()
-	if e.firstErr == nil {
-		e.firstErr = err
-	}
-	e.errMu.Unlock()
-	go e.teardown()
-}
-
-// redial re-establishes the connection this side originally dialed,
-// reusing the rendezvous dial backoff under the reconnect timeout.
-func (pc *peerConn) redial() {
-	e := pc.e
-	deadline := time.Now().Add(e.cfg.reconnectTimeout())
-	conn, peerDelivered, err := e.dialPeer(pc.peer, pc.addr, deadline, e.done, flagReconnect)
-	if err != nil {
-		if e.closing.Load() {
-			return
-		}
-		pc.mu.Lock()
-		pc.failLocked(fmt.Errorf("transport/tcp: rank %d: reconnect to rank %d failed: %w", e.rank, pc.peer, err))
-		pc.mu.Unlock()
-		return
-	}
-	pc.adopt(conn, peerDelivered, true)
-}
-
-// awaitRedial is the acceptor side of a reconnect: the peer redials us
-// (the accept loop adopts it and closes waitCh); if it never arrives
-// within the reconnect timeout, the endpoint fails.
-func (pc *peerConn) awaitRedial(waitCh <-chan struct{}) {
-	e := pc.e
-	select {
-	case <-waitCh:
-	case <-e.done:
-	case <-time.After(e.cfg.reconnectTimeout()):
-		pc.mu.Lock()
-		if !pc.failed && pc.connecting && !e.closing.Load() {
-			pc.failLocked(fmt.Errorf("transport/tcp: rank %d: rank %d did not reconnect within %v",
-				e.rank, pc.peer, e.cfg.reconnectTimeout()))
-		}
-		pc.mu.Unlock()
-	}
-}
-
-// writerLoop is the pair's single socket writer: it drains the resend
-// ring from sendCursor in sequence order and emits standalone cumulative
-// acks when the incoming direction has delivered frames the outgoing
-// direction has not acknowledged yet (data frames piggyback the ack for
-// free). The socket write itself runs with mu released; a frame on the
-// wire is pinned via inFlightSeq so a concurrent ack cannot recycle its
-// buffer. Send never touches the socket — it appends to the ring and
-// wakes this loop — so a PE can never wedge inside a blocking write while
-// its reader needs the pair's lock.
-// goodbyeDueLocked reports that the writer should announce the staged
-// shutdown: Close is flushing, both directions are fully quiescent, and
-// the goodbye has not been written on a surviving connection yet.
-func (pc *peerConn) goodbyeDueLocked() bool {
-	return pc.flushing && !pc.goodbyeSent && !pc.departed &&
-		pc.sendCursor == pc.nextSeq && pc.ackedSeq == pc.nextSeq-1 &&
-		pc.delivered.Load() == pc.ackedOut
-}
-
-func (pc *peerConn) writerLoop() {
-	e := pc.e
+	w := bufio.NewWriterSize(pc.c, 64<<10)
+	var batch []outFrame
 	for {
 		pc.mu.Lock()
-		for {
-			if pc.failed || e.closing.Load() {
-				pc.mu.Unlock()
+		for len(pc.q) == 0 && !pc.bye && !pc.stopped {
+			pc.cond.Wait()
+		}
+		if pc.stopped {
+			pc.mu.Unlock()
+			return
+		}
+		batch, pc.q = pc.q, batch[:0]
+		pc.mu.Unlock()
+
+		var err error
+		if len(batch) == 0 {
+			if err = writeFrame(w, 0, lenGoodbye, nil); err == nil {
+				err = w.Flush()
+			}
+			if err == nil {
+				close(pc.wrote)
 				return
 			}
-			if pc.c != nil && !pc.connecting &&
-				(pc.sendCursor < pc.nextSeq || pc.delivered.Load() != pc.ackedOut ||
-					pc.goodbyeDueLocked()) {
-				break
+		}
+		for i, f := range batch {
+			if err == nil {
+				err = writeFrame(w, f.tag, uint32(len(f.data)), f.data)
 			}
-			pc.condW.Wait()
+			transport.NoteHandoff(f.data)
+			e.pool.Put(f.data)
+			batch[i] = outFrame{}
 		}
-		gen := pc.gen
-		w := pc.w
-		ack := pc.delivered.Load()
-		var seq uint64
-		var tag int
-		var data []byte
-		if pc.sendCursor < pc.nextSeq {
-			f := pc.ring[int(pc.sendCursor-pc.ackedSeq-1)]
-			seq, tag, data = f.seq, f.tag, f.data
-			pc.inFlightSeq = seq
-		} else if pc.goodbyeDueLocked() {
-			// Both directions are quiescent and Close is flushing: announce
-			// the staged shutdown. The goodbye is regenerated rather than
-			// ringed — if the connection dies before it lands, the replay
-			// after reconnect re-arms it.
-			seq = seqGoodbye
+		if err == nil {
+			err = w.Flush()
 		}
-		pc.mu.Unlock()
-
-		err := writeFrame(w, seq, ack, tag, data)
-
-		pc.mu.Lock()
-		if pc.inFlightSeq != 0 {
-			pc.inFlightSeq = 0
+		if err != nil {
+			e.connFailed(fmt.Errorf("transport/tcp: rank %d: write to rank %d: %w", e.rank, pc.peer, err))
+			return
 		}
-		if pc.orphan != nil {
-			e.pool.Put(pc.orphan)
-			pc.orphan = nil
-		}
-		if gen == pc.gen {
-			if err != nil {
-				pc.connErrorLocked(gen, err)
-			} else {
-				if ack > pc.ackedOut {
-					pc.ackedOut = ack
-				}
-				if seq == seqGoodbye {
-					pc.goodbyeSent = true
-				} else if seq != 0 && seq+1 > pc.sendCursor {
-					pc.sendCursor = seq + 1
-				}
-				if pc.flushing {
-					// Close's flush phase waits on cond for ackedOut to
-					// catch up with delivered and for the goodbye to land;
-					// ack progress (ackedSeq) broadcasts via
-					// trimRingLocked already.
-					pc.cond.Broadcast()
-				}
-			}
-		}
-		// On a stale generation the write raced a reconnect: adopt already
-		// rewound the cursor, and whatever this write put on the old socket
-		// is either lost or discarded as a duplicate by the receiver.
-		pc.mu.Unlock()
 	}
 }
 
-// readLoop drains frames from one adopted connection into the peer's
-// mailbox until the connection dies, then reports the error for recovery.
-// Unlike protocol v1 it never closes the mailbox itself: transient
-// connection loss must not fail receivers, and permanent failure closes
-// every mailbox through the endpoint-wide teardown with the cause
-// recorded.
-func (e *Endpoint) readLoop(src int, pc *peerConn, c net.Conn, gen int) {
-	err := e.readFrames(src, pc, bufio.NewReaderSize(c, 64<<10))
-	pc.connError(gen, err)
+// readLoop drains frames from the pair's connection into the peer's
+// mailbox. A goodbye ends it cleanly and marks the peer departed; anything
+// else that ends it fails the endpoint.
+func (pc *peerConn) readLoop() {
+	e := pc.e
+	err := e.readFrames(pc.peer, bufio.NewReaderSize(pc.c, 64<<10))
+	if err == nil {
+		e.boxes[pc.peer].SetDeparted(true)
+		close(pc.heard)
+		return
+	}
+	if err == io.EOF {
+		err = errors.New("closed without a goodbye")
+	}
+	e.connFailed(fmt.Errorf("transport/tcp: rank %d: connection to rank %d: %w", e.rank, pc.peer, err))
 }
 
-// readFrames validates and delivers frames from one connection's byte
-// stream until it errors. Every malformed header — oversized length,
-// payload on an ack, a sequence gap — is a connection error returned to
-// the caller, never a panic: the fuzz suite drives this function with
-// arbitrary bytes.
-func (e *Endpoint) readFrames(src int, pc *peerConn, br *bufio.Reader) error {
+// readFrames delivers frames from one connection's byte stream until the
+// peer's goodbye (nil) or an error: io.EOF for a stream that ends at a
+// frame boundary, a descriptive error for a malformed header, never a
+// panic — the fuzz suite drives this function with arbitrary bytes.
+func (e *Endpoint) readFrames(src int, br *bufio.Reader) error {
 	var hdr [headerLen]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return err
 		}
-		seq := binary.LittleEndian.Uint64(hdr[0:8])
-		ack := binary.LittleEndian.Uint64(hdr[8:16])
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[16:24])))
-		n := int64(binary.LittleEndian.Uint32(hdr[24:28]))
+		tag := int(int64(binary.LittleEndian.Uint64(hdr[0:8])))
+		n := binary.LittleEndian.Uint32(hdr[8:12])
+		if n == lenGoodbye {
+			return nil
+		}
 		if n > maxPayload {
 			return fmt.Errorf("frame length %d exceeds limit", n)
 		}
-		pc.ackReceived(ack)
-		if seq == seqGoodbye {
-			if n != 0 {
-				return fmt.Errorf("goodbye frame carries %d payload bytes", n)
-			}
-			// The peer has flushed and is about to close the connection
-			// for good. Park the pair so the imminent EOF is not treated
-			// as a fault, and wake anything blocked on it.
-			pc.mu.Lock()
-			pc.departed = true
-			pc.cond.Broadcast()
-			pc.condW.Broadcast()
-			pc.mu.Unlock()
-			continue
-		}
-		if seq == 0 {
-			if n != 0 {
-				return fmt.Errorf("ack frame carries %d payload bytes", n)
-			}
-			continue
-		}
-		delivered := pc.delivered.Load()
-		if seq <= delivered {
-			// A replayed duplicate: the resend suffix can overlap what
-			// already arrived when the ack for it was lost with the old
-			// connection. Consume and drop — delivery stays idempotent.
-			if _, err := io.CopyN(io.Discard, br, n); err != nil {
-				return err
-			}
-			continue
-		}
-		if seq != delivered+1 {
-			return fmt.Errorf("sequence gap: frame %d after delivered %d", seq, delivered)
-		}
-		// Read the payload. For large frames the first chunk is read
-		// before the full buffer is allocated, so a corrupt header
-		// claiming gigabytes costs nothing when the stream cannot back it
-		// up.
 		buf, err := e.readPayload(br, int(n))
 		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return err
 		}
-		if err := pc.deliver(e.boxes[src], seq, tag, buf); err != nil {
-			return err
-		}
-		// Wake the writer so the delivery is acknowledged even when no
-		// reverse-direction data frame is around to piggyback on; the
-		// writer coalesces bursts into one cumulative ack.
-		pc.noteDelivered()
+		e.boxes[src].Push(tag, buf)
 	}
-}
-
-// deliver hands one frame to the mailbox if it is the next in sequence.
-// The check and the delivery are one step under recvMu because two readers
-// can be at work on one pair: the reader of a superseded connection keeps
-// draining the frames it had already buffered while the replacement's
-// reader starts on the replayed suffix, which overlaps them. Checked
-// separately, both would deliver the same frame, and the slower one would
-// then move delivered backwards and make the next frame look like a gap.
-func (pc *peerConn) deliver(box *transport.Mailbox, seq uint64, tag int, buf []byte) error {
-	pc.recvMu.Lock()
-	defer pc.recvMu.Unlock()
-	delivered := pc.delivered.Load()
-	if seq <= delivered {
-		pc.e.pool.Put(buf) // the other reader got there first
-		return nil
-	}
-	if seq != delivered+1 {
-		return fmt.Errorf("sequence gap: frame %d after delivered %d", seq, delivered)
-	}
-	// Count the frame as delivered before the application can see it: a PE
-	// that receives its last message and closes at once must already owe
-	// the ack, or its goodbye would leave the peer with an unacknowledged
-	// frame.
-	pc.delivered.Store(seq)
-	box.Push(tag, buf)
-	return nil
-}
-
-// noteDelivered wakes the pair's writer to acknowledge newly delivered
-// frames. It takes the lock only momentarily — no one holds mu across a
-// blocking operation — so the reader is never stalled by it.
-func (pc *peerConn) noteDelivered() {
-	pc.mu.Lock()
-	pc.condW.Signal()
-	pc.mu.Unlock()
 }
 
 // readPayload reads one payload of n bytes into a pooled buffer,
-// probing the first 64 KiB before committing to a large allocation.
+// probing the first 64 KiB before committing to a large allocation, so a
+// corrupt header claiming gigabytes costs nothing when the stream cannot
+// back it up.
 func (e *Endpoint) readPayload(br *bufio.Reader, n int) ([]byte, error) {
 	const probe = 64 << 10
 	if n <= probe {
@@ -1070,67 +556,19 @@ func (e *Endpoint) readPayload(br *bufio.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// ackReceived folds a cumulative ack from any incoming frame into the
-// outgoing ring.
-func (pc *peerConn) ackReceived(ack uint64) {
-	pc.mu.Lock()
-	pc.trimRingLocked(ack)
-	pc.mu.Unlock()
-}
-
 // Rank returns this endpoint's rank.
 func (e *Endpoint) Rank() int { return e.rank }
 
 // P returns the fabric size.
 func (e *Endpoint) P() int { return e.p }
 
-// BindTrace installs a timeline recorder: connection drops and reconnects
-// appear as net-drop / net-reconnect instants on the control track. Bound
-// by the comm layer (through the decorators); nil keeps it off. The
-// recorder is concurrency-safe, so reader and reconnect goroutines record
-// directly.
-func (e *Endpoint) BindTrace(tr *trace.Recorder) { e.tr.Store(tr) }
-
-// NetStats reports the endpoint's failure-recovery counters: connections
-// re-established, and frames/bytes replayed from the resend ring. They are
-// measurements (like wall clock), not model inputs — resent frames are
-// never re-billed by the accounting above.
-func (e *Endpoint) NetStats() (reconnects, resentFrames, resentBytes int64) {
-	return e.reconnects.Load(), e.resentFrames.Load(), e.resentBytes.Load()
-}
-
-// DropConn implements transport.ConnDropper: it arms a one-shot trap that
-// truncates the next write to peer after afterBytes bytes and cuts the
-// connection — fault injection for the chaos decorator and the tests.
-func (e *Endpoint) DropConn(peer int, afterBytes int) bool {
-	if peer < 0 || peer >= e.p || peer == e.rank {
-		return false
-	}
-	e.conns[peer].drop.Store(&dropTrap{remaining: int64(afterBytes)})
-	return true
-}
-
-// lastErr describes the endpoint's recorded failure for panic messages.
-func (e *Endpoint) lastErr() string {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.firstErr != nil {
-		return e.firstErr.Error()
-	}
-	return "endpoint closed"
-}
-
 // Alloc draws a buffer from the endpoint's pool.
 func (e *Endpoint) Alloc(n int) []byte { return e.pool.Get(n) }
 
-// Give appends one frame to dst's resend ring for the pair's writer to put
-// on the live connection (or short-circuits self-sends through the local
-// mailbox). The ring parks buf itself — the writer writes the socket from
-// it, a reconnect replays from it — until the peer acknowledges delivery,
-// and then returns it to this endpoint's pool; that is why the caller may
-// not touch buf after Give. A full ring blocks until acks drain it; a
-// disconnected pair parks the frame in the ring for the reconnect to
-// replay.
+// Give queues buf for dst's writer (or short-circuits self-sends through
+// the local mailbox) and returns at once. The writer writes the socket
+// from buf itself and then returns it to this endpoint's pool; that is why
+// the caller may not touch buf after Give.
 func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	if dst < 0 || dst >= e.p {
 		panic(fmt.Sprintf("transport/tcp: send to invalid rank %d (P=%d)", dst, e.p))
@@ -1145,41 +583,17 @@ func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	}
 	pc := e.conns[dst]
 	pc.mu.Lock()
-	for pc.ringFullLocked(len(buf)) && !pc.failed && !pc.departed {
-		pc.cond.Wait()
-	}
-	if pc.failed || pc.departed {
-		departed := pc.departed && !pc.failed
+	if pc.stopped {
 		pc.mu.Unlock()
-		if departed {
-			// The peer completed a clean staged shutdown: everything both
-			// sides sent was delivered and acknowledged before it closed.
-			// A later send means the two sides disagree about the
-			// communication schedule — fail loudly, not with a timeout.
-			panic(fmt.Sprintf("transport/tcp: rank %d: send to %d: peer closed its endpoint after a clean shutdown", e.rank, dst))
-		}
-		panic(fmt.Sprintf("transport/tcp: rank %d: send to %d failed: %s", e.rank, dst, e.lastErr()))
+		panic(fmt.Sprintf("transport/tcp: rank %d: send to rank %d failed: %v", e.rank, dst, e.closedErr()))
 	}
-	seq := pc.nextSeq
-	pc.nextSeq++
-	pc.ring = append(pc.ring, ringFrame{seq: seq, tag: tag, data: buf})
-	pc.ringBytes += len(buf)
-	pc.condW.Signal()
+	pc.q = append(pc.q, outFrame{tag: tag, data: buf})
+	pc.cond.Signal()
 	pc.mu.Unlock()
 }
 
 // Send gives a copy of data to dst.
 func (e *Endpoint) Send(dst, tag int, data []byte) { transport.SendCopy(e, dst, tag, data) }
-
-// ringFullLocked reports whether admitting a frame of n payload bytes
-// would overflow the resend ring. A lone oversized frame is admitted when
-// the ring is empty, so frames near the byte bound cannot wedge.
-func (pc *peerConn) ringFullLocked(n int) bool {
-	if len(pc.ring) >= maxRingFrames {
-		return true
-	}
-	return len(pc.ring) > 0 && pc.ringBytes+n > maxRingBytes
-}
 
 // Recv blocks until a message with the given tag arrives from src.
 func (e *Endpoint) Recv(src, tag int) []byte {
@@ -1188,8 +602,7 @@ func (e *Endpoint) Recv(src, tag int) []byte {
 	}
 	data, ok := e.boxes[src].Pop(tag)
 	if !ok {
-		panic(fmt.Sprintf("transport/tcp: rank %d: connection to rank %d lost while receiving tag %d: %s",
-			e.rank, src, tag, e.lastErr()))
+		panic(e.lost(src, tag))
 	}
 	return data
 }
@@ -1210,10 +623,18 @@ func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	}
 	i, data, arrived, ok := transport.PopAny(boxes, tag)
 	if !ok {
-		panic(fmt.Sprintf("transport/tcp: rank %d: connection to rank %d lost while receiving tag %d: %s",
-			e.rank, srcs[i], tag, e.lastErr()))
+		panic(e.lost(srcs[i], tag))
 	}
 	return srcs[i], data, arrived
+}
+
+// lost describes a receive from src that can never be satisfied.
+func (e *Endpoint) lost(src, tag int) string {
+	if e.err() == nil && e.boxes[src].Departed() {
+		return fmt.Sprintf("transport/tcp: rank %d closed its endpoint without sending what rank %d waits for (tag %d)",
+			src, e.rank, tag)
+	}
+	return fmt.Sprintf("transport/tcp: rank %d: receive from rank %d (tag %d) failed: %v", e.rank, src, tag, e.closedErr())
 }
 
 // Release returns payload buffers to the endpoint's pool; future incoming
@@ -1224,31 +645,60 @@ func (e *Endpoint) Release(bufs ...[]byte) {
 	}
 }
 
-// teardown closes the listener, every connection and every mailbox and
-// unblocks all internal goroutines and blocked senders/receivers. Called
-// by Close and — with the first error already recorded — when recovery is
-// exhausted. Pending mailbox messages stay receivable.
+// err returns the endpoint's recorded failure, nil while it has none.
+func (e *Endpoint) err() error {
+	e.errMu.Lock()
+	defer e.errMu.Unlock()
+	return e.firstErr
+}
+
+// closedErr is the cause a Give or receive on a torn-down endpoint
+// reports: the recorded failure, or the endpoint's own Close.
+func (e *Endpoint) closedErr() error {
+	if err := e.err(); err != nil {
+		return err
+	}
+	return errors.New("endpoint closed")
+}
+
+// fail records the endpoint's first error and tears it down. Every peer
+// then reads an EOF without a goodbye and fails in turn.
+func (e *Endpoint) fail(err error) {
+	e.failOnce.Do(func() {
+		e.errMu.Lock()
+		e.firstErr = err
+		e.errMu.Unlock()
+		close(e.failed)
+	})
+	e.teardown()
+}
+
+// connFailed fails the endpoint for a connection error, unless the error
+// is the endpoint's own teardown closing the socket under a reader or
+// writer.
+func (e *Endpoint) connFailed(err error) {
+	if !e.closing.Load() {
+		e.fail(err)
+	}
+}
+
+// teardown closes every connection and every mailbox and stops the
+// writers; frames still queued are dropped. Pending mailbox messages stay
+// receivable.
 func (e *Endpoint) teardown() {
 	e.tdOnce.Do(func() {
-		e.spawnMu.Lock()
 		e.closing.Store(true)
-		e.spawnMu.Unlock()
-		close(e.done)
-		if e.ln != nil {
-			e.ln.Close()
-		}
 		for _, pc := range e.conns {
 			if pc == nil {
 				continue
 			}
 			pc.mu.Lock()
+			pc.stopped = true
+			pc.q = nil
 			if pc.c != nil {
 				pc.c.Close()
-				pc.c = nil
 			}
-			pc.failed = true
 			pc.cond.Broadcast()
-			pc.condW.Broadcast()
 			pc.mu.Unlock()
 		}
 		for _, b := range e.boxes {
@@ -1257,98 +707,52 @@ func (e *Endpoint) teardown() {
 	})
 }
 
-// flush blocks until every pair's outgoing direction is quiescent — all
-// data frames acknowledged by the peer and every delivered frame acked
-// back — or the reconnect timeout expires. Close runs it before teardown:
-// the writer is asynchronous (Send only posts to the resend ring), so a
-// rank can reach Close with its final frames still unwritten or unacked —
-// in an SPMD run a collective completes on the sender as soon as the
-// frames are posted, while slower ranks still need them. The listener and
-// all recovery machinery stay live throughout, so a connection that drops
-// mid-flush is redialed and the unacked suffix replayed as usual.
-func (e *Endpoint) flush() {
-	if e.closing.Load() {
-		return
-	}
-	deadline := time.Now().Add(e.cfg.reconnectTimeout())
-	for _, pc := range e.conns {
-		if pc != nil {
-			pc.flushOut(deadline)
-		}
-	}
-}
-
-// flushOut is one pair's share of Close's flush phase. sync.Cond has no
-// timed wait, so the deadline is enforced by a timer that broadcasts the
-// condition the loop re-checks.
-func (pc *peerConn) flushOut(deadline time.Time) {
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		pc.mu.Lock()
-		pc.cond.Broadcast()
-		pc.mu.Unlock()
-	})
-	defer timer.Stop()
-	e := pc.e
-	pc.mu.Lock()
-	pc.flushing = true
-	pc.condW.Signal()
-	for !pc.failed && !pc.departed && !pc.goodbyeSent {
-		if pc.c == nil && !pc.connecting {
-			// No live connection and no recovery under way — a pair that
-			// never rendezvoused (recovery that gave up sets failed,
-			// handled above). Nothing can make progress; don't burn the
-			// deadline on it.
-			break
-		}
-		if !time.Now().Before(deadline) {
-			// Undelivered data at the deadline is a real loss — record it
-			// so Close's return value surfaces it. Unreturned acks alone
-			// are not: the peer merely keeps a fully-delivered suffix in
-			// its ring a little longer.
-			if pc.ackedSeq != pc.nextSeq-1 {
-				err := fmt.Errorf("transport/tcp: rank %d: close: %d frames to rank %d still unacknowledged after %v",
-					e.rank, pc.nextSeq-1-pc.ackedSeq, pc.peer, e.cfg.reconnectTimeout())
-				e.errMu.Lock()
-				if e.firstErr == nil {
-					e.firstErr = err
-				}
-				e.errMu.Unlock()
-			}
-			break
-		}
-		pc.cond.Wait()
-	}
-	if pc.departed && pc.ackedSeq != pc.nextSeq-1 {
-		// The peer finished its own staged shutdown while we still had
-		// undelivered frames for it: the two sides disagree about the
-		// communication schedule. Surface it through Close.
-		err := fmt.Errorf("transport/tcp: rank %d: close: rank %d shut down with %d frames still undelivered",
-			e.rank, pc.peer, pc.nextSeq-1-pc.ackedSeq)
-		e.errMu.Lock()
-		if e.firstErr == nil {
-			e.firstErr = err
-		}
-		e.errMu.Unlock()
-	}
-	pc.mu.Unlock()
-}
-
-// Close flushes the outgoing direction of every pair (see flush), then
-// tears down the listener and every connection, waits for the internal
-// goroutines to drain, and closes the mailboxes. Idempotent. It returns
-// the first connection-level failure the endpoint recorded — a reader
-// that hit a decode error, an exhausted reconnect budget, an unflushable
-// pair — so a run's exit status surfaces transport failures instead of
-// dropping them.
+// Close runs the staged shutdown — every queue drained, a goodbye written
+// on every connection, every peer's goodbye read, bounded by
+// Config.ShutdownTimeout — and then closes the sockets and mailboxes and
+// waits for the endpoint's goroutines. Idempotent. It returns the
+// endpoint's failure, if it had one, so a run's exit status reflects a
+// lost connection instead of dropping it.
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() {
-		e.flush()
+		for _, pc := range e.conns {
+			if pc != nil {
+				pc.mu.Lock()
+				pc.bye = true
+				pc.cond.Signal()
+				pc.mu.Unlock()
+			}
+		}
+		e.awaitGoodbyes()
 		e.teardown()
 		e.workers.Wait()
 	})
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.firstErr
+	return e.err()
+}
+
+// awaitGoodbyes waits until every pair has written its goodbye and read
+// the peer's, the endpoint fails, or the shutdown timeout expires, which
+// fails the endpoint.
+func (e *Endpoint) awaitGoodbyes() {
+	timeout := e.cfg.shutdownTimeout()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for _, pc := range e.conns {
+		if pc == nil {
+			continue
+		}
+		for _, done := range [...]chan struct{}{pc.wrote, pc.heard} {
+			select {
+			case <-done:
+			case <-e.failed:
+				return
+			case <-timer.C:
+				e.fail(fmt.Errorf("transport/tcp: rank %d: close: no goodbye exchanged with rank %d within %v",
+					e.rank, pc.peer, timeout))
+				return
+			}
+		}
+	}
 }
 
 // fabric holds all endpoints of an in-process TCP mesh.
@@ -1407,15 +811,12 @@ func NewFabricConfig(addrs []string, cfg Config) (transport.Fabric, error) {
 		}(r)
 	}
 	wg.Wait()
+	f := &fabric{eps: eps}
 	if err := errors.Join(errs...); err != nil {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
+		f.Close()
 		return nil, err
 	}
-	return &fabric{eps: eps}, nil
+	return f, nil
 }
 
 // P returns the number of endpoints.
@@ -1424,12 +825,22 @@ func (f *fabric) P() int { return len(f.eps) }
 // Endpoint returns the endpoint of the given rank.
 func (f *fabric) Endpoint(rank int) transport.Transport { return f.eps[rank] }
 
-// Close tears down every endpoint. It returns the first recorded
-// connection-level failure, like Endpoint.Close.
+// Close closes every endpoint, all at once: each one's shutdown waits for
+// its peers' goodbyes, which they only send from their own Close. It
+// returns the endpoints' recorded failures joined, like Endpoint.Close.
 func (f *fabric) Close() error {
-	var err error
-	for _, ep := range f.eps {
-		err = errors.Join(err, ep.Close())
+	errs := make([]error, len(f.eps))
+	var wg sync.WaitGroup
+	for r, ep := range f.eps {
+		if ep == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = ep.Close()
+		}()
 	}
-	return err
+	wg.Wait()
+	return errors.Join(errs...)
 }

@@ -23,6 +23,27 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// closeAll closes endpoints all at once, the way a fabric does: each
+// Close waits for its peers' goodbyes, which they send from their own.
+func closeAll(t *testing.T, eps ...*tcp.Endpoint) {
+	t.Helper()
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for i, e := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = e.Close()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("endpoint %d: Close: %v", i, err)
+		}
+	}
+}
+
 // freeAddrs reserves p distinct loopback ports the way an SPMD launcher
 // would pick them: bind, record, release.
 func freeAddrs(t *testing.T, p int) []string {
@@ -69,11 +90,7 @@ func TestStaggeredRendezvous(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	defer func() {
-		for _, e := range eps {
-			e.Close()
-		}
-	}()
+	defer closeAll(t, eps...)
 	// One all-to-all round over the assembled mesh.
 	wg.Add(p)
 	bodyErrs := make([]error, p)
@@ -126,8 +143,7 @@ func TestDialBackoffSurvivesLateListener(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	defer eps[0].Close()
-	defer eps[1].Close()
+	defer closeAll(t, eps...)
 	eps[1].Send(0, 1, []byte("late"))
 	if got := eps[0].Recv(1, 1); string(got) != "late" {
 		t.Fatalf("payload after late rendezvous: %q", got)
@@ -189,8 +205,7 @@ func TestStrangerConnectionIgnored(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	defer eps[0].Close()
-	defer eps[1].Close()
+	defer closeAll(t, eps...)
 	eps[0].Send(1, 9, []byte("ok"))
 	if got := eps[1].Recv(0, 9); string(got) != "ok" {
 		t.Fatalf("got %q", got)
@@ -240,8 +255,7 @@ func TestStalledStrangerDoesNotDelayRendezvous(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	defer eps[0].Close()
-	defer eps[1].Close()
+	defer closeAll(t, eps...)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("rendezvous took %v with a stalled stranger; handshakes are not concurrent", elapsed)
 	}
@@ -251,95 +265,9 @@ func TestStalledStrangerDoesNotDelayRendezvous(t *testing.T) {
 	}
 }
 
-// TestReconnectAfterDrop kills an established connection mid-exchange with
-// the ConnDropper fault injector and asserts the pair reconnects, replays
-// the unacknowledged suffix, and delivers every message exactly once and
-// in order — the core protocol-v2 guarantee the chaos suite builds on.
-func TestReconnectAfterDrop(t *testing.T) {
-	f, err := tcp.NewLoopback(2)
-	if err != nil {
-		t.Fatalf("loopback fabric: %v", err)
-	}
-	a := f.Endpoint(0).(*tcp.Endpoint)
-	b := f.Endpoint(1)
-
-	const n = 200
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			got := b.Recv(0, 7)
-			if len(got) != 64 || got[0] != byte(i) || got[63] != byte(i) {
-				panic(fmt.Sprintf("frame %d corrupted after reconnect: % x", i, got[:4]))
-			}
-			b.Release(got)
-		}
-	}()
-	buf := make([]byte, 64)
-	for i := 0; i < n; i++ {
-		if i == 50 || i == 120 {
-			// Cut the live connection mid-frame: the next write is
-			// truncated after 10 bytes — a torn header on the wire.
-			if !a.DropConn(1, 10) {
-				t.Errorf("DropConn(1) = false, want true")
-			}
-		}
-		buf[0], buf[63] = byte(i), byte(i)
-		a.Send(1, 7, buf)
-	}
-	wg.Wait()
-
-	reconnects, resentFrames, _ := a.NetStats()
-	if reconnects < 1 {
-		t.Fatalf("reconnects = %d after injected drops, want >= 1", reconnects)
-	}
-	if resentFrames < 1 {
-		t.Fatalf("resentFrames = %d after injected drops, want >= 1", resentFrames)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close after successful recovery: %v", err)
-	}
-}
-
-// TestExhaustedReconnectBudgetFailsClose pins the error-propagation half
-// of recovery: with reconnection disabled, an injected drop must fail the
-// endpoint permanently and Close must report the cause instead of
-// returning nil — a run's exit status reflects the lost connection.
-func TestExhaustedReconnectBudgetFailsClose(t *testing.T) {
-	f, err := tcp.NewLoopbackConfig(2, tcp.Config{MaxReconnects: -1})
-	if err != nil {
-		t.Fatalf("loopback fabric: %v", err)
-	}
-	a := f.Endpoint(0).(*tcp.Endpoint)
-	if !a.DropConn(1, 3) {
-		t.Fatalf("DropConn(1) = false, want true")
-	}
-	a.Send(1, 5, []byte("doomed"))
-	// The failure closes the mailboxes, so a blocked Recv panics with the
-	// cause — that is the ordering point after which Close must report it.
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("Recv returned instead of panicking on a failed endpoint")
-			}
-			if !strings.Contains(fmt.Sprint(r), "reconnect budget exhausted") {
-				t.Fatalf("Recv panic = %v, want reconnect budget exhausted", r)
-			}
-		}()
-		a.Recv(1, 99)
-	}()
-	if err := a.Close(); err == nil || !strings.Contains(err.Error(), "reconnect budget exhausted") {
-		t.Fatalf("Close error = %v, want reconnect budget exhausted", err)
-	}
-	f.Close()
-}
-
-// TestReconnectBudgetSurvivesEndpointClose asserts the inverse of the
-// budget test: a clean Close right after normal traffic reports no error
-// even though the peer's teardown races our readers (EOF on a closing
-// fabric is shutdown, not failure).
+// TestCleanCloseReportsNoError: a clean Close right after normal traffic
+// reports no error even though the peers' teardowns race our readers (an
+// EOF after a goodbye is shutdown, not failure).
 func TestCleanCloseReportsNoError(t *testing.T) {
 	f, err := tcp.NewLoopback(3)
 	if err != nil {

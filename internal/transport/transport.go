@@ -10,9 +10,9 @@
 //
 //   - Every message travels in exactly one buffer that changes OWNER, never
 //     in a chain of copies: Give hands a buffer obtained from Alloc to the
-//     transport, which delivers that buffer (local), or parks it in the
-//     resend ring and writes the socket from it (tcp). After Give the
-//     sender may not read, write, re-Give or Release the buffer; the
+//     transport, which delivers that buffer (local), or queues it and
+//     writes the socket from it (tcp). After Give the sender may not
+//     read, write, re-Give or Release the buffer; the
 //     receiver owns what Recv returns. Send is the copying convenience on
 //     top — Alloc, copy, Give — for callers that keep their slice. Either
 //     way two PEs never hold the same memory at the same time.
@@ -55,8 +55,9 @@ type Transport interface {
 	Send(dst, tag int, data []byte)
 	// Recv blocks until a message with the given tag arrives from src and
 	// returns its payload. The returned slice is owned by the caller. Recv
-	// panics if the endpoint is closed or the peer connection is lost while
-	// waiting.
+	// panics if, with nothing matching queued, the endpoint is closed, the
+	// peer connection is lost, or the peer has left (a local rank that
+	// returned from its run, a tcp peer that closed its endpoint).
 	Recv(src, tag int) []byte
 	// RecvAny blocks until a message with the given tag is available from
 	// ANY of the listed sources, removes it, and returns it together with
@@ -65,8 +66,8 @@ type Transport interface {
 	// queued — the split-phase overlap model needs arrival, not pickup,
 	// times). It is the readiness primitive of the split-phase
 	// collectives: received runs can be processed in arrival order instead
-	// of a fixed rank order. Like Recv it panics if a needed peer
-	// connection is lost while waiting. srcs must be non-empty and may
+	// of a fixed rank order. Like Recv it panics if a needed peer is
+	// lost or has left while waiting. srcs must be non-empty and may
 	// include the endpoint's own rank.
 	RecvAny(srcs []int, tag int) (src int, data []byte, arrived time.Time)
 	// Release returns payload buffers (typically obtained from Recv) to the
@@ -85,19 +86,6 @@ func SendCopy(t Transport, dst, tag int, data []byte) {
 	buf := t.Alloc(len(data))
 	copy(buf, data)
 	t.Give(dst, tag, buf)
-}
-
-// ConnDropper is an optional capability of a Transport: fault injection
-// for backends with real connections. DropConn arms a one-shot trap on the
-// connection to peer — the next write to that peer is truncated after
-// afterBytes bytes and the connection is torn down, exactly as if the
-// network had cut it mid-frame. It reports false when the backend has no
-// droppable connection to that peer (the local backend, or peer == own
-// rank). The chaos decorator (transport/chaos) is the only intended
-// caller; a backend that implements ConnDropper must survive its own
-// injected drops (reconnect and resend, see transport/tcp).
-type ConnDropper interface {
-	DropConn(peer int, afterBytes int) bool
 }
 
 // Fabric is a connected set of P endpoints, one per rank. In-process runs

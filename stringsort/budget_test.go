@@ -396,7 +396,7 @@ func TestSpillFailureOnOneRankAborts(t *testing.T) {
 	for _, base := range []Config{
 		{Transport: TransportLocal},
 		{Transport: TransportTCP},
-		{Transport: TransportTCP, Chaos: "drop", ChaosSeed: 3},
+		{Transport: TransportTCP, Chaos: "reorder", ChaosSeed: 3},
 	} {
 		dir := t.TempDir()
 		var pools atomic.Int32

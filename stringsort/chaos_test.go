@@ -7,13 +7,11 @@ import (
 
 // TestChaosIdentityAcrossSeams is the differential fault-injection pin:
 // PDMS and MS run over real loopback TCP under the harshest chaos level —
-// which kills established connections mid-exchange with partial final
-// writes — under both exchange disciplines (split-phase and the
-// bulk-synchronous reference), and every
-// cell must produce byte-identical output and bit-identical deterministic
-// statistics compared to the undisturbed run of the same configuration.
-// Each chaos cell must also actually have recovered from at least one
-// connection drop (Stats.Reconnects ≥ 1), or the cell proved nothing.
+// which delays frames and reorders them across independent streams —
+// under both exchange disciplines (split-phase and the bulk-synchronous
+// reference), and every cell must produce byte-identical output and
+// bit-identical deterministic statistics compared to the undisturbed run
+// of the same configuration.
 func TestChaosIdentityAcrossSeams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos differential runs many TCP sorts")
@@ -39,8 +37,9 @@ func TestChaosIdentityAcrossSeams(t *testing.T) {
 }
 
 // TestChaosIdentityAllFamilies covers the remaining algorithm families at
-// the drop level: every algorithm of the suite survives mid-run connection
-// loss with identical output and deterministic statistics.
+// the reorder level: every algorithm of the suite keeps its output and
+// deterministic statistics when frames arrive late and out of order
+// across streams.
 func TestChaosIdentityAllFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos differential runs many TCP sorts")
@@ -61,9 +60,8 @@ func TestChaosIdentityAllFamilies(t *testing.T) {
 	}
 }
 
-// runChaosCell sorts once undisturbed and once under the "drop" chaos
-// level and requires identical output, identical deterministic stats, and
-// at least one actual reconnect in the disturbed run.
+// runChaosCell sorts once undisturbed and once under the "reorder" chaos
+// level and requires identical output and identical deterministic stats.
 func runChaosCell(t *testing.T, inputs [][][]byte, base Config) {
 	t.Helper()
 	want, err := Sort(inputs, base)
@@ -71,7 +69,7 @@ func runChaosCell(t *testing.T, inputs [][][]byte, base Config) {
 		t.Fatalf("undisturbed: %v", err)
 	}
 	cfg := base
-	cfg.Chaos = "drop"
+	cfg.Chaos = "reorder"
 	cfg.ChaosSeed = 0xD00D
 	got, err := Sort(inputs, cfg)
 	if err != nil {
@@ -84,19 +82,11 @@ func runChaosCell(t *testing.T, inputs [][][]byte, base Config) {
 		t.Fatalf("deterministic statistics differ under chaos:\nclean: %+v\nchaos: %+v",
 			want.Stats, got.Stats)
 	}
-	if got.Stats.Reconnects < 1 {
-		t.Fatalf("chaos run recovered zero connection drops (reconnects=%d, resent=%d frames) — the schedule exercised nothing",
-			got.Stats.Reconnects, got.Stats.ResentFrames)
-	}
-	if want.Stats.Reconnects != 0 {
-		t.Fatalf("undisturbed run reports %d reconnects", want.Stats.Reconnects)
-	}
 }
 
 // TestChaosIdentityLocalTransport pins that the decorator is honest on the
-// in-process substrate too: no connections exist, so the drop schedule
-// degrades to delay/reorder only, and output and deterministic statistics
-// still match the undisturbed run exactly.
+// in-process substrate too: output and deterministic statistics match the
+// undisturbed run exactly.
 func TestChaosIdentityLocalTransport(t *testing.T) {
 	rng := rand.New(rand.NewSource(408))
 	inputs := genInputs(rng, 4, 100)
@@ -106,7 +96,7 @@ func TestChaosIdentityLocalTransport(t *testing.T) {
 		t.Fatalf("undisturbed: %v", err)
 	}
 	cfg := base
-	cfg.Chaos = "drop"
+	cfg.Chaos = "reorder"
 	cfg.ChaosSeed = 7
 	got, err := Sort(inputs, cfg)
 	if err != nil {
@@ -117,8 +107,5 @@ func TestChaosIdentityLocalTransport(t *testing.T) {
 	}
 	if deterministic(want.Stats) != deterministic(got.Stats) {
 		t.Fatal("deterministic statistics differ under chaos on the local transport")
-	}
-	if got.Stats.Reconnects != 0 {
-		t.Fatalf("local transport reports %d reconnects", got.Stats.Reconnects)
 	}
 }

@@ -45,7 +45,7 @@ func RegisterTuningFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.Var(&parsedFlag[string]{&cfg.Chaos, parseChaos, verbatim},
 		"chaos", "fault-injection `level` wrapped under the codec: "+strings.Join(chaos.Names(), ", ")+" (empty = off; output and model stats must be unaffected)")
 	fs.Uint64Var(&cfg.ChaosSeed, "chaos-seed", 1, "seed of the deterministic chaos schedule (same seed = same faults)")
-	fs.DurationVar(&cfg.NetTimeout, "net-timeout", 0, "TCP reconnect deadline per attempt (0 = default 10s)")
+	fs.DurationVar(&cfg.NetTimeout, "net-timeout", 0, "TCP shutdown bound: how long closing waits for the last frames to be written and every peer's goodbye (0 = default 10s)")
 }
 
 // parsedFlag binds a flag to *dst through parse, which checks the value

@@ -35,7 +35,7 @@ func TestTuningFlagsBindConfig(t *testing.T) {
 		"-algo", "pdms-golomb", "-seed", "7", "-oversampling", "9", "-charsample",
 		"-eps", "0.5", "-tiebreak", "-randomsample", "-codec", "FLATE", "-validate",
 		"-cores", "3", "-mem-budget", "64k", "-spill-dir", "spill", "-trace", "run.json",
-		"-chaos", "drop", "-chaos-seed", "5", "-net-timeout", "3s",
+		"-chaos", "reorder", "-chaos-seed", "5", "-net-timeout", "3s",
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestTuningFlagsBindConfig(t *testing.T) {
 		Algorithm: PDMSGolomb, Seed: 7, Oversampling: 9, CharSampling: true,
 		Eps: 0.5, TieBreak: true, RandomSampling: true, Codec: "flate", Validate: true,
 		Cores: 3, MemBudget: 64 << 10, SpillDir: "spill", Trace: "run.json",
-		Chaos: "drop", ChaosSeed: 5, NetTimeout: 3 * time.Second,
+		Chaos: "reorder", ChaosSeed: 5, NetTimeout: 3 * time.Second,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("set: got %+v, want %+v", cfg, want)

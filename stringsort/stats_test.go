@@ -26,9 +26,6 @@ func statsReport() *stats.Report {
 		pe.SpillBytesWritten = 11_000 + int64(i)
 		pe.SpillBytesRead = 12_000 + int64(i)
 		pe.PeakLiveBytes = []int64{13_300, 13_100, 13_200}[i]
-		pe.Reconnects = 14 + int64(i)
-		pe.ResentFrames = 150 + int64(i)
-		pe.ResentBytes = 16_000 + int64(i)
 		pes[i] = pe
 	}
 	return stats.NewReport(pes, stats.CostModel{Alpha: 1e-6, Beta: 1e-9, Rate: 1e8})
@@ -82,9 +79,6 @@ total                42.615          145.845        163.845
 		PeakMemBytes:      13300,
 		SpillBytesWritten: 33003,
 		SpillBytesRead:    36003,
-		Reconnects:        45,
-		ResentFrames:      453,
-		ResentBytes:       48003,
 	}
 	if got := statsFromReport(statsReport(), 1000); got != want {
 		t.Errorf("3 PEs:\n got %#v\nwant %#v", got, want)

@@ -254,21 +254,19 @@ type Config struct {
 	// rank 0 after the run (clock-aligned, after validation, so its rounds
 	// show too) and only rank 0 writes the file.
 	Trace string
-	// Chaos names a fault-injection severity level ("delay", "reorder",
-	// "drop"; see transport/chaos) decorating the transport UNDER the wire
-	// codec: frames are delayed, reordered across independent streams,
-	// and — over TCP — established connections are killed mid-exchange and
-	// resumed via the transport's reconnect-with-resend machinery. The
-	// sorted output and the deterministic statistics are bit-identical to
-	// an undisturbed run; only the measured channel (wall clock,
-	// Stats.Reconnects) shows the faults. Empty disables chaos.
+	// Chaos names a fault-injection severity level ("delay", "reorder";
+	// see transport/chaos) decorating the transport UNDER the wire codec:
+	// frames are delayed and, at "reorder", reordered across independent
+	// streams. The sorted output and the deterministic statistics are
+	// bit-identical to an undisturbed run; only the measured channel (wall
+	// clock) shows the faults. Empty disables chaos.
 	Chaos string
-	// ChaosSeed selects the deterministic fault schedule (frame delays and
-	// drop points are a pure function of seed, rank and send sequence).
+	// ChaosSeed selects the deterministic fault schedule (frame delays are
+	// a pure function of seed, rank and send sequence).
 	ChaosSeed uint64
-	// NetTimeout bounds each TCP reconnect attempt (redial backoff window
-	// on the dialing side, replacement-arrival wait on the accepting
-	// side). 0 means the transport default (10 s).
+	// NetTimeout bounds the TCP transport's staged shutdown: how long
+	// closing an endpoint waits for its outbound frames to be written and
+	// for every peer's goodbye. 0 means the transport default (10 s).
 	NetTimeout time.Duration
 
 	// blockingExchange selects the bulk-synchronous reference of the
@@ -305,12 +303,11 @@ type PEOutput struct {
 }
 
 // Stats summarizes one run's cost, the two metrics of Figures 4 and 5.
-// Thirteen fields are measurements that vary run to run: the wall-clock
+// Ten fields are measurements that vary run to run: the wall-clock
 // fields OverlapMS, MaxOverlapMS, WallMS, WallTable, CPUMS, MergeWallMS and
-// MergeCPUMS; the transport's recovery gauges Reconnects, ResentFrames and
-// ResentBytes; and the budget-mode gauges PeakMemBytes, SpillBytesWritten
-// and SpillBytesRead. Every other field is deterministic: bit-identical
-// across transports, seams and runs. Comparisons across backends must
+// MergeCPUMS; and the budget-mode gauges PeakMemBytes, SpillBytesWritten
+// and SpillBytesRead. ResentFrames is always zero. Every other field is
+// deterministic: bit-identical across transports, seams and runs. Comparisons across backends must
 // ignore the measured fields (zero them before ==, as the package tests
 // do).
 type Stats struct {
@@ -382,18 +379,10 @@ type Stats struct {
 	// SpillBytesRead is the machine-wide volume paged back in from spill
 	// files during the merge. Nondeterministic, like PeakMemBytes.
 	SpillBytesRead int64
-	// Reconnects is the machine-wide count of TCP connections
-	// re-established after a drop (injected or real); 0 means the fabric
-	// stayed up end to end. Measured, not modeled: zero the field before
-	// cross-run comparisons like the other wall-clock fields.
-	Reconnects int64
-	// ResentFrames and ResentBytes are the frames and payload bytes
-	// replayed from resend rings to resume dropped connections. Resends
-	// happen below the accounting boundary: these gauges move while
-	// ModelTime, BytesSent and Messages stay bit-identical.
-	// Nondeterministic, like Reconnects.
+	// ResentFrames is always zero: the TCP transport is fail-stop and
+	// never resends a frame. It is kept for the repository benchmark's
+	// transport.resent_frames probe, which reads it.
 	ResentFrames int64
-	ResentBytes  int64
 }
 
 // WriteSummary writes the human-readable run summary that dss-sort and
@@ -418,8 +407,6 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 		st.MergeCPUMS, st.MergeWallMS)
 	fmt.Fprintf(w, "spill:            %d bytes written, %d read back, %d peak live (0 = everything stayed in memory)\n",
 		st.SpillBytesWritten, st.SpillBytesRead, st.PeakMemBytes)
-	fmt.Fprintf(w, "net:              %d reconnects, %d frames resent (%d bytes; all-zero = no connection ever dropped)\n",
-		st.Reconnects, st.ResentFrames, st.ResentBytes)
 	fmt.Fprintf(w, "%s", st.PhaseTable)
 	fmt.Fprintf(w, "%s", st.WallTable)
 }
@@ -470,9 +457,6 @@ func statsFromReport(rep *stats.Report, n int64) Stats {
 		st.PeakMemBytes = max(st.PeakMemBytes, pe.PeakLiveBytes)
 		st.SpillBytesWritten += pe.SpillBytesWritten
 		st.SpillBytesRead += pe.SpillBytesRead
-		st.Reconnects += pe.Reconnects
-		st.ResentFrames += pe.ResentFrames
-		st.ResentBytes += pe.ResentBytes
 	}
 	if pes := float64(len(rep.PEs)); pes > 0 {
 		st.MeanBytesRecv = float64(recv) / pes
@@ -575,8 +559,9 @@ func runMachine(inputs [][][]byte, cfg Config, p int, rank func(c *comm.Comm, lo
 		return err
 	})
 	// The machine is closed explicitly so transport-level failures the
-	// algorithms never blocked on — a reader that hit a decode error, an
-	// exhausted reconnect budget — surface in the run's result.
+	// algorithms never blocked on — a connection lost after the last
+	// receive, a peer whose goodbye never came — surface in the run's
+	// result.
 	if cerr := machine.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("stringsort: transport: %w", cerr)
 	}
@@ -592,7 +577,7 @@ func newMachine(p int, cfg Config) (*comm.Machine, error) {
 		f = local.New(p)
 	case TransportTCP:
 		var err error
-		tcfg := tcp.Config{ReconnectTimeout: cfg.NetTimeout}
+		tcfg := tcp.Config{ShutdownTimeout: cfg.NetTimeout}
 		if len(cfg.TCPPeers) > 0 {
 			if len(cfg.TCPPeers) != p {
 				return nil, fmt.Errorf("stringsort: %d TCP peer addresses for %d PEs", len(cfg.TCPPeers), p)
@@ -616,9 +601,8 @@ func newMachine(p int, cfg Config) (*comm.Machine, error) {
 }
 
 // decorate wraps the fabric in the selected decorators: the chaos fault
-// injector innermost, so injected delays, reorders and connection drops
-// disturb the post-codec frames actually on the wire, and the wire codec
-// on top. Both names are parsed before anything is wrapped. "" disables
+// injector innermost, so injected delays and reorders disturb the
+// post-codec frames actually on the wire, and the wire codec on top. Both names are parsed before anything is wrapped. "" disables
 // chaos and "" or "none" the codec, leaving the raw hot path untouched;
 // the comm layer then mirrors raw volume into the wire counters, so
 // Stats.WireBytes is meaningful either way.

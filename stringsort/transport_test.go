@@ -45,9 +45,6 @@ func deterministic(st Stats) Stats {
 	st.CPUMS = 0
 	st.MergeWallMS = 0
 	st.MergeCPUMS = 0
-	st.Reconnects = 0
-	st.ResentFrames = 0
-	st.ResentBytes = 0
 	return st
 }
 
