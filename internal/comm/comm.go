@@ -115,20 +115,12 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 		first   error
 		aborted = make(chan struct{})
 	)
-	// The endpoints close all at once: a socket-backed endpoint's Close
-	// waits for its peers' goodbyes, which they send from their own Close.
 	fail := func(err error) {
 		abort.Do(func() {
 			first = err
-			var closing sync.WaitGroup
 			for _, ep := range eps {
-				closing.Add(1)
-				go func() {
-					defer closing.Done()
-					ep.Close()
-				}()
+				ep.Close()
 			}
-			closing.Wait()
 			close(aborted)
 		})
 	}
@@ -139,7 +131,7 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 			defer wg.Done()
 			// Departing after the failure is recorded keeps a peer's
 			// departure error from overtaking this PE's own.
-			if d, ok := eps[rank].(departer); ok {
+			if d, ok := eps[rank].(transport.Departer); ok {
 				defer d.Depart()
 			}
 			defer func() {
@@ -158,12 +150,6 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 	}
 	wg.Wait()
 	return first
-}
-
-// departer is the optional endpoint interface of fabrics that can tell a
-// rank's peers it has returned from the run (transport/local).
-type departer interface {
-	Depart()
 }
 
 // Aborted returns a channel that is closed once the machine running this

@@ -95,12 +95,6 @@ func Names() []string {
 	return names
 }
 
-// departer is the optional capability of endpoints whose fabric can tell
-// a rank's peers that it has left the run (transport/local).
-type departer interface {
-	Depart()
-}
-
 // Endpoint decorates one transport endpoint with the fault schedule. All
 // fault decisions are drawn on the caller's Give path (one PE goroutine),
 // which is what makes the schedule a pure function of the seed and the
@@ -341,7 +335,7 @@ func (e *Endpoint) Depart() {
 	e.mu.Unlock()
 	e.giveAll(rest)
 	e.giveMu.Unlock()
-	if d, ok := e.inner.(departer); ok {
+	if d, ok := e.inner.(transport.Departer); ok {
 		d.Depart()
 	}
 }

@@ -67,17 +67,10 @@ func (e *Endpoint) SetWirePhase(ph stats.Phase) { e.ph = ph }
 // comm layer records. Bound by comm.SetTrace; nil keeps tracing off.
 func (e *Endpoint) BindTrace(tr *trace.Recorder) { e.tr = tr }
 
-// departer is the optional capability of endpoints whose fabric can tell
-// a rank's peers that it has left the run (transport/local, seen through
-// the chaos decorator).
-type departer interface {
-	Depart()
-}
-
 // Depart departs the wrapped endpoint, if it can: the codec holds no
 // frames of its own, so everything this rank sent is already below it.
 func (e *Endpoint) Depart() {
-	if d, ok := e.inner.(departer); ok {
+	if d, ok := e.inner.(transport.Departer); ok {
 		d.Depart()
 	}
 }

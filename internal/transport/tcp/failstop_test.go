@@ -147,11 +147,12 @@ func TestGoodbyeMarksPeerDeparted(t *testing.T) {
 }
 
 // TestCloseInAnyOrderIsPrompt closes the endpoints of a 4-PE fabric one
-// by one, 50 ms apart, in several orders: each Close waits only for its
-// peers' goodbyes, so all of them return nil well before the 30 s
-// shutdown bound. Machine.Run's abort over such a fabric closes every
-// endpoint at once too, and the fabric's own Close afterwards finds
-// nothing left to wait for: the waits overlap instead of adding up.
+// by one from a single goroutine, in several orders: a peer's reader
+// answers a goodbye at once, so no Close waits for another endpoint's
+// Close, and all of them return nil well before the 30 s shutdown bound.
+// Machine.Run's abort over such a fabric closes every endpoint too, and
+// the fabric's own Close afterwards finds nothing left to wait for: the
+// waits overlap instead of adding up.
 func TestCloseInAnyOrderIsPrompt(t *testing.T) {
 	const p = 4
 	cfg := Config{ShutdownTimeout: 30 * time.Second}
@@ -171,24 +172,13 @@ func TestCloseInAnyOrderIsPrompt(t *testing.T) {
 			}
 		}
 		start := time.Now()
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for i, r := range order {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				time.Sleep(time.Duration(i) * 50 * time.Millisecond)
-				errs[r] = f.Endpoint(r).Close()
-			}()
-		}
-		wg.Wait()
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("order %v: closing took %v", order, elapsed)
-		}
-		for r, err := range errs {
-			if err != nil {
+		for _, r := range order {
+			if err := f.Endpoint(r).Close(); err != nil {
 				t.Fatalf("order %v: rank %d Close: %v", order, r, err)
 			}
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("order %v: closing took %v", order, elapsed)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatalf("order %v: fabric Close after its endpoints: %v", order, err)
@@ -214,5 +204,36 @@ func TestCloseInAnyOrderIsPrompt(t *testing.T) {
 	}
 	if err == nil || err.Error() != "rank 2 gives up" {
 		t.Fatalf("Run: err = %v, want rank 2's error", err)
+	}
+}
+
+// TestLateCloseOfPeerIsClean: rank 0 closes, and rank 1 goes on working
+// for three times the shutdown bound before it closes too. Rank 1's reader
+// answers rank 0's goodbye at once, so rank 0's Close does not wait for
+// rank 1's work and both Closes return nil. A send to the departed rank 0
+// in between panics naming it instead of queueing a frame nobody reads.
+func TestLateCloseOfPeerIsClean(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	f, err := NewLoopbackConfig(2, Config{ShutdownTimeout: bound})
+	if err != nil {
+		t.Fatalf("loopback fabric: %v", err)
+	}
+	a, b := f.(*fabric).eps[0], f.(*fabric).eps[1]
+	a.Send(1, 1, []byte("work"))
+	b.Release(b.Recv(0, 1))
+	if err := a.Close(); err != nil {
+		t.Fatalf("rank 0 Close: %v", err)
+	}
+	time.Sleep(3 * bound)
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "send to rank 0 failed: rank 0 closed its endpoint") {
+				t.Errorf("Send to the departed rank 0: %s", msg)
+			}
+		}()
+		b.Send(0, 2, []byte("too late"))
+	}()
+	if err := b.Close(); err != nil {
+		t.Fatalf("rank 1 Close %v after rank 0's: %v", 3*bound, err)
 	}
 }

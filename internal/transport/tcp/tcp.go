@@ -41,9 +41,12 @@
 // connection, then keeps reading until it has the peer's goodbye too (or
 // the endpoint failed), bounded by Config.ShutdownTimeout, and only then
 // closes the sockets: closing a socket with unread incoming bytes sends an
-// RST, and an RST can destroy frames the peer has not read yet. A goodbye
-// marks its sender departed, so a receive from a peer that has closed,
-// with nothing queued from it, fails naming that peer instead of waiting.
+// RST, and an RST can destroy frames the peer has not read yet. The peer's
+// reader answers a goodbye at once, with the peer's own once its queue to
+// the closing side is drained, so the exchange waits only for the network,
+// never for the peer's PE to finish its work. A goodbye marks its sender
+// departed: a receive from it, with nothing queued from it, fails naming
+// that peer instead of waiting, and a send to it panics.
 package tcp
 
 import (
@@ -87,8 +90,10 @@ type Config struct {
 	// 30 s.
 	RendezvousTimeout time.Duration
 	// ShutdownTimeout bounds Close's staged shutdown: draining the outbound
-	// queues and reading every peer's goodbye. A peer whose goodbye has not
-	// arrived by then fails the endpoint. Zero means 10 s.
+	// queues and exchanging goodbyes with every peer. Peers answer a goodbye
+	// whatever their PEs are doing, so this bounds network time, not the
+	// slowest rank's work. A peer whose goodbye has not arrived by then
+	// fails the endpoint. Zero means 10 s.
 	ShutdownTimeout time.Duration
 }
 
@@ -132,7 +137,8 @@ type peerConn struct {
 	cond    *sync.Cond // wakes the writer
 	c       net.Conn
 	q       []outFrame
-	bye     bool // Close asked for a goodbye once the queue is drained
+	bye     bool // write a goodbye once the queue is drained (Close, or the peer's goodbye)
+	gone    bool // the peer's goodbye was read: Give panics
 	stopped bool // torn down: the writer exits and Give panics
 
 	wrote chan struct{} // closed once our goodbye is on the wire
@@ -482,13 +488,19 @@ func (pc *peerConn) writeLoop() {
 }
 
 // readLoop drains frames from the pair's connection into the peer's
-// mailbox. A goodbye ends it cleanly and marks the peer departed; anything
-// else that ends it fails the endpoint.
+// mailbox. A goodbye ends it cleanly: it marks the peer departed and has
+// the writer answer with our goodbye once the queue is drained, so the
+// peer's Close need not wait for our own. Anything else that ends it
+// fails the endpoint.
 func (pc *peerConn) readLoop() {
 	e := pc.e
 	err := e.readFrames(pc.peer, bufio.NewReaderSize(pc.c, 64<<10))
 	if err == nil {
 		e.boxes[pc.peer].SetDeparted(true)
+		pc.mu.Lock()
+		pc.gone, pc.bye = true, true
+		pc.cond.Signal()
+		pc.mu.Unlock()
 		close(pc.heard)
 		return
 	}
@@ -583,9 +595,16 @@ func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	}
 	pc := e.conns[dst]
 	pc.mu.Lock()
-	if pc.stopped {
+	var cause error
+	switch {
+	case pc.stopped:
+		cause = e.closedErr()
+	case pc.gone:
+		cause = fmt.Errorf("rank %d closed its endpoint", dst)
+	}
+	if cause != nil {
 		pc.mu.Unlock()
-		panic(fmt.Sprintf("transport/tcp: rank %d: send to rank %d failed: %v", e.rank, dst, e.closedErr()))
+		panic(fmt.Sprintf("transport/tcp: rank %d: send to rank %d failed: %v", e.rank, dst, cause))
 	}
 	pc.q = append(pc.q, outFrame{tag: tag, data: buf})
 	pc.cond.Signal()
@@ -825,22 +844,14 @@ func (f *fabric) P() int { return len(f.eps) }
 // Endpoint returns the endpoint of the given rank.
 func (f *fabric) Endpoint(rank int) transport.Transport { return f.eps[rank] }
 
-// Close closes every endpoint, all at once: each one's shutdown waits for
-// its peers' goodbyes, which they only send from their own Close. It
-// returns the endpoints' recorded failures joined, like Endpoint.Close.
+// Close closes every endpoint and returns their recorded failures joined,
+// like Endpoint.Close.
 func (f *fabric) Close() error {
-	errs := make([]error, len(f.eps))
-	var wg sync.WaitGroup
-	for r, ep := range f.eps {
-		if ep == nil {
-			continue
+	var errs []error
+	for _, ep := range f.eps {
+		if ep != nil {
+			errs = append(errs, ep.Close())
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = ep.Close()
-		}()
 	}
-	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -23,22 +23,11 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-// closeAll closes endpoints all at once, the way a fabric does: each
-// Close waits for its peers' goodbyes, which they send from their own.
+// closeAll closes endpoints and reports any Close error.
 func closeAll(t *testing.T, eps ...*tcp.Endpoint) {
 	t.Helper()
-	errs := make([]error, len(eps))
-	var wg sync.WaitGroup
 	for i, e := range eps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = e.Close()
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+		if err := e.Close(); err != nil {
 			t.Errorf("endpoint %d: Close: %v", i, err)
 		}
 	}

@@ -80,6 +80,15 @@ type Transport interface {
 	Close() error
 }
 
+// Departer is the optional capability of endpoints whose fabric can tell a
+// rank's peers that it has returned from a run (transport/local, seen
+// through the codec and chaos decorators): a peer's receive that nothing
+// queued can satisfy then fails naming the rank. The fabric clears the mark
+// for its next run.
+type Departer interface {
+	Depart()
+}
+
 // SendCopy is Transport.Send for every backend: the payload is copied once,
 // into a buffer of the endpoint's own pool, and that buffer is given away.
 func SendCopy(t Transport, dst, tag int, data []byte) {

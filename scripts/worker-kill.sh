@@ -7,9 +7,9 @@
 # 2. The same job again with -net-timeout 30s, and rank 1 is killed with
 #    SIGKILL once it has joined the mesh and started sorting. The TCP
 #    transport is fail-stop, so the three survivors must all exit non-zero
-#    within 5 s of the kill, far inside the 30 s shutdown bound. A survivor
-#    that exits 0 means the kill came after the job was done: the check is
-#    inconclusive and fails.
+#    within 5 s of the kill, far inside the 30 s shutdown bound, each with
+#    an error naming the lost connection. A survivor that exits 0 means the
+#    kill came after the job was done: the check is inconclusive and fails.
 #
 # Rank 1 is seen to be sorting through its -debug-addr endpoint (its phase
 # gauge is set once the rendezvous is over); it is stopped with SIGSTOP at
@@ -79,7 +79,13 @@ for r in 0 2 3; do
 		exit 1
 	fi
 	took=$(awk -v a="$killed" -v b="$(date +%s.%N)" 'BEGIN { printf "%.3f", b - a }')
-	echo "rank $r failed $took s after the kill: $(head -n 1 "$dir/kerr.$r")"
+	# The failure must be the lost connection, not a crash of its own.
+	lost=$(grep -o -m 1 'connection to rank [0-9]*: .*' "$dir/kerr.$r") || {
+		echo "rank $r exited non-zero without naming a lost connection:"
+		cat "$dir/kerr.$r"
+		exit 1
+	}
+	echo "rank $r failed $took s after the kill: $lost"
 	if awk -v t="$took" 'BEGIN { exit !(t > 5) }'; then
 		echo "rank $r took more than 5 s to fail"
 		exit 1
