@@ -26,6 +26,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -43,15 +44,17 @@ import (
 // NewOver (any fabric, e.g. loopback TCP), then execute an SPMD program
 // with Run. A Machine can be reused for several consecutive successful Run
 // calls; statistics accumulate until ResetStats is called. A failed Run
-// closes every endpoint, so the machine is spent after it. Call Close when
-// done to release fabric resources (a no-op for the local backend).
+// closes every endpoint, so the machine is spent after it: every later Run
+// returns an error at once. Call Close when done to release fabric
+// resources (a no-op for the local backend).
 //
 // SPMD multi-process programs do not use a Machine at all: each process
 // wraps its own endpoint with NewComm instead.
 type Machine struct {
-	fabric transport.Fabric
-	pes    []*stats.PE
-	pool   *par.Pool
+	fabric  transport.Fabric
+	pes     []*stats.PE
+	pool    *par.Pool
+	aborted bool // a Run failed and closed every endpoint
 }
 
 // New creates a machine with p PEs over the in-process mailbox transport.
@@ -105,6 +108,9 @@ func (m *Machine) Close() error { return m.fabric.Close() }
 // it sent stays receivable, and a peer's receive that only it could still
 // satisfy fails naming it instead of waiting forever.
 func (m *Machine) Run(f func(c *Comm) error) error {
+	if m.aborted {
+		return errors.New("comm: an earlier run aborted this machine and closed its endpoints")
+	}
 	p := m.fabric.P()
 	eps := make([]transport.Transport, p)
 	for rank := range eps {
@@ -149,6 +155,7 @@ func (m *Machine) Run(f func(c *Comm) error) error {
 		}(rank)
 	}
 	wg.Wait()
+	m.aborted = first != nil
 	return first
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,6 +199,41 @@ func TestRunAbortsOnPanic(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%T: Run did not return after a PE panicked", f)
+		}
+		m.Close()
+	}
+}
+
+// TestAbortedMachineRefusesNextRun: a run with a panicking rank closes every
+// endpoint for good, so the next run on the same machine — local or tcp,
+// whose sockets cannot reopen — must fail at once, saying why, instead of
+// at its first receive from a closed endpoint.
+func TestAbortedMachineRefusesNextRun(t *testing.T) {
+	tcpFabric, err := tcp.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []transport.Fabric{local.New(2), tcpFabric} {
+		m := NewOver(f)
+		err := m.Run(func(c *Comm) error {
+			if c.Rank() == 1 {
+				panic("rank 1 gives up")
+			}
+			c.Recv(1, 5)
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%T: the failing run returned nil", f)
+		}
+		var ranks atomic.Int32
+		err = m.Run(func(c *Comm) error {
+			ranks.Add(1)
+			c.Send(1-c.Rank(), 6, []byte("ping"))
+			c.Recv(1-c.Rank(), 6)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "earlier run aborted this machine") || ranks.Load() != 0 {
+			t.Fatalf("%T: the run after the abort returned %v with %d ranks started, want a refusal before any rank", f, err, ranks.Load())
 		}
 		m.Close()
 	}

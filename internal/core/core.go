@@ -33,14 +33,15 @@
 // buffer it arrived in, validated and sized on the PE's pool the moment it
 // arrives — so the exchange overlaps that walk instead of ending at a global
 // barrier. With a budget the run's bytes wait resident as far as the spill
-// pool has room and in a page file beyond. Where the merged fragment goes
-// is the caller's choice in both landings: into one output arena sized
-// exactly by the walks (the Result of Sort and RunPE), or into a sink the
-// caller opens once per PE with the fragment's exact item count and
-// character total (SeamOptions.Out: a sorted-run file, or a region of one
-// output file). The deterministic statistics are
-// identical on both — received bytes are billed to the phase the exchange
-// was posted in — and identical to the bulk-synchronous exchange kept as the
+// pool has room and in a page file beyond. Every sorter's fragment leaves
+// through one exit, the caller's Output (SeamOptions.Out): a sink the
+// caller opens once per PE with the exact extent of every run the fragment
+// is made of, fed by the Step-4 merge or, where there is nothing to merge
+// (hQuick, p == 1), by draining the sorted array. What the sink builds is
+// the caller's choice — the arrays of a Result, a sorted-run file, or a
+// region of one output file. The deterministic statistics are identical on
+// both landings — received bytes are billed to the phase the exchange was
+// posted in — and identical to the bulk-synchronous exchange kept as the
 // reference implementation (SeamOptions.BlockingExchange, set by the
 // differential tests only).
 package core
@@ -54,35 +55,6 @@ import (
 	"dss/internal/strutil"
 	"dss/internal/wire"
 )
-
-// Result is one PE's fragment of the sorted output.
-type Result struct {
-	// Strings is the locally sorted fragment; globally, fragments are
-	// ordered by PE rank. For PDMS these are distinguishing prefixes, not
-	// full strings (see PrefixOnly). The array is always fresh, but the
-	// strings of the PE's own share — those that never left it — alias the
-	// caller's input strings (PDMS: prefixes of them); received ones are
-	// copies.
-	Strings [][]byte
-	// LCPs is the LCP array of Strings (LCPs[0] = 0). It is nil for
-	// algorithms that do not produce LCP output (MS-simple, FKMerge).
-	LCPs []int32
-	// Sats, if non-nil, gives the provenance of each output string: the PE
-	// it was submitted on and its index in that PE's input array, packed by
-	// originSat (PE in the high 32 bits). PDMS and hQuick fill it, so that
-	// applications (and the verifier) can fetch the full string behind a
-	// transmitted prefix.
-	Sats []uint64
-	// PrefixOnly marks PDMS results: Strings hold only the approximated
-	// distinguishing prefixes. The permutation they define is the correct
-	// sorted order of the underlying full strings; look the origins up in
-	// the input fragments, or use Reconstruct across processes, to
-	// materialize them.
-	PrefixOnly bool
-	// Drained counts the items streamed into SeamOptions.Out. Such results
-	// hold no Strings — the sorted fragment went to the caller's sink.
-	Drained int64
-}
 
 // originSat packs an origin (PE, input index) into a merge satellite word.
 func originSat(pe, idx int) uint64 {
@@ -241,7 +213,8 @@ func decodeOnPool(c *comm.Comm, recv func() (int, []byte, bool), decode func(src
 }
 
 // SeamOptions are the Step-3→Step-4 settings the merge-based sorters
-// share (MergeSort, PDMS, FKMerge embed them).
+// share (MergeSort, PDMS, FKMerge embed them; hQuick uses the exchange
+// and output settings).
 type SeamOptions struct {
 	// BlockingExchange selects the bulk-synchronous reference of the
 	// exchange: one encode arena and one copying Alltoallv. Deterministic
@@ -250,33 +223,45 @@ type SeamOptions struct {
 	BlockingExchange bool
 	// Spill, if non-nil, runs the bounded-memory landing: received buckets
 	// wait encoded, in page files for what the pool's budget has no room
-	// for. It requires Out. The deterministic statistics are untouched —
-	// they are seam-invariant and the spill decision only moves measured
-	// gauges.
+	// for. The deterministic statistics are untouched — they are
+	// seam-invariant and the spill decision only moves measured gauges.
 	Spill *spill.Pool
-	// Out, if non-nil, receives the PE's sorted fragment instead of the
-	// Result's arrays; the result holds Drained instead of Strings.
+	// Out receives the PE's sorted fragment. It is required: it is the
+	// only way the fragment leaves the sorter.
 	Out *Output
 }
 
-// Output is where a PE's sorted fragment goes when the caller streams it
-// instead of taking it as a Result.
+// Output is where a PE's sorted fragment goes: the sink its Step-4 merge
+// writes into or, for hQuick and at p == 1, the sink its sorted array is
+// drained into.
 type Output struct {
 	// Open is called exactly once per PE, before the fragment's first item
-	// reaches the sink it returns, with the fragment's item count n and the
-	// total characters of its items: their strings' lengths or, with Line
-	// set, the lengths of the lines their origins name. Both are exact, so
-	// a caller can place the fragment before it exists. An error fails the
-	// PE.
-	Open func(n, chars int64) (merge.Sink, error)
+	// reaches the sink it returns, with the extent of every run the
+	// fragment is made of, indexed like the sink's run argument. The
+	// extents are exact, so a caller can place or size the fragment before
+	// it exists. An error fails the PE.
+	Open func(runs []Extent) (merge.Sink, error)
 	// Line, if non-nil, measures an item by its satellite word instead of
 	// its string: the length of the input line a PDMS origin names, for a
 	// sink that writes that line in place of the prefix.
 	Line func(sat uint64) int
 }
 
-// size returns the characters the sink receives for seq's items, as Open
-// counts them.
+// Extent is one run's share of a PE's fragment.
+type Extent struct {
+	// N is the run's item count and Chars the characters its items take:
+	// their strings' lengths or, with Output.Line set, the lengths of the
+	// lines their origins name.
+	N, Chars int64
+	// Stable marks a run whose strings stay valid after the merge — the
+	// PE's own bucket and a drained array, which alias the caller's input
+	// or the sorter's own arrays — so a sink may keep them. A received
+	// run's strings are valid only during the sink call.
+	Stable bool
+}
+
+// size returns the characters the sink receives for seq's items, as an
+// Extent counts them.
 func (o *Output) size(seq merge.Sequence) (chars int64) {
 	if o.Line != nil {
 		for _, sat := range seq.Sats {
@@ -307,28 +292,14 @@ type bucketCodec struct {
 }
 
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
-// buckets over g and multiway-merge the p received runs, LCP-aware if lcp.
-// Without opt.Out the merge drains into the returned Sequence, one exactly
-// sized arena; with it the merge sinks into opt.Out and only the item count
-// comes back. Merge work and worker busy time are billed to the merge
+// buckets over g and multiway-merge the p received runs, LCP-aware if lcp,
+// into opt.Out. Merge work and worker busy time are billed to the merge
 // phase, and the accounting phase is left at PhaseOther.
-func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) (out merge.Sequence, drained int64) {
+func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) {
 	own := g.Idx()
 	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
-	var line func(uint64) int
-	if opt.Out != nil {
-		line = opt.Out.Line
-	}
-	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, line, opt.Spill)
-	runs[own] = encodedRun{home: cd.own, n: cd.own.Len()}
-	var work int64
-	if opt.Out != nil {
-		runs[own].chars = int(opt.Out.size(*cd.own))
-		drained, work = sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out)
-	} else {
-		out, work = arenaMerge(c, runs, cd.format, cd.origins, lcp)
-	}
-	c.AddWork(work)
+	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Out.Line, opt.Spill)
+	runs[own] = encodedRun{home: cd.own, n: cd.own.Len(), chars: int(opt.Out.size(*cd.own))}
+	c.AddWork(sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out))
 	c.SetPhase(stats.PhaseOther)
-	return out, drained
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/merge"
 	"dss/internal/partition"
 	"dss/internal/strutil"
 )
@@ -22,13 +23,94 @@ func scatter(global [][]byte, p int) [][][]byte {
 	return locals
 }
 
+// fragment is one PE's sorted fragment as the tests read it: the arrays a
+// collecting Output built from the items the sorter handed it.
+type fragment struct {
+	Strings [][]byte
+	LCPs    []int32  // with an LCP column only
+	Sats    []uint64 // with a satellite column only
+	arena   []byte   // the copied strings' characters
+	extents []Extent // what Open was given
+}
+
+// output returns an Output that collects the fragment into f, with an LCP
+// column if lcp and a satellite column if sats. The strings of stable runs
+// are kept as they are; the others are copied back to back into one array
+// exactly as long as the extents say they are. The columns are sized by
+// the extents too.
+func (f *fragment) output(lcp, sats bool) *Output {
+	return &Output{Open: func(runs []Extent) (merge.Sink, error) {
+		var n, chars int64
+		for _, r := range runs {
+			n += r.N
+			if !r.Stable {
+				chars += r.Chars
+			}
+		}
+		if n > 0 {
+			f.Strings = make([][]byte, 0, n)
+			if lcp {
+				f.LCPs = make([]int32, 0, n)
+			}
+			if sats {
+				f.Sats = make([]uint64, 0, n)
+			}
+		}
+		f.extents, f.arena = runs, make([]byte, 0, chars)
+		return func(run int, s []byte, h int32, sat uint64) error {
+			if !runs[run].Stable {
+				if len(f.arena)+len(s) > cap(f.arena) {
+					return fmt.Errorf("run %d holds more characters than its extent", run)
+				}
+				off := len(f.arena)
+				f.arena = append(f.arena, s...)
+				s = f.arena[off:len(f.arena):len(f.arena)]
+			}
+			f.Strings = append(f.Strings, s)
+			if lcp {
+				f.LCPs = append(f.LCPs, h)
+			}
+			if sats {
+				f.Sats = append(f.Sats, sat)
+			}
+			return nil
+		}, nil
+	}}
+}
+
+// mergeSort, fkMerge, hQuick and pdms run a sorter into a collecting
+// Output and return what it collected.
+func mergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) (f fragment) {
+	opt.Out = f.output(opt.LCP, false)
+	MergeSort(c, ss, opt)
+	return f
+}
+
+func fkMerge(c *comm.Comm, ss [][]byte, opt FKOptions) (f fragment) {
+	opt.Out = f.output(false, false)
+	FKMerge(c, ss, opt)
+	return f
+}
+
+func hQuick(c *comm.Comm, ss [][]byte, opt HQOptions) (f fragment) {
+	opt.Out = f.output(true, true)
+	HQuick(c, ss, opt)
+	return f
+}
+
+func pdms(c *comm.Comm, ss [][]byte, opt PDMSOptions) (f fragment) {
+	opt.Out = f.output(true, true)
+	PDMS(c, ss, opt)
+	return f
+}
+
 // runDistributed executes one algorithm collectively and returns the
-// per-PE results and the machine (for statistics).
-func runDistributed(t *testing.T, locals [][][]byte, algo func(c *comm.Comm, ss [][]byte) Result) ([]Result, *comm.Machine) {
+// per-PE fragments and the machine (for statistics).
+func runDistributed(t *testing.T, locals [][][]byte, algo func(c *comm.Comm, ss [][]byte) fragment) ([]fragment, *comm.Machine) {
 	t.Helper()
 	p := len(locals)
 	m := comm.New(p)
-	results := make([]Result, p)
+	results := make([]fragment, p)
 	err := m.Run(func(c *comm.Comm) error {
 		results[c.Rank()] = algo(c, locals[c.Rank()])
 		return nil
@@ -42,7 +124,7 @@ func runDistributed(t *testing.T, locals [][][]byte, algo func(c *comm.Comm, ss 
 // checkGlobalOrder verifies that the concatenation of the per-PE fragments
 // is sorted, that per-PE LCP arrays (if present) are correct, and that the
 // output is a permutation of the input (for full-string algorithms).
-func checkGlobalOrder(t *testing.T, global [][]byte, results []Result, wantPermutation bool) {
+func checkGlobalOrder(t *testing.T, global [][]byte, results []fragment, wantPermutation bool) {
 	t.Helper()
 	var concat [][]byte
 	for pe, res := range results {
@@ -68,13 +150,10 @@ func checkGlobalOrder(t *testing.T, global [][]byte, results []Result, wantPermu
 }
 
 // reconstructPDMS maps (PE, index) origins back to the scattered input.
-func reconstructPDMS(t *testing.T, locals [][][]byte, results []Result) [][]byte {
+func reconstructPDMS(t *testing.T, locals [][][]byte, results []fragment) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for pe, res := range results {
-		if !res.PrefixOnly {
-			t.Fatalf("PE %d: PDMS result not marked PrefixOnly", pe)
-		}
 		if len(res.Sats) != len(res.Strings) {
 			t.Fatalf("PE %d: %d origins for %d strings", pe, len(res.Sats), len(res.Strings))
 		}
@@ -126,23 +205,17 @@ func TestMergeSortAllConfigs(t *testing.T) {
 		"MS-simple": MSOptions{},
 		"MS":        MSOptions{LCP: true},
 	}
-	for name, opt := range configs {
+	for _, opt := range configs {
 		for _, p := range testPs {
 			global := genRandom(rng, 300+p*37, 16, 3)
 			locals := scatter(global, p)
 			o := opt
 			o.GroupID = 1
-			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-				return MergeSort(c, ss, o)
+			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+				return mergeSort(c, ss, o)
 			})
+			// With LCP the collected LCP column is validated too.
 			checkGlobalOrder(t, global, results, true)
-			if o.LCP {
-				for pe, res := range results {
-					if res.LCPs == nil && len(res.Strings) > 0 {
-						t.Fatalf("%s p=%d PE %d: missing LCP output", name, p, pe)
-					}
-				}
-			}
 		}
 	}
 }
@@ -152,8 +225,8 @@ func TestFKMerge(t *testing.T) {
 	for _, p := range testPs {
 		global := genRandom(rng, 400, 12, 4)
 		locals := scatter(global, p)
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			return FKMerge(c, ss, FKOptions{GroupID: 1})
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+			return fkMerge(c, ss, FKOptions{GroupID: 1})
 		})
 		checkGlobalOrder(t, global, results, true)
 	}
@@ -171,8 +244,8 @@ func TestFKMergeManyDuplicates(t *testing.T) {
 	}
 	for _, p := range []int{2, 4, 8} {
 		locals := scatter(global, p)
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			return FKMerge(c, ss, FKOptions{GroupID: 1})
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+			return fkMerge(c, ss, FKOptions{GroupID: 1})
 		})
 		checkGlobalOrder(t, global, results, true)
 	}
@@ -183,8 +256,8 @@ func TestHQuick(t *testing.T) {
 	for _, p := range testPs {
 		global := genRandom(rng, 500, 14, 3)
 		locals := scatter(global, p)
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 42, TrackPhases: true})
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+			return hQuick(c, ss, HQOptions{GroupID: 1, Seed: 42, TrackPhases: true})
 		})
 		checkGlobalOrder(t, global, results, true)
 	}
@@ -195,8 +268,8 @@ func TestHQuickNonPowerOfTwoLeavesHighRanksEmpty(t *testing.T) {
 	global := genRandom(rng, 300, 10, 3)
 	p := 7 // hypercube size 4
 	locals := scatter(global, p)
-	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 1})
+	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return hQuick(c, ss, HQOptions{GroupID: 1, Seed: 1})
 	})
 	checkGlobalOrder(t, global, results, true)
 	for pe := 4; pe < 7; pe++ {
@@ -214,8 +287,8 @@ func TestHQuickAllEqualStrings(t *testing.T) {
 		global = append(global, []byte("all-the-same"))
 	}
 	locals := scatter(global, 8)
-	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 5})
+	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return hQuick(c, ss, HQOptions{GroupID: 1, Seed: 5})
 	})
 	checkGlobalOrder(t, global, results, true)
 	// Tie-broken quicksort must not pile everything on one PE.
@@ -240,8 +313,8 @@ func TestPDMSVariants(t *testing.T) {
 			opt.Golomb = golomb
 			opt.GroupID = 1
 			opt.Seed = 99
-			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-				return PDMS(c, ss, opt)
+			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+				return pdms(c, ss, opt)
 			})
 			// Prefix order must reproduce the true global order.
 			full := reconstructPDMS(t, locals, results)
@@ -272,8 +345,8 @@ func TestPDMSDuplicatesAndPrefixChains(t *testing.T) {
 		locals := scatter(global, p)
 		opt := PDMSOptions{}
 		opt.GroupID = 1
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-			return PDMS(c, ss, opt)
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+			return pdms(c, ss, opt)
 		})
 		full := reconstructPDMS(t, locals, results)
 		if !strutil.IsSorted(full) {
@@ -290,8 +363,8 @@ func TestPDMSCharSampling(t *testing.T) {
 	global := genRandom(rng, 600, 25, 2)
 	locals := scatter(global, 4)
 	opt := PDMSOptions{Sampling: partition.CharSampling, GroupID: 1}
-	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return PDMS(c, ss, opt)
+	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return pdms(c, ss, opt)
 	})
 	full := reconstructPDMS(t, locals, results)
 	if !strutil.IsSorted(full) {
@@ -305,14 +378,14 @@ func TestReconstructCollective(t *testing.T) {
 	p := 4
 	locals := scatter(global, p)
 	m := comm.New(p)
-	results := make([]Result, p)
+	results := make([]fragment, p)
 	fulls := make([][][]byte, p)
 	err := m.Run(func(c *comm.Comm) error {
 		opt := PDMSOptions{}
 		opt.GroupID = 1
-		res := PDMS(c, locals[c.Rank()], opt)
+		res := pdms(c, locals[c.Rank()], opt)
 		results[c.Rank()] = res
-		fulls[c.Rank()] = Reconstruct(c, res, locals[c.Rank()], 99)
+		fulls[c.Rank()] = Reconstruct(c, res.Sats, locals[c.Rank()], 99)
 		return nil
 	})
 	if err != nil {
@@ -347,15 +420,15 @@ func TestLCPCompressionReducesVolume(t *testing.T) {
 	}
 	p := 8
 	locals := scatter(global, p)
-	_, mPlain := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	_, mPlain := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
-	_, mLCP := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	_, mLCP := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{LCP: true}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
 	vPlain := mPlain.Report().TotalBytesSent()
 	vLCP := mLCP.Report().TotalBytesSent()
@@ -369,15 +442,15 @@ func TestPDMSSavesVolumeWhenDSmall(t *testing.T) {
 	global := genSmallD(2000, 200)
 	p := 8
 	locals := scatter(global, p)
-	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{LCP: true}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
-	_, mPD := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	_, mPD := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := PDMSOptions{}
 		o.GroupID = 1
-		return PDMS(c, ss, o)
+		return pdms(c, ss, o)
 	})
 	vMS := mMS.Report().TotalBytesSent()
 	vPD := mPD.Report().TotalBytesSent()
@@ -391,13 +464,13 @@ func TestHQuickMovesMoreDataThanMergeSort(t *testing.T) {
 	global := genRandom(rng, 3000, 20, 4)
 	p := 8
 	locals := scatter(global, p)
-	_, mHQ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 3, TrackPhases: true})
+	_, mHQ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return hQuick(c, ss, HQOptions{GroupID: 1, Seed: 3, TrackPhases: true})
 	})
-	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	_, mMS := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
 	if mHQ.Report().TotalBytesSent() <= mMS.Report().TotalBytesSent() {
 		t.Fatalf("hQuick volume %d not above MS-simple volume %d",
@@ -410,17 +483,17 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 		for _, n := range []int{0, 1, 2, p} {
 			global := genRandom(rand.New(rand.NewSource(int64(n))), n, 5, 2)
 			locals := scatter(global, p)
-			algos := map[string]func(c *comm.Comm, ss [][]byte) Result{
-				"MS": func(c *comm.Comm, ss [][]byte) Result {
+			algos := map[string]func(c *comm.Comm, ss [][]byte) fragment{
+				"MS": func(c *comm.Comm, ss [][]byte) fragment {
 					o := MSOptions{LCP: true}
 					o.GroupID = 1
-					return MergeSort(c, ss, o)
+					return mergeSort(c, ss, o)
 				},
-				"FK": func(c *comm.Comm, ss [][]byte) Result {
-					return FKMerge(c, ss, FKOptions{GroupID: 1})
+				"FK": func(c *comm.Comm, ss [][]byte) fragment {
+					return fkMerge(c, ss, FKOptions{GroupID: 1})
 				},
-				"HQ": func(c *comm.Comm, ss [][]byte) Result {
-					return HQuick(c, ss, HQOptions{GroupID: 1})
+				"HQ": func(c *comm.Comm, ss [][]byte) fragment {
+					return hQuick(c, ss, HQOptions{GroupID: 1})
 				},
 			}
 			for name, algo := range algos {
@@ -431,8 +504,8 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 			// PDMS via reconstruction.
 			opt := PDMSOptions{}
 			opt.GroupID = 1
-			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-				return PDMS(c, ss, opt)
+			results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+				return pdms(c, ss, opt)
 			})
 			full := reconstructPDMS(t, locals, results)
 			if len(full) != n || !strutil.IsSorted(full) {
@@ -450,23 +523,23 @@ func TestAllAlgorithmsAgreeOnReferenceOrder(t *testing.T) {
 	p := 4
 	locals := scatter(global, p)
 
-	collect := func(results []Result) [][]byte {
+	collect := func(results []fragment) [][]byte {
 		var out [][]byte
 		for _, r := range results {
 			out = append(out, r.Strings...)
 		}
 		return out
 	}
-	msRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	msRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{LCP: true}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
-	fkRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return FKMerge(c, ss, FKOptions{GroupID: 1})
+	fkRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return fkMerge(c, ss, FKOptions{GroupID: 1})
 	})
-	hqRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
-		return HQuick(c, ss, HQOptions{GroupID: 1, Seed: 11})
+	hqRes, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+		return hQuick(c, ss, HQOptions{GroupID: 1, Seed: 11})
 	})
 	for name, got := range map[string][][]byte{
 		"MS": collect(msRes), "FK": collect(fkRes), "HQ": collect(hqRes),
@@ -491,10 +564,10 @@ func TestInputSlicesNotModified(t *testing.T) {
 	for pe := range locals {
 		snapshots[pe] = append([][]byte{}, locals[pe]...)
 	}
-	runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{LCP: true}
 		o.GroupID = 1
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
 	for pe := range locals {
 		for i := range locals[pe] {

@@ -25,25 +25,25 @@ func TestExchangeSeamsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	global := append(genRandom(rng, 3000, 40, 4), genSmallD(1000, 60)...)
 	locals := scatter(global, 4)
-	families := map[string]func(blocking bool) func(c *comm.Comm, ss [][]byte) Result{
-		"MS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
-			return func(c *comm.Comm, ss [][]byte) Result {
-				return MergeSort(c, ss, MSOptions{LCP: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
+	families := map[string]func(blocking bool) func(c *comm.Comm, ss [][]byte) fragment{
+		"MS": func(blocking bool) func(c *comm.Comm, ss [][]byte) fragment {
+			return func(c *comm.Comm, ss [][]byte) fragment {
+				return mergeSort(c, ss, MSOptions{LCP: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
-		"PDMS": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
-			return func(c *comm.Comm, ss [][]byte) Result {
-				return PDMS(c, ss, PDMSOptions{Golomb: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
+		"PDMS": func(blocking bool) func(c *comm.Comm, ss [][]byte) fragment {
+			return func(c *comm.Comm, ss [][]byte) fragment {
+				return pdms(c, ss, PDMSOptions{Golomb: true, Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
-		"FKMerge": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
-			return func(c *comm.Comm, ss [][]byte) Result {
-				return FKMerge(c, ss, FKOptions{SeamOptions: SeamOptions{BlockingExchange: blocking}})
+		"FKMerge": func(blocking bool) func(c *comm.Comm, ss [][]byte) fragment {
+			return func(c *comm.Comm, ss [][]byte) fragment {
+				return fkMerge(c, ss, FKOptions{SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
-		"HQuick": func(blocking bool) func(c *comm.Comm, ss [][]byte) Result {
-			return func(c *comm.Comm, ss [][]byte) Result {
-				return HQuick(c, ss, HQOptions{Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
+		"HQuick": func(blocking bool) func(c *comm.Comm, ss [][]byte) fragment {
+			return func(c *comm.Comm, ss [][]byte) fragment {
+				return hQuick(c, ss, HQOptions{Seed: 5, SeamOptions: SeamOptions{BlockingExchange: blocking}})
 			}
 		},
 	}

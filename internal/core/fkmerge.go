@@ -25,7 +25,7 @@ type FKOptions struct {
 // full-string all-to-all exchange and a plain (non-LCP) loser tree merge.
 // The centralized quadratic sample sort and the uncompressed exchange are
 // exactly the bottlenecks the paper's evaluation exposes beyond ~320 cores.
-func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
+func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) {
 	p := c.P()
 
 	// Step 1: local sort on the PE's work pool (no LCP output needed:
@@ -38,10 +38,8 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Out != nil {
-			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: ss, Order: order})}
-		}
-		return Result{Strings: local.Gather()}
+		drain(opt.Out, merge.Sequence{Strings: ss, Order: order})
+		return
 	}
 
 	// Step 2: deterministic sampling, v = p−1 samples per PE, gathered and
@@ -69,9 +67,8 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	}
 
 	// Step 4: ordinary loser tree merge; the own bucket stays home.
-	out, drained := exchangeMerge(c, g, bucketCodec{
+	exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStrings,
 		own: &merge.Sequence{Strings: ss, Order: order[off[me]:off[me+1]]},
 	}, false, opt.SeamOptions)
-	return Result{Strings: out.Strings, Drained: drained}
 }

@@ -9,7 +9,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/stats"
 	"dss/internal/strsort"
-	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -26,15 +25,14 @@ type HQOptions struct {
 	// MS/PDMS this stays false so everything is billed to the caller's
 	// phase.
 	TrackPhases bool
-	// SeamOptions configure the initial random-placement all-to-all: the
+	// SeamOptions configure the initial random-placement all-to-all (the
 	// bulk-synchronous reference instead of the split-phase
-	// decode-on-arrival exchange. With Out set the sorted fragment streams
-	// into Out's sink (strings, LCPs and origin satellites) instead of
-	// materializing a result arena. hQuick is not an out-of-core algorithm —
-	// every string moves O(log p) times and the recursion keeps the working
-	// set resident — so unlike the merge families a budget bounds only the
-	// output accumulation, not the working set (documented in the README's
-	// out-of-core section).
+	// decode-on-arrival exchange) and the Output the sorted fragment is
+	// drained into: strings, LCPs and origin satellites. hQuick is not an
+	// out-of-core algorithm — every string moves O(log p) times and the
+	// recursion keeps the working set resident — so unlike the merge
+	// families a budget bounds only the output accumulation, not the
+	// working set (documented in the README's out-of-core section).
 	SeamOptions
 }
 
@@ -46,7 +44,7 @@ type HQOptions struct {
 // which makes hQuick the sorter of choice for small inputs such as the
 // splitter samples of MS and PDMS — but every string is moved O(log p)
 // times, so it is not communication-efficient on large data.
-func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
+func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) {
 	p := c.P()
 	d := 0
 	for 1<<(d+1) <= p {
@@ -171,16 +169,11 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 	order, lcp, work, busy := strsort.ParallelSortLCP(c.Pool(), strings, nil)
 	c.AddWork(work)
 	c.AddCPU(busy)
-	sorted := strutil.Set{Strings: strings, Order: order}
 	sortedUids := make([]uint64, len(order))
 	for i, k := range order {
 		sortedUids[i] = uids[k]
 	}
-
-	if opt.Out != nil {
-		return Result{Drained: drain(opt.Out, merge.Sequence{Strings: strings, Order: order, LCPs: lcp, Sats: sortedUids})}
-	}
-	return Result{Strings: sorted.Gather(), LCPs: lcp, Sats: sortedUids}
+	drain(opt.Out, merge.Sequence{Strings: strings, Order: order, LCPs: lcp, Sats: sortedUids})
 }
 
 // pivotSamples is the number of random local candidates every PE

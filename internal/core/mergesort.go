@@ -51,9 +51,9 @@ type MSOptions struct {
 //  3. all-to-all exchange of the buckets, optionally LCP-compressed;
 //  4. multiway merge of the p received runs, LCP-aware if configured.
 //
-// Every PE calls collectively with its local strings; PE i's result holds
-// the i-th fragment of the global sorted order.
-func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
+// Every PE calls collectively with its local strings; PE i's Output
+// receives the i-th fragment of the global sorted order.
+func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) {
 	p := c.P()
 
 	// Step 1: local sort with LCP array, spread over the PE's work pool
@@ -75,10 +75,8 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	local := strutil.Set{Strings: ss, Order: order}
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Out != nil {
-			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: ss, Order: order, LCPs: lcp})}
-		}
-		return Result{Strings: local.Gather(), LCPs: lcp}
+		drain(opt.Out, merge.Sequence{Strings: ss, Order: order, LCPs: lcp})
+		return
 	}
 
 	// Step 2: splitter selection.
@@ -131,17 +129,25 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	}
 
 	// Step 4: multiway merge of the received runs and the own bucket.
-	out, drained := exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
-	return Result{Strings: out.Strings, LCPs: out.LCPs, Drained: drained}
+	exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
 }
 
 // sampleSorter is the distributed sample sorter of Step 2 in MS and PDMS:
-// hQuick, billed to the caller's phase.
+// hQuick, billed to the caller's phase. Its fragment is drained as one
+// stable run, so the sorted samples are kept as they are.
 func sampleSorter(seed uint64, blocking bool) partition.DistSorter {
-	return func(c *comm.Comm, samples [][]byte, gid int) [][]byte {
-		return HQuick(c, samples, HQOptions{
-			GroupID: gid, Seed: seed, SeamOptions: SeamOptions{BlockingExchange: blocking},
-		}).Strings
+	return func(c *comm.Comm, samples [][]byte, gid int) (sorted [][]byte) {
+		out := &Output{Open: func(runs []Extent) (merge.Sink, error) {
+			sorted = make([][]byte, 0, runs[0].N)
+			return func(_ int, s []byte, _ int32, _ uint64) error {
+				sorted = append(sorted, s)
+				return nil
+			}, nil
+		}}
+		HQuick(c, samples, HQOptions{
+			GroupID: gid, Seed: seed, SeamOptions: SeamOptions{BlockingExchange: blocking, Out: out},
+		})
+		return sorted
 	}
 }
 

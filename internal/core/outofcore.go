@@ -4,8 +4,8 @@
 // tree pulls it: the tree reads every run through a wire.RunCursor that
 // decodes one string per pull into one reused buffer (plus, for PDMS, a
 // second window over the bucket's origin column). The two landings differ
-// only in where a run's bytes wait; where the merge's output goes is the
-// caller's choice (SeamOptions.Out).
+// only in where a run's bytes wait; the merge's output goes into the
+// caller's Output (SeamOptions.Out) in both.
 //
 // The PE's own bucket never arrives: it is its slice of the PE's sorted
 // strings (the caller's array read through Step 1's order; PDMS's prefix
@@ -19,10 +19,10 @@
 // output size is known before its merge starts.
 //
 // In RAM, a received run is the transport buffer it arrived in, walked on
-// the PE's pool as it arrives. Without an Out the merge copies the received
-// strings into one exactly sized arena, sub-slices of one byte array; the
-// LCP and satellite columns are exact arrays (the Result of Sort and
-// RunPE). The transport buffers are released once the merge is done.
+// the PE's pool as it arrives, and released once the merge is done. The
+// Output learns every run's extent and whether its strings outlive the
+// merge (only the own bucket's do), so a sink that keeps the strings can
+// copy just the received ones, into one exactly sized array.
 //
 // Under a budget, each bucket is walked and routed on the PE goroutine into
 // its run: wholly resident as its transport buffer when the spill pool's
@@ -278,84 +278,31 @@ func (s *runSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
 	return str, lcp, sat, ok
 }
 
-// mergeRuns is the Step-4 tree call of both landings: it drains the runs
-// through the loser tree (LCP-aware if lcp) into sink, as a one-task fork
-// of the PE's pool, so the merge's span lands on worker 0's trace track and
-// its busy time on the merge phase's CPU channel.
-func mergeRuns(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, sink merge.Sink) (n, work int64, err error) {
-	srcs := make([]merge.Source, len(runs))
+// sinkMerge is the Step-4 merge of both landings: it opens out with the
+// runs' extents, drains the runs through the loser tree (LCP-aware if lcp)
+// into the sink it returns, then completes the write-behind chains of a
+// budgeted landing (pool non-nil), bills their busy time to the measured
+// CPU channel, releases what the runs still have metered and the transport
+// buffers they hold, and closes the page descriptors (the pool's Close
+// unlinks the files themselves). It returns the merge's character work. A
+// failing open or sink panics, after the cleanup.
+func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *Output) (work int64) {
+	ext := make([]Extent, len(runs))
 	for i := range runs {
-		srcs[i] = runs[i].source(pool, format, origins)
+		ext[i] = Extent{N: int64(runs[i].n), Chars: int64(runs[i].chars), Stable: runs[i].home != nil}
 	}
-	c.AddCPU(c.ForEachSpan("merge", 1, func(int) {
-		n, work, err = merge.MergeSink(srcs, lcp, sink)
-	}))
-	return n, work, err
-}
-
-// arenaMerge merges the runs into one output whose strings are the home
-// run's own strings and, for the received runs, sub-slices of one arena
-// sized exactly by their walks — the LCP and satellite columns are exact
-// arrays, so nothing grows by reallocation — and then releases the runs'
-// transport buffers. An empty merge returns the zero Sequence. It is the
-// sink through which Sort and RunPE build their Result.
-func arenaMerge(c *comm.Comm, runs []encodedRun, format wire.RunFormat, origins, lcp bool) (out merge.Sequence, work int64) {
-	n, chars := 0, 0
-	for i := range runs {
-		n += runs[i].n
-		chars += runs[i].chars
-	}
-	if n > 0 {
-		out.Strings = make([][]byte, n)
-		if lcp {
-			out.LCPs = make([]int32, n)
-		}
-		if origins {
-			out.Sats = make([]uint64, n)
-		}
-	}
-	arena := make([]byte, 0, chars)
-	i := 0
-	_, work, _ = mergeRuns(c, nil, runs, format, origins, lcp, func(run int, s []byte, h int32, sat uint64) error {
-		if runs[run].home == nil {
-			off := len(arena)
-			arena = append(arena, s...)
-			s = arena[off:len(arena):len(arena)]
-		}
-		out.Strings[i] = s
-		if out.LCPs != nil {
-			out.LCPs[i] = h
-		}
-		if out.Sats != nil {
-			out.Sats[i] = sat
-		}
-		i++
-		return nil
-	})
-	for i := range runs {
-		c.Release(runs[i].resident)
-	}
-	return out, work
-}
-
-// sinkMerge opens out with the runs' item count and output characters,
-// drains the runs through the loser tree into the sink it returns, then
-// completes the write-behind chains of a budgeted landing (pool non-nil),
-// bills their busy time to the measured CPU channel, releases what the runs
-// still have metered and the transport buffers they hold, and closes the
-// page descriptors (the pool's Close unlinks the files themselves). The
-// item sequence and the returned work are bit-identical to the arena merge
-// — it is the same tree — only where the output lands differs. A failing
-// open or sink panics, after the cleanup.
-func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *Output) (n, work int64) {
-	var items, chars int64
-	for i := range runs {
-		items += int64(runs[i].n)
-		chars += int64(runs[i].chars)
-	}
-	sink, err := out.Open(items, chars)
+	sink, err := out.Open(ext)
 	if err == nil {
-		n, work, err = mergeRuns(c, pool, runs, format, origins, lcp, sink)
+		srcs := make([]merge.Source, len(runs))
+		for i := range runs {
+			srcs[i] = runs[i].source(pool, format, origins)
+		}
+		// A one-task fork of the PE's pool, so the merge's span lands on
+		// worker 0's trace track and its busy time on the merge phase's CPU
+		// channel.
+		c.AddCPU(c.ForEachSpan("merge", 1, func(int) {
+			_, work, err = merge.MergeSink(srcs, lcp, sink)
+		}))
 	}
 	var busy int64
 	for i := range runs {
@@ -380,17 +327,17 @@ func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 	if err != nil {
 		panic("core: output: " + err.Error())
 	}
-	return n, work
+	return work
 }
 
-// drain streams an already sorted fragment into out — the hQuick path and
-// the p == 1 fast paths, which have no Step-4 merge to sink.
-func drain(out *Output, seq merge.Sequence) int64 {
-	sink, err := out.Open(int64(seq.Len()), out.size(seq))
+// drain hands an already sorted fragment to out as its one, stable run —
+// the exit of hQuick and of the p == 1 paths, which have no Step-4 merge.
+func drain(out *Output, seq merge.Sequence) {
+	sink, err := out.Open([]Extent{{N: int64(seq.Len()), Chars: out.size(seq), Stable: true}})
 	for src := seq.Source(); err == nil; {
 		s, lcp, sat, ok := src.Next()
 		if !ok {
-			return int64(seq.Len())
+			return
 		}
 		err = sink(0, s, lcp, sat)
 	}

@@ -47,12 +47,14 @@ func arrivals(c *comm.Comm, buckets [][]byte) func() (int, []byte, bool) {
 // land drives routeRuns — the entry point exchangeMerge hands the
 // exchange's receive side to — with the given buckets arriving in order
 // into the budgeted landing (pool != nil) or the in-RAM one (pool == nil),
-// which then merges them. A failing rank's panic comes back as the error.
-func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]byte) (runs []encodedRun, out merge.Sequence, err error) {
+// which then merges them into a collecting Output. A failing rank's panic
+// comes back as the error.
+func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]byte) (runs []encodedRun, out fragment, err error) {
 	err = comm.New(1).Run(func(c *comm.Comm) error {
 		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, nil, pool)
 		if pool == nil {
-			out, _ = arenaMerge(c, runs, format, origins, format == wire.RunStringsLCP)
+			lcp := format == wire.RunStringsLCP
+			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
 		}
 		return nil
 	})
@@ -407,7 +409,7 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 		}
 	}
 	lcp := format == wire.RunStringsLCP
-	outs := make([]merge.Sequence, p)
+	outs := make([]fragment, p)
 	m := comm.New(p)
 	if err := m.Run(func(c *comm.Comm) error {
 		me := c.Rank()
@@ -423,7 +425,7 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 		}
 		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins,
 			own: homeRun(format, origins, runs[me][me], me)}
-		outs[me], _ = exchangeMerge(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), cd, lcp, SeamOptions{})
+		exchangeMerge(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), cd, lcp, SeamOptions{Out: outs[me].output(lcp, origins)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -458,11 +460,12 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 	}
 }
 
-// TestHomeRunAliasesInput pins where an in-RAM sort's output strings live,
-// for every merge-based sorter at p = 4: an output string of the PE's own
-// bucket IS one of its input strings (PDMS: a prefix of one, and exactly
-// the items whose origin is this PE), and the received ones lie back to
-// back, in output order, in one arena as long as their characters.
+// TestHomeRunAliasesInput pins what the sorters tell their Output about
+// the strings' lifetimes, for every merge-based sorter at p = 4: an output
+// string of the run marked stable IS one of the PE's input strings (PDMS: a
+// prefix of one, and exactly the items whose origin is this PE), and the
+// received ones, copied by the collecting Output, fill one array exactly
+// as long as their extents' characters, back to back in output order.
 func TestHomeRunAliasesInput(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(77))
@@ -476,12 +479,12 @@ func TestHomeRunAliasesInput(t *testing.T) {
 	locals := scatter(global, p)
 	for _, a := range []struct {
 		name string
-		run  func(c *comm.Comm, ss [][]byte) Result
+		run  func(c *comm.Comm, ss [][]byte) fragment
 	}{
-		{"MS", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSOptions{LCP: true}) }},
-		{"MS-simple", func(c *comm.Comm, ss [][]byte) Result { return MergeSort(c, ss, MSOptions{}) }},
-		{"FKmerge", func(c *comm.Comm, ss [][]byte) Result { return FKMerge(c, ss, FKOptions{}) }},
-		{"PDMS", func(c *comm.Comm, ss [][]byte) Result { return PDMS(c, ss, PDMSOptions{}) }},
+		{"MS", func(c *comm.Comm, ss [][]byte) fragment { return mergeSort(c, ss, MSOptions{LCP: true}) }},
+		{"MS-simple", func(c *comm.Comm, ss [][]byte) fragment { return mergeSort(c, ss, MSOptions{}) }},
+		{"FKmerge", func(c *comm.Comm, ss [][]byte) fragment { return fkMerge(c, ss, FKOptions{}) }},
+		{"PDMS", func(c *comm.Comm, ss [][]byte) fragment { return pdms(c, ss, PDMSOptions{}) }},
 	} {
 		t.Run(a.name, func(t *testing.T) {
 			results, _ := runDistributed(t, locals, a.run)
@@ -515,6 +518,9 @@ func TestHomeRunAliasesInput(t *testing.T) {
 				if own == 0 || own == len(res.Strings) {
 					t.Fatalf("PE %d: %d of %d items are its own: no mix to check", pe, own, len(res.Strings))
 				}
+				if remote != cap(res.arena) {
+					t.Fatalf("PE %d: the received items hold %d characters, their extents %d", pe, remote, cap(res.arena))
+				}
 			}
 		})
 	}
@@ -522,18 +528,18 @@ func TestHomeRunAliasesInput(t *testing.T) {
 
 // landHome lands the buckets — slot home is the own run, which stays
 // resident as own and never arrives — in RAM (pool == nil) or under the
-// budget, and merges them: into the output arena, or into a sorted-run
+// budget, and merges them: into a collecting Output, or into a sorted-run
 // file that is read back.
-func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins bool, home int, own *merge.Sequence, buckets ...[]byte) (runs []encodedRun, out merge.Sequence) {
+func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins bool, home int, own *merge.Sequence, buckets ...[]byte) (out fragment) {
 	t.Helper()
 	lcp := format == wire.RunStringsLCP
 	sent := append([][]byte(nil), buckets...)
 	sent[home] = nil
 	if err := comm.New(1).Run(func(c *comm.Comm) error {
-		runs = routeRuns(c, arrivals(c, sent), len(sent), format, origins, nil, pool)
+		runs := routeRuns(c, arrivals(c, sent), len(sent), format, origins, nil, pool)
 		runs[home] = encodedRun{home: own, n: own.Len()}
 		if pool == nil {
-			out, _ = arenaMerge(c, runs, format, origins, lcp)
+			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
 			return nil
 		}
 		var file bytes.Buffer
@@ -541,7 +547,7 @@ func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins boo
 		if err != nil {
 			return err
 		}
-		sinkMerge(c, pool, runs, format, origins, lcp, &Output{Open: func(int64, int64) (merge.Sink, error) {
+		sinkMerge(c, pool, runs, format, origins, lcp, &Output{Open: func([]Extent) (merge.Sink, error) {
 			return func(_ int, s []byte, lcp int32, sat uint64) error { return w.Add(s, lcp, sat) }, nil
 		}})
 		if err := w.Close(); err != nil {
@@ -552,12 +558,13 @@ func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins boo
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return runs, out
+	return out
 }
 
 // TestHomeRunStaysHome lands three PDMS-layout buckets, the middle one the
-// PE's own, whose strings are four times the budget: in RAM the arena is
-// sized by the two received runs' walks alone, and under the budget no own
+// PE's own, whose strings are four times the budget: in RAM only the own
+// run is stable, and a sink that copies the others copies exactly the two
+// received runs' characters; under the budget no own
 // byte is metered or written to a page file — the pool holds exactly the
 // received buckets, which fit. Both outputs equal the one-shot merge of
 // all three buckets encoded, and the same landing with the own bucket
@@ -592,7 +599,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 		}
 	}
 	want, _ := merge.Merge(seqs, true)
-	check := func(label string, got merge.Sequence) {
+	check := func(label string, got fragment) {
 		t.Helper()
 		if fmt.Sprint(got.Strings) != fmt.Sprint(want.Strings) || fmt.Sprint(got.LCPs) != fmt.Sprint(want.LCPs) ||
 			fmt.Sprint(got.Sats) != fmt.Sprint(want.Sats) {
@@ -601,10 +608,15 @@ func TestHomeRunStaysHome(t *testing.T) {
 	}
 	own := homeRun(wire.RunStringsLCP, true, runs[home], home)
 
-	landed, got := landHome(t, nil, wire.RunStringsLCP, true, home, own, buckets...)
+	got := landHome(t, nil, wire.RunStringsLCP, true, home, own, buckets...)
 	check("in RAM", got)
-	if chars := landed[0].chars + landed[1].chars + landed[2].chars; chars != remoteChars {
-		t.Fatalf("in RAM: the arena is sized for %d characters, the received runs hold %d", chars, remoteChars)
+	for i, e := range got.extents {
+		if e.Stable != (i == home) || e.N != int64(len(runs[i])) {
+			t.Fatalf("in RAM: run %d has extent %+v; %d items, stable only at %d", i, e, len(runs[i]), home)
+		}
+	}
+	if cap(got.arena) != remoteChars {
+		t.Fatalf("in RAM: %d characters copied, the received runs hold %d", cap(got.arena), remoteChars)
 	}
 
 	newPool := func() *spill.Pool {
@@ -616,7 +628,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 		return pool
 	}
 	pool := newPool()
-	_, got = landHome(t, pool, wire.RunStringsLCP, true, home, own, buckets...)
+	got = landHome(t, pool, wire.RunStringsLCP, true, home, own, buckets...)
 	check("budget", got)
 	if pool.BytesWritten() != 0 || pool.Peak() != int64(remoteBytes) || pool.Room() != budget {
 		t.Fatalf("budget: %d bytes spilled, peak %d, %d live; want 0, the %d received bytes, 0",
@@ -722,7 +734,8 @@ func BenchmarkLanding(b *testing.B) {
 						if home != nil {
 							runs[0] = encodedRun{home: home, n: home.Len()}
 						}
-						out, _ := arenaMerge(c, runs, wire.RunStringsLCP, false, true)
+						var out fragment
+						sinkMerge(c, nil, runs, wire.RunStringsLCP, false, true, out.output(true, false))
 						sink += int64(len(out.Strings))
 					}
 					return nil

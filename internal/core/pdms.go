@@ -48,12 +48,13 @@ type PDMSOptions struct {
 // volume drops to (1+ε)·D̂·log σ + O(n̂ log p + p·d̂·log σ·log p) bits
 // (Theorem 5) instead of Θ(N̂) — the decisive saving when D ≪ N.
 //
-// PDMS does not materialize the sorted full strings: the result holds the
-// sorted distinguishing prefixes plus the origin (PE, index) of each, which
-// is sufficient for search trees, pattern lookups and suffix sorting. An
-// origin indexes the input fragments; Reconstruct fetches the full strings
-// when the fragments live in other processes.
-func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
+// PDMS does not materialize the sorted full strings: its Output receives
+// the sorted distinguishing prefixes plus the origin (PE, index) of each as
+// its satellite word, which is sufficient for search trees, pattern
+// lookups and suffix sorting. An origin indexes the input fragments;
+// Reconstruct fetches the full strings when the fragments live in other
+// processes.
+func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) {
 	p := c.P()
 	// Step 1: local sort with LCP array, spread over the PE's work pool.
 	// Duplicate detection takes the sorted strings as one array, so PDMS
@@ -106,10 +107,8 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 
 	if p == 1 {
 		c.SetPhase(stats.PhaseOther)
-		if opt.Out != nil {
-			return Result{Drained: drain(opt.Out, merge.Sequence{Strings: prefixes, LCPs: plcp, Sats: sats}), PrefixOnly: true}
-		}
-		return Result{Strings: prefixes, LCPs: plcp, Sats: sats, PrefixOnly: true}
+		drain(opt.Out, merge.Sequence{Strings: prefixes, LCPs: plcp, Sats: sats})
+		return
 	}
 
 	// Step 2: splitters over the distinguishing prefixes — samples and
@@ -162,39 +161,37 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		return buf
 	}
 	// Step 4: LCP-aware multiway merge of the prefix runs (the own one is
-	// the prefix view); origins ride in the satellite column, which is the
-	// result's Sats (or the satellite words Out's sink receives).
+	// the prefix view); origins ride in the satellite column, the satellite
+	// words Out's sink receives.
 	lo, hi := off[me], off[me+1]
-	out, drained := exchangeMerge(c, g, bucketCodec{
+	exchangeMerge(c, g, bucketCodec{
 		sizes: sizes, enc: enc, format: wire.RunStringsLCP, origins: true,
 		own: &merge.Sequence{Strings: prefixes[lo:hi], LCPs: lcpSub(plcp, lo, hi), Sats: sats[lo:hi]},
 	}, true, opt.SeamOptions)
-	if opt.Out != nil {
-		return Result{Drained: drained, PrefixOnly: true}
-	}
-	return Result{Strings: out.Strings, LCPs: out.LCPs, Sats: out.Sats, PrefixOnly: true}
 }
 
-// Reconstruct materializes the full strings behind a PDMS result: every PE
-// queries the origin PEs of its output prefixes and receives the original
-// strings (one extra all-to-all in each direction). input must be the same
-// array the PE passed to PDMS. The returned array is aligned with
-// res.Strings. This models the paper's observation that a PE "can be
-// queried for the suffix and associated information" of an output string;
-// the query cost is excluded from the sorting volume only if the caller
-// resets statistics, which the benchmarks do.
+// Reconstruct materializes the full strings behind a PDMS fragment: every
+// PE queries the origin PEs of its output prefixes — sats is the fragment's
+// satellite column, one origin word per prefix (PE in the high 32 bits) —
+// and receives the original strings (one extra all-to-all in each
+// direction). input must be the same array the PE passed to PDMS. The
+// returned array is aligned with sats. This models the paper's
+// observation that a PE "can be queried for the suffix and associated
+// information" of an output string; the query cost is excluded from the
+// sorting volume only if the caller resets statistics, which the
+// benchmarks do.
 //
 // It is for PEs in separate address spaces (stringsort.RunPE), where each
 // holds only its own input fragment. A caller that holds every fragment
 // resolves an origin by lookup, inputs[sat>>32][uint32(sat)], with no
 // communication.
-func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
+func Reconstruct(c *comm.Comm, sats []uint64, input [][]byte, gid int) [][]byte {
 	p := c.P()
 	g := comm.NewGroup(c, comm.WorldRanks(p), gid)
 	// Queries: per origin PE, the list of (my position, origin index).
 	type q struct{ pos, idx int }
 	perPE := make([][]q, p)
-	for pos, u := range res.Sats {
+	for pos, u := range sats {
 		perPE[u>>32] = append(perPE[u>>32], q{pos: pos, idx: int(uint32(u))})
 	}
 	parts := make([][]byte, p)
@@ -236,7 +233,7 @@ func Reconstruct(c *comm.Comm, res Result, input [][]byte, gid int) [][]byte {
 		c.Release(queries[src])
 	}
 	got := g.Alltoallv(answers)
-	out := make([][]byte, len(res.Sats))
+	out := make([][]byte, len(sats))
 	for pe := 0; pe < p; pe++ {
 		r := wire.NewReader(got[pe])
 		cnt, err := r.Uvarint()

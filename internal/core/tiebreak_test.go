@@ -23,11 +23,11 @@ func TestMergeSortTieBreakCorrectOnDuplicates(t *testing.T) {
 	})
 	for _, p := range []int{2, 4, 8} {
 		locals := scatter(global, p)
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.TieBreak = true
-			return MergeSort(c, ss, o)
+			return mergeSort(c, ss, o)
 		})
 		checkGlobalOrder(t, global, results, true)
 	}
@@ -47,11 +47,11 @@ func TestMergeSortTieBreakBalancesAllEqualInput(t *testing.T) {
 		}
 	}
 	maxFrag := func(tie bool) int {
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.TieBreak = tie
-			return MergeSort(c, ss, o)
+			return mergeSort(c, ss, o)
 		})
 		checkGlobalOrder(t, global, results, true)
 		m := 0
@@ -77,12 +77,12 @@ func TestMergeSortRandomSampling(t *testing.T) {
 	global := genRandom(rng, 1500, 12, 3)
 	for _, p := range []int{2, 4, 8} {
 		locals := scatter(global, p)
-		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+		results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 			o := MSOptions{LCP: true}
 			o.GroupID = 1
 			o.RandomSampling = true
 			o.Seed = 77
-			return MergeSort(c, ss, o)
+			return mergeSort(c, ss, o)
 		})
 		checkGlobalOrder(t, global, results, true)
 	}
@@ -95,11 +95,11 @@ func TestTieBreakWithMSSimple(t *testing.T) {
 		global = append(global, []byte("xx"))
 	}
 	locals := scatter(global, 4)
-	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) Result {
+	results, _ := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
 		o := MSOptions{}
 		o.GroupID = 1
 		o.TieBreak = true
-		return MergeSort(c, ss, o)
+		return mergeSort(c, ss, o)
 	})
 	checkGlobalOrder(t, global, results, true)
 	for pe, res := range results {

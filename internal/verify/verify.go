@@ -162,18 +162,11 @@ func matchLen(a, b []byte) int {
 	return i
 }
 
-// Multiset checks that the global output multiset equals the global input
-// multiset: every PE contributes (hash, count) of its local input and its
-// local output; the sums must agree. Collective call.
-func Multiset(c *comm.Comm, input, output [][]byte, gid int) error {
-	return MultisetStream(c, input, strutil.MultisetHash(output), int64(len(output)), gid)
-}
-
-// MultisetStream is Multiset with a pre-accumulated output side: callers
-// that stream their output (the out-of-core pipeline's run files) fold
-// each string through strutil.MultisetAdd and pass the accumulator here.
-// Collective call with the same message schedule as Multiset, so budgeted
-// and in-RAM PEs may mix.
+// MultisetStream checks that the global output multiset equals the global
+// input multiset: every PE contributes (hash, count) of its local input and
+// of its local output, whose strings the caller folded through
+// strutil.MultisetAdd as it produced them; the sums must agree. Collective
+// call.
 func MultisetStream(c *comm.Comm, input [][]byte, outHash uint64, outCount int64, gid int) error {
 	g := comm.NewGroup(c, comm.WorldRanks(c.P()), gid)
 	sums := g.AllreduceUint64([]uint64{

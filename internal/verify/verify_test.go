@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/strutil"
 )
 
 // run executes f on a p-PE machine and returns the first error.
@@ -82,6 +83,16 @@ func TestLCPsValidation(t *testing.T) {
 	}
 }
 
+// multiset folds a materialized output the way a streaming writer does and
+// checks it with MultisetStream.
+func multiset(c *comm.Comm, input, output [][]byte, gid int) error {
+	var h uint64
+	for _, s := range output {
+		h = strutil.MultisetAdd(h, s)
+	}
+	return MultisetStream(c, input, h, int64(len(output)), gid)
+}
+
 func TestMultisetAcceptsPermutation(t *testing.T) {
 	in := [][][]byte{
 		{[]byte("x"), []byte("y")},
@@ -92,7 +103,7 @@ func TestMultisetAcceptsPermutation(t *testing.T) {
 		{[]byte("x")},
 	}
 	err := run(2, func(c *comm.Comm) error {
-		return Multiset(c, in[c.Rank()], out[c.Rank()], 1)
+		return multiset(c, in[c.Rank()], out[c.Rank()], 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +114,14 @@ func TestMultisetRejectsLossAndDuplication(t *testing.T) {
 	in := [][][]byte{{[]byte("x"), []byte("y")}, {[]byte("z")}}
 	lost := [][][]byte{{[]byte("x")}, {[]byte("z")}}
 	err := run(2, func(c *comm.Comm) error {
-		return Multiset(c, in[c.Rank()], lost[c.Rank()], 1)
+		return multiset(c, in[c.Rank()], lost[c.Rank()], 1)
 	})
 	if !errors.Is(err, ErrMultiset) {
 		t.Fatalf("lost string: err = %v", err)
 	}
 	swapped := [][][]byte{{[]byte("x"), []byte("x")}, {[]byte("z")}}
 	err = run(2, func(c *comm.Comm) error {
-		return Multiset(c, in[c.Rank()], swapped[c.Rank()], 1)
+		return multiset(c, in[c.Rank()], swapped[c.Rank()], 1)
 	})
 	if !errors.Is(err, ErrMultiset) {
 		t.Fatalf("duplicated string: err = %v", err)
@@ -122,7 +133,7 @@ func TestSingplePEVerify(t *testing.T) {
 		if err := SortednessLCP(c, [][]byte{[]byte("a"), []byte("b")}, nil, 1); err != nil {
 			return err
 		}
-		return Multiset(c, [][]byte{[]byte("a")}, [][]byte{[]byte("a")}, 2)
+		return multiset(c, [][]byte{[]byte("a")}, [][]byte{[]byte("a")}, 2)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@
 #    concatenated in rank order, must equal LC_ALL=C sort of the input.
 # 2. The same job again with -net-timeout 30s, and rank 1 is killed with
 #    SIGKILL once it has joined the mesh and started sorting. The TCP
-#    transport is fail-stop, so the three survivors must all exit non-zero
-#    within 5 s of the kill, far inside the 30 s shutdown bound, each with
-#    an error naming the lost connection. A survivor that exits 0 means the
-#    kill came after the job was done: the check is inconclusive and fails.
+#    transport is fail-stop, so the three survivors must all exit with
+#    status 1 within 5 s of the kill, far inside the 30 s shutdown bound,
+#    each with an error naming the lost connection and no goroutine dump (a
+#    crash exits 2 and prints one). A survivor that exits 0 means the kill
+#    came after the job was done: the check is inconclusive and fails.
 #
 # Rank 1 is seen to be sorting through its -debug-addr endpoint (its phase
 # gauge is set once the rendezvous is over); it is stopped with SIGSTOP at
@@ -77,8 +78,16 @@ for r in 0 2 3; do
 	if wait "${pids[$r]}"; then
 		echo "inconclusive: rank $r exited 0 although rank 1 was killed"
 		exit 1
+	else
+		status=$?
 	fi
 	took=$(awk -v a="$killed" -v b="$(date +%s.%N)" 'BEGIN { printf "%.3f", b - a }')
+	# An error return exits 1; a panic that escaped the worker exits 2.
+	if [ "$status" != 1 ] || grep -q 'goroutine ' "$dir/kerr.$r"; then
+		echo "rank $r exited with status $status, want 1 and no goroutine dump:"
+		cat "$dir/kerr.$r"
+		exit 1
+	fi
 	# The failure must be the lost connection, not a crash of its own.
 	lost=$(grep -o -m 1 'connection to rank [0-9]*: .*' "$dir/kerr.$r") || {
 		echo "rank $r exited non-zero without naming a lost connection:"

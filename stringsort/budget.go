@@ -1,8 +1,9 @@
-// Streamed-fragment plumbing: the per-PE glue between the public entry
-// points and a core.Output sink. With Config.MemBudget set, each PE gets its
-// own spill pool (page files under a private temp dir, removed on success,
-// error and panic paths alike). Sort and RunPE under a budget stream each
-// merged fragment into a sorted-run file instead of materializing it — the
+// Output plumbing: the per-PE glue between the public entry points and the
+// core.Output every sorter's fragment leaves through. With Config.MemBudget
+// set, each PE gets its own spill pool (page files under a private temp
+// dir, removed on success, error and panic paths alike). In RAM, Sort and
+// RunPE build the fragment's arrays (the arena, runpe.go); under a budget
+// they stream it into a sorted-run file instead of materializing it — the
 // public result carries the file path and the readers below — and
 // SortToFile streams it, in RAM and under a budget, into the PE's region of
 // one output file (tofile.go).
@@ -48,15 +49,17 @@ func runPath(dir string, rank int) string {
 // runDirOf recovers the run directory from a PEOutput.RunFile path.
 func runDirOf(runFile string) string { return filepath.Dir(runFile) }
 
-// runStreamed executes one PE's sort into a sink: the sorted-run file at
-// path (Sort and RunPE under a budget) or the PE's region of lines
-// (SortToFile). Under a budget it creates the PE's spill pool — its Close is
-// deferred, so the page files are removed even when the sort panics — and
-// stamps the spill gauges into the PE's stats record (measured channel: the
-// values vary run to run and must be stamped before the report is
-// gathered). With cfg.Validate the returned check has seen every item
-// exactly as the sink wrote it; it is nil otherwise.
-func runStreamed(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile) (core.Result, *streamCheck, error) {
+// sortPE runs one PE's sort into the Output of its run: the arrays of
+// run.Output in RAM (arena, with an LCP column if hasLCP, resolving each
+// origin in lookup if it is non-nil), the sorted-run file at path (Sort
+// and RunPE under a budget) or the PE's region of lines (SortToFile).
+// Under a budget it creates the PE's spill pool — its Close is deferred,
+// so the page files are removed even when the sort panics — and stamps the
+// spill gauges into the PE's stats record (measured channel: the values
+// vary run to run and must be stamped before the report is gathered). A
+// streaming Output feeds chk every item exactly as it writes it; a nil chk
+// ignores them.
+func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, run *PERun, hasLCP bool, lookup [][][]byte, chk *streamCheck) error {
 	var sp *spill.Pool
 	if cfg.MemBudget > 0 {
 		var err error
@@ -65,45 +68,45 @@ func runStreamed(c *comm.Comm, local [][]byte, cfg Config, path string, lines *l
 			Dir:      cfg.SpillDir,
 			PageSize: cfg.spillPageSize,
 		}, c.Pool()); err != nil {
-			return core.Result{}, nil, err
+			return err
 		}
 		defer sp.Close()
 		sp.SetTrace(c.Trace())
 	}
 	opts := runOpts(cfg.Algorithm)
-	// PDMS's items are prefixes: a run file keeps them, with their origins;
-	// a line sink writes the input line each origin names instead, whose
-	// LCPs the merge does not know.
 	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
-	var chk *streamCheck
-	if cfg.Validate {
-		chk = &streamCheck{hasLCP: opts.LCP && !(prefixes && lines != nil), multiset: !prefixes || lines != nil}
-	}
 	var out *core.Output
-	var finish func() error
-	if lines != nil {
+	finish := func() error { return nil }
+	switch {
+	case lines != nil:
 		out, finish = lines.output(c, sp, prefixes, chk)
-	} else {
+	case path != "":
 		f, err := os.Create(path)
 		if err != nil {
-			return core.Result{}, nil, fmt.Errorf("stringsort: run file: %w", err)
+			return fmt.Errorf("stringsort: run file: %w", err)
 		}
 		defer f.Close()
 		rw, err := spill.NewRunWriter(f, opts, sp, cfg.spillPageSize)
 		if err != nil {
-			return core.Result{}, nil, err
+			return err
 		}
-		out = &core.Output{Open: func(int64, int64) (merge.Sink, error) {
+		run.Output.RunFile = path
+		out = &core.Output{Open: func(runs []core.Extent) (merge.Sink, error) {
+			for _, r := range runs {
+				run.Output.RunCount += r.N
+			}
 			return func(_ int, s []byte, lcp int32, sat uint64) error {
 				chk.add(s, lcp)
 				return rw.Add(s, lcp, sat)
 			}, nil
 		}}
 		finish = rw.Close
+	default:
+		out = arena(&run.Output, hasLCP, opts.Sats, lookup)
 	}
-	res := dispatch(c, local, cfg, sp, out)
+	dispatch(c, local, cfg, sp, out)
 	if err := finish(); err != nil {
-		return core.Result{}, nil, fmt.Errorf("stringsort: output: %w", err)
+		return fmt.Errorf("stringsort: output: %w", err)
 	}
 	if sp != nil {
 		pe := c.StatsPE()
@@ -111,15 +114,15 @@ func runStreamed(c *comm.Comm, local [][]byte, cfg Config, path string, lines *l
 		pe.SpillBytesRead = sp.BytesRead()
 		pe.PeakLiveBytes = sp.Peak()
 	}
-	return res, chk, nil
+	return nil
 }
 
 // streamCheck is the distributed verifier's view of a streamed fragment:
-// the sink feeds it every item as it writes it — local order, stored-LCP
-// correctness and the cross-PE boundaries in one pass, plus the multiset
-// hash of full-string outputs — and finish runs the collective checks with
-// the message schedule of the in-RAM validation. A nil check ignores what
-// it is fed.
+// the sink feeds it every item as it writes it (in RAM, runRank feeds it
+// the finished arrays) — local order, stored-LCP correctness and the
+// cross-PE boundaries in one pass, plus the multiset hash of full-string
+// outputs — and finish runs the collective checks. It is the one validator
+// of every Output. A nil check ignores what it is fed.
 type streamCheck struct {
 	chk      verify.StreamChecker
 	hasLCP   bool // the items carry their LCP with the previous item

@@ -6,13 +6,13 @@ import (
 
 	"dss/internal/comm"
 	"dss/internal/core"
+	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/stats"
 	"dss/internal/trace"
 	"dss/internal/transport"
 	"dss/internal/transport/chaos"
 	"dss/internal/transport/codec"
-	"dss/internal/verify"
 )
 
 // Reserved tag namespaces of the run's coordination collectives. The
@@ -58,7 +58,10 @@ type PERun struct {
 // codec (the frames are self-describing, but mixed configs would compress
 // only part of the traffic). Under a memory budget each rank makes its own
 // run directory under Config.SpillDir; it is removed on every error path.
-func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
+// A failure that panics inside the sort — a lost connection, a peer that
+// closed its endpoint, a corrupt bucket — comes back as the error, naming
+// this rank and the transport's cause.
+func RunPE(t transport.Transport, local [][]byte, cfg Config) (run *PERun, err error) {
 	if cfg.P != 0 && cfg.P != t.P() {
 		return nil, fmt.Errorf("stringsort: Config.P=%d but fabric has %d PEs", cfg.P, t.P())
 	}
@@ -97,36 +100,51 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (*PERun, error) {
 		}
 		path = runPath(runDir, c.Rank())
 	}
-	run, err := runRank(c, local, cfg, path, nil, nil)
-	if err != nil && path != "" {
-		os.RemoveAll(runDirOf(path))
-	}
-	return run, err
+	// Recovered the way Machine.Run recovers a rank, without the stack: the
+	// cause names what failed.
+	defer func() {
+		if r := recover(); r != nil {
+			run, err = nil, fmt.Errorf("stringsort: PE %d failed: %v", c.Rank(), r)
+		}
+		if err != nil && path != "" {
+			os.RemoveAll(runDirOf(path))
+		}
+	}()
+	return runRank(c, local, cfg, path, nil, nil)
 }
 
 // runRank is the per-rank routine of Sort, RunPE and SortToFile. Every rank
-// runs it collectively with its local input: sort — streaming the fragment
-// to the run file at path (Sort and RunPE under a budget) or into the
-// rank's region of lines (SortToFile), building the Result's arrays when
-// both are empty —, snapshot and exchange the statistics, resolve PDMS
-// origins when cfg.Reconstruct asks for it, validate, and gather the trace,
-// which rank 0 writes. inputs is every PE's input when all of them live in
-// this address space — origins then resolve by lookup — and nil when this
-// rank holds only its own.
+// runs it collectively with its local input: choose the Output — the
+// PEOutput arrays in RAM (arena), the sorted-run file at path (Sort and
+// RunPE under a budget) or the rank's region of lines (SortToFile) — sort
+// into it, snapshot and exchange the statistics, reconstruct RunPE's PDMS
+// strings when cfg.Reconstruct asks for it, validate, and gather the
+// trace, which rank 0 writes. inputs is every PE's input when all of them
+// live in this address space — PDMS origins then resolve by lookup, in the
+// arena — and nil when this rank holds only its own.
 func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, inputs [][][]byte) (*PERun, error) {
 	if cfg.Trace != "" || trace.LiveOn() {
 		c.SetTrace(trace.New(c.Rank(), 0))
 	}
-	var res core.Result
+	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
+	inRAM := path == "" && lines == nil
+	// A line sink writes the input line behind each PDMS prefix, and in RAM
+	// Reconstruct replaces the prefixes by their strings; a run file keeps
+	// the prefixes with their origins for the caller to resolve.
+	run := &PERun{PrefixOnly: prefixes && lines == nil && !(inRAM && cfg.Reconstruct)}
+	// Full strings replacing prefixes have no LCPs the merge knows.
+	hasLCP := runOpts(cfg.Algorithm).LCP && (!prefixes || run.PrefixOnly)
 	var chk *streamCheck
-	streamed := path != "" || lines != nil
-	if streamed {
-		var err error
-		if res, chk, err = runStreamed(c, local, cfg, path, lines); err != nil {
-			return nil, err
-		}
-	} else {
-		res = dispatch(c, local, cfg, nil, nil)
+	if cfg.Validate {
+		chk = &streamCheck{hasLCP: hasLCP, multiset: !run.PrefixOnly}
+	}
+	// Sort's PDMS with Reconstruct resolves the origins in the arena.
+	var lookup [][][]byte
+	if inRAM && prefixes && cfg.Reconstruct {
+		lookup = inputs
+	}
+	if err := sortPE(c, local, cfg, path, lines, run, hasLCP, lookup, chk); err != nil {
+		return nil, err
 	}
 
 	// Snapshot and exchange the sorting statistics before any
@@ -134,49 +152,34 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	// AllgatherReport snapshots each PE's counters on entry, so its own
 	// traffic is excluded.
 	rep, n := comm.AllgatherReport(c, stats.DefaultModel(), statsGID, int64(len(local)))
-	// A line sink wrote the input line behind each PDMS prefix.
-	run := &PERun{PrefixOnly: res.PrefixOnly && lines == nil}
 	// Every rank holds the same report. In one address space (Sort, inputs
 	// non-nil) rank 0's flattened copy serves them all.
 	if inputs == nil || c.Rank() == 0 {
 		run.Stats = statsFromReport(rep, n)
 	}
 
-	var origins []Origin
-	if res.Sats != nil {
-		origins = make([]Origin, len(res.Sats))
-		for i, sat := range res.Sats {
-			origins[i] = satOrigin(sat)
+	out := &run.Output
+	if inRAM && prefixes && cfg.Reconstruct && inputs == nil {
+		sats := make([]uint64, len(out.Origins))
+		for i, o := range out.Origins {
+			sats[i] = uint64(o.PE)<<32 | uint64(o.Index)
 		}
-	}
-	// A run file's items carry each prefix's origin for the caller to
-	// resolve.
-	if res.PrefixOnly && cfg.Reconstruct && !streamed {
-		if inputs == nil {
-			res.Strings = core.Reconstruct(c, res, local, 900)
-		} else {
-			full := make([][]byte, len(origins))
-			for i, o := range origins {
-				s, err := lookupOrigin(inputs, o.PE, o.Index)
-				if err != nil {
-					return nil, err
-				}
-				full[i] = s
-			}
-			res.Strings = full
-		}
-		res.LCPs = nil // prefix LCPs do not apply to full strings
-		run.PrefixOnly = false
+		out.Strings = core.Reconstruct(c, sats, local, 900)
 	}
 
-	if cfg.Validate {
-		var err error
-		if streamed {
-			err = chk.finish(c, local)
-		} else {
-			err = validate(c, res, local, run.PrefixOnly)
+	// In RAM the check reads the finished arrays, exactly what the caller
+	// receives; a streaming Output has fed it every item it wrote.
+	if chk != nil {
+		if inRAM {
+			for i, s := range out.Strings {
+				var h int32
+				if hasLCP {
+					h = out.LCPs[i]
+				}
+				chk.add(s, h)
+			}
 		}
-		if err != nil {
+		if err := chk.finish(c, local); err != nil {
 			return nil, err
 		}
 	}
@@ -194,24 +197,59 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 			}
 		}
 	}
-
-	run.Output = PEOutput{Strings: res.Strings, LCPs: res.LCPs, Origins: origins, RunFile: path, RunCount: res.Drained}
 	return run, nil
 }
 
-// validate runs the distributed verifier over the rank's fragment: local
-// order and the LCP array in one fused pass (algorithms without LCP output
-// get the plain order check), then multiset preservation unless the
-// fragment holds prefixes. A streamed fragment is checked by its
-// streamCheck with the same collective schedule.
-func validate(c *comm.Comm, res core.Result, local [][]byte, prefixOnly bool) error {
-	if err := verify.SortednessLCP(c, res.Strings, res.LCPs, 901); err != nil {
-		return err
-	}
-	if prefixOnly {
-		return nil
-	}
-	return verify.Multiset(c, local, res.Strings, 902)
+// arena is the in-RAM Output of Sort and RunPE: it builds dst's Strings,
+// LCPs (if lcp) and Origins (if origins), each sized exactly when the
+// merge opens it. A stable run's strings are kept as they are — the PE's
+// own ones alias the caller's input — and the received ones are copied
+// back to back into one byte array exactly as long as their characters.
+// With lookup set (Sort's PDMS with Reconstruct) an item is instead the
+// input string its origin names, looked up as it arrives.
+func arena(dst *PEOutput, lcp, origins bool, lookup [][][]byte) *core.Output {
+	return &core.Output{Open: func(runs []core.Extent) (merge.Sink, error) {
+		var n, chars int64
+		for _, r := range runs {
+			n += r.N
+			if !r.Stable && lookup == nil {
+				chars += r.Chars
+			}
+		}
+		if n > 0 {
+			dst.Strings = make([][]byte, n)
+			if lcp {
+				dst.LCPs = make([]int32, n)
+			}
+			if origins {
+				dst.Origins = make([]Origin, n)
+			}
+		}
+		strs, lcps, origs := dst.Strings, dst.LCPs, dst.Origins
+		buf := make([]byte, 0, chars)
+		i := 0
+		return func(run int, s []byte, h int32, sat uint64) error {
+			if lookup != nil {
+				var err error
+				if s, err = lookupOrigin(lookup, int(sat>>32), int(uint32(sat))); err != nil {
+					return err
+				}
+			} else if !runs[run].Stable {
+				off := len(buf)
+				buf = append(buf, s...)
+				s = buf[off:len(buf):len(buf)]
+			}
+			strs[i] = s
+			if lcps != nil {
+				lcps[i] = h
+			}
+			if origs != nil {
+				origs[i] = satOrigin(sat)
+			}
+			i++
+			return nil
+		}, nil
+	}}
 }
 
 // satOrigin unpacks a merge satellite word, PE in its high 32 bits.

@@ -625,11 +625,9 @@ func decorate(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	return codec.WrapFabric(f, codec.Config{Name: name})
 }
 
-// dispatch runs the configured algorithm on one PE. sp and out are nil when
-// the Result's arrays are built; runStreamed passes the PE's spill pool
-// (under a budget) and its output sink through to the algorithm's seam
-// options.
-func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *core.Output) core.Result {
+// dispatch runs the configured algorithm on one PE, its fragment going
+// into out, with the PE's spill pool sp under a budget (nil otherwise).
+func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *core.Output) {
 	sampling := partition.StringSampling
 	if cfg.CharSampling {
 		sampling = partition.CharSampling
@@ -639,17 +637,17 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *core.O
 	}
 	switch cfg.Algorithm {
 	case HQuick:
-		return core.HQuick(c, ss, core.HQOptions{GroupID: 1, Seed: cfg.Seed, TrackPhases: true, SeamOptions: seam})
+		core.HQuick(c, ss, core.HQOptions{GroupID: 1, Seed: cfg.Seed, TrackPhases: true, SeamOptions: seam})
 	case FKMerge:
-		return core.FKMerge(c, ss, core.FKOptions{GroupID: 1, SeamOptions: seam})
+		core.FKMerge(c, ss, core.FKOptions{GroupID: 1, SeamOptions: seam})
 	case MSSimple, MS:
-		return core.MergeSort(c, ss, core.MSOptions{
+		core.MergeSort(c, ss, core.MSOptions{
 			LCP: cfg.Algorithm == MS, V: cfg.Oversampling, Sampling: sampling,
 			TieBreak: cfg.TieBreak, RandomSampling: cfg.RandomSampling,
 			GroupID: 1, Seed: cfg.Seed, SeamOptions: seam,
 		})
 	case PDMS, PDMSGolomb:
-		return core.PDMS(c, ss, core.PDMSOptions{
+		core.PDMS(c, ss, core.PDMSOptions{
 			Eps: cfg.Eps, Golomb: cfg.Algorithm == PDMSGolomb, V: cfg.Oversampling, Sampling: sampling,
 			GroupID: 1, Seed: cfg.Seed, SeamOptions: seam,
 		})

@@ -1,9 +1,11 @@
 package stringsort
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"dss/internal/input"
 	"dss/internal/strutil"
@@ -100,6 +102,87 @@ func TestLookupOriginOutOfRange(t *testing.T) {
 		if _, err := lookupOrigin(inputs, o.PE, o.Index); err == nil {
 			t.Fatalf("origin %+v accepted", o)
 		}
+	}
+}
+
+// TestArenaAliasesOrCopiesOnce pins where the in-RAM Result's arrays live,
+// the invariant that keeps Sort's allocation flat: for MS and PDMS (with
+// and without Reconstruct) on 4 PEs, every output string either aliases an
+// input string (in RAM a PE keeps its own strings, PDMS prefixes of them;
+// Reconstruct looks every origin up) or lies in one per-PE byte array,
+// the received strings back to back in output order and exactly as many
+// characters as the PE received from the others; and the LCP and origin
+// columns are exactly n long.
+func TestArenaAliasesOrCopiesOnce(t *testing.T) {
+	const p = 4
+	rng := rand.New(rand.NewSource(109))
+	inputs := make([][][]byte, p)
+	source := map[string]int{} // every string is unique: content names its PE
+	for pe := range inputs {
+		for i := 0; i < 300; i++ {
+			s := []byte(fmt.Sprintf("%s%d/%d", string(rune('a'+rng.Intn(3)))+string(rune('a'+rng.Intn(3))), i, pe))
+			inputs[pe] = append(inputs[pe], s)
+			source[string(s)] = pe
+		}
+	}
+	alias := map[*byte]int{} // an input string's first byte → its PE
+	for pe, in := range inputs {
+		for _, s := range in {
+			alias[unsafe.SliceData(s)] = pe
+		}
+	}
+	for _, c := range []struct {
+		algo        Algorithm
+		reconstruct bool
+	}{{MS, false}, {PDMS, false}, {PDMS, true}} {
+		t.Run(fmt.Sprintf("%v/reconstruct=%v", c.algo, c.reconstruct), func(t *testing.T) {
+			res, err := Sort(inputs, Config{Algorithm: c.algo, Seed: 4, Reconstruct: c.reconstruct})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe, out := range res.PEs {
+				n := len(out.Strings)
+				if n == 0 {
+					t.Fatalf("PE %d holds no strings: nothing to check", pe)
+				}
+				if lcp := c.algo == MS || !c.reconstruct; lcp != (out.LCPs != nil) || (lcp && (len(out.LCPs) != n || cap(out.LCPs) != n)) {
+					t.Fatalf("PE %d: LCP column len %d cap %d for %d strings", pe, len(out.LCPs), cap(out.LCPs), n)
+				}
+				if orig := c.algo == PDMS; orig != (out.Origins != nil) || (orig && (len(out.Origins) != n || cap(out.Origins) != n)) {
+					t.Fatalf("PE %d: origin column len %d cap %d for %d strings", pe, len(out.Origins), cap(out.Origins), n)
+				}
+				var base *byte
+				copied, received := 0, 0
+				for k, s := range out.Strings {
+					from := source[string(s)]
+					if c.algo == PDMS {
+						from = out.Origins[k].PE
+					}
+					if from != pe {
+						received += len(s)
+					}
+					if owner, ok := alias[unsafe.SliceData(s)]; ok {
+						if owner != from || (owner != pe && !c.reconstruct) {
+							t.Fatalf("PE %d: string %d from PE %d aliases PE %d's input", pe, k, from, owner)
+						}
+						continue
+					}
+					if base == nil {
+						base = unsafe.SliceData(s)
+					}
+					if unsafe.SliceData(s) != (*byte)(unsafe.Add(unsafe.Pointer(base), copied)) {
+						t.Fatalf("PE %d: copied string %d is not next in the arena", pe, k)
+					}
+					copied += len(s)
+				}
+				if c.reconstruct {
+					received = 0 // every string is looked up, none copied
+				}
+				if copied != received || received == 0 && !c.reconstruct {
+					t.Fatalf("PE %d: %d characters copied, %d received", pe, copied, received)
+				}
+			}
+		})
 	}
 }
 

@@ -133,17 +133,21 @@ func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *str
 		out.Line = func(sat uint64) int { return len(lf.line(sat)) }
 		sats = make([]uint64, 0, resolveBatch)
 	}
-	out.Open = func(n, chars int64) (merge.Sink, error) {
-		off, err := lf.region(c, n+chars)
+	out.Open = func(runs []core.Extent) (merge.Sink, error) {
+		var total int64 // every item's line and its '\n'
+		for _, r := range runs {
+			total += r.N + r.Chars
+		}
+		off, err := lf.region(c, total)
 		if err != nil {
 			return nil, err
 		}
-		size := int(min(lineBuf, n+chars))
+		size := int(min(lineBuf, total))
 		if sp != nil {
 			size = sp.PageSize()
 			sp.Reserve(int64(size))
 		}
-		w.off, w.end, w.buf = off, off+n+chars, make([]byte, 0, size)
+		w.off, w.end, w.buf = off, off+total, make([]byte, 0, size)
 		return func(_ int, s []byte, lcp int32, sat uint64) error {
 			if out.Line == nil {
 				chk.add(s, lcp)

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dss/internal/transport/tcp"
 )
@@ -147,6 +149,39 @@ func sameFile(t *testing.T, a, b string) bool {
 		t.Fatal(err)
 	}
 	return bytes.Equal(ab, bb)
+}
+
+// TestRunPEReturnsPeerLossAsError closes rank 1's endpoint of a 2-rank
+// loopback TCP fabric while rank 0's RunPE runs without it, under a
+// budget: the failure panics inside the sort, and RunPE must return it as
+// an error naming rank 1 — and remove the run directory — instead of
+// letting the panic kill the process.
+func TestRunPEReturnsPeerLossAsError(t *testing.T) {
+	f, err := tcp.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	inputs := genInputs(rand.New(rand.NewSource(406)), 2, 200)
+	dir := t.TempDir()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunPE(f.Endpoint(0), inputs[0], budgetConfig(Config{Algorithm: MS, Seed: 3}, dir))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // most likely rank 0 waits first; either order must pass
+	f.Endpoint(1).Close()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunPE did not return after its peer closed")
+	}
+	if err == nil || !strings.Contains(err.Error(), "PE 0") || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("RunPE returned %v, want an error naming PE 0 and rank 1", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "dss-runs-*")); len(left) > 0 {
+		t.Fatalf("run directories left behind: %v", left)
+	}
 }
 
 // TestRunPERejectsMismatchedP pins the Config.P validation.
