@@ -40,7 +40,7 @@ func main() {
 	n := flag.Int("n", 10000, "total number of strings (text length for suffix)")
 	length := flag.Int("len", 100, "string length (dn/skew)")
 	ratio := flag.Float64("ratio", 0.5, "D/N ratio (dn/skew)")
-	seed := flag.Int64("seed", 1, "random seed")
+	seed := flag.Int64("seed", 1, "random seed (dn and skew are deterministic: their output does not depend on it)")
 	outPath := flag.String("out", "", "output file (default stdout)")
 	stats := flag.Bool("stats", false, "print instance statistics to stderr")
 	chunk := flag.Int("chunk", 0, "streaming mode: generate and write in batches of at most this many strings (0 = materialize everything; bounds peak memory to one batch)")

@@ -8,19 +8,22 @@
 //	dss-sort -algo MS -p 16 -in big.txt -out sorted.txt
 //	dss-sort -algo PDMS -p 4 -transport tcp < input.txt > sorted.txt
 //
-// The input is read in 1 MiB chunks that are split into lines in place,
-// and the lines are dealt round-robin (line i to PE i mod p) into per-PE
-// arrays of exactly their size; the sort works on the lines where they
-// lie. The output is written by the sort itself (stringsort.SortToFile):
-// each PE's Step-4 merge writes its lines straight into its own region of
-// the output file with positioned writes, all PEs at once, so no sorted
-// copy of the data is built. PDMS sorts distinguishing prefixes: the merge
+// Each PE reads its own byte range of the input, all PEs at once
+// (input.Range): of the input's S bytes, PE r holds the lines whose first
+// byte lies in [r·S/p, (r+1)·S/p), cut in place in one arena of about S/p
+// bytes, and the sort works on the lines where they lie. An input that
+// takes no positioned reads (a pipe, a terminal) is first copied to an
+// unlinked temporary file under -spill-dir and read the same way. The
+// output is written by the sort itself (stringsort.SortToFile): each PE's
+// Step-4 merge writes its lines straight into its own region of the
+// output file with positioned writes, all PEs at once, so no sorted copy
+// of the data is built. PDMS sorts distinguishing prefixes: the merge
 // writes the full input line each prefix's origin names, found by lookup
 // with no communication, in RAM and under -mem-budget alike. An output that
 // takes no positioned writes (a pipe, a terminal) gets the same bytes
 // through an unlinked temporary file. The stderr summary ends with an
-// "envelope:" line that splits the process's wall time into reading and
-// parsing the input, dealing it, and sorting and writing the output.
+// "envelope:" line that splits the process's wall time into reading the
+// input and sorting and writing the output.
 //
 // With -transport tcp the PEs exchange messages over real loopback TCP
 // sockets instead of in-process mailboxes (output and statistics are
@@ -67,10 +70,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"dss/internal/debugserve"
@@ -106,6 +111,10 @@ func main() {
 		peers = stringsort.ParsePeers(*peersFlag)
 		*p = len(peers)
 	}
+	if *p < 1 {
+		fmt.Fprintln(os.Stderr, "dss-sort: -p must be at least 1")
+		profiling.Exit(2)
+	}
 	if *debugAddr != "" {
 		bound, err := debugserve.Start(*debugAddr)
 		if err != nil {
@@ -120,7 +129,7 @@ func main() {
 	}
 	defer profiling.Stop()
 
-	var in io.Reader = os.Stdin
+	in := os.Stdin
 	if *inPath != "" {
 		f, err := os.Open(*inPath)
 		if err != nil {
@@ -141,39 +150,28 @@ func main() {
 		out = f
 	}
 
-	// Read every chunk first, so the line count is known, then deal the
-	// lines round-robin over the PEs, like the paper's inputs, into arrays
-	// of exactly their size. The lines stay in their chunks' arenas.
-	var chunks [][][]byte
-	lr := input.NewLineReader(in, 0)
-	n := 0
-	for {
-		chunk, err := lr.Next()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
-		if chunk == nil {
-			break
-		}
-		chunks = append(chunks, chunk)
-		n += len(chunk)
+	// Every PE reads its own byte range of the input, all at once.
+	src, size, err := openInput(in, cfg.SpillDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		profiling.Exit(1)
 	}
-
-	read := time.Now()
 	inputs := make([][][]byte, *p)
+	errs := make([]error, *p)
+	var wg sync.WaitGroup
 	for pe := range inputs {
-		inputs[pe] = make([][]byte, 0, (n-pe+*p-1) / *p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inputs[pe], errs[pe] = input.Range(src, size, pe, *p)
+		}()
 	}
-	i := 0
-	for k, chunk := range chunks {
-		for _, line := range chunk {
-			inputs[i%*p] = append(inputs[i%*p], line)
-			i++
-		}
-		chunks[k] = nil
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		fmt.Fprintln(os.Stderr, "dss-sort: input:", err)
+		profiling.Exit(1)
 	}
-	dealt := time.Now()
+	read := time.Now()
 
 	cfg.Transport = tr
 	cfg.TCPPeers = peers
@@ -184,8 +182,30 @@ func main() {
 	}
 	sorted := time.Now()
 
-	st.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p), n)
+	st.WriteSummary(os.Stderr, cfg.Algorithm, fmt.Sprintf("%d PEs", *p))
 	sec := func(from, to time.Time) float64 { return to.Sub(from).Seconds() }
-	fmt.Fprintf(os.Stderr, "envelope:         %.3f s read+parse, %.3f s deal, %.3f s sort+write, %.3f s total (process wall from main)\n",
-		sec(start, read), sec(read, dealt), sec(dealt, sorted), sec(start, time.Now()))
+	fmt.Fprintf(os.Stderr, "envelope:         %.3f s read, %.3f s sort+write, %.3f s total (process wall from main)\n",
+		sec(start, read), sec(read, sorted), sec(start, time.Now()))
+}
+
+// openInput returns f as a ReaderAt of known size: a regular file from its
+// current offset on, and anything else (a pipe, a terminal) after spooling
+// it to an unlinked temporary file under dir, like the output side.
+func openInput(f *os.File, dir string) (io.ReaderAt, int64, error) {
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		if base, err := f.Seek(0, io.SeekCurrent); err == nil {
+			return io.NewSectionReader(f, base, fi.Size()-base), fi.Size() - base, nil
+		}
+	}
+	tmp, err := os.CreateTemp(dir, "dss-in-")
+	if err != nil {
+		return nil, 0, fmt.Errorf("dss-sort: input: %w", err)
+	}
+	os.Remove(tmp.Name())
+	size, err := io.Copy(tmp, f)
+	if err != nil {
+		tmp.Close()
+		return nil, 0, fmt.Errorf("dss-sort: input: %w", err)
+	}
+	return tmp, size, nil
 }

@@ -22,9 +22,10 @@
 //	wait
 //	cat sorted.0 sorted.1 sorted.2 sorted.3 > sorted.txt
 //
-// Every worker reads the full input and keeps the lines of its own rank
-// (round-robin by line number, the same distribution dss-sort uses); on a
-// cluster, ship the input file to every host or place it on a shared
+// Every worker reads only its own byte range of the input (input.Range, the
+// split dss-sort's PEs use): of the input's S bytes, rank r holds the lines
+// whose first byte lies in [r·S/p, (r+1)·S/p). The input must be a regular
+// file; on a cluster, ship it to every host or place it on a shared
 // filesystem.
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
@@ -85,7 +86,7 @@ func main() {
 	profiling.RegisterFlags(flag.CommandLine)
 	rank := flag.Int("rank", -1, "this worker's rank in [0, p)")
 	peersFlag := flag.String("peers", "", "comma-separated host:port peer table, one entry per rank (identical on all workers; its length is the PE count)")
-	inPath := flag.String("in", "", "input file, newline-separated strings (read fully by every worker; required)")
+	inPath := flag.String("in", "", "input file, newline-separated strings (each worker reads its own byte range; required)")
 	outPath := flag.String("out", "", "output file for this rank's sorted fragment (default stdout)")
 	printLCP := flag.Bool("lcp", false, "prefix each output line with its LCP value")
 	rendezvous := flag.Duration("rendezvous", 30*time.Second, "how long to wait for peers to appear")
@@ -117,7 +118,7 @@ func main() {
 	}
 	defer profiling.Stop()
 
-	local, total, err := readFragment(*inPath, *rank, len(peers))
+	local, err := readRange(*inPath, *rank, len(peers))
 	if err != nil {
 		fatal(err)
 	}
@@ -154,7 +155,7 @@ func main() {
 
 	if *rank == 0 || *statsAll {
 		res.Stats.WriteSummary(os.Stderr, cfg.Algorithm,
-			fmt.Sprintf("%d worker processes", len(peers)), total)
+			fmt.Sprintf("%d worker processes", len(peers)))
 	}
 }
 
@@ -198,32 +199,27 @@ func writeOutput(out stringsort.PEOutput, outPath string, printLCP bool) error {
 	return nil
 }
 
-// readFragment reads the shared input in bounded chunks and keeps the
-// lines of the given rank, distributed round-robin by line number exactly
-// like dss-sort. Kept lines are copied out of the chunk arena so the other
-// ranks' share of each chunk can be freed immediately.
-func readFragment(path string, rank, p int) (local [][]byte, total int, err error) {
+// readRange reads this rank's lines of the shared input file: its byte
+// range of the p-way split.
+func readRange(path string, rank, p int) ([][]byte, error) {
+	// Stat before Open: opening a FIFO would block until a writer came.
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("-in %s: not a regular file (every worker reads its own byte range)", path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer f.Close()
-	lr := input.NewLineReader(f, 0)
-	for {
-		chunk, err := lr.Next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if chunk == nil {
-			return local, total, nil
-		}
-		for _, line := range chunk {
-			if total%p == rank {
-				local = append(local, append([]byte(nil), line...))
-			}
-			total++
-		}
+	local, err := input.Range(f, fi.Size(), rank, p)
+	if err != nil {
+		return nil, fmt.Errorf("-in %s: %w", path, err)
 	}
+	return local, nil
 }
 
 // writeRunFile streams this rank's sorted-run file to the output line by

@@ -90,7 +90,7 @@ func (m *Machine) Report() *stats.Report {
 // ResetStats clears all accumulated counters.
 func (m *Machine) ResetStats() {
 	for i := range m.pes {
-		m.pes[i] = &stats.PE{Rank: i}
+		m.pes[i] = &stats.PE{}
 	}
 }
 
@@ -201,7 +201,7 @@ type traceBinder interface {
 // The Comm starts with fresh accounting state; the caller keeps ownership
 // of the endpoint and is responsible for closing it.
 func NewComm(t transport.Transport) *Comm {
-	return newComm(t, &stats.PE{Rank: t.Rank()})
+	return newComm(t, &stats.PE{})
 }
 
 // newComm binds a transport endpoint to its accounting state, hooking up

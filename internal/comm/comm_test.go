@@ -329,7 +329,6 @@ func TestAllgatherReportRoundTrip(t *testing.T) {
 	const p = 3
 	want := make([]stats.PE, p)
 	for rank := range want {
-		want[rank].Rank = rank
 		k := int64(1000 * (rank + 1))
 		eachCounter(&want[rank], func(v *int64) { k++; *v = k })
 	}
@@ -371,7 +370,7 @@ func TestAllgatherReportRoundTrip(t *testing.T) {
 				}
 			}
 			g.Wall = want[i].Wall
-			if g.Rank != i || fmt.Sprint(counters(&g)) != fmt.Sprint(counters(&want[i])) {
+			if fmt.Sprint(counters(&g)) != fmt.Sprint(counters(&want[i])) {
 				return fmt.Errorf("PE %d: PE %d counters %v, want %v", c.Rank(), i, counters(&g), counters(&want[i]))
 			}
 		}

@@ -59,7 +59,6 @@ func AllgatherReport(c *Comm, model stats.CostModel, gid int, n int64) (*stats.R
 		if err != nil || rerr != nil || r.Remaining() != 0 {
 			panic(fmt.Sprintf("comm: corrupt stats snapshot from PE %d", i))
 		}
-		pes[i].Rank = i
 		ptrs[i] = &pes[i]
 		total += int64(local)
 	}

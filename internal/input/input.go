@@ -26,7 +26,9 @@ type DNConfig struct {
 	Length       int     // paper: 500; scaled down in our experiments
 	Ratio        float64 // r = D/N ∈ [0,1]
 	Sigma        int     // alphabet size (default 26)
-	Seed         int64
+	// Seed is never read: the D/N instance is deterministic. It stays
+	// while the repository benchmark's workload table sets it.
+	Seed int64
 }
 
 // DN generates PE pe's fragment of the D/N instance. Strings are assigned

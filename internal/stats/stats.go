@@ -90,7 +90,6 @@ type WireCounters struct {
 // split-phase overlap model: nondeterministic, never fed into ModelTime,
 // and excluded from cross-backend statistics comparisons.
 type PE struct {
-	Rank   int
 	Phases [NumPhases]PhaseCounters
 	// Wire[ph] counts the post-codec bytes of frames encoded or decoded
 	// while ph was the wire-accounting phase. The machine-wide totals are

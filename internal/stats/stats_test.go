@@ -22,7 +22,7 @@ func TestPhaseNames(t *testing.T) {
 }
 
 func TestPETotal(t *testing.T) {
-	pe := &PE{Rank: 3}
+	pe := &PE{}
 	pe.Phases[PhaseExchange] = PhaseCounters{BytesSent: 150, BytesRecv: 70, Messages: 2}
 	pe.Phases[PhaseMerge] = PhaseCounters{Work: 1000}
 	tot := pe.Total()
@@ -32,7 +32,7 @@ func TestPETotal(t *testing.T) {
 }
 
 func buildReport() *Report {
-	pes := []*PE{{Rank: 0}, {Rank: 1}, {Rank: 2}}
+	pes := []*PE{{}, {}, {}}
 	pes[0].Phases[PhaseExchange] = PhaseCounters{BytesSent: 1000, Messages: 10, Work: 500}
 	pes[1].Phases[PhaseExchange] = PhaseCounters{BytesSent: 3000, Messages: 5, Work: 100}
 	pes[2].Phases[PhaseMerge] = PhaseCounters{Work: 10_000_000}

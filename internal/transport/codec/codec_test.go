@@ -239,7 +239,7 @@ func TestWireMetering(t *testing.T) {
 	defer f.Close()
 	e0 := f.Endpoint(0).(*Endpoint)
 	e1 := f.Endpoint(1).(*Endpoint)
-	pe0, pe1 := &stats.PE{Rank: 0}, &stats.PE{Rank: 1}
+	pe0, pe1 := &stats.PE{}, &stats.PE{}
 	e0.BindWireStats(pe0)
 	e0.SetWirePhase(stats.PhaseExchange)
 	e1.BindWireStats(pe1)

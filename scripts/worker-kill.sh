@@ -3,7 +3,11 @@
 # dead worker.
 #
 # 1. Four dss-worker processes on loopback sort one input; their outputs,
-#    concatenated in rank order, must equal LC_ALL=C sort of the input.
+#    concatenated in rank order, must equal LC_ALL=C sort of the input, and
+#    rank 0's deterministic statistics (strings, model time, bytes sent,
+#    messages, work imbalance and the phase table) must equal those of
+#    dss-sort -p 4 on the same input: both split the input into the same
+#    byte ranges.
 # 2. The same job again with -net-timeout 30s, and rank 1 is killed with
 #    SIGKILL once it has joined the mesh and started sorting. The TCP
 #    transport is fail-stop, so the three survivors must all exit with
@@ -37,6 +41,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$dir/dss-worker" ./cmd/dss-worker
+go build -o "$dir/dss-sort" ./cmd/dss-sort
 go build -o "$dir/dss-gen" ./cmd/dss-gen
 "$dir/dss-gen" -kind dn -n 200000 -len 60 -ratio 0.5 -out "$dir/in.txt"
 LC_ALL=C sort "$dir/in.txt" > "$dir/want.txt"
@@ -53,7 +58,16 @@ for r in 0 1 2 3; do
 done
 cat "$dir/out.0" "$dir/out.1" "$dir/out.2" "$dir/out.3" | cmp - "$dir/want.txt" \
 	|| { echo "clean run: concatenated worker outputs differ from LC_ALL=C sort"; exit 1; }
-echo "clean run: 4 workers, output identical to LC_ALL=C sort"
+# The deterministic stat lines and phase table of a stderr summary.
+det() {
+	grep -E '^(strings|model time|bytes sent|messages|work imbalance):' "$1"
+	sed -n '/^phase .*bytes_sent/,/^total /p' "$1"
+}
+"$dir/dss-sort" -p 4 -algo MS -in "$dir/in.txt" -out /dev/null 2> "$dir/sort.err"
+grep -q '^model time:' "$dir/err.0" || { echo "clean run: rank 0 printed no statistics"; exit 1; }
+diff <(det "$dir/sort.err") <(det "$dir/err.0") \
+	|| { echo "clean run: rank 0's statistics differ from dss-sort -p 4"; exit 1; }
+echo "clean run: 4 workers, output identical to LC_ALL=C sort, statistics to dss-sort -p 4"
 
 # 2. Rank 1 dies mid-run.
 pids=()

@@ -40,7 +40,7 @@ func RegisterTuningFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Cores, "cores", 0, "intra-PE work pool width (0 = GOMAXPROCS, 1 = sequential; output and model stats identical at any width)")
 	fs.Var(&parsedFlag[int64]{&cfg.MemBudget, ParseMemBudget, showBudget},
 		"mem-budget", "per-PE memory budget for the out-of-core pipeline, a `size` such as 64m or 1g (empty = unbounded in-RAM run; output streamed to sorted-run files when set)")
-	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "directory for spill page files and sorted-run output (empty = OS temp dir; only with -mem-budget)")
+	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "directory for spill page files, sorted-run output and the temporary copy of a piped input or output (empty = OS temp dir)")
 	fs.StringVar(&cfg.Trace, "trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in ui.perfetto.dev; under dss-worker, rank 0 writes the merged cross-process trace)")
 	fs.Var(&parsedFlag[string]{&cfg.Chaos, parseChaos, verbatim},
 		"chaos", "fault-injection `level` wrapped under the codec: "+strings.Join(chaos.Names(), ", ")+" (empty = off; output and model stats must be unaffected)")

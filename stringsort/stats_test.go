@@ -13,7 +13,7 @@ import (
 func statsReport() *stats.Report {
 	pes := make([]*stats.PE, 3)
 	for i := range pes {
-		pe := &stats.PE{Rank: i}
+		pe := &stats.PE{}
 		for ph := 0; ph < int(stats.NumPhases); ph++ {
 			v := func(k int) int64 {
 				return int64(k+1)*1_000_000 + int64((i+ph)%3)*100_000 + int64(ph)*1_000 + int64(i)*10
@@ -39,6 +39,7 @@ func statsReport() *stats.Report {
 // idle phases are left out of both tables.
 func TestStatsFromReport(t *testing.T) {
 	want := Stats{
+		Strings:        1000,
 		ModelTime:      19.480425659999998,
 		BytesSent:      19845180,
 		BytesPerString: 19845.18,
@@ -102,7 +103,7 @@ total                 0.000            0.000          0.000
 	}
 	// PEs that did no work are perfectly balanced, and both tables omit
 	// the phases in which no PE did anything.
-	idle := []*stats.PE{{Rank: 0}, {Rank: 1}}
+	idle := []*stats.PE{{}, {}}
 	idle[1].Phases[stats.PhaseExchange] = stats.PhaseCounters{BytesSent: 10, BytesRecv: 20, Messages: 1}
 	idle[0].Wall[stats.PhaseMerge] = 2_000_000
 	got := statsFromReport(stats.NewReport(idle, stats.DefaultModel()), 10)

@@ -239,9 +239,10 @@ type Config struct {
 	// its output accumulation (its doubling working set is inherently
 	// resident).
 	MemBudget int64
-	// SpillDir is where budget-mode page files and run files live, and
+	// SpillDir is where budget-mode page files and run files live,
 	// SortToFile's temporary file for an output that takes no positioned
-	// writes ("" means the OS temp dir). Page files are removed when the
+	// writes, and dss-sort's for an input that takes no positioned reads
+	// ("" means the OS temp dir). Page files are removed when the
 	// run ends, on success and failure alike.
 	SpillDir string
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
@@ -311,6 +312,7 @@ type PEOutput struct {
 // ignore the measured fields (zero them before ==, as the package tests
 // do).
 type Stats struct {
+	Strings        int64   // global input size: the strings of every PE
 	ModelTime      float64 // α-β model running time in seconds
 	BytesSent      int64   // total payload bytes sent between PEs
 	BytesPerString float64 // BytesSent / global input size
@@ -389,10 +391,10 @@ type Stats struct {
 // dss-worker print to stderr. One shared copy — like the tuning flags —
 // so the two binaries' output cannot drift apart: the CI smoke matrix
 // greps these exact labels. machine describes the execution shape (e.g.
-// "8 PEs" or "4 worker processes"); n is the global input string count.
-func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int) {
+// "8 PEs" or "4 worker processes").
+func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string) {
 	fmt.Fprintf(w, "algorithm:        %v on %s\n", algo, machine)
-	fmt.Fprintf(w, "strings:          %d\n", n)
+	fmt.Fprintf(w, "strings:          %d\n", st.Strings)
 	fmt.Fprintf(w, "model time:       %.4f s\n", st.ModelTime)
 	fmt.Fprintf(w, "bytes sent:       %d (%.1f per string)\n", st.BytesSent, st.BytesPerString)
 	fmt.Fprintf(w, "wire bytes:       %d (%.1f per string, %.3fx raw)\n",
@@ -419,6 +421,7 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 // from the report.
 func statsFromReport(rep *stats.Report, n int64) Stats {
 	st := Stats{
+		Strings:          n,
 		ModelTime:        rep.ModelTime(),
 		BytesPerString:   rep.BytesPerString(n),
 		PhaseTable:       rep.Table(),
