@@ -146,7 +146,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			profiling.Exit(1)
 		}
-		defer f.Close()
 		out = f
 	}
 
@@ -178,6 +177,12 @@ func main() {
 	st, err := stringsort.SortToFile(inputs, cfg, out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		profiling.Exit(1)
+	}
+	// A write the file system reports only on close (NFS, a quota) must
+	// not exit 0.
+	if err := out.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "dss-sort: closing %s: %v\n", out.Name(), err)
 		profiling.Exit(1)
 	}
 	sorted := time.Now()

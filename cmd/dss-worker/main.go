@@ -6,12 +6,14 @@
 // fragments in rank order yields exactly what `dss-sort` produces in a
 // single process on the same input and seed (identical statistics too —
 // byte accounting happens above the transport). Each worker calls
-// stringsort.RunPE, the per-rank routine dss-sort's stringsort.Sort runs on
-// every rank of its in-process machine: sort, statistics exchange,
-// validation and trace gather are one code path in both binaries. The one
-// difference is PDMS with full strings: a worker holds only its own lines,
-// so it queries the origin ranks for them (core.Reconstruct) where
-// dss-sort looks them up.
+// stringsort.RunPE, the per-rank routine dss-sort's stringsort.SortToFile
+// runs on every rank of its in-process machine: sort, statistics exchange,
+// validation, trace gather and the line output are one code path in both
+// binaries: each rank's Step-4 merge writes its lines straight into its
+// output. The one difference is PDMS: a worker holds only its own lines, so
+// it queries the origin ranks for them (core.Reconstruct) where dss-sort
+// looks them up. Written to a pipe or a terminal, the fragment passes
+// through an unlinked temporary file under -spill-dir first.
 //
 // Localhost example (4 workers, PDMS):
 //
@@ -40,12 +42,9 @@
 // last frames to be written and for every peer's goodbye before it closes
 // its sockets.
 // With -mem-budget the worker runs the bounded-memory out-of-core
-// pipeline: it spills Step-3 runs to page files under -spill-dir and
-// streams its sorted fragment from a run file to -out instead of
-// materializing it. One difference to dss-sort: a budgeted PDMS worker
-// writes the distinguishing prefixes themselves (with -lcp available),
-// since resolving an origin that lives on another rank would need the
-// whole input resident — exactly what the budget forbids.
+// pipeline: it spills Step-3 runs to page files under -spill-dir and its
+// merge writes the sorted fragment to -out through one spill page instead
+// of materializing it.
 // Launch every worker of one job with the same -codec: RunPE decorates the
 // endpoint with the wire codec, frames are compressed on the wire, and the
 // model statistics stay bit-identical to an uncompressed run. The intentional
@@ -65,12 +64,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"dss/internal/debugserve"
@@ -81,14 +77,13 @@ import (
 )
 
 func main() {
-	cfg := stringsort.Config{Reconstruct: true}
+	var cfg stringsort.Config
 	stringsort.RegisterTuningFlags(flag.CommandLine, &cfg)
 	profiling.RegisterFlags(flag.CommandLine)
 	rank := flag.Int("rank", -1, "this worker's rank in [0, p)")
 	peersFlag := flag.String("peers", "", "comma-separated host:port peer table, one entry per rank (identical on all workers; its length is the PE count)")
 	inPath := flag.String("in", "", "input file, newline-separated strings (each worker reads its own byte range; required)")
 	outPath := flag.String("out", "", "output file for this rank's sorted fragment (default stdout)")
-	printLCP := flag.Bool("lcp", false, "prefix each output line with its LCP value")
 	rendezvous := flag.Duration("rendezvous", 30*time.Second, "how long to wait for peers to appear")
 	statsAll := flag.Bool("stats", false, "print run statistics on every rank (default: rank 0 only)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar run gauges and live trace snapshots on this host:port (port 0 picks one; the bound address is printed at startup)")
@@ -122,6 +117,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	out := os.Stdout
+	if *outPath != "" {
+		if out, err = os.Create(*outPath); err != nil {
+			fatal(err)
+		}
+	}
 
 	ep, err := tcp.ConnectConfig(*rank, peers, tcp.Config{
 		RendezvousTimeout: *rendezvous,
@@ -131,72 +132,26 @@ func main() {
 		fatal(err)
 	}
 
-	res, err := stringsort.RunPE(ep, local, cfg)
+	st, err := stringsort.RunPE(ep, local, cfg, out)
 	if err != nil {
 		ep.Close()
 		fatal(fmt.Errorf("rank %d: %w", *rank, err))
 	}
 	// A transport failure the run never blocked on (a connection lost
 	// after the last receive, a peer whose goodbye never came) surfaces
-	// here: a worker whose connections died must not exit 0 on a
-	// complete-looking output.
-	if err = ep.Close(); err != nil {
-		err = fmt.Errorf("transport: %w", err)
-	} else {
-		err = writeOutput(res.Output, *outPath, *printLCP)
+	// here, and so does a write the file system reports only on close: a
+	// worker must not exit 0 on a complete-looking but failed output.
+	if err := ep.Close(); err != nil {
+		fatal(fmt.Errorf("rank %d: transport: %w", *rank, err))
 	}
-	// The run directory this rank created goes on every path.
-	if res.Output.RunFile != "" {
-		os.RemoveAll(filepath.Dir(res.Output.RunFile))
-	}
-	if err != nil {
-		fatal(fmt.Errorf("rank %d: %w", *rank, err))
+	if err := out.Close(); err != nil {
+		fatal(fmt.Errorf("rank %d: closing %s: %w", *rank, out.Name(), err))
 	}
 
 	if *rank == 0 || *statsAll {
-		res.Stats.WriteSummary(os.Stderr, cfg.Algorithm,
+		st.WriteSummary(os.Stderr, cfg.Algorithm,
 			fmt.Sprintf("%d worker processes", len(peers)))
 	}
-}
-
-// writeOutput writes this rank's sorted fragment to outPath (stdout when
-// empty). A truncated fragment must not exit 0: the whole point of the
-// worker is that concatenating the per-rank files yields the sorted
-// sequence, so write and close errors are returned, not deferred away.
-func writeOutput(out stringsort.PEOutput, outPath string, printLCP bool) error {
-	var dst io.Writer = os.Stdout
-	var f *os.File
-	if outPath != "" {
-		var err error
-		if f, err = os.Create(outPath); err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	w := bufio.NewWriterSize(dst, 1<<20)
-	if out.RunFile != "" {
-		// Budget mode: stream the sorted-run file to the output.
-		if err := writeRunFile(w, out.RunFile, printLCP); err != nil {
-			return err
-		}
-	}
-	for i, s := range out.Strings {
-		if printLCP && out.LCPs != nil {
-			fmt.Fprintf(w, "%d\t", out.LCPs[i])
-		}
-		w.Write(s)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("writing output: %w", err)
-	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing %s: %w", outPath, err)
-		}
-	}
-	return nil
 }
 
 // readRange reads this rank's lines of the shared input file: its byte
@@ -220,34 +175,6 @@ func readRange(path string, rank, p int) ([][]byte, error) {
 		return nil, fmt.Errorf("-in %s: %w", path, err)
 	}
 	return local, nil
-}
-
-// writeRunFile streams this rank's sorted-run file to the output line by
-// line (LCP column included when asked for and present).
-func writeRunFile(w *bufio.Writer, path string, printLCP bool) error {
-	rf, err := stringsort.OpenRun(path)
-	if err != nil {
-		return err
-	}
-	defer rf.Close()
-	for {
-		s, lcp, _, ok, err := rf.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if printLCP && rf.HasLCP() {
-			fmt.Fprintf(w, "%d\t", lcp)
-		}
-		if _, err := w.Write(s); err != nil {
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
 }
 
 func fatal(err error) {

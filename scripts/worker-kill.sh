@@ -2,12 +2,15 @@
 # worker-kill.sh — the multi-process TCP job end to end, clean and with a
 # dead worker.
 #
-# 1. Four dss-worker processes on loopback sort one input; their outputs,
-#    concatenated in rank order, must equal LC_ALL=C sort of the input, and
+# 1. Four dss-worker processes on loopback sort one input, twice: with MS,
+#    and with PDMS under -mem-budget 65536 (whose lines each rank fetches
+#    from the ranks that hold them). Rank 2 writes to stdout through a
+#    pipe, which takes its lines through a temporary file. The outputs,
+#    concatenated in rank order, must equal LC_ALL=C sort of the input,
 #    rank 0's deterministic statistics (strings, model time, bytes sent,
 #    messages, work imbalance and the phase table) must equal those of
-#    dss-sort -p 4 on the same input: both split the input into the same
-#    byte ranges.
+#    dss-sort -p 4 on the same input — both split the input into the same
+#    byte ranges — and the spill directory must be empty afterwards.
 # 2. The same job again with -net-timeout 30s, and rank 1 is killed with
 #    SIGKILL once it has joined the mesh and started sorting. The TCP
 #    transport is fail-stop, so the three survivors must all exit with
@@ -46,28 +49,42 @@ go build -o "$dir/dss-gen" ./cmd/dss-gen
 "$dir/dss-gen" -kind dn -n 200000 -len 60 -ratio 0.5 -out "$dir/in.txt"
 LC_ALL=C sort "$dir/in.txt" > "$dir/want.txt"
 
-# 1. Clean run.
-pids=()
-for r in 0 1 2 3; do
-	"$dir/dss-worker" -rank "$r" -peers "$peers" -algo MS -in "$dir/in.txt" \
-		-out "$dir/out.$r" 2> "$dir/err.$r" &
-	pids+=($!)
-done
-for r in 0 1 2 3; do
-	wait "${pids[$r]}" || { echo "clean run: rank $r failed:"; cat "$dir/err.$r"; exit 1; }
-done
-cat "$dir/out.0" "$dir/out.1" "$dir/out.2" "$dir/out.3" | cmp - "$dir/want.txt" \
-	|| { echo "clean run: concatenated worker outputs differ from LC_ALL=C sort"; exit 1; }
 # The deterministic stat lines and phase table of a stderr summary.
 det() {
 	grep -E '^(strings|model time|bytes sent|messages|work imbalance):' "$1"
 	sed -n '/^phase .*bytes_sent/,/^total /p' "$1"
 }
-"$dir/dss-sort" -p 4 -algo MS -in "$dir/in.txt" -out /dev/null 2> "$dir/sort.err"
-grep -q '^model time:' "$dir/err.0" || { echo "clean run: rank 0 printed no statistics"; exit 1; }
-diff <(det "$dir/sort.err") <(det "$dir/err.0") \
-	|| { echo "clean run: rank 0's statistics differ from dss-sort -p 4"; exit 1; }
-echo "clean run: 4 workers, output identical to LC_ALL=C sort, statistics to dss-sort -p 4"
+
+# 1. Clean runs: clean LABEL FLAGS... runs one 4-worker job with FLAGS.
+clean() {
+	local label=$1
+	shift
+	mkdir -p "$dir/spill"
+	pids=()
+	for r in 0 1 2 3; do
+		if [ "$r" = 2 ]; then
+			("$dir/dss-worker" -rank "$r" -peers "$peers" "$@" -spill-dir "$dir/spill" \
+				-in "$dir/in.txt" 2> "$dir/err.$r" | cat > "$dir/out.$r") &
+		else
+			"$dir/dss-worker" -rank "$r" -peers "$peers" "$@" -spill-dir "$dir/spill" \
+				-in "$dir/in.txt" -out "$dir/out.$r" 2> "$dir/err.$r" &
+		fi
+		pids+=($!)
+	done
+	for r in 0 1 2 3; do
+		wait "${pids[$r]}" || { echo "$label: rank $r failed:"; cat "$dir/err.$r"; exit 1; }
+	done
+	cat "$dir/out.0" "$dir/out.1" "$dir/out.2" "$dir/out.3" | cmp - "$dir/want.txt" \
+		|| { echo "$label: concatenated worker outputs differ from LC_ALL=C sort"; exit 1; }
+	"$dir/dss-sort" -p 4 "$@" -in "$dir/in.txt" -out /dev/null 2> "$dir/sort.err"
+	grep -q '^model time:' "$dir/err.0" || { echo "$label: rank 0 printed no statistics"; exit 1; }
+	diff <(det "$dir/sort.err") <(det "$dir/err.0") \
+		|| { echo "$label: rank 0's statistics differ from dss-sort -p 4"; exit 1; }
+	[ -z "$(ls -A "$dir/spill")" ] || { echo "$label: files left in the spill directory:"; ls -A "$dir/spill"; exit 1; }
+	echo "$label: 4 workers, output identical to LC_ALL=C sort, statistics to dss-sort -p 4"
+}
+clean "clean run" -algo MS
+clean "budgeted PDMS run" -algo PDMS -mem-budget 65536
 
 # 2. Rank 1 dies mid-run.
 pids=()

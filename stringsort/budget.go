@@ -1,12 +1,12 @@
 // Output plumbing: the per-PE glue between the public entry points and the
 // core.Output every sorter's fragment leaves through. With Config.MemBudget
 // set, each PE gets its own spill pool (page files under a private temp
-// dir, removed on success, error and panic paths alike). In RAM, Sort and
-// RunPE build the fragment's arrays (the arena, runpe.go); under a budget
-// they stream it into a sorted-run file instead of materializing it — the
-// public result carries the file path and the readers below — and
-// SortToFile streams it, in RAM and under a budget, into the PE's region of
-// one output file (tofile.go).
+// dir, removed on success, error and panic paths alike). In RAM, Sort
+// builds the fragment's arrays (the arena, runpe.go); under a budget it
+// streams it into a sorted-run file instead of materializing it — the
+// public result carries the file path and the reader below — and
+// SortToFile and RunPE stream it, in RAM and under a budget, into the PE's
+// region of an output file (tofile.go).
 package stringsort
 
 import (
@@ -52,14 +52,14 @@ func runDirOf(runFile string) string { return filepath.Dir(runFile) }
 // sortPE runs one PE's sort into the Output of its run: the arrays of
 // run.Output in RAM (arena, with an LCP column if hasLCP, resolving each
 // origin in lookup if it is non-nil), the sorted-run file at path (Sort
-// and RunPE under a budget) or the PE's region of lines (SortToFile).
+// under a budget) or the PE's region of lines (SortToFile and RunPE).
 // Under a budget it creates the PE's spill pool — its Close is deferred,
 // so the page files are removed even when the sort panics — and stamps the
 // spill gauges into the PE's stats record (measured channel: the values
 // vary run to run and must be stamped before the report is gathered). A
 // streaming Output feeds chk every item exactly as it writes it; a nil chk
 // ignores them.
-func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, run *PERun, hasLCP bool, lookup [][][]byte, chk *streamCheck) error {
+func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, run *peRun, hasLCP bool, lookup [][][]byte, chk *streamCheck) error {
 	var sp *spill.Pool
 	if cfg.MemBudget > 0 {
 		var err error
@@ -175,9 +175,6 @@ func OpenRun(path string) (*RunFile, error) {
 	return &RunFile{f: f, sc: sc}, nil
 }
 
-// HasLCP reports whether items carry an LCP column (MS, PDMS, hQuick).
-func (r *RunFile) HasLCP() bool { return r.sc.HasLCP() }
-
 // HasOrigins reports whether items carry provenance (PDMS, hQuick).
 func (r *RunFile) HasOrigins() bool { return r.sc.HasSats() }
 
@@ -194,29 +191,3 @@ func (r *RunFile) Next() (s []byte, lcp int32, origin Origin, ok bool, err error
 
 // Close closes the underlying file.
 func (r *RunFile) Close() error { return r.f.Close() }
-
-// ReadRunFile loads a whole sorted-run file into memory — a convenience
-// for tests and small outputs; large runs should stream through OpenRun.
-func ReadRunFile(path string) (ss [][]byte, lcps []int32, origins []Origin, err error) {
-	rf, err := OpenRun(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer rf.Close()
-	for {
-		s, lcp, o, ok, err := rf.Next()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if !ok {
-			return ss, lcps, origins, nil
-		}
-		ss = append(ss, append([]byte(nil), s...))
-		if rf.HasLCP() {
-			lcps = append(lcps, lcp)
-		}
-		if rf.HasOrigins() {
-			origins = append(origins, o)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package stringsort
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,22 +17,27 @@ import (
 	"dss/internal/transport/tcp"
 )
 
-// runPEOverTCP executes one RunPE per rank over a loopback TCP fabric and
-// fails the test on any rank error.
-func runPEOverTCP(t *testing.T, inputs [][][]byte, cfg Config) []*PERun {
+// runPEOverTCP executes one RunPE per rank over a loopback TCP fabric, each
+// rank writing into a new file of its own, fails the test on any rank
+// error, and returns every rank's lines and statistics.
+func runPEOverTCP(t *testing.T, inputs [][][]byte, cfg Config) ([][]byte, []Stats) {
 	t.Helper()
-	runs, errs := runPEsOverTCP(t, inputs, cfg)
+	outs := openOuts(t, len(inputs), 0, "")
+	sts, errs := runPEsOverTCP(t, inputs, cfg, outs)
+	lines := make([][]byte, len(outs))
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
+		lines[rank] = readFile(t, outs[rank].Name())
 	}
-	return runs
+	return lines, sts
 }
 
-// runPEsOverTCP executes one RunPE per rank over a loopback TCP fabric and
-// returns every rank's result and error.
-func runPEsOverTCP(t *testing.T, inputs [][][]byte, cfg Config) ([]*PERun, []error) {
+// runPEsOverTCP executes one RunPE per rank over a loopback TCP fabric,
+// rank r writing into outs[r], and returns every rank's statistics and
+// error.
+func runPEsOverTCP(t *testing.T, inputs [][][]byte, cfg Config, outs []*os.File) ([]Stats, []error) {
 	t.Helper()
 	p := len(inputs)
 	f, err := tcp.NewLoopback(p)
@@ -39,18 +45,74 @@ func runPEsOverTCP(t *testing.T, inputs [][][]byte, cfg Config) ([]*PERun, []err
 		t.Fatalf("loopback fabric: %v", err)
 	}
 	defer f.Close()
-	runs := make([]*PERun, p)
+	sts := make([]Stats, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for rank := 0; rank < p; rank++ {
 		go func(rank int) {
 			defer wg.Done()
-			runs[rank], errs[rank] = RunPE(f.Endpoint(rank), inputs[rank], cfg)
+			sts[rank], errs[rank] = RunPE(f.Endpoint(rank), inputs[rank], cfg, outs[rank])
 		}(rank)
 	}
 	wg.Wait()
-	return runs, errs
+	return sts, errs
+}
+
+// openOuts opens p new files in a fresh directory for writing, with flag
+// (os.O_APPEND, say) added, each holding prefix; they are closed when the
+// test ends.
+func openOuts(t *testing.T, p, flag int, prefix string) []*os.File {
+	t.Helper()
+	dir := t.TempDir()
+	outs := make([]*os.File, p)
+	for rank := range outs {
+		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("out.%d", rank)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|flag, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if _, err := f.WriteString(prefix); err != nil {
+			t.Fatal(err)
+		}
+		outs[rank] = f
+	}
+	return outs
+}
+
+// readFile returns the contents of the file at path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// readRun loads a whole sorted-run file (PEOutput.RunFile) through OpenRun;
+// lcps holds zeros for a file without an LCP column.
+func readRun(t *testing.T, path string) (ss [][]byte, lcps []int32, origins []Origin) {
+	t.Helper()
+	rf, err := OpenRun(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	for {
+		s, lcp, o, ok, err := rf.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !ok {
+			return ss, lcps, origins
+		}
+		ss = append(ss, append([]byte(nil), s...))
+		lcps = append(lcps, lcp)
+		if rf.HasOrigins() {
+			origins = append(origins, o)
+		}
+	}
 }
 
 // budgetInvariant zeroes the measured fields of a Stats — the wall-clock
@@ -117,10 +179,7 @@ func TestBudgetDifferential(t *testing.T) {
 				if out.Strings != nil || out.RunFile == "" {
 					t.Fatalf("PE %d: budget result should hold a run file, not strings", pe)
 				}
-				ss, lcps, origins, err := ReadRunFile(out.RunFile)
-				if err != nil {
-					t.Fatalf("PE %d: read run file: %v", pe, err)
-				}
+				ss, lcps, origins := readRun(t, out.RunFile)
 				if int64(len(ss)) != out.RunCount {
 					t.Fatalf("PE %d: RunCount %d but file holds %d items", pe, out.RunCount, len(ss))
 				}
@@ -268,11 +327,7 @@ func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 		}
 		outs := make([][][]byte, len(res.PEs))
 		for pe, p := range res.PEs {
-			ss, _, _, err := ReadRunFile(p.RunFile)
-			if err != nil {
-				t.Fatalf("%s: PE %d: %v", v.name, pe, err)
-			}
-			outs[pe] = ss
+			outs[pe], _, _ = readRun(t, p.RunFile)
 		}
 		if res.Stats.SpillBytesWritten == 0 {
 			t.Fatalf("%s: expected spill traffic", v.name)
@@ -427,8 +482,8 @@ func TestSpillFailureOnOneRankAborts(t *testing.T) {
 
 // TestBudgetRunPETraceFailureCleanup makes rank 0's trace export fail (the
 // trace path's directory does not exist) under a budget: rank 0 must
-// report the failure and remove its run directory like every other error
-// path does; the other ranks succeed and their run files are the caller's.
+// report the failure, the other ranks succeed, and no rank leaves a run
+// directory, a spill file or a temporary output file behind.
 func TestBudgetRunPETraceFailureCleanup(t *testing.T) {
 	rng := rand.New(rand.NewSource(814))
 	inputs := genInputs(rng, testPEs, testPerPE/4)
@@ -436,7 +491,7 @@ func TestBudgetRunPETraceFailureCleanup(t *testing.T) {
 	cfg := budgetConfig(Config{Algorithm: MS, Seed: 9}, dir)
 	cfg.Trace = filepath.Join(dir, "missing", "trace.json")
 
-	runs, errs := runPEsOverTCP(t, inputs, cfg)
+	_, errs := runPEsOverTCP(t, inputs, cfg, openOuts(t, testPEs, 0, ""))
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "trace") {
 		t.Fatalf("rank 0: expected the trace export to fail, got %v", errs[0])
 	}
@@ -444,20 +499,14 @@ func TestBudgetRunPETraceFailureCleanup(t *testing.T) {
 		if errs[rank] != nil {
 			t.Fatalf("rank %d: %v", rank, errs[rank])
 		}
-		os.RemoveAll(runDirOf(runs[rank].Output.RunFile))
 	}
-	left, err := filepath.Glob(filepath.Join(dir, "dss-runs-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) > 0 {
-		t.Fatalf("run directories left behind: %v", left)
-	}
+	assertEmptyDir(t, "trace failure", dir)
 }
 
 // TestBudgetRunPE runs the budget pipeline through the SPMD entry point
-// over an in-process TCP fabric and diffs every rank's run file against
-// the in-process Sort of the same input.
+// over an in-process TCP fabric and diffs every rank's lines against the
+// fragment of the in-process Sort of the same input: PDMS's full strings,
+// which the budgeted ranks fetch from their origins.
 func TestBudgetRunPE(t *testing.T) {
 	rng := rand.New(rand.NewSource(812))
 	inputs := genInputs(rng, testPEs, testPerPE/4)
@@ -465,24 +514,24 @@ func TestBudgetRunPE(t *testing.T) {
 	cfg := budgetConfig(base, t.TempDir())
 	cfg.MemBudget = 1 << 10 // quarter-size input, quarter-size budget
 
+	base.Reconstruct = true
 	ram, err := Sort(inputs, base)
 	if err != nil {
 		t.Fatalf("in-RAM sort: %v", err)
 	}
-	runs := runPEOverTCP(t, inputs, cfg)
-	for pe, run := range runs {
-		ss, _, _, err := ReadRunFile(run.Output.RunFile)
-		if err != nil {
-			t.Fatalf("PE %d: %v", pe, err)
-		}
-		if !equalOutputs(ss, ram.PEs[pe].Strings) {
+	lines, sts := runPEOverTCP(t, inputs, cfg)
+	for pe := range lines {
+		if !bytes.Equal(lines[pe], joinLines(ram.PEs[pe].Strings)) {
 			t.Fatalf("PE %d: RunPE budget output differs from Sort", pe)
 		}
-		if got, want := budgetInvariant(run.Stats), budgetInvariant(ram.Stats); got != want {
+		if got, want := budgetInvariant(sts[pe]), budgetInvariant(ram.Stats); got != want {
 			t.Fatalf("PE %d: stats differ:\n%+v\n%+v", pe, got, want)
 		}
-		os.RemoveAll(runDirOf(run.Output.RunFile))
 	}
+	if sts[0].SpillBytesWritten == 0 {
+		t.Fatal("the budget did not spill")
+	}
+	assertEmptyDir(t, "budget RunPE", cfg.SpillDir)
 }
 
 func TestParseMemBudget(t *testing.T) {

@@ -1,8 +1,8 @@
 package stringsort
 
 import (
+	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"dss/internal/input"
@@ -128,9 +128,9 @@ func TestCodecIdenticalAcrossTransportsAndSeams(t *testing.T) {
 
 // TestRunPEMatchesSortUnderCodec runs the SPMD entry point with a codec —
 // the dss-worker shape, each rank decorating its own TCP endpoint — and
-// requires fragment-identical output and bit-identical statistics
-// (including the wire counters, which travel through AllgatherReport)
-// compared to the in-process Sort with the same codec.
+// requires each rank's lines to be the fragment of the in-process Sort with
+// the same codec (PDMS's full strings), with bit-identical statistics
+// (including the wire counters, which travel through AllgatherReport).
 func TestRunPEMatchesSortUnderCodec(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(408))
@@ -146,35 +146,14 @@ func TestRunPEMatchesSortUnderCodec(t *testing.T) {
 			want.Stats.WireBytes, want.Stats.BytesSent)
 	}
 
-	f, err := tcp.NewLoopback(p)
-	if err != nil {
-		t.Fatalf("loopback fabric: %v", err)
-	}
-	defer f.Close()
-
-	runs := make([]*PERun, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
+	lines, sts := runPEOverTCP(t, inputs, cfg)
 	for rank := 0; rank < p; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			runs[rank], errs[rank] = RunPE(f.Endpoint(rank), inputs[rank], cfg)
-		}(rank)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	for rank := 0; rank < p; rank++ {
-		if !equalOutputs(want.PEs[rank].Strings, runs[rank].Output.Strings) {
+		if !bytes.Equal(joinLines(want.PEs[rank].Strings), lines[rank]) {
 			t.Fatalf("rank %d: SPMD fragment differs from Sort fragment", rank)
 		}
-		if deterministic(runs[rank].Stats) != deterministic(want.Stats) {
+		if deterministic(sts[rank]) != deterministic(want.Stats) {
 			t.Fatalf("rank %d: SPMD statistics differ from Sort:\nsort: %+v\nspmd: %+v",
-				rank, want.Stats, runs[rank].Stats)
+				rank, want.Stats, sts[rank])
 		}
 	}
 }
@@ -190,7 +169,7 @@ func TestConfigRejectsUnknownCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := RunPE(f.Endpoint(0), nil, Config{Codec: "zstd"}); err == nil {
+	if _, err := RunPE(f.Endpoint(0), nil, Config{Codec: "zstd"}, openOuts(t, 1, 0, "")[0]); err == nil {
 		t.Fatal("RunPE accepted an unknown codec")
 	}
 }

@@ -26,28 +26,38 @@ const (
 	traceGID = 982
 )
 
-// PERun is one PE's share of a distributed sorting run executed with RunPE.
-type PERun struct {
-	// Output is this PE's fragment of the globally sorted sequence.
+// peRun is one PE's share of a run of Sort or SortToFile.
+type peRun struct {
+	// Output is this PE's fragment of the globally sorted sequence (Sort).
 	Output PEOutput
-	// Stats are the machine-wide run statistics, identical on every PE
-	// (the per-PE counters are exchanged after sorting; that exchange is
-	// excluded from the counters, so the numbers are bit-identical to an
-	// in-process Sort of the same input).
+	// Stats are the machine-wide run statistics, identical on every PE.
 	Stats Stats
-	// PrefixOnly reports that Output.Strings holds distinguishing prefixes
-	// (PDMS without Reconstruct).
+	// PrefixOnly reports that Output holds distinguishing prefixes (PDMS
+	// without Reconstruct, or under a budget).
 	PrefixOnly bool
 }
 
 // RunPE executes one PE's share of a distributed sort in SPMD style: every
 // rank of the fabric calls RunPE with the same Config and its local input
 // fragment, typically from its own OS process over a TCP endpoint
-// (transport/tcp.ConnectConfig; see cmd/dss-worker). Sort(inputs, cfg) runs the
-// same per-rank routine on every rank of an in-process machine, with
-// local = inputs[rank]; the two differ only where a rank holding just its
-// own fragment must: PDMS origins are resolved with core.Reconstruct, one
-// query all-to-all each way, instead of by lookup.
+// (transport/tcp.ConnectConfig; see cmd/dss-worker). It writes the rank's
+// fragment of the globally sorted sequence into out as lines, each followed
+// by '\n', and returns the run's statistics, identical on every rank and
+// to Sort's: the per-PE counters are exchanged after sorting, and that
+// exchange is excluded from them. Concatenating the ranks' outputs in rank
+// order gives what SortToFile writes for the same input.
+//
+// RunPE runs the per-rank routine of SortToFile, through the same line
+// Output, in RAM and under Config.MemBudget alike. The one difference is
+// PDMS: a rank holds only its own lines, so its merge keeps each prefix's
+// origin, and once the statistics are taken core.Reconstruct fetches the
+// lines from the origin ranks (one query all-to-all each way, outside the
+// statistics). Config.Reconstruct is moot.
+//
+// The lines start at out's current offset, which is left at their end. An
+// out that takes no positioned writes — a pipe, a terminal, a file opened
+// for appending — receives them through an unlinked temporary file under
+// Config.SpillDir, as in SortToFile.
 //
 // The caller keeps ownership of the endpoint: RunPE does not close it, so
 // several runs can reuse one fabric. Config.P must be zero or equal the
@@ -56,14 +66,12 @@ type PERun struct {
 // decorates the endpoint with the wire codec exactly like Sort decorates
 // its fabric, so every rank of an SPMD job must be launched with the same
 // codec (the frames are self-describing, but mixed configs would compress
-// only part of the traffic). Under a memory budget each rank makes its own
-// run directory under Config.SpillDir; it is removed on every error path.
-// A failure that panics inside the sort — a lost connection, a peer that
-// closed its endpoint, a corrupt bucket — comes back as the error, naming
-// this rank and the transport's cause.
-func RunPE(t transport.Transport, local [][]byte, cfg Config) (run *PERun, err error) {
+// only part of the traffic). A failure that panics inside the sort — a
+// lost connection, a peer that closed its endpoint, a corrupt bucket —
+// comes back as the error, naming this rank and the transport's cause.
+func RunPE(t transport.Transport, local [][]byte, cfg Config, out *os.File) (st Stats, err error) {
 	if cfg.P != 0 && cfg.P != t.P() {
-		return nil, fmt.Errorf("stringsort: Config.P=%d but fabric has %d PEs", cfg.P, t.P())
+		return Stats{}, fmt.Errorf("stringsort: Config.P=%d but fabric has %d PEs", cfg.P, t.P())
 	}
 	// Chaos sits directly on the backend, under the codec, so injected
 	// faults hit the exact post-codec wire frames — the stacking order Sort
@@ -74,7 +82,7 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (run *PERun, err e
 	if cfg.Chaos != "" {
 		ccfg, err := chaos.Parse(cfg.Chaos)
 		if err != nil {
-			return nil, err
+			return Stats{}, err
 		}
 		ccfg.Seed = cfg.ChaosSeed
 		ce := chaos.Wrap(t, ccfg)
@@ -82,47 +90,45 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config) (run *PERun, err e
 		t = ce
 	}
 	if name, err := codec.Parse(cfg.Codec); err != nil {
-		return nil, err
+		return Stats{}, err
 	} else if name != "none" {
 		wrapped, err := codec.Wrap(t, codec.Config{Name: name})
 		if err != nil {
-			return nil, err
+			return Stats{}, err
 		}
 		t = wrapped
 	}
 	c := comm.NewComm(t)
 	c.SetPool(par.New(cfg.Cores))
-	var path string
-	if cfg.MemBudget > 0 {
-		runDir, err := os.MkdirTemp(cfg.SpillDir, "dss-runs-")
-		if err != nil {
-			return nil, fmt.Errorf("stringsort: run dir: %w", err)
-		}
-		path = runPath(runDir, c.Rank())
+	lines, err := newLineFile(out, cfg.SpillDir, c.Rank(), 1, nil)
+	if err != nil {
+		return Stats{}, err
 	}
+	defer lines.close()
 	// Recovered the way Machine.Run recovers a rank, without the stack: the
 	// cause names what failed.
 	defer func() {
 		if r := recover(); r != nil {
-			run, err = nil, fmt.Errorf("stringsort: PE %d failed: %v", c.Rank(), r)
-		}
-		if err != nil && path != "" {
-			os.RemoveAll(runDirOf(path))
+			st, err = Stats{}, fmt.Errorf("stringsort: PE %d failed: %v", c.Rank(), r)
 		}
 	}()
-	return runRank(c, local, cfg, path, nil, nil)
+	run, err := runRank(c, local, cfg, "", lines, nil)
+	if err != nil {
+		return Stats{}, err
+	}
+	return run.Stats, lines.finish()
 }
 
 // runRank is the per-rank routine of Sort, RunPE and SortToFile. Every rank
 // runs it collectively with its local input: choose the Output — the
-// PEOutput arrays in RAM (arena), the sorted-run file at path (Sort and
-// RunPE under a budget) or the rank's region of lines (SortToFile) — sort
-// into it, snapshot and exchange the statistics, reconstruct RunPE's PDMS
-// strings when cfg.Reconstruct asks for it, validate, and gather the
-// trace, which rank 0 writes. inputs is every PE's input when all of them
-// live in this address space — PDMS origins then resolve by lookup, in the
-// arena — and nil when this rank holds only its own.
-func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, inputs [][][]byte) (*PERun, error) {
+// PEOutput arrays in RAM (arena), the sorted-run file at path (Sort under
+// a budget) or the rank's region of lines (SortToFile and RunPE) — sort
+// into it, snapshot and exchange the statistics, fetch and write RunPE's
+// PDMS lines, validate, and gather the trace, which rank 0 writes. inputs
+// is every PE's input when all of them live in this address space — PDMS
+// origins then resolve by lookup — and nil when this rank holds only its
+// own.
+func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, inputs [][][]byte) (*peRun, error) {
 	if cfg.Trace != "" || trace.LiveOn() {
 		c.SetTrace(trace.New(c.Rank(), 0))
 	}
@@ -131,7 +137,7 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	// A line sink writes the input line behind each PDMS prefix, and in RAM
 	// Reconstruct replaces the prefixes by their strings; a run file keeps
 	// the prefixes with their origins for the caller to resolve.
-	run := &PERun{PrefixOnly: prefixes && lines == nil && !(inRAM && cfg.Reconstruct)}
+	run := &peRun{PrefixOnly: prefixes && lines == nil && !(inRAM && cfg.Reconstruct)}
 	// Full strings replacing prefixes have no LCPs the merge knows.
 	hasLCP := runOpts(cfg.Algorithm).LCP && (!prefixes || run.PrefixOnly)
 	var chk *streamCheck
@@ -158,19 +164,19 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 		run.Stats = statsFromReport(rep, n)
 	}
 
-	out := &run.Output
-	if inRAM && prefixes && cfg.Reconstruct && inputs == nil {
-		sats := make([]uint64, len(out.Origins))
-		for i, o := range out.Origins {
-			sats[i] = uint64(o.PE)<<32 | uint64(o.Index)
+	// RunPE's PDMS sink kept the origins; their lines come from the ranks
+	// that hold them.
+	if prefixes && lines != nil && inputs == nil {
+		if err := lines.writeLines(c, core.Reconstruct(c, lines.sats, local, 900), chk); err != nil {
+			return nil, fmt.Errorf("stringsort: output: %w", err)
 		}
-		out.Strings = core.Reconstruct(c, sats, local, 900)
 	}
 
 	// In RAM the check reads the finished arrays, exactly what the caller
 	// receives; a streaming Output has fed it every item it wrote.
 	if chk != nil {
 		if inRAM {
+			out := &run.Output
 			for i, s := range out.Strings {
 				var h int32
 				if hasLCP {
@@ -200,7 +206,7 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	return run, nil
 }
 
-// arena is the in-RAM Output of Sort and RunPE: it builds dst's Strings,
+// arena is the in-RAM Output of Sort: it builds dst's Strings,
 // LCPs (if lcp) and Origins (if origins), each sized exactly when the
 // merge opens it. A stable run's strings are kept as they are — the PE's
 // own ones alias the caller's input — and the received ones are copied

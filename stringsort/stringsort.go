@@ -196,13 +196,12 @@ type Config struct {
 	// run on any violation (sorting statistics unaffected; validation
 	// volume is excluded).
 	Validate bool
-	// Reconstruct materializes full strings for PDMS results, after the
-	// statistics snapshot, so it never reaches them. Sort resolves each
-	// output prefix's origin by lookup in inputs, with no communication, so
-	// the strings alias the caller's input bytes. RunPE, where each rank
-	// holds only its own fragment, queries the origin PEs with
-	// core.Reconstruct instead. Ignored under a memory budget (see
-	// MemBudget) and by SortToFile, which always writes full lines.
+	// Reconstruct makes in-RAM Sort return full strings for PDMS results
+	// instead of distinguishing prefixes: each output prefix's origin is
+	// looked up in inputs, with no communication, so the strings alias the
+	// caller's input bytes and no statistic moves. Ignored under a memory
+	// budget (see MemBudget) and by SortToFile and RunPE, which always
+	// write full lines.
 	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
@@ -228,22 +227,24 @@ type Config struct {
 	// MemBudget > 0 switches the run to the bounded-memory out-of-core
 	// pipeline: each PE meters the Step-3 run arenas against this per-PE
 	// byte budget, spills whole runs to page files once over budget, and
-	// streams its merged fragment to a sorted-run file instead of
-	// materializing it (PEOutput.RunFile; Strings/LCPs/Origins stay nil;
-	// SortToFile streams it into the output file instead).
-	// Sorted output bytes and the deterministic statistics are identical to
-	// the unbudgeted run; peak metered memory stays within the budget plus
-	// a fixed per-PE overhead (see README, "Out-of-core pipeline"). The
-	// Reconstruct option is ignored in budget mode — PDMS run files carry
-	// each prefix's origin for the caller to resolve. hQuick bounds only
-	// its output accumulation (its doubling working set is inherently
-	// resident).
+	// streams its merged fragment out instead of materializing it: Sort into
+	// a sorted-run file (PEOutput.RunFile; Strings/LCPs/Origins stay nil),
+	// SortToFile and RunPE into their output file through a buffer of one
+	// spill page. Sorted output bytes and the deterministic statistics are
+	// identical to the unbudgeted run; peak metered memory stays within the
+	// budget plus a fixed per-PE overhead (see README, "Out-of-core
+	// pipeline"). Sort ignores Reconstruct in budget mode — PDMS run files
+	// carry each prefix's origin for the caller to resolve — while
+	// SortToFile and RunPE write the input lines for PDMS too (RunPE's
+	// lines, fetched from their origin ranks, are held in RAM while they
+	// are written). hQuick bounds only its output accumulation (its
+	// doubling working set is inherently resident).
 	MemBudget int64
 	// SpillDir is where budget-mode page files and run files live,
-	// SortToFile's temporary file for an output that takes no positioned
-	// writes, and dss-sort's for an input that takes no positioned reads
-	// ("" means the OS temp dir). Page files are removed when the
-	// run ends, on success and failure alike.
+	// SortToFile's and RunPE's temporary file for an output that takes no
+	// positioned writes, and dss-sort's for an input that takes no
+	// positioned reads ("" means the OS temp dir). Page files are removed
+	// when the run ends, on success and failure alike.
 	SpillDir string
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
 	// the run to this file: per-PE phase spans, per-message transport
@@ -296,8 +297,8 @@ type PEOutput struct {
 	Origins []Origin
 	// RunFile is the PE's sorted-run output file in budget mode
 	// (Config.MemBudget > 0); Strings/LCPs/Origins are nil then. Stream it
-	// with OpenRun or load it with ReadRunFile. The file lives under
-	// Config.SpillDir until the caller removes it.
+	// with OpenRun. The file lives under Config.SpillDir until the caller
+	// removes it.
 	RunFile string
 	// RunCount is the number of items in RunFile (budget mode only).
 	RunCount int64
@@ -480,17 +481,17 @@ func statsFromReport(rep *stats.Report, n int64) Stats {
 type Result struct {
 	PEs        []PEOutput
 	Stats      Stats
-	PrefixOnly bool // PDMS without Reconstruct: fragments hold prefixes
+	PrefixOnly bool // PDMS without Reconstruct or under a budget: fragments hold prefixes
 }
 
 // Sort sorts the distributed string set inputs (inputs[pe] = PE pe's local
 // strings) with the configured algorithm and returns the per-PE fragments
-// and run statistics. Input arrays are not modified. Sort runs RunPE's
-// per-rank routine on every rank of an in-process machine over the
-// configured transport; holding every fragment, it resolves PDMS origins
-// by lookup instead of by query. When one rank fails, the machine closes
-// every endpoint so the others stop too, and Sort returns the first
-// failure.
+// and run statistics. Input arrays are not modified. Sort runs the
+// per-rank routine of SortToFile and RunPE on every rank of an in-process
+// machine over the configured transport, into the PEOutput arrays or,
+// under a budget, sorted-run files instead of lines. When one rank fails,
+// the machine closes every endpoint so the others stop too, and Sort
+// returns the first failure.
 func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 	p, err := machineSize(inputs, cfg)
 	if err != nil {
@@ -506,7 +507,7 @@ func Sort(inputs [][][]byte, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("stringsort: run dir: %w", err)
 		}
 	}
-	runs, err := runMachine(inputs, cfg, p, func(c *comm.Comm, local [][]byte) (*PERun, error) {
+	runs, err := runMachine(inputs, cfg, p, func(c *comm.Comm, local [][]byte) (*peRun, error) {
 		var path string
 		if runDir != "" {
 			path = runPath(runDir, c.Rank())
@@ -545,13 +546,13 @@ func machineSize(inputs [][][]byte, cfg Config) (int, error) {
 // for cfg, each with its fragment of inputs, and returns the ranks' runs.
 // When one rank fails, the machine closes every endpoint so the others stop
 // too, and runMachine returns the first failure.
-func runMachine(inputs [][][]byte, cfg Config, p int, rank func(c *comm.Comm, local [][]byte) (*PERun, error)) ([]*PERun, error) {
+func runMachine(inputs [][][]byte, cfg Config, p int, rank func(c *comm.Comm, local [][]byte) (*peRun, error)) ([]*peRun, error) {
 	machine, err := newMachine(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	machine.SetPool(par.New(cfg.Cores))
-	runs := make([]*PERun, p)
+	runs := make([]*peRun, p)
 	err = machine.Run(func(c *comm.Comm) error {
 		var local [][]byte
 		if c.Rank() < len(inputs) {

@@ -41,46 +41,77 @@ func SortToFile(inputs [][][]byte, cfg Config, out *os.File) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	dst := out
-	base, err := out.Seek(0, io.SeekCurrent)
-	if err != nil || appendOnly(out) {
-		if dst, err = os.CreateTemp(cfg.SpillDir, "dss-out-"); err != nil {
-			return Stats{}, fmt.Errorf("stringsort: output: %w", err)
-		}
-		os.Remove(dst.Name())
-		defer dst.Close()
-		base = 0
+	lines, err := newLineFile(out, cfg.SpillDir, 0, p, inputs)
+	if err != nil {
+		return Stats{}, err
 	}
-	lines := &lineFile{f: dst, inputs: inputs, base: base, ends: make([]int64, p), done: make([]chan struct{}, p)}
-	for r := range lines.done {
-		lines.done[r] = make(chan struct{})
-	}
-	runs, err := runMachine(inputs, cfg, p, func(c *comm.Comm, local [][]byte) (*PERun, error) {
+	defer lines.close()
+	runs, err := runMachine(inputs, cfg, p, func(c *comm.Comm, local [][]byte) (*peRun, error) {
 		return runRank(c, local, cfg, "", lines, inputs)
 	})
 	if err != nil {
 		return Stats{}, err
 	}
-	end := lines.ends[p-1]
-	if dst == out {
-		_, err = out.Seek(end, io.SeekStart)
-	} else if _, err = dst.Seek(0, io.SeekStart); err == nil {
-		_, err = io.Copy(out, io.LimitReader(dst, end))
-	}
-	if err != nil {
-		return Stats{}, fmt.Errorf("stringsort: output: %w", err)
-	}
-	return runs[0].Stats, nil
+	return runs[0].Stats, lines.finish()
 }
 
-// lineFile is SortToFile's output file, shared by the PEs of one machine:
-// PE r writes its lines into [ends[r−1], ends[r]), with ends[−1] = base.
+// lineFile is the output file of SortToFile and RunPE, shared by the PEs
+// that write into it: ranks first, first+1, …, one per entry of ends. The
+// i-th of them writes its lines into [ends[i−1], ends[i]), with ends[−1] =
+// base. A RunPE rank writes its own file and waits for no predecessor.
 type lineFile struct {
-	f      *os.File
-	inputs [][][]byte // every PE's input, where PDMS origins resolve
+	out    *os.File   // the caller's file
+	f      *os.File   // out, or the temporary file standing in for it
+	inputs [][][]byte // every PE's input, where PDMS origins resolve; nil in RunPE
 	base   int64
-	ends   []int64         // ends[r] is set before done[r] closes
-	done   []chan struct{} // done[r] closes once PE r has taken its region
+	first  int             // rank of the first PE writing into f
+	ends   []int64         // ends[i] is set before done[i] closes
+	done   []chan struct{} // done[i] closes once the i-th PE has taken its region
+	sats   []uint64        // RunPE's PDMS origins, kept until their lines are fetched
+}
+
+// newLineFile returns the lineFile of the n PEs from rank first on, whose
+// lines start at out's current offset. An out that takes no positioned
+// writes — a pipe, a socket, a terminal, a file opened for appending — is
+// stood in for by an unlinked temporary file under dir, which finish copies
+// out.
+func newLineFile(out *os.File, dir string, first, n int, inputs [][][]byte) (*lineFile, error) {
+	lf := &lineFile{out: out, f: out, inputs: inputs, first: first, ends: make([]int64, n), done: make([]chan struct{}, n)}
+	for i := range lf.done {
+		lf.done[i] = make(chan struct{})
+	}
+	var err error
+	if lf.base, err = out.Seek(0, io.SeekCurrent); err != nil || appendOnly(out) {
+		if lf.f, err = os.CreateTemp(dir, "dss-out-"); err != nil {
+			return nil, fmt.Errorf("stringsort: output: %w", err)
+		}
+		os.Remove(lf.f.Name())
+		lf.base = 0
+	}
+	return lf, nil
+}
+
+// finish leaves out's offset at the end of the lines, copying them out of
+// the temporary file first if there is one.
+func (lf *lineFile) finish() error {
+	end := lf.ends[len(lf.ends)-1]
+	var err error
+	if lf.f == lf.out {
+		_, err = lf.out.Seek(end, io.SeekStart)
+	} else if _, err = lf.f.Seek(0, io.SeekStart); err == nil {
+		_, err = io.Copy(lf.out, io.LimitReader(lf.f, end))
+	}
+	if err != nil {
+		return fmt.Errorf("stringsort: output: %w", err)
+	}
+	return nil
+}
+
+// close closes the temporary file, if there is one.
+func (lf *lineFile) close() {
+	if lf.f != lf.out {
+		lf.f.Close()
+	}
 }
 
 // region takes the region of size bytes of c's PE, once the PE before it
@@ -88,18 +119,34 @@ type lineFile struct {
 // the PEs' sizes. A PE whose predecessor failed stops when the machine
 // aborts.
 func (lf *lineFile) region(c *comm.Comm, size int64) (int64, error) {
-	r, start := c.Rank(), lf.base
-	if r > 0 {
+	i, start := c.Rank()-lf.first, lf.base
+	if i > 0 {
 		select {
-		case <-lf.done[r-1]:
-			start = lf.ends[r-1]
+		case <-lf.done[i-1]:
+			start = lf.ends[i-1]
 		case <-c.Aborted():
 			return 0, errors.New("stringsort: output: the run aborted before this PE's region was known")
 		}
 	}
-	lf.ends[r] = start + size
-	close(lf.done[r])
+	lf.ends[i] = start + size
+	close(lf.done[i])
 	return start, nil
+}
+
+// start points w at c's region of size bytes and gives it its buffer,
+// metered by w.pool if non-nil.
+func (lf *lineFile) start(c *comm.Comm, w *lineWriter, size int64) error {
+	off, err := lf.region(c, size)
+	if err != nil {
+		return err
+	}
+	n := int(min(lineBuf, size))
+	if w.pool != nil {
+		n = w.pool.PageSize()
+		w.pool.Reserve(int64(n))
+	}
+	w.off, w.end, w.buf = off, off+size, make([]byte, 0, n)
+	return nil
 }
 
 // line returns the input line a PDMS origin names (PE in the high 32 bits).
@@ -110,10 +157,26 @@ func (lf *lineFile) line(sat uint64) []byte { return lf.inputs[sat>>32][uint32(s
 // it. With prefixes (PDMS) an item goes out as the input line its origin
 // names; those lines lie anywhere in the input, so they are resolved a
 // batch at a time, with the batch's lines touched in one loop of
-// independent loads first so that their cache misses overlap.
+// independent loads first so that their cache misses overlap. Without the
+// inputs (RunPE) the sink keeps only the origins, in lf.sats, for
+// writeLines.
 func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *streamCheck) (*core.Output, func() error) {
-	w := &lineWriter{f: lf.f, pool: sp}
 	out := &core.Output{}
+	if prefixes && lf.inputs == nil {
+		out.Open = func(runs []core.Extent) (merge.Sink, error) {
+			var n int64
+			for _, r := range runs {
+				n += r.N
+			}
+			lf.sats = make([]uint64, 0, n)
+			return func(_ int, _ []byte, _ int32, sat uint64) error {
+				lf.sats = append(lf.sats, sat)
+				return nil
+			}, nil
+		}
+		return out, func() error { return nil }
+	}
+	w := &lineWriter{f: lf.f, pool: sp}
 	var sats []uint64 // PDMS origins not yet written
 	var touched byte
 	resolve := func() {
@@ -138,16 +201,9 @@ func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *str
 		for _, r := range runs {
 			total += r.N + r.Chars
 		}
-		off, err := lf.region(c, total)
-		if err != nil {
+		if err := lf.start(c, w, total); err != nil {
 			return nil, err
 		}
-		size := int(min(lineBuf, total))
-		if sp != nil {
-			size = sp.PageSize()
-			sp.Reserve(int64(size))
-		}
-		w.off, w.end, w.buf = off, off+total, make([]byte, 0, size)
 		return func(_ int, s []byte, lcp int32, sat uint64) error {
 			if out.Line == nil {
 				chk.add(s, lcp)
@@ -162,6 +218,24 @@ func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *str
 		resolve()
 		return w.close()
 	}
+}
+
+// writeLines writes lines, RunPE's PDMS fragment as core.Reconstruct
+// fetched it, into c's region, exactly as chk sees them.
+func (lf *lineFile) writeLines(c *comm.Comm, lines [][]byte, chk *streamCheck) error {
+	var size int64
+	for _, s := range lines {
+		size += int64(len(s)) + 1
+	}
+	w := &lineWriter{f: lf.f}
+	if err := lf.start(c, w, size); err != nil {
+		return err
+	}
+	for _, s := range lines {
+		chk.add(s, 0)
+		w.add(s)
+	}
+	return w.close()
 }
 
 // lineWriter writes one PE's lines into its region [off, end) of the file

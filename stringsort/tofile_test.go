@@ -17,8 +17,13 @@ import (
 func sortedLines(inputs [][][]byte) []byte {
 	all := flatten(inputs)
 	sort.Slice(all, func(i, j int) bool { return bytes.Compare(all[i], all[j]) < 0 })
+	return joinLines(all)
+}
+
+// joinLines returns ss as lines, each followed by '\n'.
+func joinLines(ss [][]byte) []byte {
 	var b bytes.Buffer
-	for _, s := range all {
+	for _, s := range ss {
 		b.Write(s)
 		b.WriteByte('\n')
 	}

@@ -220,6 +220,7 @@ func TestRunPETraceAggregation(t *testing.T) {
 	}
 	defer fab.Close()
 	path := filepath.Join(t.TempDir(), "trace.json")
+	outs := openOuts(t, p, 0, "")
 	var wg sync.WaitGroup
 	errs := make([]error, p)
 	for rank := 0; rank < p; rank++ {
@@ -229,7 +230,7 @@ func TestRunPETraceAggregation(t *testing.T) {
 			_, errs[rank] = RunPE(fab.Endpoint(rank), inputs[rank], Config{
 				Algorithm: PDMS,
 				Trace:     path,
-			})
+			}, outs[rank])
 		}(rank)
 	}
 	wg.Wait()

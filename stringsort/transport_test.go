@@ -86,76 +86,81 @@ func TestTCPBackendMatchesLocal(t *testing.T) {
 
 // TestRunPEMatchesSort runs the SPMD entry point — one RunPE call per rank
 // over a real TCP mesh, the exact shape cmd/dss-worker executes — and
-// requires fragment-identical output and bit-identical statistics compared
-// to the in-process Sort of the same input and seed, under every decoration
-// of the shared per-rank routine: MS, PDMS and PDMS-Golomb, in RAM (where PDMS
-// origins resolve by lookup in Sort and by query in RunPE) and under a
-// budget (run files compared byte for byte), with and without a trace.
+// requires that the ranks' files, concatenated in rank order, hold exactly
+// what SortToFile writes for the same input and seed, with bit-identical
+// statistics on every rank: all six algorithms, in RAM and under a budget
+// (where PDMS lines come from their origin ranks either way), with and
+// without a trace; under the budget every algorithm but hQuick spills.
+// Each rank's lines start at its file's offset and leave it at their end;
+// two more cells start them after a header line, once in a regular file
+// and once in a file opened for appending (written through the temporary
+// file). No cell leaves anything in the spill directory.
 func TestRunPEMatchesSort(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(405))
-	inputs := genInputs(rng, p, 150)
-	for _, algo := range []Algorithm{PDMS, PDMSGolomb, MS} {
+	inputs := genInputs(rng, p, 1000)
+	const header, trailer = "header\n", "trailer\n"
+	cell := func(t *testing.T, cfg Config, flag int, prefix string) {
+		want, wantSt := toFile(t, inputs, cfg)
+		want = want[len(header) : len(want)-len(trailer)]
+		outs := openOuts(t, p, flag, prefix)
+		sts, errs := runPEsOverTCP(t, inputs, cfg, outs)
+		var got []byte
+		for rank, f := range outs {
+			if errs[rank] != nil {
+				t.Fatalf("rank %d: %v", rank, errs[rank])
+			}
+			f.WriteString(trailer)
+			b := readFile(t, f.Name())
+			if !bytes.HasPrefix(b, []byte(prefix)) || !bytes.HasSuffix(b[len(prefix):], []byte(trailer)) {
+				t.Fatalf("rank %d: lines not between %q and %q where the offset was left", rank, prefix, trailer)
+			}
+			got = append(got, b[len(prefix):len(b)-len(trailer)]...)
+			if budgetInvariant(sts[rank]) != budgetInvariant(wantSt) {
+				t.Fatalf("rank %d: SPMD statistics differ from SortToFile:\nsort:  %+v\nspmd:  %+v",
+					rank, wantSt, sts[rank])
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the ranks' lines differ from SortToFile's (%d bytes, want %d)", len(got), len(want))
+		}
+		if cfg.MemBudget > 0 && cfg.Algorithm != HQuick && sts[0].SpillBytesWritten == 0 {
+			t.Fatal("nothing spilled under the budget")
+		}
+		if cfg.Trace != "" {
+			loadTrace(t, cfg.Trace)
+		}
+		assertEmptyDir(t, "RunPE", cfg.SpillDir)
+	}
+	config := func(t *testing.T, algo Algorithm, budget bool) Config {
+		cfg := Config{Algorithm: algo, Seed: 23, Validate: true, SpillDir: t.TempDir()}
+		if budget {
+			cfg = budgetConfig(cfg, cfg.SpillDir)
+		}
+		return cfg
+	}
+	for _, algo := range Algorithms {
 		for _, budget := range []bool{false, true} {
 			for _, traced := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/budget=%v/trace=%v", algo, budget, traced), func(t *testing.T) {
-					cfg := Config{Algorithm: algo, Seed: 23, Validate: true, Reconstruct: true}
-					if budget {
-						cfg = budgetConfig(cfg, t.TempDir())
-					}
+					cfg := config(t, algo, budget)
 					if traced {
 						cfg.Trace = filepath.Join(t.TempDir(), "trace.json")
 					}
-					want, err := Sort(inputs, cfg)
-					if err != nil {
-						t.Fatalf("in-process sort: %v", err)
-					}
-					runs := runPEOverTCP(t, inputs, cfg)
-					for rank := 0; rank < p; rank++ {
-						if budget {
-							if !sameFile(t, want.PEs[rank].RunFile, runs[rank].Output.RunFile) {
-								t.Fatalf("rank %d: SPMD run file differs from Sort run file", rank)
-							}
-							os.RemoveAll(runDirOf(runs[rank].Output.RunFile))
-						} else if !equalOutputs(want.PEs[rank].Strings, runs[rank].Output.Strings) {
-							t.Fatalf("rank %d: SPMD fragment differs from Sort fragment", rank)
-						}
-						if budgetInvariant(runs[rank].Stats) != budgetInvariant(want.Stats) {
-							t.Fatalf("rank %d: SPMD statistics differ from Sort:\nsort:  %+v\nspmd:  %+v",
-								rank, want.Stats, runs[rank].Stats)
-						}
-					}
-					if budget {
-						os.RemoveAll(runDirOf(want.PEs[0].RunFile))
-					}
-					if traced {
-						loadTrace(t, cfg.Trace)
-					}
+					cell(t, cfg, 0, "")
 				})
 			}
 		}
 	}
-}
-
-// sameFile reports whether two files hold the same bytes.
-func sameFile(t *testing.T, a, b string) bool {
-	t.Helper()
-	ab, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(ab, bb)
+	t.Run("PDMS/budget=true/offset", func(t *testing.T) { cell(t, config(t, PDMS, true), 0, header) })
+	t.Run("MS/budget=false/append", func(t *testing.T) { cell(t, config(t, MS, false), os.O_APPEND, header) })
 }
 
 // TestRunPEReturnsPeerLossAsError closes rank 1's endpoint of a 2-rank
 // loopback TCP fabric while rank 0's RunPE runs without it, under a
 // budget: the failure panics inside the sort, and RunPE must return it as
-// an error naming rank 1 — and remove the run directory — instead of
-// letting the panic kill the process.
+// an error naming rank 1 — and leave nothing in the spill directory —
+// instead of letting the panic kill the process.
 func TestRunPEReturnsPeerLossAsError(t *testing.T) {
 	f, err := tcp.NewLoopback(2)
 	if err != nil {
@@ -164,9 +169,10 @@ func TestRunPEReturnsPeerLossAsError(t *testing.T) {
 	defer f.Close()
 	inputs := genInputs(rand.New(rand.NewSource(406)), 2, 200)
 	dir := t.TempDir()
+	out := openOuts(t, 1, 0, "")[0]
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPE(f.Endpoint(0), inputs[0], budgetConfig(Config{Algorithm: MS, Seed: 3}, dir))
+		_, err := RunPE(f.Endpoint(0), inputs[0], budgetConfig(Config{Algorithm: MS, Seed: 3}, dir), out)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // most likely rank 0 waits first; either order must pass
@@ -179,9 +185,7 @@ func TestRunPEReturnsPeerLossAsError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "PE 0") || !strings.Contains(err.Error(), "rank 1") {
 		t.Fatalf("RunPE returned %v, want an error naming PE 0 and rank 1", err)
 	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "dss-runs-*")); len(left) > 0 {
-		t.Fatalf("run directories left behind: %v", left)
-	}
+	assertEmptyDir(t, "peer loss", dir)
 }
 
 // TestRunPERejectsMismatchedP pins the Config.P validation.
@@ -193,11 +197,12 @@ func TestRunPERejectsMismatchedP(t *testing.T) {
 	defer f.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
+	outs := openOuts(t, 2, 0, "")
 	wg.Add(2)
 	for rank := 0; rank < 2; rank++ {
 		go func(rank int) {
 			defer wg.Done()
-			_, errs[rank] = RunPE(f.Endpoint(rank), nil, Config{P: 5})
+			_, errs[rank] = RunPE(f.Endpoint(rank), nil, Config{P: 5}, outs[rank])
 		}(rank)
 	}
 	wg.Wait()
