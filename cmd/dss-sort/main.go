@@ -17,9 +17,10 @@
 // output is written by the sort itself (stringsort.SortToFile): each PE's
 // Step-4 merge writes its lines straight into its own region of the
 // output file with positioned writes, all PEs at once, so no sorted copy
-// of the data is built. PDMS sorts distinguishing prefixes: the merge
-// writes the full input line each prefix's origin names, found by lookup
-// with no communication, in RAM and under -mem-budget alike. An output that
+// of the data is built. PDMS sorts distinguishing prefixes: its merge
+// keeps only each prefix's origin, and once the statistics are taken each
+// PE looks the input line each origin names up, with no communication, and
+// writes the lines, in RAM and under -mem-budget alike. An output that
 // takes no positioned writes (a pipe, a terminal) gets the same bytes
 // through an unlinked temporary file. The stderr summary ends with an
 // "envelope:" line that splits the process's wall time into reading the

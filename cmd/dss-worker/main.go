@@ -10,9 +10,11 @@
 // runs on every rank of its in-process machine: sort, statistics exchange,
 // validation, trace gather and the line output are one code path in both
 // binaries: each rank's Step-4 merge writes its lines straight into its
-// output. The one difference is PDMS: a worker holds only its own lines, so
-// it queries the origin ranks for them (core.Reconstruct) where dss-sort
-// looks them up. Written to a pipe or a terminal, the fragment passes
+// output. PDMS's merge keeps only each prefix's origin, and once the
+// statistics are taken one step turns the origins into lines; the one
+// difference is there: a worker holds only its own lines, so it queries the
+// origin ranks for them (core.Reconstruct) where dss-sort looks them up.
+// Written to a pipe or a terminal, the fragment passes
 // through an unlinked temporary file under -spill-dir first.
 //
 // Localhost example (4 workers, PDMS):

@@ -1,9 +1,10 @@
 // Dead-code guard: every package-level identifier and method of module dss
 // that code outside the module cannot reach must be referenced by some
-// non-test file, or it is dead weight that only tests keep alive. The check
-// type-checks the module's non-test files (and those of benchmark/, whose
-// calls count as uses) with go/types, so it is the standard-library cousin
-// of staticcheck's unused analysis.
+// non-test file, or it is dead weight that only tests keep alive; and every
+// field of a package-level struct type must be both read and written by
+// some non-test file. The check type-checks the module's non-test files
+// (and those of benchmark/, whose calls count as uses) with go/types, so it
+// is the standard-library cousin of staticcheck's unused analysis.
 package dss_test
 
 import (
@@ -27,22 +28,30 @@ import (
 	"dss/stringsort"
 )
 
-// deadCodeAllowlist names the unused identifiers that stay, each with its
-// reason. TestNoDeadCode fails on an entry that is referenced again or that
-// names nothing, so the list can only shrink. Keys are package name, then
-// type for a method, then identifier.
+// deadCodeAllowlist names the unused identifiers and dead fields that
+// stay, each with its reason. TestNoDeadCode fails on an entry that is used
+// again or that names nothing, so the list can only shrink. Keys are
+// package name, then type for a method or field, then identifier.
 var deadCodeAllowlist = map[string]string{
 	"strutil.ComputeLCPArray":  "oracle: the naive LCP array the wordwise kernels and sorters are checked against",
 	"strutil.ValidateLCPArray": "oracle: the naive LCP check behind the strsort and strutil differentials",
 	"wire.EncodeStringsLCP":    "oracle: one-shot encoder the streaming run cursor and the Set encoders are diffed against",
 	"spill.ReadRunFile":        "oracle: whole-file reader the run scanner's fuzz and round-trip tests compare with",
 	"conformance.Run":          "oracle: the transport conformance suite every backend's tests run",
+
+	"merge.sliceSource.touched":          "never read: the sink that keeps the touch-ahead loads from being optimized away",
+	"stringsort.Stats.ResentFrames":      "never written: always zero since the transport stopped resending; benchmark/probes.go still reads it (ROADMAP 16(c))",
+	"input.DNConfig.Seed":                "never read: the D/N generator is deterministic; benchmark/workloads.go sets it (ROADMAP 25(c))",
+	"stringsort.Config.blockingExchange": "never written outside tests: the bulk-synchronous exchange reference (ROADMAP 25(b))",
+	"stringsort.Config.spillPageSize":    "never written outside tests: the budget tests' page-size seam (ROADMAP 25(b))",
+	"dupdetect.Options.fixedRange":       "never written outside tests: the differential's hash-range seam (ROADMAP 25(b))",
+	"spill.Config.Create":                "never written outside tests: the file-creation fault seam (ROADMAP 25(b))",
 }
 
 // The three counts the guard pins. A change that moves one edits its
 // constant here and says why in CHANGES.md.
 const (
-	wantPanicLines   = 86 // lines containing "panic(" in the module's non-test files
+	wantPanicLines   = 82 // lines containing "panic(" in the module's non-test files
 	wantConfigFields = 20 // exported fields of stringsort.Config
 	wantSharedFlags  = 16 // flags stringsort.RegisterTuningFlags registers
 )
@@ -52,23 +61,40 @@ func TestNoDeadCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idents := prog.checkedIdents()
-	keys := make([]string, 0, len(idents))
-	for key := range idents {
+	// dead maps every checked key to what is wrong with it, "" for nothing.
+	dead := map[string]string{}
+	for key, used := range prog.checkedIdents() {
+		dead[key] = ""
+		if !used {
+			dead[key] = "referenced only by tests"
+		}
+	}
+	for key, use := range prog.checkedFields() {
+		switch {
+		case !use.read:
+			dead[key] = "a field no non-test code reads"
+		case !use.written:
+			dead[key] = "a field no non-test code writes"
+		default:
+			dead[key] = ""
+		}
+	}
+	keys := make([]string, 0, len(dead))
+	for key := range dead {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		if _, ok := deadCodeAllowlist[key]; !ok && !idents[key] {
-			t.Errorf("%s: referenced only by tests; delete it, or add it to deadCodeAllowlist with a reason", key)
+		if _, ok := deadCodeAllowlist[key]; !ok && dead[key] != "" {
+			t.Errorf("%s: %s; delete it, or add it to deadCodeAllowlist with a reason", key, dead[key])
 		}
 	}
 	for key := range deadCodeAllowlist {
-		switch used, ok := idents[key]; {
+		switch why, ok := dead[key]; {
 		case !ok:
 			t.Errorf("deadCodeAllowlist entry %s names nothing the guard checks", key)
-		case used:
-			t.Errorf("deadCodeAllowlist entry %s is referenced by non-test code; drop the entry", key)
+		case why == "":
+			t.Errorf("deadCodeAllowlist entry %s is used by non-test code; drop the entry", key)
 		}
 	}
 }
@@ -103,12 +129,20 @@ func TestPinnedCounts(t *testing.T) {
 	}
 }
 
+// unit is one type-checked package: its import path, its type information
+// and its files.
+type unit struct {
+	ipath string
+	info  *types.Info
+	files []*ast.File
+}
+
 // program is the type-checked non-test code of module dss plus benchmark/.
 type program struct {
 	fset  *token.FileSet
 	dirs  map[string]string // import path -> directory
 	pkgs  map[string]*types.Package
-	infos []*types.Info
+	units []unit
 	std   types.Importer
 }
 
@@ -185,6 +219,8 @@ func (p *program) Import(ipath string) (*types.Package, error) {
 		Types: map[ast.Expr]types.TypeAndValue{},
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
+
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: p}
 	pkg, err := conf.Check(ipath, p.fset, files, info)
@@ -192,7 +228,7 @@ func (p *program) Import(ipath string) (*types.Package, error) {
 		return nil, err
 	}
 	p.pkgs[ipath] = pkg
-	p.infos = append(p.infos, info)
+	p.units = append(p.units, unit{ipath, info, files})
 	return pkg, nil
 }
 
@@ -249,7 +285,8 @@ func (p *program) checkedIdents() map[string]bool {
 			}
 		}
 	}
-	for _, info := range p.infos {
+	for _, u := range p.units {
+		info := u.info
 		for _, obj := range info.Uses {
 			used[origin(obj)] = true
 			walk(obj.Type())
@@ -318,6 +355,147 @@ func (p *program) checkedIdents() map[string]bool {
 		}
 	}
 	return idents
+}
+
+// fieldUse is how non-test code uses a struct field.
+type fieldUse struct{ read, written bool }
+
+// checkedFields maps the key of every field of a package-level struct type
+// of the module (benchmark/ aside) to how the program's code uses it. A
+// field is written when it is assigned (also by an op-assignment or ++/--,
+// or through an index or a nested selector: x.f[i] = v and x.f.g = v write
+// f), set in a composite literal, has its address taken or has a method
+// called on it; it is read by every other use, and also when its address
+// is taken or a method is called on it. A selection through an embedded
+// field uses that field the same way. Three kinds of fields count as read
+// without a use: the fields of a struct used as a map key (the map
+// compares them), exported fields of exported types of a public package
+// (callers outside the module read them), and fields with a struct tag,
+// which reflection reads and fills (they count as written too).
+func (p *program) checkedFields() map[string]fieldUse {
+	keys := map[*types.Var]string{}
+	uses := map[string]fieldUse{}
+	for _, u := range p.units {
+		if inBenchmark(u.ipath) {
+			continue
+		}
+		pkg := p.pkgs[u.ipath]
+		prefix := pkg.Name()
+		if prefix == "main" {
+			prefix = strings.TrimPrefix(u.ipath, "dss/")
+		}
+		public := pkg.Name() != "main" && !strings.HasPrefix(u.ipath, "dss/internal/")
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Name() == "_" {
+					continue
+				}
+				key := prefix + "." + name + "." + f.Name()
+				keys[f] = key
+				tagged := st.Tag(i) != ""
+				uses[key] = fieldUse{read: tagged || public && tn.Exported() && f.Exported(), written: tagged}
+			}
+		}
+	}
+	mark := func(f *types.Var, read, written bool) {
+		if key, ok := keys[origin(f).(*types.Var)]; ok {
+			u := uses[key]
+			u.read, u.written = u.read || read, u.written || written
+			uses[key] = u
+		}
+	}
+	for _, u := range p.units {
+		info := u.info
+		// The selectors that are only written, and those whose address is
+		// taken or that a method is called on.
+		writeOnly := map[*ast.SelectorExpr]bool{}
+		both := map[*ast.SelectorExpr]bool{}
+		var lhs func(e ast.Expr)
+		lhs = func(e ast.Expr) {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+					writeOnly[e] = true
+					lhs(e.X)
+				}
+			case *ast.IndexExpr:
+				lhs(e.X)
+			}
+		}
+		for _, f := range u.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.UnaryExpr:
+					if x, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+						both[x] = true
+					}
+				case *ast.SelectorExpr:
+					if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+						if x, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+							both[x] = true
+						}
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								mark(f, false, true)
+							}
+						} else {
+							mark(st.Field(i), false, true)
+						}
+					}
+				}
+				return true
+			})
+		}
+		for e, sel := range info.Selections {
+			if sel.Kind() != types.FieldVal {
+				continue
+			}
+			read, written := !writeOnly[e] || both[e], writeOnly[e] || both[e]
+			// Walk the path from the receiver through any embedded fields
+			// to the selected one.
+			t := sel.Recv()
+			for _, i := range sel.Index() {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				f := t.Underlying().(*types.Struct).Field(i)
+				mark(f, read, written)
+				t = f.Type()
+			}
+		}
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				if st, ok := m.Key().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						mark(st.Field(i), true, false)
+					}
+				}
+			}
+		}
+	}
+	return uses
 }
 
 // origin maps a use of an instantiated generic function, method or field

@@ -38,12 +38,13 @@
 // caller opens once per PE with the exact extent of every run the fragment
 // is made of, fed by the Step-4 merge or, where there is nothing to merge
 // (hQuick, p == 1), by draining the sorted array. What the sink builds is
-// the caller's choice — the arrays of a Result, a sorted-run file, or a
-// region of one output file. The deterministic statistics are identical on
-// both landings — received bytes are billed to the phase the exchange was
-// posted in — and identical to the bulk-synchronous exchange kept as the
-// reference implementation (SeamOptions.BlockingExchange, set by the
-// differential tests only).
+// the caller's choice — the arrays of a Result, a sorted-run file, a
+// region of one output file, or for PDMS just the origin column, which the
+// caller turns into lines once the sort is done. The deterministic
+// statistics are identical on both landings — received bytes are billed to
+// the phase the exchange was posted in — and identical to the
+// bulk-synchronous exchange kept as the reference implementation
+// (SeamOptions.BlockingExchange, set by the differential tests only).
 package core
 
 import (
@@ -233,7 +234,8 @@ type SeamOptions struct {
 
 // Output is where a PE's sorted fragment goes: the sink its Step-4 merge
 // writes into or, for hQuick and at p == 1, the sink its sorted array is
-// drained into.
+// drained into. PDMS's items are its prefixes with their origins; a caller
+// that wants the full lines keeps the origins and resolves them afterwards.
 type Output struct {
 	// Open is called exactly once per PE, before the fragment's first item
 	// reaches the sink it returns, with the extent of every run the
@@ -241,17 +243,12 @@ type Output struct {
 	// extents are exact, so a caller can place or size the fragment before
 	// it exists. An error fails the PE.
 	Open func(runs []Extent) (merge.Sink, error)
-	// Line, if non-nil, measures an item by its satellite word instead of
-	// its string: the length of the input line a PDMS origin names, for a
-	// sink that writes that line in place of the prefix.
-	Line func(sat uint64) int
 }
 
 // Extent is one run's share of a PE's fragment.
 type Extent struct {
-	// N is the run's item count and Chars the characters its items take:
-	// their strings' lengths or, with Output.Line set, the lengths of the
-	// lines their origins name.
+	// N is the run's item count and Chars the characters of its strings
+	// (for PDMS, of its prefixes).
 	N, Chars int64
 	// Stable marks a run whose strings stay valid after the merge — the
 	// PE's own bucket and a drained array, which alias the caller's input
@@ -260,15 +257,8 @@ type Extent struct {
 	Stable bool
 }
 
-// size returns the characters the sink receives for seq's items, as an
-// Extent counts them.
-func (o *Output) size(seq merge.Sequence) (chars int64) {
-	if o.Line != nil {
-		for _, sat := range seq.Sats {
-			chars += int64(o.Line(sat))
-		}
-		return chars
-	}
+// charsOf returns the characters of seq's strings, as an Extent counts them.
+func charsOf(seq merge.Sequence) (chars int64) {
 	set := strutil.Set{Strings: seq.Strings, Order: seq.Order}
 	for i := 0; i < set.Len(); i++ {
 		chars += int64(len(set.At(i)))
@@ -298,8 +288,8 @@ type bucketCodec struct {
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) {
 	own := g.Idx()
 	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
-	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Out.Line, opt.Spill)
-	runs[own] = encodedRun{home: cd.own, n: cd.own.Len(), chars: int(opt.Out.size(*cd.own))}
+	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
+	runs[own] = encodedRun{home: cd.own, n: cd.own.Len(), chars: int(charsOf(*cd.own))}
 	c.AddWork(sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out))
 	c.SetPhase(stats.PhaseOther)
 }

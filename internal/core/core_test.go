@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"dss/internal/comm"
 	"dss/internal/merge"
@@ -372,42 +374,127 @@ func TestPDMSCharSampling(t *testing.T) {
 	}
 }
 
+// TestReconstructCollective fetches the strings behind PDMS fragments and
+// behind origin columns built by hand: a rank with an empty fragment, a
+// fragment whose origins all lie on one PE, and origins that name no
+// string, which must fail the run with Reconstruct's error, not hang it.
 func TestReconstructCollective(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	global := genRandom(rng, 200, 18, 3)
 	p := 4
 	locals := scatter(global, p)
-	m := comm.New(p)
-	results := make([]fragment, p)
-	fulls := make([][][]byte, p)
-	err := m.Run(func(c *comm.Comm) error {
-		opt := PDMSOptions{}
-		opt.GroupID = 1
-		res := pdms(c, locals[c.Rank()], opt)
-		results[c.Rank()] = res
-		fulls[c.Rank()] = Reconstruct(c, res.Sats, locals[c.Rank()], 99)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var concat [][]byte
-	for pe := 0; pe < p; pe++ {
-		if len(fulls[pe]) != len(results[pe].Strings) {
-			t.Fatalf("PE %d: reconstructed %d of %d", pe, len(fulls[pe]), len(results[pe].Strings))
+	// reconstruct runs Reconstruct on every rank with its column of sats
+	// and returns copies of the fetched strings.
+	reconstruct := func(sats [][]uint64) ([][][]byte, error) {
+		fulls := make([][][]byte, p)
+		done := make(chan error, 1)
+		go func() {
+			done <- comm.New(p).Run(func(c *comm.Comm) error {
+				return Reconstruct(c, sats[c.Rank()], locals[c.Rank()], 99, func(lines [][]byte) error {
+					for _, s := range lines {
+						fulls[c.Rank()] = append(fulls[c.Rank()], bytes.Clone(s))
+					}
+					return nil
+				})
+			})
+		}()
+		select {
+		case err := <-done:
+			return fulls, err
+		case <-time.After(20 * time.Second):
+			t.Fatal("Reconstruct hung")
+			return nil, nil
 		}
-		for i, full := range fulls[pe] {
-			if !bytes.HasPrefix(full, results[pe].Strings[i]) {
-				t.Fatalf("PE %d: %q not a prefix of %q", pe, results[pe].Strings[i], full)
+	}
+
+	t.Run("pdms", func(t *testing.T) {
+		m := comm.New(p)
+		results := make([]fragment, p)
+		err := m.Run(func(c *comm.Comm) error {
+			opt := PDMSOptions{}
+			opt.GroupID = 1
+			results[c.Rank()] = pdms(c, locals[c.Rank()], opt)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sats := make([][]uint64, p)
+		for pe := range sats {
+			sats[pe] = results[pe].Sats
+		}
+		fulls, err := reconstruct(sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var concat [][]byte
+		for pe := 0; pe < p; pe++ {
+			if len(fulls[pe]) != len(results[pe].Strings) {
+				t.Fatalf("PE %d: reconstructed %d of %d", pe, len(fulls[pe]), len(results[pe].Strings))
+			}
+			for i, full := range fulls[pe] {
+				if !bytes.HasPrefix(full, results[pe].Strings[i]) {
+					t.Fatalf("PE %d: %q not a prefix of %q", pe, results[pe].Strings[i], full)
+				}
+			}
+			concat = append(concat, fulls[pe]...)
+		}
+		if !strutil.IsSorted(concat) {
+			t.Fatal("reconstructed output not sorted")
+		}
+		if strutil.MultisetHash(concat) != strutil.MultisetHash(global) {
+			t.Fatal("reconstructed output not a permutation")
+		}
+	})
+
+	// Columns built by hand: every string of the named PEs, interleaved,
+	// so each fragment's answers come back from several PEs in turn.
+	column := func(pes ...int) (sats []uint64) {
+		for i := 0; ; i++ {
+			n := len(sats)
+			for _, pe := range pes {
+				if i < len(locals[pe]) {
+					sats = append(sats, originSat(pe, i))
+				}
+			}
+			if len(sats) == n {
+				return sats
 			}
 		}
-		concat = append(concat, fulls[pe]...)
 	}
-	if !strutil.IsSorted(concat) {
-		t.Fatal("reconstructed output not sorted")
-	}
-	if strutil.MultisetHash(concat) != strutil.MultisetHash(global) {
-		t.Fatal("reconstructed output not a permutation")
+	for _, tc := range []struct {
+		name string
+		sats [][]uint64
+		fail []string // the errors the first failing rank may return; none for a clean run
+	}{
+		{"empty fragment", [][]uint64{column(0, 1), nil, column(2, 3), column(3, 0)}, nil},
+		{"origins on one PE", [][]uint64{column(3), column(3), column(0, 1, 2, 3), column(2)}, nil},
+		{"index past its PE's input", [][]uint64{append(column(1), originSat(2, len(locals[2]))), column(2), nil, column(0)},
+			[]string{"reconstruction query from PE 0: index 50 past the PE's 50 strings", "corrupt reconstruction answer from PE 2"}},
+		{"PE past the machine", [][]uint64{column(0), {originSat(p, 0)}, column(1), nil}, []string{"origin names PE 4 of 4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fulls, err := reconstruct(tc.sats)
+			if tc.fail != nil {
+				if err == nil || !slices.ContainsFunc(tc.fail, func(f string) bool { return strings.Contains(err.Error(), f) }) {
+					t.Fatalf("err = %v, want one containing one of %q", err, tc.fail)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe, sats := range tc.sats {
+				if len(fulls[pe]) != len(sats) {
+					t.Fatalf("PE %d: reconstructed %d of %d", pe, len(fulls[pe]), len(sats))
+				}
+				for i, u := range sats {
+					if want := locals[u>>32][uint32(u)]; !bytes.Equal(fulls[pe][i], want) {
+						t.Fatalf("PE %d, item %d: %q, want %q", pe, i, fulls[pe][i], want)
+					}
+				}
+			}
+		})
 	}
 }
 

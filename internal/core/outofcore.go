@@ -62,21 +62,17 @@ type encodedRun struct {
 	file     *spill.File
 	// sect are the byte ranges the run's windows read: the run itself, or
 	// for PDMS's composite bucket the prefix blob and the origin column.
-	sect    [2][2]int64
-	metered int64 // resident and paged-in bytes reserved in the pool
-	// n is the run's string count and chars the characters its items take
-	// in the output: the strings' own, or with a line measure the lengths
-	// of the lines their origins name.
-	n, chars int
+	sect     [2][2]int64
+	metered  int64 // resident and paged-in bytes reserved in the pool
+	n, chars int   // the run's string count and characters
 }
 
 // routeRuns receives the n buckets of a posted exchange and lands each,
 // whole, as its run: held in RAM (pool == nil) or routed to its budgeted
 // run. origins marks PDMS's composite layout: a length-prefixed
 // RunStringsLCP blob of prefixes trailed by a length-prefixed origin column
-// (count, then one varint per prefix). line, if non-nil, measures an item
-// by its origin (Output.Line).
-func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, line func(uint64) int, pool *spill.Pool) []encodedRun {
+// (count, then one varint per prefix).
+func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, pool *spill.Pool) []encodedRun {
 	runs := make([]encodedRun, n)
 	if pool != nil {
 		for {
@@ -84,7 +80,7 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 			if !ok {
 				return runs
 			}
-			if !runs[src].route(pool, src, msg, format, origins, line) {
+			if !runs[src].route(pool, src, msg, format, origins) {
 				c.Release(msg)
 			}
 		}
@@ -97,7 +93,7 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 		}
 		wgrp.Go(func() {
 			run := &runs[src]
-			run.walk(msg, format, origins, line)
+			run.walk(msg, format, origins)
 			run.resident, run.held = msg, true
 		})
 	}
@@ -126,10 +122,9 @@ func sections(bucket []byte, origins bool) (sect [2][2]int64) {
 // walk validates a whole received bucket — the strings as the one-shot
 // decoders would (wire.RunExtent) and, for a composite bucket, an origin
 // column of exactly one value per prefix — and records its sections, its
-// string count and its output characters (measured by line over the
-// origins when line is non-nil). A corrupt bucket panics here, before any
-// output exists.
-func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool, line func(uint64) int) {
+// string count and its characters. A corrupt bucket panics here, before
+// any output exists.
+func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool) {
 	run.sect = sections(bucket, origins)
 	sec := func(i int) []byte { return bucket[run.sect[i][0]:run.sect[i][1]] }
 	n, chars, err := wire.RunExtent(format, sec(0))
@@ -139,14 +134,8 @@ func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool, 
 		if cnt, err = col.Uvarint(); err == nil && cnt != uint64(n) {
 			err = wire.ErrCorrupt
 		}
-		if line != nil {
-			chars = 0
-		}
 		for i := 0; err == nil && i < n; i++ {
-			var sat uint64
-			if sat, err = col.Uvarint(); err == nil && line != nil {
-				chars += line(sat)
-			}
+			_, err = col.Uvarint()
 		}
 	}
 	if err != nil {
@@ -166,8 +155,8 @@ func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool, 
 // behind the meter. The spill decision is a pure scheduling choice — it can
 // differ run to run and transport to transport — and therefore only ever
 // moves measured gauges, never a deterministic counter.
-func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wire.RunFormat, origins bool, line func(uint64) int) (held bool) {
-	run.walk(bucket, format, origins, line)
+func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wire.RunFormat, origins bool) (held bool) {
+	run.walk(bucket, format, origins)
 	keep := int(min(int64(len(bucket)), pool.Room()))
 	run.metered = int64(keep)
 	pool.Reserve(run.metered)
@@ -333,7 +322,7 @@ func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 // drain hands an already sorted fragment to out as its one, stable run —
 // the exit of hQuick and of the p == 1 paths, which have no Step-4 merge.
 func drain(out *Output, seq merge.Sequence) {
-	sink, err := out.Open([]Extent{{N: int64(seq.Len()), Chars: out.size(seq), Stable: true}})
+	sink, err := out.Open([]Extent{{N: int64(seq.Len()), Chars: charsOf(seq), Stable: true}})
 	for src := seq.Source(); err == nil; {
 		s, lcp, sat, ok := src.Next()
 		if !ok {

@@ -51,7 +51,7 @@ func arrivals(c *comm.Comm, buckets [][]byte) func() (int, []byte, bool) {
 // comes back as the error.
 func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]byte) (runs []encodedRun, out fragment, err error) {
 	err = comm.New(1).Run(func(c *comm.Comm) error {
-		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, nil, pool)
+		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, pool)
 		if pool == nil {
 			lcp := format == wire.RunStringsLCP
 			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
@@ -141,7 +141,7 @@ func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 				runs := routeArrivals(t, pool, false, wire.EncodeStrings(nil), msg)
 				run = &runs[len(runs)-1]
 			} else {
-				run.route(pool, 0, msg, wire.RunStrings, false, nil)
+				run.route(pool, 0, msg, wire.RunStrings, false)
 			}
 			if run.file == nil {
 				t.Fatalf("%s: a %d-byte bucket stayed resident under a %d-byte budget", label, len(msg), budget)
@@ -536,7 +536,7 @@ func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins boo
 	sent := append([][]byte(nil), buckets...)
 	sent[home] = nil
 	if err := comm.New(1).Run(func(c *comm.Comm) error {
-		runs := routeRuns(c, arrivals(c, sent), len(sent), format, origins, nil, pool)
+		runs := routeRuns(c, arrivals(c, sent), len(sent), format, origins, pool)
 		runs[home] = encodedRun{home: own, n: own.Len()}
 		if pool == nil {
 			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
@@ -730,7 +730,7 @@ func BenchmarkLanding(b *testing.B) {
 						b.StopTimer()
 						recv := arrivals(c, sent) // the transport's buffers
 						b.StartTimer()
-						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil, nil)
+						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil)
 						if home != nil {
 							runs[0] = encodedRun{home: home, n: home.Len()}
 						}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"dss/internal/comm"
 	"dss/internal/dupdetect"
@@ -35,8 +36,7 @@ type PDMSOptions struct {
 	// Seed drives fingerprinting and hQuick randomness.
 	Seed uint64
 	// SeamOptions configure Steps 3→4 (see MSOptions). Out receives the
-	// merged prefixes with their origins as satellite words; with Out.Line
-	// set its sink can write the full input line each origin names.
+	// merged prefixes with their origins as satellite words.
 	SeamOptions
 }
 
@@ -51,9 +51,10 @@ type PDMSOptions struct {
 // PDMS does not materialize the sorted full strings: its Output receives
 // the sorted distinguishing prefixes plus the origin (PE, index) of each as
 // its satellite word, which is sufficient for search trees, pattern
-// lookups and suffix sorting. An origin indexes the input fragments;
-// Reconstruct fetches the full strings when the fragments live in other
-// processes.
+// lookups and suffix sorting. An origin indexes the input fragments, so a
+// caller that wants the full strings turns the origins into them once the
+// sort is done: by lookup when every fragment is in its address space, with
+// Reconstruct when the fragments live in other processes.
 func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) {
 	p := c.P()
 	// Step 1: local sort with LCP array, spread over the PE's work pool.
@@ -170,90 +171,90 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) {
 	}, true, opt.SeamOptions)
 }
 
-// Reconstruct materializes the full strings behind a PDMS fragment: every
-// PE queries the origin PEs of its output prefixes — sats is the fragment's
-// satellite column, one origin word per prefix (PE in the high 32 bits) —
-// and receives the original strings (one extra all-to-all in each
-// direction). input must be the same array the PE passed to PDMS. The
-// returned array is aligned with sats. This models the paper's
-// observation that a PE "can be queried for the suffix and associated
-// information" of an output string; the query cost is excluded from the
-// sorting volume only if the caller resets statistics, which the
-// benchmarks do.
-//
-// It is for PEs in separate address spaces (stringsort.RunPE), where each
-// holds only its own input fragment. A caller that holds every fragment
-// resolves an origin by lookup, inputs[sat>>32][uint32(sat)], with no
-// communication.
-func Reconstruct(c *comm.Comm, sats []uint64, input [][]byte, gid int) [][]byte {
+// Reconstruct fetches the full strings behind a PDMS fragment from the PEs
+// that hold them — the paper's observation that a PE "can be queried for
+// the suffix and associated information" of an output string. sats is the
+// fragment's satellite column, one origin word per prefix (PE in the high
+// 32 bits), and input the array the PE passed to PDMS: one all-to-all
+// sends every origin PE the indices it is asked for, one sends back the
+// strings, and use receives them aligned with sats, aliasing the answers,
+// which are released when it returns. A caller snapshots its statistics
+// first. It is for PEs in separate address spaces (stringsort.RunPE); in
+// one, an origin resolves by lookup. An origin that names no string or a
+// corrupt query or answer fails every PE that sees one with an error once
+// both exchanges are done, so no peer is left waiting.
+func Reconstruct(c *comm.Comm, sats []uint64, input [][]byte, gid int, use func(lines [][]byte) error) error {
 	p := c.P()
 	g := comm.NewGroup(c, comm.WorldRanks(p), gid)
-	// Queries: per origin PE, the list of (my position, origin index).
-	type q struct{ pos, idx int }
-	perPE := make([][]q, p)
-	for pos, u := range sats {
-		perPE[u>>32] = append(perPE[u>>32], q{pos: pos, idx: int(uint32(u))})
+	// Queries: a counting pass sizes each origin PE's part exactly — one
+	// index per origin, in the column's order, which is the order its
+	// answers come back in.
+	var err error
+	sizes := make([]int, p)
+	for _, u := range sats {
+		if pe := u >> 32; pe < uint64(p) {
+			sizes[pe] += wire.UvarintLen(uint64(uint32(u)))
+		} else if err == nil {
+			err = fmt.Errorf("pdms: origin names PE %d of %d", pe, p)
+		}
 	}
 	parts := make([][]byte, p)
-	for pe := 0; pe < p; pe++ {
-		w := wire.NewBuffer(8 + 4*len(perPE[pe]))
-		w.Uvarint(uint64(len(perPE[pe])))
-		for _, qq := range perPE[pe] {
-			w.Uvarint(uint64(qq.idx))
+	for pe := range parts {
+		parts[pe] = make([]byte, 0, sizes[pe])
+	}
+	for _, u := range sats {
+		if pe := u >> 32; pe < uint64(p) {
+			parts[pe] = binary.AppendUvarint(parts[pe], uint64(uint32(u)))
 		}
-		parts[pe] = w.Bytes()
 	}
 	queries := g.Alltoallv(parts)
-	// Answer with the requested strings. Each answer is sized first and
-	// encoded into exactly that many bytes, as Step 3 does with its parts.
+	// A query that fails gets an empty answer, which fails its sender.
 	answers := make([][]byte, p)
-	var idxs []uint64
-	for src := 0; src < p; src++ {
-		r := wire.NewReader(queries[src])
-		cnt, err := r.Uvarint()
-		if err != nil {
-			panic("pdms: corrupt reconstruction query")
+	for src, q := range queries {
+		var qerr error
+		if answers[src], qerr = answer(q, input); qerr != nil && err == nil {
+			err = fmt.Errorf("pdms: reconstruction query from PE %d: %w", src, qerr)
 		}
-		idxs = idxs[:0]
-		size := wire.UvarintLen(cnt)
-		for k := uint64(0); k < cnt; k++ {
-			idx, err := r.Uvarint()
-			if err != nil || idx >= uint64(len(input)) {
-				panic("pdms: reconstruction query out of range")
-			}
-			idxs = append(idxs, idx)
-			size += wire.UvarintLen(uint64(len(input[idx]))) + len(input[idx])
-		}
-		resp := binary.AppendUvarint(make([]byte, 0, size), cnt)
-		for _, idx := range idxs {
-			resp = binary.AppendUvarint(resp, uint64(len(input[idx])))
-			resp = append(resp, input[idx]...)
-		}
-		answers[src] = resp
-		c.Release(queries[src])
+		c.Release(q)
 	}
 	got := g.Alltoallv(answers)
-	out := make([][]byte, len(sats))
-	for pe := 0; pe < p; pe++ {
-		r := wire.NewReader(got[pe])
-		cnt, err := r.Uvarint()
-		if err != nil || cnt != uint64(len(perPE[pe])) {
-			panic("pdms: corrupt reconstruction answer")
-		}
-		// Flat-arena copy: all answered strings from this PE share one
-		// backing buffer instead of one allocation each.
-		arena := make([]byte, 0, r.Remaining())
-		for k := 0; k < int(cnt); k++ {
-			s, err := r.BytesPrefixed()
-			if err != nil {
-				panic("pdms: corrupt reconstruction answer")
-			}
-			off := len(arena)
-			arena = append(arena, s...)
-			end := len(arena)
-			out[perPE[pe][k].pos] = arena[off:end:end]
-		}
-		c.Release(got[pe])
+	defer c.Release(got...)
+	if err != nil {
+		return err
 	}
-	return out
+	rs := make([]*wire.Reader, p)
+	for pe, a := range got {
+		rs[pe] = wire.NewReader(a)
+	}
+	lines := make([][]byte, len(sats))
+	for i, u := range sats {
+		if lines[i], err = rs[u>>32].BytesPrefixed(); err != nil {
+			return fmt.Errorf("pdms: corrupt reconstruction answer from PE %d: %w", u>>32, err)
+		}
+	}
+	return use(lines)
+}
+
+// answer encodes the input strings a reconstruction query names, each
+// length-prefixed. It is sized first and encoded into exactly that many
+// bytes, as Step 3 does with its parts.
+func answer(query []byte, input [][]byte) ([]byte, error) {
+	size := 0
+	for r := wire.NewReader(query); r.Remaining() > 0; {
+		idx, err := r.Uvarint()
+		if err == nil && idx >= uint64(len(input)) {
+			err = fmt.Errorf("index %d past the PE's %d strings", idx, len(input))
+		}
+		if err != nil {
+			return nil, err
+		}
+		size += wire.UvarintLen(uint64(len(input[idx]))) + len(input[idx])
+	}
+	resp := make([]byte, 0, size)
+	for r := wire.NewReader(query); r.Remaining() > 0; {
+		idx, _ := r.Uvarint()
+		resp = binary.AppendUvarint(resp, uint64(len(input[idx])))
+		resp = append(resp, input[idx]...)
+	}
+	return resp, nil
 }

@@ -133,9 +133,6 @@ type Result struct {
 	Dist []int32
 	// Iterations is the number of duplicate detection rounds executed.
 	Iterations int
-	// ResolvedUnique counts strings resolved by a unique fingerprint;
-	// ResolvedLength counts strings resolved because ℓ reached their length.
-	ResolvedUnique, ResolvedLength int
 }
 
 // ApproxDist runs the distributed prefix doubling on the local string set
@@ -189,10 +186,8 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 			switch {
 			case len(ss[ci]) < d.ell:
 				res.Dist[ci] = int32(len(ss[ci]))
-				res.ResolvedLength++
 			case d.unique[ci]:
 				res.Dist[ci] = int32(d.ell)
-				res.ResolvedUnique++
 			default:
 				live = append(live, ci)
 			}

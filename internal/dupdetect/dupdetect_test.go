@@ -783,10 +783,8 @@ func referenceApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 			switch {
 			case lengthResolve[ci]:
 				res.Dist[ci] = int32(len(ss[ci]))
-				res.ResolvedLength++
 			case uniqueCands[ci]:
 				res.Dist[ci] = int32(ell)
-				res.ResolvedUnique++
 			default:
 				live = append(live, ci)
 			}

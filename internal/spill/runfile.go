@@ -58,7 +58,6 @@ type RunWriter struct {
 	prev  []byte
 	pool  *Pool
 	pgCap int
-	count int64
 	err   error
 	done  bool
 }
@@ -121,7 +120,6 @@ func (rw *RunWriter) Add(s []byte, lcp int32, sat uint64) error {
 	rw.page = append(rw.page, suffix...)
 	rw.prev = append(rw.prev[:int(lcp)], suffix...)
 	rw.inPg++
-	rw.count++
 	if len(rw.page) >= rw.pgCap {
 		rw.flushPage()
 	}

@@ -2,9 +2,10 @@
 # worker-kill.sh — the multi-process TCP job end to end, clean and with a
 # dead worker.
 #
-# 1. Four dss-worker processes on loopback sort one input, twice: with MS,
-#    and with PDMS under -mem-budget 65536 (whose lines each rank fetches
-#    from the ranks that hold them). Rank 2 writes to stdout through a
+# 1. Four dss-worker processes on loopback sort one input three times: with
+#    MS, with PDMS-Golomb in RAM and with PDMS under -mem-budget 65536 (the
+#    PDMS jobs' lines each rank fetches from the ranks that hold them once
+#    its merge is done). Rank 2 writes to stdout through a
 #    pipe, which takes its lines through a temporary file. The outputs,
 #    concatenated in rank order, must equal LC_ALL=C sort of the input,
 #    rank 0's deterministic statistics (strings, model time, bytes sent,
@@ -84,6 +85,7 @@ clean() {
 	echo "$label: 4 workers, output identical to LC_ALL=C sort, statistics to dss-sort -p 4"
 }
 clean "clean run" -algo MS
+clean "PDMS-Golomb run" -algo PDMS-Golomb
 clean "budgeted PDMS run" -algo PDMS -mem-budget 65536
 
 # 2. Rank 1 dies mid-run.

@@ -49,17 +49,18 @@ func runPath(dir string, rank int) string {
 // runDirOf recovers the run directory from a PEOutput.RunFile path.
 func runDirOf(runFile string) string { return filepath.Dir(runFile) }
 
-// sortPE runs one PE's sort into the Output of its run: the arrays of
-// run.Output in RAM (arena, with an LCP column if hasLCP, resolving each
-// origin in lookup if it is non-nil), the sorted-run file at path (Sort
-// under a budget) or the PE's region of lines (SortToFile and RunPE).
+// sortPE runs one PE's sort into the Output of its run: the origin column
+// *sats of a PDMS fragment whose lines are wanted (sats non-nil), the
+// arrays of run.Output in RAM (arena), the
+// sorted-run file at path (Sort under a budget) or the PE's region of
+// lines (SortToFile and RunPE).
 // Under a budget it creates the PE's spill pool — its Close is deferred,
 // so the page files are removed even when the sort panics — and stamps the
 // spill gauges into the PE's stats record (measured channel: the values
 // vary run to run and must be stamped before the report is gathered). A
 // streaming Output feeds chk every item exactly as it writes it; a nil chk
 // ignores them.
-func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, run *peRun, hasLCP bool, lookup [][][]byte, chk *streamCheck) error {
+func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, run *peRun, sats *[]uint64, chk *streamCheck) error {
 	var sp *spill.Pool
 	if cfg.MemBudget > 0 {
 		var err error
@@ -74,12 +75,13 @@ func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFi
 		sp.SetTrace(c.Trace())
 	}
 	opts := runOpts(cfg.Algorithm)
-	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
 	var out *core.Output
 	finish := func() error { return nil }
 	switch {
+	case sats != nil:
+		out = originColumn(sats)
 	case lines != nil:
-		out, finish = lines.output(c, sp, prefixes, chk)
+		out, finish = lines.output(c, sp, chk)
 	case path != "":
 		f, err := os.Create(path)
 		if err != nil {
@@ -102,7 +104,7 @@ func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFi
 		}}
 		finish = rw.Close
 	default:
-		out = arena(&run.Output, hasLCP, opts.Sats, lookup)
+		out = arena(&run.Output, opts.LCP, opts.Sats)
 	}
 	dispatch(c, local, cfg, sp, out)
 	if err := finish(); err != nil {

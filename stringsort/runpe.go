@@ -48,11 +48,13 @@ type peRun struct {
 // order gives what SortToFile writes for the same input.
 //
 // RunPE runs the per-rank routine of SortToFile, through the same line
-// Output, in RAM and under Config.MemBudget alike. The one difference is
-// PDMS: a rank holds only its own lines, so its merge keeps each prefix's
-// origin, and once the statistics are taken core.Reconstruct fetches the
-// lines from the origin ranks (one query all-to-all each way, outside the
-// statistics). Config.Reconstruct is moot.
+// Output, in RAM and under Config.MemBudget alike. For PDMS, as there, the
+// merge keeps only each prefix's origin, and once the statistics are taken
+// one step turns the origins into lines; the one difference is that a rank
+// holds only its own lines, so core.Reconstruct fetches them from the
+// origin ranks (one query all-to-all each way, outside the statistics).
+// The fetched lines are held in RAM, outside the meter, while they are
+// written. Config.Reconstruct is moot.
 //
 // The lines start at out's current offset, which is left at their end. An
 // out that takes no positioned writes — a pipe, a terminal, a file opened
@@ -100,7 +102,7 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config, out *os.File) (st 
 	}
 	c := comm.NewComm(t)
 	c.SetPool(par.New(cfg.Cores))
-	lines, err := newLineFile(out, cfg.SpillDir, c.Rank(), 1, nil)
+	lines, err := newLineFile(out, cfg.SpillDir, c.Rank(), 1)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -122,10 +124,11 @@ func RunPE(t transport.Transport, local [][]byte, cfg Config, out *os.File) (st 
 // runRank is the per-rank routine of Sort, RunPE and SortToFile. Every rank
 // runs it collectively with its local input: choose the Output — the
 // PEOutput arrays in RAM (arena), the sorted-run file at path (Sort under
-// a budget) or the rank's region of lines (SortToFile and RunPE) — sort
-// into it, snapshot and exchange the statistics, fetch and write RunPE's
-// PDMS lines, validate, and gather the trace, which rank 0 writes. inputs
-// is every PE's input when all of them live in this address space — PDMS
+// a budget), the rank's region of lines (SortToFile and RunPE) or a PDMS
+// fragment's origin column — sort into it, snapshot and exchange the
+// statistics, turn the origins into lines, validate, and gather the trace,
+// which rank 0 writes. inputs is
+// every PE's input when all of them live in this address space — PDMS
 // origins then resolve by lookup — and nil when this rank holds only its
 // own.
 func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFile, inputs [][][]byte) (*peRun, error) {
@@ -134,22 +137,22 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	}
 	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
 	inRAM := path == "" && lines == nil
-	// A line sink writes the input line behind each PDMS prefix, and in RAM
-	// Reconstruct replaces the prefixes by their strings; a run file keeps
-	// the prefixes with their origins for the caller to resolve.
-	run := &peRun{PrefixOnly: prefixes && lines == nil && !(inRAM && cfg.Reconstruct)}
+	// A PDMS fragment whose lines are wanted — always in a line file, in
+	// RAM with Reconstruct — leaves the merge as its origin column, which
+	// resolve turns into lines once the statistics are taken; a run file
+	// keeps the prefixes with their origins for the caller to resolve.
+	var sats *[]uint64
+	if prefixes && (lines != nil || inRAM && cfg.Reconstruct) {
+		sats = new([]uint64)
+	}
+	run := &peRun{PrefixOnly: prefixes && sats == nil}
 	// Full strings replacing prefixes have no LCPs the merge knows.
-	hasLCP := runOpts(cfg.Algorithm).LCP && (!prefixes || run.PrefixOnly)
+	hasLCP := runOpts(cfg.Algorithm).LCP && sats == nil
 	var chk *streamCheck
 	if cfg.Validate {
 		chk = &streamCheck{hasLCP: hasLCP, multiset: !run.PrefixOnly}
 	}
-	// Sort's PDMS with Reconstruct resolves the origins in the arena.
-	var lookup [][][]byte
-	if inRAM && prefixes && cfg.Reconstruct {
-		lookup = inputs
-	}
-	if err := sortPE(c, local, cfg, path, lines, run, hasLCP, lookup, chk); err != nil {
+	if err := sortPE(c, local, cfg, path, lines, run, sats, chk); err != nil {
 		return nil, err
 	}
 
@@ -164,10 +167,8 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 		run.Stats = statsFromReport(rep, n)
 	}
 
-	// RunPE's PDMS sink kept the origins; their lines come from the ranks
-	// that hold them.
-	if prefixes && lines != nil && inputs == nil {
-		if err := lines.writeLines(c, core.Reconstruct(c, lines.sats, local, 900), chk); err != nil {
+	if sats != nil {
+		if err := resolve(c, *sats, local, inputs, lines, &run.Output, chk); err != nil {
 			return nil, fmt.Errorf("stringsort: output: %w", err)
 		}
 	}
@@ -206,19 +207,46 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	return run, nil
 }
 
+// resolve is the one step that turns a PE's PDMS origin column sats into
+// the lines its origins name: by a checked lookup (lookupOrigin) when every
+// input lies in this address space (inputs non-nil), fetched from the
+// origin ranks by core.Reconstruct otherwise. It hands them to the PE's
+// region of lines or, for Sort, to out's Strings and Origins, each exactly
+// as long as sats. Collective when inputs is nil.
+func resolve(c *comm.Comm, sats []uint64, local [][]byte, inputs [][][]byte, lines *lineFile, out *PEOutput, chk *streamCheck) error {
+	if inputs == nil {
+		return core.Reconstruct(c, sats, local, 900, func(got [][]byte) error {
+			return lines.writeLines(c, len(got), func(i int) ([]byte, error) { return got[i], nil }, chk)
+		})
+	}
+	line := func(i int) ([]byte, error) { return lookupOrigin(inputs, satOrigin(sats[i])) }
+	if lines != nil {
+		return lines.writeLines(c, len(sats), line, chk)
+	}
+	if len(sats) > 0 {
+		out.Strings, out.Origins = make([][]byte, len(sats)), make([]Origin, len(sats))
+	}
+	for i, sat := range sats {
+		var err error
+		if out.Strings[i], err = line(i); err != nil {
+			return err
+		}
+		out.Origins[i] = satOrigin(sat)
+	}
+	return nil
+}
+
 // arena is the in-RAM Output of Sort: it builds dst's Strings,
 // LCPs (if lcp) and Origins (if origins), each sized exactly when the
 // merge opens it. A stable run's strings are kept as they are — the PE's
 // own ones alias the caller's input — and the received ones are copied
 // back to back into one byte array exactly as long as their characters.
-// With lookup set (Sort's PDMS with Reconstruct) an item is instead the
-// input string its origin names, looked up as it arrives.
-func arena(dst *PEOutput, lcp, origins bool, lookup [][][]byte) *core.Output {
+func arena(dst *PEOutput, lcp, origins bool) *core.Output {
 	return &core.Output{Open: func(runs []core.Extent) (merge.Sink, error) {
 		var n, chars int64
 		for _, r := range runs {
 			n += r.N
-			if !r.Stable && lookup == nil {
+			if !r.Stable {
 				chars += r.Chars
 			}
 		}
@@ -235,12 +263,7 @@ func arena(dst *PEOutput, lcp, origins bool, lookup [][][]byte) *core.Output {
 		buf := make([]byte, 0, chars)
 		i := 0
 		return func(run int, s []byte, h int32, sat uint64) error {
-			if lookup != nil {
-				var err error
-				if s, err = lookupOrigin(lookup, int(sat>>32), int(uint32(sat))); err != nil {
-					return err
-				}
-			} else if !runs[run].Stable {
+			if !runs[run].Stable {
 				off := len(buf)
 				buf = append(buf, s...)
 				s = buf[off:len(buf):len(buf)]
@@ -258,13 +281,30 @@ func arena(dst *PEOutput, lcp, origins bool, lookup [][][]byte) *core.Output {
 	}}
 }
 
+// originColumn is the Output of a PDMS fragment whose lines are wanted: it
+// keeps only each item's origin word, in *sats, sized exactly when the
+// merge opens it.
+func originColumn(sats *[]uint64) *core.Output {
+	return &core.Output{Open: func(runs []core.Extent) (merge.Sink, error) {
+		var n int64
+		for _, r := range runs {
+			n += r.N
+		}
+		*sats = make([]uint64, 0, n)
+		return func(_ int, _ []byte, _ int32, sat uint64) error {
+			*sats = append(*sats, sat)
+			return nil
+		}, nil
+	}}
+}
+
 // satOrigin unpacks a merge satellite word, PE in its high 32 bits.
 func satOrigin(sat uint64) Origin { return Origin{PE: int(sat >> 32), Index: int(uint32(sat))} }
 
-// lookupOrigin returns the input string a PDMS origin names: inputs[pe][index].
-func lookupOrigin(inputs [][][]byte, pe, index int) ([]byte, error) {
-	if pe < 0 || pe >= len(inputs) || index < 0 || index >= len(inputs[pe]) {
-		return nil, fmt.Errorf("stringsort: origin (PE %d, index %d) names no input string", pe, index)
+// lookupOrigin returns the input string origin o names: inputs[o.PE][o.Index].
+func lookupOrigin(inputs [][][]byte, o Origin) ([]byte, error) {
+	if o.PE < 0 || o.PE >= len(inputs) || o.Index < 0 || o.Index >= len(inputs[o.PE]) {
+		return nil, fmt.Errorf("stringsort: origin (PE %d, index %d) names no input string", o.PE, o.Index)
 	}
-	return inputs[pe][index], nil
+	return inputs[o.PE][o.Index], nil
 }

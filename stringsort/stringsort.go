@@ -197,11 +197,12 @@ type Config struct {
 	// volume is excluded).
 	Validate bool
 	// Reconstruct makes in-RAM Sort return full strings for PDMS results
-	// instead of distinguishing prefixes: each output prefix's origin is
+	// instead of distinguishing prefixes: the merge keeps only each
+	// prefix's origin, and once the statistics are taken each origin is
 	// looked up in inputs, with no communication, so the strings alias the
-	// caller's input bytes and no statistic moves. Ignored under a memory
-	// budget (see MemBudget) and by SortToFile and RunPE, which always
-	// write full lines.
+	// caller's input bytes and no statistic moves. PEOutput.LCPs stay nil.
+	// Ignored under a memory budget (see MemBudget) and by SortToFile and
+	// RunPE, which always write full lines the same way.
 	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
@@ -235,10 +236,12 @@ type Config struct {
 	// budget plus a fixed per-PE overhead (see README, "Out-of-core
 	// pipeline"). Sort ignores Reconstruct in budget mode — PDMS run files
 	// carry each prefix's origin for the caller to resolve — while
-	// SortToFile and RunPE write the input lines for PDMS too (RunPE's
-	// lines, fetched from their origin ranks, are held in RAM while they
-	// are written). hQuick bounds only its output accumulation (its
-	// doubling working set is inherently resident).
+	// SortToFile and RunPE write the input lines for PDMS too: their merge
+	// keeps each prefix's origin, and the step after it writes the lines
+	// through a buffer of its own. That origin column, the lines RunPE
+	// fetches from their origin ranks and that buffer are outside the
+	// meter. hQuick bounds only its output accumulation (its doubling
+	// working set is inherently resident).
 	MemBudget int64
 	// SpillDir is where budget-mode page files and run files live,
 	// SortToFile's and RunPE's temporary file for an output that takes no
@@ -759,7 +762,7 @@ func SortStrings(ss []string, cfg Config) ([]string, error) {
 						return nil
 					}
 					if res.PrefixOnly && rf.HasOrigins() {
-						if s, err = lookupOrigin(inputs, o.PE, o.Index); err != nil {
+						if s, err = lookupOrigin(inputs, o); err != nil {
 							return err
 						}
 					}

@@ -95,11 +95,11 @@ func TestPDMSPrefixOnlyWithoutReconstruct(t *testing.T) {
 // an error for Sort to return, not a panic.
 func TestLookupOriginOutOfRange(t *testing.T) {
 	inputs := [][][]byte{{[]byte("a"), []byte("b")}, {[]byte("c")}}
-	if s, err := lookupOrigin(inputs, 1, 0); err != nil || string(s) != "c" {
+	if s, err := lookupOrigin(inputs, Origin{PE: 1, Index: 0}); err != nil || string(s) != "c" {
 		t.Fatalf("lookupOrigin(1, 0) = %q, %v", s, err)
 	}
 	for _, o := range []Origin{{-1, 0}, {2, 0}, {0, -1}, {0, 2}, {1, 1}} {
-		if _, err := lookupOrigin(inputs, o.PE, o.Index); err == nil {
+		if _, err := lookupOrigin(inputs, o); err == nil {
 			t.Fatalf("origin %+v accepted", o)
 		}
 	}

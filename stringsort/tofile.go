@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"dss/internal/comm"
 	"dss/internal/core"
@@ -13,24 +14,29 @@ import (
 )
 
 // lineBuf caps the size of a PE's output buffer in RAM; under a memory
-// budget it is one spill page instead.
+// budget the merge's is one spill page instead.
 const lineBuf = 1 << 20
 
-// resolveBatch is how many PDMS lines a sink resolves at once.
-const resolveBatch = 32
+// touchAhead is how many lines writeLines reads ahead of writing them:
+// lines named by PDMS origins lie anywhere in the input, and touching a
+// batch of them in one loop of independent loads overlaps their cache
+// misses.
+const touchAhead = 32
 
 // SortToFile sorts inputs like Sort and writes the sorted sequence to out as
 // lines, each followed by '\n', in PE order — a PDMS prefix as the input
-// line its origin names, looked up in inputs — and returns the run's
-// statistics. The output is always lines, so Config.Reconstruct is moot.
+// line its origin names — and returns the run's statistics. The output is
+// always lines, so Config.Reconstruct is moot.
 //
 // No PE's fragment is materialized and no sorted-run file is written: each
-// PE learns its exact line and byte counts before its Step-4 merge, takes
-// its region of the file from an exclusive prefix sum over those counts
-// (taken in shared memory: no message is sent and no counter moves), and
-// its merge writes the lines straight into that region with positioned
-// writes through one buffer — a spill page metered by the PE's pool under
-// Config.MemBudget. The statistics equal Sort's.
+// PE learns its exact line and byte counts before it writes, takes its
+// region of the file from an exclusive prefix sum over those counts (taken
+// in shared memory: no message is sent and no counter moves), and writes
+// its lines straight into that region with positioned writes through one
+// buffer: its Step-4 merge does, through a spill page metered by the PE's
+// pool under Config.MemBudget, or for PDMS, whose merge keeps only the
+// origins, the step after the statistics, which looks the lines up in
+// inputs. The statistics equal Sort's.
 //
 // The lines start at out's current offset, which is left at their end. An
 // out that takes no positioned writes — a pipe, a socket, a terminal, a
@@ -41,7 +47,7 @@ func SortToFile(inputs [][][]byte, cfg Config, out *os.File) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	lines, err := newLineFile(out, cfg.SpillDir, 0, p, inputs)
+	lines, err := newLineFile(out, cfg.SpillDir, 0, p)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -60,14 +66,12 @@ func SortToFile(inputs [][][]byte, cfg Config, out *os.File) (Stats, error) {
 // i-th of them writes its lines into [ends[i−1], ends[i]), with ends[−1] =
 // base. A RunPE rank writes its own file and waits for no predecessor.
 type lineFile struct {
-	out    *os.File   // the caller's file
-	f      *os.File   // out, or the temporary file standing in for it
-	inputs [][][]byte // every PE's input, where PDMS origins resolve; nil in RunPE
-	base   int64
-	first  int             // rank of the first PE writing into f
-	ends   []int64         // ends[i] is set before done[i] closes
-	done   []chan struct{} // done[i] closes once the i-th PE has taken its region
-	sats   []uint64        // RunPE's PDMS origins, kept until their lines are fetched
+	out   *os.File // the caller's file
+	f     *os.File // out, or the temporary file standing in for it
+	base  int64
+	first int             // rank of the first PE writing into f
+	ends  []int64         // ends[i] is set before done[i] closes
+	done  []chan struct{} // done[i] closes once the i-th PE has taken its region
 }
 
 // newLineFile returns the lineFile of the n PEs from rank first on, whose
@@ -75,8 +79,8 @@ type lineFile struct {
 // writes — a pipe, a socket, a terminal, a file opened for appending — is
 // stood in for by an unlinked temporary file under dir, which finish copies
 // out.
-func newLineFile(out *os.File, dir string, first, n int, inputs [][][]byte) (*lineFile, error) {
-	lf := &lineFile{out: out, f: out, inputs: inputs, first: first, ends: make([]int64, n), done: make([]chan struct{}, n)}
+func newLineFile(out *os.File, dir string, first, n int) (*lineFile, error) {
+	lf := &lineFile{out: out, f: out, first: first, ends: make([]int64, n), done: make([]chan struct{}, n)}
 	for i := range lf.done {
 		lf.done[i] = make(chan struct{})
 	}
@@ -149,54 +153,12 @@ func (lf *lineFile) start(c *comm.Comm, w *lineWriter, size int64) error {
 	return nil
 }
 
-// line returns the input line a PDMS origin names (PE in the high 32 bits).
-func (lf *lineFile) line(sat uint64) []byte { return lf.inputs[sat>>32][uint32(sat)] }
-
 // output returns the sink of c's PE into its region and the function that
-// flushes it. Every item goes out as its line and '\n', exactly as chk sees
-// it. With prefixes (PDMS) an item goes out as the input line its origin
-// names; those lines lie anywhere in the input, so they are resolved a
-// batch at a time, with the batch's lines touched in one loop of
-// independent loads first so that their cache misses overlap. Without the
-// inputs (RunPE) the sink keeps only the origins, in lf.sats, for
-// writeLines.
-func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *streamCheck) (*core.Output, func() error) {
-	out := &core.Output{}
-	if prefixes && lf.inputs == nil {
-		out.Open = func(runs []core.Extent) (merge.Sink, error) {
-			var n int64
-			for _, r := range runs {
-				n += r.N
-			}
-			lf.sats = make([]uint64, 0, n)
-			return func(_ int, _ []byte, _ int32, sat uint64) error {
-				lf.sats = append(lf.sats, sat)
-				return nil
-			}, nil
-		}
-		return out, func() error { return nil }
-	}
+// flushes it. Every item goes out as its string and '\n', exactly as chk
+// sees it.
+func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, chk *streamCheck) (*core.Output, func() error) {
 	w := &lineWriter{f: lf.f, pool: sp}
-	var sats []uint64 // PDMS origins not yet written
-	var touched byte
-	resolve := func() {
-		var lines [resolveBatch][]byte
-		for i, sat := range sats {
-			if lines[i] = lf.line(sat); len(lines[i]) > 0 {
-				touched += lines[i][0]
-			}
-		}
-		for _, s := range lines[:len(sats)] {
-			chk.add(s, 0)
-			w.add(s)
-		}
-		sats = sats[:0]
-	}
-	if prefixes {
-		out.Line = func(sat uint64) int { return len(lf.line(sat)) }
-		sats = make([]uint64, 0, resolveBatch)
-	}
-	out.Open = func(runs []core.Extent) (merge.Sink, error) {
+	out := &core.Output{Open: func(runs []core.Extent) (merge.Sink, error) {
 		var total int64 // every item's line and its '\n'
 		for _, r := range runs {
 			total += r.N + r.Chars
@@ -204,37 +166,48 @@ func (lf *lineFile) output(c *comm.Comm, sp *spill.Pool, prefixes bool, chk *str
 		if err := lf.start(c, w, total); err != nil {
 			return nil, err
 		}
-		return func(_ int, s []byte, lcp int32, sat uint64) error {
-			if out.Line == nil {
-				chk.add(s, lcp)
-				w.add(s)
-			} else if sats = append(sats, sat); len(sats) == resolveBatch {
-				resolve()
-			}
+		return func(_ int, s []byte, lcp int32, _ uint64) error {
+			chk.add(s, lcp)
+			w.add(s)
 			return nil
 		}, nil
-	}
-	return out, func() error {
-		resolve()
-		return w.close()
-	}
+	}}
+	return out, w.close
 }
 
-// writeLines writes lines, RunPE's PDMS fragment as core.Reconstruct
-// fetched it, into c's region, exactly as chk sees them.
-func (lf *lineFile) writeLines(c *comm.Comm, lines [][]byte, chk *streamCheck) error {
+// writeLines writes the n lines line(0), …, line(n−1) — a PDMS fragment
+// whose origins resolve to them — into c's region, exactly as chk sees
+// them: it sums their sizes, only then takes the region, and writes them
+// a touch-ahead batch at a time. An error from line fails the PE before it
+// writes anything.
+func (lf *lineFile) writeLines(c *comm.Comm, n int, line func(i int) ([]byte, error), chk *streamCheck) error {
 	var size int64
-	for _, s := range lines {
+	for i := 0; i < n; i++ {
+		s, err := line(i)
+		if err != nil {
+			return err
+		}
 		size += int64(len(s)) + 1
 	}
 	w := &lineWriter{f: lf.f}
 	if err := lf.start(c, w, size); err != nil {
 		return err
 	}
-	for _, s := range lines {
-		chk.add(s, 0)
-		w.add(s)
+	var batch [touchAhead][]byte
+	var touched byte
+	for lo := 0; lo < n; lo += touchAhead {
+		b := batch[:min(touchAhead, n-lo)]
+		for i := range b {
+			if b[i], _ = line(lo + i); len(b[i]) > 0 {
+				touched += b[i][0]
+			}
+		}
+		for _, s := range b {
+			chk.add(s, 0)
+			w.add(s)
+		}
 	}
+	runtime.KeepAlive(touched) // the loads are the point; keep them
 	return w.close()
 }
 
