@@ -40,12 +40,12 @@ var deadCodeAllowlist = map[string]string{
 	"conformance.Run":          "oracle: the transport conformance suite every backend's tests run",
 
 	"merge.sliceSource.touched":          "never read: the sink that keeps the touch-ahead loads from being optimized away",
-	"stringsort.Stats.ResentFrames":      "never written: always zero since the transport stopped resending; benchmark/probes.go still reads it (ROADMAP 16(c))",
-	"input.DNConfig.Seed":                "never read: the D/N generator is deterministic; benchmark/workloads.go sets it (ROADMAP 25(c))",
-	"stringsort.Config.blockingExchange": "never written outside tests: the bulk-synchronous exchange reference (ROADMAP 25(b))",
-	"stringsort.Config.spillPageSize":    "never written outside tests: the budget tests' page-size seam (ROADMAP 25(b))",
-	"dupdetect.Options.fixedRange":       "never written outside tests: the differential's hash-range seam (ROADMAP 25(b))",
-	"spill.Config.Create":                "never written outside tests: the file-creation fault seam (ROADMAP 25(b))",
+	"stringsort.Stats.ResentFrames":      "never written: always zero since the transport stopped resending; benchmark/probes.go still reads it",
+	"input.DNConfig.Seed":                "never read: the D/N generator is deterministic; benchmark/workloads.go still sets it",
+	"stringsort.Config.blockingExchange": "never written outside tests: the bulk-synchronous exchange reference, a test seam in a production struct",
+	"stringsort.Config.spillPageSize":    "never written outside tests: the budget tests' page-size seam",
+	"dupdetect.Options.fixedRange":       "never written outside tests: the differential's hash-range seam",
+	"spill.Config.Create":                "never written outside tests: the file-creation fault seam",
 }
 
 // The three counts the guard pins. A change that moves one edits its
