@@ -33,6 +33,7 @@
 package strsort
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -112,30 +113,35 @@ func (ps *parSorter) load(px []proxy, depth int) {
 // chunk-parallel distribution producing the sequential permutation, the
 // sequential LCP boundary assignment, and the bucket recursions spawned on
 // the group, each on its own aligned part of px, tmp and lcp.
-func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
+func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth, base int) {
 	n := len(px)
 	if n < parSortMin {
 		t0 := time.Now()
 		k := kernel{ss: ps.ss}
-		k.radix(px, tmp, lcp, depth)
+		k.radix(px, tmp, lcp, depth, base)
 		ps.work.Add(k.work)
 		ps.busy.Add(time.Since(t0).Nanoseconds())
 		return
 	}
 
 	// Chunk-parallel counting pass over the (depth+1)-st character: worker
-	// k histograms its chunk, reloading the windows first when depth has
-	// reached the next one. Billed once for the whole pass, as sequential;
-	// and, as there, a level that puts every string into one bucket needs
-	// no distribution and continues right here.
+	// k histograms its chunk, reloading the windows at depth first when
+	// depth has run past them. Billed once for the whole pass, as
+	// sequential; and, as there, a level that puts every string into one
+	// bucket needs no distribution and continues right here, at the first
+	// level that can split.
 	w := ps.chunks(n)
 	counts := make([][257]int, w)
 	var count [257]int
-	for ; ; depth++ {
-		d, off := depth, uint(depth%keyChars) // per level, so that the closure copies them
+	for {
+		ld := depth-base >= keyChars
+		if ld {
+			base = depth
+		}
+		d, off := depth, uint(depth-base) // per level, so that the closure copies them
 		ps.pass(w, func(k int) {
 			lo, hi := chunk(k, w, n)
-			if off == 0 {
+			if ld {
 				load(ps.ss, px[lo:hi], d)
 			}
 			c := &counts[k]
@@ -159,8 +165,9 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 			return
 		}
 		count[b] = 0
+		depth = ps.skip(px, depth, base)
 	}
-	d, off := depth, uint(depth%keyChars)
+	d, b0, off := depth, base, uint(depth-base)
 
 	// Per-worker write cursors: worker k's slot in bucket b begins after
 	// all earlier chunks' strings of that bucket, so the chunk-major
@@ -212,7 +219,7 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 			ps.grp.Go(func() {
 				for i := 0; i < len(b); i += 2 {
 					lo, hi := b[i], b[i+1]
-					ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1)
+					ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1, b0)
 				}
 			})
 		}
@@ -220,7 +227,7 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 	}
 	buckets(&count, &end, lcp, d, func(lo, hi int) {
 		if hi-lo >= parSortMin {
-			ps.grp.Go(func() { ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1) })
+			ps.grp.Go(func() { ps.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], d+1, b0) })
 			return
 		}
 		bounds = append(bounds, lo, hi)
@@ -231,32 +238,62 @@ func (ps *parSorter) radix(px, tmp []proxy, lcp []int32, depth int) {
 	flush()
 }
 
+// skip is the chunk-parallel form of the kernel's skip: commonPrefix with
+// every round one pass whose chunks' results are reduced by min.
+func (ps *parSorter) skip(px []proxy, depth, base int) int {
+	w := ps.chunks(len(px))
+	mins := make([]int, w)
+	minPass := func(f func(c []proxy) int) int {
+		ps.pass(w, func(k int) {
+			lo, hi := chunk(k, w, len(px))
+			mins[k] = f(px[lo:hi])
+		})
+		return slices.Min(mins)
+	}
+	k0 := px[0].key()
+	m := base + minPass(func(c []proxy) int { return windowAgree(c, k0) })
+	if m == base+keyChars {
+		ref := ps.ss[px[0].idx]
+		m = probe(m, len(ref), func(lo, hi int) int {
+			return minPass(func(c []proxy) int { return agree(ps.ss, c, ref, lo, hi) })
+		})
+	}
+	ps.work.Add(int64(m-depth-1) * int64(len(px)))
+	return m
+}
+
 // mkq is the parallel form of kernel.mkqsort: the ternary partition at
 // each node is the sequential code (identical swaps, identical n-character
 // billing); the <, > parts become group tasks and the = part is the
-// sequential tail-iteration one character deeper.
-func (ps *parSorter) mkq(px []proxy, depth int) {
+// sequential tail-iteration one character deeper, or, when it is the whole
+// node, at the end of the prefix the node shares.
+func (ps *parSorter) mkq(px []proxy, depth, base int) {
 	for len(px) >= parSortMin {
 		t0 := time.Now()
-		lt, gt, atEnd := partition(px, uint(depth%keyChars))
+		lt, gt, atEnd := partition(px, uint(depth-base))
 		ps.work.Add(int64(len(px)))
 		ps.busy.Add(time.Since(t0).Nanoseconds())
-		// Closures get copies: the tail-iteration below mutates px and
-		// depth before the spawned tasks may run.
-		low, high, eq, d := px[:lt], px[gt+1:], px[lt:gt+1], depth
-		ps.grp.Go(func() { ps.mkq(low, d) })
-		ps.grp.Go(func() { ps.mkq(high, d) })
+		// Closures get copies: the tail-iteration below mutates px, depth
+		// and base before the spawned tasks may run.
+		low, high, eq, d, b := px[:lt], px[gt+1:], px[lt:gt+1], depth, base
+		ps.grp.Go(func() { ps.mkq(low, d, b) })
+		ps.grp.Go(func() { ps.mkq(high, d, b) })
 		if atEnd {
 			return // fully equal strings: nothing left to sort
 		}
-		if (d+1)%keyChars == 0 {
-			ps.load(eq, d+1)
+		m := d + 1
+		if len(eq) == len(px) {
+			m = ps.skip(eq, d, b)
 		}
-		px, depth = eq, d+1
+		px, depth = eq, m
+		if depth-base >= keyChars {
+			ps.load(px, depth)
+			base = depth
+		}
 	}
 	t0 := time.Now()
 	k := kernel{ss: ps.ss}
-	k.mkqsort(px, depth)
+	k.mkqsort(px, depth, base)
 	ps.work.Add(k.work)
 	ps.busy.Add(time.Since(t0).Nanoseconds())
 }

@@ -13,12 +13,22 @@
 // Bingmann-Eberle-Sanders' multikey quicksort and Kärkkäinen-Rantala's
 // radix sorts. Radix passes and partitions read the character at the
 // current depth out of that word instead of taking a cache miss per string
-// and level; string memory is touched only when a subproblem crosses into
-// the next window and when two strings are compared beyond their windows.
+// and level. A level that finds the whole subproblem in one non-end bucket
+// does not step to the next character: commonPrefix finds the longest
+// prefix the subproblem shares, from the cached words where they decide
+// and by a geometrically growing scan of string memory where they do not,
+// and the sort continues there. A window is loaded at the depth that runs
+// past the one before, not at a multiple of keyChars, so a jump lands on
+// keyChars fresh characters. String memory is thus touched when a
+// subproblem's shared prefix outruns its window, when its depth runs past
+// the window, and when two strings are compared beyond their windows.
 // The model statistics do not see any of it: work is billed by depth
 // advanced, never by loads — every radix level and every partition one
 // character per string, every comparison LCP − depth + 1 — so the totals
-// are those of the same algorithms run directly on the strings.
+// are those of the same algorithms run directly on the strings. A jump
+// over a shared prefix bills the levels it skips, n characters each, and
+// those levels moved nothing, so permutation, LCPs and work are the
+// level-by-level ones, bit for bit.
 //
 // The output of a sort is its permutation, the proxies' index column:
 // order[i] is the position in the caller's array of the i-th smallest
@@ -62,7 +72,10 @@ var maxStrings int64 = 1 << 32
 // proxy stands for one string while it is being sorted. The cached word is
 // kept in halves so that a proxy is 12 bytes, not 16: with the scatter
 // scratch that is the 24 bytes per string of the header array it replaces.
-// All proxies of a subproblem at depth d cache the window d − d%keyChars.
+// All proxies of a subproblem cache the window that starts at one depth,
+// its base, which every sorter below takes beside the subproblem's depth:
+// base ≤ depth < base + keyChars once the subproblem is entered, and a
+// sorter that finds its depth past the window loads the one at its depth.
 type proxy struct {
 	lo, hi uint32 // the cached word: characters, then how many are real
 	idx    uint32 // position of the string in the caller's array
@@ -82,8 +95,8 @@ func (p *proxy) bucket(off uint) int {
 }
 
 // load caches, in every proxy of px, the window of its string that starts
-// at depth. This is the kernel's only random access into string memory
-// outside comparisons.
+// at depth. With commonPrefix's scan it is the kernel's only random access
+// into string memory outside comparisons.
 func load(ss [][]byte, px []proxy, depth int) {
 	for i := range px {
 		t := ss[px[i].idx][depth:]
@@ -154,10 +167,10 @@ func sortProxies(pool *par.Pool, ss [][]byte, lcp []int32) (order []uint32, work
 
 	ps := &parSorter{pool: pool, grp: pool.Group(), ss: ss}
 	if n > 1 && lcp != nil {
-		ps.radix(px, tmp, lcp, 0)
+		ps.radix(px, tmp, lcp, 0, -keyChars) // no window yet: the first level loads
 	} else if n > 1 {
 		ps.load(px, 0)
-		ps.mkq(px, 0)
+		ps.mkq(px, 0, 0)
 	}
 	ps.grp.Wait() // join + panic propagation; busy is tracked by ps.busy
 	order = make([]uint32, n)
@@ -179,20 +192,22 @@ type kernel struct {
 }
 
 // radix sorts one subproblem whose strings all share a prefix of length
-// depth, assigning lcp[1:] within it (lcp[0], the boundary with whatever
-// precedes the subproblem, belongs to the caller). Like its parallel form
-// it is entered once per subproblem and depth, which makes it the place
-// where the windows are reloaded when depth reaches the next one.
-func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
+// depth, with the window at base cached, assigning lcp[1:] within it
+// (lcp[0], the boundary with whatever precedes the subproblem, belongs to
+// the caller). Like its parallel form it is entered once per subproblem
+// and depth, which makes it the place where the windows are reloaded when
+// depth has run past them.
+func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth, base int) {
 	n := len(px)
 	var count [257]int
 	for {
-		off := uint(depth % keyChars)
-		if off == 0 {
+		if depth-base >= keyChars {
 			load(k.ss, px, depth)
+			base = depth
 		}
+		off := uint(depth - base)
 		if n < radixThreshold {
-			k.mkqsort(px, depth)
+			k.mkqsort(px, depth, base)
 			k.fillLCP(px, lcp, depth)
 			return
 		}
@@ -206,18 +221,19 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 			break
 		}
 		// All strings fall into one bucket, so the stable distribution is
-		// the identity: no scatter, and the level below runs right here.
+		// the identity: no scatter, and the levels below run right here,
+		// from the first one that can split.
 		if b == 0 {
 			fillDepth(lcp[1:], depth) // n equal strings
 			return
 		}
-		depth++
 		count[b] = 0
+		depth = k.skip(px, depth, base)
 	}
 
 	// Out-of-place stable distribution, then copy back; next[b] ends up at
 	// the end of bucket b.
-	off := uint(depth % keyChars)
+	off := uint(depth - base)
 	var next [257]int
 	sum := 0
 	for b := range count {
@@ -231,7 +247,7 @@ func (k *kernel) radix(px, tmp []proxy, lcp []int32, depth int) {
 	}
 	copy(px, tmp)
 	buckets(&count, &next, lcp, depth, func(lo, hi int) {
-		k.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], depth+1)
+		k.radix(px[lo:hi], tmp[lo:hi], lcp[lo:hi], depth+1, base)
 	})
 }
 
@@ -290,34 +306,111 @@ func partition(px []proxy, off uint) (lt, gt int, atEnd bool) {
 
 // mkqsort is multikey quicksort: ternary partition on the character at
 // position depth, recursing into <, =, > parts; characters before depth
-// are equal across the subproblem and never inspected again. The window of
-// depth must be cached, and stays so for every part down to insertion sort.
-func (k *kernel) mkqsort(px []proxy, depth int) {
+// are equal across the subproblem and never inspected again. The window at
+// base must hold depth, and is kept so for every part down to insertion
+// sort.
+func (k *kernel) mkqsort(px []proxy, depth, base int) {
 	for len(px) > insertionThreshold {
-		lt, gt, atEnd := partition(px, uint(depth%keyChars))
+		lt, gt, atEnd := partition(px, uint(depth-base))
 		k.work += int64(len(px))
-		k.mkqsort(px[:lt], depth)
-		k.mkqsort(px[gt+1:], depth)
+		k.mkqsort(px[:lt], depth, base)
+		k.mkqsort(px[gt+1:], depth, base)
 		if atEnd {
 			return // fully equal strings: nothing left to sort
 		}
-		// Tail-call into the equal part one character deeper.
-		px = px[lt : gt+1]
-		depth++
-		if depth%keyChars == 0 && len(px) > 1 {
+		// Tail-call into the equal part one character deeper, or, when it
+		// is the whole subproblem, at the first depth that can split it.
+		m := depth + 1
+		if lt == 0 && gt == len(px)-1 {
+			m = k.skip(px, depth, base)
+		}
+		px, depth = px[lt:gt+1], m
+		if depth-base >= keyChars && len(px) > 1 {
 			load(k.ss, px, depth)
+			base = depth
 		}
 	}
-	k.insertionSort(px, depth)
+	k.insertionSort(px, depth, base)
 }
 
-// compare returns what strutil.CompareLCP(a's string, b's string, depth)
-// returns, for two proxies of one subproblem that have depth's window
-// cached. The windows decide when they differ or a string ends inside
-// them; only strings that agree through the whole window are read.
-func (k *kernel) compare(a, b *proxy, depth int) (order, lcp int) {
+// skip advances a subproblem whose strings all share depth+1 characters
+// to m, the longest prefix they share, and bills the (m − depth − 1)·n
+// characters that the levels in between — each one counting pass or
+// partition with a single non-end bucket, which moves nothing — would have
+// inspected.
+func (k *kernel) skip(px []proxy, depth, base int) (m int) {
+	m = commonPrefix(k.ss, px, base)
+	k.work += int64(m-depth-1) * int64(len(px))
+	return m
+}
+
+// probeChars is how far the first round of commonPrefix's scan of string
+// memory reads, a cache line's worth: the round costs one miss per string
+// whether it reads 8 characters or 64. Every further round reads twice as
+// far as the one before.
+const probeChars = 64
+
+// commonPrefix returns the length of the longest prefix that all strings of
+// px share, given that px caches the window at base and that they share
+// the characters before it. The cached words decide without touching
+// string memory unless every window agrees with px[0]'s to its end; then
+// the strings are compared with px[0]'s from there in rounds of probeChars,
+// 2·probeChars, … characters over all strings. A mismatch ends the scan
+// with its round, wherever in px its string lies, so the strings that
+// agree longer are not read to their ends: none is read more than
+// 2·(m − e) + probeChars characters past the window's end e, for the
+// result m.
+func commonPrefix(ss [][]byte, px []proxy, base int) int {
+	m := base + windowAgree(px, px[0].key())
+	if m < base+keyChars {
+		return m
+	}
+	ref := ss[px[0].idx]
+	return probe(m, len(ref), func(lo, hi int) int { return agree(ss, px[1:], ref, lo, hi) })
+}
+
+// probe is the scan of string memory behind commonPrefix, from m, where
+// every window agreed to its end, for a reference string of length n:
+// round(lo, hi) returns the longest prefix, at most hi, that all strings
+// share with the reference, given that they share lo characters.
+func probe(m, n int, round func(lo, hi int) int) int {
+	for step := probeChars; ; step *= 2 {
+		lo := m
+		if m = round(lo, min(lo+step, n)); m < lo+step {
+			return m
+		}
+	}
+}
+
+// windowAgree returns how many leading characters of its cached window
+// every proxy of px shares with the cached word k0, which counts a string
+// that ends inside the window as disagreeing there.
+func windowAgree(px []proxy, k0 uint64) int {
+	a := int(uint8(k0))
+	for i := range px {
+		k := px[i].key()
+		a = min(a, int(uint8(k)), bits.LeadingZeros64((k^k0)|0xff)/8)
+	}
+	return a
+}
+
+// agree returns the length of the longest prefix, at most hi, that every
+// string of px shares with ref[:hi], given that all of them share lo
+// characters with it.
+func agree(ss [][]byte, px []proxy, ref []byte, lo, hi int) int {
+	for i := 0; i < len(px) && hi > lo; i++ {
+		s := ss[px[i].idx]
+		_, hi = strutil.CompareLCP(ref[:hi], s[:min(hi, len(s))], lo)
+	}
+	return hi
+}
+
+// compare returns what strutil.CompareLCP(a's string, b's string, base)
+// returns, for two proxies of one subproblem that cache the window at
+// base. The windows decide when they differ or a string ends inside them;
+// only strings that agree through the whole window are read.
+func (k *kernel) compare(a, b *proxy, base int) (order, lcp int) {
 	ka, kb := a.key(), b.key()
-	base := depth - depth%keyChars
 	same := bits.LeadingZeros64((ka^kb)|0xff) / 8 // equal cached bytes, 0..keyChars
 	ra, rb := int(uint8(ka)), int(uint8(kb))
 	switch m := min(ra, rb); {
@@ -331,13 +424,14 @@ func (k *kernel) compare(a, b *proxy, depth int) (order, lcp int) {
 }
 
 // insertionSort sorts a small subproblem whose strings share a prefix of
-// length depth, comparing only from depth onwards.
-func (k *kernel) insertionSort(px []proxy, depth int) {
+// length depth, comparing only from depth onwards through the windows at
+// base.
+func (k *kernel) insertionSort(px []proxy, depth, base int) {
 	for i := 1; i < len(px); i++ {
 		p := px[i]
 		j := i
 		for j > 0 {
-			order, lcp := k.compare(&px[j-1], &p, depth)
+			order, lcp := k.compare(&px[j-1], &p, base)
 			k.work += int64(lcp - depth + 1)
 			if order <= 0 {
 				break

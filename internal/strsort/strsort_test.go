@@ -288,40 +288,6 @@ func BenchmarkSortLCPRandom(b *testing.B) {
 	}
 }
 
-func BenchmarkSortLCPCommonPrefix(b *testing.B) {
-	prefix := bytes.Repeat([]byte("w"), 40)
-	rng := rand.New(rand.NewSource(9))
-	ss := make([][]byte, 50000)
-	for i := range ss {
-		ss[i] = append(append([]byte{}, prefix...), byte(rng.Intn(256)), byte(rng.Intn(256)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		in := make([][]byte, len(ss))
-		copy(in, ss)
-		b.StartTimer()
-		SortLCP(in, nil)
-	}
-}
-
-func BenchmarkRadixSortHeavyDuplicates(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	vals := randStrings(rng, 20, 30, 26)
-	ss := make([][]byte, 100000)
-	for i := range ss {
-		ss[i] = vals[rng.Intn(len(vals))]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		in := make([][]byte, len(ss))
-		copy(in, ss)
-		b.StartTimer()
-		SortLCP(in, nil)
-	}
-}
-
 // ---- Golden constants: the kernel's observable behaviour, pinned ----------
 //
 // For a fixed list of generated inputs the work total and an FNV-1a hash of
@@ -404,6 +370,63 @@ var goldenCases = []goldenCase{
 		lcpWork: 250589, lcpHash: 0xbe7a527d755f0ccf, sortWork: 317149, sortHash: 0x2fbf9bf1f41c4f65},
 	{name: "len14-17", gen: func() [][]byte { return lengthsBetween(18, 20000, 14, 17) },
 		lcpWork: 253291, lcpHash: 0x6d5cdb179ddc564e, sortWork: 310983, sortHash: 0x874a881a73da6a05},
+	{name: "window-ends", gen: windowEnds,
+		lcpWork: 449324, lcpHash: 0xadcb8c78b547ed60, sortWork: 515088, sortHash: 0xe9eccde770079eed},
+	{name: "late-mismatch", gen: lateMismatch,
+		lcpWork: 1505011, lcpHash: 0x8a96419bc6848d81, sortWork: 1505011, sortHash: 0xf6fba6c35e020cdc},
+	{name: "prefix60", gen: func() [][]byte { return sharedPrefix(12000, 60) },
+		lcpWork: 800617, lcpHash: 0xa998079f91b79005, sortWork: 877239, sortHash: 0x90bbe2d3a3d09e51},
+	{name: "prefix300", gen: func() [][]byte { return sharedPrefix(5000, 300) },
+		lcpWork: 1525150, lcpHash: 0x2f0b5ae0468d53e, sortWork: 1557178, sortHash: 0xde22f4ff6aa85165},
+}
+
+// windowEnds is 20 000 strings whose shared prefixes end exactly at the
+// cached windows' ends: each is the first 7, 14 or 21 characters of one
+// prefix followed by 0–11 digits, so the subproblems share 7, then 14, then
+// 21 characters, and every twelfth string ends exactly there.
+func windowEnds() [][]byte {
+	rng := rand.New(rand.NewSource(19))
+	prefix := "abcdefghijklmnopqrstu"
+	ss := make([][]byte, 20000)
+	for i := range ss {
+		s := []byte(prefix[:7*(1+rng.Intn(3))])
+		for range rng.Intn(12) {
+			s = append(s, byte('0'+rng.Intn(10)))
+		}
+		ss[i] = s
+	}
+	return ss
+}
+
+// lateMismatch is 5 000 copies of one 300-byte line, then one string that
+// differs from it at byte 10: the one string that ends the subproblem's
+// shared prefix comes last.
+func lateMismatch() [][]byte {
+	line := lengthsBetween(20, 1, 300, 300)[0]
+	ss := make([][]byte, 5001)
+	for i := range ss {
+		ss[i] = bytes.Clone(line)
+	}
+	ss[len(ss)-1][10] ^= 0x80
+	return ss
+}
+
+// sharedPrefix is n strings with one random prefix of length plen and 0–20
+// random letters after it. With n above parSortMin the pool's sorters meet
+// the shared prefix too; 60 characters end inside the first probe of
+// commonPrefix's scan, 300 take three.
+func sharedPrefix(n, plen int) [][]byte {
+	rng := rand.New(rand.NewSource(21))
+	prefix := lengthsBetween(22, 1, plen, plen)[0]
+	ss := make([][]byte, n)
+	for i := range ss {
+		s := bytes.Clone(prefix)
+		for range rng.Intn(21) {
+			s = append(s, byte('a'+rng.Intn(26)))
+		}
+		ss[i] = s
+	}
+	return ss
 }
 
 func shuffled(seed int64, ss [][]byte) [][]byte {
@@ -525,8 +548,10 @@ func TestGoldenKernelBehaviour(t *testing.T) {
 var sink int64
 
 // BenchmarkSortLCP is the package's rung on the repository benchmark's own
-// inputs: one PE's share (p = 4) of each workload, in shuffled file order,
-// sequentially and on the width-2 pool the benchmark host gives a PE.
+// inputs — one PE's share (p = 4) of each workload, in shuffled file order —
+// and on three shapes the kernel handles specially: a long prefix shared by
+// every string, a few values repeated many times, and lateMismatch. Each
+// runs sequentially and on the width-2 pool the benchmark host gives a PE.
 // Mchars/s is billed work per second, the unit of the harness's
 // strsort.mchars_per_s.
 func BenchmarkSortLCP(b *testing.B) {
@@ -543,24 +568,47 @@ func BenchmarkSortLCP(b *testing.B) {
 		{"dn75kx500r0", func() [][]byte {
 			return input.DN(input.DNConfig{StringsPerPE: 75000, Length: 500, Ratio: 0}, 0, 4)
 		}},
+		{"prefix40x50k", func() [][]byte {
+			prefix := bytes.Repeat([]byte("w"), 40)
+			rng := rand.New(rand.NewSource(9))
+			ss := make([][]byte, 50000)
+			for i := range ss {
+				ss[i] = append(bytes.Clone(prefix), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			}
+			return ss
+		}},
+		{"dups20x100k", func() [][]byte {
+			rng := rand.New(rand.NewSource(37))
+			vals := randStrings(rng, 20, 30, 26)
+			ss := make([][]byte, 100000)
+			for i := range ss {
+				ss[i] = vals[rng.Intn(len(vals))]
+			}
+			return ss
+		}},
+		{"latemismatch", lateMismatch},
 	}
 	for _, in := range inputs {
-		ss := shuffled(1, in.gen())
-		for _, cores := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/cores=%d", in.name, cores), func(b *testing.B) {
-				pool := par.New(cores)
-				b.ReportAllocs()
-				b.SetBytes(strutil.TotalLen(ss))
-				var chars int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, _, w, _ := ParallelSortLCP(pool, ss, nil)
-					chars += w
-				}
-				sink += chars
-				b.ReportMetric(float64(chars)/b.Elapsed().Seconds()/1e6, "Mchars/s")
-			})
-		}
+		// The input is built inside its own b.Run, so that a -bench filter
+		// that skips it skips its generator too.
+		b.Run(in.name, func(b *testing.B) {
+			ss := shuffled(1, in.gen())
+			for _, cores := range []int{1, 2} {
+				b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+					pool := par.New(cores)
+					b.ReportAllocs()
+					b.SetBytes(strutil.TotalLen(ss))
+					var chars int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						_, _, w, _ := ParallelSortLCP(pool, ss, nil)
+						chars += w
+					}
+					sink += chars
+					b.ReportMetric(float64(chars)/b.Elapsed().Seconds()/1e6, "Mchars/s")
+				})
+			}
+		})
 	}
 }
 
