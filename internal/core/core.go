@@ -26,25 +26,25 @@
 // hQuick): every bucket bound for another PE is encoded into a transport
 // buffer and posted as its encoder finishes, and the received buckets come
 // back whole, in arrival order; the PE's own bucket stays home, merged from
-// the caller's array through Step 1's order. The received buckets land the same way with or
-// without a memory budget (outofcore.go): each stays ENCODED as one run, and
-// the Step-4 loser tree pulls every run through a wire.RunCursor that
-// decodes one string per pull. Without a budget a run is the transport
-// buffer it arrived in, validated and sized on the PE's pool the moment it
-// arrives — so the exchange overlaps that walk instead of ending at a global
-// barrier. With a budget the run's bytes wait resident as far as the spill
-// pool has room and in a page file beyond. Every sorter's fragment leaves
-// through one exit, the caller's Output (SeamOptions.Out): a sink the
-// caller opens once per PE with the exact extent of every run the fragment
-// is made of, fed by the Step-4 merge or, where there is nothing to merge
-// (hQuick, p == 1), by draining the sorted array. What the sink builds is
-// the caller's choice — the arrays of a Result, a sorted-run file, a
+// the caller's array through Step 1's order. The received buckets land the
+// same way with or without a memory budget (outofcore.go): each stays
+// ENCODED as one run, and the Step-4 loser tree pulls every run through a
+// wire.RunCursor that decodes one string per pull. Without a budget a run is
+// the transport buffer it arrived in, validated and sized on the PE's pool
+// the moment it arrives — so the exchange overlaps that walk instead of
+// ending at a global barrier. With a budget the run's bytes wait resident as
+// far as the spill pool has room and in a page file beyond. Every sorter's
+// fragment leaves through one exit, the caller's Output (SeamOptions.Out): a
+// sink the caller opens once per PE with the exact extent of every run the
+// fragment is made of, fed by the Step-4 merge or, where there is nothing to
+// merge (hQuick, p == 1), by draining the sorted array. What the sink builds
+// is the caller's choice — the arrays of a Result, a sorted-run file, a
 // region of one output file, or for PDMS just the origin column, which the
 // caller turns into lines once the sort is done. The deterministic
-// statistics are identical on both landings — received bytes are billed to
-// the phase the exchange was posted in — and identical to the
-// bulk-synchronous exchange kept as the reference implementation
-// (SeamOptions.BlockingExchange, set by the differential tests only).
+// statistics are identical on both landings and at every arrival order —
+// received bytes are billed to the phase the exchange was posted in — and
+// identical to a bulk-synchronous exchange (one encode arena, one copying
+// Alltoallv), which the package's tests keep as the exchange's reference.
 package core
 
 import (
@@ -62,16 +62,6 @@ func originSat(pe, idx int) uint64 {
 	return uint64(uint32(pe))<<32 | uint64(uint32(idx))
 }
 
-// partOffsets prefix-sums per-destination encoded sizes into arena
-// offsets: bucket dst occupies [offs[dst], offs[dst+1]).
-func partOffsets(sizes []int) []int {
-	offs := make([]int, len(sizes)+1)
-	for i, s := range sizes {
-		offs[i+1] = offs[i] + s
-	}
-	return offs
-}
-
 // sizeBuckets sizes the Step-3 buckets but own's on the work pool.
 func sizeBuckets(c *comm.Comm, own int, size func(dst int) int) []int {
 	sizes, busy := par.MapOrdered(c.Pool(), c.P(), func(dst int) int {
@@ -82,34 +72,6 @@ func sizeBuckets(c *comm.Comm, own int, size func(dst int) int) []int {
 	})
 	c.AddCPU(busy)
 	return sizes
-}
-
-// encodeParts runs the Step-3 bucket encoders on the PE's work pool: each
-// enc(dst, buf) receives a zero-length slice whose capacity is exactly
-// sizes[dst] — a disjoint region of ONE pre-sized arena — appends its
-// bucket's encoding, and returns the filled slice. The regions are
-// disjoint by construction, so the p encoders run concurrently without
-// synchronization, and the encoded bytes are identical at every pool
-// width (each encoder is a pure function of its bucket). The own bucket is
-// not encoded; its part stays empty. Worker busy time is credited to the
-// current phase's CPU channel. Used by the blocking reference only.
-func encodeParts(c *comm.Comm, sizes []int, own int, enc func(dst int, buf []byte) []byte) [][]byte {
-	offs := partOffsets(sizes)
-	arena := make([]byte, offs[len(sizes)])
-	parts := make([][]byte, len(sizes))
-	busy := c.ForEachSpan("encode", len(sizes), func(dst int) {
-		if dst == own {
-			return
-		}
-		lo, hi := offs[dst], offs[dst+1]
-		buf := enc(dst, arena[lo:lo:hi])
-		if len(buf) != hi-lo {
-			panic("core: bucket encoder size mismatch")
-		}
-		parts[dst] = buf
-	})
-	c.AddCPU(busy)
-	return parts
 }
 
 // exchangeEncoded is the Step-3 exchange of all four algorithms, with or
@@ -124,41 +86,23 @@ func encodeParts(c *comm.Comm, sizes []int, own int, enc func(dst int, buf []byt
 // is not sized, allocated, encoded, sent or yielded — and as the exchange
 // never billed it, no deterministic statistic moves.
 //
-// Split-phase mode (blocking=false, the default): every bucket is encoded
-// straight into its own transport buffer (comm.Alloc) and the exchange is
-// posted STAGED — each of the p−1 buckets is posted the moment its encoder
-// task finishes, signaled through a completion channel so the send and its
-// accounting stay on the PE goroutine. Post takes the buffer over, so an
-// encoded byte is allocated once on this PE and never copied again before
-// it leaves (the local transport delivers that very buffer, tcp writes the
-// socket from it). recv is the exchange's PollAny: the buckets come back in
-// ARRIVAL order, so stragglers' communication hides under both the faster
-// buckets' sends and whatever the caller does with the early arrivals.
-// Received bytes stay billed to the posting phase and the encoded bytes
-// are schedule-independent, so model time and bytes/string are
-// bit-identical to the blocking mode; only wall-clock improves, measured
-// as stats.PE.Overlap and the CPU channel.
-//
-// Blocking mode reproduces the bulk-synchronous exchange: encode all (in
-// parallel, into one arena — encodeParts), one copying Alltoallv, and recv
-// walks its result in rank order.
+// Every bucket is encoded straight into its own transport buffer
+// (comm.Alloc) and the exchange is posted STAGED — each of the p−1 buckets
+// is posted the moment its encoder task finishes, signaled through a
+// completion channel so the send and its accounting stay on the PE
+// goroutine. Post takes the buffer over, so an encoded byte is allocated
+// once on this PE and never copied again before it leaves (the local
+// transport delivers that very buffer, tcp writes the socket from it). recv
+// is the exchange's PollAny: the buckets come back in ARRIVAL order, so
+// stragglers' communication hides under both the faster buckets' sends and
+// whatever the caller does with the early arrivals. Received bytes stay
+// billed to the posting phase and each encoder is a pure function of its
+// bucket, so model time and bytes/string do not depend on the schedule;
+// only wall-clock does, measured as stats.PE.Overlap and the CPU channel. A bucket whose encoder failed is never posted: its peer
+// keeps waiting while this PE fails with the encoder's panic.
 func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int, own int,
-	enc func(dst int, buf []byte) []byte, blocking bool, next stats.Phase,
+	enc func(dst int, buf []byte) []byte, next stats.Phase,
 ) (recv func() (src int, msg []byte, ok bool)) {
-	if blocking {
-		recvd := g.Alltoallv(encodeParts(c, sizes, own, enc))
-		c.SetPhase(next)
-		src := -1
-		return func() (int, []byte, bool) {
-			if src++; src == own {
-				src++
-			}
-			if src >= len(recvd) {
-				return -1, nil, false
-			}
-			return src, recvd[src], true
-		}
-	}
 	// Staged posting: the Pending is created first (it captures the
 	// accounting phase and the overlap clock), encoder tasks signal their
 	// bucket index on completion, and the PE goroutine posts each part as
@@ -175,18 +119,21 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int, own int,
 		parts[dst] = c.Alloc(sizes[dst])[:0]
 		egrp.Go(func() {
 			// Signal via defer so a panicking encoder still unblocks the
-			// posting loop below; the panic itself re-raises at egrp.Wait.
-			defer func() { done <- dst }()
+			// posting loop below: it signals −1, so its bucket is not
+			// posted, and the panic itself re-raises at egrp.Wait.
+			encoded := -1
+			defer func() { done <- encoded }()
 			buf := enc(dst, parts[dst])
 			if len(buf) != sizes[dst] {
 				panic("core: bucket encoder size mismatch")
 			}
-			parts[dst] = buf
+			parts[dst], encoded = buf, dst
 		})
 	}
 	for i := 1; i < len(sizes); i++ {
-		dst := <-done
-		pd.Post(dst, parts[dst])
+		if dst := <-done; dst >= 0 {
+			pd.Post(dst, parts[dst])
+		}
 	}
 	c.AddCPU(egrp.Wait())
 	c.SetPhase(next)
@@ -214,18 +161,14 @@ func decodeOnPool(c *comm.Comm, recv func() (int, []byte, bool), decode func(src
 }
 
 // SeamOptions are the Step-3→Step-4 settings the merge-based sorters
-// share (MergeSort, PDMS, FKMerge embed them; hQuick uses the exchange
-// and output settings).
+// share (MergeSort, PDMS, FKMerge embed them; hQuick uses the output
+// setting).
 type SeamOptions struct {
-	// BlockingExchange selects the bulk-synchronous reference of the
-	// exchange: one encode arena and one copying Alltoallv. Deterministic
-	// statistics are identical either way; only the differential tests set
-	// it.
-	BlockingExchange bool
 	// Spill, if non-nil, runs the bounded-memory landing: received buckets
 	// wait encoded, in page files for what the pool's budget has no room
-	// for. The deterministic statistics are untouched — they are
-	// seam-invariant and the spill decision only moves measured gauges.
+	// for. The deterministic statistics are untouched — they do not
+	// depend on the landing, and the spill decision only moves measured
+	// gauges.
 	Spill *spill.Pool
 	// Out receives the PE's sorted fragment. It is required: it is the
 	// only way the fragment leaves the sorter.
@@ -287,7 +230,7 @@ type bucketCodec struct {
 // phase, and the accounting phase is left at PhaseOther.
 func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) {
 	own := g.Idx()
-	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, opt.BlockingExchange, stats.PhaseMerge)
+	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, stats.PhaseMerge)
 	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
 	runs[own] = encodedRun{home: cd.own, n: cd.own.Len(), chars: int(charsOf(*cd.own))}
 	c.AddWork(sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out))

@@ -25,10 +25,8 @@ type HQOptions struct {
 	// MS/PDMS this stays false so everything is billed to the caller's
 	// phase.
 	TrackPhases bool
-	// SeamOptions configure the initial random-placement all-to-all (the
-	// bulk-synchronous reference instead of the split-phase
-	// decode-on-arrival exchange) and the Output the sorted fragment is
-	// drained into: strings, LCPs and origin satellites. hQuick is not an
+	// SeamOptions name the Output the sorted fragment is drained into:
+	// strings, LCPs and origin satellites. hQuick is not an
 	// out-of-core algorithm — every string moves O(log p) times and the
 	// recursion keeps the working set resident — so unlike the merge
 	// families a budget bounds only the output accumulation, not the
@@ -102,7 +100,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) {
 		perS := make([][][]byte, p)
 		perU := make([][]uint64, p)
 		perS[me], perU[me] = filterTagged(strings, uids, perDest[me])
-		recv := exchangeEncoded(c, world, sizes, me, enc, opt.BlockingExchange, next)
+		recv := exchangeEncoded(c, world, sizes, me, enc, next)
 		decodeOnPool(c, recv, func(src int, msg []byte) {
 			s, u, err := decodeTagged(msg)
 			if err != nil {

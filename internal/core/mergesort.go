@@ -38,8 +38,7 @@ type MSOptions struct {
 	GroupID int
 	// Seed drives hQuick's randomness during sample sorting.
 	Seed uint64
-	// SeamOptions configure Steps 3→4 (blocking reference, budget mode,
-	// output sink).
+	// SeamOptions configure Steps 3→4 (budget mode, output sink).
 	SeamOptions
 }
 
@@ -87,7 +86,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) {
 		RandomSampling: opt.RandomSampling,
 		Seed:           opt.Seed,
 		GroupID:        opt.GroupID + 1,
-		DistSort:       sampleSorter(opt.Seed, opt.BlockingExchange),
+		DistSort:       sampleSorter(opt.Seed),
 	}
 	splitters := partition.SelectSplittersSet(c, local, popt)
 	var off []int
@@ -98,9 +97,8 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) {
 	}
 
 	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
-	// first and encoded into exactly that many bytes — its own transport
-	// buffer on the split-phase exchange, a region of one arena on the
-	// blocking reference — so there are zero growth reallocations. The LCP
+	// first and encoded into exactly that many bytes of its own transport
+	// buffer, so there are zero growth reallocations. The LCP
 	// run of a bucket is passed as a direct sub-slice of the local LCP
 	// array — the encoder ignores the boundary entry lcps[lo], which belongs
 	// to a string that stays on this PE.
@@ -135,7 +133,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) {
 // sampleSorter is the distributed sample sorter of Step 2 in MS and PDMS:
 // hQuick, billed to the caller's phase. Its fragment is drained as one
 // stable run, so the sorted samples are kept as they are.
-func sampleSorter(seed uint64, blocking bool) partition.DistSorter {
+func sampleSorter(seed uint64) partition.DistSorter {
 	return func(c *comm.Comm, samples [][]byte, gid int) (sorted [][]byte) {
 		out := &Output{Open: func(runs []Extent) (merge.Sink, error) {
 			sorted = make([][]byte, 0, runs[0].N)
@@ -144,9 +142,7 @@ func sampleSorter(seed uint64, blocking bool) partition.DistSorter {
 				return nil
 			}, nil
 		}}
-		HQuick(c, samples, HQOptions{
-			GroupID: gid, Seed: seed, SeamOptions: SeamOptions{BlockingExchange: blocking, Out: out},
-		})
+		HQuick(c, samples, HQOptions{GroupID: gid, Seed: seed, SeamOptions: SeamOptions{Out: out}})
 		return sorted
 	}
 }

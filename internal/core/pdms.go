@@ -121,7 +121,7 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) {
 		Sampling: opt.Sampling,
 		Weights:  dist,
 		GroupID:  opt.GroupID + 5,
-		DistSort: sampleSorter(opt.Seed, opt.BlockingExchange),
+		DistSort: sampleSorter(opt.Seed),
 	})
 	// Buckets are computed over the prefixes: the transmitted prefixes
 	// preserve the order of the underlying strings (distinct strings never

@@ -97,7 +97,7 @@ type PE struct {
 	// of their payloads); the per-phase split is attribution-grade only —
 	// a split-phase collective drained in a later phase bills its frames'
 	// wire bytes there, while the raw counters stay with the posting phase.
-	// Compare totals, not per-phase wire values, across seam modes.
+	// Compare totals, not per-phase wire values, across runs.
 	Wire [NumPhases]WireCounters
 	// Wall[ph] is the wall-clock nanoseconds this PE spent with ph as its
 	// accounting phase (accumulated at every comm.SetPhase transition).

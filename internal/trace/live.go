@@ -6,6 +6,7 @@ package trace
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -66,33 +67,11 @@ func (g *Gauges) Map() map[string]any {
 	g.mu.Lock()
 	phases := make(map[string]string, len(g.phases))
 	for rank, ph := range g.phases {
-		phases[itoa(rank)] = ph
+		phases[strconv.Itoa(rank)] = ph
 	}
 	g.mu.Unlock()
 	m["phase"] = phases
 	return m
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // maxLiveRecorders bounds the snapshot registry: a long-lived process

@@ -46,7 +46,7 @@ func (w *Buffer) Raw(p []byte) {
 	w.b = append(w.b, p...)
 }
 
-// Bytes16 appends a length-prefixed byte string.
+// BytesPrefixed appends a length-prefixed byte string.
 func (w *Buffer) BytesPrefixed(p []byte) {
 	w.Uvarint(uint64(len(p)))
 	w.Raw(p)

@@ -299,51 +299,34 @@ func TestBudgetSortStrings(t *testing.T) {
 }
 
 // TestBudgetAcrossSeamsAndTransports pins the spilling run's output and
-// deterministic statistics across the exchange disciplines (split vs
-// blocking) and the transports (local vs TCP).
+// deterministic statistics across the transports (local vs TCP).
 func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 	rng := rand.New(rand.NewSource(809))
 	inputs := genInputs(rng, testPEs, testPerPE)
-	base := Config{Algorithm: MS, Seed: 33, Validate: true}
-
-	type variant struct {
-		name string
-		mut  func(*Config)
-	}
-	variants := []variant{
-		{"split-local", func(c *Config) {}},
-		{"blocking-local", func(c *Config) { c.blockingExchange = true }},
-		{"split-tcp", func(c *Config) { c.Transport = TransportTCP }},
-		{"blocking-tcp", func(c *Config) { c.Transport = TransportTCP; c.blockingExchange = true }},
-	}
-	var refOut [][][]byte
-	var refStats Stats
-	for i, v := range variants {
-		cfg := budgetConfig(base, t.TempDir())
-		v.mut(&cfg)
+	run := func(tr Transport) ([][][]byte, Stats) {
+		cfg := budgetConfig(Config{Algorithm: MS, Seed: 33, Validate: true, Transport: tr}, t.TempDir())
 		res, err := Sort(inputs, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%v: %v", tr, err)
+		}
+		if res.Stats.SpillBytesWritten == 0 {
+			t.Fatalf("%v: expected spill traffic", tr)
 		}
 		outs := make([][][]byte, len(res.PEs))
 		for pe, p := range res.PEs {
 			outs[pe], _, _ = readRun(t, p.RunFile)
 		}
-		if res.Stats.SpillBytesWritten == 0 {
-			t.Fatalf("%s: expected spill traffic", v.name)
+		return outs, res.Stats
+	}
+	localOut, localStats := run(TransportLocal)
+	tcpOut, tcpStats := run(TransportTCP)
+	for pe := range tcpOut {
+		if !equalOutputs(tcpOut[pe], localOut[pe]) {
+			t.Fatalf("PE %d: tcp output differs from local", pe)
 		}
-		if i == 0 {
-			refOut, refStats = outs, res.Stats
-			continue
-		}
-		for pe := range outs {
-			if !equalOutputs(outs[pe], refOut[pe]) {
-				t.Fatalf("%s: PE %d output differs from %s", v.name, pe, variants[0].name)
-			}
-		}
-		if got, want := budgetInvariant(res.Stats), budgetInvariant(refStats); got != want {
-			t.Fatalf("%s: deterministic stats differ from %s:\n%+v\n%+v", v.name, variants[0].name, got, want)
-		}
+	}
+	if got, want := budgetInvariant(tcpStats), budgetInvariant(localStats); got != want {
+		t.Fatalf("deterministic stats differ between tcp and local:\n%+v\n%+v", got, want)
 	}
 }
 

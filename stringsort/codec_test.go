@@ -12,7 +12,7 @@ import (
 // deterministicNoWire additionally zeroes the wire-side fields, which —
 // unlike everything else in deterministic() — legitimately differ when the
 // configs under comparison run DIFFERENT codecs. Comparisons across
-// transports or seam modes with the same codec keep using deterministic():
+// transports with the same codec keep using deterministic():
 // wire bytes are frame-for-frame identical there.
 func deterministicNoWire(st Stats) Stats {
 	st = deterministic(st)
@@ -89,9 +89,8 @@ func TestCodecsPreserveModelStatsAndShrinkWire(t *testing.T) {
 // TestCodecIdenticalAcrossTransportsAndSeams pins the stronger invariant
 // for a FIXED codec: the wire bytes themselves are deterministic — the
 // same frames cross the fabric whether the substrate is in-process
-// mailboxes or TCP sockets, and whether the Step-3 seam is split-phase or
-// bulk-synchronous. Full Stats (including the wire fields) must therefore
-// be bit-identical across all four cells.
+// mailboxes or TCP sockets. Full Stats (including the wire fields) must
+// therefore be bit-identical across both transports.
 func TestCodecIdenticalAcrossTransportsAndSeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	inputs := genInputs(rng, 4, 130)
@@ -99,29 +98,20 @@ func TestCodecIdenticalAcrossTransportsAndSeams(t *testing.T) {
 		base := Config{Algorithm: MS, Seed: 13, Validate: true, Codec: name}
 		ref, err := Sort(inputs, base)
 		if err != nil {
-			t.Fatalf("codec %s local/split: %v", name, err)
+			t.Fatalf("codec %s local: %v", name, err)
 		}
-		for _, cell := range []struct {
-			label string
-			mut   func(*Config)
-		}{
-			{"tcp/split", func(c *Config) { c.Transport = TransportTCP }},
-			{"local/blocking", func(c *Config) { c.blockingExchange = true }},
-			{"tcp/blocking", func(c *Config) { c.Transport = TransportTCP; c.blockingExchange = true }},
-		} {
-			cfg := base
-			cell.mut(&cfg)
-			res, err := Sort(inputs, cfg)
-			if err != nil {
-				t.Fatalf("codec %s %s: %v", name, cell.label, err)
-			}
-			if !equalOutputs(sortOutputs(ref), sortOutputs(res)) {
-				t.Fatalf("codec %s: output differs in cell %s", name, cell.label)
-			}
-			if deterministic(res.Stats) != deterministic(ref.Stats) {
-				t.Fatalf("codec %s: statistics (incl. wire bytes) differ in cell %s:\nref:  %+v\ngot:  %+v",
-					name, cell.label, ref.Stats, res.Stats)
-			}
+		cfg := base
+		cfg.Transport = TransportTCP
+		res, err := Sort(inputs, cfg)
+		if err != nil {
+			t.Fatalf("codec %s tcp: %v", name, err)
+		}
+		if !equalOutputs(sortOutputs(ref), sortOutputs(res)) {
+			t.Fatalf("codec %s: output differs over tcp", name)
+		}
+		if deterministic(res.Stats) != deterministic(ref.Stats) {
+			t.Fatalf("codec %s: statistics (incl. wire bytes) differ over tcp:\nlocal: %+v\ntcp:   %+v",
+				name, ref.Stats, res.Stats)
 		}
 	}
 }

@@ -58,7 +58,13 @@ func equalFragments(t *testing.T, label string, a, b *Result) {
 // messages, work — at pool widths 1, 2 and N. Width 1 is the exact
 // sequential path; any divergence at a wider pool means the parallel
 // decomposition changed the algorithm, not just the schedule. The second
-// case gives every PE more than 2 048 received strings per merge.
+// case gives every PE more than 2 048 received strings per merge. The
+// third is the nil-head regression: runs whose FIRST string is empty must
+// not be mistaken for exhausted sources (nil is the loser tree's +∞
+// sentinel — see the merge.Source contract); empty strings sort first, so
+// they land exactly at the heads of rank 0's runs; its PDMS runs resolve
+// their origins into lines. Every run is validated (order and multiset)
+// and must keep every string.
 func TestCoresDeterminism(t *testing.T) {
 	widths := []int{1, 2, runtime.GOMAXPROCS(0) + 3}
 	large := make([][][]byte, 4)
@@ -69,18 +75,28 @@ func TestCoresDeterminism(t *testing.T) {
 		name   string
 		inputs [][][]byte
 		algos  []Algorithm
-		seed   uint64
+		base   Config
 	}{
-		{"4x200", genInputs(rand.New(rand.NewSource(606)), 4, 200), Algorithms, 17},
-		{"4x5000", large, []Algorithm{MS}, 37},
+		{"4x200", genInputs(rand.New(rand.NewSource(606)), 4, 200), Algorithms, Config{Seed: 17}},
+		{"4x5000", large, []Algorithm{MS}, Config{Seed: 37}},
+		{"nil-heads", [][][]byte{
+			{[]byte(""), []byte("b"), []byte("")},
+			{[]byte("a"), []byte(""), []byte("c")},
+			{[]byte(""), []byte("")},
+			{[]byte("d")},
+		}, Algorithms, Config{Seed: 31, Reconstruct: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, algo := range tc.algos {
-				base := Config{Algorithm: algo, Seed: tc.seed, Cores: 1}
+				base := tc.base
+				base.Algorithm, base.Cores, base.Validate = algo, 1, true
 				want, err := Sort(tc.inputs, base)
 				if err != nil {
 					t.Fatalf("%v cores=1: %v", algo, err)
+				}
+				if got, n := len(sortOutputs(want)), len(flatten(tc.inputs)); got != n {
+					t.Fatalf("%v: %d strings out, %d in", algo, got, n)
 				}
 				if want.Stats.Cores != 1 {
 					t.Fatalf("%v: Stats.Cores = %d at width 1", algo, want.Stats.Cores)

@@ -1,74 +1,10 @@
 package stringsort
 
 import (
-	"math/rand"
 	"testing"
 
 	"dss/internal/input"
 )
-
-// TestBlockingExchangeMatchesSplitPhase is the end-to-end differential of
-// the split-phase refactor: for every algorithm, the default overlapped
-// Step-3→Step-4 seam must produce byte-identical output and bit-identical
-// deterministic statistics (model time, bytes/string, per-phase counters —
-// everything the Fig4/Fig5 benches report) compared to the bulk-synchronous
-// seam, which reproduces the pre-refactor behavior. The second input is
-// the nil-head regression: runs whose FIRST string is empty must not be
-// mistaken for exhausted sources (nil is the loser tree's +∞ sentinel —
-// see the merge.Source contract); empty strings sort first, so they land
-// exactly at the head of rank 0's runs.
-func TestBlockingExchangeMatchesSplitPhase(t *testing.T) {
-	rng := rand.New(rand.NewSource(406))
-	for _, inputs := range [][][][]byte{
-		genInputs(rng, 4, 140),
-		{
-			{[]byte(""), []byte("b"), []byte("")},
-			{[]byte("a"), []byte(""), []byte("c")},
-			{[]byte(""), []byte("")},
-			{[]byte("d")},
-		},
-	} {
-		testBlockingMatchesSplit(t, inputs)
-	}
-}
-
-func testBlockingMatchesSplit(t *testing.T, inputs [][][]byte) {
-	n := 0
-	for _, in := range inputs {
-		n += len(in)
-	}
-	for _, algo := range Algorithms {
-		base := Config{Algorithm: algo, Seed: 31, Validate: true, Reconstruct: true}
-
-		cfgBlock := base
-		cfgBlock.blockingExchange = true
-		resBlock, err := Sort(inputs, cfgBlock)
-		if err != nil {
-			t.Fatalf("%v blocking: %v", algo, err)
-		}
-
-		cfgSplit := base
-		resSplit, err := Sort(inputs, cfgSplit)
-		if err != nil {
-			t.Fatalf("%v split-phase: %v", algo, err)
-		}
-
-		if !equalOutputs(sortOutputs(resBlock), sortOutputs(resSplit)) {
-			t.Fatalf("%v: split-phase output differs from blocking output", algo)
-		}
-		if got := len(sortOutputs(resSplit)); got != n {
-			t.Fatalf("%v: %d strings out, %d in", algo, got, n)
-		}
-		if deterministic(resBlock.Stats) != deterministic(resSplit.Stats) {
-			t.Fatalf("%v: statistics differ across seam modes:\nblocking: %+v\nsplit:    %+v",
-				algo, resBlock.Stats, resSplit.Stats)
-		}
-		if resBlock.Stats.OverlapMS != 0 {
-			t.Fatalf("%v: blocking seam reported %.3f ms overlap; must be zero",
-				algo, resBlock.Stats.OverlapMS)
-		}
-	}
-}
 
 // TestSplitPhaseReportsOverlap is the acceptance assertion of the overlap
 // model: the split-phase seam must measure overlap-ms > 0 — communication

@@ -274,12 +274,6 @@ type Config struct {
 	// for every peer's goodbye. 0 means the transport default (10 s).
 	NetTimeout time.Duration
 
-	// blockingExchange selects the bulk-synchronous reference of the
-	// Step-3 exchange (it completes before any run is decoded or merged)
-	// instead of the split-phase one. Output and deterministic statistics
-	// are identical either way; it is the reference point of the package's
-	// differential and overlap tests, which is why only they can set it.
-	blockingExchange bool
 	// spillPageSize pins the spill page and run-writer buffer size in bytes
 	// (0 = the default, 256 KiB capped at a sixteenth of MemBudget). The
 	// budget tests set it to spill at kilobyte scale.
@@ -639,9 +633,7 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *core.O
 	if cfg.CharSampling {
 		sampling = partition.CharSampling
 	}
-	seam := core.SeamOptions{
-		BlockingExchange: cfg.blockingExchange, Spill: sp, Out: out,
-	}
+	seam := core.SeamOptions{Spill: sp, Out: out}
 	switch cfg.Algorithm {
 	case HQuick:
 		core.HQuick(c, ss, core.HQOptions{GroupID: 1, Seed: cfg.Seed, TrackPhases: true, SeamOptions: seam})
