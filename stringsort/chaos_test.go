@@ -6,13 +6,26 @@ import (
 	"testing"
 )
 
-// TestChaosIdentityAllFamilies is the differential fault-injection pin:
-// every algorithm runs over real loopback TCP under the harshest chaos
-// level — which delays frames and reorders them across independent
-// streams — and must produce byte-identical output and bit-identical
-// deterministic statistics compared to the undisturbed run, on each of two
-// inputs.
+// TestChaosIdentityAcrossSeams is the differential fault-injection pin for
+// MS and PDMS, whose Step-3 exchange carries LCP-compressed (and, for
+// PDMS, prefix-truncated) buckets: over real loopback TCP under the
+// harshest chaos level — which delays frames and reorders them across
+// independent streams — each must produce byte-identical output and
+// bit-identical deterministic statistics compared to the undisturbed run,
+// on each of two inputs.
+func TestChaosIdentityAcrossSeams(t *testing.T) {
+	runChaosFamilies(t, []Algorithm{MS, PDMS})
+}
+
+// TestChaosIdentityAllFamilies is the same differential for the remaining
+// algorithm families.
 func TestChaosIdentityAllFamilies(t *testing.T) {
+	runChaosFamilies(t, []Algorithm{FKMerge, HQuick, MSSimple, PDMSGolomb})
+}
+
+// runChaosFamilies runs one chaos cell per algorithm and input, as the
+// subtests <algo>/seed=31 (rng-406 input) and <algo>/seed=37 (rng-407).
+func runChaosFamilies(t *testing.T, algos []Algorithm) {
 	if testing.Short() {
 		t.Skip("chaos differential runs many TCP sorts")
 	}
@@ -23,7 +36,7 @@ func TestChaosIdentityAllFamilies(t *testing.T) {
 		{genInputs(rand.New(rand.NewSource(406)), 4, 120), 31},
 		{genInputs(rand.New(rand.NewSource(407)), 4, 120), 37},
 	}
-	for _, algo := range Algorithms {
+	for _, algo := range algos {
 		t.Run(algo.String(), func(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("seed=%d", tc.seed), func(t *testing.T) {
