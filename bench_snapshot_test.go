@@ -20,7 +20,7 @@ import (
 
 // benchSnapshot is the snapshot this tree's figures are pinned against
 // (written by scripts/bench.sh).
-const benchSnapshot = "BENCH_2026-10-03.json"
+const benchSnapshot = "BENCH_2026-10-20.json"
 
 type snapshotFile struct {
 	Results []snapshotRow `json:"results"`

@@ -803,7 +803,7 @@ func TestWirePayloadThroughMachine(t *testing.T) {
 	lcps := []int32{0, 5, 2}
 	err := m.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 1, wire.EncodeStringsLCP(ss, lcps))
+			c.Send(1, 1, wire.AppendStringsLCP(nil, ss, lcps))
 			return nil
 		}
 		got, gotLCP, err := wire.DecodeStringsLCP(c.Recv(0, 1))

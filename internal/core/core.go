@@ -211,28 +211,64 @@ func charsOf(seq merge.Sequence) (chars int64) {
 
 // bucketCodec is one algorithm's Step-3 wire format: the exact encoded
 // size of every outgoing bucket, the encoder that fills exactly that many
-// bytes, and the layout a cursor pulls on the receiving side (origins marks
-// PDMS's composite bucket: a RunStringsLCP blob trailed by an origin
-// column).
+// bytes, and the run format a cursor pulls on the receiving side.
 type bucketCodec struct {
-	sizes   []int
-	enc     func(dst int, buf []byte) []byte
-	format  wire.RunFormat
-	origins bool
+	sizes  []int
+	enc    func(dst int, buf []byte) []byte
+	format wire.RunFormat
 	// own is the caller's bucket, read through its slice of Step 1's order,
 	// which stays home.
 	own *merge.Sequence
 }
 
+// runBuckets is the Step-3 codec of a PE whose sorted items are all, in
+// all's order, and whose bucket dst is its items [off[dst], off[dst+1]):
+// each is sent as one run of the given format, read straight from all —
+// its LCP column a direct sub-slice of all's LCP array, whose boundary
+// entry the encoder ignores — and the bucket at index own stays home.
+func runBuckets(c *comm.Comm, own int, format wire.RunFormat, all merge.Sequence, off []int) bucketCodec {
+	set := strutil.Set{Strings: all.Strings, Order: all.Order}
+	bucket := func(dst int) (strutil.Set, []int32, []uint64) {
+		lo, hi := off[dst], off[dst+1]
+		return set.Slice(lo, hi), sub(all.LCPs, lo, hi), sub(all.Sats, lo, hi)
+	}
+	sizes := sizeBuckets(c, own, func(dst int) int {
+		b, lcps, sats := bucket(dst)
+		return wire.RunSize(format, b, lcps, sats)
+	})
+	home, lcps, sats := bucket(own)
+	return bucketCodec{
+		sizes: sizes, format: format,
+		own: &merge.Sequence{Strings: home.Strings, Order: home.Order, LCPs: lcps, Sats: sats},
+		enc: func(dst int, buf []byte) []byte {
+			b, lcps, sats := bucket(dst)
+			return wire.AppendRun(buf, format, b, lcps, sats)
+		},
+	}
+}
+
+// sub is the allocation-free view of a bucket's share of a column, nil for
+// an empty bucket or a missing column. The first entry of an LCP column's
+// view belongs to a string that stays on this PE, and every encoder of a
+// run ignores (or re-derives as zero) its first LCP, so no zeroed copy is
+// needed.
+func sub[T any](col []T, lo, hi int) []T {
+	if lo >= hi || col == nil {
+		return nil
+	}
+	return col[lo:hi]
+}
+
 // exchangeMerge is Steps 3 and 4 of every merge-based sorter: exchange the
-// buckets over g and multiway-merge the p received runs, LCP-aware if lcp,
-// into opt.Out. Merge work and worker busy time are billed to the merge
-// phase, and the accounting phase is left at PhaseOther.
-func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, lcp bool, opt SeamOptions) {
+// buckets over g and multiway-merge the p received runs, LCP-aware if the
+// runs carry an LCP column, into opt.Out. Merge work and worker busy time
+// are billed to the merge phase, and the accounting phase is left at
+// PhaseOther.
+func exchangeMerge(c *comm.Comm, g *comm.Group, cd bucketCodec, opt SeamOptions) {
 	own := g.Idx()
 	recv := exchangeEncoded(c, g, cd.sizes, own, cd.enc, stats.PhaseMerge)
-	runs := routeRuns(c, recv, len(cd.sizes), cd.format, cd.origins, opt.Spill)
+	runs := routeRuns(c, recv, len(cd.sizes), cd.format, opt.Spill)
 	runs[own] = encodedRun{home: cd.own, n: cd.own.Len(), chars: int(charsOf(*cd.own))}
-	c.AddWork(sinkMerge(c, opt.Spill, runs, cd.format, cd.origins, lcp, opt.Out))
+	c.AddWork(sinkMerge(c, opt.Spill, runs, cd.format, opt.Out))
 	c.SetPhase(stats.PhaseOther)
 }

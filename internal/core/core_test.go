@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,7 +14,9 @@ import (
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/partition"
+	"dss/internal/stats"
 	"dss/internal/strutil"
+	"dss/internal/wire"
 )
 
 // scatter distributes a global string set over p PEs round-robin.
@@ -35,12 +38,13 @@ type fragment struct {
 	extents []Extent // what Open was given
 }
 
-// output returns an Output that collects the fragment into f, with an LCP
-// column if lcp and a satellite column if sats. The strings of stable runs
-// are kept as they are; the others are copied back to back into one array
-// exactly as long as the extents say they are. The columns are sized by
-// the extents too.
-func (f *fragment) output(lcp, sats bool) *Output {
+// output returns an Output that collects the fragment into f, with the
+// columns of format: LCPs with wire.RunLCP, satellites with wire.RunSats.
+// The strings of stable runs are kept as they are; the others are copied
+// back to back into one array exactly as long as the extents say they
+// are. The columns are sized by the extents too.
+func (f *fragment) output(format wire.RunFormat) *Output {
+	lcp, sats := format&wire.RunLCP != 0, format&wire.RunSats != 0
 	return &Output{Open: func(runs []Extent) (merge.Sink, error) {
 		var n, chars int64
 		for _, r := range runs {
@@ -83,25 +87,28 @@ func (f *fragment) output(lcp, sats bool) *Output {
 // mergeSort, fkMerge, hQuick and pdms run a sorter into a collecting
 // Output and return what it collected.
 func mergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) (f fragment) {
-	opt.Out = f.output(opt.LCP, false)
+	opt.Out = f.output(wire.RunStrings)
+	if opt.LCP {
+		opt.Out = f.output(wire.RunLCP)
+	}
 	MergeSort(c, ss, opt)
 	return f
 }
 
 func fkMerge(c *comm.Comm, ss [][]byte, opt FKOptions) (f fragment) {
-	opt.Out = f.output(false, false)
+	opt.Out = f.output(wire.RunStrings)
 	FKMerge(c, ss, opt)
 	return f
 }
 
 func hQuick(c *comm.Comm, ss [][]byte, opt HQOptions) (f fragment) {
-	opt.Out = f.output(true, true)
+	opt.Out = f.output(wire.RunLCP | wire.RunSats)
 	HQuick(c, ss, opt)
 	return f
 }
 
 func pdms(c *comm.Comm, ss [][]byte, opt PDMSOptions) (f fragment) {
-	opt.Out = f.output(true, true)
+	opt.Out = f.output(wire.RunLCP | wire.RunSats)
 	PDMS(c, ss, opt)
 	return f
 }
@@ -356,6 +363,69 @@ func TestPDMSDuplicatesAndPrefixChains(t *testing.T) {
 		}
 		if strutil.MultisetHash(full) != strutil.MultisetHash(global) {
 			t.Fatalf("p=%d: not a permutation", p)
+		}
+	}
+}
+
+// TestPDMSExchangeBytesMatchLayout is the oracle of PDMS's Step-3 volume:
+// the bytes every PE bills to the exchange phase must be exactly the runs
+// its buckets make in the layout — per bucket a count, then per prefix its
+// LCP with the bucket's previous prefix, its origin, its length past the
+// LCP and those characters — and nothing else. Each (src, dst ≠ src) bucket
+// is rebuilt from dst's output: the items whose origin names src, in output
+// order, with LCPs recomputed between consecutive prefixes. An empty
+// bucket costs its one-byte count. PDMS and PDMS-Golomb, p = 2…5, on
+// inputs that leave buckets empty and on heavily duplicated ones.
+func TestPDMSExchangeBytesMatchLayout(t *testing.T) {
+	uvlen := func(v uint64) int64 { return int64(len(binary.AppendUvarint(nil, v))) }
+	rng := rand.New(rand.NewSource(79))
+	inputs := []struct {
+		name   string
+		global [][]byte
+	}{
+		{"three strings", [][]byte{[]byte("b"), []byte("a"), []byte("ab")}},
+		{"one value", bytes.Split(bytes.Repeat([]byte("same\n"), 200), []byte("\n"))},
+		{"few values", genRandom(rng, 600, 2, 2)},
+		{"small D", genSmallD(400, 40)},
+	}
+	for _, in := range inputs {
+		for _, golomb := range []bool{false, true} {
+			for p := 2; p <= 5; p++ {
+				locals := scatter(in.global, p)
+				results, m := runDistributed(t, locals, func(c *comm.Comm, ss [][]byte) fragment {
+					return pdms(c, ss, PDMSOptions{Golomb: golomb, GroupID: 1, Seed: 5})
+				})
+				var want int64
+				for dst, res := range results {
+					for src := 0; src < p; src++ {
+						if src == dst {
+							continue
+						}
+						var prev []byte
+						n := uint64(0)
+						for i, s := range res.Strings {
+							if res.Sats[i]>>32 != uint64(src) {
+								continue
+							}
+							lcp := strutil.LCP(prev, s)
+							if n == 0 {
+								lcp = 0
+							}
+							want += uvlen(uint64(lcp)) + uvlen(res.Sats[i]) + uvlen(uint64(len(s)-lcp)) + int64(len(s)-lcp)
+							prev = s
+							n++
+						}
+						want += uvlen(n)
+					}
+				}
+				var got int64
+				for _, pe := range m.Report().PEs {
+					got += pe.Phases[stats.PhaseExchange].BytesSent
+				}
+				if got != want {
+					t.Errorf("%s golomb=%v p=%d: exchange billed %d bytes, the layout holds %d", in.name, golomb, p, got, want)
+				}
+			}
 		}
 	}
 }

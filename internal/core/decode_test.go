@@ -12,10 +12,11 @@ import (
 // TestDecodersRejectHugeCounts feeds the count-prefixed decoders of
 // network input a 10-byte message whose declared count no message that
 // short can hold. Counts whose byte size wraps uint64 (2^61 × 8, 2^62 × 4)
-// used to pass the size check and die in make; decodeTagged did not check
-// at all. Each must return an error — and must not panic or allocate by
-// the declared count. (The fixed-width decoder is one function now; its
-// 8- and 4-byte cases keep the labels they had as two.)
+// used to pass the size check and die in make; hQuick's own decoder did not
+// check at all (it decodes with DecodeRun now). Each must return an error —
+// and must not panic or allocate by the declared count. (The fixed-width
+// decoder is one function now; its 8- and 4-byte cases keep the labels they
+// had as two.)
 func TestDecodersRejectHugeCounts(t *testing.T) {
 	decoders := []struct {
 		name   string
@@ -23,7 +24,7 @@ func TestDecodersRejectHugeCounts(t *testing.T) {
 	}{
 		{"DecodeUint64sFixed", func(msg []byte) error { _, err := wire.AppendDecodeUintsFixed(nil, msg, 8); return err }},
 		{"DecodeUint32sFixed", func(msg []byte) error { _, err := wire.AppendDecodeUintsFixed(nil, msg, 4); return err }},
-		{"decodeTagged", func(msg []byte) error { _, _, err := decodeTagged(msg); return err }},
+		{"DecodeRun", func(msg []byte) error { _, _, _, err := wire.DecodeRun(wire.RunSats, msg); return err }},
 	}
 	for _, cnt := range []uint64{1 << 36, 1 << 61, 1<<61 + 1, 1 << 62, math.MaxUint64} {
 		msg := binary.AppendUvarint(nil, cnt)

@@ -53,22 +53,12 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) {
 	})
 	off := partition.BucketsSet(local, splitters)
 
-	// Step 3: uncompressed all-to-all exchange, every part sized first and
-	// encoded on the work pool into exactly that many bytes (see MergeSort
-	// Step 3).
+	// Steps 3 and 4: uncompressed all-to-all exchange, every part sized
+	// first and encoded on the work pool into exactly that many bytes (see
+	// MergeSort), and an ordinary loser tree merge; the own bucket stays
+	// home.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
-	me := g.Idx()
-	sizes := sizeBuckets(c, me, func(dst int) int {
-		return wire.SetSize(local.Slice(off[dst], off[dst+1]))
-	})
-	enc := func(dst int, buf []byte) []byte {
-		return wire.AppendSet(buf, local.Slice(off[dst], off[dst+1]))
-	}
-
-	// Step 4: ordinary loser tree merge; the own bucket stays home.
-	exchangeMerge(c, g, bucketCodec{
-		sizes: sizes, enc: enc, format: wire.RunStrings,
-		own: &merge.Sequence{Strings: ss, Order: order[off[me]:off[me+1]]},
-	}, false, opt.SeamOptions)
+	all := merge.Sequence{Strings: ss, Order: order}
+	exchangeMerge(c, g, runBuckets(c, g.Idx(), wire.RunStrings, all, off), opt.SeamOptions)
 }

@@ -2,13 +2,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/stats"
 	"dss/internal/strsort"
+	"dss/internal/strutil"
 	"dss/internal/wire"
 )
 
@@ -57,31 +57,28 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) {
 		return c.Phase()
 	}
 
-	// Tag every string with a unique (PE, index) id for tie breaking.
-	strings := ss // read, never permuted: the placement below replaces it
-	uids := make([]uint64, len(strings))
-	for i := range uids {
-		uids[i] = originSat(c.Rank(), i)
-	}
-
 	// Initial placement: every string moves to a uniformly random
-	// hypercube node. This balances the expected load and makes the
-	// pivot-based recursion behave like randomized quicksort.
+	// hypercube node, tagged with a unique (PE, index) id for tie breaking.
+	// This balances the expected load and makes the pivot-based recursion
+	// behave like randomized quicksort.
 	setPhase(stats.PhaseExchange)
 	rng := rand.New(rand.NewSource(int64(opt.Seed) ^ int64(c.Rank()+1)*0x9e3779b9))
 	world := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID)
+	var strings [][]byte
+	var uids []uint64
 	{
-		perDest := make([][]int, p)
-		for i := range strings {
+		parts, tags := make([][][]byte, p), make([][]uint64, p)
+		for i, s := range ss {
 			dst := rng.Intn(q)
-			perDest[dst] = append(perDest[dst], i)
+			parts[dst] = append(parts[dst], s)
+			tags[dst] = append(tags[dst], originSat(c.Rank(), i))
 		}
 		me := world.Idx()
 		sizes := sizeBuckets(c, me, func(dst int) int {
-			return taggedSize(strings, uids, perDest[dst])
+			return wire.RunSize(wire.RunSats, strutil.Set{Strings: parts[dst]}, nil, tags[dst])
 		})
 		enc := func(dst int, buf []byte) []byte {
-			return appendTagged(buf, strings, uids, perDest[dst])
+			return wire.AppendRun(buf, wire.RunSats, strutil.Set{Strings: parts[dst]}, nil, tags[dst])
 		}
 		// The placement drain and decode are hQuick's merge-equivalent: in
 		// tracked runs their busy and wall time bill to the merge channel so
@@ -93,25 +90,22 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) {
 			next = stats.PhaseMerge
 		}
 		// Encode each part on the pool (posting it as its encoder
-		// finishes) and decode each part as it arrives, into per-source
-		// slots: the concatenation below stays in rank order, so the string
-		// sequence feeding the pivot recursion is independent of arrival
-		// timing. The own part stays home, as it is.
-		perS := make([][][]byte, p)
-		perU := make([][]uint64, p)
-		perS[me], perU[me] = filterTagged(strings, uids, perDest[me])
+		// finishes) and decode each part as it arrives, into its source's
+		// slot — every encoder is done once the exchange is posted — so the
+		// concatenation below stays in rank order and the string sequence
+		// feeding the pivot recursion is independent of arrival timing. The
+		// own part stays home, as it is.
 		recv := exchangeEncoded(c, world, sizes, me, enc, next)
 		decodeOnPool(c, recv, func(src int, msg []byte) {
-			s, u, err := decodeTagged(msg)
+			s, _, u, err := wire.DecodeRun(wire.RunSats, msg)
 			if err != nil {
 				panic("hquick: corrupt redistribution payload")
 			}
-			perS[src], perU[src] = s, u
+			parts[src], tags[src] = s, u
 		})
-		strings, uids = nil, nil
 		for src := 0; src < p; src++ {
-			strings = append(strings, perS[src]...)
-			uids = append(uids, perU[src]...)
+			strings = append(strings, parts[src]...)
+			uids = append(uids, tags[src]...)
 		}
 	}
 
@@ -132,30 +126,26 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) {
 			setPhase(stats.PhaseExchange)
 			partner := c.Rank() ^ (1 << k)
 			keepLow := c.Rank()&(1<<k) == 0
-			var keepIdx, sendIdx []int
-			for i := range strings {
-				low := ok && lessEqTagged(strings[i], uids[i], pivotS, pivotU)
-				if !ok {
-					low = true // empty subcube: nothing moves
-				}
-				if low == keepLow {
-					keepIdx = append(keepIdx, i)
+			var keepS, sendS [][]byte
+			var keepU, sendU []uint64
+			for i, s := range strings {
+				// An empty subcube has no pivot: nothing moves.
+				if low := !ok || lessEqTagged(s, uids[i], pivotS, pivotU); low == keepLow {
+					keepS, keepU = append(keepS, s), append(keepU, uids[i])
 				} else {
-					sendIdx = append(sendIdx, i)
+					sendS, sendU = append(sendS, s), append(sendU, uids[i])
 				}
 			}
 			// Distinct from every collective tag (groups use gid<<32|seq
 			// with small seq; bit 28 of the low word is never set there).
 			tag := opt.GroupID<<32 | 1<<28 | k
-			got := c.SendRecv(partner, tag, encodeTagged(strings, uids, sendIdx))
-			ks, ku := filterTagged(strings, uids, keepIdx)
-			rs, ru, err := decodeTagged(got)
+			got := c.SendRecv(partner, tag, tagRun(sendS, sendU))
+			rs, _, ru, err := wire.DecodeRun(wire.RunSats, got)
 			if err != nil {
 				panic("hquick: corrupt exchange payload")
 			}
-			c.Release(got) // decodeTagged copied into its own arena
-			strings = append(ks, rs...)
-			uids = append(ku, ru...)
+			c.Release(got) // DecodeRun copied into its own arena
+			strings, uids = append(keepS, rs...), append(keepU, ru...)
 		}
 	} else {
 		strings, uids = nil, nil
@@ -193,10 +183,10 @@ func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, r
 		}
 		sortTaggedIdx(strings, uids, idxs)
 	}
-	mine := encodeTagged(strings, uids, idxs)
+	mine := tagRun(filterTagged(strings, uids, idxs))
 	combined := g.ReduceBytes(0, mine, func(lo, hi []byte) []byte {
-		ls, lu, err1 := decodeTagged(lo)
-		hs, hu, err2 := decodeTagged(hi)
+		ls, _, lu, err1 := wire.DecodeRun(wire.RunSats, lo)
+		hs, _, hu, err2 := wire.DecodeRun(wire.RunSats, hi)
 		if err1 != nil || err2 != nil {
 			panic("hquick: corrupt pivot candidates")
 		}
@@ -212,27 +202,20 @@ func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, r
 			}
 			ms, mu = ds, du
 		}
-		all := make([]int, len(ms))
-		for i := range all {
-			all[i] = i
-		}
-		return encodeTagged(ms, mu, all)
+		return tagRun(ms, mu)
 	})
 	var payload []byte
 	if g.Idx() == 0 {
-		cs, cu, err := decodeTagged(combined)
+		cs, _, cu, err := wire.DecodeRun(wire.RunSats, combined)
 		if err != nil {
 			panic("hquick: corrupt pivot reduction")
 		}
-		if len(cs) == 0 {
-			payload = encodeTagged(nil, nil, nil)
-		} else {
-			mid := len(cs) / 2
-			payload = encodeTagged(cs, cu, []int{mid})
-		}
+		// The middle candidate, or none from an empty subcube.
+		mid, end := len(cs)/2, min(len(cs), len(cs)/2+1)
+		payload = tagRun(cs[mid:end], cu[mid:end])
 	}
 	payload = g.Bcast(0, payload)
-	ps, pu, err := decodeTagged(payload)
+	ps, _, pu, err := wire.DecodeRun(wire.RunSats, payload)
 	if err != nil {
 		panic("hquick: corrupt pivot broadcast")
 	}
@@ -255,69 +238,13 @@ func lessEqTagged(s []byte, u uint64, ps []byte, pu uint64) bool {
 	}
 }
 
-// encodeTagged serializes the selected (string, uid) pairs into a buffer of
-// exactly their encoded size.
-func encodeTagged(strings [][]byte, uids []uint64, idxs []int) []byte {
-	return appendTagged(make([]byte, 0, taggedSize(strings, uids, idxs)), strings, uids, idxs)
+// tagRun encodes (string, uid) pairs as hQuick's messages carry them: one
+// run with a satellite column.
+func tagRun(strings [][]byte, uids []uint64) []byte {
+	return wire.EncodeRun(wire.RunSats, strutil.Set{Strings: strings}, nil, uids)
 }
 
-// taggedSize returns the exact encoded size of appendTagged's output for
-// the same selection.
-func taggedSize(strings [][]byte, uids []uint64, idxs []int) int {
-	total := wire.UvarintLen(uint64(len(idxs)))
-	for _, i := range idxs {
-		total += wire.UvarintLen(uint64(len(strings[i]))) + len(strings[i]) +
-			wire.UvarintLen(uids[i])
-	}
-	return total
-}
-
-// appendTagged appends the selected (string, uid) pairs to dst: their
-// count, then each string length-prefixed and followed by its uid.
-func appendTagged(dst []byte, strings [][]byte, uids []uint64, idxs []int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(idxs)))
-	for _, i := range idxs {
-		dst = binary.AppendUvarint(dst, uint64(len(strings[i])))
-		dst = append(dst, strings[i]...)
-		dst = binary.AppendUvarint(dst, uids[i])
-	}
-	return dst
-}
-
-// decodeTagged reverses encodeTagged. The decoded strings are copies laid
-// out in one flat arena (the message size bounds the character total, so
-// the arena never reallocates): three allocations per message instead of
-// one per string, and the message itself is releasable afterwards.
-func decodeTagged(msg []byte) ([][]byte, []uint64, error) {
-	r := wire.NewReader(msg)
-	cnt, err := r.Uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if cnt > uint64(r.Remaining()) { // every item takes at least two bytes
-		return nil, nil, wire.ErrCorrupt
-	}
-	ss := make([][]byte, 0, cnt)
-	us := make([]uint64, 0, cnt)
-	arena := make([]byte, 0, r.Remaining())
-	for i := uint64(0); i < cnt; i++ {
-		s, err := r.BytesPrefixed()
-		if err != nil {
-			return nil, nil, err
-		}
-		u, err := r.Uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		off := len(arena)
-		arena = append(arena, s...)
-		end := len(arena)
-		ss = append(ss, arena[off:end:end])
-		us = append(us, u)
-	}
-	return ss, us, nil
-}
-
+// filterTagged gathers the selected (string, uid) pairs.
 func filterTagged(strings [][]byte, uids []uint64, idxs []int) ([][]byte, []uint64) {
 	ss := make([][]byte, 0, len(idxs))
 	us := make([]uint64, 0, len(idxs))

@@ -96,38 +96,19 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) {
 		off = partition.BucketsSet(local, splitters)
 	}
 
-	// Step 3: all-to-all bucket exchange. Every outgoing part is sized
-	// first and encoded into exactly that many bytes of its own transport
-	// buffer, so there are zero growth reallocations. The LCP
-	// run of a bucket is passed as a direct sub-slice of the local LCP
-	// array — the encoder ignores the boundary entry lcps[lo], which belongs
-	// to a string that stays on this PE.
+	// Steps 3 and 4: all-to-all bucket exchange, every bucket sized first
+	// and encoded into exactly that many bytes of its own transport buffer
+	// (LCP-compressed with the LCP optimizations: its LCP column read from
+	// the local LCP array), and the multiway merge of the received runs and
+	// the own bucket.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
-	me := g.Idx()
-	sizes := sizeBuckets(c, me, func(dst int) int {
-		lo, hi := off[dst], off[dst+1]
-		if opt.LCP {
-			return wire.SetLCPSize(local.Slice(lo, hi), lcpSub(lcp, lo, hi))
-		}
-		return wire.SetSize(local.Slice(lo, hi))
-	})
-	own := &merge.Sequence{Strings: ss, Order: order[off[me]:off[me+1]]}
-	cd := bucketCodec{sizes: sizes, format: wire.RunStrings, own: own}
-	cd.enc = func(dst int, buf []byte) []byte {
-		return wire.AppendSet(buf, local.Slice(off[dst], off[dst+1]))
-	}
+	format := wire.RunStrings
 	if opt.LCP {
-		own.LCPs = lcpSub(lcp, off[me], off[me+1])
-		cd.format = wire.RunStringsLCP
-		cd.enc = func(dst int, buf []byte) []byte {
-			lo, hi := off[dst], off[dst+1]
-			return wire.AppendSetLCP(buf, local.Slice(lo, hi), lcpSub(lcp, lo, hi))
-		}
+		format = wire.RunLCP
 	}
-
-	// Step 4: multiway merge of the received runs and the own bucket.
-	exchangeMerge(c, g, cd, opt.LCP, opt.SeamOptions)
+	all := merge.Sequence{Strings: ss, Order: order, LCPs: lcp}
+	exchangeMerge(c, g, runBuckets(c, g.Idx(), format, all, off), opt.SeamOptions)
 }
 
 // sampleSorter is the distributed sample sorter of Step 2 in MS and PDMS:
@@ -145,15 +126,4 @@ func sampleSorter(seed uint64) partition.DistSorter {
 		HQuick(c, samples, HQOptions{GroupID: gid, Seed: seed, SeamOptions: SeamOptions{Out: out}})
 		return sorted
 	}
-}
-
-// lcpSub is the allocation-free view of a bucket's LCP run: the boundary
-// entry lcp[lo] belongs to a string that stays on this PE, and every
-// encoder of a run ignores (or re-derives as zero) its first entry, so no
-// zeroed copy is needed.
-func lcpSub(lcp []int32, lo, hi int) []int32 {
-	if lo >= hi {
-		return nil
-	}
-	return lcp[lo:hi]
 }

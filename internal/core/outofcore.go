@@ -2,8 +2,8 @@
 // buckets travel through exchangeEncoded like every other run's; each
 // received bucket becomes ONE run that stays encoded until the Step-4 loser
 // tree pulls it: the tree reads every run through a wire.RunCursor that
-// decodes one string per pull into one reused buffer (plus, for PDMS, a
-// second window over the bucket's origin column). The two landings differ
+// decodes one item per pull — its string into one reused buffer, and for
+// PDMS its origin from the run's satellite column. The two landings differ
 // only in where a run's bytes wait; the merge's output goes into the
 // caller's Output (SeamOptions.Out) in both.
 //
@@ -12,11 +12,11 @@
 // array), merged at the PE's own index (so ties and billed work are those of
 // the all-encoded landing), output as it is and never metered or paged.
 //
-// Every received bucket is walked whole as it lands: the strings as the
-// one-shot decoders would read them (wire.RunExtent) and, for PDMS, one
-// varint per origin. The walk yields the run's string count and character
-// total, so a corrupt bucket fails before any output exists and the PE's
-// output size is known before its merge starts.
+// Every received bucket is walked whole as it lands, its items as the
+// one-shot decoder would read them (wire.RunExtent). The walk yields the
+// run's item count and character total, so a corrupt bucket fails before
+// any output exists and the PE's output size is known before its merge
+// starts.
 //
 // In RAM, a received run is the transport buffer it arrived in, walked on
 // the PE's pool as it arrives, and released once the merge is done. The
@@ -35,7 +35,7 @@
 // byte-identical to the in-RAM run. Where bytes wait lives on the measured
 // channels only: SpillBytesWritten/Read, PeakLiveBytes and the
 // write-behind CPU share. What the pool meters is the resident bytes and
-// one paged-in span per window. Received buckets are unmetered until they
+// one paged-in span per run. Received buckets are unmetered until they
 // are routed.
 package core
 
@@ -60,19 +60,15 @@ type encodedRun struct {
 	resident []byte
 	held     bool // resident is the transport buffer, released after the merge
 	file     *spill.File
-	// sect are the byte ranges the run's windows read: the run itself, or
-	// for PDMS's composite bucket the prefix blob and the origin column.
-	sect     [2][2]int64
+	size     int64 // the bucket's bytes, resident and in the file
 	metered  int64 // resident and paged-in bytes reserved in the pool
-	n, chars int   // the run's string count and characters
+	n, chars int   // the run's item count and characters
 }
 
-// routeRuns receives the n buckets of a posted exchange and lands each,
-// whole, as its run: held in RAM (pool == nil) or routed to its budgeted
-// run. origins marks PDMS's composite layout: a length-prefixed
-// RunStringsLCP blob of prefixes trailed by a length-prefixed origin column
-// (count, then one varint per prefix).
-func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, origins bool, pool *spill.Pool) []encodedRun {
+// routeRuns receives the n buckets of a posted exchange, runs of the given
+// format, and lands each, whole, as its run: held in RAM (pool == nil) or
+// routed to its budgeted run.
+func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire.RunFormat, pool *spill.Pool) []encodedRun {
 	runs := make([]encodedRun, n)
 	if pool != nil {
 		for {
@@ -80,7 +76,7 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 			if !ok {
 				return runs
 			}
-			if !runs[src].route(pool, src, msg, format, origins) {
+			if !runs[src].route(pool, src, msg, format) {
 				c.Release(msg)
 			}
 		}
@@ -93,7 +89,7 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 		}
 		wgrp.Go(func() {
 			run := &runs[src]
-			run.walk(msg, format, origins)
+			run.walk(msg, format)
 			run.resident, run.held = msg, true
 		})
 	}
@@ -101,47 +97,15 @@ func routeRuns(c *comm.Comm, recv func() (int, []byte, bool), n int, format wire
 	return runs
 }
 
-// sections returns the byte ranges of a bucket's windows: the whole bucket,
-// or the prefix blob and the origin column of a composite one.
-func sections(bucket []byte, origins bool) (sect [2][2]int64) {
-	sect[0] = [2]int64{0, int64(len(bucket))}
-	if origins {
-		r := wire.NewReader(bucket)
-		for i := range sect {
-			sec, err := r.BytesPrefixed()
-			if err != nil {
-				panic("core: corrupt exchanged run: " + err.Error())
-			}
-			end := int64(len(bucket) - r.Remaining())
-			sect[i] = [2]int64{end - int64(len(sec)), end}
-		}
-	}
-	return sect
-}
-
-// walk validates a whole received bucket — the strings as the one-shot
-// decoders would (wire.RunExtent) and, for a composite bucket, an origin
-// column of exactly one value per prefix — and records its sections, its
-// string count and its characters. A corrupt bucket panics here, before
-// any output exists.
-func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool) {
-	run.sect = sections(bucket, origins)
-	sec := func(i int) []byte { return bucket[run.sect[i][0]:run.sect[i][1]] }
-	n, chars, err := wire.RunExtent(format, sec(0))
-	if err == nil && origins {
-		col := wire.NewReader(sec(1))
-		var cnt uint64
-		if cnt, err = col.Uvarint(); err == nil && cnt != uint64(n) {
-			err = wire.ErrCorrupt
-		}
-		for i := 0; err == nil && i < n; i++ {
-			_, err = col.Uvarint()
-		}
-	}
+// walk validates a whole received bucket as the one-shot decoder would
+// (wire.RunExtent) and records its size, its item count and its
+// characters. A corrupt bucket panics here, before any output exists.
+func (run *encodedRun) walk(bucket []byte, format wire.RunFormat) {
+	n, chars, err := wire.RunExtent(format, bucket)
 	if err != nil {
 		panic("core: corrupt exchanged run: " + err.Error())
 	}
-	run.n, run.chars = n, chars
+	run.size, run.n, run.chars = int64(len(bucket)), n, chars
 }
 
 // route walks one whole received bucket and hands it to its budgeted run.
@@ -155,8 +119,8 @@ func (run *encodedRun) walk(bucket []byte, format wire.RunFormat, origins bool) 
 // behind the meter. The spill decision is a pure scheduling choice — it can
 // differ run to run and transport to transport — and therefore only ever
 // moves measured gauges, never a deterministic counter.
-func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wire.RunFormat, origins bool) (held bool) {
-	run.walk(bucket, format, origins)
+func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wire.RunFormat) (held bool) {
+	run.walk(bucket, format)
 	keep := int(min(int64(len(bucket)), pool.Room()))
 	run.metered = int64(keep)
 	pool.Reserve(run.metered)
@@ -179,35 +143,35 @@ func (run *encodedRun) route(pool *spill.Pool, idx int, bucket []byte, format wi
 	return false
 }
 
-// pager returns the fill function of one window over the bytes [off, end)
-// of the run: a wholly resident run's section as one span; otherwise the
-// resident part as one span, then the page file a page at a time. Only the
-// latest paged-in span is metered — the window is through with a span when
-// it asks for the next — and a span served from the file's still-pending
-// tail is metered a second time, the safe direction.
-func (run *encodedRun) pager(pool *spill.Pool, off, end int64) func() []byte {
+// pager returns the fill function of the cursor over the run's bytes: a
+// wholly resident run as one span; otherwise the resident part as one
+// span, then the page file a page at a time. Only the latest paged-in span
+// is metered — the cursor is through with a span when it asks for the
+// next — and a span served from the file's still-pending tail is metered a
+// second time, the safe direction.
+func (run *encodedRun) pager(pool *spill.Pool) func() []byte {
 	if run.file == nil {
-		span := run.resident[off:end]
+		span := run.resident
 		return func() []byte {
 			s := span
 			span = nil
 			return s
 		}
 	}
-	var held int64
+	var off, held int64
 	return func() []byte {
 		pool.Release(held)
 		run.metered -= held
 		held = 0
-		if off >= end {
+		if off >= run.size {
 			return nil
 		}
 		var b []byte
 		if res := int64(len(run.resident)); off < res {
-			b = run.resident[off:min(end, res)]
+			b = run.resident[off:]
 		} else {
 			var err error
-			b, err = run.file.ReadSpan(off-res, int(min(int64(pool.PageSize()), end-off)))
+			b, err = run.file.ReadSpan(off-res, int(min(int64(pool.PageSize()), run.size-off)))
 			if err != nil {
 				panic("core: spill: " + err.Error())
 			}
@@ -220,47 +184,25 @@ func (run *encodedRun) pager(pool *spill.Pool, off, end int64) func() []byte {
 	}
 }
 
-// runSource is the merge's pull view of one run: a cursor over the run's
-// strings and, for PDMS, a second window over the origin column of the same
-// byte sequence. A string it returns is the cursor's reused buffer, valid
-// only until the source is pulled again — which is exactly the guarantee
+// runSource is the merge's pull view of one received run: a cursor over
+// its items. A string it returns is the cursor's reused buffer, valid only
+// until the source is pulled again — which is exactly the guarantee
 // merge.MergeSink needs and no more.
-type runSource struct {
-	cur     *wire.RunCursor
-	origins *wire.Window // nil without an origin column
-}
+type runSource struct{ cur *wire.RunCursor }
 
-// source opens the run's windows (pool may be nil for a wholly resident
-// run), or the home run's slice; it rejects mismatched composite counts.
-func (run *encodedRun) source(pool *spill.Pool, format wire.RunFormat, origins bool) merge.Source {
+// source opens the run's cursor (pool may be nil for a wholly resident
+// run), or the home run's slice.
+func (run *encodedRun) source(pool *spill.Pool, format wire.RunFormat) merge.Source {
 	if run.home != nil {
 		return run.home.Source()
 	}
-	s := &runSource{cur: wire.NewRunCursor(format, run.pager(pool, run.sect[0][0], run.sect[0][1]))}
-	if origins {
-		s.origins = wire.NewWindow(run.pager(pool, run.sect[1][0], run.sect[1][1]))
-		want, err := s.cur.Count()
-		got, oerr := s.origins.Uvarint()
-		if err == nil {
-			err = oerr
-		}
-		if err == nil && got != want {
-			err = wire.ErrCorrupt
-		}
-		if err != nil {
-			panic("core: corrupt exchanged run: " + err.Error())
-		}
-	}
-	return s
+	return runSource{wire.NewRunCursor(format, run.pager(pool))}
 }
 
-// Next returns the run's next string, paging until it is decodable;
+// Next returns the run's next item, paging until it is decodable;
 // ok=false reports the run exhausted.
-func (s *runSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
-	str, lcp, ok, err := s.cur.Next()
-	if ok && s.origins != nil {
-		sat, err = s.origins.Uvarint()
-	}
+func (s runSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
+	str, lcp, sat, ok, err := s.cur.Next()
 	if err != nil {
 		panic("core: corrupt exchanged run: " + err.Error())
 	}
@@ -268,14 +210,15 @@ func (s *runSource) Next() (str []byte, lcp int32, sat uint64, ok bool) {
 }
 
 // sinkMerge is the Step-4 merge of both landings: it opens out with the
-// runs' extents, drains the runs through the loser tree (LCP-aware if lcp)
-// into the sink it returns, then completes the write-behind chains of a
-// budgeted landing (pool non-nil), bills their busy time to the measured
-// CPU channel, releases what the runs still have metered and the transport
-// buffers they hold, and closes the page descriptors (the pool's Close
-// unlinks the files themselves). It returns the merge's character work. A
-// failing open or sink panics, after the cleanup.
-func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, origins, lcp bool, out *Output) (work int64) {
+// runs' extents, drains the runs through the loser tree (LCP-aware if the
+// format has an LCP column) into the sink it returns, then completes the
+// write-behind chains of a budgeted landing (pool non-nil), bills their
+// busy time to the measured CPU channel, releases what the runs still have
+// metered and the transport buffers they hold, and closes the page
+// descriptors (the pool's Close unlinks the files themselves). It returns
+// the merge's character work. A failing open or sink panics, after the
+// cleanup.
+func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.RunFormat, out *Output) (work int64) {
 	ext := make([]Extent, len(runs))
 	for i := range runs {
 		ext[i] = Extent{N: int64(runs[i].n), Chars: int64(runs[i].chars), Stable: runs[i].home != nil}
@@ -284,13 +227,13 @@ func sinkMerge(c *comm.Comm, pool *spill.Pool, runs []encodedRun, format wire.Ru
 	if err == nil {
 		srcs := make([]merge.Source, len(runs))
 		for i := range runs {
-			srcs[i] = runs[i].source(pool, format, origins)
+			srcs[i] = runs[i].source(pool, format)
 		}
 		// A one-task fork of the PE's pool, so the merge's span lands on
 		// worker 0's trace track and its busy time on the merge phase's CPU
 		// channel.
 		c.AddCPU(c.ForEachSpan("merge", 1, func(int) {
-			_, work, err = merge.MergeSink(srcs, lcp, sink)
+			_, work, err = merge.MergeSink(srcs, format&wire.RunLCP != 0, sink)
 		}))
 	}
 	var busy int64

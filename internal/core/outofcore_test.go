@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -49,12 +49,11 @@ func arrivals(c *comm.Comm, buckets [][]byte) func() (int, []byte, bool) {
 // into the budgeted landing (pool != nil) or the in-RAM one (pool == nil),
 // which then merges them into a collecting Output. A failing rank's panic
 // comes back as the error.
-func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]byte) (runs []encodedRun, out fragment, err error) {
+func land(pool *spill.Pool, format wire.RunFormat, buckets ...[]byte) (runs []encodedRun, out fragment, err error) {
 	err = comm.New(1).Run(func(c *comm.Comm) error {
-		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, origins, pool)
+		runs = routeRuns(c, arrivals(c, buckets), len(buckets), format, pool)
 		if pool == nil {
-			lcp := format == wire.RunStringsLCP
-			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
+			sinkMerge(c, nil, runs, format, out.output(format))
 		}
 		return nil
 	})
@@ -63,44 +62,19 @@ func land(pool *spill.Pool, format wire.RunFormat, origins bool, buckets ...[]by
 
 // routeArrivals is land into the budgeted landing, failing the test on a
 // panic.
-func routeArrivals(t *testing.T, pool *spill.Pool, origins bool, buckets ...[]byte) []encodedRun {
+func routeArrivals(t *testing.T, pool *spill.Pool, format wire.RunFormat, buckets ...[]byte) []encodedRun {
 	t.Helper()
-	format := wire.RunStrings
-	if origins {
-		format = wire.RunStringsLCP
-	}
-	runs, _, err := land(pool, format, origins, buckets...)
+	runs, _, err := land(pool, format, buckets...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return runs
 }
 
-// oneShot is the landing's oracle for one bucket: the one-shot decoders —
-// and for a composite bucket the origin column, which must hold one value
-// per prefix — into a resident run.
-func oneShot(format wire.RunFormat, origins bool, bucket []byte) (seq merge.Sequence, err error) {
-	blob, col := bucket, []byte(nil)
-	if origins {
-		r := wire.NewReader(bucket)
-		if blob, err = r.BytesPrefixed(); err == nil {
-			col, err = r.BytesPrefixed()
-		}
-		if err != nil {
-			return seq, err
-		}
-	}
-	if format == wire.RunStrings {
-		seq.Strings, err = wire.DecodeStrings(blob)
-	} else {
-		seq.Strings, seq.LCPs, err = wire.DecodeStringsLCP(blob)
-	}
-	if err == nil && origins {
-		seq.Sats, err = wire.DecodeUint64s(col)
-		if err == nil && len(seq.Sats) != len(seq.Strings) {
-			err = wire.ErrCorrupt
-		}
-	}
+// oneShot is the landing's oracle for one bucket: the one-shot decoder,
+// into a resident run.
+func oneShot(format wire.RunFormat, bucket []byte) (seq merge.Sequence, err error) {
+	seq.Strings, seq.LCPs, seq.Sats, err = wire.DecodeRun(format, bucket)
 	return seq, err
 }
 
@@ -138,10 +112,10 @@ func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 			}
 			run := &encodedRun{}
 			if remote {
-				runs := routeArrivals(t, pool, false, wire.EncodeStrings(nil), msg)
+				runs := routeArrivals(t, pool, wire.RunStrings, wire.EncodeStrings(nil), msg)
 				run = &runs[len(runs)-1]
 			} else {
-				run.route(pool, 0, msg, wire.RunStrings, false)
+				run.route(pool, 0, msg, wire.RunStrings)
 			}
 			if run.file == nil {
 				t.Fatalf("%s: a %d-byte bucket stayed resident under a %d-byte budget", label, len(msg), budget)
@@ -149,7 +123,7 @@ func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 			if full != (len(run.resident) == 0) {
 				t.Fatalf("%s: %d bytes resident", label, len(run.resident))
 			}
-			src := run.source(pool, wire.RunStrings, false)
+			src := run.source(pool, wire.RunStrings)
 			for i, want := range ss {
 				if s, _, _, ok := src.Next(); !ok || !bytes.Equal(s, want) {
 					t.Fatalf("%s: string %d read back as %q (ok=%v), want %q", label, i, s, ok, want)
@@ -166,42 +140,21 @@ func TestSpillRoutesOversizeFragmentByPage(t *testing.T) {
 	}
 }
 
-// prefixBucket hand-encodes one PDMS bucket as pdms.go's encoder lays it
-// out; the origin column is well-formed whatever its length.
-func prefixBucket(ss [][]byte, lcps []int32, sats []uint64) (bucket []byte, blobEnd int) {
-	blob := wire.EncodeStringsLCP(ss, lcps)
-	ocol := binary.AppendUvarint(nil, uint64(len(sats)))
-	for _, u := range sats {
-		ocol = binary.AppendUvarint(ocol, u)
-	}
-	bucket = binary.AppendUvarint(nil, uint64(len(blob)))
-	bucket = append(bucket, blob...)
-	blobEnd = len(bucket)
-	bucket = binary.AppendUvarint(bucket, uint64(len(ocol)))
-	return append(bucket, ocol...), blobEnd
-}
+// pdmsLayout is the layout of PDMS's buckets: prefixes with their LCP
+// and origin columns.
+const pdmsLayout = wire.RunLCP | wire.RunSats
 
-// TestSpillCompositeBucket routes one PDMS-layout bucket with the
-// resident/file boundary placed inside the prefix blob, exactly at the
-// blob/origin boundary, inside the origin column and past the end (wholly
-// resident), and requires the two-window source to read back what the
-// in-RAM decoder makes of the same bytes; then checks that a bucket whose
-// origin column declares one value more or less than the blob has strings
-// is rejected by both landings alike: under the budget too, the walk fails
-// the bucket as it is routed, before any of it is paged.
-func TestSpillCompositeBucket(t *testing.T) {
+// TestSpillSatelliteRun routes one PDMS-layout bucket with the
+// resident/file boundary placed inside a string, inside an origin's varint
+// and past the end (wholly resident), and requires the cursor to read back
+// what the one-shot decoder makes of the same bytes — every item's origin
+// with it; then checks that a truncated bucket fails under the budget too,
+// as it is routed, before any of it is paged.
+func TestSpillSatelliteRun(t *testing.T) {
 	const budget, page = 1 << 20, 64
 	var ss [][]byte
-	var sats []uint64
 	for i := 0; i < 200; i++ {
 		ss = append(ss, []byte(fmt.Sprintf("prefix-%04d", i/3)))
-		sats = append(sats, uint64(i%4)<<32|uint64(i*977))
-	}
-	lcps := make([]int32, len(ss))
-	for i := 1; i < len(ss); i++ {
-		for int(lcps[i]) < len(ss[i]) && ss[i][lcps[i]] == ss[i-1][lcps[i]] {
-			lcps[i]++
-		}
 	}
 	newPool := func(room int) *spill.Pool {
 		pool, err := spill.NewPool(spill.Config{Budget: budget, PageSize: page, Dir: t.TempDir()}, nil)
@@ -213,26 +166,27 @@ func TestSpillCompositeBucket(t *testing.T) {
 		return pool
 	}
 
-	bucket, blobEnd := prefixBucket(ss, lcps, sats)
-	want, err := oneShot(wire.RunStringsLCP, true, bucket)
+	bucket := encodeBucket(pdmsLayout, ss, 3)
+	want, err := oneShot(pdmsLayout, bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first item is [count] [lcp 0] [origin] [length] "prefix-0000":
+	// its origin (3<<32, five varint bytes) starts at byte 3.
 	for _, c := range []struct {
 		name string
 		room int // bytes of the bucket the pool has room to keep resident
 	}{
-		{"inside the blob", blobEnd / 2},
-		{"at the blob/origin boundary", blobEnd},
-		{"inside the origin column", (blobEnd + len(bucket)) / 2},
+		{"inside a string", len(bucket) / 2},
+		{"inside an origin", 3 + 2},
 		{"past the end", len(bucket) + page},
 	} {
 		pool := newPool(c.room)
-		run := &routeArrivals(t, pool, true, bucket)[0]
+		run := &routeArrivals(t, pool, pdmsLayout, bucket)[0]
 		if got := min(c.room, len(bucket)); len(run.resident) != got || (run.file == nil) != (got == len(bucket)) {
 			t.Fatalf("%s: %d bytes resident (file: %v), want %d", c.name, len(run.resident), run.file != nil, got)
 		}
-		src := run.source(pool, wire.RunStringsLCP, true)
+		src := run.source(pool, pdmsLayout)
 		for i := range want.Strings {
 			s, lcp, sat, ok := src.Next()
 			if !ok || !bytes.Equal(s, want.Strings[i]) || lcp != want.LCPs[i] || sat != want.Sats[i] {
@@ -245,48 +199,42 @@ func TestSpillCompositeBucket(t *testing.T) {
 		}
 	}
 
-	for _, d := range []int{-1, +1} {
-		bad, blobEnd := prefixBucket(ss, lcps, append(sats, 7)[:len(sats)+d])
-		if _, err := oneShot(wire.RunStringsLCP, true, bad); err != wire.ErrCorrupt {
-			t.Fatalf("%+d origins: in-RAM decode returned %v, want %v", d, err, wire.ErrCorrupt)
-		}
-		if _, _, err := land(newPool(blobEnd), wire.RunStringsLCP, true, bad); err == nil || !strings.Contains(err.Error(), wire.ErrCorrupt.Error()) {
-			t.Fatalf("%+d origins: routing the bucket gave %v, want an error carrying %q", d, err, wire.ErrCorrupt)
-		}
+	bad := bucket[:len(bucket)-1]
+	if _, err := oneShot(pdmsLayout, bad); !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("truncated bucket: in-RAM decode returned %v, want %v", err, wire.ErrTruncated)
+	}
+	pool := newPool(len(bad) / 2)
+	if _, _, err := land(pool, pdmsLayout, bad); err == nil || !strings.Contains(err.Error(), wire.ErrTruncated.Error()) {
+		t.Fatalf("truncated bucket: routing it gave %v, want an error carrying %q", err, wire.ErrTruncated)
+	}
+	if pool.BytesWritten() != 0 {
+		t.Fatalf("truncated bucket: %d bytes paged before it was rejected", pool.BytesWritten())
 	}
 }
 
 // landingLayouts are the three bucket layouts the Step-3 encoders produce:
 // MS-simple/FKmerge, MS and PDMS.
 var landingLayouts = []struct {
-	name    string
-	format  wire.RunFormat
-	origins bool
+	name   string
+	format wire.RunFormat
 }{
-	{"RunStrings", wire.RunStrings, false},
-	{"RunStringsLCP", wire.RunStringsLCP, false},
-	{"PDMS", wire.RunStringsLCP, true},
+	{"RunStrings", wire.RunStrings},
+	{"RunStringsLCP", wire.RunLCP},
+	{"PDMS", pdmsLayout},
 }
 
-// encodeBucket encodes one sorted run in a layout; origins get values of
-// every varint width.
-func encodeBucket(format wire.RunFormat, origins bool, ss [][]byte, src int) []byte {
+// encodeBucket encodes one sorted run of PE src in a layout; origins get
+// values of every varint width.
+func encodeBucket(format wire.RunFormat, ss [][]byte, src int) []byte {
 	lcps := make([]int32, len(ss))
-	for i := 1; i < len(ss); i++ {
-		lcps[i] = int32(strutil.LCP(ss[i-1], ss[i]))
-	}
-	if origins {
-		sats := make([]uint64, len(ss))
-		for i := range sats {
-			sats[i] = originSat(src, i*977)
+	sats := make([]uint64, len(ss))
+	for i := range ss {
+		if i > 0 {
+			lcps[i] = int32(strutil.LCP(ss[i-1], ss[i]))
 		}
-		bucket, _ := prefixBucket(ss, lcps, sats)
-		return bucket
+		sats[i] = originSat(src, i*977)
 	}
-	if format == wire.RunStrings {
-		return wire.EncodeStrings(ss)
-	}
-	return wire.EncodeStringsLCP(ss, lcps)
+	return wire.EncodeRun(format, strutil.Set{Strings: ss}, lcps, sats)
 }
 
 // landingRun is a sorted run of one of five shapes: empty, one string, all
@@ -363,7 +311,7 @@ func TestLandingMatchesOneShot(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/p=%d", l.name, p), func(t *testing.T) {
 				for _, lc := range landingCases {
 					t.Run("home/"+lc.name, func(t *testing.T) {
-						checkLanding(t, l.format, l.origins, p, lc.run)
+						checkLanding(t, l.format, p, lc.run)
 					})
 				}
 			})
@@ -375,9 +323,9 @@ func TestLandingMatchesOneShot(t *testing.T) {
 // LCP array — its first entry nonzero, like the boundary entry lcpSub
 // leaves in place — and origins, as a sorter hands its own bucket to
 // exchangeMerge.
-func homeRun(format wire.RunFormat, origins bool, ss [][]byte, src int) *merge.Sequence {
+func homeRun(format wire.RunFormat, ss [][]byte, src int) *merge.Sequence {
 	own := &merge.Sequence{Strings: ss}
-	if format == wire.RunStringsLCP {
+	if format&wire.RunLCP != 0 {
 		own.LCPs = make([]int32, len(ss))
 		for i := 1; i < len(ss); i++ {
 			own.LCPs[i] = int32(strutil.LCP(ss[i-1], ss[i]))
@@ -386,7 +334,7 @@ func homeRun(format wire.RunFormat, origins bool, ss [][]byte, src int) *merge.S
 			own.LCPs[0] = 7
 		}
 	}
-	if origins {
+	if format&wire.RunSats != 0 {
 		own.Sats = make([]uint64, len(ss))
 		for i := range own.Sats {
 			own.Sats[i] = originSat(src, i*977)
@@ -395,7 +343,7 @@ func homeRun(format wire.RunFormat, origins bool, ss [][]byte, src int) *merge.S
 	return own
 }
 
-func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
+func checkLanding(t *testing.T, format wire.RunFormat, p int,
 	run func(rng *rand.Rand, p, src, dst int) [][]byte) {
 	rng := rand.New(rand.NewSource(int64(100 + p)))
 	runs := make([][][][]byte, p)  // runs[src][dst]
@@ -405,10 +353,9 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 		buckets[src] = make([][]byte, p)
 		for dst := range buckets[src] {
 			runs[src][dst] = run(rng, p, src, dst)
-			buckets[src][dst] = encodeBucket(format, origins, runs[src][dst], src)
+			buckets[src][dst] = encodeBucket(format, runs[src][dst], src)
 		}
 	}
-	lcp := format == wire.RunStringsLCP
 	outs := make([]fragment, p)
 	m := comm.New(p)
 	if err := m.Run(func(c *comm.Comm) error {
@@ -423,9 +370,8 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 			}
 			return append(buf, buckets[me][dst]...)
 		}
-		cd := bucketCodec{sizes: sizes, enc: enc, format: format, origins: origins,
-			own: homeRun(format, origins, runs[me][me], me)}
-		exchangeMerge(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), cd, lcp, SeamOptions{Out: outs[me].output(lcp, origins)})
+		cd := bucketCodec{sizes: sizes, enc: enc, format: format, own: homeRun(format, runs[me][me], me)}
+		exchangeMerge(c, comm.NewGroup(c, comm.WorldRanks(c.P()), 0), cd, SeamOptions{Out: outs[me].output(format)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -434,11 +380,11 @@ func checkLanding(t *testing.T, format wire.RunFormat, origins bool, p int,
 		seqs := make([]merge.Sequence, p)
 		for src := range seqs {
 			var err error
-			if seqs[src], err = oneShot(format, origins, buckets[src][dst]); err != nil {
+			if seqs[src], err = oneShot(format, buckets[src][dst]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, work := merge.Merge(seqs, lcp)
+		want, work := merge.Merge(seqs, format&wire.RunLCP != 0)
 		label := fmt.Sprintf("PE %d", dst)
 		if len(got.Strings) != len(want.Strings) || (got.Strings == nil) != (want.Strings == nil) {
 			t.Fatalf("%s: %d strings, want %d", label, len(got.Strings), len(want.Strings))
@@ -530,24 +476,24 @@ func TestHomeRunAliasesInput(t *testing.T) {
 // resident as own and never arrives — in RAM (pool == nil) or under the
 // budget, and merges them: into a collecting Output, or into a sorted-run
 // file that is read back.
-func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, origins bool, home int, own *merge.Sequence, buckets ...[]byte) (out fragment) {
+func landHome(t *testing.T, pool *spill.Pool, format wire.RunFormat, home int, own *merge.Sequence, buckets ...[]byte) (out fragment) {
 	t.Helper()
-	lcp := format == wire.RunStringsLCP
 	sent := append([][]byte(nil), buckets...)
 	sent[home] = nil
 	if err := comm.New(1).Run(func(c *comm.Comm) error {
-		runs := routeRuns(c, arrivals(c, sent), len(sent), format, origins, pool)
+		runs := routeRuns(c, arrivals(c, sent), len(sent), format, pool)
 		runs[home] = encodedRun{home: own, n: own.Len()}
 		if pool == nil {
-			sinkMerge(c, nil, runs, format, origins, lcp, out.output(lcp, origins))
+			sinkMerge(c, nil, runs, format, out.output(format))
 			return nil
 		}
 		var file bytes.Buffer
-		w, err := spill.NewRunWriter(&file, spill.RunWriterOpts{LCP: lcp, Sats: origins}, nil, 0)
+		opts := spill.RunWriterOpts{LCP: format&wire.RunLCP != 0, Sats: format&wire.RunSats != 0}
+		w, err := spill.NewRunWriter(&file, opts, nil, 0)
 		if err != nil {
 			return err
 		}
-		sinkMerge(c, pool, runs, format, origins, lcp, &Output{Open: func([]Extent) (merge.Sink, error) {
+		sinkMerge(c, pool, runs, format, &Output{Open: func([]Extent) (merge.Sink, error) {
 			return func(_ int, s []byte, lcp int32, sat uint64) error { return w.Add(s, lcp, sat) }, nil
 		}})
 		if err := w.Close(); err != nil {
@@ -583,7 +529,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 	buckets := make([][]byte, len(runs))
 	remoteBytes, remoteChars := 0, 0
 	for src, ss := range runs {
-		buckets[src] = encodeBucket(wire.RunStringsLCP, true, ss, src)
+		buckets[src] = encodeBucket(pdmsLayout, ss, src)
 		if src != home {
 			remoteBytes += len(buckets[src])
 			for _, s := range ss {
@@ -594,7 +540,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 	seqs := make([]merge.Sequence, len(buckets))
 	for src, b := range buckets {
 		var err error
-		if seqs[src], err = oneShot(wire.RunStringsLCP, true, b); err != nil {
+		if seqs[src], err = oneShot(pdmsLayout, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,9 +552,9 @@ func TestHomeRunStaysHome(t *testing.T) {
 			t.Fatalf("%s: output differs from the one-shot merge", label)
 		}
 	}
-	own := homeRun(wire.RunStringsLCP, true, runs[home], home)
+	own := homeRun(pdmsLayout, runs[home], home)
 
-	got := landHome(t, nil, wire.RunStringsLCP, true, home, own, buckets...)
+	got := landHome(t, nil, pdmsLayout, home, own, buckets...)
 	check("in RAM", got)
 	for i, e := range got.extents {
 		if e.Stable != (i == home) || e.N != int64(len(runs[i])) {
@@ -628,7 +574,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 		return pool
 	}
 	pool := newPool()
-	got = landHome(t, pool, wire.RunStringsLCP, true, home, own, buckets...)
+	got = landHome(t, pool, pdmsLayout, home, own, buckets...)
 	check("budget", got)
 	if pool.BytesWritten() != 0 || pool.Peak() != int64(remoteBytes) || pool.Room() != budget {
 		t.Fatalf("budget: %d bytes spilled, peak %d, %d live; want 0, the %d received bytes, 0",
@@ -636,7 +582,7 @@ func TestHomeRunStaysHome(t *testing.T) {
 	}
 
 	pool = newPool()
-	routeArrivals(t, pool, true, buckets...)
+	routeArrivals(t, pool, pdmsLayout, buckets...)
 	if pool.BytesWritten() == 0 {
 		t.Fatal("the own bucket, encoded and routed, did not spill: the budget proves nothing")
 	}
@@ -648,29 +594,33 @@ func TestHomeRunStaysHome(t *testing.T) {
 func TestLandingRejectsCorruptBuckets(t *testing.T) {
 	ss := [][]byte{[]byte("ab"), []byte("abc"), []byte("abd"), []byte("b")}
 	lcps := []int32{0, 2, 2, 0}
-	sats := []uint64{1, 2, 3, 4}
 	trunc := func(b []byte) []byte { return b[:len(b)-1] }
-	withOrigins := func(sats []uint64) []byte { b, _ := prefixBucket(ss, lcps, sats); return b }
+	// A PDMS bucket whose last item, (lcp 0, origin, "b"), carries the
+	// given origin varints.
+	withOrigins := func(origins ...byte) []byte {
+		b := wire.EncodeRun(pdmsLayout, strutil.Set{Strings: ss[:3]}, lcps[:3], []uint64{1, 2, 3})
+		b[0] = 4 // the count, with the item appended below
+		return append(append(append(b, 0), origins...), 1, 'b')
+	}
 	for _, c := range []struct {
-		name    string
-		format  wire.RunFormat
-		origins bool
-		bucket  []byte
+		name   string
+		format wire.RunFormat
+		bucket []byte
 	}{
-		{"RunStrings truncated suffix", wire.RunStrings, false, trunc(wire.EncodeStrings(ss))},
-		{"RunStringsLCP truncated suffix", wire.RunStringsLCP, false, trunc(wire.EncodeStringsLCP(ss, lcps))},
-		{"first LCP not 0", wire.RunStringsLCP, false, []byte{2, 1, 2, 'a', 'b', 0, 1, 'c'}},
-		{"LCP longer than predecessor", wire.RunStringsLCP, false, []byte{2, 0, 2, 'a', 'b', 3, 1, 'c'}},
-		{"PDMS one origin short", wire.RunStringsLCP, true, withOrigins(sats[:3])},
-		{"PDMS one origin over", wire.RunStringsLCP, true, withOrigins(append(sats, 5))},
-		{"PDMS truncated origin column", wire.RunStringsLCP, true, trunc(withOrigins(sats))},
+		{"RunStrings truncated suffix", wire.RunStrings, trunc(wire.EncodeStrings(ss))},
+		{"RunStringsLCP truncated suffix", wire.RunLCP, trunc(wire.AppendStringsLCP(nil, ss, lcps))},
+		{"first LCP not 0", wire.RunLCP, []byte{2, 1, 2, 'a', 'b', 0, 1, 'c'}},
+		{"LCP longer than predecessor", wire.RunLCP, []byte{2, 0, 2, 'a', 'b', 3, 1, 'c'}},
+		{"PDMS one origin short", pdmsLayout, withOrigins()},
+		{"PDMS one origin over", pdmsLayout, withOrigins(4, 5)},
+		{"PDMS truncated origin column", pdmsLayout, withOrigins(0x80, 0x80)[:len(withOrigins())+1]},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			good := encodeBucket(c.format, c.origins, ss, 0)
-			if _, err := oneShot(c.format, c.origins, c.bucket); err == nil {
+			good := encodeBucket(c.format, ss, 0)
+			if _, err := oneShot(c.format, c.bucket); err == nil {
 				t.Fatal("the one-shot oracle accepts the corrupt bucket")
 			}
-			_, out, err := land(nil, c.format, c.origins, good, c.bucket)
+			_, out, err := land(nil, c.format, good, c.bucket)
 			if err == nil || !strings.Contains(err.Error(), "corrupt exchanged run") {
 				t.Fatalf("landing returned %v, want a panic carrying %q", err, "corrupt exchanged run")
 			}
@@ -709,7 +659,7 @@ func BenchmarkLanding(b *testing.B) {
 		for src := range buckets {
 			ss := in.gen(src)
 			lcps, _ := strsort.SortLCP(ss, nil)
-			buckets[src] = wire.EncodeStringsLCP(ss, lcps)
+			buckets[src] = wire.AppendStringsLCP(nil, ss, lcps)
 			if src == 0 {
 				own = merge.Sequence{Strings: ss, LCPs: lcps}
 			}
@@ -730,12 +680,12 @@ func BenchmarkLanding(b *testing.B) {
 						b.StopTimer()
 						recv := arrivals(c, sent) // the transport's buffers
 						b.StartTimer()
-						runs := routeRuns(c, recv, p, wire.RunStringsLCP, false, nil)
+						runs := routeRuns(c, recv, p, wire.RunLCP, nil)
 						if home != nil {
 							runs[0] = encodedRun{home: home, n: home.Len()}
 						}
 						var out fragment
-						sinkMerge(c, nil, runs, wire.RunStringsLCP, false, true, out.output(true, false))
+						sinkMerge(c, nil, runs, wire.RunLCP, out.output(wire.RunLCP))
 						sink += int64(len(out.Strings))
 					}
 					return nil

@@ -129,46 +129,16 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) {
 	// is globally consistent.
 	off := partition.Buckets(prefixes, splitters)
 
-	// Step 3: LCP-compressed all-to-all exchange of the prefixes plus
-	// their origins. As in MergeSort, every outgoing part is sized first
-	// and encoded into exactly that many bytes, and the per-bucket LCP runs
-	// are direct sub-slices of the prefix LCP array (the encoder ignores
-	// the boundary entry).
+	// Steps 3 and 4: LCP-compressed all-to-all exchange of the prefixes,
+	// each with its origin in the satellite column of its run — sized and
+	// encoded as in MergeSort, the LCP column read from the prefix LCP
+	// array — and the LCP-aware multiway merge of the prefix runs (the own
+	// one is the prefix view). The origins are the satellite words Out's
+	// sink receives.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, comm.WorldRanks(p), opt.GroupID+8)
-	blobSizes := make([]int, p)
-	oSizes := make([]int, p)
-	me := g.Idx()
-	sizes := sizeBuckets(c, me, func(dst int) int {
-		lo, hi := off[dst], off[dst+1]
-		blobSizes[dst] = wire.StringsLCPSize(prefixes[lo:hi], lcpSub(plcp, lo, hi))
-		oSize := wire.UvarintLen(uint64(hi - lo))
-		for _, u := range sats[lo:hi] {
-			oSize += wire.UvarintLen(u)
-		}
-		oSizes[dst] = oSize
-		return wire.UvarintLen(uint64(blobSizes[dst])) + blobSizes[dst] +
-			wire.UvarintLen(uint64(oSize)) + oSize
-	})
-	enc := func(dst int, buf []byte) []byte {
-		lo, hi := off[dst], off[dst+1]
-		buf = binary.AppendUvarint(buf, uint64(blobSizes[dst]))
-		buf = wire.AppendStringsLCP(buf, prefixes[lo:hi], lcpSub(plcp, lo, hi))
-		buf = binary.AppendUvarint(buf, uint64(oSizes[dst]))
-		buf = binary.AppendUvarint(buf, uint64(hi-lo))
-		for _, u := range sats[lo:hi] {
-			buf = binary.AppendUvarint(buf, u)
-		}
-		return buf
-	}
-	// Step 4: LCP-aware multiway merge of the prefix runs (the own one is
-	// the prefix view); origins ride in the satellite column, the satellite
-	// words Out's sink receives.
-	lo, hi := off[me], off[me+1]
-	exchangeMerge(c, g, bucketCodec{
-		sizes: sizes, enc: enc, format: wire.RunStringsLCP, origins: true,
-		own: &merge.Sequence{Strings: prefixes[lo:hi], LCPs: lcpSub(plcp, lo, hi), Sats: sats[lo:hi]},
-	}, true, opt.SeamOptions)
+	all := merge.Sequence{Strings: prefixes, LCPs: plcp, Sats: sats}
+	exchangeMerge(c, g, runBuckets(c, g.Idx(), wire.RunLCP|wire.RunSats, all, off), opt.SeamOptions)
 }
 
 // Reconstruct fetches the full strings behind a PDMS fragment from the PEs

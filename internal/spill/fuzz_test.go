@@ -2,6 +2,8 @@ package spill
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -103,6 +105,13 @@ func FuzzRunScanner(f *testing.F) {
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add([]byte("DSSRUN1\n"))
 	f.Add(bytes.Repeat([]byte{0xff}, 24))
+	for _, pin := range pinFiles { // every column layout, pages front-coded across
+		file, err := os.ReadFile(filepath.Join("testdata", pin.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(file)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := NewRunScanner(bytes.NewReader(data))
 		if err != nil {

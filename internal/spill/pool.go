@@ -10,7 +10,7 @@
 // and a routed bucket stays resident only as far as Room() reaches. Peak()
 // records the high-water mark — the "peak live bytes" channel of the run
 // statistics. What is metered: the resident (still encoded) prefixes of
-// the incoming runs, the one span each run window has paged back in, the
+// the incoming runs, the one span each run cursor has paged back in, the
 // pages pending or in flight on a write-behind chain and the run writer's
 // page. What is not: the local input fragment, the one string each run
 // cursor decodes into, and the exchange's buckets while the transport

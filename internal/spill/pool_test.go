@@ -15,6 +15,7 @@ import (
 	"dss/internal/input"
 	"dss/internal/par"
 	"dss/internal/strsort"
+	"dss/internal/wire"
 )
 
 func newTestPool(t *testing.T, cfg Config) *Pool {
@@ -382,20 +383,20 @@ func TestRunScannerTruncated(t *testing.T) {
 
 // TestRunScannerHugeDeclaredLength is the regression test of the 2 GiB
 // allocation: a 16-byte file whose one item declares a suffix of 2³¹−1
-// bytes (the most maxSectionLen lets through) and then ends. The scanner
+// bytes (the longest string an int32 LCP can address) and then ends. The scanner
 // used to size its buffer from the declared length before reading a byte
 // of it; it must fail with an error having allocated next to nothing, in
 // every column layout.
 func TestRunScannerHugeDeclaredLength(t *testing.T) {
 	for flags := byte(0); flags < 4; flags++ {
 		file := append(append([]byte(nil), runMagic[:]...), flags, 1) // one page of one item
-		if flags&runFlagLCP != 0 {
+		if wire.RunFormat(flags)&wire.RunLCP != 0 {
 			file = append(file, 0)
 		}
-		if flags&runFlagSat != 0 {
+		if wire.RunFormat(flags)&wire.RunSats != 0 {
 			file = append(file, 0)
 		}
-		file = append(binary.AppendUvarint(file, maxSectionLen), 'x')
+		file = append(binary.AppendUvarint(file, math.MaxInt32), 'x')
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -417,23 +418,56 @@ func TestRunScannerHugeDeclaredLength(t *testing.T) {
 // benchSink keeps the scanned strings observable.
 var benchSink int
 
+// benchRun is one PE's share of the benchmark text (cc_ms_*), sorted, with
+// its LCP array.
+func benchRun() ([][]byte, []int32) {
+	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
+	lcps, _ := strsort.SortLCP(ss, nil)
+	return ss, lcps
+}
+
+// writeRun writes ss as a DSSRUN1 file with the LCP column onto file.
+func writeRun(file *bytes.Buffer, ss [][]byte, lcps []int32) error {
+	w, err := NewRunWriter(file, RunWriterOpts{LCP: true}, nil, 0)
+	if err != nil {
+		return err
+	}
+	for i, s := range ss {
+		if err := w.Add(s, lcps[i], 0); err != nil {
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// BenchmarkRunWriter times the sorted-run writer over one PE's share of the
+// benchmark text, with the LCP column, as a budgeted merge writes its
+// output. Bytes are the file's bytes, as in BenchmarkRunScanner.
+func BenchmarkRunWriter(b *testing.B) {
+	ss, lcps := benchRun()
+	var file bytes.Buffer
+	if err := writeRun(&file, ss, lcps); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		file.Reset()
+		if err := writeRun(&file, ss, lcps); err != nil {
+			b.Fatal(err)
+		}
+		benchSink += file.Len()
+	}
+}
+
 // BenchmarkRunScanner times the sorted-run scanner over one PE's share of
 // the benchmark text (cc_ms_*) written as a DSSRUN1 file with the LCP
 // column — the same strings wire's BenchmarkRunCursor decodes.
 func BenchmarkRunScanner(b *testing.B) {
-	ss := input.CommonCrawlLike(input.CCConfig{LinesPerPE: 200_000, Seed: 1}, 0, 4)
-	lcps, _ := strsort.SortLCP(ss, nil)
+	ss, lcps := benchRun()
 	var file bytes.Buffer
-	w, err := NewRunWriter(&file, RunWriterOpts{LCP: true}, nil, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, s := range ss {
-		if err := w.Add(s, lcps[i], 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := writeRun(&file, ss, lcps); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(file.Len()))

@@ -1,25 +1,22 @@
 // The sorted-run file format: what a budgeted worker writes instead of
 // accumulating its merged output arena. The format is streaming on both
-// sides — the writer needs no counts up front (unlike the Step-3 wire
-// framing, which declares its string count first), the reader needs no
-// index — and it front-codes each string against its predecessor, so a
-// sorted run with long shared prefixes costs little more on disk than the
-// LCP-compressed exchange payload did on the wire.
+// sides — the writer needs no counts up front, the reader needs no index —
+// and its pages are wire runs (see package wire), so a sorted run with long
+// shared prefixes costs little more on disk than the LCP-compressed
+// exchange payload did on the wire.
 //
 // Layout:
 //
 //	"DSSRUN1\n"  8-byte magic
-//	flags        1 byte: bit0 = items carry an LCP column,
-//	                     bit1 = items carry a satellite column
-//	pages        uvarint itemCount > 0, then itemCount items:
-//	               [uvarint lcp]  (only with bit0; front-coded prefix length)
-//	               [uvarint sat]  (only with bit1)
-//	               uvarint suffixLen, suffixLen bytes
-//	terminator   uvarint 0
+//	flags        1 byte: the pages' wire.RunFormat — bit0 (wire.RunLCP) =
+//	             items carry an LCP column, bit1 (wire.RunSats) = items
+//	             carry a satellite column
+//	pages        wire runs of that format, each of one or more items
+//	terminator   uvarint 0, the item count of an empty run
 //
-// Without the LCP column every item stores its full bytes (lcp fixed 0).
-// The front coding runs across page boundaries: prev is the previous item
-// of the whole run, like the wire format's LCP rematerialization.
+// The front coding runs across page boundaries: a page's first item is
+// front-coded against the last item of the page before, as if the pages
+// were one run; wire.RunCursor.Continue reads them so.
 package spill
 
 import (
@@ -32,11 +29,6 @@ import (
 )
 
 var runMagic = [8]byte{'D', 'S', 'S', 'R', 'U', 'N', '1', '\n'}
-
-const (
-	runFlagLCP = 1 << 0
-	runFlagSat = 1 << 1
-)
 
 // ErrRunCorrupt reports a malformed sorted-run file.
 var ErrRunCorrupt = errors.New("spill: corrupt sorted-run file")
@@ -51,15 +43,15 @@ type RunWriterOpts struct {
 // is bounded by one page buffer regardless of run length; the optional
 // pool meters that buffer. Not safe for concurrent use.
 type RunWriter struct {
-	w     io.Writer
-	opts  RunWriterOpts
-	page  []byte
-	inPg  int // items encoded into the current page
-	prev  []byte
-	pool  *Pool
-	pgCap int
-	err   error
-	done  bool
+	w       io.Writer
+	format  wire.RunFormat
+	page    []byte
+	inPg    int // items encoded into the current page
+	prevLen int // length of the previous item of the run
+	pool    *Pool
+	pgCap   int
+	err     error
+	done    bool
 }
 
 // NewRunWriter starts a sorted-run file on w. pool (optional) meters the
@@ -74,18 +66,17 @@ func NewRunWriter(w io.Writer, opts RunWriterOpts, pool *Pool, pageSize int) (*R
 			pageSize = DefaultPageSize
 		}
 	}
-	var flags byte
+	var format wire.RunFormat
 	if opts.LCP {
-		flags |= runFlagLCP
+		format |= wire.RunLCP
 	}
 	if opts.Sats {
-		flags |= runFlagSat
+		format |= wire.RunSats
 	}
-	hdr := append(append([]byte{}, runMagic[:]...), flags)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(append(runMagic[:], byte(format))); err != nil {
 		return nil, fmt.Errorf("spill: run header: %w", err)
 	}
-	rw := &RunWriter{w: w, opts: opts, pgCap: pageSize, pool: pool}
+	rw := &RunWriter{w: w, format: format, pgCap: pageSize, pool: pool}
 	if pool != nil {
 		pool.Reserve(int64(pageSize))
 	}
@@ -100,25 +91,12 @@ func (rw *RunWriter) Add(s []byte, lcp int32, sat uint64) error {
 	if rw.err != nil {
 		return rw.err
 	}
-	if rw.inPg == 0 {
-		rw.page = rw.page[:0]
+	if rw.format&wire.RunLCP != 0 && (lcp < 0 || int(lcp) > min(rw.prevLen, len(s))) {
+		rw.err = fmt.Errorf("spill: run writer: lcp %d out of range (prev len %d, len %d)", lcp, rw.prevLen, len(s))
+		return rw.err
 	}
-	if rw.opts.LCP {
-		if lcp < 0 || int(lcp) > len(rw.prev) {
-			rw.err = fmt.Errorf("spill: run writer: lcp %d out of range (prev len %d)", lcp, len(rw.prev))
-			return rw.err
-		}
-		rw.page = binary.AppendUvarint(rw.page, uint64(lcp))
-	} else {
-		lcp = 0
-	}
-	if rw.opts.Sats {
-		rw.page = binary.AppendUvarint(rw.page, sat)
-	}
-	suffix := s[lcp:]
-	rw.page = binary.AppendUvarint(rw.page, uint64(len(suffix)))
-	rw.page = append(rw.page, suffix...)
-	rw.prev = append(rw.prev[:int(lcp)], suffix...)
+	rw.page = wire.AppendItem(rw.page, rw.format, s, lcp, sat)
+	rw.prevLen = len(s)
 	rw.inPg++
 	if len(rw.page) >= rw.pgCap {
 		rw.flushPage()
@@ -126,17 +104,15 @@ func (rw *RunWriter) Add(s []byte, lcp int32, sat uint64) error {
 	return rw.err
 }
 
+// flushPage writes the current page: its item count, then its items.
 func (rw *RunWriter) flushPage() {
 	if rw.inPg == 0 || rw.err != nil {
 		return
 	}
 	var cnt [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(cnt[:], uint64(rw.inPg))
-	if _, err := rw.w.Write(cnt[:n]); err == nil {
-		_, err = rw.w.Write(rw.page)
-		rw.err = err
-	} else {
-		rw.err = err
+	if _, rw.err = rw.w.Write(cnt[:n]); rw.err == nil {
+		_, rw.err = rw.w.Write(rw.page)
 	}
 	rw.inPg = 0
 	rw.page = rw.page[:0]
@@ -161,14 +137,11 @@ func (rw *RunWriter) Close() error {
 }
 
 // RunScanner streams a sorted-run file back item by item, through the
-// same span window the budgeted merge decodes its runs with.
+// same wire.RunCursor the budgeted merge decodes its runs with.
 type RunScanner struct {
-	w      *wire.Window
+	cur    *wire.RunCursor
+	format wire.RunFormat
 	rerr   error // the reader's own failure, as opposed to a short file
-	hasLCP bool
-	hasSat bool
-	left   int // items remaining in the current page
-	prev   []byte
 	err    error
 	done   bool
 }
@@ -176,8 +149,16 @@ type RunScanner struct {
 // NewRunScanner opens a sorted-run stream, validating the header.
 func NewRunScanner(r io.Reader) (*RunScanner, error) {
 	sc := &RunScanner{}
+	var hdr [len(runMagic) + 1]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("spill: run header: %w", err)
+	}
+	if [8]byte(hdr[:8]) != runMagic {
+		return nil, ErrRunCorrupt
+	}
+	sc.format = wire.RunFormat(hdr[8]) & (wire.RunLCP | wire.RunSats)
 	buf := make([]byte, 64<<10)
-	sc.w = wire.NewWindow(func() []byte {
+	sc.cur = wire.NewRunCursor(sc.format, func() []byte {
 		for {
 			n, err := r.Read(buf)
 			if n > 0 {
@@ -191,98 +172,59 @@ func NewRunScanner(r io.Reader) (*RunScanner, error) {
 			}
 		}
 	})
-	hdr, err := sc.w.Append(make([]byte, 0, 9), 9)
-	if err != nil {
-		return nil, sc.short("header", err)
-	}
-	if [8]byte(hdr[:8]) != runMagic {
-		return nil, ErrRunCorrupt
-	}
-	sc.hasLCP = hdr[8]&runFlagLCP != 0
-	sc.hasSat = hdr[8]&runFlagSat != 0
 	return sc, nil
 }
 
-// short reports that part of the file (what) could not be read; a failed
-// Read takes precedence over the short file it caused.
+// HasLCP reports whether items carry the LCP column.
+func (sc *RunScanner) HasLCP() bool { return sc.format&wire.RunLCP != 0 }
+
+// HasSats reports whether items carry the satellite column.
+func (sc *RunScanner) HasSats() bool { return sc.format&wire.RunSats != 0 }
+
+// Next returns the next item. ok=false with a nil error means the run
+// ended cleanly at its terminator. The returned string is the cursor's
+// reused buffer: it is only valid until the next call — copy it to keep
+// it.
+func (sc *RunScanner) Next() (s []byte, lcp int32, sat uint64, ok bool, err error) {
+	for sc.err == nil && !sc.done {
+		n, err := sc.cur.Count()
+		switch {
+		case err != nil:
+			sc.err = sc.short("page count", err)
+		case n == 0:
+			sc.done = true
+		case n > maxRunPageItems:
+			sc.err = ErrRunCorrupt
+		default:
+			if s, lcp, sat, ok, err = sc.cur.Next(); ok {
+				return s, lcp, sat, true, nil
+			}
+			if err != nil {
+				sc.err = sc.short("item", err)
+			}
+			sc.cur.Continue()
+		}
+	}
+	return nil, 0, 0, false, sc.err
+}
+
+// short reports that part of the file (what) could not be read: a failed
+// Read takes precedence over the short file it caused, and a malformed
+// one is ErrRunCorrupt.
 func (sc *RunScanner) short(what string, err error) error {
-	if sc.rerr != nil {
+	switch {
+	case sc.rerr != nil:
 		err = sc.rerr
+	case errors.Is(err, wire.ErrCorrupt):
+		return ErrRunCorrupt
 	}
 	return fmt.Errorf("spill: run %s: %w", what, err)
 }
 
-// fail ends the scan with err.
-func (sc *RunScanner) fail(err error) ([]byte, int32, uint64, bool, error) {
-	sc.err = err
-	return nil, 0, 0, false, err
-}
-
-// HasLCP reports whether items carry the LCP column.
-func (sc *RunScanner) HasLCP() bool { return sc.hasLCP }
-
-// HasSats reports whether items carry the satellite column.
-func (sc *RunScanner) HasSats() bool { return sc.hasSat }
-
-// Next returns the next item. ok=false with a nil error means the run
-// ended cleanly at its terminator. The returned string aliases the
-// scanner's reused prev buffer: it is only valid until the next call —
-// copy it to keep it.
-func (sc *RunScanner) Next() (s []byte, lcp int32, sat uint64, ok bool, err error) {
-	if sc.err != nil || sc.done {
-		return nil, 0, 0, false, sc.err
-	}
-	if sc.left == 0 {
-		n, err := sc.w.Uvarint()
-		if err != nil {
-			return sc.fail(sc.short("page count", err))
-		}
-		if n == 0 {
-			sc.done = true
-			return nil, 0, 0, false, nil
-		}
-		if n > maxRunPageItems {
-			return sc.fail(ErrRunCorrupt)
-		}
-		sc.left = int(n)
-	}
-	sc.left--
-	var h uint64
-	if sc.hasLCP {
-		if h, err = sc.w.Uvarint(); err != nil {
-			return sc.fail(sc.short("item", err))
-		}
-		if h > uint64(len(sc.prev)) {
-			return sc.fail(ErrRunCorrupt)
-		}
-	}
-	if sc.hasSat {
-		if sat, err = sc.w.Uvarint(); err != nil {
-			return sc.fail(sc.short("item", err))
-		}
-	}
-	slen, err := sc.w.Uvarint()
-	if err != nil {
-		return sc.fail(sc.short("item", err))
-	}
-	if slen > maxSectionLen {
-		return sc.fail(ErrRunCorrupt)
-	}
-	// prev grows by the suffix bytes that arrive, never to the declared
-	// length up front: a corrupt length must not buy an allocation.
-	if sc.prev, err = sc.w.Append(sc.prev[:h], slen); err != nil {
-		return sc.fail(sc.short("item", err))
-	}
-	return sc.prev, int32(h), sat, true, nil
-}
-
-// maxRunPageItems and maxSectionLen bound declared counts so a corrupt
-// stream fails fast instead of allocating unboundedly (mirrors the wire
-// package's section bound).
-const (
-	maxRunPageItems = 1 << 30
-	maxSectionLen   = 1<<31 - 1
-)
+// maxRunPageItems bounds a page's declared item count, so a corrupt stream
+// fails fast; the cursor bounds each string by what an int32 LCP can
+// address (math.MaxInt32), and grows its buffer only by bytes that arrive.
+const maxRunPageItems = 1 << 30
 
 // ReadRunFile loads a whole sorted-run file into memory — a convenience
 // for tests and for diffing a budgeted run against an in-RAM one.

@@ -372,6 +372,8 @@ var goldenCases = []goldenCase{
 		lcpWork: 253291, lcpHash: 0x6d5cdb179ddc564e, sortWork: 310983, sortHash: 0x874a881a73da6a05},
 	{name: "window-ends", gen: windowEnds,
 		lcpWork: 449324, lcpHash: 0xadcb8c78b547ed60, sortWork: 515088, sortHash: 0xe9eccde770079eed},
+	{name: "nul-tails", gen: nulTails,
+		lcpWork: 233141, lcpHash: 0x35e2a1e30da46cf, sortWork: 314136, sortHash: 0x90c7041d57bb9a69},
 	{name: "late-mismatch", gen: lateMismatch,
 		lcpWork: 1505011, lcpHash: 0x8a96419bc6848d81, sortWork: 1505011, sortHash: 0xf6fba6c35e020cdc},
 	{name: "prefix60", gen: func() [][]byte { return sharedPrefix(12000, 60) },
@@ -394,6 +396,20 @@ func windowEnds() [][]byte {
 			s = append(s, byte('0'+rng.Intn(10)))
 		}
 		ss[i] = s
+	}
+	return ss
+}
+
+// nulTails is 20 000 nine-digit numbers, few of them distinct, each
+// followed by zero to three 0x00 bytes: a string and the same string plus
+// "\x00" end inside one cached window, where only the window's string-end
+// count tells them apart ("000000010" sorts before "000000010\x00").
+func nulTails() [][]byte {
+	rng := rand.New(rand.NewSource(23))
+	ss := make([][]byte, 20000)
+	for i := range ss {
+		s := []byte(fmt.Sprintf("%09d", rng.Intn(40)))
+		ss[i] = append(s, make([]byte, rng.Intn(4))...)
 	}
 	return ss
 }

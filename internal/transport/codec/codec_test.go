@@ -155,7 +155,7 @@ func TestFrameFallsBackOnIncompressibleData(t *testing.T) {
 // TestLCPCodecTargetsStringRuns pins the front-coding codec's dual-mode
 // dispatch: a genuine Step-3 run takes the structural Golomb-repack path
 // (and shrinks), while structurally different messages — fixed-width
-// fingerprint sets, composite PDMS bundles — take the whole-frame deflate
+// fingerprint sets, runs with a satellite column — take the whole-frame deflate
 // fallback, each marked by the leading mode byte and both round-tripping
 // byte-identically.
 func TestLCPCodecTargetsStringRuns(t *testing.T) {

@@ -1,21 +1,21 @@
-// The LCP front-coding-aware codec. The Step-3 exchange frames of MS and
-// PDMS are already front-coded by the wire package — per string a uvarint
-// LCP with the predecessor, a uvarint suffix length, and the suffix
-// characters — but the header varints still cost whole bytes and the
-// suffix characters still ship verbatim. This codec understands that
-// structure: a frame that parses as a canonical string run has its
-// (lcp, length) header pairs re-packed as Golomb codes in a single bit
-// stream (reusing internal/golomb's word-buffered bit I/O) and its
-// concatenated suffix characters deflated separately, which compresses
-// better once the interleaved varints are out of the way.
+// The LCP front-coding-aware codec. The Step-3 exchange frames of MS are
+// already front-coded by the wire package — per string a uvarint LCP with
+// the predecessor, a uvarint suffix length, and the suffix characters —
+// but the header varints still cost whole bytes and the suffix characters
+// still ship verbatim. This codec understands that structure: a frame that
+// parses as a canonical string run has its (lcp, length) header pairs
+// re-packed as Golomb codes in a single bit stream (reusing
+// internal/golomb's word-buffered bit I/O) and its concatenated suffix
+// characters deflated separately, which compresses better once the
+// interleaved varints are out of the way.
 //
-// Frames with any other structure — PDMS's composite prefix+origin
-// bundles, plain (non-front-coded) string sets, splitter samples,
-// fingerprint vectors — fall back to whole-frame deflate inside the same
-// codec id; a leading mode byte tells the decoder which path ran. The
-// codec is therefore never worse than flate by more than the mode byte,
-// and strictly better exactly where the front-coded structure it
-// understands dominates the frame.
+// Frames with any other structure — runs with a satellite column (PDMS's
+// prefixes with their origins, hQuick's tagged strings), plain
+// (non-front-coded) string sets, splitter samples, fingerprint vectors —
+// fall back to whole-frame deflate inside the same codec id; a leading
+// mode byte tells the decoder which path ran. The codec is therefore never
+// worse than flate by more than the mode byte, and strictly better exactly
+// where the front-coded structure it understands dominates the frame.
 package codec
 
 import (

@@ -1,58 +1,54 @@
-// Pull decoding of front-coded byte sequences that arrive in spans: a
-// Window is a read position over spans pulled from a fill function, and a
-// RunCursor decodes one encoded Step-3 run on it, ONE string per pull, into
-// a single reused buffer. A budgeted run therefore stays in its encoded
-// form — in RAM and in its page file — until the merge asks for its next
-// string, and the sorted-run scanner of the spill layer reads its file
-// through the same Window. The decoded output is identical, string for
-// string and LCP for LCP, to the corresponding one-shot decoder
-// (DecodeStrings / DecodeStringsLCP): a memory budget must not change a
-// single byte of what the merge sees.
+// Pull decoding of runs that arrive in spans: a window is a read position
+// over spans pulled from a fill function, and a RunCursor decodes runs on
+// it ONE item per pull, into a single reused buffer. A budgeted run
+// therefore stays in its encoded form — in RAM and in its page file — until
+// the merge asks for its next string, and the sorted-run scanner of the
+// spill layer reads its file, page by page, through a cursor too. The
+// decoded output is identical, string for string, LCP for LCP and satellite
+// for satellite, to the one-shot decoder (DecodeRun): a memory budget must
+// not change a single byte of what the merge sees.
 //
 // Aliasing contract: a span only has to stay valid until fill is called
-// for the next one — a Window asks for it only once it has consumed the
-// current span to its last byte — and nothing a Window or RunCursor returns
-// aliases a span: bytes are copied into the caller's or the cursor's own
-// buffer. The string RunCursor.Next returns is that buffer, valid until the
-// next pull, which is exactly what merge.Source promises a MergeSink (see
-// there).
+// for the next one — a window asks for it only once it has consumed the
+// current span to its last byte — and nothing a RunCursor returns aliases a
+// span: bytes are copied into the cursor's own buffer. The string
+// RunCursor.Next returns is that buffer, valid until the next pull, which
+// is exactly what merge.Source promises a MergeSink (see there).
 package wire
 
 import (
 	"encoding/binary"
 	"io"
+	"math"
 )
 
-// RunFormat identifies the wire layout of one exchanged run for pull
-// decoding. The layouts are exactly the ones the sorters' Step-3 encoders
-// produce; RunCursor must track every format change made there.
-type RunFormat int
+// RunFormat is the set of optional item columns a run holds (see the
+// package comment for the layout). Its bits are the column flags of a
+// sorted-run file's header.
+type RunFormat uint8
 
 const (
-	// RunStrings is the EncodeStrings layout: count, then length-prefixed
-	// strings (MS-simple and FKmerge).
-	RunStrings RunFormat = iota
-	// RunStringsLCP is the EncodeStringsLCP layout: count, then per string
-	// the LCP with the predecessor and the remaining suffix (MS, and the
-	// prefix blob of a PDMS bucket).
-	RunStringsLCP
+	// RunLCP: every item carries its LCP with the run's previous string,
+	// and only the characters after it.
+	RunLCP RunFormat = 1 << iota
+	// RunSats: every item carries a satellite word.
+	RunSats
+	// RunStrings holds neither column: every item is its full string.
+	RunStrings RunFormat = 0
 )
 
-// Window reads a byte sequence front to back from the spans fill returns,
+// window reads a byte sequence front to back from the spans fill returns,
 // in order; an empty span ends the sequence. Its errors are the io
 // package's: io.EOF when the sequence ends before a value's first byte,
 // io.ErrUnexpectedEOF when it ends inside one. Confined to one goroutine.
-type Window struct {
+type window struct {
 	fill func() []byte
 	b    []byte // unconsumed rest of the current span
 }
 
-// NewWindow returns a window at the start of fill's sequence.
-func NewWindow(fill func() []byte) *Window { return &Window{fill: fill} }
-
 // ReadByte consumes one byte (io.ByteReader). fill is only called with the
 // current span fully consumed, so no tail outlives its span.
-func (w *Window) ReadByte() (byte, error) {
+func (w *window) ReadByte() (byte, error) {
 	if len(w.b) == 0 {
 		if w.b = w.fill(); len(w.b) == 0 {
 			return 0, io.EOF
@@ -64,7 +60,7 @@ func (w *Window) ReadByte() (byte, error) {
 }
 
 // Uvarint consumes one unsigned varint.
-func (w *Window) Uvarint() (uint64, error) {
+func (w *window) Uvarint() (uint64, error) {
 	if v, n := binary.Uvarint(w.b); n > 0 {
 		w.b = w.b[n:]
 		return v, nil
@@ -77,7 +73,7 @@ func (w *Window) Uvarint() (uint64, error) {
 // Append consumes the next n bytes and appends them to dst. dst grows only
 // by bytes that arrived, never by the declared n, so a corrupt length
 // costs no more memory than the sequence is long.
-func (w *Window) Append(dst []byte, n uint64) ([]byte, error) {
+func (w *window) Append(dst []byte, n uint64) ([]byte, error) {
 	for {
 		take := int(min(n, uint64(len(w.b))))
 		dst = append(dst, w.b[:take]...)
@@ -91,28 +87,30 @@ func (w *Window) Append(dst []byte, n uint64) ([]byte, error) {
 	}
 }
 
-// RunCursor decodes one encoded run from a Window, one string per Next. It
-// fails where the one-shot decoders fail — ErrTruncated when the bytes run
-// out, ErrCorrupt on a bad varint or LCP — and like them ignores whatever
-// follows the run's last string.
+// RunCursor decodes encoded runs from a byte sequence, one item per Next.
+// It fails where the one-shot decoder fails — ErrTruncated when the bytes
+// run out, ErrCorrupt on a bad varint or LCP — and also on a string longer
+// than an int32 LCP can address; like the one-shot decoder it ignores
+// whatever follows the run's last item. Continue reads a further run that
+// follows in the same sequence.
 type RunCursor struct {
-	w      *Window
+	w      window
 	format RunFormat
 	opened bool   // count header read
-	count  uint64 // declared string count
-	read   uint64 // strings decoded so far
+	count  uint64 // declared item count
+	read   uint64 // items decoded so far
 	cur    []byte // the current string; reused by every Next
 	err    error
 }
 
-// NewRunCursor returns a cursor over one run in the given format, read
-// from the spans fill returns (see Window).
+// NewRunCursor returns a cursor over a run of the given format, read from
+// the spans fill returns (see the package's aliasing contract).
 func NewRunCursor(format RunFormat, fill func() []byte) *RunCursor {
 	// cur starts non-nil so that every decoded string — including an empty
 	// string at the very start of the run — is a non-nil slice, like the
-	// one-shot decoders produce. A nil head would read as the loser tree's
+	// one-shot decoder produces. A nil head would read as the loser tree's
 	// +∞ exhausted sentinel and silently drop the rest of the run.
-	return &RunCursor{w: NewWindow(fill), format: format, cur: []byte{}}
+	return &RunCursor{w: window{fill: fill}, format: format, cur: []byte{}}
 }
 
 // fail records the run's first error in the decoders' vocabulary.
@@ -124,45 +122,64 @@ func (c *RunCursor) fail(err error) error {
 	return c.err
 }
 
-// Count returns the run's declared string count, reading the header if no
+// Count returns the run's declared item count, reading the header if no
 // Next has done so yet.
 func (c *RunCursor) Count() (uint64, error) {
 	if !c.opened {
-		c.opened = true
-		var err error
-		if c.count, err = c.w.Uvarint(); err != nil {
-			c.fail(err)
-		}
+		c.open()
 	}
 	return c.count, c.err
 }
 
-// Next decodes the run's next string and its LCP with the previous one (0
-// for the first, and always 0 for RunStrings). ok=false with a nil error
-// means the run is complete. s is the cursor's one buffer: valid, and
-// unchanged, only until the next call.
-func (c *RunCursor) Next() (s []byte, lcp int32, ok bool, err error) {
+// open reads the run's count header.
+func (c *RunCursor) open() {
+	c.opened = true
+	var err error
+	if c.count, err = c.w.Uvarint(); err != nil {
+		c.fail(err)
+	}
+}
+
+// Continue moves the cursor, its run complete, to the run that follows it
+// in the sequence, whose front coding continues from this run's last
+// string: the pages of a sorted-run file.
+func (c *RunCursor) Continue() { c.opened, c.read = false, 0 }
+
+// Next decodes the run's next item: its string, its LCP with the previous
+// string (0 for the first of the sequence and without RunLCP) and its
+// satellite (0 without RunSats). ok=false with a nil error means the run
+// is complete. s is the cursor's one buffer: valid, and unchanged, only
+// until the next call.
+func (c *RunCursor) Next() (s []byte, lcp int32, sat uint64, ok bool, err error) {
 	if n, err := c.Count(); err != nil || c.read == n {
-		return nil, 0, false, err
+		return nil, 0, 0, false, err
 	}
 	var h uint64
-	if c.format == RunStringsLCP {
+	if c.format&RunLCP != 0 {
 		if h, err = c.w.Uvarint(); err != nil {
-			return nil, 0, false, c.fail(err)
+			return nil, 0, 0, false, c.fail(err)
 		}
-		// Mirror the one-shot validation: the first string carries no
-		// prefix, and no prefix may exceed the predecessor's length.
-		if (c.read == 0 && h != 0) || h > uint64(len(c.cur)) {
-			return nil, 0, false, c.fail(nil)
+		// Mirror the one-shot validation: no prefix may exceed the
+		// predecessor's length (so the first string carries none).
+		if h > uint64(len(c.cur)) {
+			return nil, 0, 0, false, c.fail(nil)
+		}
+	}
+	if c.format&RunSats != 0 {
+		if sat, err = c.w.Uvarint(); err != nil {
+			return nil, 0, 0, false, c.fail(err)
 		}
 	}
 	n, err := c.w.Uvarint()
+	if err == nil && n > math.MaxInt32-h {
+		err = ErrCorrupt
+	}
 	if err == nil {
 		c.cur, err = c.w.Append(c.cur[:h], n)
 	}
 	if err != nil {
-		return nil, 0, false, c.fail(err)
+		return nil, 0, 0, false, c.fail(err)
 	}
 	c.read++
-	return c.cur, int32(h), true, nil
+	return c.cur, int32(h), sat, true, nil
 }

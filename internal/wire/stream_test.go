@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -10,33 +11,29 @@ import (
 	"dss/internal/strutil"
 )
 
-// item is one decoded string of a run with its LCP.
+// item is one decoded item of a run.
 type item struct {
 	S   []byte
 	LCP int32
+	Sat uint64
 }
 
-// oneShot is the reference decoder of a format: the exact non-streaming
-// path each RunFormat mirrors (DecodeStrings / DecodeStringsLCP).
+// oneShot is the reference decoder of a format: the non-streaming path the
+// cursor mirrors (DecodeRun), with 0 for a column the format lacks.
 func oneShot(format RunFormat, msg []byte) ([]item, error) {
-	var ss [][]byte
-	var lcps []int32
-	var err error
-	switch format {
-	case RunStrings:
-		ss, err = DecodeStrings(msg)
-		lcps = make([]int32, len(ss))
-	case RunStringsLCP:
-		ss, lcps, err = DecodeStringsLCP(msg)
-	default:
-		panic("unknown format")
-	}
+	ss, lcps, sats, err := DecodeRun(format, msg)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]item, len(ss))
 	for i, s := range ss {
-		items[i] = item{S: s, LCP: lcps[i]}
+		items[i].S = s
+		if lcps != nil {
+			items[i].LCP = lcps[i]
+		}
+		if sats != nil {
+			items[i].Sat = sats[i]
+		}
 	}
 	return items, nil
 }
@@ -74,7 +71,7 @@ func streamDecode(format RunFormat, msg []byte, cuts []int) ([]item, error) {
 	c := NewRunCursor(format, spanFill(msg, cuts))
 	var items []item
 	for {
-		s, lcp, ok, err := c.Next()
+		s, lcp, sat, ok, err := c.Next()
 		if err != nil || !ok {
 			if n, _ := c.Count(); err == nil && n != uint64(len(items)) {
 				err = fmt.Errorf("cursor ended after %d of %d declared items", len(items), n)
@@ -84,7 +81,7 @@ func streamDecode(format RunFormat, msg []byte, cuts []int) ([]item, error) {
 		if s == nil {
 			return items, fmt.Errorf("item %d decoded to a nil slice", len(items))
 		}
-		items = append(items, item{S: append([]byte{}, s...), LCP: lcp})
+		items = append(items, item{S: append([]byte{}, s...), LCP: lcp, Sat: sat})
 	}
 }
 
@@ -93,7 +90,7 @@ func itemsEqual(a, b []item) bool {
 		return false
 	}
 	for i := range a {
-		if !bytes.Equal(a[i].S, b[i].S) || a[i].LCP != b[i].LCP {
+		if !bytes.Equal(a[i].S, b[i].S) || a[i].LCP != b[i].LCP || a[i].Sat != b[i].Sat {
 			return false
 		}
 	}
@@ -110,22 +107,20 @@ func lcpOf(a, b []byte) int32 {
 }
 
 // encodeRun builds a valid encoded run of the given format over a sorted
-// string set.
+// string set, with satellites of every varint width.
 func encodeRun(format RunFormat, ss [][]byte) []byte {
 	lcps := make([]int32, len(ss))
-	for i := 1; i < len(ss); i++ {
-		lcps[i] = lcpOf(ss[i-1], ss[i])
+	sats := make([]uint64, len(ss))
+	for i := range ss {
+		if i > 0 {
+			lcps[i] = lcpOf(ss[i-1], ss[i])
+		}
+		sats[i] = uint64(i+1) << (7 * (i % 5))
 	}
-	switch format {
-	case RunStrings:
-		return EncodeStrings(ss)
-	case RunStringsLCP:
-		return EncodeStringsLCP(ss, lcps)
-	}
-	panic("unknown format")
+	return EncodeRun(format, strutil.Set{Strings: ss}, lcps, sats)
 }
 
-var runFormats = []RunFormat{RunStrings, RunStringsLCP}
+var runFormats = []RunFormat{RunStrings, RunLCP, RunSats, RunLCP | RunSats}
 
 // testRuns are the string-set shapes every format is exercised with.
 func testRuns() [][][]byte {
@@ -238,11 +233,11 @@ func FuzzRunCursor(f *testing.F) {
 			}
 		}
 	}
-	f.Add(uint8(RunStringsLCP), uint8(1), []byte{2, 0, 3, 'a', 'b', 'c', 9, 1}) // lcp 9 > prev len
-	f.Add(uint8(RunStrings), uint8(2), []byte{1, 200, 1, 'x'})                  // string longer than msg
-	f.Add(uint8(RunStrings), uint8(1), bytes.Repeat([]byte{0xff}, 16))          // varint overflow
+	f.Add(uint8(RunLCP), uint8(1), []byte{2, 0, 3, 'a', 'b', 'c', 9, 1}) // lcp 9 > prev len
+	f.Add(uint8(RunStrings), uint8(2), []byte{1, 200, 1, 'x'})           // string longer than msg
+	f.Add(uint8(RunStrings), uint8(1), bytes.Repeat([]byte{0xff}, 16))   // varint overflow
 	f.Fuzz(func(t *testing.T, f8, width8 uint8, msg []byte) {
-		format := RunFormat(f8 % 2)
+		format := RunFormat(f8 % 4)
 		width := int(width8%16) + 1
 		want, wantErr := oneShot(format, msg)
 		var cuts []int
@@ -289,6 +284,51 @@ func TestRunCursorEmptyFirstStringIsNonNil(t *testing.T) {
 	}
 }
 
+// TestRunCursorContinue reads a sorted run cut into runs whose front
+// coding continues across the cuts, as a sorted-run file's pages hold it:
+// after Continue the cursor must take the next run's first LCP against
+// the previous run's last string, and yield the items of the uncut run.
+// The one-shot decoder rejects such a continuation run on its own.
+func TestRunCursorContinue(t *testing.T) {
+	ss := testRuns()[5]
+	for _, format := range []RunFormat{RunLCP, RunLCP | RunSats} {
+		whole := encodeRun(format, ss)
+		want, err := oneShot(format, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq []byte
+		for lo := 0; lo < len(want); lo += 2 {
+			page := binary.AppendUvarint(nil, uint64(min(2, len(want)-lo)))
+			for _, it := range want[lo:min(lo+2, len(want))] {
+				page = AppendItem(page, format, it.S, it.LCP, it.Sat)
+			}
+			if lo > 0 {
+				if _, err := oneShot(format, page); err == nil {
+					t.Fatalf("format %d: the page at item %d decodes on its own", format, lo)
+				}
+			}
+			seq = append(seq, page...)
+		}
+		c := NewRunCursor(format, spanFill(seq, []int{3, 7}))
+		var got []item
+		for len(got) < len(want) {
+			s, lcp, sat, ok, err := c.Next()
+			if err != nil {
+				t.Fatalf("format %d item %d: %v", format, len(got), err)
+			}
+			if !ok {
+				c.Continue()
+				continue
+			}
+			got = append(got, item{S: append([]byte{}, s...), LCP: lcp, Sat: sat})
+		}
+		if !itemsEqual(want, got) {
+			t.Fatalf("format %d: the continued runs decode to other items than the whole run", format)
+		}
+	}
+}
+
 // benchInput is one PE's share of the benchmark text (cc_ms_*), sorted,
 // with its LCP array.
 func benchInput() ([][]byte, []int32) {
@@ -316,14 +356,14 @@ func BenchmarkRunCursor(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rest := msg
-				c := NewRunCursor(RunStringsLCP, func() []byte {
+				c := NewRunCursor(RunLCP, func() []byte {
 					s := rest[:min(span, len(rest))]
 					rest = rest[len(s):]
 					return s
 				})
 				got := 0
 				for {
-					s, _, ok, err := c.Next()
+					s, _, _, ok, err := c.Next()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -372,12 +412,12 @@ func BenchmarkAppendStringsLCP(b *testing.B) {
 		set  strutil.Set
 	}{{"order", sorted}, {"gathered", strutil.Set{Strings: sorted.Gather()}}} {
 		b.Run(c.name, func(b *testing.B) {
-			buf := make([]byte, 0, SetLCPSize(c.set, lcps))
+			buf := make([]byte, 0, RunSize(RunLCP, c.set, lcps, nil))
 			b.SetBytes(int64(cap(buf)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				size := SetLCPSize(c.set, lcps)
-				msg := AppendSetLCP(buf[:0:size], c.set, lcps)
+				size := RunSize(RunLCP, c.set, lcps, nil)
+				msg := AppendRun(buf[:0:size], RunLCP, c.set, lcps, nil)
 				benchSink += len(msg)
 			}
 		})

@@ -1,9 +1,25 @@
 // Package wire implements the binary message formats of the distributed
-// string sorters: variable-length integers, plain string-set serialization,
-// and the LCP-compressed exchange format of Step 3 of Algorithm MS
-// (Section V-B of the paper). LCP compression transmits, for each string
-// after the first of a run, only the length of the common prefix with the
-// previous string and the remaining characters.
+// string sorters: variable-length integers, fixed-width values, bitsets,
+// and the one run layout that every string payload of the sorters and
+// every page of a sorted-run file share. A run is a uvarint item count,
+// then per item
+//
+//	[uvarint lcp]  with RunLCP: the LCP with the previous string of the run
+//	[uvarint sat]  with RunSats: the item's satellite word
+//	uvarint n      then n bytes: the string's characters after the LCP
+//
+// The run's format says which of the two optional columns it holds. MS
+// ships its Step-3 buckets with the LCP column (the LCP compression of
+// Section V-B of the paper: after the first string of a run, only the
+// length of the common prefix with the previous string and the remaining
+// characters travel), MS-simple and FKmerge with neither, PDMS its
+// distinguishing prefixes with both (the satellite is the origin), and
+// hQuick its strings with the satellite column (the tie-breaking id).
+// Apart from the transport's lcp codec, which re-packs LCP runs in flight,
+// this package is the only code that encodes or decodes an item: the sizer
+// and encoder (RunSize, AppendRun, AppendItem), the one-shot decoder
+// (DecodeRun), the extent walk (RunExtent) and the pull decoder
+// (RunCursor).
 package wire
 
 import (
@@ -101,104 +117,152 @@ func UvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// StringsSize returns the exact encoded size of EncodeStrings(ss).
-func StringsSize(ss [][]byte) int { return SetSize(strutil.Set{Strings: ss}) }
-
-// setBlock is how many strings the set encoders load at a time
+// setBlock is how many strings the run encoders load at a time
 // (strutil.Set.Load): the headers of a bucket read through Step 1's order
 // lie anywhere in the caller's array, and loading a block of them in one
 // loop overlaps their cache misses. A block is 1.5 KiB of stack.
 const setBlock = 64
 
-// SetSize returns the exact encoded size of AppendSet(nil, set).
-func SetSize(set strutil.Set) int {
+// checkColumns panics unless every column f holds has one entry per item.
+func checkColumns(f RunFormat, n int, lcps []int32, sats []uint64) {
+	if n > 0 && (f&RunLCP != 0 && len(lcps) != n || f&RunSats != 0 && len(sats) != n) {
+		panic(fmt.Sprintf("wire: %d strings but %d lcps and %d satellites", n, len(lcps), len(sats)))
+	}
+}
+
+// AppendItem appends one item of a run of format f: s, front-coded by its
+// LCP lcp with the run's previous string (ignored without RunLCP; at most
+// len(s)), and its satellite sat (ignored without RunSats).
+func AppendItem(dst []byte, f RunFormat, s []byte, lcp int32, sat uint64) []byte {
+	h := 0
+	if f&RunLCP != 0 {
+		h = int(lcp)
+		dst = binary.AppendUvarint(dst, uint64(h))
+	}
+	if f&RunSats != 0 {
+		dst = binary.AppendUvarint(dst, sat)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(s)-h))
+	return append(dst, s[h:]...)
+}
+
+// RunSize returns the exact encoded size of AppendRun(nil, f, set, lcps,
+// sats).
+func RunSize(f RunFormat, set strutil.Set, lcps []int32, sats []uint64) int {
 	n := set.Len()
 	total := UvarintLen(uint64(n))
 	var blk [setBlock][]byte
 	for base := 0; base < n; base += setBlock {
-		for _, s := range set.Load(blk[:], base) {
-			total += UvarintLen(uint64(len(s))) + len(s)
+		for j, s := range set.Load(blk[:], base) {
+			h := 0
+			if f&RunLCP != 0 {
+				if base+j > 0 {
+					h = int(lcps[base+j])
+				}
+				total += UvarintLen(uint64(h))
+			}
+			if f&RunSats != 0 {
+				total += UvarintLen(sats[base+j])
+			}
+			total += UvarintLen(uint64(len(s)-h)) + len(s) - h
 		}
 	}
 	return total
 }
 
-// EncodeStrings serializes a string set without LCP compression:
-// count, then length-prefixed strings. This is the exchange format of
-// MS-simple and FKmerge.
-func EncodeStrings(ss [][]byte) []byte {
-	return AppendStrings(make([]byte, 0, StringsSize(ss)), ss)
-}
-
-// AppendStrings appends the EncodeStrings encoding of ss to dst and
-// returns the extended slice, letting callers serialize many runs into one
-// pre-sized arena with O(1) allocations.
-func AppendStrings(dst []byte, ss [][]byte) []byte {
-	return AppendSet(dst, strutil.Set{Strings: ss})
-}
-
-// AppendSet is AppendStrings over the strings of set, in set order: the
-// Step-3 encoder of a bucket read through Step 1's order.
-func AppendSet(dst []byte, set strutil.Set) []byte {
+// AppendRun appends the run of format f over the strings of set, in set
+// order, to dst and returns the extended slice, so callers can serialize
+// many runs into one pre-sized buffer. lcps[i] (RunLCP) and sats[i]
+// (RunSats) belong to the i-th string of set; a column f lacks may be nil.
+// lcps[0] is ignored: the first string of a run always travels in full, so
+// callers can pass a sub-slice of a larger LCP array without zeroing its
+// boundary entry. Its loop body is AppendItem written out: it is Step 3's
+// hot loop, where a call per item showed in BenchmarkAppendStringsLCP.
+func AppendRun(dst []byte, f RunFormat, set strutil.Set, lcps []int32, sats []uint64) []byte {
 	n := set.Len()
+	checkColumns(f, n, lcps, sats)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	var blk [setBlock][]byte
 	for base := 0; base < n; base += setBlock {
-		for _, s := range set.Load(blk[:], base) {
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
+		for j, s := range set.Load(blk[:], base) {
+			h := 0
+			if f&RunLCP != 0 {
+				if base+j > 0 {
+					h = int(lcps[base+j])
+				}
+				dst = binary.AppendUvarint(dst, uint64(h))
+			}
+			if f&RunSats != 0 {
+				dst = binary.AppendUvarint(dst, sats[base+j])
+			}
+			dst = binary.AppendUvarint(dst, uint64(len(s)-h))
+			dst = append(dst, s[h:]...)
 		}
 	}
 	return dst
 }
 
-// DecodeStrings reverses EncodeStrings. The returned strings are copies and
-// do not alias the message buffer beyond a single backing array. The whole
-// message is validated and sized (RunExtent) before anything is allocated,
-// so a peer's lying count costs nothing.
+// EncodeRun is AppendRun into a buffer of exactly the run's size.
+func EncodeRun(f RunFormat, set strutil.Set, lcps []int32, sats []uint64) []byte {
+	return AppendRun(make([]byte, 0, RunSize(f, set, lcps, sats)), f, set, lcps, sats)
+}
+
+// EncodeStrings encodes ss as a RunStrings run.
+func EncodeStrings(ss [][]byte) []byte {
+	return EncodeRun(RunStrings, strutil.Set{Strings: ss}, nil, nil)
+}
+
+// DecodeStrings decodes a RunStrings run.
 func DecodeStrings(msg []byte) ([][]byte, error) {
-	n, chars, err := RunExtent(RunStrings, msg)
-	if err != nil {
-		return nil, err
-	}
-	r := NewReader(msg)
-	r.Uvarint()
-	out := make([][]byte, n)
-	// Single backing array for cache friendliness.
-	backing := make([]byte, 0, chars)
-	for i := range out {
-		s, _ := r.BytesPrefixed()
-		off := len(backing)
-		backing = append(backing, s...)
-		out[i] = backing[off:len(backing):len(backing)]
-	}
-	return out, nil
+	ss, _, _, err := DecodeRun(RunStrings, msg)
+	return ss, err
+}
+
+// StringsLCPSize is RunSize of the RunLCP run of ss.
+func StringsLCPSize(ss [][]byte, lcps []int32) int {
+	return RunSize(RunLCP, strutil.Set{Strings: ss}, lcps, nil)
+}
+
+// AppendStringsLCP is AppendRun of the RunLCP run of ss.
+func AppendStringsLCP(dst []byte, ss [][]byte, lcps []int32) []byte {
+	return AppendRun(dst, RunLCP, strutil.Set{Strings: ss}, lcps, nil)
+}
+
+// DecodeStringsLCP is DecodeRun of a RunLCP run.
+func DecodeStringsLCP(msg []byte) ([][]byte, []int32, error) {
+	ss, lcps, _, err := DecodeRun(RunLCP, msg)
+	return ss, lcps, err
 }
 
 // RunExtent walks an encoded run's varints without materializing a string
 // and returns its string count and the total length of its decoded strings
 // — what a decoder needs to size its output exactly. It rejects what the
 // decoders reject: a count no message this short can hold, a truncated
-// string, and in RunStringsLCP a first LCP other than 0 or an LCP longer
-// than the predecessor. Bytes after the run's last string are ignored.
-func RunExtent(format RunFormat, msg []byte) (n, chars int, err error) {
+// item, and an LCP longer than the predecessor (so a first LCP other than
+// 0). Bytes after the run's last item are ignored.
+func RunExtent(f RunFormat, msg []byte) (n, chars int, err error) {
 	r := NewReader(msg)
 	cnt, err := r.Uvarint()
 	if err != nil {
 		return 0, 0, err
 	}
-	if cnt > uint64(len(msg)) { // every string takes at least one byte
+	if cnt > uint64(len(msg)) { // every item takes at least one byte
 		return 0, 0, ErrCorrupt
 	}
 	prevLen := 0
 	for i := uint64(0); i < cnt; i++ {
 		var h uint64
-		if format == RunStringsLCP {
+		if f&RunLCP != 0 {
 			if h, err = r.Uvarint(); err != nil {
 				return 0, 0, err
 			}
-			if (i == 0 && h != 0) || h > uint64(prevLen) {
+			if h > uint64(prevLen) {
 				return 0, 0, ErrCorrupt
+			}
+		}
+		if f&RunSats != 0 {
+			if _, err = r.Uvarint(); err != nil {
+				return 0, 0, err
 			}
 		}
 		s, err := r.BytesPrefixed()
@@ -211,109 +275,45 @@ func RunExtent(format RunFormat, msg []byte) (n, chars int, err error) {
 	return int(cnt), chars, nil
 }
 
-// EncodeStringsLCP serializes a sorted run of strings with LCP compression:
-// count, then for each string the LCP with the previous string of the run
-// and only the remaining suffix characters. lcps[i] must be
-// LCP(ss[i-1], ss[i]); lcps[0] is ignored (the first string is always sent
-// in full). This is the Step 3 exchange format of Algorithm MS with LCP
-// compression and of PDMS.
-func EncodeStringsLCP(ss [][]byte, lcps []int32) []byte {
-	return AppendStringsLCP(make([]byte, 0, StringsLCPSize(ss, lcps)), ss, lcps)
-}
-
-// StringsLCPSize returns the exact encoded size of EncodeStringsLCP.
-func StringsLCPSize(ss [][]byte, lcps []int32) int {
-	return SetLCPSize(strutil.Set{Strings: ss}, lcps)
-}
-
-// SetLCPSize returns the exact encoded size of AppendSetLCP(nil, set, lcps).
-func SetLCPSize(set strutil.Set, lcps []int32) int {
-	n := set.Len()
-	total := UvarintLen(uint64(n))
-	var blk [setBlock][]byte
-	for base := 0; base < n; base += setBlock {
-		for j, s := range set.Load(blk[:], base) {
-			h := 0
-			if base+j > 0 {
-				h = int(lcps[base+j])
-			}
-			total += UvarintLen(uint64(h)) + UvarintLen(uint64(len(s)-h)) + len(s) - h
-		}
-	}
-	return total
-}
-
-// AppendStringsLCP appends the EncodeStringsLCP encoding to dst and
-// returns the extended slice (see AppendStrings). lcps[0] is ignored: the
-// first string of a run always travels in full, so callers can pass a
-// sub-slice of a larger LCP array without zeroing its boundary entry.
-func AppendStringsLCP(dst []byte, ss [][]byte, lcps []int32) []byte {
-	return AppendSetLCP(dst, strutil.Set{Strings: ss}, lcps)
-}
-
-// AppendSetLCP is AppendStringsLCP over the strings of set, in set order,
-// with lcps in that order too: the Step-3 encoder of a bucket read through
-// Step 1's order.
-func AppendSetLCP(dst []byte, set strutil.Set, lcps []int32) []byte {
-	n := set.Len()
-	if n != len(lcps) && n > 0 {
-		panic(fmt.Sprintf("wire: %d strings but %d lcps", n, len(lcps)))
-	}
-	dst = binary.AppendUvarint(dst, uint64(n))
-	var blk [setBlock][]byte
-	for base := 0; base < n; base += setBlock {
-		for j, s := range set.Load(blk[:], base) {
-			h := 0
-			if base+j > 0 {
-				h = int(lcps[base+j])
-				if h > len(s) {
-					panic(fmt.Sprintf("wire: lcp %d exceeds string length %d", h, len(s)))
-				}
-			}
-			dst = binary.AppendUvarint(dst, uint64(h))
-			dst = binary.AppendUvarint(dst, uint64(len(s)-h))
-			dst = append(dst, s[h:]...)
-		}
-	}
-	return dst
-}
-
-// DecodeStringsLCP reverses EncodeStringsLCP, rematerializing full strings
-// by copying the shared prefix from the previously decoded string. It
-// returns the strings and the LCP array of the run (lcps[0] == 0).
-//
-// The decode is flat-arena: RunExtent validates the message and computes
-// the exact total character count, then all strings are materialized as
-// sub-slices of one contiguous backing buffer — three allocations per
-// message instead of one per string.
-func DecodeStringsLCP(msg []byte) ([][]byte, []int32, error) {
-	cnt, total, err := RunExtent(RunStringsLCP, msg)
+// DecodeRun reverses AppendRun: the strings, rematerialized by copying the
+// shared prefix from the previously decoded string, and the columns f
+// holds (nil for one it lacks; lcps[0] == 0). RunExtent validates and
+// sizes the whole message first, so a peer's lying count costs nothing,
+// and the strings are sub-slices of one exactly sized arena that does not
+// alias msg.
+func DecodeRun(f RunFormat, msg []byte) (ss [][]byte, lcps []int32, sats []uint64, err error) {
+	n, chars, err := RunExtent(f, msg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	r := NewReader(msg)
 	r.Uvarint()
-	ss := make([][]byte, 0, cnt)
-	lcps := make([]int32, 0, cnt)
-	arena := make([]byte, 0, total)
+	ss = make([][]byte, n)
+	if f&RunLCP != 0 {
+		lcps = make([]int32, n)
+	}
+	if f&RunSats != 0 {
+		sats = make([]uint64, n)
+	}
+	arena := make([]byte, 0, chars)
 	var prev []byte
-	for i := 0; i < cnt; i++ {
-		h64, _ := r.Uvarint()
-		h := int(h64)
+	for i := range ss {
+		var h uint64
+		if lcps != nil {
+			h, _ = r.Uvarint()
+			lcps[i] = int32(h)
+		}
+		if sats != nil {
+			sats[i], _ = r.Uvarint()
+		}
 		suffix, _ := r.BytesPrefixed()
 		off := len(arena)
 		arena = append(arena, prev[:h]...)
 		arena = append(arena, suffix...)
-		end := len(arena)
-		s := arena[off:end:end]
-		ss = append(ss, s)
-		lcps = append(lcps, int32(h))
-		prev = s
+		ss[i] = arena[off:len(arena):len(arena)]
+		prev = ss[i]
 	}
-	if len(lcps) > 0 {
-		lcps[0] = 0
-	}
-	return ss, lcps, nil
+	return ss, lcps, sats, nil
 }
 
 // EncodeUint64s serializes a uint64 slice as varints.

@@ -128,7 +128,7 @@ func TestEncodeStringsLCPRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		ss, lcps := sortedRun(rng, rng.Intn(20))
-		msg := EncodeStringsLCP(ss, lcps)
+		msg := AppendStringsLCP(nil, ss, lcps)
 		gotSS, gotLCP, err := DecodeStringsLCP(msg)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -166,7 +166,7 @@ func TestLCPCompressionSavesBytes(t *testing.T) {
 		}
 	}
 	plain := len(EncodeStrings(ss))
-	comp := len(EncodeStringsLCP(ss, lcps))
+	comp := len(AppendStringsLCP(nil, ss, lcps))
 	if comp*5 > plain {
 		t.Fatalf("LCP compression too weak: %d vs %d plain bytes", comp, plain)
 	}
@@ -320,16 +320,19 @@ func TestDecodeStringsValidatesBeforeAllocating(t *testing.T) {
 }
 
 // TestSetEncodersMatchGathered is the differential of the order-reading
-// Step-3 encoders against the gathered path: a sorted set read through its
+// Step-3 encoder against the gathered path: a sorted set read through its
 // order must size and encode to exactly the bytes of the same strings
-// gathered into one array, in both formats, over every bucket cut — and
-// decode back to those strings. Empty and nil strings included.
+// gathered into one array, in every format, over every bucket cut — and
+// decode back to those strings and columns. Empty and nil strings
+// included.
 func TestSetEncodersMatchGathered(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(60)
 		ss := make([][]byte, n)
+		sats := make([]uint64, n)
 		for i := range ss {
+			sats[i] = rng.Uint64() >> rng.Intn(64)
 			switch rng.Intn(6) {
 			case 0: // nil
 			case 1:
@@ -351,31 +354,26 @@ func TestSetEncodersMatchGathered(t *testing.T) {
 		lcps := strutil.ComputeLCPArray(spine)
 		lo := rng.Intn(n + 1)
 		hi := lo + rng.Intn(n-lo+1)
-		bucket, bspine, blcps := set.Slice(lo, hi), spine[lo:hi], lcps[lo:hi]
+		bucket, bspine, blcps, bsats := set.Slice(lo, hi), spine[lo:hi], lcps[lo:hi], sats[lo:hi]
 
-		want := AppendStringsLCP(nil, bspine, blcps)
-		if got := AppendSetLCP(nil, bucket, blcps); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: LCP encoding through the order differs from the gathered one", trial)
-		}
-		if size := SetLCPSize(bucket, blcps); size != len(want) || size != StringsLCPSize(bspine, blcps) {
-			t.Fatalf("trial %d: LCP size %d, encoded %d", trial, size, len(want))
-		}
-		dec, _, err := DecodeStringsLCP(want)
-		if err != nil || len(dec) != len(bspine) {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		for i := range dec {
-			if !bytes.Equal(dec[i], bspine[i]) {
-				t.Fatalf("trial %d: decoded string %d differs", trial, i)
+		for _, f := range runFormats {
+			want := AppendRun(nil, f, strutil.Set{Strings: bspine}, blcps, bsats)
+			if got := AppendRun(nil, f, bucket, blcps, bsats); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d format %d: encoding through the order differs from the gathered one", trial, f)
 			}
-		}
-
-		want = AppendStrings(nil, bspine)
-		if got := AppendSet(nil, bucket); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: plain encoding through the order differs from the gathered one", trial)
-		}
-		if size := SetSize(bucket); size != len(want) || size != StringsSize(bspine) {
-			t.Fatalf("trial %d: plain size %d, encoded %d", trial, size, len(want))
+			if size := RunSize(f, bucket, blcps, bsats); size != len(want) {
+				t.Fatalf("trial %d format %d: size %d, encoded %d", trial, f, size, len(want))
+			}
+			dec, dlcps, dsats, err := DecodeRun(f, want)
+			if err != nil || len(dec) != len(bspine) {
+				t.Fatalf("trial %d format %d: decode: %v", trial, f, err)
+			}
+			for i := range dec {
+				if !bytes.Equal(dec[i], bspine[i]) ||
+					f&RunLCP != 0 && i > 0 && dlcps[i] != blcps[i] || f&RunSats != 0 && dsats[i] != bsats[i] {
+					t.Fatalf("trial %d format %d: decoded item %d differs", trial, f, i)
+				}
+			}
 		}
 	}
 }

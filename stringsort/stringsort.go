@@ -306,9 +306,10 @@ type PEOutput struct {
 // fields OverlapMS, MaxOverlapMS, WallMS, WallTable, CPUMS, MergeWallMS and
 // MergeCPUMS; and the budget-mode gauges PeakMemBytes, SpillBytesWritten
 // and SpillBytesRead. ResentFrames is always zero. Every other field is
-// deterministic: bit-identical across transports, seams and runs. Comparisons across backends must
-// ignore the measured fields (zero them before ==, as the package tests
-// do).
+// deterministic: bit-identical across transports, codecs, pool widths,
+// memory budgets, arrival orders and runs. Comparisons across backends
+// must ignore the measured fields (zero them before ==, as the package
+// tests do).
 type Stats struct {
 	Strings        int64   // global input size: the strings of every PE
 	ModelTime      float64 // α-β model running time in seconds
