@@ -107,6 +107,14 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 	var spilled int64
 	for _, c := range cells {
 		row, inputs, algo := rows[c.name], c.inputs, c.algo
+		// fail reports a mismatch of this cell: a cell counts as matched
+		// only when none of its modes called it.
+		cellOK := true
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Errorf(format, args...)
+			cellOK = false
+		}
 		for _, mode := range []struct {
 			label  string
 			codec  string
@@ -138,7 +146,7 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 			}
 			if mode.trace {
 				if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
-					t.Errorf("%s %s: no trace file written (%v)", row.Name, mode.label, err)
+					fail("%s %s: no trace file written (%v)", row.Name, mode.label, err)
 				}
 			}
 			if mode.budget > 0 {
@@ -149,19 +157,19 @@ func TestBenchSnapshotModelInvariance(t *testing.T) {
 			}
 			st := res.Stats
 			if got := benchRound(st.ModelTime * 1e3); got != row.ModelMS {
-				t.Errorf("%s %s: model-ms %v, snapshot %v", row.Name, mode.label, got, row.ModelMS)
+				fail("%s %s: model-ms %v, snapshot %v", row.Name, mode.label, got, row.ModelMS)
 			}
 			if got := benchRound(st.BytesPerString); got != row.BytesPerStr {
-				t.Errorf("%s %s: bytes/str %v, snapshot %v", row.Name, mode.label, got, row.BytesPerStr)
+				fail("%s %s: bytes/str %v, snapshot %v", row.Name, mode.label, got, row.BytesPerStr)
 			}
 			if strings.HasPrefix(row.Name, "BenchmarkFig4") && mode.codec != "none" {
 				if st.WireBytesPerString >= st.BytesPerString {
-					t.Errorf("%s %s: wire bytes/str %.2f not strictly below raw %.2f",
+					fail("%s %s: wire bytes/str %.2f not strictly below raw %.2f",
 						row.Name, mode.label, st.WireBytesPerString, st.BytesPerString)
 				}
 			}
 		}
-		if !t.Failed() {
+		if cellOK {
 			matched++
 		}
 	}

@@ -42,18 +42,13 @@
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
-// -chaos-seed, -net-timeout) are shared verbatim with dss-worker: each
-// is bound to one stringsort.Config field by
-// stringsort.RegisterTuningFlags.
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -net-timeout) are
+// shared verbatim with dss-worker: each is bound to one stringsort.Config
+// field by stringsort.RegisterTuningFlags.
 //
-// -chaos LEVEL injects deterministic faults (frame delays, and at the
-// "reorder" level reordering across independent streams within delivery
-// bounds) under the codec, seeded by -chaos-seed; output and model
-// statistics must be — and are pinned by tests to be — bit-identical to
-// an undisturbed run. The TCP transport is fail-stop: a lost connection
-// fails the run. -net-timeout bounds its staged shutdown at the end of a
-// run (the wait for every peer's goodbye).
+// The TCP transport is fail-stop: a lost connection fails the run.
+// -net-timeout bounds its staged shutdown at the end of a run (the wait
+// for every peer's goodbye).
 //
 // Observability: -trace FILE writes a Chrome trace-event timeline of the
 // run (load in ui.perfetto.dev), -debug-addr HOST:PORT serves pprof,

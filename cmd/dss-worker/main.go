@@ -34,8 +34,8 @@
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -codec,
-// -validate, -cores, -mem-budget, -spill-dir, -trace, -chaos,
-// -chaos-seed, -net-timeout) is accepted here with identical semantics —
+// -validate, -cores, -mem-budget, -spill-dir, -trace, -net-timeout) is
+// accepted here with identical semantics —
 // both binaries bind the same stringsort.RegisterTuningFlags set into
 // their Config. The transport is fail-stop, like an MPI job: when a
 // peer's connection drops or its process dies mid-run, every worker's run

@@ -11,6 +11,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"dss/stringsort"
@@ -67,36 +69,47 @@ func walkthroughPDMS() {
 	fmt.Println("\n=== Figure 3: Algorithm PDMS on the example strings ===")
 	printInputs()
 
+	// In RAM, Sort returns the input's lines. Under a memory budget each PE
+	// writes what its merge received into a run file: the prefixes, each
+	// with the origin of its string.
 	res, err := stringsort.Sort(inputs, stringsort.Config{
 		Algorithm: stringsort.PDMS,
 		Validate:  true,
+		MemBudget: 1 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Reconstruct the full strings to show what PDMS did NOT transmit.
-	full, err := stringsort.Sort(inputs, stringsort.Config{
-		Algorithm:   stringsort.PDMS,
-		Reconstruct: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer os.RemoveAll(filepath.Dir(res.PEs[0].RunFile))
 
 	fmt.Println("\nStep 3+4 result: only the approximate distinguishing")
 	fmt.Println("prefixes travel; characters shown as '·' stayed at home:")
-	for pe := range res.PEs {
+	for pe, frag := range res.PEs {
 		fmt.Printf("  PE %d:\n", pe)
-		for i, prefix := range res.PEs[pe].Strings {
-			whole := full.PEs[pe].Strings[i]
-			omitted := len(whole) - len(prefix)
-			fmt.Printf("    %s%s   (from PE %d)\n",
-				prefix, strings.Repeat("·", omitted), res.PEs[pe].Origins[i].PE)
+		if err := printPrefixes(frag.RunFile); err != nil {
+			log.Fatal(err)
 		}
 	}
 	fmt.Printf("\ncommunication: %.1f bytes per string (vs %d-char strings)\n",
 		res.Stats.BytesPerString, len("sorter"))
+}
+
+// printPrefixes prints the prefixes of one PE's run file, each padded with
+// '·' to the length of the input string its origin names.
+func printPrefixes(path string) error {
+	rf, err := stringsort.OpenRun(path)
+	if err != nil {
+		return err
+	}
+	defer rf.Close()
+	for {
+		prefix, _, o, ok, err := rf.Next()
+		if err != nil || !ok {
+			return err
+		}
+		omitted := len(inputs[o.PE][o.Index]) - len(prefix)
+		fmt.Printf("    %s%s   (from PE %d)\n", prefix, strings.Repeat("·", omitted), o.PE)
+	}
 }
 
 func printInputs() {

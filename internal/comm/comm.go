@@ -180,13 +180,12 @@ type Comm struct {
 
 // wireMeter is the optional transport interface of the wire-compression
 // decorator (transport/codec): a transport that changes the bytes crossing
-// the fabric meters the actual frame sizes into the PE's wire counters and
-// follows the comm layer's phase transitions. Transports without the
-// interface ship frames verbatim, and comm mirrors the raw volume into the
-// wire counters instead — stats.PE.Wire is always populated either way.
+// the fabric meters the actual frame sizes it sends into the PE's wire
+// counter. Transports without the interface ship frames verbatim, and comm
+// mirrors the raw volume into the wire counter instead — stats.PE.WireSent
+// is always populated either way.
 type wireMeter interface {
 	BindWireStats(*stats.PE)
-	SetWirePhase(stats.Phase)
 }
 
 // traceBinder is the optional transport interface of decorators that
@@ -210,7 +209,6 @@ func newComm(t transport.Transport, pe *stats.PE) *Comm {
 	c := &Comm{t: t, st: pe, phaseStart: time.Now()}
 	if wm, ok := t.(wireMeter); ok {
 		wm.BindWireStats(pe)
-		wm.SetWirePhase(c.phase)
 		c.wm = wm
 	}
 	return c
@@ -230,9 +228,6 @@ func (c *Comm) SetPhase(ph stats.Phase) stats.Phase {
 	c.flushWall()
 	old := c.phase
 	c.phase = ph
-	if c.wm != nil {
-		c.wm.SetWirePhase(ph)
-	}
 	if c.tr != nil {
 		c.tr.End(trace.TrackControl, old.String())
 		c.tr.Begin(trace.TrackControl, ph.String())
@@ -331,7 +326,7 @@ func (c *Comm) accountSendAs(ph stats.Phase, dst, n int) {
 		if c.wm == nil {
 			// No codec decorates the transport: every frame ships
 			// verbatim, so the wire volume IS the raw volume.
-			c.st.Wire[ph].Sent += int64(n)
+			c.st.WireSent += int64(n)
 		}
 		c.tr.Instant(trace.TrackControl, "send", int64(n), int64(dst))
 		if trace.LiveOn() {
@@ -346,9 +341,6 @@ func (c *Comm) accountSendAs(ph stats.Phase, dst, n int) {
 func (c *Comm) accountRecvAs(ph stats.Phase, src, n int) {
 	if src != c.t.Rank() {
 		c.st.Phases[ph].BytesRecv += int64(n)
-		if c.wm == nil {
-			c.st.Wire[ph].Recv += int64(n)
-		}
 		c.tr.Instant(trace.TrackControl, "recv", int64(n), int64(src))
 		if trace.LiveOn() {
 			trace.Live.RawRecv.Add(int64(n))

@@ -8,20 +8,20 @@ import (
 )
 
 // eachCounter calls f on every counter of pe in the snapshot's fixed wire
-// order: per phase the four deterministic counters, the wall span, overlap
-// and worker-CPU measurements of the overlap and intra-PE parallelism
-// models and the two wire-byte counters of the codec layer — then the
-// pool width and the three spill gauges of the out-of-core pipeline.
+// order: per phase the four deterministic counters and the wall span,
+// overlap and worker-CPU measurements of the overlap and intra-PE
+// parallelism models — then the post-codec bytes sent, the pool width and
+// the three spill gauges of the out-of-core pipeline.
 // Encoder and decoder both walk this one list.
 func eachCounter(pe *stats.PE, f func(*int64)) {
 	for ph := range pe.Phases {
 		c := &pe.Phases[ph]
 		for _, v := range [...]*int64{&c.BytesSent, &c.BytesRecv, &c.Messages, &c.Work,
-			&pe.Wall[ph], &pe.Overlap[ph], &pe.Wire[ph].Sent, &pe.Wire[ph].Recv, &pe.CPU[ph]} {
+			&pe.Wall[ph], &pe.Overlap[ph], &pe.CPU[ph]} {
 			f(v)
 		}
 	}
-	for _, v := range [...]*int64{&pe.Cores, &pe.SpillBytesWritten, &pe.SpillBytesRead, &pe.PeakLiveBytes} {
+	for _, v := range [...]*int64{&pe.WireSent, &pe.Cores, &pe.SpillBytesWritten, &pe.SpillBytesRead, &pe.PeakLiveBytes} {
 		f(v)
 	}
 }

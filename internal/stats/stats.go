@@ -68,18 +68,6 @@ type PhaseCounters struct {
 	Work      int64 // local work units (characters inspected/moved)
 }
 
-// WireCounters accumulates the post-codec byte totals of one PE: the bytes
-// that actually crossed the fabric after the transport's wire codec ran, as
-// opposed to the raw model bytes of PhaseCounters. Without a codec the two
-// are equal; with one, Sent/Recv shrink (or, for incompressible frames,
-// grow by the per-frame codec header). Wire bytes never feed the α-β model
-// time — they are the second accounting channel the figures report
-// alongside the paper's raw volume.
-type WireCounters struct {
-	Sent int64 // post-codec bytes shipped to other PEs (self-sends excluded)
-	Recv int64 // post-codec bytes received from other PEs
-}
-
 // PE holds the accounting state of a single processing element. A PE value
 // is owned by exactly one goroutine while an algorithm runs; it must only be
 // read by other goroutines after the machine has finished.
@@ -91,14 +79,14 @@ type WireCounters struct {
 // and excluded from cross-backend statistics comparisons.
 type PE struct {
 	Phases [NumPhases]PhaseCounters
-	// Wire[ph] counts the post-codec bytes of frames encoded or decoded
-	// while ph was the wire-accounting phase. The machine-wide totals are
-	// deterministic for a fixed codec (frame encodings are pure functions
-	// of their payloads); the per-phase split is attribution-grade only —
-	// a split-phase collective drained in a later phase bills its frames'
-	// wire bytes there, while the raw counters stay with the posting phase.
-	// Compare totals, not per-phase wire values, across runs.
-	Wire [NumPhases]WireCounters
+	// WireSent is the post-codec bytes this PE shipped to other PEs
+	// (self-sends excluded): what actually crossed the fabric after the
+	// transport's wire codec ran, as opposed to the raw model bytes of
+	// Phases. Without a codec the two are equal; with one, WireSent shrinks
+	// (or, for incompressible frames, grows by the per-frame codec header).
+	// It never feeds the α-β model time, and it is deterministic for a
+	// fixed codec (frame encodings are pure functions of their payloads).
+	WireSent int64
 	// Wall[ph] is the wall-clock nanoseconds this PE spent with ph as its
 	// accounting phase (accumulated at every comm.SetPhase transition).
 	Wall [NumPhases]int64
@@ -127,16 +115,6 @@ type PE struct {
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	PeakLiveBytes     int64
-}
-
-// TotalWire returns the sum of the PE's wire counters over all phases.
-func (pe *PE) TotalWire() WireCounters {
-	var t WireCounters
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		t.Sent += pe.Wire[ph].Sent
-		t.Recv += pe.Wire[ph].Recv
-	}
-	return t
 }
 
 // Total returns the sum of all phase counters of the PE.
@@ -258,7 +236,7 @@ func (r *Report) CompressionRatio() float64 {
 	}
 	var wire int64
 	for _, pe := range r.PEs {
-		wire += pe.TotalWire().Sent
+		wire += pe.WireSent
 	}
 	return float64(wire) / float64(raw)
 }

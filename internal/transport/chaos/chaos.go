@@ -60,9 +60,8 @@ type Config struct {
 	Reorder bool
 }
 
-// Levels are the named severity presets the test suite and the -chaos
-// flag use. All delays stay well under the conformance suite's 1 ms
-// arrival-order tolerance.
+// Levels are the named severity presets the test suite uses. All delays
+// stay well under the conformance suite's 1 ms arrival-order tolerance.
 var levels = map[string]Config{
 	"delay": {
 		DelayProb: 0.35,

@@ -11,8 +11,8 @@
 // its own Send/Recv boundary, exactly as before — model time and
 // bytes-per-string are bit-identical no matter which codec (if any)
 // decorates the transport. The decorator reports a SECOND channel, the
-// post-codec wire bytes, into stats.PE.Wire via the binding the comm layer
-// establishes (BindWireStats/SetWirePhase); figures can then show raw
+// post-codec wire bytes it sends, into stats.PE.WireSent via the binding
+// the comm layer establishes (BindWireStats); figures can then show raw
 // (model) bytes and wire bytes side by side.
 //
 // Frame format. Every remote frame is self-describing: one codec-id byte,

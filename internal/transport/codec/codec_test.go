@@ -229,8 +229,8 @@ func TestLCPDecodeRejectsWrappingSuffixLengths(t *testing.T) {
 }
 
 // TestWireMetering checks the decorator's accounting channel: remote
-// frames bill their true wire size to the bound PE's current phase,
-// self-sends bill nothing (no bytes leave the PE).
+// frames bill their true wire size to the sending PE's total, self-sends
+// and receives bill nothing.
 func TestWireMetering(t *testing.T) {
 	f, err := WrapFabric(local.New(2), Config{Name: "flate"})
 	if err != nil {
@@ -241,7 +241,6 @@ func TestWireMetering(t *testing.T) {
 	e1 := f.Endpoint(1).(*Endpoint)
 	pe0, pe1 := &stats.PE{}, &stats.PE{}
 	e0.BindWireStats(pe0)
-	e0.SetWirePhase(stats.PhaseExchange)
 	e1.BindWireStats(pe1)
 
 	small := []byte("tiny")
@@ -256,7 +255,7 @@ func TestWireMetering(t *testing.T) {
 		t.Fatal("payloads corrupted")
 	}
 
-	sent := pe0.TotalWire().Sent
+	sent := pe0.WireSent
 	wantSmall := int64(len(small)) + 1 // below threshold: raw frame
 	if sent <= wantSmall {
 		t.Fatalf("wire sent %d: big frame not metered", sent)
@@ -265,11 +264,8 @@ func TestWireMetering(t *testing.T) {
 		t.Fatalf("wire sent %d: compression not reflected (raw would be %d)",
 			sent, wantSmall+int64(len(big)))
 	}
-	if pe0.Wire[stats.PhaseExchange].Sent != sent {
-		t.Fatalf("wire bytes not attributed to the set phase: %+v", pe0.Wire)
-	}
-	if recv := pe1.TotalWire().Recv; recv != sent {
-		t.Fatalf("receiver metered %d wire bytes, sender %d", recv, sent)
+	if pe1.WireSent != 0 {
+		t.Fatalf("receiver metered %d wire bytes", pe1.WireSent)
 	}
 }
 

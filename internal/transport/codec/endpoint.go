@@ -29,7 +29,6 @@ type Endpoint struct {
 	// Wire metering, bound by the comm layer (BindWireStats). pe is nil
 	// when the endpoint is used without accounting (tests, raw tools).
 	pe *stats.PE
-	ph stats.Phase
 	tr *trace.Recorder // timeline recorder, bound by the comm layer; nil = off
 }
 
@@ -53,14 +52,10 @@ func newEndpoint(t transport.Transport, c Codec) *Endpoint {
 	return e
 }
 
-// BindWireStats directs the endpoint's wire-byte metering into the given
-// accounting state. Called by the comm layer when it adopts the endpoint;
-// frames moved while unbound are not metered.
+// BindWireStats directs the endpoint's metering of the wire bytes it sends
+// into the given accounting state. Called by the comm layer when it adopts
+// the endpoint; frames sent while unbound are not metered.
 func (e *Endpoint) BindWireStats(pe *stats.PE) { e.pe = pe }
-
-// SetWirePhase switches the phase wire bytes are attributed to. The comm
-// layer forwards its SetPhase transitions here.
-func (e *Endpoint) SetWirePhase(ph stats.Phase) { e.ph = ph }
 
 // BindTrace installs the PE's timeline recorder so post-codec frame sizes
 // appear as wire-send/wire-recv instants next to the raw-volume events the
@@ -103,7 +98,7 @@ func (e *Endpoint) Give(dst, tag int, buf []byte) {
 	e.inner.Give(dst, tag, frame)
 	e.pool.Put(buf)
 	if e.pe != nil {
-		e.pe.Wire[e.ph].Sent += int64(n)
+		e.pe.WireSent += int64(n)
 	}
 	e.tr.Instant(trace.TrackControl, "wire-send", int64(n), int64(dst))
 	if trace.LiveOn() {
@@ -154,13 +149,10 @@ func (e *Endpoint) RecvAny(srcs []int, tag int) (int, []byte, time.Time) {
 	return src, e.decodeFrame(src, data), arrived
 }
 
-// decodeFrame meters the wire bytes and restores the raw payload. Corrupt
-// frames are infrastructure errors and panic, like every transport
-// delivery failure.
+// decodeFrame records the frame on the timeline and the live gauge and
+// restores the raw payload. Corrupt frames are infrastructure errors and
+// panic, like every transport delivery failure.
 func (e *Endpoint) decodeFrame(src int, frame []byte) []byte {
-	if e.pe != nil {
-		e.pe.Wire[e.ph].Recv += int64(len(frame))
-	}
 	e.tr.Instant(trace.TrackControl, "wire-recv", int64(len(frame)), int64(src))
 	if trace.LiveOn() {
 		trace.Live.WireRecv.Add(int64(len(frame)))

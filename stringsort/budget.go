@@ -26,6 +26,11 @@ import (
 // lifecycle tests can inject creation failures.
 var newSpillPool = spill.NewPool
 
+// spillPageSize is the spill page and run-writer buffer size in bytes (0 =
+// the default, 256 KiB capped at a sixteenth of Config.MemBudget) — a
+// package variable so the budget tests can spill at kilobyte scale.
+var spillPageSize int
+
 // runOpts selects the sorted-run file columns per algorithm: LCPs for the
 // LCP-producing sorters, satellites for the origin-reporting ones.
 func runOpts(a Algorithm) spill.RunWriterOpts {
@@ -67,7 +72,7 @@ func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFi
 		if sp, err = newSpillPool(spill.Config{
 			Budget:   cfg.MemBudget,
 			Dir:      cfg.SpillDir,
-			PageSize: cfg.spillPageSize,
+			PageSize: spillPageSize,
 		}, c.Pool()); err != nil {
 			return err
 		}
@@ -88,7 +93,7 @@ func sortPE(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineFi
 			return fmt.Errorf("stringsort: run file: %w", err)
 		}
 		defer f.Close()
-		rw, err := spill.NewRunWriter(f, opts, sp, cfg.spillPageSize)
+		rw, err := spill.NewRunWriter(f, opts, sp, spillPageSize)
 		if err != nil {
 			return err
 		}

@@ -144,11 +144,20 @@ const (
 	testOverhead = 20 * testPage
 )
 
-func budgetConfig(base Config, dir string) Config {
+// budgetConfig returns base under the test budget, spilling into dir, and
+// sets the test page size until t ends.
+func budgetConfig(t testing.TB, base Config, dir string) Config {
+	setPageSize(t, testPage)
 	base.MemBudget = testBudget
-	base.spillPageSize = testPage
 	base.SpillDir = dir
 	return base
+}
+
+// setPageSize sets the spill page size to n until t ends.
+func setPageSize(t testing.TB, n int) {
+	old := spillPageSize
+	spillPageSize = n
+	t.Cleanup(func() { spillPageSize = old })
 }
 
 // TestBudgetDifferential sorts the same input with and without a memory
@@ -167,11 +176,13 @@ func TestBudgetDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-RAM sort: %v", err)
 			}
-			bu, err := Sort(inputs, budgetConfig(base, t.TempDir()))
+			bu, err := Sort(inputs, budgetConfig(t, base, t.TempDir()))
 			if err != nil {
 				t.Fatalf("budget sort: %v", err)
 			}
-			if bu.PrefixOnly != ram.PrefixOnly {
+			// PDMS run files hold the prefixes with their origins; in RAM,
+			// Sort returns the lines the origins name.
+			if prefixes := algo == PDMS || algo == PDMSGolomb; bu.PrefixOnly != prefixes || ram.PrefixOnly {
 				t.Fatalf("PrefixOnly: budget %v, in-RAM %v", bu.PrefixOnly, ram.PrefixOnly)
 			}
 			for pe := range bu.PEs {
@@ -184,6 +195,15 @@ func TestBudgetDifferential(t *testing.T) {
 					t.Fatalf("PE %d: RunCount %d but file holds %d items", pe, out.RunCount, len(ss))
 				}
 				want := ram.PEs[pe]
+				if bu.PrefixOnly {
+					for i, prefix := range ss {
+						line, err := lookupOrigin(inputs, origins[i])
+						if err != nil || !bytes.HasPrefix(line, prefix) {
+							t.Fatalf("PE %d: item %d is no prefix of the line its origin names (%v)", pe, i, err)
+						}
+						ss[i] = line
+					}
+				}
 				if !equalOutputs(ss, want.Strings) {
 					t.Fatalf("PE %d: budget output differs from in-RAM output", pe)
 				}
@@ -233,7 +253,7 @@ func TestBudgetDifferential(t *testing.T) {
 				// has room for stays resident. A budget with no room at all
 				// (the run writer's page alone exceeds it) writes every byte
 				// the PEs received, so the real budget must write fewer.
-				cfg := budgetConfig(base, t.TempDir())
+				cfg := budgetConfig(t, base, t.TempDir())
 				cfg.MemBudget = 1
 				all, err := Sort(inputs, cfg)
 				if err != nil {
@@ -269,7 +289,7 @@ func TestBudgetSortStrings(t *testing.T) {
 	}
 	for _, algo := range []Algorithm{MS, PDMS, PDMSGolomb} {
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := budgetConfig(Config{P: testPEs, Algorithm: algo, Seed: 22}, t.TempDir())
+			cfg := budgetConfig(t, Config{P: testPEs, Algorithm: algo, Seed: 22}, t.TempDir())
 			res, err := Sort(dealt, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -279,7 +299,7 @@ func TestBudgetSortStrings(t *testing.T) {
 				t.Fatal("the budget did not spill")
 			}
 			dir := t.TempDir()
-			got, err := SortStrings(words, budgetConfig(Config{P: testPEs, Algorithm: algo, Seed: 22}, dir))
+			got, err := SortStrings(words, budgetConfig(t, Config{P: testPEs, Algorithm: algo, Seed: 22}, dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +324,7 @@ func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 	rng := rand.New(rand.NewSource(809))
 	inputs := genInputs(rng, testPEs, testPerPE)
 	run := func(tr Transport) ([][][]byte, Stats) {
-		cfg := budgetConfig(Config{Algorithm: MS, Seed: 33, Validate: true, Transport: tr}, t.TempDir())
+		cfg := budgetConfig(t, Config{Algorithm: MS, Seed: 33, Validate: true, Transport: tr}, t.TempDir())
 		res, err := Sort(inputs, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", tr, err)
@@ -357,7 +377,7 @@ func TestBudgetSpillLifecycle(t *testing.T) {
 	}
 	defer func() { newSpillPool = orig }()
 
-	res, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5}, dir))
+	res, err := Sort(inputs, budgetConfig(t, Config{Algorithm: MS, Seed: 5}, dir))
 	if err != nil {
 		t.Fatalf("budget sort: %v", err)
 	}
@@ -408,7 +428,7 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 	}
 	defer func() { newSpillPool = orig }()
 
-	_, err := Sort(inputs, budgetConfig(Config{Algorithm: MS, Seed: 5}, dir))
+	_, err := Sort(inputs, budgetConfig(t, Config{Algorithm: MS, Seed: 5}, dir))
 	if err == nil || !strings.Contains(err.Error(), "injected create failure") {
 		t.Fatalf("expected the injected failure to surface, got %v", err)
 	}
@@ -431,11 +451,10 @@ func TestBudgetSpillFailureCleanup(t *testing.T) {
 func TestSpillFailureOnOneRankAborts(t *testing.T) {
 	rng := rand.New(rand.NewSource(813))
 	inputs := genInputs(rng, testPEs, testPerPE)
-	for _, base := range []Config{
-		{Transport: TransportLocal},
-		{Transport: TransportTCP},
-		{Transport: TransportTCP, Chaos: "reorder", ChaosSeed: 3},
-	} {
+	for _, c := range []struct {
+		tr     Transport
+		faults bool // under the "reorder" chaos level
+	}{{TransportLocal, false}, {TransportTCP, false}, {TransportTCP, true}} {
 		dir := t.TempDir()
 		var pools atomic.Int32
 		orig := newSpillPool
@@ -447,18 +466,22 @@ func TestSpillFailureOnOneRankAborts(t *testing.T) {
 			}
 			return orig(cfg, workers)
 		}
-		base.Algorithm, base.Seed, base.Validate = MS, 5, true
-		_, err := Sort(inputs, budgetConfig(base, dir))
+		restore := func() {}
+		if c.faults {
+			restore = injectFaults(3)
+		}
+		_, err := Sort(inputs, budgetConfig(t, Config{Algorithm: MS, Seed: 5, Validate: true, Transport: c.tr}, dir))
+		restore()
 		newSpillPool = orig
 		if err == nil || !strings.Contains(err.Error(), "injected create failure") {
-			t.Fatalf("%v chaos=%q: expected the injected failure to surface, got %v", base.Transport, base.Chaos, err)
+			t.Fatalf("%v chaos=%v: expected the injected failure to surface, got %v", c.tr, c.faults, err)
 		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatalf("read spill dir: %v", err)
 		}
 		for _, e := range entries {
-			t.Fatalf("%v chaos=%q: artifact %q survived the failed run", base.Transport, base.Chaos, e.Name())
+			t.Fatalf("%v chaos=%v: artifact %q survived the failed run", c.tr, c.faults, e.Name())
 		}
 	}
 }
@@ -471,7 +494,7 @@ func TestBudgetRunPETraceFailureCleanup(t *testing.T) {
 	rng := rand.New(rand.NewSource(814))
 	inputs := genInputs(rng, testPEs, testPerPE/4)
 	dir := t.TempDir()
-	cfg := budgetConfig(Config{Algorithm: MS, Seed: 9}, dir)
+	cfg := budgetConfig(t, Config{Algorithm: MS, Seed: 9}, dir)
 	cfg.Trace = filepath.Join(dir, "missing", "trace.json")
 
 	_, errs := runPEsOverTCP(t, inputs, cfg, openOuts(t, testPEs, 0, ""))
@@ -494,10 +517,9 @@ func TestBudgetRunPE(t *testing.T) {
 	rng := rand.New(rand.NewSource(812))
 	inputs := genInputs(rng, testPEs, testPerPE/4)
 	base := Config{Algorithm: PDMS, Seed: 9, Validate: true}
-	cfg := budgetConfig(base, t.TempDir())
+	cfg := budgetConfig(t, base, t.TempDir())
 	cfg.MemBudget = 1 << 10 // quarter-size input, quarter-size budget
 
-	base.Reconstruct = true
 	ram, err := Sort(inputs, base)
 	if err != nil {
 		t.Fatalf("in-RAM sort: %v", err)

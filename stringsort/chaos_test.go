@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// chaosSeed is the fault schedule of the cross-family chaos differentials:
+// rerunning a failing cell with it replays the same delays and reorders.
+const chaosSeed = 0xD00D
+
+// injectFaults puts the "reorder" chaos level — frames delayed and
+// reordered across independent streams — under the codec of every Sort
+// until restore is called, on the deterministic schedule seed.
+func injectFaults(seed uint64) (restore func()) {
+	level, old := faultLevel, faultSeed
+	faultLevel, faultSeed = "reorder", seed
+	return func() { faultLevel, faultSeed = level, old }
+}
+
 // TestChaosIdentityAcrossSeams is the differential fault-injection pin for
 // MS and PDMS, whose Step-3 exchange carries LCP-compressed (and, for
 // PDMS, prefix-truncated) buckets: over real loopback TCP under the
@@ -41,11 +54,10 @@ func runChaosFamilies(t *testing.T, algos []Algorithm) {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("seed=%d", tc.seed), func(t *testing.T) {
 					runChaosCell(t, tc.inputs, Config{
-						Algorithm:   algo,
-						Seed:        tc.seed,
-						Transport:   TransportTCP,
-						Validate:    true,
-						Reconstruct: true,
+						Algorithm: algo,
+						Seed:      tc.seed,
+						Transport: TransportTCP,
+						Validate:  true,
 					})
 				})
 			}
@@ -61,10 +73,9 @@ func runChaosCell(t *testing.T, inputs [][][]byte, base Config) {
 	if err != nil {
 		t.Fatalf("undisturbed: %v", err)
 	}
-	cfg := base
-	cfg.Chaos = "reorder"
-	cfg.ChaosSeed = 0xD00D
-	got, err := Sort(inputs, cfg)
+	restore := injectFaults(chaosSeed)
+	got, err := Sort(inputs, base)
+	restore()
 	if err != nil {
 		t.Fatalf("under chaos: %v", err)
 	}
@@ -83,15 +94,14 @@ func runChaosCell(t *testing.T, inputs [][][]byte, base Config) {
 func TestChaosIdentityLocalTransport(t *testing.T) {
 	rng := rand.New(rand.NewSource(408))
 	inputs := genInputs(rng, 4, 100)
-	base := Config{Algorithm: MS, Seed: 41, Validate: true, Reconstruct: true}
+	base := Config{Algorithm: MS, Seed: 41, Validate: true}
 	want, err := Sort(inputs, base)
 	if err != nil {
 		t.Fatalf("undisturbed: %v", err)
 	}
-	cfg := base
-	cfg.Chaos = "reorder"
-	cfg.ChaosSeed = 7
-	got, err := Sort(inputs, cfg)
+	restore := injectFaults(7)
+	got, err := Sort(inputs, base)
+	restore()
 	if err != nil {
 		t.Fatalf("under chaos: %v", err)
 	}

@@ -125,7 +125,7 @@ func TestRunPEMatchesSortUnderCodec(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(408))
 	inputs := genInputs(rng, p, 120)
-	cfg := Config{Algorithm: PDMS, Seed: 29, Reconstruct: true, Codec: "flate"}
+	cfg := Config{Algorithm: PDMS, Seed: 29, Codec: "flate"}
 
 	want, err := Sort(inputs, cfg)
 	if err != nil {

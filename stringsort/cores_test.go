@@ -84,7 +84,7 @@ func TestCoresDeterminism(t *testing.T) {
 			{[]byte("a"), []byte(""), []byte("c")},
 			{[]byte(""), []byte("")},
 			{[]byte("d")},
-		}, Algorithms, Config{Seed: 31, Reconstruct: true}},
+		}, Algorithms, Config{Seed: 31}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
-	"dss/internal/transport/chaos"
 	"dss/internal/transport/codec"
 )
 
 // RegisterTuningFlags registers the algorithm-tuning command-line flags
 // shared by cmd/dss-sort and cmd/dss-worker on fs (use flag.CommandLine for
 // the process-wide set): it sets each field of cfg to its flag's default and
-// binds the flag to that field, so parsing fs fills cfg in. -algo, -codec,
-// -chaos and -mem-budget are parsed and checked during the parse. Both
+// binds the flag to that field, so parsing fs fills cfg in. -algo, -codec
+// and -mem-budget are parsed and checked during the parse. Both
 // binaries register the identical set, so they cannot drift apart: every
 // knob that shapes the sort itself (algorithm, sampling, memory budget,
 // validation, seed) is accepted by both. Only the flags that describe HOW
@@ -25,7 +23,7 @@ import (
 // always TCP) — and those gaps are intentional, documented in each
 // binary's usage text.
 func RegisterTuningFlags(fs *flag.FlagSet, cfg *Config) {
-	cfg.Algorithm, cfg.Codec, cfg.Chaos, cfg.MemBudget = MS, "none", "", 0
+	cfg.Algorithm, cfg.Codec, cfg.MemBudget = MS, "none", 0
 	fs.Var(&parsedFlag[Algorithm]{&cfg.Algorithm, ParseAlgorithm, Algorithm.String},
 		"algo", "algorithm `name`: "+AlgorithmNames())
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "random seed (identical on all workers of one job)")
@@ -42,9 +40,6 @@ func RegisterTuningFlags(fs *flag.FlagSet, cfg *Config) {
 		"mem-budget", "per-PE memory budget for the out-of-core pipeline, a `size` such as 64m or 1g (empty = unbounded in-RAM run; when set, received runs over the budget wait in spill page files; the output is unchanged)")
 	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "directory for spill page files and the temporary copy of a piped input or output (empty = OS temp dir)")
 	fs.StringVar(&cfg.Trace, "trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in ui.perfetto.dev; under dss-worker, rank 0 writes the merged cross-process trace)")
-	fs.Var(&parsedFlag[string]{&cfg.Chaos, parseChaos, verbatim},
-		"chaos", "fault-injection `level` wrapped under the codec: "+strings.Join(chaos.Names(), ", ")+" (empty = off; output and model stats must be unaffected)")
-	fs.Uint64Var(&cfg.ChaosSeed, "chaos-seed", 1, "seed of the deterministic chaos schedule (same seed = same faults)")
 	fs.DurationVar(&cfg.NetTimeout, "net-timeout", 0, "TCP shutdown bound: how long closing waits for the last frames to be written and every peer's goodbye (0 = default 10s)")
 }
 
@@ -72,15 +67,6 @@ func (f *parsedFlag[T]) String() string {
 }
 
 func verbatim(s string) string { return s }
-
-// parseChaos checks a -chaos level; empty means off.
-func parseChaos(s string) (string, error) {
-	if s == "" {
-		return s, nil
-	}
-	_, err := chaos.Parse(s)
-	return s, err
-}
 
 // showBudget prints a budget the way -mem-budget accepts it; 0 is empty.
 func showBudget(n int64) string {

@@ -14,7 +14,7 @@ import (
 // TestTuningFlagsBindConfig parses the shared flag set twice: with no
 // flag, where every Config field must hold its flag default, and with every
 // flag at a non-default value, where every field must hold that value.
-// Malformed algorithm, codec, chaos and budget values fail the parse.
+// Malformed algorithm, codec and budget values fail the parse.
 func TestTuningFlagsBindConfig(t *testing.T) {
 	parse := func(args ...string) (Config, *flag.FlagSet, error) {
 		var cfg Config
@@ -27,7 +27,7 @@ func TestTuningFlagsBindConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Config{Algorithm: MS, Seed: 1, ChaosSeed: 1, Codec: "none"}); !reflect.DeepEqual(cfg, want) {
+	if want := (Config{Algorithm: MS, Seed: 1, Codec: "none"}); !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("defaults: got %+v, want %+v", cfg, want)
 	}
 
@@ -35,7 +35,7 @@ func TestTuningFlagsBindConfig(t *testing.T) {
 		"-algo", "pdms-golomb", "-seed", "7", "-oversampling", "9", "-charsample",
 		"-eps", "0.5", "-tiebreak", "-randomsample", "-codec", "FLATE", "-validate",
 		"-cores", "3", "-mem-budget", "64k", "-spill-dir", "spill", "-trace", "run.json",
-		"-chaos", "reorder", "-chaos-seed", "5", "-net-timeout", "3s",
+		"-net-timeout", "3s",
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -49,14 +49,14 @@ func TestTuningFlagsBindConfig(t *testing.T) {
 		Algorithm: PDMSGolomb, Seed: 7, Oversampling: 9, CharSampling: true,
 		Eps: 0.5, TieBreak: true, RandomSampling: true, Codec: "flate", Validate: true,
 		Cores: 3, MemBudget: 64 << 10, SpillDir: "spill", Trace: "run.json",
-		Chaos: "reorder", ChaosSeed: 5, NetTimeout: 3 * time.Second,
+		NetTimeout: 3 * time.Second,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("set: got %+v, want %+v", cfg, want)
 	}
 
 	for _, bad := range [][]string{
-		{"-algo", "nope"}, {"-codec", "zip"}, {"-chaos", "storm"}, {"-mem-budget", "12x"},
+		{"-algo", "nope"}, {"-codec", "zip"}, {"-mem-budget", "12x"},
 	} {
 		if _, _, err := parse(bad...); err == nil {
 			t.Errorf("%v accepted", bad)

@@ -11,7 +11,6 @@ import (
 	"dss/internal/stats"
 	"dss/internal/trace"
 	"dss/internal/transport"
-	"dss/internal/transport/chaos"
 	"dss/internal/transport/codec"
 )
 
@@ -32,8 +31,8 @@ type peRun struct {
 	Output PEOutput
 	// Stats are the machine-wide run statistics, identical on every PE.
 	Stats Stats
-	// PrefixOnly reports that Output holds distinguishing prefixes (PDMS
-	// without Reconstruct, or under a budget).
+	// PrefixOnly reports that the run file holds distinguishing prefixes
+	// (PDMS under a budget).
 	PrefixOnly bool
 }
 
@@ -54,7 +53,7 @@ type peRun struct {
 // holds only its own lines, so core.Reconstruct fetches them from the
 // origin ranks (one query all-to-all each way, outside the statistics).
 // The fetched lines are held in RAM, outside the meter, while they are
-// written. Config.Reconstruct is moot.
+// written.
 //
 // The lines start at out's current offset, which is left at their end. An
 // out that takes no positioned writes — a pipe, a terminal, a file opened
@@ -74,22 +73,6 @@ type peRun struct {
 func RunPE(t transport.Transport, local [][]byte, cfg Config, out *os.File) (st Stats, err error) {
 	if cfg.P != 0 && cfg.P != t.P() {
 		return Stats{}, fmt.Errorf("stringsort: Config.P=%d but fabric has %d PEs", cfg.P, t.P())
-	}
-	// Chaos sits directly on the backend, under the codec, so injected
-	// faults hit the exact post-codec wire frames — the stacking order Sort
-	// builds with decorate. RunPE owns the decorator (the caller owns only
-	// the inner endpoint), so it must be drained on every return path: a
-	// delayed frame still queued when the caller closes the endpoint would
-	// be delivered into a closed transport.
-	if cfg.Chaos != "" {
-		ccfg, err := chaos.Parse(cfg.Chaos)
-		if err != nil {
-			return Stats{}, err
-		}
-		ccfg.Seed = cfg.ChaosSeed
-		ce := chaos.Wrap(t, ccfg)
-		defer ce.Drain()
-		t = ce
 	}
 	if name, err := codec.Parse(cfg.Codec); err != nil {
 		return Stats{}, err
@@ -137,12 +120,11 @@ func runRank(c *comm.Comm, local [][]byte, cfg Config, path string, lines *lineF
 	}
 	prefixes := cfg.Algorithm == PDMS || cfg.Algorithm == PDMSGolomb
 	inRAM := path == "" && lines == nil
-	// A PDMS fragment whose lines are wanted — always in a line file, in
-	// RAM with Reconstruct — leaves the merge as its origin column, which
-	// resolve turns into lines once the statistics are taken; a run file
-	// keeps the prefixes with their origins for the caller to resolve.
+	// A PDMS fragment leaves the merge as its origin column, which resolve
+	// turns into lines once the statistics are taken; only a run file keeps
+	// the prefixes with their origins for the caller to resolve.
 	var sats *[]uint64
-	if prefixes && (lines != nil || inRAM && cfg.Reconstruct) {
+	if prefixes && path == "" {
 		sats = new([]uint64)
 	}
 	run := &peRun{PrefixOnly: prefixes && sats == nil}

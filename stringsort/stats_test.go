@@ -19,7 +19,7 @@ func statsReport() *stats.Report {
 				return int64(k+1)*1_000_000 + int64((i+ph)%3)*100_000 + int64(ph)*1_000 + int64(i)*10
 			}
 			pe.Phases[ph] = stats.PhaseCounters{BytesSent: v(0), BytesRecv: v(1), Messages: v(2), Work: v(3)}
-			pe.Wire[ph] = stats.WireCounters{Sent: v(4), Recv: v(5)}
+			pe.WireSent += v(4)
 			pe.Wall[ph], pe.Overlap[ph], pe.CPU[ph] = v(6), v(7), v(8)
 		}
 		pe.Cores = []int64{3, 4, 2}[i]

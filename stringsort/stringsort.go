@@ -196,14 +196,6 @@ type Config struct {
 	// run on any violation (sorting statistics unaffected; validation
 	// volume is excluded).
 	Validate bool
-	// Reconstruct makes in-RAM Sort return full strings for PDMS results
-	// instead of distinguishing prefixes: the merge keeps only each
-	// prefix's origin, and once the statistics are taken each origin is
-	// looked up in inputs, with no communication, so the strings alias the
-	// caller's input bytes and no statistic moves. PEOutput.LCPs stay nil.
-	// Ignored under a memory budget (see MemBudget) and by SortToFile and
-	// RunPE, which always write full lines the same way.
-	Reconstruct bool
 	// Transport selects the message substrate (default TransportLocal).
 	Transport Transport
 	// TCPPeers optionally pins the TCP transport's bind addresses, one
@@ -234,14 +226,14 @@ type Config struct {
 	// spill page. Sorted output bytes and the deterministic statistics are
 	// identical to the unbudgeted run; peak metered memory stays within the
 	// budget plus a fixed per-PE overhead (see README, "Out-of-core
-	// pipeline"). Sort ignores Reconstruct in budget mode — PDMS run files
-	// carry each prefix's origin for the caller to resolve — while
-	// SortToFile and RunPE write the input lines for PDMS too: their merge
-	// keeps each prefix's origin, and the step after it writes the lines
-	// through a buffer of its own. That origin column, the lines RunPE
-	// fetches from their origin ranks and that buffer are outside the
-	// meter. hQuick bounds only its output accumulation (its doubling
-	// working set is inherently resident).
+	// pipeline"). The one exception is Sort's PDMS run files: they hold the
+	// distinguishing prefixes, each with its origin for the caller to
+	// resolve (Result.PrefixOnly). SortToFile and RunPE write the input
+	// lines for PDMS too: their merge keeps each prefix's origin, and the
+	// step after it writes the lines through a buffer of its own. That
+	// origin column, the lines RunPE fetches from their origin ranks and
+	// that buffer are outside the meter. hQuick bounds only its output
+	// accumulation (its doubling working set is inherently resident).
 	MemBudget int64
 	// SpillDir is where budget-mode page files and run files live,
 	// SortToFile's and RunPE's temporary file for an output that takes no
@@ -259,36 +251,23 @@ type Config struct {
 	// rank 0 after the run (clock-aligned, after validation, so its rounds
 	// show too) and only rank 0 writes the file.
 	Trace string
-	// Chaos names a fault-injection severity level ("delay", "reorder";
-	// see transport/chaos) decorating the transport UNDER the wire codec:
-	// frames are delayed and, at "reorder", reordered across independent
-	// streams. The sorted output and the deterministic statistics are
-	// bit-identical to an undisturbed run; only the measured channel (wall
-	// clock) shows the faults. Empty disables chaos.
-	Chaos string
-	// ChaosSeed selects the deterministic fault schedule (frame delays are
-	// a pure function of seed, rank and send sequence).
-	ChaosSeed uint64
 	// NetTimeout bounds the TCP transport's staged shutdown: how long
 	// closing an endpoint waits for its outbound frames to be written and
 	// for every peer's goodbye. 0 means the transport default (10 s).
 	NetTimeout time.Duration
-
-	// spillPageSize pins the spill page and run-writer buffer size in bytes
-	// (0 = the default, 256 KiB capped at a sixteenth of MemBudget). The
-	// budget tests set it to spill at kilobyte scale.
-	spillPageSize int
 }
 
 // PEOutput is one PE's fragment of the sorted result.
 type PEOutput struct {
 	// Strings is the locally sorted fragment (globally ordered by PE).
-	// For PDMS runs without Reconstruct these are distinguishing prefixes.
 	// The array is fresh, but the strings of the PE's own share — those
 	// that never left it — alias the caller's input strings; received
-	// ones are copies.
+	// ones are copies. PDMS sends only distinguishing prefixes, so every
+	// string of a PDMS fragment is looked up by its origin and aliases the
+	// caller's input.
 	Strings [][]byte
-	// LCPs is the fragment's LCP array (nil for MS-simple and FKmerge).
+	// LCPs is the fragment's LCP array (nil for MS-simple, FKmerge, PDMS
+	// and PDMS-Golomb).
 	LCPs []int32
 	// Origins is the provenance of each string (PDMS and hQuick).
 	Origins []Origin
@@ -438,12 +417,12 @@ func statsFromReport(rep *stats.Report, n int64) Stats {
 			tot.BytesRecv += c.BytesRecv
 			tot.Messages += c.Messages
 			tot.Work += c.Work
-			st.WireBytes += pe.Wire[ph].Sent
 			peWall += pe.Wall[ph]
 			peOverlap += pe.Overlap[ph]
 			cpuNS += pe.CPU[ph]
 		}
 		st.BytesSent += tot.BytesSent
+		st.WireBytes += pe.WireSent
 		st.MaxBytesSent = max(st.MaxBytesSent, tot.BytesSent)
 		recv += tot.BytesRecv
 		st.MaxBytesRecv = max(st.MaxBytesRecv, tot.BytesRecv)
@@ -479,7 +458,7 @@ func statsFromReport(rep *stats.Report, n int64) Stats {
 type Result struct {
 	PEs        []PEOutput
 	Stats      Stats
-	PrefixOnly bool // PDMS without Reconstruct or under a budget: fragments hold prefixes
+	PrefixOnly bool // PDMS under a budget: the run files hold prefixes
 }
 
 // Sort sorts the distributed string set inputs (inputs[pe] = PE pe's local
@@ -602,24 +581,33 @@ func newMachine(p int, cfg Config) (*comm.Machine, error) {
 	return comm.NewOver(d), nil
 }
 
-// decorate wraps the fabric in the selected decorators: the chaos fault
-// injector innermost, so injected delays and reorders disturb the
-// post-codec frames actually on the wire, and the wire codec on top. Both names are parsed before anything is wrapped. "" disables
-// chaos and "" or "none" the codec, leaving the raw hot path untouched;
-// the comm layer then mirrors raw volume into the wire counters, so
-// Stats.WireBytes is meaningful either way.
+// faultLevel names the chaos level ("delay", "reorder"; see
+// transport/chaos) that decorate puts under the codec, on the fault
+// schedule faultSeed; "", the default, injects nothing. Only the chaos
+// tests set them.
+var (
+	faultLevel string
+	faultSeed  uint64
+)
+
+// decorate wraps the fabric in the selected decorators: the fault injector
+// innermost, when a test has set faultLevel, so injected delays and
+// reorders disturb the post-codec frames actually on the wire, and the
+// wire codec on top. "" or "none" leaves the codec out and the raw hot
+// path untouched; the comm layer then mirrors raw volume into the wire
+// counter, so Stats.WireBytes is meaningful either way.
 func decorate(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	name, err := codec.Parse(cfg.Codec)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Chaos != "" {
-		ccfg, err := chaos.Parse(cfg.Chaos)
+	if faultLevel != "" {
+		fc, err := chaos.Parse(faultLevel)
 		if err != nil {
 			return nil, fmt.Errorf("stringsort: %w", err)
 		}
-		ccfg.Seed = cfg.ChaosSeed
-		f = chaos.WrapFabric(f, ccfg)
+		fc.Seed = faultSeed
+		f = chaos.WrapFabric(f, fc)
 	}
 	if name == "none" {
 		return f, nil
@@ -715,8 +703,8 @@ func EstimateDN(inputs [][][]byte, sampleSize int, seed uint64) (Estimate, error
 
 // SortStrings is a convenience wrapper for single-node callers: it
 // distributes the strings round-robin over cfg.P PEs, sorts, and returns
-// the concatenated sorted strings. PDMS results are reconstructed to full
-// strings automatically, in RAM and under a memory budget alike.
+// the concatenated sorted strings. Under a memory budget it reads them
+// from the run files and, for PDMS, looks each prefix's origin up.
 func SortStrings(ss []string, cfg Config) ([]string, error) {
 	if cfg.P <= 0 {
 		cfg.P = 4
@@ -726,7 +714,6 @@ func SortStrings(ss []string, cfg Config) ([]string, error) {
 		pe := i % cfg.P
 		inputs[pe] = append(inputs[pe], []byte(s))
 	}
-	cfg.Reconstruct = true
 	res, err := Sort(inputs, cfg)
 	if err != nil {
 		return nil, err

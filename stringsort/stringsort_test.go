@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"dss/internal/comm"
 	"dss/internal/input"
 	"dss/internal/strutil"
 )
@@ -32,10 +33,9 @@ func TestSortAllAlgorithmsValidate(t *testing.T) {
 	for _, algo := range Algorithms {
 		inputs := genInputs(rng, 6, 150)
 		res, err := Sort(inputs, Config{
-			Algorithm:   algo,
-			Seed:        7,
-			Validate:    true,
-			Reconstruct: true,
+			Algorithm: algo,
+			Seed:      7,
+			Validate:  true,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -74,19 +74,78 @@ func TestSortStringsConvenience(t *testing.T) {
 	}
 }
 
+// TestPDMSPrefixOnlyWithoutReconstruct pins PDMS's output contract. In
+// RAM, Sort returns the input's lines: each string is the input string its
+// origin names, aliasing the caller's input, and there is no LCP column.
+// Validate's multiset check covers them, so a fragment with one line
+// dropped or duplicated fails it, which the order check alone lets pass.
+// Only a budgeted run's files hold the prefixes, and only then is the
+// result PrefixOnly.
 func TestPDMSPrefixOnlyWithoutReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	inputs := genInputs(rng, 4, 100)
-	res, err := Sort(inputs, Config{Algorithm: PDMS, Validate: true})
+	for _, algo := range []Algorithm{PDMS, PDMSGolomb} {
+		res, err := Sort(inputs, Config{Algorithm: algo, Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PrefixOnly {
+			t.Fatalf("%v: in-RAM result is PrefixOnly", algo)
+		}
+		for pe, out := range res.PEs {
+			if len(out.Origins) != len(out.Strings) || out.LCPs != nil {
+				t.Fatalf("%v PE %d: %d origins and %d LCPs for %d strings", algo, pe, len(out.Origins), len(out.LCPs), len(out.Strings))
+			}
+			for i, s := range out.Strings {
+				o := out.Origins[i]
+				if in := inputs[o.PE][o.Index]; unsafe.SliceData(s) != unsafe.SliceData(in) || len(s) != len(in) {
+					t.Fatalf("%v PE %d: string %d is not the input string its origin names", algo, pe, i)
+				}
+			}
+		}
+		bu, err := Sort(inputs, budgetConfig(t, Config{Algorithm: algo, Validate: true}, t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bu.PrefixOnly {
+			t.Fatalf("%v: budgeted result is not PrefixOnly", algo)
+		}
+	}
+
+	res, err := Sort(inputs, Config{Algorithm: PDMS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PrefixOnly {
-		t.Fatal("PDMS result without Reconstruct must be PrefixOnly")
+	// check runs the validator runRank builds for an in-RAM PDMS fragment
+	// on the fragments frags, with or without its multiset check.
+	check := func(frags [][][]byte, multiset bool) error {
+		return comm.New(len(frags)).Run(func(c *comm.Comm) error {
+			chk := &streamCheck{multiset: multiset}
+			for _, s := range frags[c.Rank()] {
+				chk.add(s, 0)
+			}
+			return chk.finish(c, inputs[c.Rank()])
+		})
 	}
-	for pe, out := range res.PEs {
-		if len(out.Origins) != len(out.Strings) {
-			t.Fatalf("PE %d: origins missing", pe)
+	for _, tc := range []struct {
+		name string
+		edit func([][]byte) [][]byte
+	}{
+		{"intact", func(ss [][]byte) [][]byte { return ss }},
+		{"dropped", func(ss [][]byte) [][]byte { return ss[1:] }},
+		{"duplicated", func(ss [][]byte) [][]byte { return append([][]byte{ss[0]}, ss...) }},
+	} {
+		frags := make([][][]byte, len(res.PEs))
+		for pe, out := range res.PEs {
+			frags[pe] = out.Strings
+		}
+		frags[1] = tc.edit(frags[1])
+		err := check(frags, true)
+		if intact := tc.name == "intact"; (err == nil) != intact {
+			t.Fatalf("%s fragment: Validate returned %v", tc.name, err)
+		}
+		if err := check(frags, false); err != nil {
+			t.Fatalf("%s fragment: the order check alone returned %v", tc.name, err)
 		}
 	}
 }
@@ -106,13 +165,12 @@ func TestLookupOriginOutOfRange(t *testing.T) {
 }
 
 // TestArenaAliasesOrCopiesOnce pins where the in-RAM Result's arrays live,
-// the invariant that keeps Sort's allocation flat: for MS and PDMS (with
-// and without Reconstruct) on 4 PEs, every output string either aliases an
-// input string (in RAM a PE keeps its own strings, PDMS prefixes of them;
-// Reconstruct looks every origin up) or lies in one per-PE byte array,
-// the received strings back to back in output order and exactly as many
-// characters as the PE received from the others; and the LCP and origin
-// columns are exactly n long.
+// the invariant that keeps Sort's allocation flat: for MS and PDMS on 4
+// PEs, every output string either aliases an input string (in RAM a PE
+// keeps its own strings, and PDMS looks every origin up) or lies in one
+// per-PE byte array, the received strings back to back in output order and
+// exactly as many characters as the PE received from the others; and the
+// LCP and origin columns are exactly n long.
 func TestArenaAliasesOrCopiesOnce(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(109))
@@ -131,12 +189,9 @@ func TestArenaAliasesOrCopiesOnce(t *testing.T) {
 			alias[unsafe.SliceData(s)] = pe
 		}
 	}
-	for _, c := range []struct {
-		algo        Algorithm
-		reconstruct bool
-	}{{MS, false}, {PDMS, false}, {PDMS, true}} {
-		t.Run(fmt.Sprintf("%v/reconstruct=%v", c.algo, c.reconstruct), func(t *testing.T) {
-			res, err := Sort(inputs, Config{Algorithm: c.algo, Seed: 4, Reconstruct: c.reconstruct})
+	for _, algo := range []Algorithm{MS, PDMS} {
+		t.Run(algo.String(), func(t *testing.T) {
+			res, err := Sort(inputs, Config{Algorithm: algo, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,24 +200,24 @@ func TestArenaAliasesOrCopiesOnce(t *testing.T) {
 				if n == 0 {
 					t.Fatalf("PE %d holds no strings: nothing to check", pe)
 				}
-				if lcp := c.algo == MS || !c.reconstruct; lcp != (out.LCPs != nil) || (lcp && (len(out.LCPs) != n || cap(out.LCPs) != n)) {
+				if lcp := algo == MS; lcp != (out.LCPs != nil) || (lcp && (len(out.LCPs) != n || cap(out.LCPs) != n)) {
 					t.Fatalf("PE %d: LCP column len %d cap %d for %d strings", pe, len(out.LCPs), cap(out.LCPs), n)
 				}
-				if orig := c.algo == PDMS; orig != (out.Origins != nil) || (orig && (len(out.Origins) != n || cap(out.Origins) != n)) {
+				if orig := algo == PDMS; orig != (out.Origins != nil) || (orig && (len(out.Origins) != n || cap(out.Origins) != n)) {
 					t.Fatalf("PE %d: origin column len %d cap %d for %d strings", pe, len(out.Origins), cap(out.Origins), n)
 				}
 				var base *byte
 				copied, received := 0, 0
 				for k, s := range out.Strings {
 					from := source[string(s)]
-					if c.algo == PDMS {
+					if algo == PDMS {
 						from = out.Origins[k].PE
 					}
 					if from != pe {
 						received += len(s)
 					}
 					if owner, ok := alias[unsafe.SliceData(s)]; ok {
-						if owner != from || (owner != pe && !c.reconstruct) {
+						if owner != from || (owner != pe && algo == MS) {
 							t.Fatalf("PE %d: string %d from PE %d aliases PE %d's input", pe, k, from, owner)
 						}
 						continue
@@ -175,10 +230,10 @@ func TestArenaAliasesOrCopiesOnce(t *testing.T) {
 					}
 					copied += len(s)
 				}
-				if c.reconstruct {
+				if algo == PDMS {
 					received = 0 // every string is looked up, none copied
 				}
-				if copied != received || received == 0 && !c.reconstruct {
+				if copied != received || received == 0 && algo == MS {
 					t.Fatalf("PE %d: %d characters copied, %d received", pe, copied, received)
 				}
 			}

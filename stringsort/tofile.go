@@ -25,8 +25,7 @@ const touchAhead = 32
 
 // SortToFile sorts inputs like Sort and writes the sorted sequence to out as
 // lines, each followed by '\n', in PE order — a PDMS prefix as the input
-// line its origin names — and returns the run's statistics. The output is
-// always lines, so Config.Reconstruct is moot.
+// line its origin names — and returns the run's statistics.
 //
 // No PE's fragment is materialized and no sorted-run file is written: each
 // PE learns its exact line and byte counts before it writes, takes its

@@ -96,6 +96,7 @@ func toPipe(t *testing.T, inputs [][][]byte, cfg Config) ([]byte, Stats) {
 // every cell, the statistics equal Sort's, and the spill directory is empty
 // afterwards.
 func TestSortToFileDifferential(t *testing.T) {
+	setPageSize(t, testPage)
 	rng := rand.New(rand.NewSource(3707))
 	for _, p := range []int{1, 3, 4} {
 		inputs := genInputs(rng, p, 4000)
@@ -110,7 +111,7 @@ func TestSortToFileDifferential(t *testing.T) {
 					dir := t.TempDir()
 					cfg := Config{Algorithm: algo, Transport: tr, Seed: 11, Validate: true, SpillDir: dir}
 					if budget {
-						cfg.MemBudget, cfg.spillPageSize = 16<<10, testPage
+						cfg.MemBudget = 16 << 10
 					}
 					ref, err := Sort(inputs, cfg)
 					if err != nil {
@@ -143,6 +144,7 @@ func TestSortToFileDifferential(t *testing.T) {
 // opened read-only — makes SortToFile return the write error, in RAM and
 // under a budget, and leaves nothing in the spill directory.
 func TestSortToFileWriteFailure(t *testing.T) {
+	setPageSize(t, testPage)
 	rng := rand.New(rand.NewSource(3708))
 	inputs := genInputs(rng, 4, 2000)
 	path := filepath.Join(t.TempDir(), "ro.txt")
@@ -155,7 +157,7 @@ func TestSortToFileWriteFailure(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Algorithm: algo, Seed: 11, SpillDir: dir}
 			if budget {
-				cfg.MemBudget, cfg.spillPageSize = 16<<10, testPage
+				cfg.MemBudget = 16 << 10
 			}
 			f, err := os.Open(path)
 			if err != nil {

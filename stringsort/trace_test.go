@@ -82,7 +82,8 @@ func TestSortTraceTimeline(t *testing.T) {
 	const p = 4
 	inputs := testInputs(p, 2000)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	cfg := Config{Algorithm: PDMS, MemBudget: 8 << 10, SpillDir: t.TempDir(), spillPageSize: 512}
+	setPageSize(t, 512)
+	cfg := Config{Algorithm: PDMS, MemBudget: 8 << 10, SpillDir: t.TempDir()}
 	untraced, err := Sort(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)

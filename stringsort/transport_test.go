@@ -58,7 +58,7 @@ func TestTCPBackendMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	inputs := genInputs(rng, 4, 120)
 	for _, algo := range []Algorithm{MS, HQuick, PDMSGolomb} {
-		base := Config{Algorithm: algo, Seed: 11, Validate: true, Reconstruct: true}
+		base := Config{Algorithm: algo, Seed: 11, Validate: true}
 
 		cfgLocal := base
 		cfgLocal.Transport = TransportLocal
@@ -135,7 +135,7 @@ func TestRunPEMatchesSort(t *testing.T) {
 	config := func(t *testing.T, algo Algorithm, budget bool) Config {
 		cfg := Config{Algorithm: algo, Seed: 23, Validate: true, SpillDir: t.TempDir()}
 		if budget {
-			cfg = budgetConfig(cfg, cfg.SpillDir)
+			cfg = budgetConfig(t, cfg, cfg.SpillDir)
 		}
 		return cfg
 	}
@@ -172,7 +172,7 @@ func TestRunPEReturnsPeerLossAsError(t *testing.T) {
 	out := openOuts(t, 1, 0, "")[0]
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPE(f.Endpoint(0), inputs[0], budgetConfig(Config{Algorithm: MS, Seed: 3}, dir), out)
+		_, err := RunPE(f.Endpoint(0), inputs[0], budgetConfig(t, Config{Algorithm: MS, Seed: 3}, dir), out)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // most likely rank 0 waits first; either order must pass
